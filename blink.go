@@ -195,17 +195,27 @@ type Comm struct {
 	tn *collective.Tenant
 }
 
-// NewComm probes the machine for the allocated device IDs and returns a
-// communicator. For the DGX-2, devs may be nil (all 16 GPUs).
-func NewComm(machine *Machine, devs []int, opts ...Option) (*Comm, error) {
+// configurable is the construction-time surface Engine and ClusterEngine
+// share; applyOptions configures either through it.
+type configurable interface {
+	SetPlanCache(*PlanCache)
+	SetPlanStore(*collective.PlanStore)
+	ConfigureAsync(streams int, windowBytes int64)
+}
+
+// resolveOptions folds the options over the defaults.
+func resolveOptions(opts []Option) commConfig {
 	cfg := commConfig{backend: BackendBlink}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	eng, err := collective.NewEngine(machine, devs, cfg.sim)
-	if err != nil {
-		return nil, err
-	}
+	return cfg
+}
+
+// applyOptions applies the options every communicator kind honours: the
+// plan cache (shared, or private at a chosen capacity), the on-disk plan
+// store behind it, and the async stream layer.
+func applyOptions(cfg commConfig, eng configurable) error {
 	if cfg.cache != nil {
 		eng.SetPlanCache(cfg.cache)
 	} else if cfg.cacheCap != nil {
@@ -214,14 +224,28 @@ func NewComm(machine *Machine, devs []int, opts ...Option) (*Comm, error) {
 	if cfg.storeDir != "" {
 		store, err := collective.NewPlanStore(cfg.storeDir)
 		if err != nil {
-			return nil, fmt.Errorf("blink: open plan store: %w", err)
+			return fmt.Errorf("blink: open plan store: %w", err)
 		}
 		eng.SetPlanStore(store)
+	}
+	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
+	return nil
+}
+
+// NewComm probes the machine for the allocated device IDs and returns a
+// communicator. For the DGX-2, devs may be nil (all 16 GPUs).
+func NewComm(machine *Machine, devs []int, opts ...Option) (*Comm, error) {
+	cfg := resolveOptions(opts)
+	eng, err := collective.NewEngine(machine, devs, cfg.sim)
+	if err != nil {
+		return nil, err
+	}
+	if err := applyOptions(cfg, eng); err != nil {
+		return nil, err
 	}
 	if cfg.serviceAddr != "" {
 		eng.SetPlanService(plansvc.NewClient(cfg.serviceAddr))
 	}
-	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
 	if cfg.qos != nil {
 		eng.ConfigureQoS(*cfg.qos)
 	}
@@ -264,40 +288,35 @@ func (c *Comm) ReconfigureExclude(evicted ...int) error {
 	return c.eng.ReconfigureExclude(evicted)
 }
 
-// run dispatches a collective through the engine. On a tenant view the
-// dispatch rides the tenant's QoS lane — priority against other lanes,
-// watermark admission, quota enforcement — and an overloaded lane or
-// exhausted quota surfaces as an error wrapping ErrAdmissionRejected.
-func (c *Comm) run(op collective.Op, root int, bytes int64, opts collective.Options) (Result, error) {
-	if c.tn != nil {
-		h, _ := c.eng.RunAsyncTenant(c.tn, c.backend, op, root, bytes, opts)
-		return h.Wait()
-	}
-	return c.eng.Run(c.backend, op, root, bytes, opts)
-}
-
-// snapRun dispatches against a pinned topology snapshot, riding the
-// tenant's QoS lane on tenant views (the data-mode dispatch path).
-func (c *Comm) snapRun(snap collective.Snapshot, op collective.Op, root int, bytes int64, opts collective.Options) (Result, error) {
-	if c.tn != nil {
-		return snap.RunTenant(c.tn, c.backend, op, root, bytes, opts)
-	}
-	return snap.Run(c.backend, op, root, bytes, opts)
+// submit is the communicator's one route into the engine. It stamps the
+// view's tenant on the call and lets the engine's dispatch spine pick the
+// admission stage: none for a synchronous untenanted call (stream ==
+// collective.Inline, the handle comes back resolved), the stream
+// scheduler's byte window for an untenanted async one, and on a tenant view
+// the tenant's QoS lane — priority against other lanes, watermark
+// admission, quota enforcement; OnStream is ignored there (lane priority
+// supersedes stream pinning) and an overloaded lane or exhausted quota
+// resolves the handle with an error wrapping ErrAdmissionRejected. snap is
+// the topology state the caller pinned: the current one for a timing call,
+// the one a data-mode call validated and staged against.
+func (c *Comm) submit(snap collective.Snapshot, stream int, op collective.Op, root int, bytes int64, opts collective.Options) *Handle {
+	opts.Tenant = c.tn
+	return snap.Submit(c.backend, op, root, bytes, opts, stream)
 }
 
 // Broadcast sends bytes from rank root to all ranks.
 func (c *Comm) Broadcast(root int, bytes int64) (Result, error) {
-	return c.run(collective.Broadcast, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Broadcast, root, bytes, collective.Options{}).Wait()
 }
 
 // Gather collects bytes/Size() from every rank at root.
 func (c *Comm) Gather(root int, bytes int64) (Result, error) {
-	return c.run(collective.Gather, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Gather, root, bytes, collective.Options{}).Wait()
 }
 
 // AllReduce sums bytes of float32 gradients across all ranks.
 func (c *Comm) AllReduce(bytes int64) (Result, error) {
-	return c.run(collective.AllReduce, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllReduce, 0, bytes, collective.Options{}).Wait()
 }
 
 // AllReduceMany issues one AllReduce per tensor size as a single grouped
@@ -305,7 +324,7 @@ func (c *Comm) AllReduce(bytes int64) (Result, error) {
 // distinct size compiles once; a steady-state training loop replays frozen
 // plans for the whole group (see GroupResult.CacheHits).
 func (c *Comm) AllReduceMany(sizes []int64) (GroupResult, error) {
-	return c.eng.RunMany(c.backend, collective.AllReduce, 0, sizes, collective.Options{})
+	return c.eng.RunMany(c.backend, collective.AllReduce, 0, sizes, collective.Options{Tenant: c.tn})
 }
 
 // CacheStats snapshots the communicator's plan-cache counters: hits are
@@ -332,29 +351,29 @@ func (c *Comm) Timeline() *Timeline { return c.eng.Timeline() }
 
 // AllGather concatenates every rank's share on all ranks.
 func (c *Comm) AllGather(bytes int64) (Result, error) {
-	return c.run(collective.AllGather, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllGather, 0, bytes, collective.Options{}).Wait()
 }
 
 // ReduceScatter reduces and leaves each rank with one shard.
 func (c *Comm) ReduceScatter(bytes int64) (Result, error) {
-	return c.run(collective.ReduceScatter, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.ReduceScatter, 0, bytes, collective.Options{}).Wait()
 }
 
 // Reduce sums every rank's buffer at rank root (the first half of an
 // AllReduce).
 func (c *Comm) Reduce(root int, bytes int64) (Result, error) {
-	return c.run(collective.Reduce, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Reduce, root, bytes, collective.Options{}).Wait()
 }
 
 // Scatter distributes a distinct bytes/Size() shard from root to every
 // rank (the inverse of Gather).
 func (c *Comm) Scatter(root int, bytes int64) (Result, error) {
-	return c.run(collective.Scatter, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Scatter, root, bytes, collective.Options{}).Wait()
 }
 
 // HybridBroadcast runs Blink's combined PCIe+NVLink broadcast (§3.4).
 func (c *Comm) HybridBroadcast(root int, bytes int64) (Result, error) {
-	res, _, err := c.eng.RunHybridBroadcast(root, bytes, collective.Options{})
+	res, _, err := c.eng.RunHybridBroadcast(root, bytes, collective.Options{Tenant: c.tn})
 	return res, err
 }
 
@@ -364,7 +383,7 @@ func (c *Comm) HybridBroadcast(root int, bytes int64) (Result, error) {
 // spanning trees; under BackendNCCL pairs move store-and-forward along the
 // baseline rings.
 func (c *Comm) AllToAll(bytes int64) (Result, error) {
-	return c.run(collective.AllToAll, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllToAll, 0, bytes, collective.Options{}).Wait()
 }
 
 // SendRecv forwards one bytes-sized payload stage by stage along the given
@@ -373,7 +392,7 @@ func (c *Comm) AllToAll(bytes int64) (Result, error) {
 // pipelined against the next. Non-adjacent stages are routed over relay
 // ranks. The chain must name at least two distinct in-range ranks.
 func (c *Comm) SendRecv(chain []int, bytes int64) (Result, error) {
-	return c.run(collective.SendRecv, 0, bytes, collective.Options{Chain: chain})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.SendRecv, 0, bytes, collective.Options{Chain: chain}).Wait()
 }
 
 // NeighborExchange sends each rank's bytes-sized payload to every rank on
@@ -381,7 +400,7 @@ func (c *Comm) SendRecv(chain []int, bytes int64) (Result, error) {
 // rows; row v lists the ranks v sends to. Self-loops and duplicate targets
 // are rejected.
 func (c *Comm) NeighborExchange(neighbors [][]int, bytes int64) (Result, error) {
-	return c.run(collective.NeighborExchange, 0, bytes, collective.Options{Neighbors: neighbors})
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.NeighborExchange, 0, bytes, collective.Options{Neighbors: neighbors}).Wait()
 }
 
 // Handle is the caller's reference to one in-flight async collective: wait
@@ -413,22 +432,6 @@ func asyncStream(opts []AsyncOpt) int {
 	return a.stream
 }
 
-// runAsync submits a collective to the communicator's stream scheduler —
-// or, on a tenant view, through the tenant's QoS lane (OnStream is
-// ignored there: lane priority supersedes stream pinning, and a rejected
-// admission resolves the handle with ErrAdmissionRejected).
-func (c *Comm) runAsync(op collective.Op, root int, bytes int64, opts []AsyncOpt) *Handle {
-	return c.runAsyncOpts(op, root, bytes, collective.Options{}, opts)
-}
-
-func (c *Comm) runAsyncOpts(op collective.Op, root int, bytes int64, copts collective.Options, opts []AsyncOpt) *Handle {
-	if c.tn != nil {
-		h, _ := c.eng.RunAsyncTenant(c.tn, c.backend, op, root, bytes, copts)
-		return h
-	}
-	return c.eng.RunAsync(c.backend, op, root, bytes, copts, asyncStream(opts))
-}
-
 // BroadcastAsync is the nonblocking Broadcast: it submits the collective
 // to one of the communicator's worker streams and returns immediately
 // (blocking only when the in-flight byte window is full). A training step
@@ -439,121 +442,174 @@ func (c *Comm) runAsyncOpts(op collective.Op, root int, bytes int64, copts colle
 // its snapshot even if the communicator is Reconfigured mid-op, while
 // every later submission sees the post-fault state.
 func (c *Comm) BroadcastAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Broadcast, root, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Broadcast, root, bytes, collective.Options{})
 }
 
 // AllReduceAsync is the nonblocking AllReduce (see BroadcastAsync for the
 // shared async semantics).
 func (c *Comm) AllReduceAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.AllReduce, 0, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllReduce, 0, bytes, collective.Options{})
 }
 
 // ReduceAsync is the nonblocking Reduce.
 func (c *Comm) ReduceAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Reduce, root, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Reduce, root, bytes, collective.Options{})
 }
 
 // GatherAsync is the nonblocking Gather.
 func (c *Comm) GatherAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Gather, root, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Gather, root, bytes, collective.Options{})
 }
 
 // ScatterAsync is the nonblocking Scatter.
 func (c *Comm) ScatterAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Scatter, root, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Scatter, root, bytes, collective.Options{})
 }
 
 // AllGatherAsync is the nonblocking AllGather.
 func (c *Comm) AllGatherAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.AllGather, 0, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllGather, 0, bytes, collective.Options{})
 }
 
 // ReduceScatterAsync is the nonblocking ReduceScatter.
 func (c *Comm) ReduceScatterAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.ReduceScatter, 0, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.ReduceScatter, 0, bytes, collective.Options{})
 }
 
 // AllToAllAsync is the nonblocking AllToAll (see BroadcastAsync for the
 // shared async semantics).
 func (c *Comm) AllToAllAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.AllToAll, 0, bytes, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllToAll, 0, bytes, collective.Options{})
 }
 
 // SendRecvAsync is the nonblocking SendRecv along the given rank chain.
 func (c *Comm) SendRecvAsync(chain []int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsyncOpts(collective.SendRecv, 0, bytes,
-		collective.Options{Chain: append([]int(nil), chain...)}, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.SendRecv, 0, bytes,
+		collective.Options{Chain: append([]int(nil), chain...)})
 }
 
 // NeighborExchangeAsync is the nonblocking NeighborExchange.
 func (c *Comm) NeighborExchangeAsync(neighbors [][]int, bytes int64, opts ...AsyncOpt) *Handle {
-	rows := make([][]int, len(neighbors))
-	for i, r := range neighbors {
-		rows[i] = append([]int(nil), r...)
-	}
-	return c.runAsyncOpts(collective.NeighborExchange, 0, bytes,
-		collective.Options{Neighbors: rows}, opts)
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.NeighborExchange, 0, bytes,
+		collective.Options{Neighbors: copyRows(neighbors)})
 }
 
-// dataSnapshot pins the engine's topology state for one data-mode call, so
-// input validation, buffer staging, the dispatch and the result reads all
-// see the same rank count even if another goroutine Reconfigures the
-// communicator mid-call. It returns the snapshot and its rank count.
-func (c *Comm) dataSnapshot() (collective.Snapshot, int, error) {
-	if err := c.requireData(); err != nil {
-		return collective.Snapshot{}, 0, err
+// dataOp describes one data-mode collective to runData: which collective
+// carries it, what its inputs must look like, and how they are staged into
+// the call's arena. Reading results back stays with the entry point, whose
+// return shape it is.
+type dataOp struct {
+	op   collective.Op
+	root int
+	// opts carries the point-to-point shape (Chain / Neighbors), if any.
+	opts collective.Options
+	// blinkOnly names the op when only BackendBlink has a data-carrying
+	// schedule for it (the NCCL baselines for these are timing-only).
+	blinkOnly string
+	// inputs holds one equal-length non-empty buffer per rank, or — for a
+	// single-source op — just the payload staged at rank src.
+	inputs [][]float32
+	single bool
+	src    int
+	// sharded requires the buffer length to be a multiple of the rank count.
+	sharded bool
+	// padded stages rank v's input as shard v of a zeroed Size()-shard
+	// buffer (summing or gathering such buffers concatenates exactly).
+	padded bool
+}
+
+// runData is the one body under the *Data entry points. It pins the
+// engine's topology state for the whole call — so input validation, buffer
+// staging, the dispatch and the caller's result reads all see the same rank
+// count even if another goroutine Reconfigures the communicator mid-call —
+// validates and stages the inputs into a fresh per-call arena, and
+// dispatches through submit. It returns the arena, the pinned rank count and
+// the staged per-rank buffer length in floats.
+func (c *Comm) runData(d dataOp) (bs *simgpu.BufferSet, ranks, n int, err error) {
+	if !c.eng.Cfg.DataMode {
+		return nil, 0, 0, fmt.Errorf("blink: communicator not created WithDataMode")
+	}
+	if d.blinkOnly != "" && c.backend != BackendBlink {
+		return nil, 0, 0, fmt.Errorf("blink: data-mode %s requires BackendBlink", d.blinkOnly)
 	}
 	snap := c.eng.Snapshot()
-	return snap, snap.Topo().NumGPUs, nil
+	ranks = snap.Topo().NumGPUs
+	if !d.single && len(d.inputs) != ranks {
+		return nil, 0, 0, fmt.Errorf("blink: %d inputs for %d ranks", len(d.inputs), ranks)
+	}
+	if n = len(d.inputs[0]); n == 0 {
+		return nil, 0, 0, fmt.Errorf("blink: empty buffer")
+	}
+	for i, in := range d.inputs {
+		if len(in) != n {
+			return nil, 0, 0, fmt.Errorf("blink: rank %d buffer length %d != %d", i, len(in), n)
+		}
+	}
+	if d.sharded && n%ranks != 0 {
+		return nil, 0, 0, fmt.Errorf("blink: buffer length %d not a multiple of %d ranks", n, ranks)
+	}
+	bs = simgpu.NewBufferSet()
+	for v, in := range d.inputs {
+		var buf []float32
+		if d.padded {
+			buf = make([]float32, n*ranks)
+			copy(buf[v*n:], in)
+		} else {
+			buf = append(buf, in...)
+		}
+		if d.single {
+			v = d.src
+		}
+		bs.SetBuffer(v, core.BufData, buf)
+	}
+	if d.padded {
+		n *= ranks
+	}
+	d.opts.DataMode, d.opts.Buffers = true, bs
+	_, err = c.submit(snap, collective.Inline, d.op, d.root, int64(n)*4, d.opts).Wait()
+	return bs, ranks, n, err
+}
+
+// runDataRanks is runData plus the common read-back: a copy of every rank's
+// buffer under tag, of which rank v keeps only its own 1/Size() shard when
+// keepShard is set.
+func (c *Comm) runDataRanks(d dataOp, tag int, keepShard bool) ([][]float32, error) {
+	bs, ranks, n, err := c.runData(d)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float32, ranks)
+	for v := range out {
+		buf := bs.Buffer(v, tag, n)
+		if keepShard {
+			buf = buf[v*(n/ranks) : (v+1)*(n/ranks)]
+		}
+		out[v] = append([]float32(nil), buf...)
+	}
+	return out, nil
+}
+
+// copyRows deep-copies a neighbor list so a queued or cached dispatch never
+// aliases the caller's slices.
+func copyRows(rows [][]int) [][]int {
+	out := make([][]int, len(rows))
+	for i, r := range rows {
+		out[i] = append([]int(nil), r...)
+	}
+	return out
 }
 
 // BroadcastData broadcasts root's buffer to every rank and returns each
 // rank's received copy. The communicator must be created WithDataMode.
 func (c *Comm) BroadcastData(root int, data []float32) ([][]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	n := len(data)
-	if n == 0 {
-		return nil, fmt.Errorf("blink: empty buffer")
-	}
-	bs := simgpu.NewBufferSet()
-	bs.SetBuffer(root, core.BufData, append([]float32(nil), data...))
-	if _, err := c.snapRun(snap, collective.Broadcast, root, int64(n)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
-		return nil, err
-	}
-	out := make([][]float32, ranks)
-	for v := 0; v < ranks; v++ {
-		out[v] = append([]float32(nil), bs.Buffer(v, core.BufData, n)...)
-	}
-	return out, nil
+	return c.runDataRanks(dataOp{op: collective.Broadcast, root: root, inputs: [][]float32{data}, single: true, src: root}, core.BufData, false)
 }
 
 // AllReduceData sums the per-rank buffers elementwise and returns each
 // rank's result. All buffers must share a length. The communicator must be
 // created WithDataMode.
 func (c *Comm) AllReduceData(inputs [][]float32) ([][]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	n, err := checkShardInputs(inputs, ranks)
-	if err != nil {
-		return nil, err
-	}
-	bs := simgpu.NewBufferSet()
-	for v, in := range inputs {
-		bs.SetBuffer(v, core.BufData, append([]float32(nil), in...))
-	}
-	if _, err := c.snapRun(snap, collective.AllReduce, 0, int64(n)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
-		return nil, err
-	}
-	out := make([][]float32, ranks)
-	for v := 0; v < ranks; v++ {
-		out[v] = append([]float32(nil), bs.Buffer(v, core.BufAcc, n)...)
-	}
-	return out, nil
+	return c.runDataRanks(dataOp{op: collective.AllReduce, inputs: inputs}, core.BufAcc, false)
 }
 
 // GatherData collects every rank's buffer at rank root and returns the
@@ -561,25 +617,8 @@ func (c *Comm) AllReduceData(inputs [][]float32) ([][]float32, error) {
 // Gather rides Blink's spanning trees; the NCCL baseline has no
 // data-carrying gather schedule, so BackendNCCL is rejected.
 func (c *Comm) GatherData(root int, inputs [][]float32) ([]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
+	bs, _, total, err := c.runData(dataOp{op: collective.Gather, root: root, blinkOnly: "Gather", inputs: inputs, padded: true})
 	if err != nil {
-		return nil, err
-	}
-	n, err := checkShardInputs(inputs, ranks)
-	if err != nil {
-		return nil, err
-	}
-	if c.backend != BackendBlink {
-		return nil, fmt.Errorf("blink: data-mode Gather requires BackendBlink")
-	}
-	total := n * ranks
-	bs := simgpu.NewBufferSet()
-	for v, in := range inputs {
-		buf := make([]float32, total)
-		copy(buf[v*n:(v+1)*n], in)
-		bs.SetBuffer(v, core.BufData, buf)
-	}
-	if _, err := c.snapRun(snap, collective.Gather, root, int64(total)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
 		return nil, err
 	}
 	return append([]float32(nil), bs.Buffer(root, core.BufData, total)...), nil
@@ -588,19 +627,8 @@ func (c *Comm) GatherData(root int, inputs [][]float32) ([]float32, error) {
 // ReduceData sums the per-rank buffers elementwise at rank root (the first
 // half of an AllReduce) and returns root's result.
 func (c *Comm) ReduceData(root int, inputs [][]float32) ([]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
+	bs, _, n, err := c.runData(dataOp{op: collective.Reduce, root: root, inputs: inputs})
 	if err != nil {
-		return nil, err
-	}
-	n, err := checkShardInputs(inputs, ranks)
-	if err != nil {
-		return nil, err
-	}
-	bs := simgpu.NewBufferSet()
-	for v, in := range inputs {
-		bs.SetBuffer(v, core.BufData, append([]float32(nil), in...))
-	}
-	if _, err := c.snapRun(snap, collective.Reduce, root, int64(n)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
 		return nil, err
 	}
 	return append([]float32(nil), bs.Buffer(root, core.BufAcc, n)...), nil
@@ -610,28 +638,8 @@ func (c *Comm) ReduceData(root int, inputs [][]float32) ([]float32, error) {
 // shard v to rank v (the inverse of Gather). len(data) must be a multiple
 // of Size(). Like GatherData, it requires BackendBlink.
 func (c *Comm) ScatterData(root int, data []float32) ([][]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if c.backend != BackendBlink {
-		return nil, fmt.Errorf("blink: data-mode Scatter requires BackendBlink")
-	}
-	total := len(data)
-	if total == 0 || total%ranks != 0 {
-		return nil, fmt.Errorf("blink: buffer length %d not a positive multiple of %d ranks", total, ranks)
-	}
-	n := total / ranks
-	bs := simgpu.NewBufferSet()
-	bs.SetBuffer(root, core.BufData, append([]float32(nil), data...))
-	if _, err := c.snapRun(snap, collective.Scatter, root, int64(total)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
-		return nil, err
-	}
-	out := make([][]float32, ranks)
-	for v := range out {
-		out[v] = append([]float32(nil), bs.Buffer(v, core.BufData, total)[v*n:(v+1)*n]...)
-	}
-	return out, nil
+	return c.runDataRanks(dataOp{op: collective.Scatter, root: root, blinkOnly: "Scatter",
+		inputs: [][]float32{data}, single: true, src: root, sharded: true}, core.BufData, true)
 }
 
 // AllGatherData concatenates every rank's buffer on all ranks. The schedule
@@ -639,29 +647,7 @@ func (c *Comm) ScatterData(root int, data []float32) ([][]float32, error) {
 // buffer that is zero outside each rank's own shard concatenates exactly),
 // the same identification the paper makes for timing.
 func (c *Comm) AllGatherData(inputs [][]float32) ([][]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	n, err := checkShardInputs(inputs, ranks)
-	if err != nil {
-		return nil, err
-	}
-	total := n * ranks
-	bs := simgpu.NewBufferSet()
-	for v, in := range inputs {
-		buf := make([]float32, total)
-		copy(buf[v*n:(v+1)*n], in)
-		bs.SetBuffer(v, core.BufData, buf)
-	}
-	if _, err := c.snapRun(snap, collective.AllGather, 0, int64(total)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
-		return nil, err
-	}
-	out := make([][]float32, ranks)
-	for v := range out {
-		out[v] = append([]float32(nil), bs.Buffer(v, core.BufAcc, total)...)
-	}
-	return out, nil
+	return c.runDataRanks(dataOp{op: collective.AllGather, inputs: inputs, padded: true}, core.BufAcc, false)
 }
 
 // ReduceScatterData sums the per-rank buffers elementwise and leaves rank v
@@ -669,30 +655,7 @@ func (c *Comm) AllGatherData(inputs [][]float32) ([][]float32, error) {
 // The data movement is the AllReduce schedule; each rank keeps only its
 // shard of the reduction.
 func (c *Comm) ReduceScatterData(inputs [][]float32) ([][]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	n, err := checkShardInputs(inputs, ranks)
-	if err != nil {
-		return nil, err
-	}
-	if n%ranks != 0 {
-		return nil, fmt.Errorf("blink: buffer length %d not a multiple of %d ranks", n, ranks)
-	}
-	bs := simgpu.NewBufferSet()
-	for v, in := range inputs {
-		bs.SetBuffer(v, core.BufData, append([]float32(nil), in...))
-	}
-	if _, err := c.snapRun(snap, collective.AllReduce, 0, int64(n)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
-		return nil, err
-	}
-	shard := n / ranks
-	out := make([][]float32, ranks)
-	for v := range out {
-		out[v] = append([]float32(nil), bs.Buffer(v, core.BufAcc, n)[v*shard:(v+1)*shard]...)
-	}
-	return out, nil
+	return c.runDataRanks(dataOp{op: collective.AllReduce, inputs: inputs, sharded: true}, core.BufAcc, true)
 }
 
 // AllToAllData exchanges real data between every pair of ranks: rank v's
@@ -701,35 +664,17 @@ func (c *Comm) ReduceScatterData(inputs [][]float32) ([][]float32, error) {
 // Buffer lengths must be a positive multiple of Size(). Like GatherData, it
 // requires BackendBlink (the NCCL ring baseline is timing-only).
 func (c *Comm) AllToAllData(inputs [][]float32) ([][]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
+	bs, ranks, n, err := c.runData(dataOp{op: collective.AllToAll, blinkOnly: "AllToAll", inputs: inputs, sharded: true})
 	if err != nil {
 		return nil, err
-	}
-	n, err := checkShardInputs(inputs, ranks)
-	if err != nil {
-		return nil, err
-	}
-	if c.backend != BackendBlink {
-		return nil, fmt.Errorf("blink: data-mode AllToAll requires BackendBlink")
-	}
-	if n%ranks != 0 {
-		return nil, fmt.Errorf("blink: buffer length %d not a multiple of %d ranks", n, ranks)
 	}
 	shard := n / ranks
-	bs := simgpu.NewBufferSet()
-	for v, in := range inputs {
-		bs.SetBuffer(v, core.BufData, append([]float32(nil), in...))
-	}
-	if _, err := c.snapRun(snap, collective.AllToAll, 0, int64(n)*4, collective.Options{DataMode: true, Buffers: bs}); err != nil {
-		return nil, err
-	}
 	out := make([][]float32, ranks)
 	for d := range out {
-		buf := make([]float32, n)
+		out[d] = make([]float32, n)
 		for r := 0; r < ranks; r++ {
-			copy(buf[r*shard:(r+1)*shard], bs.Buffer(d, core.ExchangeTag(r), n)[d*shard:(d+1)*shard])
+			copy(out[d][r*shard:(r+1)*shard], bs.Buffer(d, core.ExchangeTag(r), n)[d*shard:(d+1)*shard])
 		}
-		out[d] = buf
 	}
 	return out, nil
 }
@@ -738,24 +683,13 @@ func (c *Comm) AllToAllData(inputs [][]float32) ([][]float32, error) {
 // chain and returns each chain member's received copy, in chain order
 // (out[0] is the sender's own buffer). Requires BackendBlink.
 func (c *Comm) SendRecvData(chain []int, data []float32) ([][]float32, error) {
-	snap, _, err := c.dataSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if c.backend != BackendBlink {
-		return nil, fmt.Errorf("blink: data-mode SendRecv requires BackendBlink")
-	}
-	n := len(data)
-	if n == 0 {
-		return nil, fmt.Errorf("blink: empty buffer")
-	}
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("blink: empty chain")
 	}
-	bs := simgpu.NewBufferSet()
-	bs.SetBuffer(chain[0], core.BufData, append([]float32(nil), data...))
-	opts := collective.Options{DataMode: true, Buffers: bs, Chain: append([]int(nil), chain...)}
-	if _, err := c.snapRun(snap, collective.SendRecv, 0, int64(n)*4, opts); err != nil {
+	chain = append([]int(nil), chain...)
+	bs, _, n, err := c.runData(dataOp{op: collective.SendRecv, blinkOnly: "SendRecv", opts: collective.Options{Chain: chain},
+		inputs: [][]float32{data}, single: true, src: chain[0]})
+	if err != nil {
 		return nil, err
 	}
 	out := make([][]float32, len(chain))
@@ -770,27 +704,10 @@ func (c *Comm) SendRecvData(chain []int, data []float32) ([][]float32, error) {
 // payload as received by rank u, present exactly when u is on v's list.
 // All buffers must share a length. Requires BackendBlink.
 func (c *Comm) NeighborExchangeData(neighbors [][]int, inputs [][]float32) ([]map[int][]float32, error) {
-	snap, ranks, err := c.dataSnapshot()
+	rows := copyRows(neighbors)
+	bs, ranks, n, err := c.runData(dataOp{op: collective.NeighborExchange, blinkOnly: "NeighborExchange",
+		opts: collective.Options{Neighbors: rows}, inputs: inputs})
 	if err != nil {
-		return nil, err
-	}
-	n, err := checkShardInputs(inputs, ranks)
-	if err != nil {
-		return nil, err
-	}
-	if c.backend != BackendBlink {
-		return nil, fmt.Errorf("blink: data-mode NeighborExchange requires BackendBlink")
-	}
-	rows := make([][]int, len(neighbors))
-	for i, r := range neighbors {
-		rows[i] = append([]int(nil), r...)
-	}
-	bs := simgpu.NewBufferSet()
-	for v, in := range inputs {
-		bs.SetBuffer(v, core.BufData, append([]float32(nil), in...))
-	}
-	opts := collective.Options{DataMode: true, Buffers: bs, Neighbors: rows}
-	if _, err := c.snapRun(snap, collective.NeighborExchange, 0, int64(n)*4, opts); err != nil {
 		return nil, err
 	}
 	out := make([]map[int][]float32, ranks)
@@ -798,40 +715,11 @@ func (c *Comm) NeighborExchangeData(neighbors [][]int, inputs [][]float32) ([]ma
 		out[u] = map[int][]float32{}
 	}
 	for v, row := range rows {
-		if v >= ranks {
-			break
-		}
 		for _, u := range row {
 			out[u][v] = append([]float32(nil), bs.Buffer(u, core.ExchangeTag(v), n)...)
 		}
 	}
 	return out, nil
-}
-
-// checkShardInputs validates a per-rank input set for the data-mode
-// collectives: one equal-length non-empty buffer per rank. It returns the
-// shared buffer length.
-func checkShardInputs(inputs [][]float32, ranks int) (int, error) {
-	if len(inputs) != ranks {
-		return 0, fmt.Errorf("blink: %d inputs for %d ranks", len(inputs), ranks)
-	}
-	n := len(inputs[0])
-	if n == 0 {
-		return 0, fmt.Errorf("blink: empty buffer")
-	}
-	for i, in := range inputs {
-		if len(in) != n {
-			return 0, fmt.Errorf("blink: rank %d buffer length %d != %d", i, len(in), n)
-		}
-	}
-	return n, nil
-}
-
-func (c *Comm) requireData() error {
-	if !c.eng.Cfg.DataMode {
-		return fmt.Errorf("blink: communicator not created WithDataMode")
-	}
-	return nil
 }
 
 // Trees returns the minimized spanning-tree packing Blink generated for
@@ -879,32 +767,19 @@ type ClusterComm struct {
 // *Data variants, and WithPlanCache can pool one cache across cluster and
 // single-machine communicators alike.
 func NewClusterComm(cluster *Cluster, opts ...Option) (*ClusterComm, error) {
-	cfg := commConfig{backend: BackendBlink}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	eng, err := collective.NewClusterEngine(cluster, cfg.sim)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.cache != nil {
-		eng.SetPlanCache(cfg.cache)
-	} else if cfg.cacheCap != nil {
-		eng.SetPlanCache(collective.NewPlanCache(*cfg.cacheCap))
-	}
-	if cfg.storeDir != "" {
-		store, err := collective.NewPlanStore(cfg.storeDir)
-		if err != nil {
-			return nil, fmt.Errorf("blink: open plan store: %w", err)
-		}
-		eng.SetPlanStore(store)
-	}
+	cfg := resolveOptions(opts)
 	if cfg.serviceAddr != "" {
 		// Cluster three-phase plans embed cross-server wiring the planning
 		// service cannot reproduce; fail loudly instead of silently ignoring.
 		return nil, fmt.Errorf("blink: WithPlanService is single-machine only (cluster plans are not remotely servable)")
 	}
-	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
+	eng, err := collective.NewClusterEngine(cluster, cfg.sim)
+	if err != nil {
+		return nil, err
+	}
+	if err := applyOptions(cfg, eng); err != nil {
+		return nil, err
+	}
 	return &ClusterComm{eng: eng, backend: cfg.backend}, nil
 }
 

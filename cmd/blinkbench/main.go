@@ -1,14 +1,12 @@
-// Command blinkbench regenerates the paper's tables and figures, and
-// benchmarks the schedule plan cache.
+// Command blinkbench regenerates the paper's tables and figures, and hosts
+// the bench modes that still back a CI *-smoke gate (the repo's tracked
+// benchmark is ./bench; see bench/README.md).
 //
 // Usage:
 //
 //	blinkbench -exp all                        # every experiment, paper order
 //	blinkbench -exp fig15                      # one experiment
 //	blinkbench -list                           # available experiment IDs
-//	blinkbench -plancache -o BENCH_planCache.json  # cold vs warm plan latency
-//	blinkbench -cluster -o BENCH_cluster.json      # three-phase vs flat ring
-//	blinkbench -dataconc -o BENCH_dataConcurrency.json  # data-mode caller scaling
 //	blinkbench -resilience -o BENCH_resilience.json  # training across mid-run faults
 //	blinkbench -async -o BENCH_async.json            # async-stream overlap + dispatch throughput
 //	blinkbench -mixed -o BENCH_mixed.json            # AllToAll / SendRecv / NeighborExchange vs flat ring
@@ -23,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"blink/internal/experiments"
@@ -31,9 +30,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment ID (see -list) or 'all'")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	plancache := flag.Bool("plancache", false, "benchmark cold vs warm plan dispatch and emit JSON")
-	clusterBench := flag.Bool("cluster", false, "benchmark multi-server three-phase vs flat-ring collectives and emit JSON")
-	dataconc := flag.Bool("dataconc", false, "benchmark data-mode throughput vs concurrent caller count and emit JSON")
 	resilience := flag.Bool("resilience", false, "benchmark training runs surviving mid-run topology faults and emit JSON")
 	async := flag.Bool("async", false, "benchmark async-stream overlap and dispatch throughput and emit JSON")
 	mixed := flag.Bool("mixed", false, "benchmark AllToAll/SendRecv/NeighborExchange vs the flat-ring baseline and emit JSON")
@@ -43,21 +39,9 @@ func main() {
 	storeFlag := flag.Bool("store", false, "benchmark cold compile vs warm-disk cold-start vs warm-memory replay vs blinkd round-trip and emit JSON")
 	storeSmoke := flag.Bool("storesmoke", false, "gate warm-disk cold-start >=10x faster than cold compile, exit non-zero on failure")
 	tenantsFlag := flag.Bool("tenants", false, "benchmark latency-critical p99 under 100-1000 tenant mixed load (lanes vs FIFO) and emit JSON; exits non-zero if the QoS gate fails")
-	out := flag.String("o", "-", "output path for -plancache/-cluster/-dataconc/-resilience/-async/-mixed/-obs/-compile ('-' = stdout)")
+	out := flag.String("o", "-", "output path for -resilience/-async/-mixed/-obs/-compile/-store/-tenants ('-' = stdout)")
 	flag.Parse()
 
-	if *plancache {
-		planCacheMain(*out)
-		return
-	}
-	if *clusterBench {
-		clusterMain(*out)
-		return
-	}
-	if *dataconc {
-		dataConcMain(*out)
-		return
-	}
 	if *resilience {
 		resilienceMain(*out)
 		return
@@ -129,4 +113,33 @@ func main() {
 		os.Exit(2)
 	}
 	run(r)
+}
+
+// writeReport runs a benchmark against path (or stdout when path is "-"),
+// exiting non-zero on any failure.
+func writeReport(path, prefix string, run func(io.Writer) error) {
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
+		os.Exit(1)
+	}
+	w := io.Writer(os.Stdout)
+	var f *os.File
+	if path != "-" {
+		var err error
+		f, err = os.Create(path)
+		if err != nil {
+			fail(err)
+		}
+		w = f
+	}
+	if err := run(w); err != nil {
+		fail(err)
+	}
+	if f != nil {
+		// A deferred-write failure (full disk, NFS) surfaces at Close; a
+		// truncated report must not exit 0.
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
+	}
 }

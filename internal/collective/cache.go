@@ -57,6 +57,11 @@ type CachedPlan struct {
 	Plan        *core.FrozenPlan
 	ClusterPlan *ClusterFrozenPlan
 	Strategy    string
+	// hybrid, set instead of Plan on the never-cached values the hybrid
+	// planner hands the dispatch spine, builds and executes the §3.4
+	// PCIe+NVLink broadcast against the call's arena and returns its
+	// makespan.
+	hybrid func(*simgpu.BufferSet) (float64, error)
 }
 
 // CacheStats is a point-in-time snapshot of cache activity with per-tier
@@ -131,9 +136,8 @@ type PlanCache struct {
 	storeErrors atomic.Uint64
 
 	// obs mirrors the counters into a metrics registry (Instrument). The
-	// handles are resolved once and atomic thereafter; a zero cacheMetrics
-	// (uninstrumented cache) updates unregistered standalone metrics, so
-	// the hot path never branches on observability.
+	// handles are resolved once and atomic thereafter; never nil — an
+	// uninstrumented cache holds standalone metrics.
 	obs atomic.Pointer[cacheMetrics]
 }
 
@@ -143,12 +147,17 @@ type cacheMetrics struct {
 	diskHits, diskPuts, promotions, storeErrors   *obs.Counter
 	fairEvictions                                 *obs.Counter
 	entries                                       *obs.Gauge
+	// registered marks handles resolved from a registry, as opposed to the
+	// standalone no-op bundle of an uninstrumented cache.
+	registered bool
 }
 
 // Instrument mirrors the cache's activity into reg under the
 // blink_plan_cache_* metric family. Instrumenting an already-active cache
 // is safe (counters continue from zero in the registry); re-instrumenting
-// swaps the target registry atomically.
+// swaps the target registry atomically. A nil registry detaches: the cache
+// updates standalone metrics nobody reads, so the hot path never branches
+// on observability.
 func (c *PlanCache) Instrument(reg *obs.Registry) {
 	c.obs.Store(&cacheMetrics{
 		lookups:     reg.Counter("blink_plan_cache_lookups_total"),
@@ -162,28 +171,13 @@ func (c *PlanCache) Instrument(reg *obs.Registry) {
 		storeErrors: reg.Counter("blink_plan_cache_store_errors_total"),
 		fairEvictions: reg.Counter(
 			"blink_plan_cache_fair_evictions_total"),
-		entries: reg.Gauge("blink_plan_cache_entries"),
+		entries:    reg.Gauge("blink_plan_cache_entries"),
+		registered: reg != nil,
 	})
 }
 
-// metrics returns the instrumented handles (never nil; an uninstrumented
-// cache gets lazily initialized no-op standalone metrics).
-func (c *PlanCache) metrics() *cacheMetrics {
-	if m := c.obs.Load(); m != nil {
-		return m
-	}
-	m := &cacheMetrics{
-		lookups: &obs.Counter{}, hits: &obs.Counter{}, misses: &obs.Counter{},
-		evictions: &obs.Counter{}, invalidated: &obs.Counter{},
-		diskHits: &obs.Counter{}, diskPuts: &obs.Counter{},
-		promotions: &obs.Counter{}, storeErrors: &obs.Counter{},
-		fairEvictions: &obs.Counter{},
-		entries:       &obs.Gauge{},
-	}
-	// Racing stores are both valid no-op bundles; either wins harmlessly.
-	c.obs.CompareAndSwap(nil, m)
-	return c.metrics()
-}
+// instrumented reports whether the cache already mirrors into a registry.
+func (c *PlanCache) instrumented() bool { return c.obs.Load().registered }
 
 type cacheEntry struct {
 	key   PlanKey
@@ -196,12 +190,14 @@ type cacheEntry struct {
 // NewPlanCache returns an LRU plan cache holding at most capacity plans.
 // capacity <= 0 disables storage (every lookup misses).
 func NewPlanCache(capacity int) *PlanCache {
-	return &PlanCache{
+	c := &PlanCache{
 		capacity:   capacity,
 		order:      list.New(),
 		entries:    map[PlanKey]*list.Element{},
 		ownerCount: map[uint64]int{},
 	}
+	c.Instrument(nil)
+	return c
 }
 
 // SetPartitions declares how many tenants share the cache; each owner's
@@ -289,7 +285,7 @@ func (c *PlanCache) GetTiered(k PlanKey, decode PlanDecoder) (*CachedPlan, Tier,
 		v = el.Value.(*cacheEntry).value
 	}
 	c.mu.Unlock()
-	m := c.metrics()
+	m := c.obs.Load()
 	m.lookups.Inc()
 	if ok {
 		c.hits.Add(1)
@@ -359,7 +355,7 @@ func (c *PlanCache) PutTieredOwned(k PlanKey, v *CachedPlan, encoded []byte, own
 	if s == nil {
 		return
 	}
-	m := c.metrics()
+	m := c.obs.Load()
 	if err := s.Put(k, encoded); err != nil {
 		c.storeErrors.Add(1)
 		m.storeErrors.Inc()
@@ -392,7 +388,7 @@ func (c *PlanCache) putMemoryOwned(k PlanKey, v *CachedPlan, owner uint64) bool 
 		c.order.MoveToFront(el)
 		return true
 	}
-	m := c.metrics()
+	m := c.obs.Load()
 	if owner != 0 && c.partitions > 1 {
 		share := c.capacity / c.partitions
 		if share < 1 {
@@ -429,7 +425,7 @@ func (c *PlanCache) evictOwnerLRULocked(owner uint64) {
 		if el.Value.(*cacheEntry).owner == owner {
 			c.removeLocked(el)
 			c.evictions.Add(1)
-			c.metrics().evictions.Inc()
+			c.obs.Load().evictions.Inc()
 			return
 		}
 	}
@@ -466,7 +462,7 @@ func (c *PlanCache) InvalidateFingerprint(fp string) int {
 		}
 		el = next
 	}
-	m := c.metrics()
+	m := c.obs.Load()
 	m.invalidated.Add(uint64(removed))
 	m.entries.Set(int64(len(c.entries)))
 	c.mu.Unlock()

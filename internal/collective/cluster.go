@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"blink/internal/core"
-	"blink/internal/obs"
 	"blink/internal/ring"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
@@ -28,6 +27,7 @@ import (
 // RemoveServer swap the whole cluster-derived state atomically, so
 // collectives may keep flowing while a server drops out.
 type ClusterEngine struct {
+	engineShell
 	Cfg simgpu.Config
 
 	// st is the current cluster-derived state; Load it once per dispatch.
@@ -36,26 +36,12 @@ type ClusterEngine struct {
 	// reconfigMu serializes reconfigurations (see Engine.reconfigMu).
 	reconfigMu sync.Mutex
 
-	cfgKey simgpu.Config
-	id     uint64
-	cache  *PlanCache
 	// store is the on-disk tier applied to every per-server engine (cluster
 	// plans themselves are memory-only — their phase schedules embed
 	// cross-server wiring with no serializable IR — but the per-server tree
 	// plans warm-start from disk like any single-machine engine's). Kept so
 	// reconfigurations re-attach it to freshly probed server engines.
 	store *PlanStore
-
-	// async is the lazily started stream scheduler behind RunAsync.
-	async asyncRuntime
-
-	// Observability state, mirroring Engine: a per-communicator metrics
-	// registry, an optional span timeline, and registry-resolved dispatch
-	// metric handles.
-	obsReg                        *obs.Registry
-	tl                            atomic.Pointer[obs.Timeline]
-	mCompiles, mReplays, mReplans *obs.Counter
-	mReplanSeconds                *obs.Histogram
 }
 
 // clusterState is everything a ClusterEngine derives from its cluster
@@ -126,44 +112,10 @@ func NewClusterEngine(c *topology.Cluster, cfg simgpu.Config) (*ClusterEngine, e
 	if err != nil {
 		return nil, err
 	}
-	e := &ClusterEngine{
-		Cfg:    cfg,
-		cache:  NewPlanCache(DefaultPlanCacheCapacity),
-		id:     engineIDs.Add(1),
-		cfgKey: cfg.Normalized(),
-		obsReg: obs.NewRegistry(),
-	}
-	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
-	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
-	e.mReplans = e.obsReg.Counter("blink_replans_total")
-	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
-	e.cache.Instrument(e.obsReg)
+	e := &ClusterEngine{Cfg: cfg}
+	e.init(cfg)
 	e.st.Store(st)
 	return e, nil
-}
-
-// Metrics returns the cluster engine's metrics registry (see
-// Engine.Metrics).
-func (e *ClusterEngine) Metrics() *obs.Registry { return e.obsReg }
-
-// EnableTimeline switches on per-op span recording and returns the
-// timeline; idempotent (see Engine.EnableTimeline).
-func (e *ClusterEngine) EnableTimeline() *obs.Timeline {
-	if t := e.tl.Load(); t != nil {
-		return t
-	}
-	e.tl.CompareAndSwap(nil, obs.NewTimeline())
-	return e.tl.Load()
-}
-
-// Timeline returns the span timeline (nil unless EnableTimeline was called).
-func (e *ClusterEngine) Timeline() *obs.Timeline { return e.tl.Load() }
-
-func (e *ClusterEngine) timeline() *obs.Timeline { return e.tl.Load() }
-
-// opHist resolves the per-op simulated-makespan histogram.
-func (e *ClusterEngine) opHist(op Op) *obs.Histogram {
-	return e.obsReg.Histogram(`blink_op_sim_seconds{op="`+op.String()+`"}`, nil)
 }
 
 // Reconfigure swaps the engine onto a new cluster topology (typically one
@@ -197,11 +149,7 @@ func (e *ClusterEngine) reconfigureLocked(c *topology.Cluster) error {
 		}
 	}
 	e.st.Store(st)
-	if st.fingerprint != old.fingerprint {
-		e.cache.InvalidateFingerprint(old.fingerprint)
-	}
-	e.mReplans.Inc()
-	e.mReplanSeconds.Observe(time.Since(start).Seconds())
+	e.reconfigured(old.fingerprint, st.fingerprint, start)
 	return nil
 }
 
@@ -257,20 +205,6 @@ func (st *clusterState) locate(rank int) (server, local int, err error) {
 // Fingerprint returns the cluster's schedule-cache identity.
 func (e *ClusterEngine) Fingerprint() string { return e.st.Load().fingerprint }
 
-// SetPlanCache replaces the engine's plan cache, e.g. with one shared with
-// other (cluster or single-machine) communicators; cluster keys carry the
-// cluster fingerprint, so entries never collide. Nil resets to a private
-// default-capacity cache.
-func (e *ClusterEngine) SetPlanCache(c *PlanCache) {
-	if c == nil {
-		c = NewPlanCache(DefaultPlanCacheCapacity)
-	}
-	e.cache = c
-}
-
-// PlanCacheHandle returns the engine's plan cache.
-func (e *ClusterEngine) PlanCacheHandle() *PlanCache { return e.cache }
-
 // SetPlanStore attaches an on-disk plan store to every per-server engine
 // (and to future server engines probed by reconfigurations), so the
 // intra-machine tree schedules warm-start across processes. Cluster-level
@@ -284,9 +218,6 @@ func (e *ClusterEngine) SetPlanStore(s *PlanStore) {
 		eng.SetPlanStore(s)
 	}
 }
-
-// CacheStats snapshots the engine's plan-cache counters.
-func (e *ClusterEngine) CacheStats() CacheStats { return e.cache.Stats() }
 
 // ServerEngine exposes server s's per-machine engine (for introspection:
 // packings, fabrics, fingerprints). It returns nil for an out-of-range
@@ -441,125 +372,57 @@ type ClusterResult struct {
 }
 
 // Run executes one cluster collective and returns its simulated timing.
-// Supported ops are AllReduce and Broadcast (root is a global, server-major
-// rank). The first call for a given (backend, op, root, bytes, chunk) key
-// compiles the full multi-server pipeline — per-server TreeGen through the
-// NIC exchange — and freezes it into the plan cache; later calls replay.
+// Supported ops are AllReduce, Broadcast and AllToAll (root is a global,
+// server-major rank). The first call for a given (backend, op, root, bytes,
+// chunk) key compiles the full multi-server pipeline — per-server TreeGen
+// through the NIC exchange — and freezes it into the plan cache; later
+// calls replay.
 func (e *ClusterEngine) Run(b Backend, op Op, root int, bytes int64, opts Options) (ClusterResult, error) {
-	res, _, err := e.runCounted(e.st.Load(), b, op, root, bytes, opts, nil)
-	return res, err
-}
-
-// runCounted is Run plus exact cache attribution and an optional per-call
-// data context (nil for timing-only dispatches). The whole dispatch —
-// including the data context the caller prepared — is tied to one state
-// snapshot, so a concurrent Reconfigure never mixes cluster geometries
-// within a call.
-func (e *ClusterEngine) runCounted(st *clusterState, b Backend, op Op, root int, bytes int64, opts Options, ctx *ClusterBuffers) (ClusterResult, bool, error) {
-	rec := e.timeline().Begin(op.String(), b.String(), -1, bytes)
-	return e.runObserved(st, b, op, root, bytes, opts, ctx, nil, rec)
-}
-
-// runObserved is the fully instrumented cluster dispatch: an optional
-// chunk-granular progress hook threaded through every phase replay plus an
-// optional span recorder (see Engine.runObserved).
-func (e *ClusterEngine) runObserved(st *clusterState, b Backend, op Op, root int, bytes int64, opts Options, ctx *ClusterBuffers, hook core.ReplayHook, rec *obs.SpanRecorder) (ClusterResult, bool, error) {
-	rec.Dispatch()
-	cp, hit, err := e.lookupOrCompile(st, b, op, root, bytes, opts)
-	if err != nil {
-		rec.Complete("", false, 0, err)
-		return ClusterResult{}, false, err
-	}
-	if hit {
-		e.mReplays.Inc()
-	} else {
-		e.mCompiles.Inc()
-	}
-	plan := cp.ClusterPlan
-	t, err := plan.ReplayDataHooked(ctx, chainHooks(hook, rec.ChunkHook()))
-	if err != nil {
-		rec.Complete(cp.Strategy, hit, 0, err)
-		return ClusterResult{}, hit, err
-	}
-	e.opHist(op).Observe(t.Total)
-	rec.Complete(cp.Strategy, hit, t.Total, nil)
-	out := ClusterResult{
-		Result:     Result{Seconds: t.Total, Bytes: bytes, Strategy: cp.Strategy},
-		Phase1:     t.Phase1,
-		Phase2:     t.Phase2,
-		Phase3:     t.Phase3,
-		Partitions: plan.Partitions(),
-	}
-	if t.Total > 0 {
-		out.ThroughputGBs = float64(bytes) / t.Total / 1e9
-	}
-	return out, hit, nil
+	return submit(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, bytes: bytes, opts: opts}, Inline).Wait()
 }
 
 // RunMany issues one cluster collective per payload size through the plan
 // cache — the grouped entry point a multi-server training step uses for its
 // gradient buckets.
 func (e *ClusterEngine) RunMany(b Backend, op Op, root int, sizes []int64, opts Options) (GroupResult, error) {
-	st := e.st.Load()
-	return runGroup(sizes, func(sz int64) (Result, bool, error) {
-		r, hit, err := e.runCounted(st, b, op, root, sz, opts, nil)
-		return r.Result, hit, err
-	})
+	return runGroup(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes,
+		func(r ClusterResult) Result { return r.Result })
 }
 
+// shape is the identity: the spine's result is the cluster result.
+func (e *ClusterEngine) shape(r ClusterResult) ClusterResult { return r }
+
 // lookupOrCompile resolves the cluster plan-cache key, compiling and
-// inserting the frozen schedule on a miss; hit reports whether this call
-// replayed a cached plan.
-func (e *ClusterEngine) lookupOrCompile(st *clusterState, b Backend, op Op, root int, bytes int64, opts Options) (*CachedPlan, bool, error) {
-	if bytes < 4 {
-		return nil, false, fmt.Errorf("collective: payload %d too small", bytes)
+// inserting the frozen schedule on a miss (the ClusterEngine's half of the
+// planner). Cluster plans are memory-only: they have no decoder and no
+// serializable form.
+func (e *ClusterEngine) lookupOrCompile(st *clusterState, rq request) (*CachedPlan, bool, error) {
+	if rq.bytes < 4 {
+		return nil, false, fmt.Errorf("collective: payload %d too small", rq.bytes)
 	}
-	if op != AllReduce && op != Broadcast && op != AllToAll {
-		return nil, false, fmt.Errorf("collective: cluster collectives support AllReduce, Broadcast and AllToAll, not %v", op)
+	if rq.op != AllReduce && rq.op != Broadcast && rq.op != AllToAll {
+		return nil, false, fmt.Errorf("collective: cluster collectives support AllReduce, Broadcast and AllToAll, not %v", rq.op)
 	}
-	if op == AllToAll && b != Blink {
+	if rq.op == AllToAll && rq.b != Blink {
 		return nil, false, fmt.Errorf("collective: cluster AllToAll requires the Blink backend")
 	}
-	chunk := chunkFor(bytes, opts.ChunkBytes)
-	key := PlanKey{
-		Fingerprint: st.fingerprint,
-		Config:      e.cfgKey,
-		Backend:     b,
-		Op:          op,
-		Root:        root,
-		Bytes:       bytes,
-		ChunkBytes:  chunk,
-		DataMode:    opts.DataMode,
-	}
-	if opts.DataMode {
-		// Data-mode plans encode this cluster's geometry (rank→server
-		// mapping, partition layout), so the plan must never replay from
-		// another engine even though buffers themselves are per-call.
-		key.EngineID = e.id
-	}
-	if cp, ok := e.cache.Get(key); ok && cp.ClusterPlan != nil {
-		return cp, true, nil
-	}
-	var plan *ClusterFrozenPlan
-	var strategy string
-	var err error
-	if b == Blink {
-		plan, strategy, err = compileThreePhase(st, op, root, bytes, chunk, opts)
-	} else {
-		plan, strategy, err = compileFlatRing(st, op, root, bytes, chunk, opts, e.Cfg)
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	cp := &CachedPlan{ClusterPlan: plan, Strategy: strategy}
-	e.cache.Put(key, cp)
-	// Mirror Engine.lookupOrCompile: a Reconfigure that raced this compile
-	// already invalidated the old fingerprint, so the Put above must not
-	// resurrect a dead cluster's plan.
-	if cur := e.st.Load(); cur != st && cur.fingerprint != st.fingerprint {
-		e.cache.InvalidateFingerprint(st.fingerprint)
-	}
-	return cp, false, nil
+	key := e.planKey(st.fingerprint, rq)
+	return e.resolve(key, nil, e.Fingerprint, func() (*CachedPlan, bool, error) {
+		var plan *ClusterFrozenPlan
+		var strategy string
+		var err error
+		if rq.b == Blink {
+			plan, strategy, err = compileThreePhase(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts)
+		} else {
+			plan, strategy, err = compileFlatRing(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts, e.Cfg)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		cp := &CachedPlan{ClusterPlan: plan, Strategy: strategy}
+		e.cache.Put(key, cp)
+		return cp, false, nil
+	})
 }
 
 // serverFabrics returns each server engine's Blink data plane.
@@ -737,6 +600,81 @@ func (st *clusterState) flatFabric(cfg simgpu.Config) (*ring.CrossMachineFabric,
 	return st.flat, nil
 }
 
+// clusterDataOp describes one cluster data-mode collective to runData: the
+// collective that carries it, the inputs to validate and stage, and how each
+// rank's result is read back.
+type clusterDataOp struct {
+	op Op
+	// root is the global source rank of a single-source op (perRank false).
+	root int
+	// inputs holds one buffer per global rank when perRank, else just the
+	// root's payload.
+	inputs  [][]float32
+	perRank bool
+	// sharded requires the buffer length to be a multiple of the rank count.
+	sharded bool
+	// tag is the buffer every rank's result is read from; read, when set,
+	// replaces that plain per-rank read-back.
+	tag  int
+	read func(st *clusterState, ctx *ClusterBuffers, n int) [][]float32
+}
+
+// runData is the one body under the cluster *Data entry points: validate
+// the inputs against a pinned state, stage them into a fresh per-call
+// buffer context, dispatch through the spine against that same state, and
+// read every global rank's result back (server-major order).
+func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]float32, ClusterResult, error) {
+	if !e.Cfg.DataMode {
+		return nil, ClusterResult{}, fmt.Errorf("collective: cluster engine not in data mode")
+	}
+	st := e.st.Load()
+	if d.perRank && len(d.inputs) != st.total {
+		return nil, ClusterResult{}, fmt.Errorf("collective: %d inputs for %d ranks", len(d.inputs), st.total)
+	}
+	if _, _, err := st.locate(d.root); err != nil {
+		return nil, ClusterResult{}, err
+	}
+	n := len(d.inputs[0])
+	if n == 0 {
+		return nil, ClusterResult{}, fmt.Errorf("collective: empty buffer")
+	}
+	if d.sharded && n%st.total != 0 {
+		return nil, ClusterResult{}, fmt.Errorf("collective: buffer length %d not a multiple of %d ranks", n, st.total)
+	}
+	for i, in := range d.inputs {
+		if len(in) != n {
+			return nil, ClusterResult{}, fmt.Errorf("collective: rank %d buffer length %d != %d", i, len(in), n)
+		}
+	}
+	opts.DataMode = true
+	ctx, err := st.newBuffers(b, e.Cfg)
+	if err != nil {
+		return nil, ClusterResult{}, err
+	}
+	for i, in := range d.inputs {
+		g := d.root
+		if d.perRank {
+			g = i
+		}
+		bs, local := st.arena(ctx, g)
+		bs.SetBuffer(local, core.BufData, append([]float32(nil), in...))
+	}
+	rq := request{b: b, op: d.op, root: d.root, bytes: int64(n) * 4, opts: opts, cluster: ctx}
+	res, err := submit(&e.engineShell, e, st, rq, Inline).Wait()
+	if err != nil {
+		return nil, ClusterResult{}, err
+	}
+	if d.read != nil {
+		return d.read(st, ctx, n), res, nil
+	}
+	out := make([][]float32, st.total)
+	for g := range out {
+		bs, local := st.arena(ctx, g)
+		out[g] = append([]float32(nil), bs.Buffer(local, d.tag, n)...)
+	}
+	return out, res, nil
+}
+
 // AllReduceData sums the per-rank buffers elementwise across every server
 // and returns each global rank's result (server-major order). The cluster
 // engine must have been built with a DataMode config. Blink moves the data
@@ -744,64 +682,13 @@ func (st *clusterState) flatFabric(cfg simgpu.Config) (*ring.CrossMachineFabric,
 // root exchange, per-server tree broadcast); NCCL moves it around the flat
 // global ring.
 func (e *ClusterEngine) AllReduceData(b Backend, inputs [][]float32, opts Options) ([][]float32, ClusterResult, error) {
-	if !e.Cfg.DataMode {
-		return nil, ClusterResult{}, fmt.Errorf("collective: cluster engine not in data mode")
-	}
-	st := e.st.Load()
-	if len(inputs) != st.total {
-		return nil, ClusterResult{}, fmt.Errorf("collective: %d inputs for %d ranks", len(inputs), st.total)
-	}
-	n := len(inputs[0])
-	if n == 0 {
-		return nil, ClusterResult{}, fmt.Errorf("collective: empty buffer")
-	}
-	for i, in := range inputs {
-		if len(in) != n {
-			return nil, ClusterResult{}, fmt.Errorf("collective: rank %d buffer length %d != %d", i, len(in), n)
-		}
-	}
-	opts.DataMode = true
-	ctx, resolve, err := st.prepareData(b, e.Cfg)
-	if err != nil {
-		return nil, ClusterResult{}, err
-	}
-	for g, in := range inputs {
-		bs, local := resolve(g)
-		bs.SetBuffer(local, core.BufData, append([]float32(nil), in...))
-	}
-	res, _, err := e.runCounted(st, b, AllReduce, 0, int64(n)*4, opts, ctx)
-	if err != nil {
-		return nil, ClusterResult{}, err
-	}
-	return st.readData(resolve, core.BufAcc, n), res, nil
+	return e.runData(b, opts, clusterDataOp{op: AllReduce, inputs: inputs, perRank: true, tag: core.BufAcc})
 }
 
 // BroadcastData sends root's buffer (root is a global rank) to every rank
 // and returns each rank's received copy.
 func (e *ClusterEngine) BroadcastData(b Backend, root int, data []float32, opts Options) ([][]float32, ClusterResult, error) {
-	if !e.Cfg.DataMode {
-		return nil, ClusterResult{}, fmt.Errorf("collective: cluster engine not in data mode")
-	}
-	st := e.st.Load()
-	n := len(data)
-	if n == 0 {
-		return nil, ClusterResult{}, fmt.Errorf("collective: empty buffer")
-	}
-	if _, _, err := st.locate(root); err != nil {
-		return nil, ClusterResult{}, err
-	}
-	opts.DataMode = true
-	ctx, resolve, err := st.prepareData(b, e.Cfg)
-	if err != nil {
-		return nil, ClusterResult{}, err
-	}
-	bs, local := resolve(root)
-	bs.SetBuffer(local, core.BufData, append([]float32(nil), data...))
-	res, _, err := e.runCounted(st, b, Broadcast, root, int64(n)*4, opts, ctx)
-	if err != nil {
-		return nil, ClusterResult{}, err
-	}
-	return st.readData(resolve, core.BufData, n), res, nil
+	return e.runData(b, opts, clusterDataOp{op: Broadcast, root: root, inputs: [][]float32{data}, tag: core.BufData})
 }
 
 // AllToAllData exchanges per-rank shards across the whole cluster: rank g's
@@ -810,94 +697,57 @@ func (e *ClusterEngine) BroadcastData(b Backend, root int, data []float32, opts 
 // source rank. Blink-only: phase 1 runs each server's local tree AllToAll
 // while phase 2 ships the cross-server shard blocks through the NIC switch.
 func (e *ClusterEngine) AllToAllData(b Backend, inputs [][]float32, opts Options) ([][]float32, ClusterResult, error) {
-	if !e.Cfg.DataMode {
-		return nil, ClusterResult{}, fmt.Errorf("collective: cluster engine not in data mode")
-	}
-	if b != Blink {
-		return nil, ClusterResult{}, fmt.Errorf("collective: cluster AllToAll requires the Blink backend")
-	}
-	st := e.st.Load()
-	if len(inputs) != st.total {
-		return nil, ClusterResult{}, fmt.Errorf("collective: %d inputs for %d ranks", len(inputs), st.total)
-	}
-	n := len(inputs[0])
-	if n == 0 || n%st.total != 0 {
-		return nil, ClusterResult{}, fmt.Errorf("collective: buffer length %d not a positive multiple of %d ranks", n, st.total)
-	}
-	for i, in := range inputs {
-		if len(in) != n {
-			return nil, ClusterResult{}, fmt.Errorf("collective: rank %d buffer length %d != %d", i, len(in), n)
-		}
-	}
+	return e.runData(b, opts, clusterDataOp{op: AllToAll, inputs: inputs, perRank: true, sharded: true, read: readAllToAll})
+}
+
+// readAllToAll gathers what every global rank received in a cluster
+// AllToAll: same-server shards sit under the local exchange tags, shards
+// from other servers under the cluster exchange tags keyed by source rank.
+func readAllToAll(st *clusterState, ctx *ClusterBuffers, n int) [][]float32 {
 	shard := n / st.total
-	opts.DataMode = true
-	ctx, resolve, err := st.prepareData(b, e.Cfg)
-	if err != nil {
-		return nil, ClusterResult{}, err
-	}
-	for g, in := range inputs {
-		bs, local := resolve(g)
-		bs.SetBuffer(local, core.BufData, append([]float32(nil), in...))
-	}
-	res, _, err := e.runCounted(st, b, AllToAll, 0, int64(n)*4, opts, ctx)
-	if err != nil {
-		return nil, ClusterResult{}, err
-	}
 	out := make([][]float32, st.total)
 	for g := range out {
 		sj, m, _ := st.locate(g)
 		o := make([]float32, n)
 		for r := 0; r < st.total; r++ {
 			si, l, _ := st.locate(r)
-			var src []float32
+			tag := core.ClusterExchangeTag(r)
 			if si == sj {
-				src = ctx.Servers[sj].Buffer(m, core.ExchangeTag(l), n)
-			} else {
-				src = ctx.Servers[sj].Buffer(m, core.ClusterExchangeTag(r), n)
+				tag = core.ExchangeTag(l)
 			}
-			copy(o[r*shard:(r+1)*shard], src[g*shard:(g+1)*shard])
+			copy(o[r*shard:(r+1)*shard], ctx.Servers[sj].Buffer(m, tag, n)[g*shard:(g+1)*shard])
 		}
 		out[g] = o
 	}
-	return out, res, nil
+	return out
 }
 
-// prepareData builds a fresh per-call buffer context for the backend and
-// returns it with a rank→(arena, local vertex) resolver. The context starts
-// empty — there is no shared state to reset, which is exactly what lets
-// concurrent *Data calls proceed without any serialization. The context is
-// tied to this state snapshot's geometry; callers must run it through
-// runCounted with the same snapshot.
-func (st *clusterState) prepareData(b Backend, cfg simgpu.Config) (*ClusterBuffers, func(rank int) (*simgpu.BufferSet, int), error) {
-	ctx := &ClusterBuffers{}
-	var resolve func(rank int) (*simgpu.BufferSet, int)
-	if b == Blink {
-		ctx.Servers = make([]*simgpu.BufferSet, len(st.engines))
-		for si := range ctx.Servers {
-			ctx.Servers[si] = simgpu.NewBufferSet()
-		}
-		resolve = func(rank int) (*simgpu.BufferSet, int) {
-			si, local, _ := st.locate(rank)
-			return ctx.Servers[si], local
-		}
-	} else {
+// newBuffers builds a fresh, empty per-call buffer context for the backend
+// — there is no shared state to reset, which is exactly what lets concurrent
+// *Data calls proceed without any serialization. The context is tied to
+// this state's geometry; callers must dispatch it against the same state.
+func (st *clusterState) newBuffers(b Backend, cfg simgpu.Config) (*ClusterBuffers, error) {
+	if b != Blink {
 		// The flat-ring fabric numbers GPUs globally, server-major, so one
 		// arena spans every rank.
 		if _, err := st.flatFabric(cfg); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ctx.Flat = simgpu.NewBufferSet()
-		resolve = func(rank int) (*simgpu.BufferSet, int) { return ctx.Flat, rank }
+		return &ClusterBuffers{Flat: simgpu.NewBufferSet()}, nil
 	}
-	return ctx, resolve, nil
+	ctx := &ClusterBuffers{Servers: make([]*simgpu.BufferSet, len(st.engines))}
+	for si := range ctx.Servers {
+		ctx.Servers[si] = simgpu.NewBufferSet()
+	}
+	return ctx, nil
 }
 
-// readData snapshots every global rank's buffer under a tag.
-func (st *clusterState) readData(resolve func(rank int) (*simgpu.BufferSet, int), tag, n int) [][]float32 {
-	out := make([][]float32, st.total)
-	for g := range out {
-		bs, local := resolve(g)
-		out[g] = append([]float32(nil), bs.Buffer(local, tag, n)...)
+// arena maps a global rank to the arena and local vertex holding its
+// buffers in ctx.
+func (st *clusterState) arena(ctx *ClusterBuffers, rank int) (*simgpu.BufferSet, int) {
+	if ctx.Flat != nil {
+		return ctx.Flat, rank
 	}
-	return out
+	si, local, _ := st.locate(rank)
+	return ctx.Servers[si], local
 }

@@ -66,6 +66,39 @@ func TestClusterEngineThreePhaseTiming(t *testing.T) {
 	}
 }
 
+// TestClusterEngineNICScaling is Figure 22b's shape on the cluster engine:
+// with commodity 40 Gb/s NICs the cross-machine phase dominates (§5.4) and
+// throughput stays NIC-plausible; raising NIC bandwidth raises three-phase
+// AllReduce throughput until the intra-server links bind.
+func TestClusterEngineNICScaling(t *testing.T) {
+	prev := 0.0
+	for _, gbps := range []float64{40, 100, 400} {
+		eng, err := NewClusterEngine(testCluster(t, []int{3, 5}, gbps), simgpu.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(Blink, AllReduce, 0, 100<<20, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partitions != 3 {
+			t.Fatalf("partitions = %d, want min-server GPUs = 3", res.Partitions)
+		}
+		if gbps == 40 {
+			if res.Phase2 < res.Phase1 || res.Phase2 < res.Phase3 {
+				t.Fatalf("phase2 should dominate with commodity NICs: %+v", res)
+			}
+			if res.ThroughputGBs <= 0 || res.ThroughputGBs > 10 {
+				t.Fatalf("multi-server throughput %.2f GB/s implausible with 5 GB/s NICs", res.ThroughputGBs)
+			}
+		}
+		if res.ThroughputGBs <= prev {
+			t.Fatalf("throughput did not scale with NIC: %.2f at %v Gbps (prev %.2f)", res.ThroughputGBs, gbps, prev)
+		}
+		prev = res.ThroughputGBs
+	}
+}
+
 func TestClusterEngineWarmDispatchHitsCache(t *testing.T) {
 	c := testCluster(t, []int{4, 4}, 40)
 	eng, err := NewClusterEngine(c, simgpu.Config{})

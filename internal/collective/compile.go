@@ -39,12 +39,9 @@ type packEntry struct {
 // pendingSwap remembers everything needed to recompile one cached plan
 // against a refined packing and swap the better FrozenPlan in.
 type pendingSwap struct {
-	key   PlanKey
-	op    Op
-	root  int
-	bytes int64
-	po    core.PlanOptions
-	opts  Options
+	key PlanKey
+	rq  request
+	po  core.PlanOptions
 }
 
 // SetFastCompile toggles the approximate-first fast path (default off).
@@ -151,7 +148,7 @@ func (e *Engine) refine(st *engineState, entry *packEntry, g *graph.Graph, root 
 			return
 		}
 		for _, ps := range pend {
-			plan, strategy, _, perr := blinkPlan(e, st, ps.op, ps.root, ps.bytes, ps.po, ps.opts)
+			plan, strategy, _, perr := blinkPlan(e, st, ps.rq.op, ps.rq.root, ps.rq.bytes, ps.po, ps.rq.opts)
 			if perr != nil {
 				continue
 			}
@@ -198,7 +195,7 @@ func (e *Engine) finishFastPlan(st *engineState, approxRoots []int, ps pendingSw
 	if registered {
 		return nil
 	}
-	plan, strategy, _, err := blinkPlan(e, st, ps.op, ps.root, ps.bytes, ps.po, ps.opts)
+	plan, strategy, _, err := blinkPlan(e, st, ps.rq.op, ps.rq.root, ps.rq.bytes, ps.po, ps.rq.opts)
 	if err != nil {
 		return nil
 	}

@@ -130,8 +130,9 @@ type Options struct {
 	// part of the plan-cache key: the same frozen schedule serves every
 	// class.
 	Class Class
-	// Tenant attributes the dispatch to a tenant for cache accounting and
-	// cache-partition fairness (set by the tenant entry points; nil for
+	// Tenant routes the dispatch through the tenant's QoS lane — admission
+	// verdict, quotas, priority — and attributes it to the tenant's cache
+	// ledger and cache partition (set by the tenant entry points; nil for
 	// untenanted calls). Not part of the plan-cache key.
 	Tenant *Tenant
 }
@@ -189,6 +190,7 @@ type engineState struct {
 // own simgpu.BufferSet (Options.Buffers), so no execution state is shared
 // between calls.
 type Engine struct {
+	engineShell
 	Cfg simgpu.Config
 
 	// st is the current topology-derived state; Load it once per dispatch.
@@ -200,40 +202,14 @@ type Engine struct {
 	// discarding the others. Dispatches never take this lock.
 	reconfigMu sync.Mutex
 
-	// id uniquely identifies this engine; data-mode plan keys carry it
-	// because their Exec closures are bound to this engine's fabrics.
-	id uint64
-	// cfgKey is the normalized timing model, part of every plan key.
-	cfgKey simgpu.Config
-	// cache holds compiled schedules; replaceable via SetPlanCache so many
-	// engines can share one cache.
-	cache *PlanCache
 	// svc is the optional remote planning service (blinkd) consulted after
 	// both cache tiers miss and before compiling locally; a fetch or decode
 	// failure falls back to the local compile, so the service can only ever
 	// remove latency, not availability.
 	svc PlanService
 
-	// async is the lazily started stream scheduler behind RunAsync.
-	async asyncRuntime
-
-	// qos is the lazily started multi-tenant lane scheduler behind
-	// RunAsyncTenant; tenantCount sizes the plan cache's per-owner fair
-	// share.
-	qos         qosRuntime
+	// tenantCount sizes the plan cache's per-owner fair share.
 	tenantCount atomic.Int64
-
-	// obsReg is the engine's metrics registry: cache, stream and dispatch
-	// metrics all land here. It exists from construction — an unread
-	// registry costs a few atomic adds per dispatch — and is exposed via
-	// Metrics() for export.
-	obsReg *obs.Registry
-	// tl is the optional per-op span timeline, nil until EnableTimeline;
-	// dispatch paths go through Timeline.Begin, which is nil-safe.
-	tl atomic.Pointer[obs.Timeline]
-	// Registry-resolved dispatch metric handles (hot path: pure atomics).
-	mCompiles, mReplays, mReplans *obs.Counter
-	mReplanSeconds                *obs.Histogram
 
 	// Staged-compile state (compile.go): the exact and approximate planner
 	// pipelines, the fast-path / incremental-repair knobs, and the bounded
@@ -250,9 +226,6 @@ type Engine struct {
 	// Remote-planner outcome counters.
 	mServiceHits, mServiceErrors *obs.Counter
 }
-
-// engineIDs hands every engine a distinct nonzero identity.
-var engineIDs atomic.Uint64
 
 // newEngineState probes the machine for the allocated devices and builds
 // the full topology-derived state bundle.
@@ -290,69 +263,27 @@ func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config) (
 // DGX-2 allocations see a uniform fabric anyway).
 func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engine, error) {
 	e := &Engine{
-		Cfg:    cfg,
-		cache:  NewPlanCache(DefaultPlanCacheCapacity),
-		id:     engineIDs.Add(1),
-		cfgKey: cfg.Normalized(),
-		obsReg: obs.NewRegistry(),
+		Cfg: cfg,
 		// Background refinements are strictly lower priority than dispatch
 		// work; two concurrent exact compiles keep the pipeline fed without
 		// starving foreground packing of cores.
 		refineSem: make(chan struct{}, 2),
 	}
-	e.resolveMetrics()
-	e.exactPipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
-	e.approxPipe = core.NewPlannerPipeline(core.PipelineOptions{Approx: true, OnStage: e.observeStage})
-	e.cache.Instrument(e.obsReg)
-	st, err := newEngineState(machine, devs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.st.Store(st)
-	return e, nil
-}
-
-// resolveMetrics binds the engine's dispatch metric handles to its registry.
-func (e *Engine) resolveMetrics() {
-	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
-	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
-	e.mReplans = e.obsReg.Counter("blink_replans_total")
-	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
+	e.init(cfg)
 	e.mFastCompiles = e.obsReg.Counter("blink_fastpath_compiles_total")
 	e.mRefineSwaps = e.obsReg.Counter("blink_refine_swaps_total")
 	e.mRepairs = e.obsReg.Counter("blink_repair_incremental_total")
 	e.mRepairFallbacks = e.obsReg.Counter("blink_repair_fallback_total")
 	e.mServiceHits = e.obsReg.Counter("blink_plan_service_hits_total")
 	e.mServiceErrors = e.obsReg.Counter("blink_plan_service_errors_total")
-}
-
-// Metrics returns the engine's metrics registry: plan-cache activity,
-// compile/replay counters, replan latency, async stream gauges and per-op
-// simulated-makespan histograms, exportable via Snapshot/WritePrometheus.
-func (e *Engine) Metrics() *obs.Registry { return e.obsReg }
-
-// EnableTimeline switches on per-op span recording and returns the
-// timeline. Idempotent: later calls return the same timeline. Dispatches
-// before the first call are simply not recorded.
-func (e *Engine) EnableTimeline() *obs.Timeline {
-	if t := e.tl.Load(); t != nil {
-		return t
+	e.exactPipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
+	e.approxPipe = core.NewPlannerPipeline(core.PipelineOptions{Approx: true, OnStage: e.observeStage})
+	st, err := newEngineState(machine, devs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	e.tl.CompareAndSwap(nil, obs.NewTimeline())
-	return e.tl.Load()
-}
-
-// Timeline returns the engine's span timeline (nil unless EnableTimeline
-// was called).
-func (e *Engine) Timeline() *obs.Timeline { return e.tl.Load() }
-
-// timeline is the internal accessor dispatch paths use; a nil result is
-// fine (Timeline.Begin is nil-safe and returns a nil no-op recorder).
-func (e *Engine) timeline() *obs.Timeline { return e.tl.Load() }
-
-// opHist resolves the per-op simulated-makespan histogram.
-func (e *Engine) opHist(op Op) *obs.Histogram {
-	return e.obsReg.Histogram(`blink_op_sim_seconds{op="`+op.String()+`"}`, nil)
+	e.st.Store(st)
+	return e, nil
 }
 
 // Reconfigure re-probes and swaps the engine onto a new allocation — the
@@ -430,11 +361,7 @@ func (e *Engine) reconfigureLocked(machine *topology.Topology, devs []int) error
 		e.repairPackings(old, st)
 	}
 	e.st.Store(st)
-	if st.fingerprint != old.fingerprint {
-		e.cache.InvalidateFingerprint(old.fingerprint)
-	}
-	e.mReplans.Inc()
-	e.mReplanSeconds.Observe(time.Since(start).Seconds())
+	e.reconfigured(old.fingerprint, st.fingerprint, start)
 	return nil
 }
 
@@ -447,24 +374,6 @@ func (e *Engine) Machine() *topology.Topology { return e.st.Load().machine }
 
 // AllocatedDevs returns the physical device IDs of the current allocation.
 func (e *Engine) AllocatedDevs() []int { return append([]int(nil), e.st.Load().devs...) }
-
-// SetPlanCache replaces the engine's plan cache, e.g. with one shared by
-// several communicators over the same machine (keys carry the topology
-// fingerprint, so entries never collide across allocations). A nil cache
-// resets to a private cache of the default capacity.
-func (e *Engine) SetPlanCache(c *PlanCache) {
-	if c == nil {
-		c = NewPlanCache(DefaultPlanCacheCapacity)
-	}
-	e.cache = c
-}
-
-// PlanCacheHandle returns the engine's plan cache (for sharing or
-// inspection).
-func (e *Engine) PlanCacheHandle() *PlanCache { return e.cache }
-
-// CacheStats snapshots the engine's plan-cache counters.
-func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
 // Fingerprint returns the induced topology's schedule-cache identity.
 func (e *Engine) Fingerprint() string { return e.st.Load().fingerprint }
@@ -515,8 +424,7 @@ func chunkFor(bytes int64, override int64) int64 {
 // whole point of Blink's generate-once / run-thousands-of-iterations
 // design. Run is safe for concurrent use.
 func (e *Engine) Run(b Backend, op Op, root int, bytes int64, opts Options) (Result, error) {
-	res, _, err := e.runCounted(e.st.Load(), b, op, root, bytes, opts)
-	return res, err
+	return e.Snapshot().Run(b, op, root, bytes, opts)
 }
 
 // Snapshot pins the engine's current topology state so a caller can run a
@@ -537,122 +445,60 @@ func (s Snapshot) Topo() *topology.Topology { return s.st.topo }
 // Run executes one collective against the snapshot's topology, regardless
 // of any reconfiguration that happened after the snapshot was taken.
 func (s Snapshot) Run(b Backend, op Op, root int, bytes int64, opts Options) (Result, error) {
-	res, _, err := s.e.runCounted(s.st, b, op, root, bytes, opts)
-	return res, err
+	return s.Submit(b, op, root, bytes, opts, Inline).Wait()
 }
 
-// runCounted is Run plus exact cache attribution: hit reports whether this
-// call replayed a cached plan (true) or compiled one (false). The whole
-// dispatch runs against one state snapshot, so a concurrent Reconfigure
-// never mixes pre- and post-fault scheduling state within a call.
-// Synchronous dispatches record spans too (stream -1) when the timeline is
-// enabled.
-func (e *Engine) runCounted(st *engineState, b Backend, op Op, root int, bytes int64, opts Options) (Result, bool, error) {
-	rec := e.timeline().Begin(op.String(), b.String(), -1, bytes)
-	return e.runObserved(st, b, op, root, bytes, opts, nil, rec)
+// Submit is the entry every single-machine dispatch style reduces to: it
+// submits one collective against the snapshot's topology and returns its
+// handle. stream selects the admission stage of an untenanted call — Inline
+// runs it on the calling goroutine and returns a resolved handle (Run is
+// Submit(Inline).Wait()); any other value queues it on an async worker
+// stream exactly as RunAsync does. A call carrying opts.Tenant is admitted
+// through the tenant's QoS lane instead, whatever the stream.
+func (s Snapshot) Submit(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
+	return submit(&s.e.engineShell, s.e, s.st, request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
 }
 
-// runObserved is the fully instrumented dispatch: an optional
-// chunk-granular progress hook threaded into the frozen plan's replay (nil
-// for synchronous calls; async handles use it to publish progress and yield
-// between chunks) plus an optional span recorder (nil when no timeline is
-// enabled — every recorder method is nil-safe). It owns the span's
-// lifecycle from dispatch to completion and the engine's compile/replay and
-// per-op makespan metrics.
-func (e *Engine) runObserved(st *engineState, b Backend, op Op, root int, bytes int64, opts Options, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
-	rec.Dispatch()
-	cp, hit, err := e.lookupOrCompile(st, b, op, root, bytes, opts)
-	if err != nil {
-		// A failed lookup still counts as a miss so a tenant's ledger keeps
-		// Lookups == Hits + Misses exact.
-		opts.Tenant.noteLookup(false)
-		rec.Complete("", false, 0, err)
-		return Result{}, false, err
-	}
-	opts.Tenant.noteLookup(hit)
-	if hit {
-		e.mReplays.Inc()
-	} else {
-		e.mCompiles.Inc()
-	}
-	res, err := cp.Plan.ReplayDataHooked(opts.Buffers, chainHooks(hook, rec.ChunkHook()))
-	if err != nil {
-		rec.Complete(cp.Strategy, hit, 0, err)
-		return Result{}, hit, err
-	}
-	e.opHist(op).Observe(res.Makespan)
-	rec.Complete(cp.Strategy, hit, res.Makespan, nil)
-	out := Result{Seconds: res.Makespan, Bytes: bytes, Strategy: cp.Strategy}
-	if res.Makespan > 0 {
-		out.ThroughputGBs = float64(bytes) / res.Makespan / 1e9
-	}
-	return out, hit, nil
-}
-
-// chainHooks composes two replay hooks into one (either may be nil).
-func chainHooks(a, b core.ReplayHook) core.ReplayHook {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(done, total int) {
-		a(done, total)
-		b(done, total)
-	}
-}
+// shape narrows the spine's result to the single-machine Result.
+func (e *Engine) shape(r ClusterResult) Result { return r.Result }
 
 // lookupOrCompile resolves the plan-cache key for the call and returns the
 // cached schedule plus whether this call hit the cache, compiling and
-// inserting the plan on a miss. Two goroutines missing on the same key may
-// both compile; both results are identical and the second Put simply
-// replaces the first, so correctness is unaffected.
-func (e *Engine) lookupOrCompile(st *engineState, b Backend, op Op, root int, bytes int64, opts Options) (*CachedPlan, bool, error) {
-	if bytes < 4 {
-		return nil, false, fmt.Errorf("collective: payload %d too small", bytes)
+// inserting the plan on a miss (the Engine's half of the planner).
+func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool, error) {
+	if rq.bytes < 4 {
+		return nil, false, fmt.Errorf("collective: payload %d too small", rq.bytes)
 	}
 	// A root that was valid at construction can go stale after a
 	// reconfiguration shrinks the allocation; fail cleanly, not with an
 	// index panic deep in TreeGen.
-	if root < 0 || root >= st.topo.NumGPUs {
-		return nil, false, fmt.Errorf("collective: root %d out of range [0,%d)", root, st.topo.NumGPUs)
+	if rq.root < 0 || rq.root >= st.topo.NumGPUs {
+		return nil, false, fmt.Errorf("collective: root %d out of range [0,%d)", rq.root, st.topo.NumGPUs)
 	}
-	chunk := chunkFor(bytes, opts.ChunkBytes)
-	key := PlanKey{
-		Fingerprint: st.fingerprint,
-		Config:      e.cfgKey,
-		Backend:     b,
-		Op:          op,
-		Root:        root,
-		Bytes:       bytes,
-		ChunkBytes:  chunk,
-		DataMode:    opts.DataMode,
-		Hybrid:      opts.Hybrid,
-		Shape:       shapeKey(op, opts),
-	}
-	if opts.DataMode {
-		// Data-mode Exec closures capture this engine's fabric buffers;
-		// the plan must never be replayed from another engine.
-		key.EngineID = e.id
-	}
-	// Memory tier, then (when a PlanStore is attached) the disk tier: a
-	// disk hit decodes the stored IR, validates its header against this
-	// engine's topology and regenerates the schedule — the packing pipeline
-	// never runs, which is the whole point of the tier.
-	if cp, _, _ := e.cache.GetTiered(key, e.planDecoder(st)); cp != nil {
-		return cp, true, nil
-	}
-	// Remote planner (blinkd), if configured: still cheaper than packing
-	// locally, and its blob lands in both local tiers on success.
-	if cp := e.fetchFromService(st, key, opts); cp != nil {
-		return cp, true, nil
-	}
+	key := e.planKey(st.fingerprint, rq)
+	// With a PlanStore attached a disk hit decodes the stored IR, validates
+	// its header against this engine's topology and regenerates the
+	// schedule — the packing pipeline never runs, which is the whole point
+	// of the tier.
+	return e.resolve(key, e.planDecoder(st), e.Fingerprint, func() (*CachedPlan, bool, error) {
+		// Remote planner (blinkd), if configured: still cheaper than packing
+		// locally, and its blob lands in both local tiers on success.
+		if cp := e.fetchFromService(st, key, rq.opts); cp != nil {
+			return cp, true, nil
+		}
+		cp, err := e.compile(st, key, rq)
+		return cp, false, err
+	})
+}
+
+// compile runs the planner for one request, freezes the schedule and
+// publishes it to the cache tiers under key.
+func (e *Engine) compile(st *engineState, key PlanKey, rq request) (*CachedPlan, error) {
 	// The simulator's per-link FIFO arbitration is already fair, so the
 	// stream-reuse workaround for CUDA's unfair scheduling (§4.2.2) is not
 	// needed here; separate streams let launch overheads overlap, matching
 	// asynchronous CUDA stream issue.
-	po := core.PlanOptions{ChunkBytes: chunk, DataMode: opts.DataMode, NoStreamReuse: true}
+	po := core.PlanOptions{ChunkBytes: key.ChunkBytes, DataMode: rq.opts.DataMode, NoStreamReuse: true}
 
 	var plan *core.Plan
 	var err error
@@ -662,61 +508,33 @@ func (e *Engine) lookupOrCompile(st *engineState, b Backend, op Op, root int, by
 	t0 := time.Now()
 	switch {
 	case st.switchFabric != nil:
-		plan, strategy, err = switchPlan(st, b, op, root, bytes, po, opts)
-	case b == Blink:
-		plan, strategy, approxRoots, err = blinkPlan(e, st, op, root, bytes, po, opts)
+		plan, strategy, err = switchPlan(st, rq.b, rq.op, rq.root, rq.bytes, po, rq.opts)
+	case rq.b == Blink:
+		plan, strategy, approxRoots, err = blinkPlan(e, st, rq.op, rq.root, rq.bytes, po, rq.opts)
 	default:
-		plan, strategy, err = ncclPlan(st, op, root, bytes, po, opts)
+		plan, strategy, err = ncclPlan(st, rq.op, rq.root, rq.bytes, po, rq.opts)
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	e.observeStage(core.StageCodegen, time.Since(t0).Seconds())
 	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
 	var owner uint64
-	if opts.Tenant != nil {
+	if rq.opts.Tenant != nil {
 		// Tag the entry so partition fairness charges the insert against
 		// this tenant's share of the memory tier.
-		owner = opts.Tenant.id
+		owner = rq.opts.Tenant.id
 	}
 	e.cache.PutTieredOwned(key, cp, encodeCachedPlan(cp), owner)
 	if len(approxRoots) > 0 {
 		// The plan embeds fast-path packings: register it for the refinement
 		// swap (or republish from the refined packings if refinement already
 		// finished — see compile.go).
-		if rc := e.finishFastPlan(st, approxRoots, pendingSwap{
-			key: key, op: op, root: root, bytes: bytes, po: po, opts: opts,
-		}); rc != nil {
+		if rc := e.finishFastPlan(st, approxRoots, pendingSwap{key: key, rq: rq, po: po}); rc != nil {
 			cp = rc
 		}
 	}
-	// A Reconfigure may have swapped the engine and invalidated this
-	// fingerprint while we were compiling; re-check so the Put above cannot
-	// resurrect a dead topology's plan that would pin an LRU slot forever.
-	if cur := e.st.Load(); cur != st && cur.fingerprint != st.fingerprint {
-		e.cache.InvalidateFingerprint(st.fingerprint)
-	}
-	return cp, false, nil
-}
-
-// GroupResult reports one grouped collective dispatch (RunMany).
-type GroupResult struct {
-	// Results holds the per-tensor outcomes in issue order.
-	Results []Result
-	// Seconds is the channel-serialized total: collectives issued on one
-	// communicator execute back-to-back (FIFO), as on a real NCCL
-	// communicator's stream.
-	Seconds float64
-	// Bytes is the total payload across the group.
-	Bytes int64
-	// ThroughputGBs is Bytes/Seconds.
-	ThroughputGBs float64
-	// CacheHits / CacheMisses count this group's own plan-cache activity:
-	// every dispatch reports whether it replayed a cached plan or compiled
-	// one, so the counts are exact no matter how many other goroutines
-	// dispatch concurrently.
-	CacheHits   uint64
-	CacheMisses uint64
+	return cp, nil
 }
 
 // RunMany issues one collective per payload size through the plan cache and
@@ -725,42 +543,8 @@ type GroupResult struct {
 // bucket sizes every iteration, so after the first step every dispatch in
 // the group is a warm replay.
 func (e *Engine) RunMany(b Backend, op Op, root int, sizes []int64, opts Options) (GroupResult, error) {
-	// One state snapshot for the whole group: a Reconfigure landing
-	// mid-group must not split the buckets across topologies.
-	st := e.st.Load()
-	return runGroup(sizes, func(sz int64) (Result, bool, error) {
-		return e.runCounted(st, b, op, root, sz, opts)
-	})
-}
-
-// runGroup dispatches one collective per payload size and aggregates the
-// grouped totals plus the group's own cache activity. Each dispatch reports
-// its hit/miss directly, so attribution is exact even while other
-// goroutines hammer the same cache. Shared by the single-machine and
-// cluster engines.
-func runGroup(sizes []int64, run func(int64) (Result, bool, error)) (GroupResult, error) {
-	if len(sizes) == 0 {
-		return GroupResult{}, fmt.Errorf("collective: empty group")
-	}
-	g := GroupResult{Results: make([]Result, 0, len(sizes))}
-	for _, sz := range sizes {
-		r, hit, err := run(sz)
-		if err != nil {
-			return GroupResult{}, err
-		}
-		if hit {
-			g.CacheHits++
-		} else {
-			g.CacheMisses++
-		}
-		g.Results = append(g.Results, r)
-		g.Seconds += r.Seconds
-		g.Bytes += sz
-	}
-	if g.Seconds > 0 {
-		g.ThroughputGBs = float64(g.Bytes) / g.Seconds / 1e9
-	}
-	return g, nil
+	return runGroup(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes,
+		func(r Result) Result { return r })
 }
 
 // isP2POp reports whether op is one of the point-to-point exchange
@@ -1056,38 +840,54 @@ func (e *Engine) Packing(root int) (*core.Packing, error) {
 }
 
 // RunHybridBroadcast executes Blink's hybrid PCIe+NVLink broadcast (§3.4).
+// It rides the dispatch spine like every other call (admission through
+// opts.Tenant's lane when set, span, counters), but its two-fabric plan is
+// built — with the probe-measured split — and executed per call, never
+// cached, so every dispatch counts as a compile.
 func (e *Engine) RunHybridBroadcast(root int, bytes int64, opts Options) (Result, *core.HybridResult, error) {
-	st := e.st.Load()
+	hp := &hybridPlanner{Engine: e}
+	rq := request{b: Blink, op: Broadcast, root: root, bytes: bytes, opts: opts}
+	res, err := submit[*engineState, Result](&e.engineShell, hp, e.st.Load(), rq, Inline).Wait()
+	return res, hp.out, err
+}
+
+// hybridPlanner is the planner of one hybrid broadcast call: it swaps the
+// Engine's cached lookup for a per-call plan and keeps the split breakdown
+// the replay produced.
+type hybridPlanner struct {
+	*Engine
+	out *core.HybridResult
+}
+
+func (hp *hybridPlanner) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool, error) {
 	if st.switchFabric != nil {
-		return Result{}, nil, fmt.Errorf("collective: hybrid transfers target DGX-1 class machines")
+		return nil, false, fmt.Errorf("collective: hybrid transfers target DGX-1 class machines")
 	}
 	if !st.nvlConnected {
-		return Result{}, nil, fmt.Errorf("collective: hybrid requires a connected NVLink allocation")
+		return nil, false, fmt.Errorf("collective: hybrid requires a connected NVLink allocation")
 	}
-	if root < 0 || root >= st.topo.NumGPUs {
-		return Result{}, nil, fmt.Errorf("collective: root %d out of range [0,%d)", root, st.topo.NumGPUs)
+	if rq.root < 0 || rq.root >= st.topo.NumGPUs {
+		return nil, false, fmt.Errorf("collective: root %d out of range [0,%d)", rq.root, st.topo.NumGPUs)
 	}
-	// Hybrid plans are built per call (no plan cache), so the refinement
-	// swap does not apply; the fast-path flag is irrelevant here.
-	pn, _, err := e.packingOn(st, false, root)
+	// No plan cache, so the refinement swap does not apply; the fast-path
+	// flag is irrelevant here.
+	pn, _, err := hp.packingOn(st, false, rq.root)
 	if err != nil {
-		return Result{}, nil, err
+		return nil, false, err
 	}
-	pp, _, err := e.packingOn(st, true, root)
+	pp, _, err := hp.packingOn(st, true, rq.root)
 	if err != nil {
-		return Result{}, nil, err
+		return nil, false, err
 	}
-	po := core.PlanOptions{ChunkBytes: chunkFor(bytes, opts.ChunkBytes), DataMode: opts.DataMode, NoStreamReuse: true}
-	// Hybrid plans execute inside BuildHybridBroadcast; in data mode they
-	// move real floats through the caller's per-call arena.
-	h, err := core.BuildHybridBroadcast(st.nvlFabric, pn, st.pcieFabric, pp, bytes, po, opts.Buffers)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return Result{
-		Seconds:       h.Makespan,
-		Bytes:         bytes,
-		ThroughputGBs: h.ThroughputGBs,
-		Strategy:      "hybrid",
-	}, h, nil
+	po := core.PlanOptions{ChunkBytes: chunkFor(rq.bytes, rq.opts.ChunkBytes), DataMode: rq.opts.DataMode, NoStreamReuse: true}
+	return &CachedPlan{Strategy: "hybrid", hybrid: func(bufs *simgpu.BufferSet) (float64, error) {
+		// Hybrid plans execute inside BuildHybridBroadcast; in data mode they
+		// move real floats through the caller's per-call arena.
+		h, err := core.BuildHybridBroadcast(st.nvlFabric, pn, st.pcieFabric, pp, rq.bytes, po, bufs)
+		if err != nil {
+			return 0, err
+		}
+		hp.out = h
+		return h.Makespan, nil
+	}}, false, nil
 }

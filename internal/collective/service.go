@@ -162,16 +162,13 @@ func (e *Engine) fetchFromService(st *engineState, key PlanKey, opts Options) *C
 // service. Plans without an IR (hybrid, cluster) are not servable.
 func (e *Engine) PlanBlob(b Backend, op Op, root int, bytes int64, opts Options) ([]byte, string, error) {
 	st := e.st.Load()
-	cp, _, err := e.lookupOrCompile(st, b, op, root, bytes, opts)
+	cp, _, err := e.lookupOrCompile(st, request{b: b, op: op, root: root, bytes: bytes, opts: opts})
 	if err != nil {
 		return nil, "", err
 	}
-	if cp.Plan == nil || cp.Plan.IR() == nil {
+	blob := encodeCachedPlan(cp)
+	if blob == nil {
 		return nil, "", fmt.Errorf("collective: plan is not serializable")
-	}
-	blob, err := core.EncodePlan(cp.Plan)
-	if err != nil {
-		return nil, "", err
 	}
 	return blob, cp.Strategy, nil
 }

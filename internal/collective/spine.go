@@ -1,0 +1,419 @@
+package collective
+
+import (
+	"fmt"
+	"math"
+	"sync/atomic"
+	"time"
+
+	"blink/internal/core"
+	"blink/internal/obs"
+	"blink/internal/simgpu"
+)
+
+// This file is the dispatch spine: the one path every collective call takes,
+// whichever engine serves it and however it was issued.
+//
+//	entry point → pin state → submit: admission {none | stream window | lane verdict}
+//	            → dispatch → planner.lookupOrCompile → CachedPlan.replay → observe
+//
+// Engine and ClusterEngine embed the shell and implement the planner; their
+// exported Run / RunMany / RunAsync / *Tenant / *Data methods are thin entry
+// points that build a request, pin the state and call submit.
+
+// engineShell is everything Engine and ClusterEngine share around the
+// planner: identity, the plan cache, observability, and the two lazily
+// started admission schedulers.
+type engineShell struct {
+	// id uniquely identifies the engine; data-mode plan keys carry it
+	// because their Exec closures encode this engine's geometry.
+	id uint64
+	// cfgKey is the normalized timing model, part of every plan key.
+	cfgKey simgpu.Config
+	// cache holds compiled schedules; replaceable via SetPlanCache so many
+	// engines can share one cache.
+	cache *PlanCache
+
+	// obsReg is the engine's metrics registry: cache, scheduler and dispatch
+	// metrics all land here. It exists from construction — an unread
+	// registry costs a few atomic adds per dispatch.
+	obsReg *obs.Registry
+	// tl is the optional per-op span timeline, nil until EnableTimeline;
+	// Timeline.Begin is nil-safe and then returns a no-op recorder.
+	tl atomic.Pointer[obs.Timeline]
+	// Registry-resolved dispatch metric handles (hot path: pure atomics).
+	mCompiles, mReplays, mReplans *obs.Counter
+	mReplanSeconds                *obs.Histogram
+
+	// async is the stream scheduler behind RunAsync; qos the multi-tenant
+	// lane scheduler behind tenant dispatch. Both start on first use, so
+	// engines that never go async or multi-tenant pay nothing.
+	async lazy[asyncConfig, streamScheduler]
+	qos   lazy[QoSConfig, laneScheduler]
+}
+
+// engineIDs hands every engine a distinct nonzero identity.
+var engineIDs atomic.Uint64
+
+// init gives a new engine its identity, registry and dispatch metrics, and
+// a private, instrumented plan cache of the default capacity.
+func (e *engineShell) init(cfg simgpu.Config) {
+	e.id = engineIDs.Add(1)
+	e.cfgKey = cfg.Normalized()
+	e.obsReg = obs.NewRegistry()
+	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
+	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
+	e.mReplans = e.obsReg.Counter("blink_replans_total")
+	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
+	e.SetPlanCache(nil)
+}
+
+// Metrics returns the engine's metrics registry: plan-cache activity,
+// compile/replay counters, replan latency, async stream gauges and per-op
+// simulated-makespan histograms, exportable via Snapshot/WritePrometheus.
+func (e *engineShell) Metrics() *obs.Registry { return e.obsReg }
+
+// EnableTimeline switches on per-op span recording and returns the
+// timeline. Idempotent: later calls return the same timeline. Dispatches
+// before the first call are simply not recorded.
+func (e *engineShell) EnableTimeline() *obs.Timeline {
+	if t := e.tl.Load(); t != nil {
+		return t
+	}
+	e.tl.CompareAndSwap(nil, obs.NewTimeline())
+	return e.tl.Load()
+}
+
+// Timeline returns the engine's span timeline (nil unless EnableTimeline
+// was called).
+func (e *engineShell) Timeline() *obs.Timeline { return e.tl.Load() }
+
+// opHist resolves the per-op simulated-makespan histogram.
+func (e *engineShell) opHist(op Op) *obs.Histogram {
+	return e.obsReg.Histogram(`blink_op_sim_seconds{op="`+op.String()+`"}`, nil)
+}
+
+// SetPlanCache replaces the engine's plan cache, e.g. with one shared by
+// several communicators (keys carry the topology or cluster fingerprint, so
+// entries never collide across allocations). A nil cache resets to a private
+// cache of the default capacity. A cache that mirrors into no registry yet —
+// a fresh private one, or a shared one no engine has adopted — is
+// instrumented into this engine's registry; a shared cache another engine
+// already instrumented keeps reporting there.
+func (e *engineShell) SetPlanCache(c *PlanCache) {
+	if c == nil {
+		c = NewPlanCache(DefaultPlanCacheCapacity)
+	}
+	if !c.instrumented() {
+		c.Instrument(e.obsReg)
+	}
+	e.cache = c
+}
+
+// PlanCacheHandle returns the engine's plan cache (for sharing or
+// inspection).
+func (e *engineShell) PlanCacheHandle() *PlanCache { return e.cache }
+
+// CacheStats snapshots the engine's plan-cache counters.
+func (e *engineShell) CacheStats() CacheStats { return e.cache.Stats() }
+
+// ConfigureAsync tunes the engine's async stream layer before first use:
+// streams is the number of FIFO worker streams (DefaultAsyncStreams if 0),
+// windowBytes the in-flight byte window before submissions block
+// (DefaultAsyncWindowBytes if 0, negative for unbounded). Once async ops
+// have been issued the scheduler is live and the call no longer affects it
+// (streams are a construction-time choice, as in NCCL).
+func (e *engineShell) ConfigureAsync(streams int, windowBytes int64) {
+	e.async.configure(func(c *asyncConfig) {
+		if streams > 0 {
+			c.streams = streams
+		}
+		if windowBytes != 0 {
+			c.window = windowBytes
+		}
+	})
+}
+
+// streams returns the live stream scheduler, starting it on first use.
+func (e *engineShell) streams() *streamScheduler {
+	return e.async.get(func(c asyncConfig) *streamScheduler {
+		c = c.normalized()
+		return newStreamScheduler(c.streams, c.window, e.obsReg)
+	})
+}
+
+// lanes returns the live lane scheduler, starting it on first use.
+func (e *engineShell) lanes() *laneScheduler {
+	return e.qos.get(func(c QoSConfig) *laneScheduler { return newLaneScheduler(c, e.obsReg) })
+}
+
+// reconfigured is the tail of every reconfiguration, run after the new
+// state is published: plans cached under the old fingerprint are dropped so
+// a dead topology stops pinning LRU slots (in a shared cache this also
+// costs other engines still on that fingerprint a recompile, never
+// correctness), and the replan is counted and timed.
+func (e *engineShell) reconfigured(oldFP, newFP string, start time.Time) {
+	if newFP != oldFP {
+		e.cache.InvalidateFingerprint(oldFP)
+	}
+	e.mReplans.Inc()
+	e.mReplanSeconds.Observe(time.Since(start).Seconds())
+}
+
+// request is one collective call as the spine sees it: the plan coordinates
+// plus the per-call execution context that is not part of the plan key.
+type request struct {
+	b     Backend
+	op    Op
+	root  int
+	bytes int64
+	opts  Options
+	// cluster is the per-call buffer context of a cluster data-mode replay
+	// (nil for timing-only and single-machine calls, which use opts.Buffers).
+	cluster *ClusterBuffers
+}
+
+// planKey completes the request's plan-cache key against a topology (or
+// cluster) fingerprint.
+func (e *engineShell) planKey(fp string, rq request) PlanKey {
+	key := PlanKey{
+		Fingerprint: fp,
+		Config:      e.cfgKey,
+		Backend:     rq.b,
+		Op:          rq.op,
+		Root:        rq.root,
+		Bytes:       rq.bytes,
+		ChunkBytes:  chunkFor(rq.bytes, rq.opts.ChunkBytes),
+		DataMode:    rq.opts.DataMode,
+		Hybrid:      rq.opts.Hybrid,
+		Shape:       shapeKey(rq.op, rq.opts),
+	}
+	if rq.opts.DataMode {
+		// Data-mode Exec closures encode the compiling engine's geometry
+		// (fabric layout, rank→server mapping); the plan must never be
+		// replayed from another engine.
+		key.EngineID = e.id
+	}
+	return key
+}
+
+// resolve is the plan-cache shell under both planners: look the key up
+// through the cache tiers (memory, then — given a decoder and an attached
+// PlanStore — disk), and on a miss run the planner's miss path, which
+// fetches or compiles the plan and publishes it into the cache. fetched
+// reports a plan miss obtained without compiling (the remote planner); it
+// counts as a hit. Two goroutines missing on the same key may both compile;
+// both results are identical and the second publish simply replaces the
+// first, so correctness is unaffected.
+func (e *engineShell) resolve(key PlanKey, decode PlanDecoder, current func() string, miss func() (cp *CachedPlan, fetched bool, err error)) (*CachedPlan, bool, error) {
+	if cp, _, _ := e.cache.GetTiered(key, decode); cp != nil {
+		return cp, true, nil
+	}
+	cp, fetched, err := miss()
+	// A Reconfigure may have swapped the engine and invalidated this
+	// fingerprint while miss ran; re-check so its publish cannot resurrect
+	// a dead topology's plan that would pin an LRU slot forever.
+	if err == nil && current() != key.Fingerprint {
+		e.cache.InvalidateFingerprint(key.Fingerprint)
+	}
+	return cp, fetched, err
+}
+
+// planner is what an engine contributes to the spine: how a request's
+// frozen schedule is found or compiled against the pinned state S, and how
+// the spine's result narrows to the engine's exported result type R.
+type planner[S, R any] interface {
+	// lookupOrCompile returns the request's cached schedule and whether
+	// this call hit the cache, compiling and publishing it on a miss.
+	lookupOrCompile(st S, rq request) (cp *CachedPlan, hit bool, err error)
+	// shape converts the spine's result (the cluster superset) to R.
+	shape(ClusterResult) R
+}
+
+// replay executes the frozen schedule against the call's buffer context and
+// returns its timing. Single-fabric plans have no phase structure; only
+// Total is set.
+func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (ClusterTiming, error) {
+	switch {
+	case cp.ClusterPlan != nil:
+		return cp.ClusterPlan.ReplayDataHooked(rq.cluster, hook)
+	case cp.hybrid != nil:
+		total, err := cp.hybrid(rq.opts.Buffers)
+		return ClusterTiming{Total: total}, err
+	}
+	r, err := cp.Plan.ReplayDataHooked(rq.opts.Buffers, hook)
+	if err != nil {
+		return ClusterTiming{}, err
+	}
+	return ClusterTiming{Total: r.Makespan}, nil
+}
+
+// dispatch is the one instrumented dispatch body: plan lookup, replay, and
+// everything observed about them. It owns the span's lifecycle from
+// dispatch to completion (rec is nil when no timeline is enabled — every
+// recorder method is nil-safe), the tenant's cache ledger, the
+// compile/replay counters and the per-op makespan histogram. hook is the
+// optional chunk-granular progress hook threaded into the replay (nil for
+// synchronous calls; async handles use it to publish progress and yield
+// between chunks). The whole dispatch runs against one pinned state, so a
+// concurrent Reconfigure never mixes pre- and post-fault scheduling state
+// within a call.
+func dispatch[S, R any](sh *engineShell, p planner[S, R], st S, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (R, bool, error) {
+	var none R
+	rec.Dispatch()
+	cp, hit, err := p.lookupOrCompile(st, rq)
+	// A failed lookup still counts as a miss (hit is false on error) so a
+	// tenant's ledger keeps Lookups == Hits + Misses exact.
+	rq.opts.Tenant.noteLookup(hit)
+	if err != nil {
+		rec.Complete("", false, 0, err)
+		return none, false, err
+	}
+	if hit {
+		sh.mReplays.Inc()
+	} else {
+		sh.mCompiles.Inc()
+	}
+	t, err := cp.replay(rq, chainHooks(hook, rec.ChunkHook()))
+	if err != nil {
+		rec.Complete(cp.Strategy, hit, 0, err)
+		return none, hit, err
+	}
+	sh.opHist(rq.op).Observe(t.Total)
+	rec.Complete(cp.Strategy, hit, t.Total, nil)
+	out := ClusterResult{
+		Result: Result{Seconds: t.Total, Bytes: rq.bytes, Strategy: cp.Strategy},
+		Phase1: t.Phase1,
+		Phase2: t.Phase2,
+		Phase3: t.Phase3,
+	}
+	if cp.ClusterPlan != nil {
+		out.Partitions = cp.ClusterPlan.Partitions()
+	}
+	if t.Total > 0 {
+		out.ThroughputGBs = float64(rq.bytes) / t.Total / 1e9
+	}
+	return p.shape(out), hit, nil
+}
+
+// chainHooks composes two replay hooks into one (either may be nil).
+func chainHooks(a, b core.ReplayHook) core.ReplayHook {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	return func(done, total int) {
+		a(done, total)
+		b(done, total)
+	}
+}
+
+// Inline is the stream value of a synchronous submission: no admission
+// stage, the dispatch runs on the calling goroutine (see Snapshot.Submit).
+const Inline = math.MinInt
+
+// submit is the single route from every entry point into dispatch. It picks
+// the admission stage from what the request carries:
+//
+//   - a tenant (rq.opts.Tenant): the lane scheduler's non-blocking verdict.
+//     A rejected op never runs — its handle is already resolved with an
+//     error wrapping ErrAdmissionRejected; stream is ignored, lane priority
+//     supersedes stream pinning;
+//   - no tenant, stream == Inline: none — the synchronous path, run here
+//     and now, with no goroutine hand-off and a handle that is born
+//     resolved;
+//   - no tenant, any other stream: the stream scheduler's per-class byte
+//     window, which blocks the submitter for backpressure (stream < 0
+//     round-robins, out-of-range indices wrap).
+//
+// st was pinned by the caller: a Reconfigure that lands while the op is
+// queued or executing does not affect it. Errors, including compile
+// failures, resolve through the handle. The span's stream field is -1 for
+// synchronous calls, the resolved stream for async ones and the lane index
+// for tenants.
+func submit[S, R any](sh *engineShell, p planner[S, R], st S, rq request, stream int) *handle[R] {
+	name, backend := rq.op.String(), rq.b.String()
+	if tn := rq.opts.Tenant; tn != nil {
+		rq.opts.Class = tn.class
+		h := newHandle[R]()
+		rec := sh.tl.Load().Begin(name, backend, int(tn.class), rq.bytes)
+		h.verdict = sh.lanes().submit(laneSub{class: tn.class, tenant: tn, bytes: rq.bytes, run: func() {
+			h.complete(dispatch(sh, p, st, rq, h.hook(), rec))
+		}})
+		if h.verdict == VerdictReject {
+			var none R
+			rec.Complete("", false, 0, ErrAdmissionRejected)
+			h.complete(none, false, fmt.Errorf("%w: tenant %s class %s (%d bytes)",
+				ErrAdmissionRejected, tn.name, tn.class, rq.bytes))
+		}
+		return h
+	}
+	if stream == Inline {
+		h := &handle[R]{done: resolved}
+		h.res, h.hit, h.err = dispatch(sh, p, st, rq, nil, sh.tl.Load().Begin(name, backend, -1, rq.bytes))
+		return h
+	}
+	h := newHandle[R]()
+	rec := sh.tl.Load().Begin(name, backend, stream, rq.bytes)
+	sh.streams().submitClass(rq.opts.Class, stream, rq.bytes, func(actual int) {
+		rec.SetStream(actual)
+		h.complete(dispatch(sh, p, st, rq, h.hook(), rec))
+	})
+	return h
+}
+
+// GroupResult reports one grouped collective dispatch (RunMany).
+type GroupResult struct {
+	// Results holds the per-tensor outcomes in issue order.
+	Results []Result
+	// Seconds is the channel-serialized total: collectives issued on one
+	// communicator execute back-to-back (FIFO), as on a real NCCL
+	// communicator's stream.
+	Seconds float64
+	// Bytes is the total payload across the group.
+	Bytes int64
+	// ThroughputGBs is Bytes/Seconds.
+	ThroughputGBs float64
+	// CacheHits / CacheMisses count this group's own plan-cache activity:
+	// every dispatch reports whether it replayed a cached plan or compiled
+	// one, so the counts are exact no matter how many other goroutines
+	// dispatch concurrently.
+	CacheHits   uint64
+	CacheMisses uint64
+}
+
+// runGroup submits one collective per payload size, in order, against one
+// pinned state — a Reconfigure landing mid-group must not split the buckets
+// across topologies — and aggregates the grouped totals plus the group's own
+// cache activity. On a tenant request every bucket is admitted through the
+// tenant's lane in turn; a rejected bucket fails the group with its
+// ErrAdmissionRejected error.
+func runGroup[S, R any](sh *engineShell, p planner[S, R], st S, rq request, sizes []int64, base func(R) Result) (GroupResult, error) {
+	if len(sizes) == 0 {
+		return GroupResult{}, fmt.Errorf("collective: empty group")
+	}
+	g := GroupResult{Results: make([]Result, 0, len(sizes))}
+	for _, sz := range sizes {
+		rq.bytes = sz
+		h := submit(sh, p, st, rq, Inline)
+		r, err := h.Wait()
+		if err != nil {
+			return GroupResult{}, err
+		}
+		if h.CacheHit() {
+			g.CacheHits++
+		} else {
+			g.CacheMisses++
+		}
+		res := base(r)
+		g.Results = append(g.Results, res)
+		g.Seconds += res.Seconds
+		g.Bytes += sz
+	}
+	if g.Seconds > 0 {
+		g.ThroughputGBs = float64(g.Bytes) / g.Seconds / 1e9
+	}
+	return g, nil
+}

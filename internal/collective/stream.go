@@ -24,29 +24,45 @@ const (
 // cost disappears next to the per-chunk scheduling work.
 const yieldEvery = 64
 
-// Handle is the caller's reference to one in-flight async collective,
-// returned by the *Async entry points. Exactly one of (result, error)
-// becomes available when the op resolves; handles are safe for concurrent
-// use by any number of goroutines.
-type Handle struct {
+// handle is the caller's reference to one submitted collective. Exactly one
+// of (result, error) becomes available when the op resolves; handles are
+// safe for concurrent use by any number of goroutines.
+type handle[R any] struct {
 	done chan struct{}
-	res  Result
+	res  R
 	err  error
 	hit  bool
-	// deferred is set by the submitter (before the handle escapes to other
-	// goroutines) when admission returned VerdictDefer.
-	deferred bool
+	// verdict is the admission decision, set by the submitter before the
+	// handle escapes to other goroutines (VerdictAdmit for non-tenant ops).
+	verdict Verdict
 
 	chunksDone  atomic.Int64
 	chunksTotal atomic.Int64
 }
 
-func newHandle() *Handle { return &Handle{done: make(chan struct{})} }
+// Handle is the caller's reference to one in-flight async collective,
+// returned by the *Async entry points.
+type Handle = handle[Result]
+
+// ClusterHandle is the multi-server counterpart of Handle, resolving to a
+// ClusterResult (with the three-phase timing breakdown under the Blink
+// backend).
+type ClusterHandle = handle[ClusterResult]
+
+// resolved is the done channel of every handle that is born resolved (a
+// synchronous submission needs no channel of its own).
+var resolved = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func newHandle[R any]() *handle[R] { return &handle[R]{done: make(chan struct{})} }
 
 // complete publishes the op's outcome and releases every waiter. The
 // result fields are written strictly before the channel close, so waiters
 // reading them after Done()/Wait() never race.
-func (h *Handle) complete(res Result, hit bool, err error) {
+func (h *handle[R]) complete(res R, hit bool, err error) {
 	h.res, h.hit, h.err = res, hit, err
 	close(h.done)
 }
@@ -54,18 +70,18 @@ func (h *Handle) complete(res Result, hit bool, err error) {
 // Wait blocks until the collective resolves and returns its result. It may
 // be called any number of times, from any goroutine; every call returns
 // the same outcome.
-func (h *Handle) Wait() (Result, error) {
+func (h *handle[R]) Wait() (R, error) {
 	<-h.done
 	return h.res, h.err
 }
 
 // Done returns a channel that is closed when the collective resolves —
 // the select-friendly form of Wait.
-func (h *Handle) Done() <-chan struct{} { return h.done }
+func (h *handle[R]) Done() <-chan struct{} { return h.done }
 
 // Err peeks at the handle without blocking: nil while the op is still in
 // flight or if it succeeded, the terminal error once it has failed.
-func (h *Handle) Err() error {
+func (h *handle[R]) Err() error {
 	select {
 	case <-h.done:
 		return h.err
@@ -78,11 +94,11 @@ func (h *Handle) Err() error {
 // it was admitted and will run, but its lane is past the low watermark
 // and the submitter should back off. Always false for non-tenant
 // submissions.
-func (h *Handle) Deferred() bool { return h.deferred }
+func (h *handle[R]) Deferred() bool { return h.verdict == VerdictDefer }
 
 // CacheHit reports whether the dispatch replayed a cached plan (valid
 // after the handle resolves; false while in flight).
-func (h *Handle) CacheHit() bool {
+func (h *handle[R]) CacheHit() bool {
 	select {
 	case <-h.done:
 		return h.hit
@@ -92,9 +108,10 @@ func (h *Handle) CacheHit() bool {
 }
 
 // Progress returns the chunk-granular replay progress: ops (pipelined
-// chunk transfers and reductions) completed so far and the schedule total.
-// Total is 0 until the plan is compiled and its replay begins.
-func (h *Handle) Progress() (done, total int64) {
+// chunk transfers and reductions, across all phases of a cluster schedule)
+// completed so far and the schedule total. Total is 0 until the plan is
+// compiled and its replay begins.
+func (h *handle[R]) Progress() (done, total int64) {
 	return h.chunksDone.Load(), h.chunksTotal.Load()
 }
 
@@ -102,72 +119,7 @@ func (h *Handle) Progress() (done, total int64) {
 // chunk progress on the handle and yields the worker goroutine every
 // yieldEvery chunks, so replays in flight on different streams interleave
 // chunk-by-chunk instead of monopolizing a core each.
-func (h *Handle) hook() func(done, total int) {
-	return func(done, total int) {
-		h.chunksTotal.Store(int64(total))
-		h.chunksDone.Store(int64(done))
-		if done%yieldEvery == 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// ClusterHandle is the multi-server counterpart of Handle, resolving to a
-// ClusterResult (with the three-phase timing breakdown under the Blink
-// backend).
-type ClusterHandle struct {
-	done chan struct{}
-	res  ClusterResult
-	err  error
-	hit  bool
-
-	chunksDone  atomic.Int64
-	chunksTotal atomic.Int64
-}
-
-func newClusterHandle() *ClusterHandle { return &ClusterHandle{done: make(chan struct{})} }
-
-func (h *ClusterHandle) complete(res ClusterResult, hit bool, err error) {
-	h.res, h.hit, h.err = res, hit, err
-	close(h.done)
-}
-
-// Wait blocks until the cluster collective resolves and returns its result.
-func (h *ClusterHandle) Wait() (ClusterResult, error) {
-	<-h.done
-	return h.res, h.err
-}
-
-// Done returns a channel closed when the collective resolves.
-func (h *ClusterHandle) Done() <-chan struct{} { return h.done }
-
-// Err peeks without blocking: nil while in flight or on success.
-func (h *ClusterHandle) Err() error {
-	select {
-	case <-h.done:
-		return h.err
-	default:
-		return nil
-	}
-}
-
-// CacheHit reports whether the dispatch replayed a cached plan (valid
-// after the handle resolves).
-func (h *ClusterHandle) CacheHit() bool {
-	select {
-	case <-h.done:
-		return h.hit
-	default:
-		return false
-	}
-}
-
-// Progress returns chunk-granular replay progress across all phases.
-func (h *ClusterHandle) Progress() (done, total int64) {
-	return h.chunksDone.Load(), h.chunksTotal.Load()
-}
-
-func (h *ClusterHandle) hook() func(done, total int) {
+func (h *handle[R]) hook() func(done, total int) {
 	return func(done, total int) {
 		h.chunksTotal.Store(int64(total))
 		h.chunksDone.Store(int64(done))
@@ -265,12 +217,6 @@ func newStreamScheduler(streams int, windowBytes int64, reg *obs.Registry) *stre
 	return s
 }
 
-// submit enqueues run on a stream and returns the stream it landed on,
-// riding the default BulkGradient class (the untagged legacy path).
-func (s *streamScheduler) submit(stream int, bytes int64, run func(stream int)) int {
-	return s.submitClass(BulkGradient, stream, bytes, run)
-}
-
 // submitClass enqueues run on a stream under the given QoS class and
 // returns the stream it landed on. stream < 0 round-robins across the
 // scheduler's streams; out-of-range indices wrap, so callers can use any
@@ -358,57 +304,48 @@ func (s *streamScheduler) drain(q *streamQueue) {
 	}
 }
 
-// asyncRuntime is the lazily built async state an Engine or ClusterEngine
-// carries: configuration plus the scheduler, created on first use so
-// communicators that never go async pay nothing.
-type asyncRuntime struct {
-	mu      sync.Mutex
+// lazy is a scheduler an engine carries but starts only on first use:
+// configuration edits apply until then; once live, the scheduler keeps the
+// configuration it started with.
+type lazy[C, T any] struct {
+	mu   sync.Mutex
+	cfg  C
+	live *T
+}
+
+// configure edits the pending configuration (a no-op for a live scheduler).
+func (l *lazy[C, T]) configure(edit func(*C)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	edit(&l.cfg)
+}
+
+// get returns the live scheduler, starting it from the pending
+// configuration on first use.
+func (l *lazy[C, T]) get(start func(C) *T) *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.live == nil {
+		l.live = start(l.cfg)
+	}
+	return l.live
+}
+
+// asyncConfig is the stream scheduler's pending configuration.
+type asyncConfig struct {
 	streams int
 	window  int64
-	sched   *streamScheduler
 }
 
-// configure sets the stream count and in-flight window (zero keeps the
-// current/default value). It applies to the next scheduler start; once
-// async ops have been issued the scheduler is live and the call is a no-op
-// for it (streams are a construction-time choice, as in NCCL).
-func (a *asyncRuntime) configure(streams int, windowBytes int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if streams > 0 {
-		a.streams = streams
+// normalized fills the zero fields with the async defaults.
+func (c asyncConfig) normalized() asyncConfig {
+	if c.streams <= 0 {
+		c.streams = DefaultAsyncStreams
 	}
-	if windowBytes != 0 {
-		a.window = windowBytes
+	if c.window == 0 {
+		c.window = DefaultAsyncWindowBytes
 	}
-}
-
-// scheduler returns the live scheduler, starting it on first use. reg is
-// the metrics registry the scheduler's gauges and counters land in (bound
-// at first use; a nil registry disables nothing — metrics become no-op
-// standalone atomics).
-func (a *asyncRuntime) scheduler(reg *obs.Registry) *streamScheduler {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.sched == nil {
-		streams, window := a.streams, a.window
-		if streams <= 0 {
-			streams = DefaultAsyncStreams
-		}
-		if window == 0 {
-			window = DefaultAsyncWindowBytes
-		}
-		a.sched = newStreamScheduler(streams, window, reg)
-	}
-	return a.sched
-}
-
-// ConfigureAsync tunes the engine's async stream layer before first use:
-// streams is the number of FIFO worker streams (DefaultAsyncStreams if 0),
-// windowBytes the in-flight byte window before submissions block
-// (DefaultAsyncWindowBytes if 0, negative for unbounded).
-func (e *Engine) ConfigureAsync(streams int, windowBytes int64) {
-	e.async.configure(streams, windowBytes)
+	return c
 }
 
 // AsyncStreams returns the number of worker streams async dispatches fan
@@ -416,13 +353,10 @@ func (e *Engine) ConfigureAsync(streams int, windowBytes int64) {
 func (e *Engine) AsyncStreams() int {
 	e.async.mu.Lock()
 	defer e.async.mu.Unlock()
-	if e.async.sched != nil {
-		return len(e.async.sched.streams)
+	if e.async.live != nil {
+		return len(e.async.live.streams)
 	}
-	if e.async.streams > 0 {
-		return e.async.streams
-	}
-	return DefaultAsyncStreams
+	return e.async.cfg.normalized().streams
 }
 
 // RunAsync submits one collective nonblockingly and returns its Handle.
@@ -437,21 +371,7 @@ func (e *Engine) AsyncStreams() int {
 // in-flight byte window); errors, including compile failures, resolve
 // through the handle.
 func (e *Engine) RunAsync(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
-	st := e.st.Load() // pin the topology snapshot at submission time
-	h := newHandle()
-	rec := e.timeline().Begin(op.String(), b.String(), stream, bytes)
-	e.async.scheduler(e.Metrics()).submitClass(opts.Class, stream, bytes, func(actual int) {
-		rec.SetStream(actual)
-		res, hit, err := e.runObserved(st, b, op, root, bytes, opts, h.hook(), rec)
-		h.complete(res, hit, err)
-	})
-	return h
-}
-
-// ConfigureAsync tunes the cluster engine's async stream layer (see
-// Engine.ConfigureAsync).
-func (e *ClusterEngine) ConfigureAsync(streams int, windowBytes int64) {
-	e.async.configure(streams, windowBytes)
+	return e.Snapshot().Submit(b, op, root, bytes, opts, stream)
 }
 
 // RunAsync submits one cluster collective nonblockingly and returns its
@@ -460,13 +380,5 @@ func (e *ClusterEngine) ConfigureAsync(streams int, windowBytes int64) {
 // work completes on its snapshot while later submissions see the
 // post-fault cluster).
 func (e *ClusterEngine) RunAsync(b Backend, op Op, root int, bytes int64, opts Options, stream int) *ClusterHandle {
-	st := e.st.Load()
-	h := newClusterHandle()
-	rec := e.timeline().Begin(op.String(), b.String(), stream, bytes)
-	e.async.scheduler(e.Metrics()).submitClass(opts.Class, stream, bytes, func(actual int) {
-		rec.SetStream(actual)
-		res, hit, err := e.runObserved(st, b, op, root, bytes, opts, nil, h.hook(), rec)
-		h.complete(res, hit, err)
-	})
-	return h
+	return submit(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
 }

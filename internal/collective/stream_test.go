@@ -82,7 +82,7 @@ func TestStreamSchedulerFIFOWithinStream(t *testing.T) {
 	wg.Add(2 * n)
 	for i := 0; i < n; i++ {
 		i := i
-		s.submit(0, 1, func(int) {
+		s.submitClass(BulkGradient, 0, 1, func(int) {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -90,7 +90,7 @@ func TestStreamSchedulerFIFOWithinStream(t *testing.T) {
 		})
 		// Concurrent traffic on the other stream must not perturb
 		// stream 0's ordering.
-		s.submit(1, 1, func(int) { wg.Done() })
+		s.submitClass(BulkGradient, 1, 1, func(int) { wg.Done() })
 	}
 	wg.Wait()
 	mu.Lock()
@@ -172,9 +172,7 @@ func TestAsyncBackpressure(t *testing.T) {
 	}
 	// The window admits at most 2 x 32 MB at once, so the scheduler's
 	// inflight accounting must end at zero.
-	eng.async.mu.Lock()
-	sched := eng.async.sched
-	eng.async.mu.Unlock()
+	sched := eng.streams()
 	sched.mu.Lock()
 	inflight := sched.inflight
 	sched.mu.Unlock()
@@ -257,7 +255,7 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 
 	// Occupy the window so later submissions must wait for admission.
 	wg.Add(1)
-	s.submit(0, 6, func(int) {
+	s.submitClass(BulkGradient, 0, 6, func(int) {
 		<-release
 		record("warm")
 		wg.Done()
@@ -266,7 +264,7 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 	// The oversized op (bigger than the whole window) takes the next
 	// ticket and blocks: inflight > 0 and it can't fit.
 	wg.Add(1)
-	go s.submit(0, 100, func(int) {
+	go s.submitClass(BulkGradient, 0, 100, func(int) {
 		record("big")
 		wg.Done()
 	})
@@ -288,7 +286,7 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 	const smalls = 10
 	for i := 0; i < smalls; i++ {
 		wg.Add(1)
-		go s.submit(0, 1, func(int) {
+		go s.submitClass(BulkGradient, 0, 1, func(int) {
 			record("small")
 			wg.Done()
 		})
@@ -384,7 +382,7 @@ func TestStreamSchedulerDrainReleasesBacking(t *testing.T) {
 	const n = 16
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		s.submit(0, 1, func(int) { wg.Done() })
+		s.submitClass(BulkGradient, 0, 1, func(int) { wg.Done() })
 	}
 	wg.Wait()
 	// The worker exits once the queue drains; poll for it, then check the

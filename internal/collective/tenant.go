@@ -2,10 +2,7 @@ package collective
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
-
-	"blink/internal/obs"
 )
 
 // TenantConfig describes one tenant of a shared Engine: the QoS class its
@@ -173,38 +170,12 @@ func (t *Tenant) noteLookup(hit bool) {
 	}
 }
 
-// qosRuntime is the lazily built lane-scheduler state an Engine carries,
-// mirroring asyncRuntime: configuration applies until first use, then the
-// scheduler is live.
-type qosRuntime struct {
-	mu    sync.Mutex
-	cfg   QoSConfig
-	sched *laneScheduler
-}
-
-// configure replaces the pending QoS configuration. Once tenant ops have
-// been issued the scheduler is live and the call no longer affects it.
-func (q *qosRuntime) configure(cfg QoSConfig) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.cfg = cfg
-}
-
-// scheduler returns the live lane scheduler, starting it on first use.
-func (q *qosRuntime) scheduler(reg *obs.Registry) *laneScheduler {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.sched == nil {
-		q.sched = newLaneScheduler(q.cfg, reg)
-	}
-	return q.sched
-}
-
 // ConfigureQoS tunes the engine's multi-tenant lane scheduler before
 // first tenant use (see QoSConfig; zero fields take the documented
-// defaults).
+// defaults). Once tenant ops have been issued the scheduler is live and the
+// call no longer affects it.
 func (e *Engine) ConfigureQoS(cfg QoSConfig) {
-	e.qos.configure(cfg)
+	e.qos.configure(func(c *QoSConfig) { *c = cfg })
 }
 
 // NewTenant registers a tenant on the engine. Every registered tenant
@@ -240,43 +211,25 @@ func (e *Engine) NewTenant(cfg TenantConfig) *Tenant {
 //
 // Topology state is pinned at submission, exactly as in RunAsync.
 func (e *Engine) RunAsyncTenant(tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (*Handle, Verdict) {
-	return e.runAsyncTenant(e.st.Load(), tn, b, op, root, bytes, opts)
+	h := e.Snapshot().Submit(b, op, root, bytes, tenantOpts(tn, opts), Inline)
+	return h, h.verdict
 }
 
-func (e *Engine) runAsyncTenant(st *engineState, tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (*Handle, Verdict) {
+// tenantOpts stamps the tenant on a call's options, which is what routes
+// it through the tenant's lane. A nil tenant degrades to the default-class
+// lane with an anonymous ledger, so the accounting invariants still hold
+// per call site.
+func tenantOpts(tn *Tenant, opts Options) Options {
 	if tn == nil {
-		// No tenant: degrade to the default-class lane with an anonymous
-		// ledger so accounting invariants still hold per call site.
 		tn = &Tenant{name: "anonymous", class: BulkGradient}
 	}
 	opts.Tenant = tn
-	opts.Class = tn.class
-	h := newHandle()
-	rec := e.timeline().Begin(op.String(), b.String(), int(tn.class), bytes)
-	v := e.qos.scheduler(e.Metrics()).submit(laneSub{
-		class:  tn.class,
-		tenant: tn,
-		bytes:  bytes,
-		run: func() {
-			res, hit, err := e.runObserved(st, b, op, root, bytes, opts, h.hook(), rec)
-			h.complete(res, hit, err)
-		},
-	})
-	switch v {
-	case VerdictReject:
-		rec.Complete("", false, 0, ErrAdmissionRejected)
-		h.complete(Result{}, false, fmt.Errorf("%w: tenant %s class %s (%d bytes)",
-			ErrAdmissionRejected, tn.name, tn.class, bytes))
-	case VerdictDefer:
-		h.deferred = true
-	}
-	return h, v
+	return opts
 }
 
 // RunTenant is the synchronous tenant dispatch against a pinned topology
 // snapshot: admission through the tenant's lane, then wait. A rejection
 // returns an error wrapping ErrAdmissionRejected.
 func (s Snapshot) RunTenant(tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (Result, error) {
-	h, _ := s.e.runAsyncTenant(s.st, tn, b, op, root, bytes, opts)
-	return h.Wait()
+	return s.Run(b, op, root, bytes, tenantOpts(tn, opts))
 }

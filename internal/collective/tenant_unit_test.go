@@ -54,7 +54,7 @@ func TestConfigureQoSBeforeFirstUse(t *testing.T) {
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	sched := eng.qos.scheduler(eng.Metrics())
+	sched := eng.lanes()
 	if got := sched.lanes[BulkGradient].cfg.QueueCap; got != 7 {
 		t.Fatalf("lane queue cap %d, want the configured 7", got)
 	}

@@ -269,7 +269,12 @@ func TestMergePlansPreservesOps(t *testing.T) {
 	}
 }
 
-func TestMultiServerAllReduce(t *testing.T) {
+// TestBuildThreePhaseAllReduce drives the §3.5 builder the way a standalone
+// caller does (fresh fabrics, a GenerateTrees PackFn): one partition per GPU
+// of the smallest server, partitions that exactly cover the payload, a
+// distinct local root per partition, and executable per-phase plans whose
+// cross-machine phase dominates on commodity 40 Gb/s NICs.
+func TestBuildThreePhaseAllReduce(t *testing.T) {
 	c, err := topology.NewCluster([]topology.Server{
 		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
 		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
@@ -277,44 +282,58 @@ func TestMultiServerAllReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiServerAllReduce(c, simgpu.Config{}, 100<<20, PlanOptions{})
+	fabrics := make([]*simgpu.Fabric, len(c.Servers))
+	for si, s := range c.Servers {
+		fabrics[si] = simgpu.NewFabric(s, s.GPUGraph(), simgpu.Config{})
+	}
+	netFab := simgpu.NewFabric(c.Servers[0], c.Net, simgpu.Config{})
+	packFor := func(si, root int) (*Packing, error) {
+		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
+	}
+	const bytes = 100 << 20
+	tp, err := BuildThreePhaseAllReduce(c, fabrics, netFab, packFor, bytes, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Partitions != 3 {
-		t.Fatalf("partitions = %d, want min-server GPUs = 3", res.Partitions)
+	if tp.Partitions != 3 || len(tp.Phase1) != 2 || len(tp.Phase3) != 2 {
+		t.Fatalf("partitions = %d (want min-server GPUs = 3), phase plans %d/%d", tp.Partitions, len(tp.Phase1), len(tp.Phase3))
 	}
-	if res.Phase1 <= 0 || res.Phase2 <= 0 || res.Phase3 <= 0 {
-		t.Fatalf("phases not all positive: %+v", res)
-	}
-	// With 40 Gbps NICs, the cross-machine phase dominates (§5.4).
-	if res.Phase2 < res.Phase1 || res.Phase2 < res.Phase3 {
-		t.Fatalf("phase2 should dominate with commodity NICs: %+v", res)
-	}
-	if res.ThroughputGBs <= 0 || res.ThroughputGBs > 10 {
-		t.Fatalf("multi-server throughput %.2f GB/s implausible with 5 GB/s NICs", res.ThroughputGBs)
-	}
-}
-
-func TestMultiServerNICScaling(t *testing.T) {
-	// Fig 22b: raising NIC bandwidth raises Blink's AllReduce throughput
-	// until intra-server links bind.
-	prev := 0.0
-	for _, gbps := range []float64{40, 100, 400} {
-		c, err := topology.NewCluster([]topology.Server{
-			{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
-			{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
-		}, gbps)
-		if err != nil {
-			t.Fatal(err)
+	covered := 0
+	for p := 0; p < tp.Partitions; p++ {
+		if tp.PartOffFloats[p] != covered {
+			t.Fatalf("partition %d starts at %d, want %d", p, tp.PartOffFloats[p], covered)
 		}
-		res, err := MultiServerAllReduce(c, simgpu.Config{}, 100<<20, PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
+		covered += tp.PartFloats[p]
+		for si, s := range c.Servers {
+			if tp.Roots[p][si] != p%s.NumGPUs {
+				t.Fatalf("partition %d root on server %d = %d", p, si, tp.Roots[p][si])
+			}
 		}
-		if res.ThroughputGBs <= prev {
-			t.Fatalf("throughput did not scale with NIC: %.2f at %v Gbps (prev %.2f)", res.ThroughputGBs, gbps, prev)
+	}
+	if covered != bytes/4 {
+		t.Fatalf("partitions cover %d floats of %d", covered, bytes/4)
+	}
+	slowest := func(plans []*Plan) float64 {
+		worst := 0.0
+		for _, p := range plans {
+			r, err := p.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Makespan > worst {
+				worst = r.Makespan
+			}
 		}
-		prev = res.ThroughputGBs
+		return worst
+	}
+	p1, p2, p3 := slowest(tp.Phase1), slowest([]*Plan{tp.Phase2}), slowest(tp.Phase3)
+	if p1 <= 0 || p2 <= 0 || p3 <= 0 {
+		t.Fatalf("phases not all positive: %v %v %v", p1, p2, p3)
+	}
+	if p2 < p1 || p2 < p3 {
+		t.Fatalf("phase 2 should dominate with commodity NICs: %v %v %v", p1, p2, p3)
+	}
+	if _, err := BuildThreePhaseAllReduce(c, fabrics[:1], netFab, packFor, bytes, PlanOptions{}); err == nil {
+		t.Fatal("fabric/server count mismatch accepted")
 	}
 }

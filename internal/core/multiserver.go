@@ -395,68 +395,3 @@ func buildNICExchangePlan(c *topology.Cluster, netFab *simgpu.Fabric, xfers []ni
 	plan.Streams = streams
 	return plan, nil
 }
-
-// MultiServerResult reports per-phase and total timing.
-type MultiServerResult struct {
-	Phase1, Phase2, Phase3 float64
-	Total                  float64
-	ThroughputGBs          float64
-	Partitions             int
-}
-
-// MultiServerAllReduce runs Blink's three-phase AllReduce of `bytes` over a
-// cluster. cfg configures every simulated fabric. This is the standalone
-// (uncached) entry point; the collective layer's ClusterEngine compiles the
-// same plans once and replays them from its plan cache.
-func MultiServerAllReduce(c *topology.Cluster, cfg simgpu.Config, bytes int64, opts PlanOptions) (*MultiServerResult, error) {
-	fabrics := make([]*simgpu.Fabric, len(c.Servers))
-	for si, s := range c.Servers {
-		fabrics[si] = simgpu.NewFabric(s, s.GPUGraph(), cfg)
-	}
-	netFab := simgpu.NewFabric(c.Servers[0], c.Net, cfg)
-	packCache := map[[2]int]*Packing{}
-	packFor := func(si, root int) (*Packing, error) {
-		if pk, ok := packCache[[2]int{si, root}]; ok {
-			return pk, nil
-		}
-		pk, err := GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
-		if err != nil {
-			return nil, err
-		}
-		packCache[[2]int{si, root}] = pk
-		return pk, nil
-	}
-	tp, err := BuildThreePhaseAllReduce(c, fabrics, netFab, packFor, bytes, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &MultiServerResult{Partitions: tp.Partitions}
-	for _, p := range tp.Phase1 {
-		r, err := p.Execute()
-		if err != nil {
-			return nil, err
-		}
-		if r.Makespan > res.Phase1 {
-			res.Phase1 = r.Makespan
-		}
-	}
-	r2, err := tp.Phase2.Execute()
-	if err != nil {
-		return nil, err
-	}
-	res.Phase2 = r2.Makespan
-	for _, p := range tp.Phase3 {
-		r, err := p.Execute()
-		if err != nil {
-			return nil, err
-		}
-		if r.Makespan > res.Phase3 {
-			res.Phase3 = r.Makespan
-		}
-	}
-	res.Total = res.Phase1 + res.Phase2 + res.Phase3
-	if res.Total > 0 {
-		res.ThroughputGBs = float64(bytes) / res.Total / 1e9
-	}
-	return res, nil
-}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"blink/internal/collective"
-	"blink/internal/core"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -46,18 +45,27 @@ func EngineComm(eng *collective.Engine, backend collective.Backend) CommFn {
 	}
 }
 
-// MultiServerComm adapts Blink's three-phase cross-machine AllReduce.
+// MultiServerChunkBytes is the pipelining chunk the paper's multi-server
+// figures (22a/22b) are recorded at.
+const MultiServerChunkBytes = 4 << 20
+
+// MultiServerComm adapts Blink's three-phase cross-machine AllReduce,
+// dispatched through a cluster engine over c.
 func MultiServerComm(c *topology.Cluster, cfg simgpu.Config) CommFn {
+	eng, engErr := collective.NewClusterEngine(c, cfg)
 	cache := map[int64]float64{}
 	return func(bytes int64) (float64, error) {
+		if engErr != nil {
+			return 0, engErr
+		}
 		if t, ok := cache[bytes]; ok {
 			return t, nil
 		}
-		res, err := core.MultiServerAllReduce(c, cfg, bytes, core.PlanOptions{NoStreamReuse: true})
+		res, err := eng.Run(collective.Blink, collective.AllReduce, 0, bytes, collective.Options{ChunkBytes: MultiServerChunkBytes})
 		if err != nil {
 			return 0, err
 		}
-		t := res.Total + CollectiveCallLatency
+		t := res.Seconds + CollectiveCallLatency
 		cache[bytes] = t
 		return t, nil
 	}

@@ -214,7 +214,11 @@ func Fig22b() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		blink, err := core.MultiServerAllReduce(c, simgpu.Config{}, 100<<20, core.PlanOptions{NoStreamReuse: true})
+		eng, err := collective.NewClusterEngine(c, simgpu.Config{})
+		if err != nil {
+			return nil, err
+		}
+		blink, err := eng.Run(collective.Blink, collective.AllReduce, 0, 100<<20, collective.Options{ChunkBytes: dnn.MultiServerChunkBytes})
 		if err != nil {
 			return nil, err
 		}

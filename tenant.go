@@ -76,9 +76,10 @@ type TenantOptions struct {
 }
 
 // Tenant is one job's view of a shared communicator: the full Comm API
-// (sync, async and data-mode collectives) with every dispatch routed
-// through the tenant's QoS lane, charged against its quotas, and
-// attributed to its cache ledger. Tenants of one Comm share the engine,
+// (sync, async, grouped, hybrid and data-mode collectives) with every
+// dispatch routed through the tenant's QoS lane, charged against its
+// quotas, and attributed to its cache ledger (AllReduceMany admits its
+// buckets through the lane one by one, in order). Tenants of one Comm share the engine,
 // the plan cache (partitioned fairly: each tenant's inserts can evict
 // only its own share once the cache fills) and the topology state.
 //
@@ -86,9 +87,6 @@ type TenantOptions struct {
 // an error wrapping ErrAdmissionRejected (sync and data-mode calls
 // return it; async handles resolve with it), and a deferred admission
 // sets Handle.Deferred as the back-off signal.
-//
-// Grouped dispatch (AllReduceMany) and HybridBroadcast run through the
-// shared engine directly, outside the lanes.
 type Tenant struct {
 	*Comm
 	tn *collective.Tenant

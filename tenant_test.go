@@ -96,6 +96,72 @@ func TestTenantQuotaRejectSurfaces(t *testing.T) {
 	}
 }
 
+// TestTenantGroupedAndHybridRideLanes checks that AllReduceMany and
+// HybridBroadcast on a tenant view go through the tenant's lane and ledger
+// like every other call: each bucket is admitted, completed and attributed,
+// and a quota that cannot fit a bucket rejects it.
+func TestTenantGroupedAndHybridRideLanes(t *testing.T) {
+	comm, err := NewComm(DGX1V(), full8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := NewTenant(comm, TenantOptions{Name: "grouped"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// settled waits out the instant between a handle resolving and its lane
+	// worker releasing the op from the outstanding ledger.
+	settled := func(tn *Tenant, completed int64) TenantStats {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for tn.Stats().CompletedOps != completed && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return tn.Stats()
+	}
+	sizes := []int64{4 << 20, 8 << 20, 4 << 20}
+	k := int64(len(sizes))
+	want, err := comm.AllReduceMany(sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tn.AllReduceMany(sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seconds != want.Seconds || got.CacheHits != uint64(k) {
+		t.Fatalf("tenant group %+v != untenanted %+v (all warm)", got, want)
+	}
+	st := settled(tn, k)
+	if st.SubmittedOps != k || st.AdmittedOps+st.RejectedOps != k || st.CompletedOps != k {
+		t.Fatalf("grouped dispatch bypassed the ledger: %+v", st)
+	}
+	if st.CacheLookups != k || st.CacheHits+st.CacheMisses != k {
+		t.Fatalf("grouped cache attribution %d lookups / %d hits / %d misses, want %d",
+			st.CacheLookups, st.CacheHits, st.CacheMisses, k)
+	}
+	if _, err := tn.HybridBroadcast(0, 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	if st := settled(tn, k+1); st.SubmittedOps != k+1 || st.CompletedOps != k+1 {
+		t.Fatalf("hybrid dispatch bypassed the ledger: %+v", st)
+	}
+
+	capped, err := NewTenant(comm, TenantOptions{Name: "capped", ByteQuota: 6 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capped.AllReduceMany([]int64{4 << 20, 8 << 20}); !errors.Is(err, ErrAdmissionRejected) {
+		t.Fatalf("bucket over the byte quota: err = %v, want ErrAdmissionRejected", err)
+	}
+	if _, err := capped.HybridBroadcast(0, 64<<20); !errors.Is(err, ErrAdmissionRejected) {
+		t.Fatalf("hybrid over the byte quota: err = %v, want ErrAdmissionRejected", err)
+	}
+	if st := settled(capped, 1); st.SubmittedOps != 3 || st.AdmittedOps != 1 || st.RejectedOps != 2 {
+		t.Fatalf("capped ledger %+v, want 3 submitted = 1 admitted + 2 rejected", st)
+	}
+}
+
 // TestTenantDeferredHandle checks the low-watermark back-off signal
 // surfaces through Handle.Deferred.
 func TestTenantDeferredHandle(t *testing.T) {
