@@ -149,9 +149,9 @@ func WithAsyncWindow(bytes int64) Option { return func(c *commConfig) { c.asyncW
 // of a later process, which skips the expensive tree packing entirely. The
 // store is the middle tier of the plan cache — memory LRU, then disk, then
 // compile — and is safe to share between concurrent processes: writes are
-// atomic temp-file+rename, so readers never observe a torn plan. Cluster
-// communicators persist their per-server tree schedules; the cross-server
-// three-phase plans themselves stay memory-only.
+// atomic temp-file+rename, so readers never observe a torn plan.
+// Single-machine communicators only: cluster schedules embed cross-server
+// wiring with no serializable form, so NewClusterComm rejects the option.
 func WithPlanStore(dir string) Option { return func(c *commConfig) { c.storeDir = dir } }
 
 // WithPlanService consults a blinkd planning daemon (cmd/blinkd) at addr
@@ -199,7 +199,6 @@ type Comm struct {
 // share; applyOptions configures either through it.
 type configurable interface {
 	SetPlanCache(*PlanCache)
-	SetPlanStore(*collective.PlanStore)
 	ConfigureAsync(streams int, windowBytes int64)
 }
 
@@ -213,23 +212,15 @@ func resolveOptions(opts []Option) commConfig {
 }
 
 // applyOptions applies the options every communicator kind honours: the
-// plan cache (shared, or private at a chosen capacity), the on-disk plan
-// store behind it, and the async stream layer.
-func applyOptions(cfg commConfig, eng configurable) error {
+// plan cache (shared, or private at a chosen capacity) and the async stream
+// layer.
+func applyOptions(cfg commConfig, eng configurable) {
 	if cfg.cache != nil {
 		eng.SetPlanCache(cfg.cache)
 	} else if cfg.cacheCap != nil {
 		eng.SetPlanCache(collective.NewPlanCache(*cfg.cacheCap))
 	}
-	if cfg.storeDir != "" {
-		store, err := collective.NewPlanStore(cfg.storeDir)
-		if err != nil {
-			return fmt.Errorf("blink: open plan store: %w", err)
-		}
-		eng.SetPlanStore(store)
-	}
 	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
-	return nil
 }
 
 // NewComm probes the machine for the allocated device IDs and returns a
@@ -240,8 +231,13 @@ func NewComm(machine *Machine, devs []int, opts ...Option) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := applyOptions(cfg, eng); err != nil {
-		return nil, err
+	applyOptions(cfg, eng)
+	if cfg.storeDir != "" {
+		store, err := collective.NewPlanStore(cfg.storeDir)
+		if err != nil {
+			return nil, fmt.Errorf("blink: open plan store: %w", err)
+		}
+		eng.SetPlanStore(store)
 	}
 	if cfg.serviceAddr != "" {
 		eng.SetPlanService(plansvc.NewClient(cfg.serviceAddr))
@@ -371,10 +367,12 @@ func (c *Comm) Scatter(root int, bytes int64) (Result, error) {
 	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Scatter, root, bytes, collective.Options{}).Wait()
 }
 
-// HybridBroadcast runs Blink's combined PCIe+NVLink broadcast (§3.4).
+// HybridBroadcast runs Blink's combined PCIe+NVLink broadcast (§3.4): the
+// split between the fabrics is calibrated once, when the schedule compiles,
+// and every later call of the same shape replays the cached plan like any
+// other collective.
 func (c *Comm) HybridBroadcast(root int, bytes int64) (Result, error) {
-	res, _, err := c.eng.RunHybridBroadcast(root, bytes, collective.Options{Tenant: c.tn})
-	return res, err
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Broadcast, root, bytes, collective.Options{Hybrid: true}).Wait()
 }
 
 // AllToAll exchanges a distinct bytes/Size() shard between every pair of
@@ -768,18 +766,20 @@ type ClusterComm struct {
 // single-machine communicators alike.
 func NewClusterComm(cluster *Cluster, opts ...Option) (*ClusterComm, error) {
 	cfg := resolveOptions(opts)
+	// Cluster schedules embed cross-server wiring with no serializable form:
+	// neither the planning service nor the disk tier can hold one. Fail
+	// loudly instead of silently ignoring the option.
 	if cfg.serviceAddr != "" {
-		// Cluster three-phase plans embed cross-server wiring the planning
-		// service cannot reproduce; fail loudly instead of silently ignoring.
 		return nil, fmt.Errorf("blink: WithPlanService is single-machine only (cluster plans are not remotely servable)")
+	}
+	if cfg.storeDir != "" {
+		return nil, fmt.Errorf("blink: WithPlanStore is single-machine only (cluster plans are not serializable)")
 	}
 	eng, err := collective.NewClusterEngine(cluster, cfg.sim)
 	if err != nil {
 		return nil, err
 	}
-	if err := applyOptions(cfg, eng); err != nil {
-		return nil, err
-	}
+	applyOptions(cfg, eng)
 	return &ClusterComm{eng: eng, backend: cfg.backend}, nil
 }
 

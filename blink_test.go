@@ -3,6 +3,7 @@ package blink
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestNewCommAndCollectives(t *testing.T) {
@@ -32,6 +33,51 @@ func TestNewCommAndCollectives(t *testing.T) {
 			t.Fatalf("%s: empty result %+v", name, res)
 		}
 	}
+}
+
+// TestHybridBroadcastWarmReplay: hybrid broadcast is an ordinary cached
+// collective — the second call of a shape is a plan-cache hit with
+// bit-identical simulated time. Its warm per-call host time is reported
+// beside a plain warm Broadcast's (reported, not gated: both replay one
+// frozen plan, so they should sit within noise of each other).
+func TestHybridBroadcastWarmReplay(t *testing.T) {
+	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bytes = 500 << 20
+	cold, err := comm.HybridBroadcast(0, bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := comm.CacheStats()
+	warm, err := comm.HybridBroadcast(0, bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := comm.CacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("second hybrid call not a cache hit: %+v -> %+v", before, after)
+	}
+	if warm.Seconds != cold.Seconds || warm.Strategy != "hybrid" {
+		t.Fatalf("warm hybrid %v/%q differs from cold %v/%q", warm.Seconds, warm.Strategy, cold.Seconds, cold.Strategy)
+	}
+	if _, err := comm.Broadcast(0, bytes); err != nil {
+		t.Fatal(err)
+	}
+	perCall := func(run func() (Result, error)) time.Duration {
+		const calls = 50
+		t0 := time.Now()
+		for i := 0; i < calls; i++ {
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(t0) / calls
+	}
+	hybrid := perCall(func() (Result, error) { return comm.HybridBroadcast(0, bytes) })
+	plain := perCall(func() (Result, error) { return comm.Broadcast(0, bytes) })
+	t.Logf("warm per-call host time at 500 MB on DGX-1V {0,1,2,3}: hybrid %v, plain broadcast %v", hybrid, plain)
 }
 
 func TestBackendSelection(t *testing.T) {

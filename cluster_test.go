@@ -182,3 +182,34 @@ func TestClusterCommGroupedDispatch(t *testing.T) {
 		t.Fatalf("warm group diverged: %v != %v", warm.Seconds, cold.Seconds)
 	}
 }
+
+// TestClusterCompileIsObservable: the packing a cold cluster collective
+// triggers runs inside the per-server engines, and the operator reading the
+// cluster communicator's metrics must see it.
+func TestClusterCompileIsObservable(t *testing.T) {
+	cc, err := NewClusterComm(twoServerCluster(t, 4, 4, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.AllReduce(16 << 20); err != nil {
+		t.Fatal(err)
+	}
+	h, ok := cc.MetricsSnapshot().Histograms[`blink_compile_stage_seconds{stage="enumerate"}`]
+	if !ok || h.Count < 1 {
+		t.Fatalf("cold cluster AllReduce left no enumerate-stage series in the cluster's metrics: %+v", h)
+	}
+}
+
+// TestClusterCommRejectsPlanStore: cluster schedules have no serializable
+// form, so a plan store could never hold one; the option must fail loudly
+// (as WithPlanService does) rather than open a directory nothing writes to.
+func TestClusterCommRejectsPlanStore(t *testing.T) {
+	for name, opt := range map[string]Option{
+		"WithPlanStore":   WithPlanStore(t.TempDir()),
+		"WithPlanService": WithPlanService("127.0.0.1:1"),
+	} {
+		if _, err := NewClusterComm(twoServerCluster(t, 4, 4, 100), opt); err == nil {
+			t.Errorf("NewClusterComm accepted %s", name)
+		}
+	}
+}

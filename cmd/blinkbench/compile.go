@@ -70,11 +70,11 @@ const compileMethodology = "fastPath: two cold engines on a full 8-GPU " +
 	"enumerate→minimize→fill pipeline inline, the other publishes an " +
 	"approximate greedy packing first (SetFastCompile) and refines in the " +
 	"background. Cold millis is wall-clock to the first returned result. " +
-	"repair: two engines prewarm exact packings for every root, then lose " +
-	"one NVLink; millis is wall-clock for Reconfigure plus re-resolving " +
-	"all root packings — incremental repair reuses trees the fault missed, " +
-	"the baseline (SetIncrementalRepair(false)) recompiles every root from " +
-	"scratch. stages aggregates the engines' per-stage compile-latency " +
+	"repair: two engines lose one NVLink; millis is wall-clock for " +
+	"Reconfigure plus re-resolving all root packings — the engine that " +
+	"prewarmed exact packings for every root repairs them incrementally, " +
+	"reusing trees the fault missed; the baseline never prewarmed, so it " +
+	"has nothing to repair and recompiles every root from scratch. stages aggregates the engines' per-stage compile-latency " +
 	"histograms (blink_compile_stage_seconds)."
 
 // runCompileBench measures the staged-compile pipeline and writes the JSON
@@ -169,10 +169,8 @@ func runCompileBench(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fullEng.SetIncrementalRepair(false)
-	if err := fullEng.Prewarm(nil); err != nil {
-		return err
-	}
+	// Never prewarmed: with no packings to repair, every post-fault root
+	// recompiles from scratch — the full-recompile baseline.
 	fullDur, err := replanAll(fullEng)
 	if err != nil {
 		return err

@@ -7,7 +7,6 @@
 //	blinkbench -exp all                        # every experiment, paper order
 //	blinkbench -exp fig15                      # one experiment
 //	blinkbench -list                           # available experiment IDs
-//	blinkbench -resilience -o BENCH_resilience.json  # training across mid-run faults
 //	blinkbench -async -o BENCH_async.json            # async-stream overlap + dispatch throughput
 //	blinkbench -mixed -o BENCH_mixed.json            # AllToAll / SendRecv / NeighborExchange vs flat ring
 //	blinkbench -obs -o BENCH_obs.txt                 # replay-determinism gate + metrics + span dump
@@ -30,7 +29,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment ID (see -list) or 'all'")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	resilience := flag.Bool("resilience", false, "benchmark training runs surviving mid-run topology faults and emit JSON")
 	async := flag.Bool("async", false, "benchmark async-stream overlap and dispatch throughput and emit JSON")
 	mixed := flag.Bool("mixed", false, "benchmark AllToAll/SendRecv/NeighborExchange vs the flat-ring baseline and emit JSON")
 	obsFlag := flag.Bool("obs", false, "run the seeded replay-determinism gate and emit metrics + span dump")
@@ -39,13 +37,9 @@ func main() {
 	storeFlag := flag.Bool("store", false, "benchmark cold compile vs warm-disk cold-start vs warm-memory replay vs blinkd round-trip and emit JSON")
 	storeSmoke := flag.Bool("storesmoke", false, "gate warm-disk cold-start >=10x faster than cold compile, exit non-zero on failure")
 	tenantsFlag := flag.Bool("tenants", false, "benchmark latency-critical p99 under 100-1000 tenant mixed load (lanes vs FIFO) and emit JSON; exits non-zero if the QoS gate fails")
-	out := flag.String("o", "-", "output path for -resilience/-async/-mixed/-obs/-compile/-store/-tenants ('-' = stdout)")
+	out := flag.String("o", "-", "output path for -async/-mixed/-obs/-compile/-store/-tenants ('-' = stdout)")
 	flag.Parse()
 
-	if *resilience {
-		resilienceMain(*out)
-		return
-	}
 	if *async {
 		asyncMain(*out)
 		return

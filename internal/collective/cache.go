@@ -47,21 +47,16 @@ type PlanKey struct {
 }
 
 // CachedPlan is a cache value: the frozen schedule plus the strategy label
-// the engine reported when it compiled it. Exactly one of Plan (a
-// single-fabric schedule) and ClusterPlan (a frozen multi-server
-// three-phase or flat-ring schedule) is set; cluster keys never collide
-// with single-machine keys because their Fingerprint is a
-// topology.Cluster.Fingerprint, which is disjoint from any
-// topology.Topology.Fingerprint.
+// the engine reported when it compiled it. Exactly one of Plan (a single
+// frozen schedule: trees, rings, the hybrid two-plane broadcast, the
+// cluster flat ring) and ClusterPlan (the frozen multi-server three-phase
+// schedule) is set; cluster keys never collide with single-machine keys
+// because their Fingerprint is a topology.Cluster.Fingerprint, which is
+// disjoint from any topology.Topology.Fingerprint.
 type CachedPlan struct {
 	Plan        *core.FrozenPlan
 	ClusterPlan *ClusterFrozenPlan
 	Strategy    string
-	// hybrid, set instead of Plan on the never-cached values the hybrid
-	// planner hands the dispatch spine, builds and executes the §3.4
-	// PCIe+NVLink broadcast against the call's arena and returns its
-	// makespan.
-	hybrid func(*simgpu.BufferSet) (float64, error)
 }
 
 // CacheStats is a point-in-time snapshot of cache activity with per-tier

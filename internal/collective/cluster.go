@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +22,12 @@ import (
 // the flat cross-machine ring baseline the paper compares against.
 //
 // Like Engine, a ClusterEngine is safe for concurrent use: compiled cluster
-// schedules live in the plan cache as immutable ClusterFrozenPlans, and
-// every data-mode call executes against its own ClusterBuffers context, so
-// any number of data-mode replays may be in flight at once. Reconfigure and
-// RemoveServer swap the whole cluster-derived state atomically, so
-// collectives may keep flowing while a server drops out.
+// schedules live in the plan cache as immutable frozen plans (a
+// ClusterFrozenPlan for the three phases, a single FrozenPlan for the flat
+// ring), and every data-mode call executes against its own ClusterBuffers
+// context, so any number of data-mode replays may be in flight at once.
+// Reconfigure and RemoveServer swap the whole cluster-derived state
+// atomically, so collectives may keep flowing while a server drops out.
 type ClusterEngine struct {
 	engineShell
 	Cfg simgpu.Config
@@ -35,13 +37,6 @@ type ClusterEngine struct {
 
 	// reconfigMu serializes reconfigurations (see Engine.reconfigMu).
 	reconfigMu sync.Mutex
-
-	// store is the on-disk tier applied to every per-server engine (cluster
-	// plans themselves are memory-only — their phase schedules embed
-	// cross-server wiring with no serializable IR — but the per-server tree
-	// plans warm-start from disk like any single-machine engine's). Kept so
-	// reconfigurations re-attach it to freshly probed server engines.
-	store *PlanStore
 }
 
 // clusterState is everything a ClusterEngine derives from its cluster
@@ -78,8 +73,9 @@ type ClusterBuffers struct {
 // cluster. reuse maps surviving server topologies to their existing
 // engines (nil for a fresh build): a reconfiguration that only removes a
 // server keeps the survivors' engines — and the tree packings they have
-// already generated — instead of re-deriving them.
-func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology.Topology]*Engine) (*clusterState, error) {
+// already generated — instead of re-deriving them. Fresh server engines
+// record into the cluster engine's shell sh (see engineShell.init).
+func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology.Topology]*Engine, sh *engineShell) (*clusterState, error) {
 	if len(c.Servers) < 2 {
 		return nil, fmt.Errorf("collective: cluster needs >= 2 servers")
 	}
@@ -91,7 +87,7 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 		eng := reuse[s]
 		if eng == nil {
 			var err error
-			eng, err = NewEngine(s, s.DevIDs, cfg)
+			eng, err = newEngine(s, s.DevIDs, cfg, sh)
 			if err != nil {
 				return nil, fmt.Errorf("collective: server %d: %w", si, err)
 			}
@@ -108,12 +104,12 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 // cluster. Servers must be point-to-point machines (DGX-1 class or custom);
 // the paper's multi-server protocol targets NIC-attached DGX-1V boxes.
 func NewClusterEngine(c *topology.Cluster, cfg simgpu.Config) (*ClusterEngine, error) {
-	st, err := newClusterState(c, cfg, nil)
+	e := &ClusterEngine{Cfg: cfg}
+	e.init(cfg, nil)
+	st, err := newClusterState(c, cfg, nil, &e.engineShell)
 	if err != nil {
 		return nil, err
 	}
-	e := &ClusterEngine{Cfg: cfg}
-	e.init(cfg)
 	e.st.Store(st)
 	return e, nil
 }
@@ -139,14 +135,9 @@ func (e *ClusterEngine) reconfigureLocked(c *topology.Cluster) error {
 	for si, eng := range old.engines {
 		reuse[old.cluster.Servers[si]] = eng
 	}
-	st, err := newClusterState(c, e.Cfg, reuse)
+	st, err := newClusterState(c, e.Cfg, reuse, &e.engineShell)
 	if err != nil {
 		return err
-	}
-	if e.store != nil {
-		for _, eng := range st.engines {
-			eng.SetPlanStore(e.store)
-		}
 	}
 	e.st.Store(st)
 	e.reconfigured(old.fingerprint, st.fingerprint, start)
@@ -205,20 +196,6 @@ func (st *clusterState) locate(rank int) (server, local int, err error) {
 // Fingerprint returns the cluster's schedule-cache identity.
 func (e *ClusterEngine) Fingerprint() string { return e.st.Load().fingerprint }
 
-// SetPlanStore attaches an on-disk plan store to every per-server engine
-// (and to future server engines probed by reconfigurations), so the
-// intra-machine tree schedules warm-start across processes. Cluster-level
-// three-phase plans stay memory-only: their schedules embed cross-server
-// wiring with no serializable IR. Nil detaches.
-func (e *ClusterEngine) SetPlanStore(s *PlanStore) {
-	e.reconfigMu.Lock()
-	defer e.reconfigMu.Unlock()
-	e.store = s
-	for _, eng := range e.st.Load().engines {
-		eng.SetPlanStore(s)
-	}
-}
-
 // ServerEngine exposes server s's per-machine engine (for introspection:
 // packings, fabrics, fingerprints). It returns nil for an out-of-range
 // index — e.g. one that went stale when RemoveServer shrank the cluster.
@@ -237,130 +214,69 @@ type ClusterTiming struct {
 	Total                  float64
 }
 
-// ClusterFrozenPlan is an immutable, replayable multi-server schedule: the
-// cache unit for cluster collectives. Three-phase plans hold one frozen
-// per-server plan per intra-machine phase plus the NIC exchange plan; the
-// NCCL baseline holds a single frozen global-ring plan. Data-mode plans
-// additionally carry the cross-server exchange closure that moves partial
-// results between the per-server arenas in between phase replays; like
-// every Exec closure, it resolves buffers through the per-call context, so
-// the frozen plan itself is shareable across concurrent calls.
+// ClusterFrozenPlan is the immutable, replayable three-phase multi-server
+// schedule (§3.5): one frozen per-server plan per intra-machine phase and
+// the single NIC exchange plan between them. Data-mode plans additionally
+// carry the cross-server exchange closure that moves partial results
+// between the per-server arenas in between phase replays; like every Exec
+// closure, it resolves buffers through the per-call context, so the frozen
+// plan itself is shareable across concurrent calls.
 type ClusterFrozenPlan struct {
-	phase1 []*core.FrozenPlan
-	phase2 *core.FrozenPlan
-	phase3 []*core.FrozenPlan
-	flat   *core.FrozenPlan
+	// phases holds each phase's frozen plans: per server (indexed like
+	// ClusterBuffers.Servers) for phases 1 and 3, the one NIC plan for 2.
+	phases [3][]*core.FrozenPlan
 	// exchange performs the data-mode cross-server movement (summing
 	// partition partials across servers for AllReduce, seeding local roots
 	// for Broadcast) through the call's per-server arenas. It runs after
 	// phase 1 and before phase 3.
 	exchange   func(servers []*simgpu.BufferSet)
 	partitions int
-	hasExec    bool
 }
 
-// HasExec reports whether the schedule moves real data; such plans need a
-// ReplayData context for their results to be observable.
-func (p *ClusterFrozenPlan) HasExec() bool { return p.hasExec }
-
-// Partitions returns the number of payload partitions (0 for flat plans).
-func (p *ClusterFrozenPlan) Partitions() int { return p.partitions }
-
-// Replay executes the schedule for timing; any data movement lands in
-// throwaway arenas. Use ReplayData to observe moved data.
-func (p *ClusterFrozenPlan) Replay() (ClusterTiming, error) { return p.ReplayData(nil) }
-
-// ReplayData executes the schedule against ctx, the call's private buffer
-// context: every per-server phase-1 plan (cluster phase time is the slowest
-// server), the exchange closure, the NIC plan, and every phase-3 plan. A
-// nil ctx degrades to timing-only execution.
-func (p *ClusterFrozenPlan) ReplayData(ctx *ClusterBuffers) (ClusterTiming, error) {
-	return p.ReplayDataHooked(ctx, nil)
-}
-
-// NumOps is the schedule's total op count across every phase (or the flat
-// ring's), the denominator of a hooked replay's progress.
+// NumOps is the schedule's total op count across every phase, the
+// denominator of a hooked replay's progress.
 func (p *ClusterFrozenPlan) NumOps() int {
-	if p.flat != nil {
-		return p.flat.NumOps()
-	}
 	n := 0
-	for _, fp := range p.phase1 {
-		n += fp.NumOps()
-	}
-	if p.phase2 != nil {
-		n += p.phase2.NumOps()
-	}
-	for _, fp := range p.phase3 {
-		n += fp.NumOps()
+	for _, plans := range p.phases {
+		for _, fp := range plans {
+			n += fp.NumOps()
+		}
 	}
 	return n
 }
 
-// ReplayDataHooked is ReplayData with a chunk-granular progress hook that
-// spans all three phases: done counts ops completed across the per-server
-// plans, the NIC exchange plan and the broadcast plans, against the
-// schedule-wide total.
-func (p *ClusterFrozenPlan) ReplayDataHooked(ctx *ClusterBuffers, hook core.ReplayHook) (ClusterTiming, error) {
-	var t ClusterTiming
-	total := 0
+// replay executes the schedule against ctx, the call's private buffer
+// context (nil degrades to timing-only execution): every per-server phase-1
+// plan, the exchange closure, the NIC plan (timing only — the closure moved
+// its data), and every phase-3 plan. A phase takes as long as its slowest
+// plan. hook, when set, observes chunk-granular progress across all three
+// phases against the schedule-wide op total.
+func (p *ClusterFrozenPlan) replay(ctx *ClusterBuffers, hook core.ReplayHook) (ClusterTiming, error) {
+	var t [3]float64
 	base := 0
 	var sub core.ReplayHook
 	if hook != nil {
-		total = p.NumOps()
+		total := p.NumOps()
 		sub = func(done, _ int) { hook(base+done, total) }
 	}
-	if p.flat != nil {
-		var fb *simgpu.BufferSet
-		if ctx != nil {
-			fb = ctx.Flat
+	for ph, plans := range p.phases {
+		if ph == 1 && p.exchange != nil && ctx != nil {
+			p.exchange(ctx.Servers)
 		}
-		r, err := p.flat.ReplayDataHooked(fb, sub)
-		if err != nil {
-			return t, err
-		}
-		t.Total = r.Makespan
-		return t, nil
-	}
-	serverBuf := func(si int) *simgpu.BufferSet {
-		if ctx == nil || si >= len(ctx.Servers) {
-			return nil
-		}
-		return ctx.Servers[si]
-	}
-	for si, fp := range p.phase1 {
-		r, err := fp.ReplayDataHooked(serverBuf(si), sub)
-		if err != nil {
-			return t, err
-		}
-		base += fp.NumOps()
-		if r.Makespan > t.Phase1 {
-			t.Phase1 = r.Makespan
+		for si, fp := range plans {
+			var bufs *simgpu.BufferSet
+			if ph != 1 && ctx != nil && si < len(ctx.Servers) {
+				bufs = ctx.Servers[si]
+			}
+			r, err := fp.ReplayDataHooked(bufs, sub)
+			if err != nil {
+				return ClusterTiming{}, err
+			}
+			base += fp.NumOps()
+			t[ph] = math.Max(t[ph], r.Makespan)
 		}
 	}
-	if p.exchange != nil && ctx != nil {
-		p.exchange(ctx.Servers)
-	}
-	if p.phase2 != nil {
-		r, err := p.phase2.ReplayDataHooked(nil, sub)
-		if err != nil {
-			return t, err
-		}
-		base += p.phase2.NumOps()
-		t.Phase2 = r.Makespan
-	}
-	for si, fp := range p.phase3 {
-		r, err := fp.ReplayDataHooked(serverBuf(si), sub)
-		if err != nil {
-			return t, err
-		}
-		base += fp.NumOps()
-		if r.Makespan > t.Phase3 {
-			t.Phase3 = r.Makespan
-		}
-	}
-	t.Total = t.Phase1 + t.Phase2 + t.Phase3
-	return t, nil
+	return ClusterTiming{Phase1: t[0], Phase2: t[1], Phase3: t[2], Total: t[0] + t[1] + t[2]}, nil
 }
 
 // ClusterResult reports one cluster collective execution, with the
@@ -408,18 +324,17 @@ func (e *ClusterEngine) lookupOrCompile(st *clusterState, rq request) (*CachedPl
 	}
 	key := e.planKey(st.fingerprint, rq)
 	return e.resolve(key, nil, e.Fingerprint, func() (*CachedPlan, bool, error) {
-		var plan *ClusterFrozenPlan
-		var strategy string
+		cp := &CachedPlan{}
 		var err error
 		if rq.b == Blink {
-			plan, strategy, err = compileThreePhase(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts)
+			cp.ClusterPlan, cp.Strategy, err = compileThreePhase(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts)
 		} else {
-			plan, strategy, err = compileFlatRing(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts, e.Cfg)
+			cp.Strategy = "flat-ring"
+			cp.Plan, err = compileFlatRing(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts, e.Cfg)
 		}
 		if err != nil {
 			return nil, false, err
 		}
-		cp := &CachedPlan{ClusterPlan: plan, Strategy: strategy}
 		e.cache.Put(key, cp)
 		return cp, false, nil
 	})
@@ -462,16 +377,11 @@ func compileThreePhase(st *clusterState, op Op, root int, bytes int64, chunk int
 	if err != nil {
 		return nil, "", err
 	}
-	plan := &ClusterFrozenPlan{
-		phase2:     tp.Phase2.Freeze(),
-		partitions: tp.Partitions,
-		hasExec:    opts.DataMode,
-	}
-	for _, p := range tp.Phase1 {
-		plan.phase1 = append(plan.phase1, p.Freeze())
-	}
-	for _, p := range tp.Phase3 {
-		plan.phase3 = append(plan.phase3, p.Freeze())
+	plan := &ClusterFrozenPlan{partitions: tp.Partitions}
+	for ph, plans := range [3][]*core.Plan{tp.Phase1, {tp.Phase2}, tp.Phase3} {
+		for _, p := range plans {
+			plan.phases[ph] = append(plan.phases[ph], p.Freeze())
+		}
 	}
 	if opts.DataMode {
 		switch op {
@@ -563,11 +473,12 @@ func broadcastExchange(tp *core.ThreePhasePlans, rootServer, totalFloats int) fu
 }
 
 // compileFlatRing builds and freezes the NCCL cross-machine baseline: one
-// global ring over every GPU, PCIe within servers, NICs between them.
-func compileFlatRing(st *clusterState, op Op, root int, bytes int64, chunk int64, opts Options, cfg simgpu.Config) (*ClusterFrozenPlan, string, error) {
+// global ring over every GPU, PCIe within servers, NICs between them — a
+// single-fabric schedule, replayed against ClusterBuffers.Flat.
+func compileFlatRing(st *clusterState, op Op, root int, bytes int64, chunk int64, opts Options, cfg simgpu.Config) (*core.FrozenPlan, error) {
 	cf, err := st.flatFabric(cfg)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	ro := ring.Options{ChunkBytes: chunk, DataMode: opts.DataMode}
 	var plan *core.Plan
@@ -578,12 +489,9 @@ func compileFlatRing(st *clusterState, op Op, root int, bytes int64, chunk int64
 		plan, err = cf.BuildCrossMachineBroadcastPlan(root, bytes, ro)
 	}
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return &ClusterFrozenPlan{
-		flat:    plan.Freeze(),
-		hasExec: opts.DataMode,
-	}, "flat-ring", nil
+	return plan.Freeze(), nil
 }
 
 // flatFabric lazily assembles the cross-machine ring fabric.
@@ -659,6 +567,9 @@ func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]f
 		bs, local := st.arena(ctx, g)
 		bs.SetBuffer(local, core.BufData, append([]float32(nil), in...))
 	}
+	// The flat ring is a single-fabric schedule and replays against the one
+	// global arena (nil for Blink, whose three phases use ctx.Servers).
+	opts.Buffers = ctx.Flat
 	rq := request{b: b, op: d.op, root: d.root, bytes: int64(n) * 4, opts: opts, cluster: ctx}
 	res, err := submit(&e.engineShell, e, st, rq, Inline).Wait()
 	if err != nil {

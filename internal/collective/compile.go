@@ -41,7 +41,6 @@ type packEntry struct {
 type pendingSwap struct {
 	key PlanKey
 	rq  request
-	po  core.PlanOptions
 }
 
 // SetFastCompile toggles the approximate-first fast path (default off).
@@ -52,12 +51,6 @@ type pendingSwap struct {
 // wins. Replays in flight keep the plan they resolved; the swap is the
 // cache's atomic publish.
 func (e *Engine) SetFastCompile(on bool) { e.fastPath.Store(on) }
-
-// SetIncrementalRepair toggles incremental packing repair on
-// reconfiguration (default on). Off forces every post-fault packing to
-// recompile from scratch — the baseline the compile benchmark measures
-// repair speedup against.
-func (e *Engine) SetIncrementalRepair(on bool) { e.repairOff.Store(!on) }
 
 // WaitRefinements blocks until every scheduled background exact refinement
 // has finished (including its plan swaps). Tests and benchmarks use it to
@@ -71,14 +64,12 @@ func (e *Engine) observeStage(stage string, seconds float64) {
 	e.obsReg.Histogram(`blink_compile_stage_seconds{stage="`+stage+`"}`, nil).Observe(seconds)
 }
 
-// entryFor returns (creating) the packing slot for a root on one plane.
-func (st *engineState) entryFor(pcie bool, root int) *packEntry {
+// entryFor returns (creating) the packing slot for a root on the NVLink or
+// PCIe plane.
+func (st *engineState) entryFor(plane core.FabricSel, root int) *packEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	m := st.packings
-	if pcie {
-		m = st.pciePacks
-	}
+	m := st.packs[plane]
 	entry, ok := m[root]
 	if !ok {
 		entry = &packEntry{}
@@ -91,18 +82,15 @@ func (st *engineState) entryFor(pcie bool, root int) *packEntry {
 // on the NVLink or PCIe plane. It reports whether the returned packing is
 // fast-path output still awaiting exact refinement, so the caller can
 // register compiled plans for the refinement swap.
-func (e *Engine) packingOn(st *engineState, pcie bool, root int) (*core.Packing, bool, error) {
-	entry := st.entryFor(pcie, root)
+func (e *Engine) packingOn(st *engineState, plane core.FabricSel, root int) (*core.Packing, bool, error) {
+	entry := st.entryFor(plane, root)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	if entry.p != nil || entry.err != nil {
 		return entry.p, entry.approx, entry.err
 	}
-	g := st.topo.GPUGraph()
-	if pcie {
-		g = st.topo.PCIeGraph()
-	}
-	if e.fastPath.Load() && !pcie {
+	g := st.fabrics[plane].Graph
+	if e.fastPath.Load() && plane == core.FabricNVLink {
 		if p, _, err := e.approxPipe.PackRoot(g, root); err == nil {
 			entry.p, entry.approx = p, true
 			e.mFastCompiles.Inc()
@@ -148,17 +136,12 @@ func (e *Engine) refine(st *engineState, entry *packEntry, g *graph.Graph, root 
 			return
 		}
 		for _, ps := range pend {
-			plan, strategy, _, perr := blinkPlan(e, st, ps.rq.op, ps.rq.root, ps.rq.bytes, ps.po, ps.rq.opts)
-			if perr != nil {
-				continue
+			// The next dispatch replays the refined schedule, and the disk
+			// tier is rewritten so other processes warm-start from the
+			// refined packing too.
+			if _, _, err := e.publish(st, ps.key, ps.rq); err == nil {
+				e.mRefineSwaps.Inc()
 			}
-			// The tiered Put is the atomic publish: replays in flight keep
-			// the frozen plan they already resolved; the next dispatch
-			// replays the refined schedule, and the disk tier is rewritten so
-			// other processes warm-start from the refined packing too.
-			cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
-			e.cache.PutTiered(ps.key, cp, encodeCachedPlan(cp))
-			e.mRefineSwaps.Inc()
 		}
 	}()
 }
@@ -168,8 +151,9 @@ func (e *Engine) refine(st *engineState, entry *packEntry, g *graph.Graph, root 
 // no longer awaiting refinement — the caller must then recompile itself,
 // because the refinement may already have published a refined plan that the
 // caller's approx-derived Put just replaced.
-func (e *Engine) registerPendingSwap(st *engineState, pcie bool, root int, ps pendingSwap) bool {
-	entry := st.entryFor(pcie, root)
+func (e *Engine) registerPendingSwap(st *engineState, root int, ps pendingSwap) bool {
+	// Only NVLink packings ever come from the fast path (packingOn).
+	entry := st.entryFor(core.FabricNVLink, root)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	if !entry.approx {
@@ -185,22 +169,16 @@ func (e *Engine) registerPendingSwap(st *engineState, pcie bool, root int, ps pe
 // recompiles against the now-exact packings and republishes, so an
 // approx-derived schedule can never outlive its refinement.
 func (e *Engine) finishFastPlan(st *engineState, approxRoots []int, ps pendingSwap) *CachedPlan {
-	pcie := !st.nvlConnected
 	registered := false
 	for _, r := range approxRoots {
-		if e.registerPendingSwap(st, pcie, r, ps) {
+		if e.registerPendingSwap(st, r, ps) {
 			registered = true
 		}
 	}
 	if registered {
 		return nil
 	}
-	plan, strategy, _, err := blinkPlan(e, st, ps.rq.op, ps.rq.root, ps.rq.bytes, ps.po, ps.rq.opts)
-	if err != nil {
-		return nil
-	}
-	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
-	e.cache.PutTiered(ps.key, cp, encodeCachedPlan(cp))
+	cp, _, _ := e.publish(st, ps.key, ps.rq) // nil on error: the caller keeps its approx-derived plan
 	return cp
 }
 
@@ -211,15 +189,16 @@ func (e *Engine) finishFastPlan(st *engineState, approxRoots []int, ps pendingSw
 // the §3.2.1 rate threshold falls back cleanly to lazy full recompilation.
 // Called under reconfigMu, before the new state is published.
 func (e *Engine) repairPackings(old, st *engineState) {
-	if old.switchFabric != nil || st.switchFabric != nil || !old.nvlConnected || !st.nvlConnected {
+	if old.switched() || st.switched() || !old.nvlConnected || !st.nvlConnected {
 		return
 	}
 	vmap := deviceVertexMap(old.topo, st.topo)
 	oldG, newG := old.topo.GPUGraph(), st.topo.GPUGraph()
+	oldPacks := old.packs[core.FabricNVLink]
 
 	old.mu.Lock()
-	roots := make([]int, 0, len(old.packings))
-	for r := range old.packings {
+	roots := make([]int, 0, len(oldPacks))
+	for r := range oldPacks {
 		roots = append(roots, r)
 	}
 	old.mu.Unlock()
@@ -227,7 +206,7 @@ func (e *Engine) repairPackings(old, st *engineState) {
 
 	for _, root := range roots {
 		old.mu.Lock()
-		entry := old.packings[root]
+		entry := oldPacks[root]
 		old.mu.Unlock()
 		// TryLock: a cold compile may still hold this root's slot; skip it
 		// rather than stall the whole reconfiguration behind one compile.
@@ -251,7 +230,7 @@ func (e *Engine) repairPackings(old, st *engineState) {
 			continue
 		}
 		st.mu.Lock()
-		st.packings[vmap[root]] = &packEntry{p: out.Packing}
+		st.packs[core.FabricNVLink][vmap[root]] = &packEntry{p: out.Packing}
 		st.mu.Unlock()
 		e.mRepairs.Inc()
 	}
@@ -285,7 +264,7 @@ func deviceVertexMap(oldT, newT *topology.Topology) []int {
 // only the latency moves.
 func (e *Engine) Prewarm(roots []int) error {
 	st := e.st.Load()
-	if st.switchFabric != nil {
+	if st.switched() {
 		return nil // one-hop packings are built at construction
 	}
 	if roots == nil {
@@ -294,7 +273,7 @@ func (e *Engine) Prewarm(roots []int) error {
 			roots[i] = i
 		}
 	}
-	pcie := !st.nvlConnected
+	plane := st.plane(Blink)
 	errs := make([]error, len(roots))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, e.exactPipe.Workers())
@@ -304,7 +283,7 @@ func (e *Engine) Prewarm(roots []int) error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			_, _, errs[i] = e.packingOn(st, pcie, r)
+			_, _, errs[i] = e.packingOn(st, plane, r)
 		}(i, r)
 	}
 	wg.Wait()

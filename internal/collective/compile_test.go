@@ -157,29 +157,6 @@ func TestReconfigureIncrementalRepair(t *testing.T) {
 	}
 }
 
-// SetIncrementalRepair(false) must force the full-recompile baseline: no
-// repairs recorded, behavior identical to the pre-pipeline engine.
-func TestReconfigureRepairDisabled(t *testing.T) {
-	eng := newDGX1Engine(t)
-	if err := eng.Prewarm(nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.SetIncrementalRepair(false)
-	degraded, err := topology.DGX1V().WithoutLink(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Reconfigure(degraded, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Metrics().Counter("blink_repair_incremental_total").Value(); got != 0 {
-		t.Fatalf("repair ran %d times with incremental repair disabled", got)
-	}
-	if _, err := eng.Run(Blink, Broadcast, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Repair must survive an eviction (vertex renumbering) too: surviving
 // roots' packings map onto the shrunken vertex set or fall back cleanly.
 func TestReconfigureRepairAcrossEviction(t *testing.T) {

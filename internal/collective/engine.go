@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"blink/internal/core"
-	"blink/internal/graph"
 	"blink/internal/obs"
 	"blink/internal/ring"
 	"blink/internal/simgpu"
@@ -107,7 +106,11 @@ type Result struct {
 type Options struct {
 	// ChunkBytes overrides the chunk heuristic (0 = auto).
 	ChunkBytes int64
-	// Hybrid adds PCIe trees alongside NVLink for Blink broadcasts (§3.4).
+	// Hybrid selects the §3.4 hybrid schedule for a Blink Broadcast: PCIe
+	// trees alongside the NVLink ones, split by Equation 8. It is an error
+	// where that schedule cannot be built (a switch machine, an
+	// NVLink-disconnected allocation, the NCCL backend) and ignored on every
+	// other op.
 	Hybrid bool
 	// DataMode moves real data (functional verification).
 	DataMode bool
@@ -156,20 +159,18 @@ type engineState struct {
 	// locks in compile.go so it no longer serializes unrelated roots.
 	mu sync.Mutex
 
-	// Point-to-point state (DGX-1 class). Packings live in per-root slots
+	// fabrics holds the state's interconnect planes by selector: NVLink and
+	// PCIe on a point-to-point machine (DGX-1 class), the switch fabric alone
+	// on a DGX-2.
+	fabrics [3]*simgpu.Fabric
+	// packs holds the NVLink and PCIe planes' packings in per-root slots
 	// with entry-level locks (compile.go), so st.mu is held only for map
 	// access and cold compiles for distinct roots run in parallel.
-	nvlFabric  *simgpu.Fabric
-	pcieFabric *simgpu.Fabric
-	packings   map[int]*packEntry // per root, NVLink
-	pciePacks  map[int]*packEntry // per root, PCIe hub
-	rings      []ring.Ring
-	ringsDone  bool
-
-	// Switch state (DGX-2 class).
-	switchFabric *simgpu.Fabric
-	logical      *graph.Graph
-	oneHop       []*core.Packing
+	packs     [2]map[int]*packEntry
+	rings     []ring.Ring
+	ringsDone bool
+	// oneHop is the switch plane's precomputed per-root one-hop packing set.
+	oneHop []*core.Packing
 
 	// fingerprint is the induced topology's schedule-cache identity.
 	fingerprint string
@@ -212,12 +213,11 @@ type Engine struct {
 	tenantCount atomic.Int64
 
 	// Staged-compile state (compile.go): the exact and approximate planner
-	// pipelines, the fast-path / incremental-repair knobs, and the bounded
-	// background-refinement pool.
+	// pipelines, the fast-path knob, and the bounded background-refinement
+	// pool.
 	exactPipe  *core.PlannerPipeline
 	approxPipe *core.PlannerPipeline
 	fastPath   atomic.Bool
-	repairOff  atomic.Bool
 	refineWG   sync.WaitGroup
 	refineSem  chan struct{}
 	// Fast-path, refinement-swap and repair-outcome counters.
@@ -232,14 +232,13 @@ type Engine struct {
 func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config) (*engineState, error) {
 	st := &engineState{machine: machine, devs: append([]int(nil), devs...)}
 	if machine.Kind == topology.KindDGX2 {
-		t, lg, packs, fab, err := core.NewDGX2Runtime(cfg)
+		t, _, packs, fab, err := core.NewDGX2Runtime(cfg)
 		if err != nil {
 			return nil, err
 		}
 		st.topo = t
-		st.logical = lg
 		st.oneHop = packs
-		st.switchFabric = fab
+		st.fabrics[core.FabricSwitch] = fab
 		st.fingerprint = t.Fingerprint()
 		st.nvlConnected = true
 		return st, nil
@@ -249,19 +248,42 @@ func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config) (
 		return nil, err
 	}
 	st.topo = ind
-	st.nvlFabric = simgpu.NewFabric(ind, ind.GPUGraph(), cfg)
-	st.pcieFabric = simgpu.NewFabric(ind, ind.PCIeGraph(), cfg)
-	st.packings = map[int]*packEntry{}
-	st.pciePacks = map[int]*packEntry{}
+	st.fabrics[core.FabricNVLink] = simgpu.NewFabric(ind, ind.GPUGraph(), cfg)
+	st.fabrics[core.FabricPCIe] = simgpu.NewFabric(ind, ind.PCIeGraph(), cfg)
+	st.packs = [2]map[int]*packEntry{{}, {}}
 	st.fingerprint = ind.Fingerprint()
 	st.nvlConnected = ind.GPUGraph().Connected()
 	return st, nil
+}
+
+// switched reports whether the state is a switch fabric (DGX-2 class).
+func (st *engineState) switched() bool { return st.fabrics[core.FabricSwitch] != nil }
+
+// plane selects the interconnect plane a backend's schedules run over: the
+// switch fabric on a DGX-2; otherwise NVLink, unless the backend cannot use
+// it — Blink needs the allocation's NVLink subgraph connected, NCCL needs an
+// NVLink ring (Figure 2b) — and falls back to PCIe.
+func (st *engineState) plane(b Backend) core.FabricSel {
+	switch {
+	case st.switched():
+		return core.FabricSwitch
+	case b == Blink && st.nvlConnected, b != Blink && len(st.ncclRings()) > 0:
+		return core.FabricNVLink
+	}
+	return core.FabricPCIe
 }
 
 // NewEngine probes the machine for the allocated devices and prepares a
 // runtime. For switch topologies devs must cover the full machine (partial
 // DGX-2 allocations see a uniform fabric anyway).
 func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engine, error) {
+	return newEngine(machine, devs, cfg, nil)
+}
+
+// newEngine is NewEngine for an engine that may serve as one server of a
+// ClusterEngine: a non-nil parent is the cluster engine's shell, whose
+// metrics registry and plan cache the server engine adopts (see init).
+func newEngine(machine *topology.Topology, devs []int, cfg simgpu.Config, parent *engineShell) (*Engine, error) {
 	e := &Engine{
 		Cfg: cfg,
 		// Background refinements are strictly lower priority than dispatch
@@ -269,7 +291,7 @@ func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engi
 		// starving foreground packing of cores.
 		refineSem: make(chan struct{}, 2),
 	}
-	e.init(cfg)
+	e.init(cfg, parent)
 	e.mFastCompiles = e.obsReg.Counter("blink_fastpath_compiles_total")
 	e.mRefineSwaps = e.obsReg.Counter("blink_refine_swaps_total")
 	e.mRepairs = e.obsReg.Counter("blink_repair_incremental_total")
@@ -347,19 +369,17 @@ func (e *Engine) reconfigureLocked(machine *topology.Topology, devs []int) error
 	if devs == nil {
 		devs = old.devs
 	}
-	if old.switchFabric != nil || machine.Kind == topology.KindDGX2 {
+	if old.switched() || machine.Kind == topology.KindDGX2 {
 		return fmt.Errorf("collective: switch-fabric engines do not support reconfiguration")
 	}
 	st, err := newEngineState(machine, devs, e.Cfg)
 	if err != nil {
 		return err
 	}
-	if !e.repairOff.Load() {
-		// Seed the new state with incrementally repaired packings before it
-		// becomes visible: roots the fault barely touched replan in
-		// microseconds instead of recompiling from scratch (compile.go).
-		e.repairPackings(old, st)
-	}
+	// Seed the new state with incrementally repaired packings before it
+	// becomes visible: roots the fault barely touched replan in microseconds
+	// instead of recompiling from scratch (compile.go).
+	e.repairPackings(old, st)
 	e.st.Store(st)
 	e.reconfigured(old.fingerprint, st.fingerprint, start)
 	return nil
@@ -379,7 +399,7 @@ func (e *Engine) AllocatedDevs() []int { return append([]int(nil), e.st.Load().d
 func (e *Engine) Fingerprint() string { return e.st.Load().fingerprint }
 
 // Switched reports whether the engine runs on a switch fabric.
-func (e *Engine) Switched() bool { return e.st.Load().switchFabric != nil }
+func (e *Engine) Switched() bool { return e.st.Load().switched() }
 
 // NVLinkConnected reports whether the allocation's NVLink subgraph is
 // connected (Blink needs this to build NVLink trees; NCCL needs a full
@@ -482,40 +502,37 @@ func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool
 	// of the tier.
 	return e.resolve(key, e.planDecoder(st), e.Fingerprint, func() (*CachedPlan, bool, error) {
 		// Remote planner (blinkd), if configured: still cheaper than packing
-		// locally, and its blob lands in both local tiers on success.
-		if cp := e.fetchFromService(st, key, rq.opts); cp != nil {
-			return cp, true, nil
+		// locally, and its blob lands in both local tiers on success. Hybrid
+		// plans carry no IR, so no tier below memory can ever serve one.
+		if !key.Hybrid {
+			if cp := e.fetchFromService(st, key, rq.opts); cp != nil {
+				return cp, true, nil
+			}
 		}
-		cp, err := e.compile(st, key, rq)
+		cp, approxRoots, err := e.publish(st, key, rq)
+		if err == nil && len(approxRoots) > 0 {
+			// The plan embeds fast-path packings: register it for the refinement
+			// swap (or republish from the refined packings if refinement already
+			// finished — see compile.go).
+			if rc := e.finishFastPlan(st, approxRoots, pendingSwap{key: key, rq: rq}); rc != nil {
+				cp = rc
+			}
+		}
 		return cp, false, err
 	})
 }
 
-// compile runs the planner for one request, freezes the schedule and
-// publishes it to the cache tiers under key.
-func (e *Engine) compile(st *engineState, key PlanKey, rq request) (*CachedPlan, error) {
-	// The simulator's per-link FIFO arbitration is already fair, so the
-	// stream-reuse workaround for CUDA's unfair scheduling (§4.2.2) is not
-	// needed here; separate streams let launch overheads overlap, matching
-	// asynchronous CUDA stream issue.
-	po := core.PlanOptions{ChunkBytes: key.ChunkBytes, DataMode: rq.opts.DataMode, NoStreamReuse: true}
-
-	var plan *core.Plan
-	var err error
-	var approxRoots []int
-	strategy := ""
-
+// publish is the one step from a request to a cached schedule, shared by
+// the miss path, the refinement swap and finishFastPlan: select and generate
+// the plan, freeze it, and publish it to the cache tiers under key. The
+// tiered Put is an atomic publish — replays in flight keep the frozen plan
+// they already resolved. It also reports which roots' packings were
+// fast-path approximations at compile time (nil when none).
+func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan, []int, error) {
 	t0 := time.Now()
-	switch {
-	case st.switchFabric != nil:
-		plan, strategy, err = switchPlan(st, rq.b, rq.op, rq.root, rq.bytes, po, rq.opts)
-	case rq.b == Blink:
-		plan, strategy, approxRoots, err = blinkPlan(e, st, rq.op, rq.root, rq.bytes, po, rq.opts)
-	default:
-		plan, strategy, err = ncclPlan(st, rq.op, rq.root, rq.bytes, po, rq.opts)
-	}
+	plan, strategy, approxRoots, err := e.selectPlan(st, key, rq)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.observeStage(core.StageCodegen, time.Since(t0).Seconds())
 	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
@@ -526,15 +543,7 @@ func (e *Engine) compile(st *engineState, key PlanKey, rq request) (*CachedPlan,
 		owner = rq.opts.Tenant.id
 	}
 	e.cache.PutTieredOwned(key, cp, encodeCachedPlan(cp), owner)
-	if len(approxRoots) > 0 {
-		// The plan embeds fast-path packings: register it for the refinement
-		// swap (or republish from the refined packings if refinement already
-		// finished — see compile.go).
-		if rc := e.finishFastPlan(st, approxRoots, pendingSwap{key: key, rq: rq, po: po}); rc != nil {
-			cp = rc
-		}
-	}
-	return cp, nil
+	return cp, approxRoots, nil
 }
 
 // RunMany issues one collective per payload size through the plan cache and
@@ -547,26 +556,22 @@ func (e *Engine) RunMany(b Backend, op Op, root int, sizes []int64, opts Options
 		func(r Result) Result { return r })
 }
 
-// isP2POp reports whether op is one of the point-to-point exchange
-// collectives (scheduled pairwise rather than over a rooted tree packing).
-func isP2POp(op Op) bool { return op == AllToAll || op == SendRecv || op == NeighborExchange }
-
-// p2pPairs expands a point-to-point op into the directed transfers the
-// NCCL-style ring baseline schedules, plus whether the pairs form an ordered
-// chain. Validation is shared with the core builders so both backends reject
-// malformed shapes identically.
-func p2pPairs(op Op, n int, bytes int64, opts Options) ([]ring.P2PPair, bool, error) {
+// p2pPairs expands a point-to-point op into the directed transfers (in IR
+// form) the NCCL-style ring baseline schedules, plus whether the pairs form
+// an ordered chain. Validation is shared with the core builders so both
+// backends reject malformed shapes identically.
+func p2pPairs(op Op, n int, bytes int64, opts Options) ([]core.IRPair, bool, error) {
 	switch op {
 	case AllToAll:
 		perDest := (bytes / 4) / int64(n) * 4
 		if perDest <= 0 {
 			return nil, false, fmt.Errorf("collective: payload %d too small for %d ranks", bytes, n)
 		}
-		var pairs []ring.P2PPair
+		var pairs []core.IRPair
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s != d {
-					pairs = append(pairs, ring.P2PPair{Src: s, Dst: d, Bytes: perDest})
+					pairs = append(pairs, core.IRPair{Src: s, Dst: d, Bytes: perDest})
 				}
 			}
 		}
@@ -575,19 +580,19 @@ func p2pPairs(op Op, n int, bytes int64, opts Options) ([]ring.P2PPair, bool, er
 		if err := core.ValidateChain(n, opts.Chain); err != nil {
 			return nil, false, err
 		}
-		var pairs []ring.P2PPair
+		var pairs []core.IRPair
 		for i := 0; i+1 < len(opts.Chain); i++ {
-			pairs = append(pairs, ring.P2PPair{Src: opts.Chain[i], Dst: opts.Chain[i+1], Bytes: bytes})
+			pairs = append(pairs, core.IRPair{Src: opts.Chain[i], Dst: opts.Chain[i+1], Bytes: bytes})
 		}
 		return pairs, true, nil
 	case NeighborExchange:
 		if err := core.ValidateNeighbors(n, opts.Neighbors); err != nil {
 			return nil, false, err
 		}
-		var pairs []ring.P2PPair
+		var pairs []core.IRPair
 		for v, row := range opts.Neighbors {
 			for _, u := range row {
-				pairs = append(pairs, ring.P2PPair{Src: v, Dst: u, Bytes: bytes})
+				pairs = append(pairs, core.IRPair{Src: v, Dst: u, Bytes: bytes})
 			}
 		}
 		return pairs, false, nil
@@ -627,182 +632,190 @@ func shapeKey(op Op, opts Options) string {
 	return sb.String()
 }
 
-// treeIRKind maps a tree-scheduled collective to its IR kind plus the
-// strategy suffix the engine reports (AllGather shares AllReduce's transfer
-// schedule; ReduceScatter and Reduce share the reduce schedule — the paper
-// makes the same identifications).
-func treeIRKind(op Op) (core.IRKind, string, error) {
+// opClass groups the collectives by the schedule shape they share (the
+// paper makes the same identifications): rooted ops stream between one root
+// and everyone, reduce-class ops combine every rank's payload, and
+// point-to-point ops move pairwise.
+type opClass int
+
+const (
+	classRooted opClass = iota // Broadcast, Gather, Scatter
+	classReduce                // AllReduce, AllGather, ReduceScatter, Reduce
+	classP2P                   // AllToAll, SendRecv, NeighborExchange
+)
+
+func classOf(op Op) opClass {
 	switch op {
-	case Broadcast:
-		return core.IRTreeBroadcast, "", nil
-	case Gather:
-		return core.IRTreeGather, "", nil
-	case AllReduce:
-		return core.IRTreeAllReduce, "", nil
-	case AllGather:
-		return core.IRTreeAllGather, "+allgather", nil
-	case ReduceScatter:
-		return core.IRTreeReduceScatter, "+reducescatter", nil
-	case Reduce:
-		return core.IRTreeReduce, "+reduce", nil
-	case Scatter:
-		return core.IRTreeScatter, "+scatter", nil
-	default:
-		return 0, "", fmt.Errorf("collective: unsupported op %v", op)
+	case Broadcast, Gather, Scatter:
+		return classRooted
+	case AllToAll, SendRecv, NeighborExchange:
+		return classP2P
 	}
+	return classReduce
 }
 
-// toIRPairs converts ring-layer transfer pairs into their IR form.
-func toIRPairs(pairs []ring.P2PPair) []core.IRPair {
-	out := make([]core.IRPair, len(pairs))
-	for i, p := range pairs {
-		out[i] = core.IRPair{Src: p.Src, Dst: p.Dst, Bytes: p.Bytes}
-	}
-	return out
+// planes is the per-plane half of plan selection: the strategy family each
+// backend reports on the plane, and the NCCL baseline's ring IR kind per op
+// class (the rings themselves are recomputed from the fabric at codegen).
+var planes = [...]struct {
+	trees, ring string
+	ringKinds   [3]core.IRKind
+}{
+	core.FabricNVLink: {"trees", "rings", [3]core.IRKind{core.IRRingBroadcast, core.IRRingAllReduce, core.IRRingP2P}},
+	core.FabricPCIe:   {"pcie-trees", "pcie-ring", [3]core.IRKind{core.IRPCIeBroadcast, core.IRPCIeAllReduce, core.IRPCIeP2P}},
+	core.FabricSwitch: {"one-hop", "ring", [3]core.IRKind{core.IRSwitchBroadcast, core.IRSwitchAllReduce, core.IRSwitchP2P}},
 }
 
-// blinkPlan compiles a Blink schedule on a point-to-point machine: it
-// resolves the packings the op needs, records them (plus the op shape) into
-// a serializable PlanIR, and hands the IR to core.CodeGen. It also reports
-// which roots' packings were fast-path approximations at compile time (nil
-// when none), so the caller can register the plan for the background
-// refinement swap.
-func blinkPlan(e *Engine, st *engineState, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.Plan, string, []int, error) {
-	// NVLink alone may not span the allocation: Blink then packs PCIe trees
-	// (and routes point-to-point traffic through the hub).
-	f, pcie, strategy := st.nvlFabric, false, "trees"
-	fsel := core.FabricNVLink
-	if !st.nvlConnected {
-		f, pcie, strategy = st.pcieFabric, true, "pcie-trees"
-		fsel = core.FabricPCIe
-	}
-	var approxRoots []int
-	packAt := func(r int) (*core.Packing, error) {
-		p, approx, err := e.packingOn(st, pcie, r)
-		if err == nil && approx {
-			approxRoots = append(approxRoots, r)
+// treeOp is one row of the per-op half of Blink's plan selection: the IR
+// kind the op compiles to over the plane's trees, the suffix it appends to
+// the plane's strategy family (AllGather shares AllReduce's transfer
+// schedule; ReduceScatter and Reduce share the reduce schedule), and what
+// the kind needs recorded beside it.
+type treeOp struct {
+	kind   core.IRKind
+	suffix string
+	needs  irNeeds
+}
+
+// irNeeds says what an IR kind needs recorded in the IR beyond its
+// coordinates.
+type irNeeds int
+
+const (
+	needRootPacking irNeeds = iota // the packing of the call's root
+	needAllPackings                // every rank's packing, indexed by rank
+	needChain                      // Options.Chain (routed over the fabric graph at codegen)
+	needNeighbors                  // Options.Neighbors (likewise)
+	needPairs                      // the op expanded into directed transfers (p2pPairs)
+	needNothing                    // rings are recomputed from the fabric at codegen
+)
+
+var treeOps = map[Op]treeOp{
+	Broadcast:        {kind: core.IRTreeBroadcast},
+	Gather:           {kind: core.IRTreeGather},
+	AllReduce:        {kind: core.IRTreeAllReduce},
+	AllGather:        {kind: core.IRTreeAllGather, suffix: "+allgather"},
+	ReduceScatter:    {kind: core.IRTreeReduceScatter, suffix: "+reducescatter"},
+	Reduce:           {kind: core.IRTreeReduce, suffix: "+reduce"},
+	Scatter:          {kind: core.IRTreeScatter, suffix: "+scatter"},
+	AllToAll:         {kind: core.IRTreeAllToAll, suffix: "+alltoall", needs: needAllPackings},
+	SendRecv:         {kind: core.IRSendRecvChain, suffix: "+sendrecv", needs: needChain},
+	NeighborExchange: {kind: core.IRNeighborExchange, suffix: "+neighbor", needs: needNeighbors},
+}
+
+// switchReduce replaces the reduce-class rows on a switch: all four ops run
+// the DGX-2 AllReduce merged from the full one-hop packing set.
+var switchReduce = treeOp{kind: core.IRDGX2AllReduce, needs: needAllPackings}
+
+// selectShape is plan selection proper, a pure function of the tables
+// above: the IR kind and strategy label (plane, backend, op) compiles to,
+// and what that kind needs recorded in its IR. The one size-dependent row is
+// NCCL 2.4's preference for double binary trees over rings for small
+// reductions on a switch.
+func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKind, string, irNeeds, error) {
+	class := classOf(op)
+	switch {
+	case b == Blink:
+		row, ok := treeOps[op]
+		if !ok {
+			return 0, "", 0, fmt.Errorf("collective: unsupported op %v", op)
 		}
-		return p, err
+		if plane == core.FabricSwitch && class == classReduce {
+			row = switchReduce
+		}
+		return row.kind, planes[plane].trees + row.suffix, row.needs, nil
+	case class == classP2P:
+		return planes[plane].ringKinds[class], planes[plane].ring, needPairs, nil
+	case plane == core.FabricSwitch && class == classReduce && bytes < DBTreeThresholdBytes:
+		return core.IRDBTreeAllReduce, "db-tree", needNothing, nil
 	}
-	ir := &core.PlanIR{Fabric: fsel, Root: root, Bytes: bytes, Opts: po}
-	switch op {
-	case AllToAll:
-		n := st.topo.NumGPUs
-		packs := make([]*core.Packing, n)
-		for r := 0; r < n; r++ {
-			p, err := packAt(r)
-			if err != nil {
-				return nil, "", nil, err
+	return planes[plane].ringKinds[class], planes[plane].ring, needNothing, nil
+}
+
+// selectPlan is the one step between a cache miss and a generated schedule:
+// it records what selectShape chose — plus the packings, transfer pairs or
+// op shape the kind needs — into a serializable PlanIR and hands the IR to
+// core.CodeGen over the plane's fabric. The hybrid row (key.Hybrid: a
+// broadcast with Options.Hybrid) is the one schedule that spans two planes
+// and has no IR; core builds it directly. Returned alongside the plan are
+// the strategy label and the roots whose packings were fast-path
+// approximations (nil when none), so the caller can register the plan for
+// the background refinement swap.
+func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.Plan, strategy string, approxRoots []int, err error) {
+	plane := st.plane(rq.b)
+	po := core.PlanOptions{
+		ChunkBytes: key.ChunkBytes,
+		DataMode:   rq.opts.DataMode,
+		// The simulator's per-link FIFO arbitration is already fair, so the
+		// stream-reuse workaround for CUDA's unfair scheduling (§4.2.2) is not
+		// needed here; separate streams let launch overheads overlap, matching
+		// asynchronous CUDA stream issue.
+		NoStreamReuse: true,
+	}
+	// packs resolves the listed roots' packings on a plane: the precomputed
+	// one-hop trees on a switch, the per-root packing slots elsewhere.
+	packs := func(on core.FabricSel, roots ...int) ([]*core.Packing, error) {
+		out := make([]*core.Packing, len(roots))
+		for i, r := range roots {
+			if on == core.FabricSwitch {
+				out[i] = st.oneHop[r]
+				continue
 			}
-			packs[r] = p
+			p, approx, err := e.packingOn(st, on, r)
+			if err != nil {
+				return nil, err
+			}
+			if approx {
+				approxRoots = append(approxRoots, r)
+			}
+			out[i] = p
 		}
-		ir.Kind, ir.Packings, ir.Strategy = core.IRTreeAllToAll, packs, strategy+"+alltoall"
-	case SendRecv:
-		ir.Kind, ir.Chain, ir.Strategy = core.IRSendRecvChain, opts.Chain, strategy+"+sendrecv"
-		approxRoots = nil
-	case NeighborExchange:
-		ir.Kind, ir.Neighbors, ir.Strategy = core.IRNeighborExchange, opts.Neighbors, strategy+"+neighbor"
-		approxRoots = nil
-	default:
-		if opts.Hybrid && op == Broadcast && st.nvlConnected {
-			// Hybrid is handled by RunHybridBroadcast; plain Run ignores it
-			// for non-broadcast ops.
-			return nil, "", nil, fmt.Errorf("collective: use RunHybridBroadcast for hybrid transfers")
-		}
-		kind, suffix, err := treeIRKind(op)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		p, err := packAt(root)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		ir.Kind, ir.Packings, ir.Strategy = kind, []*core.Packing{p}, strategy+suffix
+		return out, nil
 	}
-	plan, err := core.CodeGen(ir, f)
+	if key.Hybrid {
+		// §3.4 builds trees over both planes, so both must exist and NVLink
+		// alone must already span the allocation.
+		if rq.b != Blink || plane != core.FabricNVLink {
+			return nil, "", nil, fmt.Errorf("collective: hybrid broadcast needs the Blink backend on a DGX-1 class machine with a connected NVLink allocation")
+		}
+		pn, err := packs(core.FabricNVLink, rq.root)
+		if err != nil {
+			return nil, "", nil, err
+		}
+		pp, err := packs(core.FabricPCIe, rq.root)
+		if err != nil {
+			return nil, "", nil, err
+		}
+		plan, _, err = core.BuildHybridBroadcastPlan(st.fabrics[core.FabricNVLink], pn[0], st.fabrics[core.FabricPCIe], pp[0], rq.bytes, po)
+		return plan, "hybrid", approxRoots, err
+	}
+	ir := &core.PlanIR{Fabric: plane, Root: rq.root, Bytes: rq.bytes, Opts: po}
+	var needs irNeeds
+	if ir.Kind, ir.Strategy, needs, err = selectShape(plane, rq.b, rq.op, rq.bytes); err != nil {
+		return nil, "", nil, err
+	}
+	n := st.topo.NumGPUs
+	switch needs {
+	case needRootPacking:
+		ir.Packings, err = packs(plane, rq.root)
+	case needAllPackings:
+		all := make([]int, n)
+		for r := range all {
+			all[r] = r
+		}
+		ir.Packings, err = packs(plane, all...)
+	case needChain:
+		ir.Chain = rq.opts.Chain
+	case needNeighbors:
+		ir.Neighbors = rq.opts.Neighbors
+	case needPairs:
+		ir.Pairs, ir.Chained, err = p2pPairs(rq.op, n, rq.bytes, rq.opts)
+	}
+	if err != nil {
+		return nil, "", nil, err
+	}
+	plan, err = core.CodeGen(ir, st.fabrics[plane])
 	return plan, ir.Strategy, approxRoots, err
-}
-
-// ncclPlan compiles the baseline schedule on a point-to-point machine
-// through the same IR path: the IR records which ring family was selected;
-// the rings themselves are recomputed from the fabric at codegen.
-func ncclPlan(st *engineState, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.Plan, string, error) {
-	rings := st.ncclRings()
-	// Figure 2b: no NVLink ring -> PCIe fallback.
-	f, fsel, pcie := st.nvlFabric, core.FabricNVLink, len(rings) == 0
-	if pcie {
-		f, fsel = st.pcieFabric, core.FabricPCIe
-	}
-	ir := &core.PlanIR{Fabric: fsel, Root: root, Bytes: bytes, Opts: po}
-	switch {
-	case isP2POp(op):
-		pairs, chained, err := p2pPairs(op, st.topo.NumGPUs, bytes, opts)
-		if err != nil {
-			return nil, "", err
-		}
-		ir.Pairs, ir.Chained = toIRPairs(pairs), chained
-		ir.Kind, ir.Strategy = core.IRRingP2P, "rings"
-		if pcie {
-			ir.Kind, ir.Strategy = core.IRPCIeP2P, "pcie-ring"
-		}
-	case op == Broadcast || op == Gather || op == Scatter:
-		ir.Kind, ir.Strategy = core.IRRingBroadcast, "rings"
-		if pcie {
-			ir.Kind, ir.Strategy = core.IRPCIeBroadcast, "pcie-ring"
-		}
-	default:
-		ir.Kind, ir.Strategy = core.IRRingAllReduce, "rings"
-		if pcie {
-			ir.Kind, ir.Strategy = core.IRPCIeAllReduce, "pcie-ring"
-		}
-	}
-	plan, err := core.CodeGen(ir, f)
-	return plan, ir.Strategy, err
-}
-
-// switchPlan compiles DGX-2 schedules through the IR path: Blink ops
-// schedule over the precomputed one-hop packings (recorded into the IR);
-// the NCCL baseline uses the switch ring and double-binary-tree kinds.
-func switchPlan(st *engineState, b Backend, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.Plan, string, error) {
-	f := st.switchFabric
-	ir := &core.PlanIR{Fabric: core.FabricSwitch, Root: root, Bytes: bytes, Opts: po}
-	if b == Blink {
-		switch op {
-		case Broadcast, Gather, Scatter:
-			kind, suffix, err := treeIRKind(op)
-			if err != nil {
-				return nil, "", err
-			}
-			ir.Kind, ir.Packings, ir.Strategy = kind, []*core.Packing{st.oneHop[root]}, "one-hop"+suffix
-		case AllToAll:
-			ir.Kind, ir.Packings, ir.Strategy = core.IRTreeAllToAll, st.oneHop, "one-hop+alltoall"
-		case SendRecv:
-			ir.Kind, ir.Chain, ir.Strategy = core.IRSendRecvChain, opts.Chain, "one-hop+sendrecv"
-		case NeighborExchange:
-			ir.Kind, ir.Neighbors, ir.Strategy = core.IRNeighborExchange, opts.Neighbors, "one-hop+neighbor"
-		default:
-			ir.Kind, ir.Packings, ir.Strategy = core.IRDGX2AllReduce, st.oneHop, "one-hop"
-		}
-		plan, err := core.CodeGen(ir, f)
-		return plan, ir.Strategy, err
-	}
-	switch {
-	case isP2POp(op):
-		pairs, chained, err := p2pPairs(op, st.topo.NumGPUs, bytes, opts)
-		if err != nil {
-			return nil, "", err
-		}
-		ir.Pairs, ir.Chained = toIRPairs(pairs), chained
-		ir.Kind, ir.Strategy = core.IRSwitchP2P, "ring"
-	case op == Broadcast || op == Gather || op == Scatter:
-		ir.Kind, ir.Strategy = core.IRSwitchBroadcast, "ring"
-	case bytes < DBTreeThresholdBytes:
-		ir.Kind, ir.Strategy = core.IRDBTreeAllReduce, "db-tree"
-	default:
-		ir.Kind, ir.Strategy = core.IRSwitchAllReduce, "ring"
-	}
-	plan, err := core.CodeGen(ir, f)
-	return plan, ir.Strategy, err
 }
 
 // FabricFor returns the fabric the given backend's plans move data over:
@@ -810,19 +823,7 @@ func switchPlan(st *engineState, b Backend, op Op, root int, bytes int64, po cor
 // plane when the backend must fall back to it).
 func (e *Engine) FabricFor(b Backend) *simgpu.Fabric {
 	st := e.st.Load()
-	if st.switchFabric != nil {
-		return st.switchFabric
-	}
-	if b == Blink {
-		if st.nvlConnected {
-			return st.nvlFabric
-		}
-		return st.pcieFabric
-	}
-	if len(st.ncclRings()) > 0 {
-		return st.nvlFabric
-	}
-	return st.pcieFabric
+	return st.fabrics[st.plane(b)]
 }
 
 // Packing exposes the minimized spanning-tree packing the Blink backend
@@ -832,62 +833,9 @@ func (e *Engine) Packing(root int) (*core.Packing, error) {
 	if root < 0 || root >= st.topo.NumGPUs {
 		return nil, fmt.Errorf("collective: root %d out of range [0,%d)", root, st.topo.NumGPUs)
 	}
-	if st.switchFabric != nil {
+	if st.switched() {
 		return st.oneHop[root], nil
 	}
-	p, _, err := e.packingOn(st, !st.nvlConnected, root)
+	p, _, err := e.packingOn(st, st.plane(Blink), root)
 	return p, err
-}
-
-// RunHybridBroadcast executes Blink's hybrid PCIe+NVLink broadcast (§3.4).
-// It rides the dispatch spine like every other call (admission through
-// opts.Tenant's lane when set, span, counters), but its two-fabric plan is
-// built — with the probe-measured split — and executed per call, never
-// cached, so every dispatch counts as a compile.
-func (e *Engine) RunHybridBroadcast(root int, bytes int64, opts Options) (Result, *core.HybridResult, error) {
-	hp := &hybridPlanner{Engine: e}
-	rq := request{b: Blink, op: Broadcast, root: root, bytes: bytes, opts: opts}
-	res, err := submit[*engineState, Result](&e.engineShell, hp, e.st.Load(), rq, Inline).Wait()
-	return res, hp.out, err
-}
-
-// hybridPlanner is the planner of one hybrid broadcast call: it swaps the
-// Engine's cached lookup for a per-call plan and keeps the split breakdown
-// the replay produced.
-type hybridPlanner struct {
-	*Engine
-	out *core.HybridResult
-}
-
-func (hp *hybridPlanner) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool, error) {
-	if st.switchFabric != nil {
-		return nil, false, fmt.Errorf("collective: hybrid transfers target DGX-1 class machines")
-	}
-	if !st.nvlConnected {
-		return nil, false, fmt.Errorf("collective: hybrid requires a connected NVLink allocation")
-	}
-	if rq.root < 0 || rq.root >= st.topo.NumGPUs {
-		return nil, false, fmt.Errorf("collective: root %d out of range [0,%d)", rq.root, st.topo.NumGPUs)
-	}
-	// No plan cache, so the refinement swap does not apply; the fast-path
-	// flag is irrelevant here.
-	pn, _, err := hp.packingOn(st, false, rq.root)
-	if err != nil {
-		return nil, false, err
-	}
-	pp, _, err := hp.packingOn(st, true, rq.root)
-	if err != nil {
-		return nil, false, err
-	}
-	po := core.PlanOptions{ChunkBytes: chunkFor(rq.bytes, rq.opts.ChunkBytes), DataMode: rq.opts.DataMode, NoStreamReuse: true}
-	return &CachedPlan{Strategy: "hybrid", hybrid: func(bufs *simgpu.BufferSet) (float64, error) {
-		// Hybrid plans execute inside BuildHybridBroadcast; in data mode they
-		// move real floats through the caller's per-call arena.
-		h, err := core.BuildHybridBroadcast(st.nvlFabric, pn, st.pcieFabric, pp, rq.bytes, po, bufs)
-		if err != nil {
-			return 0, err
-		}
-		hp.out = h
-		return h.Makespan, nil
-	}}, false, nil
 }

@@ -1,8 +1,10 @@
 package collective
 
 import (
+	"errors"
 	"testing"
 
+	"blink/internal/core"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -140,15 +142,75 @@ func TestHybridBroadcastViaEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, h, err := e.RunHybridBroadcast(0, 500<<20, Options{})
+	hy, err := e.Run(Blink, Broadcast, 0, 500<<20, Options{Hybrid: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.PCIeBytes <= 0 {
-		t.Fatal("hybrid assigned nothing to PCIe")
+	if hy.Strategy != "hybrid" {
+		t.Fatalf("strategy = %q, want hybrid", hy.Strategy)
 	}
 	if hy.ThroughputGBs <= plain.ThroughputGBs {
 		t.Fatalf("hybrid %.1f not above NVLink-only %.1f", hy.ThroughputGBs, plain.ThroughputGBs)
+	}
+}
+
+// TestHybridBroadcastDataExact holds hybrid broadcast to what every other
+// collective guarantees: elementwise-exact data on every rank (the PCIe
+// share covers the payload's tail, not a second copy of its head), a second
+// call that is a plain cache hit with bit-identical simulated time, and a
+// span with chunk events.
+func TestHybridBroadcastDataExact(t *testing.T) {
+	// A negligible peer-access switch cost makes the PCIe share non-zero
+	// even at a small size.
+	cfg := simgpu.Config{DataMode: true, DisablePeerBase: 1e-9, DisablePeerPerGPU: 1e-9}
+	e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := e.EnableTimeline()
+	const n = 8 << 20 / 4
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(i%8191) + 0.5
+	}
+	compiles := e.Metrics().Counter("blink_plan_compiles_total")
+	replays := e.Metrics().Counter("blink_plan_replays_total")
+	var first Result
+	for call := 0; call < 2; call++ {
+		bs := simgpu.NewBufferSet()
+		bs.SetBuffer(0, core.BufData, append([]float32(nil), src...))
+		c0, r0 := compiles.Value(), replays.Value()
+		res, err := e.Run(Blink, Broadcast, 0, n*4, Options{Hybrid: true, DataMode: true, Buffers: bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank := 0; rank < 4; rank++ {
+			got := bs.Buffer(rank, core.BufData, n)
+			for i := range src {
+				if got[i] != src[i] {
+					t.Fatalf("call %d: rank %d float %d = %v, want %v", call, rank, i, got[i], src[i])
+				}
+			}
+		}
+		if call == 0 {
+			first = res
+			if compiles.Value() != c0+1 {
+				t.Fatalf("cold hybrid call: compiles %d -> %d, want +1", c0, compiles.Value())
+			}
+			continue
+		}
+		if compiles.Value() != c0 || replays.Value() != r0+1 {
+			t.Fatalf("warm hybrid call not a cache hit: compiles %d -> %d, replays %d -> %d",
+				c0, compiles.Value(), r0, replays.Value())
+		}
+		if res.Seconds != first.Seconds || res.Strategy != "hybrid" {
+			t.Fatalf("warm replay %v/%q differs from cold %v/%q", res.Seconds, res.Strategy, first.Seconds, first.Strategy)
+		}
+	}
+	for _, sp := range tl.Spans() {
+		if sp.Strategy != "hybrid" || sp.Chunks == 0 || len(sp.Events) == 0 {
+			t.Fatalf("hybrid span carries no chunk events: %+v", sp)
+		}
 	}
 }
 
@@ -157,9 +219,57 @@ func TestHybridRejectedOnSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.RunHybridBroadcast(0, 1<<20, Options{}); err == nil {
+	if _, err := e.Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err == nil {
 		t.Fatal("hybrid on DGX-2 should be rejected")
 	}
+}
+
+// TestHybridSelection pins where else Options.Hybrid does not select a
+// schedule: it needs Blink and a connected NVLink plane, and it is ignored
+// on every op but Broadcast.
+func TestHybridSelection(t *testing.T) {
+	if _, err := newEng(t, []int{0, 1, 6}).Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err == nil {
+		t.Error("hybrid on an NVLink-disconnected allocation should be rejected")
+	}
+	if _, err := newEng(t, []int{0, 1, 2, 3}).Run(NCCL, Broadcast, 0, 1<<20, Options{Hybrid: true}); err == nil {
+		t.Error("hybrid under the NCCL backend should be rejected")
+	}
+	// On any other op the flag is ignored and normalised out of the plan key:
+	// the flagged call replays the unflagged call's plan.
+	e := newEng(t, []int{0, 1, 2, 3})
+	plain, err := e.Run(Blink, AllReduce, 0, 1<<20, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged, err := e.Run(Blink, AllReduce, 0, 1<<20, Options{Hybrid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flagged != plain || e.CacheStats().Entries != 1 || e.CacheStats().Hits != 1 {
+		t.Fatalf("Hybrid on AllReduce: %+v vs %+v, cache %+v; want one shared entry", flagged, plain, e.CacheStats())
+	}
+	// A hybrid plan has no IR, so the planning service could never serve
+	// one: the miss path must not ask.
+	svc := &countingService{}
+	e.SetPlanService(svc)
+	if _, err := e.Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err != nil {
+		t.Fatal(err)
+	}
+	if svc.fetches != 0 {
+		t.Fatalf("hybrid miss fetched from the planning service %d time(s)", svc.fetches)
+	}
+	if _, err := e.Run(Blink, Broadcast, 0, 1<<20, Options{}); err != nil || svc.fetches != 1 {
+		t.Fatalf("plain miss: err %v, %d service fetches, want 1", err, svc.fetches)
+	}
+}
+
+// countingService is a planning service that only counts fetches and always
+// fails, so every dispatch falls back to the local compile.
+type countingService struct{ fetches int }
+
+func (s *countingService) FetchPlan(PlanRequest) ([]byte, error) {
+	s.fetches++
+	return nil, errors.New("no plans here")
 }
 
 func TestRunErrors(t *testing.T) {
@@ -167,8 +277,10 @@ func TestRunErrors(t *testing.T) {
 	if _, err := e.Run(Blink, Broadcast, 0, 2, Options{}); err == nil {
 		t.Fatal("tiny payload accepted")
 	}
-	if _, err := e.Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err == nil {
-		t.Fatal("hybrid flag through Run should error for broadcast")
+	// Options.Hybrid is the selector it was declared as: through plain Run it
+	// dispatches the hybrid broadcast.
+	if r, err := e.Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err != nil || r.Strategy != "hybrid" {
+		t.Fatalf("hybrid flag through Run: %+v, %v; want the hybrid schedule", r, err)
 	}
 }
 

@@ -396,7 +396,7 @@ func TestStaleRootAfterShrinkErrors(t *testing.T) {
 	if _, err := eng.Packing(7); err == nil {
 		t.Fatal("stale root packing must error")
 	}
-	if _, _, err := eng.RunHybridBroadcast(7, 1<<20, Options{}); err == nil {
+	if _, err := eng.Run(Blink, Broadcast, 7, 1<<20, Options{Hybrid: true}); err == nil {
 		t.Fatal("stale hybrid root must error")
 	}
 	// Valid roots keep working.

@@ -39,7 +39,6 @@ type PlanRequest struct {
 	// the identical schedule the client would have.
 	ChunkBytes int64   `json:"chunkBytes"`
 	DataMode   bool    `json:"dataMode"`
-	Hybrid     bool    `json:"hybrid,omitempty"`
 	Chain      []int   `json:"chain,omitempty"`
 	Neighbors  [][]int `json:"neighbors,omitempty"`
 }
@@ -60,18 +59,13 @@ func (e *Engine) SetPlanService(svc PlanService) { e.svc = svc }
 // (nil detaches). Convenience for e.PlanCacheHandle().SetStore(s).
 func (e *Engine) SetPlanStore(s *PlanStore) { e.cache.SetStore(s) }
 
-// fabricFor resolves an IR fabric selector against this state's planes.
+// fabricFor resolves an IR fabric selector against this state's planes
+// (nil for a plane the state does not have, or an unknown selector).
 func (st *engineState) fabricFor(sel core.FabricSel) *simgpu.Fabric {
-	switch sel {
-	case core.FabricNVLink:
-		return st.nvlFabric
-	case core.FabricPCIe:
-		return st.pcieFabric
-	case core.FabricSwitch:
-		return st.switchFabric
-	default:
+	if int(sel) >= len(st.fabrics) {
 		return nil
 	}
+	return st.fabrics[sel]
 }
 
 // planDecoder returns the rehydration callback for one engine state: it
@@ -121,7 +115,6 @@ func (e *Engine) fetchFromService(st *engineState, key PlanKey, opts Options) *C
 		Bytes:       key.Bytes,
 		ChunkBytes:  key.ChunkBytes,
 		DataMode:    key.DataMode,
-		Hybrid:      key.Hybrid,
 		Chain:       opts.Chain,
 		Neighbors:   opts.Neighbors,
 	}

@@ -56,16 +56,24 @@ type engineShell struct {
 var engineIDs atomic.Uint64
 
 // init gives a new engine its identity, registry and dispatch metrics, and
-// a private, instrumented plan cache of the default capacity.
-func (e *engineShell) init(cfg simgpu.Config) {
+// a private, instrumented plan cache of the default capacity. A per-server
+// engine of a ClusterEngine passes the cluster engine's shell as parent and
+// adopts its registry and cache instead: cluster dispatch consults neither
+// of the server's own, so whatever a server engine records (packing stages,
+// repairs) must land where the operator reads it.
+func (e *engineShell) init(cfg simgpu.Config, parent *engineShell) {
 	e.id = engineIDs.Add(1)
 	e.cfgKey = cfg.Normalized()
-	e.obsReg = obs.NewRegistry()
+	if parent != nil {
+		e.obsReg, e.cache = parent.obsReg, parent.cache
+	} else {
+		e.obsReg = obs.NewRegistry()
+		e.SetPlanCache(nil)
+	}
 	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
 	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
 	e.mReplans = e.obsReg.Counter("blink_replans_total")
 	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
-	e.SetPlanCache(nil)
 }
 
 // Metrics returns the engine's metrics registry: plan-cache activity,
@@ -168,8 +176,9 @@ type request struct {
 	root  int
 	bytes int64
 	opts  Options
-	// cluster is the per-call buffer context of a cluster data-mode replay
-	// (nil for timing-only and single-machine calls, which use opts.Buffers).
+	// cluster is the per-call buffer context of a three-phase cluster
+	// data-mode replay (nil for timing-only calls and for single-fabric
+	// schedules, which replay against opts.Buffers).
 	cluster *ClusterBuffers
 }
 
@@ -185,8 +194,10 @@ func (e *engineShell) planKey(fp string, rq request) PlanKey {
 		Bytes:       rq.bytes,
 		ChunkBytes:  chunkFor(rq.bytes, rq.opts.ChunkBytes),
 		DataMode:    rq.opts.DataMode,
-		Hybrid:      rq.opts.Hybrid,
-		Shape:       shapeKey(rq.op, rq.opts),
+		// Hybrid selects a schedule only for broadcasts; normalising it out
+		// elsewhere keeps a stray flag from duplicating cache entries.
+		Hybrid: rq.opts.Hybrid && rq.op == Broadcast,
+		Shape:  shapeKey(rq.op, rq.opts),
 	}
 	if rq.opts.DataMode {
 		// Data-mode Exec closures encode the compiling engine's geometry
@@ -231,15 +242,12 @@ type planner[S, R any] interface {
 }
 
 // replay executes the frozen schedule against the call's buffer context and
-// returns its timing. Single-fabric plans have no phase structure; only
-// Total is set.
+// returns its timing. Every schedule is FrozenPlans in one of two shapes: a
+// single plan (tree, ring, hybrid and flat-ring schedules alike), which has
+// no phase structure so only Total is set, or the three-phase cluster plan.
 func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (ClusterTiming, error) {
-	switch {
-	case cp.ClusterPlan != nil:
-		return cp.ClusterPlan.ReplayDataHooked(rq.cluster, hook)
-	case cp.hybrid != nil:
-		total, err := cp.hybrid(rq.opts.Buffers)
-		return ClusterTiming{Total: total}, err
+	if cp.ClusterPlan != nil {
+		return cp.ClusterPlan.replay(rq.cluster, hook)
 	}
 	r, err := cp.Plan.ReplayDataHooked(rq.opts.Buffers, hook)
 	if err != nil {
@@ -288,7 +296,7 @@ func dispatch[S, R any](sh *engineShell, p planner[S, R], st S, rq request, hook
 		Phase3: t.Phase3,
 	}
 	if cp.ClusterPlan != nil {
-		out.Partitions = cp.ClusterPlan.Partitions()
+		out.Partitions = cp.ClusterPlan.partitions
 	}
 	if t.Total > 0 {
 		out.ThroughputGBs = float64(rq.bytes) / t.Total / 1e9

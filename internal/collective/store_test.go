@@ -325,56 +325,3 @@ func TestEngineWarmStartDegradedTopology(t *testing.T) {
 		t.Fatalf("pristine engine reused a degraded-fabric plan (compiles = %d)", n)
 	}
 }
-
-func TestClusterEngineThreadsStoreToServerEngines(t *testing.T) {
-	// The cluster's three-phase plans stay memory-only (their schedules embed
-	// cross-server wiring with no IR), but SetPlanStore must reach every
-	// per-server engine — including ones probed by later reconfigurations —
-	// so their tree schedules warm-start across processes.
-	servers := []topology.Server{
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3}},
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3}},
-		{Machine: topology.DGX1V(), Devs: []int{4, 5, 6, 7}},
-	}
-	cl, err := topology.NewCluster(servers, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewClusterEngine(cl, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := NewPlanStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetPlanStore(store)
-	for i := range servers {
-		if e.ServerEngine(i).PlanCacheHandle().Store() != store {
-			t.Fatalf("server %d engine missing the store", i)
-		}
-	}
-	// Cluster dispatches still work and persist nothing themselves (phase
-	// schedules are driven by per-server packings, not encoded plans).
-	if _, err := e.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Reconfiguration rebuilds per-server engines; they must inherit the
-	// store without another SetPlanStore call.
-	if err := e.RemoveServer(0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(servers)-1; i++ {
-		if e.ServerEngine(i).PlanCacheHandle().Store() != store {
-			t.Fatalf("post-reconfigure server %d engine missing the store", i)
-		}
-	}
-	// A per-server engine used directly persists like any single-machine
-	// engine, so fleet warm-starts still work through the cluster handle.
-	if _, _, err := e.ServerEngine(0).PlanBlob(Blink, Broadcast, 0, 4<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() == 0 {
-		t.Fatal("per-server engine did not persist its plan")
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"blink/internal/simgpu"
@@ -210,12 +211,50 @@ func TestBuildHybridBroadcast(t *testing.T) {
 	fn := simgpu.NewFabric(ind, gn, cfg)
 	fp := simgpu.NewFabric(ind, gp, cfg)
 
-	res, err := BuildHybridBroadcast(fn, pn, fp, pp, 500<<20, PlanOptions{}, nil)
+	plan, res, err := BuildHybridBroadcastPlan(fn, pn, fp, pp, 500<<20, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PCIeBytes <= 0 {
 		t.Fatal("hybrid split assigned nothing to PCIe for a 500MB transfer")
+	}
+	if res.NVLBytes+res.PCIeBytes != 500<<20 {
+		t.Fatalf("split %d+%d does not cover the payload", res.NVLBytes, res.PCIeBytes)
+	}
+	// One plan over both link tables: every PCIe op sits behind the single
+	// zero-resource op that charges Tdpa, on links and streams past NVLink's.
+	gate := -1
+	for i, op := range plan.Ops {
+		if op.Link == -1 {
+			if gate >= 0 {
+				t.Fatalf("second zero-resource op at %d", i)
+			}
+			gate = i
+			if op.Overhead != res.Tdpa {
+				t.Fatalf("gate overhead %v, want Tdpa %v", op.Overhead, res.Tdpa)
+			}
+		}
+	}
+	if gate <= 0 || gate == len(plan.Ops)-1 {
+		t.Fatalf("gate at %d of %d ops: want NVLink ops before it and PCIe ops after", gate, len(plan.Ops))
+	}
+	for i, op := range plan.Ops {
+		onPCIe := op.Link >= len(fn.Links)
+		if onPCIe != (i > gate) {
+			t.Fatalf("op %d on link %d: PCIe ops must be exactly those after the gate (%d)", i, op.Link, gate)
+		}
+		if onPCIe && (op.Deps[0] != gate || op.Stream < plan.Ops[gate-1].Stream) {
+			t.Fatalf("PCIe op %d not behind the gate or on a reused stream: %+v", i, op)
+		}
+	}
+	// The replayed plan lands on the calibrated makespan (the gate shifts the
+	// PCIe side by Tdpa, so only float rounding may differ).
+	tp, err := plan.ThroughputGBs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(500<<20) / res.Makespan / 1e9; math.Abs(tp-want) > 1e-6*want {
+		t.Fatalf("plan replays at %.6f GB/s, calibration measured %.6f", tp, want)
 	}
 	// Hybrid must beat NVLink-only (Fig 21: +2-5 GB/s).
 	nvlOnly, err := BuildBroadcastPlan(fn, pn, 500<<20, PlanOptions{})
@@ -226,10 +265,10 @@ func TestBuildHybridBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ThroughputGBs <= nvlTp {
-		t.Fatalf("hybrid %.1f GB/s not faster than NVLink-only %.1f", res.ThroughputGBs, nvlTp)
+	if tp <= nvlTp {
+		t.Fatalf("hybrid %.1f GB/s not faster than NVLink-only %.1f", tp, nvlTp)
 	}
-	if gain := res.ThroughputGBs - nvlTp; gain > 10 {
+	if gain := tp - nvlTp; gain > 10 {
 		t.Fatalf("hybrid gain %.1f GB/s implausibly large", gain)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"blink/internal/simgpu"
 )
@@ -34,84 +35,74 @@ func HybridSplit(total int64, bwPCIeGBs, bwNVLGBs, tdpa float64) (pcie, nvl int6
 	return pcie, total - pcie
 }
 
-// HybridResult reports a hybrid transfer's composition and timing.
+// HybridResult reports the calibrated composition of a hybrid transfer: the
+// Equation-8 shares and the per-fabric times the calibration measured.
 type HybridResult struct {
 	NVLBytes, PCIeBytes int64
 	NVLTime, PCIeTime   float64
 	Tdpa                float64
 	Makespan            float64
-	ThroughputGBs       float64
 }
 
-// BuildHybridBroadcast splits a broadcast across the NVLink and PCIe
-// fabrics (each with its own packing), sizes the shares with Equation 8
-// using probe-measured effective bandwidths (Blink measures Tdpa and rates
-// during its initial calls), executes both plans, and composes the result:
-// the fabrics run concurrently, with the PCIe side paying Tdpa up front.
-// bufs is the per-call buffer arena data-mode executions move floats
-// through (nil for timing-only runs).
-func BuildHybridBroadcast(fNVL *simgpu.Fabric, pNVL *Packing, fPCIe *simgpu.Fabric, pPCIe *Packing, bytes int64, opts PlanOptions, bufs *simgpu.BufferSet) (*HybridResult, error) {
+// BuildHybridBroadcastPlan compiles a broadcast split across the NVLink and
+// PCIe fabrics (each with its own packing) into ONE plan, so the hybrid
+// transfer is frozen, cached and replayed like every other schedule. The
+// Equation-8 split is calibrated here, once, with timing-only probe runs
+// (Blink measures Tdpa and effective rates during its initial calls). The
+// plan runs over the concatenation of the two link tables: the PCIe ops'
+// link indices and streams are offset past the NVLink ones so the fabrics
+// proceed concurrently, the PCIe share covers the payload's tail (floats
+// from NVLBytes/4 on), and every PCIe op waits on one zero-resource op that
+// charges Tdpa, the peer-access switch the PCIe side pays up front.
+func BuildHybridBroadcastPlan(fNVL *simgpu.Fabric, pNVL *Packing, fPCIe *simgpu.Fabric, pPCIe *Packing, bytes int64, opts PlanOptions) (*Plan, *HybridResult, error) {
 	if bytes < 8 {
-		return nil, fmt.Errorf("core: hybrid payload too small")
+		return nil, nil, fmt.Errorf("core: hybrid payload too small")
 	}
-	// Probes are timing-only regardless of the caller's mode: they size the
-	// split, they don't carry payload.
+	// Calibration runs are timing-only regardless of the caller's mode: they
+	// size the split, they don't carry payload.
 	probeOpts := opts
 	probeOpts.DataMode = false
-	probe := func(f *simgpu.Fabric, p *Packing) (float64, error) {
-		plan, err := BuildBroadcastPlan(f, p, 64<<20, probeOpts)
+	timed := func(f *simgpu.Fabric, p *Packing, share int64) (float64, error) {
+		plan, err := BuildBroadcastPlan(f, p, share, probeOpts)
 		if err != nil {
 			return 0, err
 		}
-		return plan.ThroughputGBs()
+		r, err := plan.Execute()
+		return r.Makespan, err
 	}
-	bwN, err := probe(fNVL, pNVL)
+	const probeBytes = 64 << 20
+	tN, err := timed(fNVL, pNVL, probeBytes)
 	if err != nil {
-		return nil, fmt.Errorf("core: NVLink probe: %w", err)
+		return nil, nil, fmt.Errorf("core: NVLink probe: %w", err)
 	}
-	bwP, err := probe(fPCIe, pPCIe)
+	tP, err := timed(fPCIe, pPCIe, probeBytes)
 	if err != nil {
-		return nil, fmt.Errorf("core: PCIe probe: %w", err)
+		return nil, nil, fmt.Errorf("core: PCIe probe: %w", err)
 	}
+	bwN, bwP := probeBytes/tN/1e9, probeBytes/tP/1e9
 	cfg := fNVL.Cfg
 	tdpa := cfg.DisablePeerBase + cfg.DisablePeerPerGPU*float64(fNVL.Topo.NumGPUs)
 
-	// Blink measures effective rates during the initial calls; emulate that
-	// with a few rebalancing iterations: split using the current bandwidth
-	// estimates, execute, then refine the estimates from the measured times.
+	// A few rebalancing iterations emulate the initial calls: split using the
+	// current bandwidth estimates, time both shares, then refine the
+	// estimates from the measured times; the best split wins.
 	var best *HybridResult
 	for iter := 0; iter < 4; iter++ {
 		pcieBytes, nvlBytes := HybridSplit(bytes, bwP, bwN, tdpa)
 		res := &HybridResult{NVLBytes: nvlBytes, PCIeBytes: pcieBytes, Tdpa: tdpa}
 		if nvlBytes >= 4 {
-			plan, err := BuildBroadcastPlan(fNVL, pNVL, nvlBytes, opts)
-			if err != nil {
-				return nil, err
+			if res.NVLTime, err = timed(fNVL, pNVL, nvlBytes); err != nil {
+				return nil, nil, err
 			}
-			r, err := plan.ExecuteData(bufs)
-			if err != nil {
-				return nil, err
-			}
-			res.NVLTime = r.Makespan
 		}
 		if pcieBytes >= 4 {
-			plan, err := BuildBroadcastPlan(fPCIe, pPCIe, pcieBytes, opts)
+			t, err := timed(fPCIe, pPCIe, pcieBytes)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			r, err := plan.ExecuteData(bufs)
-			if err != nil {
-				return nil, err
-			}
-			res.PCIeTime = r.Makespan + tdpa
+			res.PCIeTime = t + tdpa
 		}
-		res.Makespan = res.NVLTime
-		if res.PCIeTime > res.Makespan {
-			res.Makespan = res.PCIeTime
-		}
-		if res.Makespan > 0 {
-			res.ThroughputGBs = float64(bytes) / res.Makespan / 1e9
-		}
+		res.Makespan = math.Max(res.NVLTime, res.PCIeTime)
 		if best == nil || res.Makespan < best.Makespan {
 			best = res
 		}
@@ -125,5 +116,36 @@ func BuildHybridBroadcast(fNVL *simgpu.Fabric, pNVL *Packing, fPCIe *simgpu.Fabr
 			break // nothing assigned to PCIe; split is stable
 		}
 	}
-	return best, nil
+
+	both := *fNVL
+	both.Links = append(append([]simgpu.Link(nil), fNVL.Links...), fPCIe.Links...)
+	plan := &Plan{TotalBytes: bytes, Fabric: &both}
+	if best.NVLBytes >= 4 {
+		nvl, err := BuildBroadcastPlan(fNVL, pNVL, best.NVLBytes, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		plan.Ops, plan.Streams = nvl.Ops, nvl.Streams
+	}
+	if best.PCIeBytes >= 4 {
+		opts.OffsetFloats += int(best.NVLBytes / 4)
+		pcie, err := BuildBroadcastPlan(fPCIe, pPCIe, best.PCIeBytes, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		gate := len(plan.Ops)
+		plan.Ops = append(plan.Ops, &simgpu.Op{Stream: plan.Streams + pcie.Streams, Link: -1, Overhead: tdpa, Label: "disable-peer-access"})
+		for _, op := range pcie.Ops {
+			op.Stream += plan.Streams
+			op.Link += len(fNVL.Links)
+			deps := []int{gate}
+			for _, d := range op.Deps {
+				deps = append(deps, gate+1+d)
+			}
+			op.Deps = deps
+		}
+		plan.Ops = append(plan.Ops, pcie.Ops...)
+		plan.Streams += pcie.Streams + 1
+	}
+	return plan, best, nil
 }

@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +91,60 @@ func TestSimulateTrainingRunWithFaultsFlapRecovers(t *testing.T) {
 	// match the pre-fault steady state exactly (deterministic simulator).
 	if run.PostFaultGBs != run.PreFaultGBs {
 		t.Fatalf("healed throughput %.4f != pre-fault %.4f", run.PostFaultGBs, run.PreFaultGBs)
+	}
+}
+
+// TestFaultRunsRetainThroughput holds the retained-throughput claims the
+// docs make about training across mid-run faults, on the deterministic
+// PostFaultGBs/PreFaultGBs ratio: on a DGX-1V, Blink holds 0.83-1.14x of its
+// pre-fault simulated throughput across link loss, degradation, flap and
+// eviction (re-packing trees on whatever fabric survives), and a 3x8 cluster
+// that loses one server runs at 1.76x. The NCCL baseline must survive every
+// scenario too.
+func TestFaultRunsRetainThroughput(t *testing.T) {
+	const iters, faultAt = 8, 3
+	machine := topology.DGX1V()
+	devs := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	threeByEight, err := (cluster.Scenario{Pieces: []int{8, 8, 8}}).Cluster(machine, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		sched cluster.FaultSchedule
+		// blink is Blink's retained ratio, to the docs' two decimals.
+		blink   float64
+		cluster bool
+	}{
+		{sched: cluster.LinkLoss(0, 3, faultAt), blink: 1.05},
+		// One lane of the doubled 0-3 pair fails.
+		{sched: cluster.LinkDegrade(0, 3, 1, faultAt), blink: 1.14},
+		{sched: cluster.LinkFlap(0, 3, faultAt, 6), blink: 1.00},
+		{sched: cluster.Eviction(7, faultAt), blink: 0.83},
+		{sched: cluster.ServerLoss(2, faultAt), blink: 1.76, cluster: true},
+	}
+	for _, row := range rows {
+		for _, backend := range []collective.Backend{collective.Blink, collective.NCCL} {
+			var run FaultTrainingRun
+			var err error
+			if row.cluster {
+				run, err = SimulateClusterTrainingRunWithFaults(threeByEight, backend,
+					ResNet50(), 25<<20, iters, row.sched, simgpu.Config{}, fakeClock())
+			} else {
+				run, err = SimulateTrainingRunWithFaults(machine, devs, backend,
+					ResNet50(), 25<<20, iters, row.sched, simgpu.Config{}, fakeClock())
+			}
+			if err != nil {
+				t.Fatalf("%s/%v: %v", row.sched.Name, backend, err)
+			}
+			if run.PreFaultGBs <= 0 || run.PostFaultGBs <= 0 {
+				t.Fatalf("%s/%v: steady states not recorded: %+v", row.sched.Name, backend, run)
+			}
+			ratio := run.PostFaultGBs / run.PreFaultGBs
+			if backend == collective.Blink && math.Abs(ratio-row.blink) >= 0.005 {
+				t.Errorf("%s: Blink retains %.4fx of its pre-fault throughput, docs say %.2fx",
+					row.sched.Name, ratio, row.blink)
+			}
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func Fig2() (*Table, error) {
 		}
 		// Blink uses hybrid transfers in Fig 2a (the bar is labeled PCIe).
 		var blinkTp float64
-		if hy, _, err := eng.RunHybridBroadcast(0, payload500MB, collective.Options{}); err == nil {
+		if hy, err := eng.Run(collective.Blink, collective.Broadcast, 0, payload500MB, collective.Options{Hybrid: true}); err == nil {
 			blinkTp = hy.ThroughputGBs
 		}
 		if plain, err := eng.Run(collective.Blink, collective.Broadcast, 0, payload500MB, collective.Options{}); err == nil {

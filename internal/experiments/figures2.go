@@ -149,7 +149,7 @@ func Fig21() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		hy, _, err := eng.RunHybridBroadcast(0, payload500MB, collective.Options{})
+		hy, err := eng.Run(collective.Blink, collective.Broadcast, 0, payload500MB, collective.Options{Hybrid: true})
 		if err != nil {
 			return nil, err
 		}

@@ -144,7 +144,6 @@ func (s *Server) Plan(req collective.PlanRequest) ([]byte, string, error) {
 	}
 	opts := collective.Options{
 		ChunkBytes: req.ChunkBytes,
-		Hybrid:     req.Hybrid,
 		DataMode:   req.DataMode,
 		Chain:      req.Chain,
 		Neighbors:  req.Neighbors,
