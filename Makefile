@@ -15,10 +15,10 @@ COVER_FLOOR_QOS ?= 85
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 3170
-LOC_CEIL_REPO ?= 14160
+LOC_CEIL_CORE ?= 3140
+LOC_CEIL_REPO ?= 13680
 
-.PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke async async-smoke mixed mixed-smoke obs obs-smoke compile-bench compile-smoke store-bench store-smoke tenants tenant-smoke ci
+.PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke async async-smoke obs obs-smoke compile-bench compile-smoke store-bench store-smoke tenants tenant-smoke ci
 
 all: build test
 
@@ -112,16 +112,6 @@ async:
 async-smoke:
 	$(GO) run ./cmd/blinkbench -async -o /dev/null
 
-mixed:
-	$(GO) run ./cmd/blinkbench -mixed -o BENCH_mixed.json
-
-# CI smoke for the mixed-collective bench; it exits non-zero if Blink's
-# AllToAll falls below 1.0x the flat-ring baseline at any payload, gating
-# merges on the pairwise-exchange scheduler staying competitive (see
-# BENCH_mixed.json for the tracked run).
-mixed-smoke:
-	$(GO) run ./cmd/blinkbench -mixed -o /dev/null
-
 compile-bench:
 	$(GO) run ./cmd/blinkbench -compile -o BENCH_compile.json
 
@@ -164,4 +154,4 @@ obs:
 obs-smoke:
 	$(GO) run ./cmd/blinkbench -obs -o /dev/null
 
-ci: fmt-check vet loc-check build test race cover verify fuzz-smoke bench async-smoke mixed-smoke obs-smoke compile-smoke store-smoke tenant-smoke
+ci: fmt-check vet loc-check build test race cover verify fuzz-smoke bench async-smoke obs-smoke compile-smoke store-smoke tenant-smoke

@@ -2,8 +2,12 @@ package blink
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
+
+	"blink/internal/collective"
+	"blink/internal/simgpu"
 )
 
 func TestNewCommAndCollectives(t *testing.T) {
@@ -32,6 +36,20 @@ func TestNewCommAndCollectives(t *testing.T) {
 		if res.ThroughputGBs <= 0 || res.Seconds <= 0 {
 			t.Fatalf("%s: empty result %+v", name, res)
 		}
+	}
+}
+
+// TestNewCommRejectsSingleDevice: a one-GPU allocation is refused at
+// construction with the same two-device minimum ReconfigureExclude enforces,
+// on the public constructor and on the exported engine constructor under it.
+func TestNewCommRejectsSingleDevice(t *testing.T) {
+	_, err := NewComm(DGX1V(), []int{3})
+	if err == nil || !strings.Contains(err.Error(), "needs at least 2") {
+		t.Fatalf("NewComm over one device: %v, want the two-device minimum", err)
+	}
+	_, err = collective.NewEngine(DGX1V(), []int{3}, simgpu.Config{})
+	if err == nil || !strings.Contains(err.Error(), "needs at least 2") {
+		t.Fatalf("collective.NewEngine over one device: %v, want the two-device minimum", err)
 	}
 }
 

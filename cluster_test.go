@@ -1,8 +1,11 @@
 package blink
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"blink/internal/collective"
 )
 
 func twoServerCluster(t *testing.T, a, b int, nicGbps float64) *Cluster {
@@ -210,6 +213,78 @@ func TestClusterCommRejectsPlanStore(t *testing.T) {
 	} {
 		if _, err := NewClusterComm(twoServerCluster(t, 4, 4, 100), opt); err == nil {
 			t.Errorf("NewClusterComm accepted %s", name)
+		}
+	}
+}
+
+// TestClusterSingleGPUServer covers the fragmented allocation of Figure 3
+// at its extreme: a server contributing one GPU has nothing to reduce or
+// broadcast locally (its packing is empty) yet still takes part in the NIC
+// exchange. Every cluster collective must run on it, in timing and data
+// mode, under both backends, with exact results and warm replays.
+func TestClusterSingleGPUServer(t *testing.T) {
+	for _, backend := range []Backend{BackendBlink, BackendNCCL} {
+		cc, err := NewClusterComm(twoServerCluster(t, 1, 3, 100), WithDataMode(), WithBackend(backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := cc.Size()
+		if _, err := cc.AllReduce(1 << 20); err != nil {
+			t.Fatalf("%v AllReduce: %v", backend, err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		var cold CacheStats
+		for iter := 0; iter < 2; iter++ {
+			if iter == 1 {
+				cold = cc.CacheStats()
+			}
+			inputs, sum := randInputs(rng, total, 1536)
+			outs, err := cc.AllReduceData(inputs)
+			if err != nil {
+				t.Fatalf("%v AllReduceData: %v", backend, err)
+			}
+			for r, out := range outs {
+				assertEq(t, fmt.Sprintf("%v allreduce iter %d rank %d", backend, iter, r), out, sum)
+			}
+			// Root on the one-GPU server, then on the three-GPU one.
+			for _, root := range []int{0, 2} {
+				if _, err := cc.Broadcast(root, 1<<20); err != nil {
+					t.Fatalf("%v Broadcast root %d: %v", backend, root, err)
+				}
+				outs, err := cc.BroadcastData(root, inputs[root])
+				if err != nil {
+					t.Fatalf("%v BroadcastData root %d: %v", backend, root, err)
+				}
+				for r, out := range outs {
+					assertEq(t, fmt.Sprintf("%v broadcast root %d rank %d", backend, root, r), out, inputs[root])
+				}
+			}
+			if backend != BackendBlink {
+				continue // the flat ring has no cluster AllToAll
+			}
+			if _, err := cc.AllToAll(1 << 20); err != nil {
+				t.Fatalf("AllToAll: %v", err)
+			}
+			const shard = 29
+			inputs, _ = randInputs(rng, total, shard*total)
+			outs, err = cc.AllToAllData(inputs)
+			if err != nil {
+				t.Fatalf("AllToAllData: %v", err)
+			}
+			for d, out := range outs {
+				for r := 0; r < total; r++ {
+					assertEq(t, fmt.Sprintf("alltoall iter %d dest %d src %d", iter, d, r),
+						out[r*shard:(r+1)*shard], inputs[r][d*shard:(d+1)*shard])
+				}
+			}
+		}
+		// Every second-iteration dispatch replayed the first's frozen plan.
+		if st := cc.CacheStats(); st.Misses != cold.Misses || st.Hits <= cold.Hits {
+			t.Fatalf("%v: second calls should all hit the plan cache: %+v after %+v", backend, st, cold)
+		}
+		// The one-GPU server's own engine may refuse an op, never panic on it.
+		for op := collective.Broadcast; op <= collective.NeighborExchange; op++ {
+			cc.Engine().ServerEngine(0).Run(backend, op, 0, 1<<20, collective.Options{})
 		}
 	}
 }

@@ -8,7 +8,6 @@
 //	blinkbench -exp fig15                      # one experiment
 //	blinkbench -list                           # available experiment IDs
 //	blinkbench -async -o BENCH_async.json            # async-stream overlap + dispatch throughput
-//	blinkbench -mixed -o BENCH_mixed.json            # AllToAll / SendRecv / NeighborExchange vs flat ring
 //	blinkbench -obs -o BENCH_obs.txt                 # replay-determinism gate + metrics + span dump
 //	blinkbench -compile -o BENCH_compile.json        # staged compile: fast path + incremental repair
 //	blinkbench -compilesmoke                         # CI gate: fast path >=2x, incremental repair >=10x
@@ -30,22 +29,17 @@ func main() {
 	exp := flag.String("exp", "all", "experiment ID (see -list) or 'all'")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	async := flag.Bool("async", false, "benchmark async-stream overlap and dispatch throughput and emit JSON")
-	mixed := flag.Bool("mixed", false, "benchmark AllToAll/SendRecv/NeighborExchange vs the flat-ring baseline and emit JSON")
 	obsFlag := flag.Bool("obs", false, "run the seeded replay-determinism gate and emit metrics + span dump")
 	compileFlag := flag.Bool("compile", false, "benchmark the staged compile pipeline (fast path, incremental repair) and emit JSON")
 	compileSmoke := flag.Bool("compilesmoke", false, "gate the fast-path (>=2x) and incremental-repair (>=10x) speedups, exit non-zero on failure")
 	storeFlag := flag.Bool("store", false, "benchmark cold compile vs warm-disk cold-start vs warm-memory replay vs blinkd round-trip and emit JSON")
 	storeSmoke := flag.Bool("storesmoke", false, "gate warm-disk cold-start >=10x faster than cold compile, exit non-zero on failure")
 	tenantsFlag := flag.Bool("tenants", false, "benchmark latency-critical p99 under 100-1000 tenant mixed load (lanes vs FIFO) and emit JSON; exits non-zero if the QoS gate fails")
-	out := flag.String("o", "-", "output path for -async/-mixed/-obs/-compile/-store/-tenants ('-' = stdout)")
+	out := flag.String("o", "-", "output path for -async/-obs/-compile/-store/-tenants ('-' = stdout)")
 	flag.Parse()
 
 	if *async {
 		asyncMain(*out)
-		return
-	}
-	if *mixed {
-		mixedMain(*out)
 		return
 	}
 	if *obsFlag {

@@ -279,14 +279,6 @@ func (p *ClusterFrozenPlan) replay(ctx *ClusterBuffers, hook core.ReplayHook) (C
 	return ClusterTiming{Phase1: t[0], Phase2: t[1], Phase3: t[2], Total: t[0] + t[1] + t[2]}, nil
 }
 
-// ClusterResult reports one cluster collective execution, with the
-// three-phase timing breakdown when the Blink backend ran.
-type ClusterResult struct {
-	Result
-	Phase1, Phase2, Phase3 float64
-	Partitions             int
-}
-
 // Run executes one cluster collective and returns its simulated timing.
 // Supported ops are AllReduce, Broadcast and AllToAll (root is a global,
 // server-major rank). The first call for a given (backend, op, root, bytes,
@@ -301,12 +293,8 @@ func (e *ClusterEngine) Run(b Backend, op Op, root int, bytes int64, opts Option
 // cache — the grouped entry point a multi-server training step uses for its
 // gradient buckets.
 func (e *ClusterEngine) RunMany(b Backend, op Op, root int, sizes []int64, opts Options) (GroupResult, error) {
-	return runGroup(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes,
-		func(r ClusterResult) Result { return r.Result })
+	return runGroup(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes)
 }
-
-// shape is the identity: the spine's result is the cluster result.
-func (e *ClusterEngine) shape(r ClusterResult) ClusterResult { return r }
 
 // lookupOrCompile resolves the cluster plan-cache key, compiling and
 // inserting the frozen schedule on a miss (the ClusterEngine's half of the
@@ -480,7 +468,7 @@ func compileFlatRing(st *clusterState, op Op, root int, bytes int64, chunk int64
 	if err != nil {
 		return nil, err
 	}
-	ro := ring.Options{ChunkBytes: chunk, DataMode: opts.DataMode}
+	ro := core.PlanOptions{ChunkBytes: chunk, DataMode: opts.DataMode}
 	var plan *core.Plan
 	switch op {
 	case AllReduce:

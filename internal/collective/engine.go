@@ -92,15 +92,24 @@ func (o Op) String() string {
 // double binary trees over rings on switch fabrics.
 const DBTreeThresholdBytes = 512 << 10
 
-// Result reports one collective execution.
+// Result reports one collective execution, on one machine or a cluster.
 type Result struct {
 	Seconds       float64
 	Bytes         int64
 	ThroughputGBs float64
 	// Strategy describes what was actually scheduled ("trees", "rings",
-	// "pcie-ring", "one-hop", "db-tree", "hybrid").
+	// "pcie-ring", "one-hop", "db-tree", "hybrid", "3-phase", "flat-ring").
 	Strategy string
+	// Phase1..3 and Partitions are the three-phase timing breakdown of a
+	// cluster collective under the Blink backend; zero on one machine and on
+	// the flat NCCL ring, which have no phase structure.
+	Phase1, Phase2, Phase3 float64
+	Partitions             int
 }
+
+// ClusterResult is the result of a cluster collective: the same Result, with
+// the phase breakdown filled in when the Blink backend ran.
+type ClusterResult = Result
 
 // Options tunes a collective call.
 type Options struct {
@@ -127,12 +136,6 @@ type Options struct {
 	// schedule serves every arena. Nil with DataMode falls back to a
 	// throwaway arena (timing only).
 	Buffers *simgpu.BufferSet
-	// Class is the QoS class the dispatch's bytes count against in the
-	// async stream scheduler's per-class admission window. The zero value
-	// is BulkGradient, so untagged calls keep the legacy semantics. Not
-	// part of the plan-cache key: the same frozen schedule serves every
-	// class.
-	Class Class
 	// Tenant routes the dispatch through the tenant's QoS lane — admission
 	// verdict, quotas, priority — and attributes it to the tenant's cache
 	// ledger and cache partition (set by the tenant entry points; nil for
@@ -275,9 +278,15 @@ func (st *engineState) plane(b Backend) core.FabricSel {
 
 // NewEngine probes the machine for the allocated devices and prepares a
 // runtime. For switch topologies devs must cover the full machine (partial
-// DGX-2 allocations see a uniform fabric anyway).
+// DGX-2 allocations see a uniform fabric anyway). Like ReconfigureExclude,
+// it refuses an allocation of fewer than two devices: only a cluster's
+// per-server engine (newEngine) may hold a single GPU.
 func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engine, error) {
-	return newEngine(machine, devs, cfg, nil)
+	e, err := newEngine(machine, devs, cfg, nil)
+	if err == nil && e.Topo().NumGPUs < 2 {
+		return nil, fmt.Errorf("collective: allocation has %d device(s); a communicator needs at least 2", e.Topo().NumGPUs)
+	}
+	return e, err
 }
 
 // newEngine is NewEngine for an engine that may serve as one server of a
@@ -420,16 +429,18 @@ func (st *engineState) ncclRings() []ring.Ring {
 // chunkFor picks a pipelining granularity: large payloads use 4 MiB, small
 // ones shrink so multi-hop pipelines still overlap.
 func chunkFor(bytes int64, override int64) int64 {
-	if override > 0 {
-		return override
+	c := override
+	if c <= 0 {
+		c = bytes / 16
+		if c > 2<<20 {
+			c = 2 << 20
+		}
+		if c < 4 {
+			c = 4
+		}
 	}
-	c := bytes / 16
-	if c > 2<<20 {
-		c = 2 << 20
-	}
-	if c < 4 {
-		c = 4
-	}
+	// Whole float32s, exactly as PlanOptions.SetDefaults will round it, so two
+	// overrides that compile one schedule share one plan key.
 	if r := c % 4; r != 0 {
 		c += 4 - r
 	}
@@ -478,9 +489,6 @@ func (s Snapshot) Run(b Backend, op Op, root int, bytes int64, opts Options) (Re
 func (s Snapshot) Submit(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
 	return submit(&s.e.engineShell, s.e, s.st, request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
 }
-
-// shape narrows the spine's result to the single-machine Result.
-func (e *Engine) shape(r ClusterResult) Result { return r.Result }
 
 // lookupOrCompile resolves the plan-cache key for the call and returns the
 // cached schedule plus whether this call hit the cache, compiling and
@@ -552,8 +560,7 @@ func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan,
 // bucket sizes every iteration, so after the first step every dispatch in
 // the group is a warm replay.
 func (e *Engine) RunMany(b Backend, op Op, root int, sizes []int64, opts Options) (GroupResult, error) {
-	return runGroup(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes,
-		func(r Result) Result { return r })
+	return runGroup(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes)
 }
 
 // p2pPairs expands a point-to-point op into the directed transfers (in IR
@@ -655,16 +662,17 @@ func classOf(op Op) opClass {
 }
 
 // planes is the per-plane half of plan selection: the strategy family each
-// backend reports on the plane, and the NCCL baseline's ring IR kind per op
-// class (the rings themselves are recomputed from the fabric at codegen).
-var planes = [...]struct {
-	trees, ring string
-	ringKinds   [3]core.IRKind
-}{
-	core.FabricNVLink: {"trees", "rings", [3]core.IRKind{core.IRRingBroadcast, core.IRRingAllReduce, core.IRRingP2P}},
-	core.FabricPCIe:   {"pcie-trees", "pcie-ring", [3]core.IRKind{core.IRPCIeBroadcast, core.IRPCIeAllReduce, core.IRPCIeP2P}},
-	core.FabricSwitch: {"one-hop", "ring", [3]core.IRKind{core.IRSwitchBroadcast, core.IRSwitchAllReduce, core.IRSwitchP2P}},
+// backend reports on the plane. The plane itself reaches codegen as
+// PlanIR.Fabric, never as a kind.
+var planes = [...]struct{ trees, ring string }{
+	core.FabricNVLink: {"trees", "rings"},
+	core.FabricPCIe:   {"pcie-trees", "pcie-ring"},
+	core.FabricSwitch: {"one-hop", "ring"},
 }
+
+// ringKinds is the NCCL baseline's ring IR kind per op class, on every plane
+// (the rings themselves are recomputed from the fabric at codegen).
+var ringKinds = [3]core.IRKind{core.IRRingBroadcast, core.IRRingAllReduce, core.IRRingP2P}
 
 // treeOp is one row of the per-op half of Blink's plan selection: the IR
 // kind the op compiles to over the plane's trees, the suffix it appends to
@@ -725,11 +733,11 @@ func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKi
 		}
 		return row.kind, planes[plane].trees + row.suffix, row.needs, nil
 	case class == classP2P:
-		return planes[plane].ringKinds[class], planes[plane].ring, needPairs, nil
+		return ringKinds[class], planes[plane].ring, needPairs, nil
 	case plane == core.FabricSwitch && class == classReduce && bytes < DBTreeThresholdBytes:
 		return core.IRDBTreeAllReduce, "db-tree", needNothing, nil
 	}
-	return planes[plane].ringKinds[class], planes[plane].ring, needNothing, nil
+	return ringKinds[class], planes[plane].ring, needNothing, nil
 }
 
 // selectPlan is the one step between a cache miss and a generated schedule:

@@ -303,8 +303,13 @@ func TestChunkFor(t *testing.T) {
 	if c := chunkFor(1024, 0); c < 4 || c%4 != 0 {
 		t.Fatalf("small chunk = %d", c)
 	}
-	if c := chunkFor(1<<30, 12345); c != 12345 {
+	if c := chunkFor(1<<30, 12344); c != 12344 {
 		t.Fatalf("override ignored: %d", c)
+	}
+	// An override rounds up to whole float32s like the plan options it
+	// becomes, so 6 and 8 are one plan key, not two copies of one schedule.
+	if a, b := chunkFor(1<<30, 6), chunkFor(1<<30, 8); a != 8 || b != 8 {
+		t.Fatalf("overrides 6 and 8 chunk as %d and %d, want 8 and 8", a, b)
 	}
 }
 

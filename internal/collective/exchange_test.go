@@ -45,6 +45,52 @@ func TestExchangeOpsBothBackends(t *testing.T) {
 	}
 }
 
+// TestPointToPointVsRing is the gate the retired `blinkbench -mixed` mode
+// held: on the full DGX-1V, at 16, 64 and 256 MB, Blink's AllToAll (every
+// source scattering over its own packed trees) must at least match the
+// baseline's store-and-forward ring walk, and sit in the ~1.4-1.5x band
+// README quotes. The numbers are simulated seconds, identical on every run,
+// so a test asserts them; the SendRecv chain and ring NeighborExchange
+// ratios are logged beside them.
+func TestPointToPointVsRing(t *testing.T) {
+	e := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	neighbors := make([][]int, 8)
+	for v := range neighbors {
+		neighbors[v] = []int{(v + 1) % 8, (v + 7) % 8}
+	}
+	for _, c := range []struct {
+		op   Op
+		opts Options
+	}{
+		{AllToAll, Options{}},
+		{SendRecv, Options{Chain: []int{0, 1, 2, 3, 4, 5, 6, 7}}},
+		{NeighborExchange, Options{Neighbors: neighbors}},
+	} {
+		for _, bytes := range []int64{16 << 20, 64 << 20, 256 << 20} {
+			blink, err := e.Run(Blink, c.op, 0, bytes, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring, err := e.Run(NCCL, c.op, 0, bytes, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratio := blink.ThroughputGBs / ring.ThroughputGBs
+			t.Logf("%v %d MB: Blink %.2f GB/s (%s) / ring %.2f GB/s (%s) = %.3fx",
+				c.op, bytes>>20, blink.ThroughputGBs, blink.Strategy, ring.ThroughputGBs, ring.Strategy, ratio)
+			if c.op != AllToAll {
+				continue
+			}
+			if ratio < 1.0 {
+				t.Fatalf("Blink AllToAll at %d MB is %.3fx the ring baseline, below the 1.0x gate", bytes>>20, ratio)
+			}
+			if ratio < 1.4 || ratio > 1.5 {
+				t.Fatalf("Blink AllToAll at %d MB is %.3fx the ring baseline, outside README's ~1.4-1.5x", bytes>>20, ratio)
+			}
+		}
+	}
+}
+
 // TestExchangeOpsPartialAllocation: on the ringless {0,1,4} allocation the
 // NCCL baseline falls back to the PCIe ring while Blink routes over the
 // packed NVLink trees.

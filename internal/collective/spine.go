@@ -231,14 +231,11 @@ func (e *engineShell) resolve(key PlanKey, decode PlanDecoder, current func() st
 }
 
 // planner is what an engine contributes to the spine: how a request's
-// frozen schedule is found or compiled against the pinned state S, and how
-// the spine's result narrows to the engine's exported result type R.
-type planner[S, R any] interface {
+// frozen schedule is found or compiled against the pinned state S.
+type planner[S any] interface {
 	// lookupOrCompile returns the request's cached schedule and whether
 	// this call hit the cache, compiling and publishing it on a miss.
 	lookupOrCompile(st S, rq request) (cp *CachedPlan, hit bool, err error)
-	// shape converts the spine's result (the cluster superset) to R.
-	shape(ClusterResult) R
 }
 
 // replay executes the frozen schedule against the call's buffer context and
@@ -266,8 +263,7 @@ func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (ClusterTiming, e
 // between chunks). The whole dispatch runs against one pinned state, so a
 // concurrent Reconfigure never mixes pre- and post-fault scheduling state
 // within a call.
-func dispatch[S, R any](sh *engineShell, p planner[S, R], st S, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (R, bool, error) {
-	var none R
+func dispatch[S any](sh *engineShell, p planner[S], st S, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
 	rec.Dispatch()
 	cp, hit, err := p.lookupOrCompile(st, rq)
 	// A failed lookup still counts as a miss (hit is false on error) so a
@@ -275,7 +271,7 @@ func dispatch[S, R any](sh *engineShell, p planner[S, R], st S, rq request, hook
 	rq.opts.Tenant.noteLookup(hit)
 	if err != nil {
 		rec.Complete("", false, 0, err)
-		return none, false, err
+		return Result{}, false, err
 	}
 	if hit {
 		sh.mReplays.Inc()
@@ -285,23 +281,19 @@ func dispatch[S, R any](sh *engineShell, p planner[S, R], st S, rq request, hook
 	t, err := cp.replay(rq, chainHooks(hook, rec.ChunkHook()))
 	if err != nil {
 		rec.Complete(cp.Strategy, hit, 0, err)
-		return none, hit, err
+		return Result{}, hit, err
 	}
 	sh.opHist(rq.op).Observe(t.Total)
 	rec.Complete(cp.Strategy, hit, t.Total, nil)
-	out := ClusterResult{
-		Result: Result{Seconds: t.Total, Bytes: rq.bytes, Strategy: cp.Strategy},
-		Phase1: t.Phase1,
-		Phase2: t.Phase2,
-		Phase3: t.Phase3,
-	}
+	out := Result{Seconds: t.Total, Bytes: rq.bytes, Strategy: cp.Strategy,
+		Phase1: t.Phase1, Phase2: t.Phase2, Phase3: t.Phase3}
 	if cp.ClusterPlan != nil {
 		out.Partitions = cp.ClusterPlan.partitions
 	}
 	if t.Total > 0 {
 		out.ThroughputGBs = float64(rq.bytes) / t.Total / 1e9
 	}
-	return p.shape(out), hit, nil
+	return out, hit, nil
 }
 
 // chainHooks composes two replay hooks into one (either may be nil).
@@ -332,8 +324,8 @@ const Inline = math.MinInt
 //   - no tenant, stream == Inline: none — the synchronous path, run here
 //     and now, with no goroutine hand-off and a handle that is born
 //     resolved;
-//   - no tenant, any other stream: the stream scheduler's per-class byte
-//     window, which blocks the submitter for backpressure (stream < 0
+//   - no tenant, any other stream: the stream scheduler's byte window,
+//     which blocks the submitter for backpressure (stream < 0
 //     round-robins, out-of-range indices wrap).
 //
 // st was pinned by the caller: a Reconfigure that lands while the op is
@@ -341,31 +333,29 @@ const Inline = math.MinInt
 // failures, resolve through the handle. The span's stream field is -1 for
 // synchronous calls, the resolved stream for async ones and the lane index
 // for tenants.
-func submit[S, R any](sh *engineShell, p planner[S, R], st S, rq request, stream int) *handle[R] {
+func submit[S any](sh *engineShell, p planner[S], st S, rq request, stream int) *Handle {
 	name, backend := rq.op.String(), rq.b.String()
 	if tn := rq.opts.Tenant; tn != nil {
-		rq.opts.Class = tn.class
-		h := newHandle[R]()
+		h := newHandle()
 		rec := sh.tl.Load().Begin(name, backend, int(tn.class), rq.bytes)
 		h.verdict = sh.lanes().submit(laneSub{class: tn.class, tenant: tn, bytes: rq.bytes, run: func() {
 			h.complete(dispatch(sh, p, st, rq, h.hook(), rec))
 		}})
 		if h.verdict == VerdictReject {
-			var none R
 			rec.Complete("", false, 0, ErrAdmissionRejected)
-			h.complete(none, false, fmt.Errorf("%w: tenant %s class %s (%d bytes)",
+			h.complete(Result{}, false, fmt.Errorf("%w: tenant %s class %s (%d bytes)",
 				ErrAdmissionRejected, tn.name, tn.class, rq.bytes))
 		}
 		return h
 	}
 	if stream == Inline {
-		h := &handle[R]{done: resolved}
+		h := &Handle{done: resolved}
 		h.res, h.hit, h.err = dispatch(sh, p, st, rq, nil, sh.tl.Load().Begin(name, backend, -1, rq.bytes))
 		return h
 	}
-	h := newHandle[R]()
+	h := newHandle()
 	rec := sh.tl.Load().Begin(name, backend, stream, rq.bytes)
-	sh.streams().submitClass(rq.opts.Class, stream, rq.bytes, func(actual int) {
+	sh.streams().submit(stream, rq.bytes, func(actual int) {
 		rec.SetStream(actual)
 		h.complete(dispatch(sh, p, st, rq, h.hook(), rec))
 	})
@@ -398,7 +388,7 @@ type GroupResult struct {
 // cache activity. On a tenant request every bucket is admitted through the
 // tenant's lane in turn; a rejected bucket fails the group with its
 // ErrAdmissionRejected error.
-func runGroup[S, R any](sh *engineShell, p planner[S, R], st S, rq request, sizes []int64, base func(R) Result) (GroupResult, error) {
+func runGroup[S any](sh *engineShell, p planner[S], st S, rq request, sizes []int64) (GroupResult, error) {
 	if len(sizes) == 0 {
 		return GroupResult{}, fmt.Errorf("collective: empty group")
 	}
@@ -406,7 +396,7 @@ func runGroup[S, R any](sh *engineShell, p planner[S, R], st S, rq request, size
 	for _, sz := range sizes {
 		rq.bytes = sz
 		h := submit(sh, p, st, rq, Inline)
-		r, err := h.Wait()
+		res, err := h.Wait()
 		if err != nil {
 			return GroupResult{}, err
 		}
@@ -415,7 +405,6 @@ func runGroup[S, R any](sh *engineShell, p planner[S, R], st S, rq request, size
 		} else {
 			g.CacheMisses++
 		}
-		res := base(r)
 		g.Results = append(g.Results, res)
 		g.Seconds += res.Seconds
 		g.Bytes += sz

@@ -17,9 +17,8 @@ type spineOutcome struct {
 	done, total int64
 }
 
-// fromHandle waits a handle of either instantiation out and reads the
-// accessors the two share.
-func fromHandle[R any](t *testing.T, h *handle[R], seconds func(R) float64) spineOutcome {
+// fromHandle waits a handle of either engine out and reads its accessors.
+func fromHandle(t *testing.T, h *Handle) spineOutcome {
 	t.Helper()
 	res, err := h.Wait()
 	if err != nil {
@@ -33,7 +32,7 @@ func fromHandle[R any](t *testing.T, h *handle[R], seconds func(R) float64) spin
 	if h.Err() != nil || h.Deferred() {
 		t.Fatalf("resolved handle: Err %v, Deferred %v", h.Err(), h.Deferred())
 	}
-	out := spineOutcome{seconds: seconds(res), hit: h.CacheHit()}
+	out := spineOutcome{seconds: res.Seconds, hit: h.CacheHit()}
 	out.done, out.total = h.Progress()
 	return out
 }
@@ -42,7 +41,7 @@ func fromHandle[R any](t *testing.T, h *handle[R], seconds func(R) float64) spin
 // of both engines and checks they are one path: bit-identical simulated
 // time, exactly one replay counted and one makespan observed per dispatch,
 // the right stream / lane on the span, and working handle accessors on both
-// handle instantiations.
+// engines' handles.
 func TestSpineEveryEntryStyle(t *testing.T) {
 	const bytes = 8 << 20
 	eng := newTestEngine(t)
@@ -67,8 +66,6 @@ func TestSpineEveryEntryStyle(t *testing.T) {
 		}
 		return spineOutcome{seconds: g.Seconds, hit: g.CacheHits == 1 && g.CacheMisses == 0, done: -1}
 	}
-	single := func(r Result) float64 { return r.Seconds }
-	cluster := func(r ClusterResult) float64 { return r.Seconds }
 
 	type style struct {
 		name string
@@ -89,33 +86,30 @@ func TestSpineEveryEntryStyle(t *testing.T) {
 			{"Snapshot.Run", -1, func() spineOutcome { return plain(eng.Snapshot().Run(Blink, AllReduce, 0, bytes, Options{})) }},
 			{"RunMany", -1, func() spineOutcome { return group(eng.RunMany(Blink, AllReduce, 0, []int64{bytes}, Options{})) }},
 			{"RunAsync pinned", 1, func() spineOutcome {
-				return fromHandle(t, eng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, 1), single)
+				return fromHandle(t, eng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, 1))
 			}},
 			{"RunAsync round-robin", anyStream, func() spineOutcome {
-				return fromHandle(t, eng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, -1), single)
+				return fromHandle(t, eng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, -1))
 			}},
 			{"RunAsyncTenant", int(LatencyCritical), func() spineOutcome {
 				h, v := eng.RunAsyncTenant(tn, Blink, AllReduce, 0, bytes, Options{})
 				if v != VerdictAdmit {
 					t.Fatalf("verdict %v", v)
 				}
-				return fromHandle(t, h, single)
+				return fromHandle(t, h)
 			}},
 			{"Snapshot.RunTenant", int(LatencyCritical), func() spineOutcome {
 				return plain(eng.Snapshot().RunTenant(tn, Blink, AllReduce, 0, bytes, Options{}))
 			}},
 		}},
 		{"ClusterEngine", ceng.Metrics(), ceng.EnableTimeline(), []style{
-			{"Run", -1, func() spineOutcome {
-				r, err := ceng.Run(Blink, AllReduce, 0, bytes, Options{})
-				return plain(r.Result, err)
-			}},
+			{"Run", -1, func() spineOutcome { return plain(ceng.Run(Blink, AllReduce, 0, bytes, Options{})) }},
 			{"RunMany", -1, func() spineOutcome { return group(ceng.RunMany(Blink, AllReduce, 0, []int64{bytes}, Options{})) }},
 			{"RunAsync pinned", 1, func() spineOutcome {
-				return fromHandle(t, ceng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, 1), cluster)
+				return fromHandle(t, ceng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, 1))
 			}},
 			{"RunAsync round-robin", anyStream, func() spineOutcome {
-				return fromHandle(t, ceng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, -1), cluster)
+				return fromHandle(t, ceng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, -1))
 			}},
 		}},
 	}

@@ -24,12 +24,13 @@ const (
 // cost disappears next to the per-chunk scheduling work.
 const yieldEvery = 64
 
-// handle is the caller's reference to one submitted collective. Exactly one
-// of (result, error) becomes available when the op resolves; handles are
-// safe for concurrent use by any number of goroutines.
-type handle[R any] struct {
+// Handle is the caller's reference to one submitted collective, returned by
+// the *Async entry points of both engines. Exactly one of (result, error)
+// becomes available when the op resolves; handles are safe for concurrent
+// use by any number of goroutines.
+type Handle struct {
 	done chan struct{}
-	res  R
+	res  Result
 	err  error
 	hit  bool
 	// verdict is the admission decision, set by the submitter before the
@@ -40,14 +41,10 @@ type handle[R any] struct {
 	chunksTotal atomic.Int64
 }
 
-// Handle is the caller's reference to one in-flight async collective,
-// returned by the *Async entry points.
-type Handle = handle[Result]
-
-// ClusterHandle is the multi-server counterpart of Handle, resolving to a
-// ClusterResult (with the three-phase timing breakdown under the Blink
-// backend).
-type ClusterHandle = handle[ClusterResult]
+// ClusterHandle is the handle of a cluster collective: the same handle,
+// whose Result carries the three-phase timing breakdown under the Blink
+// backend.
+type ClusterHandle = Handle
 
 // resolved is the done channel of every handle that is born resolved (a
 // synchronous submission needs no channel of its own).
@@ -57,12 +54,12 @@ var resolved = func() chan struct{} {
 	return c
 }()
 
-func newHandle[R any]() *handle[R] { return &handle[R]{done: make(chan struct{})} }
+func newHandle() *Handle { return &Handle{done: make(chan struct{})} }
 
 // complete publishes the op's outcome and releases every waiter. The
 // result fields are written strictly before the channel close, so waiters
 // reading them after Done()/Wait() never race.
-func (h *handle[R]) complete(res R, hit bool, err error) {
+func (h *Handle) complete(res Result, hit bool, err error) {
 	h.res, h.hit, h.err = res, hit, err
 	close(h.done)
 }
@@ -70,18 +67,18 @@ func (h *handle[R]) complete(res R, hit bool, err error) {
 // Wait blocks until the collective resolves and returns its result. It may
 // be called any number of times, from any goroutine; every call returns
 // the same outcome.
-func (h *handle[R]) Wait() (R, error) {
+func (h *Handle) Wait() (Result, error) {
 	<-h.done
 	return h.res, h.err
 }
 
 // Done returns a channel that is closed when the collective resolves —
 // the select-friendly form of Wait.
-func (h *handle[R]) Done() <-chan struct{} { return h.done }
+func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // Err peeks at the handle without blocking: nil while the op is still in
 // flight or if it succeeded, the terminal error once it has failed.
-func (h *handle[R]) Err() error {
+func (h *Handle) Err() error {
 	select {
 	case <-h.done:
 		return h.err
@@ -94,11 +91,11 @@ func (h *handle[R]) Err() error {
 // it was admitted and will run, but its lane is past the low watermark
 // and the submitter should back off. Always false for non-tenant
 // submissions.
-func (h *handle[R]) Deferred() bool { return h.verdict == VerdictDefer }
+func (h *Handle) Deferred() bool { return h.verdict == VerdictDefer }
 
 // CacheHit reports whether the dispatch replayed a cached plan (valid
 // after the handle resolves; false while in flight).
-func (h *handle[R]) CacheHit() bool {
+func (h *Handle) CacheHit() bool {
 	select {
 	case <-h.done:
 		return h.hit
@@ -111,7 +108,7 @@ func (h *handle[R]) CacheHit() bool {
 // chunk transfers and reductions, across all phases of a cluster schedule)
 // completed so far and the schedule total. Total is 0 until the plan is
 // compiled and its replay begins.
-func (h *handle[R]) Progress() (done, total int64) {
+func (h *Handle) Progress() (done, total int64) {
 	return h.chunksDone.Load(), h.chunksTotal.Load()
 }
 
@@ -119,7 +116,7 @@ func (h *handle[R]) Progress() (done, total int64) {
 // chunk progress on the handle and yields the worker goroutine every
 // yieldEvery chunks, so replays in flight on different streams interleave
 // chunk-by-chunk instead of monopolizing a core each.
-func (h *handle[R]) hook() func(done, total int) {
+func (h *Handle) hook() func(done, total int) {
 	return func(done, total int) {
 		h.chunksTotal.Store(int64(total))
 		h.chunksDone.Store(int64(done))
@@ -131,11 +128,9 @@ func (h *handle[R]) hook() func(done, total int) {
 
 // streamTask is one queued async dispatch. run receives the stream the task
 // landed on (resolved under the scheduler lock at admission), so observers
-// see the real lane even for round-robin submissions. class is the QoS
-// class whose admission window the task's bytes count against.
+// see the real stream even for round-robin submissions.
 type streamTask struct {
 	bytes int64
-	class Class
 	run   func(stream int)
 }
 
@@ -153,32 +148,26 @@ type streamQueue struct {
 // worker streams with NCCL-stream semantics: strict FIFO ordering within a
 // stream, free overlap across streams (each stream is its own goroutine,
 // and replays yield between chunks, so in-flight ops pipeline
-// chunk-by-chunk). Submissions apply backpressure: when a class's bytes
-// in flight exceed the window, submit blocks until completions free
-// space, and admission within a class is strictly ticket-ordered
-// (FIFO): a submission blocked on the window is never overtaken by later
-// same-class submissions that happen to fit, so an oversized op cannot be
-// starved by a stream of small ones. One op larger than the whole window is still
-// admitted — alone — so oversized payloads make progress instead of
-// deadlocking.
+// chunk-by-chunk). Submissions apply backpressure: when the bytes in flight
+// exceed the window, submit blocks until completions free space, and
+// admission is strictly ticket-ordered (FIFO): a submission blocked on the
+// window is never overtaken by later submissions that happen to fit, so an
+// oversized op cannot be starved by a stream of small ones. One op larger
+// than the whole window is still admitted — alone — so oversized payloads
+// make progress instead of deadlocking. This is the admission stage of
+// untenanted calls only; tenant traffic is classed and admitted by the lane
+// scheduler (lanes.go) and never comes through here.
 type streamScheduler struct {
-	mu      sync.Mutex
-	space   sync.Cond // signaled when inflight bytes drop or a ticket head advances
-	streams []*streamQueue
-	// inflight totals bytes in flight across every class (exported gauge
-	// and drain accounting; admission checks use the per-class ledgers).
-	inflight int64
-	window   int64 // <= 0: unbounded; applies independently per class
+	mu       sync.Mutex
+	space    sync.Cond // signaled when inflight bytes drop or a ticket head advances
+	streams  []*streamQueue
+	inflight int64 // bytes in flight, checked against the window
+	window   int64 // <= 0: unbounded
 	next     int   // round-robin cursor for auto stream assignment
-	// lanes holds each class's admission ledger. Tickets and the byte
-	// window are PER CLASS: a submission takes a ticket in its class at
-	// arrival and admits only when every earlier same-class ticket has,
-	// regardless of payload size — so an oversized op waiting out its
-	// admitted-alone turn holds only its own class's window. (Tickets used
-	// to be engine-global, which let a huge Telemetry op block a
-	// LatencyCritical window.) Untagged traffic all rides BulkGradient,
-	// preserving the old single-queue FIFO admission semantics exactly.
-	lanes [NumClasses]laneAdmission
+	// admitHead/admitTail are the FIFO admission tickets: a submission takes
+	// a ticket at arrival and admits only when every earlier ticket has,
+	// regardless of payload size.
+	admitHead, admitTail uint64
 
 	// Registry-resolved metric handles (resolved once at construction; a
 	// nil registry yields standalone no-op metrics, so the hot path never
@@ -188,13 +177,6 @@ type streamScheduler struct {
 	mWaitSeconds   *obs.Histogram
 	mInflightBytes *obs.Gauge
 	mQueueDepth    []*obs.Gauge // per stream
-}
-
-// laneAdmission is one class's admission ledger in the stream scheduler:
-// FIFO tickets plus the class's bytes in flight against the window.
-type laneAdmission struct {
-	admitHead, admitTail uint64
-	inflight             int64
 }
 
 func newStreamScheduler(streams int, windowBytes int64, reg *obs.Registry) *streamScheduler {
@@ -217,26 +199,20 @@ func newStreamScheduler(streams int, windowBytes int64, reg *obs.Registry) *stre
 	return s
 }
 
-// submitClass enqueues run on a stream under the given QoS class and
-// returns the stream it landed on. stream < 0 round-robins across the
-// scheduler's streams; out-of-range indices wrap, so callers can use any
-// dense numbering. submitClass blocks while the class's in-flight byte
-// window is full or an earlier same-class submission is still waiting for
-// admission (per-class FIFO tickets); other classes' windows never gate
-// it.
-func (s *streamScheduler) submitClass(class Class, stream int, bytes int64, run func(stream int)) int {
-	if !class.valid() {
-		class = BulkGradient
-	}
+// submit enqueues run on a stream and returns the stream it landed on.
+// stream < 0 round-robins across the scheduler's streams; out-of-range
+// indices wrap, so callers can use any dense numbering. submit blocks while
+// the in-flight byte window is full or an earlier submission is still
+// waiting for admission (FIFO tickets).
+func (s *streamScheduler) submit(stream int, bytes int64, run func(stream int)) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mSubmissions.Inc()
-	ln := &s.lanes[class]
-	ticket := ln.admitTail
-	ln.admitTail++
+	ticket := s.admitTail
+	s.admitTail++
 	waited := false
 	var waitStart time.Time
-	for ticket != ln.admitHead || (s.window > 0 && ln.inflight > 0 && ln.inflight+bytes > s.window) {
+	for ticket != s.admitHead || (s.window > 0 && s.inflight > 0 && s.inflight+bytes > s.window) {
 		if !waited {
 			waited = true
 			waitStart = time.Now()
@@ -244,7 +220,7 @@ func (s *streamScheduler) submitClass(class Class, stream int, bytes int64, run 
 		}
 		s.space.Wait()
 	}
-	ln.admitHead++
+	s.admitHead++
 	// The next ticket holder may already fit; hand it the head.
 	s.space.Broadcast()
 	if waited {
@@ -256,11 +232,10 @@ func (s *streamScheduler) submitClass(class Class, stream int, bytes int64, run 
 	} else {
 		stream %= len(s.streams)
 	}
-	ln.inflight += bytes
 	s.inflight += bytes
 	s.mInflightBytes.Set(s.inflight)
 	q := s.streams[stream]
-	q.tasks = append(q.tasks, streamTask{bytes: bytes, class: class, run: run})
+	q.tasks = append(q.tasks, streamTask{bytes: bytes, run: run})
 	s.mQueueDepth[stream].Set(int64(len(q.tasks)))
 	if !q.running {
 		q.running = true
@@ -297,7 +272,6 @@ func (s *streamScheduler) drain(q *streamQueue) {
 
 		s.mu.Lock()
 		s.inflight -= t.bytes
-		s.lanes[t.class].inflight -= t.bytes
 		s.mInflightBytes.Set(s.inflight)
 		s.space.Broadcast()
 		s.mu.Unlock()

@@ -82,7 +82,7 @@ func TestStreamSchedulerFIFOWithinStream(t *testing.T) {
 	wg.Add(2 * n)
 	for i := 0; i < n; i++ {
 		i := i
-		s.submitClass(BulkGradient, 0, 1, func(int) {
+		s.submit(0, 1, func(int) {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -90,7 +90,7 @@ func TestStreamSchedulerFIFOWithinStream(t *testing.T) {
 		})
 		// Concurrent traffic on the other stream must not perturb
 		// stream 0's ordering.
-		s.submitClass(BulkGradient, 1, 1, func(int) { wg.Done() })
+		s.submit(1, 1, func(int) { wg.Done() })
 	}
 	wg.Wait()
 	mu.Lock()
@@ -255,7 +255,7 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 
 	// Occupy the window so later submissions must wait for admission.
 	wg.Add(1)
-	s.submitClass(BulkGradient, 0, 6, func(int) {
+	s.submit(0, 6, func(int) {
 		<-release
 		record("warm")
 		wg.Done()
@@ -264,14 +264,14 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 	// The oversized op (bigger than the whole window) takes the next
 	// ticket and blocks: inflight > 0 and it can't fit.
 	wg.Add(1)
-	go s.submitClass(BulkGradient, 0, 100, func(int) {
+	go s.submit(0, 100, func(int) {
 		record("big")
 		wg.Done()
 	})
 	waitTickets := func(n uint64) {
 		for {
 			s.mu.Lock()
-			tail := s.lanes[BulkGradient].admitTail
+			tail := s.admitTail
 			s.mu.Unlock()
 			if tail >= n {
 				return
@@ -286,7 +286,7 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 	const smalls = 10
 	for i := 0; i < smalls; i++ {
 		wg.Add(1)
-		go s.submitClass(BulkGradient, 0, 1, func(int) {
+		go s.submit(0, 1, func(int) {
 			record("small")
 			wg.Done()
 		})
@@ -310,68 +310,6 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 	}
 }
 
-// TestStreamSchedulerPerLaneAdmission is the regression for the
-// engine-global admission-ticket bug: an oversized Telemetry op blocked
-// on the byte window must NOT gate LatencyCritical submissions that
-// arrived after it. With global tickets the big Telemetry op held the
-// single admission head and every later submission — any class — queued
-// behind it; with per-class tickets and windows, only its own lane waits.
-func TestStreamSchedulerPerLaneAdmission(t *testing.T) {
-	s := newStreamScheduler(2, 10, nil)
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Occupy the Telemetry window on stream 0 so the oversized Telemetry
-	// op must wait for admission.
-	wg.Add(1)
-	s.submitClass(Telemetry, 0, 6, func(int) {
-		<-release
-		wg.Done()
-	})
-	// Oversized Telemetry op: bigger than the whole window, blocks in its
-	// own lane.
-	wg.Add(1)
-	go s.submitClass(Telemetry, 0, 100, func(int) { wg.Done() })
-	for {
-		s.mu.Lock()
-		tail := s.lanes[Telemetry].admitTail
-		s.mu.Unlock()
-		if tail >= 2 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	// LatencyCritical submissions arriving AFTER the blocked Telemetry op
-	// must admit and run immediately: their lane's window is empty. Before
-	// the per-lane fix this deadlocked (lcRan never closed) because their
-	// tickets sat behind the Telemetry op's global ticket.
-	lcRan := make(chan struct{})
-	wg.Add(1)
-	go s.submitClass(LatencyCritical, 1, 8, func(int) {
-		close(lcRan)
-		wg.Done()
-	})
-	select {
-	case <-lcRan:
-	case <-time.After(10 * time.Second):
-		t.Fatal("LatencyCritical op gated behind a blocked oversized Telemetry op")
-	}
-
-	close(release)
-	wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight != 0 {
-		t.Fatalf("total inflight %d after all ops resolved", s.inflight)
-	}
-	for c := Class(0); c < NumClasses; c++ {
-		if got := s.lanes[c].inflight; got != 0 {
-			t.Fatalf("lane %s inflight %d after all ops resolved", c, got)
-		}
-	}
-}
-
 // TestStreamSchedulerDrainReleasesBacking is the memory regression for
 // drain: popped task slots must be zeroed (so completed closures and the
 // buffers they capture are collectable immediately) and a fully drained
@@ -382,7 +320,7 @@ func TestStreamSchedulerDrainReleasesBacking(t *testing.T) {
 	const n = 16
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		s.submitClass(BulkGradient, 0, 1, func(int) { wg.Done() })
+		s.submit(0, 1, func(int) { wg.Done() })
 	}
 	wg.Wait()
 	// The worker exits once the queue drains; poll for it, then check the

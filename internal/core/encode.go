@@ -19,8 +19,10 @@ import (
 
 // PlanFormatVersion is the current wire format version. Decoders reject
 // blobs written under any other version — plans are cheap to recompile, so
-// cross-version migration is never worth schema tolerance.
-const PlanFormatVersion = 1
+// cross-version migration is never worth schema tolerance. Version 2
+// renumbered the IR kinds when the baseline's plane moved out of the kind
+// and into PlanIR.Fabric.
+const PlanFormatVersion = 2
 
 // planMagic brands every encoded plan blob.
 var planMagic = [8]byte{'B', 'L', 'N', 'K', 'P', 'L', 'A', 'N'}

@@ -148,14 +148,18 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	// Version skew: rewrite the version varint and reseal.
-	skew := append([]byte(nil), blob[:len(planMagic)]...)
-	skew = binary.AppendUvarint(skew, PlanFormatVersion+1)
-	rest := blob[len(planMagic):]
-	_, n := binary.Uvarint(rest)
-	skew = append(skew, rest[n:]...)
-	if _, _, err := DecodePlanIR(reseal(skew)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version-skewed blob: %v", err)
+	// Version skew, from the future and from the past (format 1 numbered the
+	// IR kinds differently, so its blobs must be recompiled, never read):
+	// rewrite the version varint and reseal.
+	for _, v := range []uint64{PlanFormatVersion + 1, 1} {
+		skew := append([]byte(nil), blob[:len(planMagic)]...)
+		skew = binary.AppendUvarint(skew, v)
+		rest := blob[len(planMagic):]
+		_, n := binary.Uvarint(rest)
+		skew = append(skew, rest[n:]...)
+		if _, _, err := DecodePlanIR(reseal(skew)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version-%d blob: %v", v, err)
+		}
 	}
 
 	// Garbage that is not a plan at all.
@@ -200,8 +204,9 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // must never panic, never allocate unboundedly, and anything it accepts must
 // be internally consistent enough for validation to give a clean verdict.
 // The seed corpus (testdata/fuzz/FuzzDecodePlan) covers the interesting
-// failure classes: a pristine blob, truncations, resealed bit flips, a
-// version-skewed header and a wrong-fingerprint header.
+// failure classes: a pristine blob, truncations, resealed bit flips, two
+// version-skewed headers (one from the future, one a pristine format-1 blob)
+// and a wrong-fingerprint header.
 func FuzzDecodePlan(f *testing.F) {
 	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {

@@ -155,7 +155,6 @@ func (b *planBuilder) exchangeShardExec(src, dst, srcTag, dstTag int, dests []in
 // exactly what the packing's weights amortize. In data mode rank d receives
 // rank r's shard in Buffer(d, ExchangeTag(r)) at offset d*perDest.
 func BuildAllToAllPlan(f *simgpu.Fabric, packFor func(root int) (*Packing, error), bytes int64, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
 	n := ranksOf(f)
 	totalFloats := int(bytes / 4)
 	if totalFloats < n {
@@ -169,7 +168,6 @@ func BuildAllToAllPlan(f *simgpu.Fabric, packFor func(root int) (*Packing, error
 // perDest floats, and the local ranks [0,n) occupy global slots
 // [destBase, destBase+n).
 func buildAllToAll(f *simgpu.Fabric, packFor func(root int) (*Packing, error), perDest, destBase, bufRanks int, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
 	b := newBuilder(f, opts)
 	n := ranksOf(f)
 	if perDest <= 0 {
@@ -207,87 +205,13 @@ func buildAllToAll(f *simgpu.Fabric, packFor func(root int) (*Packing, error), p
 		if pk.Root != r {
 			return nil, fmt.Errorf("core: alltoall packing rooted at %d, want %d", pk.Root, r)
 		}
-		if err := emitAllToAllSource(b, pk, r, n, perDest, destBase, bufLen); err != nil {
+		// Staged through the source's exchange tag and stream phase so the n
+		// scatters contend on links, never on buffers or streams.
+		if err := emitShardScatter(b, pk, n, perDest, destBase, bufLen, ExchangeTag(r), phaseExchangeBase+r, fmt.Sprintf("a2a s%d", r)); err != nil {
 			return nil, err
 		}
 	}
-	return &Plan{
-		Ops:        b.ops,
-		TotalBytes: int64(n) * int64(n) * int64(perDest) * 4,
-		Fabric:     f,
-		Streams:    len(b.streams),
-	}, nil
-}
-
-// emitAllToAllSource schedules one source's scatter over its packing, the
-// same subtree-shard emission as BuildScatterPlan but staged through the
-// source's exchange tag so n scatters can share the fabric without aliasing.
-func emitAllToAllSource(b *planBuilder, pk *Packing, src, n, perDest, destBase, bufLen int) error {
-	// As in Scatter, a root-adjacent edge carries up to n-1 shards per
-	// chunk, so scale the chunk unit down by the fan-out.
-	chunkBytes := b.opts.ChunkBytes
-	if unit := chunkBytes / int64(n-1); unit >= 4 {
-		chunkBytes = unit - unit%4
-	} else {
-		chunkBytes = 4
-	}
-	regions := splitRegions(pk.Trees, 0, perDest, chunkBytes)
-	shapes := make([]*treeShape, len(pk.Trees))
-	for i, t := range pk.Trees {
-		s, err := shapeOf(b.g, t.Arbo)
-		if err != nil {
-			return err
-		}
-		shapes[i] = s
-	}
-	subVerts := make([][][]int, len(shapes))
-	for i, s := range shapes {
-		subVerts[i] = s.rankSubtrees(n)
-	}
-	sent := make([]int, b.g.N)
-	maxChunks := 0
-	for _, r := range regions {
-		if r.chunks > maxChunks {
-			maxChunks = r.chunks
-		}
-	}
-	for k := 0; k < maxChunks; k++ {
-		for ti := range pk.Trees {
-			if k >= regions[ti].chunks {
-				continue
-			}
-			s := shapes[ti]
-			soff, nfl := regions[ti].chunkSpan(k, chunkBytes)
-			for vi := range sent {
-				sent[vi] = -1
-			}
-			for _, v := range s.bfs {
-				if v == src {
-					continue
-				}
-				shards := subVerts[ti][v]
-				if len(shards) == 0 {
-					continue // relay-only subtree: nothing to deliver below
-				}
-				eid := s.parentEdge[v]
-				e := b.g.Edges[eid]
-				var deps []int
-				if up := sent[e.From]; up >= 0 {
-					deps = append(deps, up)
-				}
-				srcTag := ExchangeTag(src)
-				if e.From == src {
-					srcTag = BufData // first hop reads the source's input
-				}
-				exec := b.exchangeShardExec(e.From, v, srcTag, ExchangeTag(src),
-					shards, perDest, destBase, soff, nfl, bufLen)
-				sent[v] = b.addTransfer(phaseExchangeBase+src, ti, eid, s.depth[v],
-					int64(len(shards))*int64(nfl)*4, deps, exec,
-					fmt.Sprintf("a2a s%d t%d c%d ->%d", src, ti, k, v))
-			}
-		}
-	}
-	return nil
+	return b.plan(int64(n) * int64(n) * int64(perDest) * 4), nil
 }
 
 // BuildSendRecvChainPlan compiles an ordered P2P pipeline: the payload flows
@@ -296,7 +220,6 @@ func emitAllToAllSource(b *planBuilder, pk *Packing, src, n, perDest, destBase, 
 // vertices and multi-hop detours included). In data mode every chain member
 // ends holding the payload in BufData.
 func BuildSendRecvChainPlan(f *simgpu.Fabric, chain []int, bytes int64, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
 	n := ranksOf(f)
 	if err := ValidateChain(n, chain); err != nil {
 		return nil, err
@@ -314,7 +237,7 @@ func BuildSendRecvChainPlan(f *simgpu.Fabric, chain []int, bytes int64, opts Pla
 		}
 		paths[i] = p
 	}
-	chunkFloats := int(opts.ChunkBytes / 4)
+	chunkFloats := int(b.opts.ChunkBytes / 4)
 	chunks := (totalFloats + chunkFloats - 1) / chunkFloats
 	prev := make([]int, chunks) // delivery op of chunk k at the previous stage
 	for k := range prev {
@@ -345,12 +268,7 @@ func BuildSendRecvChainPlan(f *simgpu.Fabric, chain []int, bytes int64, opts Pla
 		}
 		prev = cur
 	}
-	return &Plan{
-		Ops:        b.ops,
-		TotalBytes: int64(len(paths)) * int64(totalFloats) * 4,
-		Fabric:     f,
-		Streams:    len(b.streams),
-	}, nil
+	return b.plan(int64(len(paths)) * int64(totalFloats) * 4), nil
 }
 
 // BuildNeighborExchangePlan compiles a halo exchange: every rank v sends its
@@ -358,7 +276,6 @@ func BuildSendRecvChainPlan(f *simgpu.Fabric, chain []int, bytes int64, opts Pla
 // BFS-routed and chunk-pipelined. In data mode receiver u finds v's payload
 // in Buffer(u, ExchangeTag(v)).
 func BuildNeighborExchangePlan(f *simgpu.Fabric, neighbors [][]int, bytes int64, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
 	n := ranksOf(f)
 	if err := ValidateNeighbors(n, neighbors); err != nil {
 		return nil, err
@@ -368,7 +285,7 @@ func BuildNeighborExchangePlan(f *simgpu.Fabric, neighbors [][]int, bytes int64,
 		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
 	}
 	b := newBuilder(f, opts)
-	chunkFloats := int(opts.ChunkBytes / 4)
+	chunkFloats := int(b.opts.ChunkBytes / 4)
 	chunks := (totalFloats + chunkFloats - 1) / chunkFloats
 	pairs := 0
 	for v, row := range neighbors {
@@ -402,10 +319,5 @@ func BuildNeighborExchangePlan(f *simgpu.Fabric, neighbors [][]int, bytes int64,
 			pairs++
 		}
 	}
-	return &Plan{
-		Ops:        b.ops,
-		TotalBytes: int64(pairs) * int64(totalFloats) * 4,
-		Fabric:     f,
-		Streams:    len(b.streams),
-	}, nil
+	return b.plan(int64(pairs) * int64(totalFloats) * 4), nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"blink/internal/simgpu"
@@ -34,8 +33,8 @@ type PlanIR struct {
 	// lists (their kinds only).
 	Chain     []int
 	Neighbors [][]int
-	// Pairs is the expanded point-to-point transfer list of the ring/PCIe/
-	// switch P2P kinds; Chained marks an ordered pipeline (SendRecv).
+	// Pairs is the expanded point-to-point transfer list of the ring P2P
+	// kind; Chained marks an ordered pipeline (SendRecv).
 	Pairs   []IRPair
 	Chained bool
 }
@@ -65,18 +64,14 @@ const (
 	// IRDGX2AllReduce merges the full one-hop packing set (Packings[root]
 	// per root) into the switch-fabric AllReduce.
 	IRDGX2AllReduce
-	// Ring/PCIe/switch kinds are implemented in internal/ring and dispatch
-	// through the registered builder hook (RegisterIRBuilder); the rings
-	// themselves are recomputed deterministically from the fabric graph.
+	// Baseline kinds are implemented in internal/ring and dispatch through
+	// the registered builder hook (RegisterIRBuilder). A kind names a
+	// schedule; the plane it walks — NVLink rings, the PCIe fallback ring,
+	// the switch ring — is the IR's Fabric, and the rings themselves are
+	// recomputed deterministically from the fabric graph.
 	IRRingBroadcast
 	IRRingAllReduce
 	IRRingP2P
-	IRPCIeBroadcast
-	IRPCIeAllReduce
-	IRPCIeP2P
-	IRSwitchBroadcast
-	IRSwitchAllReduce
-	IRSwitchP2P
 	IRDBTreeAllReduce
 
 	irKindMax = IRDBTreeAllReduce
@@ -99,12 +94,6 @@ func (k IRKind) String() string {
 		IRRingBroadcast:     "ring-broadcast",
 		IRRingAllReduce:     "ring-allreduce",
 		IRRingP2P:           "ring-p2p",
-		IRPCIeBroadcast:     "pcie-broadcast",
-		IRPCIeAllReduce:     "pcie-allreduce",
-		IRPCIeP2P:           "pcie-p2p",
-		IRSwitchBroadcast:   "switch-broadcast",
-		IRSwitchAllReduce:   "switch-allreduce",
-		IRSwitchP2P:         "switch-p2p",
 		IRDBTreeAllReduce:   "dbtree-allreduce",
 	}
 	if int(k) < len(names) && names[k] != "" {
@@ -137,8 +126,8 @@ func (s FabricSel) String() string {
 	}
 }
 
-// IRBuilder regenerates a plan from an IR over a fabric. Builders for ring
-// and switch-baseline kinds live in internal/ring (which imports core, so
+// IRBuilder regenerates a plan from an IR over a fabric. Builders for the
+// baseline kinds live in internal/ring (which imports core, so
 // core cannot call them directly) and register themselves at init.
 type IRBuilder func(ir *PlanIR, f *simgpu.Fabric) (*Plan, error)
 
@@ -160,18 +149,6 @@ func irBuilderFor(k IRKind) IRBuilder {
 	irBuildersMu.RLock()
 	defer irBuildersMu.RUnlock()
 	return irBuilders[k]
-}
-
-// RegisteredIRKinds lists the externally registered IR kinds (tests).
-func RegisteredIRKinds() []IRKind {
-	irBuildersMu.RLock()
-	defer irBuildersMu.RUnlock()
-	ks := make([]IRKind, 0, len(irBuilders))
-	for k := range irBuilders {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 // validate checks the IR's structural invariants before codegen so a
@@ -203,7 +180,7 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 		if err := ValidateNeighbors(n, ir.Neighbors); err != nil {
 			return err
 		}
-	case IRRingP2P, IRPCIeP2P, IRSwitchP2P:
+	case IRRingP2P:
 		if len(ir.Pairs) == 0 {
 			return fmt.Errorf("core: %v IR has no transfer pairs", ir.Kind)
 		}
@@ -217,8 +194,7 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 		// Root is meaningful only for rooted kinds, but every builder indexes
 		// with it defensively; a zero root is always in range.
 		switch ir.Kind {
-		case IRTreeBroadcast, IRTreeGather, IRTreeReduce, IRTreeScatter,
-			IRRingBroadcast, IRPCIeBroadcast, IRSwitchBroadcast:
+		case IRTreeBroadcast, IRTreeGather, IRTreeReduce, IRTreeScatter, IRRingBroadcast:
 			return fmt.Errorf("core: IR root %d out of range [0,%d)", ir.Root, n)
 		}
 	}

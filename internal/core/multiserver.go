@@ -80,7 +80,7 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, net
 	if len(fabrics) != len(c.Servers) {
 		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), len(c.Servers))
 	}
-	opts.setDefaults()
+	opts.SetDefaults()
 	// One partition per GPU of the smallest server: every server can then
 	// host a distinct local root per partition.
 	parts := c.Servers[0].NumGPUs
@@ -174,7 +174,7 @@ func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, net
 	if localRoot < 0 || localRoot >= c.Servers[rootServer].NumGPUs {
 		return nil, fmt.Errorf("core: local root %d out of range on server %d", localRoot, rootServer)
 	}
-	opts.setDefaults()
+	opts.SetDefaults()
 	totalFloats := int(bytes / 4)
 	if totalFloats < 1 {
 		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
@@ -227,7 +227,7 @@ func BuildThreePhaseAllToAll(c *topology.Cluster, fabrics []*simgpu.Fabric, netF
 	if len(fabrics) != len(c.Servers) {
 		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), len(c.Servers))
 	}
-	opts.setDefaults()
+	opts.SetDefaults()
 	total := 0
 	rankBase := make([]int, len(c.Servers))
 	for si, s := range c.Servers {

@@ -40,7 +40,9 @@ type PlanOptions struct {
 	BroadcastAcc bool
 }
 
-func (o *PlanOptions) setDefaults() {
+// SetDefaults resolves ChunkBytes as documented on the field. Exported for
+// the baseline builders in internal/ring, which chunk by the same rule.
+func (o *PlanOptions) SetDefaults() {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 4 << 20
 	}
@@ -206,8 +208,12 @@ type region struct {
 // starting at base, and computes per-tree chunk counts for the given chunk
 // size. Rounding remainder goes to the heaviest tree, so a zero-weight
 // (or lightest) tree is never handed payload its capacity share cannot
-// justify.
+// justify. An empty packing — the trivialPacking of a one-GPU server, which
+// has nothing to move locally — has no regions.
 func splitRegions(trees []Tree, base, totalFloats int, chunkBytes int64) []region {
+	if len(trees) == 0 {
+		return nil
+	}
 	regions := make([]region, len(trees))
 	var wsum float64
 	heaviest := 0
@@ -260,7 +266,13 @@ type planBuilder struct {
 }
 
 func newBuilder(f *simgpu.Fabric, opts PlanOptions) *planBuilder {
+	opts.SetDefaults()
 	return &planBuilder{f: f, g: f.Graph, opts: opts, streams: map[[5]int]int{}}
+}
+
+// plan closes the builder into the schedule it accumulated.
+func (b *planBuilder) plan(totalBytes int64) *Plan {
+	return &Plan{Ops: b.ops, TotalBytes: totalBytes, Fabric: b.f, Streams: len(b.streams)}
 }
 
 // stream returns a stream ID. With reuse enabled, trees sharing a link at
@@ -339,24 +351,6 @@ func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) fun
 	}
 }
 
-// shardCopyExec builds an Exec closure copying, for each vertex u in verts,
-// floats [u*perVertex+off, u*perVertex+off+n) of BufData from device src to
-// device dst — the data movement of one Gather/Scatter tree transfer.
-func (b *planBuilder) shardCopyExec(src, dst int, verts []int, perVertex, off, n, bufLen int) func(*simgpu.BufferSet) {
-	if !b.opts.DataMode {
-		return nil
-	}
-	vs := append([]int(nil), verts...)
-	return func(bufs *simgpu.BufferSet) {
-		sb := bufs.Buffer(src, BufData, bufLen)
-		db := bufs.Buffer(dst, BufData, bufLen)
-		for _, u := range vs {
-			base := u * perVertex
-			copy(db[base+off:base+off+n], sb[base+off:base+off+n])
-		}
-	}
-}
-
 // addExec builds an Exec closure adding scratch floats into the accumulator.
 func (b *planBuilder) addExec(dev, scratchTag, off, n, bufLen int) func(*simgpu.BufferSet) {
 	if !b.opts.DataMode {
@@ -378,83 +372,119 @@ const (
 	phaseGather
 )
 
+// treeGen is the opening every tree generator shares (§4.1): a builder, the
+// packing's per-tree shapes, each tree's weighted region of the payload it
+// splits, and the chunk count of the longest region. Three emitters run over
+// it: the down-tree broadcast, the up-tree reduce, and the shard
+// scatter/gather.
+type treeGen struct {
+	*planBuilder
+	p          *Packing
+	shapes     []*treeShape
+	regions    []region
+	chunkBytes int64
+	maxChunks  int
+	// bufLen is the length of the arena buffers the emitted Execs address.
+	bufLen int
+}
+
+// newTreeGen splits floats [base, base+floats) across p's trees by weight,
+// each share chunked by chunkBytes.
+func newTreeGen(b *planBuilder, p *Packing, base, floats int, chunkBytes int64, bufLen int) (*treeGen, error) {
+	t := &treeGen{planBuilder: b, p: p, chunkBytes: chunkBytes, bufLen: bufLen,
+		shapes: make([]*treeShape, len(p.Trees)), regions: splitRegions(p.Trees, base, floats, chunkBytes)}
+	for i, tr := range p.Trees {
+		s, err := shapeOf(b.g, tr.Arbo)
+		if err != nil {
+			return nil, err
+		}
+		t.shapes[i] = s
+	}
+	for _, r := range t.regions {
+		if r.chunks > t.maxChunks {
+			t.maxChunks = r.chunks
+		}
+	}
+	return t, nil
+}
+
+// payloadGen opens a generator for the builders whose every tree edge
+// carries the tree's whole share of the payload (Broadcast, Reduce,
+// AllReduce), over the plan's region [OffsetFloats, OffsetFloats+bytes/4).
+func payloadGen(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*treeGen, error) {
+	totalFloats := int(bytes / 4)
+	if totalFloats <= 0 {
+		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
+	}
+	b := newBuilder(f, opts)
+	return newTreeGen(b, p, b.opts.OffsetFloats, totalFloats, b.opts.ChunkBytes, b.opts.OffsetFloats+totalFloats)
+}
+
+// rankSubtrees returns, per tree, every vertex's subtree ranks: the shards a
+// Gather/Scatter transfer across the edge above that vertex carries.
+func (t *treeGen) rankSubtrees(ranks int) [][][]int {
+	out := make([][][]int, len(t.shapes))
+	for i, s := range t.shapes {
+		out[i] = s.rankSubtrees(ranks)
+	}
+	return out
+}
+
 // BuildBroadcastPlan compiles a one-to-many broadcast of `bytes` from the
 // packing's root over its weighted trees: the payload splits across trees
 // by weight, each tree's share is chunked, and chunk k on an edge depends
 // on chunk k arriving at the edge's source (pipelined forwarding, Fig 11).
 func BuildBroadcastPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
-	b := newBuilder(f, opts)
-	totalFloats := int(bytes / 4)
-	if totalFloats <= 0 {
-		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
-	}
-	bufLen := opts.OffsetFloats + totalFloats
-	regions := splitRegions(p.Trees, opts.OffsetFloats, totalFloats, opts.ChunkBytes)
-	shapes := make([]*treeShape, len(p.Trees))
-	for i, t := range p.Trees {
-		s, err := shapeOf(b.g, t.Arbo)
-		if err != nil {
-			return nil, err
-		}
-		shapes[i] = s
-	}
-	if err := emitBroadcast(b, p, shapes, regions, bufLen, nil); err != nil {
+	t, err := payloadGen(f, p, bytes, opts)
+	if err != nil {
 		return nil, err
 	}
-	return &Plan{Ops: b.ops, TotalBytes: int64(totalFloats) * 4, Fabric: f, Streams: len(b.streams)}, nil
+	t.emitBroadcast(nil)
+	return t.plan(bytes / 4 * 4), nil
 }
 
 // emitBroadcast generates broadcast ops. rootDeps, when non-nil, supplies
 // extra per-(tree,chunk) dependencies that must complete before the root
 // may send that chunk (used by AllReduce to chain the reduce phase).
-func emitBroadcast(b *planBuilder, p *Packing, shapes []*treeShape, regions []region, bufLen int, rootDeps [][][]int) error {
-	maxChunks := 0
-	for _, r := range regions {
-		if r.chunks > maxChunks {
-			maxChunks = r.chunks
-		}
-	}
+func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 	// sent[tree][vertex] = op index of the copy that delivered the current
 	// chunk to vertex (for dependency chaining within chunk k).
-	sent := make([][]int, len(p.Trees))
+	sent := make([][]int, len(t.shapes))
 	for i := range sent {
-		sent[i] = make([]int, b.g.N)
+		sent[i] = make([]int, t.g.N)
 	}
 	tag := BufData
-	if rootDeps != nil || b.opts.BroadcastAcc {
+	if rootDeps != nil || t.opts.BroadcastAcc {
 		tag = BufAcc // AllReduce (and phase 3) broadcast the reduced accumulator
 	}
-	for k := 0; k < maxChunks; k++ {
-		for ti := range p.Trees {
-			if k >= regions[ti].chunks {
+	for k := 0; k < t.maxChunks; k++ {
+		for ti, s := range t.shapes {
+			if k >= t.regions[ti].chunks {
 				continue
 			}
-			s := shapes[ti]
-			off, n := regions[ti].chunkSpan(k, b.opts.ChunkBytes)
+			off, n := t.regions[ti].chunkSpan(k, t.chunkBytes)
 			for vi := range sent[ti] {
 				sent[ti][vi] = -1
 			}
 			for _, v := range s.bfs {
-				if v == p.Root {
+				if v == t.p.Root {
 					continue
 				}
 				eid := s.parentEdge[v]
-				e := b.g.Edges[eid]
+				e := t.g.Edges[eid]
 				var deps []int
 				if up := sent[ti][e.From]; up >= 0 {
 					deps = append(deps, up)
-				} else if e.From == p.Root && rootDeps != nil {
+				} else if e.From == t.p.Root && rootDeps != nil {
 					deps = append(deps, rootDeps[ti][k]...)
 				}
-				sent[ti][v] = b.addTransfer(phaseBroadcast, ti, eid, s.depth[v],
+				sent[ti][v] = t.addTransfer(phaseBroadcast, ti, eid, s.depth[v],
 					int64(n)*4, deps,
-					b.copyExec(e.From, e.To, tag, tag, off, n, bufLen),
+					t.copyExec(e.From, e.To, tag, tag, off, n, t.bufLen),
 					fmt.Sprintf("bcast t%d c%d %d->%d", ti, k, e.From, e.To))
 			}
 		}
 	}
-	return nil
 }
 
 // BuildReducePlan compiles a many-to-one reduction to the packing's root:
@@ -463,66 +493,45 @@ func emitBroadcast(b *planBuilder, p *Packing, shapes []*treeShape, regions []re
 // partial result (reduce+forward, §2.2). The returned plan's final ops per
 // (tree, chunk) are recorded in RootReduceOps for chaining by AllReduce.
 func BuildReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, [][][]int, error) {
-	opts.setDefaults()
-	b := newBuilder(f, opts)
-	totalFloats := int(bytes / 4)
-	if totalFloats <= 0 {
-		return nil, nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
-	}
-	bufLen := opts.OffsetFloats + totalFloats
-	regions := splitRegions(p.Trees, opts.OffsetFloats, totalFloats, opts.ChunkBytes)
-	shapes := make([]*treeShape, len(p.Trees))
-	for i, t := range p.Trees {
-		s, err := shapeOf(b.g, t.Arbo)
-		if err != nil {
-			return nil, nil, err
-		}
-		shapes[i] = s
-	}
-	rev, err := reverseEdges(b.g)
+	t, err := payloadGen(f, p, bytes, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A standalone Reduce (unlike the one embedded in AllReduce, whose
-	// caller chains phases) must seed every accumulator with the device's
-	// own input before any partial arrives.
-	initAccumulators(b, bufLen)
-	rootOps, err := emitReduce(b, p, shapes, regions, rev, bufLen)
+	rootOps, err := t.emitReduce()
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Plan{Ops: b.ops, TotalBytes: int64(totalFloats) * 4, Fabric: f, Streams: len(b.streams)}, rootOps, nil
+	return t.plan(bytes / 4 * 4), rootOps, nil
 }
 
-// emitReduce generates the reduce phase and returns rootOps[tree][chunk]:
-// the op indices whose completion means the root holds the full reduction
-// of that tree's chunk.
-func emitReduce(b *planBuilder, p *Packing, shapes []*treeShape, regions []region, rev []int, bufLen int) ([][][]int, error) {
-	maxChunks := 0
-	for _, r := range regions {
-		if r.chunks > maxChunks {
-			maxChunks = r.chunks
-		}
+// emitReduce seeds every accumulator, generates the reduce phase and returns
+// rootOps[tree][chunk]: the op indices whose completion means the root
+// holds the full reduction of that tree's chunk.
+func (t *treeGen) emitReduce() ([][][]int, error) {
+	rev, err := reverseEdges(t.g)
+	if err != nil {
+		return nil, err
 	}
-	rootOps := make([][][]int, len(p.Trees))
+	// Accumulator init ops must precede all reduce ops in data mode; they
+	// are zero-cost and dependency-free, so executing them first is
+	// guaranteed by their zero ready-time and unique streams.
+	initAccumulators(t.planBuilder, t.bufLen)
+	rootOps := make([][][]int, len(t.shapes))
 	for i := range rootOps {
-		rootOps[i] = make([][]int, regions[i].chunks)
+		rootOps[i] = make([][]int, t.regions[i].chunks)
 	}
-	// In data mode every device's accumulator starts as its own input;
-	// initialization is performed by the caller (see initAccumulators).
-	upSend := make([][]int, len(p.Trees)) // op index of v's upward send for current chunk
-	reduced := make([][][]int, len(p.Trees))
+	upSend := make([][]int, len(t.shapes)) // op index of v's upward send for current chunk
+	reduced := make([][][]int, len(t.shapes))
 	for i := range upSend {
-		upSend[i] = make([]int, b.g.N)
-		reduced[i] = make([][]int, b.g.N)
+		upSend[i] = make([]int, t.g.N)
+		reduced[i] = make([][]int, t.g.N)
 	}
-	for k := 0; k < maxChunks; k++ {
-		for ti := range p.Trees {
-			if k >= regions[ti].chunks {
+	for k := 0; k < t.maxChunks; k++ {
+		for ti, s := range t.shapes {
+			if k >= t.regions[ti].chunks {
 				continue
 			}
-			s := shapes[ti]
-			off, n := regions[ti].chunkSpan(k, b.opts.ChunkBytes)
+			off, n := t.regions[ti].chunkSpan(k, t.chunkBytes)
 			for vi := range upSend[ti] {
 				upSend[ti][vi] = -1
 				reduced[ti][vi] = nil
@@ -539,7 +548,7 @@ func emitReduce(b *planBuilder, p *Packing, shapes []*treeShape, regions []regio
 					var execs []func(*simgpu.BufferSet)
 					for _, c := range cs {
 						deps = append(deps, upSend[ti][c])
-						if e := b.addExec(v, BufScratchBase+c, off, n, bufLen); e != nil {
+						if e := t.addExec(v, BufScratchBase+c, off, n, t.bufLen); e != nil {
 							execs = append(execs, e)
 						}
 					}
@@ -552,32 +561,26 @@ func emitReduce(b *planBuilder, p *Packing, shapes []*treeShape, regions []regio
 						}
 					}
 					rop := &simgpu.Op{
-						Stream:   b.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
-						Link:     b.f.ReduceLink(v),
+						Stream:   t.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
+						Link:     t.f.ReduceLink(v),
 						Bytes:    int64(n) * 4 * int64(len(cs)),
-						Overhead: b.f.Cfg.ReduceOverhead,
+						Overhead: t.f.Cfg.ReduceOverhead,
 						Deps:     deps,
 						Exec:     exec,
 						Label:    fmt.Sprintf("reduce t%d c%d @%d", ti, k, v),
 					}
-					reduced[ti][v] = append(reduced[ti][v], b.add(rop))
+					reduced[ti][v] = append(reduced[ti][v], t.add(rop))
 				}
-				if v == p.Root {
-					deps := reduced[ti][v]
-					if len(deps) == 0 { // single-vertex tree cannot happen (validated)
-						deps = nil
-					}
-					rootOps[ti][k] = append([]int(nil), deps...)
+				if v == t.p.Root {
+					rootOps[ti][k] = append([]int(nil), reduced[ti][v]...)
 					continue
 				}
 				// Upward send from v to its parent over the reverse link.
-				downE := s.parentEdge[v]
-				upE := rev[downE]
-				e := b.g.Edges[upE]
-				scratch := BufScratchBase + v
-				upSend[ti][v] = b.addTransfer(phaseReduce, ti, upE, s.depth[v],
+				upE := rev[s.parentEdge[v]]
+				e := t.g.Edges[upE]
+				upSend[ti][v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v],
 					int64(n)*4, append([]int(nil), reduced[ti][v]...),
-					b.copyExec(v, e.To, BufAcc, scratch, off, n, bufLen),
+					t.copyExec(v, e.To, BufAcc, BufScratchBase+v, off, n, t.bufLen),
 					fmt.Sprintf("rsend t%d c%d %d->%d", ti, k, v, e.To))
 			}
 		}
@@ -615,38 +618,16 @@ func initAccumulators(b *planBuilder, bufLen int) {
 // the other direction, chained per chunk so the broadcast of chunk k starts
 // as soon as the root finishes reducing chunk k.
 func BuildAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
-	b := newBuilder(f, opts)
-	totalFloats := int(bytes / 4)
-	if totalFloats <= 0 {
-		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
-	}
-	bufLen := opts.OffsetFloats + totalFloats
-	regions := splitRegions(p.Trees, opts.OffsetFloats, totalFloats, opts.ChunkBytes)
-	shapes := make([]*treeShape, len(p.Trees))
-	for i, t := range p.Trees {
-		s, err := shapeOf(b.g, t.Arbo)
-		if err != nil {
-			return nil, err
-		}
-		shapes[i] = s
-	}
-	rev, err := reverseEdges(b.g)
+	t, err := payloadGen(f, p, bytes, opts)
 	if err != nil {
 		return nil, err
 	}
-	initAccumulators(b, bufLen)
-	// Accumulator init ops must precede all reduce ops in data mode; they
-	// are zero-cost and dependency-free, so executing them first is
-	// guaranteed by their zero ready-time and unique streams.
-	rootOps, err := emitReduce(b, p, shapes, regions, rev, bufLen)
+	rootOps, err := t.emitReduce()
 	if err != nil {
 		return nil, err
 	}
-	if err := emitBroadcast(b, p, shapes, regions, bufLen, rootOps); err != nil {
-		return nil, err
-	}
-	return &Plan{Ops: b.ops, TotalBytes: int64(totalFloats) * 4, Fabric: f, Streams: len(b.streams)}, nil
+	t.emitBroadcast(rootOps)
+	return t.plan(bytes / 4 * 4), nil
 }
 
 // BuildGatherPlan compiles a many-to-one gather: within each tree, a vertex
@@ -655,8 +636,6 @@ func BuildAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOpti
 // of Broadcast and achieves comparable throughput when the per-vertex
 // contribution is bytes/N.
 func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
-	b := newBuilder(f, opts)
 	totalFloats := int(bytes / 4)
 	// Shards belong to GPU ranks only; relay vertices (PCIe hubs) forward
 	// payload but contribute none.
@@ -665,38 +644,23 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 		return nil, fmt.Errorf("core: payload too small (%d bytes for %d devices)", bytes, n)
 	}
 	perVertex := totalFloats / n
-	regions := splitRegions(p.Trees, 0, perVertex, b.opts.ChunkBytes)
-	shapes := make([]*treeShape, len(p.Trees))
-	for i, t := range p.Trees {
-		s, err := shapeOf(b.g, t.Arbo)
-		if err != nil {
-			return nil, err
-		}
-		shapes[i] = s
+	b := newBuilder(f, opts)
+	t, err := newTreeGen(b, p, 0, perVertex, b.opts.ChunkBytes, perVertex*n)
+	if err != nil {
+		return nil, err
 	}
 	rev, err := reverseEdges(b.g)
 	if err != nil {
 		return nil, err
 	}
-	subVerts := make([][][]int, len(shapes))
-	for i, s := range shapes {
-		subVerts[i] = s.rankSubtrees(n)
-	}
-	bufLen := perVertex * n
+	subVerts := t.rankSubtrees(n)
 	upSend := make([]int, b.g.N)
-	maxChunks := 0
-	for _, r := range regions {
-		if r.chunks > maxChunks {
-			maxChunks = r.chunks
-		}
-	}
-	for k := 0; k < maxChunks; k++ {
-		for ti := range p.Trees {
-			if k >= regions[ti].chunks {
+	for k := 0; k < t.maxChunks; k++ {
+		for ti, s := range t.shapes {
+			if k >= t.regions[ti].chunks {
 				continue
 			}
-			s := shapes[ti]
-			soff, nfl := regions[ti].chunkSpan(k, b.opts.ChunkBytes)
+			soff, nfl := t.regions[ti].chunkSpan(k, t.chunkBytes)
 			for vi := range upSend {
 				upSend[vi] = -1
 			}
@@ -717,26 +681,19 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 						deps = append(deps, upSend[c])
 					}
 				}
-				var exec func(*simgpu.BufferSet)
-				if opts.DataMode {
-					exec = b.shardCopyExec(v, parent, shards, perVertex, soff, nfl, bufLen)
-				}
 				upSend[v] = b.addTransfer(phaseGather, ti, upE, s.depth[v],
-					int64(len(shards))*int64(nfl)*4, deps, exec,
+					int64(len(shards))*int64(nfl)*4, deps,
+					b.exchangeShardExec(v, parent, BufData, BufData, shards, perVertex, 0, soff, nfl, t.bufLen),
 					fmt.Sprintf("gather t%d c%d %d up", ti, k, v))
 			}
 		}
 	}
-	return &Plan{Ops: b.ops, TotalBytes: int64(perVertex) * int64(n) * 4, Fabric: f, Streams: len(b.streams)}, nil
+	return b.plan(int64(perVertex) * int64(n) * 4), nil
 }
 
 // BuildScatterPlan compiles a one-to-many scatter: the root distributes a
-// distinct bytes/N shard to every rank. Within each tree, the transfer to a
-// vertex carries its whole subtree's shards (the inverse of Gather), so
-// edge bytes shrink toward the leaves.
+// distinct bytes/N shard to every rank (the inverse of Gather).
 func BuildScatterPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	opts.setDefaults()
-	b := newBuilder(f, opts)
 	totalFloats := int(bytes / 4)
 	// As in Gather, shards belong to GPU ranks only.
 	n := ranksOf(f)
@@ -744,48 +701,48 @@ func BuildScatterPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOption
 		return nil, fmt.Errorf("core: payload too small (%d bytes for %d devices)", bytes, n)
 	}
 	perVertex := totalFloats / n
+	b := newBuilder(f, opts)
+	if err := emitShardScatter(b, p, n, perVertex, 0, perVertex*n, BufData, phaseBroadcast, "scatter"); err != nil {
+		return nil, err
+	}
+	return b.plan(int64(perVertex) * int64(n) * 4), nil
+}
+
+// emitShardScatter schedules one root's scatter of a distinct perVertex-float
+// shard to each of the n ranks over pk's trees, the emitter under Scatter
+// and under every source of an AllToAll. Within each tree, the transfer to a
+// vertex carries its whole subtree's shards, so edge bytes shrink toward the
+// leaves. The first hop reads the root's BufData; below it shards stage and
+// land under stageTag — BufData for a Scatter, the source's exchange tag for
+// AllToAll, so n scatters share the fabric without aliasing. Shard u sits at
+// float (destBase+u)*perVertex of a bufLen-float buffer (destBase shifts
+// local ranks into a cluster's global layout).
+func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, destBase, bufLen, stageTag, phase int, label string) error {
 	// An edge near the root carries up to (n-1) vertices' shards per chunk,
 	// so scale the chunk unit down by the fan-out to keep root-edge ops
-	// near the configured chunk size (preserving pipelining).
-	chunkOpts := b.opts
-	if unit := b.opts.ChunkBytes / int64(n-1); unit >= 4 {
-		chunkOpts.ChunkBytes = unit - unit%4
-	} else {
-		chunkOpts.ChunkBytes = 4
+	// near the configured chunk size (preserving pipelining). A lone rank
+	// (a cluster's one-GPU server) fans out to nobody.
+	chunkBytes := int64(4)
+	if unit := b.opts.ChunkBytes / int64(max(n-1, 1)); unit >= 4 {
+		chunkBytes = unit - unit%4
 	}
-	regions := splitRegions(p.Trees, 0, perVertex, chunkOpts.ChunkBytes)
-	shapes := make([]*treeShape, len(p.Trees))
-	for i, t := range p.Trees {
-		s, err := shapeOf(b.g, t.Arbo)
-		if err != nil {
-			return nil, err
-		}
-		shapes[i] = s
+	t, err := newTreeGen(b, pk, 0, perVertex, chunkBytes, bufLen)
+	if err != nil {
+		return err
 	}
-	subVerts := make([][][]int, len(shapes))
-	for i, s := range shapes {
-		subVerts[i] = s.rankSubtrees(n)
-	}
-	bufLen := perVertex * n
+	subVerts := t.rankSubtrees(n)
 	sent := make([]int, b.g.N)
-	maxChunks := 0
-	for _, r := range regions {
-		if r.chunks > maxChunks {
-			maxChunks = r.chunks
-		}
-	}
-	for k := 0; k < maxChunks; k++ {
-		for ti := range p.Trees {
-			if k >= regions[ti].chunks {
+	for k := 0; k < t.maxChunks; k++ {
+		for ti, s := range t.shapes {
+			if k >= t.regions[ti].chunks {
 				continue
 			}
-			s := shapes[ti]
-			soff, nfl := regions[ti].chunkSpan(k, chunkOpts.ChunkBytes)
+			soff, nfl := t.regions[ti].chunkSpan(k, chunkBytes)
 			for vi := range sent {
 				sent[vi] = -1
 			}
 			for _, v := range s.bfs {
-				if v == p.Root {
+				if v == pk.Root {
 					continue
 				}
 				shards := subVerts[ti][v]
@@ -798,15 +755,16 @@ func BuildScatterPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOption
 				if up := sent[e.From]; up >= 0 {
 					deps = append(deps, up)
 				}
-				var exec func(*simgpu.BufferSet)
-				if opts.DataMode {
-					exec = b.shardCopyExec(e.From, v, shards, perVertex, soff, nfl, bufLen)
+				srcTag := stageTag
+				if e.From == pk.Root {
+					srcTag = BufData // first hop reads the root's input
 				}
-				sent[v] = b.addTransfer(phaseBroadcast, ti, eid, s.depth[v],
-					int64(len(shards))*int64(nfl)*4, deps, exec,
-					fmt.Sprintf("scatter t%d c%d ->%d", ti, k, v))
+				sent[v] = b.addTransfer(phase, ti, eid, s.depth[v],
+					int64(len(shards))*int64(nfl)*4, deps,
+					b.exchangeShardExec(e.From, v, srcTag, stageTag, shards, perVertex, destBase, soff, nfl, bufLen),
+					fmt.Sprintf("%s t%d c%d ->%d", label, ti, k, v))
 			}
 		}
 	}
-	return &Plan{Ops: b.ops, TotalBytes: int64(perVertex) * int64(n) * 4, Fabric: f, Streams: len(b.streams)}, nil
+	return nil
 }

@@ -2,78 +2,12 @@ package dnn
 
 import (
 	"fmt"
-	"sync"
 
 	"blink/internal/cluster"
 	"blink/internal/collective"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
-
-// ClusterEngineComm adapts a cluster engine as a CommFn: gradient
-// AllReduces run the cached three-phase protocol (Blink) or the flat
-// cross-machine ring (NCCL). Safe for concurrent use.
-func ClusterEngineComm(eng *collective.ClusterEngine, backend collective.Backend) CommFn {
-	var mu sync.Mutex
-	cache := map[int64]float64{}
-	return func(bytes int64) (float64, error) {
-		mu.Lock()
-		t, ok := cache[bytes]
-		mu.Unlock()
-		if ok {
-			return t, nil
-		}
-		res, err := eng.Run(backend, collective.AllReduce, 0, bytes, collective.Options{})
-		if err != nil {
-			return 0, err
-		}
-		t = res.Seconds + CollectiveCallLatency
-		mu.Lock()
-		cache[bytes] = t
-		mu.Unlock()
-		return t, nil
-	}
-}
-
-// ClusterTrainStep issues one data-parallel step's gradient buckets as a
-// grouped cluster collective — the multi-server counterpart of TrainStep.
-// The first step compiles one three-phase schedule per distinct bucket
-// size; later steps replay frozen cluster plans.
-func ClusterTrainStep(eng *collective.ClusterEngine, backend collective.Backend, m *Model, bucketBytes int64) (collective.GroupResult, error) {
-	sizes := GradientBuckets(m, bucketBytes)
-	if len(sizes) == 0 {
-		return collective.GroupResult{}, fmt.Errorf("dnn: model %s has no gradients", m.Name)
-	}
-	return eng.RunMany(backend, collective.AllReduce, 0, sizes, collective.Options{})
-}
-
-// SimulateClusterTrainingRun drives iters multi-server training steps of
-// the model through one cluster engine, separating the cold first step
-// (schedule compilation across every server plus the NIC phase) from the
-// warm steady state (frozen cluster-plan replay).
-func SimulateClusterTrainingRun(eng *collective.ClusterEngine, backend collective.Backend, m *Model, bucketBytes int64, iters int, clock func() float64) (TrainingRun, error) {
-	if iters < 2 {
-		return TrainingRun{}, fmt.Errorf("dnn: need >= 2 iterations to split cold/warm, got %d", iters)
-	}
-	tr := TrainingRun{Model: m.Name, Iterations: iters, Buckets: len(GradientBuckets(m, bucketBytes))}
-	for it := 0; it < iters; it++ {
-		start := clock()
-		g, err := ClusterTrainStep(eng, backend, m, bucketBytes)
-		if err != nil {
-			return TrainingRun{}, err
-		}
-		elapsed := clock() - start
-		if it == 0 {
-			tr.ColdWallSeconds = elapsed
-			tr.StepSeconds = g.Seconds
-		} else {
-			tr.WarmWallSeconds += elapsed / float64(iters-1)
-		}
-		tr.CacheHits += g.CacheHits
-		tr.CacheMisses += g.CacheMisses
-	}
-	return tr, nil
-}
 
 // ScenarioTraining reports one fragmentation scenario's training-step
 // simulation: the Blink three-phase run plus the flat-ring baseline step.
@@ -104,11 +38,11 @@ func SimulateScenarioTraining(scenarios []cluster.Scenario, machine *topology.To
 		if err != nil {
 			return nil, fmt.Errorf("dnn: scenario %s: %w", sc.Key(), err)
 		}
-		run, err := SimulateClusterTrainingRun(eng, collective.Blink, m, bucketBytes, iters, clock)
+		run, err := SimulateTrainingRun(eng, collective.Blink, m, bucketBytes, iters, clock)
 		if err != nil {
 			return nil, fmt.Errorf("dnn: scenario %s: %w", sc.Key(), err)
 		}
-		ringStep, err := ClusterTrainStep(eng, collective.NCCL, m, bucketBytes)
+		ringStep, err := TrainStep(eng, collective.NCCL, m, bucketBytes)
 		if err != nil {
 			return nil, fmt.Errorf("dnn: scenario %s ring baseline: %w", sc.Key(), err)
 		}

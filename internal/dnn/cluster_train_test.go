@@ -21,7 +21,7 @@ func TestSimulateClusterTrainingRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := SimulateClusterTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, 4, wallClock)
+	tr, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, 4, wallClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestClusterEngineCommIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := VGG16()
-	blink, err := SimulateIteration(m, topology.GenV100, c.TotalGPUs(), ClusterEngineComm(eng, collective.Blink))
+	blink, err := SimulateIteration(m, topology.GenV100, c.TotalGPUs(), EngineComm(eng, collective.Blink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := SimulateIteration(m, topology.GenV100, c.TotalGPUs(), ClusterEngineComm(eng, collective.NCCL))
+	ring, err := SimulateIteration(m, topology.GenV100, c.TotalGPUs(), EngineComm(eng, collective.NCCL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestClusterEngineCommIteration(t *testing.T) {
 	}
 	// The adapter memoizes per tensor size: re-running must give identical
 	// (deterministic, cached) timings.
-	again, err := SimulateIteration(m, topology.GenV100, c.TotalGPUs(), ClusterEngineComm(eng, collective.Blink))
+	again, err := SimulateIteration(m, topology.GenV100, c.TotalGPUs(), EngineComm(eng, collective.Blink))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -365,7 +365,7 @@ func SimulateClusterTrainingRunWithFaults(c *topology.Cluster, backend collectiv
 			return descs, nil
 		},
 		func() (collective.GroupResult, int, error) {
-			g, err := ClusterTrainStep(eng, backend, m, bucketBytes)
+			g, err := TrainStep(eng, backend, m, bucketBytes)
 			return g, eng.TotalRanks(), err
 		})
 }

@@ -13,42 +13,17 @@ import (
 // forwards a segment to its successor which accumulates it, then N-1
 // all-gather steps circulate the fully reduced segments.
 
-// BuildAllReducePlan compiles a ring AllReduce over the discovered rings,
+// BuildAllReducePlan compiles a ring AllReduce over the plane's rings,
 // splitting the payload across rings.
-func BuildAllReducePlan(f *simgpu.Fabric, rings []Ring, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	if len(rings) == 0 {
-		return nil, fmt.Errorf("ring: no rings available")
-	}
-	var lrs []logicalRing
-	for _, r := range rings {
-		lrs = append(lrs, fromRing(r))
+func BuildAllReducePlan(f *simgpu.Fabric, plane core.FabricSel, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+	lrs, err := logicalRings(f, plane)
+	if err != nil {
+		return nil, err
 	}
 	return buildRingAllReduce(f, lrs, bytes, opts)
 }
 
-// BuildPCIeAllReducePlan is the PCIe fallback AllReduce over the hub graph.
-func BuildPCIeAllReducePlan(f *simgpu.Fabric, nGPUs int, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	lr, err := PCIeRing(f.Graph, nGPUs)
-	if err != nil {
-		return nil, err
-	}
-	return buildRingAllReduce(f, []logicalRing{lr}, bytes, opts)
-}
-
-// BuildSwitchAllReducePlan is NCCL's large-payload ring AllReduce on a
-// switch fabric (DGX-2).
-func BuildSwitchAllReducePlan(f *simgpu.Fabric, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	lr, err := SwitchRing(f.Graph)
-	if err != nil {
-		return nil, err
-	}
-	return buildRingAllReduce(f, []logicalRing{lr}, bytes, opts)
-}
-
-func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts Options) (*core.Plan, error) {
+func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
 	totalFloats := int(bytes / 4)
 	n := len(lrs[0].verts)
 	if totalFloats < n*len(lrs) {
@@ -83,7 +58,7 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts O
 	// ChunkBytes*N floats, so successive slices overlap across steps and
 	// across the two legs of hub/switch hops (without slicing, each
 	// step-synchronous segment transfer would serialize its legs).
-	sliceFloats := int(opts.ChunkBytes/4) * n
+	sliceFloats := int(b.opts.ChunkBytes/4) * n
 	if sliceFloats < n {
 		sliceFloats = n
 	}

@@ -97,8 +97,7 @@ func DoubleBinaryTrees(lg *graph.Graph) ([]*core.Packing, error) {
 
 // BuildDBTreeAllReducePlan compiles NCCL's double-binary-tree AllReduce:
 // each tree reduce-broadcasts half the payload concurrently.
-func BuildDBTreeAllReducePlan(f *simgpu.Fabric, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
+func BuildDBTreeAllReducePlan(f *simgpu.Fabric, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
 	packs, err := DoubleBinaryTrees(f.Graph)
 	if err != nil {
 		return nil, err
@@ -107,6 +106,8 @@ func BuildDBTreeAllReducePlan(f *simgpu.Fabric, bytes int64, opts Options) (*cor
 	sizes := []int64{half, bytes - half}
 	var plans []*core.Plan
 	for i, p := range packs {
+		// Only chunking and data mode carry over: the trees keep core's
+		// default stream reuse whatever the caller's NoStreamReuse says.
 		po := core.PlanOptions{ChunkBytes: opts.ChunkBytes, DataMode: opts.DataMode, OffsetFloats: int(half/4) * i}
 		plan, err := core.BuildAllReducePlan(f, p, sizes[i], po)
 		if err != nil {

@@ -1,87 +1,30 @@
 package ring
 
 import (
-	"fmt"
-
 	"blink/internal/core"
 	"blink/internal/simgpu"
 )
 
-// This file wires the ring, PCIe-fallback and switch baseline builders into
-// core's IR codegen dispatch. The ring package already imports core (its
-// builders produce core.Plan), so core cannot call these builders directly;
-// instead each ring-scheduled IR kind registers a builder hook here. Rings
-// are not serialized in the IR — FindRings is deterministic over the fabric
-// graph, so the decoding process recomputes them and gets the identical
-// logical rings the encoder scheduled over.
+// This file wires the baseline builders into core's IR codegen dispatch. The
+// ring package already imports core (its builders produce core.Plan), so
+// core cannot call these builders directly; instead each baseline IR kind
+// registers a builder hook here. A kind names a schedule; the plane it runs
+// over is the IR's Fabric field. Rings are not serialized in the IR — they
+// are a deterministic function of the fabric graph (logicalRings), so the
+// decoding process recomputes them and gets the identical logical rings the
+// encoder scheduled over.
 
 func init() {
 	core.RegisterIRBuilder(core.IRRingBroadcast, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		rings, err := irRings(f)
-		if err != nil {
-			return nil, err
-		}
-		return BuildBroadcastPlan(f, rings, ir.Root, ir.Bytes, irOptions(ir))
+		return BuildBroadcastPlan(f, ir.Fabric, ir.Root, ir.Bytes, ir.Opts)
 	})
 	core.RegisterIRBuilder(core.IRRingAllReduce, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		rings, err := irRings(f)
-		if err != nil {
-			return nil, err
-		}
-		return BuildAllReducePlan(f, rings, ir.Bytes, irOptions(ir))
+		return BuildAllReducePlan(f, ir.Fabric, ir.Bytes, ir.Opts)
 	})
 	core.RegisterIRBuilder(core.IRRingP2P, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		rings, err := irRings(f)
-		if err != nil {
-			return nil, err
-		}
-		return BuildRingP2PPlan(f, rings, irPairs(ir), ir.Chained, irOptions(ir))
-	})
-	core.RegisterIRBuilder(core.IRPCIeBroadcast, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		return BuildPCIeBroadcastPlan(f, core.Ranks(f), ir.Root, ir.Bytes, irOptions(ir))
-	})
-	core.RegisterIRBuilder(core.IRPCIeAllReduce, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		return BuildPCIeAllReducePlan(f, core.Ranks(f), ir.Bytes, irOptions(ir))
-	})
-	core.RegisterIRBuilder(core.IRPCIeP2P, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		return BuildPCIeP2PPlan(f, core.Ranks(f), irPairs(ir), ir.Chained, irOptions(ir))
-	})
-	core.RegisterIRBuilder(core.IRSwitchBroadcast, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		return BuildSwitchBroadcastPlan(f, ir.Root, ir.Bytes, irOptions(ir))
-	})
-	core.RegisterIRBuilder(core.IRSwitchAllReduce, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		return BuildSwitchAllReducePlan(f, ir.Bytes, irOptions(ir))
-	})
-	core.RegisterIRBuilder(core.IRSwitchP2P, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		return BuildSwitchP2PPlan(f, irPairs(ir), ir.Chained, irOptions(ir))
+		return BuildP2PPlan(f, ir.Fabric, ir.Pairs, ir.Chained, ir.Opts)
 	})
 	core.RegisterIRBuilder(core.IRDBTreeAllReduce, func(ir *core.PlanIR, f *simgpu.Fabric) (*core.Plan, error) {
-		return BuildDBTreeAllReducePlan(f, ir.Bytes, irOptions(ir))
+		return BuildDBTreeAllReducePlan(f, ir.Bytes, ir.Opts)
 	})
-}
-
-// irRings recomputes the NVLink rings for a ring-kind IR; an empty result
-// means the decoding fabric cannot host the plan (the encoder would have
-// emitted a PCIe kind), which the fingerprint check should have precluded.
-func irRings(f *simgpu.Fabric) ([]Ring, error) {
-	rings := FindRings(f.Graph)
-	if len(rings) == 0 {
-		return nil, fmt.Errorf("ring: fabric has no rings to host a ring-scheduled plan")
-	}
-	return rings, nil
-}
-
-// irOptions converts the IR's plan options to ring options (ring builders
-// use the same chunking and data-mode semantics as core's).
-func irOptions(ir *core.PlanIR) Options {
-	return Options{ChunkBytes: ir.Opts.ChunkBytes, DataMode: ir.Opts.DataMode}
-}
-
-// irPairs converts the IR's serialized transfer list.
-func irPairs(ir *core.PlanIR) []P2PPair {
-	pairs := make([]P2PPair, len(ir.Pairs))
-	for i, p := range ir.Pairs {
-		pairs[i] = P2PPair{Src: p.Src, Dst: p.Dst, Bytes: p.Bytes}
-	}
-	return pairs
 }

@@ -104,21 +104,15 @@ func NewCrossMachineFabric(c *topology.Cluster, nicGbps float64, cfg simgpu.Conf
 }
 
 // BuildCrossMachineAllReducePlan compiles the global-ring AllReduce.
-func (cf *CrossMachineFabric) BuildCrossMachineAllReducePlan(bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
+func (cf *CrossMachineFabric) BuildCrossMachineAllReducePlan(bytes int64, opts core.PlanOptions) (*core.Plan, error) {
 	return buildRingAllReduce(cf.Fabric, []logicalRing{cf.Ring}, bytes, opts)
 }
 
 // BuildCrossMachineBroadcastPlan compiles the global-ring broadcast from
 // the given global rank (server-major numbering): the payload pipelines
 // down the N-1 hop chain, crossing NICs wherever the ring exits a server.
-func (cf *CrossMachineFabric) BuildCrossMachineBroadcastPlan(root int, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	lr, err := cf.Ring.rotate(root)
-	if err != nil {
-		return nil, err
-	}
-	return buildChainBroadcast(cf.Fabric, []logicalRing{lr}, bytes, opts)
+func (cf *CrossMachineFabric) BuildCrossMachineBroadcastPlan(root int, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+	return buildChainBroadcast(cf.Fabric, []logicalRing{cf.Ring}, root, bytes, opts)
 }
 
 // SimulatedCrossMachineAllReduceGBs runs the global-ring AllReduce and
@@ -128,7 +122,7 @@ func SimulatedCrossMachineAllReduceGBs(c *topology.Cluster, nicGbps float64, byt
 	if err != nil {
 		return 0, err
 	}
-	plan, err := cf.BuildCrossMachineAllReducePlan(bytes, Options{})
+	plan, err := cf.BuildCrossMachineAllReducePlan(bytes, core.PlanOptions{})
 	if err != nil {
 		return 0, err
 	}

@@ -7,12 +7,6 @@ import (
 	"blink/internal/simgpu"
 )
 
-// P2PPair is one directed point-to-point transfer of the baseline scheduler.
-type P2PPair struct {
-	Src, Dst int
-	Bytes    int64
-}
-
 // pathHops returns the hop indices walking the ring forward from src to dst.
 func (lr logicalRing) pathHops(src, dst int) ([]int, error) {
 	si := -1
@@ -38,22 +32,23 @@ func (lr logicalRing) pathHops(src, dst int) ([]int, error) {
 	return hops, nil
 }
 
-// buildRingP2P schedules each pair's payload store-and-forward along a ring,
-// walking hop by hop through every intermediate rank exactly as NCCL's ring
-// channels move point-to-point traffic. Pairs are assigned to rings
-// round-robin and chunk-pipelined along their path. With chained set, pair
-// i+1's chunk k additionally waits on pair i's chunk k delivery — the
-// ordered stage semantics of a send/recv pipeline.
-func buildRingP2P(f *simgpu.Fabric, lrs []logicalRing, pairs []P2PPair, chained bool, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	if len(lrs) == 0 {
-		return nil, fmt.Errorf("ring: no rings available")
+// BuildP2PPlan schedules each pair's payload store-and-forward along one of
+// the plane's rings (the NCCL baseline for AllToAll, SendRecv chains and
+// neighbor exchange), walking hop by hop through every intermediate rank
+// exactly as NCCL's ring channels move point-to-point traffic. Pairs are
+// assigned to rings round-robin and chunk-pipelined along their path. With
+// chained set, pair i+1's chunk k additionally waits on pair i's chunk k
+// delivery — the ordered stage semantics of a send/recv pipeline.
+func BuildP2PPlan(f *simgpu.Fabric, plane core.FabricSel, pairs []core.IRPair, chained bool, opts core.PlanOptions) (*core.Plan, error) {
+	lrs, err := logicalRings(f, plane)
+	if err != nil {
+		return nil, err
 	}
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("ring: no transfers")
 	}
 	b := newBuilder(f, opts)
-	chunkFloats := int(opts.ChunkBytes / 4)
+	chunkFloats := int(b.opts.ChunkBytes / 4)
 	var total int64
 	var prevDelivery []int // per-chunk delivery ops of the previous pair
 	for pi, p := range pairs {
@@ -90,35 +85,4 @@ func buildRingP2P(f *simgpu.Fabric, lrs []logicalRing, pairs []P2PPair, chained 
 		total += p.Bytes
 	}
 	return &core.Plan{Ops: b.ops, TotalBytes: total, Fabric: f, Streams: len(b.streams)}, nil
-}
-
-// BuildRingP2PPlan schedules pairs over NVLink rings (the NCCL baseline for
-// AllToAll, SendRecv chains and neighbor exchange on ring-capable fabrics).
-func BuildRingP2PPlan(f *simgpu.Fabric, rings []Ring, pairs []P2PPair, chained bool, opts Options) (*core.Plan, error) {
-	if len(rings) == 0 {
-		return nil, fmt.Errorf("ring: no rings available")
-	}
-	lrs := make([]logicalRing, len(rings))
-	for i, r := range rings {
-		lrs[i] = fromRing(r)
-	}
-	return buildRingP2P(f, lrs, pairs, chained, opts)
-}
-
-// BuildPCIeP2PPlan schedules pairs over the PCIe fallback ring.
-func BuildPCIeP2PPlan(f *simgpu.Fabric, nGPUs int, pairs []P2PPair, chained bool, opts Options) (*core.Plan, error) {
-	lr, err := PCIeRing(f.Graph, nGPUs)
-	if err != nil {
-		return nil, err
-	}
-	return buildRingP2P(f, []logicalRing{lr}, pairs, chained, opts)
-}
-
-// BuildSwitchP2PPlan schedules pairs over the natural switch-fabric ring.
-func BuildSwitchP2PPlan(f *simgpu.Fabric, pairs []P2PPair, chained bool, opts Options) (*core.Plan, error) {
-	lr, err := SwitchRing(f.Graph)
-	if err != nil {
-		return nil, err
-	}
-	return buildRingP2P(f, []logicalRing{lr}, pairs, chained, opts)
 }

@@ -8,24 +8,6 @@ import (
 	"blink/internal/simgpu"
 )
 
-// Options controls ring schedule generation.
-type Options struct {
-	// ChunkBytes is the pipelining granularity for broadcast chains
-	// (default 4 MiB).
-	ChunkBytes int64
-	// DataMode generates Exec closures moving real float32 data.
-	DataMode bool
-}
-
-func (o *Options) setDefaults() {
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 4 << 20
-	}
-	if r := o.ChunkBytes % 4; r != 0 {
-		o.ChunkBytes += 4 - r
-	}
-}
-
 // logicalRing is a cyclic GPU order where each hop may traverse several
 // graph edges (one for NVLink, two for PCIe via the hub or a switch).
 type logicalRing struct {
@@ -105,15 +87,41 @@ func SwitchRing(lg *graph.Graph) (logicalRing, error) {
 	return lr, nil
 }
 
+// logicalRings returns the rings NCCL walks on a plane of f: every
+// edge-disjoint NVLink ring FindRings extracts, the one PCIe fallback ring
+// of Figure 2b, or the natural ring of a switch fabric. The rings are a
+// deterministic function of the fabric graph, which is why an IR carries
+// only the plane.
+func logicalRings(f *simgpu.Fabric, plane core.FabricSel) ([]logicalRing, error) {
+	switch plane {
+	case core.FabricPCIe:
+		lr, err := PCIeRing(f.Graph, core.Ranks(f))
+		return []logicalRing{lr}, err
+	case core.FabricSwitch:
+		lr, err := SwitchRing(f.Graph)
+		return []logicalRing{lr}, err
+	}
+	rings := FindRings(f.Graph)
+	if len(rings) == 0 {
+		return nil, fmt.Errorf("ring: fabric has no NVLink rings to host a ring-scheduled plan")
+	}
+	lrs := make([]logicalRing, len(rings))
+	for i, r := range rings {
+		lrs[i] = fromRing(r)
+	}
+	return lrs, nil
+}
+
 // builder mirrors core's plan builder for ring schedules.
 type builder struct {
 	f       *simgpu.Fabric
-	opts    Options
+	opts    core.PlanOptions
 	ops     []*simgpu.Op
 	streams map[[4]int]int
 }
 
-func newBuilder(f *simgpu.Fabric, opts Options) *builder {
+func newBuilder(f *simgpu.Fabric, opts core.PlanOptions) *builder {
+	opts.SetDefaults()
 	return &builder{f: f, opts: opts, streams: map[[4]int]int{}}
 }
 
@@ -165,63 +173,32 @@ func (b *builder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []
 	return last
 }
 
-// BuildBroadcastPlan compiles an NCCL-style ring broadcast: the payload is
-// split across rings, and each ring pipelines chunks along the N-1 hop
-// chain from the root.
-func BuildBroadcastPlan(f *simgpu.Fabric, rings []Ring, root int, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	if len(rings) == 0 {
-		return nil, fmt.Errorf("ring: no rings available")
+// BuildBroadcastPlan compiles an NCCL-style ring broadcast over the plane's
+// rings: the payload is split across rings, and each ring pipelines chunks
+// along the N-1 hop chain from the root.
+func BuildBroadcastPlan(f *simgpu.Fabric, plane core.FabricSel, root int, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+	lrs, err := logicalRings(f, plane)
+	if err != nil {
+		return nil, err
 	}
-	var lrs []logicalRing
-	for _, r := range rings {
-		lr, err := fromRing(r).rotate(root)
-		if err != nil {
-			return nil, err
-		}
-		lrs = append(lrs, lr)
-	}
-	return buildChainBroadcast(f, lrs, bytes, opts)
+	return buildChainBroadcast(f, lrs, root, bytes, opts)
 }
 
-// BuildPCIeBroadcastPlan is the PCIe fallback broadcast over the hub graph.
-func BuildPCIeBroadcastPlan(f *simgpu.Fabric, nGPUs, root int, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	lr, err := PCIeRing(f.Graph, nGPUs)
-	if err != nil {
-		return nil, err
-	}
-	lr, err = lr.rotate(root)
-	if err != nil {
-		return nil, err
-	}
-	return buildChainBroadcast(f, []logicalRing{lr}, bytes, opts)
-}
-
-// BuildSwitchBroadcastPlan is NCCL's ring broadcast over a switch fabric.
-func BuildSwitchBroadcastPlan(f *simgpu.Fabric, root int, bytes int64, opts Options) (*core.Plan, error) {
-	opts.setDefaults()
-	lr, err := SwitchRing(f.Graph)
-	if err != nil {
-		return nil, err
-	}
-	lr, err = lr.rotate(root)
-	if err != nil {
-		return nil, err
-	}
-	return buildChainBroadcast(f, []logicalRing{lr}, bytes, opts)
-}
-
-func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts Options) (*core.Plan, error) {
+// buildChainBroadcast pipelines the payload down each ring's chain from root.
+func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
 	totalFloats := int(bytes / 4)
 	if totalFloats <= 0 {
 		return nil, fmt.Errorf("ring: payload too small")
 	}
 	b := newBuilder(f, opts)
-	chunkFloats := int(opts.ChunkBytes / 4)
+	chunkFloats := int(b.opts.ChunkBytes / 4)
 	share := totalFloats / len(lrs)
 	off := 0
 	for ri, lr := range lrs {
+		lr, err := lr.rotate(root)
+		if err != nil {
+			return nil, err
+		}
 		n := share
 		if ri == len(lrs)-1 {
 			n = totalFloats - off

@@ -88,9 +88,8 @@ func TestRingNext(t *testing.T) {
 }
 
 func TestRingBroadcastThroughput(t *testing.T) {
-	ind, f := induced(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	rings := FindRings(ind.GPUGraph())
-	plan, err := BuildBroadcastPlan(f, rings, 0, 500<<20, Options{})
+	_, f := induced(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	plan, err := BuildBroadcastPlan(f, core.FabricNVLink, 0, 500<<20, core.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestRingBroadcastData(t *testing.T) {
 	}
 	bufs := simgpu.NewBufferSet()
 	bufs.SetBuffer(0, core.BufData, append([]float32(nil), src...))
-	plan, err := BuildBroadcastPlan(f, rings, 0, n*4, Options{ChunkBytes: 1024, DataMode: true})
+	plan, err := BuildBroadcastPlan(f, core.FabricNVLink, 0, n*4, core.PlanOptions{ChunkBytes: 1024, DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestRingAllReduceData(t *testing.T) {
 				want[i] += in[i]
 			}
 		}
-		plan, err := BuildAllReducePlan(f, rings, n*4, Options{DataMode: true})
+		plan, err := BuildAllReducePlan(f, core.FabricNVLink, n*4, core.PlanOptions{DataMode: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +180,7 @@ func TestPCIeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := simgpu.NewFabric(ind, ind.PCIeGraph(), simgpu.Config{})
-	plan, err := BuildPCIeBroadcastPlan(f, 3, 0, 500<<20, Options{})
+	plan, err := BuildBroadcastPlan(f, core.FabricPCIe, 0, 500<<20, core.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestPCIeAllReduceData(t *testing.T) {
 			want[i] += in[i]
 		}
 	}
-	plan, err := BuildPCIeAllReducePlan(f, 3, n*4, Options{DataMode: true})
+	plan, err := BuildAllReducePlan(f, core.FabricPCIe, n*4, core.PlanOptions{DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +272,7 @@ func TestDBTreeAllReduceDGX2(t *testing.T) {
 			want[i] += in[i]
 		}
 	}
-	plan, err := BuildDBTreeAllReducePlan(f, n*4, Options{ChunkBytes: 2048, DataMode: true})
+	plan, err := BuildDBTreeAllReducePlan(f, n*4, core.PlanOptions{ChunkBytes: 2048, DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestSwitchRingAllReduceDGX2(t *testing.T) {
 	topo := topology.DGX2()
 	lg := topology.DGX2Logical()
 	f := simgpu.NewSwitchFabric(topo, lg, topology.DGX2LinksPerGPU, simgpu.Config{})
-	plan, err := BuildSwitchAllReducePlan(f, 256<<20, Options{})
+	plan, err := BuildAllReducePlan(f, core.FabricSwitch, 256<<20, core.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
