@@ -15,10 +15,10 @@ COVER_FLOOR_QOS ?= 85
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 3140
-LOC_CEIL_REPO ?= 13680
+LOC_CEIL_CORE ?= 3120
+LOC_CEIL_REPO ?= 12600
 
-.PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke async async-smoke obs obs-smoke compile-bench compile-smoke store-bench store-smoke tenants tenant-smoke ci
+.PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 
 all: build test
 
@@ -94,8 +94,14 @@ loc-check:
 	echo "repo excluding bench/: $$repo (ceiling $(LOC_CEIL_REPO))"; \
 	if [ $$core -gt $(LOC_CEIL_CORE) ] || [ $$repo -gt $(LOC_CEIL_REPO) ]; then echo "non-test code grew past its ceiling"; exit 1; fi
 
+# Every benchmark once. Five of them gate a wall-clock ratio and fail below
+# its threshold (fast-path cold dispatch >= 2x, incremental repair >= 10x,
+# warm-disk cold start >= 10x per shape, overlapped train step >= 1.25x,
+# latency-critical p99 through the lanes <= FIFO); -p 1 keeps a gate from
+# competing with another package's benchmarks for the CPUs. End-to-end
+# numbers live in ./bench (go run ./bench run).
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+	$(GO) test -p 1 -bench . -benchtime 1x -run '^$$' ./...
 
 # Randomized differential verification (data-mode collectives against their
 # mathematical postconditions); exits non-zero on any failing case, so it
@@ -103,55 +109,4 @@ bench:
 verify:
 	$(GO) run ./cmd/blinkverify -cases 25
 
-async:
-	$(GO) run ./cmd/blinkbench -async -o BENCH_async.json
-
-# CI smoke for the async-stream bench; it exits non-zero if the overlapped
-# train step fails to beat the sequential one by 1.25x, gating merges on
-# the overlap actually working (see BENCH_async.json for the tracked run).
-async-smoke:
-	$(GO) run ./cmd/blinkbench -async -o /dev/null
-
-compile-bench:
-	$(GO) run ./cmd/blinkbench -compile -o BENCH_compile.json
-
-# CI smoke for the staged compile pipeline: exits non-zero unless the
-# approximate-first fast path publishes a usable cold plan at least 2x
-# sooner than the exact compile AND incremental fault repair replans at
-# least 10x faster than the full per-root recompile baseline (see
-# BENCH_compile.json for the tracked run).
-compile-smoke:
-	$(GO) run ./cmd/blinkbench -compilesmoke
-
-store-bench:
-	$(GO) run ./cmd/blinkbench -store -o BENCH_planStore.json
-
-# CI gate on the tiered plan cache: a cold-started engine over a warm
-# on-disk store must serve its first dispatch (decode + regenerate, no
-# packing) at least 10x faster than a cold compile, for every benchmarked
-# shape (see BENCH_planStore.json for the tracked run).
-store-smoke:
-	$(GO) run ./cmd/blinkbench -storesmoke
-
-tenants:
-	$(GO) run ./cmd/blinkbench -tenants -o BENCH_tenants.json
-
-# CI gate on multi-tenant QoS: under a 100/300/1000-tenant mixed load the
-# latency-critical lane's p99 must stay within 2x of its uncontended p99
-# and at or below the FIFO baseline's p99 (priority inversion eliminated);
-# the bench exits non-zero otherwise (see BENCH_tenants.json for the
-# tracked run).
-tenant-smoke:
-	$(GO) run ./cmd/blinkbench -tenants -o /dev/null
-
-obs:
-	$(GO) run ./cmd/blinkbench -obs -o BENCH_obs.txt
-
-# CI replay-determinism gate: run the same seeded fault-injected training
-# simulation twice and exit non-zero if the two timeline hashes (or the
-# serialized evidence files) differ — any nondeterminism in what the
-# planner scheduled or the simulator timed fails the build.
-obs-smoke:
-	$(GO) run ./cmd/blinkbench -obs -o /dev/null
-
-ci: fmt-check vet loc-check build test race cover verify fuzz-smoke bench async-smoke obs-smoke compile-smoke store-smoke tenant-smoke
+ci: fmt-check vet loc-check build test race cover verify fuzz-smoke bench

@@ -767,13 +767,16 @@ type ClusterComm struct {
 func NewClusterComm(cluster *Cluster, opts ...Option) (*ClusterComm, error) {
 	cfg := resolveOptions(opts)
 	// Cluster schedules embed cross-server wiring with no serializable form:
-	// neither the planning service nor the disk tier can hold one. Fail
-	// loudly instead of silently ignoring the option.
-	if cfg.serviceAddr != "" {
+	// neither the planning service nor the disk tier can hold one; and
+	// tenants are views of a *Comm, so nothing would ever read a lane config.
+	// Fail loudly instead of silently ignoring the option.
+	switch {
+	case cfg.serviceAddr != "":
 		return nil, fmt.Errorf("blink: WithPlanService is single-machine only (cluster plans are not remotely servable)")
-	}
-	if cfg.storeDir != "" {
+	case cfg.storeDir != "":
 		return nil, fmt.Errorf("blink: WithPlanStore is single-machine only (cluster plans are not serializable)")
+	case cfg.qos != nil:
+		return nil, fmt.Errorf("blink: WithQoS is single-machine only (tenants are views of a Comm)")
 	}
 	eng, err := collective.NewClusterEngine(cluster, cfg.sim)
 	if err != nil {

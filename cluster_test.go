@@ -3,9 +3,8 @@ package blink
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
-
-	"blink/internal/collective"
 )
 
 func twoServerCluster(t *testing.T, a, b int, nicGbps float64) *Cluster {
@@ -210,9 +209,10 @@ func TestClusterCommRejectsPlanStore(t *testing.T) {
 	for name, opt := range map[string]Option{
 		"WithPlanStore":   WithPlanStore(t.TempDir()),
 		"WithPlanService": WithPlanService("127.0.0.1:1"),
+		"WithQoS":         WithQoS(QoSConfig{}),
 	} {
-		if _, err := NewClusterComm(twoServerCluster(t, 4, 4, 100), opt); err == nil {
-			t.Errorf("NewClusterComm accepted %s", name)
+		if _, err := NewClusterComm(twoServerCluster(t, 4, 4, 100), opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("NewClusterComm(%s) = %v, want an error naming the option", name, err)
 		}
 	}
 }
@@ -281,10 +281,6 @@ func TestClusterSingleGPUServer(t *testing.T) {
 		// Every second-iteration dispatch replayed the first's frozen plan.
 		if st := cc.CacheStats(); st.Misses != cold.Misses || st.Hits <= cold.Hits {
 			t.Fatalf("%v: second calls should all hit the plan cache: %+v after %+v", backend, st, cold)
-		}
-		// The one-GPU server's own engine may refuse an op, never panic on it.
-		for op := collective.Broadcast; op <= collective.NeighborExchange; op++ {
-			cc.Engine().ServerEngine(0).Run(backend, op, 0, 1<<20, collective.Options{})
 		}
 	}
 }

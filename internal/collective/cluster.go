@@ -14,7 +14,7 @@ import (
 )
 
 // ClusterEngine is the multi-server counterpart of Engine: it composes one
-// per-server Engine (whose fabrics and cached tree packings drive the
+// engineState per server (whose fabrics and cached tree packings drive the
 // intra-machine phases) with the cross-server NIC fabric into cached
 // three-phase schedules (§3.5 / Figure 10). The Blink backend dispatches
 // the three-phase protocol (per-server tree reduce → NIC exchange among
@@ -37,6 +37,10 @@ type ClusterEngine struct {
 
 	// reconfigMu serializes reconfigurations (see Engine.reconfigMu).
 	reconfigMu sync.Mutex
+
+	// pipe is the exact planner pipeline every server's packings compile
+	// through; its stage latencies land in the cluster engine's registry.
+	pipe *core.PlannerPipeline
 }
 
 // clusterState is everything a ClusterEngine derives from its cluster
@@ -44,7 +48,10 @@ type ClusterEngine struct {
 // built flat-ring fabric guarded by mu.
 type clusterState struct {
 	cluster *topology.Cluster
-	engines []*Engine
+	// servers holds each member's topology-derived state (fabrics, per-root
+	// packing slots), pinned with the rest of the bundle: nothing short of a
+	// reconfiguration of the whole cluster changes a member.
+	servers []*engineState
 	netFab  *simgpu.Fabric
 	// rankBase[s] is the global rank of server s's local rank 0
 	// (server-major numbering, matching the flat-ring baseline).
@@ -69,13 +76,12 @@ type ClusterBuffers struct {
 	Flat    *simgpu.BufferSet
 }
 
-// newClusterState builds the per-server engines and the NIC fabric for a
-// cluster. reuse maps surviving server topologies to their existing
-// engines (nil for a fresh build): a reconfiguration that only removes a
-// server keeps the survivors' engines — and the tree packings they have
-// already generated — instead of re-deriving them. Fresh server engines
-// record into the cluster engine's shell sh (see engineShell.init).
-func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology.Topology]*Engine, sh *engineShell) (*clusterState, error) {
+// newClusterState builds the per-server states and the NIC fabric for a
+// cluster. reuse maps surviving server topologies to their existing states
+// (nil for a fresh build): a reconfiguration that only removes a server
+// keeps the survivors' states — and the tree packings they have already
+// generated — instead of re-deriving them.
+func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology.Topology]*engineState) (*clusterState, error) {
 	if len(c.Servers) < 2 {
 		return nil, fmt.Errorf("collective: cluster needs >= 2 servers")
 	}
@@ -84,29 +90,30 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 		if s.Kind == topology.KindDGX2 || s.Kind == topology.KindCluster {
 			return nil, fmt.Errorf("collective: server %d: cluster members must be point-to-point machines", si)
 		}
-		eng := reuse[s]
-		if eng == nil {
+		srv := reuse[s]
+		if srv == nil {
 			var err error
-			eng, err = newEngine(s, s.DevIDs, cfg, sh)
+			srv, err = newEngineState(s, s.DevIDs, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("collective: server %d: %w", si, err)
 			}
 		}
 		st.rankBase = append(st.rankBase, st.total)
 		st.total += s.NumGPUs
-		st.engines = append(st.engines, eng)
+		st.servers = append(st.servers, srv)
 	}
 	st.netFab = simgpu.NewFabric(c.Servers[0], c.Net, cfg)
 	return st, nil
 }
 
-// NewClusterEngine builds the per-server engines and the NIC fabric for a
+// NewClusterEngine builds the per-server states and the NIC fabric for a
 // cluster. Servers must be point-to-point machines (DGX-1 class or custom);
 // the paper's multi-server protocol targets NIC-attached DGX-1V boxes.
 func NewClusterEngine(c *topology.Cluster, cfg simgpu.Config) (*ClusterEngine, error) {
 	e := &ClusterEngine{Cfg: cfg}
-	e.init(cfg, nil)
-	st, err := newClusterState(c, cfg, nil, &e.engineShell)
+	e.init(cfg)
+	e.pipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
+	st, err := newClusterState(c, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -129,13 +136,13 @@ func (e *ClusterEngine) reconfigureLocked(c *topology.Cluster) error {
 	start := time.Now()
 	old := e.st.Load()
 	// Servers whose induced topology instance survives the reconfiguration
-	// (e.g. everyone but the lost server) keep their engines and therefore
+	// (e.g. everyone but the lost server) keep their states and therefore
 	// their already-packed trees; only genuinely new servers re-probe.
-	reuse := make(map[*topology.Topology]*Engine, len(old.engines))
-	for si, eng := range old.engines {
-		reuse[old.cluster.Servers[si]] = eng
+	reuse := make(map[*topology.Topology]*engineState, len(old.servers))
+	for si, srv := range old.servers {
+		reuse[old.cluster.Servers[si]] = srv
 	}
-	st, err := newClusterState(c, e.Cfg, reuse, &e.engineShell)
+	st, err := newClusterState(c, e.Cfg, reuse)
 	if err != nil {
 		return err
 	}
@@ -169,18 +176,14 @@ func (e *ClusterEngine) TotalRanks() int { return e.st.Load().total }
 // ServerSizes returns the per-server GPU counts.
 func (e *ClusterEngine) ServerSizes() []int {
 	st := e.st.Load()
-	out := make([]int, len(st.engines))
-	for i, eng := range st.engines {
-		out[i] = eng.Topo().NumGPUs
+	out := make([]int, len(st.servers))
+	for i, srv := range st.servers {
+		out[i] = srv.topo.NumGPUs
 	}
 	return out
 }
 
-// Locate maps a global rank (server-major) to its (server, local rank).
-func (e *ClusterEngine) Locate(rank int) (server, local int, err error) {
-	return e.st.Load().locate(rank)
-}
-
+// locate maps a global rank (server-major) to its (server, local rank).
 func (st *clusterState) locate(rank int) (server, local int, err error) {
 	if rank < 0 || rank >= st.total {
 		return 0, 0, fmt.Errorf("collective: rank %d out of range [0,%d)", rank, st.total)
@@ -195,17 +198,6 @@ func (st *clusterState) locate(rank int) (server, local int, err error) {
 
 // Fingerprint returns the cluster's schedule-cache identity.
 func (e *ClusterEngine) Fingerprint() string { return e.st.Load().fingerprint }
-
-// ServerEngine exposes server s's per-machine engine (for introspection:
-// packings, fabrics, fingerprints). It returns nil for an out-of-range
-// index — e.g. one that went stale when RemoveServer shrank the cluster.
-func (e *ClusterEngine) ServerEngine(s int) *Engine {
-	st := e.st.Load()
-	if s < 0 || s >= len(st.engines) {
-		return nil
-	}
-	return st.engines[s]
-}
 
 // ClusterTiming is the per-phase breakdown of one cluster replay. The flat
 // NCCL ring has no phase structure; only Total is set.
@@ -301,9 +293,6 @@ func (e *ClusterEngine) RunMany(b Backend, op Op, root int, sizes []int64, opts 
 // planner). Cluster plans are memory-only: they have no decoder and no
 // serializable form.
 func (e *ClusterEngine) lookupOrCompile(st *clusterState, rq request) (*CachedPlan, bool, error) {
-	if rq.bytes < 4 {
-		return nil, false, fmt.Errorf("collective: payload %d too small", rq.bytes)
-	}
 	if rq.op != AllReduce && rq.op != Broadcast && rq.op != AllToAll {
 		return nil, false, fmt.Errorf("collective: cluster collectives support AllReduce, Broadcast and AllToAll, not %v", rq.op)
 	}
@@ -315,7 +304,7 @@ func (e *ClusterEngine) lookupOrCompile(st *clusterState, rq request) (*CachedPl
 		cp := &CachedPlan{}
 		var err error
 		if rq.b == Blink {
-			cp.ClusterPlan, cp.Strategy, err = compileThreePhase(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts)
+			cp.ClusterPlan, cp.Strategy, err = compileThreePhase(e.pipe, st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts)
 		} else {
 			cp.Strategy = "flat-ring"
 			cp.Plan, err = compileFlatRing(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts, e.Cfg)
@@ -328,20 +317,17 @@ func (e *ClusterEngine) lookupOrCompile(st *clusterState, rq request) (*CachedPl
 	})
 }
 
-// serverFabrics returns each server engine's Blink data plane.
-func (st *clusterState) serverFabrics() []*simgpu.Fabric {
-	fabrics := make([]*simgpu.Fabric, len(st.engines))
-	for si, eng := range st.engines {
-		fabrics[si] = eng.FabricFor(Blink)
+// compileThreePhase builds and freezes the Blink three-phase schedule over
+// each server's Blink data plane, reusing the packings the server states
+// already hold and compiling the rest through pipe.
+func compileThreePhase(pipe *core.PlannerPipeline, st *clusterState, op Op, root int, bytes int64, chunk int64, opts Options) (*ClusterFrozenPlan, string, error) {
+	fabrics := make([]*simgpu.Fabric, len(st.servers))
+	for si, srv := range st.servers {
+		fabrics[si] = srv.fabrics[srv.plane(Blink)]
 	}
-	return fabrics
-}
-
-// compileThreePhase builds and freezes the Blink three-phase schedule,
-// reusing each server engine's cached tree packings.
-func compileThreePhase(st *clusterState, op Op, root int, bytes int64, chunk int64, opts Options) (*ClusterFrozenPlan, string, error) {
-	fabrics := st.serverFabrics()
-	packFor := func(si, r int) (*core.Packing, error) { return st.engines[si].Packing(r) }
+	packFor := func(si, r int) (*core.Packing, error) {
+		return st.servers[si].packing(pipe, st.servers[si].plane(Blink), r)
+	}
 	po := core.PlanOptions{ChunkBytes: chunk, DataMode: opts.DataMode, NoStreamReuse: true}
 
 	var tp *core.ThreePhasePlans
@@ -634,7 +620,7 @@ func (st *clusterState) newBuffers(b Backend, cfg simgpu.Config) (*ClusterBuffer
 		}
 		return &ClusterBuffers{Flat: simgpu.NewBufferSet()}, nil
 	}
-	ctx := &ClusterBuffers{Servers: make([]*simgpu.BufferSet, len(st.engines))}
+	ctx := &ClusterBuffers{Servers: make([]*simgpu.BufferSet, len(st.servers))}
 	for si := range ctx.Servers {
 		ctx.Servers[si] = simgpu.NewBufferSet()
 	}

@@ -60,7 +60,7 @@ func (e *Engine) WaitRefinements() { e.refineWG.Wait() }
 
 // observeStage records one compile-stage latency into the per-stage
 // histogram family blink_compile_stage_seconds{stage=...}.
-func (e *Engine) observeStage(stage string, seconds float64) {
+func (e *engineShell) observeStage(stage string, seconds float64) {
 	e.obsReg.Histogram(`blink_compile_stage_seconds{stage="`+stage+`"}`, nil).Observe(seconds)
 }
 
@@ -76,6 +76,19 @@ func (st *engineState) entryFor(plane core.FabricSel, root int) *packEntry {
 		m[root] = entry
 	}
 	return entry
+}
+
+// packing resolves the root's packing on a plane through pipe, compiling it
+// exactly on first use: the slot access of a cluster member, which has no
+// fast path (packingOn is the Engine's own, with one).
+func (st *engineState) packing(pipe *core.PlannerPipeline, plane core.FabricSel, root int) (*core.Packing, error) {
+	entry := st.entryFor(plane, root)
+	entry.mu.Lock()
+	defer entry.mu.Unlock()
+	if entry.p == nil && entry.err == nil {
+		entry.p, _, entry.err = pipe.PackRoot(st.fabrics[plane].Graph, root)
+	}
+	return entry.p, entry.err
 }
 
 // packingOn resolves (compiling on first use) the tree packing for a root
@@ -274,23 +287,8 @@ func (e *Engine) Prewarm(roots []int) error {
 		}
 	}
 	plane := st.plane(Blink)
-	errs := make([]error, len(roots))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.exactPipe.Workers())
-	for i, r := range roots {
-		wg.Add(1)
-		go func(i, r int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			_, _, errs[i] = e.packingOn(st, plane, r)
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.ParallelMap(len(roots), e.exactPipe.Workers(), func(i int) error {
+		_, _, err := e.packingOn(st, plane, roots[i])
+		return err
+	})
 }

@@ -279,20 +279,16 @@ func (st *engineState) plane(b Backend) core.FabricSel {
 // NewEngine probes the machine for the allocated devices and prepares a
 // runtime. For switch topologies devs must cover the full machine (partial
 // DGX-2 allocations see a uniform fabric anyway). Like ReconfigureExclude,
-// it refuses an allocation of fewer than two devices: only a cluster's
-// per-server engine (newEngine) may hold a single GPU.
+// it refuses an allocation of fewer than two devices: only a server of a
+// ClusterEngine, which is a bare engineState, may hold a single GPU.
 func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engine, error) {
-	e, err := newEngine(machine, devs, cfg, nil)
-	if err == nil && e.Topo().NumGPUs < 2 {
-		return nil, fmt.Errorf("collective: allocation has %d device(s); a communicator needs at least 2", e.Topo().NumGPUs)
+	st, err := newEngineState(machine, devs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return e, err
-}
-
-// newEngine is NewEngine for an engine that may serve as one server of a
-// ClusterEngine: a non-nil parent is the cluster engine's shell, whose
-// metrics registry and plan cache the server engine adopts (see init).
-func newEngine(machine *topology.Topology, devs []int, cfg simgpu.Config, parent *engineShell) (*Engine, error) {
+	if st.topo.NumGPUs < 2 {
+		return nil, fmt.Errorf("collective: allocation has %d device(s); a communicator needs at least 2", st.topo.NumGPUs)
+	}
 	e := &Engine{
 		Cfg: cfg,
 		// Background refinements are strictly lower priority than dispatch
@@ -300,7 +296,7 @@ func newEngine(machine *topology.Topology, devs []int, cfg simgpu.Config, parent
 		// starving foreground packing of cores.
 		refineSem: make(chan struct{}, 2),
 	}
-	e.init(cfg, parent)
+	e.init(cfg)
 	e.mFastCompiles = e.obsReg.Counter("blink_fastpath_compiles_total")
 	e.mRefineSwaps = e.obsReg.Counter("blink_refine_swaps_total")
 	e.mRepairs = e.obsReg.Counter("blink_repair_incremental_total")
@@ -309,10 +305,6 @@ func newEngine(machine *topology.Topology, devs []int, cfg simgpu.Config, parent
 	e.mServiceErrors = e.obsReg.Counter("blink_plan_service_errors_total")
 	e.exactPipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
 	e.approxPipe = core.NewPlannerPipeline(core.PipelineOptions{Approx: true, OnStage: e.observeStage})
-	st, err := newEngineState(machine, devs, cfg)
-	if err != nil {
-		return nil, err
-	}
 	e.st.Store(st)
 	return e, nil
 }
@@ -494,9 +486,6 @@ func (s Snapshot) Submit(b Backend, op Op, root int, bytes int64, opts Options, 
 // cached schedule plus whether this call hit the cache, compiling and
 // inserting the plan on a miss (the Engine's half of the planner).
 func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool, error) {
-	if rq.bytes < 4 {
-		return nil, false, fmt.Errorf("collective: payload %d too small", rq.bytes)
-	}
 	// A root that was valid at construction can go stale after a
 	// reconfiguration shrinks the allocation; fail cleanly, not with an
 	// index panic deep in TreeGen.
@@ -719,25 +708,23 @@ var switchReduce = treeOp{kind: core.IRDGX2AllReduce, needs: needAllPackings}
 // above: the IR kind and strategy label (plane, backend, op) compiles to,
 // and what that kind needs recorded in its IR. The one size-dependent row is
 // NCCL 2.4's preference for double binary trees over rings for small
-// reductions on a switch.
-func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKind, string, irNeeds, error) {
+// reductions on a switch. Backend and op are known ones: request.validate
+// refused everything else before a planner ran.
+func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKind, string, irNeeds) {
 	class := classOf(op)
 	switch {
 	case b == Blink:
-		row, ok := treeOps[op]
-		if !ok {
-			return 0, "", 0, fmt.Errorf("collective: unsupported op %v", op)
-		}
+		row := treeOps[op]
 		if plane == core.FabricSwitch && class == classReduce {
 			row = switchReduce
 		}
-		return row.kind, planes[plane].trees + row.suffix, row.needs, nil
+		return row.kind, planes[plane].trees + row.suffix, row.needs
 	case class == classP2P:
-		return ringKinds[class], planes[plane].ring, needPairs, nil
+		return ringKinds[class], planes[plane].ring, needPairs
 	case plane == core.FabricSwitch && class == classReduce && bytes < DBTreeThresholdBytes:
-		return core.IRDBTreeAllReduce, "db-tree", needNothing, nil
+		return core.IRDBTreeAllReduce, "db-tree", needNothing
 	}
-	return ringKinds[class], planes[plane].ring, needNothing, nil
+	return ringKinds[class], planes[plane].ring, needNothing
 }
 
 // selectPlan is the one step between a cache miss and a generated schedule:
@@ -799,9 +786,7 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 	}
 	ir := &core.PlanIR{Fabric: plane, Root: rq.root, Bytes: rq.bytes, Opts: po}
 	var needs irNeeds
-	if ir.Kind, ir.Strategy, needs, err = selectShape(plane, rq.b, rq.op, rq.bytes); err != nil {
-		return nil, "", nil, err
-	}
+	ir.Kind, ir.Strategy, needs = selectShape(plane, rq.b, rq.op, rq.bytes)
 	n := st.topo.NumGPUs
 	switch needs {
 	case needRootPacking:

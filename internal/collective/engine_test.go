@@ -2,6 +2,7 @@ package collective
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"blink/internal/core"
@@ -281,6 +282,38 @@ func TestRunErrors(t *testing.T) {
 	// dispatches the hybrid broadcast.
 	if r, err := e.Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err != nil || r.Strategy != "hybrid" {
 		t.Fatalf("hybrid flag through Run: %+v, %v; want the hybrid schedule", r, err)
+	}
+	// A request no schedule can be generated for is refused by name before a
+	// planner sees it, on every route into one: dispatch on either engine,
+	// and the blob blinkd serves.
+	ce, err := NewClusterEngine(testCluster(t, []int{2, 2}, 100), simgpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.CacheStats()
+	for _, c := range []struct {
+		b            Backend
+		op           Op
+		bytes, chunk int64
+		want         string
+	}{
+		{Backend(7), AllReduce, 1 << 20, 0, "unknown backend 7"},
+		{Blink, Op(99), 1 << 20, 0, "unknown op Op(99)"},
+		{Blink, AllReduce, 1 << 40, 4, "274877906944 chunks"},
+		{NCCL, AllReduce, 1 << 50, 0, "536870912 chunks"},
+	} {
+		opts := Options{ChunkBytes: c.chunk}
+		_, runErr := e.Run(c.b, c.op, 0, c.bytes, opts)
+		_, _, blobErr := e.PlanBlob(c.b, c.op, 0, c.bytes, opts)
+		_, clusterErr := ce.Run(c.b, c.op, 0, c.bytes, opts)
+		for route, err := range map[string]error{"Run": runErr, "PlanBlob": blobErr, "ClusterEngine.Run": clusterErr} {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s(%v, %v, %d bytes, chunk %d) = %v, want an error naming %q", route, c.b, c.op, c.bytes, c.chunk, err, c.want)
+			}
+		}
+	}
+	if after := e.CacheStats(); after.Entries != before.Entries || after.Misses != before.Misses {
+		t.Fatalf("refused requests reached the plan cache: %+v after %+v", after, before)
 	}
 }
 

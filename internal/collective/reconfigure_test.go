@@ -325,8 +325,21 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 	if _, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	enumerated := func() uint64 {
+		return eng.Metrics().Histogram(`blink_compile_stage_seconds{stage="enumerate"}`, nil).Count()
+	}
+	if got := enumerated(); got != 12 {
+		t.Fatalf("cold 4+4+4 AllReduce enumerated %d packings, want 12", got)
+	}
 	if err := eng.RemoveServer(1); err != nil {
 		t.Fatal(err)
+	}
+	// Survivors keep their states, and with them every packing they built.
+	if _, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := enumerated(); got != 12 {
+		t.Fatalf("AllReduce after the server loss enumerated %d more packings; survivors must keep theirs", got-12)
 	}
 	if eng.TotalRanks() != 8 {
 		t.Fatalf("TotalRanks = %d after server loss, want 8", eng.TotalRanks())
@@ -364,13 +377,8 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 	if eng.TotalRanks() != 8 {
 		t.Fatal("failed shrink must leave the engine unchanged")
 	}
-	// A server index that went stale with the removal returns nil, not a
-	// panic.
-	if got := eng.ServerEngine(2); got != nil {
-		t.Fatal("stale server index should resolve to nil")
-	}
-	if got := eng.ServerEngine(1); got == nil {
-		t.Fatal("surviving server engine missing")
+	if got := eng.ServerSizes(); len(got) != 2 || got[0] != 4 || got[1] != 4 {
+		t.Fatalf("ServerSizes = %v after server loss, want [4 4]", got)
 	}
 }
 

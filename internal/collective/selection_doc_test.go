@@ -22,10 +22,7 @@ func selectionDoc() string {
 	}
 	sb.WriteString("\n|---|---|---|---|---|---|---|\n")
 	cell := func(sel core.FabricSel, b Backend, op Op, bytes int64) string {
-		kind, strategy, _, err := selectShape(sel, b, op, bytes)
-		if err != nil {
-			return err.Error()
-		}
+		kind, strategy, _ := selectShape(sel, b, op, bytes)
 		return fmt.Sprintf("`%v` → %s", kind, strategy)
 	}
 	for op := Broadcast; op <= NeighborExchange; op++ {

@@ -154,8 +154,7 @@ func (e *Engine) fetchFromService(st *engineState, key PlanKey, opts Options) *C
 // miss) and returns its encoded form — the server half of the planning
 // service. Plans without an IR (hybrid, cluster) are not servable.
 func (e *Engine) PlanBlob(b Backend, op Op, root int, bytes int64, opts Options) ([]byte, string, error) {
-	st := e.st.Load()
-	cp, _, err := e.lookupOrCompile(st, request{b: b, op: op, root: root, bytes: bytes, opts: opts})
+	cp, _, err := planFor[*engineState](e, e.st.Load(), request{b: b, op: op, root: root, bytes: bytes, opts: opts})
 	if err != nil {
 		return nil, "", err
 	}

@@ -56,20 +56,12 @@ type engineShell struct {
 var engineIDs atomic.Uint64
 
 // init gives a new engine its identity, registry and dispatch metrics, and
-// a private, instrumented plan cache of the default capacity. A per-server
-// engine of a ClusterEngine passes the cluster engine's shell as parent and
-// adopts its registry and cache instead: cluster dispatch consults neither
-// of the server's own, so whatever a server engine records (packing stages,
-// repairs) must land where the operator reads it.
-func (e *engineShell) init(cfg simgpu.Config, parent *engineShell) {
+// a private, instrumented plan cache of the default capacity.
+func (e *engineShell) init(cfg simgpu.Config) {
 	e.id = engineIDs.Add(1)
 	e.cfgKey = cfg.Normalized()
-	if parent != nil {
-		e.obsReg, e.cache = parent.obsReg, parent.cache
-	} else {
-		e.obsReg = obs.NewRegistry()
-		e.SetPlanCache(nil)
-	}
+	e.obsReg = obs.NewRegistry()
+	e.SetPlanCache(nil)
 	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
 	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
 	e.mReplans = e.obsReg.Counter("blink_replans_total")
@@ -182,6 +174,32 @@ type request struct {
 	cluster *ClusterBuffers
 }
 
+// maxPlanChunks bounds a request's bytes/chunk ratio (2 TiB at the auto
+// chunk). A schedule's op count — and the memory its generation takes — is
+// linear in that ratio, and blinkd takes bytes and chunkBytes straight off
+// the network.
+const maxPlanChunks = 1 << 20
+
+// validate refuses a request no schedule can be generated for: a backend or
+// op outside the known ones (which plan selection would otherwise read as
+// NCCL, or as reduce-class), a payload below one float32, or more chunks
+// than a schedule may have.
+func (rq request) validate() error {
+	switch {
+	case rq.b != Blink && rq.b != NCCL:
+		return fmt.Errorf("collective: unknown backend %d", int(rq.b))
+	case rq.op < Broadcast || rq.op > NeighborExchange:
+		return fmt.Errorf("collective: unknown op %v", rq.op)
+	case rq.bytes < 4:
+		return fmt.Errorf("collective: payload %d too small", rq.bytes)
+	}
+	if chunk := chunkFor(rq.bytes, rq.opts.ChunkBytes); rq.bytes/chunk > maxPlanChunks {
+		return fmt.Errorf("collective: %d bytes in %d-byte chunks is %d chunks; a schedule may have at most %d",
+			rq.bytes, chunk, rq.bytes/chunk, maxPlanChunks)
+	}
+	return nil
+}
+
 // planKey completes the request's plan-cache key against a topology (or
 // cluster) fingerprint.
 func (e *engineShell) planKey(fp string, rq request) PlanKey {
@@ -238,6 +256,15 @@ type planner[S any] interface {
 	lookupOrCompile(st S, rq request) (cp *CachedPlan, hit bool, err error)
 }
 
+// planFor is the one way into a planner, for dispatch and for the blob
+// blinkd serves alike: the request is validated before the planner sees it.
+func planFor[S any](p planner[S], st S, rq request) (*CachedPlan, bool, error) {
+	if err := rq.validate(); err != nil {
+		return nil, false, err
+	}
+	return p.lookupOrCompile(st, rq)
+}
+
 // replay executes the frozen schedule against the call's buffer context and
 // returns its timing. Every schedule is FrozenPlans in one of two shapes: a
 // single plan (tree, ring, hybrid and flat-ring schedules alike), which has
@@ -265,9 +292,9 @@ func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (ClusterTiming, e
 // within a call.
 func dispatch[S any](sh *engineShell, p planner[S], st S, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
 	rec.Dispatch()
-	cp, hit, err := p.lookupOrCompile(st, rq)
-	// A failed lookup still counts as a miss (hit is false on error) so a
-	// tenant's ledger keeps Lookups == Hits + Misses exact.
+	cp, hit, err := planFor(p, st, rq)
+	// A refused or failed lookup still counts as a miss (hit is false on
+	// error) so a tenant's ledger keeps Lookups == Hits + Misses exact.
 	rq.opts.Tenant.noteLookup(hit)
 	if err != nil {
 		rec.Complete("", false, 0, err)

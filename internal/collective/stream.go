@@ -322,17 +322,6 @@ func (c asyncConfig) normalized() asyncConfig {
 	return c
 }
 
-// AsyncStreams returns the number of worker streams async dispatches fan
-// out over.
-func (e *Engine) AsyncStreams() int {
-	e.async.mu.Lock()
-	defer e.async.mu.Unlock()
-	if e.async.live != nil {
-		return len(e.async.live.streams)
-	}
-	return e.async.cfg.normalized().streams
-}
-
 // RunAsync submits one collective nonblockingly and returns its Handle.
 // stream pins the op to a FIFO worker stream (ops on one stream execute in
 // submission order, NCCL-stream semantics); stream < 0 round-robins.

@@ -214,6 +214,41 @@ func buildAllToAll(f *simgpu.Fabric, packFor func(root int) (*Packing, error), p
 	return b.plan(int64(n) * int64(n) * int64(perDest) * 4), nil
 }
 
+// routed emits one payload's chunk-pipelined transfer along a BFS-routed
+// path: chunk k crosses hop j once it has crossed hop j-1, and leaves the
+// path's source once after[k] has run (after is nil when nothing gates the
+// source). The source reads srcTag; every relay and the destination hold the
+// payload under dstTag. label formats (chunk, from, to). It returns each
+// chunk's delivery op.
+func (b *planBuilder) routed(stream int, path []int, totalFloats, srcTag, dstTag int, after []int, label string) []int {
+	chunkFloats := int(b.opts.ChunkBytes / 4)
+	delivered := make([]int, (totalFloats+chunkFloats-1)/chunkFloats)
+	for k := range delivered {
+		off := k * chunkFloats
+		nfl := min(chunkFloats, totalFloats-off)
+		last := -1
+		if after != nil {
+			last = after[k]
+		}
+		for j, eid := range path {
+			e := b.g.Edges[eid]
+			var deps []int
+			if last >= 0 {
+				deps = []int{last}
+			}
+			tag := dstTag
+			if j == 0 {
+				tag = srcTag
+			}
+			last = b.addTransfer(phaseP2P, stream, eid, j, int64(nfl)*4, deps,
+				b.copyExec(e.From, e.To, tag, dstTag, off, nfl, totalFloats),
+				fmt.Sprintf(label, k, e.From, e.To))
+		}
+		delivered[k] = last
+	}
+	return delivered
+}
+
 // BuildSendRecvChainPlan compiles an ordered P2P pipeline: the payload flows
 // chain[0] -> chain[1] -> ... with chunk k forwarded by stage i as soon as
 // stage i-1 delivers it, each hop BFS-routed over the fabric's plane (relay
@@ -237,36 +272,9 @@ func BuildSendRecvChainPlan(f *simgpu.Fabric, chain []int, bytes int64, opts Pla
 		}
 		paths[i] = p
 	}
-	chunkFloats := int(b.opts.ChunkBytes / 4)
-	chunks := (totalFloats + chunkFloats - 1) / chunkFloats
-	prev := make([]int, chunks) // delivery op of chunk k at the previous stage
-	for k := range prev {
-		prev[k] = -1
-	}
+	var delivered []int // chunk k's delivery op at the previous stage
 	for i, path := range paths {
-		cur := make([]int, chunks)
-		for k := 0; k < chunks; k++ {
-			off := k * chunkFloats
-			nfl := chunkFloats
-			if rem := totalFloats - off; rem < nfl {
-				nfl = rem
-			}
-			last := -1
-			for j, eid := range path {
-				e := b.g.Edges[eid]
-				var deps []int
-				if j > 0 {
-					deps = []int{last}
-				} else if prev[k] >= 0 {
-					deps = []int{prev[k]}
-				}
-				last = b.addTransfer(phaseP2P, i, eid, j, int64(nfl)*4, deps,
-					b.copyExec(e.From, e.To, BufData, BufData, off, nfl, totalFloats),
-					fmt.Sprintf("chain s%d c%d %d->%d", i, k, e.From, e.To))
-			}
-			cur[k] = last
-		}
-		prev = cur
+		delivered = b.routed(i, path, totalFloats, BufData, BufData, delivered, fmt.Sprintf("chain s%d c%%d %%d->%%d", i))
 	}
 	return b.plan(int64(len(paths)) * int64(totalFloats) * 4), nil
 }
@@ -285,8 +293,6 @@ func BuildNeighborExchangePlan(f *simgpu.Fabric, neighbors [][]int, bytes int64,
 		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
 	}
 	b := newBuilder(f, opts)
-	chunkFloats := int(b.opts.ChunkBytes / 4)
-	chunks := (totalFloats + chunkFloats - 1) / chunkFloats
 	pairs := 0
 	for v, row := range neighbors {
 		for _, u := range row {
@@ -294,28 +300,7 @@ func BuildNeighborExchangePlan(f *simgpu.Fabric, neighbors [][]int, bytes int64,
 			if err != nil {
 				return nil, err
 			}
-			for k := 0; k < chunks; k++ {
-				off := k * chunkFloats
-				nfl := chunkFloats
-				if rem := totalFloats - off; rem < nfl {
-					nfl = rem
-				}
-				last := -1
-				for j, eid := range path {
-					e := b.g.Edges[eid]
-					var deps []int
-					if j > 0 {
-						deps = []int{last}
-					}
-					srcTag := ExchangeTag(v)
-					if e.From == v {
-						srcTag = BufData
-					}
-					last = b.addTransfer(phaseP2P, pairs, eid, j, int64(nfl)*4, deps,
-						b.copyExec(e.From, e.To, srcTag, ExchangeTag(v), off, nfl, totalFloats),
-						fmt.Sprintf("halo %d->%d c%d @%d->%d", v, u, k, e.From, e.To))
-				}
-			}
+			b.routed(pairs, path, totalFloats, BufData, ExchangeTag(v), nil, fmt.Sprintf("halo %d->%d c%%d @%%d->%%d", v, u))
 			pairs++
 		}
 	}

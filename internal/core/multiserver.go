@@ -300,7 +300,7 @@ func resolvePackings(c *topology.Cluster, packFor PackFn, tp *ThreePhasePlans) (
 	// across the worker pool. Results land at fixed indices, so the merge
 	// (and everything compiled from it) is deterministic regardless of
 	// worker count.
-	err := parallelMap(len(tasks), 0, func(i int) error {
+	err := ParallelMap(len(tasks), 0, func(i int) error {
 		t := tasks[i]
 		root := tp.Roots[t.p][t.si]
 		pk, err := packFor(t.si, root)

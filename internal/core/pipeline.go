@@ -143,32 +143,22 @@ func (pl *PlannerPipeline) PackRoot(g *graph.Graph, root int) (*Packing, StageSe
 func (pl *PlannerPipeline) PackRoots(g *graph.Graph, roots []int) ([]*Packing, []StageSeconds, error) {
 	out := make([]*Packing, len(roots))
 	stages := make([]StageSeconds, len(roots))
-	errs := make([]error, len(roots))
-	sem := make(chan struct{}, pl.opts.Workers)
-	var wg sync.WaitGroup
-	for i, r := range roots {
-		wg.Add(1)
-		go func(i, r int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], stages[i], errs[i] = pl.PackRoot(g, r)
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	err := ParallelMap(len(roots), pl.opts.Workers, func(i int) (err error) {
+		out[i], stages[i], err = pl.PackRoot(g, roots[i])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, stages, nil
 }
 
-// parallelMap runs fn(i) for i in [0, n) across a bounded worker pool and
-// returns the first error in index order. Results are the callee's business
-// (write into a pre-sized slice at index i), which keeps merges
-// deterministic. Shared by the cluster compiler's per-server fan-out.
-func parallelMap(n, workers int, fn func(i int) error) error {
+// ParallelMap runs fn(i) for i in [0, n) across a bounded worker pool
+// (GOMAXPROCS when workers <= 0) and returns the first error in index order.
+// Results are the callee's business (write into a pre-sized slice at index
+// i), which keeps merges deterministic. It is the one fan-out under
+// PackRoots, the cluster compiler's per-server phases and Engine.Prewarm.
+func ParallelMap(n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -159,10 +159,10 @@ func TestPackRootsErrorPropagation(t *testing.T) {
 	}
 }
 
-// parallelMap returns the first error by index, not by completion order.
+// ParallelMap returns the first error by index, not by completion order.
 func TestParallelMapFirstErrorWins(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
-	err := parallelMap(4, 2, func(i int) error {
+	err := ParallelMap(4, 2, func(i int) error {
 		switch i {
 		case 1:
 			return errA

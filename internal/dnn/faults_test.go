@@ -208,11 +208,20 @@ func TestSimulateClusterTrainingRunWithFaults(t *testing.T) {
 // TestObservedFaultRunDeterministic is the replay-evidence gate in test
 // form: two runs over identical inputs (same seed, allocation and fault
 // schedule) must produce the same timeline hash and byte-identical
-// evidence, even though their wall clocks differ.
+// evidence, even though their wall clocks differ. The second case is the
+// cross-commit oracle: its hash and evidence fingerprint are pinned, so a
+// change to what the planner schedules or the simulator times on this run
+// (seed 2026, 8 iterations, ResNet50 at 25 MB buckets, full DGX-1V, Blink)
+// fails here and must be meant.
 func TestObservedFaultRunDeterministic(t *testing.T) {
+	observedFaultRunDeterministic(t, 6, 7, "", "")
+	observedFaultRunDeterministic(t, 8, 2026,
+		"fd1d7b6a065f0878c11593aa367e0027381f059703c1556f385f3209d5da1621", "23e92d17c959b610")
+}
+
+func observedFaultRunDeterministic(t *testing.T, iters int, seed int64, wantHash, wantFingerprint string) {
 	machine := topology.DGX1V()
 	devs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	const iters, seed = 6, int64(7)
 	scheds, err := cluster.RandomFaultSchedules(machine, devs, iters, 1, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +259,10 @@ func TestObservedFaultRunDeterministic(t *testing.T) {
 	}
 	if r1.Evidence.Fingerprint() != r2.Evidence.Fingerprint() {
 		t.Fatal("evidence fingerprints diverged")
+	}
+	if wantHash != "" && (r1.Evidence.TimelineHash != wantHash || r1.Evidence.Fingerprint() != wantFingerprint) {
+		t.Fatalf("seed %d: timeline hash %s, evidence fingerprint %s; pinned %s, %s",
+			seed, r1.Evidence.TimelineHash, r1.Evidence.Fingerprint(), wantHash, wantFingerprint)
 	}
 
 	// The evidence binds the run's identity.

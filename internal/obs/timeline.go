@@ -195,8 +195,8 @@ func (t *Timeline) Len() int {
 	return len(t.spans)
 }
 
-// WriteJSON dumps the spans as an indented JSON array — the OTel-like span
-// dump blinkbench -obs emits.
+// WriteJSON dumps the spans as an indented JSON array, an OTel-like span
+// dump.
 func (t *Timeline) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -226,7 +226,7 @@ func (t *Timeline) Hash() string {
 // two runs with identical inputs scheduled identically. It carries no
 // wall-clock fields, so serializing the same run twice is byte-identical.
 type Evidence struct {
-	// Tool names the producer ("blinkbench -obs", a fault sim, ...).
+	// Tool names the producer (a fault sim, a benchmark, ...).
 	Tool string `json:"tool"`
 	// Seed is the run's RNG seed (fault schedules, scenarios).
 	Seed int64 `json:"seed"`

@@ -3,6 +3,7 @@ package plansvc
 import (
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blink/internal/collective"
@@ -190,5 +191,58 @@ func TestClientErrorsSurface(t *testing.T) {
 	dead := NewClient("127.0.0.1:1") // nothing listens there
 	if _, err := dead.FetchPlan(collective.PlanRequest{Machine: "dgx1v"}); err == nil {
 		t.Fatal("dead server produced a plan")
+	}
+}
+
+// TestServerRejectsUnplannableRequests: blinkd takes bytes, chunkBytes,
+// backend and op straight off the network, so a request no schedule can be
+// generated for must be refused with a 422 naming the reason — not planned
+// until memory runs out, nor served some other backend's plan — and the
+// engines clients make the daemon build must stay bounded.
+func TestServerRejectsUnplannableRequests(t *testing.T) {
+	srv, client := startServer(t, nil)
+	devs := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	good := collective.PlanRequest{Machine: "dgx1v", Devs: devs, Op: collective.AllReduce, Bytes: 1 << 20}
+	for _, c := range []struct {
+		name   string
+		mutate func(*collective.PlanRequest)
+		want   string
+	}{
+		{"chunk flood", func(r *collective.PlanRequest) { r.Bytes, r.ChunkBytes = 1<<40, 4 }, "274877906944 chunks"},
+		{"backend", func(r *collective.PlanRequest) { r.Backend = 7 }, "unknown backend 7"},
+		{"op", func(r *collective.PlanRequest) { r.Op = 99 }, "unknown op Op(99)"},
+	} {
+		req := good
+		c.mutate(&req)
+		_, err := client.FetchPlan(req)
+		if err == nil || !strings.Contains(err.Error(), "422") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want a 422 naming %q", c.name, err, c.want)
+		}
+	}
+	if st := srv.cache.Stats(); st.Entries != 0 {
+		t.Fatalf("refused requests left %d plans in the daemon's cache", st.Entries)
+	}
+	for i := 0; i < 100; i++ {
+		req := good
+		req.Devs = []int{0, 1} // the cheapest allocation to plan for
+		req.Config.OpOverhead = float64(i+1) * 1e-6
+		if _, err := client.FetchPlan(req); err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		srv.mu.Lock()
+		n, m := len(srv.engines), len(srv.order)
+		srv.mu.Unlock()
+		if n > maxEngines || n != m {
+			t.Fatalf("after %d configs the daemon holds %d engines under %d keys, bound %d", i+1, n, m, maxEngines)
+		}
+	}
+	// A well-formed request still round-trips into a plan an engine decodes.
+	e := newEngine(t, simgpu.Config{})
+	e.SetPlanService(client)
+	if _, err := e.Run(collective.Blink, collective.AllReduce, 0, 1<<20, collective.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := counter(e, "blink_plan_service_hits_total"); n != 1 {
+		t.Fatalf("service hits = %d, want 1", n)
 	}
 }

@@ -29,16 +29,27 @@ const PlanPath = "/v1/plan"
 // maxRequestBytes bounds a request body; plan requests are small JSON.
 const maxRequestBytes = 1 << 20
 
+// maxEngines bounds how many allocations' engines the server keeps: clients
+// choose (machine, devs, config) freely, so without a bound the map grows by
+// one engine per distinct triple, forever.
+const maxEngines = 64
+
 // Server compiles plans for PlanRequests. Engines are cached per
-// (machine, devs, config) so repeated requests for the same allocation
-// reuse warm packings; all engines share one PlanCache (keys embed the
-// topology fingerprint, so allocations never collide) backed by an
-// optional PlanStore.
+// (machine, devs, config), the newest maxEngines of them, so repeated
+// requests for the same allocation reuse warm packings; all engines share
+// one PlanCache (keys embed the topology fingerprint, so allocations never
+// collide, and a dropped engine's plans keep being served from it) backed by
+// an optional PlanStore. A request no schedule can be generated for — an
+// unknown machine, backend or op, a payload below one float32 or of more
+// chunks than a schedule may have — is refused with a 422 naming the reason
+// before any planner runs (Engine.PlanBlob validates).
 type Server struct {
 	mu      sync.Mutex
 	engines map[string]*collective.Engine
-	cache   *collective.PlanCache
-	reg     *obs.Registry
+	// order lists the keys of engines, oldest first.
+	order []string
+	cache *collective.PlanCache
+	reg   *obs.Registry
 
 	mRequests *obs.Counter
 	mServed   *obs.Counter
@@ -124,7 +135,12 @@ func (s *Server) engineFor(req collective.PlanRequest) (*collective.Engine, erro
 		return nil, err
 	}
 	e.SetPlanCache(s.cache)
+	if len(s.order) == maxEngines {
+		delete(s.engines, s.order[0])
+		s.order = append(s.order[:0], s.order[1:]...)
+	}
 	s.engines[key] = e
+	s.order = append(s.order, key)
 	return e, nil
 }
 
