@@ -2,6 +2,7 @@ package blink
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -282,5 +283,145 @@ func TestClusterSingleGPUServer(t *testing.T) {
 		if st := cc.CacheStats(); st.Misses != cold.Misses || st.Hits <= cold.Hits {
 			t.Fatalf("%v: second calls should all hit the plan cache: %+v after %+v", backend, st, cold)
 		}
+	}
+}
+
+// TestClusterDataThreeUnevenServers moves real data across three uneven
+// servers, the shape no two-server test reaches (three NIC peers, a partition
+// count below every server but one, local roots that wrap), on both backends
+// where they carry data: once over NVLink planes (3+2+4), once over servers
+// whose NVLink allocation is disconnected, so their trees run over PCIe
+// through hub relay vertices — which must sit past every global rank in the
+// call's one arena, never on a neighbouring server's GPUs. Integer-valued
+// inputs make any reduction order exact, so they prove the sum; uniform
+// floats expose the order in their low bits, so they prove every rank was
+// handed the same sum — a pairwise cross-server exchange would leave the
+// servers disagreeing. Broadcast is exact from a root on each server,
+// AllToAll shard-exact, and the second call of each shape replays the cached
+// plan.
+func TestClusterDataThreeUnevenServers(t *testing.T) {
+	const n = 1000
+	for _, shape := range []struct {
+		name  string
+		devs  [][]int
+		roots []int // one on each server
+	}{
+		{"3+2+4", [][]int{{0, 1, 2}, {0, 1}, {0, 1, 2, 3}}, []int{1, 4, 7}},
+		{"relays", [][]int{{0, 1, 6}, {0, 1, 2, 3}, {2, 4, 7}}, []int{2, 5, 9}},
+	} {
+		for _, backend := range []Backend{BackendBlink, BackendNCCL} {
+			t.Run(shape.name+"/"+backend.String(), func(t *testing.T) {
+				var servers []ServerSpec
+				for _, devs := range shape.devs {
+					servers = append(servers, ServerSpec{Machine: DGX1V(), Devs: devs})
+				}
+				c, err := NewCluster(servers, 100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cc, err := NewClusterComm(c, WithDataMode(), WithBackend(backend))
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := cc.Size()
+				// twice makes the call cold, then warm, and returns the warm result.
+				twice := func(what string, call func() ([][]float32, error)) [][]float32 {
+					t.Helper()
+					if _, err := call(); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					before := cc.CacheStats()
+					outs, err := call()
+					if err != nil {
+						t.Fatalf("%s, second call: %v", what, err)
+					}
+					if after := cc.CacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+						t.Fatalf("%s: second call did not replay the cached plan: %+v -> %+v", what, before, after)
+					}
+					if len(outs) != total {
+						t.Fatalf("%s: %d outputs for %d ranks", what, len(outs), total)
+					}
+					return outs
+				}
+				rng := rand.New(rand.NewSource(21))
+
+				ints, sum := randInputs(rng, total, n)
+				for r, out := range twice("AllReduceData", func() ([][]float32, error) { return cc.AllReduceData(ints) }) {
+					assertEq(t, fmt.Sprintf("AllReduceData rank %d", r), out, sum)
+				}
+
+				floats := make([][]float32, total)
+				ref := make([]float64, n)
+				for r := range floats {
+					floats[r] = make([]float32, n)
+					for i := range floats[r] {
+						floats[r][i] = rng.Float32()
+						ref[i] += float64(floats[r][i])
+					}
+				}
+				outs := twice("AllReduceData on floats", func() ([][]float32, error) { return cc.AllReduceData(floats) })
+				for r, out := range outs {
+					for i := range out {
+						if math.Float32bits(out[i]) != math.Float32bits(outs[0][i]) {
+							t.Fatalf("rank %d element %d = %v, rank 0 holds %v: the ranks were summed in different orders", r, i, out[i], outs[0][i])
+						}
+						if math.Abs(float64(out[i])-ref[i]) > 1e-5*ref[i] {
+							t.Fatalf("rank %d element %d = %v, want about %v", r, i, out[i], ref[i])
+						}
+					}
+				}
+
+				for _, root := range shape.roots {
+					what := fmt.Sprintf("BroadcastData from %d", root)
+					for r, out := range twice(what, func() ([][]float32, error) { return cc.BroadcastData(root, floats[root]) }) {
+						assertEq(t, fmt.Sprintf("%s, rank %d", what, r), out, floats[root])
+					}
+				}
+
+				if backend != BackendBlink {
+					return // the flat ring has no cluster point-to-point schedule
+				}
+				const shard = 37
+				shards, _ := randInputs(rng, total, shard*total)
+				for d, out := range twice("AllToAllData", func() ([][]float32, error) { return cc.AllToAllData(shards) }) {
+					for r := 0; r < total; r++ {
+						assertEq(t, fmt.Sprintf("AllToAllData dest %d src %d", d, r), out[r*shard:(r+1)*shard], shards[r][d*shard:(d+1)*shard])
+					}
+				}
+			})
+		}
+	}
+}
+
+// warmClusterAllocCeiling is the allocation ratchet on the warm cluster
+// replay, kept like the Makefile's LOC_CEIL_*: lowered when the count falls,
+// never raised to make a build pass. (1,945 while a cluster schedule was five
+// separately simulated plans; 1,898 as one.)
+const warmClusterAllocCeiling = 1900
+
+// TestWarmClusterReplayAllocs holds the path every multi-server training
+// iteration takes — a cached three-phase AllReduce of 25 MiB on 5+3 GPUs at
+// 100 Gbps, the cluster key of the benchmark's warm_timing workload — to its
+// allocation ceiling.
+func TestWarmClusterReplayAllocs(t *testing.T) {
+	cc, err := NewClusterComm(twoServerCluster(t, 5, 3, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := cc.AllReduce(25 << 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // compile
+	// AllocsPerRun counts the whole process, so a goroutine an earlier test
+	// left winding down can only add to it: the least of three is the replay's.
+	got := testing.AllocsPerRun(10, run)
+	for i := 0; i < 2; i++ {
+		got = min(got, testing.AllocsPerRun(10, run))
+	}
+	t.Logf("warm cluster AllReduce: %.0f allocations per replay (ceiling %d)", got, warmClusterAllocCeiling)
+	if got > warmClusterAllocCeiling {
+		t.Fatalf("warm cluster AllReduce allocates %.0f times per replay, ceiling %d", got, warmClusterAllocCeiling)
 	}
 }

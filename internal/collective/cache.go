@@ -46,17 +46,15 @@ type PlanKey struct {
 	EngineID uint64
 }
 
-// CachedPlan is a cache value: the frozen schedule plus the strategy label
-// the engine reported when it compiled it. Exactly one of Plan (a single
-// frozen schedule: trees, rings, the hybrid two-plane broadcast, the
-// cluster flat ring) and ClusterPlan (the frozen multi-server three-phase
-// schedule) is set; cluster keys never collide with single-machine keys
-// because their Fingerprint is a topology.Cluster.Fingerprint, which is
-// disjoint from any topology.Topology.Fingerprint.
+// CachedPlan is a cache value: the frozen schedule — trees, rings, the
+// hybrid two-plane broadcast, a cluster's three-phase protocol or flat ring,
+// all one FrozenPlan — plus the strategy label the engine reported when it
+// compiled it. Cluster keys never collide with single-machine keys because
+// their Fingerprint is a topology.Cluster.Fingerprint, which is disjoint
+// from any topology.Topology.Fingerprint.
 type CachedPlan struct {
-	Plan        *core.FrozenPlan
-	ClusterPlan *ClusterFrozenPlan
-	Strategy    string
+	Plan     *core.FrozenPlan
+	Strategy string
 }
 
 // CacheStats is a point-in-time snapshot of cache activity with per-tier

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +20,10 @@ import (
 // partition roots → per-server tree broadcast); the NCCL backend dispatches
 // the flat cross-machine ring baseline the paper compares against.
 //
-// Like Engine, a ClusterEngine is safe for concurrent use: compiled cluster
-// schedules live in the plan cache as immutable frozen plans (a
-// ClusterFrozenPlan for the three phases, a single FrozenPlan for the flat
-// ring), and every data-mode call executes against its own ClusterBuffers
-// context, so any number of data-mode replays may be in flight at once.
+// Like Engine, a ClusterEngine is safe for concurrent use: a compiled cluster
+// schedule lives in the plan cache as one immutable FrozenPlan, whichever
+// backend compiled it, and every data-mode call executes against its own
+// arena, so any number of data-mode replays may be in flight at once.
 // Reconfigure and RemoveServer swap the whole cluster-derived state
 // atomically, so collectives may keep flowing while a server drops out.
 type ClusterEngine struct {
@@ -44,36 +42,25 @@ type ClusterEngine struct {
 }
 
 // clusterState is everything a ClusterEngine derives from its cluster
-// topology; the bundle is immutable once published except for the lazily
-// built flat-ring fabric guarded by mu.
+// topology; the bundle is immutable once published. Both backends number
+// GPUs globally, server-major, so one arena serves a data-mode call of
+// either.
 type clusterState struct {
 	cluster *topology.Cluster
 	// servers holds each member's topology-derived state (fabrics, per-root
 	// packing slots), pinned with the rest of the bundle: nothing short of a
 	// reconfiguration of the whole cluster changes a member.
 	servers []*engineState
-	netFab  *simgpu.Fabric
-	// rankBase[s] is the global rank of server s's local rank 0
-	// (server-major numbering, matching the flat-ring baseline).
-	rankBase []int
-	total    int
+	// fabrics holds each server's Blink data plane and wide the one fabric
+	// the three-phase plans run over: those planes' link tables followed by
+	// the NIC links (core.NewClusterFabric).
+	fabrics []*simgpu.Fabric
+	wide    *simgpu.Fabric
+	// flat is the NCCL baseline's cross-machine ring fabric.
+	flat  *ring.CrossMachineFabric
+	total int
 
 	fingerprint string
-
-	// mu guards the lazily built flat-ring fabric.
-	mu   sync.Mutex
-	flat *ring.CrossMachineFabric
-}
-
-// ClusterBuffers is the per-call execution context of a cluster data-mode
-// replay: one private simgpu.BufferSet per server for the three-phase
-// protocol (Servers[si] holds server si's device buffers, locally numbered)
-// or a single arena spanning all global ranks for the flat-ring baseline.
-// Each *Data call builds its own ClusterBuffers, so concurrent calls never
-// share any execution state.
-type ClusterBuffers struct {
-	Servers []*simgpu.BufferSet
-	Flat    *simgpu.BufferSet
 }
 
 // newClusterState builds the per-server states and the NIC fabric for a
@@ -98,12 +85,14 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 				return nil, fmt.Errorf("collective: server %d: %w", si, err)
 			}
 		}
-		st.rankBase = append(st.rankBase, st.total)
 		st.total += s.NumGPUs
 		st.servers = append(st.servers, srv)
+		st.fabrics = append(st.fabrics, srv.fabrics[srv.plane(Blink)])
 	}
-	st.netFab = simgpu.NewFabric(c.Servers[0], c.Net, cfg)
-	return st, nil
+	st.wide = core.NewClusterFabric(c, st.fabrics, cfg)
+	var err error
+	st.flat, err = ring.NewCrossMachineFabric(c, c.NICGBs*8, cfg)
+	return st, err
 }
 
 // NewClusterEngine builds the per-server states and the NIC fabric for a
@@ -183,93 +172,8 @@ func (e *ClusterEngine) ServerSizes() []int {
 	return out
 }
 
-// locate maps a global rank (server-major) to its (server, local rank).
-func (st *clusterState) locate(rank int) (server, local int, err error) {
-	if rank < 0 || rank >= st.total {
-		return 0, 0, fmt.Errorf("collective: rank %d out of range [0,%d)", rank, st.total)
-	}
-	for si := len(st.rankBase) - 1; si >= 0; si-- {
-		if rank >= st.rankBase[si] {
-			return si, rank - st.rankBase[si], nil
-		}
-	}
-	return 0, 0, fmt.Errorf("collective: rank %d unmapped", rank)
-}
-
 // Fingerprint returns the cluster's schedule-cache identity.
 func (e *ClusterEngine) Fingerprint() string { return e.st.Load().fingerprint }
-
-// ClusterTiming is the per-phase breakdown of one cluster replay. The flat
-// NCCL ring has no phase structure; only Total is set.
-type ClusterTiming struct {
-	Phase1, Phase2, Phase3 float64
-	Total                  float64
-}
-
-// ClusterFrozenPlan is the immutable, replayable three-phase multi-server
-// schedule (§3.5): one frozen per-server plan per intra-machine phase and
-// the single NIC exchange plan between them. Data-mode plans additionally
-// carry the cross-server exchange closure that moves partial results
-// between the per-server arenas in between phase replays; like every Exec
-// closure, it resolves buffers through the per-call context, so the frozen
-// plan itself is shareable across concurrent calls.
-type ClusterFrozenPlan struct {
-	// phases holds each phase's frozen plans: per server (indexed like
-	// ClusterBuffers.Servers) for phases 1 and 3, the one NIC plan for 2.
-	phases [3][]*core.FrozenPlan
-	// exchange performs the data-mode cross-server movement (summing
-	// partition partials across servers for AllReduce, seeding local roots
-	// for Broadcast) through the call's per-server arenas. It runs after
-	// phase 1 and before phase 3.
-	exchange   func(servers []*simgpu.BufferSet)
-	partitions int
-}
-
-// NumOps is the schedule's total op count across every phase, the
-// denominator of a hooked replay's progress.
-func (p *ClusterFrozenPlan) NumOps() int {
-	n := 0
-	for _, plans := range p.phases {
-		for _, fp := range plans {
-			n += fp.NumOps()
-		}
-	}
-	return n
-}
-
-// replay executes the schedule against ctx, the call's private buffer
-// context (nil degrades to timing-only execution): every per-server phase-1
-// plan, the exchange closure, the NIC plan (timing only — the closure moved
-// its data), and every phase-3 plan. A phase takes as long as its slowest
-// plan. hook, when set, observes chunk-granular progress across all three
-// phases against the schedule-wide op total.
-func (p *ClusterFrozenPlan) replay(ctx *ClusterBuffers, hook core.ReplayHook) (ClusterTiming, error) {
-	var t [3]float64
-	base := 0
-	var sub core.ReplayHook
-	if hook != nil {
-		total := p.NumOps()
-		sub = func(done, _ int) { hook(base+done, total) }
-	}
-	for ph, plans := range p.phases {
-		if ph == 1 && p.exchange != nil && ctx != nil {
-			p.exchange(ctx.Servers)
-		}
-		for si, fp := range plans {
-			var bufs *simgpu.BufferSet
-			if ph != 1 && ctx != nil && si < len(ctx.Servers) {
-				bufs = ctx.Servers[si]
-			}
-			r, err := fp.ReplayDataHooked(bufs, sub)
-			if err != nil {
-				return ClusterTiming{}, err
-			}
-			base += fp.NumOps()
-			t[ph] = math.Max(t[ph], r.Makespan)
-		}
-	}
-	return ClusterTiming{Phase1: t[0], Phase2: t[1], Phase3: t[2], Total: t[0] + t[1] + t[2]}, nil
-}
 
 // Run executes one cluster collective and returns its simulated timing.
 // Supported ops are AllReduce, Broadcast and AllToAll (root is a global,
@@ -301,185 +205,46 @@ func (e *ClusterEngine) lookupOrCompile(st *clusterState, rq request) (*CachedPl
 	}
 	key := e.planKey(st.fingerprint, rq)
 	return e.resolve(key, nil, e.Fingerprint, func() (*CachedPlan, bool, error) {
-		cp := &CachedPlan{}
-		var err error
-		if rq.b == Blink {
-			cp.ClusterPlan, cp.Strategy, err = compileThreePhase(e.pipe, st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts)
-		} else {
-			cp.Strategy = "flat-ring"
-			cp.Plan, err = compileFlatRing(st, rq.op, rq.root, rq.bytes, key.ChunkBytes, rq.opts, e.Cfg)
-		}
+		plan, strategy, err := st.compile(e.pipe, rq, key.ChunkBytes)
 		if err != nil {
 			return nil, false, err
 		}
+		cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
 		e.cache.Put(key, cp)
 		return cp, false, nil
 	})
 }
 
-// compileThreePhase builds and freezes the Blink three-phase schedule over
-// each server's Blink data plane, reusing the packings the server states
-// already hold and compiling the rest through pipe.
-func compileThreePhase(pipe *core.PlannerPipeline, st *clusterState, op Op, root int, bytes int64, chunk int64, opts Options) (*ClusterFrozenPlan, string, error) {
-	fabrics := make([]*simgpu.Fabric, len(st.servers))
-	for si, srv := range st.servers {
-		fabrics[si] = srv.fabrics[srv.plane(Blink)]
+// compile builds the request's schedule as one plan over one fabric. Blink
+// runs the three-phase protocol over each server's Blink data plane, reusing
+// the packings the server states already hold and compiling the rest through
+// pipe; NCCL runs the cross-machine baseline: one global ring over every
+// GPU, PCIe within servers, NICs between them.
+func (st *clusterState) compile(pipe *core.PlannerPipeline, rq request, chunk int64) (plan *core.Plan, strategy string, err error) {
+	po := core.PlanOptions{ChunkBytes: chunk, DataMode: rq.opts.DataMode}
+	if rq.b != Blink {
+		if rq.op == AllReduce {
+			plan, err = st.flat.BuildCrossMachineAllReducePlan(rq.bytes, po)
+		} else {
+			plan, err = st.flat.BuildCrossMachineBroadcastPlan(rq.root, rq.bytes, po)
+		}
+		return plan, "flat-ring", err
 	}
+	po.NoStreamReuse = true
 	packFor := func(si, r int) (*core.Packing, error) {
 		return st.servers[si].packing(pipe, st.servers[si].plane(Blink), r)
 	}
-	po := core.PlanOptions{ChunkBytes: chunk, DataMode: opts.DataMode, NoStreamReuse: true}
-
-	var tp *core.ThreePhasePlans
-	var err error
-	rootServer := -1
-	strategy := "3-phase"
-	switch op {
+	strategy = "3-phase"
+	switch rq.op {
 	case AllReduce:
-		tp, err = core.BuildThreePhaseAllReduce(st.cluster, fabrics, st.netFab, packFor, bytes, po)
+		plan, err = core.BuildThreePhaseAllReduce(st.cluster, st.fabrics, st.wide, packFor, rq.bytes, po)
 	case Broadcast:
-		var localRoot int
-		rootServer, localRoot, err = st.locate(root)
-		if err != nil {
-			return nil, "", err
-		}
-		tp, err = core.BuildThreePhaseBroadcast(st.cluster, fabrics, st.netFab, packFor, rootServer, localRoot, bytes, po)
+		plan, err = core.BuildThreePhaseBroadcast(st.cluster, st.fabrics, st.wide, packFor, rq.root, rq.bytes, po)
 	case AllToAll:
 		strategy = "3-phase+alltoall"
-		tp, err = core.BuildThreePhaseAllToAll(st.cluster, fabrics, st.netFab, packFor, bytes, po)
+		plan, err = core.BuildThreePhaseAllToAll(st.cluster, st.fabrics, st.wide, packFor, rq.bytes, po)
 	}
-	if err != nil {
-		return nil, "", err
-	}
-	plan := &ClusterFrozenPlan{partitions: tp.Partitions}
-	for ph, plans := range [3][]*core.Plan{tp.Phase1, {tp.Phase2}, tp.Phase3} {
-		for _, p := range plans {
-			plan.phases[ph] = append(plan.phases[ph], p.Freeze())
-		}
-	}
-	if opts.DataMode {
-		switch op {
-		case AllReduce:
-			plan.exchange = allReduceExchange(tp)
-		case Broadcast:
-			plan.exchange = broadcastExchange(tp, rootServer, int(bytes/4))
-		case AllToAll:
-			plan.exchange = allToAllExchange(st, int(bytes/4)/st.total)
-		}
-	}
-	return plan, strategy, nil
-}
-
-// allToAllExchange builds the data-mode cross-server glue phase 2's NIC
-// transfers stand for in a cluster AllToAll: every shard headed off-server
-// is copied straight from the sender's input buffer into the receiver's
-// cluster exchange buffer, keyed by the global source rank. (Same-server
-// shards were already delivered by phase 1's local AllToAll under the local
-// exchange tags.) The closure captures only the frozen rank geometry.
-func allToAllExchange(st *clusterState, shard int) func([]*simgpu.BufferSet) {
-	bases := append([]int(nil), st.rankBase...)
-	sizes := make([]int, len(st.cluster.Servers))
-	for si, s := range st.cluster.Servers {
-		sizes[si] = s.NumGPUs
-	}
-	bufLen := st.total * shard
-	return func(servers []*simgpu.BufferSet) {
-		for si := range servers {
-			for l := 0; l < sizes[si]; l++ {
-				gsrc := bases[si] + l
-				src := servers[si].Buffer(l, core.BufData, bufLen)
-				for sj := range servers {
-					if sj == si {
-						continue
-					}
-					for m := 0; m < sizes[sj]; m++ {
-						gdst := bases[sj] + m
-						dst := servers[sj].Buffer(m, core.ClusterExchangeTag(gsrc), bufLen)
-						copy(dst[gdst*shard:(gdst+1)*shard], src[gdst*shard:(gdst+1)*shard])
-					}
-				}
-			}
-		}
-	}
-}
-
-// allReduceExchange builds the data-mode cross-server glue phase 2's NIC
-// transfers stand for: each partition's server-local partials (left in the
-// local roots' accumulators by phase 1) are summed across servers and
-// written back, so phase 3 broadcasts the global result. The closure
-// captures only the frozen partition geometry; buffers resolve through the
-// call's per-server arenas.
-func allReduceExchange(tp *core.ThreePhasePlans) func([]*simgpu.BufferSet) {
-	roots, offs, ns := tp.Roots, tp.PartOffFloats, tp.PartFloats
-	return func(servers []*simgpu.BufferSet) {
-		for p := range roots {
-			off, n := offs[p], ns[p]
-			sum := make([]float32, n)
-			for si := range servers {
-				acc := servers[si].Buffer(roots[p][si], core.BufAcc, off+n)
-				for i := 0; i < n; i++ {
-					sum[i] += acc[off+i]
-				}
-			}
-			for si := range servers {
-				acc := servers[si].Buffer(roots[p][si], core.BufAcc, off+n)
-				copy(acc[off:off+n], sum)
-			}
-		}
-	}
-}
-
-// broadcastExchange copies the root's payload from the root server's arena
-// into every other server's receiving local root before the per-server
-// broadcasts replay.
-func broadcastExchange(tp *core.ThreePhasePlans, rootServer, totalFloats int) func([]*simgpu.BufferSet) {
-	roots := tp.Roots[0]
-	return func(servers []*simgpu.BufferSet) {
-		src := servers[rootServer].Buffer(roots[rootServer], core.BufData, totalFloats)
-		for si := range servers {
-			if si == rootServer {
-				continue
-			}
-			dst := servers[si].Buffer(roots[si], core.BufData, totalFloats)
-			copy(dst[:totalFloats], src[:totalFloats])
-		}
-	}
-}
-
-// compileFlatRing builds and freezes the NCCL cross-machine baseline: one
-// global ring over every GPU, PCIe within servers, NICs between them — a
-// single-fabric schedule, replayed against ClusterBuffers.Flat.
-func compileFlatRing(st *clusterState, op Op, root int, bytes int64, chunk int64, opts Options, cfg simgpu.Config) (*core.FrozenPlan, error) {
-	cf, err := st.flatFabric(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ro := core.PlanOptions{ChunkBytes: chunk, DataMode: opts.DataMode}
-	var plan *core.Plan
-	switch op {
-	case AllReduce:
-		plan, err = cf.BuildCrossMachineAllReducePlan(bytes, ro)
-	case Broadcast:
-		plan, err = cf.BuildCrossMachineBroadcastPlan(root, bytes, ro)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return plan.Freeze(), nil
-}
-
-// flatFabric lazily assembles the cross-machine ring fabric.
-func (st *clusterState) flatFabric(cfg simgpu.Config) (*ring.CrossMachineFabric, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.flat == nil {
-		cf, err := ring.NewCrossMachineFabric(st.cluster, st.cluster.NICGBs*8, cfg)
-		if err != nil {
-			return nil, err
-		}
-		st.flat = cf
-	}
-	return st.flat, nil
+	return plan, strategy, err
 }
 
 // clusterDataOp describes one cluster data-mode collective to runData: the
@@ -493,18 +258,20 @@ type clusterDataOp struct {
 	// root's payload.
 	inputs  [][]float32
 	perRank bool
-	// sharded requires the buffer length to be a multiple of the rank count.
+	// tag is the buffer every rank's result is read from. A sharded op (the
+	// buffer length must be a multiple of the rank count) is instead read as
+	// an exchange: source r's shard for rank g sits in g's slot under r's
+	// exchange tag.
+	tag     int
 	sharded bool
-	// tag is the buffer every rank's result is read from; read, when set,
-	// replaces that plain per-rank read-back.
-	tag  int
-	read func(st *clusterState, ctx *ClusterBuffers, n int) [][]float32
 }
 
 // runData is the one body under the cluster *Data entry points: validate
-// the inputs against a pinned state, stage them into a fresh per-call
-// buffer context, dispatch through the spine against that same state, and
-// read every global rank's result back (server-major order).
+// the inputs against a pinned state, stage them by global rank into a fresh
+// per-call arena — there is no shared state to reset, which is what lets
+// concurrent *Data calls proceed without any serialization — dispatch
+// through the spine against that same state, and read every global rank's
+// result back (server-major order).
 func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]float32, ClusterResult, error) {
 	if !e.Cfg.DataMode {
 		return nil, ClusterResult{}, fmt.Errorf("collective: cluster engine not in data mode")
@@ -513,8 +280,8 @@ func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]f
 	if d.perRank && len(d.inputs) != st.total {
 		return nil, ClusterResult{}, fmt.Errorf("collective: %d inputs for %d ranks", len(d.inputs), st.total)
 	}
-	if _, _, err := st.locate(d.root); err != nil {
-		return nil, ClusterResult{}, err
+	if d.root < 0 || d.root >= st.total {
+		return nil, ClusterResult{}, fmt.Errorf("collective: rank %d out of range [0,%d)", d.root, st.total)
 	}
 	n := len(d.inputs[0])
 	if n == 0 {
@@ -528,34 +295,31 @@ func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]f
 			return nil, ClusterResult{}, fmt.Errorf("collective: rank %d buffer length %d != %d", i, len(in), n)
 		}
 	}
-	opts.DataMode = true
-	ctx, err := st.newBuffers(b, e.Cfg)
-	if err != nil {
-		return nil, ClusterResult{}, err
-	}
+	arena := simgpu.NewBufferSet()
 	for i, in := range d.inputs {
 		g := d.root
 		if d.perRank {
 			g = i
 		}
-		bs, local := st.arena(ctx, g)
-		bs.SetBuffer(local, core.BufData, append([]float32(nil), in...))
+		arena.SetBuffer(g, core.BufData, append([]float32(nil), in...))
 	}
-	// The flat ring is a single-fabric schedule and replays against the one
-	// global arena (nil for Blink, whose three phases use ctx.Servers).
-	opts.Buffers = ctx.Flat
-	rq := request{b: b, op: d.op, root: d.root, bytes: int64(n) * 4, opts: opts, cluster: ctx}
+	opts.DataMode, opts.Buffers = true, arena
+	rq := request{b: b, op: d.op, root: d.root, bytes: int64(n) * 4, opts: opts}
 	res, err := submit(&e.engineShell, e, st, rq, Inline).Wait()
 	if err != nil {
 		return nil, ClusterResult{}, err
 	}
-	if d.read != nil {
-		return d.read(st, ctx, n), res, nil
-	}
 	out := make([][]float32, st.total)
+	shard := n / st.total
 	for g := range out {
-		bs, local := st.arena(ctx, g)
-		out[g] = append([]float32(nil), bs.Buffer(local, d.tag, n)...)
+		if !d.sharded {
+			out[g] = append([]float32(nil), arena.Buffer(g, d.tag, n)...)
+			continue
+		}
+		out[g] = make([]float32, n)
+		for r := 0; r < st.total; r++ {
+			copy(out[g][r*shard:(r+1)*shard], arena.Buffer(g, core.ExchangeTag(r), n)[g*shard:(g+1)*shard])
+		}
 	}
 	return out, res, nil
 }
@@ -582,57 +346,5 @@ func (e *ClusterEngine) BroadcastData(b Backend, root int, data []float32, opts 
 // source rank. Blink-only: phase 1 runs each server's local tree AllToAll
 // while phase 2 ships the cross-server shard blocks through the NIC switch.
 func (e *ClusterEngine) AllToAllData(b Backend, inputs [][]float32, opts Options) ([][]float32, ClusterResult, error) {
-	return e.runData(b, opts, clusterDataOp{op: AllToAll, inputs: inputs, perRank: true, sharded: true, read: readAllToAll})
-}
-
-// readAllToAll gathers what every global rank received in a cluster
-// AllToAll: same-server shards sit under the local exchange tags, shards
-// from other servers under the cluster exchange tags keyed by source rank.
-func readAllToAll(st *clusterState, ctx *ClusterBuffers, n int) [][]float32 {
-	shard := n / st.total
-	out := make([][]float32, st.total)
-	for g := range out {
-		sj, m, _ := st.locate(g)
-		o := make([]float32, n)
-		for r := 0; r < st.total; r++ {
-			si, l, _ := st.locate(r)
-			tag := core.ClusterExchangeTag(r)
-			if si == sj {
-				tag = core.ExchangeTag(l)
-			}
-			copy(o[r*shard:(r+1)*shard], ctx.Servers[sj].Buffer(m, tag, n)[g*shard:(g+1)*shard])
-		}
-		out[g] = o
-	}
-	return out
-}
-
-// newBuffers builds a fresh, empty per-call buffer context for the backend
-// — there is no shared state to reset, which is exactly what lets concurrent
-// *Data calls proceed without any serialization. The context is tied to
-// this state's geometry; callers must dispatch it against the same state.
-func (st *clusterState) newBuffers(b Backend, cfg simgpu.Config) (*ClusterBuffers, error) {
-	if b != Blink {
-		// The flat-ring fabric numbers GPUs globally, server-major, so one
-		// arena spans every rank.
-		if _, err := st.flatFabric(cfg); err != nil {
-			return nil, err
-		}
-		return &ClusterBuffers{Flat: simgpu.NewBufferSet()}, nil
-	}
-	ctx := &ClusterBuffers{Servers: make([]*simgpu.BufferSet, len(st.servers))}
-	for si := range ctx.Servers {
-		ctx.Servers[si] = simgpu.NewBufferSet()
-	}
-	return ctx, nil
-}
-
-// arena maps a global rank to the arena and local vertex holding its
-// buffers in ctx.
-func (st *clusterState) arena(ctx *ClusterBuffers, rank int) (*simgpu.BufferSet, int) {
-	if ctx.Flat != nil {
-		return ctx.Flat, rank
-	}
-	si, local, _ := st.locate(rank)
-	return ctx.Servers[si], local
+	return e.runData(b, opts, clusterDataOp{op: AllToAll, inputs: inputs, perRank: true, sharded: true})
 }

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestClusterEngineThreePhaseTiming(t *testing.T) {
 	if res.Partitions != 3 {
 		t.Fatalf("partitions = %d, want min(3,5)", res.Partitions)
 	}
-	if got := res.Phase1 + res.Phase2 + res.Phase3; got != res.Seconds {
+	if got := res.Phase1 + res.Phase2 + res.Phase3; math.Abs(got-res.Seconds) > 1e-12*res.Seconds {
 		t.Fatalf("total %v != phase sum %v", res.Seconds, got)
 	}
 

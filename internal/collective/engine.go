@@ -418,8 +418,8 @@ func (st *engineState) ncclRings() []ring.Ring {
 	return st.rings
 }
 
-// chunkFor picks a pipelining granularity: large payloads use 4 MiB, small
-// ones shrink so multi-hop pipelines still overlap.
+// chunkFor picks a pipelining granularity: a sixteenth of the payload, at
+// most 2 MiB, so small payloads shrink and multi-hop pipelines still overlap.
 func chunkFor(bytes int64, override int64) int64 {
 	c := override
 	if c <= 0 {

@@ -168,10 +168,6 @@ type request struct {
 	root  int
 	bytes int64
 	opts  Options
-	// cluster is the per-call buffer context of a three-phase cluster
-	// data-mode replay (nil for timing-only calls and for single-fabric
-	// schedules, which replay against opts.Buffers).
-	cluster *ClusterBuffers
 }
 
 // maxPlanChunks bounds a request's bytes/chunk ratio (2 TiB at the auto
@@ -265,19 +261,11 @@ func planFor[S any](p planner[S], st S, rq request) (*CachedPlan, bool, error) {
 	return p.lookupOrCompile(st, rq)
 }
 
-// replay executes the frozen schedule against the call's buffer context and
-// returns its timing. Every schedule is FrozenPlans in one of two shapes: a
-// single plan (tree, ring, hybrid and flat-ring schedules alike), which has
-// no phase structure so only Total is set, or the three-phase cluster plan.
-func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (ClusterTiming, error) {
-	if cp.ClusterPlan != nil {
-		return cp.ClusterPlan.replay(rq.cluster, hook)
-	}
-	r, err := cp.Plan.ReplayDataHooked(rq.opts.Buffers, hook)
-	if err != nil {
-		return ClusterTiming{}, err
-	}
-	return ClusterTiming{Total: r.Makespan}, nil
+// replay executes the frozen schedule against the call's arena and returns
+// the simulated run. Every schedule — tree, ring, hybrid, flat ring,
+// three-phase — is one FrozenPlan, one simulation, one arena.
+func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (simgpu.Result, error) {
+	return cp.Plan.ReplayDataHooked(rq.opts.Buffers, hook)
 }
 
 // dispatch is the one instrumented dispatch body: plan lookup, replay, and
@@ -305,20 +293,20 @@ func dispatch[S any](sh *engineShell, p planner[S], st S, rq request, hook core.
 	} else {
 		sh.mCompiles.Inc()
 	}
-	t, err := cp.replay(rq, chainHooks(hook, rec.ChunkHook()))
+	r, err := cp.replay(rq, chainHooks(hook, rec.ChunkHook()))
 	if err != nil {
 		rec.Complete(cp.Strategy, hit, 0, err)
 		return Result{}, hit, err
 	}
-	sh.opHist(rq.op).Observe(t.Total)
-	rec.Complete(cp.Strategy, hit, t.Total, nil)
-	out := Result{Seconds: t.Total, Bytes: rq.bytes, Strategy: cp.Strategy,
-		Phase1: t.Phase1, Phase2: t.Phase2, Phase3: t.Phase3}
-	if cp.ClusterPlan != nil {
-		out.Partitions = cp.ClusterPlan.partitions
+	sh.opHist(rq.op).Observe(r.Makespan)
+	rec.Complete(cp.Strategy, hit, r.Makespan, nil)
+	out := Result{Seconds: r.Makespan, Bytes: rq.bytes, Strategy: cp.Strategy, Partitions: cp.Plan.Partitions()}
+	if len(r.Marks) == 2 {
+		// A three-phase schedule marks the two joins between its phases.
+		out.Phase1, out.Phase2, out.Phase3 = r.Marks[0], r.Marks[1]-r.Marks[0], r.Makespan-r.Marks[1]
 	}
-	if t.Total > 0 {
-		out.ThroughputGBs = float64(rq.bytes) / t.Total / 1e9
+	if r.Makespan > 0 {
+		out.ThroughputGBs = float64(rq.bytes) / r.Makespan / 1e9
 	}
 	return out, hit, nil
 }

@@ -65,7 +65,7 @@ func (h PlanHeader) ValidateFor(f *simgpu.Fabric) error {
 
 // EncodePlan serializes a frozen plan into the versioned binary format. The
 // plan must carry its IR (every plan produced by CodeGen does); hybrid and
-// cluster-phase plans have none and return an error.
+// cluster plans have none and return an error.
 func EncodePlan(fp *FrozenPlan) ([]byte, error) {
 	if fp == nil {
 		return nil, fmt.Errorf("core: cannot encode nil plan")

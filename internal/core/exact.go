@@ -14,8 +14,10 @@ import (
 // guarantees that whenever the residual min-cut from the root is at least
 // r, there exists a spanning arborescence whose removal leaves min-cut at
 // least r-1. The peel searches deterministic cost perturbations until it
-// finds such a tree. It is exponential-free but slower than MWU+ILP, and
-// serves as the validation baseline for MinimizeTrees.
+// finds such a tree. It is exponential-free and far faster than MWU+ILP at
+// the same rate (0.36 ms against 63 ms on the full DGX-1V, equal rates on
+// all 60 of the paper's allocations — ROADMAP Probe B), and serves as the
+// validation baseline for MinimizeTrees.
 func ExactPack(g *graph.Graph, root int) (*Packing, error) {
 	if g.N == 0 {
 		return nil, fmt.Errorf("core: empty graph")

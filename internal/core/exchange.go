@@ -9,25 +9,17 @@ import (
 
 // Buffer tags for the exchange collectives (AllToAll, NeighborExchange).
 // Each source rank stages and delivers through its own tag so concurrent
-// per-source transfers never collide in the arena. The bases sit far above
+// per-source transfers never collide in the arena. The base sits far above
 // BufScratchBase+vertex (reduce staging), which is bounded by the parser's
 // device cap, so the ranges are disjoint by construction.
 const (
 	// BufExchangeBase + src tags the receive/staging buffer for payload
-	// originating at local rank src.
+	// originating at rank src — a global, server-major rank on a cluster.
 	BufExchangeBase = 1 << 20
-	// BufClusterExchangeBase + globalSrc tags shards received from a remote
-	// server's global rank during a cluster AllToAll. Distinct from
-	// BufExchangeBase so a local source index can never alias a global one.
-	BufClusterExchangeBase = 1 << 21
 )
 
-// ExchangeTag returns the buffer tag holding payload from local rank src.
+// ExchangeTag returns the buffer tag holding payload from rank src.
 func ExchangeTag(src int) int { return BufExchangeBase + src }
-
-// ClusterExchangeTag returns the buffer tag holding shards from global rank
-// src on a remote server (cluster AllToAll phase 2).
-func ClusterExchangeTag(src int) int { return BufClusterExchangeBase + src }
 
 // Extra phase identifiers for exchange-collective stream keys (continuing
 // the phaseBroadcast/phaseReduce/phaseGather sequence in plan.go).
@@ -129,20 +121,22 @@ func shortestPath(g *graph.Graph, src, dst int) ([]int, error) {
 }
 
 // exchangeShardExec builds an Exec closure copying, for each destination
-// rank u in dests, floats [(destBase+u)*perVertex+off, ...+n) from srcTag on
+// rank u in dests, floats [(rankBase+u)*perVertex+off, ...+n) from srcTag on
 // device src into dstTag on device dst — one AllToAll tree transfer, where
-// the shard layout is global (destBase shifts local ranks into a cluster's
+// the shard layout is global (rankBase shifts local ranks into a cluster's
 // global buffer).
-func (b *planBuilder) exchangeShardExec(src, dst, srcTag, dstTag int, dests []int, perVertex, destBase, off, n, bufLen int) func(*simgpu.BufferSet) {
+func (b *planBuilder) exchangeShardExec(src, dst, srcTag, dstTag int, dests []int, perVertex, off, n, bufLen int) func(*simgpu.BufferSet) {
 	if !b.opts.DataMode {
 		return nil
 	}
+	src, dst = b.dev(src), b.dev(dst)
 	ds := append([]int(nil), dests...)
+	rankBase := b.rankBase
 	return func(bufs *simgpu.BufferSet) {
 		sb := bufs.Buffer(src, srcTag, bufLen)
 		db := bufs.Buffer(dst, dstTag, bufLen)
 		for _, u := range ds {
-			base := (destBase + u) * perVertex
+			base := (rankBase + u) * perVertex
 			copy(db[base+off:base+off+n], sb[base+off:base+off+n])
 		}
 	}
@@ -160,16 +154,15 @@ func BuildAllToAllPlan(f *simgpu.Fabric, packFor func(root int) (*Packing, error
 	if totalFloats < n {
 		return nil, fmt.Errorf("core: payload too small (%d bytes for %d devices)", bytes, n)
 	}
-	return buildAllToAll(f, packFor, totalFloats/n, 0, n, opts)
+	return newBuilder(f, opts).allToAll(packFor, totalFloats/n, n)
 }
 
-// buildAllToAll is the destBase-parameterized generator shared with the
-// cluster three-phase protocol: each rank's buffer covers bufRanks shards of
-// perDest floats, and the local ranks [0,n) occupy global slots
-// [destBase, destBase+n).
-func buildAllToAll(f *simgpu.Fabric, packFor func(root int) (*Packing, error), perDest, destBase, bufRanks int, opts PlanOptions) (*Plan, error) {
-	b := newBuilder(f, opts)
-	n := ranksOf(f)
+// allToAll is the generator shared with the cluster three-phase protocol:
+// each rank's buffer covers bufRanks shards of perDest floats, and the
+// fabric's ranks [0,n) occupy global ranks — buffer slots, arena devices and
+// exchange tags alike — [rankBase, rankBase+n).
+func (b *planBuilder) allToAll(packFor func(root int) (*Packing, error), perDest, bufRanks int) (*Plan, error) {
+	n := ranksOf(b.f)
 	if perDest <= 0 {
 		return nil, fmt.Errorf("core: empty alltoall shard")
 	}
@@ -178,16 +171,15 @@ func buildAllToAll(f *simgpu.Fabric, packFor func(root int) (*Packing, error), p
 		// Self-delivery keeps the data-mode readout uniform: every shard,
 		// own included, lands under the source's exchange tag. Zero-cost
 		// exec-only op, so timing is untouched.
-		if opts.DataMode {
-			r := r
+		if b.opts.DataMode {
+			g := b.rankBase + r
 			b.add(&simgpu.Op{
 				Stream: b.stream(phaseExchangeBase+r, 0, -3000-r, 0, 0),
 				Link:   -1,
 				Exec: func(bufs *simgpu.BufferSet) {
-					in := bufs.Buffer(r, BufData, bufLen)
-					out := bufs.Buffer(r, ExchangeTag(r), bufLen)
-					base := (destBase + r) * perDest
-					copy(out[base:base+perDest], in[base:base+perDest])
+					in := bufs.Buffer(g, BufData, bufLen)
+					out := bufs.Buffer(g, ExchangeTag(g), bufLen)
+					copy(out[g*perDest:(g+1)*perDest], in[g*perDest:(g+1)*perDest])
 				},
 				Label: fmt.Sprintf("a2a self @%d", r),
 			})
@@ -207,7 +199,7 @@ func buildAllToAll(f *simgpu.Fabric, packFor func(root int) (*Packing, error), p
 		}
 		// Staged through the source's exchange tag and stream phase so the n
 		// scatters contend on links, never on buffers or streams.
-		if err := emitShardScatter(b, pk, n, perDest, destBase, bufLen, ExchangeTag(r), phaseExchangeBase+r, fmt.Sprintf("a2a s%d", r)); err != nil {
+		if err := emitShardScatter(b, pk, n, perDest, bufLen, ExchangeTag(b.rankBase+r), phaseExchangeBase+r, fmt.Sprintf("a2a s%d", r)); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"blink/internal/simgpu"
@@ -309,11 +311,83 @@ func TestMergePlansPreservesOps(t *testing.T) {
 }
 
 // TestBuildThreePhaseAllReduce drives the §3.5 builder the way a standalone
-// caller does (fresh fabrics, a GenerateTrees PackFn): one partition per GPU
-// of the smallest server, partitions that exactly cover the payload, a
-// distinct local root per partition, and executable per-phase plans whose
-// cross-machine phase dominates on commodity 40 Gb/s NICs.
+// caller does (fresh fabrics, a GenerateTrees PackFn): one plan with one
+// partition per GPU of the smallest server, a distinct local root per
+// partition on every server, partitions that exactly cover the payload
+// (every element of every rank comes back summed), and phases whose
+// cross-machine one dominates on commodity 40 Gb/s NICs.
 func TestBuildThreePhaseAllReduce(t *testing.T) {
+	c, fabrics, wide := threePhaseFixture(t)
+	var mu sync.Mutex
+	asked := map[[2]int]bool{}
+	packFor := func(si, root int) (*Packing, error) {
+		mu.Lock()
+		asked[[2]int{si, root}] = true
+		mu.Unlock()
+		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
+	}
+	const bytes = 100 << 20
+	plan, err := BuildThreePhaseAllReduce(c, fabrics, wide, packFor, bytes, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Partitions != 3 || plan.Fabric != wide {
+		t.Fatalf("partitions = %d (want min-server GPUs = 3), over the cluster fabric: %v", plan.Partitions, plan.Fabric == wide)
+	}
+	// Partition p's local root on server s is p mod the server's size.
+	want := map[[2]int]bool{}
+	for p := 0; p < plan.Partitions; p++ {
+		for si, s := range c.Servers {
+			want[[2]int{si, p % s.NumGPUs}] = true
+		}
+	}
+	if !reflect.DeepEqual(asked, want) {
+		t.Fatalf("packings requested for (server, root) %v, want %v", asked, want)
+	}
+	r, err := plan.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Marks) != 2 {
+		t.Fatalf("plan marks %d phase boundaries, want 2", len(r.Marks))
+	}
+	p1, p2, p3 := r.Marks[0], r.Marks[1]-r.Marks[0], r.Makespan-r.Marks[1]
+	if p1 <= 0 || p2 <= 0 || p3 <= 0 {
+		t.Fatalf("phases not all positive: %v %v %v", p1, p2, p3)
+	}
+	if p2 < p1 || p2 < p3 {
+		t.Fatalf("phase 2 should dominate with commodity NICs: %v %v %v", p1, p2, p3)
+	}
+
+	// Coverage: a payload the partitions do not divide evenly, moved for real.
+	const floats = 1000
+	data, err := BuildThreePhaseAllReduce(c, fabrics, wide, packFor, floats*4, PlanOptions{DataMode: true, ChunkBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := simgpu.NewBufferSet()
+	for g := 0; g < c.TotalGPUs(); g++ {
+		in := make([]float32, floats)
+		for i := range in {
+			in[i] = float32(g + i%7)
+		}
+		bufs.SetBuffer(g, BufData, in)
+	}
+	if _, err := data.ExecuteData(bufs); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < c.TotalGPUs(); g++ {
+		for i, got := range bufs.Buffer(g, BufAcc, floats) {
+			if want := float32(28 + 8*(i%7)); got != want {
+				t.Fatalf("rank %d element %d = %v, want %v", g, i, got, want)
+			}
+		}
+	}
+}
+
+// threePhaseFixture is a 3+5 cluster at 40 Gb/s with fresh NVLink fabrics.
+func threePhaseFixture(t *testing.T) (*topology.Cluster, []*simgpu.Fabric, *simgpu.Fabric) {
+	t.Helper()
 	c, err := topology.NewCluster([]topology.Server{
 		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
 		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
@@ -325,54 +399,41 @@ func TestBuildThreePhaseAllReduce(t *testing.T) {
 	for si, s := range c.Servers {
 		fabrics[si] = simgpu.NewFabric(s, s.GPUGraph(), simgpu.Config{})
 	}
-	netFab := simgpu.NewFabric(c.Servers[0], c.Net, simgpu.Config{})
+	return c, fabrics, NewClusterFabric(c, fabrics, simgpu.Config{})
+}
+
+// TestBuildThreePhaseRejectsMismatch: all three builders share one prologue,
+// so each refuses a fabric list that does not match the servers — and a
+// cluster fabric built over other fabrics — with an error, not an index panic.
+func TestBuildThreePhaseRejectsMismatch(t *testing.T) {
+	c, fabrics, wide := threePhaseFixture(t)
 	packFor := func(si, root int) (*Packing, error) {
 		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
 	}
-	const bytes = 100 << 20
-	tp, err := BuildThreePhaseAllReduce(c, fabrics, netFab, packFor, bytes, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
+	const bytes = 1 << 20
+	builders := map[string]func([]*simgpu.Fabric, *simgpu.Fabric) (*Plan, error){
+		"AllReduce": func(f []*simgpu.Fabric, w *simgpu.Fabric) (*Plan, error) {
+			return BuildThreePhaseAllReduce(c, f, w, packFor, bytes, PlanOptions{})
+		},
+		"Broadcast": func(f []*simgpu.Fabric, w *simgpu.Fabric) (*Plan, error) {
+			return BuildThreePhaseBroadcast(c, f, w, packFor, 7, bytes, PlanOptions{})
+		},
+		"AllToAll": func(f []*simgpu.Fabric, w *simgpu.Fabric) (*Plan, error) {
+			return BuildThreePhaseAllToAll(c, f, w, packFor, bytes, PlanOptions{})
+		},
 	}
-	if tp.Partitions != 3 || len(tp.Phase1) != 2 || len(tp.Phase3) != 2 {
-		t.Fatalf("partitions = %d (want min-server GPUs = 3), phase plans %d/%d", tp.Partitions, len(tp.Phase1), len(tp.Phase3))
-	}
-	covered := 0
-	for p := 0; p < tp.Partitions; p++ {
-		if tp.PartOffFloats[p] != covered {
-			t.Fatalf("partition %d starts at %d, want %d", p, tp.PartOffFloats[p], covered)
+	for name, build := range builders {
+		if _, err := build(fabrics, wide); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		covered += tp.PartFloats[p]
-		for si, s := range c.Servers {
-			if tp.Roots[p][si] != p%s.NumGPUs {
-				t.Fatalf("partition %d root on server %d = %d", p, si, tp.Roots[p][si])
-			}
+		if _, err := build(fabrics[:1], wide); err == nil || err.Error() != "core: 1 fabrics for 2 servers" {
+			t.Errorf("%s: fabric/server count mismatch: err = %v", name, err)
+		}
+		if _, err := build(fabrics, NewClusterFabric(c, fabrics[:1], simgpu.Config{})); err == nil {
+			t.Errorf("%s: cluster fabric over one server's links accepted", name)
 		}
 	}
-	if covered != bytes/4 {
-		t.Fatalf("partitions cover %d floats of %d", covered, bytes/4)
-	}
-	slowest := func(plans []*Plan) float64 {
-		worst := 0.0
-		for _, p := range plans {
-			r, err := p.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Makespan > worst {
-				worst = r.Makespan
-			}
-		}
-		return worst
-	}
-	p1, p2, p3 := slowest(tp.Phase1), slowest([]*Plan{tp.Phase2}), slowest(tp.Phase3)
-	if p1 <= 0 || p2 <= 0 || p3 <= 0 {
-		t.Fatalf("phases not all positive: %v %v %v", p1, p2, p3)
-	}
-	if p2 < p1 || p2 < p3 {
-		t.Fatalf("phase 2 should dominate with commodity NICs: %v %v %v", p1, p2, p3)
-	}
-	if _, err := BuildThreePhaseAllReduce(c, fabrics[:1], netFab, packFor, bytes, PlanOptions{}); err == nil {
-		t.Fatal("fabric/server count mismatch accepted")
+	if _, err := BuildThreePhaseBroadcast(c, fabrics, wide, packFor, 8, bytes, PlanOptions{}); err == nil {
+		t.Error("broadcast root past the last global rank accepted")
 	}
 }

@@ -21,6 +21,7 @@ type FrozenPlan struct {
 	totalBytes int64
 	fabric     *simgpu.Fabric
 	streams    int
+	partitions int
 	hasExec    bool
 	// ir is the serializable IR the plan was generated from, nil when the
 	// plan was built outside CodeGen. Plans with an IR round-trip through
@@ -38,6 +39,7 @@ func (p *Plan) Freeze() *FrozenPlan {
 		totalBytes: p.TotalBytes,
 		fabric:     p.Fabric,
 		streams:    p.Streams,
+		partitions: p.Partitions,
 		ir:         p.IR,
 	}
 	for i, op := range p.Ops {
@@ -96,6 +98,10 @@ func (fp *FrozenPlan) TotalBytes() int64 { return fp.totalBytes }
 // Streams is the number of distinct streams the schedule occupies.
 func (fp *FrozenPlan) Streams() int { return fp.streams }
 
+// Partitions is the partition count of a three-phase cluster schedule, zero
+// for every other.
+func (fp *FrozenPlan) Partitions() int { return fp.partitions }
+
 // NumOps is the schedule's op count.
 func (fp *FrozenPlan) NumOps() int { return len(fp.ops) }
 
@@ -108,5 +114,5 @@ func (fp *FrozenPlan) Fabric() *simgpu.Fabric { return fp.fabric }
 
 // IR returns the serializable intermediate representation the schedule was
 // generated from, or nil when the plan was built outside CodeGen (hybrid
-// and cluster-phase plans); only plans with an IR can be encoded.
+// and cluster plans); only plans with an IR can be encoded.
 func (fp *FrozenPlan) IR() *PlanIR { return fp.ir }

@@ -7,7 +7,7 @@ import (
 	"blink/internal/topology"
 )
 
-// Three-phase cross-machine AllReduce, §3.5 / Figure 10:
+// Three-phase cross-machine collectives, §3.5 / Figure 10:
 //
 //	Phase 1: per-server reduction over local spanning trees. The payload is
 //	         partitioned with a distinct server-local root per partition.
@@ -15,9 +15,26 @@ import (
 //	         the NIC fabric (one-hop cross-server trees).
 //	Phase 3: per-server broadcast of the reduced partitions.
 //
-// Phases execute back-to-back here (the paper pipelines chunks across
-// phases, but with commodity NICs phase 2 dominates end-to-end time, which
-// is the behaviour Figures 22a/22b probe).
+// A cluster schedule is ONE plan over one cluster-wide fabric
+// (NewClusterFabric). Each server's sub-plans are generated over the
+// server's own fabric and appended with their op, stream and link indices
+// shifted, as MergePlans and BuildHybridBroadcastPlan do, and their Exec
+// closures address the call's one arena by global, server-major rank. The
+// phases are joined by one zero-resource op per boundary. It waits for the
+// phase before it through that phase's sinks — the ops that end a stream and
+// that nothing waits for — and holds back the phase after it through that
+// phase's sources, the ops that head a stream and wait for nothing: stream
+// FIFO and the phase's own dependencies order every other op behind those,
+// and so few edges are what keeps a warm replay at fewer allocations than
+// the separate simulations it replaces. The joins are marked, so one run
+// reports the makespan and when each phase ended. In data mode the join that
+// closes phase 2 carries the cross-server data movement the NIC transfers
+// stand for.
+//
+// The phases therefore still execute back to back (the paper pipelines chunks
+// across them, but with commodity NICs phase 2 dominates end-to-end time,
+// which is the behaviour Figures 22a/22b probe): pipelining is a change to
+// which ops the phase-2 and phase-3 sources wait for.
 
 // PackFn supplies the spanning-tree packing for a (server, root) pair.
 // The collective layer passes Engine.Packing so the per-server TreeGen work
@@ -25,24 +42,125 @@ import (
 // pass a GenerateTrees wrapper.
 type PackFn func(server, root int) (*Packing, error)
 
-// ThreePhasePlans is a compiled multi-server schedule: per-server plans for
-// the intra-machine phases plus one NIC-fabric plan for the cross-machine
-// exchange. Each plan is independently freezable, which is what lets the
-// collective layer cache whole cluster schedules.
-type ThreePhasePlans struct {
-	// Phase1[s] is server s's merged per-partition reduce plan (nil for a
-	// broadcast, which has no reduce phase).
-	Phase1 []*Plan
-	// Phase2 is the NIC exchange over the cluster's switch fabric.
-	Phase2 *Plan
-	// Phase3[s] is server s's merged per-partition broadcast plan.
-	Phase3 []*Plan
-	// Partitions is the number of payload partitions (one local root each).
-	Partitions int
-	// PartOffFloats/PartFloats locate partition p inside the payload.
-	PartOffFloats, PartFloats []int
-	// Roots[p][s] is partition p's local root on server s.
-	Roots [][]int
+// NewClusterFabric builds the one fabric a cluster's three-phase plans run
+// over: the servers' link tables (fabrics[s] is server s's intra-machine
+// fabric) concatenated server-major, with the links of the NIC fabric — one
+// vertex per server plus the switch relay, as built by topology.NewCluster —
+// last. Graph, config and EdgeLinks are the NIC fabric's own, so EdgeLinks
+// counts from the first NIC link, not from the head of the table.
+func NewClusterFabric(c *topology.Cluster, fabrics []*simgpu.Fabric, cfg simgpu.Config) *simgpu.Fabric {
+	wide := simgpu.NewFabric(c.Servers[0], c.Net, cfg)
+	var links []simgpu.Link
+	for _, f := range fabrics {
+		links = append(links, f.Links...)
+	}
+	wide.Links = append(links, wide.Links...)
+	return wide
+}
+
+// clusterGen is the opening the three builders share: the checked cluster
+// geometry — where each server's ranks, relay vertices and links sit in the
+// cluster-wide numbering — and the one plan under construction.
+type clusterGen struct {
+	c       *topology.Cluster
+	fabrics []*simgpu.Fabric
+	opts    PlanOptions
+	// rankBase[s] is the global rank of server s's local rank 0 and
+	// relayBase[s] shifts its relay vertices past every rank (see
+	// planBuilder); linkBase[s] is where server s's links start in the
+	// cluster-wide table, linkBase[len(servers)] where the NIC links do.
+	rankBase, relayBase, linkBase []int
+	total                         int
+	plan                          *Plan
+	// gate is the join the phase being emitted waits for (-1 in the first
+	// phase); sinks collects that phase's ops the join closing it waits for.
+	gate  int
+	sinks []int
+}
+
+func newClusterGen(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.Fabric, bytes int64, opts PlanOptions) (*clusterGen, error) {
+	if len(c.Servers) < 2 {
+		return nil, fmt.Errorf("core: need >= 2 servers")
+	}
+	if len(fabrics) != len(c.Servers) {
+		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), len(c.Servers))
+	}
+	opts.SetDefaults()
+	g := &clusterGen{c: c, fabrics: fabrics, opts: opts, total: c.TotalGPUs(), gate: -1,
+		plan: &Plan{Fabric: wide, TotalBytes: bytes / 4 * 4}}
+	rank, relay, link := 0, g.total, 0
+	for si, s := range c.Servers {
+		if s.NumGPUs < 1 {
+			return nil, fmt.Errorf("core: empty server in cluster")
+		}
+		g.rankBase = append(g.rankBase, rank)
+		g.relayBase = append(g.relayBase, relay-s.NumGPUs)
+		g.linkBase = append(g.linkBase, link)
+		rank += s.NumGPUs
+		relay += fabrics[si].Graph.N - s.NumGPUs
+		link += len(fabrics[si].Links)
+	}
+	g.linkBase = append(g.linkBase, link)
+	if wide.Graph != c.Net || link+len(c.Net.Edges)+c.Net.N != len(wide.Links) {
+		return nil, fmt.Errorf("core: cluster fabric was not built over these servers (NewClusterFabric)")
+	}
+	return g, nil
+}
+
+// builder opens a CodeGen builder over server si's fabric whose Exec
+// closures address the arena by global rank.
+func (g *clusterGen) builder(si int, opts PlanOptions) *planBuilder {
+	b := newBuilder(g.fabrics[si], opts)
+	b.rankBase, b.relayBase = g.rankBase[si], g.relayBase[si]
+	return b
+}
+
+// add appends a sub-plan to the phase being emitted. The sub-plan was
+// generated over server si's fabric (si == len(servers): over the NIC
+// fabric), so its ops, streams and links are numbered from zero. Its sources
+// wait for the gate; its sinks are left for the next join. An op finishes no
+// earlier than what it waits for or follows on its stream, so the last sink
+// to finish is the last op to.
+func (g *clusterGen) add(si int, p *Plan) {
+	base := len(g.plan.Ops)
+	last := make([]int, p.Streams)
+	for s := range last {
+		last[s] = -1
+	}
+	waited := make([]bool, len(p.Ops))
+	for i, op := range p.Ops {
+		deps := make([]int, 0, len(op.Deps)+1)
+		for _, d := range op.Deps {
+			deps = append(deps, base+d)
+			waited[d] = true
+		}
+		if last[op.Stream] < 0 && len(deps) == 0 && g.gate >= 0 {
+			deps = append(deps, g.gate)
+		}
+		last[op.Stream] = i
+		op.Deps = deps
+		op.Stream += g.plan.Streams
+		if op.Link >= 0 {
+			op.Link += g.linkBase[si]
+		}
+	}
+	for _, i := range last {
+		if !waited[i] {
+			g.sinks = append(g.sinks, base+i)
+		}
+	}
+	g.plan.Ops = append(g.plan.Ops, p.Ops...)
+	g.plan.Streams += p.Streams
+}
+
+// join closes the phase being emitted with a marked zero-resource op that
+// finishes when the phase's last op does, and opens the next phase behind
+// it. exec, when set, runs once the closed phase has.
+func (g *clusterGen) join(label string, exec func(*simgpu.BufferSet)) {
+	g.gate = len(g.plan.Ops)
+	g.plan.Ops = append(g.plan.Ops, &simgpu.Op{Stream: g.plan.Streams, Link: -1, Deps: g.sinks, Exec: exec, Mark: true, Label: label})
+	g.plan.Streams++
+	g.sinks = nil
 }
 
 // partitionPayload splits totalFloats into one contiguous partition per
@@ -70,71 +188,52 @@ func partitionPayload(totalFloats, parts int) (offs, ns []int) {
 func trivialPacking(root int) *Packing { return &Packing{Root: root} }
 
 // BuildThreePhaseAllReduce compiles Blink's three-phase AllReduce of
-// `bytes` over a cluster. fabrics[s] is server s's intra-machine fabric and
-// netFab the NIC fabric (one vertex per server plus the switch relay, as
-// built by topology.NewCluster). packFor supplies per-server packings.
-func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, netFab *simgpu.Fabric, packFor PackFn, bytes int64, opts PlanOptions) (*ThreePhasePlans, error) {
-	if len(c.Servers) < 2 {
-		return nil, fmt.Errorf("core: need >= 2 servers")
+// `bytes` over a cluster into one plan over wide, the cluster-wide fabric
+// NewClusterFabric built from fabrics (fabrics[s] is server s's
+// intra-machine fabric). packFor supplies per-server packings. The plan's
+// Partitions is the partition count: one per GPU of the smallest server.
+func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.Fabric, packFor PackFn, bytes int64, opts PlanOptions) (*Plan, error) {
+	g, err := newClusterGen(c, fabrics, wide, bytes, opts)
+	if err != nil {
+		return nil, err
 	}
-	if len(fabrics) != len(c.Servers) {
-		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), len(c.Servers))
-	}
-	opts.SetDefaults()
 	// One partition per GPU of the smallest server: every server can then
 	// host a distinct local root per partition.
 	parts := c.Servers[0].NumGPUs
 	for _, s := range c.Servers {
-		if s.NumGPUs < parts {
-			parts = s.NumGPUs
-		}
-	}
-	if parts < 1 {
-		return nil, fmt.Errorf("core: empty server in cluster")
+		parts = min(parts, s.NumGPUs)
 	}
 	totalFloats := int(bytes / 4)
 	if totalFloats < parts {
 		return nil, fmt.Errorf("core: payload %d too small for %d partitions", bytes, parts)
 	}
-	tp := &ThreePhasePlans{Partitions: parts}
-	tp.PartOffFloats, tp.PartFloats = partitionPayload(totalFloats, parts)
-	tp.Roots = make([][]int, parts)
-	for p := 0; p < parts; p++ {
-		tp.Roots[p] = make([]int, len(c.Servers))
+	offs, ns := partitionPayload(totalFloats, parts)
+	roots := make([][]int, parts) // roots[p][s]: partition p's local root on server s
+	for p := range roots {
+		roots[p] = make([]int, len(c.Servers))
 		for si, s := range c.Servers {
-			tp.Roots[p][si] = p % s.NumGPUs
+			roots[p][si] = p % s.NumGPUs
 		}
 	}
-
-	packs, err := resolvePackings(c, packFor, tp)
+	packs, err := g.resolvePackings(packFor, roots)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phases 1 and 3: merged per-partition reduce and broadcast plans. The
-	// phase-3 broadcast moves the accumulator (the reduced value phase 2
-	// left at the local root), not the original input.
+	// Phase 1: every server reduces every partition to its local root, all
+	// of them concurrently.
 	for si := range c.Servers {
-		var p1, p3 []*Plan
 		for p := 0; p < parts; p++ {
-			po := opts
-			po.OffsetFloats = tp.PartOffFloats[p]
-			partBytes := int64(tp.PartFloats[p]) * 4
-			rp, _, err := BuildReducePlan(fabrics[si], packs[si][p], partBytes, po)
+			po := g.opts
+			po.OffsetFloats = offs[p]
+			rp, _, err := g.builder(si, po).reduce(packs[si][p], int64(ns[p])*4)
 			if err != nil {
 				return nil, fmt.Errorf("core: server %d partition %d reduce: %w", si, p, err)
 			}
-			p1 = append(p1, rp)
-			po.BroadcastAcc = true
-			bp, err := BuildBroadcastPlan(fabrics[si], packs[si][p], partBytes, po)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d partition %d broadcast: %w", si, p, err)
-			}
-			p3 = append(p3, bp)
+			g.add(si, rp)
 		}
-		tp.Phase1 = append(tp.Phase1, MergePlans(fabrics[si], p1...))
-		tp.Phase3 = append(tp.Phase3, MergePlans(fabrics[si], p3...))
 	}
+	g.join("phase 1 done", nil)
 
 	// Phase 2: each partition's n server-local roots exchange partials over
 	// the NIC fabric (every root sends to the n-1 others through the
@@ -144,72 +243,120 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, net
 	for p := 0; p < parts; p++ {
 		for src := 0; src < n; src++ {
 			for di := 1; di < n; di++ {
-				xfers = append(xfers, nicTransfer{
-					src:   src,
-					dst:   (src + di) % n,
-					bytes: int64(tp.PartFloats[p]) * 4,
-					group: p,
-				})
+				xfers = append(xfers, nicTransfer{src: src, dst: (src + di) % n, bytes: int64(ns[p]) * 4, group: p})
 			}
 		}
 	}
-	tp.Phase2, err = buildNICExchangePlan(c, netFab, xfers, opts)
+	if err := g.nicExchange(xfers); err != nil {
+		return nil, err
+	}
+	// What the transfers stand for in data mode: each partition's
+	// server-local partials (left in the local roots' accumulators by phase
+	// 1) are summed across servers, in server order, and written back to
+	// every root, so phase 3 broadcasts the same global result everywhere.
+	var exchange func(*simgpu.BufferSet)
+	if g.opts.DataMode {
+		rankBase := g.rankBase
+		exchange = func(bufs *simgpu.BufferSet) {
+			for p := range roots {
+				off, end := offs[p], offs[p]+ns[p]
+				sum := make([]float32, ns[p])
+				for si, r := range roots[p] {
+					acc := bufs.Buffer(rankBase[si]+r, BufAcc, end)
+					for i := range sum {
+						sum[i] += acc[off+i]
+					}
+				}
+				for si, r := range roots[p] {
+					copy(bufs.Buffer(rankBase[si]+r, BufAcc, end)[off:], sum)
+				}
+			}
+		}
+	}
+	g.join("phase 2 done", exchange)
+
+	// Phase 3: the mirror broadcasts. They move the accumulator (the reduced
+	// value phase 2 left at the local root), not the original input.
+	for si := range c.Servers {
+		for p := 0; p < parts; p++ {
+			po := g.opts
+			po.OffsetFloats, po.BroadcastAcc = offs[p], true
+			bp, err := g.builder(si, po).broadcast(packs[si][p], int64(ns[p])*4)
+			if err != nil {
+				return nil, fmt.Errorf("core: server %d partition %d broadcast: %w", si, p, err)
+			}
+			g.add(si, bp)
+		}
+	}
+	g.plan.Partitions = parts
+	return g.plan, nil
+}
+
+// BuildThreePhaseBroadcast compiles the multi-server broadcast from global
+// rank root: the root's server pushes the payload over the NIC fabric to
+// every other server's local root (phase 2), then each server broadcasts
+// locally over its packed trees (phase 3). There is no reduce phase.
+func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.Fabric, packFor PackFn, root int, bytes int64, opts PlanOptions) (*Plan, error) {
+	g, err := newClusterGen(c, fabrics, wide, bytes, opts)
 	if err != nil {
 		return nil, err
 	}
-	return tp, nil
-}
-
-// BuildThreePhaseBroadcast compiles the multi-server broadcast: the root
-// server pushes the payload over the NIC fabric to every other server's
-// local root (phase 2), then each server broadcasts locally over its packed
-// trees (phase 3). There is no reduce phase.
-func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, netFab *simgpu.Fabric, packFor PackFn, rootServer, localRoot int, bytes int64, opts PlanOptions) (*ThreePhasePlans, error) {
-	if len(c.Servers) < 2 {
-		return nil, fmt.Errorf("core: need >= 2 servers")
+	if root < 0 || root >= g.total {
+		return nil, fmt.Errorf("core: root %d out of range [0,%d)", root, g.total)
 	}
-	if rootServer < 0 || rootServer >= len(c.Servers) {
-		return nil, fmt.Errorf("core: root server %d out of range", rootServer)
-	}
-	if localRoot < 0 || localRoot >= c.Servers[rootServer].NumGPUs {
-		return nil, fmt.Errorf("core: local root %d out of range on server %d", localRoot, rootServer)
-	}
-	opts.SetDefaults()
 	totalFloats := int(bytes / 4)
 	if totalFloats < 1 {
 		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
 	}
-	tp := &ThreePhasePlans{Partitions: 1}
-	tp.PartOffFloats, tp.PartFloats = []int{0}, []int{totalFloats}
-	tp.Roots = [][]int{make([]int, len(c.Servers))}
-	for si := range c.Servers {
-		if si == rootServer {
-			tp.Roots[0][si] = localRoot
+	// Every server broadcasts from its local rank 0, the root's from the root.
+	rootServer := 0
+	roots := [][]int{make([]int, len(c.Servers))}
+	for si, base := range g.rankBase {
+		if root >= base {
+			rootServer = si
 		}
 	}
-
-	packs, err := resolvePackings(c, packFor, tp)
+	roots[0][rootServer] = root - g.rankBase[rootServer]
+	packs, err := g.resolvePackings(packFor, roots)
 	if err != nil {
 		return nil, err
 	}
-	for si := range c.Servers {
-		bp, err := BuildBroadcastPlan(fabrics[si], packs[si][0], bytes, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: server %d broadcast: %w", si, err)
-		}
-		tp.Phase3 = append(tp.Phase3, MergePlans(fabrics[si], bp))
-	}
+	g.join("phase 1 done", nil)
+
 	var xfers []nicTransfer
 	for dst := range c.Servers {
 		if dst != rootServer {
 			xfers = append(xfers, nicTransfer{src: rootServer, dst: dst, bytes: bytes})
 		}
 	}
-	tp.Phase2, err = buildNICExchangePlan(c, netFab, xfers, opts)
-	if err != nil {
+	if err := g.nicExchange(xfers); err != nil {
 		return nil, err
 	}
-	return tp, nil
+	// In data mode the transfers deliver the root's payload to every other
+	// server's local root.
+	var exchange func(*simgpu.BufferSet)
+	if g.opts.DataMode {
+		rankBase := g.rankBase
+		exchange = func(bufs *simgpu.BufferSet) {
+			src := bufs.Buffer(root, BufData, totalFloats)
+			for si, base := range rankBase {
+				if si != rootServer {
+					copy(bufs.Buffer(base, BufData, totalFloats), src)
+				}
+			}
+		}
+	}
+	g.join("phase 2 done", exchange)
+
+	for si := range c.Servers {
+		bp, err := g.builder(si, g.opts).broadcast(packs[si][0], bytes)
+		if err != nil {
+			return nil, fmt.Errorf("core: server %d broadcast: %w", si, err)
+		}
+		g.add(si, bp)
+	}
+	g.plan.Partitions = 1
+	return g.plan, nil
 }
 
 // BuildThreePhaseAllToAll compiles the cluster AllToAll. Every global rank
@@ -217,79 +364,78 @@ func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, net
 // is each server's local AllToAll over that global buffer (destinations
 // restricted to the server's own rank range); phase 2 ships each ordered
 // server pair's shard block through the datacenter switch. There is no
-// phase 3: remote shards land directly in the receivers' cluster exchange
-// buffers (the data movement happens in the collective layer's exchange
-// closure, timed here by the NIC plan).
-func BuildThreePhaseAllToAll(c *topology.Cluster, fabrics []*simgpu.Fabric, netFab *simgpu.Fabric, packFor PackFn, bytes int64, opts PlanOptions) (*ThreePhasePlans, error) {
-	if len(c.Servers) < 2 {
-		return nil, fmt.Errorf("core: need >= 2 servers")
-	}
-	if len(fabrics) != len(c.Servers) {
-		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), len(c.Servers))
-	}
-	opts.SetDefaults()
-	total := 0
-	rankBase := make([]int, len(c.Servers))
-	for si, s := range c.Servers {
-		rankBase[si] = total
-		total += s.NumGPUs
-	}
-	totalFloats := int(bytes / 4)
-	if totalFloats < total {
-		return nil, fmt.Errorf("core: payload %d too small for %d ranks", bytes, total)
-	}
-	shard := totalFloats / total
-	tp := &ThreePhasePlans{Partitions: total}
-	tp.PartOffFloats = make([]int, total)
-	tp.PartFloats = make([]int, total)
-	for i := 0; i < total; i++ {
-		tp.PartOffFloats[i], tp.PartFloats[i] = i*shard, shard
-	}
-	for si := range c.Servers {
-		si := si
-		p1, err := buildAllToAll(fabrics[si], func(r int) (*Packing, error) {
-			return packFor(si, r)
-		}, shard, rankBase[si], total, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: server %d local alltoall: %w", si, err)
-		}
-		tp.Phase1 = append(tp.Phase1, p1)
-	}
-	// Phase 2: one transfer per ordered server pair carrying every shard
-	// headed from si's ranks to sj's ranks.
-	var xfers []nicTransfer
-	for si, s := range c.Servers {
-		for sj, d := range c.Servers {
-			if si == sj {
-				continue
-			}
-			xfers = append(xfers, nicTransfer{
-				src:   si,
-				dst:   sj,
-				bytes: int64(s.NumGPUs) * int64(d.NumGPUs) * int64(shard) * 4,
-				group: si,
-			})
-		}
-	}
-	var err error
-	tp.Phase2, err = buildNICExchangePlan(c, netFab, xfers, opts)
+// phase 3: remote shards land directly under the source's exchange tag at
+// the receivers, exactly where local ones do.
+func BuildThreePhaseAllToAll(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.Fabric, packFor PackFn, bytes int64, opts PlanOptions) (*Plan, error) {
+	g, err := newClusterGen(c, fabrics, wide, bytes, opts)
 	if err != nil {
 		return nil, err
 	}
-	return tp, nil
+	totalFloats := int(bytes / 4)
+	if totalFloats < g.total {
+		return nil, fmt.Errorf("core: payload %d too small for %d ranks", bytes, g.total)
+	}
+	shard := totalFloats / g.total
+	for si := range c.Servers {
+		si := si
+		p1, err := g.builder(si, g.opts).allToAll(func(r int) (*Packing, error) { return packFor(si, r) }, shard, g.total)
+		if err != nil {
+			return nil, fmt.Errorf("core: server %d local alltoall: %w", si, err)
+		}
+		g.add(si, p1)
+	}
+	g.join("phase 1 done", nil)
+
+	// Phase 2: one transfer per ordered server pair carrying every shard
+	// headed from si's ranks to sj's ranks.
+	var xfers []nicTransfer
+	serverOf := make([]int, 0, g.total)
+	for si, s := range c.Servers {
+		for l := 0; l < s.NumGPUs; l++ {
+			serverOf = append(serverOf, si)
+		}
+		for sj, d := range c.Servers {
+			if si != sj {
+				xfers = append(xfers, nicTransfer{src: si, dst: sj, bytes: int64(s.NumGPUs) * int64(d.NumGPUs) * int64(shard) * 4, group: si})
+			}
+		}
+	}
+	if err := g.nicExchange(xfers); err != nil {
+		return nil, err
+	}
+	// In data mode every shard headed off-server is copied straight from the
+	// sender's input into the receiver's buffer under the sender's exchange
+	// tag (same-server shards were delivered there by phase 1).
+	var exchange func(*simgpu.BufferSet)
+	if g.opts.DataMode {
+		bufLen := g.total * shard
+		exchange = func(bufs *simgpu.BufferSet) {
+			for src, si := range serverOf {
+				in := bufs.Buffer(src, BufData, bufLen)
+				for dst, sj := range serverOf {
+					if si != sj {
+						copy(bufs.Buffer(dst, ExchangeTag(src), bufLen)[dst*shard:(dst+1)*shard], in[dst*shard:])
+					}
+				}
+			}
+		}
+	}
+	g.join("phase 2 done", exchange)
+	g.plan.Partitions = g.total
+	return g.plan, nil
 }
 
-// resolvePackings collects the per-(server, partition-root) packings,
-// substituting the trivial packing for single-GPU servers.
-func resolvePackings(c *topology.Cluster, packFor PackFn, tp *ThreePhasePlans) ([][]*Packing, error) {
-	packs := make([][]*Packing, len(c.Servers))
+// resolvePackings collects the packings of roots[p][s], partition p's local
+// root on server s, substituting the trivial packing for single-GPU servers.
+func (g *clusterGen) resolvePackings(packFor PackFn, roots [][]int) ([][]*Packing, error) {
+	packs := make([][]*Packing, len(g.c.Servers))
 	type task struct{ si, p int }
 	var tasks []task
-	for si, s := range c.Servers {
-		packs[si] = make([]*Packing, tp.Partitions)
-		for p := 0; p < tp.Partitions; p++ {
+	for si, s := range g.c.Servers {
+		packs[si] = make([]*Packing, len(roots))
+		for p := range roots {
 			if s.NumGPUs == 1 {
-				packs[si][p] = trivialPacking(tp.Roots[p][si])
+				packs[si][p] = trivialPacking(roots[p][si])
 				continue
 			}
 			tasks = append(tasks, task{si, p})
@@ -302,7 +448,7 @@ func resolvePackings(c *topology.Cluster, packFor PackFn, tp *ThreePhasePlans) (
 	// worker count.
 	err := ParallelMap(len(tasks), 0, func(i int) error {
 		t := tasks[i]
-		root := tp.Roots[t.p][t.si]
+		root := roots[t.p][t.si]
 		pk, err := packFor(t.si, root)
 		if err != nil {
 			return fmt.Errorf("core: server %d root %d: %w", t.si, root, err)
@@ -323,19 +469,20 @@ type nicTransfer struct {
 	group    int // stream-separation tag (partition index)
 }
 
-// buildNICExchangePlan emits the chunked up-link/down-link op chains for a
+// nicExchange emits phase 2: the chunked up-link/down-link op chains for a
 // set of cross-server transfers through the datacenter switch. Each
 // transfer pipelines its chunks: chunk k's down-leg depends on its up-leg,
 // and chunk k+1's up-leg on chunk k's down-leg (store-and-forward at the
 // switch with bounded buffering).
-func buildNICExchangePlan(c *topology.Cluster, netFab *simgpu.Fabric, xfers []nicTransfer, opts PlanOptions) (*Plan, error) {
-	n := len(c.Servers)
+func (g *clusterGen) nicExchange(xfers []nicTransfer) error {
+	n := len(g.c.Servers)
+	netFab := g.plan.Fabric
 	upE := make([]int, n)
 	downE := make([]int, n)
 	for i := range upE {
 		upE[i], downE[i] = -1, -1
 	}
-	for _, e := range c.Net.Edges {
+	for _, e := range g.c.Net.Edges {
 		if e.To == n {
 			upE[e.From] = e.ID
 		} else if e.From == n {
@@ -344,33 +491,24 @@ func buildNICExchangePlan(c *topology.Cluster, netFab *simgpu.Fabric, xfers []ni
 	}
 	for i := 0; i < n; i++ {
 		if upE[i] < 0 || downE[i] < 0 {
-			return nil, fmt.Errorf("core: server %d lacks NIC edges", i)
+			return fmt.Errorf("core: server %d lacks NIC edges", i)
 		}
 	}
-	chunk := opts.ChunkBytes
-	if chunk <= 0 {
-		chunk = 4 << 20
-	}
-	cfg := netFab.Cfg
-	plan := &Plan{Fabric: netFab}
-	streams := 0
+	plan := &Plan{}
 	for _, x := range xfers {
-		upStream := streams
-		downStream := streams + 1
-		streams += 2
+		upStream := plan.Streams
+		downStream := plan.Streams + 1
+		plan.Streams += 2
 		remaining := x.bytes
 		prev := -1
 		ci := 0
 		for remaining > 0 {
-			sz := chunk
-			if sz > remaining {
-				sz = remaining
-			}
+			sz := min(g.opts.ChunkBytes, remaining)
 			up := &simgpu.Op{
 				Stream:   upStream,
 				Link:     netFab.EdgeLinks(upE[x.src])[0],
 				Bytes:    sz,
-				Overhead: cfg.OpOverhead,
+				Overhead: netFab.Cfg.OpOverhead,
 				Label:    fmt.Sprintf("net p%d %d->%d c%d up", x.group, x.src, x.dst, ci),
 			}
 			if prev >= 0 {
@@ -390,8 +528,7 @@ func buildNICExchangePlan(c *topology.Cluster, netFab *simgpu.Fabric, xfers []ni
 			remaining -= sz
 			ci++
 		}
-		plan.TotalBytes += x.bytes
 	}
-	plan.Streams = streams
-	return plan, nil
+	g.add(n, plan)
+	return nil
 }

@@ -59,9 +59,13 @@ type Plan struct {
 	// Streams is the number of distinct streams the plan uses.
 	Streams int
 	// IR is the serializable intermediate representation the plan was
-	// generated from (nil for plans built outside CodeGen, e.g. hybrid or
-	// cluster-phase plans; such plans cannot be encoded to disk).
+	// generated from (nil for plans built outside CodeGen, i.e. hybrid and
+	// cluster plans; such plans cannot be encoded to disk).
 	IR *PlanIR
+	// Partitions is the number of payload partitions of a three-phase cluster
+	// plan (multiserver.go), each with its own local root per server; zero on
+	// every other plan.
+	Partitions int
 }
 
 // Execute runs the plan for timing and returns the simulated result. Any
@@ -263,6 +267,21 @@ type planBuilder struct {
 	opts    PlanOptions
 	ops     []*simgpu.Op
 	streams map[[5]int]int
+	// rankBase and relayBase place the fabric's vertices in the call's arena,
+	// the way OffsetFloats places the plan's floats in its buffers: GPU rank v
+	// is arena device rankBase+v, relay vertex v device relayBase+v. Both are
+	// zero on one machine. The cluster builders (multiserver.go) set them so
+	// every server's ranks sit at their global, server-major ranks — the flat
+	// ring's numbering — and its relays past every rank.
+	rankBase, relayBase int
+}
+
+// dev maps a vertex of the builder's fabric to its device in the call's arena.
+func (b *planBuilder) dev(v int) int {
+	if v < ranksOf(b.f) {
+		return b.rankBase + v
+	}
+	return b.relayBase + v
 }
 
 func newBuilder(f *simgpu.Fabric, opts PlanOptions) *planBuilder {
@@ -344,6 +363,7 @@ func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) fun
 	if !b.opts.DataMode {
 		return nil
 	}
+	src, dst = b.dev(src), b.dev(dst)
 	return func(bufs *simgpu.BufferSet) {
 		sb := bufs.Buffer(src, srcTag, bufLen)
 		db := bufs.Buffer(dst, dstTag, bufLen)
@@ -356,6 +376,7 @@ func (b *planBuilder) addExec(dev, scratchTag, off, n, bufLen int) func(*simgpu.
 	if !b.opts.DataMode {
 		return nil
 	}
+	dev = b.dev(dev)
 	return func(bufs *simgpu.BufferSet) {
 		acc := bufs.Buffer(dev, BufAcc, bufLen)
 		sc := bufs.Buffer(dev, scratchTag, bufLen)
@@ -411,12 +432,11 @@ func newTreeGen(b *planBuilder, p *Packing, base, floats int, chunkBytes int64, 
 // payloadGen opens a generator for the builders whose every tree edge
 // carries the tree's whole share of the payload (Broadcast, Reduce,
 // AllReduce), over the plan's region [OffsetFloats, OffsetFloats+bytes/4).
-func payloadGen(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*treeGen, error) {
+func payloadGen(b *planBuilder, p *Packing, bytes int64) (*treeGen, error) {
 	totalFloats := int(bytes / 4)
 	if totalFloats <= 0 {
 		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
 	}
-	b := newBuilder(f, opts)
 	return newTreeGen(b, p, b.opts.OffsetFloats, totalFloats, b.opts.ChunkBytes, b.opts.OffsetFloats+totalFloats)
 }
 
@@ -435,7 +455,13 @@ func (t *treeGen) rankSubtrees(ranks int) [][][]int {
 // by weight, each tree's share is chunked, and chunk k on an edge depends
 // on chunk k arriving at the edge's source (pipelined forwarding, Fig 11).
 func BuildBroadcastPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	t, err := payloadGen(f, p, bytes, opts)
+	return newBuilder(f, opts).broadcast(p, bytes)
+}
+
+// broadcast is BuildBroadcastPlan over an open builder — the cluster
+// builders open theirs with a rank base.
+func (b *planBuilder) broadcast(p *Packing, bytes int64) (*Plan, error) {
+	t, err := payloadGen(b, p, bytes)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +519,12 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 // partial result (reduce+forward, §2.2). The returned plan's final ops per
 // (tree, chunk) are recorded in RootReduceOps for chaining by AllReduce.
 func BuildReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, [][][]int, error) {
-	t, err := payloadGen(f, p, bytes, opts)
+	return newBuilder(f, opts).reduce(p, bytes)
+}
+
+// reduce is BuildReducePlan over an open builder.
+func (b *planBuilder) reduce(p *Packing, bytes int64) (*Plan, [][][]int, error) {
+	t, err := payloadGen(b, p, bytes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -599,13 +630,13 @@ func initAccumulators(b *planBuilder, bufLen int) {
 	}
 	off := b.opts.OffsetFloats
 	for v := 0; v < b.g.N; v++ {
-		v := v
+		dev := b.dev(v)
 		b.add(&simgpu.Op{
 			Stream: b.stream(phaseReduce, 0, -1000-v, 0, 0),
 			Link:   -1,
 			Exec: func(bufs *simgpu.BufferSet) {
-				in := bufs.Buffer(v, BufData, bufLen)
-				acc := bufs.Buffer(v, BufAcc, bufLen)
+				in := bufs.Buffer(dev, BufData, bufLen)
+				acc := bufs.Buffer(dev, BufAcc, bufLen)
 				copy(acc[off:bufLen], in[off:bufLen])
 			},
 			Label: fmt.Sprintf("acc-init @%d", v),
@@ -618,7 +649,7 @@ func initAccumulators(b *planBuilder, bufLen int) {
 // the other direction, chained per chunk so the broadcast of chunk k starts
 // as soon as the root finishes reducing chunk k.
 func BuildAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	t, err := payloadGen(f, p, bytes, opts)
+	t, err := payloadGen(newBuilder(f, opts), p, bytes)
 	if err != nil {
 		return nil, err
 	}
@@ -683,7 +714,7 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 				}
 				upSend[v] = b.addTransfer(phaseGather, ti, upE, s.depth[v],
 					int64(len(shards))*int64(nfl)*4, deps,
-					b.exchangeShardExec(v, parent, BufData, BufData, shards, perVertex, 0, soff, nfl, t.bufLen),
+					b.exchangeShardExec(v, parent, BufData, BufData, shards, perVertex, soff, nfl, t.bufLen),
 					fmt.Sprintf("gather t%d c%d %d up", ti, k, v))
 			}
 		}
@@ -702,7 +733,7 @@ func BuildScatterPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOption
 	}
 	perVertex := totalFloats / n
 	b := newBuilder(f, opts)
-	if err := emitShardScatter(b, p, n, perVertex, 0, perVertex*n, BufData, phaseBroadcast, "scatter"); err != nil {
+	if err := emitShardScatter(b, p, n, perVertex, perVertex*n, BufData, phaseBroadcast, "scatter"); err != nil {
 		return nil, err
 	}
 	return b.plan(int64(perVertex) * int64(n) * 4), nil
@@ -715,9 +746,9 @@ func BuildScatterPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOption
 // leaves. The first hop reads the root's BufData; below it shards stage and
 // land under stageTag — BufData for a Scatter, the source's exchange tag for
 // AllToAll, so n scatters share the fabric without aliasing. Shard u sits at
-// float (destBase+u)*perVertex of a bufLen-float buffer (destBase shifts
-// local ranks into a cluster's global layout).
-func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, destBase, bufLen, stageTag, phase int, label string) error {
+// float (rankBase+u)*perVertex of a bufLen-float buffer (the builder's
+// rankBase shifts local ranks into a cluster's global layout).
+func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTag, phase int, label string) error {
 	// An edge near the root carries up to (n-1) vertices' shards per chunk,
 	// so scale the chunk unit down by the fan-out to keep root-edge ops
 	// near the configured chunk size (preserving pipelining). A lone rank
@@ -761,7 +792,7 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, destBase, bufLe
 				}
 				sent[v] = b.addTransfer(phase, ti, eid, s.depth[v],
 					int64(len(shards))*int64(nfl)*4, deps,
-					b.exchangeShardExec(e.From, v, srcTag, stageTag, shards, perVertex, destBase, soff, nfl, bufLen),
+					b.exchangeShardExec(e.From, v, srcTag, stageTag, shards, perVertex, soff, nfl, bufLen),
 					fmt.Sprintf("%s t%d c%d ->%d", label, ti, k, v))
 			}
 		}

@@ -59,6 +59,10 @@ type Op struct {
 
 	start, finish float64
 	scheduled     bool
+	// Mark reports the op's finish time in Result.Marks. A schedule whose
+	// phases are joined by zero-resource ops marks the joins, so one run
+	// yields the makespan and where inside it each phase ended.
+	Mark bool
 }
 
 // linkSet returns the links the op occupies.
@@ -93,6 +97,9 @@ type Result struct {
 	// BusiestLink and BusiestLinkTime identify the most occupied link.
 	BusiestLink     int
 	BusiestLinkTime float64
+	// Marks holds the finish times of the ops flagged Mark, in op order (nil
+	// when the schedule marks none).
+	Marks []float64
 }
 
 type pqItem struct {
@@ -273,6 +280,11 @@ func RunHooked(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op
 	}
 	if done != n {
 		return res, fmt.Errorf("simgpu: deadlock: %d of %d ops executed (cyclic deps or stream order conflict)", done, n)
+	}
+	for _, op := range ops {
+		if op.Mark {
+			res.Marks = append(res.Marks, op.finish)
+		}
 	}
 	for l, b := range linkBusy {
 		if b > res.BusiestLinkTime {
