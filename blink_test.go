@@ -268,3 +268,85 @@ func TestScatterPublicAPI(t *testing.T) {
 		t.Fatal("scatter produced no throughput")
 	}
 }
+
+// warmAllocs runs op once to compile its plan and returns the allocations
+// of one warm call. AllocsPerRun counts the whole process, so a goroutine an
+// earlier test left winding down can only add to it: the least of three is
+// the call's own.
+func warmAllocs(op func()) float64 {
+	op()
+	got := testing.AllocsPerRun(10, op)
+	for i := 0; i < 2; i++ {
+		got = min(got, testing.AllocsPerRun(10, op))
+	}
+	return got
+}
+
+// Allocation ratchets on the warm single-machine paths, kept like the
+// Makefile's LOC_CEIL_*: lowered when a count falls, never raised to make a
+// build pass. At the commit before a replay became a lookup they read 1,755
+// (1 MB), 3,233 (64 MB), 1,853 (data) — one heap-copied op per schedule op
+// plus the simulator's maps, per call.
+const (
+	// warmTimingAllocCeiling: the born-resolved Handle, at any payload.
+	warmTimingAllocCeiling = 1
+	// warmDataAllocCeiling: the arena, its buffers and the per-rank outputs
+	// of a 1 MB-per-rank AllReduceData on eight ranks (measured 66).
+	warmDataAllocCeiling = 70
+	// warmAsyncAllocCeiling: handle, done channel, hook, task and span
+	// closures of one AllReduceAsync + Wait (measured 6).
+	warmAsyncAllocCeiling = 6
+)
+
+// TestWarmReplayAllocs holds the path every training iteration takes to its
+// allocation ceilings on the full DGX-1V: a synchronous timing AllReduce
+// must cost the same single allocation at 1 MB and at 64 MB (a warm op's
+// cost must not scale with its schedule's op count), and the data-mode and
+// stream-scheduled forms stay under theirs.
+func TestWarmReplayAllocs(t *testing.T) {
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	comm, err := NewComm(DGX1V(), all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing := func(bytes int64) float64 {
+		return warmAllocs(func() {
+			if _, err := comm.AllReduce(bytes); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := timing(1<<20), timing(64<<20)
+	t.Logf("warm AllReduce: %.0f allocations at 1 MB, %.0f at 64 MB (ceiling %d)", small, large, warmTimingAllocCeiling)
+	if small > warmTimingAllocCeiling || large != small {
+		t.Fatalf("warm AllReduce allocates %.0f times at 1 MB and %.0f at 64 MB, want equal and at most %d", small, large, warmTimingAllocCeiling)
+	}
+
+	async := warmAllocs(func() {
+		if _, err := comm.AllReduceAsync(1 << 20).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm AllReduceAsync + Wait: %.0f allocations (ceiling %d)", async, warmAsyncAllocCeiling)
+	if async > warmAsyncAllocCeiling {
+		t.Fatalf("warm AllReduceAsync + Wait allocates %.0f times, ceiling %d", async, warmAsyncAllocCeiling)
+	}
+
+	dataComm, err := NewComm(DGX1V(), all, WithDataMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([][]float32, dataComm.Size())
+	for r := range inputs {
+		inputs[r] = make([]float32, 1<<20/4)
+	}
+	data := warmAllocs(func() {
+		if _, err := dataComm.AllReduceData(inputs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm AllReduceData, 1 MB per rank: %.0f allocations (ceiling %d)", data, warmDataAllocCeiling)
+	if data > warmDataAllocCeiling {
+		t.Fatalf("warm AllReduceData allocates %.0f times, ceiling %d", data, warmDataAllocCeiling)
+	}
+}

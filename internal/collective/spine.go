@@ -44,6 +44,8 @@ type engineShell struct {
 	// Registry-resolved dispatch metric handles (hot path: pure atomics).
 	mCompiles, mReplays, mReplans *obs.Counter
 	mReplanSeconds                *obs.Histogram
+	// opHists caches opHist's handle per op kind, filled on first use.
+	opHists [NeighborExchange + 1]atomic.Pointer[obs.Histogram]
 
 	// async is the stream scheduler behind RunAsync; qos the multi-tenant
 	// lane scheduler behind tenant dispatch. Both start on first use, so
@@ -88,9 +90,17 @@ func (e *engineShell) EnableTimeline() *obs.Timeline {
 // was called).
 func (e *engineShell) Timeline() *obs.Timeline { return e.tl.Load() }
 
-// opHist resolves the per-op simulated-makespan histogram.
+// opHist resolves the per-op simulated-makespan histogram, creating the
+// series on the op kind's first dispatch (an op never issued exports no
+// empty series) and remembering the handle, so a warm dispatch neither
+// builds the series name nor looks it up. op has passed request.validate.
 func (e *engineShell) opHist(op Op) *obs.Histogram {
-	return e.obsReg.Histogram(`blink_op_sim_seconds{op="`+op.String()+`"}`, nil)
+	h := e.opHists[op].Load()
+	if h == nil {
+		h = e.obsReg.Histogram(`blink_op_sim_seconds{op="`+op.String()+`"}`, nil)
+		e.opHists[op].Store(h)
+	}
+	return h
 }
 
 // SetPlanCache replaces the engine's plan cache, e.g. with one shared by
@@ -263,7 +273,8 @@ func planFor[S any](p planner[S], st S, rq request) (*CachedPlan, bool, error) {
 
 // replay executes the frozen schedule against the call's arena and returns
 // the simulated run. Every schedule — tree, ring, hybrid, flat ring,
-// three-phase — is one FrozenPlan, one simulation, one arena.
+// three-phase — is one FrozenPlan, simulated once when it was frozen, and
+// one arena.
 func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (simgpu.Result, error) {
 	return cp.Plan.ReplayDataHooked(rq.opts.Buffers, hook)
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -34,7 +37,7 @@ func TestFreezeReplayMatchesExecute(t *testing.T) {
 	if fp.HasExec() {
 		t.Fatal("timing-only plan reports Exec closures")
 	}
-	if fp.NumOps() != len(plan.Ops) || fp.TotalBytes() != plan.TotalBytes || fp.Streams() != plan.Streams {
+	if fp.NumOps() != len(plan.Ops) {
 		t.Fatal("frozen metadata diverges from plan")
 	}
 	want, err := plan.Execute()
@@ -106,5 +109,267 @@ func TestFrozenDataModeFlag(t *testing.T) {
 		if acc[i] != 10 {
 			t.Fatalf("acc[%d] = %v, want 10", i, acc[i])
 		}
+	}
+}
+
+// memoCase builds one schedule — fresh on every call, since a run mutates
+// its ops — over an arena of ranks vertices holding floats per buffer.
+type memoCase struct {
+	name          string
+	ranks, floats int
+	build         func(t *testing.T, data bool) *Plan
+}
+
+// memoCases is one schedule of every plan shape a FrozenPlan holds: trees,
+// the per-source exchange, the two-plane hybrid behind its peer-access gate,
+// and the marked three-phase cluster plan.
+func memoCases(t *testing.T) []memoCase {
+	const floats = 6000 // several 4 KB chunks per tree, not chunk-aligned
+	opts := func(data bool) PlanOptions { return PlanOptions{DataMode: data, ChunkBytes: 4096} }
+	must := func(p *Plan, err error) *Plan {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A negligible peer-access switch gives PCIe a share of a small payload.
+	cfg := simgpu.Config{DisablePeerBase: 1e-9, DisablePeerPerGPU: 1e-9}
+	nvl, pcie := simgpu.NewFabric(ind, ind.GPUGraph(), cfg), simgpu.NewFabric(ind, ind.PCIeGraph(), cfg)
+	packs := map[[2]int]*Packing{}
+	pack := func(f *simgpu.Fabric, plane, root int) *Packing {
+		t.Helper()
+		if packs[[2]int{plane, root}] == nil {
+			p, err := GenerateTrees(f.Graph, root, PackOptions{}, MinimizeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			packs[[2]int{plane, root}] = p
+		}
+		return packs[[2]int{plane, root}]
+	}
+	c, fabrics, wide := threePhaseFixture(t)
+	clusterPack := func(si, root int) (*Packing, error) {
+		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
+	}
+	return []memoCase{
+		{"Broadcast", 4, floats, func(t *testing.T, data bool) *Plan {
+			return must(BuildBroadcastPlan(nvl, pack(nvl, 0, 0), floats*4, opts(data)))
+		}},
+		{"AllReduce", 4, floats, func(t *testing.T, data bool) *Plan {
+			return must(BuildAllReducePlan(nvl, pack(nvl, 0, 0), floats*4, opts(data)))
+		}},
+		{"AllToAll", 4, floats, func(t *testing.T, data bool) *Plan {
+			packFor := func(root int) (*Packing, error) { return pack(nvl, 0, root), nil }
+			return must(BuildAllToAllPlan(nvl, packFor, floats*4, opts(data)))
+		}},
+		{"HybridBroadcast", 4, 1 << 20, func(t *testing.T, data bool) *Plan {
+			plan, split, err := BuildHybridBroadcastPlan(nvl, pack(nvl, 0, 0), pcie, pack(pcie, 1, 0), 4<<20, PlanOptions{DataMode: data})
+			if err == nil && split.PCIeBytes == 0 {
+				t.Fatal("hybrid split gave PCIe nothing: the case covers one plane only")
+			}
+			return must(plan, err)
+		}},
+		{"ThreePhaseAllReduce", c.TotalGPUs(), floats, func(t *testing.T, data bool) *Plan {
+			return must(BuildThreePhaseAllReduce(c, fabrics, wide, clusterPack, floats*4, opts(data)))
+		}},
+	}
+}
+
+// stage fills an arena with non-integer inputs, so the order reductions
+// were summed in shows in the low bits of their results.
+func (c memoCase) stage() *simgpu.BufferSet {
+	bufs := simgpu.NewBufferSet()
+	for v := 0; v < c.ranks; v++ {
+		in := make([]float32, c.floats)
+		for i := range in {
+			in[i] = float32(v+1)*1.1 + float32(i%977)*0.37
+		}
+		bufs.SetBuffer(v, BufData, in)
+	}
+	return bufs
+}
+
+// diff reports the first element in which two arenas of the case differ,
+// over every buffer a collective reads or delivers into.
+func (c memoCase) diff(a, b *simgpu.BufferSet) string {
+	tags := []int{BufData, BufAcc}
+	for r := 0; r < c.ranks; r++ {
+		tags = append(tags, ExchangeTag(r))
+	}
+	for v := 0; v < c.ranks; v++ {
+		for _, tag := range tags {
+			x, y := a.Buffer(v, tag, c.floats), b.Buffer(v, tag, c.floats)
+			for i := range x {
+				if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
+					return fmt.Sprintf("vertex %d tag %d float %d: %v != %v", v, tag, i, x[i], y[i])
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestReplayIsTheSimulation: a frozen plan's replay is the simulation Freeze
+// ran, for every plan shape in both modes. Against simgpu.RunHooked over a
+// fresh op set (what Plan.ExecuteData runs) it returns the same result bit
+// for bit, reports progress as (1,n)…(n,n), runs the Exec closures in the
+// order the simulator launched them and leaves the same bits in the arena;
+// freezing runs no Exec, and a timing replay of a data-mode plan still runs
+// them all, against an arena of its own.
+func TestReplayIsTheSimulation(t *testing.T) {
+	for _, c := range memoCases(t) {
+		for _, data := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/data=%v", c.name, data), func(t *testing.T) {
+				ref, refBufs := c.build(t, data), c.stage()
+				var wantExecs []int
+				want, err := simgpu.RunHooked(ref.Fabric.Links, ref.Ops, refBufs, func(i int, op *simgpu.Op) {
+					if op.Exec != nil {
+						wantExecs = append(wantExecs, i)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if data == (wantExecs == nil) {
+					t.Fatalf("data mode %v but %d ops carry an Exec", data, len(wantExecs))
+				}
+
+				plan := c.build(t, data)
+				var execs []int
+				for i, op := range plan.Ops {
+					if i, exec := i, op.Exec; exec != nil {
+						op.Exec = func(b *simgpu.BufferSet) {
+							execs = append(execs, i)
+							exec(b)
+						}
+					}
+				}
+				fp := plan.Freeze()
+				if len(execs) != 0 {
+					t.Fatalf("Freeze ran %d Exec closures", len(execs))
+				}
+				bufs, done := c.stage(), 0
+				got, err := fp.ReplayDataHooked(bufs, func(d, total int) {
+					if done++; d != done || total != want.Ops {
+						t.Fatalf("hook call %d saw (%d, %d), want (%d, %d)", done, d, total, done, want.Ops)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done != want.Ops {
+					t.Fatalf("hook fired %d times for %d ops", done, want.Ops)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("replay %+v != simulation %+v", got, want)
+				}
+				if !reflect.DeepEqual(execs, wantExecs) {
+					t.Fatal("replay ran the Exec closures in another order than the simulator launched them")
+				}
+				if d := c.diff(bufs, refBufs); d != "" {
+					t.Fatalf("replayed arena differs from the executed one: %s", d)
+				}
+				if got, err := fp.Replay(); err != nil || !reflect.DeepEqual(got, want) || len(execs) != 2*len(wantExecs) {
+					t.Fatalf("timing replay: %+v, %v, %d Exec calls in all (want %d)", got, err, len(execs), 2*len(wantExecs))
+				}
+			})
+		}
+	}
+}
+
+// TestReplayConcurrentDataHooked: sixteen goroutines replaying one data-mode
+// plan, each with its own arena and hook, share nothing writable — every one
+// gets the executed plan's result and bits (run under -race by `make race`).
+func TestReplayConcurrentDataHooked(t *testing.T) {
+	c := memoCases(t)[1]
+	refBufs := c.stage()
+	want, err := c.build(t, true).ExecuteData(refBufs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := c.build(t, true).Freeze()
+	var wg sync.WaitGroup
+	arenas, fails := make([]*simgpu.BufferSet, 16), make([]string, 16)
+	for g := range arenas {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			calls := 0
+			arenas[g] = c.stage()
+			got, err := fp.ReplayDataHooked(arenas[g], func(int, int) { calls++ })
+			if err != nil {
+				fails[g] = err.Error()
+			} else if !reflect.DeepEqual(got, want) || calls != want.Ops {
+				fails[g] = fmt.Sprintf("%+v after %d hook calls, want %+v after %d", got, calls, want, want.Ops)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, f := range fails {
+		if f == "" {
+			f = c.diff(arenas[g], refBufs) // reading an arena grows it: not for the goroutines to share
+		}
+		if f != "" {
+			t.Fatalf("goroutine %d: %s", g, f)
+		}
+	}
+}
+
+// TestReplayOfUnrunnableSchedule: a schedule the simulator cannot finish (a
+// dependency cycle beside one free op) fails at Freeze with the simulator's
+// own error, and every replay returns that error having run no Exec and
+// called no hook — the simulator would have launched the free op first.
+func TestReplayOfUnrunnableSchedule(t *testing.T) {
+	good, _ := frozenTestPlan(t, false)
+	ran := 0
+	exec := func(*simgpu.BufferSet) { ran++ }
+	ops := func() []*simgpu.Op {
+		return []*simgpu.Op{
+			{Stream: 0, Link: -1, Deps: []int{1}, Exec: exec},
+			{Stream: 1, Link: -1, Deps: []int{0}, Exec: exec},
+			{Stream: 2, Link: -1, Exec: exec},
+		}
+	}
+	_, want := simgpu.Run(good.Fabric.Links, ops(), nil)
+	if want == nil || ran != 1 {
+		t.Fatalf("simulator: error %v after %d Exec calls, want a deadlock after 1", want, ran)
+	}
+	ran = 0
+	fp := (&Plan{Ops: ops(), Fabric: good.Fabric}).Freeze()
+	hook := func(int, int) { ran++ }
+	for i, replay := range []func() (simgpu.Result, error){
+		fp.Replay,
+		func() (simgpu.Result, error) { return fp.ReplayData(simgpu.NewBufferSet()) },
+		func() (simgpu.Result, error) { return fp.ReplayDataHooked(nil, hook) },
+	} {
+		if _, err := replay(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("replay %d: error %v, want %v", i, err, want)
+		}
+	}
+	if ran != 0 {
+		t.Fatalf("%d Exec or hook calls on a schedule that cannot run", ran)
+	}
+}
+
+// TestHookedTimingReplayAllocatesNothing: a progress hook on a timing plan
+// costs one call per op and no allocation — in particular no throwaway
+// arena, which only a plan with Exec closures needs.
+func TestHookedTimingReplayAllocatesNothing(t *testing.T) {
+	plan, _ := frozenTestPlan(t, false)
+	fp := plan.Freeze()
+	calls := 0
+	hook := func(int, int) { calls++ }
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := fp.ReplayDataHooked(nil, hook); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || calls != 11*fp.NumOps() {
+		t.Fatalf("hooked timing replay: %.0f allocations, %d hook calls over 11 replays of %d ops", allocs, calls, fp.NumOps())
 	}
 }

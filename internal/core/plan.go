@@ -71,12 +71,12 @@ type Plan struct {
 // Execute runs the plan for timing and returns the simulated result. Any
 // Exec closures run against a throwaway arena; use ExecuteData to move real
 // data a caller can observe.
-func (p *Plan) Execute() (simgpu.Result, error) { return p.Fabric.Run(p.Ops, nil) }
+func (p *Plan) Execute() (simgpu.Result, error) { return p.ExecuteData(nil) }
 
 // ExecuteData runs the plan against the given per-call buffer arena: Exec
 // closures read inputs from and leave results in bufs.
 func (p *Plan) ExecuteData(bufs *simgpu.BufferSet) (simgpu.Result, error) {
-	return p.Fabric.Run(p.Ops, bufs)
+	return simgpu.Run(p.Fabric.Links, p.Ops, bufs)
 }
 
 // ThroughputGBs runs the plan and reports TotalBytes/makespan in GB/s.

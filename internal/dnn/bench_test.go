@@ -14,25 +14,37 @@ import (
 // behind compute (TestOverlappedTrainStepMatchesSequential asserts the two
 // steps schedule the same work; this is the wall-clock half, so it runs
 // under `make bench`, not `go test ./...`). Each workload is a synthetic DDP
-// footprint of equal fused buckets totalling 1-3 GB, where a dispatch is far
-// above the ~1 ms OS timer quantum. The warm blocking TrainStep is timed and
-// becomes the simulated backward pass (host idle), so compute and
-// communication contend 1:1; the sequential step (sleep, then one blocking
-// grouped dispatch) and the overlapped one (each bucket launched async at
-// its gradient-ready deadline) are then averaged over 8 warm iterations, and
-// overlapped must win by 1.25x. One such measurement sinks below the gate
-// about one run in four on a shared 2-vCPU host for reasons no change
-// causes, so the best of at most three counts.
+// footprint of 4-8 equal fused buckets of 1 MiB per rank on a data-mode
+// engine, dispatched with Options{DataMode: true}: every bucket moves its
+// payload through the schedule's Exec closures, so a blocking step is tens
+// of milliseconds, far above the ~1 ms OS timer quantum. The warm blocking
+// step is timed and becomes the simulated backward pass (host idle), so
+// compute and communication contend 1:1; the sequential step (sleep, then
+// one blocking grouped dispatch) and the overlapped one (each bucket
+// launched async at its gradient-ready deadline) are then averaged over 8
+// warm iterations, and overlapped must win by 1.25x. One such measurement
+// sinks below the gate about one run in four on a shared 2-vCPU host for
+// reasons no change causes, so the best of at most three counts.
+//
+// Until a replay became a lookup the gate ran in timing mode over 4x256 MB,
+// 6x256 MB and 8x384 MB, where re-simulating each bucket cost milliseconds
+// of host time. A warm timing dispatch is now under a microsecond, which
+// left nothing to hide: sequential was one sleep, overlapped a sleep per
+// bucket, and the old footprints read 0.67x, 0.70x and 0.79x (0.73x on two
+// of three when the change was sized). Data movement is the host cost async
+// streams still overlap: this form read 1.50-1.89x in eighteen of eighteen
+// first measurements (six runs) when it was introduced.
 func BenchmarkTrainStepOverlap(b *testing.B) {
 	const iters, floor, repeats = 8, 1.25, 3
-	eng, err := collective.NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
+	eng, err := collective.NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	data := collective.Options{DataMode: true}
 	for _, w := range []struct {
 		buckets     int
 		bucketBytes int64
-	}{{4, 256 << 20}, {6, 256 << 20}, {8, 384 << 20}} {
+	}{{4, 1 << 20}, {6, 1 << 20}, {8, 1 << 20}} {
 		m := &Model{Name: fmt.Sprintf("DDP-%dx%dMB", w.buckets, w.bucketBytes>>20)}
 		for i := 0; i < w.buckets; i++ {
 			m.Layers = append(m.Layers, Layer{Name: fmt.Sprintf("bucket%d", i), Bytes: w.bucketBytes})
@@ -49,7 +61,7 @@ func BenchmarkTrainStepOverlap(b *testing.B) {
 				return time.Since(t0) / iters
 			}
 			blocking := func() (collective.GroupResult, error) {
-				return TrainStep(eng, collective.Blink, m, w.bucketBytes)
+				return SequentialTrainStep(eng, collective.Blink, m, w.bucketBytes, 0, data)
 			}
 			mean(blocking) // freeze every bucket plan
 			var best float64
@@ -58,10 +70,10 @@ func BenchmarkTrainStepOverlap(b *testing.B) {
 				for r := 0; r < repeats && best < floor; r++ {
 					backprop := mean(blocking)
 					seq := mean(func() (collective.GroupResult, error) {
-						return SequentialTrainStep(eng, collective.Blink, m, w.bucketBytes, backprop)
+						return SequentialTrainStep(eng, collective.Blink, m, w.bucketBytes, backprop, data)
 					})
 					ovl := mean(func() (collective.GroupResult, error) {
-						return OverlappedTrainStep(eng, collective.Blink, m, w.bucketBytes, backprop)
+						return OverlappedTrainStep(eng, collective.Blink, m, w.bucketBytes, backprop, data)
 					})
 					best = max(best, float64(seq)/float64(ovl))
 				}

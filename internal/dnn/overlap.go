@@ -20,8 +20,11 @@ import (
 // compute + communication back to back.
 //
 // The returned GroupResult aggregates the handles in launch order, with
-// exact cache attribution from each handle.
-func OverlappedTrainStep(eng *collective.Engine, backend collective.Backend, m *Model, bucketBytes int64, backpropWall time.Duration) (collective.GroupResult, error) {
+// exact cache attribution from each handle. opts is passed to every bucket's
+// dispatch (Options{DataMode: true} on a data-mode engine makes each one
+// move its payload, which is the communication cost left to overlap now
+// that a timing replay is a lookup).
+func OverlappedTrainStep(eng *collective.Engine, backend collective.Backend, m *Model, bucketBytes int64, backpropWall time.Duration, opts collective.Options) (collective.GroupResult, error) {
 	sizes := GradientBuckets(m, bucketBytes)
 	if len(sizes) == 0 {
 		return collective.GroupResult{}, fmt.Errorf("dnn: model %s has no gradients", m.Name)
@@ -38,7 +41,7 @@ func OverlappedTrainStep(eng *collective.Engine, backend collective.Backend, m *
 		if d := time.Until(ready); d > 0 {
 			time.Sleep(d) // backward slice producing this bucket: host idle
 		}
-		handles[i] = eng.RunAsync(backend, collective.AllReduce, 0, sz, collective.Options{}, -1)
+		handles[i] = eng.RunAsync(backend, collective.AllReduce, 0, sz, opts, -1)
 	}
 	g := collective.GroupResult{Results: make([]collective.Result, 0, len(sizes))}
 	for i, h := range handles {
@@ -64,10 +67,11 @@ func OverlappedTrainStep(eng *collective.Engine, backend collective.Backend, m *
 // SequentialTrainStep is the non-overlapped baseline OverlappedTrainStep
 // is measured against: the full backward pass elapses first (host idle),
 // then the step's gradient buckets dispatch as one blocking grouped
-// collective — communication strictly after compute.
-func SequentialTrainStep(eng *collective.Engine, backend collective.Backend, m *Model, bucketBytes int64, backpropWall time.Duration) (collective.GroupResult, error) {
+// collective — communication strictly after compute: TrainStep under opts,
+// whose empty-group error covers a model without gradients.
+func SequentialTrainStep(eng *collective.Engine, backend collective.Backend, m *Model, bucketBytes int64, backpropWall time.Duration, opts collective.Options) (collective.GroupResult, error) {
 	if backpropWall > 0 {
 		time.Sleep(backpropWall)
 	}
-	return TrainStep(eng, backend, m, bucketBytes)
+	return eng.RunMany(backend, collective.AllReduce, 0, GradientBuckets(m, bucketBytes), opts)
 }

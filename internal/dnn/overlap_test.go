@@ -22,7 +22,7 @@ func TestOverlappedTrainStepMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OverlappedTrainStep(eng, collective.Blink, m, bucket, 0)
+	got, err := OverlappedTrainStep(eng, collective.Blink, m, bucket, 0, collective.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestOverlappedTrainStepErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := &Model{Name: "empty"}
-	if _, err := OverlappedTrainStep(eng, collective.Blink, empty, 0, 0); err == nil {
+	if _, err := OverlappedTrainStep(eng, collective.Blink, empty, 0, 0, collective.Options{}); err == nil {
 		t.Fatal("model without gradients accepted")
 	}
-	if _, err := SequentialTrainStep(eng, collective.Blink, empty, 0, 0); err == nil {
+	if _, err := SequentialTrainStep(eng, collective.Blink, empty, 0, 0, collective.Options{}); err == nil {
 		t.Fatal("sequential: model without gradients accepted")
 	}
 }

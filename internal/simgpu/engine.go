@@ -138,9 +138,11 @@ func Run(links []Link, ops []*Op, bufs *BufferSet) (Result, error) {
 
 // RunHooked is Run plus a per-op completion hook: onOp fires after each op
 // is scheduled (its Exec closure, if any, has already run), in dependency
-// order. The hook is how callers observe chunk-granular progress — an async
-// stream scheduler uses it to report in-flight progress and to yield
-// between chunks so concurrent replays interleave. A nil hook is Run.
+// order. A nil hook is Run. It has exactly one product caller,
+// core.Plan.Freeze, and the hook is how the launch order leaves a run:
+// Freeze records it once, and every replay — its data movement, progress
+// reports and between-chunk yields — walks that record instead of
+// simulating again.
 func RunHooked(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op)) (Result, error) {
 	n := len(ops)
 	res := Result{Ops: n, BusiestLink: -1}

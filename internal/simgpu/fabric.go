@@ -153,13 +153,3 @@ func (f *Fabric) EdgeLinks(edgeID int) []int { return f.edgeLinks[edgeID] }
 
 // ReduceLink returns the compute-link index for device (vertex) v.
 func (f *Fabric) ReduceLink(v int) int { return f.reduceBase + v }
-
-// Run executes ops over the fabric's links. bufs is the per-call buffer
-// arena Exec closures resolve against; it may be nil for timing-only op
-// sets (see Run).
-func (f *Fabric) Run(ops []*Op, bufs *BufferSet) (Result, error) { return Run(f.Links, ops, bufs) }
-
-// RunHooked is Run with a per-op completion hook (see RunHooked).
-func (f *Fabric) RunHooked(ops []*Op, bufs *BufferSet, onOp func(i int, op *Op)) (Result, error) {
-	return RunHooked(f.Links, ops, bufs, onOp)
-}
