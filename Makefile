@@ -15,8 +15,8 @@ COVER_FLOOR_QOS ?= 85
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2900
-LOC_CEIL_REPO ?= 12490
+LOC_CEIL_CORE ?= 2800
+LOC_CEIL_REPO ?= 12350
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 
@@ -94,10 +94,10 @@ loc-check:
 	echo "repo excluding bench/: $$repo (ceiling $(LOC_CEIL_REPO))"; \
 	if [ $$core -gt $(LOC_CEIL_CORE) ] || [ $$repo -gt $(LOC_CEIL_REPO) ]; then echo "non-test code grew past its ceiling"; exit 1; fi
 
-# Every benchmark once. Five of them gate a wall-clock ratio and fail below
-# its threshold (fast-path cold dispatch >= 2x, incremental repair >= 10x,
-# warm-disk cold start >= 10x per shape, overlapped train step >= 1.25x,
-# latency-critical p99 through the lanes <= FIFO); -p 1 keeps a gate from
+# Every benchmark once. Four of them gate a wall-clock ratio and fail below
+# its threshold (incremental repair >= 10x, warm-disk cold start >= 10x per
+# shape, overlapped train step >= 1.25x, latency-critical p99 through the
+# lanes <= FIFO); -p 1 keeps a gate from
 # competing with another package's benchmarks for the CPUs. End-to-end
 # numbers live in ./bench (go run ./bench run).
 bench:

@@ -35,10 +35,6 @@ type ClusterEngine struct {
 
 	// reconfigMu serializes reconfigurations (see Engine.reconfigMu).
 	reconfigMu sync.Mutex
-
-	// pipe is the exact planner pipeline every server's packings compile
-	// through; its stage latencies land in the cluster engine's registry.
-	pipe *core.PlannerPipeline
 }
 
 // clusterState is everything a ClusterEngine derives from its cluster
@@ -101,7 +97,6 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 func NewClusterEngine(c *topology.Cluster, cfg simgpu.Config) (*ClusterEngine, error) {
 	e := &ClusterEngine{Cfg: cfg}
 	e.init(cfg)
-	e.pipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
 	st, err := newClusterState(c, cfg, nil)
 	if err != nil {
 		return nil, err

@@ -19,94 +19,78 @@ func newDGX1Engine(t *testing.T) *Engine {
 	return eng
 }
 
-// The fast path must publish a usable plan immediately and converge to the
-// exact packing (and the exact plan's simulated timing) once the background
-// refinement swaps in.
-func TestFastCompilePublishesThenRefines(t *testing.T) {
-	exact := newDGX1Engine(t)
-	exactRes, err := exact.Run(Blink, Broadcast, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
+// Concurrent cold dispatches over every root and two ops compile each
+// packing once, on the calling goroutines: packings and results match a
+// sequentially compiled engine's, and nothing the calls started is still
+// running when the last one returns. Exercised under `make race`.
+func TestConcurrentColdDispatches(t *testing.T) {
+	const calls = 16
+	run := func(eng *Engine, i int) (Result, error) {
+		return eng.Run(Blink, []Op{Broadcast, AllReduce}[i/8], i%8, 8<<20, Options{})
 	}
-	exactPack, err := exact.Packing(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fast := newDGX1Engine(t)
-	fast.SetFastCompile(true)
-	fastRes, err := fast.Run(Blink, Broadcast, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fastRes.Seconds <= 0 {
-		t.Fatalf("fast-path result not usable: %+v", fastRes)
-	}
-	if got := fast.Metrics().Counter("blink_fastpath_compiles_total").Value(); got == 0 {
-		t.Fatal("fast path did not record a compile")
+	seq := newDGX1Engine(t)
+	want := make([]Result, calls)
+	for i := range want {
+		var err error
+		if want[i], err = run(seq, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	fast.WaitRefinements()
-	refined, err := fast.Packing(0)
-	if err != nil {
-		t.Fatal(err)
+	// Workers park before and after their call, so the two goroutine counts
+	// differ only by what the engine left running.
+	eng := newDGX1Engine(t)
+	got, errs := make([]Result, calls), make([]error, calls)
+	var ready, done sync.WaitGroup
+	start, release := make(chan struct{}), make(chan struct{})
+	ready.Add(calls)
+	done.Add(calls)
+	for i := 0; i < calls; i++ {
+		go func(i int) {
+			ready.Done()
+			<-start
+			got[i], errs[i] = run(eng, i)
+			done.Done()
+			<-release
+		}(i)
 	}
-	if refined.Rate != exactPack.Rate {
-		t.Fatalf("refined rate %v != exact rate %v", refined.Rate, exactPack.Rate)
+	ready.Wait()
+	before := runtime.NumGoroutine()
+	close(start)
+	done.Wait()
+	after := runtime.NumGoroutine()
+	close(release)
+	if after != before {
+		t.Fatalf("%d goroutines before the calls, %d after the last returned", before, after)
 	}
-	// The refinement republished the cached plan; the next dispatch must
-	// replay a schedule identical to the exact engine's.
-	swapRes, err := fast.Run(Blink, Broadcast, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("dispatch %d: %v", i, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d: concurrent %+v != sequential %+v", i, got[i], want[i])
+		}
 	}
-	if swapRes.Seconds != exactRes.Seconds {
-		t.Fatalf("post-swap makespan %v != exact makespan %v", swapRes.Seconds, exactRes.Seconds)
-	}
-	if got := fast.Metrics().Counter("blink_refine_swaps_total").Value(); got == 0 {
-		t.Fatal("refinement did not swap the pending plan")
+	for root := 0; root < 8; root++ {
+		cp, err := eng.Packing(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := seq.Packing(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cp, sp) {
+			t.Fatalf("root %d: concurrently compiled packing differs from sequential", root)
+		}
 	}
 }
 
-// Concurrent fast-path dispatches across roots and ops must be race-free
-// (exercised under `make race`) and still converge to the exact packings.
-func TestFastCompileConcurrentDispatches(t *testing.T) {
-	exact := newDGX1Engine(t)
-	fast := newDGX1Engine(t)
-	fast.SetFastCompile(true)
-
-	var wg sync.WaitGroup
-	errs := make([]error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			op := Broadcast
-			if i%2 == 1 {
-				op = AllReduce
-			}
-			_, errs[i] = fast.Run(Blink, op, i%8, 8<<20, Options{})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("dispatch %d: %v", i, err)
-		}
-	}
-	fast.WaitRefinements()
-	for root := 0; root < 8; root++ {
-		fp, err := fast.Packing(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := exact.Packing(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp.Rate != ep.Rate {
-			t.Fatalf("root %d: refined rate %v != exact rate %v", root, fp.Rate, ep.Rate)
-		}
+// Prewarm reports a root outside the allocation as an error; it used to
+// panic inside a ParallelMap worker, where no caller could recover.
+func TestPrewarmRejectsRootOutsideAllocation(t *testing.T) {
+	if err := newDGX1Engine(t).Prewarm([]int{8}); err == nil {
+		t.Fatal("Prewarm([8]) on an 8-GPU engine succeeded, want an error")
 	}
 }
 
@@ -252,31 +236,4 @@ func TestPrewarmMatchesLazyCompilation(t *testing.T) {
 			t.Fatalf("root %d: prewarmed packing differs from lazy", root)
 		}
 	}
-}
-
-// A fast-path engine that reconfigures mid-refinement must not swap stale
-// plans into the new state's cache (the refinement checks the state
-// pointer) and must keep dispatching correctly.
-func TestFastCompileThenReconfigure(t *testing.T) {
-	eng := newDGX1Engine(t)
-	eng.SetFastCompile(true)
-	if _, err := eng.Run(Blink, Broadcast, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	degraded, err := topology.DGX1V().WithoutLink(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Reconfigure(degraded, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.WaitRefinements()
-	res, err := eng.Run(Blink, Broadcast, 0, 16<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seconds <= 0 {
-		t.Fatalf("post-reconfigure dispatch unusable: %+v", res)
-	}
-	eng.WaitRefinements()
 }

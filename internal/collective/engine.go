@@ -215,17 +215,8 @@ type Engine struct {
 	// tenantCount sizes the plan cache's per-owner fair share.
 	tenantCount atomic.Int64
 
-	// Staged-compile state (compile.go): the exact and approximate planner
-	// pipelines, the fast-path knob, and the bounded background-refinement
-	// pool.
-	exactPipe  *core.PlannerPipeline
-	approxPipe *core.PlannerPipeline
-	fastPath   atomic.Bool
-	refineWG   sync.WaitGroup
-	refineSem  chan struct{}
-	// Fast-path, refinement-swap and repair-outcome counters.
-	mFastCompiles, mRefineSwaps *obs.Counter
-	mRepairs, mRepairFallbacks  *obs.Counter
+	// Repair-outcome counters (compile.go).
+	mRepairs, mRepairFallbacks *obs.Counter
 	// Remote-planner outcome counters.
 	mServiceHits, mServiceErrors *obs.Counter
 }
@@ -289,22 +280,12 @@ func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engi
 	if st.topo.NumGPUs < 2 {
 		return nil, fmt.Errorf("collective: allocation has %d device(s); a communicator needs at least 2", st.topo.NumGPUs)
 	}
-	e := &Engine{
-		Cfg: cfg,
-		// Background refinements are strictly lower priority than dispatch
-		// work; two concurrent exact compiles keep the pipeline fed without
-		// starving foreground packing of cores.
-		refineSem: make(chan struct{}, 2),
-	}
+	e := &Engine{Cfg: cfg}
 	e.init(cfg)
-	e.mFastCompiles = e.obsReg.Counter("blink_fastpath_compiles_total")
-	e.mRefineSwaps = e.obsReg.Counter("blink_refine_swaps_total")
 	e.mRepairs = e.obsReg.Counter("blink_repair_incremental_total")
 	e.mRepairFallbacks = e.obsReg.Counter("blink_repair_fallback_total")
 	e.mServiceHits = e.obsReg.Counter("blink_plan_service_hits_total")
 	e.mServiceErrors = e.obsReg.Counter("blink_plan_service_errors_total")
-	e.exactPipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
-	e.approxPipe = core.NewPlannerPipeline(core.PipelineOptions{Approx: true, OnStage: e.observeStage})
 	e.st.Store(st)
 	return e, nil
 }
@@ -506,30 +487,20 @@ func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool
 				return cp, true, nil
 			}
 		}
-		cp, approxRoots, err := e.publish(st, key, rq)
-		if err == nil && len(approxRoots) > 0 {
-			// The plan embeds fast-path packings: register it for the refinement
-			// swap (or republish from the refined packings if refinement already
-			// finished — see compile.go).
-			if rc := e.finishFastPlan(st, approxRoots, pendingSwap{key: key, rq: rq}); rc != nil {
-				cp = rc
-			}
-		}
+		cp, err := e.publish(st, key, rq)
 		return cp, false, err
 	})
 }
 
-// publish is the one step from a request to a cached schedule, shared by
-// the miss path, the refinement swap and finishFastPlan: select and generate
-// the plan, freeze it, and publish it to the cache tiers under key. The
-// tiered Put is an atomic publish — replays in flight keep the frozen plan
-// they already resolved. It also reports which roots' packings were
-// fast-path approximations at compile time (nil when none).
-func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan, []int, error) {
+// publish is the one step from a request to a cached schedule: select and
+// generate the plan, freeze it, and publish it to the cache tiers under key.
+// The tiered Put is an atomic publish — replays in flight keep the frozen
+// plan they already resolved.
+func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan, error) {
 	t0 := time.Now()
-	plan, strategy, approxRoots, err := e.selectPlan(st, key, rq)
+	plan, strategy, err := e.selectPlan(st, key, rq)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.observeStage(core.StageCodegen, time.Since(t0).Seconds())
 	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
@@ -540,7 +511,7 @@ func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan,
 		owner = rq.opts.Tenant.id
 	}
 	e.cache.PutTieredOwned(key, cp, encodeCachedPlan(cp), owner)
-	return cp, approxRoots, nil
+	return cp, nil
 }
 
 // RunMany issues one collective per payload size through the plan cache and
@@ -732,11 +703,9 @@ func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKi
 // op shape the kind needs — into a serializable PlanIR and hands the IR to
 // core.CodeGen over the plane's fabric. The hybrid row (key.Hybrid: a
 // broadcast with Options.Hybrid) is the one schedule that spans two planes
-// and has no IR; core builds it directly. Returned alongside the plan are
-// the strategy label and the roots whose packings were fast-path
-// approximations (nil when none), so the caller can register the plan for
-// the background refinement swap.
-func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.Plan, strategy string, approxRoots []int, err error) {
+// and has no IR; core builds it directly. Returned alongside the plan is its
+// strategy label.
+func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.Plan, strategy string, err error) {
 	plane := st.plane(rq.b)
 	po := core.PlanOptions{
 		ChunkBytes: key.ChunkBytes,
@@ -756,12 +725,9 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 				out[i] = st.oneHop[r]
 				continue
 			}
-			p, approx, err := e.packingOn(st, on, r)
+			p, err := st.packing(e.pipe, on, r)
 			if err != nil {
 				return nil, err
-			}
-			if approx {
-				approxRoots = append(approxRoots, r)
 			}
 			out[i] = p
 		}
@@ -771,18 +737,18 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		// §3.4 builds trees over both planes, so both must exist and NVLink
 		// alone must already span the allocation.
 		if rq.b != Blink || plane != core.FabricNVLink {
-			return nil, "", nil, fmt.Errorf("collective: hybrid broadcast needs the Blink backend on a DGX-1 class machine with a connected NVLink allocation")
+			return nil, "", fmt.Errorf("collective: hybrid broadcast needs the Blink backend on a DGX-1 class machine with a connected NVLink allocation")
 		}
 		pn, err := packs(core.FabricNVLink, rq.root)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, "", err
 		}
 		pp, err := packs(core.FabricPCIe, rq.root)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, "", err
 		}
 		plan, _, err = core.BuildHybridBroadcastPlan(st.fabrics[core.FabricNVLink], pn[0], st.fabrics[core.FabricPCIe], pp[0], rq.bytes, po)
-		return plan, "hybrid", approxRoots, err
+		return plan, "hybrid", err
 	}
 	ir := &core.PlanIR{Fabric: plane, Root: rq.root, Bytes: rq.bytes, Opts: po}
 	var needs irNeeds
@@ -805,10 +771,10 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		ir.Pairs, ir.Chained, err = p2pPairs(rq.op, n, rq.bytes, rq.opts)
 	}
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", err
 	}
 	plan, err = core.CodeGen(ir, st.fabrics[plane])
-	return plan, ir.Strategy, approxRoots, err
+	return plan, ir.Strategy, err
 }
 
 // FabricFor returns the fabric the given backend's plans move data over:
@@ -829,6 +795,5 @@ func (e *Engine) Packing(root int) (*core.Packing, error) {
 	if st.switched() {
 		return st.oneHop[root], nil
 	}
-	p, _, err := e.packingOn(st, st.plane(Blink), root)
-	return p, err
+	return st.packing(e.pipe, st.plane(Blink), root)
 }

@@ -46,6 +46,9 @@ type engineShell struct {
 	mReplanSeconds                *obs.Histogram
 	// opHists caches opHist's handle per op kind, filled on first use.
 	opHists [NeighborExchange + 1]atomic.Pointer[obs.Histogram]
+	// pipe is the planner pipeline every packing compiles through; its stage
+	// latencies land in the engine's registry.
+	pipe *core.PlannerPipeline
 
 	// async is the stream scheduler behind RunAsync; qos the multi-tenant
 	// lane scheduler behind tenant dispatch. Both start on first use, so
@@ -57,8 +60,9 @@ type engineShell struct {
 // engineIDs hands every engine a distinct nonzero identity.
 var engineIDs atomic.Uint64
 
-// init gives a new engine its identity, registry and dispatch metrics, and
-// a private, instrumented plan cache of the default capacity.
+// init gives a new engine its identity, registry and dispatch metrics, its
+// planner pipeline, and a private, instrumented plan cache of the default
+// capacity.
 func (e *engineShell) init(cfg simgpu.Config) {
 	e.id = engineIDs.Add(1)
 	e.cfgKey = cfg.Normalized()
@@ -68,6 +72,7 @@ func (e *engineShell) init(cfg simgpu.Config) {
 	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
 	e.mReplans = e.obsReg.Counter("blink_replans_total")
 	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
+	e.pipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
 }
 
 // Metrics returns the engine's metrics registry: plan-cache activity,

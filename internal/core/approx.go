@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,21 +9,20 @@ import (
 )
 
 // ApproxPack computes a feasible spanning-tree packing greedily, trading
-// rate optimality for compile latency: it is the planner pipeline's
-// approximate-first fast path. Instead of the MWU enumeration (thousands of
-// arborescence solves) followed by the ILP minimization, it peels whole
-// bottleneck-capacity trees out of the residual graph — an LP-rounding-
-// flavored greedy that terminates after at most one arborescence solve per
-// saturated edge. Every returned packing is capacity-feasible and validated;
-// the rate is typically within a few percent of optimal on DGX-class
-// fabrics but carries no guarantee, which is why the collective layer runs
-// the exact pipeline in the background and swaps its plan in when it wins.
+// rate optimality for compile latency. Instead of the MWU enumeration
+// (thousands of arborescence solves) followed by the ILP minimization, it
+// peels whole bottleneck-capacity trees out of the residual graph — an
+// LP-rounding-flavored greedy that terminates after at most one arborescence
+// solve per saturated edge. Every returned packing is capacity-feasible and
+// validated; the rate is typically within a few percent of optimal on
+// DGX-class fabrics but carries no guarantee. The same peel grows new trees
+// over the residual capacity an incremental repair leaves (RepairPacking).
 //
 // ApproxPack is deterministic: identical graphs yield byte-identical
-// packings, so fast-path plans are as reproducible as exact ones.
+// packings.
 func ApproxPack(g *graph.Graph, root int) (*Packing, error) {
-	if g.N == 0 {
-		return nil, errors.New("core: empty graph")
+	if err := checkRoot(g, root); err != nil {
+		return nil, err
 	}
 	if g.N == 1 {
 		return &Packing{Root: root, Rate: math.Inf(1)}, nil
@@ -38,13 +36,34 @@ func ApproxPack(g *graph.Graph, root int) (*Packing, error) {
 		}
 	}
 
-	const tiny = 1e-9
 	resid := make([]float64, len(g.Edges))
 	for i, e := range g.Edges {
 		resid[i] = e.Cap
 	}
-
 	p := &Packing{Root: root, Bound: graph.BroadcastRateUpperBound(g, root)}
+	p.Trees = peel(g, root, resid)
+	for _, t := range p.Trees {
+		p.Rate += t.Weight
+	}
+	sort.Slice(p.Trees, func(i, j int) bool {
+		if p.Trees[i].Weight != p.Trees[j].Weight {
+			return p.Trees[i].Weight > p.Trees[j].Weight
+		}
+		return p.Trees[i].Arbo.Key() < p.Trees[j].Arbo.Key()
+	})
+	if err := p.Validate(g); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// peel is the greedy bottleneck peel under ApproxPack and RepairPacking: it
+// repeatedly takes a min-cost arborescence over the edges with residual
+// capacity left (resid, indexed by g's edge IDs, which it consumes) and
+// weights it at its bottleneck residual, returning the trees in peel order.
+func peel(g *graph.Graph, root int, resid []float64) []Tree {
+	const tiny = 1e-9
+	var out []Tree
 	// Each iteration saturates at least one edge (the bottleneck), so the
 	// loop runs at most len(g.Edges) times; the cap is a safety net.
 	for iter := 0; iter <= len(g.Edges); iter++ {
@@ -85,17 +104,7 @@ func ApproxPack(g *graph.Graph, root int) (*Packing, error) {
 		for _, id := range tree.Edges {
 			resid[id] -= w
 		}
-		p.Trees = append(p.Trees, Tree{Arbo: tree, Weight: w})
-		p.Rate += w
+		out = append(out, Tree{Arbo: tree, Weight: w})
 	}
-	sort.Slice(p.Trees, func(i, j int) bool {
-		if p.Trees[i].Weight != p.Trees[j].Weight {
-			return p.Trees[i].Weight > p.Trees[j].Weight
-		}
-		return p.Trees[i].Arbo.Key() < p.Trees[j].Arbo.Key()
-	})
-	if err := p.Validate(g); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return out
 }

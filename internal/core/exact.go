@@ -19,8 +19,8 @@ import (
 // all 60 of the paper's allocations — ROADMAP Probe B), and serves as the
 // validation baseline for MinimizeTrees.
 func ExactPack(g *graph.Graph, root int) (*Packing, error) {
-	if g.N == 0 {
-		return nil, fmt.Errorf("core: empty graph")
+	if err := checkRoot(g, root); err != nil {
+		return nil, err
 	}
 	if g.N == 1 {
 		return &Packing{Root: root, Rate: math.Inf(1)}, nil
@@ -38,11 +38,6 @@ func ExactPack(g *graph.Graph, root int) (*Packing, error) {
 	}
 
 	resid := g.Clone()
-	capOf := make([]float64, len(g.Edges))
-	for i, e := range g.Edges {
-		capOf[i] = e.Cap
-	}
-
 	for remaining := target; remaining > 0; remaining-- {
 		tree, ok := peelOne(resid, root, remaining-1)
 		if !ok {

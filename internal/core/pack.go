@@ -59,6 +59,16 @@ func (o *PackOptions) setDefaults() {
 // ErrNoSpanningTree indicates the topology cannot broadcast from the root.
 var ErrNoSpanningTree = errors.New("core: no spanning tree from root (topology disconnected)")
 
+// checkRoot refuses a root outside the graph (every root of an empty one):
+// the check every exported packer makes before it indexes per-vertex state
+// by root.
+func checkRoot(g *graph.Graph, root int) error {
+	if root < 0 || root >= g.N {
+		return fmt.Errorf("core: root %d out of range [0,%d)", root, g.N)
+	}
+	return nil
+}
+
 // PackTrees computes a near-optimal fractional packing of spanning
 // arborescences rooted at root using the multiplicative-weight-update
 // scheme of Garg–Könemann (as applied to implicit fractional packing by
@@ -67,8 +77,8 @@ var ErrNoSpanningTree = errors.New("core: no spanning tree from root (topology d
 // its weight, and multiplicatively penalizes the edges it loads.
 func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
 	opts.setDefaults()
-	if g.N == 0 {
-		return nil, errors.New("core: empty graph")
+	if err := checkRoot(g, root); err != nil {
+		return nil, err
 	}
 	if g.N == 1 {
 		return &Packing{Root: root, Rate: math.Inf(1)}, nil

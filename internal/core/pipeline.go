@@ -20,9 +20,9 @@ import (
 //
 // — where codegen belongs to the collective layer (it needs a fabric and an
 // op). The pipeline owns the first three, reports per-stage latency to an
-// observer hook, fans independent roots across a bounded worker pool with a
-// deterministic index-ordered merge, and offers the approximate-first fast
-// path (ApproxPack) whose output a background exact compile later replaces.
+// observer hook, and fans independent roots across a bounded worker pool
+// with a deterministic index-ordered merge. PackRoot is the one packer entry
+// of both collective engines.
 
 // Stage names reported to PipelineOptions.OnStage (and used as the
 // `stage` label of the collective layer's compile-latency histograms).
@@ -53,9 +53,6 @@ type PipelineOptions struct {
 	// are independent and deterministic, and the merge is index-ordered —
 	// only wall-clock latency.
 	Workers int
-	// Approx selects the fast path: greedy bottleneck-peeling packing only,
-	// skipping enumerate/minimize/fill entirely.
-	Approx bool
 	// OnStage, when non-nil, observes each completed stage's latency. It
 	// may be called from multiple workers concurrently and must be
 	// goroutine-safe.
@@ -87,18 +84,9 @@ func (pl *PlannerPipeline) observe(stage string, d time.Duration) {
 }
 
 // PackRoot runs the packing stages for one root and reports the per-stage
-// latency breakdown. With Approx set it runs the greedy fast path (recorded
-// under the enumerate stage, since that is the work it replaces).
+// latency breakdown.
 func (pl *PlannerPipeline) PackRoot(g *graph.Graph, root int) (*Packing, StageSeconds, error) {
 	var st StageSeconds
-	if pl.opts.Approx {
-		t0 := time.Now()
-		p, err := ApproxPack(g, root)
-		st.Enumerate = time.Since(t0).Seconds()
-		pl.observe(StageEnumerate, time.Since(t0))
-		return p, st, err
-	}
-
 	t0 := time.Now()
 	p, err := PackTrees(g, root, pl.opts.Pack)
 	d := time.Since(t0)

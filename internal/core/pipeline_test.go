@@ -126,25 +126,24 @@ func TestApproxPackValidAndDeterministic(t *testing.T) {
 	}
 }
 
-// Approx pipeline mode routes through ApproxPack and records its latency
-// under the enumerate stage.
-func TestPipelineApproxMode(t *testing.T) {
+// A root outside the graph is an error from every exported packer, not an
+// index panic in the min-cut bound or the reachability check.
+func TestPackersRejectRootOutsideGraph(t *testing.T) {
 	g := topology.DGX1V().GPUGraph()
-	seen := map[string]int{}
-	pl := NewPlannerPipeline(PipelineOptions{Approx: true, Workers: 1, OnStage: func(stage string, _ float64) { seen[stage]++ }})
-	p, _, err := pl.PackRoot(g, 0)
-	if err != nil {
-		t.Fatal(err)
+	packers := map[string]func(root int) (*Packing, error){
+		"PackTrees":  func(root int) (*Packing, error) { return PackTrees(g, root, PackOptions{}) },
+		"ExactPack":  func(root int) (*Packing, error) { return ExactPack(g, root) },
+		"ApproxPack": func(root int) (*Packing, error) { return ApproxPack(g, root) },
+		"GenerateTrees": func(root int) (*Packing, error) {
+			return GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
+		},
 	}
-	want, err := ApproxPack(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, want) {
-		t.Fatal("approx pipeline differs from ApproxPack")
-	}
-	if seen[StageEnumerate] != 1 || len(seen) != 1 {
-		t.Fatalf("stage observations %v, want only enumerate", seen)
+	for name, pack := range packers {
+		for _, root := range []int{g.N, -1} {
+			if p, err := pack(root); err == nil {
+				t.Errorf("%s(root %d) = %+v, want an error", name, root, p)
+			}
+		}
 	}
 }
 

@@ -193,8 +193,12 @@ func RepairPacking(oldG, newG *graph.Graph, vmap []int, p *Packing, opts RepairO
 	}
 
 	// Stage 4b: grow new greedy trees over the remaining residual capacity
-	// (the ApproxPack bottleneck peel, seeded with the repair's loads).
-	grown := growResidualTrees(newG, newRoot, cap, load)
+	// (the ApproxPack bottleneck peel, seeded with the repair's loads). cap
+	// is not read again, so it becomes the peel's residual in place.
+	for i := range cap {
+		cap[i] -= load[i]
+	}
+	grown := peel(newG, newRoot, cap)
 
 	// Finalize: collect surviving and grown trees into a fresh packing.
 	rp := &Packing{Root: newRoot, Bound: out.Bound}
@@ -427,55 +431,6 @@ func reversalPath(g *graph.Graph, rt *repairTree, entry int, cap, load []float64
 		v = parent
 	}
 	return path, true
-}
-
-// growResidualTrees peels greedy bottleneck trees (the ApproxPack loop) out
-// of the residual capacity left after repair, recovering rate lost to
-// dropped trees.
-func growResidualTrees(g *graph.Graph, root int, cap, load []float64) []Tree {
-	resid := make([]float64, len(g.Edges))
-	for i := range resid {
-		resid[i] = cap[i] - load[i]
-	}
-	var out []Tree
-	for iter := 0; iter <= len(g.Edges); iter++ {
-		avail := graph.New(g.N)
-		var origID []int
-		for _, e := range g.Edges {
-			if resid[e.ID] > repairTiny {
-				avail.AddEdge(e.From, e.To, resid[e.ID], e.Type)
-				origID = append(origID, e.ID)
-			}
-		}
-		if !avail.StronglyConnectedFrom(root) {
-			break
-		}
-		cost := make([]float64, len(avail.Edges))
-		for i, e := range avail.Edges {
-			cost[i] = 1 / e.Cap
-		}
-		viewTree, _, err := graph.MinCostArborescence(avail, root, func(id int) float64 { return cost[id] })
-		if err != nil {
-			break
-		}
-		tree := graph.Arborescence{Root: root, Edges: make([]int, 0, len(viewTree.Edges))}
-		w := math.Inf(1)
-		for _, id := range viewTree.Edges {
-			oid := origID[id]
-			tree.Edges = append(tree.Edges, oid)
-			if resid[oid] < w {
-				w = resid[oid]
-			}
-		}
-		if w <= repairTiny {
-			break
-		}
-		for _, id := range tree.Edges {
-			resid[id] -= w
-		}
-		out = append(out, Tree{Arbo: tree, Weight: w})
-	}
-	return out
 }
 
 // IdentityVertexMap returns the identity map for derivations that preserve
