@@ -111,7 +111,8 @@ func WithBackend(b Backend) Option { return func(c *commConfig) { c.backend = b 
 func WithSimConfig(cfg simgpu.Config) Option { return func(c *commConfig) { c.sim = cfg } }
 
 // WithDataMode makes collectives move real float32 data (see the *Data
-// methods), enabling functional verification at some simulation cost.
+// methods and the buffer contract on Comm), enabling functional
+// verification at some simulation cost.
 func WithDataMode() Option { return func(c *commConfig) { c.sim.DataMode = true } }
 
 // WithPlanCacheCapacity bounds the number of compiled schedules the
@@ -187,6 +188,12 @@ func NewPlanCache(capacity int) *PlanCache { return collective.NewPlanCache(capa
 // timing and data mode: every data-mode call executes against its own
 // per-call buffer arena (a simgpu.BufferSet), so any number of *Data calls
 // may replay cached schedules simultaneously.
+//
+// The *Data methods share one buffer contract. Inputs are lent to the call:
+// they must not be modified until it returns, and no call ever writes them,
+// so concurrent calls may pass the same inputs. Outputs are fresh and owned
+// by the caller: no returned buffer aliases an input, another returned
+// buffer or anything a later call returns.
 type Comm struct {
 	eng     *collective.Engine
 	backend Backend
@@ -523,6 +530,11 @@ type dataOp struct {
 // validates and stages the inputs into a fresh per-call arena, and
 // dispatches through submit. It returns the arena, the pinned rank count and
 // the staged per-rank buffer length in floats.
+//
+// Inputs are staged by reference when the op's schedules only read them
+// (collective.ReadsInputsOnly) and copied otherwise, so every other buffer
+// in the arena is the call's own: the entry points hand those to the caller
+// as they are.
 func (c *Comm) runData(d dataOp) (bs *simgpu.BufferSet, ranks, n int, err error) {
 	if !c.eng.Cfg.DataMode {
 		return nil, 0, 0, fmt.Errorf("blink: communicator not created WithDataMode")
@@ -548,12 +560,13 @@ func (c *Comm) runData(d dataOp) (bs *simgpu.BufferSet, ranks, n int, err error)
 	}
 	bs = simgpu.NewBufferSet()
 	for v, in := range d.inputs {
-		var buf []float32
-		if d.padded {
+		buf := in
+		switch {
+		case d.padded:
 			buf = make([]float32, n*ranks)
 			copy(buf[v*n:], in)
-		} else {
-			buf = append(buf, in...)
+		case !collective.ReadsInputsOnly(d.op):
+			buf = append([]float32(nil), in...)
 		}
 		if d.single {
 			v = d.src
@@ -568,9 +581,9 @@ func (c *Comm) runData(d dataOp) (bs *simgpu.BufferSet, ranks, n int, err error)
 	return bs, ranks, n, err
 }
 
-// runDataRanks is runData plus the common read-back: a copy of every rank's
-// buffer under tag, of which rank v keeps only its own 1/Size() shard when
-// keepShard is set.
+// runDataRanks is runData plus the common read-back: every rank's buffer
+// under tag, handed over as it is, or — when keepShard is set — a copy of
+// rank v's own 1/Size() shard of it.
 func (c *Comm) runDataRanks(d dataOp, tag int, keepShard bool) ([][]float32, error) {
 	bs, ranks, n, err := c.runData(d)
 	if err != nil {
@@ -578,11 +591,10 @@ func (c *Comm) runDataRanks(d dataOp, tag int, keepShard bool) ([][]float32, err
 	}
 	out := make([][]float32, ranks)
 	for v := range out {
-		buf := bs.Buffer(v, tag, n)
+		out[v] = bs.Buffer(v, tag, n)
 		if keepShard {
-			buf = buf[v*(n/ranks) : (v+1)*(n/ranks)]
+			out[v] = append([]float32(nil), out[v][v*(n/ranks):(v+1)*(n/ranks)]...)
 		}
-		out[v] = append([]float32(nil), buf...)
 	}
 	return out, nil
 }
@@ -619,7 +631,7 @@ func (c *Comm) GatherData(root int, inputs [][]float32) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]float32(nil), bs.Buffer(root, core.BufData, total)...), nil
+	return bs.Buffer(root, core.BufData, total), nil
 }
 
 // ReduceData sums the per-rank buffers elementwise at rank root (the first
@@ -629,7 +641,7 @@ func (c *Comm) ReduceData(root int, inputs [][]float32) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]float32(nil), bs.Buffer(root, core.BufAcc, n)...), nil
+	return bs.Buffer(root, core.BufAcc, n), nil
 }
 
 // ScatterData splits root's buffer into Size() equal shards and delivers
@@ -692,7 +704,7 @@ func (c *Comm) SendRecvData(chain []int, data []float32) ([][]float32, error) {
 	}
 	out := make([][]float32, len(chain))
 	for i, v := range chain {
-		out[i] = append([]float32(nil), bs.Buffer(v, core.BufData, n)...)
+		out[i] = bs.Buffer(v, core.BufData, n)
 	}
 	return out, nil
 }
@@ -714,7 +726,7 @@ func (c *Comm) NeighborExchangeData(neighbors [][]int, inputs [][]float32) ([]ma
 	}
 	for v, row := range rows {
 		for _, u := range row {
-			out[u][v] = append([]float32(nil), bs.Buffer(u, core.ExchangeTag(v), n)...)
+			out[u][v] = bs.Buffer(u, core.ExchangeTag(v), n)
 		}
 	}
 	return out, nil
@@ -754,7 +766,9 @@ type ClusterResult = collective.ClusterResult
 //
 // A ClusterComm is safe for concurrent use, in both timing and data mode:
 // every data-mode call executes against its own per-call buffer context, so
-// concurrent calls never share any execution state.
+// concurrent calls never share any execution state. Its *Data methods keep
+// Comm's buffer contract: inputs are lent until the call returns, outputs
+// are fresh and the caller's.
 type ClusterComm struct {
 	eng     *collective.ClusterEngine
 	backend Backend

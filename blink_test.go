@@ -1,7 +1,9 @@
 package blink
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -282,6 +284,25 @@ func warmAllocs(op func()) float64 {
 	return got
 }
 
+// warmBytes is warmAllocs for heap bytes: the mean growth of
+// runtime.MemStats.TotalAlloc over ten warm calls of op, the least of three
+// rounds.
+func warmBytes(op func()) float64 {
+	op()
+	var ms runtime.MemStats
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for j := 0; j < 10; j++ {
+			op()
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, float64(ms.TotalAlloc-before)/10)
+	}
+	return best
+}
+
 // Allocation ratchets on the warm single-machine paths, kept like the
 // Makefile's LOC_CEIL_*: lowered when a count falls, never raised to make a
 // build pass. At the commit before a replay became a lookup they read 1,755
@@ -290,9 +311,16 @@ func warmAllocs(op func()) float64 {
 const (
 	// warmTimingAllocCeiling: the born-resolved Handle, at any payload.
 	warmTimingAllocCeiling = 1
-	// warmDataAllocCeiling: the arena, its buffers and the per-rank outputs
-	// of a 1 MB-per-rank AllReduceData on eight ranks (measured 66).
-	warmDataAllocCeiling = 70
+	// warmDataAllocCeiling: the arena, its accumulators — handed back as
+	// the per-rank outputs — and the output slice of a 1 MB-per-rank
+	// AllReduceData on eight ranks (measured 18; 66 while the reduce staged
+	// every child's chunk in a scratch buffer and the inputs and outputs
+	// were copied).
+	warmDataAllocCeiling = 20
+	// warmDataBytesCeiling bounds the heap bytes of that call, as a multiple
+	// of ranks x payload: the accumulators are one such payload and nothing
+	// else scales with it (measured 1.0; 6.5 with the scratch and copies).
+	warmDataBytesCeiling = 1.25
 	// warmAsyncAllocCeiling: handle, done channel, hook, task and span
 	// closures of one AllReduceAsync + Wait (measured 6).
 	warmAsyncAllocCeiling = 6
@@ -340,13 +368,20 @@ func TestWarmReplayAllocs(t *testing.T) {
 	for r := range inputs {
 		inputs[r] = make([]float32, 1<<20/4)
 	}
-	data := warmAllocs(func() {
+	allReduceData := func() {
 		if _, err := dataComm.AllReduceData(inputs); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	data := warmAllocs(allReduceData)
 	t.Logf("warm AllReduceData, 1 MB per rank: %.0f allocations (ceiling %d)", data, warmDataAllocCeiling)
 	if data > warmDataAllocCeiling {
 		t.Fatalf("warm AllReduceData allocates %.0f times, ceiling %d", data, warmDataAllocCeiling)
+	}
+	payload := float64(len(inputs) * len(inputs[0]) * 4)
+	bytes := warmBytes(allReduceData)
+	t.Logf("warm AllReduceData, 1 MB per rank: %.0f bytes = %.2fx ranks x payload (ceiling %.2fx)", bytes, bytes/payload, warmDataBytesCeiling)
+	if bytes > warmDataBytesCeiling*payload {
+		t.Fatalf("warm AllReduceData allocates %.0f bytes, %.2fx ranks x payload, ceiling %.2fx", bytes, bytes/payload, warmDataBytesCeiling)
 	}
 }

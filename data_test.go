@@ -2,6 +2,7 @@ package blink
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -115,4 +116,120 @@ func TestDataModeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEq(t, "nccl reduce", got, sum)
+}
+
+// TestDataBufferOwnership holds the *Data buffer contract over every
+// data-mode entry point of Comm and ClusterComm on DGX-1V: (a) a call leaves
+// every input it was lent bit-identical, and (b) every buffer it returns is
+// the caller's own — writing a distinct marker into each returned row
+// changes neither the inputs, nor another row, nor what a second call
+// returns. A schedule that writes its staged inputs must therefore be fed
+// copies of them, and a result that is a caller's input or another call's
+// arena fails here.
+func TestDataBufferOwnership(t *testing.T) {
+	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, WithDataMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := NewClusterComm(twoServerCluster(t, 3, 5, 100), WithDataMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ranks, n = 8, 8 * 24 // both communicators have eight ranks
+	rng := rand.New(rand.NewSource(26))
+	perRank, _ := randInputs(rng, ranks, n)
+	single := perRank[3]
+	neighbors := make([][]int, ranks)
+	for v := range neighbors {
+		neighbors[v] = []int{(v + 1) % ranks, (v + ranks - 1) % ranks}
+	}
+	row := func(out []float32, err error) ([][]float32, error) { return [][]float32{out}, err }
+	cases := []struct {
+		name   string
+		inputs [][]float32
+		run    func() ([][]float32, error)
+	}{
+		{"Broadcast", [][]float32{single}, func() ([][]float32, error) { return comm.BroadcastData(2, single) }},
+		{"AllReduce", perRank, func() ([][]float32, error) { return comm.AllReduceData(perRank) }},
+		{"Gather", perRank, func() ([][]float32, error) { return row(comm.GatherData(5, perRank)) }},
+		{"Reduce", perRank, func() ([][]float32, error) { return row(comm.ReduceData(6, perRank)) }},
+		{"Scatter", [][]float32{single}, func() ([][]float32, error) { return comm.ScatterData(1, single) }},
+		{"AllGather", perRank, func() ([][]float32, error) { return comm.AllGatherData(perRank) }},
+		{"ReduceScatter", perRank, func() ([][]float32, error) { return comm.ReduceScatterData(perRank) }},
+		{"AllToAll", perRank, func() ([][]float32, error) { return comm.AllToAllData(perRank) }},
+		{"SendRecv", [][]float32{single}, func() ([][]float32, error) { return comm.SendRecvData([]int{4, 0, 7}, single) }},
+		{"NeighborExchange", perRank, func() ([][]float32, error) {
+			got, err := comm.NeighborExchangeData(neighbors, perRank)
+			var rows [][]float32
+			for u := range got {
+				for v := 0; v < ranks; v++ {
+					if r, ok := got[u][v]; ok {
+						rows = append(rows, r)
+					}
+				}
+			}
+			return rows, err
+		}},
+		{"ClusterAllReduce", perRank, func() ([][]float32, error) { return cc.AllReduceData(perRank) }},
+		{"ClusterBroadcast", [][]float32{single}, func() ([][]float32, error) { return cc.BroadcastData(4, single) }},
+		{"ClusterAllToAll", perRank, func() ([][]float32, error) { return cc.AllToAllData(perRank) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lent := cloneRows(tc.inputs)
+			out, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) == 0 {
+				t.Fatal("no result rows")
+			}
+			sameBits(t, "inputs after the call", tc.inputs, lent)
+			want := cloneRows(out)
+			for k, r := range out {
+				for i := range r {
+					r[i] = float32(-1 - k)
+				}
+			}
+			for k, r := range out {
+				for i, x := range r {
+					if x != float32(-1-k) {
+						t.Fatalf("row %d element %d changed by a write to another row", k, i)
+					}
+				}
+			}
+			sameBits(t, "inputs after writing the results", tc.inputs, lent)
+			again, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "second call's results", again, want)
+		})
+	}
+}
+
+func cloneRows(rows [][]float32) [][]float32 {
+	out := make([][]float32, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float32(nil), r...)
+	}
+	return out
+}
+
+// sameBits fails unless got and want hold bit-identical rows.
+func sameBits(t *testing.T, ctx string, got, want [][]float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", ctx, len(got), len(want))
+	}
+	for k := range want {
+		if len(got[k]) != len(want[k]) {
+			t.Fatalf("%s: row %d has %d floats, want %d", ctx, k, len(got[k]), len(want[k]))
+		}
+		for i := range want[k] {
+			if math.Float32bits(got[k][i]) != math.Float32bits(want[k][i]) {
+				t.Fatalf("%s: row %d element %d = %v, want %v", ctx, k, i, got[k][i], want[k][i])
+			}
+		}
+	}
 }

@@ -266,7 +266,10 @@ type clusterDataOp struct {
 // per-call arena — there is no shared state to reset, which is what lets
 // concurrent *Data calls proceed without any serialization — dispatch
 // through the spine against that same state, and read every global rank's
-// result back (server-major order).
+// result back (server-major order). Inputs are staged by reference when the
+// op only reads them (ReadsInputsOnly) and copied otherwise, so every result
+// buffer is the call's own and is handed to the caller as it is; only the
+// exchange's read-back assembles new rows.
 func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]float32, ClusterResult, error) {
 	if !e.Cfg.DataMode {
 		return nil, ClusterResult{}, fmt.Errorf("collective: cluster engine not in data mode")
@@ -296,7 +299,10 @@ func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]f
 		if d.perRank {
 			g = i
 		}
-		arena.SetBuffer(g, core.BufData, append([]float32(nil), in...))
+		if !ReadsInputsOnly(d.op) {
+			in = append([]float32(nil), in...)
+		}
+		arena.SetBuffer(g, core.BufData, in)
 	}
 	opts.DataMode, opts.Buffers = true, arena
 	rq := request{b: b, op: d.op, root: d.root, bytes: int64(n) * 4, opts: opts}
@@ -308,7 +314,7 @@ func (e *ClusterEngine) runData(b Backend, opts Options, d clusterDataOp) ([][]f
 	shard := n / st.total
 	for g := range out {
 		if !d.sharded {
-			out[g] = append([]float32(nil), arena.Buffer(g, d.tag, n)...)
+			out[g] = arena.Buffer(g, d.tag, n)
 			continue
 		}
 		out[g] = make([]float32, n)

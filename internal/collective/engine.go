@@ -621,6 +621,15 @@ func classOf(op Op) opClass {
 	return classReduce
 }
 
+// ReadsInputsOnly reports whether op's data-mode schedules never write the
+// staged inputs (core.BufData), so a *Data call may install its caller's
+// buffers in the arena by reference instead of copying them. It holds for
+// the reduce class: every one of its schedules — trees, one-hop, rings,
+// three-phase — reads BufData once, to seed the accumulators, and works in
+// core.BufAcc from then on. Rooted and point-to-point schedules may deliver
+// into BufData.
+func ReadsInputsOnly(op Op) bool { return classOf(op) == classReduce }
+
 // planes is the per-plane half of plan selection: the strategy family each
 // backend reports on the plane. The plane itself reaches codegen as
 // PlanIR.Fabric, never as a kind.

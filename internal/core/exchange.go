@@ -10,8 +10,9 @@ import (
 // Buffer tags for the exchange collectives (AllToAll, NeighborExchange).
 // Each source rank stages and delivers through its own tag so concurrent
 // per-source transfers never collide in the arena. The base sits far above
-// BufScratchBase+vertex (reduce staging), which is bounded by the parser's
-// device cap, so the ranges are disjoint by construction.
+// BufScratchBase+vertex (the ring baseline's receive staging), which is
+// bounded by the parser's device cap, so the ranges are disjoint by
+// construction.
 const (
 	// BufExchangeBase + src tags the receive/staging buffer for payload
 	// originating at rank src — a global, server-major rank on a cluster.

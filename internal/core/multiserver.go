@@ -252,23 +252,24 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 	}
 	// What the transfers stand for in data mode: each partition's
 	// server-local partials (left in the local roots' accumulators by phase
-	// 1) are summed across servers, in server order, and written back to
-	// every root, so phase 3 broadcasts the same global result everywhere.
+	// 1) are summed across servers, in server order, into the first server's
+	// root and copied from there to every other root, so phase 3 broadcasts
+	// the same global result everywhere.
 	var exchange func(*simgpu.BufferSet)
 	if g.opts.DataMode {
 		rankBase := g.rankBase
 		exchange = func(bufs *simgpu.BufferSet) {
 			for p := range roots {
 				off, end := offs[p], offs[p]+ns[p]
-				sum := make([]float32, ns[p])
-				for si, r := range roots[p] {
-					acc := bufs.Buffer(rankBase[si]+r, BufAcc, end)
-					for i := range sum {
-						sum[i] += acc[off+i]
+				acc := func(si int) []float32 { return bufs.Buffer(rankBase[si]+roots[p][si], BufAcc, end)[off:] }
+				sum := acc(0)
+				for si := 1; si < len(rankBase); si++ {
+					for i, x := range acc(si) {
+						sum[i] += x
 					}
 				}
-				for si, r := range roots[p] {
-					copy(bufs.Buffer(rankBase[si]+r, BufAcc, end)[off:], sum)
+				for si := 1; si < len(rankBase); si++ {
+					copy(acc(si), sum)
 				}
 			}
 		}

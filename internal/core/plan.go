@@ -13,9 +13,11 @@ const (
 	// BufData is the collective payload (input at the root for Broadcast,
 	// per-device input and final result for AllReduce).
 	BufData = 0
-	// BufAcc is the running reduction accumulator.
+	// BufAcc is the running reduction accumulator. A tree reduction reads
+	// its children's accumulators in place; nothing stages them.
 	BufAcc = 1
-	// BufScratchBase + srcDevice tags per-sender receive staging areas.
+	// BufScratchBase + srcDevice tags the NCCL ring baseline's per-sender
+	// receive staging areas (internal/ring); tree plans use none.
 	BufScratchBase = 8
 )
 
@@ -371,17 +373,29 @@ func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) fun
 	}
 }
 
-// addExec builds an Exec closure adding scratch floats into the accumulator.
-func (b *planBuilder) addExec(dev, scratchTag, off, n, bufLen int) func(*simgpu.BufferSet) {
-	if !b.opts.DataMode {
+// reduceExec builds the Exec closure of vertex v's reduction kernel for
+// floats [off,off+n): it adds each child's accumulator chunk into v's, in
+// children order, reading the children's BufAcc in place. That is sound
+// because a child's chunk is final once its upward send is (the send waits
+// for the child's own reduce) and nothing writes it again until the
+// broadcast phase copies the result back down — a copy that waits, through
+// the root's reduce of the same chunk, for this one.
+func (t *treeGen) reduceExec(v int, children []int, off, n int) func(*simgpu.BufferSet) {
+	if !t.opts.DataMode {
 		return nil
 	}
-	dev = b.dev(dev)
+	dev, bufLen := t.dev(v), t.bufLen
+	srcs := make([]int, len(children))
+	for i, c := range children {
+		srcs[i] = t.dev(c)
+	}
 	return func(bufs *simgpu.BufferSet) {
-		acc := bufs.Buffer(dev, BufAcc, bufLen)
-		sc := bufs.Buffer(dev, scratchTag, bufLen)
-		for i := off; i < off+n; i++ {
-			acc[i] += sc[i]
+		acc := bufs.Buffer(dev, BufAcc, bufLen)[off : off+n]
+		for _, src := range srcs {
+			in := bufs.Buffer(src, BufAcc, bufLen)[off : off+n]
+			for i, x := range in {
+				acc[i] += x
+			}
 		}
 	}
 }
@@ -576,20 +590,8 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 				// child).
 				if cs := s.children[v]; len(cs) > 0 {
 					deps := make([]int, 0, len(cs))
-					var execs []func(*simgpu.BufferSet)
 					for _, c := range cs {
 						deps = append(deps, upSend[ti][c])
-						if e := t.addExec(v, BufScratchBase+c, off, n, t.bufLen); e != nil {
-							execs = append(execs, e)
-						}
-					}
-					var exec func(*simgpu.BufferSet)
-					if len(execs) > 0 {
-						exec = func(bufs *simgpu.BufferSet) {
-							for _, e := range execs {
-								e(bufs)
-							}
-						}
 					}
 					rop := &simgpu.Op{
 						Stream:   t.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
@@ -597,7 +599,7 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 						Bytes:    int64(n) * 4 * int64(len(cs)),
 						Overhead: t.f.Cfg.ReduceOverhead,
 						Deps:     deps,
-						Exec:     exec,
+						Exec:     t.reduceExec(v, cs, off, n),
 						Label:    fmt.Sprintf("reduce t%d c%d @%d", ti, k, v),
 					}
 					reduced[ti][v] = append(reduced[ti][v], t.add(rop))
@@ -606,13 +608,13 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 					rootOps[ti][k] = append([]int(nil), reduced[ti][v]...)
 					continue
 				}
-				// Upward send from v to its parent over the reverse link.
+				// Upward send from v to its parent over the reverse link. It
+				// moves no data: the parent's reduce reads v's accumulator
+				// in place (see reduceExec).
 				upE := rev[s.parentEdge[v]]
-				e := t.g.Edges[upE]
 				upSend[ti][v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v],
-					int64(n)*4, append([]int(nil), reduced[ti][v]...),
-					t.copyExec(v, e.To, BufAcc, BufScratchBase+v, off, n, t.bufLen),
-					fmt.Sprintf("rsend t%d c%d %d->%d", ti, k, v, e.To))
+					int64(n)*4, append([]int(nil), reduced[ti][v]...), nil,
+					fmt.Sprintf("rsend t%d c%d %d->%d", ti, k, v, t.g.Edges[upE].To))
 			}
 		}
 	}
