@@ -15,8 +15,8 @@ COVER_FLOOR_QOS ?= 85
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2800
-LOC_CEIL_REPO ?= 12341
+LOC_CEIL_CORE ?= 2640
+LOC_CEIL_REPO ?= 12178
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 

@@ -178,7 +178,8 @@ type PlanCache = collective.PlanCache
 func NewPlanCache(capacity int) *PlanCache { return collective.NewPlanCache(capacity) }
 
 // Comm is a communicator over an allocated set of GPUs, analogous to an
-// NCCL communicator. It probes the machine's interconnect restricted to the
+// NCCL communicator: on one machine (NewComm) or across the servers of a
+// cluster (NewClusterComm). It probes the interconnect restricted to the
 // allocation and generates schedules on demand (TreeGen + CodeGen); each
 // compiled schedule is frozen into an LRU plan cache, so the first
 // collective of a given shape pays for tree packing, minimization and
@@ -202,13 +203,6 @@ type Comm struct {
 	tn *collective.Tenant
 }
 
-// configurable is the construction-time surface Engine and ClusterEngine
-// share; applyOptions configures either through it.
-type configurable interface {
-	SetPlanCache(*PlanCache)
-	ConfigureAsync(streams int, windowBytes int64)
-}
-
 // resolveOptions folds the options over the defaults.
 func resolveOptions(opts []Option) commConfig {
 	cfg := commConfig{backend: BackendBlink}
@@ -216,18 +210,6 @@ func resolveOptions(opts []Option) commConfig {
 		o(&cfg)
 	}
 	return cfg
-}
-
-// applyOptions applies the options every communicator kind honours: the
-// plan cache (shared, or private at a chosen capacity) and the async stream
-// layer.
-func applyOptions(cfg commConfig, eng configurable) {
-	if cfg.cache != nil {
-		eng.SetPlanCache(cfg.cache)
-	} else if cfg.cacheCap != nil {
-		eng.SetPlanCache(collective.NewPlanCache(*cfg.cacheCap))
-	}
-	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
 }
 
 // NewComm probes the machine for the allocated device IDs and returns a
@@ -238,7 +220,19 @@ func NewComm(machine *Machine, devs []int, opts ...Option) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	applyOptions(cfg, eng)
+	return cfg.comm(eng)
+}
+
+// comm configures eng with the resolved options — the plan cache (shared,
+// or private at a chosen capacity), the async stream layer, the plan store
+// and service, the QoS lanes — and wraps it in a communicator.
+func (cfg commConfig) comm(eng *collective.Engine) (*Comm, error) {
+	if cfg.cache != nil {
+		eng.SetPlanCache(cfg.cache)
+	} else if cfg.cacheCap != nil {
+		eng.SetPlanCache(collective.NewPlanCache(*cfg.cacheCap))
+	}
+	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
 	if cfg.storeDir != "" {
 		store, err := collective.NewPlanStore(cfg.storeDir)
 		if err != nil {
@@ -259,7 +253,8 @@ func NewComm(machine *Machine, devs []int, opts ...Option) (*Comm, error) {
 // reconfiguration that evicted GPUs, Size reflects the surviving ranks.
 func (c *Comm) Size() int { return c.eng.Topo().NumGPUs }
 
-// Devices returns the physical GPU IDs of the allocation.
+// Devices returns the physical GPU IDs of the allocation (nil on a cluster,
+// whose ranks span several machines; see ServerSizes).
 func (c *Comm) Devices() []int { return append([]int(nil), c.eng.Topo().DevIDs...) }
 
 // Backend returns the communicator's scheduling backend.
@@ -412,9 +407,6 @@ func (c *Comm) NeighborExchange(neighbors [][]int, bytes int64) (Result, error) 
 // with Wait (or select on Done), peek failures with Err, watch
 // chunk-granular progress with Progress.
 type Handle = collective.Handle
-
-// ClusterHandle is the multi-server counterpart of Handle.
-type ClusterHandle = collective.ClusterHandle
 
 // AsyncOpt tunes one async submission.
 type AsyncOpt func(*asyncCfg)
@@ -750,157 +742,58 @@ func NewCluster(servers []ServerSpec, nicGbps float64) (*Cluster, error) {
 	return topology.NewCluster(servers, nicGbps)
 }
 
-// ClusterResult reports one cluster collective execution, including the
-// three-phase timing breakdown when the Blink backend ran.
-type ClusterResult = collective.ClusterResult
+// ClusterComm is Comm, under the name the benchmark harness in bench/ still
+// uses.
+//
+// Deprecated: use Comm; NewClusterComm returns one.
+type ClusterComm = Comm
 
-// ClusterComm is a communicator spanning every GPU of a multi-server
-// cluster — the cluster-scale analogue of Comm. Ranks are numbered
-// server-major (server 0's GPUs first). With the default Blink backend,
-// collectives run the paper's §3.5 three-phase protocol: per-server
-// spanning-tree reduce, cross-server exchange among partition roots over
-// the NICs, per-server tree broadcast. With BackendNCCL they run the flat
+// NewClusterComm builds a communicator spanning every GPU of a multi-server
+// cluster. Ranks are numbered server-major (server 0's GPUs first). With
+// the default Blink backend, collectives run the paper's §3.5 three-phase
+// protocol: per-server spanning-tree reduce, cross-server exchange among
+// partition roots over the NICs, per-server tree broadcast; Result carries
+// the three phases' durations. With BackendNCCL they run the flat
 // cross-machine ring baseline. Either way the first dispatch of a shape
 // compiles the full multi-server schedule and freezes it into the plan
 // cache; every later dispatch is a warm replay.
 //
-// A ClusterComm is safe for concurrent use, in both timing and data mode:
-// every data-mode call executes against its own per-call buffer context, so
-// concurrent calls never share any execution state. Its *Data methods keep
-// Comm's buffer contract: inputs are lent until the call returns, outputs
-// are fresh and the caller's.
-type ClusterComm struct {
-	eng     *collective.ClusterEngine
-	backend Backend
-}
-
-// NewClusterComm builds a cluster communicator over a multi-server
-// allocation. Options are the same as NewComm's; WithDataMode enables the
-// *Data variants, and WithPlanCache can pool one cache across cluster and
-// single-machine communicators alike.
-func NewClusterComm(cluster *Cluster, opts ...Option) (*ClusterComm, error) {
+// A cluster communicator serves AllReduce, Broadcast and AllToAll (the last
+// under BackendBlink only) in every form — synchronous, grouped, async,
+// tenant views and the matching *Data methods, including ReduceScatterData,
+// which rides the AllReduce schedule — plus ServerSizes and
+// ReconfigureWithoutServer. Every other collective, HybridBroadcast, Trees,
+// Reconfigure and ReconfigureExclude return an error. Options are
+// NewComm's, except WithPlanStore and WithPlanService: cluster schedules
+// embed cross-server wiring with no serializable form, so neither the disk
+// tier nor the planning service can hold one, and the options fail loudly
+// instead of being silently ignored.
+func NewClusterComm(cluster *Cluster, opts ...Option) (*Comm, error) {
 	cfg := resolveOptions(opts)
-	// Cluster schedules embed cross-server wiring with no serializable form:
-	// neither the planning service nor the disk tier can hold one; and
-	// tenants are views of a *Comm, so nothing would ever read a lane config.
-	// Fail loudly instead of silently ignoring the option.
 	switch {
 	case cfg.serviceAddr != "":
 		return nil, fmt.Errorf("blink: WithPlanService is single-machine only (cluster plans are not remotely servable)")
 	case cfg.storeDir != "":
 		return nil, fmt.Errorf("blink: WithPlanStore is single-machine only (cluster plans are not serializable)")
-	case cfg.qos != nil:
-		return nil, fmt.Errorf("blink: WithQoS is single-machine only (tenants are views of a Comm)")
 	}
 	eng, err := collective.NewClusterEngine(cluster, cfg.sim)
 	if err != nil {
 		return nil, err
 	}
-	applyOptions(cfg, eng)
-	return &ClusterComm{eng: eng, backend: cfg.backend}, nil
+	return cfg.comm(eng)
 }
 
-// Size returns the number of ranks across all servers.
-func (c *ClusterComm) Size() int { return c.eng.TotalRanks() }
+// ServerSizes returns the per-server GPU counts, in rank order: one per
+// server of a cluster communicator, and Size() alone on one machine.
+func (c *Comm) ServerSizes() []int { return c.eng.ServerSizes() }
 
-// ServerSizes returns the per-server GPU counts.
-func (c *ClusterComm) ServerSizes() []int { return c.eng.ServerSizes() }
-
-// Backend returns the communicator's scheduling backend.
-func (c *ClusterComm) Backend() Backend { return c.backend }
-
-// AllReduce sums bytes of float32 gradients across every rank of every
-// server and reports the per-phase timing.
-func (c *ClusterComm) AllReduce(bytes int64) (ClusterResult, error) {
-	return c.eng.Run(c.backend, collective.AllReduce, 0, bytes, collective.Options{})
-}
-
-// AllReduceMany issues one cluster AllReduce per tensor size as a single
-// grouped dispatch — one training step's gradient buckets at cluster scale.
-func (c *ClusterComm) AllReduceMany(sizes []int64) (GroupResult, error) {
-	return c.eng.RunMany(c.backend, collective.AllReduce, 0, sizes, collective.Options{})
-}
-
-// Broadcast sends bytes from the given global rank to every rank.
-func (c *ClusterComm) Broadcast(root int, bytes int64) (ClusterResult, error) {
-	return c.eng.Run(c.backend, collective.Broadcast, root, bytes, collective.Options{})
-}
-
-// AllToAll exchanges a distinct bytes/Size() shard between every pair of
-// global ranks, within servers over packed spanning trees and across
-// servers through the NIC fabric. Requires the Blink backend (the flat-ring
-// baseline has no cluster point-to-point schedule).
-func (c *ClusterComm) AllToAll(bytes int64) (ClusterResult, error) {
-	return c.eng.Run(c.backend, collective.AllToAll, 0, bytes, collective.Options{})
-}
-
-// AllToAllData exchanges real data between every pair of global ranks:
-// rank g's input splits into Size() shards and shard d lands on global rank
-// d, so out[d] concatenates every rank's d-th shard in global rank order.
-// Requires WithDataMode and the Blink backend.
-func (c *ClusterComm) AllToAllData(inputs [][]float32) ([][]float32, error) {
-	outs, _, err := c.eng.AllToAllData(c.backend, inputs, collective.Options{})
-	return outs, err
-}
-
-// AllReduceData sums the per-rank buffers elementwise across servers and
-// returns each global rank's result, moving real float32 data through
-// every phase. Requires WithDataMode.
-func (c *ClusterComm) AllReduceData(inputs [][]float32) ([][]float32, error) {
-	outs, _, err := c.eng.AllReduceData(c.backend, inputs, collective.Options{})
-	return outs, err
-}
-
-// BroadcastData sends root's buffer (a global rank) to every rank and
-// returns each rank's received copy. Requires WithDataMode.
-func (c *ClusterComm) BroadcastData(root int, data []float32) ([][]float32, error) {
-	outs, _, err := c.eng.BroadcastData(c.backend, root, data, collective.Options{})
-	return outs, err
-}
-
-// AllReduceAsync is the nonblocking cluster AllReduce: submitted to one of
-// the communicator's worker streams, resolved through the returned handle
-// (which carries the three-phase timing breakdown under the Blink
-// backend). Semantics match Comm.BroadcastAsync: FIFO per stream,
-// backpressure on the in-flight byte window, and the cluster state pinned
-// at submission, so in-flight work completes on its snapshot while later
-// submissions see a post-fault cluster.
-func (c *ClusterComm) AllReduceAsync(bytes int64, opts ...AsyncOpt) *ClusterHandle {
-	return c.eng.RunAsync(c.backend, collective.AllReduce, 0, bytes, collective.Options{}, asyncStream(opts))
-}
-
-// BroadcastAsync is the nonblocking cluster Broadcast from global rank
-// root.
-func (c *ClusterComm) BroadcastAsync(root int, bytes int64, opts ...AsyncOpt) *ClusterHandle {
-	return c.eng.RunAsync(c.backend, collective.Broadcast, root, bytes, collective.Options{}, asyncStream(opts))
-}
-
-// ReconfigureWithoutServer shrinks the communicator after losing a whole
-// server (index into the current server order): the survivors keep their
-// server-major rank order and every later collective compiles three-phase
-// (or flat-ring) schedules for the shrunken NIC fabric. At least two
-// servers must remain; on error the communicator is unchanged. Collectives
-// issued concurrently finish on the pre-loss cluster.
-func (c *ClusterComm) ReconfigureWithoutServer(server int) error {
+// ReconfigureWithoutServer shrinks a cluster communicator after losing a
+// whole server (index into the current server order): the survivors keep
+// their server-major rank order and every later collective compiles
+// three-phase (or flat-ring) schedules for the shrunken NIC fabric. At least
+// two servers must remain; on error the communicator is unchanged.
+// Collectives issued concurrently finish on the pre-loss cluster. On a
+// single-machine communicator it returns an error.
+func (c *Comm) ReconfigureWithoutServer(server int) error {
 	return c.eng.RemoveServer(server)
 }
-
-// CacheStats snapshots the communicator's plan-cache counters.
-func (c *ClusterComm) CacheStats() CacheStats { return c.eng.CacheStats() }
-
-// Metrics returns the communicator's live metric registry.
-func (c *ClusterComm) Metrics() *MetricsRegistry { return c.eng.Metrics() }
-
-// MetricsSnapshot copies every metric's current value.
-func (c *ClusterComm) MetricsSnapshot() MetricsSnapshot { return c.eng.Metrics().Snapshot() }
-
-// EnableTimeline switches on per-op span recording and returns the
-// timeline (see Comm.EnableTimeline).
-func (c *ClusterComm) EnableTimeline() *Timeline { return c.eng.EnableTimeline() }
-
-// Timeline returns the span timeline, nil unless EnableTimeline was called.
-func (c *ClusterComm) Timeline() *Timeline { return c.eng.Timeline() }
-
-// Engine exposes the underlying cluster engine (for benchmarks and
-// training simulations that need grouped dispatch with explicit backends).
-func (c *ClusterComm) Engine() *collective.ClusterEngine { return c.eng }

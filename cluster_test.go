@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"blink/internal/collective"
 )
 
 func twoServerCluster(t *testing.T, a, b int, nicGbps float64) *Cluster {
@@ -210,11 +212,122 @@ func TestClusterCommRejectsPlanStore(t *testing.T) {
 	for name, opt := range map[string]Option{
 		"WithPlanStore":   WithPlanStore(t.TempDir()),
 		"WithPlanService": WithPlanService("127.0.0.1:1"),
-		"WithQoS":         WithQoS(QoSConfig{}),
 	} {
 		if _, err := NewClusterComm(twoServerCluster(t, 4, 4, 100), opt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("NewClusterComm(%s) = %v, want an error naming the option", name, err)
 		}
+	}
+}
+
+// TestClusterTenants: a cluster communicator is a Comm, so QoS lanes and
+// tenant views work on it as on one machine. A latency-critical and a bulk
+// tenant of one 3+5 cluster each run a data-mode AllReduce twice through
+// their views: the results are elementwise-exact, only the very first call
+// compiles (the plan cache is shared across tenants), and both tenants'
+// ledgers balance exactly.
+func TestClusterTenants(t *testing.T) {
+	cc, err := NewClusterComm(twoServerCluster(t, 3, 5, 100), WithQoS(QoSConfig{Workers: 2}), WithDataMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(27))
+	for i, spec := range []struct {
+		name  string
+		class Class
+	}{{"lc", ClassLatencyCritical}, {"bulk", ClassBulkGradient}} {
+		tn, err := NewTenant(cc, TenantOptions{Name: spec.name, Class: spec.class})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for iter := 0; iter < 2; iter++ {
+			inputs, sum := randInputs(rng, cc.Size(), 1024)
+			outs, err := tn.AllReduceData(inputs)
+			if err != nil {
+				t.Fatalf("%s iter %d: %v", spec.name, iter, err)
+			}
+			for r, out := range outs {
+				assertEq(t, fmt.Sprintf("%s iter %d rank %d", spec.name, iter, r), out, sum)
+			}
+		}
+		st := tn.Stats()
+		if st.SubmittedOps != 2 || st.CompletedOps != 2 || st.SubmittedBytes != st.AdmittedBytes+st.RejectedBytes {
+			t.Fatalf("%s: quota ledger %+v", spec.name, st)
+		}
+		if wantHits := int64(1 + i); st.CacheLookups != st.CacheHits+st.CacheMisses || st.CacheHits != wantHits {
+			t.Fatalf("%s: cache ledger %d lookups / %d hits / %d misses, want %d hits",
+				spec.name, st.CacheLookups, st.CacheHits, st.CacheMisses, wantHits)
+		}
+	}
+	if st := cc.CacheStats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("four tenant calls of one shape: %+v, want one compile", st)
+	}
+}
+
+// TestClusterErrorRows: what a cluster communicator cannot run is an error
+// row of plan selection or a refusal up front, not a missing method. Every
+// call below returns an error, does not panic and leaves the plan cache's
+// entries as they were; so does ReconfigureWithoutServer on one machine.
+func TestClusterErrorRows(t *testing.T) {
+	cc, err := NewClusterComm(twoServerCluster(t, 3, 5, 100), WithDataMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := NewClusterComm(twoServerCluster(t, 3, 5, 100), WithBackend(BackendNCCL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := NewComm(DGX1V(), full8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm one plan, of another size than the calls below use, so
+	// "unchanged" is neither trivially zero nor satisfied by a cache hit.
+	if _, err := cc.AllReduce(4 << 20); err != nil {
+		t.Fatal(err)
+	}
+	const bytes = 1 << 20
+	inputs, _ := randInputs(rand.New(rand.NewSource(5)), cc.Size(), 64)
+	errOf := func(_ any, err error) error { return err }
+	for _, tc := range []struct {
+		name string
+		comm *Comm
+		call func() error
+	}{
+		{"Gather", cc, func() error { return errOf(cc.Gather(0, bytes)) }},
+		{"Scatter", cc, func() error { return errOf(cc.Scatter(0, bytes)) }},
+		{"Reduce", cc, func() error { return errOf(cc.Reduce(0, bytes)) }},
+		{"AllGather", cc, func() error { return errOf(cc.AllGather(bytes)) }},
+		{"SendRecv", cc, func() error { return errOf(cc.SendRecv([]int{0, 5}, bytes)) }},
+		{"NeighborExchange", cc, func() error { return errOf(cc.NeighborExchange(make([][]int, cc.Size()), bytes)) }},
+		{"HybridBroadcast", cc, func() error { return errOf(cc.HybridBroadcast(0, bytes)) }},
+		{"ScatterAsync", cc, func() error { return errOf(cc.ScatterAsync(0, bytes).Wait()) }},
+		{"GatherData", cc, func() error { return errOf(cc.GatherData(0, inputs)) }},
+		{"ScatterData", cc, func() error { return errOf(cc.ScatterData(0, inputs[0])) }},
+		{"ReduceData", cc, func() error { return errOf(cc.ReduceData(0, inputs)) }},
+		{"AllGatherData", cc, func() error { return errOf(cc.AllGatherData(inputs)) }},
+		{"SendRecvData", cc, func() error { return errOf(cc.SendRecvData([]int{0, 5}, inputs[0])) }},
+		{"NeighborExchangeData", cc, func() error { return errOf(cc.NeighborExchangeData(make([][]int, cc.Size()), inputs)) }},
+		{"AllToAll/NCCL", ring, func() error { return errOf(ring.AllToAll(bytes)) }},
+		{"Trees", cc, func() error { return errOf(cc.Trees(0)) }},
+		{"Reconfigure", cc, func() error { return cc.Reconfigure(DGX1V()) }},
+		{"ReconfigureExclude", cc, func() error { return cc.ReconfigureExclude(0) }},
+		{"Engine.PlanBlob", cc, func() error {
+			_, _, err := cc.eng.PlanBlob(BackendBlink, collective.AllReduce, 0, bytes, collective.Options{})
+			return err
+		}},
+		{"Engine.Prewarm", cc, func() error { return cc.eng.Prewarm(nil) }},
+		{"ReconfigureWithoutServer/single-machine", comm, func() error { return comm.ReconfigureWithoutServer(0) }},
+	} {
+		before := tc.comm.CacheStats().Entries
+		if err := tc.call(); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+		if after := tc.comm.CacheStats().Entries; after != before {
+			t.Errorf("%s: cache entries %d -> %d", tc.name, before, after)
+		}
+	}
+	if cc.Size() != 8 || comm.Size() != 8 {
+		t.Fatalf("a refused call changed a communicator: sizes %d, %d", cc.Size(), comm.Size())
 	}
 }
 

@@ -210,7 +210,7 @@ func TestSharedCacheAcrossComms(t *testing.T) {
 
 // TestSharedPlanCachePooledConcurrent is the race-detector gate for cache
 // pooling: one PlanCache serves six communicators — different allocations,
-// both backends, plus a multi-server ClusterComm — all dispatching
+// both backends, plus a multi-server cluster Comm — all dispatching
 // concurrently. Afterwards the hit/miss counters must be consistent: every
 // dispatch is exactly one lookup, every distinct shape stays resident, and
 // warm dispatches replayed identical timings.

@@ -9,11 +9,13 @@ import (
 )
 
 // confFabric is one row of the conformance matrix: a machine in pristine
-// or derived-degraded condition plus the allocation the suite probes.
+// or derived-degraded condition plus the allocation the suite probes, or a
+// multi-server cluster.
 type confFabric struct {
 	name    string
 	machine *Machine
 	devs    []int
+	cluster *Cluster
 	// skip, when non-empty, documents why this cell of the matrix cannot
 	// exist (e.g. the DGX-2's NVSwitch fabric is uniform by construction
 	// and the simulator has no degraded derivation for it).
@@ -39,9 +41,17 @@ func firstNVLink(t *testing.T, m *Machine) (a, b int, cap float64) {
 	return a, b, cap
 }
 
+// comm builds the row's communicator.
+func (f confFabric) comm(opts ...Option) (*Comm, error) {
+	if f.cluster != nil {
+		return NewClusterComm(f.cluster, opts...)
+	}
+	return NewComm(f.machine, f.devs, opts...)
+}
+
 // conformanceFabrics builds the machine axis of the matrix: DGX-1P, DGX-1V
 // and DGX-2, each pristine and (where the simulator supports derivation)
-// with one degraded topology derived from it.
+// with one degraded topology derived from it, and a 3+5 DGX-1V cluster.
 func conformanceFabrics(t *testing.T) []confFabric {
 	t.Helper()
 	full8 := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -74,6 +84,7 @@ func conformanceFabrics(t *testing.T) []confFabric {
 		{name: "dgx2/degraded", skip: "the DGX-2 runtime models a uniform " +
 			"non-blocking NVSwitch; no degraded derivation exists for switch " +
 			"fabrics (Engine.Reconfigure rejects them for the same reason)"},
+		{name: "cluster/3+5", cluster: twoServerCluster(t, 3, 5, 100)},
 	}
 }
 
@@ -84,7 +95,10 @@ type confOp struct {
 	// needsRoot marks rooted collectives (exercised at root 0 and the
 	// highest rank); rootless ops run once per fabric.
 	needsRoot bool
-	run       func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand)
+	// cluster marks the ops a cluster has a schedule for; on a cluster
+	// every other op is an error (TestClusterErrorRows).
+	cluster bool
+	run     func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand)
 }
 
 // shardFloats is the per-rank payload of the sharded ops; the dense ops
@@ -93,7 +107,7 @@ const shardFloats = 96
 
 func confOps() []confOp {
 	return []confOp{
-		{name: "Broadcast", needsRoot: true, run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
+		{name: "Broadcast", needsRoot: true, cluster: true, run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
 			src := make([]float32, shardFloats*ranks)
 			for i := range src {
 				src[i] = float32(rng.Intn(512))
@@ -106,7 +120,7 @@ func confOps() []confOp {
 				assertEq(t, fmt.Sprintf("rank %d", r), out, src)
 			}
 		}},
-		{name: "AllReduce", run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
+		{name: "AllReduce", cluster: true, run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
 			inputs, sum := randInputs(rng, ranks, shardFloats*ranks)
 			outs, err := comm.AllReduceData(inputs)
 			if err != nil {
@@ -164,7 +178,7 @@ func confOps() []confOp {
 				assertEq(t, fmt.Sprintf("rank %d", r), out, concat)
 			}
 		}},
-		{name: "ReduceScatter", run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
+		{name: "ReduceScatter", cluster: true, run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
 			inputs, sum := randInputs(rng, ranks, shardFloats*ranks)
 			outs, err := comm.ReduceScatterData(inputs)
 			if err != nil {
@@ -174,7 +188,7 @@ func confOps() []confOp {
 				assertEq(t, fmt.Sprintf("rank %d", r), out, sum[r*shardFloats:(r+1)*shardFloats])
 			}
 		}},
-		{name: "AllToAll", run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
+		{name: "AllToAll", cluster: true, run: func(t *testing.T, comm *Comm, ranks, root int, rng *rand.Rand) {
 			inputs, _ := randInputs(rng, ranks, shardFloats*ranks)
 			outs, err := comm.AllToAllData(inputs)
 			if err != nil {
@@ -242,10 +256,11 @@ func seqChain(n int, rev bool) []int {
 
 // TestDataModeConformance is the cross-backend conformance matrix: all
 // ten data-mode collectives x {DGX-1P, DGX-1V, DGX-2} x {pristine, one
-// derived degraded topology}, every cell verified elementwise against a
-// sequential reference. Rooted ops run at rank 0 and the highest rank, so
-// relay-root schedules are covered too. One table drives the whole
-// surface; adding a fabric or an op extends every combination.
+// derived degraded topology}, plus every op a cluster has a schedule for on
+// a 3+5 cluster, every cell verified elementwise against a sequential
+// reference. Rooted ops run at rank 0 and the highest rank, so relay-root
+// schedules are covered too. One table drives the whole surface; adding a
+// fabric or an op extends every combination.
 func TestDataModeConformance(t *testing.T) {
 	for _, f := range conformanceFabrics(t) {
 		f := f
@@ -253,13 +268,16 @@ func TestDataModeConformance(t *testing.T) {
 			if f.skip != "" {
 				t.Skip(f.skip)
 			}
-			comm, err := NewComm(f.machine, f.devs, WithDataMode())
+			comm, err := f.comm(WithDataMode())
 			if err != nil {
 				t.Fatal(err)
 			}
 			ranks := comm.Size()
 			for _, op := range confOps() {
 				op := op
+				if f.cluster != nil && !op.cluster {
+					continue
+				}
 				roots := []int{0}
 				if op.needsRoot {
 					roots = []int{0, ranks - 1}

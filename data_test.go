@@ -119,9 +119,9 @@ func TestDataModeValidation(t *testing.T) {
 }
 
 // TestDataBufferOwnership holds the *Data buffer contract over every
-// data-mode entry point of Comm and ClusterComm on DGX-1V: (a) a call leaves
-// every input it was lent bit-identical, and (b) every buffer it returns is
-// the caller's own — writing a distinct marker into each returned row
+// data-mode entry point of a Comm on DGX-1V and on a 3+5 cluster: (a) a call
+// leaves every input it was lent bit-identical, and (b) every buffer it
+// returns is the caller's own — writing a distinct marker into each returned row
 // changes neither the inputs, nor another row, nor what a second call
 // returns. A schedule that writes its staged inputs must therefore be fed
 // copies of them, and a result that is a caller's input or another call's

@@ -1,4 +1,4 @@
-// Multi-server example: a ClusterComm over a job fragmented across two
+// Multi-server example: a cluster communicator over a job fragmented across two
 // DGX-1V machines (3 + 5 GPUs) runs Blink's cached three-phase AllReduce,
 // verifies it end-to-end with real data, and projects how the advantage
 // over the flat cross-server ring grows with NIC speed (Figures 10 and 22).

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"blink/internal/core"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -26,14 +27,34 @@ func testCluster(t *testing.T, pieces []int, nicGbps float64) *topology.Cluster 
 	return c
 }
 
+// runClusterData runs one data-mode collective through eng's spine: inputs
+// are staged by global rank into a fresh arena (just root's payload when
+// there is one input), and every rank's buffer under tag is read back.
+func runClusterData(eng *Engine, b Backend, op Op, root int, inputs [][]float32, tag int) ([][]float32, Result, error) {
+	bs := simgpu.NewBufferSet()
+	for r, in := range inputs {
+		if len(inputs) == 1 {
+			r = root
+		}
+		bs.SetBuffer(r, core.BufData, append([]float32(nil), in...))
+	}
+	n := len(inputs[0])
+	res, err := eng.Run(b, op, root, int64(n)*4, Options{DataMode: true, Buffers: bs})
+	out := make([][]float32, eng.Topo().NumGPUs)
+	for g := range out {
+		out[g] = bs.Buffer(g, tag, n)
+	}
+	return out, res, err
+}
+
 func TestClusterEngineThreePhaseTiming(t *testing.T) {
 	c := testCluster(t, []int{3, 5}, 100)
 	eng, err := NewClusterEngine(c, simgpu.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.TotalRanks() != 8 {
-		t.Fatalf("total ranks = %d", eng.TotalRanks())
+	if eng.Topo().NumGPUs != 8 {
+		t.Fatalf("total ranks = %d", eng.Topo().NumGPUs)
 	}
 	res, err := eng.Run(Blink, AllReduce, 0, 100<<20, Options{})
 	if err != nil {
@@ -172,7 +193,7 @@ func TestClusterAllReduceDataExact(t *testing.T) {
 		const n = 1500 // deliberately not a multiple of the partition count
 		for _, b := range []Backend{Blink, NCCL} {
 			for iter := 0; iter < 2; iter++ { // cold then warm (cached plan)
-				inputs := make([][]float32, eng.TotalRanks())
+				inputs := make([][]float32, eng.Topo().NumGPUs)
 				want := make([]float32, n)
 				for r := range inputs {
 					inputs[r] = make([]float32, n)
@@ -181,7 +202,7 @@ func TestClusterAllReduceDataExact(t *testing.T) {
 						want[i] += inputs[r][i]
 					}
 				}
-				outs, res, err := eng.AllReduceData(b, inputs, Options{})
+				outs, res, err := runClusterData(eng, b, AllReduce, 0, inputs, core.BufAcc)
 				if err != nil {
 					t.Fatalf("%v %v iter %d: %v", pieces, b, iter, err)
 				}
@@ -219,7 +240,7 @@ func TestClusterBroadcastDataExact(t *testing.T) {
 	// Roots on both servers, including a non-zero local rank.
 	for _, root := range []int{0, 2, 3, 7} {
 		for _, b := range []Backend{Blink, NCCL} {
-			outs, _, err := eng.BroadcastData(b, root, data, Options{})
+			outs, _, err := runClusterData(eng, b, Broadcast, root, [][]float32{data}, core.BufData)
 			if err != nil {
 				t.Fatalf("root %d %v: %v", root, b, err)
 			}
@@ -244,8 +265,11 @@ func TestClusterEngineRejectsUnsupported(t *testing.T) {
 	if _, err := eng.Run(Blink, Gather, 0, 1<<20, Options{}); err == nil {
 		t.Fatal("cluster Gather accepted")
 	}
-	if _, _, err := eng.AllReduceData(Blink, nil, Options{}); err == nil {
-		t.Fatal("data call without data mode accepted")
+	if _, err := eng.Run(NCCL, AllToAll, 0, 1<<20, Options{}); err == nil {
+		t.Fatal("flat-ring cluster AllToAll accepted")
+	}
+	if _, err := eng.Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err == nil {
+		t.Fatal("cluster hybrid broadcast accepted")
 	}
 	if _, err := NewClusterEngine(&topology.Cluster{}, simgpu.Config{}); err == nil {
 		t.Fatal("empty cluster accepted")

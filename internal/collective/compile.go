@@ -27,7 +27,7 @@ type packEntry struct {
 
 // observeStage records one compile-stage latency into the per-stage
 // histogram family blink_compile_stage_seconds{stage=...}.
-func (e *engineShell) observeStage(stage string, seconds float64) {
+func (e *Engine) observeStage(stage string, seconds float64) {
 	e.obsReg.Histogram(`blink_compile_stage_seconds{stage="`+stage+`"}`, nil).Observe(seconds)
 }
 
@@ -138,6 +138,9 @@ func deviceVertexMap(oldT, newT *topology.Topology) []int {
 // root. Results are identical to lazy compilation — only the latency moves.
 func (e *Engine) Prewarm(roots []int) error {
 	st := e.st.Load()
+	if err := st.machineOnly("Prewarm"); err != nil {
+		return err
+	}
 	if st.switched() {
 		return nil // one-hop packings are built at construction
 	}

@@ -107,10 +107,6 @@ type Result struct {
 	Partitions             int
 }
 
-// ClusterResult is the result of a cluster collective: the same Result, with
-// the phase breakdown filled in when the Blink backend ran.
-type ClusterResult = Result
-
 // Options tunes a collective call.
 type Options struct {
 	// ChunkBytes overrides the chunk heuristic (0 = auto).
@@ -147,7 +143,9 @@ type Options struct {
 // lazily built packings and rings, and the schedule-cache fingerprint. The
 // whole bundle swaps atomically on Reconfigure, so dispatches in flight on
 // the old state finish against a consistent snapshot while new dispatches
-// compile against the post-fault fabric.
+// compile against the post-fault fabric. A multi-server cluster is a state
+// too (cluster.go): its topo numbers every GPU of every server, so ranks,
+// range checks and data-mode staging are the same on one machine and many.
 type engineState struct {
 	topo *topology.Topology
 	// machine/devs are what the state was probed from, kept so a
@@ -180,9 +178,22 @@ type engineState struct {
 	// nvlConnected caches whether the allocation's NVLink subgraph is
 	// connected (switch fabrics always are).
 	nvlConnected bool
+
+	// cluster is set on a multi-server state, whose planes are the fields
+	// below instead of the machine planes above. servers holds each member's
+	// state (planes, per-root packing slots), members their Blink data
+	// planes, wide the one fabric the three-phase plans run over — those
+	// planes' link tables followed by the NIC links (core.NewClusterFabric) —
+	// and flat the NCCL baseline's cross-machine ring.
+	cluster *topology.Cluster
+	servers []*engineState
+	members []*simgpu.Fabric
+	wide    *simgpu.Fabric
+	flat    *ring.CrossMachineFabric
 }
 
-// Engine is a collective runtime bound to one induced topology.
+// Engine is a collective runtime bound to one induced topology or one
+// multi-server cluster.
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
 // Run / RunMany / Packing simultaneously — including concurrently with
@@ -194,7 +205,6 @@ type engineState struct {
 // own simgpu.BufferSet (Options.Buffers), so no execution state is shared
 // between calls.
 type Engine struct {
-	engineShell
 	Cfg simgpu.Config
 
 	// st is the current topology-derived state; Load it once per dispatch.
@@ -206,6 +216,15 @@ type Engine struct {
 	// discarding the others. Dispatches never take this lock.
 	reconfigMu sync.Mutex
 
+	// id uniquely identifies the engine; data-mode plan keys carry it
+	// because their Exec closures encode this engine's geometry.
+	id uint64
+	// cfgKey is the normalized timing model, part of every plan key.
+	cfgKey simgpu.Config
+	// cache holds compiled schedules; replaceable via SetPlanCache so many
+	// engines can share one cache.
+	cache *PlanCache
+
 	// svc is the optional remote planning service (blinkd) consulted after
 	// both cache tiers miss and before compiling locally; a fetch or decode
 	// failure falls back to the local compile, so the service can only ever
@@ -215,10 +234,31 @@ type Engine struct {
 	// tenantCount sizes the plan cache's per-owner fair share.
 	tenantCount atomic.Int64
 
+	// obsReg is the engine's metrics registry: cache, scheduler and dispatch
+	// metrics all land here. It exists from construction — an unread
+	// registry costs a few atomic adds per dispatch.
+	obsReg *obs.Registry
+	// tl is the optional per-op span timeline, nil until EnableTimeline;
+	// Timeline.Begin is nil-safe and then returns a no-op recorder.
+	tl atomic.Pointer[obs.Timeline]
+	// Registry-resolved dispatch metric handles (hot path: pure atomics).
+	mCompiles, mReplays, mReplans *obs.Counter
+	mReplanSeconds                *obs.Histogram
+	// opHists caches opHist's handle per op kind, filled on first use.
+	opHists [NeighborExchange + 1]atomic.Pointer[obs.Histogram]
 	// Repair-outcome counters (compile.go).
 	mRepairs, mRepairFallbacks *obs.Counter
 	// Remote-planner outcome counters.
 	mServiceHits, mServiceErrors *obs.Counter
+	// pipe is the planner pipeline every packing compiles through; its stage
+	// latencies land in the engine's registry.
+	pipe *core.PlannerPipeline
+
+	// async is the stream scheduler behind RunAsync; qos the multi-tenant
+	// lane scheduler behind tenant dispatch. Both start on first use, so
+	// engines that never go async or multi-tenant pay nothing.
+	async lazy[asyncConfig, streamScheduler]
+	qos   lazy[QoSConfig, laneScheduler]
 }
 
 // newEngineState probes the machine for the allocated devices and builds
@@ -270,8 +310,8 @@ func (st *engineState) plane(b Backend) core.FabricSel {
 // NewEngine probes the machine for the allocated devices and prepares a
 // runtime. For switch topologies devs must cover the full machine (partial
 // DGX-2 allocations see a uniform fabric anyway). Like ReconfigureExclude,
-// it refuses an allocation of fewer than two devices: only a server of a
-// ClusterEngine, which is a bare engineState, may hold a single GPU.
+// it refuses an allocation of fewer than two devices: only a member server
+// of a cluster state may hold a single GPU.
 func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engine, error) {
 	st, err := newEngineState(machine, devs, cfg)
 	if err != nil {
@@ -280,14 +320,38 @@ func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engi
 	if st.topo.NumGPUs < 2 {
 		return nil, fmt.Errorf("collective: allocation has %d device(s); a communicator needs at least 2", st.topo.NumGPUs)
 	}
-	e := &Engine{Cfg: cfg}
-	e.init(cfg)
+	return newEngine(st, cfg), nil
+}
+
+// engineIDs hands every engine a distinct nonzero identity.
+var engineIDs atomic.Uint64
+
+// newEngine publishes st in a new engine with its identity, registry and
+// dispatch metrics, its planner pipeline, and a private, instrumented plan
+// cache of the default capacity.
+func newEngine(st *engineState, cfg simgpu.Config) *Engine {
+	e := &Engine{Cfg: cfg, id: engineIDs.Add(1), cfgKey: cfg.Normalized(), obsReg: obs.NewRegistry()}
+	e.SetPlanCache(nil)
+	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
+	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
+	e.mReplans = e.obsReg.Counter("blink_replans_total")
+	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
 	e.mRepairs = e.obsReg.Counter("blink_repair_incremental_total")
 	e.mRepairFallbacks = e.obsReg.Counter("blink_repair_fallback_total")
 	e.mServiceHits = e.obsReg.Counter("blink_plan_service_hits_total")
 	e.mServiceErrors = e.obsReg.Counter("blink_plan_service_errors_total")
+	e.pipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
 	e.st.Store(st)
-	return e, nil
+	return e
+}
+
+// machineOnly refuses, on a cluster state, what only a single machine has:
+// its own devices, links and packings.
+func (st *engineState) machineOnly(what string) error {
+	if st.cluster != nil {
+		return fmt.Errorf("collective: %s needs a single-machine engine, not a cluster", what)
+	}
+	return nil
 }
 
 // Reconfigure re-probes and swaps the engine onto a new allocation — the
@@ -345,6 +409,9 @@ func (e *Engine) ReconfigureExclude(evicted []int) error {
 func (e *Engine) reconfigureLocked(machine *topology.Topology, devs []int) error {
 	start := time.Now()
 	old := e.st.Load()
+	if err := old.machineOnly("Reconfigure"); err != nil {
+		return err
+	}
 	if machine == nil {
 		machine = old.machine
 	}
@@ -367,12 +434,10 @@ func (e *Engine) reconfigureLocked(machine *topology.Topology, devs []int) error
 	return nil
 }
 
-// Topo returns the currently induced topology. After a Reconfigure the
-// returned snapshot reflects the post-fault allocation.
+// Topo returns the currently induced topology (on a cluster, the flat
+// cross-machine ring's, which numbers every GPU server-major). After a
+// Reconfigure the returned snapshot reflects the post-fault allocation.
 func (e *Engine) Topo() *topology.Topology { return e.st.Load().topo }
-
-// Machine returns the base machine the current allocation was probed from.
-func (e *Engine) Machine() *topology.Topology { return e.st.Load().machine }
 
 // AllocatedDevs returns the physical device IDs of the current allocation.
 func (e *Engine) AllocatedDevs() []int { return append([]int(nil), e.st.Load().devs...) }
@@ -452,21 +517,28 @@ func (s Snapshot) Run(b Backend, op Op, root int, bytes int64, opts Options) (Re
 	return s.Submit(b, op, root, bytes, opts, Inline).Wait()
 }
 
-// Submit is the entry every single-machine dispatch style reduces to: it
-// submits one collective against the snapshot's topology and returns its
-// handle. stream selects the admission stage of an untenanted call — Inline
-// runs it on the calling goroutine and returns a resolved handle (Run is
+// Submit is the entry every dispatch style reduces to: it submits one
+// collective against the snapshot's topology and returns its handle. stream
+// selects the admission stage of an untenanted call — Inline runs it on the
+// calling goroutine and returns a resolved handle (Run is
 // Submit(Inline).Wait()); any other value queues it on an async worker
 // stream exactly as RunAsync does. A call carrying opts.Tenant is admitted
 // through the tenant's QoS lane instead, whatever the stream.
 func (s Snapshot) Submit(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
-	return submit(&s.e.engineShell, s.e, s.st, request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
+	return s.e.submit(s.st, request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
 }
 
-// lookupOrCompile resolves the plan-cache key for the call and returns the
-// cached schedule plus whether this call hit the cache, compiling and
-// inserting the plan on a miss (the Engine's half of the planner).
+// lookupOrCompile is the planner, for dispatch and for the blob blinkd
+// serves alike: it validates the request, looks its plan-cache key up
+// through the cache tiers and, on a miss, fetches the plan from the remote
+// planner or compiles and publishes it. It reports whether the call hit the
+// cache; a fetched plan counts as a hit. Two goroutines missing on the same
+// key may both compile; both results are identical and the second publish
+// simply replaces the first, so correctness is unaffected.
 func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool, error) {
+	if err := rq.validate(); err != nil {
+		return nil, false, err
+	}
 	// A root that was valid at construction can go stale after a
 	// reconfiguration shrinks the allocation; fail cleanly, not with an
 	// index panic deep in TreeGen.
@@ -478,18 +550,29 @@ func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool
 	// its header against this engine's topology and regenerates the
 	// schedule — the packing pipeline never runs, which is the whole point
 	// of the tier.
-	return e.resolve(key, e.planDecoder(st), e.Fingerprint, func() (*CachedPlan, bool, error) {
-		// Remote planner (blinkd), if configured: still cheaper than packing
-		// locally, and its blob lands in both local tiers on success. Hybrid
-		// plans carry no IR, so no tier below memory can ever serve one.
-		if !key.Hybrid {
-			if cp := e.fetchFromService(st, key, rq.opts); cp != nil {
-				return cp, true, nil
-			}
-		}
-		cp, err := e.publish(st, key, rq)
-		return cp, false, err
-	})
+	if cp, _, _ := e.cache.GetTiered(key, e.planDecoder(st)); cp != nil {
+		return cp, true, nil
+	}
+	// Remote planner (blinkd), if configured: still cheaper than packing
+	// locally, and its blob lands in both local tiers on success. Hybrid
+	// plans carry no IR, so no tier below memory can ever serve one.
+	var cp *CachedPlan
+	var err error
+	if !key.Hybrid {
+		cp = e.fetchFromService(st, key, rq.opts)
+	}
+	fetched := cp != nil
+	if !fetched {
+		cp, err = e.publish(st, key, rq)
+	}
+	// A Reconfigure may have swapped the engine and invalidated this
+	// fingerprint while the plan was fetched or compiled; re-check so its
+	// publish cannot resurrect a dead topology's plan that would pin an LRU
+	// slot forever.
+	if err == nil && e.Fingerprint() != key.Fingerprint {
+		e.cache.InvalidateFingerprint(key.Fingerprint)
+	}
+	return cp, fetched, err
 }
 
 // publish is the one step from a request to a cached schedule: select and
@@ -520,7 +603,7 @@ func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan,
 // bucket sizes every iteration, so after the first step every dispatch in
 // the group is a warm replay.
 func (e *Engine) RunMany(b Backend, op Op, root int, sizes []int64, opts Options) (GroupResult, error) {
-	return runGroup(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes)
+	return e.runGroup(e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes)
 }
 
 // p2pPairs expands a point-to-point op into the directed transfers (in IR
@@ -707,15 +790,15 @@ func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKi
 	return ringKinds[class], planes[plane].ring, needNothing
 }
 
-// selectPlan is the one step between a cache miss and a generated schedule:
-// it records what selectShape chose — plus the packings, transfer pairs or
-// op shape the kind needs — into a serializable PlanIR and hands the IR to
-// core.CodeGen over the plane's fabric. The hybrid row (key.Hybrid: a
-// broadcast with Options.Hybrid) is the one schedule that spans two planes
-// and has no IR; core builds it directly. Returned alongside the plan is its
+// selectPlan is the one step between a cache miss and a generated schedule.
+// Its first row is a cluster's (clusterPlan). On one machine it records what
+// selectShape chose — plus the packings, transfer pairs or op shape the kind
+// needs — into a serializable PlanIR and hands the IR to core.CodeGen over
+// the plane's fabric. The hybrid row (key.Hybrid: a broadcast with
+// Options.Hybrid) is the one machine schedule that spans two planes and has
+// no IR; core builds it directly. Returned alongside the plan is its
 // strategy label.
 func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.Plan, strategy string, err error) {
-	plane := st.plane(rq.b)
 	po := core.PlanOptions{
 		ChunkBytes: key.ChunkBytes,
 		DataMode:   rq.opts.DataMode,
@@ -725,6 +808,10 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		// asynchronous CUDA stream issue.
 		NoStreamReuse: true,
 	}
+	if st.cluster != nil {
+		return st.clusterPlan(e.pipe, key, rq, po)
+	}
+	plane := st.plane(rq.b)
 	// packs resolves the listed roots' packings on a plane: the precomputed
 	// one-hop trees on a switch, the per-root packing slots elsewhere.
 	packs := func(on core.FabricSel, roots ...int) ([]*core.Packing, error) {
@@ -788,7 +875,8 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 
 // FabricFor returns the fabric the given backend's plans move data over:
 // the switch fabric on a DGX-2, otherwise the NVLink plane (or the PCIe
-// plane when the backend must fall back to it).
+// plane when the backend must fall back to it); nil on a cluster, which has
+// no machine plane.
 func (e *Engine) FabricFor(b Backend) *simgpu.Fabric {
 	st := e.st.Load()
 	return st.fabrics[st.plane(b)]
@@ -798,6 +886,9 @@ func (e *Engine) FabricFor(b Backend) *simgpu.Fabric {
 // uses for the given root (one-hop trees on a DGX-2).
 func (e *Engine) Packing(root int) (*core.Packing, error) {
 	st := e.st.Load()
+	if err := st.machineOnly("Packing"); err != nil {
+		return nil, err
+	}
 	if root < 0 || root >= st.topo.NumGPUs {
 		return nil, fmt.Errorf("collective: root %d out of range [0,%d)", root, st.topo.NumGPUs)
 	}

@@ -318,8 +318,8 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.TotalRanks() != 12 {
-		t.Fatalf("TotalRanks = %d, want 12", eng.TotalRanks())
+	if n := eng.Topo().NumGPUs; n != 12 {
+		t.Fatalf("ranks = %d, want 12", n)
 	}
 	fpPre := eng.Fingerprint()
 	if _, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
@@ -341,8 +341,8 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 	if got := enumerated(); got != 12 {
 		t.Fatalf("AllReduce after the server loss enumerated %d more packings; survivors must keep theirs", got-12)
 	}
-	if eng.TotalRanks() != 8 {
-		t.Fatalf("TotalRanks = %d after server loss, want 8", eng.TotalRanks())
+	if n := eng.Topo().NumGPUs; n != 8 {
+		t.Fatalf("ranks = %d after server loss, want 8", n)
 	}
 	if eng.Fingerprint() == fpPre {
 		t.Fatal("fingerprint unchanged after server loss")
@@ -358,7 +358,7 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 				want[i] += inputs[v][i]
 			}
 		}
-		outs, _, err := eng.AllReduceData(b, inputs, Options{})
+		outs, _, err := runClusterData(eng, b, AllReduce, 0, inputs, core.BufAcc)
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
@@ -374,7 +374,7 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 	if err := eng.RemoveServer(0); err == nil {
 		t.Fatal("shrinking to one server must error")
 	}
-	if eng.TotalRanks() != 8 {
+	if eng.Topo().NumGPUs != 8 {
 		t.Fatal("failed shrink must leave the engine unchanged")
 	}
 	if got := eng.ServerSizes(); len(got) != 2 || got[0] != 4 || got[1] != 4 {

@@ -152,9 +152,14 @@ func (e *Engine) fetchFromService(st *engineState, key PlanKey, opts Options) *C
 
 // PlanBlob resolves a plan through the engine's tiers (compiling on a full
 // miss) and returns its encoded form — the server half of the planning
-// service. Plans without an IR (hybrid, cluster) are not servable.
+// service. Plans without an IR (hybrid) are not servable, and a cluster
+// engine serves none.
 func (e *Engine) PlanBlob(b Backend, op Op, root int, bytes int64, opts Options) ([]byte, string, error) {
-	cp, _, err := planFor[*engineState](e, e.st.Load(), request{b: b, op: op, root: root, bytes: bytes, opts: opts})
+	st := e.st.Load()
+	if err := st.machineOnly("PlanBlob"); err != nil {
+		return nil, "", err
+	}
+	cp, _, err := e.lookupOrCompile(st, request{b: b, op: op, root: root, bytes: bytes, opts: opts})
 	if err != nil {
 		return nil, "", err
 	}

@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"blink/internal/core"
@@ -12,78 +11,24 @@ import (
 )
 
 // This file is the dispatch spine: the one path every collective call takes,
-// whichever engine serves it and however it was issued.
+// on one machine or a cluster, however it was issued.
 //
 //	entry point → pin state → submit: admission {none | stream window | lane verdict}
-//	            → dispatch → planner.lookupOrCompile → CachedPlan.replay → observe
+//	            → dispatch → lookupOrCompile → CachedPlan.replay → observe
 //
-// Engine and ClusterEngine embed the shell and implement the planner; their
-// exported Run / RunMany / RunAsync / *Tenant / *Data methods are thin entry
-// points that build a request, pin the state and call submit.
-
-// engineShell is everything Engine and ClusterEngine share around the
-// planner: identity, the plan cache, observability, and the two lazily
-// started admission schedulers.
-type engineShell struct {
-	// id uniquely identifies the engine; data-mode plan keys carry it
-	// because their Exec closures encode this engine's geometry.
-	id uint64
-	// cfgKey is the normalized timing model, part of every plan key.
-	cfgKey simgpu.Config
-	// cache holds compiled schedules; replaceable via SetPlanCache so many
-	// engines can share one cache.
-	cache *PlanCache
-
-	// obsReg is the engine's metrics registry: cache, scheduler and dispatch
-	// metrics all land here. It exists from construction — an unread
-	// registry costs a few atomic adds per dispatch.
-	obsReg *obs.Registry
-	// tl is the optional per-op span timeline, nil until EnableTimeline;
-	// Timeline.Begin is nil-safe and then returns a no-op recorder.
-	tl atomic.Pointer[obs.Timeline]
-	// Registry-resolved dispatch metric handles (hot path: pure atomics).
-	mCompiles, mReplays, mReplans *obs.Counter
-	mReplanSeconds                *obs.Histogram
-	// opHists caches opHist's handle per op kind, filled on first use.
-	opHists [NeighborExchange + 1]atomic.Pointer[obs.Histogram]
-	// pipe is the planner pipeline every packing compiles through; its stage
-	// latencies land in the engine's registry.
-	pipe *core.PlannerPipeline
-
-	// async is the stream scheduler behind RunAsync; qos the multi-tenant
-	// lane scheduler behind tenant dispatch. Both start on first use, so
-	// engines that never go async or multi-tenant pay nothing.
-	async lazy[asyncConfig, streamScheduler]
-	qos   lazy[QoSConfig, laneScheduler]
-}
-
-// engineIDs hands every engine a distinct nonzero identity.
-var engineIDs atomic.Uint64
-
-// init gives a new engine its identity, registry and dispatch metrics, its
-// planner pipeline, and a private, instrumented plan cache of the default
-// capacity.
-func (e *engineShell) init(cfg simgpu.Config) {
-	e.id = engineIDs.Add(1)
-	e.cfgKey = cfg.Normalized()
-	e.obsReg = obs.NewRegistry()
-	e.SetPlanCache(nil)
-	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
-	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
-	e.mReplans = e.obsReg.Counter("blink_replans_total")
-	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
-	e.pipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
-}
+// Engine's exported Run / RunMany / RunAsync / *Tenant methods and
+// Snapshot.Submit are thin entry points that build a request, pin the state
+// and call submit.
 
 // Metrics returns the engine's metrics registry: plan-cache activity,
 // compile/replay counters, replan latency, async stream gauges and per-op
 // simulated-makespan histograms, exportable via Snapshot/WritePrometheus.
-func (e *engineShell) Metrics() *obs.Registry { return e.obsReg }
+func (e *Engine) Metrics() *obs.Registry { return e.obsReg }
 
 // EnableTimeline switches on per-op span recording and returns the
 // timeline. Idempotent: later calls return the same timeline. Dispatches
 // before the first call are simply not recorded.
-func (e *engineShell) EnableTimeline() *obs.Timeline {
+func (e *Engine) EnableTimeline() *obs.Timeline {
 	if t := e.tl.Load(); t != nil {
 		return t
 	}
@@ -93,13 +38,13 @@ func (e *engineShell) EnableTimeline() *obs.Timeline {
 
 // Timeline returns the engine's span timeline (nil unless EnableTimeline
 // was called).
-func (e *engineShell) Timeline() *obs.Timeline { return e.tl.Load() }
+func (e *Engine) Timeline() *obs.Timeline { return e.tl.Load() }
 
 // opHist resolves the per-op simulated-makespan histogram, creating the
 // series on the op kind's first dispatch (an op never issued exports no
 // empty series) and remembering the handle, so a warm dispatch neither
 // builds the series name nor looks it up. op has passed request.validate.
-func (e *engineShell) opHist(op Op) *obs.Histogram {
+func (e *Engine) opHist(op Op) *obs.Histogram {
 	h := e.opHists[op].Load()
 	if h == nil {
 		h = e.obsReg.Histogram(`blink_op_sim_seconds{op="`+op.String()+`"}`, nil)
@@ -115,7 +60,7 @@ func (e *engineShell) opHist(op Op) *obs.Histogram {
 // a fresh private one, or a shared one no engine has adopted — is
 // instrumented into this engine's registry; a shared cache another engine
 // already instrumented keeps reporting there.
-func (e *engineShell) SetPlanCache(c *PlanCache) {
+func (e *Engine) SetPlanCache(c *PlanCache) {
 	if c == nil {
 		c = NewPlanCache(DefaultPlanCacheCapacity)
 	}
@@ -127,10 +72,10 @@ func (e *engineShell) SetPlanCache(c *PlanCache) {
 
 // PlanCacheHandle returns the engine's plan cache (for sharing or
 // inspection).
-func (e *engineShell) PlanCacheHandle() *PlanCache { return e.cache }
+func (e *Engine) PlanCacheHandle() *PlanCache { return e.cache }
 
 // CacheStats snapshots the engine's plan-cache counters.
-func (e *engineShell) CacheStats() CacheStats { return e.cache.Stats() }
+func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
 // ConfigureAsync tunes the engine's async stream layer before first use:
 // streams is the number of FIFO worker streams (DefaultAsyncStreams if 0),
@@ -138,7 +83,7 @@ func (e *engineShell) CacheStats() CacheStats { return e.cache.Stats() }
 // (DefaultAsyncWindowBytes if 0, negative for unbounded). Once async ops
 // have been issued the scheduler is live and the call no longer affects it
 // (streams are a construction-time choice, as in NCCL).
-func (e *engineShell) ConfigureAsync(streams int, windowBytes int64) {
+func (e *Engine) ConfigureAsync(streams int, windowBytes int64) {
 	e.async.configure(func(c *asyncConfig) {
 		if streams > 0 {
 			c.streams = streams
@@ -150,7 +95,7 @@ func (e *engineShell) ConfigureAsync(streams int, windowBytes int64) {
 }
 
 // streams returns the live stream scheduler, starting it on first use.
-func (e *engineShell) streams() *streamScheduler {
+func (e *Engine) streams() *streamScheduler {
 	return e.async.get(func(c asyncConfig) *streamScheduler {
 		c = c.normalized()
 		return newStreamScheduler(c.streams, c.window, e.obsReg)
@@ -158,7 +103,7 @@ func (e *engineShell) streams() *streamScheduler {
 }
 
 // lanes returns the live lane scheduler, starting it on first use.
-func (e *engineShell) lanes() *laneScheduler {
+func (e *Engine) lanes() *laneScheduler {
 	return e.qos.get(func(c QoSConfig) *laneScheduler { return newLaneScheduler(c, e.obsReg) })
 }
 
@@ -167,7 +112,7 @@ func (e *engineShell) lanes() *laneScheduler {
 // a dead topology stops pinning LRU slots (in a shared cache this also
 // costs other engines still on that fingerprint a recompile, never
 // correctness), and the replan is counted and timed.
-func (e *engineShell) reconfigured(oldFP, newFP string, start time.Time) {
+func (e *Engine) reconfigured(oldFP, newFP string, start time.Time) {
 	if newFP != oldFP {
 		e.cache.InvalidateFingerprint(oldFP)
 	}
@@ -213,7 +158,7 @@ func (rq request) validate() error {
 
 // planKey completes the request's plan-cache key against a topology (or
 // cluster) fingerprint.
-func (e *engineShell) planKey(fp string, rq request) PlanKey {
+func (e *Engine) planKey(fp string, rq request) PlanKey {
 	key := PlanKey{
 		Fingerprint: fp,
 		Config:      e.cfgKey,
@@ -237,45 +182,6 @@ func (e *engineShell) planKey(fp string, rq request) PlanKey {
 	return key
 }
 
-// resolve is the plan-cache shell under both planners: look the key up
-// through the cache tiers (memory, then — given a decoder and an attached
-// PlanStore — disk), and on a miss run the planner's miss path, which
-// fetches or compiles the plan and publishes it into the cache. fetched
-// reports a plan miss obtained without compiling (the remote planner); it
-// counts as a hit. Two goroutines missing on the same key may both compile;
-// both results are identical and the second publish simply replaces the
-// first, so correctness is unaffected.
-func (e *engineShell) resolve(key PlanKey, decode PlanDecoder, current func() string, miss func() (cp *CachedPlan, fetched bool, err error)) (*CachedPlan, bool, error) {
-	if cp, _, _ := e.cache.GetTiered(key, decode); cp != nil {
-		return cp, true, nil
-	}
-	cp, fetched, err := miss()
-	// A Reconfigure may have swapped the engine and invalidated this
-	// fingerprint while miss ran; re-check so its publish cannot resurrect
-	// a dead topology's plan that would pin an LRU slot forever.
-	if err == nil && current() != key.Fingerprint {
-		e.cache.InvalidateFingerprint(key.Fingerprint)
-	}
-	return cp, fetched, err
-}
-
-// planner is what an engine contributes to the spine: how a request's
-// frozen schedule is found or compiled against the pinned state S.
-type planner[S any] interface {
-	// lookupOrCompile returns the request's cached schedule and whether
-	// this call hit the cache, compiling and publishing it on a miss.
-	lookupOrCompile(st S, rq request) (cp *CachedPlan, hit bool, err error)
-}
-
-// planFor is the one way into a planner, for dispatch and for the blob
-// blinkd serves alike: the request is validated before the planner sees it.
-func planFor[S any](p planner[S], st S, rq request) (*CachedPlan, bool, error) {
-	if err := rq.validate(); err != nil {
-		return nil, false, err
-	}
-	return p.lookupOrCompile(st, rq)
-}
-
 // replay executes the frozen schedule against the call's arena and returns
 // the simulated run. Every schedule — tree, ring, hybrid, flat ring,
 // three-phase — is one FrozenPlan, simulated once when it was frozen, and
@@ -294,9 +200,9 @@ func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (simgpu.Result, e
 // between chunks). The whole dispatch runs against one pinned state, so a
 // concurrent Reconfigure never mixes pre- and post-fault scheduling state
 // within a call.
-func dispatch[S any](sh *engineShell, p planner[S], st S, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
+func (e *Engine) dispatch(st *engineState, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
 	rec.Dispatch()
-	cp, hit, err := planFor(p, st, rq)
+	cp, hit, err := e.lookupOrCompile(st, rq)
 	// A refused or failed lookup still counts as a miss (hit is false on
 	// error) so a tenant's ledger keeps Lookups == Hits + Misses exact.
 	rq.opts.Tenant.noteLookup(hit)
@@ -305,16 +211,16 @@ func dispatch[S any](sh *engineShell, p planner[S], st S, rq request, hook core.
 		return Result{}, false, err
 	}
 	if hit {
-		sh.mReplays.Inc()
+		e.mReplays.Inc()
 	} else {
-		sh.mCompiles.Inc()
+		e.mCompiles.Inc()
 	}
 	r, err := cp.replay(rq, chainHooks(hook, rec.ChunkHook()))
 	if err != nil {
 		rec.Complete(cp.Strategy, hit, 0, err)
 		return Result{}, hit, err
 	}
-	sh.opHist(rq.op).Observe(r.Makespan)
+	e.opHist(rq.op).Observe(r.Makespan)
 	rec.Complete(cp.Strategy, hit, r.Makespan, nil)
 	out := Result{Seconds: r.Makespan, Bytes: rq.bytes, Strategy: cp.Strategy, Partitions: cp.Plan.Partitions()}
 	if len(r.Marks) == 2 {
@@ -364,13 +270,13 @@ const Inline = math.MinInt
 // failures, resolve through the handle. The span's stream field is -1 for
 // synchronous calls, the resolved stream for async ones and the lane index
 // for tenants.
-func submit[S any](sh *engineShell, p planner[S], st S, rq request, stream int) *Handle {
+func (e *Engine) submit(st *engineState, rq request, stream int) *Handle {
 	name, backend := rq.op.String(), rq.b.String()
 	if tn := rq.opts.Tenant; tn != nil {
 		h := newHandle()
-		rec := sh.tl.Load().Begin(name, backend, int(tn.class), rq.bytes)
-		h.verdict = sh.lanes().submit(laneSub{class: tn.class, tenant: tn, bytes: rq.bytes, run: func() {
-			h.complete(dispatch(sh, p, st, rq, h.hook(), rec))
+		rec := e.tl.Load().Begin(name, backend, int(tn.class), rq.bytes)
+		h.verdict = e.lanes().submit(laneSub{class: tn.class, tenant: tn, bytes: rq.bytes, run: func() {
+			h.complete(e.dispatch(st, rq, h.hook(), rec))
 		}})
 		if h.verdict == VerdictReject {
 			rec.Complete("", false, 0, ErrAdmissionRejected)
@@ -381,14 +287,14 @@ func submit[S any](sh *engineShell, p planner[S], st S, rq request, stream int) 
 	}
 	if stream == Inline {
 		h := &Handle{done: resolved}
-		h.res, h.hit, h.err = dispatch(sh, p, st, rq, nil, sh.tl.Load().Begin(name, backend, -1, rq.bytes))
+		h.res, h.hit, h.err = e.dispatch(st, rq, nil, e.tl.Load().Begin(name, backend, -1, rq.bytes))
 		return h
 	}
 	h := newHandle()
-	rec := sh.tl.Load().Begin(name, backend, stream, rq.bytes)
-	sh.streams().submit(stream, rq.bytes, func(actual int) {
+	rec := e.tl.Load().Begin(name, backend, stream, rq.bytes)
+	e.streams().submit(stream, rq.bytes, func(actual int) {
 		rec.SetStream(actual)
-		h.complete(dispatch(sh, p, st, rq, h.hook(), rec))
+		h.complete(e.dispatch(st, rq, h.hook(), rec))
 	})
 	return h
 }
@@ -419,14 +325,14 @@ type GroupResult struct {
 // cache activity. On a tenant request every bucket is admitted through the
 // tenant's lane in turn; a rejected bucket fails the group with its
 // ErrAdmissionRejected error.
-func runGroup[S any](sh *engineShell, p planner[S], st S, rq request, sizes []int64) (GroupResult, error) {
+func (e *Engine) runGroup(st *engineState, rq request, sizes []int64) (GroupResult, error) {
 	if len(sizes) == 0 {
 		return GroupResult{}, fmt.Errorf("collective: empty group")
 	}
 	g := GroupResult{Results: make([]Result, 0, len(sizes))}
 	for _, sz := range sizes {
 		rq.bytes = sz
-		h := submit(sh, p, st, rq, Inline)
+		h := e.submit(st, rq, Inline)
 		res, err := h.Wait()
 		if err != nil {
 			return GroupResult{}, err

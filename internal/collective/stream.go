@@ -42,11 +42,6 @@ type Handle struct {
 	chunksTotal atomic.Int64
 }
 
-// ClusterHandle is the handle of a cluster collective: the same handle,
-// whose Result carries the three-phase timing breakdown under the Blink
-// backend.
-type ClusterHandle = Handle
-
 // resolved is the done channel of every handle that is born resolved (a
 // synchronous submission needs no channel of its own).
 var resolved = func() chan struct{} {
@@ -336,13 +331,4 @@ func (c asyncConfig) normalized() asyncConfig {
 // through the handle.
 func (e *Engine) RunAsync(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
 	return e.Snapshot().Submit(b, op, root, bytes, opts, stream)
-}
-
-// RunAsync submits one cluster collective nonblockingly and returns its
-// ClusterHandle; semantics match Engine.RunAsync (FIFO per stream,
-// backpressure on the byte window, state pinned at submission so in-flight
-// work completes on its snapshot while later submissions see the
-// post-fault cluster).
-func (e *ClusterEngine) RunAsync(b Backend, op Op, root int, bytes int64, opts Options, stream int) *ClusterHandle {
-	return submit(&e.engineShell, e, e.st.Load(), request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
 }

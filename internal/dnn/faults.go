@@ -366,6 +366,6 @@ func SimulateClusterTrainingRunWithFaults(c *topology.Cluster, backend collectiv
 		},
 		func() (collective.GroupResult, int, error) {
 			g, err := TrainStep(eng, backend, m, bucketBytes)
-			return g, eng.TotalRanks(), err
+			return g, eng.Topo().NumGPUs, err
 		})
 }

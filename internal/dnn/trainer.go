@@ -19,20 +19,13 @@ type CommFn func(bytes int64) (float64, error)
 // bandwidth.
 const CollectiveCallLatency = 300e-6
 
-// Engine is what the trainers need of a collective engine: single and
-// grouped dispatch. *collective.Engine and *collective.ClusterEngine both
-// satisfy it, so one trainer drives one machine (packed trees or rings) and
-// a cluster (the three-phase protocol or the flat cross-machine ring) alike.
-type Engine interface {
-	Run(b collective.Backend, op collective.Op, root int, bytes int64, opts collective.Options) (collective.Result, error)
-	RunMany(b collective.Backend, op collective.Op, root int, sizes []int64, opts collective.Options) (collective.GroupResult, error)
-}
-
-// EngineComm adapts a collective engine as a CommFn, caching per distinct
-// tensor size (models reuse a handful of layer shapes). The returned
-// function is safe for concurrent use; the engine's plan cache makes even
-// first-touch timing for a repeated size a frozen-plan replay.
-func EngineComm(eng Engine, backend collective.Backend) CommFn {
+// EngineComm adapts a collective engine — one machine (packed trees or
+// rings) or a cluster (the three-phase protocol or the flat cross-machine
+// ring) — as a CommFn, caching per distinct tensor size (models reuse a
+// handful of layer shapes). The returned function is safe for concurrent
+// use; the engine's plan cache makes even first-touch timing for a repeated
+// size a frozen-plan replay.
+func EngineComm(eng *collective.Engine, backend collective.Backend) CommFn {
 	var mu sync.Mutex
 	cache := map[int64]float64{}
 	return func(bytes int64) (float64, error) {
@@ -196,7 +189,7 @@ func GradientBuckets(m *Model, bucketBytes int64) []int64 {
 // per distinct bucket size (across every server plus the NIC phase, on a
 // cluster engine); every later step replays frozen plans
 // (GroupResult.CacheHits covers the whole group).
-func TrainStep(eng Engine, backend collective.Backend, m *Model, bucketBytes int64) (collective.GroupResult, error) {
+func TrainStep(eng *collective.Engine, backend collective.Backend, m *Model, bucketBytes int64) (collective.GroupResult, error) {
 	sizes := GradientBuckets(m, bucketBytes)
 	if len(sizes) == 0 {
 		return collective.GroupResult{}, fmt.Errorf("dnn: model %s has no gradients", m.Name)
@@ -225,7 +218,7 @@ type TrainingRun struct {
 // SimulateTrainingRun drives iters training steps of the model through one
 // engine, timing schedule dispatch per iteration. It is the plan-cache
 // analog of the paper's generate-once / reuse-per-iteration workflow.
-func SimulateTrainingRun(eng Engine, backend collective.Backend, m *Model, bucketBytes int64, iters int, clock func() float64) (TrainingRun, error) {
+func SimulateTrainingRun(eng *collective.Engine, backend collective.Backend, m *Model, bucketBytes int64, iters int, clock func() float64) (TrainingRun, error) {
 	if iters < 2 {
 		return TrainingRun{}, fmt.Errorf("dnn: need >= 2 iterations to split cold/warm, got %d", iters)
 	}

@@ -22,9 +22,12 @@ func TestStoreRoundTripConformance(t *testing.T) {
 			if f.skip != "" {
 				t.Skip(f.skip)
 			}
+			if f.cluster != nil {
+				t.Skip("cluster plans have no serializable form")
+			}
 			dir := t.TempDir()
 			mk := func() *Comm {
-				comm, err := NewComm(f.machine, f.devs, WithDataMode(), WithPlanStore(dir))
+				comm, err := f.comm(WithDataMode(), WithPlanStore(dir))
 				if err != nil {
 					t.Fatal(err)
 				}
