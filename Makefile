@@ -16,7 +16,7 @@ COVER_FLOOR_QOS ?= 85
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
 LOC_CEIL_CORE ?= 2640
-LOC_CEIL_REPO ?= 12178
+LOC_CEIL_REPO ?= 12173
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 
@@ -95,7 +95,7 @@ loc-check:
 	if [ $$core -gt $(LOC_CEIL_CORE) ] || [ $$repo -gt $(LOC_CEIL_REPO) ]; then echo "non-test code grew past its ceiling"; exit 1; fi
 
 # Every benchmark once. Four of them gate a wall-clock ratio and fail below
-# its threshold (incremental repair >= 10x, warm-disk cold start >= 10x per
+# its threshold (incremental repair >= 10x, warm-disk cold start >= 3x per
 # shape, overlapped train step >= 1.25x, latency-critical p99 through the
 # lanes <= FIFO); -p 1 keeps a gate from
 # competing with another package's benchmarks for the CPUs. End-to-end

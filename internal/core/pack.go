@@ -100,11 +100,11 @@ func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
 	for i, e := range g.Edges {
 		length[i] = delta / e.Cap
 	}
-	cost := func(id int) float64 { return length[id] }
 
 	type acc struct {
 		arbo   graph.Arborescence
 		weight float64
+		key    string // arbo.Key(), the final sort's tie-break
 	}
 	// Accumulate in first-discovery order (a slice, with a map only for
 	// lookup): every later fold over the accumulated trees then happens in a
@@ -113,10 +113,15 @@ func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
 	// That determinism is what lets the planner pipeline fan per-root packing
 	// across a worker pool without perturbing plan bytes.
 	var accum []*acc
+	// A tree is identified by the bitset of its edge IDs (the root is fixed),
+	// built in one reused buffer; index[string(bits)] does not allocate, so
+	// an iteration that rediscovers a known tree allocates nothing.
 	index := map[string]int{}
+	bits := make([]byte, (len(g.Edges)+7)/8)
+	arb := graph.NewArborescer(g)
 
 	for iter := 0; iter < opts.MaxIters; iter++ {
-		tree, total, err := graph.MinCostArborescence(g, root, cost)
+		edges, total, err := arb.Solve(root, length)
 		if err != nil {
 			return nil, err
 		}
@@ -125,20 +130,27 @@ func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
 		}
 		// Bottleneck capacity along the chosen tree.
 		cmin := math.Inf(1)
-		for _, id := range tree.Edges {
+		for _, id := range edges {
 			if c := g.Edges[id].Cap; c < cmin {
 				cmin = c
 			}
 		}
-		key := tree.Key()
-		i, ok := index[key]
+		clear(bits)
+		for _, id := range edges {
+			bits[id>>3] |= 1 << (id & 7)
+		}
+		i, ok := index[string(bits)]
 		if !ok {
+			tree := graph.Arborescence{Root: root, Edges: append([]int(nil), edges...)}
+			if err := tree.Validate(g); err != nil {
+				return nil, err
+			}
 			i = len(accum)
-			index[key] = i
-			accum = append(accum, &acc{arbo: tree})
+			index[string(bits)] = i
+			accum = append(accum, &acc{arbo: tree, key: tree.Key()})
 		}
 		accum[i].weight += cmin
-		for _, id := range tree.Edges {
+		for _, id := range edges {
 			length[id] *= 1 + eps*cmin/g.Edges[id].Cap
 		}
 	}
@@ -165,16 +177,20 @@ func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
 	}
 	p := &Packing{Root: root, Bound: graph.BroadcastRateUpperBound(g, root)}
 	for _, a := range accum {
-		w := a.weight / scale
-		p.Trees = append(p.Trees, Tree{Arbo: a.arbo, Weight: w})
-		p.Rate += w
+		a.weight /= scale
+		p.Rate += a.weight
 	}
-	sort.Slice(p.Trees, func(i, j int) bool {
-		if p.Trees[i].Weight != p.Trees[j].Weight {
-			return p.Trees[i].Weight > p.Trees[j].Weight
+	// Heaviest first, ties by key. The keys of distinct trees differ, so the
+	// order is total and the result does not depend on the sort's algorithm.
+	sort.Slice(accum, func(i, j int) bool {
+		if accum[i].weight != accum[j].weight {
+			return accum[i].weight > accum[j].weight
 		}
-		return p.Trees[i].Arbo.Key() < p.Trees[j].Arbo.Key()
+		return accum[i].key < accum[j].key
 	})
+	for _, a := range accum {
+		p.Trees = append(p.Trees, Tree{Arbo: a.arbo, Weight: a.weight})
+	}
 	if err := p.Validate(g); err != nil {
 		return nil, err
 	}
@@ -206,17 +222,6 @@ func (p *Packing) Validate(g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// EdgeLoads returns the per-edge weight totals of the packing.
-func (p *Packing) EdgeLoads(g *graph.Graph) []float64 {
-	load := make([]float64, len(g.Edges))
-	for _, t := range p.Trees {
-		for _, id := range t.Arbo.Edges {
-			load[id] += t.Weight
-		}
-	}
-	return load
 }
 
 // MaxDepth returns the deepest tree in the packing.

@@ -12,43 +12,100 @@ var ErrNotSpanning = errors.New("graph: no spanning arborescence from root")
 // MinCostArborescence computes a minimum-cost spanning arborescence rooted
 // at root using the Chu-Liu/Edmonds contraction algorithm. cost maps an edge
 // ID to its (non-negative) cost. It returns the IDs of the chosen edges and
-// their total cost.
+// their total cost. It is a one-shot Arborescer; callers that solve the same
+// graph repeatedly should hold one of those instead.
 func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arborescence, float64, error) {
+	costs := make([]float64, len(g.Edges))
+	for _, e := range g.Edges {
+		costs[e.ID] = cost(e.ID)
+	}
+	edges, total, err := NewArborescer(g).Solve(root, costs)
+	if err != nil {
+		return Arborescence{}, 0, err
+	}
+	tree := Arborescence{Root: root, Edges: append([]int(nil), edges...)}
+	if err := tree.Validate(g); err != nil {
+		return Arborescence{}, 0, err
+	}
+	return tree, total, nil
+}
+
+// Arborescer is a reusable Chu-Liu/Edmonds workspace bound to one graph. It
+// keeps its contraction levels and per-vertex scratch across calls, so a
+// caller solving the same graph under changing costs (the MWU packing loop)
+// allocates nothing once the workspace has grown to the graph's deepest
+// contraction. An Arborescer is not safe for concurrent use.
+type Arborescer struct {
+	g      *Graph
+	levels []*arbLevel
+
+	// Per-level scratch, rebuilt for each level in turn.
+	state, stamp, cycleOf, comp []int
+	entered                     []bool
+	// picks holds the chosen edges of the level being unwound; the next
+	// level's picks are built in lowPicks and the two swap.
+	picks, lowPicks []int
+}
+
+// cEdge is an edge of a contraction level: lower indexes the edges of the
+// level below (at level 0, the graph edge ID).
+type cEdge struct {
+	from, to int
+	w        float64
+	lower    int
+}
+
+type arbLevel struct {
+	n, root int
+	edges   []cEdge
+	minIn   []int // per vertex, index into edges (-1 for root)
+	// cycles is the number of cycles found at this level; cycVerts lists
+	// their vertices, cycle after cycle, in discovery order.
+	cycles   int
+	cycVerts []int
+}
+
+// NewArborescer returns an empty workspace for g.
+func NewArborescer(g *Graph) *Arborescer { return &Arborescer{g: g} }
+
+// resize returns s with length n (reusing its array when large enough),
+// every element set to v.
+func resize[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// Solve computes a minimum-cost spanning arborescence rooted at root, where
+// cost[id] is the cost of the edge with that ID. It returns the chosen edge
+// IDs and their total cost. The returned slice belongs to the workspace and
+// is overwritten by the next call; unlike MinCostArborescence, Solve does
+// not validate the tree.
+func (a *Arborescer) Solve(root int, cost []float64) ([]int, float64, error) {
+	g := a.g
 	if root < 0 || root >= g.N {
-		return Arborescence{}, 0, errors.New("graph: root out of range")
+		return nil, 0, errors.New("graph: root out of range")
 	}
 	if g.N == 1 {
-		return Arborescence{Root: root}, 0, nil
-	}
-
-	type cEdge struct {
-		from, to int
-		w        float64
-		lower    int // index into the previous level's edge slice (level 0: graph edge ID)
-	}
-	type level struct {
-		n      int
-		root   int
-		edges  []cEdge
-		minIn  []int   // per vertex, index into edges (-1 for root)
-		cycles [][]int // vertex lists
-		lowerN int     // number of vertices at the level below (for unwind bookkeeping)
+		return nil, 0, nil
 	}
 
 	// Level 0 edges mirror the graph.
-	cur := &level{n: g.N, root: root}
-	cur.edges = make([]cEdge, 0, len(g.Edges))
+	cur := a.level(0)
+	cur.n, cur.root = g.N, root
 	for _, e := range g.Edges {
-		cur.edges = append(cur.edges, cEdge{from: e.From, to: e.To, w: cost(e.ID), lower: e.ID})
+		cur.edges = append(cur.edges, cEdge{from: e.From, to: e.To, w: cost[e.ID], lower: e.ID})
 	}
 
-	var levels []*level
+	depth := 0
 	for {
 		// Select the cheapest incoming edge for every non-root vertex.
-		cur.minIn = make([]int, cur.n)
-		for v := range cur.minIn {
-			cur.minIn[v] = -1
-		}
+		cur.minIn = resize(cur.minIn, cur.n, -1)
 		for i, e := range cur.edges {
 			if e.to == cur.root || e.from == e.to {
 				continue
@@ -59,7 +116,7 @@ func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arb
 		}
 		for v := 0; v < cur.n; v++ {
 			if v != cur.root && cur.minIn[v] == -1 {
-				return Arborescence{}, 0, ErrNotSpanning
+				return nil, 0, ErrNotSpanning
 			}
 		}
 
@@ -69,12 +126,10 @@ func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arb
 			walking   = 1
 			done      = 2
 		)
-		state := make([]int, cur.n)
-		stamp := make([]int, cur.n)
-		cycleOf := make([]int, cur.n)
-		for v := range cycleOf {
-			cycleOf[v] = -1
-		}
+		state := resize(a.state, cur.n, unvisited)
+		stamp := resize(a.stamp, cur.n, 0)
+		cycleOf := resize(a.cycleOf, cur.n, -1)
+		a.state, a.stamp, a.cycleOf = state, stamp, cycleOf
 		state[cur.root] = done
 		for start := 0; start < cur.n; start++ {
 			if state[start] != unvisited {
@@ -92,15 +147,12 @@ func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arb
 			}
 			if v != cur.root && state[v] == walking && stamp[v] == start {
 				// Found a fresh cycle through v.
-				cyc := []int{v}
-				u := cur.edges[cur.minIn[v]].from
-				for u != v {
-					cyc = append(cyc, u)
-					u = cur.edges[cur.minIn[u]].from
-				}
-				ci := len(cur.cycles)
-				cur.cycles = append(cur.cycles, cyc)
-				for _, u := range cyc {
+				ci := cur.cycles
+				cur.cycles++
+				cur.cycVerts = append(cur.cycVerts, v)
+				cycleOf[v] = ci
+				for u := cur.edges[cur.minIn[v]].from; u != v; u = cur.edges[cur.minIn[u]].from {
+					cur.cycVerts = append(cur.cycVerts, u)
 					cycleOf[u] = ci
 				}
 			}
@@ -112,15 +164,14 @@ func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arb
 			}
 		}
 
-		if len(cur.cycles) == 0 {
+		if cur.cycles == 0 {
 			break
 		}
 
-		// Contract every cycle into a single vertex.
-		comp := make([]int, cur.n)
-		for v := range comp {
-			comp[v] = -1
-		}
+		// Contract every cycle into a single vertex: vertices outside cycles
+		// keep their order, then cycle ci becomes vertex next+ci.
+		comp := resize(a.comp, cur.n, -1)
+		a.comp = comp
 		next := 0
 		for v := 0; v < cur.n; v++ {
 			if cycleOf[v] == -1 {
@@ -128,18 +179,16 @@ func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arb
 				next++
 			}
 		}
-		cycComp := make([]int, len(cur.cycles))
-		for ci := range cur.cycles {
-			cycComp[ci] = next
-			next++
-		}
 		for v := 0; v < cur.n; v++ {
 			if ci := cycleOf[v]; ci >= 0 {
-				comp[v] = cycComp[ci]
+				comp[v] = next + ci
 			}
 		}
+		next += cur.cycles
 
-		nl := &level{n: next, root: comp[cur.root], lowerN: cur.n}
+		depth++
+		nl := a.level(depth)
+		nl.n, nl.root = next, comp[cur.root]
 		for i, e := range cur.edges {
 			cf, ct := comp[e.from], comp[e.to]
 			if cf == ct {
@@ -151,12 +200,11 @@ func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arb
 			}
 			nl.edges = append(nl.edges, cEdge{from: cf, to: ct, w: w, lower: i})
 		}
-		levels = append(levels, cur)
 		cur = nl
 	}
 
 	// Picks at the innermost (cycle-free) level.
-	picks := make([]int, 0, cur.n-1)
+	picks := a.picks[:0]
 	for v := 0; v < cur.n; v++ {
 		if v != cur.root {
 			picks = append(picks, cur.minIn[v])
@@ -164,37 +212,47 @@ func MinCostArborescence(g *Graph, root int, cost func(edgeID int) float64) (Arb
 	}
 
 	// Unwind contractions.
-	for li := len(levels) - 1; li >= 0; li-- {
-		lower := levels[li]
-		entered := make([]bool, lower.n)
-		lowPicks := make([]int, 0, lower.n-1)
+	lowPicks := a.lowPicks
+	for li := depth - 1; li >= 0; li-- {
+		lower := a.levels[li]
+		entered := resize(a.entered, lower.n, false)
+		a.entered = entered
+		lowPicks = lowPicks[:0]
 		for _, p := range picks {
 			le := cur.edges[p].lower
 			lowPicks = append(lowPicks, le)
 			entered[lower.edges[le].to] = true
 		}
-		for _, cyc := range lower.cycles {
-			for _, u := range cyc {
-				if !entered[u] {
-					lowPicks = append(lowPicks, lower.minIn[u])
-				}
+		for _, u := range lower.cycVerts {
+			if !entered[u] {
+				lowPicks = append(lowPicks, lower.minIn[u])
 			}
 		}
-		picks = lowPicks
+		picks, lowPicks = lowPicks, picks
 		cur = lower
 	}
+	a.lowPicks = lowPicks
 
-	tree := Arborescence{Root: root, Edges: make([]int, 0, len(picks))}
+	// Map level-0 picks to edge IDs in place.
 	var total float64
-	for _, p := range picks {
+	for i, p := range picks {
 		id := cur.edges[p].lower
-		tree.Edges = append(tree.Edges, id)
-		total += cost(id)
+		picks[i] = id
+		total += cost[id]
 	}
-	if err := tree.Validate(g); err != nil {
-		return Arborescence{}, 0, err
+	a.picks = picks
+	return picks, total, nil
+}
+
+// level returns the workspace's level d, emptied of the previous call's
+// edges and cycles.
+func (a *Arborescer) level(d int) *arbLevel {
+	if d == len(a.levels) {
+		a.levels = append(a.levels, &arbLevel{})
 	}
-	return tree, total, nil
+	l := a.levels[d]
+	l.edges, l.cycles, l.cycVerts = l.edges[:0], 0, l.cycVerts[:0]
+	return l
 }
 
 // MaxFlow computes the maximum s-t flow using Dinic's algorithm over the

@@ -20,40 +20,46 @@ func CanonicalKey(g *Graph) string {
 		panic("graph: CanonicalKey supports at most 10 vertices")
 	}
 
-	// Aggregate capacity per ordered pair and type.
-	type cell struct{ cap [4]float64 }
-	adj := make([][]cell, n)
-	for i := range adj {
-		adj[i] = make([]cell, n)
-	}
+	// Aggregate capacity per ordered pair and type, and render each cell
+	// once: cells[u*n+v] is the text the pair (u, v) contributes.
+	caps := make([][4]float64, n*n)
 	for _, e := range g.Edges {
-		adj[e.From][e.To].cap[e.Type] += e.Cap
+		caps[e.From*n+e.To][e.Type] += e.Cap
+	}
+	cells := make([]string, n*n)
+	for i, c := range caps {
+		cells[i] = fmt.Sprintf("%.3f/%.3f/%.3f/%.3f;", c[0], c[1], c[2], c[3])
 	}
 
+	// The key is the least rendering over all vertex orders. A rendering is
+	// the concatenation of the off-diagonal cells in row-major order, and
+	// every cell ends in its only ';', so no cell is a proper prefix of
+	// another: two renderings order as their first differing cells do. That
+	// lets each order be compared with the best so far cell by cell, with
+	// early exit, and only the winner be concatenated.
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	best := ""
-	var rec func(k int)
-	render := func() string {
-		var b strings.Builder
+	best := append([]int(nil), perm...) // the first order rec visits
+	less := func() bool {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i == j {
 					continue
 				}
-				c := adj[perm[i]][perm[j]]
-				fmt.Fprintf(&b, "%.3f/%.3f/%.3f/%.3f;", c.cap[0], c.cap[1], c.cap[2], c.cap[3])
+				if x, y := cells[perm[i]*n+perm[j]], cells[best[i]*n+best[j]]; x != y {
+					return x < y
+				}
 			}
 		}
-		return b.String()
+		return false
 	}
+	var rec func(k int)
 	rec = func(k int) {
 		if k == n {
-			s := render()
-			if best == "" || s < best {
-				best = s
+			if less() {
+				copy(best, perm)
 			}
 			return
 		}
@@ -64,15 +70,16 @@ func CanonicalKey(g *Graph) string {
 		}
 	}
 	rec(0)
-	return fmt.Sprintf("n%d|%s", n, best)
-}
-
-// Isomorphic reports whether two graphs have identical canonical keys.
-func Isomorphic(a, b *Graph) bool {
-	if a.N != b.N {
-		return false
+	var b strings.Builder
+	fmt.Fprintf(&b, "n%d|", n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				b.WriteString(cells[best[i]*n+best[j]])
+			}
+		}
 	}
-	return CanonicalKey(a) == CanonicalKey(b)
+	return b.String()
 }
 
 // Subsets enumerates all k-element subsets of [0, n), in lexicographic

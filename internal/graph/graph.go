@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -108,19 +109,6 @@ func (g *Graph) Clone() *Graph {
 	for v := 0; v < g.N; v++ {
 		ng.out[v] = append([]int(nil), g.out[v]...)
 		ng.in[v] = append([]int(nil), g.in[v]...)
-	}
-	return ng
-}
-
-// FilterEdges returns a copy containing only edges for which keep returns
-// true. Vertex set and labels are preserved.
-func (g *Graph) FilterEdges(keep func(Edge) bool) *Graph {
-	ng := New(g.N)
-	copy(ng.Labels, g.Labels)
-	for _, e := range g.Edges {
-		if keep(e) {
-			ng.AddEdge(e.From, e.To, e.Cap, e.Type)
-		}
 	}
 	return ng
 }
@@ -237,15 +225,16 @@ type Arborescence struct {
 func (a Arborescence) Key() string {
 	ids := append([]int(nil), a.Edges...)
 	sort.Ints(ids)
-	var b strings.Builder
-	fmt.Fprintf(&b, "r%d:", a.Root)
+	b := append(make([]byte, 0, 4+4*len(ids)), 'r')
+	b = strconv.AppendInt(b, int64(a.Root), 10)
+	b = append(b, ':')
 	for i, id := range ids {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", id)
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Parents returns parent[v] = edge ID of v's incoming tree edge (-1 for the
@@ -334,35 +323,4 @@ func (a Arborescence) Depth(g *Graph) int {
 		}
 	}
 	return max
-}
-
-// HopDepths returns, for every tree edge ID, the hop depth of that edge
-// (distance of the edge's head from the root; the root's outgoing edges are
-// depth 1). Used by the stream-reuse optimizer.
-func (a Arborescence) HopDepths(g *Graph) map[int]int {
-	parent, err := a.Parents(g)
-	if err != nil {
-		return nil
-	}
-	depth := make(map[int]int, len(a.Edges))
-	var vdepth func(v int) int
-	memo := make([]int, g.N)
-	for i := range memo {
-		memo[i] = -1
-	}
-	vdepth = func(v int) int {
-		if v == a.Root {
-			return 0
-		}
-		if memo[v] >= 0 {
-			return memo[v]
-		}
-		d := vdepth(g.Edges[parent[v]].From) + 1
-		memo[v] = d
-		return d
-	}
-	for _, id := range a.Edges {
-		depth[id] = vdepth(g.Edges[id].To)
-	}
-	return depth
 }
