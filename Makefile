@@ -15,8 +15,8 @@ COVER_FLOOR_QOS ?= 85
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2640
-LOC_CEIL_REPO ?= 12173
+LOC_CEIL_CORE ?= 2636
+LOC_CEIL_REPO ?= 12168
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 
@@ -32,9 +32,12 @@ test:
 # accidental inter-test state dependencies surface instead of hiding
 # behind file order. The experiment/figure suites are pure compute and
 # very slow under -race, so target the public API plus every package with
-# concurrent or data-moving paths.
+# concurrent or data-moving paths. The striped-replay tests run again at
+# GOMAXPROCS=4, so a data replay's stripes run on four Ps while the race
+# detector watches their shared arena.
 race:
 	$(GO) test -race -shuffle=on . ./internal/collective/... ./internal/core/... ./internal/simgpu/... ./internal/dnn/... ./internal/cluster/... ./internal/verify/... ./internal/ring/... ./internal/trace/... ./internal/topology/... ./internal/obs/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'StripedReplay' ./internal/core
 
 # Statement-coverage gate for the scheduling/runtime core packages.
 cover:

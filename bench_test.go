@@ -301,22 +301,28 @@ func BenchmarkWarmReplay(b *testing.B) {
 }
 
 // BenchmarkWarmReplayData is BenchmarkWarmReplay in data mode: a cached
-// AllReduceData replay at 1 MB per rank (bench/'s warm_data gates it).
+// AllReduceData replay at 64 KB, 1 MB (bench/'s warm_data gates this one)
+// and 16 MB per rank — the sizes the replay's minimum stripe was chosen
+// from.
 func BenchmarkWarmReplayData(b *testing.B) {
-	comm := fullDGX1V(b, WithDataMode())
-	inputs := make([][]float32, comm.Size())
-	for r := range inputs {
-		inputs[r] = make([]float32, 1<<20/4)
-	}
-	if _, err := comm.AllReduceData(inputs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := comm.AllReduceData(inputs); err != nil {
-			b.Fatal(err)
-		}
+	for _, bytes := range []int{64 << 10, 1 << 20, 16 << 20} {
+		b.Run(fmt.Sprintf("%dKB", bytes>>10), func(b *testing.B) {
+			comm := fullDGX1V(b, WithDataMode())
+			inputs := make([][]float32, comm.Size())
+			for r := range inputs {
+				inputs[r] = make([]float32, bytes/4)
+			}
+			if _, err := comm.AllReduceData(inputs); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := comm.AllReduceData(inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

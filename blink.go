@@ -550,7 +550,9 @@ func (c *Comm) runData(d dataOp) (bs *simgpu.BufferSet, ranks, n int, err error)
 	if d.sharded && n%ranks != 0 {
 		return nil, 0, 0, fmt.Errorf("blink: buffer length %d not a multiple of %d ranks", n, ranks)
 	}
-	bs = simgpu.NewBufferSet()
+	// Room for each staged input and a result beside it; a single-source
+	// op's fan-out fits the smallest map as it is.
+	bs = simgpu.NewBufferSetSized(2 * len(d.inputs))
 	for v, in := range d.inputs {
 		buf := in
 		switch {

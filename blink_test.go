@@ -284,23 +284,25 @@ func warmAllocs(op func()) float64 {
 	return got
 }
 
-// warmBytes is warmAllocs for heap bytes: the mean growth of
-// runtime.MemStats.TotalAlloc over ten warm calls of op, the least of three
-// rounds.
-func warmBytes(op func()) float64 {
+// warmMemStats is warmAllocs at GOMAXPROCS procs, which AllocsPerRun would
+// pin to 1: the mean growth of runtime.MemStats.Mallocs and TotalAlloc over
+// ten warm calls of op, each the least of three rounds.
+func warmMemStats(procs int, op func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	op()
 	var ms runtime.MemStats
-	best := math.Inf(1)
+	allocs, bytes = math.Inf(1), math.Inf(1)
 	for i := 0; i < 3; i++ {
 		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
+		mallocs, total := ms.Mallocs, ms.TotalAlloc
 		for j := 0; j < 10; j++ {
 			op()
 		}
 		runtime.ReadMemStats(&ms)
-		best = min(best, float64(ms.TotalAlloc-before)/10)
+		allocs = min(allocs, float64(ms.Mallocs-mallocs)/10)
+		bytes = min(bytes, float64(ms.TotalAlloc-total)/10)
 	}
-	return best
+	return allocs, bytes
 }
 
 // Allocation ratchets on the warm single-machine paths, kept like the
@@ -312,11 +314,12 @@ const (
 	// warmTimingAllocCeiling: the born-resolved Handle, at any payload.
 	warmTimingAllocCeiling = 1
 	// warmDataAllocCeiling: the arena, its accumulators — handed back as
-	// the per-rank outputs — and the output slice of a 1 MB-per-rank
-	// AllReduceData on eight ranks (measured 18; 66 while the reduce staged
-	// every child's chunk in a scratch buffer and the inputs and outputs
-	// were copied).
-	warmDataAllocCeiling = 20
+	// the per-rank outputs — the output slice and, at GOMAXPROCS > 1, the
+	// second stripe's goroutine and WaitGroup of a 1 MB-per-rank
+	// AllReduceData on eight ranks (measured 16.4–17.0 at GOMAXPROCS 1 and
+	// 18.0–18.4 at 2; 66 while the reduce staged every child's chunk in a
+	// scratch buffer and the inputs and outputs were copied).
+	warmDataAllocCeiling = 19
 	// warmDataBytesCeiling bounds the heap bytes of that call, as a multiple
 	// of ranks x payload: the accumulators are one such payload and nothing
 	// else scales with it (measured 1.0; 6.5 with the scratch and copies).
@@ -373,15 +376,18 @@ func TestWarmReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data := warmAllocs(allReduceData)
-	t.Logf("warm AllReduceData, 1 MB per rank: %.0f allocations (ceiling %d)", data, warmDataAllocCeiling)
-	if data > warmDataAllocCeiling {
-		t.Fatalf("warm AllReduceData allocates %.0f times, ceiling %d", data, warmDataAllocCeiling)
-	}
+	// One serial walk at GOMAXPROCS 1, two stripes at 2.
 	payload := float64(len(inputs) * len(inputs[0]) * 4)
-	bytes := warmBytes(allReduceData)
-	t.Logf("warm AllReduceData, 1 MB per rank: %.0f bytes = %.2fx ranks x payload (ceiling %.2fx)", bytes, bytes/payload, warmDataBytesCeiling)
-	if bytes > warmDataBytesCeiling*payload {
-		t.Fatalf("warm AllReduceData allocates %.0f bytes, %.2fx ranks x payload, ceiling %.2fx", bytes, bytes/payload, warmDataBytesCeiling)
+	for _, procs := range []int{1, 2} {
+		allocs, bytes := warmMemStats(procs, allReduceData)
+		t.Logf("warm AllReduceData, 1 MB per rank, GOMAXPROCS %d: %.1f allocations (ceiling %d), %.0f bytes = %.2fx ranks x payload (ceiling %.2fx)",
+			procs, allocs, warmDataAllocCeiling, bytes, bytes/payload, warmDataBytesCeiling)
+		if allocs > warmDataAllocCeiling {
+			t.Fatalf("warm AllReduceData allocates %.1f times at GOMAXPROCS %d, ceiling %d", allocs, procs, warmDataAllocCeiling)
+		}
+		if bytes > warmDataBytesCeiling*payload {
+			t.Fatalf("warm AllReduceData allocates %.0f bytes at GOMAXPROCS %d, %.2fx ranks x payload, ceiling %.2fx",
+				bytes, procs, bytes/payload, warmDataBytesCeiling)
+		}
 	}
 }

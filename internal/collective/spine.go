@@ -7,14 +7,13 @@ import (
 
 	"blink/internal/core"
 	"blink/internal/obs"
-	"blink/internal/simgpu"
 )
 
 // This file is the dispatch spine: the one path every collective call takes,
 // on one machine or a cluster, however it was issued.
 //
 //	entry point → pin state → submit: admission {none | stream window | lane verdict}
-//	            → dispatch → lookupOrCompile → CachedPlan.replay → observe
+//	            → dispatch → lookupOrCompile → FrozenPlan.ReplayDataHooked → observe
 //
 // Engine's exported Run / RunMany / RunAsync / *Tenant methods and
 // Snapshot.Submit are thin entry points that build a request, pin the state
@@ -182,14 +181,6 @@ func (e *Engine) planKey(fp string, rq request) PlanKey {
 	return key
 }
 
-// replay executes the frozen schedule against the call's arena and returns
-// the simulated run. Every schedule — tree, ring, hybrid, flat ring,
-// three-phase — is one FrozenPlan, simulated once when it was frozen, and
-// one arena.
-func (cp *CachedPlan) replay(rq request, hook core.ReplayHook) (simgpu.Result, error) {
-	return cp.Plan.ReplayDataHooked(rq.opts.Buffers, hook)
-}
-
 // dispatch is the one instrumented dispatch body: plan lookup, replay, and
 // everything observed about them. It owns the span's lifecycle from
 // dispatch to completion (rec is nil when no timeline is enabled — every
@@ -215,7 +206,10 @@ func (e *Engine) dispatch(st *engineState, rq request, hook core.ReplayHook, rec
 	} else {
 		e.mCompiles.Inc()
 	}
-	r, err := cp.replay(rq, chainHooks(hook, rec.ChunkHook()))
+	// Every schedule — tree, ring, hybrid, flat ring, three-phase — is one
+	// FrozenPlan, simulated once when it was frozen, replayed against the
+	// call's one arena.
+	r, err := cp.Plan.ReplayDataHooked(rq.opts.Buffers, chainHooks(hook, rec.ChunkHook()))
 	if err != nil {
 		rec.Complete(cp.Strategy, hit, 0, err)
 		return Result{}, hit, err

@@ -100,7 +100,7 @@ func TestAllReduceRandomTopologyProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if _, err := plan.ExecuteData(bufs); err != nil {
+		if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for v := 0; v < n; v++ {

@@ -10,9 +10,7 @@ import (
 // Buffer tags for the exchange collectives (AllToAll, NeighborExchange).
 // Each source rank stages and delivers through its own tag so concurrent
 // per-source transfers never collide in the arena. The base sits far above
-// BufScratchBase+vertex (the ring baseline's receive staging), which is
-// bounded by the parser's device cap, so the ranges are disjoint by
-// construction.
+// BufData and BufAcc, so the ranges are disjoint by construction.
 const (
 	// BufExchangeBase + src tags the receive/staging buffer for payload
 	// originating at rank src — a global, server-major rank on a cluster.
@@ -126,19 +124,20 @@ func shortestPath(g *graph.Graph, src, dst int) ([]int, error) {
 // device src into dstTag on device dst — one AllToAll tree transfer, where
 // the shard layout is global (rankBase shifts local ranks into a cluster's
 // global buffer).
-func (b *planBuilder) exchangeShardExec(src, dst, srcTag, dstTag int, dests []int, perVertex, off, n, bufLen int) func(*simgpu.BufferSet) {
+func (b *planBuilder) exchangeShardExec(src, dst, srcTag, dstTag int, dests []int, perVertex, off, n, bufLen int) Exec {
 	if !b.opts.DataMode {
 		return nil
 	}
 	src, dst = b.dev(src), b.dev(dst)
 	ds := append([]int(nil), dests...)
 	rankBase := b.rankBase
-	return func(bufs *simgpu.BufferSet) {
+	return func(bufs *simgpu.BufferSet, w simgpu.Window) {
 		sb := bufs.Buffer(src, srcTag, bufLen)
 		db := bufs.Buffer(dst, dstTag, bufLen)
 		for _, u := range ds {
-			base := (rankBase + u) * perVertex
-			copy(db[base+off:base+off+n], sb[base+off:base+off+n])
+			base := (rankBase+u)*perVertex + off
+			lo, hi := w.Clip(base, base+n)
+			copy(db[lo:hi], sb[lo:hi])
 		}
 	}
 }
@@ -177,12 +176,8 @@ func (b *planBuilder) allToAll(packFor func(root int) (*Packing, error), perDest
 			b.add(&simgpu.Op{
 				Stream: b.stream(phaseExchangeBase+r, 0, -3000-r, 0, 0),
 				Link:   -1,
-				Exec: func(bufs *simgpu.BufferSet) {
-					in := bufs.Buffer(g, BufData, bufLen)
-					out := bufs.Buffer(g, ExchangeTag(g), bufLen)
-					copy(out[g*perDest:(g+1)*perDest], in[g*perDest:(g+1)*perDest])
-				},
-				Label: fmt.Sprintf("a2a self @%d", r),
+				Exec:   CopyKernel(g, g, BufData, ExchangeTag(g), g*perDest, perDest, bufLen),
+				Label:  fmt.Sprintf("a2a self @%d", r),
 			})
 		}
 		if n == 1 {

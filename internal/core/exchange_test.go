@@ -55,7 +55,7 @@ func runAllToAll(t *testing.T, f *simgpu.Fabric, packFor func(int) (*Packing, er
 		inputs[v] = in
 		bufs.SetBuffer(v, BufData, append([]float32(nil), in...))
 	}
-	if _, err := plan.ExecuteData(bufs); err != nil {
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatalf("ExecuteData: %v", err)
 	}
 	for d := 0; d < n; d++ {
@@ -113,7 +113,7 @@ func TestSendRecvChainPlanDataCorrectness(t *testing.T) {
 			payload[i] = float32(i + 1)
 		}
 		bufs.SetBuffer(chain[0], BufData, append([]float32(nil), payload...))
-		if _, err := plan.ExecuteData(bufs); err != nil {
+		if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 			t.Fatalf("chain %v: %v", chain, err)
 		}
 		for _, v := range chain {
@@ -188,7 +188,7 @@ func TestNeighborExchangePlanDataCorrectness(t *testing.T) {
 		inputs[v] = in
 		bufs.SetBuffer(v, BufData, append([]float32(nil), in...))
 	}
-	if _, err := plan.ExecuteData(bufs); err != nil {
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < n; v++ {
@@ -333,7 +333,7 @@ func FuzzExchangePlanBuilders(f *testing.F) {
 			}
 			bufs.SetBuffer(v, BufData, in)
 		}
-		if _, err := plan.ExecuteData(bufs); err != nil {
+		if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 			t.Fatalf("%q: execute: %v", spec, err)
 		}
 		for v, row := range neighbors {

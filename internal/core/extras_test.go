@@ -373,7 +373,7 @@ func TestBuildThreePhaseAllReduce(t *testing.T) {
 		}
 		bufs.SetBuffer(g, BufData, in)
 	}
-	if _, err := data.ExecuteData(bufs); err != nil {
+	if _, err := data.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < c.TotalGPUs(); g++ {

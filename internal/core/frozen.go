@@ -1,6 +1,9 @@
 package core
 
 import (
+	"runtime"
+	"sync"
+
 	"blink/internal/simgpu"
 )
 
@@ -19,12 +22,13 @@ import (
 // Data-mode plans are templates too: their Exec closures resolve every
 // buffer through the simgpu.BufferSet a caller passes to ReplayData, so
 // concurrent data-mode replays are safe as long as each call supplies its
-// own arena.
+// own arena. One data replay is itself concurrent: its stripes share the
+// call's arena over disjoint float windows (ReplayDataHooked).
 type FrozenPlan struct {
 	// execs holds each op's data-movement closure, by op index (all nil for
 	// a timing plan). It is all a replay needs of the ops: their timing is
 	// in the memo below.
-	execs      []func(*simgpu.BufferSet)
+	execs      []Exec
 	fabric     *simgpu.Fabric
 	partitions int
 	hasExec    bool
@@ -48,7 +52,7 @@ type FrozenPlan struct {
 // canonical artifact.
 func (p *Plan) Freeze() *FrozenPlan {
 	fp := &FrozenPlan{
-		execs:      make([]func(*simgpu.BufferSet), len(p.Ops)),
+		execs:      make([]Exec, len(p.Ops)),
 		fabric:     p.Fabric,
 		partitions: p.Partitions,
 		ir:         p.IR,
@@ -91,26 +95,80 @@ type ReplayHook func(done, total int)
 // ReplayDataHooked is ReplayData with a chunk-granular progress hook; a nil
 // hook is ReplayData. It never simulates. A schedule Freeze could not run
 // returns that error and runs nothing; a timing plan with no hook returns
-// the stored result at once; otherwise the stored launch order is walked,
-// running each op's Exec against ctx (a throwaway arena when the plan has
-// Exec closures and ctx is nil) and calling hook(done, total) after each op
-// for done = 1..total — the sequence the simulator's own hook produced.
+// the stored result at once, and with one walks the stored launch order,
+// calling hook(done, total) after each op for done = 1..total — the sequence
+// the simulator's own hook produced. A data-mode plan runs its Exec closures
+// against ctx (a throwaway arena when ctx is nil) in striped walks of that
+// order (replayStripes), the calling goroutine's stripe calling the hook.
 func (fp *FrozenPlan) ReplayDataHooked(ctx *simgpu.BufferSet, hook ReplayHook) (simgpu.Result, error) {
-	if fp.err != nil || (!fp.hasExec && hook == nil) {
+	switch {
+	case fp.err != nil || (!fp.hasExec && hook == nil):
 		return fp.res, fp.err
+	case !fp.hasExec:
+		fp.walk(nil, simgpu.Window{}, hook)
+	default:
+		if ctx == nil {
+			ctx = simgpu.NewBufferSet()
+		}
+		fp.replayStripes(ctx, hook, nil)
 	}
-	if fp.hasExec && ctx == nil {
-		ctx = simgpu.NewBufferSet()
+	return fp.res, nil
+}
+
+// minStripeFloats is the smallest float window worth a stripe of its own.
+// Every stripe walks the whole launch order, resolving each Exec's buffers,
+// and all but one cost a goroutine start, so a stripe must carry enough
+// memory traffic to pay for that. BenchmarkWarmReplayData on a 2-vCPU Xeon
+// (8-rank DGX-1V AllReduce, GOMAXPROCS 2): at 64 KB per rank two 8K-float
+// stripes bought nothing over the serial walk (0.26–0.31 ms either way), at
+// 256 KB two 32K-float stripes cut 0.87–0.92 ms to 0.65–0.70, at 1 MB two
+// stripes cut 4.1–5.6 ms to 2.4–3.1 and at 16 MB 76–89 ms to 47–60.
+const minStripeFloats = 32 << 10
+
+// replayStripes is a data replay in two steps. The resolve walk runs every
+// Exec over the empty window: it moves nothing, but allocates and grows each
+// buffer the schedule names, in launch order and to the lengths one serial
+// walk would, so that afterwards Buffer only reads the arena's map. Then k
+// walks of the launch order run concurrently, stripe s over floats
+// [cuts[s], cuts[s+1]): stripe 0 on the calling goroutine with the hook, the
+// others on goroutines that have finished when it returns. Every Exec is
+// index-aligned (simgpu.Op.Exec), so each float sees exactly the operations
+// of a serial walk, in the same order, from one goroutine: the arena ends
+// bit-identical to it. Nil cuts split the arena's span evenly into
+// min(GOMAXPROCS, span/minStripeFloats) stripes, at least one — one stripe
+// is the serial walk.
+func (fp *FrozenPlan) replayStripes(ctx *simgpu.BufferSet, hook ReplayHook, cuts []int) {
+	fp.walk(ctx, simgpu.Window{}, nil)
+	k, cut := len(cuts)-1, func(s int) int { return cuts[s] }
+	if cuts == nil {
+		span := ctx.Span()
+		k = max(1, min(runtime.GOMAXPROCS(0), span/minStripeFloats))
+		cut = func(s int) int { return s * span / k }
 	}
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for s := 1; s < k; s++ {
+		w := simgpu.Window{Lo: cut(s), Hi: cut(s + 1)}
+		go func() {
+			defer wg.Done()
+			fp.walk(ctx, w, nil)
+		}()
+	}
+	fp.walk(ctx, simgpu.Window{Lo: cut(0), Hi: cut(1)}, hook)
+	wg.Wait()
+}
+
+// walk runs the launch order once: each op's Exec over window w of ctx,
+// then hook(done, total).
+func (fp *FrozenPlan) walk(ctx *simgpu.BufferSet, w simgpu.Window, hook ReplayHook) {
 	for done, i := range fp.order {
 		if exec := fp.execs[i]; exec != nil {
-			exec(ctx)
+			exec(ctx, w)
 		}
 		if hook != nil {
 			hook(done+1, len(fp.order))
 		}
 	}
-	return fp.res, nil
 }
 
 // Partitions is the partition count of a three-phase cluster schedule, zero

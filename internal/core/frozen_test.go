@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blink/internal/simgpu"
 	"blink/internal/topology"
@@ -216,11 +219,11 @@ func (c memoCase) diff(a, b *simgpu.BufferSet) string {
 
 // TestReplayIsTheSimulation: a frozen plan's replay is the simulation Freeze
 // ran, for every plan shape in both modes. Against simgpu.RunHooked over a
-// fresh op set (what Plan.ExecuteData runs) it returns the same result bit
-// for bit, reports progress as (1,n)…(n,n), runs the Exec closures in the
-// order the simulator launched them and leaves the same bits in the arena;
-// freezing runs no Exec, and a timing replay of a data-mode plan still runs
-// them all, against an arena of its own.
+// fresh op set it returns the same result bit for bit, reports progress as
+// (1,n)…(n,n), runs the Exec closures in the order the simulator launched
+// them and leaves the same bits in the arena; freezing runs no Exec, and a
+// timing replay of a data-mode plan still runs them all, against an arena
+// of its own.
 func TestReplayIsTheSimulation(t *testing.T) {
 	for _, c := range memoCases(t) {
 		for _, data := range []bool{false, true} {
@@ -243,9 +246,14 @@ func TestReplayIsTheSimulation(t *testing.T) {
 				var execs []int
 				for i, op := range plan.Ops {
 					if i, exec := i, op.Exec; exec != nil {
-						op.Exec = func(b *simgpu.BufferSet) {
-							execs = append(execs, i)
-							exec(b)
+						op.Exec = func(b *simgpu.BufferSet, w simgpu.Window) {
+							// Count the walk of the calling goroutine's
+							// stripe, the one from float 0; the resolve
+							// walk's empty window moves nothing.
+							if w.Lo == 0 && w.Hi > 0 {
+								execs = append(execs, i)
+							}
+							exec(b, w)
 						}
 					}
 				}
@@ -287,8 +295,8 @@ func TestReplayIsTheSimulation(t *testing.T) {
 // gets the executed plan's result and bits (run under -race by `make race`).
 func TestReplayConcurrentDataHooked(t *testing.T) {
 	c := memoCases(t)[1]
-	refBufs := c.stage()
-	want, err := c.build(t, true).ExecuteData(refBufs)
+	refBufs, ref := c.stage(), c.build(t, true)
+	want, err := simgpu.Run(ref.Fabric.Links, ref.Ops, refBufs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +328,80 @@ func TestReplayConcurrentDataHooked(t *testing.T) {
 	}
 }
 
+// TestStripedReplayNestedConcurrency: four goroutines replay one frozen
+// data-mode plan at once, each with its own arena, while each replay splits
+// into GOMAXPROCS=4 stripes — sixteen concurrent walks over four arenas.
+// Every arena ends bit-equal to the simulator's serial run, every replay ran
+// four stripes, and no stripe goroutine outlives the replays (run under
+// -race by `make race`).
+func TestStripedReplayNestedConcurrency(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const replays, stripes = 4, 4
+	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{DataMode: true})
+	p, err := GenerateTrees(f.Graph, 0, PackOptions{}, MinimizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := memoCase{"AllReduce", 4, stripes * minStripeFloats, func(t *testing.T, _ bool) *Plan {
+		plan, err := BuildAllReducePlan(f, p, stripes*minStripeFloats*4, PlanOptions{DataMode: true, ChunkBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}}
+	ref, refBufs := c.build(t, true), c.stage()
+	if _, err := simgpu.Run(ref.Fabric.Links, ref.Ops, refBufs); err != nil {
+		t.Fatal(err)
+	}
+	plan := c.build(t, true)
+	var walks, execOps atomic.Int64
+	for _, op := range plan.Ops {
+		if exec := op.Exec; exec != nil {
+			execOps.Add(1)
+			op.Exec = func(b *simgpu.BufferSet, w simgpu.Window) {
+				if w.Lo < w.Hi {
+					walks.Add(1)
+				}
+				exec(b, w)
+			}
+		}
+	}
+	fp := plan.Freeze()
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	arenas, errs := make([]*simgpu.BufferSet, replays), make([]error, replays)
+	for g := range arenas {
+		arenas[g] = c.stage()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			_, errs[g] = fp.ReplayData(arenas[g])
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := c.diff(arenas[g], refBufs); d != "" {
+			t.Fatalf("replay %d: %s", g, d)
+		}
+	}
+	if got, want := walks.Load(), replays*stripes*execOps.Load(); got != want {
+		t.Fatalf("%d striped Exec calls, want %d replays x %d stripes x %d ops", got, replays, stripes, execOps.Load())
+	}
+	// A stripe goroutine signals its replay before it exits: poll.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the replays, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
 // TestReplayOfUnrunnableSchedule: a schedule the simulator cannot finish (a
 // dependency cycle beside one free op) fails at Freeze with the simulator's
 // own error, and every replay returns that error having run no Exec and
@@ -327,7 +409,7 @@ func TestReplayConcurrentDataHooked(t *testing.T) {
 func TestReplayOfUnrunnableSchedule(t *testing.T) {
 	good, _ := frozenTestPlan(t, false)
 	ran := 0
-	exec := func(*simgpu.BufferSet) { ran++ }
+	exec := func(*simgpu.BufferSet, simgpu.Window) { ran++ }
 	ops := func() []*simgpu.Op {
 		return []*simgpu.Op{
 			{Stream: 0, Link: -1, Deps: []int{1}, Exec: exec},

@@ -156,7 +156,7 @@ func (g *clusterGen) add(si int, p *Plan) {
 // join closes the phase being emitted with a marked zero-resource op that
 // finishes when the phase's last op does, and opens the next phase behind
 // it. exec, when set, runs once the closed phase has.
-func (g *clusterGen) join(label string, exec func(*simgpu.BufferSet)) {
+func (g *clusterGen) join(label string, exec Exec) {
 	g.gate = len(g.plan.Ops)
 	g.plan.Ops = append(g.plan.Ops, &simgpu.Op{Stream: g.plan.Streams, Link: -1, Deps: g.sinks, Exec: exec, Mark: true, Label: label})
 	g.plan.Streams++
@@ -255,13 +255,13 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 	// 1) are summed across servers, in server order, into the first server's
 	// root and copied from there to every other root, so phase 3 broadcasts
 	// the same global result everywhere.
-	var exchange func(*simgpu.BufferSet)
+	var exchange Exec
 	if g.opts.DataMode {
 		rankBase := g.rankBase
-		exchange = func(bufs *simgpu.BufferSet) {
+		exchange = func(bufs *simgpu.BufferSet, w simgpu.Window) {
 			for p := range roots {
-				off, end := offs[p], offs[p]+ns[p]
-				acc := func(si int) []float32 { return bufs.Buffer(rankBase[si]+roots[p][si], BufAcc, end)[off:] }
+				lo, hi := w.Clip(offs[p], offs[p]+ns[p])
+				acc := func(si int) []float32 { return bufs.Buffer(rankBase[si]+roots[p][si], BufAcc, offs[p]+ns[p])[lo:hi] }
 				sum := acc(0)
 				for si := 1; si < len(rankBase); si++ {
 					for i, x := range acc(si) {
@@ -335,14 +335,15 @@ func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 	}
 	// In data mode the transfers deliver the root's payload to every other
 	// server's local root.
-	var exchange func(*simgpu.BufferSet)
+	var exchange Exec
 	if g.opts.DataMode {
 		rankBase := g.rankBase
-		exchange = func(bufs *simgpu.BufferSet) {
-			src := bufs.Buffer(root, BufData, totalFloats)
+		exchange = func(bufs *simgpu.BufferSet, w simgpu.Window) {
+			lo, hi := w.Clip(0, totalFloats)
+			src := bufs.Buffer(root, BufData, totalFloats)[lo:hi]
 			for si, base := range rankBase {
 				if si != rootServer {
-					copy(bufs.Buffer(base, BufData, totalFloats), src)
+					copy(bufs.Buffer(base, BufData, totalFloats)[lo:hi], src)
 				}
 			}
 		}
@@ -407,15 +408,16 @@ func BuildThreePhaseAllToAll(c *topology.Cluster, fabrics []*simgpu.Fabric, wide
 	// In data mode every shard headed off-server is copied straight from the
 	// sender's input into the receiver's buffer under the sender's exchange
 	// tag (same-server shards were delivered there by phase 1).
-	var exchange func(*simgpu.BufferSet)
+	var exchange Exec
 	if g.opts.DataMode {
 		bufLen := g.total * shard
-		exchange = func(bufs *simgpu.BufferSet) {
+		exchange = func(bufs *simgpu.BufferSet, w simgpu.Window) {
 			for src, si := range serverOf {
 				in := bufs.Buffer(src, BufData, bufLen)
 				for dst, sj := range serverOf {
 					if si != sj {
-						copy(bufs.Buffer(dst, ExchangeTag(src), bufLen)[dst*shard:(dst+1)*shard], in[dst*shard:])
+						lo, hi := w.Clip(dst*shard, (dst+1)*shard)
+						copy(bufs.Buffer(dst, ExchangeTag(src), bufLen)[lo:hi], in[lo:hi])
 					}
 				}
 			}

@@ -13,12 +13,9 @@ const (
 	// BufData is the collective payload (input at the root for Broadcast,
 	// per-device input and final result for AllReduce).
 	BufData = 0
-	// BufAcc is the running reduction accumulator. A tree reduction reads
-	// its children's accumulators in place; nothing stages them.
+	// BufAcc is the running reduction accumulator. Tree and ring reductions
+	// read the sender's accumulator in place; nothing stages it.
 	BufAcc = 1
-	// BufScratchBase + srcDevice tags the NCCL ring baseline's per-sender
-	// receive staging areas (internal/ring); tree plans use none.
-	BufScratchBase = 8
 )
 
 // PlanOptions controls schedule generation (CodeGen, §4.1-4.2).
@@ -71,15 +68,9 @@ type Plan struct {
 }
 
 // Execute runs the plan for timing and returns the simulated result. Any
-// Exec closures run against a throwaway arena; use ExecuteData to move real
-// data a caller can observe.
-func (p *Plan) Execute() (simgpu.Result, error) { return p.ExecuteData(nil) }
-
-// ExecuteData runs the plan against the given per-call buffer arena: Exec
-// closures read inputs from and leave results in bufs.
-func (p *Plan) ExecuteData(bufs *simgpu.BufferSet) (simgpu.Result, error) {
-	return simgpu.Run(p.Fabric.Links, p.Ops, bufs)
-}
+// Exec closures run against a throwaway arena; Freeze().ReplayData moves
+// real data a caller can observe.
+func (p *Plan) Execute() (simgpu.Result, error) { return simgpu.Run(p.Fabric.Links, p.Ops, nil) }
 
 // ThroughputGBs runs the plan and reports TotalBytes/makespan in GB/s.
 func (p *Plan) ThroughputGBs() (float64, error) {
@@ -326,7 +317,7 @@ func (b *planBuilder) add(op *simgpu.Op) int {
 // edges become two chained ops (source up-link, then destination down-link)
 // modeling store-and-forward through the non-blocking switch, so a transfer
 // waiting for a busy receiver never stalls the sender's port.
-func (b *planBuilder) addTransfer(phase, tree, eid, depth int, bytes int64, deps []int, exec func(*simgpu.BufferSet), label string) int {
+func (b *planBuilder) addTransfer(phase, tree, eid, depth int, bytes int64, deps []int, exec Exec, label string) int {
 	links := b.f.EdgeLinks(eid)
 	if len(links) == 1 {
 		return b.add(&simgpu.Op{
@@ -357,47 +348,63 @@ func (b *planBuilder) addTransfer(phase, tree, eid, depth int, bytes int64, deps
 	})
 }
 
-// copyExec builds an Exec closure copying floats [off,off+n) from srcTag on
-// device src to dstTag on device dst. The closure resolves both buffers
-// through the per-call arena, never through the fabric, so the compiled
-// schedule stays a pure template.
-func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) func(*simgpu.BufferSet) {
-	if !b.opts.DataMode {
-		return nil
-	}
-	src, dst = b.dev(src), b.dev(dst)
-	return func(bufs *simgpu.BufferSet) {
+// Exec is a data-mode op's closure (simgpu.Op.Exec): index-aligned, over the
+// floats of one window of the call's arena.
+type Exec = func(bufs *simgpu.BufferSet, w simgpu.Window)
+
+// CopyKernel is the Exec closure copying floats [off,off+n) of device src's
+// srcTag buffer into device dst's dstTag buffer, both resolved at bufLen
+// floats through the per-call arena, never through the fabric, so the
+// compiled schedule stays a pure template.
+func CopyKernel(src, dst, srcTag, dstTag, off, n, bufLen int) Exec {
+	return func(bufs *simgpu.BufferSet, w simgpu.Window) {
 		sb := bufs.Buffer(src, srcTag, bufLen)
 		db := bufs.Buffer(dst, dstTag, bufLen)
-		copy(db[off:off+n], sb[off:off+n])
+		lo, hi := w.Clip(off, off+n)
+		copy(db[lo:hi], sb[lo:hi])
 	}
 }
 
-// reduceExec builds the Exec closure of vertex v's reduction kernel for
-// floats [off,off+n): it adds each child's accumulator chunk into v's, in
-// children order, reading the children's BufAcc in place. That is sound
-// because a child's chunk is final once its upward send is (the send waits
-// for the child's own reduce) and nothing writes it again until the
-// broadcast phase copies the result back down — a copy that waits, through
-// the root's reduce of the same chunk, for this one.
-func (t *treeGen) reduceExec(v int, children []int, off, n int) func(*simgpu.BufferSet) {
-	if !t.opts.DataMode {
-		return nil
-	}
-	dev, bufLen := t.dev(v), t.bufLen
-	srcs := make([]int, len(children))
-	for i, c := range children {
-		srcs[i] = t.dev(c)
-	}
-	return func(bufs *simgpu.BufferSet) {
-		acc := bufs.Buffer(dev, BufAcc, bufLen)[off : off+n]
+// ReduceKernel is the Exec closure of device dev's reduction kernel for
+// floats [off,off+n): it adds each source device's accumulator into dev's,
+// in srcs order, reading the sources' BufAcc in place.
+func ReduceKernel(dev int, srcs []int, off, n, bufLen int) Exec {
+	return func(bufs *simgpu.BufferSet, w simgpu.Window) {
+		lo, hi := w.Clip(off, off+n)
+		acc := bufs.Buffer(dev, BufAcc, bufLen)[lo:hi]
 		for _, src := range srcs {
-			in := bufs.Buffer(src, BufAcc, bufLen)[off : off+n]
-			for i, x := range in {
+			for i, x := range bufs.Buffer(src, BufAcc, bufLen)[lo:hi] {
 				acc[i] += x
 			}
 		}
 	}
+}
+
+// copyExec is CopyKernel between two of the builder's vertices (nil outside
+// data mode).
+func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) Exec {
+	if !b.opts.DataMode {
+		return nil
+	}
+	return CopyKernel(b.dev(src), b.dev(dst), srcTag, dstTag, off, n, bufLen)
+}
+
+// reduceExec builds vertex v's reduction kernel for floats [off,off+n): it
+// adds each child's accumulator chunk into v's, in children order, reading
+// the children's BufAcc in place. That is sound because a child's chunk is
+// final once its upward send is (the send waits for the child's own reduce)
+// and nothing writes it again until the broadcast phase copies the result
+// back down — a copy that waits, through the root's reduce of the same
+// chunk, for this one.
+func (t *treeGen) reduceExec(v int, children []int, off, n int) Exec {
+	if !t.opts.DataMode {
+		return nil
+	}
+	srcs := make([]int, len(children))
+	for i, c := range children {
+		srcs[i] = t.dev(c)
+	}
+	return ReduceKernel(t.dev(v), srcs, off, n, t.bufLen)
 }
 
 // phase identifiers for stream keys.
@@ -632,16 +639,11 @@ func initAccumulators(b *planBuilder, bufLen int) {
 	}
 	off := b.opts.OffsetFloats
 	for v := 0; v < b.g.N; v++ {
-		dev := b.dev(v)
 		b.add(&simgpu.Op{
 			Stream: b.stream(phaseReduce, 0, -1000-v, 0, 0),
 			Link:   -1,
-			Exec: func(bufs *simgpu.BufferSet) {
-				in := bufs.Buffer(dev, BufData, bufLen)
-				acc := bufs.Buffer(dev, BufAcc, bufLen)
-				copy(acc[off:bufLen], in[off:bufLen])
-			},
-			Label: fmt.Sprintf("acc-init @%d", v),
+			Exec:   CopyKernel(b.dev(v), b.dev(v), BufData, BufAcc, off, bufLen-off, bufLen),
+			Label:  fmt.Sprintf("acc-init @%d", v),
 		})
 	}
 }

@@ -55,7 +55,7 @@ func TestBroadcastPlanDataCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.ExecuteData(bufs); err != nil {
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < f.Graph.N; v++ {
@@ -96,7 +96,7 @@ func TestAllReducePlanDataCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", devs, err)
 		}
-		if _, err := plan.ExecuteData(bufs); err != nil {
+		if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 			t.Fatalf("%v: %v", devs, err)
 		}
 		for v := 0; v < f.Graph.N; v++ {
@@ -277,7 +277,7 @@ func TestDGX2AllReduceDataCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.ExecuteData(bufs); err != nil {
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < lg.N; v++ {

@@ -33,7 +33,9 @@ import (
 // bucket, and the old footprints read 0.67x, 0.70x and 0.79x (0.73x on two
 // of three when the change was sized). Data movement is the host cost async
 // streams still overlap: this form read 1.50-1.89x in eighteen of eighteen
-// first measurements (six runs) when it was introduced.
+// first measurements (six runs) when it was introduced. Since a data replay
+// stripes across GOMAXPROCS, the blocking step uses the second core too and
+// 4x1MB reads 1.27-1.62x (ten runs on a 2-vCPU Xeon).
 func BenchmarkTrainStepOverlap(b *testing.B) {
 	const iters, floor, repeats = 8, 1.25, 3
 	eng, err := collective.NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: true})

@@ -34,21 +34,14 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts c
 	if opts.DataMode {
 		// Initialize accumulators from inputs before any transfer executes
 		// (zero-duration ops scheduled first; see core's acc-init note).
-		for _, lr := range lrs {
-			for _, v := range lr.verts {
-				v := v
-				b.add(&simgpu.Op{
-					Stream: b.stream(-1, v, 0, 9),
-					Link:   -1,
-					Exec: func(bufs *simgpu.BufferSet) {
-						in := bufs.Buffer(v, core.BufData, totalFloats)
-						acc := bufs.Buffer(v, core.BufAcc, totalFloats)
-						copy(acc, in)
-					},
-					Label: fmt.Sprintf("acc-init @%d", v),
-				})
-			}
-			break // one init set is enough; buffers are shared per device
+		// One init set is enough: buffers are shared per device.
+		for _, v := range lrs[0].verts {
+			b.add(&simgpu.Op{
+				Stream: b.stream(-1, v, 0, 9),
+				Link:   -1,
+				Exec:   core.CopyKernel(v, v, core.BufData, core.BufAcc, 0, totalFloats, totalFloats),
+				Label:  fmt.Sprintf("acc-init @%d", v),
+			})
 		}
 	}
 
@@ -86,9 +79,10 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts c
 
 // emitRingAllReduce generates the 2(N-1) steps for one ring over the float
 // region [off, off+regionN). prevReduce carries the previous slice's final
-// per-position reduce ops: a new slice may not overwrite a receiver's
-// scratch buffer before the receiver consumed the previous slice
-// (flow-control dependency). It returns this slice's final reduce ops.
+// per-position reduce ops: a new slice may not reach a receiver before the
+// receiver consumed the previous slice (NCCL's flow control over its
+// receive buffers, kept for timing). It returns this slice's final reduce
+// ops.
 func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, regionN, bufLen int, prevReduce []int) ([]int, error) {
 	n := len(lr.verts)
 	segOff := make([]int, n+1)
@@ -123,32 +117,20 @@ func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, re
 				deps = append(deps, reduceDone[pos])
 			}
 			// Receive-buffer availability: the destination must have
-			// consumed the previous segment before we overwrite its
-			// scratch.
+			// consumed the previous segment before a new one reaches it.
 			if reduceDone[dstPos] >= 0 {
 				deps = append(deps, reduceDone[dstPos])
 			}
-			var exec func(*simgpu.BufferSet)
-			if b.opts.DataMode {
-				scratch := core.BufScratchBase + src
-				exec = func(bufs *simgpu.BufferSet) {
-					sb := bufs.Buffer(src, core.BufAcc, bufLen)
-					db := bufs.Buffer(dst, scratch, bufLen)
-					copy(db[so:so+sn], sb[so:so+sn])
-				}
-			}
-			deliver := b.addHop(ri, pos, 1, lr.hops[pos], int64(sn)*4, deps, exec,
+			// The send moves no data: the receiver's reduce reads the
+			// sender's accumulator in place. That is sound because the
+			// only later writer of the sender's segment is that segment's
+			// all-gather receive, which waits, through the ring's
+			// remaining reduces of the segment, for this one.
+			deliver := b.addHop(ri, pos, 1, lr.hops[pos], int64(sn)*4, deps, nil,
 				fmt.Sprintf("rs r%d s%d %d->%d", ri, s, src, dst))
-			var rexec func(*simgpu.BufferSet)
+			var rexec core.Exec
 			if b.opts.DataMode {
-				scratch := core.BufScratchBase + src
-				rexec = func(bufs *simgpu.BufferSet) {
-					acc := bufs.Buffer(dst, core.BufAcc, bufLen)
-					sc := bufs.Buffer(dst, scratch, bufLen)
-					for i := so; i < so+sn; i++ {
-						acc[i] += sc[i]
-					}
-				}
+				rexec = core.ReduceKernel(dst, []int{src}, so, sn, bufLen)
 			}
 			newReduce[dstPos] = b.add(&simgpu.Op{
 				Stream:   b.stream(ri, dstPos, 0, 2),
@@ -184,15 +166,8 @@ func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, re
 			} else if agRecv[pos] >= 0 {
 				deps = append(deps, agRecv[pos])
 			}
-			var exec func(*simgpu.BufferSet)
-			if b.opts.DataMode {
-				exec = func(bufs *simgpu.BufferSet) {
-					sb := bufs.Buffer(src, core.BufAcc, bufLen)
-					db := bufs.Buffer(dst, core.BufAcc, bufLen)
-					copy(db[so:so+sn], sb[so:so+sn])
-				}
-			}
-			newRecv[dstPos] = b.addHop(ri, pos, 3, lr.hops[pos], int64(sn)*4, deps, exec,
+			newRecv[dstPos] = b.addHop(ri, pos, 3, lr.hops[pos], int64(sn)*4, deps,
+				copyExec(b, src, dst, core.BufAcc, so, sn, bufLen),
 				fmt.Sprintf("ag r%d s%d %d->%d", ri, s, src, dst))
 		}
 		agRecv = newRecv

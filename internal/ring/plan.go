@@ -143,7 +143,7 @@ func (b *builder) add(op *simgpu.Op) int {
 // addHop emits ops moving bytes across one logical hop (possibly several
 // edges, each possibly a two-leg switch transfer) and returns the delivery
 // op index. exec runs at delivery.
-func (b *builder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []int, exec func(*simgpu.BufferSet), label string) int {
+func (b *builder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []int, exec core.Exec, label string) int {
 	last := -1
 	leg := 0
 	for ei, eid := range edges {
@@ -218,7 +218,7 @@ func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes in
 				}
 				src, dst := lr.verts[h], lr.verts[h+1]
 				prevHop[h] = b.addHop(ri, h, 0, lr.hops[h], int64(cn)*4, deps,
-					copyExec(b, src, dst, core.BufData, core.BufData, coff, cn),
+					copyExec(b, src, dst, core.BufData, coff, cn, coff+cn),
 					fmt.Sprintf("rbcast r%d c%d %d->%d", ri, k, src, dst))
 			}
 		}
@@ -227,14 +227,11 @@ func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes in
 	return &core.Plan{Ops: b.ops, TotalBytes: int64(totalFloats) * 4, Fabric: f, Streams: len(b.streams)}, nil
 }
 
-func copyExec(b *builder, src, dst, srcTag, dstTag, off, n int) func(*simgpu.BufferSet) {
+// copyExec is core's copy kernel over buffers resolved at bufLen floats
+// (nil outside data mode).
+func copyExec(b *builder, src, dst, tag, off, n, bufLen int) core.Exec {
 	if !b.opts.DataMode {
 		return nil
 	}
-	end := off + n
-	return func(bufs *simgpu.BufferSet) {
-		sb := bufs.Buffer(src, srcTag, end)
-		db := bufs.Buffer(dst, dstTag, end)
-		copy(db[off:end], sb[off:end])
-	}
+	return core.CopyKernel(src, dst, tag, tag, off, n, bufLen)
 }

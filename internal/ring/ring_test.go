@@ -121,7 +121,7 @@ func TestRingBroadcastData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.ExecuteData(bufs); err != nil {
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 4; v++ {
@@ -160,7 +160,7 @@ func TestRingAllReduceData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plan.ExecuteData(bufs); err != nil {
+		if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < len(devs); v++ {
@@ -217,7 +217,7 @@ func TestPCIeAllReduceData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.ExecuteData(bufs); err != nil {
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 3; v++ {
@@ -276,7 +276,7 @@ func TestDBTreeAllReduceDGX2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.ExecuteData(bufs); err != nil {
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 16; v++ {

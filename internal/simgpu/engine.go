@@ -50,10 +50,15 @@ type Op struct {
 	Deps []int
 	// Exec, if non-nil, runs when the op is scheduled (all deps complete),
 	// performing the actual data movement against the per-call buffer arena
-	// passed to Run. Closures must resolve every buffer through that arena —
-	// never through captured state — so one schedule can serve any number of
-	// concurrent calls.
-	Exec func(bufs *BufferSet)
+	// passed to Run, over the floats of window w (Run passes every float).
+	// Closures must resolve every buffer through that arena — never through
+	// captured state — so one schedule can serve any number of concurrent
+	// calls. A replay walks the schedule once per window, concurrently, so a
+	// closure must be index-aligned: it reads float i of a buffer only to
+	// write float i, touches only floats inside w, and resolves every buffer
+	// it names, at the same length, even when its range clips to nothing
+	// (the empty-window resolve walk allocates the arena that way).
+	Exec func(bufs *BufferSet, w Window)
 	// Label annotates traces.
 	Label string
 
@@ -128,9 +133,10 @@ func (q *opPQ) Pop() interface{} {
 
 // Run simulates the op set over the link table and returns the makespan.
 // It mutates the ops (recording start/finish) and invokes Exec closures in
-// dependency order against bufs, the call's private buffer arena. A nil
-// bufs is replaced by a fresh throwaway arena, so timing-only executions of
-// Exec-carrying schedules stay safe (the moved data is simply discarded).
+// dependency order against bufs, the call's private buffer arena, over the
+// window of every float. A nil bufs is replaced by a fresh throwaway arena,
+// so timing-only executions of Exec-carrying schedules stay safe (the moved
+// data is simply discarded).
 // Deterministic: ties break on op index.
 func Run(links []Link, ops []*Op, bufs *BufferSet) (Result, error) {
 	return RunHooked(links, ops, bufs, nil)
@@ -253,7 +259,7 @@ func RunHooked(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op
 			if bufs == nil {
 				bufs = NewBufferSet()
 			}
-			op.Exec(bufs)
+			op.Exec(bufs, Window{Hi: math.MaxInt})
 		}
 		done++
 		if op.finish > res.Makespan {

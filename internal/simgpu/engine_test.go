@@ -140,8 +140,8 @@ func TestRunInvalidInputs(t *testing.T) {
 func TestRunExecOrderAndData(t *testing.T) {
 	links := []Link{{BW: 1}}
 	var order []string
-	a := &Op{Stream: 0, Link: 0, Bytes: 1, Exec: func(*BufferSet) { order = append(order, "a") }}
-	b := &Op{Stream: 1, Link: 0, Bytes: 1, Deps: []int{0}, Exec: func(*BufferSet) { order = append(order, "b") }}
+	a := &Op{Stream: 0, Link: 0, Bytes: 1, Exec: func(*BufferSet, Window) { order = append(order, "a") }}
+	b := &Op{Stream: 1, Link: 0, Bytes: 1, Deps: []int{0}, Exec: func(*BufferSet, Window) { order = append(order, "b") }}
 	if _, err := Run(links, []*Op{a, b}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,12 @@ func TestRunExecOrderAndData(t *testing.T) {
 func TestRunNilBufsGetsScratchArena(t *testing.T) {
 	// Exec-carrying ops run against a lazily allocated throwaway arena when
 	// the caller passes no BufferSet, so timing-only replays of data plans
-	// never crash.
+	// never crash, and over every float.
 	links := []Link{{BW: 1}}
 	var got *BufferSet
-	a := &Op{Stream: 0, Link: 0, Bytes: 1, Exec: func(bufs *BufferSet) {
-		got = bufs
+	var window Window
+	a := &Op{Stream: 0, Link: 0, Bytes: 1, Exec: func(bufs *BufferSet, w Window) {
+		got, window = bufs, w
 		bufs.Buffer(0, 0, 8)[3] = 1
 	}}
 	if _, err := Run(links, []*Op{a}, nil); err != nil {
@@ -165,6 +166,32 @@ func TestRunNilBufsGetsScratchArena(t *testing.T) {
 	}
 	if got == nil {
 		t.Fatal("Exec did not receive an arena")
+	}
+	if lo, hi := window.Clip(0, 1<<40); lo != 0 || hi != 1<<40 {
+		t.Fatalf("Run passed window %+v, want every float", window)
+	}
+}
+
+// TestWindowClip: a clipped range lies inside both the window and the
+// range, and an empty one still slices a buffer that holds the range.
+func TestWindowClip(t *testing.T) {
+	for _, c := range []struct {
+		w              Window
+		off, end       int
+		wantLo, wantHi int
+	}{
+		{Window{0, 100}, 10, 20, 10, 20},
+		{Window{15, 100}, 10, 20, 15, 20},
+		{Window{0, 15}, 10, 20, 10, 15},
+		{Window{12, 14}, 10, 20, 12, 14},
+		{Window{20, 30}, 10, 20, 20, 20},
+		{Window{30, 40}, 10, 20, 20, 20},
+		{Window{0, 5}, 10, 20, 10, 10},
+		{Window{}, 10, 20, 10, 10},
+	} {
+		if lo, hi := c.w.Clip(c.off, c.end); lo != c.wantLo || hi != c.wantHi {
+			t.Errorf("%+v.Clip(%d, %d) = [%d, %d), want [%d, %d)", c.w, c.off, c.end, lo, hi, c.wantLo, c.wantHi)
+		}
 	}
 }
 
@@ -254,6 +281,9 @@ func TestBufferSet(t *testing.T) {
 	s.SetBuffer(1, 0, []float32{1, 2, 3})
 	if got := s.Buffer(1, 0, 3); got[1] != 2 {
 		t.Fatal("SetBuffer not visible")
+	}
+	if s.Span() != 8 {
+		t.Fatalf("span %d, want the longest buffer's 8", s.Span())
 	}
 }
 

@@ -75,7 +75,7 @@ func TestFromPlanIdempotent(t *testing.T) {
 	plan := samplePlan(t)
 	var execs atomic.Int64
 	for _, op := range plan.Ops {
-		op.Exec = func(*simgpu.BufferSet) { execs.Add(1) }
+		op.Exec = func(*simgpu.BufferSet, simgpu.Window) { execs.Add(1) }
 	}
 	want := int64(len(plan.Ops))
 
@@ -110,7 +110,7 @@ func TestFromPlanIdempotent(t *testing.T) {
 	plan2 := samplePlan(t)
 	var execs2 atomic.Int64
 	for _, op := range plan2.Ops {
-		op.Exec = func(*simgpu.BufferSet) { execs2.Add(1) }
+		op.Exec = func(*simgpu.BufferSet, simgpu.Window) { execs2.Add(1) }
 	}
 	if _, err := plan2.Execute(); err != nil {
 		t.Fatal(err)
