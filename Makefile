@@ -15,8 +15,8 @@ COVER_FLOOR_QOS ?= 85
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2636
-LOC_CEIL_REPO ?= 12168
+LOC_CEIL_CORE ?= 2632
+LOC_CEIL_REPO ?= 12166
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 
@@ -99,8 +99,8 @@ loc-check:
 
 # Every benchmark once. Four of them gate a wall-clock ratio and fail below
 # its threshold (incremental repair >= 10x, warm-disk cold start >= 3x per
-# shape, overlapped train step >= 1.25x, latency-critical p99 through the
-# lanes <= FIFO); -p 1 keeps a gate from
+# shape, overlapped train step >= 1.25x, latency-critical drain through the
+# lanes >= 4x sooner than through the FIFO streams); -p 1 keeps a gate from
 # competing with another package's benchmarks for the CPUs. End-to-end
 # numbers live in ./bench (go run ./bench run).
 bench:

@@ -13,10 +13,7 @@ package blink
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"blink/internal/core"
 	"blink/internal/experiments"
@@ -322,95 +319,6 @@ func BenchmarkWarmReplayData(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkTenantMix gates the QoS lanes eliminating priority inversion
-// under load (TestLanePropertyRandomInterleavings and
-// TestLaneStrictPriorityOrder assert the dispatch order; this is the
-// wall-clock half, so it runs under `make bench`, not `go test ./...`). Per
-// scale, 10% of the tenants are latency-critical and issue 1 MB AllReduces,
-// 30% are bulk (32 MB) and 60% telemetry (4 MB); each submits two ops from
-// its own goroutine behind a common start barrier, on a fresh communicator
-// whose three plans are warm, so a latency is queueing plus a cached replay.
-// The load goes once untenanted through the stream scheduler, where 1 MB ops
-// queue behind 32 MB ones in arrival order, and once through per-tenant
-// lanes, whose latency-critical p99 must not exceed the FIFO one.
-func BenchmarkTenantMix(b *testing.B) {
-	qos := QoSConfig{Workers: 8}
-	for c := range qos.Lanes {
-		// Watermarks and queue bounds out of the way: the measurement
-		// isolates scheduling order, not admission control.
-		qos.Lanes[c] = LaneConfig{QueueCap: 1 << 16, LowWater: -1, HighWater: -1}
-	}
-	role := func(i int) (Class, int64) {
-		switch {
-		case i%10 == 0:
-			return ClassLatencyCritical, 1 << 20
-		case i%10 < 4:
-			return ClassBulkGradient, 32 << 20
-		}
-		return ClassTelemetry, 4 << 20
-	}
-	// lcP99 fires the n-tenant mix at a fresh warmed communicator and
-	// returns the p99 submit-to-resolution latency of the critical ops.
-	lcP99 := func(b *testing.B, n int, lanes bool) time.Duration {
-		comm := fullDGX1V(b, WithQoS(qos))
-		if _, err := comm.AllReduceMany([]int64{1 << 20, 4 << 20, 32 << 20}); err != nil {
-			b.Fatal(err)
-		}
-		var (
-			mu  sync.Mutex
-			lat []time.Duration
-			wg  sync.WaitGroup
-		)
-		start := make(chan struct{})
-		for i := 0; i < n; i++ {
-			class, bytes := role(i)
-			submit := comm.AllReduceAsync
-			if lanes {
-				tn, err := NewTenant(comm, TenantOptions{Name: fmt.Sprintf("t%d", i), Class: class})
-				if err != nil {
-					b.Fatal(err)
-				}
-				submit = tn.AllReduceAsync
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for k := 0; k < 2; k++ {
-					t0 := time.Now()
-					_, err := submit(bytes).Wait()
-					d := time.Since(t0)
-					if err != nil {
-						b.Error(err)
-					}
-					if class == ClassLatencyCritical {
-						mu.Lock()
-						lat = append(lat, d)
-						mu.Unlock()
-					}
-				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat[(99*len(lat)+99)/100-1]
-	}
-	for _, n := range []int{100, 300, 1000} {
-		b.Run(fmt.Sprintf("tenants=%d", n), func(b *testing.B) {
-			var fifo, lanes time.Duration
-			for i := 0; i < b.N; i++ {
-				fifo, lanes = lcP99(b, n, false), lcP99(b, n, true)
-				if lanes > fifo {
-					b.Fatalf("latency-critical p99 through the lanes (%v) exceeds the FIFO baseline's (%v): priority inversion", lanes, fifo)
-				}
-			}
-			b.ReportMetric(float64(fifo.Microseconds()), "fifo-p99-us")
-			b.ReportMetric(float64(lanes.Microseconds()), "lanes-p99-us")
 		})
 	}
 }

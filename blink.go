@@ -420,8 +420,13 @@ type asyncCfg struct {
 // it, submissions round-robin across the communicator's streams.
 func OnStream(s int) AsyncOpt { return func(a *asyncCfg) { a.stream = s } }
 
-// asyncStream resolves the stream an async call targets (-1 = auto).
+// asyncStream resolves the stream an async call targets (-1 = auto). The
+// config escapes into the option funcs, so a call without options returns
+// before building one: it costs no allocation.
 func asyncStream(opts []AsyncOpt) int {
+	if len(opts) == 0 {
+		return -1
+	}
 	a := asyncCfg{stream: -1}
 	for _, o := range opts {
 		o(&a)

@@ -325,15 +325,20 @@ const (
 	// else scales with it (measured 1.0; 6.5 with the scratch and copies).
 	warmDataBytesCeiling = 1.25
 	// warmAsyncAllocCeiling: handle, done channel, hook, task and span
-	// closures of one AllReduceAsync + Wait (measured 6).
-	warmAsyncAllocCeiling = 6
+	// closures of one AllReduceAsync + Wait (measured 5; 6 while a call
+	// without options heap-allocated its stream config).
+	warmAsyncAllocCeiling = 5
+	// warmTenantAsyncAllocCeiling: the same call through a tenant view, whose
+	// lane scheduler stands in for the stream scheduler (measured 5, and 6
+	// with the stream config allocated).
+	warmTenantAsyncAllocCeiling = 5
 )
 
 // TestWarmReplayAllocs holds the path every training iteration takes to its
 // allocation ceilings on the full DGX-1V: a synchronous timing AllReduce
 // must cost the same single allocation at 1 MB and at 64 MB (a warm op's
-// cost must not scale with its schedule's op count), and the data-mode and
-// stream-scheduled forms stay under theirs.
+// cost must not scale with its schedule's op count), and the data-mode,
+// stream-scheduled and lane-scheduled forms stay under theirs.
 func TestWarmReplayAllocs(t *testing.T) {
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	comm, err := NewComm(DGX1V(), all)
@@ -361,6 +366,19 @@ func TestWarmReplayAllocs(t *testing.T) {
 	t.Logf("warm AllReduceAsync + Wait: %.0f allocations (ceiling %d)", async, warmAsyncAllocCeiling)
 	if async > warmAsyncAllocCeiling {
 		t.Fatalf("warm AllReduceAsync + Wait allocates %.0f times, ceiling %d", async, warmAsyncAllocCeiling)
+	}
+	tenant, err := NewTenant(comm, TenantOptions{Name: "warm", Class: ClassLatencyCritical})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenantAsync := warmAllocs(func() {
+		if _, err := tenant.AllReduceAsync(1 << 20).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm tenant AllReduceAsync + Wait: %.0f allocations (ceiling %d)", tenantAsync, warmTenantAsyncAllocCeiling)
+	if tenantAsync > warmTenantAsyncAllocCeiling {
+		t.Fatalf("warm tenant AllReduceAsync + Wait allocates %.0f times, ceiling %d", tenantAsync, warmTenantAsyncAllocCeiling)
 	}
 
 	dataComm, err := NewComm(DGX1V(), all, WithDataMode())

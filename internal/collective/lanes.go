@@ -244,11 +244,13 @@ func newLaneScheduler(cfg QoSConfig, reg *obs.Registry) *laneScheduler {
 // class lane (spawning a worker if the pool has room). It never blocks:
 // the verdict is decided immediately from the lane's queue bound, its
 // watermarks, and the tenant's quotas, in that order of severity —
-// rejections never enqueue and never run.
+// rejections never enqueue and never run. The clock is read and the worker
+// started outside the lock, which the workers take once per op.
 func (s *laneScheduler) submit(sub laneSub) Verdict {
 	if !sub.class.valid() {
 		sub.class = BulkGradient
 	}
+	enq := time.Now()
 	s.mu.Lock()
 	ln := &s.lanes[sub.class]
 	t := sub.tenant
@@ -276,14 +278,17 @@ func (s *laneScheduler) submit(sub laneSub) Verdict {
 	t.noteAdmitted(sub.bytes, v == VerdictDefer)
 	ln.outstanding += sub.bytes
 	ln.pending = append(ln.pending, laneTask{
-		bytes: sub.bytes, tenant: t, enq: time.Now(), run: sub.run,
+		bytes: sub.bytes, tenant: t, enq: enq, run: sub.run,
 	})
 	ln.depth.Set(int64(len(ln.pending)))
-	if s.active < s.workers {
+	spawn := s.active < s.workers
+	if spawn {
 		s.active++
-		go s.work()
 	}
 	s.mu.Unlock()
+	if spawn {
+		go s.work()
+	}
 	return v
 }
 
@@ -349,44 +354,34 @@ func (s *laneScheduler) pickLocked(now time.Time) (laneTask, Class, bool, bool) 
 	return task, pick, aged, true
 }
 
-// work is one dispatch worker: pick-run-release until every lane is
-// empty, then exit.
+// work is one dispatch worker: pick-run until every lane is empty, then
+// exit. It takes the lock and reads the clock once per op: the lane bytes of
+// the op it ran last are released in the next pick's critical section, so
+// every ledger is settled before the worker exits. The tenant's ledger is
+// atomic and is settled as soon as the op returns, without the lock. The
+// clock is read before the lock and the metrics are written after it, so an
+// op submitted in between can show a negative wait, which counts as zero.
 func (s *laneScheduler) work() {
+	var ranBytes int64
+	var ranClass Class
 	for {
+		now := time.Now()
 		s.mu.Lock()
-		task, class, aged, ok := s.pickLocked(time.Now())
+		s.lanes[ranClass].outstanding -= ranBytes
+		task, class, aged, ok := s.pickLocked(now)
 		if !ok {
 			s.active--
 			s.mu.Unlock()
 			return
 		}
-		s.lanes[class].wait.Observe(time.Since(task.enq).Seconds())
+		s.mu.Unlock()
+		s.lanes[class].wait.Observe(max(now.Sub(task.enq), 0).Seconds())
 		if aged {
 			s.mAged.Inc()
 		}
-		s.mu.Unlock()
 
 		task.run()
-
-		s.mu.Lock()
-		s.lanes[class].outstanding -= task.bytes
 		task.tenant.noteDone(task.bytes)
-		s.mu.Unlock()
+		ranBytes, ranClass = task.bytes, class
 	}
-}
-
-// quiesced reports whether every lane is empty and every worker has
-// exited (test helper).
-func (s *laneScheduler) quiesced() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active != 0 {
-		return false
-	}
-	for c := Class(0); c < NumClasses; c++ {
-		if len(s.lanes[c].pending) != 0 || s.lanes[c].outstanding != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -20,6 +20,22 @@ func testTenant(name string, class Class, byteQuota, opQuota int64) *Tenant {
 	}
 }
 
+// quiesced reports whether every lane is empty and every worker has
+// exited.
+func (s *laneScheduler) quiesced() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.active != 0 {
+		return false
+	}
+	for c := Class(0); c < NumClasses; c++ {
+		if len(s.lanes[c].pending) != 0 || s.lanes[c].outstanding != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // waitQuiesced polls until every lane drains and every worker exits.
 func waitQuiesced(t *testing.T, s *laneScheduler) {
 	t.Helper()

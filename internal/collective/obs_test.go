@@ -1,10 +1,13 @@
 package collective
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"blink/internal/simgpu"
+	"blink/internal/topology"
 	"blink/internal/trace"
 )
 
@@ -181,5 +184,81 @@ func TestReplanMetrics(t *testing.T) {
 	}
 	if got := snap.Counters["blink_plan_cache_invalidated_total"]; got == 0 {
 		t.Fatal("reconfigure invalidated no cached plans")
+	}
+}
+
+// TestAsyncTimelineHashPinned pins the timeline hash of a fixed sequential
+// script of async and tenant timing dispatches on a DGX-1V and on a 3+5
+// cluster: cold and warm calls, both backends, pinned and round-robin
+// streams, two lanes and a refused request. The hash covers every
+// simulation-determined span field (stream, cache hit, makespan, chunk
+// count, error), none of which may move when only the host side of a
+// dispatch changes, so the literals are never regenerated for such a change.
+func TestAsyncTimelineHashPinned(t *testing.T) {
+	const (
+		wantMachine = "8e86f78bae4562ca818c3e829c364ce086733437acd78486d82544b18ac0026a"
+		wantCluster = "aa828164b09cddca6bd977b82348ff98d12fbb776fa8f9ca5faf4abae0381da3"
+	)
+	ceng, err := NewClusterEngine(testCluster(t, []int{3, 5}, 100), simgpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		eng  *Engine
+		want string
+	}{{"machine", newTestEngine(t), wantMachine}, {"cluster", ceng, wantCluster}} {
+		tl := c.eng.EnableTimeline()
+		lc := c.eng.NewTenant(TenantConfig{Name: "lc", Class: LatencyCritical})
+		tel := c.eng.NewTenant(TenantConfig{Name: "tel", Class: Telemetry})
+		wait := func(h *Handle) { h.Wait() }
+		tenant := func(h *Handle, _ Verdict) { h.Wait() }
+		for round := 0; round < 2; round++ {
+			for i, bytes := range []int64{1 << 20, 4 << 20, 32 << 20} {
+				wait(c.eng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, i-1))
+				wait(c.eng.RunAsync(NCCL, AllReduce, 0, bytes, Options{}, i))
+				tenant(c.eng.RunAsyncTenant(lc, Blink, AllReduce, 0, bytes, Options{}))
+				tenant(c.eng.RunAsyncTenant(tel, Blink, Broadcast, 2, bytes, Options{}))
+			}
+			wait(c.eng.RunAsync(Blink, AllReduce, 0, 2, Options{}, 0))
+		}
+		if got := tl.Hash(); got != c.want {
+			t.Errorf("%s: timeline hash %s over %d spans, want %s", c.name, got, tl.Len(), c.want)
+		}
+	}
+}
+
+// TestTimingProgressReportedOnce: an async timing replay reports its
+// progress once, complete — the handle's final progress and the span's
+// chunk count are the schedule's op count, and the span carries the single
+// "chunks 4/4" event — while a data replay still reports chunk by chunk and
+// marks every quarter.
+func TestTimingProgressReportedOnce(t *testing.T) {
+	for _, data := range []bool{false, true} {
+		eng, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := eng.EnableTimeline()
+		h := eng.RunAsync(Blink, AllReduce, 0, 1<<20, Options{DataMode: data}, -1)
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		done, total := h.Progress()
+		sp := tl.Spans()[0]
+		wantEvents := []string{"chunks 4/4"}
+		if data {
+			wantEvents = []string{"chunks 1/4", "chunks 2/4", "chunks 3/4", "chunks 4/4"}
+		}
+		var events []string
+		for _, ev := range sp.Events {
+			events = append(events, ev.Name)
+		}
+		last := sp.Events[len(sp.Events)-1]
+		if done != total || int(total) != sp.Chunks || sp.Chunks == 0 || last.Done != sp.Chunks || last.Total != sp.Chunks ||
+			!reflect.DeepEqual(events, wantEvents) {
+			t.Fatalf("data %v: progress %d/%d, span of %d chunks with events %v (last %+v), want %v",
+				data, done, total, sp.Chunks, events, last, wantEvents)
+		}
 	}
 }

@@ -186,11 +186,12 @@ func (e *Engine) planKey(fp string, rq request) PlanKey {
 // dispatch to completion (rec is nil when no timeline is enabled — every
 // recorder method is nil-safe), the tenant's cache ledger, the
 // compile/replay counters and the per-op makespan histogram. hook is the
-// optional chunk-granular progress hook threaded into the replay (nil for
-// synchronous calls; async handles use it to publish progress and yield
-// between chunks). The whole dispatch runs against one pinned state, so a
-// concurrent Reconfigure never mixes pre- and post-fault scheduling state
-// within a call.
+// optional progress hook threaded into the replay (nil for synchronous
+// calls; async handles use it to publish progress and yield between data
+// chunks). A timing replay calls it, and the span's chunk hook, once with
+// (n, n): a hooked timing dispatch is as much a lookup as a synchronous one.
+// The whole dispatch runs against one pinned state, so a concurrent
+// Reconfigure never mixes pre- and post-fault scheduling state within a call.
 func (e *Engine) dispatch(st *engineState, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
 	rec.Dispatch()
 	cp, hit, err := e.lookupOrCompile(st, rq)

@@ -18,11 +18,12 @@ const (
 	DefaultAsyncWindowBytes = 1 << 30
 )
 
-// yieldEvery is how many completed chunks an async replay processes between
-// cooperative yields: frequent enough that replays on concurrent streams
-// interleave chunk-by-chunk even on few cores, rare enough that the yield
-// cost stays small next to the 64 hook calls (and, in data mode, the 64
-// chunks of data movement) between two of them.
+// yieldEvery is how many completed data chunks an async replay moves between
+// cooperative yields: frequent enough that data replays on concurrent
+// streams interleave chunk-by-chunk even on few cores, rare enough that the
+// yield cost stays small next to the 64 chunks of data movement between two
+// of them. A timing replay reports its progress once and never yields: it
+// has no work to interleave.
 const yieldEvery = 64
 
 // Handle is the caller's reference to one submitted collective, returned by
@@ -100,23 +101,25 @@ func (h *Handle) CacheHit() bool {
 	}
 }
 
-// Progress returns the chunk-granular replay progress: ops (pipelined
-// chunk transfers and reductions, across all phases of a cluster schedule)
-// completed so far and the schedule total. Total is 0 until the plan is
-// compiled and its replay begins.
+// Progress returns the replay progress: ops (pipelined chunk transfers and
+// reductions, across all phases of a cluster schedule) completed so far and
+// the schedule total. Total is 0 until the plan is compiled and its replay
+// begins. A data-mode replay advances it chunk by chunk; a timing replay
+// moves nothing and goes from (0, 0) straight to (total, total).
 func (h *Handle) Progress() (done, total int64) {
 	return h.chunksDone.Load(), h.chunksTotal.Load()
 }
 
 // hook returns the ReplayHook an async dispatch runs under: it publishes
-// chunk progress on the handle and yields the worker goroutine every
-// yieldEvery chunks, so replays in flight on different streams interleave
-// chunk-by-chunk instead of monopolizing a core each.
+// progress on the handle and yields the worker goroutine every yieldEvery
+// chunks short of the last, so data replays in flight on different streams
+// interleave chunk-by-chunk instead of monopolizing a core each. A timing
+// replay calls it once, with done == total, so it never yields.
 func (h *Handle) hook() func(done, total int) {
 	return func(done, total int) {
 		h.chunksTotal.Store(int64(total))
 		h.chunksDone.Store(int64(done))
-		if done%yieldEvery == 0 {
+		if done%yieldEvery == 0 && done < total {
 			runtime.Gosched()
 		}
 	}

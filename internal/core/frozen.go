@@ -13,8 +13,8 @@ import (
 // schedule) from execution (run every training iteration), and the event
 // simulation is on the once-per-schedule side of that line: Freeze runs it
 // and keeps its result, its error and the order it launched the ops in, so
-// a replay is a lookup. A timing replay returns the stored result; a
-// data-mode or hooked replay walks the stored order. The plan is never
+// a replay is a lookup. A timing replay returns the stored result, hooked or
+// not; only a data-mode replay walks the stored order. The plan is never
 // mutated after Freeze, so any number of goroutines may replay it
 // concurrently; the Result's Marks slice is shared by every replay and is
 // read-only.
@@ -84,28 +84,32 @@ func (fp *FrozenPlan) ReplayData(ctx *simgpu.BufferSet) (simgpu.Result, error) {
 	return fp.ReplayDataHooked(ctx, nil)
 }
 
-// ReplayHook observes chunk-granular replay progress: it is called after
-// each scheduled op (one pipelined chunk transfer or reduction) with the
-// number of ops completed so far and the schedule's total. Hooks run on the
-// replaying goroutine and must be cheap; an async stream scheduler uses
-// them to publish in-flight progress and to yield between chunks so
-// replays on concurrent streams interleave.
+// ReplayHook observes replay progress with the number of scheduled ops
+// (pipelined chunk transfers and reductions) completed so far and the
+// schedule's total. A data replay calls it after each op, in launch order; a
+// timing replay moves nothing and calls it once, with (total, total). Hooks
+// run on the replaying goroutine and must be cheap; an async stream
+// scheduler uses them to publish in-flight progress and to yield between
+// data chunks so replays on concurrent streams interleave.
 type ReplayHook func(done, total int)
 
-// ReplayDataHooked is ReplayData with a chunk-granular progress hook; a nil
-// hook is ReplayData. It never simulates. A schedule Freeze could not run
-// returns that error and runs nothing; a timing plan with no hook returns
-// the stored result at once, and with one walks the stored launch order,
-// calling hook(done, total) after each op for done = 1..total — the sequence
-// the simulator's own hook produced. A data-mode plan runs its Exec closures
-// against ctx (a throwaway arena when ctx is nil) in striped walks of that
-// order (replayStripes), the calling goroutine's stripe calling the hook.
+// ReplayDataHooked is ReplayData with a progress hook; a nil hook is
+// ReplayData. It never simulates. A schedule Freeze could not run returns
+// that error and runs nothing. A timing plan returns the stored result at
+// once, calling hook(n, n) first, n being its op count: with nothing to
+// move there is no progress in between to report. A data-mode plan runs its
+// Exec closures against ctx (a throwaway arena when ctx is nil) in striped
+// walks of the stored launch order (replayStripes), the calling goroutine's
+// stripe calling hook(done, total) after each op for done = 1..total — the
+// sequence the simulator's own hook produced.
 func (fp *FrozenPlan) ReplayDataHooked(ctx *simgpu.BufferSet, hook ReplayHook) (simgpu.Result, error) {
 	switch {
-	case fp.err != nil || (!fp.hasExec && hook == nil):
+	case fp.err != nil:
 		return fp.res, fp.err
 	case !fp.hasExec:
-		fp.walk(nil, simgpu.Window{}, hook)
+		if hook != nil {
+			hook(len(fp.order), len(fp.order))
+		}
 	default:
 		if ctx == nil {
 			ctx = simgpu.NewBufferSet()

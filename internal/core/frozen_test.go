@@ -16,6 +16,12 @@ import (
 
 func frozenTestPlan(t *testing.T, dataMode bool) (*Plan, *simgpu.Fabric) {
 	t.Helper()
+	return allReduceTestPlan(t, dataMode, 8<<20)
+}
+
+// allReduceTestPlan is an AllReduce of bytes over four DGX-1V GPUs.
+func allReduceTestPlan(t *testing.T, dataMode bool, bytes int64) (*Plan, *simgpu.Fabric) {
+	t.Helper()
 	machine := topology.DGX1V()
 	ind, err := machine.Induce([]int{0, 1, 2, 3})
 	if err != nil {
@@ -27,7 +33,7 @@ func frozenTestPlan(t *testing.T, dataMode bool) (*Plan, *simgpu.Fabric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildAllReducePlan(f, p, 8<<20, PlanOptions{DataMode: dataMode, NoStreamReuse: true})
+	plan, err := BuildAllReducePlan(f, p, bytes, PlanOptions{DataMode: dataMode, NoStreamReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +225,12 @@ func (c memoCase) diff(a, b *simgpu.BufferSet) string {
 
 // TestReplayIsTheSimulation: a frozen plan's replay is the simulation Freeze
 // ran, for every plan shape in both modes. Against simgpu.RunHooked over a
-// fresh op set it returns the same result bit for bit, reports progress as
-// (1,n)…(n,n), runs the Exec closures in the order the simulator launched
-// them and leaves the same bits in the arena; freezing runs no Exec, and a
-// timing replay of a data-mode plan still runs them all, against an arena
-// of its own.
+// fresh op set it returns the same result bit for bit, runs the Exec
+// closures in the order the simulator launched them and leaves the same bits
+// in the arena; freezing runs no Exec, and a timing replay of a data-mode
+// plan still runs them all, against an arena of its own. A data replay
+// reports progress as (1,n)…(n,n); a timing replay, which moves nothing,
+// reports it exactly once, as (n,n).
 func TestReplayIsTheSimulation(t *testing.T) {
 	for _, c := range memoCases(t) {
 		for _, data := range []bool{false, true} {
@@ -261,17 +268,25 @@ func TestReplayIsTheSimulation(t *testing.T) {
 				if len(execs) != 0 {
 					t.Fatalf("Freeze ran %d Exec closures", len(execs))
 				}
-				bufs, done := c.stage(), 0
+				bufs := c.stage()
+				var calls [][2]int
 				got, err := fp.ReplayDataHooked(bufs, func(d, total int) {
-					if done++; d != done || total != want.Ops {
-						t.Fatalf("hook call %d saw (%d, %d), want (%d, %d)", done, d, total, done, want.Ops)
-					}
+					calls = append(calls, [2]int{d, total})
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if done != want.Ops {
-					t.Fatalf("hook fired %d times for %d ops", done, want.Ops)
+				n := fp.NumOps()
+				wantCalls := [][2]int{{n, n}}
+				if data {
+					wantCalls = wantCalls[:0]
+					for d := 1; d <= n; d++ {
+						wantCalls = append(wantCalls, [2]int{d, n})
+					}
+				}
+				if !reflect.DeepEqual(calls, wantCalls) {
+					t.Fatalf("hook saw %d calls, want %d: (%d, %d) … (%d, %d)", len(calls), len(wantCalls),
+						wantCalls[0][0], n, n, n)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("replay %+v != simulation %+v", got, want)
@@ -439,19 +454,32 @@ func TestReplayOfUnrunnableSchedule(t *testing.T) {
 }
 
 // TestHookedTimingReplayAllocatesNothing: a progress hook on a timing plan
-// costs one call per op and no allocation — in particular no throwaway
-// arena, which only a plan with Exec closures needs.
+// costs one call per replay, whatever the schedule's op count, and no
+// allocation — in particular no throwaway arena, which only a plan with Exec
+// closures needs.
 func TestHookedTimingReplayAllocatesNothing(t *testing.T) {
-	plan, _ := frozenTestPlan(t, false)
-	fp := plan.Freeze()
-	calls := 0
-	hook := func(int, int) { calls++ }
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := fp.ReplayDataHooked(nil, hook); err != nil {
-			t.Fatal(err)
+	ops := 0
+	for _, bytes := range []int64{1 << 20, 64 << 20} {
+		plan, _ := allReduceTestPlan(t, false, bytes)
+		fp := plan.Freeze()
+		if fp.NumOps() <= ops {
+			t.Fatalf("%d MB plan has %d ops, the smaller one %d: the sizes do not differ in op count", bytes>>20, fp.NumOps(), ops)
 		}
-	})
-	if allocs != 0 || calls != 11*fp.NumOps() {
-		t.Fatalf("hooked timing replay: %.0f allocations, %d hook calls over 11 replays of %d ops", allocs, calls, fp.NumOps())
+		ops = fp.NumOps()
+		calls, bad := 0, 0
+		hook := func(done, total int) {
+			if calls++; done != fp.NumOps() || total != fp.NumOps() {
+				bad++
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := fp.ReplayDataHooked(nil, hook); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 || calls != 11 || bad != 0 {
+			t.Fatalf("%d MB: hooked timing replay of %d ops: %.0f allocations, %d hook calls over 11 replays, %d not (%d, %d)",
+				bytes>>20, fp.NumOps(), allocs, calls, bad, fp.NumOps(), fp.NumOps())
+		}
 	}
 }

@@ -49,7 +49,9 @@ type Span struct {
 	QueuedAt     float64 `json:"queuedAt"`
 	DispatchedAt float64 `json:"dispatchedAt"`
 	CompletedAt  float64 `json:"completedAt"`
-	// Events are chunk-progress milestones (quarter marks of the replay).
+	// Events are chunk-progress milestones: the quarter marks of a data
+	// replay, and the single "chunks 4/4" mark of a timing replay, which
+	// reports its progress once.
 	Events []SpanEvent `json:"events,omitempty"`
 }
 
@@ -131,7 +133,8 @@ func (r *SpanRecorder) Dispatch() {
 
 // ChunkHook returns a chunk-progress observer recording quarter-mark
 // events, or nil for a nil recorder (composes with core.ReplayHook
-// chaining).
+// chaining). A report that crosses several quarters records one event, at
+// the highest: a timing replay's single (n, n) report is one "chunks 4/4".
 func (r *SpanRecorder) ChunkHook() func(done, total int) {
 	if r == nil {
 		return nil
