@@ -16,7 +16,7 @@ COVER_FLOOR_QOS ?= 85
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
 LOC_CEIL_CORE ?= 2632
-LOC_CEIL_REPO ?= 12166
+LOC_CEIL_REPO ?= 12165
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 

@@ -314,8 +314,8 @@ const (
 	// warmTimingAllocCeiling: the born-resolved Handle, at any payload.
 	warmTimingAllocCeiling = 1
 	// warmDataAllocCeiling: the arena, its accumulators — handed back as
-	// the per-rank outputs — the output slice and, at GOMAXPROCS > 1, the
-	// second stripe's goroutine and WaitGroup of a 1 MB-per-rank
+	// the per-rank outputs — the output slice, the stripes' barrier and, at
+	// GOMAXPROCS > 1, the second stripe's goroutine of a 1 MB-per-rank
 	// AllReduceData on eight ranks (measured 16.4–17.0 at GOMAXPROCS 1 and
 	// 18.0–18.4 at 2; 66 while the reduce staged every child's chunk in a
 	// scratch buffer and the inputs and outputs were copied).

@@ -1,9 +1,13 @@
 package blink
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -205,6 +209,97 @@ func TestDataBufferOwnership(t *testing.T) {
 			}
 			sameBits(t, "second call's results", again, want)
 		})
+	}
+}
+
+// resultDigests pins, per machine and backend, the SHA-256 of every float
+// the reduce-class and broadcast *Data calls return (TestDataResultDigest).
+var resultDigests = map[string]string{
+	"dgx1p/Blink":       "05714eec326a56559ef933e858dabd2b7214f1ab1c3d2dd6b6837367ad59e72c",
+	"dgx1p/NCCL":        "928b9a09968b921a13a2e5153260ccf13abe2cfdd8bf412db06b4e129b709c9c",
+	"dgx1v/Blink":       "daf864ad8e341ef16f8f8ab131422324f605f4c8c96d6a5e3bad60977091ec77",
+	"dgx1v/NCCL":        "6828c9dc374841c9235d153b46574bd5bebfa31a627720d206951f049454eb9d",
+	"dgx1v-frag/Blink":  "9b993afe052511bc127344c1f5c7bb057359d9e19a13a94f83b03d86323610de",
+	"dgx1v-frag/NCCL":   "dee428d3ac42beeb6d796b91d15e1f2b59e9e47f1d51ccdf084b11e1b9a856b9",
+	"dgx2/Blink":        "b915b1f439d0d51850de486945265a51bbca6937840ce2040c9fb8dda85de28b",
+	"dgx2/NCCL":         "c5a33e2eb681dd1bd9b0dd2da2cbe93ee4ec2728ff96437d1cd8af5c132db82d",
+	"cluster-3+5/Blink": "dfd059a16c36fd2b85804039c735e5efe8903799cb49811d9aef44556acf687d",
+	"cluster-3+5/NCCL":  "c1123c00af33943029baaf6be347a34775083ad158bd4ff5703942817ad3d245",
+	"cluster-1+4/Blink": "fb9c42e6ca7241cdcd07967ea0440013251c966be4f9fdd342de886d57b84b46",
+	"cluster-1+4/NCCL":  "2f6fec3b4e0c30eadb1770545339570f5b76b57ebdc90d1a33d69d3bba49ecf6",
+}
+
+// TestDataResultDigest pins the results of AllReduceData, ReduceData,
+// ReduceScatterData, AllGatherData and BroadcastData bit for bit, under Blink
+// and NCCL, on DGX-1P, DGX-1V, a fragmented DGX-1V allocation, the DGX-2 and
+// two DGX-1V clusters — 3+5, and 1+4, whose one-GPU server has no tree to
+// reduce over. The inputs are not integers, so a change in the order any
+// schedule sums in moves a digest. A cluster runs only the ops it has a
+// schedule for (TestClusterErrorRows).
+func TestDataResultDigest(t *testing.T) {
+	machines := []struct {
+		name string
+		comm func(...Option) (*Comm, error)
+	}{
+		{"dgx1p", func(o ...Option) (*Comm, error) { return NewComm(DGX1P(), []int{0, 1, 2, 3, 4, 5, 6, 7}, o...) }},
+		{"dgx1v", func(o ...Option) (*Comm, error) { return NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, o...) }},
+		{"dgx1v-frag", func(o ...Option) (*Comm, error) { return NewComm(DGX1V(), []int{1, 4, 5, 6, 7}, o...) }},
+		{"dgx2", func(o ...Option) (*Comm, error) { return NewComm(DGX2(), nil, o...) }},
+		{"cluster-3+5", func(o ...Option) (*Comm, error) { return NewClusterComm(twoServerCluster(t, 3, 5, 100), o...) }},
+		{"cluster-1+4", func(o ...Option) (*Comm, error) { return NewClusterComm(twoServerCluster(t, 1, 4, 100), o...) }},
+	}
+	for _, m := range machines {
+		for _, backend := range []Backend{BackendBlink, BackendNCCL} {
+			name := fmt.Sprintf("%s/%v", m.name, backend)
+			t.Run(name, func(t *testing.T) {
+				comm, err := m.comm(WithDataMode(), WithBackend(backend))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranks := comm.Size()
+				inputs := make([][]float32, ranks)
+				for v := range inputs {
+					inputs[v] = make([]float32, 48*ranks)
+					for i := range inputs[v] {
+						inputs[v][i] = float32(v+1)*1.1 + float32(i%97)*0.37
+					}
+				}
+				shards := make([][]float32, ranks)
+				for v := range shards {
+					shards[v] = inputs[v][:48]
+				}
+				row := func(out []float32, err error) ([][]float32, error) { return [][]float32{out}, err }
+				h := sha256.New()
+				for _, op := range []struct {
+					name    string
+					cluster bool
+					run     func() ([][]float32, error)
+				}{
+					{"AllReduce", true, func() ([][]float32, error) { return comm.AllReduceData(inputs) }},
+					{"Reduce", false, func() ([][]float32, error) { return row(comm.ReduceData(ranks-1, inputs)) }},
+					{"ReduceScatter", true, func() ([][]float32, error) { return comm.ReduceScatterData(inputs) }},
+					{"AllGather", false, func() ([][]float32, error) { return comm.AllGatherData(shards) }},
+					{"Broadcast", true, func() ([][]float32, error) { return comm.BroadcastData(1, inputs[2]) }},
+				} {
+					if strings.HasPrefix(m.name, "cluster") && !op.cluster {
+						continue
+					}
+					out, err := op.run()
+					if err != nil {
+						t.Fatalf("%s: %v", op.name, err)
+					}
+					fmt.Fprintf(h, "%s %d\n", op.name, len(out))
+					for _, r := range out {
+						for _, x := range r {
+							binary.Write(h, binary.LittleEndian, math.Float32bits(x))
+						}
+					}
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != resultDigests[name] {
+					t.Errorf("result digest %s, want %s", got, resultDigests[name])
+				}
+			})
+		}
 	}
 }
 

@@ -708,9 +708,9 @@ func classOf(op Op) opClass {
 // staged inputs (core.BufData), so a *Data call may install its caller's
 // buffers in the arena by reference instead of copying them. It holds for
 // the reduce class: every one of its schedules — trees, one-hop, rings,
-// three-phase — reads BufData once, to seed the accumulators, and works in
-// core.BufAcc from then on. Rooted and point-to-point schedules may deliver
-// into BufData.
+// three-phase — reads BufData in place, where a reduce combines a device's
+// own input or a source that has reduced nothing yet, and writes only
+// core.BufAcc. Rooted and point-to-point schedules may deliver into BufData.
 func ReadsInputsOnly(op Op) bool { return classOf(op) == classReduce }
 
 // planes is the per-plane half of plan selection: the strategy family each

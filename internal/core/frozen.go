@@ -43,6 +43,10 @@ type FrozenPlan struct {
 	res   simgpu.Result
 	err   error
 	order []int32
+	// manifest is every buffer the Exec closures name, recorded once at
+	// Freeze for a data-mode plan that runs: what a data replay puts in its
+	// arena before any stripe walks.
+	manifest simgpu.Manifest
 }
 
 // Freeze converts a freshly built plan into its immutable, replayable form
@@ -68,6 +72,9 @@ func (p *Plan) Freeze() *FrozenPlan {
 	fp.res, fp.err = simgpu.RunHooked(p.Fabric.Links, sim, nil, func(i int, _ *simgpu.Op) {
 		fp.order = append(fp.order, int32(i))
 	})
+	if fp.hasExec && fp.err == nil {
+		fp.manifest = simgpu.RecordManifest(func(s *simgpu.BufferSet) { fp.walk(s, simgpu.Window{}, nil) })
+	}
 	return fp
 }
 
@@ -129,37 +136,50 @@ func (fp *FrozenPlan) ReplayDataHooked(ctx *simgpu.BufferSet, hook ReplayHook) (
 // stripes cut 4.1–5.6 ms to 2.4–3.1 and at 16 MB 76–89 ms to 47–60.
 const minStripeFloats = 32 << 10
 
-// replayStripes is a data replay in two steps. The resolve walk runs every
-// Exec over the empty window: it moves nothing, but allocates and grows each
-// buffer the schedule names, in launch order and to the lengths one serial
-// walk would, so that afterwards Buffer only reads the arena's map. Then k
-// walks of the launch order run concurrently, stripe s over floats
+// replayStripes is a data replay in k stripes, stripe s over floats
 // [cuts[s], cuts[s+1]): stripe 0 on the calling goroutine with the hook, the
-// others on goroutines that have finished when it returns. Every Exec is
-// index-aligned (simgpu.Op.Exec), so each float sees exactly the operations
-// of a serial walk, in the same order, from one goroutine: the arena ends
-// bit-identical to it. Nil cuts split the arena's span evenly into
-// min(GOMAXPROCS, span/minStripeFloats) stripes, at least one — one stripe
-// is the serial walk.
+// others on goroutines that have finished when it returns. Each stripe first
+// allocates its share of the buffers the manifest names and ctx lacks
+// (simgpu.BufferSet.Reserve); once every stripe has, each walks the launch
+// order over its own window. Every Exec is index-aligned (simgpu.Op.Exec),
+// so each float sees exactly the operations of a serial walk, in the same
+// order, from one goroutine: the arena ends bit-identical to it. Nil cuts
+// split the manifest's span, below which lies every float an Exec touches,
+// evenly into min(GOMAXPROCS, span/minStripeFloats) stripes, at least one —
+// one stripe is the serial walk.
 func (fp *FrozenPlan) replayStripes(ctx *simgpu.BufferSet, hook ReplayHook, cuts []int) {
-	fp.walk(ctx, simgpu.Window{}, nil)
 	k, cut := len(cuts)-1, func(s int) int { return cuts[s] }
 	if cuts == nil {
-		span := ctx.Span()
+		span := fp.manifest.Span()
 		k = max(1, min(runtime.GOMAXPROCS(0), span/minStripeFloats))
 		cut = func(s int) int { return s * span / k }
 	}
-	var wg sync.WaitGroup
-	wg.Add(k - 1)
+	b := &stripeBarrier{}
+	b.reserved.Add(k)
+	b.walked.Add(k - 1)
 	for s := 1; s < k; s++ {
-		w := simgpu.Window{Lo: cut(s), Hi: cut(s + 1)}
+		s, w := s, simgpu.Window{Lo: cut(s), Hi: cut(s + 1)}
 		go func() {
-			defer wg.Done()
-			fp.walk(ctx, w, nil)
+			defer b.walked.Done()
+			fp.stripe(ctx, b, s, k, w, nil)
 		}()
 	}
-	fp.walk(ctx, simgpu.Window{Lo: cut(0), Hi: cut(1)}, hook)
-	wg.Wait()
+	fp.stripe(ctx, b, 0, k, simgpu.Window{Lo: cut(0), Hi: cut(1)}, hook)
+	b.walked.Wait()
+}
+
+// stripeBarrier is one data replay's synchronisation: reserved holds every
+// stripe until all have reserved their share of the arena, and walked holds
+// the calling goroutine until the other stripes have walked.
+type stripeBarrier struct{ reserved, walked sync.WaitGroup }
+
+// stripe is stripe s of k: its share of the arena's allocation, the barrier,
+// then its walk over window w.
+func (fp *FrozenPlan) stripe(ctx *simgpu.BufferSet, b *stripeBarrier, s, k int, w simgpu.Window, hook ReplayHook) {
+	ctx.Reserve(&fp.manifest, s, k)
+	b.reserved.Done()
+	b.reserved.Wait()
+	fp.walk(ctx, w, hook)
 }
 
 // walk runs the launch order once: each op's Exec over window w of ctx,

@@ -251,26 +251,31 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 		return nil, err
 	}
 	// What the transfers stand for in data mode: each partition's
-	// server-local partials (left in the local roots' accumulators by phase
-	// 1) are summed across servers, in server order, into the first server's
-	// root and copied from there to every other root, so phase 3 broadcasts
-	// the same global result everywhere.
+	// server-local partials are summed across servers, in server order, into
+	// the first server's root and copied from there to every other root, so
+	// phase 3 broadcasts the same global result everywhere. Phase 1 left a
+	// partial in each local root's accumulator, except on a one-GPU server,
+	// which reduced nothing: its partial is its input.
 	var exchange Exec
 	if g.opts.DataMode {
-		rankBase := g.rankBase
+		var kernels []Exec
+		for p := range roots {
+			srcs := make([]BufRef, n)
+			for si, s := range c.Servers {
+				srcs[si] = BufRef{g.rankBase[si] + roots[p][si], BufAcc}
+				if s.NumGPUs == 1 {
+					srcs[si].Tag = BufData
+				}
+			}
+			end := offs[p] + ns[p]
+			kernels = append(kernels, ReduceKernel(srcs, offs[p], ns[p], end))
+			for _, dst := range srcs[1:] {
+				kernels = append(kernels, CopyKernel(srcs[0].Dev, dst.Dev, BufAcc, BufAcc, offs[p], ns[p], end))
+			}
+		}
 		exchange = func(bufs *simgpu.BufferSet, w simgpu.Window) {
-			for p := range roots {
-				lo, hi := w.Clip(offs[p], offs[p]+ns[p])
-				acc := func(si int) []float32 { return bufs.Buffer(rankBase[si]+roots[p][si], BufAcc, offs[p]+ns[p])[lo:hi] }
-				sum := acc(0)
-				for si := 1; si < len(rankBase); si++ {
-					for i, x := range acc(si) {
-						sum[i] += x
-					}
-				}
-				for si := 1; si < len(rankBase); si++ {
-					copy(acc(si), sum)
-				}
+			for _, k := range kernels {
+				k(bufs, w)
 			}
 		}
 	}

@@ -13,8 +13,8 @@ const (
 	// BufData is the collective payload (input at the root for Broadcast,
 	// per-device input and final result for AllReduce).
 	BufData = 0
-	// BufAcc is the running reduction accumulator. Tree and ring reductions
-	// read the sender's accumulator in place; nothing stages it.
+	// BufAcc is the reduction accumulator. A reduce writes it once from
+	// BufData and its sources, which it reads in place (ReduceKernel).
 	BufAcc = 1
 )
 
@@ -90,7 +90,6 @@ type treeShape struct {
 	children   map[int][]int
 	bfs        []int // vertices in BFS order from root
 	depth      []int // vertex depth
-	subtree    []int // subtree vertex counts
 }
 
 func shapeOf(g *graph.Graph, a graph.Arborescence) (*treeShape, error) {
@@ -98,7 +97,7 @@ func shapeOf(g *graph.Graph, a graph.Arborescence) (*treeShape, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &treeShape{parentEdge: parent, children: map[int][]int{}, depth: make([]int, g.N), subtree: make([]int, g.N)}
+	s := &treeShape{parentEdge: parent, children: map[int][]int{}, depth: make([]int, g.N)}
 	// Children follow the arborescence's edge order, not vertex order: tree
 	// generators stagger fan-out order (e.g. rotated one-hop trees on the
 	// DGX-2) to avoid convoying concurrent trees on one receiver's link.
@@ -116,13 +115,6 @@ func shapeOf(g *graph.Graph, a graph.Arborescence) (*treeShape, error) {
 	}
 	if len(s.bfs) != g.N {
 		return nil, fmt.Errorf("core: tree does not span graph")
-	}
-	for i := len(s.bfs) - 1; i >= 0; i-- {
-		v := s.bfs[i]
-		s.subtree[v] = 1
-		for _, c := range s.children[v] {
-			s.subtree[v] += s.subtree[c]
-		}
 	}
 	return s, nil
 }
@@ -365,18 +357,41 @@ func CopyKernel(src, dst, srcTag, dstTag, off, n, bufLen int) Exec {
 	}
 }
 
-// ReduceKernel is the Exec closure of device dev's reduction kernel for
-// floats [off,off+n): it adds each source device's accumulator into dev's,
-// in srcs order, reading the sources' BufAcc in place.
-func ReduceKernel(dev int, srcs []int, off, n, bufLen int) Exec {
+// BufRef names device Dev's buffer under Tag.
+type BufRef struct{ Dev, Tag int }
+
+// ReduceKernel is the Exec closure of a reduction kernel for floats
+// [off,off+n), the one reduce rule of every tree, ring and cross-server
+// reduce: it writes the BufAcc of the reducing device — srcs[0]'s, whose own
+// partial s0 is — once, as the sum of its two or more sources in srcs order,
+// ((s0 + s1) + s2)…, reading every source in place. A source is its device's
+// BufAcc when that device has reduced the range itself, and its BufData —
+// the input — when it has not (a leaf of the tree, the sender at a ring's
+// first reduce-scatter step, a one-GPU server).
+func ReduceKernel(srcs []BufRef, off, n, bufLen int) Exec {
 	return func(bufs *simgpu.BufferSet, w simgpu.Window) {
 		lo, hi := w.Clip(off, off+n)
-		acc := bufs.Buffer(dev, BufAcc, bufLen)[lo:hi]
-		for _, src := range srcs {
-			for i, x := range bufs.Buffer(src, BufAcc, bufLen)[lo:hi] {
-				acc[i] += x
-			}
+		acc := bufs.Buffer(srcs[0].Dev, BufAcc, bufLen)[lo:hi]
+		sum := bufs.Buffer(srcs[0].Dev, srcs[0].Tag, bufLen)[lo:hi]
+		for _, src := range srcs[1:] {
+			addInto(acc, sum, bufs.Buffer(src.Dev, src.Tag, bufLen)[lo:hi])
+			sum = acc
 		}
+	}
+}
+
+// addInto sets dst[i] = a[i] + b[i] for every float of dst; a may be dst.
+// It steps four floats at a time, which the compiler does not do on its own:
+// on a 2-vCPU Xeon the unrolled loop adds 16K floats in about half the time.
+func addInto(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = x[0]+y[0], x[1]+y[1], x[2]+y[2], x[3]+y[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = a[i] + b[i]
 	}
 }
 
@@ -389,22 +404,27 @@ func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) Exe
 	return CopyKernel(b.dev(src), b.dev(dst), srcTag, dstTag, off, n, bufLen)
 }
 
-// reduceExec builds vertex v's reduction kernel for floats [off,off+n): it
-// adds each child's accumulator chunk into v's, in children order, reading
-// the children's BufAcc in place. That is sound because a child's chunk is
-// final once its upward send is (the send waits for the child's own reduce)
-// and nothing writes it again until the broadcast phase copies the result
-// back down — a copy that waits, through the root's reduce of the same
-// chunk, for this one.
-func (t *treeGen) reduceExec(v int, children []int, off, n int) Exec {
+// reduceExec builds vertex v's reduction kernel in tree s for floats
+// [off,off+n): v's input plus each child's chunk, in children order, read in
+// place — an interior child's BufAcc, a leaf's BufData. That is sound because
+// a leaf's input is never written in a reduce-class plan, and an interior
+// child's chunk is final once its upward send is (the send waits for the
+// child's own reduce) and nothing writes it again until the broadcast phase
+// copies the result back down — a copy that waits, through the root's reduce
+// of the same chunk, for this one.
+func (t *treeGen) reduceExec(s *treeShape, v, off, n int) Exec {
 	if !t.opts.DataMode {
 		return nil
 	}
-	srcs := make([]int, len(children))
-	for i, c := range children {
-		srcs[i] = t.dev(c)
+	srcs := []BufRef{{t.dev(v), BufData}}
+	for _, c := range s.children[v] {
+		src := BufRef{t.dev(c), BufData}
+		if len(s.children[c]) > 0 {
+			src.Tag = BufAcc
+		}
+		srcs = append(srcs, src)
 	}
-	return ReduceKernel(t.dev(v), srcs, off, n, t.bufLen)
+	return ReduceKernel(srcs, off, n, t.bufLen)
 }
 
 // phase identifiers for stream keys.
@@ -494,12 +514,10 @@ func (b *planBuilder) broadcast(p *Packing, bytes int64) (*Plan, error) {
 // extra per-(tree,chunk) dependencies that must complete before the root
 // may send that chunk (used by AllReduce to chain the reduce phase).
 func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
-	// sent[tree][vertex] = op index of the copy that delivered the current
-	// chunk to vertex (for dependency chaining within chunk k).
-	sent := make([][]int, len(t.shapes))
-	for i := range sent {
-		sent[i] = make([]int, t.g.N)
-	}
+	// sent[vertex] = op index of the copy that delivered the current chunk of
+	// the current tree to vertex; BFS order sets a parent's before its
+	// children read it.
+	sent := make([]int, t.g.N)
 	tag := BufData
 	if rootDeps != nil || t.opts.BroadcastAcc {
 		tag = BufAcc // AllReduce (and phase 3) broadcast the reduced accumulator
@@ -510,9 +528,6 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 				continue
 			}
 			off, n := t.regions[ti].chunkSpan(k, t.chunkBytes)
-			for vi := range sent[ti] {
-				sent[ti][vi] = -1
-			}
 			for _, v := range s.bfs {
 				if v == t.p.Root {
 					continue
@@ -520,12 +535,12 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 				eid := s.parentEdge[v]
 				e := t.g.Edges[eid]
 				var deps []int
-				if up := sent[ti][e.From]; up >= 0 {
-					deps = append(deps, up)
-				} else if e.From == t.p.Root && rootDeps != nil {
+				if e.From != t.p.Root {
+					deps = append(deps, sent[e.From])
+				} else if rootDeps != nil {
 					deps = append(deps, rootDeps[ti][k]...)
 				}
-				sent[ti][v] = t.addTransfer(phaseBroadcast, ti, eid, s.depth[v],
+				sent[v] = t.addTransfer(phaseBroadcast, ti, eid, s.depth[v],
 					int64(n)*4, deps,
 					t.copyExec(e.From, e.To, tag, tag, off, n, t.bufLen),
 					fmt.Sprintf("bcast t%d c%d %d->%d", ti, k, e.From, e.To))
@@ -556,41 +571,29 @@ func (b *planBuilder) reduce(p *Packing, bytes int64) (*Plan, [][][]int, error) 
 	return t.plan(bytes / 4 * 4), rootOps, nil
 }
 
-// emitReduce seeds every accumulator, generates the reduce phase and returns
-// rootOps[tree][chunk]: the op indices whose completion means the root
-// holds the full reduction of that tree's chunk.
+// emitReduce generates the reduce phase and returns rootOps[tree][chunk]:
+// the op indices whose completion means the root holds the full reduction
+// of that tree's chunk.
 func (t *treeGen) emitReduce() ([][][]int, error) {
 	rev, err := reverseEdges(t.g)
 	if err != nil {
 		return nil, err
 	}
-	// Accumulator init ops must precede all reduce ops in data mode; they
-	// are zero-cost and dependency-free, so executing them first is
-	// guaranteed by their zero ready-time and unique streams.
-	initAccumulators(t.planBuilder, t.bufLen)
 	rootOps := make([][][]int, len(t.shapes))
 	for i := range rootOps {
 		rootOps[i] = make([][]int, t.regions[i].chunks)
 	}
-	upSend := make([][]int, len(t.shapes)) // op index of v's upward send for current chunk
-	reduced := make([][][]int, len(t.shapes))
-	for i := range upSend {
-		upSend[i] = make([]int, t.g.N)
-		reduced[i] = make([][]int, t.g.N)
-	}
+	upSend := make([]int, t.g.N) // op index of v's upward send of the current chunk
 	for k := 0; k < t.maxChunks; k++ {
 		for ti, s := range t.shapes {
 			if k >= t.regions[ti].chunks {
 				continue
 			}
 			off, n := t.regions[ti].chunkSpan(k, t.chunkBytes)
-			for vi := range upSend[ti] {
-				upSend[ti][vi] = -1
-				reduced[ti][vi] = nil
-			}
 			// Deepest-first: children's sends exist before parents reduce.
 			for i := len(s.bfs) - 1; i >= 0; i-- {
 				v := s.bfs[i]
+				var reduced []int // v's reduce of this chunk, if it has children
 				// One batched reduction kernel per (vertex, chunk) combines
 				// every child's received chunk with v's own data, as a real
 				// implementation would (one kernel launch, not one per
@@ -598,7 +601,7 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 				if cs := s.children[v]; len(cs) > 0 {
 					deps := make([]int, 0, len(cs))
 					for _, c := range cs {
-						deps = append(deps, upSend[ti][c])
+						deps = append(deps, upSend[c])
 					}
 					rop := &simgpu.Op{
 						Stream:   t.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
@@ -606,46 +609,25 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 						Bytes:    int64(n) * 4 * int64(len(cs)),
 						Overhead: t.f.Cfg.ReduceOverhead,
 						Deps:     deps,
-						Exec:     t.reduceExec(v, cs, off, n),
+						Exec:     t.reduceExec(s, v, off, n),
 						Label:    fmt.Sprintf("reduce t%d c%d @%d", ti, k, v),
 					}
-					reduced[ti][v] = append(reduced[ti][v], t.add(rop))
+					reduced = []int{t.add(rop)}
 				}
 				if v == t.p.Root {
-					rootOps[ti][k] = append([]int(nil), reduced[ti][v]...)
+					rootOps[ti][k] = reduced
 					continue
 				}
 				// Upward send from v to its parent over the reverse link. It
-				// moves no data: the parent's reduce reads v's accumulator
-				// in place (see reduceExec).
+				// moves no data: the parent's reduce reads v's chunk in place
+				// (see reduceExec).
 				upE := rev[s.parentEdge[v]]
-				upSend[ti][v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v],
-					int64(n)*4, append([]int(nil), reduced[ti][v]...), nil,
+				upSend[v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v], int64(n)*4, reduced, nil,
 					fmt.Sprintf("rsend t%d c%d %d->%d", ti, k, v, t.g.Edges[upE].To))
 			}
 		}
 	}
 	return rootOps, nil
-}
-
-// initAccumulators copies every device's input into its accumulator (data
-// mode only), over the plan's own region [OffsetFloats, bufLen) — plans
-// that partition one logical buffer (per-root DGX-2 shares, per-partition
-// cluster phases) each seed just their slice, so a merged plan seeds the
-// whole payload exactly once. Exec-only ops, so timing is unaffected.
-func initAccumulators(b *planBuilder, bufLen int) {
-	if !b.opts.DataMode {
-		return
-	}
-	off := b.opts.OffsetFloats
-	for v := 0; v < b.g.N; v++ {
-		b.add(&simgpu.Op{
-			Stream: b.stream(phaseReduce, 0, -1000-v, 0, 0),
-			Link:   -1,
-			Exec:   CopyKernel(b.dev(v), b.dev(v), BufData, BufAcc, off, bufLen-off, bufLen),
-			Label:  fmt.Sprintf("acc-init @%d", v),
-		})
-	}
 }
 
 // BuildAllReducePlan compiles the §3.3 AllReduce: a reduce to the root over
@@ -773,9 +755,8 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 				continue
 			}
 			soff, nfl := t.regions[ti].chunkSpan(k, chunkBytes)
-			for vi := range sent {
-				sent[vi] = -1
-			}
+			// A vertex with shards has a parent with shards, whose delivery
+			// BFS order has already set in sent.
 			for _, v := range s.bfs {
 				if v == pk.Root {
 					continue
@@ -787,8 +768,8 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 				eid := s.parentEdge[v]
 				e := b.g.Edges[eid]
 				var deps []int
-				if up := sent[e.From]; up >= 0 {
-					deps = append(deps, up)
+				if e.From != pk.Root {
+					deps = append(deps, sent[e.From])
 				}
 				srcTag := stageTag
 				if e.From == pk.Root {

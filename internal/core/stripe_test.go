@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"blink/internal/core"
@@ -106,7 +107,7 @@ func (sm stripeMachine) rings() []stripePlan {
 
 // stripePlans is the striping property's table: the data conformance
 // matrix's fabrics (DGX-1P, DGX-1V, a fragmented DGX-1V allocation, a PCIe
-// plane with its hub relay, the DGX-2 switch and a 3+5 cluster), every
+// plane with its hub relay, the DGX-2 switch, a 3+5 and a 1+4 cluster), every
 // data-moving builder each one compiles under Blink and NCCL, and the hybrid
 // two-plane broadcast. Ring P2P schedules move no data and are not in it.
 func stripePlans(t *testing.T) []stripePlan {
@@ -154,49 +155,57 @@ func stripePlans(t *testing.T) []stripePlan {
 	return append(plans, clusterStripePlans(t, cfg)...)
 }
 
-// clusterStripePlans is the 3+5 DGX-1V cluster's rows: the three-phase
-// protocols and the NCCL flat ring.
+// clusterStripePlans is the 3+5 DGX-1V cluster's rows — the three-phase
+// protocols and the NCCL flat ring — and a 1+4 cluster's AllReduce, whose
+// one-GPU server reduces over no tree and seeds its accumulator instead.
 func clusterStripePlans(t *testing.T, cfg simgpu.Config) []stripePlan {
-	c, err := topology.NewCluster([]topology.Server{
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
-	}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabrics := make([]*simgpu.Fabric, len(c.Servers))
-	for si, s := range c.Servers {
-		fabrics[si] = simgpu.NewFabric(s, s.GPUGraph(), cfg)
-	}
-	wide := core.NewClusterFabric(c, fabrics, cfg)
-	packFor := func(si, root int) (*core.Packing, error) {
-		return core.GenerateTrees(c.Servers[si].GPUGraph(), root, core.PackOptions{}, core.MinimizeOptions{})
-	}
-	flat, err := ring.NewCrossMachineFabric(c, 100, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := core.PlanOptions{DataMode: true, ChunkBytes: stripeChunk}
 	const bytes = stripeFloats * 4
-	row := func(name string, build func() (*core.Plan, error)) stripePlan {
-		return stripePlan{name: "cluster/3+5/" + name, ranks: c.TotalGPUs(), build: build}
-	}
-	return []stripePlan{
-		row("AllReduce", func() (*core.Plan, error) {
+	var plans []stripePlan
+	for _, sizes := range [][2]int{{3, 5}, {1, 4}} {
+		c, err := topology.NewCluster([]topology.Server{
+			{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}[:sizes[0]]},
+			{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}[:sizes[1]]},
+		}, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabrics := make([]*simgpu.Fabric, len(c.Servers))
+		for si, s := range c.Servers {
+			fabrics[si] = simgpu.NewFabric(s, s.GPUGraph(), cfg)
+		}
+		wide := core.NewClusterFabric(c, fabrics, cfg)
+		packFor := func(si, root int) (*core.Packing, error) {
+			return core.GenerateTrees(c.Servers[si].GPUGraph(), root, core.PackOptions{}, core.MinimizeOptions{})
+		}
+		row := func(name string, build func() (*core.Plan, error)) stripePlan {
+			return stripePlan{name: fmt.Sprintf("cluster/%d+%d/%s", sizes[0], sizes[1], name), ranks: c.TotalGPUs(), build: build}
+		}
+		plans = append(plans, row("AllReduce", func() (*core.Plan, error) {
 			return core.BuildThreePhaseAllReduce(c, fabrics, wide, packFor, bytes, opts)
-		}),
-		row("Broadcast/root0", func() (*core.Plan, error) {
-			return core.BuildThreePhaseBroadcast(c, fabrics, wide, packFor, 0, bytes, opts)
-		}),
-		row("Broadcast/root7", func() (*core.Plan, error) {
-			return core.BuildThreePhaseBroadcast(c, fabrics, wide, packFor, 7, bytes, opts)
-		}),
-		row("AllToAll", func() (*core.Plan, error) {
-			return core.BuildThreePhaseAllToAll(c, fabrics, wide, packFor, bytes, opts)
-		}),
-		row("NCCL/AllReduce", func() (*core.Plan, error) { return flat.BuildCrossMachineAllReducePlan(bytes, opts) }),
-		row("NCCL/Broadcast/root4", func() (*core.Plan, error) { return flat.BuildCrossMachineBroadcastPlan(4, bytes, opts) }),
+		}))
+		if sizes[0] == 1 {
+			continue
+		}
+		flat, err := ring.NewCrossMachineFabric(c, 100, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans,
+			row("Broadcast/root0", func() (*core.Plan, error) {
+				return core.BuildThreePhaseBroadcast(c, fabrics, wide, packFor, 0, bytes, opts)
+			}),
+			row("Broadcast/root7", func() (*core.Plan, error) {
+				return core.BuildThreePhaseBroadcast(c, fabrics, wide, packFor, 7, bytes, opts)
+			}),
+			row("AllToAll", func() (*core.Plan, error) {
+				return core.BuildThreePhaseAllToAll(c, fabrics, wide, packFor, bytes, opts)
+			}),
+			row("NCCL/AllReduce", func() (*core.Plan, error) { return flat.BuildCrossMachineAllReducePlan(bytes, opts) }),
+			row("NCCL/Broadcast/root4", func() (*core.Plan, error) { return flat.BuildCrossMachineBroadcastPlan(4, bytes, opts) }),
+		)
 	}
+	return plans
 }
 
 // stage fills an arena with every rank's input: non-integer values, so the
@@ -280,6 +289,48 @@ func TestStripedReplayIsExact(t *testing.T) {
 				fp.ReplayStripes(got, cuts)
 				if d := stripeDiff(got, want); d != "" {
 					t.Fatalf("stripes %s %v: %s", name, cuts, d)
+				}
+			}
+		})
+	}
+}
+
+// TestStripedReplayManifestFirstUse: sixteen goroutines make the first data
+// replays of one freshly frozen schedule at once, each in three stripes over
+// its own arena, so the stripes of every replay reserve their arena's buffers
+// from the one manifest concurrently. Every arena ends bit-equal to the
+// simulator's serial run. `make race` runs it at GOMAXPROCS=4.
+func TestStripedReplayManifestFirstUse(t *testing.T) {
+	for _, sp := range stripePlans(t) {
+		t.Run(sp.name, func(t *testing.T) {
+			ref, err := sp.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sp.stage()
+			if _, err := simgpu.Run(ref.Fabric.Links, ref.Ops, want); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := sp.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, span := plan.Freeze(), want.Span()
+			cuts := []int{0, span / 3, span/3*2 | 1, span}
+			arenas := make([]*simgpu.BufferSet, 16)
+			var wg sync.WaitGroup
+			for g := range arenas {
+				arenas[g] = sp.stage()
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					fp.ReplayStripes(arenas[g], cuts)
+				}(g)
+			}
+			wg.Wait()
+			for g, got := range arenas {
+				if d := stripeDiff(got, want); d != "" {
+					t.Fatalf("replay %d: %s", g, d)
 				}
 			}
 		})

@@ -31,20 +31,6 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts c
 	}
 	b := newBuilder(f, opts)
 
-	if opts.DataMode {
-		// Initialize accumulators from inputs before any transfer executes
-		// (zero-duration ops scheduled first; see core's acc-init note).
-		// One init set is enough: buffers are shared per device.
-		for _, v := range lrs[0].verts {
-			b.add(&simgpu.Op{
-				Stream: b.stream(-1, v, 0, 9),
-				Link:   -1,
-				Exec:   core.CopyKernel(v, v, core.BufData, core.BufAcc, 0, totalFloats, totalFloats),
-				Label:  fmt.Sprintf("acc-init @%d", v),
-			})
-		}
-	}
-
 	share := totalFloats / len(lrs)
 	off := 0
 	// Pipelining: the ring algorithm runs independently per slice of about
@@ -81,8 +67,8 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts c
 // region [off, off+regionN). prevReduce carries the previous slice's final
 // per-position reduce ops: a new slice may not reach a receiver before the
 // receiver consumed the previous slice (NCCL's flow control over its
-// receive buffers, kept for timing). It returns this slice's final reduce
-// ops.
+// receive buffers, kept for timing); it is nil for a ring's first slice.
+// It returns this slice's final reduce ops.
 func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, regionN, bufLen int, prevReduce []int) ([]int, error) {
 	n := len(lr.verts)
 	segOff := make([]int, n+1)
@@ -91,21 +77,11 @@ func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, re
 	}
 	seg := func(idx int) (int, int) { return segOff[idx], segOff[idx+1] - segOff[idx] }
 
-	reduceDone := make([]int, n) // last reduce op per position
-	agRecv := make([]int, n)
-	for i := range reduceDone {
-		reduceDone[i], agRecv[i] = -1, -1
-	}
-	if prevReduce != nil {
-		copy(reduceDone, prevReduce)
-	}
+	reduceDone := prevReduce // last reduce op per position, nil before any
 
 	// Reduce-scatter: step s, position i sends segment (i-s) mod n.
 	for s := 0; s < n-1; s++ {
 		newReduce := make([]int, n)
-		for i := range newReduce {
-			newReduce[i] = -1
-		}
 		for pos := 0; pos < n; pos++ {
 			segIdx := ((pos-s)%n + n) % n
 			so, sn := seg(segIdx)
@@ -113,24 +89,28 @@ func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, re
 			dstPos := (pos + 1) % n
 			dst := lr.verts[dstPos]
 			var deps []int
-			if reduceDone[pos] >= 0 {
-				deps = append(deps, reduceDone[pos])
-			}
-			// Receive-buffer availability: the destination must have
-			// consumed the previous segment before a new one reaches it.
-			if reduceDone[dstPos] >= 0 {
-				deps = append(deps, reduceDone[dstPos])
+			if reduceDone != nil {
+				// The sender's own reduce of the segment, and receive-buffer
+				// availability: the destination must have consumed the
+				// previous segment before a new one reaches it.
+				deps = []int{reduceDone[pos], reduceDone[dstPos]}
 			}
 			// The send moves no data: the receiver's reduce reads the
-			// sender's accumulator in place. That is sound because the
-			// only later writer of the sender's segment is that segment's
-			// all-gather receive, which waits, through the ring's
-			// remaining reduces of the segment, for this one.
+			// sender's segment in place — its input at step 0, its
+			// accumulator after it has reduced the segment itself. That is
+			// sound because inputs are never written, and the only later
+			// writer of the sender's accumulated segment is that segment's
+			// all-gather receive, which waits, through the ring's remaining
+			// reduces of the segment, for this one.
 			deliver := b.addHop(ri, pos, 1, lr.hops[pos], int64(sn)*4, deps, nil,
 				fmt.Sprintf("rs r%d s%d %d->%d", ri, s, src, dst))
 			var rexec core.Exec
 			if b.opts.DataMode {
-				rexec = core.ReduceKernel(dst, []int{src}, so, sn, bufLen)
+				sent := core.BufRef{Dev: src, Tag: core.BufAcc}
+				if s == 0 {
+					sent.Tag = core.BufData
+				}
+				rexec = core.ReduceKernel([]core.BufRef{{Dev: dst, Tag: core.BufData}, sent}, so, sn, bufLen)
 			}
 			newReduce[dstPos] = b.add(&simgpu.Op{
 				Stream:   b.stream(ri, dstPos, 0, 2),
@@ -144,33 +124,23 @@ func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, re
 		}
 		reduceDone = newReduce
 	}
-	finalReduce := append([]int(nil), reduceDone...)
 
-	// All-gather: step s, position i sends segment (i+1-s) mod n.
+	// All-gather: step s, position i sends segment (i+1-s) mod n once it
+	// holds it: after its final reduce at step 0, its last receive after.
+	held := reduceDone
 	for s := 0; s < n-1; s++ {
 		newRecv := make([]int, n)
-		for i := range newRecv {
-			newRecv[i] = -1
-		}
 		for pos := 0; pos < n; pos++ {
 			segIdx := ((pos+1-s)%n + n) % n
 			so, sn := seg(segIdx)
 			src := lr.verts[pos]
 			dstPos := (pos + 1) % n
 			dst := lr.verts[dstPos]
-			var deps []int
-			if s == 0 {
-				if reduceDone[pos] >= 0 {
-					deps = append(deps, reduceDone[pos])
-				}
-			} else if agRecv[pos] >= 0 {
-				deps = append(deps, agRecv[pos])
-			}
-			newRecv[dstPos] = b.addHop(ri, pos, 3, lr.hops[pos], int64(sn)*4, deps,
+			newRecv[dstPos] = b.addHop(ri, pos, 3, lr.hops[pos], int64(sn)*4, []int{held[pos]},
 				copyExec(b, src, dst, core.BufAcc, so, sn, bufLen),
 				fmt.Sprintf("ag r%d s%d %d->%d", ri, s, src, dst))
 		}
-		agRecv = newRecv
+		held = newRecv
 	}
-	return finalReduce, nil
+	return reduceDone, nil
 }

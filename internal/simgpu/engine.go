@@ -57,7 +57,8 @@ type Op struct {
 	// closure must be index-aligned: it reads float i of a buffer only to
 	// write float i, touches only floats inside w, and resolves every buffer
 	// it names, at the same length, even when its range clips to nothing
-	// (the empty-window resolve walk allocates the arena that way).
+	// (RecordManifest learns a schedule's buffers from an empty-window walk,
+	// and a replay allocates exactly those before any stripe runs).
 	Exec func(bufs *BufferSet, w Window)
 	// Label annotates traces.
 	Label string

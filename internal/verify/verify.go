@@ -126,8 +126,6 @@ func runCase(machine *topology.Topology, devs []int, backend collective.Backend,
 		res.Detail = err.Error()
 		return res
 	}
-	f := eng.FabricFor(backend)
-	n := f.Graph.N // includes relay vertices on PCIe plane
 	ranks := eng.Topo().NumGPUs
 	bufs := simgpu.NewBufferSet()
 
@@ -182,7 +180,6 @@ func runCase(machine *topology.Topology, devs []int, backend collective.Backend,
 		res.Detail = fmt.Sprintf("unsupported op %v", op)
 		return res
 	}
-	_ = n
 	res.OK = true
 	return res
 }
