@@ -15,8 +15,8 @@ COVER_FLOOR_QOS ?= 85
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2632
-LOC_CEIL_REPO ?= 12165
+LOC_CEIL_CORE ?= 2630
+LOC_CEIL_REPO ?= 12075
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 
@@ -36,7 +36,7 @@ test:
 # GOMAXPROCS=4, so a data replay's stripes run on four Ps while the race
 # detector watches their shared arena.
 race:
-	$(GO) test -race -shuffle=on . ./internal/collective/... ./internal/core/... ./internal/simgpu/... ./internal/dnn/... ./internal/cluster/... ./internal/verify/... ./internal/ring/... ./internal/trace/... ./internal/topology/... ./internal/obs/...
+	$(GO) test -race -shuffle=on . ./internal/collective/... ./internal/core/... ./internal/simgpu/... ./internal/dnn/... ./internal/cluster/... ./internal/verify/... ./internal/trace/... ./internal/topology/... ./internal/obs/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'StripedReplay' ./internal/core
 
 # Statement-coverage gate for the scheduling/runtime core packages.

@@ -16,7 +16,6 @@ import (
 
 	"blink/internal/core"
 	"blink/internal/graph"
-	"blink/internal/ring"
 	"blink/internal/topology"
 )
 
@@ -77,7 +76,7 @@ func main() {
 		}
 	}
 
-	rings := ring.FindRings(g)
+	rings := core.FindRings(g)
 	fmt.Printf("\nNCCL rings: %d\n", len(rings))
 	for i, r := range rings {
 		ids := make([]string, len(r.Verts))
@@ -108,7 +107,7 @@ func main() {
 	}
 	ncclRate := float64(len(rings))
 	if len(rings) == 0 {
-		ncclRate = ring.PCIeRingUnits
+		ncclRate = core.PCIeRingUnits
 	}
 	fmt.Printf("\nTheoretical broadcast speedup vs NCCL: %.2fx\n", p.Rate/ncclRate)
 }

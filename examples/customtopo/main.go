@@ -10,7 +10,6 @@ import (
 
 	"blink"
 	"blink/internal/core"
-	"blink/internal/ring"
 	"blink/internal/topology"
 )
 
@@ -24,7 +23,7 @@ func main() {
 	fmt.Printf("Custom machine: %s\n%s\n", spec, machine.DOT())
 
 	g := machine.GPUGraph()
-	rings := ring.FindRings(g)
+	rings := core.FindRings(g)
 	fmt.Printf("NCCL would build %d ring(s) here.\n", len(rings))
 
 	p, err := core.GenerateTrees(g, 0, core.PackOptions{}, core.MinimizeOptions{})

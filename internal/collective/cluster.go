@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"blink/internal/core"
-	"blink/internal/ring"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -64,7 +63,7 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 	}
 	st.wide = core.NewClusterFabric(c, st.members, cfg)
 	var err error
-	if st.flat, err = ring.NewCrossMachineFabric(c, c.NICGBs*8, cfg); err != nil {
+	if st.flat, err = core.NewCrossMachineFabric(c, c.NICGBs*8, cfg); err != nil {
 		return nil, err
 	}
 	st.topo = st.flat.Fabric.Topo

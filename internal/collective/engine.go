@@ -15,7 +15,6 @@ import (
 
 	"blink/internal/core"
 	"blink/internal/obs"
-	"blink/internal/ring"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -168,7 +167,7 @@ type engineState struct {
 	// with entry-level locks (compile.go), so st.mu is held only for map
 	// access and cold compiles for distinct roots run in parallel.
 	packs     [2]map[int]*packEntry
-	rings     []ring.Ring
+	rings     []core.Ring
 	ringsDone bool
 	// oneHop is the switch plane's precomputed per-root one-hop packing set.
 	oneHop []*core.Packing
@@ -189,7 +188,7 @@ type engineState struct {
 	servers []*engineState
 	members []*simgpu.Fabric
 	wide    *simgpu.Fabric
-	flat    *ring.CrossMachineFabric
+	flat    *core.CrossMachineFabric
 }
 
 // Engine is a collective runtime bound to one induced topology or one
@@ -454,11 +453,11 @@ func (e *Engine) Switched() bool { return e.st.Load().switched() }
 func (e *Engine) NVLinkConnected() bool { return e.st.Load().nvlConnected }
 
 // ncclRings returns (caching) the NVLink rings NCCL would build.
-func (st *engineState) ncclRings() []ring.Ring {
+func (st *engineState) ncclRings() []core.Ring {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.ringsDone {
-		st.rings = ring.FindRings(st.topo.GPUGraph())
+		st.rings = core.FindRings(st.topo.GPUGraph())
 		st.ringsDone = true
 	}
 	return st.rings
@@ -477,7 +476,7 @@ func chunkFor(bytes int64, override int64) int64 {
 			c = 4
 		}
 	}
-	// Whole float32s, exactly as PlanOptions.SetDefaults will round it, so two
+	// Whole float32s, exactly as core's plan builder will round it, so two
 	// overrides that compile one schedule share one plan key.
 	if r := c % 4; r != 0 {
 		c += 4 - r

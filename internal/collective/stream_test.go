@@ -171,13 +171,27 @@ func TestAsyncBackpressure(t *testing.T) {
 		}
 	}
 	// The window admits at most 2 x 32 MB at once, so the scheduler's
-	// inflight accounting must end at zero.
+	// inflight accounting must end at zero. The worker returns an op's bytes
+	// to the window only after it has resolved the op's handle, so the last
+	// Wait may return first: wait on the window's own signal, for at most two
+	// seconds, for the bytes to come back.
 	sched := eng.streams()
+	expired := false
+	timer := time.AfterFunc(2*time.Second, func() {
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		expired = true
+		sched.space.Broadcast()
+	})
+	defer timer.Stop()
 	sched.mu.Lock()
+	for sched.inflight != 0 && !expired {
+		sched.space.Wait()
+	}
 	inflight := sched.inflight
 	sched.mu.Unlock()
 	if inflight != 0 {
-		t.Fatalf("inflight bytes %d after all handles resolved", inflight)
+		t.Fatalf("inflight bytes %d two seconds after all handles resolved", inflight)
 	}
 }
 

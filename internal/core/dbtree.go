@@ -1,9 +1,8 @@
-package ring
+package core
 
 import (
 	"fmt"
 
-	"blink/internal/core"
 	"blink/internal/graph"
 	"blink/internal/simgpu"
 )
@@ -49,7 +48,7 @@ func buildInOrderTree(n int) []int {
 // is planned independently over half the payload). The second tree is the
 // first with every rank shifted by one (mod n), which swaps leaf and
 // interior roles when n is even.
-func DoubleBinaryTrees(lg *graph.Graph) ([]*core.Packing, error) {
+func DoubleBinaryTrees(lg *graph.Graph) ([]*Packing, error) {
 	n := lg.N
 	if n < 2 {
 		return nil, fmt.Errorf("ring: need >= 2 ranks for double binary trees")
@@ -77,7 +76,7 @@ func DoubleBinaryTrees(lg *graph.Graph) ([]*core.Packing, error) {
 		}
 		return graph.Arborescence{Root: root, Edges: edges}, nil
 	}
-	var packs []*core.Packing
+	var packs []*Packing
 	for shift := 0; shift < 2; shift++ {
 		t, err := mkTree(shift)
 		if err != nil {
@@ -86,9 +85,9 @@ func DoubleBinaryTrees(lg *graph.Graph) ([]*core.Packing, error) {
 		if err := t.Validate(lg); err != nil {
 			return nil, err
 		}
-		packs = append(packs, &core.Packing{
+		packs = append(packs, &Packing{
 			Root:  t.Root,
-			Trees: []core.Tree{{Arbo: t, Weight: 1}},
+			Trees: []Tree{{Arbo: t, Weight: 1}},
 			Rate:  1,
 		})
 	}
@@ -97,23 +96,23 @@ func DoubleBinaryTrees(lg *graph.Graph) ([]*core.Packing, error) {
 
 // BuildDBTreeAllReducePlan compiles NCCL's double-binary-tree AllReduce:
 // each tree reduce-broadcasts half the payload concurrently.
-func BuildDBTreeAllReducePlan(f *simgpu.Fabric, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+func BuildDBTreeAllReducePlan(f *simgpu.Fabric, bytes int64, opts PlanOptions) (*Plan, error) {
 	packs, err := DoubleBinaryTrees(f.Graph)
 	if err != nil {
 		return nil, err
 	}
 	half := (bytes / 8) * 4
 	sizes := []int64{half, bytes - half}
-	var plans []*core.Plan
+	var plans []*Plan
 	for i, p := range packs {
-		// Only chunking and data mode carry over: the trees keep core's
+		// Only chunking and data mode carry over: the trees keep the
 		// default stream reuse whatever the caller's NoStreamReuse says.
-		po := core.PlanOptions{ChunkBytes: opts.ChunkBytes, DataMode: opts.DataMode, OffsetFloats: int(half/4) * i}
-		plan, err := core.BuildAllReducePlan(f, p, sizes[i], po)
+		po := PlanOptions{ChunkBytes: opts.ChunkBytes, DataMode: opts.DataMode, OffsetFloats: int(half/4) * i}
+		plan, err := BuildAllReducePlan(f, p, sizes[i], po)
 		if err != nil {
 			return nil, err
 		}
 		plans = append(plans, plan)
 	}
-	return core.MergePlans(f, plans...), nil
+	return MergePlans(f, plans...), nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"blink/internal/core"
-	_ "blink/internal/ring" // registers the baseline IR kinds' builders
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )

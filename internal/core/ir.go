@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"blink/internal/simgpu"
 )
@@ -64,11 +63,12 @@ const (
 	// IRDGX2AllReduce merges the full one-hop packing set (Packings[root]
 	// per root) into the switch-fabric AllReduce.
 	IRDGX2AllReduce
-	// Baseline kinds are implemented in internal/ring and dispatch through
-	// the registered builder hook (RegisterIRBuilder). A kind names a
-	// schedule; the plane it walks — NVLink rings, the PCIe fallback ring,
-	// the switch ring — is the IR's Fabric, and the rings themselves are
-	// recomputed deterministically from the fabric graph.
+	// Baseline kinds are the NCCL schedules (ring*.go, dbtree.go). A kind
+	// names a schedule; the plane it walks — NVLink rings, the PCIe fallback
+	// ring, the switch ring — is the IR's Fabric. The rings are not
+	// serialized: they are a deterministic function of the fabric graph
+	// (logicalRings), so a decoding process recomputes the identical rings
+	// the encoder scheduled over.
 	IRRingBroadcast
 	IRRingAllReduce
 	IRRingP2P
@@ -124,31 +124,6 @@ func (s FabricSel) String() string {
 	default:
 		return fmt.Sprintf("FabricSel(%d)", int(s))
 	}
-}
-
-// IRBuilder regenerates a plan from an IR over a fabric. Builders for the
-// baseline kinds live in internal/ring (which imports core, so
-// core cannot call them directly) and register themselves at init.
-type IRBuilder func(ir *PlanIR, f *simgpu.Fabric) (*Plan, error)
-
-var (
-	irBuildersMu sync.RWMutex
-	irBuilders   = map[IRKind]IRBuilder{}
-)
-
-// RegisterIRBuilder installs the codegen hook for an IR kind implemented
-// outside internal/core. Later registrations for the same kind win; the
-// registry is consulted only for kinds CodeGen does not handle natively.
-func RegisterIRBuilder(k IRKind, fn IRBuilder) {
-	irBuildersMu.Lock()
-	defer irBuildersMu.Unlock()
-	irBuilders[k] = fn
-}
-
-func irBuilderFor(k IRKind) IRBuilder {
-	irBuildersMu.RLock()
-	defer irBuildersMu.RUnlock()
-	return irBuilders[k]
 }
 
 // validate checks the IR's structural invariants before codegen so a
@@ -254,12 +229,14 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 		plan, err = BuildNeighborExchangePlan(f, ir.Neighbors, ir.Bytes, ir.Opts)
 	case IRDGX2AllReduce:
 		plan, err = BuildDGX2AllReducePlan(f, ir.Packings, ir.Bytes, ir.Opts)
-	default:
-		fn := irBuilderFor(ir.Kind)
-		if fn == nil {
-			return nil, fmt.Errorf("core: no codegen builder registered for IR kind %v", ir.Kind)
-		}
-		plan, err = fn(ir, f)
+	case IRRingBroadcast:
+		plan, err = BuildRingBroadcastPlan(f, ir.Fabric, ir.Root, ir.Bytes, ir.Opts)
+	case IRRingAllReduce:
+		plan, err = BuildRingAllReducePlan(f, ir.Fabric, ir.Bytes, ir.Opts)
+	case IRRingP2P:
+		plan, err = BuildRingP2PPlan(f, ir.Fabric, ir.Pairs, ir.Chained, ir.Opts)
+	case IRDBTreeAllReduce:
+		plan, err = BuildDBTreeAllReducePlan(f, ir.Bytes, ir.Opts)
 	}
 	if err != nil {
 		return nil, err
@@ -267,7 +244,3 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 	plan.IR = ir
 	return plan, nil
 }
-
-// Ranks exposes the rank count a fabric schedules over (IR builders outside
-// core need it to expand rank-indexed shapes).
-func Ranks(f *simgpu.Fabric) int { return ranksOf(f) }

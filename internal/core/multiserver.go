@@ -85,7 +85,7 @@ func newClusterGen(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.F
 	if len(fabrics) != len(c.Servers) {
 		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), len(c.Servers))
 	}
-	opts.SetDefaults()
+	opts.setDefaults()
 	g := &clusterGen{c: c, fabrics: fabrics, opts: opts, total: c.TotalGPUs(), gate: -1,
 		plan: &Plan{Fabric: wide, TotalBytes: bytes / 4 * 4}}
 	rank, relay, link := 0, g.total, 0

@@ -39,9 +39,8 @@ type PlanOptions struct {
 	BroadcastAcc bool
 }
 
-// SetDefaults resolves ChunkBytes as documented on the field. Exported for
-// the baseline builders in internal/ring, which chunk by the same rule.
-func (o *PlanOptions) SetDefaults() {
+// setDefaults resolves ChunkBytes as documented on the field.
+func (o *PlanOptions) setDefaults() {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 4 << 20
 	}
@@ -270,7 +269,7 @@ func (b *planBuilder) dev(v int) int {
 }
 
 func newBuilder(f *simgpu.Fabric, opts PlanOptions) *planBuilder {
-	opts.SetDefaults()
+	opts.setDefaults()
 	return &planBuilder{f: f, g: f.Graph, opts: opts, streams: map[[5]int]int{}}
 }
 
@@ -279,17 +278,21 @@ func (b *planBuilder) plan(totalBytes int64) *Plan {
 	return &Plan{Ops: b.ops, TotalBytes: totalBytes, Fabric: b.f, Streams: len(b.streams)}
 }
 
-// stream returns a stream ID. With reuse enabled, trees sharing a link at
-// the same hop depth within a phase share a stream (§4.2.2); otherwise each
-// (tree, link, phase) gets its own. leg distinguishes the two legs of a
-// store-and-forward switch transfer.
+// stream returns a tree schedule's stream ID. With reuse enabled, trees
+// sharing a link at the same hop depth within a phase share a stream
+// (§4.2.2); otherwise each (tree, link, phase) gets its own. leg
+// distinguishes the two legs of a store-and-forward switch transfer.
 func (b *planBuilder) stream(phase, tree, link, depth, leg int) int {
-	var key [5]int
 	if b.opts.NoStreamReuse {
-		key = [5]int{phase, tree, link, 0, leg}
-	} else {
-		key = [5]int{phase, -1, link, depth, leg}
+		return b.streamFor([5]int{phase, tree, link, 0, leg})
 	}
+	return b.streamFor([5]int{phase, -1, link, depth, leg})
+}
+
+// streamFor numbers stream keys in first-use order. Tree schedules key by
+// stream's (phase, tree, link, depth, leg), ring schedules by (ring, hop,
+// leg, phase); one plan never mixes the two.
+func (b *planBuilder) streamFor(key [5]int) int {
 	id, ok := b.streams[key]
 	if !ok {
 		id = len(b.streams)

@@ -1,17 +1,18 @@
-// Package ring reimplements the baseline Blink compares against: NCCL-style
-// ring collectives. It discovers edge-disjoint NVLink rings over the
-// allocated topology (dropping links that do not fit any ring, exactly the
-// under-utilization Figures 2 and 4 illustrate), falls back to PCIe when no
-// NVLink ring exists, builds double binary trees for small payloads on
-// switch fabrics, and compiles ring/tree schedules onto the same simulated
-// fabric Blink's plans run on.
-package ring
+package core
 
 import (
 	"fmt"
 
 	"blink/internal/graph"
 )
+
+// The baseline Blink compares against: NCCL-style ring collectives. Ring
+// search discovers edge-disjoint NVLink rings over the allocated topology
+// (dropping links that do not fit any ring, exactly the under-utilization
+// Figures 2 and 4 illustrate); the schedules fall back to PCIe when no
+// NVLink ring exists, use double binary trees for small payloads on switch
+// fabrics (dbtree.go), and compile onto the same simulated fabric Blink's
+// plans run on.
 
 // Ring is a directed Hamiltonian cycle: Verts[i] sends to Verts[i+1 mod n]
 // over Edges[i].

@@ -1,9 +1,8 @@
-package ring
+package core
 
 import (
 	"fmt"
 
-	"blink/internal/core"
 	"blink/internal/simgpu"
 )
 
@@ -13,9 +12,9 @@ import (
 // forwards a segment to its successor which accumulates it, then N-1
 // all-gather steps circulate the fully reduced segments.
 
-// BuildAllReducePlan compiles a ring AllReduce over the plane's rings,
+// BuildRingAllReducePlan compiles a ring AllReduce over the plane's rings,
 // splitting the payload across rings.
-func BuildAllReducePlan(f *simgpu.Fabric, plane core.FabricSel, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+func BuildRingAllReducePlan(f *simgpu.Fabric, plane FabricSel, bytes int64, opts PlanOptions) (*Plan, error) {
 	lrs, err := logicalRings(f, plane)
 	if err != nil {
 		return nil, err
@@ -23,7 +22,7 @@ func BuildAllReducePlan(f *simgpu.Fabric, plane core.FabricSel, bytes int64, opt
 	return buildRingAllReduce(f, lrs, bytes, opts)
 }
 
-func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts PlanOptions) (*Plan, error) {
 	totalFloats := int(bytes / 4)
 	n := len(lrs[0].verts)
 	if totalFloats < n*len(lrs) {
@@ -52,15 +51,11 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts c
 			if rem := off + regionN - so; rem < sn {
 				sn = rem
 			}
-			var err error
-			carry, err = emitRingAllReduce(b, f, lr, ri, so, sn, totalFloats, carry)
-			if err != nil {
-				return nil, err
-			}
+			carry = b.emitRingAllReduce(lr, ri, so, sn, totalFloats, carry)
 		}
 		off += regionN
 	}
-	return &core.Plan{Ops: b.ops, TotalBytes: int64(totalFloats) * 4, Fabric: f, Streams: len(b.streams)}, nil
+	return b.plan(int64(totalFloats) * 4), nil
 }
 
 // emitRingAllReduce generates the 2(N-1) steps for one ring over the float
@@ -69,7 +64,7 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts c
 // receiver consumed the previous slice (NCCL's flow control over its
 // receive buffers, kept for timing); it is nil for a ring's first slice.
 // It returns this slice's final reduce ops.
-func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, regionN, bufLen int, prevReduce []int) ([]int, error) {
+func (b *planBuilder) emitRingAllReduce(lr logicalRing, ri, off, regionN, bufLen int, prevReduce []int) []int {
 	n := len(lr.verts)
 	segOff := make([]int, n+1)
 	for s := 0; s <= n; s++ {
@@ -104,19 +99,19 @@ func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, re
 			// reduces of the segment, for this one.
 			deliver := b.addHop(ri, pos, 1, lr.hops[pos], int64(sn)*4, deps, nil,
 				fmt.Sprintf("rs r%d s%d %d->%d", ri, s, src, dst))
-			var rexec core.Exec
+			var rexec Exec
 			if b.opts.DataMode {
-				sent := core.BufRef{Dev: src, Tag: core.BufAcc}
+				sent := BufRef{Dev: src, Tag: BufAcc}
 				if s == 0 {
-					sent.Tag = core.BufData
+					sent.Tag = BufData
 				}
-				rexec = core.ReduceKernel([]core.BufRef{{Dev: dst, Tag: core.BufData}, sent}, so, sn, bufLen)
+				rexec = ReduceKernel([]BufRef{{Dev: dst, Tag: BufData}, sent}, so, sn, bufLen)
 			}
 			newReduce[dstPos] = b.add(&simgpu.Op{
-				Stream:   b.stream(ri, dstPos, 0, 2),
-				Link:     f.ReduceLink(dst),
+				Stream:   b.streamFor([5]int{ri, dstPos, 0, 2}),
+				Link:     b.f.ReduceLink(dst),
 				Bytes:    int64(sn) * 4,
-				Overhead: f.Cfg.ReduceOverhead,
+				Overhead: b.f.Cfg.ReduceOverhead,
 				Deps:     []int{deliver},
 				Exec:     rexec,
 				Label:    fmt.Sprintf("rsred r%d s%d @%d", ri, s, dst),
@@ -137,10 +132,10 @@ func emitRingAllReduce(b *builder, f *simgpu.Fabric, lr logicalRing, ri, off, re
 			dstPos := (pos + 1) % n
 			dst := lr.verts[dstPos]
 			newRecv[dstPos] = b.addHop(ri, pos, 3, lr.hops[pos], int64(sn)*4, []int{held[pos]},
-				copyExec(b, src, dst, core.BufAcc, so, sn, bufLen),
+				b.copyExec(src, dst, BufAcc, BufAcc, so, sn, bufLen),
 				fmt.Sprintf("ag r%d s%d %d->%d", ri, s, src, dst))
 		}
 		held = newRecv
 	}
-	return reduceDone, nil
+	return reduceDone
 }

@@ -1,9 +1,8 @@
-package ring
+package core
 
 import (
 	"fmt"
 
-	"blink/internal/core"
 	"blink/internal/graph"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
@@ -104,14 +103,14 @@ func NewCrossMachineFabric(c *topology.Cluster, nicGbps float64, cfg simgpu.Conf
 }
 
 // BuildCrossMachineAllReducePlan compiles the global-ring AllReduce.
-func (cf *CrossMachineFabric) BuildCrossMachineAllReducePlan(bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+func (cf *CrossMachineFabric) BuildCrossMachineAllReducePlan(bytes int64, opts PlanOptions) (*Plan, error) {
 	return buildRingAllReduce(cf.Fabric, []logicalRing{cf.Ring}, bytes, opts)
 }
 
 // BuildCrossMachineBroadcastPlan compiles the global-ring broadcast from
 // the given global rank (server-major numbering): the payload pipelines
 // down the N-1 hop chain, crossing NICs wherever the ring exits a server.
-func (cf *CrossMachineFabric) BuildCrossMachineBroadcastPlan(root int, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+func (cf *CrossMachineFabric) BuildCrossMachineBroadcastPlan(root int, bytes int64, opts PlanOptions) (*Plan, error) {
 	return buildChainBroadcast(cf.Fabric, []logicalRing{cf.Ring}, root, bytes, opts)
 }
 
@@ -122,7 +121,7 @@ func SimulatedCrossMachineAllReduceGBs(c *topology.Cluster, nicGbps float64, byt
 	if err != nil {
 		return 0, err
 	}
-	plan, err := cf.BuildCrossMachineAllReducePlan(bytes, core.PlanOptions{})
+	plan, err := cf.BuildCrossMachineAllReducePlan(bytes, PlanOptions{})
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,8 @@
-package ring
+package core
 
 import (
 	"fmt"
 
-	"blink/internal/core"
 	"blink/internal/simgpu"
 )
 
@@ -32,14 +31,14 @@ func (lr logicalRing) pathHops(src, dst int) ([]int, error) {
 	return hops, nil
 }
 
-// BuildP2PPlan schedules each pair's payload store-and-forward along one of
+// BuildRingP2PPlan schedules each pair's payload store-and-forward along one of
 // the plane's rings (the NCCL baseline for AllToAll, SendRecv chains and
 // neighbor exchange), walking hop by hop through every intermediate rank
 // exactly as NCCL's ring channels move point-to-point traffic. Pairs are
 // assigned to rings round-robin and chunk-pipelined along their path. With
 // chained set, pair i+1's chunk k additionally waits on pair i's chunk k
 // delivery — the ordered stage semantics of a send/recv pipeline.
-func BuildP2PPlan(f *simgpu.Fabric, plane core.FabricSel, pairs []core.IRPair, chained bool, opts core.PlanOptions) (*core.Plan, error) {
+func BuildRingP2PPlan(f *simgpu.Fabric, plane FabricSel, pairs []IRPair, chained bool, opts PlanOptions) (*Plan, error) {
 	lrs, err := logicalRings(f, plane)
 	if err != nil {
 		return nil, err
@@ -84,5 +83,5 @@ func BuildP2PPlan(f *simgpu.Fabric, plane core.FabricSel, pairs []core.IRPair, c
 		prevDelivery = delivery
 		total += p.Bytes
 	}
-	return &core.Plan{Ops: b.ops, TotalBytes: total, Fabric: f, Streams: len(b.streams)}, nil
+	return b.plan(total), nil
 }

@@ -1,9 +1,8 @@
-package ring
+package core
 
 import (
 	"fmt"
 
-	"blink/internal/core"
 	"blink/internal/graph"
 	"blink/internal/simgpu"
 )
@@ -92,12 +91,12 @@ func SwitchRing(lg *graph.Graph) (logicalRing, error) {
 // of Figure 2b, or the natural ring of a switch fabric. The rings are a
 // deterministic function of the fabric graph, which is why an IR carries
 // only the plane.
-func logicalRings(f *simgpu.Fabric, plane core.FabricSel) ([]logicalRing, error) {
+func logicalRings(f *simgpu.Fabric, plane FabricSel) ([]logicalRing, error) {
 	switch plane {
-	case core.FabricPCIe:
-		lr, err := PCIeRing(f.Graph, core.Ranks(f))
+	case FabricPCIe:
+		lr, err := PCIeRing(f.Graph, ranksOf(f))
 		return []logicalRing{lr}, err
-	case core.FabricSwitch:
+	case FabricSwitch:
 		lr, err := SwitchRing(f.Graph)
 		return []logicalRing{lr}, err
 	}
@@ -112,38 +111,10 @@ func logicalRings(f *simgpu.Fabric, plane core.FabricSel) ([]logicalRing, error)
 	return lrs, nil
 }
 
-// builder mirrors core's plan builder for ring schedules.
-type builder struct {
-	f       *simgpu.Fabric
-	opts    core.PlanOptions
-	ops     []*simgpu.Op
-	streams map[[4]int]int
-}
-
-func newBuilder(f *simgpu.Fabric, opts core.PlanOptions) *builder {
-	opts.SetDefaults()
-	return &builder{f: f, opts: opts, streams: map[[4]int]int{}}
-}
-
-func (b *builder) stream(ring, hop, leg, phase int) int {
-	key := [4]int{ring, hop, leg, phase}
-	id, ok := b.streams[key]
-	if !ok {
-		id = len(b.streams)
-		b.streams[key] = id
-	}
-	return id
-}
-
-func (b *builder) add(op *simgpu.Op) int {
-	b.ops = append(b.ops, op)
-	return len(b.ops) - 1
-}
-
-// addHop emits ops moving bytes across one logical hop (possibly several
-// edges, each possibly a two-leg switch transfer) and returns the delivery
-// op index. exec runs at delivery.
-func (b *builder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []int, exec core.Exec, label string) int {
+// addHop emits ops moving bytes across one logical ring hop (possibly
+// several edges, each possibly a two-leg switch transfer) and returns the
+// delivery op index. exec runs at delivery.
+func (b *planBuilder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []int, exec Exec, label string) int {
 	last := -1
 	leg := 0
 	for ei, eid := range edges {
@@ -154,7 +125,7 @@ func (b *builder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []
 				d = []int{last}
 			}
 			op := &simgpu.Op{
-				Stream: b.stream(ring, hop, leg, phase),
+				Stream: b.streamFor([5]int{ring, hop, leg, phase}),
 				Link:   link,
 				Bytes:  bytes,
 				Deps:   append([]int(nil), d...),
@@ -173,10 +144,10 @@ func (b *builder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []
 	return last
 }
 
-// BuildBroadcastPlan compiles an NCCL-style ring broadcast over the plane's
-// rings: the payload is split across rings, and each ring pipelines chunks
-// along the N-1 hop chain from the root.
-func BuildBroadcastPlan(f *simgpu.Fabric, plane core.FabricSel, root int, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+// BuildRingBroadcastPlan compiles an NCCL-style ring broadcast over the
+// plane's rings: the payload is split across rings, and each ring pipelines
+// chunks along the N-1 hop chain from the root.
+func BuildRingBroadcastPlan(f *simgpu.Fabric, plane FabricSel, root int, bytes int64, opts PlanOptions) (*Plan, error) {
 	lrs, err := logicalRings(f, plane)
 	if err != nil {
 		return nil, err
@@ -185,7 +156,7 @@ func BuildBroadcastPlan(f *simgpu.Fabric, plane core.FabricSel, root int, bytes 
 }
 
 // buildChainBroadcast pipelines the payload down each ring's chain from root.
-func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes int64, opts core.PlanOptions) (*core.Plan, error) {
+func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes int64, opts PlanOptions) (*Plan, error) {
 	totalFloats := int(bytes / 4)
 	if totalFloats <= 0 {
 		return nil, fmt.Errorf("ring: payload too small")
@@ -218,20 +189,11 @@ func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes in
 				}
 				src, dst := lr.verts[h], lr.verts[h+1]
 				prevHop[h] = b.addHop(ri, h, 0, lr.hops[h], int64(cn)*4, deps,
-					copyExec(b, src, dst, core.BufData, coff, cn, coff+cn),
+					b.copyExec(src, dst, BufData, BufData, coff, cn, coff+cn),
 					fmt.Sprintf("rbcast r%d c%d %d->%d", ri, k, src, dst))
 			}
 		}
 		off += n
 	}
-	return &core.Plan{Ops: b.ops, TotalBytes: int64(totalFloats) * 4, Fabric: f, Streams: len(b.streams)}, nil
-}
-
-// copyExec is core's copy kernel over buffers resolved at bufLen floats
-// (nil outside data mode).
-func copyExec(b *builder, src, dst, tag, off, n, bufLen int) core.Exec {
-	if !b.opts.DataMode {
-		return nil
-	}
-	return core.CopyKernel(src, dst, tag, tag, off, n, bufLen)
+	return b.plan(int64(totalFloats) * 4), nil
 }

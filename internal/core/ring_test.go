@@ -1,11 +1,10 @@
-package ring
+package core
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"blink/internal/core"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -89,7 +88,7 @@ func TestRingNext(t *testing.T) {
 
 func TestRingBroadcastThroughput(t *testing.T) {
 	_, f := induced(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	plan, err := BuildBroadcastPlan(f, core.FabricNVLink, 0, 500<<20, core.PlanOptions{})
+	plan, err := BuildRingBroadcastPlan(f, FabricNVLink, 0, 500<<20, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +115,8 @@ func TestRingBroadcastData(t *testing.T) {
 		src[i] = float32(i)
 	}
 	bufs := simgpu.NewBufferSet()
-	bufs.SetBuffer(0, core.BufData, append([]float32(nil), src...))
-	plan, err := BuildBroadcastPlan(f, core.FabricNVLink, 0, n*4, core.PlanOptions{ChunkBytes: 1024, DataMode: true})
+	bufs.SetBuffer(0, BufData, append([]float32(nil), src...))
+	plan, err := BuildRingBroadcastPlan(f, FabricNVLink, 0, n*4, PlanOptions{ChunkBytes: 1024, DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestRingBroadcastData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < 4; v++ {
-		got := bufs.Buffer(v, core.BufData, n)
+		got := bufs.Buffer(v, BufData, n)
 		for i := range src {
 			if got[i] != src[i] {
 				t.Fatalf("device %d float %d = %v, want %v", v, i, got[i], src[i])
@@ -151,12 +150,12 @@ func TestRingAllReduceData(t *testing.T) {
 			for i := range in {
 				in[i] = float32(rng.Intn(64))
 			}
-			bufs.SetBuffer(v, core.BufData, in)
+			bufs.SetBuffer(v, BufData, in)
 			for i := range want {
 				want[i] += in[i]
 			}
 		}
-		plan, err := BuildAllReducePlan(f, core.FabricNVLink, n*4, core.PlanOptions{DataMode: true})
+		plan, err := BuildRingAllReducePlan(f, FabricNVLink, n*4, PlanOptions{DataMode: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +163,7 @@ func TestRingAllReduceData(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := 0; v < len(devs); v++ {
-			got := bufs.Buffer(v, core.BufAcc, n)
+			got := bufs.Buffer(v, BufAcc, n)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("devs %v device %d float %d = %v, want %v", devs, v, i, got[i], want[i])
@@ -180,7 +179,7 @@ func TestPCIeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := simgpu.NewFabric(ind, ind.PCIeGraph(), simgpu.Config{})
-	plan, err := BuildBroadcastPlan(f, core.FabricPCIe, 0, 500<<20, core.PlanOptions{})
+	plan, err := BuildRingBroadcastPlan(f, FabricPCIe, 0, 500<<20, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +207,12 @@ func TestPCIeAllReduceData(t *testing.T) {
 		for i := range in {
 			in[i] = float32(v + 1)
 		}
-		bufs.SetBuffer(v, core.BufData, in)
+		bufs.SetBuffer(v, BufData, in)
 		for i := range want {
 			want[i] += in[i]
 		}
 	}
-	plan, err := BuildAllReducePlan(f, core.FabricPCIe, n*4, core.PlanOptions{DataMode: true})
+	plan, err := BuildRingAllReducePlan(f, FabricPCIe, n*4, PlanOptions{DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +220,7 @@ func TestPCIeAllReduceData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < 3; v++ {
-		got := bufs.Buffer(v, core.BufAcc, n)
+		got := bufs.Buffer(v, BufAcc, n)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("device %d float %d = %v, want %v", v, i, got[i], want[i])
@@ -240,7 +239,7 @@ func TestDoubleBinaryTrees(t *testing.T) {
 		t.Fatalf("packs = %d, want 2", len(packs))
 	}
 	// Complementarity: a leaf in tree 1 is interior in tree 2.
-	interior := func(p *core.Packing) map[int]bool {
+	interior := func(p *Packing) map[int]bool {
 		m := map[int]bool{}
 		for _, id := range p.Trees[0].Arbo.Edges {
 			m[lg.Edges[id].From] = true
@@ -267,12 +266,12 @@ func TestDBTreeAllReduceDGX2(t *testing.T) {
 		for i := range in {
 			in[i] = float32(v)
 		}
-		bufs.SetBuffer(v, core.BufData, in)
+		bufs.SetBuffer(v, BufData, in)
 		for i := range want {
 			want[i] += in[i]
 		}
 	}
-	plan, err := BuildDBTreeAllReducePlan(f, n*4, core.PlanOptions{ChunkBytes: 2048, DataMode: true})
+	plan, err := BuildDBTreeAllReducePlan(f, n*4, PlanOptions{ChunkBytes: 2048, DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +279,7 @@ func TestDBTreeAllReduceDGX2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < 16; v++ {
-		got := bufs.Buffer(v, core.BufAcc, n)
+		got := bufs.Buffer(v, BufAcc, n)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("device %d float %d = %v, want %v", v, i, got[i], want[i])
@@ -293,7 +292,7 @@ func TestSwitchRingAllReduceDGX2(t *testing.T) {
 	topo := topology.DGX2()
 	lg := topology.DGX2Logical()
 	f := simgpu.NewSwitchFabric(topo, lg, topology.DGX2LinksPerGPU, simgpu.Config{})
-	plan, err := BuildAllReducePlan(f, core.FabricSwitch, 256<<20, core.PlanOptions{})
+	plan, err := BuildRingAllReducePlan(f, FabricSwitch, 256<<20, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"blink/internal/core"
-	"blink/internal/ring"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -187,7 +186,7 @@ func clusterStripePlans(t *testing.T, cfg simgpu.Config) []stripePlan {
 		if sizes[0] == 1 {
 			continue
 		}
-		flat, err := ring.NewCrossMachineFabric(c, 100, cfg)
+		flat, err := core.NewCrossMachineFabric(c, 100, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

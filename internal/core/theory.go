@@ -1,9 +1,6 @@
-package ring
+package core
 
-import (
-	"blink/internal/core"
-	"blink/internal/graph"
-)
+import "blink/internal/graph"
 
 // Theoretical rate models backing Figure 14: broadcast rates in link units
 // (one NVLink direction == 1.0) for ring packing versus tree packing.
@@ -22,7 +19,7 @@ func TheoreticalRates(g *graph.Graph, root int) (nccl, blink float64, err error)
 	} else {
 		nccl = PCIeRingUnits
 	}
-	p, err := core.GenerateTrees(g, root, core.PackOptions{}, core.MinimizeOptions{})
+	p, err := GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
 	if err != nil {
 		return 0, 0, err
 	}

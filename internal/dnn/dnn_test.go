@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"blink/internal/collective"
@@ -170,6 +171,42 @@ func TestMultiServerComm(t *testing.T) {
 	if t1 != t2 {
 		t.Fatal("cache broken")
 	}
+}
+
+// TestMultiServerCommConcurrent: the per-size memo is shared by every
+// caller, so concurrent first calls (run under -race in make race) must
+// agree with a serial one.
+func TestMultiServerCommConcurrent(t *testing.T) {
+	c, err := topology.NewCluster([]topology.Server{
+		{Machine: topology.DGX1V(), Devs: []int{0, 1}},
+		{Machine: topology.DGX1V(), Devs: []int{0, 1}},
+	}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int64{1 << 20, 2 << 20, 4 << 20}
+	want := map[int64]float64{}
+	serial := MultiServerComm(c, simgpu.Config{})
+	for _, s := range sizes {
+		if want[s], err = serial(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fn := MultiServerComm(c, simgpu.Config{})
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range sizes {
+				s := sizes[(g+i)%len(sizes)]
+				if got, err := fn(s); err != nil || got != want[s] {
+					t.Errorf("%d bytes: %v, %v; want %v", s, got, err, want[s])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestSimulateIterationErrors(t *testing.T) {

@@ -26,6 +26,11 @@ const CollectiveCallLatency = 300e-6
 // use; the engine's plan cache makes even first-touch timing for a repeated
 // size a frozen-plan replay.
 func EngineComm(eng *collective.Engine, backend collective.Backend) CommFn {
+	return engineComm(eng, backend, collective.Options{})
+}
+
+// engineComm is EngineComm with the options every call runs under.
+func engineComm(eng *collective.Engine, backend collective.Backend, opts collective.Options) CommFn {
 	var mu sync.Mutex
 	cache := map[int64]float64{}
 	return func(bytes int64) (float64, error) {
@@ -35,7 +40,7 @@ func EngineComm(eng *collective.Engine, backend collective.Backend) CommFn {
 		if ok {
 			return t, nil
 		}
-		res, err := eng.Run(backend, collective.AllReduce, 0, bytes, collective.Options{})
+		res, err := eng.Run(backend, collective.AllReduce, 0, bytes, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -52,25 +57,14 @@ func EngineComm(eng *collective.Engine, backend collective.Backend) CommFn {
 const MultiServerChunkBytes = 4 << 20
 
 // MultiServerComm adapts Blink's three-phase cross-machine AllReduce,
-// dispatched through a cluster engine over c.
+// dispatched through a cluster engine over c at MultiServerChunkBytes. It
+// is safe for concurrent use.
 func MultiServerComm(c *topology.Cluster, cfg simgpu.Config) CommFn {
-	eng, engErr := collective.NewClusterEngine(c, cfg)
-	cache := map[int64]float64{}
-	return func(bytes int64) (float64, error) {
-		if engErr != nil {
-			return 0, engErr
-		}
-		if t, ok := cache[bytes]; ok {
-			return t, nil
-		}
-		res, err := eng.Run(collective.Blink, collective.AllReduce, 0, bytes, collective.Options{ChunkBytes: MultiServerChunkBytes})
-		if err != nil {
-			return 0, err
-		}
-		t := res.Seconds + CollectiveCallLatency
-		cache[bytes] = t
-		return t, nil
+	eng, err := collective.NewClusterEngine(c, cfg)
+	if err != nil {
+		return func(int64) (float64, error) { return 0, err }
 	}
+	return engineComm(eng, collective.Blink, collective.Options{ChunkBytes: MultiServerChunkBytes})
 }
 
 // AnalyticComm models a fixed effective AllReduce bandwidth (GB/s) plus a

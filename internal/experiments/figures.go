@@ -9,7 +9,6 @@ import (
 	"blink/internal/core"
 	"blink/internal/dnn"
 	"blink/internal/micro"
-	"blink/internal/ring"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -248,7 +247,7 @@ func Fig14() (*Table, error) {
 				best := 0.0
 				var ncclBest float64
 				for root := 0; root < g.N; root++ {
-					nccl, blink, err := ring.TheoreticalRates(g, root)
+					nccl, blink, err := core.TheoreticalRates(g, root)
 					if err != nil {
 						return nil, err
 					}

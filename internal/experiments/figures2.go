@@ -7,7 +7,6 @@ import (
 	"blink/internal/core"
 	"blink/internal/dnn"
 	"blink/internal/micro"
-	"blink/internal/ring"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -180,7 +179,7 @@ func Fig22a() (*Table, error) {
 	// NCCL baseline: one global ring whose throughput is bound by
 	// min(NIC, PCIe) with the ring factor (§5.4). Both stacks fuse
 	// gradients into 64 MB buckets (Horovod tensor fusion).
-	ncclBW := ring.NCCLCrossMachineAllReduceGBs(c.NICGBs, 5.5, c.TotalGPUs())
+	ncclBW := core.NCCLCrossMachineAllReduceGBs(c.NICGBs, 5.5, c.TotalGPUs())
 	ncclComm := dnn.AnalyticComm(ncclBW, dnn.CollectiveCallLatency)
 	for _, base := range dnn.Zoo() {
 		m := dnn.Bucketed(base, 64<<20)
@@ -222,8 +221,8 @@ func Fig22b() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nccl := ring.NCCLCrossMachineAllReduceGBs(c.NICGBs, 5.5, c.TotalGPUs())
-		ncclSim, err := ring.SimulatedCrossMachineAllReduceGBs(c, gbps, 100<<20, simgpu.Config{})
+		nccl := core.NCCLCrossMachineAllReduceGBs(c.NICGBs, 5.5, c.TotalGPUs())
+		ncclSim, err := core.SimulatedCrossMachineAllReduceGBs(c, gbps, 100<<20, simgpu.Config{})
 		if err != nil {
 			return nil, err
 		}
