@@ -8,15 +8,16 @@ COVER_FLOOR_CORE ?= 78
 COVER_FLOOR_DNN ?= 70
 COVER_FLOOR_OBS ?= 85
 COVER_FLOOR_GRAPH ?= 75
-# Per-file floor for the multi-tenant QoS core (lane scheduler + tenant
-# accounting), over and above the package floor.
+# Per-file floor for the async and multi-tenant QoS core (the scheduler,
+# its lane configuration and tenant accounting), over and above the package
+# floor.
 COVER_FLOOR_QOS ?= 85
 
 # Ceilings on net non-test code size (`make loc`): the dispatch core and the
 # whole repo outside bench/. Ratchets, not aspirations: lower them when a
 # change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2630
-LOC_CEIL_REPO ?= 12075
+LOC_CEIL_CORE ?= 2570
+LOC_CEIL_REPO ?= 12015
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
 
@@ -34,10 +35,12 @@ test:
 # very slow under -race, so target the public API plus every package with
 # concurrent or data-moving paths. The striped-replay tests run again at
 # GOMAXPROCS=4, so a data replay's stripes run on four Ps while the race
-# detector watches their shared arena.
+# detector watches their shared arena, and so do the scheduler's, so its
+# workers, submitters and the handles they resolve race on four Ps.
 race:
 	$(GO) test -race -shuffle=on . ./internal/collective/... ./internal/core/... ./internal/simgpu/... ./internal/dnn/... ./internal/cluster/... ./internal/verify/... ./internal/trace/... ./internal/topology/... ./internal/obs/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'StripedReplay' ./internal/core
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Lane|Stream|Async|Tenant' ./internal/collective
 
 # Statement-coverage gate for the scheduling/runtime core packages.
 cover:
@@ -53,7 +56,7 @@ cover:
 	done; \
 	profile=$$(mktemp); \
 	$(GO) test -coverprofile=$$profile ./internal/collective >/dev/null || { rm -f $$profile; echo "coverage run of ./internal/collective failed"; exit 1; }; \
-	for f in internal/collective/lanes.go internal/collective/tenant.go; do \
+	for f in internal/collective/scheduler.go internal/collective/lanes.go internal/collective/tenant.go; do \
 		pct=$$(awk -v file="$$f" '$$1 ~ file":" { stmts += $$2; if ($$3 > 0) cov += $$2 } END { printf "%.1f", (stmts ? 100 * cov / stmts : 0) }' $$profile); \
 		echo "$$f: $$pct% (floor $(COVER_FLOOR_QOS)%)"; \
 		ok=$$(awk -v p="$$pct" -v f="$(COVER_FLOOR_QOS)" 'BEGIN { print (p+0 >= f+0) ? 1 : 0 }'); \

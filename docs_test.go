@@ -14,7 +14,8 @@ import (
 
 var (
 	docSpan    = regexp.MustCompile("`([^`\n]+)`")
-	docIdent   = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	docIdent   = regexp.MustCompile(`(?:^|[^\w.])([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	docCamel   = regexp.MustCompile(`^([a-z][a-z0-9]*[A-Z]\w*)(?:[.(]|$)`)
 	docPath    = regexp.MustCompile(`(?:^|[^\w/])((?:internal|cmd|examples)(?:/[\w-]+)+(?:\.(?:go|md|json))?)`)
 	docMetric  = regexp.MustCompile(`^[a-z][a-z0-9]*\.[a-z0-9_.*/]*[_*][a-z0-9_.*/]*$`)
 	fileSuffix = map[string]bool{"go": true, "md": true, "json": true, "mod": true}
@@ -132,13 +133,34 @@ func typeName(e ast.Expr) string {
 	return ""
 }
 
-// TestDocsNameWhatExists: every backticked `pkg.Name` or `pkg.Type.Name` in
-// README.md and docs/ARCHITECTURE.md whose pkg is a package of this module
-// names a declaration of it, and every backticked internal/, cmd/ or
+// TestDocsNameWhatExists: in README.md and docs/ARCHITECTURE.md, every
+// backticked `pkg.Name` or `pkg.Type.Name` whose pkg is a package of this
+// module names a declaration of it; every `Type.member` whose Type has
+// members in the module names a member of it; every span that starts with a
+// lowerCamelCase identifier (`lookupOrCompile`, `engineState.plane`) starts
+// with a name the module declares; and every backticked internal/, cmd/ or
 // examples/ path exists. Fenced code blocks and bench/ metric names are not
 // checked.
 func TestDocsNameWhatExists(t *testing.T) {
 	decls := moduleDecls(t)
+	// members maps a type name to every "Type.member" any package declares
+	// for it; declared holds every name declared anywhere, top-level or
+	// member.
+	members, declared := map[string]map[string]bool{}, map[string]bool{}
+	for _, names := range decls {
+		for name := range names {
+			typ, member, ok := strings.Cut(name, ".")
+			if !ok {
+				declared[name] = true
+				continue
+			}
+			declared[member] = true
+			if members[typ] == nil {
+				members[typ] = map[string]bool{}
+			}
+			members[typ][name] = true
+		}
+	}
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -157,13 +179,19 @@ func TestDocsNameWhatExists(t *testing.T) {
 				if docMetric.MatchString(span[1]) {
 					continue // a bench/ metric name, such as core.repair_us
 				}
+				if m := docCamel.FindStringSubmatch(span[1]); m != nil && decls[m[1]] == nil && !declared[m[1]] {
+					t.Errorf("%s:%d: `%s` is declared nowhere in the module", doc, i+1, m[1])
+				}
 				for _, m := range docIdent.FindAllStringSubmatch(span[1], -1) {
-					names, ok := decls[m[1]]
-					if !ok || fileSuffix[m[2]] {
+					if fileSuffix[m[2]] {
 						continue
 					}
-					if !names[m[2]] || (m[3] != "" && !names[m[2]+"."+m[3]]) {
-						t.Errorf("%s:%d: `%s` names nothing in package %s", doc, i+1, strings.TrimLeft(m[0], " ("), m[1])
+					if names, ok := decls[m[1]]; ok {
+						if !names[m[2]] || (m[3] != "" && !names[m[2]+"."+m[3]]) {
+							t.Errorf("%s:%d: `%s` names nothing in package %s", doc, i+1, strings.TrimLeft(m[0], " ("), m[1])
+						}
+					} else if ms, ok := members[m[1]]; ok && !ms[m[1]+"."+m[2]] {
+						t.Errorf("%s:%d: `%s.%s` names no member of type %s", doc, i+1, m[1], m[2], m[1])
 					}
 				}
 				for _, m := range docPath.FindAllStringSubmatch(span[1], -1) {

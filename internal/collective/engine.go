@@ -253,11 +253,11 @@ type Engine struct {
 	// latencies land in the engine's registry.
 	pipe *core.PlannerPipeline
 
-	// async is the stream scheduler behind RunAsync; qos the multi-tenant
-	// lane scheduler behind tenant dispatch. Both start on first use, so
+	// async is the scheduler's stream configuration behind RunAsync; qos its
+	// lane configuration behind tenant dispatch. Both start on first use, so
 	// engines that never go async or multi-tenant pay nothing.
-	async lazy[asyncConfig, streamScheduler]
-	qos   lazy[QoSConfig, laneScheduler]
+	async lazy[asyncConfig]
+	qos   lazy[QoSConfig]
 }
 
 // newEngineState probes the machine for the allocated devices and builds

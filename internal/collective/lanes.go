@@ -2,7 +2,6 @@ package collective
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"blink/internal/obs"
@@ -161,74 +160,25 @@ func (q QoSConfig) normalized() QoSConfig {
 	return q
 }
 
-// laneTask is one admitted op queued on a lane.
-type laneTask struct {
-	bytes  int64
-	tenant *Tenant
-	enq    time.Time
-	run    func()
-}
-
-// laneState is one priority lane: a bounded FIFO of admitted tasks plus
-// the outstanding-byte accounting its watermarks act on.
-type laneState struct {
-	cfg LaneConfig
-	// pending holds admitted tasks not yet picked by a worker, FIFO.
-	pending []laneTask
-	// outstanding is the lane's admitted-and-unfinished bytes (queued plus
-	// executing); watermark admission reads it at submit time.
-	outstanding int64
-
-	depth    *obs.Gauge
-	wait     *obs.Histogram
-	verdicts [3]*obs.Counter // indexed by Verdict
-}
-
-// laneSub is one submission into the lane scheduler.
-type laneSub struct {
-	class  Class
-	tenant *Tenant
-	bytes  int64
-	run    func()
-}
-
-// laneScheduler is the multi-tenant QoS dispatcher: three priority lanes
+// newLaneScheduler configures the multi-tenant QoS dispatcher from a
+// QoSConfig (zero fields take the defaults), binding its metrics into reg
+// (a nil reg yields standalone no-op metrics): three priority lanes
 // (LatencyCritical > BulkGradient > Telemetry) with bounded queues and
-// byte watermarks, drained by a bounded pool of ephemeral workers in
-// strict priority order with an aging escape hatch. It is the
+// byte watermarks, drained by a shared worker pool in strict priority order
+// with an aging escape hatch, and no byte window. It is the
 // RSPP-lane-scheduler analogue for collectives: admission control happens
-// at submit time (admit/defer/reject), priority at dispatch time.
-//
-// Workers are ephemeral like the async stream workers: spawned while
-// there is pending work, exiting when every lane drains, so an idle
-// engine holds no goroutines.
-type laneScheduler struct {
-	mu      sync.Mutex
-	lanes   [NumClasses]laneState
-	workers int
-	active  int
-	aging   time.Duration
-
-	mAged *obs.Counter
-
-	// onDispatch is a test hook observed under mu at every pick, with the
-	// picked class and each lane's pending count as of the instant before
-	// the pick is removed. The property suite uses it to assert dispatch
-	// never inverts priority among simultaneously queued ops.
-	onDispatch func(picked Class, aged bool, pending [NumClasses]int)
-}
-
-// newLaneScheduler builds a scheduler from a normalized config, binding
-// its metrics into reg (nil reg yields standalone no-op metrics).
-func newLaneScheduler(cfg QoSConfig, reg *obs.Registry) *laneScheduler {
+// at submit time (admit/defer/reject, never blocking), priority at dispatch
+// time. A lane's index is its Class.
+func newLaneScheduler(cfg QoSConfig, reg *obs.Registry) *scheduler {
 	cfg = cfg.normalized()
-	s := &laneScheduler{
-		workers: cfg.Workers,
-		aging:   cfg.AgingAfter,
-		mAged:   reg.Counter("blink_lane_aged_dispatch_total"),
+	s := newScheduler(NumClasses, cfg.Workers, false)
+	s.aging = cfg.AgingAfter
+	s.mAged = reg.Counter("blink_lane_aged_dispatch_total")
+	for i, c := range laneOrder {
+		s.order[i] = int(c)
 	}
 	for c := Class(0); c < NumClasses; c++ {
-		ln := &s.lanes[c]
+		ln := &s.queues[c]
 		ln.cfg = cfg.Lanes[c]
 		ln.depth = reg.Gauge(`blink_lane_queue_depth{lane="` + c.String() + `"}`)
 		ln.wait = reg.Histogram(`blink_op_wait_seconds{class="`+c.String()+`"}`, nil)
@@ -238,150 +188,4 @@ func newLaneScheduler(cfg QoSConfig, reg *obs.Registry) *laneScheduler {
 		}
 	}
 	return s
-}
-
-// submit runs admission for one op and, when admitted, queues it on its
-// class lane (spawning a worker if the pool has room). It never blocks:
-// the verdict is decided immediately from the lane's queue bound, its
-// watermarks, and the tenant's quotas, in that order of severity —
-// rejections never enqueue and never run. The clock is read and the worker
-// started outside the lock, which the workers take once per op.
-func (s *laneScheduler) submit(sub laneSub) Verdict {
-	if !sub.class.valid() {
-		sub.class = BulkGradient
-	}
-	enq := time.Now()
-	s.mu.Lock()
-	ln := &s.lanes[sub.class]
-	t := sub.tenant
-	t.noteSubmitted(sub.bytes)
-	reject := func() Verdict {
-		ln.verdicts[VerdictReject].Inc()
-		t.noteRejected(sub.bytes)
-		s.mu.Unlock()
-		return VerdictReject
-	}
-	if !t.admitWithinQuota(sub.bytes) {
-		return reject()
-	}
-	if ln.cfg.QueueCap > 0 && len(ln.pending) >= ln.cfg.QueueCap {
-		return reject()
-	}
-	if ln.cfg.HighWater > 0 && ln.outstanding >= ln.cfg.HighWater {
-		return reject()
-	}
-	v := VerdictAdmit
-	if ln.cfg.LowWater > 0 && ln.outstanding >= ln.cfg.LowWater {
-		v = VerdictDefer
-	}
-	ln.verdicts[v].Inc()
-	t.noteAdmitted(sub.bytes, v == VerdictDefer)
-	ln.outstanding += sub.bytes
-	ln.pending = append(ln.pending, laneTask{
-		bytes: sub.bytes, tenant: t, enq: enq, run: sub.run,
-	})
-	ln.depth.Set(int64(len(ln.pending)))
-	spawn := s.active < s.workers
-	if spawn {
-		s.active++
-	}
-	s.mu.Unlock()
-	if spawn {
-		go s.work()
-	}
-	return v
-}
-
-// pickLocked removes and returns the next task to dispatch. Strict
-// priority: the highest-priority nonempty lane wins — unless aging is on
-// and some lane's head has waited past the aging bound, in which case the
-// oldest such head wins (oldest-first among aged heads degenerates to
-// cross-lane FIFO under saturation, which is exactly the liveness
-// guarantee: every queued op's wait is bounded by the work ahead of it,
-// not by the arrival rate of higher classes). Caller holds mu.
-func (s *laneScheduler) pickLocked(now time.Time) (laneTask, Class, bool, bool) {
-	pick := Class(-1)
-	if s.aging > 0 {
-		for c := Class(0); c < NumClasses; c++ {
-			ln := &s.lanes[c]
-			if len(ln.pending) == 0 || now.Sub(ln.pending[0].enq) <= s.aging {
-				continue
-			}
-			if pick < 0 || ln.pending[0].enq.Before(s.lanes[pick].pending[0].enq) {
-				pick = c
-			}
-		}
-	}
-	aged := false
-	if pick >= 0 {
-		// Aged pick — but it only counts as an inversion-by-aging when a
-		// strictly higher-priority lane had fresh work waiting.
-		for _, c := range laneOrder {
-			if c == pick {
-				break
-			}
-			if len(s.lanes[c].pending) > 0 {
-				aged = true
-				break
-			}
-		}
-	} else {
-		for _, c := range laneOrder {
-			if len(s.lanes[c].pending) > 0 {
-				pick = c
-				break
-			}
-		}
-	}
-	if pick < 0 {
-		return laneTask{}, 0, false, false
-	}
-	if s.onDispatch != nil {
-		var depths [NumClasses]int
-		for c := Class(0); c < NumClasses; c++ {
-			depths[c] = len(s.lanes[c].pending)
-		}
-		s.onDispatch(pick, aged, depths)
-	}
-	ln := &s.lanes[pick]
-	task := ln.pending[0]
-	ln.pending[0] = laneTask{} // release the popped closure
-	ln.pending = ln.pending[1:]
-	if len(ln.pending) == 0 {
-		ln.pending = nil // release the backing array
-	}
-	ln.depth.Set(int64(len(ln.pending)))
-	return task, pick, aged, true
-}
-
-// work is one dispatch worker: pick-run until every lane is empty, then
-// exit. It takes the lock and reads the clock once per op: the lane bytes of
-// the op it ran last are released in the next pick's critical section, so
-// every ledger is settled before the worker exits. The tenant's ledger is
-// atomic and is settled as soon as the op returns, without the lock. The
-// clock is read before the lock and the metrics are written after it, so an
-// op submitted in between can show a negative wait, which counts as zero.
-func (s *laneScheduler) work() {
-	var ranBytes int64
-	var ranClass Class
-	for {
-		now := time.Now()
-		s.mu.Lock()
-		s.lanes[ranClass].outstanding -= ranBytes
-		task, class, aged, ok := s.pickLocked(now)
-		if !ok {
-			s.active--
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-		s.lanes[class].wait.Observe(max(now.Sub(task.enq), 0).Seconds())
-		if aged {
-			s.mAged.Inc()
-		}
-
-		task.run()
-		task.tenant.noteDone(task.bytes)
-		ranBytes, ranClass = task.bytes, class
-	}
 }

@@ -22,14 +22,14 @@ func testTenant(name string, class Class, byteQuota, opQuota int64) *Tenant {
 
 // quiesced reports whether every lane is empty and every worker has
 // exited.
-func (s *laneScheduler) quiesced() bool {
+func (s *scheduler) quiesced() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active != 0 {
 		return false
 	}
 	for c := Class(0); c < NumClasses; c++ {
-		if len(s.lanes[c].pending) != 0 || s.lanes[c].outstanding != 0 {
+		if len(s.queues[c].pending) != 0 || s.queues[c].outstanding != 0 {
 			return false
 		}
 	}
@@ -37,7 +37,7 @@ func (s *laneScheduler) quiesced() bool {
 }
 
 // waitQuiesced polls until every lane drains and every worker exits.
-func waitQuiesced(t *testing.T, s *laneScheduler) {
+func waitQuiesced(t *testing.T, s *scheduler) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for !s.quiesced() {
@@ -69,7 +69,8 @@ func TestLanePropertyRandomInterleavings(t *testing.T) {
 
 	var propMu sync.Mutex
 	var violations []string
-	s.onDispatch = func(picked Class, aged bool, pending [NumClasses]int) {
+	s.onDispatch = func(q int, aged bool, pending []int) {
+		picked := Class(q)
 		// Called under the scheduler lock with the pre-pop queue depths:
 		// exactly the "simultaneously queued ready ops" the property is
 		// about.
@@ -94,7 +95,7 @@ func TestLanePropertyRandomInterleavings(t *testing.T) {
 	// onDispatch runs under s.mu, but collect violations under a separate
 	// lock so reading them after quiesce is race-free by construction.
 	guard := s.onDispatch
-	s.onDispatch = func(p Class, a bool, d [NumClasses]int) {
+	s.onDispatch = func(p int, a bool, d []int) {
 		propMu.Lock()
 		guard(p, a, d)
 		propMu.Unlock()
@@ -119,15 +120,11 @@ func TestLanePropertyRandomInterleavings(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perSubmitter; i++ {
 				tn := tenants[rng.Intn(len(tenants))]
-				s.submit(laneSub{
-					class:  tn.class,
-					tenant: tn,
-					bytes:  int64(1 + rng.Intn(64)),
-					run: func() {
-						if rng := rand.Int() % 8; rng == 0 {
-							time.Sleep(50 * time.Microsecond)
-						}
-					},
+				s.submit(int(tn.class), tn, int64(1+rng.Intn(64)), func(int) *Handle {
+					if rng := rand.Int() % 8; rng == 0 {
+						time.Sleep(50 * time.Microsecond)
+					}
+					return nil
 				})
 			}
 		}(int64(g + 1))
@@ -183,10 +180,10 @@ func TestLaneWatermarkVerdicts(t *testing.T) {
 
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	sub := func(bytes int64, run func()) Verdict {
-		return s.submit(laneSub{class: tn.class, tenant: tn, bytes: bytes, run: run})
+	sub := func(bytes int64, run func(int) *Handle) Verdict {
+		return s.submit(int(tn.class), tn, bytes, run)
 	}
-	if v := sub(60, func() { close(blocked); <-release }); v != VerdictAdmit {
+	if v := sub(60, func(int) *Handle { close(blocked); <-release; return nil }); v != VerdictAdmit {
 		t.Fatalf("first submission: %v, want admit", v)
 	}
 	<-blocked // the blocker is executing: its bytes stay outstanding
@@ -198,7 +195,7 @@ func TestLaneWatermarkVerdicts(t *testing.T) {
 		VerdictReject, // outstanding 210 >= high
 	}
 	for i, w := range want {
-		if v := sub(50, func() {}); v != w {
+		if v := sub(50, func(int) *Handle { return nil }); v != w {
 			t.Fatalf("submission %d: verdict %v, want %v", i, v, w)
 		}
 	}
@@ -211,7 +208,7 @@ func TestLaneWatermarkVerdicts(t *testing.T) {
 			st.AdmittedOps, st.RejectedOps, st.DeferredOps)
 	}
 	// The lane is idle again: the watermark state fully released.
-	if v := sub(50, func() {}); v != VerdictAdmit {
+	if v := sub(50, func(int) *Handle { return nil }); v != VerdictAdmit {
 		t.Fatalf("post-drain submission: %v, want admit", v)
 	}
 	waitQuiesced(t, s)
@@ -229,17 +226,16 @@ func TestLaneQueueCapRejects(t *testing.T) {
 
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	s.submit(laneSub{class: tn.class, tenant: tn, bytes: 1,
-		run: func() { close(blocked); <-release }})
+	s.submit(int(tn.class), tn, 1, func(int) *Handle { close(blocked); <-release; return nil })
 	<-blocked
 	// Worker busy: the next QueueCap submissions queue, the one after is
 	// rejected even though the byte watermarks are disabled.
 	for i := 0; i < 2; i++ {
-		if v := s.submit(laneSub{class: tn.class, tenant: tn, bytes: 1, run: func() {}}); v != VerdictAdmit {
+		if v := s.submit(int(tn.class), tn, 1, func(int) *Handle { return nil }); v != VerdictAdmit {
 			t.Fatalf("fill submission %d: %v, want admit", i, v)
 		}
 	}
-	if v := s.submit(laneSub{class: tn.class, tenant: tn, bytes: 1, run: func() {}}); v != VerdictReject {
+	if v := s.submit(int(tn.class), tn, 1, func(int) *Handle { return nil }); v != VerdictReject {
 		t.Fatalf("over-capacity submission: %v, want reject", v)
 	}
 	close(release)
@@ -256,28 +252,28 @@ func TestLaneQuotaRejects(t *testing.T) {
 	release := make(chan struct{})
 	var blocked sync.WaitGroup
 	blocked.Add(2)
-	if v := s.submit(laneSub{class: BulkGradient, tenant: byteTn, bytes: 60,
-		run: func() { blocked.Done(); <-release }}); v != VerdictAdmit {
+	if v := s.submit(int(BulkGradient), byteTn, 60,
+		func(int) *Handle { blocked.Done(); <-release; return nil }); v != VerdictAdmit {
 		t.Fatalf("byte-quota tenant first op: %v", v)
 	}
-	if v := s.submit(laneSub{class: BulkGradient, tenant: opTn, bytes: 1,
-		run: func() { blocked.Done(); <-release }}); v != VerdictAdmit {
+	if v := s.submit(int(BulkGradient), opTn, 1,
+		func(int) *Handle { blocked.Done(); <-release; return nil }); v != VerdictAdmit {
 		t.Fatalf("op-quota tenant first op: %v", v)
 	}
 	blocked.Wait()
-	if v := s.submit(laneSub{class: BulkGradient, tenant: byteTn, bytes: 60, run: func() {}}); v != VerdictReject {
+	if v := s.submit(int(BulkGradient), byteTn, 60, func(int) *Handle { return nil }); v != VerdictReject {
 		t.Fatalf("byte-quota breach: %v, want reject", v)
 	}
-	if v := s.submit(laneSub{class: BulkGradient, tenant: opTn, bytes: 1, run: func() {}}); v != VerdictReject {
+	if v := s.submit(int(BulkGradient), opTn, 1, func(int) *Handle { return nil }); v != VerdictReject {
 		t.Fatalf("op-quota breach: %v, want reject", v)
 	}
 	close(release)
 	waitQuiesced(t, s)
 	// Quotas are on outstanding work, not cumulative: both admit again.
-	if v := s.submit(laneSub{class: BulkGradient, tenant: byteTn, bytes: 60, run: func() {}}); v != VerdictAdmit {
+	if v := s.submit(int(BulkGradient), byteTn, 60, func(int) *Handle { return nil }); v != VerdictAdmit {
 		t.Fatalf("byte-quota tenant after drain: %v, want admit", v)
 	}
-	if v := s.submit(laneSub{class: BulkGradient, tenant: opTn, bytes: 1, run: func() {}}); v != VerdictAdmit {
+	if v := s.submit(int(BulkGradient), opTn, 1, func(int) *Handle { return nil }); v != VerdictAdmit {
 		t.Fatalf("op-quota tenant after drain: %v, want admit", v)
 	}
 	waitQuiesced(t, s)
@@ -294,8 +290,7 @@ func TestLaneStrictPriorityOrder(t *testing.T) {
 	}
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	s.submit(laneSub{class: BulkGradient, tenant: tns[BulkGradient], bytes: 1,
-		run: func() { close(blocked); <-release }})
+	s.submit(int(BulkGradient), tns[BulkGradient], 1, func(int) *Handle { close(blocked); <-release; return nil })
 	<-blocked
 
 	var mu sync.Mutex
@@ -304,11 +299,12 @@ func TestLaneStrictPriorityOrder(t *testing.T) {
 	// expected outcome.
 	for _, c := range []Class{Telemetry, Telemetry, BulkGradient, LatencyCritical, LatencyCritical} {
 		c := c
-		s.submit(laneSub{class: c, tenant: tns[c], bytes: 1, run: func() {
+		s.submit(int(c), tns[c], 1, func(int) *Handle {
 			mu.Lock()
 			order = append(order, c)
 			mu.Unlock()
-		}})
+			return nil
+		})
 	}
 	close(release)
 	waitQuiesced(t, s)
@@ -337,25 +333,25 @@ func TestLaneAgingPreventsStarvation(t *testing.T) {
 
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	s.submit(laneSub{class: LatencyCritical, tenant: lc, bytes: 1,
-		run: func() { close(blocked); <-release }})
+	s.submit(int(LatencyCritical), lc, 1, func(int) *Handle { close(blocked); <-release; return nil })
 	<-blocked
 
 	var mu sync.Mutex
 	var order []Class
-	note := func(c Class) func() {
-		return func() {
+	note := func(c Class) func(int) *Handle {
+		return func(int) *Handle {
 			mu.Lock()
 			order = append(order, c)
 			mu.Unlock()
+			return nil
 		}
 	}
 	// Telemetry enqueues FIRST, then LatencyCritical backlog. Strict
 	// priority would run every LC op before it; oldest-aged-first must run
 	// the telemetry op first once everything has aged.
-	s.submit(laneSub{class: Telemetry, tenant: tel, bytes: 1, run: note(Telemetry)})
+	s.submit(int(Telemetry), tel, 1, note(Telemetry))
 	for i := 0; i < 4; i++ {
-		s.submit(laneSub{class: LatencyCritical, tenant: lc, bytes: 1, run: note(LatencyCritical)})
+		s.submit(int(LatencyCritical), lc, 1, note(LatencyCritical))
 	}
 	time.Sleep(50 * time.Millisecond) // let every queued op age past the bound
 	close(release)

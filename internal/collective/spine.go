@@ -94,16 +94,16 @@ func (e *Engine) ConfigureAsync(streams int, windowBytes int64) {
 }
 
 // streams returns the live stream scheduler, starting it on first use.
-func (e *Engine) streams() *streamScheduler {
-	return e.async.get(func(c asyncConfig) *streamScheduler {
+func (e *Engine) streams() *scheduler {
+	return e.async.get(func(c asyncConfig) *scheduler {
 		c = c.normalized()
 		return newStreamScheduler(c.streams, c.window, e.obsReg)
 	})
 }
 
 // lanes returns the live lane scheduler, starting it on first use.
-func (e *Engine) lanes() *laneScheduler {
-	return e.qos.get(func(c QoSConfig) *laneScheduler { return newLaneScheduler(c, e.obsReg) })
+func (e *Engine) lanes() *scheduler {
+	return e.qos.get(func(c QoSConfig) *scheduler { return newLaneScheduler(c, e.obsReg) })
 }
 
 // reconfigured is the tail of every reconfiguration, run after the new
@@ -249,16 +249,17 @@ const Inline = math.MinInt
 // submit is the single route from every entry point into dispatch. It picks
 // the admission stage from what the request carries:
 //
-//   - a tenant (rq.opts.Tenant): the lane scheduler's non-blocking verdict.
-//     A rejected op never runs — its handle is already resolved with an
-//     error wrapping ErrAdmissionRejected; stream is ignored, lane priority
-//     supersedes stream pinning;
 //   - no tenant, stream == Inline: none — the synchronous path, run here
 //     and now, with no goroutine hand-off and a handle that is born
 //     resolved;
-//   - no tenant, any other stream: the stream scheduler's byte window,
-//     which blocks the submitter for backpressure (stream < 0
-//     round-robins, out-of-range indices wrap).
+//   - otherwise the scheduler: for a tenant (rq.opts.Tenant) its lane
+//     configuration, whose verdict never blocks — a rejected op never runs
+//     and its handle is already resolved with an error wrapping
+//     ErrAdmissionRejected; stream is ignored, lane priority supersedes
+//     stream pinning — and for any other call its stream configuration,
+//     whose byte window blocks the submitter for backpressure (stream < 0
+//     round-robins, out-of-range indices wrap). Only the configuration a
+//     call uses is started.
 //
 // st was pinned by the caller: a Reconfigure that lands while the op is
 // queued or executing does not affect it. Errors, including compile
@@ -267,30 +268,30 @@ const Inline = math.MinInt
 // for tenants.
 func (e *Engine) submit(st *engineState, rq request, stream int) *Handle {
 	name, backend := rq.op.String(), rq.b.String()
-	if tn := rq.opts.Tenant; tn != nil {
-		h := newHandle()
-		rec := e.tl.Load().Begin(name, backend, int(tn.class), rq.bytes)
-		h.verdict = e.lanes().submit(laneSub{class: tn.class, tenant: tn, bytes: rq.bytes, run: func() {
-			h.complete(e.dispatch(st, rq, h.hook(), rec))
-		}})
-		if h.verdict == VerdictReject {
-			rec.Complete("", false, 0, ErrAdmissionRejected)
-			h.complete(Result{}, false, fmt.Errorf("%w: tenant %s class %s (%d bytes)",
-				ErrAdmissionRejected, tn.name, tn.class, rq.bytes))
-		}
-		return h
-	}
-	if stream == Inline {
+	tn := rq.opts.Tenant
+	if tn == nil && stream == Inline {
 		h := &Handle{done: resolved}
 		h.res, h.hit, h.err = e.dispatch(st, rq, nil, e.tl.Load().Begin(name, backend, -1, rq.bytes))
 		return h
 	}
-	h := newHandle()
+	var sched *scheduler
+	if tn != nil {
+		sched, stream = e.lanes(), int(tn.class)
+	} else {
+		sched = e.streams()
+	}
+	h := &Handle{done: make(chan struct{})}
 	rec := e.tl.Load().Begin(name, backend, stream, rq.bytes)
-	e.streams().submit(stream, rq.bytes, func(actual int) {
-		rec.SetStream(actual)
-		h.complete(e.dispatch(st, rq, h.hook(), rec))
+	h.verdict = sched.submit(stream, tn, rq.bytes, func(q int) *Handle {
+		rec.SetStream(q)
+		h.res, h.hit, h.err = e.dispatch(st, rq, h.hook(), rec)
+		return h
 	})
+	if h.verdict == VerdictReject {
+		rec.Complete("", false, 0, ErrAdmissionRejected)
+		h.err = fmt.Errorf("%w: tenant %s class %s (%d bytes)", ErrAdmissionRejected, tn.name, tn.class, rq.bytes)
+		close(h.done)
+	}
 	return h
 }
 

@@ -3,9 +3,7 @@ package collective
 import (
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"blink/internal/obs"
 )
@@ -29,7 +27,8 @@ const yieldEvery = 64
 // Handle is the caller's reference to one submitted collective, returned by
 // the *Async entry points of both engines. Exactly one of (result, error)
 // becomes available when the op resolves; handles are safe for concurrent
-// use by any number of goroutines.
+// use by any number of goroutines. The result fields are written strictly
+// before done closes, so waiters reading them after Done or Wait never race.
 type Handle struct {
 	done chan struct{}
 	res  Result
@@ -50,16 +49,6 @@ var resolved = func() chan struct{} {
 	close(c)
 	return c
 }()
-
-func newHandle() *Handle { return &Handle{done: make(chan struct{})} }
-
-// complete publishes the op's outcome and releases every waiter. The
-// result fields are written strictly before the channel close, so waiters
-// reading them after Done()/Wait() never race.
-func (h *Handle) complete(res Result, hit bool, err error) {
-	h.res, h.hit, h.err = res, hit, err
-	close(h.done)
-}
 
 // Wait blocks until the collective resolves and returns its result. It may
 // be called any number of times, from any goroutine; every call returns
@@ -125,183 +114,26 @@ func (h *Handle) hook() func(done, total int) {
 	}
 }
 
-// streamTask is one queued async dispatch. run receives the stream the task
-// landed on (resolved under the scheduler lock at admission), so observers
-// see the real stream even for round-robin submissions.
-type streamTask struct {
-	bytes int64
-	run   func(stream int)
-}
-
-// streamQueue is one FIFO worker stream. Its worker goroutine is
-// ephemeral: spawned when the first task arrives, exits when the queue
-// drains, so an idle communicator holds no goroutines at all (and tests
-// can assert goroutine counts settle after the last handle resolves).
-type streamQueue struct {
-	id      int
-	tasks   []streamTask
-	running bool
-}
-
-// streamScheduler dispatches async collectives onto a bounded set of
-// worker streams with NCCL-stream semantics: strict FIFO ordering within a
-// stream, free overlap across streams (each stream is its own goroutine,
-// and replays yield between chunks, so in-flight ops pipeline
-// chunk-by-chunk). Submissions apply backpressure: when the bytes in flight
-// exceed the window, submit blocks until completions free space, and
-// admission is strictly ticket-ordered (FIFO): a submission blocked on the
-// window is never overtaken by later submissions that happen to fit, so an
-// oversized op cannot be starved by a stream of small ones. One op larger
-// than the whole window is still admitted — alone — so oversized payloads
-// make progress instead of deadlocking. This is the admission stage of
-// untenanted calls only; tenant traffic is classed and admitted by the lane
-// scheduler (lanes.go) and never comes through here.
-type streamScheduler struct {
-	mu       sync.Mutex
-	space    sync.Cond // signaled when inflight bytes drop or a ticket head advances
-	streams  []*streamQueue
-	inflight int64 // bytes in flight, checked against the window
-	window   int64 // <= 0: unbounded
-	next     int   // round-robin cursor for auto stream assignment
-	// admitHead/admitTail are the FIFO admission tickets: a submission takes
-	// a ticket at arrival and admits only when every earlier ticket has,
-	// regardless of payload size.
-	admitHead, admitTail uint64
-
-	// Registry-resolved metric handles (resolved once at construction; a
-	// nil registry yields standalone no-op metrics, so the hot path never
-	// branches on observability).
-	mSubmissions   *obs.Counter
-	mWaits         *obs.Counter
-	mWaitSeconds   *obs.Histogram
-	mInflightBytes *obs.Gauge
-	mQueueDepth    []*obs.Gauge // per stream
-}
-
-func newStreamScheduler(streams int, windowBytes int64, reg *obs.Registry) *streamScheduler {
-	if streams < 1 {
-		streams = 1
-	}
-	s := &streamScheduler{
-		window:         windowBytes,
-		mSubmissions:   reg.Counter("blink_async_submissions_total"),
-		mWaits:         reg.Counter("blink_async_admission_waits_total"),
-		mWaitSeconds:   reg.Histogram("blink_async_admission_wait_seconds", nil),
-		mInflightBytes: reg.Gauge("blink_async_inflight_bytes"),
-	}
-	s.space.L = &s.mu
-	for i := 0; i < streams; i++ {
-		s.streams = append(s.streams, &streamQueue{id: i})
-		s.mQueueDepth = append(s.mQueueDepth,
-			reg.Gauge(`blink_async_queue_depth{stream="`+strconv.Itoa(i)+`"}`))
+// newStreamScheduler configures the scheduler behind RunAsync with
+// NCCL-stream semantics: streams serial queues, one worker each, so ops on
+// one stream run in submission order while streams overlap freely (a data
+// replay yields between chunks, so ops in flight on different streams
+// pipeline chunk by chunk); ops are pinned to a stream or round-robined;
+// and the byte window blocks submissions for backpressure. It has no
+// verdict bounds: untenanted calls are never rejected or deferred. Tenant
+// traffic is admitted by the lanes (newLaneScheduler) and never comes
+// through here.
+func newStreamScheduler(streams int, windowBytes int64, reg *obs.Registry) *scheduler {
+	s := newScheduler(max(streams, 1), max(streams, 1), true)
+	s.window = windowBytes
+	s.mSubmissions = reg.Counter("blink_async_submissions_total")
+	s.mWaits = reg.Counter("blink_async_admission_waits_total")
+	s.mWaitSeconds = reg.Histogram("blink_async_admission_wait_seconds", nil)
+	s.mInflightBytes = reg.Gauge("blink_async_inflight_bytes")
+	for i := range s.queues {
+		s.queues[i].depth = reg.Gauge(`blink_async_queue_depth{stream="` + strconv.Itoa(i) + `"}`)
 	}
 	return s
-}
-
-// submit enqueues run on a stream and returns the stream it landed on.
-// stream < 0 round-robins across the scheduler's streams; out-of-range
-// indices wrap, so callers can use any dense numbering. submit blocks while
-// the in-flight byte window is full or an earlier submission is still
-// waiting for admission (FIFO tickets).
-func (s *streamScheduler) submit(stream int, bytes int64, run func(stream int)) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mSubmissions.Inc()
-	ticket := s.admitTail
-	s.admitTail++
-	waited := false
-	var waitStart time.Time
-	for ticket != s.admitHead || (s.window > 0 && s.inflight > 0 && s.inflight+bytes > s.window) {
-		if !waited {
-			waited = true
-			waitStart = time.Now()
-			s.mWaits.Inc()
-		}
-		s.space.Wait()
-	}
-	s.admitHead++
-	// The next ticket holder may already fit; hand it the head.
-	s.space.Broadcast()
-	if waited {
-		s.mWaitSeconds.Observe(time.Since(waitStart).Seconds())
-	}
-	if stream < 0 {
-		stream = s.next
-		s.next = (s.next + 1) % len(s.streams)
-	} else {
-		stream %= len(s.streams)
-	}
-	s.inflight += bytes
-	s.mInflightBytes.Set(s.inflight)
-	q := s.streams[stream]
-	q.tasks = append(q.tasks, streamTask{bytes: bytes, run: run})
-	s.mQueueDepth[stream].Set(int64(len(q.tasks)))
-	if !q.running {
-		q.running = true
-		go s.drain(q)
-	}
-	return stream
-}
-
-// drain is the stream's worker loop: pop-run-release until the queue is
-// empty, then exit. FIFO is preserved because at most one drain runs per
-// queue at a time. Popped slots are zeroed so a completed task's closure
-// (and the buffers it captured) is collectable immediately instead of
-// lingering in the backing array until the next append overwrites it, and
-// a fully drained queue drops the backing array itself.
-func (s *streamScheduler) drain(q *streamQueue) {
-	for {
-		s.mu.Lock()
-		if len(q.tasks) == 0 {
-			q.tasks = nil // release the backing array
-			q.running = false
-			s.mu.Unlock()
-			return
-		}
-		t := q.tasks[0]
-		q.tasks[0] = streamTask{} // release the popped closure
-		q.tasks = q.tasks[1:]
-		if len(q.tasks) == 0 {
-			q.tasks = nil
-		}
-		s.mQueueDepth[q.id].Set(int64(len(q.tasks)))
-		s.mu.Unlock()
-
-		t.run(q.id)
-
-		s.mu.Lock()
-		s.inflight -= t.bytes
-		s.mInflightBytes.Set(s.inflight)
-		s.space.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// lazy is a scheduler an engine carries but starts only on first use:
-// configuration edits apply until then; once live, the scheduler keeps the
-// configuration it started with.
-type lazy[C, T any] struct {
-	mu   sync.Mutex
-	cfg  C
-	live *T
-}
-
-// configure edits the pending configuration (a no-op for a live scheduler).
-func (l *lazy[C, T]) configure(edit func(*C)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	edit(&l.cfg)
-}
-
-// get returns the live scheduler, starting it from the pending
-// configuration on first use.
-func (l *lazy[C, T]) get(start func(C) *T) *T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.live == nil {
-		l.live = start(l.cfg)
-	}
-	return l.live
 }
 
 // asyncConfig is the stream scheduler's pending configuration.

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,15 +84,16 @@ func TestStreamSchedulerFIFOWithinStream(t *testing.T) {
 	wg.Add(2 * n)
 	for i := 0; i < n; i++ {
 		i := i
-		s.submit(0, 1, func(int) {
+		s.submit(0, nil, 1, func(int) *Handle {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 			wg.Done()
+			return nil
 		})
 		// Concurrent traffic on the other stream must not perturb
 		// stream 0's ordering.
-		s.submit(1, 1, func(int) { wg.Done() })
+		s.submit(1, nil, 1, func(int) *Handle { wg.Done(); return nil })
 	}
 	wg.Wait()
 	mu.Lock()
@@ -101,6 +104,92 @@ func TestStreamSchedulerFIFOWithinStream(t *testing.T) {
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("stream 0 ran task %d at position %d (order %v)", got, i, order[:i+1])
+		}
+	}
+}
+
+// TestStreamPropertyRandomInterleavings is the stream configuration's
+// property suite: several goroutines submit random pinned and round-robin
+// ops to 1–3 streams under a small byte window. Each stream must start every
+// submitter's ops in that submitter's order (its admissions are ordered, so
+// FIFO within a stream implies it), run at most one op at a time, and keep
+// the bytes in flight within the window whenever more than one op is
+// outstanding (a lone oversized op may exceed it). Every op must run, and
+// the workers must exit with the window empty.
+func TestStreamPropertyRandomInterleavings(t *testing.T) {
+	const window, submitters, perSubmitter = 64, 4, 150
+	for streams := 1; streams <= 3; streams++ {
+		s := newStreamScheduler(streams, window, nil)
+		running := make([]atomic.Int32, streams)
+		var mu sync.Mutex
+		var violations []string
+		violate := func(format string, args ...any) {
+			mu.Lock()
+			violations = append(violations, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+		last := make([][submitters]int, streams) // per stream: each submitter's last started op, 1-based
+		var ran atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(10*streams + g)))
+				for i := 1; i <= perSubmitter; i++ {
+					i := i
+					stream := rng.Intn(streams+1) - 1 // -1 round-robins
+					bytes := int64(1 + rng.Intn(window+window/4))
+					sleep := rng.Intn(4) == 0
+					s.submit(stream, nil, bytes, func(q int) *Handle {
+						if n := running[q].Add(1); n > 1 {
+							violate("stream %d runs %d ops at once", q, n)
+						}
+						s.mu.Lock()
+						ops := 0
+						for j := range s.queues {
+							ops += len(s.queues[j].pending) + s.queues[j].running
+						}
+						if inflight := s.inflight; ops > 1 && inflight > window {
+							violate("%d bytes in flight over %d ops, window %d", inflight, ops, window)
+						}
+						if prev := last[q][g]; prev >= i {
+							violate("stream %d started submitter %d's op %d after its op %d", q, g, i, prev)
+						}
+						last[q][g] = i
+						s.mu.Unlock()
+						if sleep {
+							time.Sleep(20 * time.Microsecond)
+						}
+						running[q].Add(-1)
+						ran.Add(1)
+						return nil
+					})
+				}
+			}(g)
+		}
+		wg.Wait()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			s.mu.Lock()
+			active, inflight := s.active, s.inflight
+			s.mu.Unlock()
+			if active == 0 {
+				if inflight != 0 {
+					t.Errorf("%d streams: %d bytes in flight after the workers exited", streams, inflight)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d streams: %d workers never exited", streams, active)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if got := ran.Load(); got != submitters*perSubmitter {
+			t.Errorf("%d streams: ran %d of %d ops", streams, got, submitters*perSubmitter)
+		}
+		for _, v := range violations {
+			t.Errorf("%d streams: %s", streams, v)
 		}
 	}
 }
@@ -172,26 +261,14 @@ func TestAsyncBackpressure(t *testing.T) {
 	}
 	// The window admits at most 2 x 32 MB at once, so the scheduler's
 	// inflight accounting must end at zero. The worker returns an op's bytes
-	// to the window only after it has resolved the op's handle, so the last
-	// Wait may return first: wait on the window's own signal, for at most two
-	// seconds, for the bytes to come back.
+	// to the window before it resolves the op's handle, so it is zero the
+	// moment the last Wait returns.
 	sched := eng.streams()
-	expired := false
-	timer := time.AfterFunc(2*time.Second, func() {
-		sched.mu.Lock()
-		defer sched.mu.Unlock()
-		expired = true
-		sched.space.Broadcast()
-	})
-	defer timer.Stop()
 	sched.mu.Lock()
-	for sched.inflight != 0 && !expired {
-		sched.space.Wait()
-	}
 	inflight := sched.inflight
 	sched.mu.Unlock()
 	if inflight != 0 {
-		t.Fatalf("inflight bytes %d two seconds after all handles resolved", inflight)
+		t.Fatalf("inflight bytes %d after all handles resolved", inflight)
 	}
 }
 
@@ -269,18 +346,20 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 
 	// Occupy the window so later submissions must wait for admission.
 	wg.Add(1)
-	s.submit(0, 6, func(int) {
+	s.submit(0, nil, 6, func(int) *Handle {
 		<-release
 		record("warm")
 		wg.Done()
+		return nil
 	})
 
 	// The oversized op (bigger than the whole window) takes the next
 	// ticket and blocks: inflight > 0 and it can't fit.
 	wg.Add(1)
-	go s.submit(0, 100, func(int) {
+	go s.submit(0, nil, 100, func(int) *Handle {
 		record("big")
 		wg.Done()
+		return nil
 	})
 	waitTickets := func(n uint64) {
 		for {
@@ -300,9 +379,10 @@ func TestStreamSchedulerFIFOAdmission(t *testing.T) {
 	const smalls = 10
 	for i := 0; i < smalls; i++ {
 		wg.Add(1)
-		go s.submit(0, 1, func(int) {
+		go s.submit(0, nil, 1, func(int) *Handle {
 			record("small")
 			wg.Done()
+			return nil
 		})
 	}
 	waitTickets(2 + smalls)
@@ -334,7 +414,7 @@ func TestStreamSchedulerDrainReleasesBacking(t *testing.T) {
 	const n = 16
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		s.submit(0, 1, func(int) { wg.Done() })
+		s.submit(0, nil, 1, func(int) *Handle { wg.Done(); return nil })
 	}
 	wg.Wait()
 	// The worker exits once the queue drains; poll for it, then check the
@@ -342,13 +422,13 @@ func TestStreamSchedulerDrainReleasesBacking(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s.mu.Lock()
-		running, tasks := s.streams[0].running, s.streams[0].tasks
+		running, tasks := s.queues[0].running != 0, s.queues[0].pending
 		s.mu.Unlock()
 		if !running {
 			if tasks != nil {
 				t.Fatalf("drained queue retains backing array of %d slots", cap(tasks))
 			}
-			if got := s.mQueueDepth[0].Value(); got != 0 {
+			if got := s.queues[0].depth.Value(); got != 0 {
 				t.Fatalf("queue depth gauge = %d after drain", got)
 			}
 			return

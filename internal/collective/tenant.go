@@ -23,9 +23,10 @@ type TenantConfig struct {
 // classing, quota enforcement, cache-partition fairness and per-tenant
 // accounting. Create with Engine.NewTenant; safe for concurrent use.
 //
-// Outstanding counters are mutated only under the lane scheduler's lock
-// (so quota admission reads a consistent view) but stored as atomics so
-// Stats never takes that lock.
+// Outstanding counters rise only under the lane scheduler's lock (so quota
+// admission reads a consistent view) and fall as soon as an op returns,
+// before its handle resolves; they are atomics so Stats never takes that
+// lock.
 type Tenant struct {
 	id        uint64
 	name      string

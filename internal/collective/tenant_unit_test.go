@@ -55,7 +55,7 @@ func TestConfigureQoSBeforeFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := eng.lanes()
-	if got := sched.lanes[BulkGradient].cfg.QueueCap; got != 7 {
+	if got := sched.queues[BulkGradient].cfg.QueueCap; got != 7 {
 		t.Fatalf("lane queue cap %d, want the configured 7", got)
 	}
 	if sched.workers != 1 {

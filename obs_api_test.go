@@ -1,6 +1,8 @@
 package blink_test
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -66,6 +68,113 @@ func TestCommObservability(t *testing.T) {
 	if !strings.Contains(tr.String(), `"name": "AllReduce"`) {
 		t.Fatalf("span trace missing op events:\n%s", tr.String())
 	}
+}
+
+// TestMetricSeriesPinned pins the series a communicator exports once it has
+// run one sync, one async and one tenant op, and the series of a
+// communicator that has run only a tenant op: that one never starts its
+// stream scheduler, so no blink_async_* series appears. The lists were
+// generated before the stream and lane schedulers became two configurations
+// of one scheduler.
+func TestMetricSeriesPinned(t *testing.T) {
+	common := strings.Fields(`
+		counter:blink_admission_total{lane="BulkGradient",verdict="admit"}
+		counter:blink_admission_total{lane="BulkGradient",verdict="defer"}
+		counter:blink_admission_total{lane="BulkGradient",verdict="reject"}
+		counter:blink_admission_total{lane="LatencyCritical",verdict="admit"}
+		counter:blink_admission_total{lane="LatencyCritical",verdict="defer"}
+		counter:blink_admission_total{lane="LatencyCritical",verdict="reject"}
+		counter:blink_admission_total{lane="Telemetry",verdict="admit"}
+		counter:blink_admission_total{lane="Telemetry",verdict="defer"}
+		counter:blink_admission_total{lane="Telemetry",verdict="reject"}
+		counter:blink_lane_aged_dispatch_total
+		counter:blink_plan_cache_disk_hits_total
+		counter:blink_plan_cache_disk_puts_total
+		counter:blink_plan_cache_evictions_total
+		counter:blink_plan_cache_fair_evictions_total
+		counter:blink_plan_cache_hits_total
+		counter:blink_plan_cache_invalidated_total
+		counter:blink_plan_cache_lookups_total
+		counter:blink_plan_cache_misses_total
+		counter:blink_plan_cache_promotions_total
+		counter:blink_plan_cache_store_errors_total
+		counter:blink_plan_compiles_total
+		counter:blink_plan_replays_total
+		counter:blink_plan_service_errors_total
+		counter:blink_plan_service_hits_total
+		counter:blink_repair_fallback_total
+		counter:blink_repair_incremental_total
+		counter:blink_replans_total
+		gauge:blink_lane_queue_depth{lane="BulkGradient"}
+		gauge:blink_lane_queue_depth{lane="LatencyCritical"}
+		gauge:blink_lane_queue_depth{lane="Telemetry"}
+		gauge:blink_plan_cache_entries
+		histogram:blink_compile_stage_seconds{stage="codegen"}
+		histogram:blink_compile_stage_seconds{stage="enumerate"}
+		histogram:blink_compile_stage_seconds{stage="minimize"}
+		histogram:blink_op_sim_seconds{op="AllReduce"}
+		histogram:blink_op_wait_seconds{class="BulkGradient"}
+		histogram:blink_op_wait_seconds{class="LatencyCritical"}
+		histogram:blink_op_wait_seconds{class="Telemetry"}
+		histogram:blink_replan_seconds`)
+	async := strings.Fields(`
+		counter:blink_async_admission_waits_total
+		counter:blink_async_submissions_total
+		gauge:blink_async_inflight_bytes
+		gauge:blink_async_queue_depth{stream="0"}
+		gauge:blink_async_queue_depth{stream="1"}
+		histogram:blink_async_admission_wait_seconds`)
+	series := func(s blink.MetricsSnapshot) []string {
+		var out []string
+		for name := range s.Counters {
+			out = append(out, "counter:"+name)
+		}
+		for name := range s.Gauges {
+			out = append(out, "gauge:"+name)
+		}
+		for name := range s.Histograms {
+			out = append(out, "histogram:"+name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	check := func(name string, comm *blink.Comm, want []string) {
+		t.Helper()
+		sort.Strings(want)
+		if got := series(comm.MetricsSnapshot()); !slices.Equal(got, want) {
+			t.Errorf("%s exports\n%s\nwant\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	tenantOp := func(comm *blink.Comm) {
+		t.Helper()
+		tn, err := blink.NewTenant(comm, blink.TenantOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tn.AllReduce(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	comm, err := blink.NewComm(blink.DGX1V(), []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := comm.AllReduce(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := comm.AllReduceAsync(1 << 20).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	tenantOp(comm)
+	check("a comm after sync, async and tenant ops", comm, append(slices.Clone(common), async...))
+
+	only, err := blink.NewComm(blink.DGX1V(), []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenantOp(only)
+	check("a tenant-only comm", only, common)
 }
 
 // TestReplacedPlanCacheIsInstrumented is the regression test for dark cache

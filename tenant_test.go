@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -48,6 +49,35 @@ func TestTenantViewAPI(t *testing.T) {
 	if st.CacheLookups != 1 || st.CacheHits+st.CacheMisses != 1 {
 		t.Fatalf("cache attribution %d lookups / %d hits / %d misses",
 			st.CacheLookups, st.CacheHits, st.CacheMisses)
+	}
+}
+
+// TestTenantLedgerSettledOnReturn checks every ledger releases an op before
+// its call returns: a tenant allowed one outstanding op that makes strictly
+// sequential synchronous calls is never rejected, nor deferred by a lane
+// whose low watermark is one byte, and Stats read right after a call shows
+// nothing outstanding. A worker that resolves the handle before it returns
+// the op's bytes lets the next call race the release; several Ps make that
+// race likely.
+func TestTenantLedgerSettledOnReturn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var qos QoSConfig
+	qos.Lanes[ClassBulkGradient].LowWater = 1
+	comm, err := NewComm(DGX1V(), full8, WithQoS(qos))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := NewTenant(comm, TenantOptions{Name: "serial", OpQuota: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100_000; i++ {
+		if _, err := tn.AllReduce(1 << 20); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if st := tn.Stats(); st.OutstandingOps != 0 || st.OutstandingBytes != 0 || st.CompletedOps != st.AdmittedOps || st.DeferredOps != 0 {
+			t.Fatalf("call %d returned with its ledger unsettled: %+v", i, st)
+		}
 	}
 }
 
