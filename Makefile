@@ -13,13 +13,15 @@ COVER_FLOOR_GRAPH ?= 75
 # floor.
 COVER_FLOOR_QOS ?= 85
 
-# Ceilings on net non-test code size (`make loc`): the dispatch core and the
-# whole repo outside bench/. Ratchets, not aspirations: lower them when a
-# change shrinks the code, never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2570
-LOC_CEIL_REPO ?= 12015
+# Ceilings on net code size (`make loc`): the dispatch core and the whole
+# repo outside bench/, both non-test code, and the test code outside bench/.
+# Ratchets, not aspirations: lower them when a change shrinks the code,
+# never raise them to make a build pass.
+LOC_CEIL_CORE ?= 2564
+LOC_CEIL_REPO ?= 11975
+LOC_CEIL_TEST ?= 13844
 
-.PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke ci
+.PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke mutants ci
 
 all: build test
 
@@ -81,24 +83,27 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Net non-test code size, the number ROADMAP tracks and expects to fall:
-# non-blank, non-comment lines of non-test .go files in (a) the dispatch
-# core and (b) the whole repo outside bench/.
+# Net code size, the numbers ROADMAP tracks and expects to fall: non-blank,
+# non-comment lines of non-test .go files in (a) the dispatch core and (b)
+# the whole repo outside bench/, and (c) of test .go files outside bench/.
 LOC_COUNT = count() { cat "$$@" | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }
 LOC_CORE = $$(count $$(ls internal/collective/*.go | grep -v _test.go) blink.go tenant.go)
 LOC_REPO = $$(count $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'))
+LOC_TEST = $$(count $$(find . -name '*_test.go' -not -path './bench/*'))
 
 loc:
 	@$(LOC_COUNT); \
 	echo "internal/collective + blink.go + tenant.go: $(LOC_CORE)"; \
-	echo "repo excluding bench/: $(LOC_REPO)"
+	echo "repo excluding bench/: $(LOC_REPO)"; \
+	echo "tests excluding bench/: $(LOC_TEST)"
 
-# Size gate: fail when either count grew past its ceiling.
+# Size gate: fail when any count grew past its ceiling.
 loc-check:
-	@$(LOC_COUNT); core=$(LOC_CORE); repo=$(LOC_REPO); \
+	@$(LOC_COUNT); core=$(LOC_CORE); repo=$(LOC_REPO); tests=$(LOC_TEST); \
 	echo "internal/collective + blink.go + tenant.go: $$core (ceiling $(LOC_CEIL_CORE))"; \
 	echo "repo excluding bench/: $$repo (ceiling $(LOC_CEIL_REPO))"; \
-	if [ $$core -gt $(LOC_CEIL_CORE) ] || [ $$repo -gt $(LOC_CEIL_REPO) ]; then echo "non-test code grew past its ceiling"; exit 1; fi
+	echo "tests excluding bench/: $$tests (ceiling $(LOC_CEIL_TEST))"; \
+	if [ $$core -gt $(LOC_CEIL_CORE) ] || [ $$repo -gt $(LOC_CEIL_REPO) ] || [ $$tests -gt $(LOC_CEIL_TEST) ]; then echo "code grew past its ceiling"; exit 1; fi
 
 # Every benchmark once. Four of them gate a wall-clock ratio and fail below
 # its threshold (incremental repair >= 10x, warm-disk cold start >= 3x per
@@ -115,4 +120,10 @@ bench:
 verify:
 	$(GO) run ./cmd/blinkverify -cases 25
 
-ci: fmt-check vet loc-check build test race cover verify fuzz-smoke bench
+# Mutation gate: applies each defect in testdata/mutants to a temporary git
+# worktree and fails unless the test or benchmark the patch names catches it
+# (and passes without it). See testdata/mutants/README.md.
+mutants:
+	sh testdata/mutants/run.sh
+
+ci: fmt-check vet loc-check build test race cover verify fuzz-smoke bench mutants

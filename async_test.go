@@ -2,7 +2,9 @@ package blink
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,235 +32,133 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestAsyncHandleLifecycle covers the public async surface end to end:
-// every *Async variant resolves to its blocking twin's result.
-func TestAsyncHandleLifecycle(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bytes = 4 << 20
-	syncOps := []func() (Result, error){
-		func() (Result, error) { return comm.Broadcast(1, bytes) },
-		func() (Result, error) { return comm.AllReduce(bytes) },
-		func() (Result, error) { return comm.Reduce(2, bytes) },
-		func() (Result, error) { return comm.Gather(3, bytes) },
-		func() (Result, error) { return comm.Scatter(4, bytes) },
-		func() (Result, error) { return comm.AllGather(bytes) },
-		func() (Result, error) { return comm.ReduceScatter(bytes) },
-	}
-	async := []func() *Handle{
-		func() *Handle { return comm.BroadcastAsync(1, bytes) },
-		func() *Handle { return comm.AllReduceAsync(bytes) },
-		func() *Handle { return comm.ReduceAsync(2, bytes) },
-		func() *Handle { return comm.GatherAsync(3, bytes) },
-		func() *Handle { return comm.ScatterAsync(4, bytes) },
-		func() *Handle { return comm.AllGatherAsync(bytes) },
-		func() *Handle { return comm.ReduceScatterAsync(bytes) },
-	}
-	for i := range syncOps {
-		want, err := syncOps[i]()
-		if err != nil {
-			t.Fatalf("op %d sync: %v", i, err)
-		}
-		got, err := async[i]().Wait()
-		if err != nil {
-			t.Fatalf("op %d async: %v", i, err)
-		}
-		if got.Seconds != want.Seconds || got.Strategy != want.Strategy {
-			t.Fatalf("op %d async %+v != sync %+v", i, got, want)
-		}
-	}
-}
-
-// TestAsyncReconfigureRace floods two streams with async collectives while
-// ReconfigureExclude evicts a GPU mid-stream: every handle must resolve
-// (result or clean error), in-flight submissions complete on their pinned
-// pre-fault snapshot, post-fault submissions see the shrunken
-// communicator, and no goroutines leak once the last handle resolves.
-func TestAsyncReconfigureRace(t *testing.T) {
+// raceReconfigure evicts and restores GPU 7 of a two-stream data-mode DGX-1V
+// communicator nine times (ending evicted). Before the first fault it submits
+// 4 handles of each pinned op, alternating streams, all valid only on the
+// pre-fault topology; while the faults run, four goroutines each call race
+// four times with their own rng. Every handle resolves with a result:
+// in-flight work completes on its pinned snapshot. Post-fault submissions
+// see the shrunken communicator, and no goroutine outlives the last handle.
+func raceReconfigure(t *testing.T, pinned []func(*Comm, AsyncOpt) *Handle,
+	race func(c *Comm, g, i int, rng *rand.Rand) ([]*Handle, error)) {
+	t.Helper()
 	base := runtime.NumGoroutine()
-
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, WithStreams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pre-fault submissions, pinned across both streams. Root 7 is only
-	// valid on the pre-fault topology: its handles succeeding proves the
-	// snapshot semantics, not luck.
+	comm := dgx1vComm(t, full8, WithStreams(2), WithDataMode())
 	var handles []*Handle
-	for i := 0; i < 12; i++ {
-		stream := i % 2
-		switch i % 3 {
-		case 0:
-			handles = append(handles, comm.AllReduceAsync(8<<20, OnStream(stream)))
-		case 1:
-			handles = append(handles, comm.BroadcastAsync(7, 4<<20, OnStream(stream)))
-		case 2:
-			handles = append(handles, comm.ReduceAsync(7, 2<<20, OnStream(stream)))
-		}
+	for i := 0; i < 4*len(pinned); i++ {
+		handles = append(handles, pinned[i%len(pinned)](comm, OnStream(i%2)))
 	}
 
-	// Evict GPU 7 while those are in flight, racing a second wave of
-	// submissions from other goroutines.
 	var wg sync.WaitGroup
-	raceErr := make(chan error, 16)
+	var mu sync.Mutex
+	errs := make(chan error, 8)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := comm.ReconfigureExclude(7); err != nil {
-			raceErr <- fmt.Errorf("reconfigure: %w", err)
+		for i := 0; i < 9; i++ {
+			err := comm.ReconfigureExclude(7)
+			if i%2 == 1 {
+				// The public API only shrinks, so restore through the engine.
+				err = comm.eng.Reconfigure(nil, full8)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("reconfigure: %w", err)
+				return
+			}
 		}
 	}()
-	var raced []*Handle
-	var racedMu sync.Mutex
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 2; i++ {
-				h := comm.AllReduceAsync(1 << 20)
-				racedMu.Lock()
-				raced = append(raced, h)
-				racedMu.Unlock()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 4; i++ {
+				hs, err := race(comm, g, i, rng)
+				mu.Lock()
+				handles = append(handles, hs...)
+				mu.Unlock()
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d call %d: %w", g, i, err)
+					return
+				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
-
-	// Every pre-fault handle resolves successfully: submission pinned the
-	// pre-fault snapshot, so root 7 stayed valid for them throughout.
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 	for i, h := range handles {
 		if _, err := h.Wait(); err != nil {
-			t.Fatalf("pre-fault handle %d: %v", i, err)
+			t.Fatalf("handle %d: %v", i, err)
 		}
-	}
-	// Raced handles (root 0) are valid on both topologies: all resolve.
-	for i, h := range raced {
-		if _, err := h.Wait(); err != nil {
-			t.Fatalf("raced handle %d: %v", i, err)
-		}
-	}
-	select {
-	case err := <-raceErr:
-		t.Fatal(err)
-	default:
 	}
 
-	// Post-fault submissions see the shrunken communicator: 7 ranks, so
-	// root 7 now fails cleanly through the handle.
 	if comm.Size() != 7 {
 		t.Fatalf("post-fault size %d, want 7", comm.Size())
 	}
 	if _, err := comm.BroadcastAsync(7, 1<<20).Wait(); err == nil {
-		t.Fatal("post-fault broadcast from evicted root resolved without error")
-	}
-	if _, err := comm.AllReduceAsync(1 << 20).Wait(); err != nil {
-		t.Fatalf("post-fault allreduce: %v", err)
-	}
-
-	settleGoroutines(t, base)
-}
-
-// TestAsyncExchangeReconfigureRace is the point-to-point counterpart of
-// TestAsyncReconfigureRace: two streams flooded with AllToAllAsync and
-// SendRecvAsync submissions while ReconfigureExclude evicts GPU 7
-// mid-stream. Pre-fault chains through rank 7 ride their pinned snapshot
-// and resolve successfully; post-fault submissions naming rank 7 fail
-// cleanly through the handle; the exchange ops valid on both topologies all
-// resolve; no goroutines leak.
-func TestAsyncExchangeReconfigureRace(t *testing.T) {
-	base := runtime.NumGoroutine()
-
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, WithStreams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pre-fault submissions pinned across both streams. The chains end at
-	// rank 7, valid only pre-fault: their success proves snapshot pinning.
-	var handles []*Handle
-	for i := 0; i < 12; i++ {
-		stream := i % 2
-		switch i % 3 {
-		case 0:
-			handles = append(handles, comm.AllToAllAsync(8<<20, OnStream(stream)))
-		case 1:
-			handles = append(handles, comm.SendRecvAsync([]int{0, 3, 7}, 2<<20, OnStream(stream)))
-		case 2:
-			handles = append(handles, comm.NeighborExchangeAsync(
-				[][]int{{7}, {0}, {1}, {2}, {3}, {4}, {5}, {6}}, 1<<20, OnStream(stream)))
-		}
-	}
-
-	var wg sync.WaitGroup
-	raceErr := make(chan error, 16)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := comm.ReconfigureExclude(7); err != nil {
-			raceErr <- fmt.Errorf("reconfigure: %w", err)
-		}
-	}()
-	var raced []*Handle
-	var racedMu sync.Mutex
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2; i++ {
-				// AllToAll and a low-rank chain are valid on both the 8- and
-				// 7-rank topologies, whichever snapshot a submission lands on.
-				h := comm.AllToAllAsync(1 << 20)
-				h2 := comm.SendRecvAsync([]int{0, 1, 2}, 1<<20)
-				racedMu.Lock()
-				raced = append(raced, h, h2)
-				racedMu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	for i, h := range handles {
-		if _, err := h.Wait(); err != nil {
-			t.Fatalf("pre-fault handle %d: %v", i, err)
-		}
-	}
-	for i, h := range raced {
-		if _, err := h.Wait(); err != nil {
-			t.Fatalf("raced handle %d: %v", i, err)
-		}
-	}
-	select {
-	case err := <-raceErr:
-		t.Fatal(err)
-	default:
-	}
-
-	// Post-fault submissions see the 7-rank communicator: chains through
-	// rank 7 now fail cleanly through the handle, valid shapes still run.
-	if comm.Size() != 7 {
-		t.Fatalf("post-fault size %d, want 7", comm.Size())
+		t.Fatal("post-fault broadcast from the evicted root resolved without error")
 	}
 	if _, err := comm.SendRecvAsync([]int{0, 7}, 1<<20).Wait(); err == nil {
-		t.Fatal("post-fault chain through evicted rank resolved without error")
+		t.Fatal("post-fault chain through the evicted rank resolved without error")
 	}
 	if _, err := comm.AllToAllAsync(1 << 20).Wait(); err != nil {
 		t.Fatalf("post-fault alltoall: %v", err)
 	}
-
 	settleGoroutines(t, base)
+}
+
+// TestAsyncReconfigureRace races rooted async collectives — AllReduce, and
+// Broadcast and Reduce from root 7 — against the evictions of GPU 7, beside
+// async AllReduces valid on both topologies.
+func TestAsyncReconfigureRace(t *testing.T) {
+	raceReconfigure(t, []func(*Comm, AsyncOpt) *Handle{
+		func(c *Comm, o AsyncOpt) *Handle { return c.AllReduceAsync(8<<20, o) },
+		func(c *Comm, o AsyncOpt) *Handle { return c.BroadcastAsync(7, 4<<20, o) },
+		func(c *Comm, o AsyncOpt) *Handle { return c.ReduceAsync(7, 2<<20, o) },
+	}, func(c *Comm, _, _ int, _ *rand.Rand) ([]*Handle, error) {
+		return []*Handle{c.AllReduceAsync(1 << 20)}, nil
+	})
+}
+
+// TestAsyncExchangeReconfigureRace races the exchange ops through rank 7 —
+// AllToAll, a SendRecv chain and a NeighborExchange list — against the
+// evictions of GPU 7, beside exchanges valid on both topologies.
+func TestAsyncExchangeReconfigureRace(t *testing.T) {
+	ring := [][]int{{7}, {0}, {1}, {2}, {3}, {4}, {5}, {6}}
+	raceReconfigure(t, []func(*Comm, AsyncOpt) *Handle{
+		func(c *Comm, o AsyncOpt) *Handle { return c.AllToAllAsync(8<<20, o) },
+		func(c *Comm, o AsyncOpt) *Handle { return c.SendRecvAsync([]int{0, 3, 7}, 2<<20, o) },
+		func(c *Comm, o AsyncOpt) *Handle { return c.NeighborExchangeAsync(ring, 1<<20, o) },
+	}, func(c *Comm, _, _ int, _ *rand.Rand) ([]*Handle, error) {
+		return []*Handle{c.AllToAllAsync(1 << 20), c.SendRecvAsync([]int{0, 1, 2}, 1<<20)}, nil
+	})
+}
+
+// TestDataCallsDuringRankChangingReconfigure: data-mode AllReduces racing the
+// evictions of GPU 7 each pin one snapshot, so every call returns exact sums
+// or fails the clean rank-count check, never silently drops a rank.
+func TestDataCallsDuringRankChangingReconfigure(t *testing.T) {
+	raceReconfigure(t, nil, func(c *Comm, g, i int, rng *rand.Rand) ([]*Handle, error) {
+		in, sum := randInputs(rng, 8, 300+17*g+i)
+		out, err := c.AllReduceData(in)
+		if err == nil {
+			return nil, diffRows(out, repeat(sum, 8))
+		}
+		if strings.Contains(err.Error(), "8 inputs for 7 ranks") {
+			return nil, nil
+		}
+		return nil, err
+	})
 }
 
 // TestAsyncStreamWorkersEphemeral checks an idle communicator holds no
 // stream goroutines: workers spawn with work and exit when queues drain.
 func TestAsyncStreamWorkersEphemeral(t *testing.T) {
 	base := runtime.NumGoroutine()
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3}, WithStreams(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	comm := dgx1vComm(t, []int{0, 1, 2, 3}, WithStreams(4))
 	for round := 0; round < 3; round++ {
 		var hs []*Handle
 		for i := 0; i < 8; i++ {

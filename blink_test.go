@@ -2,44 +2,13 @@ package blink
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"blink/internal/collective"
 	"blink/internal/simgpu"
 )
-
-func TestNewCommAndCollectives(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{1, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comm.Size() != 5 {
-		t.Fatalf("size = %d", comm.Size())
-	}
-	if got := comm.Devices(); len(got) != 5 || got[0] != 1 {
-		t.Fatalf("devices = %v", got)
-	}
-	for name, fn := range map[string]func() (Result, error){
-		"broadcast":     func() (Result, error) { return comm.Broadcast(0, 64<<20) },
-		"gather":        func() (Result, error) { return comm.Gather(0, 64<<20) },
-		"allreduce":     func() (Result, error) { return comm.AllReduce(64 << 20) },
-		"allgather":     func() (Result, error) { return comm.AllGather(64 << 20) },
-		"reducescatter": func() (Result, error) { return comm.ReduceScatter(64 << 20) },
-		"hybrid":        func() (Result, error) { return comm.HybridBroadcast(0, 64<<20) },
-	} {
-		res, err := fn()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.ThroughputGBs <= 0 || res.Seconds <= 0 {
-			t.Fatalf("%s: empty result %+v", name, res)
-		}
-	}
-}
 
 // TestNewCommRejectsSingleDevice: a one-GPU allocation is refused at
 // construction with the same two-device minimum ReconfigureExclude enforces,
@@ -57,14 +26,9 @@ func TestNewCommRejectsSingleDevice(t *testing.T) {
 
 // TestHybridBroadcastWarmReplay: hybrid broadcast is an ordinary cached
 // collective — the second call of a shape is a plan-cache hit with
-// bit-identical simulated time. Its warm per-call host time is reported
-// beside a plain warm Broadcast's (reported, not gated: both replay one
-// frozen plan, so they should sit within noise of each other).
+// bit-identical simulated time.
 func TestHybridBroadcastWarmReplay(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comm := dgx1vComm(t, []int{0, 1, 2, 3})
 	const bytes = 500 << 20
 	cold, err := comm.HybridBroadcast(0, bytes)
 	if err != nil {
@@ -82,33 +46,11 @@ func TestHybridBroadcastWarmReplay(t *testing.T) {
 	if warm.Seconds != cold.Seconds || warm.Strategy != "hybrid" {
 		t.Fatalf("warm hybrid %v/%q differs from cold %v/%q", warm.Seconds, warm.Strategy, cold.Seconds, cold.Strategy)
 	}
-	if _, err := comm.Broadcast(0, bytes); err != nil {
-		t.Fatal(err)
-	}
-	perCall := func(run func() (Result, error)) time.Duration {
-		const calls = 50
-		t0 := time.Now()
-		for i := 0; i < calls; i++ {
-			if _, err := run(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(t0) / calls
-	}
-	hybrid := perCall(func() (Result, error) { return comm.HybridBroadcast(0, bytes) })
-	plain := perCall(func() (Result, error) { return comm.Broadcast(0, bytes) })
-	t.Logf("warm per-call host time at 500 MB on DGX-1V {0,1,2,3}: hybrid %v, plain broadcast %v", hybrid, plain)
 }
 
 func TestBackendSelection(t *testing.T) {
-	blinkComm, err := NewComm(DGX1V(), []int{0, 1, 4}, WithBackend(BackendBlink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ncclComm, err := NewComm(DGX1V(), []int{0, 1, 4}, WithBackend(BackendNCCL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	blinkComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendBlink))
+	ncclComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendNCCL))
 	b, err := blinkComm.Broadcast(0, 256<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -125,88 +67,8 @@ func TestBackendSelection(t *testing.T) {
 	}
 }
 
-func TestAllReduceDataEndToEnd(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{2, 3, 6, 7}, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 2048
-	rng := rand.New(rand.NewSource(21))
-	inputs := make([][]float32, comm.Size())
-	want := make([]float32, n)
-	for r := range inputs {
-		inputs[r] = make([]float32, n)
-		for i := range inputs[r] {
-			inputs[r][i] = float32(rng.Intn(32))
-			want[i] += inputs[r][i]
-		}
-	}
-	outs, err := comm.AllReduceData(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, out := range outs {
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatalf("rank %d element %d = %v, want %v", r, i, out[i], want[i])
-			}
-		}
-	}
-}
-
-func TestBroadcastDataEndToEnd(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{5, 6, 7}, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]float32, 1024)
-	for i := range data {
-		data[i] = float32(i) * 0.5
-	}
-	outs, err := comm.BroadcastData(0, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, out := range outs {
-		for i := range data {
-			if out[i] != data[i] {
-				t.Fatalf("rank %d element %d mismatch", r, i)
-			}
-		}
-	}
-	if _, err := comm.BroadcastData(0, nil); err == nil {
-		t.Fatal("empty buffer accepted")
-	}
-}
-
-func TestDataModeRequired(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := comm.AllReduceData(make([][]float32, 3)); err == nil {
-		t.Fatal("data call without WithDataMode accepted")
-	}
-}
-
-func TestAllReduceDataValidation(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{5, 6, 7}, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := comm.AllReduceData([][]float32{{1}}); err == nil {
-		t.Fatal("wrong rank count accepted")
-	}
-	if _, err := comm.AllReduceData([][]float32{{1}, {1, 2}, {1}}); err == nil {
-		t.Fatal("ragged buffers accepted")
-	}
-}
-
 func TestTreesIntrospection(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comm := dgx1vComm(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	p, err := comm.Trees(0)
 	if err != nil {
 		t.Fatal(err)
@@ -240,34 +102,6 @@ func TestDGX2Comm(t *testing.T) {
 	}
 	if _, err := comm.Trees(99); err == nil {
 		t.Fatal("out-of-range root accepted")
-	}
-}
-
-func TestReducePublicAPI(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := comm.Reduce(0, 64<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ThroughputGBs <= 0 {
-		t.Fatal("reduce produced no throughput")
-	}
-}
-
-func TestScatterPublicAPI(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{2, 3, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := comm.Scatter(0, 100<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ThroughputGBs <= 0 {
-		t.Fatal("scatter produced no throughput")
 	}
 }
 
@@ -341,10 +175,7 @@ const (
 // stream-scheduled and lane-scheduled forms stay under theirs.
 func TestWarmReplayAllocs(t *testing.T) {
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	comm, err := NewComm(DGX1V(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comm := dgx1vComm(t, all)
 	timing := func(bytes int64) float64 {
 		return warmAllocs(func() {
 			if _, err := comm.AllReduce(bytes); err != nil {
@@ -381,10 +212,7 @@ func TestWarmReplayAllocs(t *testing.T) {
 		t.Fatalf("warm tenant AllReduceAsync + Wait allocates %.0f times, ceiling %d", tenantAsync, warmTenantAsyncAllocCeiling)
 	}
 
-	dataComm, err := NewComm(DGX1V(), all, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dataComm := dgx1vComm(t, all, WithDataMode())
 	inputs := make([][]float32, dataComm.Size())
 	for r := range inputs {
 		inputs[r] = make([]float32, 1<<20/4)

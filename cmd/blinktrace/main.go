@@ -43,7 +43,7 @@ func main() {
 		os.Exit(1)
 	}
 	g := ind.GPUGraph()
-	p, err := core.GenerateTrees(g, *root, core.PackOptions{}, core.MinimizeOptions{})
+	p, err := core.GenerateTrees(g, *root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -93,7 +93,7 @@ func main() {
 		fmt.Println("\nNVLink disconnected: Blink packs PCIe trees instead")
 		return
 	}
-	p, err := core.GenerateTrees(g, *root, core.PackOptions{}, core.MinimizeOptions{})
+	p, err := core.GenerateTrees(g, *root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -7,172 +7,10 @@ import (
 	"testing"
 )
 
-// TestConcurrentCollectivesOneComm drives >= 8 concurrent collectives
-// through a single Comm. Under `go test -race` this is the gate for the
-// concurrency-safe engine: no data races, no divergent timings, and the
-// steady state replays cached plans.
-func TestConcurrentCollectivesOneComm(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := comm.AllReduce(100 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 12
-	const perWorker = 3
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*perWorker)
-	times := make([]float64, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				res, err := comm.AllReduce(100 << 20)
-				if err != nil {
-					errs <- err
-					return
-				}
-				times[w] = res.Seconds
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for w, s := range times {
-		if s != baseline.Seconds {
-			t.Fatalf("worker %d saw %.9fs, baseline %.9fs", w, s, baseline.Seconds)
-		}
-	}
-	st := comm.CacheStats()
-	if st.Misses != 1 {
-		t.Fatalf("one shape should compile once (sequential warm-up): %+v", st)
-	}
-	if st.Hits != workers*perWorker {
-		t.Fatalf("hits = %d, want %d", st.Hits, workers*perWorker)
-	}
-}
-
-// TestConcurrentMixedOps exercises different ops and payloads in parallel
-// through one Comm.
-func TestConcurrentMixedOps(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{1, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := []func() (Result, error){
-		func() (Result, error) { return comm.AllReduce(64 << 20) },
-		func() (Result, error) { return comm.Broadcast(0, 64<<20) },
-		func() (Result, error) { return comm.Gather(0, 32<<20) },
-		func() (Result, error) { return comm.ReduceScatter(32 << 20) },
-		func() (Result, error) { return comm.AllGather(16 << 20) },
-		func() (Result, error) { return comm.Reduce(0, 16<<20) },
-		func() (Result, error) { return comm.Scatter(0, 64<<20) },
-		func() (Result, error) { return comm.AllReduce(8 << 20) },
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*len(ops))
-	for round := 0; round < 2; round++ {
-		for _, f := range ops {
-			wg.Add(1)
-			go func(f func() (Result, error)) {
-				defer wg.Done()
-				if _, err := f(); err != nil {
-					errs <- err
-				}
-			}(f)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestConcurrentDataMode runs data-moving collectives from several
-// goroutines; each call executes against its own buffer arena, so results
-// stay functionally correct with no internal serialization.
-func TestConcurrentDataMode(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3}, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 512
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			inputs := make([][]float32, comm.Size())
-			var want float32
-			for v := range inputs {
-				in := make([]float32, n)
-				for i := range in {
-					in[i] = float32(g + v + 1)
-				}
-				want += float32(g + v + 1)
-				inputs[v] = in
-			}
-			out, err := comm.AllReduceData(inputs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for v := range out {
-				for i := range out[v] {
-					if out[v][i] != want {
-						errs <- fmt.Errorf("goroutine %d rank %d elem %d: got %v, want %v", g, v, i, out[v][i], want)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestAllReduceManyWarm asserts the grouped API reaches steady state after
-// one training step.
-func TestAllReduceManyWarm(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buckets := []int64{25 << 20, 25 << 20, 25 << 20, 12 << 20}
-	g1, err := comm.AllReduceMany(buckets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := comm.AllReduceMany(buckets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.CacheMisses != 0 {
-		t.Fatalf("second step recompiled: %+v", g2)
-	}
-	if g2.Seconds != g1.Seconds {
-		t.Fatalf("steady-state step time changed: %.9f vs %.9f", g2.Seconds, g1.Seconds)
-	}
-}
-
 // TestPlanCacheCapacityOption verifies WithPlanCacheCapacity(0) disables
 // caching at the public API.
 func TestPlanCacheCapacityOption(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{5, 6, 7}, WithPlanCacheCapacity(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	comm := dgx1vComm(t, []int{5, 6, 7}, WithPlanCacheCapacity(0))
 	for i := 0; i < 3; i++ {
 		if _, err := comm.AllReduce(8 << 20); err != nil {
 			t.Fatal(err)
@@ -181,30 +19,6 @@ func TestPlanCacheCapacityOption(t *testing.T) {
 	st := comm.CacheStats()
 	if st.Hits != 0 || st.Misses != 3 {
 		t.Fatalf("cache disabled but stats = %+v", st)
-	}
-}
-
-// TestSharedCacheAcrossComms verifies two communicators over the same
-// allocation share compiled plans through WithPlanCache.
-func TestSharedCacheAcrossComms(t *testing.T) {
-	pc := NewPlanCache(32)
-	c1, err := NewComm(DGX1V(), []int{0, 1, 2, 3}, WithPlanCache(pc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := NewComm(DGX1V(), []int{0, 1, 2, 3}, WithPlanCache(pc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.AllReduce(16 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.AllReduce(16 << 20); err != nil {
-		t.Fatal(err)
-	}
-	st := pc.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("shared cache stats = %+v, want 1 hit / 1 miss", st)
 	}
 }
 
@@ -217,10 +31,7 @@ func TestSharedCacheAcrossComms(t *testing.T) {
 func TestSharedPlanCachePooledConcurrent(t *testing.T) {
 	pc := NewPlanCache(256)
 	mk := func(devs []int, b Backend) *Comm {
-		c, err := NewComm(DGX1V(), devs, WithBackend(b), WithPlanCache(pc))
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := dgx1vComm(t, devs, WithBackend(b), WithPlanCache(pc))
 		return c
 	}
 	comms := []*Comm{
@@ -230,10 +41,8 @@ func TestSharedPlanCachePooledConcurrent(t *testing.T) {
 		mk([]int{0, 1, 2, 3, 4, 5, 6, 7}, BackendNCCL),
 		mk([]int{2, 3, 6, 7}, BackendNCCL),
 	}
-	cluster, err := NewClusterComm(twoServerCluster(t, 3, 5, 100), WithPlanCache(pc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := clusterComm(t, twoServerCluster(t, 3, 5), WithPlanCache(pc))
+	comms = append(comms, cluster)
 	sizes := []int64{1 << 20, 5 << 20, 20 << 20}
 	// Distinct plan shapes: 4 distinct (fingerprint, backend) combinations
 	// from the single-machine comms (two comms share one) x 3 sizes, plus
@@ -278,20 +87,6 @@ func TestSharedPlanCachePooledConcurrent(t *testing.T) {
 				}
 			}(i, c)
 		}
-	}
-	for w := 0; w < workersPerComm; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				for _, sz := range sizes {
-					if _, err := cluster.AllReduce(sz); err != nil {
-						errs <- err
-					}
-					dispatches.Add(1)
-				}
-			}
-		}()
 	}
 	wg.Wait()
 	close(errs)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,15 +19,27 @@ var (
 	docCamel   = regexp.MustCompile(`^([a-z][a-z0-9]*[A-Z]\w*)(?:[.(]|$)`)
 	docPath    = regexp.MustCompile(`(?:^|[^\w/])((?:internal|cmd|examples)(?:/[\w-]+)+(?:\.(?:go|md|json))?)`)
 	docMetric  = regexp.MustCompile(`^[a-z][a-z0-9]*\.[a-z0-9_.*/]*[_*][a-z0-9_.*/]*$`)
+	docLineRef = regexp.MustCompile(`([\w/.-]+\.go):(\d+)`)
+	docWord    = regexp.MustCompile(`[A-Za-z_]\w*`)
 	fileSuffix = map[string]bool{"go": true, "md": true, "json": true, "mod": true}
 )
 
+// declLines is the line range of one top-level declaration, doc comment
+// included, and the names it declares (a method declares its receiver
+// type's name too).
+type declLines struct {
+	names      []string
+	start, end int
+}
+
 // moduleDecls maps every non-main package name of the module to the names
 // it declares: top-level identifiers as "Name", and methods, struct fields
-// (promoted ones too) and interface methods as "Type.Name".
-func moduleDecls(t *testing.T) map[string]map[string]bool {
+// (promoted ones too) and interface methods as "Type.Name". It also returns
+// every non-test Go file's top-level declarations by path, main packages
+// included.
+func moduleDecls(t *testing.T) (map[string]map[string]bool, map[string][]declLines) {
 	t.Helper()
-	decls := map[string]map[string]bool{}
+	decls, files := map[string]map[string]bool{}, map[string][]declLines{}
 	embeds := map[string]map[string][]string{} // package -> type -> embedded types
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -41,35 +54,47 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		pkg := f.Name.Name
-		if pkg == "main" {
-			return nil
+		if embeds[pkg] == nil {
+			embeds[pkg] = map[string][]string{}
 		}
-		if decls[pkg] == nil {
-			decls[pkg], embeds[pkg] = map[string]bool{}, map[string][]string{}
+		names := map[string]bool{} // a main package declares nothing importable
+		if pkg != "main" {
+			if decls[pkg] == nil {
+				decls[pkg] = map[string]bool{}
+			}
+			names = decls[pkg]
 		}
-		names := decls[pkg]
 		for _, decl := range f.Decls {
+			lines := declLines{start: fset.Position(decl.Pos()).Line, end: fset.Position(decl.End()).Line}
+			var doc *ast.CommentGroup
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
+				doc, lines.names = d.Doc, []string{d.Name.Name}
 				if d.Recv == nil {
 					names[d.Name.Name] = true
 				} else {
-					names[typeName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+					recv := typeName(d.Recv.List[0].Type)
+					names[recv+"."+d.Name.Name] = true
+					lines.names = append(lines.names, recv)
 				}
 			case *ast.GenDecl:
+				doc = d.Doc
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							names[n.Name] = true
+							lines.names = append(lines.names, n.Name)
 						}
 					case *ast.TypeSpec:
 						names[s.Name.Name] = true
+						lines.names = append(lines.names, s.Name.Name)
 						var fields []*ast.Field
 						switch ty := s.Type.(type) {
 						case *ast.StructType:
@@ -90,6 +115,10 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 					}
 				}
 			}
+			if doc != nil {
+				lines.start = fset.Position(doc.Pos()).Line
+			}
+			files[path] = append(files[path], lines)
 		}
 		return nil
 	})
@@ -112,7 +141,24 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 			}
 		}
 	}
-	return decls
+	return decls, files
+}
+
+// landsInNamedDecl checks a `file.go:N` reference: file is a repo path or
+// a bare file name, and line N must fall inside a declaration of that file
+// that one of names (the words of the backticked spans beside the
+// reference) names.
+func landsInNamedDecl(files map[string][]declLines, file string, n int, names map[string]bool) bool {
+	for path, ds := range files {
+		for _, d := range ds {
+			for _, name := range d.names {
+				if names[name] && (path == file || filepath.Base(path) == file) && d.start <= n && n <= d.end {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // typeName is a receiver's or embedded field's type name, without pointer,
@@ -139,10 +185,13 @@ func typeName(e ast.Expr) string {
 // members in the module names a member of it; every span that starts with a
 // lowerCamelCase identifier (`lookupOrCompile`, `engineState.plane`) starts
 // with a name the module declares; and every backticked internal/, cmd/ or
-// examples/ path exists. Fenced code blocks and bench/ metric names are not
-// checked.
+// examples/ path exists. In those two files and ROADMAP.md, every backticked
+// `file.go:N` lands inside — doc comment included — the declaration a
+// backticked name on its line or the line before names (`chunkFor`
+// (`internal/collective/engine.go:465`)). Fenced code blocks and bench/
+// metric names are not checked.
 func TestDocsNameWhatExists(t *testing.T) {
-	decls := moduleDecls(t)
+	decls, files := moduleDecls(t)
 	// members maps a type name to every "Type.member" any package declares
 	// for it; declared holds every name declared anywhere, top-level or
 	// member.
@@ -161,12 +210,12 @@ func TestDocsNameWhatExists(t *testing.T) {
 			members[typ][name] = true
 		}
 	}
-	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", "ROADMAP.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fenced := false
+		fenced, prev := false, ""
 		for i, line := range strings.Split(string(text), "\n") {
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				fenced = !fenced
@@ -175,8 +224,21 @@ func TestDocsNameWhatExists(t *testing.T) {
 			if fenced {
 				continue
 			}
+			beside := map[string]bool{}
+			for _, span := range docSpan.FindAllString(prev+"\n"+line, -1) {
+				for _, w := range docWord.FindAllString(span, -1) {
+					beside[w] = true
+				}
+			}
+			prev = line
 			for _, span := range docSpan.FindAllStringSubmatch(line, -1) {
-				if docMetric.MatchString(span[1]) {
+				for _, ref := range docLineRef.FindAllStringSubmatch(span[1], -1) {
+					n, _ := strconv.Atoi(ref[2])
+					if !landsInNamedDecl(files, ref[1], n, beside) {
+						t.Errorf("%s:%d: `%s` lies inside no declaration a backticked name beside it names", doc, i+1, ref[0])
+					}
+				}
+				if doc == "ROADMAP.md" || docMetric.MatchString(span[1]) {
 					continue // a bench/ metric name, such as core.repair_us
 				}
 				if m := docCamel.FindStringSubmatch(span[1]); m != nil && decls[m[1]] == nil && !declared[m[1]] {

@@ -26,7 +26,7 @@ func main() {
 	rings := core.FindRings(g)
 	fmt.Printf("NCCL would build %d ring(s) here.\n", len(rings))
 
-	p, err := core.GenerateTrees(g, 0, core.PackOptions{}, core.MinimizeOptions{})
+	p, err := core.GenerateTrees(g, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

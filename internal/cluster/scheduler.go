@@ -26,8 +26,8 @@ type Config struct {
 	Servers       int     // 8-GPU servers (default 32)
 	GPUsPerServer int     // default 8
 	Jobs          int     // multi-GPU jobs to schedule (default 40000)
-	ArrivalRate   float64 // jobs per time unit (default 8)
-	MeanDuration  float64 // mean job duration in time units (default 4)
+	ArrivalRate   float64 // jobs per time unit (default 12)
+	MeanDuration  float64 // mean job duration in time units (default 6)
 	Seed          int64
 }
 

@@ -110,14 +110,14 @@ type PlanCache struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 
-	// Partition-fairness state (multi-tenant engines): partitions is the
-	// number of registered tenants sharing the cache, ownerCount the
+	// Partition-fairness state (multi-tenant engines): tenants is the
+	// number of tenants registered against the cache, ownerCount the
 	// resident entries per owner tag. When an owner at or over its fair
-	// share (capacity/partitions) inserts a new plan, its own LRU entry is
+	// share (capacity/tenants) inserts a new plan, its own LRU entry is
 	// evicted first, so one tenant churning through shapes can never flush
 	// everyone else's frozen plans. Owner 0 (untenanted inserts,
 	// promotions) is exempt and only subject to the global LRU bound.
-	partitions    int
+	tenants       int
 	ownerCount    map[uint64]int
 	fairEvictions atomic.Uint64
 
@@ -193,13 +193,13 @@ func NewPlanCache(capacity int) *PlanCache {
 	return c
 }
 
-// SetPartitions declares how many tenants share the cache; each owner's
-// fair share of the memory tier becomes max(1, capacity/n). n <= 1
-// restores unpartitioned behavior. Engines call this as tenants register.
-func (c *PlanCache) SetPartitions(n int) {
+// addTenant registers one more tenant against the cache: each owner's fair
+// share of the memory tier becomes max(1, capacity/tenants), counting the
+// tenants of every engine that shares the cache.
+func (c *PlanCache) addTenant() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.partitions = n
+	c.tenants++
 }
 
 // FairEvictions returns how many inserts evicted the inserting owner's
@@ -382,8 +382,8 @@ func (c *PlanCache) putMemoryOwned(k PlanKey, v *CachedPlan, owner uint64) bool 
 		return true
 	}
 	m := c.obs.Load()
-	if owner != 0 && c.partitions > 1 {
-		share := c.capacity / c.partitions
+	if owner != 0 && c.tenants > 1 {
+		share := c.capacity / c.tenants
 		if share < 1 {
 			share = 1
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"blink/internal/core"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -378,6 +379,77 @@ func TestDataModeCachedReplay(t *testing.T) {
 		}
 		if got2[i] != 20 {
 			t.Fatalf("warm sum[%d] = %v, want 20", i, got2[i])
+		}
+	}
+}
+
+// TestSharedCacheFairShareCountsEveryEngine: a cache shared by two engines
+// divides its memory tier among the tenants of both. Three tenants on one
+// engine and a fourth on the other leave each a share of one plan in a
+// four-plan cache, so a tenant of the first engine compiling two shapes
+// evicts its own first plan.
+func TestSharedCacheFairShareCountsEveryEngine(t *testing.T) {
+	shared := NewPlanCache(4)
+	var engines [2]*Engine
+	for i := range engines {
+		e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetPlanCache(shared)
+		engines[i] = e
+	}
+	tn := engines[0].NewTenant(TenantConfig{Name: "a0"})
+	engines[0].NewTenant(TenantConfig{Name: "a1"})
+	engines[0].NewTenant(TenantConfig{Name: "a2"})
+	engines[1].NewTenant(TenantConfig{Name: "b0"})
+	for _, bytes := range []int64{1 << 20, 2 << 20} {
+		h, _ := engines[0].RunAsyncTenant(tn, Blink, AllReduce, 0, bytes, Options{})
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, fe := shared.OwnerLen(tn.id), shared.FairEvictions(); got != 1 || fe != 1 {
+		t.Fatalf("tenant holds %d plans after %d fair evictions, want 1 and 1: the share must count all four tenants", got, fe)
+	}
+}
+
+// TestCachedPlanOwnsItsShape: a frozen plan's IR is the engine's own. A
+// caller that reuses its chain or neighbor slices after a synchronous call
+// must not rewrite what the cache holds, or what PlanBlob encodes from it.
+func TestCachedPlanOwnsItsShape(t *testing.T) {
+	e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		op   Op
+		opts func() Options
+	}{
+		{SendRecv, func() Options { return Options{Chain: []int{0, 3, 5}} }},
+		{NeighborExchange, func() Options { return Options{Neighbors: [][]int{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {0}}} }},
+	} {
+		opts := tc.opts()
+		if _, err := e.Run(Blink, tc.op, 0, 1<<20, opts); err != nil {
+			t.Fatal(err)
+		}
+		for i := range opts.Chain {
+			opts.Chain[i] = 7 - i
+		}
+		for _, row := range opts.Neighbors {
+			row[0] = 6
+		}
+		blob, _, err := e.PlanBlob(Blink, tc.op, 0, 1<<20, tc.opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ir, err := core.DecodePlanIR(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.opts()
+		if got := fmt.Sprint(ir.Chain, ir.Neighbors); got != fmt.Sprint(want.Chain, want.Neighbors) {
+			t.Fatalf("%v: cached IR holds %s after the caller reused its slices, want %v %v", tc.op, got, want.Chain, want.Neighbors)
 		}
 	}
 }

@@ -230,9 +230,6 @@ type Engine struct {
 	// remove latency, not availability.
 	svc PlanService
 
-	// tenantCount sizes the plan cache's per-owner fair share.
-	tenantCount atomic.Int64
-
 	// obsReg is the engine's metrics registry: cache, scheduler and dispatch
 	// metrics all land here. It exists from construction — an unread
 	// registry costs a few atomic adds per dispatch.
@@ -859,9 +856,13 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		}
 		ir.Packings, err = packs(plane, all...)
 	case needChain:
-		ir.Chain = rq.opts.Chain
+		// The frozen plan outlives the call: copy the caller's slices.
+		ir.Chain = append([]int(nil), rq.opts.Chain...)
 	case needNeighbors:
-		ir.Neighbors = rq.opts.Neighbors
+		ir.Neighbors = make([][]int, len(rq.opts.Neighbors))
+		for v, row := range rq.opts.Neighbors {
+			ir.Neighbors[v] = append([]int(nil), row...)
+		}
 	case needPairs:
 		ir.Pairs, ir.Chained, err = p2pPairs(rq.op, n, rq.bytes, rq.opts)
 	}

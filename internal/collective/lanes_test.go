@@ -420,7 +420,9 @@ func TestRunAsyncTenantRejectResolvesHandle(t *testing.T) {
 // owners' plans resident.
 func TestPlanCachePartitionFairness(t *testing.T) {
 	c := NewPlanCache(8)
-	c.SetPartitions(4) // share = 2 per owner
+	for i := 0; i < 4; i++ {
+		c.addTenant() // share = 2 per owner
+	}
 	key := func(owner uint64, i int) PlanKey {
 		return PlanKey{Fingerprint: "fp", Bytes: int64(i), EngineID: owner}
 	}
@@ -468,7 +470,8 @@ func TestPlanCachePartitionFairness(t *testing.T) {
 // invalidation releases owner charges so partition shares recover.
 func TestPlanCacheInvalidateMaintainsOwnerLedger(t *testing.T) {
 	c := NewPlanCache(8)
-	c.SetPartitions(2) // share = 4
+	c.addTenant()
+	c.addTenant() // share = 4
 	for i := 0; i < 4; i++ {
 		c.PutTieredOwned(PlanKey{Fingerprint: "dead", Bytes: int64(i)}, &CachedPlan{}, nil, 7)
 	}

@@ -31,10 +31,6 @@ type PlanStore struct {
 	// seq disambiguates temp files of concurrent writers in one process;
 	// cross-process collisions are avoided by including the PID.
 	seq atomic.Uint64
-	// failAfter > 0 makes the next Put write only that many payload bytes
-	// and then fail *without cleaning up* — the crash-safety tests use it to
-	// simulate a writer killed mid-put.
-	failAfter atomic.Int64
 }
 
 // planFileMagic brands a store file; the payload inside is an encoded plan
@@ -184,14 +180,6 @@ func (s *PlanStore) Put(k PlanKey, blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("collective: plan store write: %w", err)
 	}
-	if cut := s.failAfter.Load(); cut > 0 && cut < int64(len(payload)) {
-		// Injected crash: write a prefix and die without cleanup, exactly
-		// like a process killed mid-put. The temp file stays behind for the
-		// next NewPlanStore to sweep; the final name is never created.
-		f.Write(payload[:cut])
-		f.Close()
-		return fmt.Errorf("collective: plan store: injected write failure after %d bytes", cut)
-	}
 	if _, err := f.Write(payload); err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -247,7 +235,3 @@ func (s *PlanStore) Len() int {
 	}
 	return n
 }
-
-// SetFailAfter arms (n > 0) or disarms (n <= 0) the injected partial-write
-// failure used by the crash-safety tests.
-func (s *PlanStore) SetFailAfter(n int64) { s.failAfter.Store(n) }

@@ -51,9 +51,10 @@ func TestPlanStorePutGetRoundTrip(t *testing.T) {
 }
 
 func TestPlanStoreCrashSafety(t *testing.T) {
-	// An injected mid-write crash must leave no visible entry — readers see
-	// clean absence, never a torn plan — and reopening the directory sweeps
-	// the stale temp file.
+	// A writer killed mid-put leaves a torn temp file: readers see clean
+	// absence, never a torn plan, and reopening the directory sweeps it. A
+	// final file truncated behind the rename fails its checksum: it is
+	// removed, not served.
 	dir := t.TempDir()
 	s, err := NewPlanStore(dir)
 	if err != nil {
@@ -61,31 +62,42 @@ func TestPlanStoreCrashSafety(t *testing.T) {
 	}
 	k := storeKey(0)
 	blob := []byte(strings.Repeat("x", 4096))
-
-	s.SetFailAfter(1) // fail after one write syscall: header lands, blob does not
-	if err := s.Put(k, blob); err == nil {
-		t.Fatal("injected crash did not surface")
+	if err := s.Put(k, blob); err != nil {
+		t.Fatal(err)
 	}
-	// Concurrent-reader view: absence, not corruption.
+	final := s.fileFor(k)
+	whole, err := os.ReadFile(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(final); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(final+".1.1.tmp", whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := s.Get(k); err != nil || got != nil {
 		t.Fatalf("reader after torn write sees (%v, %v), want (nil, nil)", got, err)
 	}
-	temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if len(temps) != 1 {
-		t.Fatalf("crash left %d temp files, want exactly the torn one", len(temps))
-	}
-
 	// A process restart (reopen) self-heals the stale temp.
 	if _, err := NewPlanStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	temps, _ = filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if len(temps) != 0 {
+	if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(temps) != 0 {
 		t.Fatalf("reopen left %d stale temp files", len(temps))
 	}
 
-	// The healed store accepts the write it previously tore.
-	s.SetFailAfter(0)
+	if err := os.WriteFile(final, whole[:len(whole)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(k); err == nil || got != nil {
+		t.Fatalf("truncated plan file served as (%d bytes, %v)", len(got), err)
+	}
+	if got, err := s.Get(k); err != nil || got != nil {
+		t.Fatalf("truncated file not removed: Get = (%v, %v)", got, err)
+	}
+
+	// The healed store accepts the write again.
 	if err := s.Put(k, blob); err != nil {
 		t.Fatal(err)
 	}

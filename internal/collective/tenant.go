@@ -197,8 +197,7 @@ func (e *Engine) NewTenant(cfg TenantConfig) *Tenant {
 	if t.name == "" {
 		t.name = fmt.Sprintf("tenant-%d", t.id)
 	}
-	n := e.tenantCount.Add(1)
-	e.cache.SetPartitions(int(n))
+	e.cache.addTenant()
 	return t
 }
 

@@ -25,11 +25,11 @@ type AblationVariant struct {
 // AblationStudy runs a broadcast of `bytes` from root over the graph with
 // each feature toggled off in turn.
 func AblationStudy(f *simgpu.Fabric, g *graph.Graph, root int, bytes int64) ([]AblationVariant, error) {
-	mwu, err := PackTrees(g, root, PackOptions{})
+	mwu, err := PackTrees(g, root)
 	if err != nil {
 		return nil, err
 	}
-	minimized := MinimizeTrees(g, mwu, MinimizeOptions{})
+	minimized := MinimizeTrees(g, mwu)
 
 	run := func(p *Packing, opts PlanOptions) (float64, error) {
 		plan, err := BuildBroadcastPlan(f, p, bytes, opts)

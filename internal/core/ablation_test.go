@@ -77,7 +77,7 @@ func TestAllReduceRandomTopologyProperty(t *testing.T) {
 			NumGPUs: n, G: g, P: graph.New(n + 1),
 		}
 		root := rng.Intn(n)
-		p, err := GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
+		p, err := GenerateTrees(g, root)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

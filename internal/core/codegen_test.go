@@ -27,7 +27,7 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 	resolve := func(sel FabricSel) *simgpu.Fabric { return fabrics[sel] }
 	var packs []*Packing
 	for root := 0; root < 8; root++ {
-		p, err := GenerateTrees(ind.GPUGraph(), root, PackOptions{}, MinimizeOptions{})
+		p, err := GenerateTrees(ind.GPUGraph(), root)
 		if err != nil {
 			t.Fatal(err)
 		}

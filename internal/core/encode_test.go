@@ -20,7 +20,7 @@ func encodeFixture(t *testing.T, cfg simgpu.Config) (*FrozenPlan, *simgpu.Fabric
 		t.Fatal(err)
 	}
 	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 2, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEncodeRejectsPlanWithoutIR(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func FuzzDecodePlan(f *testing.F) {
 		f.Fatal(err)
 	}
 	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(g, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

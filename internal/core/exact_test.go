@@ -36,7 +36,7 @@ func TestExactPackMatchesMinimizeEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alloc %v: %v", devs, err)
 		}
-		approx, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+		approx, err := GenerateTrees(g, 0)
 		if err != nil {
 			t.Fatalf("alloc %v: %v", devs, err)
 		}

@@ -25,7 +25,7 @@ func exchangeFabric(t *testing.T, topo *topology.Topology, devs []int) (*simgpu.
 		if p, ok := packs[root]; ok {
 			return p, nil
 		}
-		p, err := GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
+		p, err := GenerateTrees(g, root)
 		if err != nil {
 			return nil, err
 		}

@@ -139,7 +139,7 @@ func TestAutoTuneChunkOnFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +200,12 @@ func TestBuildHybridBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	gn := ind.GPUGraph()
-	pn, err := GenerateTrees(gn, 0, PackOptions{}, MinimizeOptions{})
+	pn, err := GenerateTrees(gn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gp := ind.PCIeGraph()
-	pp, err := GenerateTrees(gp, 0, PackOptions{}, MinimizeOptions{})
+	pp, err := GenerateTrees(gp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestMergePlansPreservesOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestBuildThreePhaseAllReduce(t *testing.T) {
 		mu.Lock()
 		asked[[2]int{si, root}] = true
 		mu.Unlock()
-		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
+		return GenerateTrees(c.Servers[si].GPUGraph(), root)
 	}
 	const bytes = 100 << 20
 	plan, err := BuildThreePhaseAllReduce(c, fabrics, wide, packFor, bytes, PlanOptions{})
@@ -408,7 +408,7 @@ func threePhaseFixture(t *testing.T) (*topology.Cluster, []*simgpu.Fabric, *simg
 func TestBuildThreePhaseRejectsMismatch(t *testing.T) {
 	c, fabrics, wide := threePhaseFixture(t)
 	packFor := func(si, root int) (*Packing, error) {
-		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
+		return GenerateTrees(c.Servers[si].GPUGraph(), root)
 	}
 	const bytes = 1 << 20
 	builders := map[string]func([]*simgpu.Fabric, *simgpu.Fabric) (*Plan, error){

@@ -29,7 +29,7 @@ func allReduceTestPlan(t *testing.T, dataMode bool, bytes int64) (*Plan, *simgpu
 	}
 	cfg := simgpu.Config{DataMode: dataMode}
 	f := simgpu.NewFabric(ind, ind.GPUGraph(), cfg)
-	p, err := GenerateTrees(ind.GPUGraph(), 0, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(ind.GPUGraph(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func memoCases(t *testing.T) []memoCase {
 	pack := func(f *simgpu.Fabric, plane, root int) *Packing {
 		t.Helper()
 		if packs[[2]int{plane, root}] == nil {
-			p, err := GenerateTrees(f.Graph, root, PackOptions{}, MinimizeOptions{})
+			p, err := GenerateTrees(f.Graph, root)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func memoCases(t *testing.T) []memoCase {
 	}
 	c, fabrics, wide := threePhaseFixture(t)
 	clusterPack := func(si, root int) (*Packing, error) {
-		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
+		return GenerateTrees(c.Servers[si].GPUGraph(), root)
 	}
 	return []memoCase{
 		{"Broadcast", 4, floats, func(t *testing.T, data bool) *Plan {
@@ -357,7 +357,7 @@ func TestStripedReplayNestedConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{DataMode: true})
-	p, err := GenerateTrees(f.Graph, 0, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(f.Graph, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,49 +7,19 @@ import (
 	"blink/internal/graph"
 )
 
-// MinimizeOptions controls the ILP-style tree-count reduction of §3.2.1.
-type MinimizeOptions struct {
-	// Threshold is the acceptable rate loss versus the MWU rate b*; the
+// The ILP-style tree-count reduction's constants (§3.2.1).
+const (
+	// minThreshold is the acceptable rate loss versus the MWU rate b*; the
 	// paper uses 5%. The integral solution is accepted once its rate is
-	// within Threshold of b*, otherwise weights are iteratively relaxed to
-	// finer fractional grids. Default 0.05.
-	Threshold float64
-	// MaxCandidates bounds the number of distinct candidate trees passed to
-	// the solver (highest-MWU-weight first). Default 64.
-	MaxCandidates int
-	// MaxGrid bounds the relaxation: weights are multiples of 1/q with q
-	// doubling from 1 up to MaxGrid. Default 8 (i.e. eighths). Values that
-	// are not powers of two are normalized up to the next power of two —
-	// the doubling walk visits only powers of two, so e.g. MaxGrid=6 would
-	// otherwise silently stop at quarters instead of reaching sixths-or-
-	// finer granularity the caller asked for.
-	MaxGrid int
-}
-
-func (o *MinimizeOptions) setDefaults() {
-	if o.Threshold <= 0 || o.Threshold >= 1 {
-		// Threshold is a fractional rate loss: 0 and negatives are
-		// meaningless, and >= 1 would accept an empty packing. Both fall
-		// back to the paper's 5%.
-		o.Threshold = 0.05
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 64
-	}
-	if o.MaxGrid <= 0 {
-		o.MaxGrid = 8
-	}
-	o.MaxGrid = nextPow2(o.MaxGrid)
-}
-
-// nextPow2 rounds q up to the nearest power of two (q itself if already one).
-func nextPow2(q int) int {
-	p := 1
-	for p < q {
-		p <<= 1
-	}
-	return p
-}
+	// within it of b*, otherwise weights are relaxed to finer grids.
+	minThreshold = 0.05
+	// minCandidates bounds the distinct candidate trees passed to the solver
+	// (highest MWU weight first).
+	minCandidates = 64
+	// minMaxGrid bounds the relaxation: weights are multiples of 1/q with q
+	// doubling from 1 up to eighths.
+	minMaxGrid = 8
+)
 
 // MinimizeTrees reduces a (possibly large) MWU packing to a small set of
 // trees achieving nearly the same rate, following §3.2.1: solve the integer
@@ -57,22 +27,21 @@ func nextPow2(q int) int {
 // the integral optimum ĉ falls short of b*, iteratively relax the weights
 // to fractional grids (halves, quarters, ...) until within the threshold.
 // Among equal-rate solutions the solver prefers fewer trees.
-func MinimizeTrees(g *graph.Graph, p *Packing, opts MinimizeOptions) *Packing {
-	opts.setDefaults()
+func MinimizeTrees(g *graph.Graph, p *Packing) *Packing {
 	if len(p.Trees) <= 1 {
 		return p
 	}
-	target := p.Rate * (1 - opts.Threshold)
+	target := p.Rate * (1 - minThreshold)
 
 	// Candidate trees: distinct by construction (PackTrees dedupes),
 	// highest weight first, capped.
 	cands := p.Trees
-	if len(cands) > opts.MaxCandidates {
-		cands = cands[:opts.MaxCandidates]
+	if len(cands) > minCandidates {
+		cands = cands[:minCandidates]
 	}
 
 	best := solveGrid(g, p.Root, cands, 1, p.Bound)
-	for q := 2; best.Rate < target && q <= opts.MaxGrid; q *= 2 {
+	for q := 2; best.Rate < target && q <= minMaxGrid; q *= 2 {
 		sol := solveGrid(g, p.Root, cands, q, p.Bound)
 		if sol.Rate > best.Rate || (sol.Rate == best.Rate && len(sol.Trees) < len(best.Trees)) {
 			best = sol
@@ -217,8 +186,8 @@ func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64)
 // integer-capacity graph. It is the single-root convenience wrapper around
 // the staged PlannerPipeline (see pipeline.go), which is the entry point
 // plan construction and the collective layer use.
-func GenerateTrees(g *graph.Graph, root int, pOpts PackOptions, mOpts MinimizeOptions) (*Packing, error) {
-	p, _, err := NewPlannerPipeline(PipelineOptions{Pack: pOpts, Min: mOpts, Workers: 1}).PackRoot(g, root)
+func GenerateTrees(g *graph.Graph, root int) (*Packing, error) {
+	p, _, err := NewPlannerPipeline(PipelineOptions{Workers: 1}).PackRoot(g, root)
 	return p, err
 }
 

@@ -38,23 +38,14 @@ type Packing struct {
 	Bound float64
 }
 
-// PackOptions tunes the MWU procedure.
-type PackOptions struct {
-	// Epsilon is the MWU approximation parameter; the packing rate is at
-	// least (1-Epsilon)^2 of optimal. Default 0.05.
-	Epsilon float64
-	// MaxIters caps MWU iterations as a safety net. Default 50000.
-	MaxIters int
-}
-
-func (o *PackOptions) setDefaults() {
-	if o.Epsilon <= 0 || o.Epsilon >= 1 {
-		o.Epsilon = 0.05
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 50000
-	}
-}
+// The MWU procedure's constants.
+const (
+	// packEpsilon is the MWU approximation parameter: the packing rate is at
+	// least (1-packEpsilon)^2 of optimal.
+	packEpsilon = 0.05
+	// packMaxIters caps MWU iterations as a safety net.
+	packMaxIters = 50000
+)
 
 // ErrNoSpanningTree indicates the topology cannot broadcast from the root.
 var ErrNoSpanningTree = errors.New("core: no spanning tree from root (topology disconnected)")
@@ -75,8 +66,7 @@ func checkRoot(g *graph.Graph, root int) error {
 // Chekuri–Quanrud, the algorithm the paper adopts in §3.2). Each iteration
 // finds a minimum-length arborescence under current edge lengths, raises
 // its weight, and multiplicatively penalizes the edges it loads.
-func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
-	opts.setDefaults()
+func PackTrees(g *graph.Graph, root int) (*Packing, error) {
 	if err := checkRoot(g, root); err != nil {
 		return nil, err
 	}
@@ -92,7 +82,7 @@ func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
 		}
 	}
 
-	eps := opts.Epsilon
+	eps := float64(packEpsilon)
 	m := float64(len(g.Edges))
 	delta := (1 + eps) * math.Pow((1+eps)*m, -1/eps)
 
@@ -120,7 +110,7 @@ func PackTrees(g *graph.Graph, root int, opts PackOptions) (*Packing, error) {
 	bits := make([]byte, (len(g.Edges)+7)/8)
 	arb := graph.NewArborescer(g)
 
-	for iter := 0; iter < opts.MaxIters; iter++ {
+	for iter := 0; iter < packMaxIters; iter++ {
 		edges, total, err := arb.Solve(root, length)
 		if err != nil {
 			return nil, err

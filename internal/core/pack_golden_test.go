@@ -66,7 +66,7 @@ func TestGoldenPackingDigest(t *testing.T) {
 	pairs := 0
 	for _, j := range jobs {
 		for root := 0; root < j.roots; root++ {
-			p, err := PackTrees(j.g, root, PackOptions{})
+			p, err := PackTrees(j.g, root)
 			if err != nil {
 				t.Fatalf("PackTrees(%v, root %d): %v", j.g, root, err)
 			}

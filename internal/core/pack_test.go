@@ -11,7 +11,7 @@ import (
 
 func packOrDie(t *testing.T, g *graph.Graph, root int) *Packing {
 	t.Helper()
-	p, err := PackTrees(g, root, PackOptions{})
+	p, err := PackTrees(g, root)
 	if err != nil {
 		t.Fatalf("PackTrees: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestPackTreesTriangle(t *testing.T) {
 func TestPackTreesDisconnected(t *testing.T) {
 	g := graph.New(3)
 	g.AddBiEdge(0, 1, 1, graph.NVLink)
-	if _, err := PackTrees(g, 0, PackOptions{}); err != ErrNoSpanningTree {
+	if _, err := PackTrees(g, 0); err != ErrNoSpanningTree {
 		t.Fatalf("expected ErrNoSpanningTree, got %v", err)
 	}
 }
@@ -60,14 +60,14 @@ func TestPackTreesBadCapacity(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 0, graph.NVLink)
 	g.AddEdge(1, 0, 1, graph.NVLink)
-	if _, err := PackTrees(g, 0, PackOptions{}); err == nil {
+	if _, err := PackTrees(g, 0); err == nil {
 		t.Fatal("zero-capacity edge accepted")
 	}
 }
 
 func TestPackTreesSingleton(t *testing.T) {
 	g := graph.New(1)
-	p, err := PackTrees(g, 0, PackOptions{})
+	p, err := PackTrees(g, 0)
 	if err != nil || !math.IsInf(p.Rate, 1) {
 		t.Fatalf("singleton pack: %v %v", p, err)
 	}
@@ -96,7 +96,7 @@ func TestPackTreesDGX1VFull(t *testing.T) {
 func TestPackTreesAllocs(t *testing.T) {
 	g := topology.DGX1V().GPUGraph()
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := PackTrees(g, 0, PackOptions{}); err != nil {
+		if _, err := PackTrees(g, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -108,7 +108,7 @@ func TestPackTreesAllocs(t *testing.T) {
 func TestMinimizeTreesDGX1VFull(t *testing.T) {
 	v := topology.DGX1V().GPUGraph()
 	p := packOrDie(t, v, 0)
-	min := MinimizeTrees(v, p, MinimizeOptions{})
+	min := MinimizeTrees(v, p)
 	if min.Rate != 6 {
 		t.Fatalf("minimized rate = %v, want exactly 6 (paper §3.2.1)", min.Rate)
 	}
@@ -128,7 +128,7 @@ func TestMinimizeTreesDGX1VFull(t *testing.T) {
 func TestMinimizeTreesDGX1PFull(t *testing.T) {
 	g := topology.DGX1P().GPUGraph()
 	p := packOrDie(t, g, 0)
-	min := MinimizeTrees(g, p, MinimizeOptions{})
+	min := MinimizeTrees(g, p)
 	if min.Rate != 4 {
 		t.Fatalf("DGX-1P minimized rate = %v, want 4", min.Rate)
 	}
@@ -145,7 +145,7 @@ func TestMinimizeKeepsFeasibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := ind.GPUGraph()
-		p, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+		p, err := GenerateTrees(g, 0)
 		if err != nil {
 			t.Fatalf("alloc %v: %v", devs, err)
 		}
@@ -180,7 +180,7 @@ func TestGenerateTreesRandomProperty(t *testing.T) {
 			}
 		}
 		root := rng.Intn(n)
-		p, err := GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
+		p, err := GenerateTrees(g, root)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -198,7 +198,7 @@ func TestPackingMaxDepth(t *testing.T) {
 	g.AddBiEdge(0, 1, 1, graph.NVLink)
 	g.AddBiEdge(1, 2, 1, graph.NVLink)
 	p := packOrDie(t, g, 0)
-	min := MinimizeTrees(g, p, MinimizeOptions{})
+	min := MinimizeTrees(g, p)
 	if d := min.MaxDepth(g); d != 2 {
 		t.Fatalf("chain packing depth = %d, want 2", d)
 	}

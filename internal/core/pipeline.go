@@ -44,10 +44,6 @@ func (s StageSeconds) Total() float64 { return s.Enumerate + s.Minimize + s.Fill
 
 // PipelineOptions configures a PlannerPipeline.
 type PipelineOptions struct {
-	// Pack tunes the MWU enumeration stage.
-	Pack PackOptions
-	// Min tunes the ILP minimization stage.
-	Min MinimizeOptions
 	// Workers bounds the worker pool PackRoots fans out over; <= 0 uses
 	// GOMAXPROCS. Worker count never affects results — per-root compiles
 	// are independent and deterministic, and the merge is index-ordered —
@@ -88,7 +84,7 @@ func (pl *PlannerPipeline) observe(stage string, d time.Duration) {
 func (pl *PlannerPipeline) PackRoot(g *graph.Graph, root int) (*Packing, StageSeconds, error) {
 	var st StageSeconds
 	t0 := time.Now()
-	p, err := PackTrees(g, root, pl.opts.Pack)
+	p, err := PackTrees(g, root)
 	d := time.Since(t0)
 	st.Enumerate = d.Seconds()
 	pl.observe(StageEnumerate, d)
@@ -100,7 +96,7 @@ func (pl *PlannerPipeline) PackRoot(g *graph.Graph, root int) (*Packing, StageSe
 	}
 
 	t0 = time.Now()
-	min := MinimizeTrees(g, p, pl.opts.Min)
+	min := MinimizeTrees(g, p)
 	d = time.Since(t0)
 	st.Minimize = d.Seconds()
 	pl.observe(StageMinimize, d)

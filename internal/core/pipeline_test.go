@@ -76,7 +76,7 @@ func TestPackRootMatchesGenerateTreesAndObservesStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+	want, err := GenerateTrees(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestApproxPackValidAndDeterministic(t *testing.T) {
 func TestPackersRejectRootOutsideGraph(t *testing.T) {
 	g := topology.DGX1V().GPUGraph()
 	packers := map[string]func(root int) (*Packing, error){
-		"PackTrees":  func(root int) (*Packing, error) { return PackTrees(g, root, PackOptions{}) },
+		"PackTrees":  func(root int) (*Packing, error) { return PackTrees(g, root) },
 		"ExactPack":  func(root int) (*Packing, error) { return ExactPack(g, root) },
 		"ApproxPack": func(root int) (*Packing, error) { return ApproxPack(g, root) },
 		"GenerateTrees": func(root int) (*Packing, error) {
-			return GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
+			return GenerateTrees(g, root)
 		},
 	}
 	for name, pack := range packers {

@@ -16,7 +16,7 @@ func fabricFor(t *testing.T, topo *topology.Topology, devs []int, data bool) (*s
 		t.Fatal(err)
 	}
 	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

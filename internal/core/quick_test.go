@@ -118,7 +118,7 @@ func TestBroadcastPlanOpCountProperty(t *testing.T) {
 		if !g.Connected() {
 			continue
 		}
-		p, err := GenerateTrees(g, 0, PackOptions{}, MinimizeOptions{})
+		p, err := GenerateTrees(g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestGenerateTreesHitsIntegralBound(t *testing.T) {
 		}
 		g := ind.GPUGraph()
 		for root := 0; root < g.N; root++ {
-			p, err := GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
+			p, err := GenerateTrees(g, root)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func TestRepairEquivalenceRandomFaultSequences(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cur := topology.DGX1V()
 		root := rng.Intn(cur.NumGPUs)
-		p, err := core.GenerateTrees(cur.GPUGraph(), root, core.PackOptions{}, core.MinimizeOptions{})
+		p, err := core.GenerateTrees(cur.GPUGraph(), root)
 		if err != nil {
 			t.Fatalf("seed %d: initial packing: %v", seed, err)
 		}
@@ -84,7 +84,7 @@ func TestRepairEquivalenceRandomFaultSequences(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: RepairPacking: %v", seed, step, err)
 			}
-			full, err := core.GenerateTrees(ng, newRoot, core.PackOptions{}, core.MinimizeOptions{})
+			full, err := core.GenerateTrees(ng, newRoot)
 			if err != nil {
 				t.Fatalf("seed %d step %d: full recompile: %v", seed, step, err)
 			}
@@ -115,7 +115,7 @@ func TestRepairEquivalenceRandomFaultSequences(t *testing.T) {
 func TestRepairNoOpFaultKeepsAllTrees(t *testing.T) {
 	m := topology.DGX1V()
 	g := m.GPUGraph()
-	p, err := core.GenerateTrees(g, 0, core.PackOptions{}, core.MinimizeOptions{})
+	p, err := core.GenerateTrees(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func newStripeMachine(t *testing.T, name string, m *topology.Topology, devs []in
 	}
 	sm := stripeMachine{name: name, f: simgpu.NewFabric(ind, g, cfg), plane: plane}
 	for root := 0; root < ind.NumGPUs; root++ {
-		p, err := core.GenerateTrees(g, root, core.PackOptions{}, core.MinimizeOptions{})
+		p, err := core.GenerateTrees(g, root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func clusterStripePlans(t *testing.T, cfg simgpu.Config) []stripePlan {
 		}
 		wide := core.NewClusterFabric(c, fabrics, cfg)
 		packFor := func(si, root int) (*core.Packing, error) {
-			return core.GenerateTrees(c.Servers[si].GPUGraph(), root, core.PackOptions{}, core.MinimizeOptions{})
+			return core.GenerateTrees(c.Servers[si].GPUGraph(), root)
 		}
 		row := func(name string, build func() (*core.Plan, error)) stripePlan {
 			return stripePlan{name: fmt.Sprintf("cluster/%d+%d/%s", sizes[0], sizes[1], name), ranks: c.TotalGPUs(), build: build}

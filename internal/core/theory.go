@@ -19,7 +19,7 @@ func TheoreticalRates(g *graph.Graph, root int) (nccl, blink float64, err error)
 	} else {
 		nccl = PCIeRingUnits
 	}
-	p, err := GenerateTrees(g, root, PackOptions{}, MinimizeOptions{})
+	p, err := GenerateTrees(g, root)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -211,7 +211,7 @@ func Fig12() (*Table, error) {
 		return nil, err
 	}
 	g := ind.GPUGraph()
-	p, err := core.GenerateTrees(g, 0, core.PackOptions{}, core.MinimizeOptions{})
+	p, err := core.GenerateTrees(g, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -243,7 +243,7 @@ func TreeMin() (*Table, error) {
 	t := newTable("treemin", "Tree minimization on the 8-GPU DGX-1V (root 0)",
 		"stage", "trees", "rate", "min weight", "max weight")
 	g := topology.DGX1V().GPUGraph()
-	mwu, err := core.PackTrees(g, 0, core.PackOptions{})
+	mwu, err := core.PackTrees(g, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +258,7 @@ func TreeMin() (*Table, error) {
 	}
 	t.addRow("MWU", fmt.Sprintf("%d", len(mwu.Trees)), fmt.Sprintf("%.3f", mwu.Rate),
 		fmt.Sprintf("%.4f", minW), fmt.Sprintf("%.4f", maxW))
-	min := core.MinimizeTrees(g, mwu, core.MinimizeOptions{})
+	min := core.MinimizeTrees(g, mwu)
 	minW, maxW = 1e9, 0.0
 	for _, tr := range min.Trees {
 		if tr.Weight < minW {

@@ -20,7 +20,7 @@ func samplePlan(t *testing.T) *core.Plan {
 		t.Fatal(err)
 	}
 	g := ind.GPUGraph()
-	p, err := core.GenerateTrees(g, 0, core.PackOptions{}, core.MinimizeOptions{})
+	p, err := core.GenerateTrees(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,18 +81,16 @@ type CaseResult struct {
 type Options struct {
 	Cases int
 	Seed  int64
-	// MaxFloats bounds payload sizes (default 4096).
-	MaxFloats int
 }
+
+// maxFloats bounds a case's payload size.
+const maxFloats = 4096
 
 // Run executes randomized verification cases on a DGX-1V and returns
 // per-case results; any failing case also returns an error.
 func Run(opts Options) ([]CaseResult, error) {
 	if opts.Cases <= 0 {
 		opts.Cases = 50
-	}
-	if opts.MaxFloats <= 0 {
-		opts.MaxFloats = 4096
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	machine := topology.DGX1V()
@@ -107,7 +105,7 @@ func Run(opts Options) ([]CaseResult, error) {
 		if rng.Intn(2) == 0 {
 			op = collective.AllReduce
 		}
-		floats := 64 + rng.Intn(opts.MaxFloats)
+		floats := 64 + rng.Intn(maxFloats)
 		chunk := int64(4 * (1 + rng.Intn(512)))
 		res := runCase(machine, devs, backend, op, floats, chunk, rng)
 		out = append(out, res)

@@ -1,36 +1,9 @@
 package blink
 
 import (
-	"fmt"
-	"strings"
-	"sync"
+	"math/rand"
 	"testing"
 )
-
-// sumInputs builds per-rank input buffers and their elementwise sum.
-func sumInputs(ranks, floats int) ([][]float32, []float32) {
-	inputs := make([][]float32, ranks)
-	want := make([]float32, floats)
-	for v := range inputs {
-		inputs[v] = make([]float32, floats)
-		for i := range inputs[v] {
-			inputs[v][i] = float32((v*13 + i) % 23)
-			want[i] += inputs[v][i]
-		}
-	}
-	return inputs, want
-}
-
-func checkSums(t *testing.T, tag string, outs [][]float32, want []float32) {
-	t.Helper()
-	for v, out := range outs {
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatalf("%s: rank %d float %d = %v, want %v", tag, v, i, out[i], want[i])
-			}
-		}
-	}
-}
 
 // TestCommReconfigureAfterLinkFailure walks the README resilience flow:
 // a communicator survives a link failure by re-probing the derived machine,
@@ -62,12 +35,14 @@ func TestCommReconfigureAfterLinkFailure(t *testing.T) {
 		t.Fatalf("post-fault %.2f GB/s below half of pre-fault %.2f GB/s",
 			post.ThroughputGBs, pre.ThroughputGBs)
 	}
-	inputs, want := sumInputs(comm.Size(), 777)
+	inputs, want := randInputs(rand.New(rand.NewSource(777)), comm.Size(), 777)
 	outs, err := comm.AllReduceData(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, "degraded allreduce", outs, want)
+	if err := diffRows(outs, repeat(want, len(outs))); err != nil {
+		t.Fatalf("degraded allreduce: %v", err)
+	}
 
 	// Trees are re-packed for the degraded fabric.
 	if _, err := comm.Trees(0); err != nil {
@@ -76,10 +51,7 @@ func TestCommReconfigureAfterLinkFailure(t *testing.T) {
 }
 
 func TestCommReconfigureExclude(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	comm := dgx1vComm(t, []int{0, 1, 2, 3, 4, 5, 6, 7}, WithDataMode())
 	if err := comm.ReconfigureExclude(3, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +63,14 @@ func TestCommReconfigureExclude(t *testing.T) {
 			t.Fatalf("evicted device %d still allocated", d)
 		}
 	}
-	inputs, want := sumInputs(comm.Size(), 600)
+	inputs, want := randInputs(rand.New(rand.NewSource(600)), comm.Size(), 600)
 	outs, err := comm.AllReduceData(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, "post-eviction allreduce", outs, want)
+	if err := diffRows(outs, repeat(want, len(outs))); err != nil {
+		t.Fatalf("post-eviction allreduce: %v", err)
+	}
 
 	if err := comm.ReconfigureExclude(3); err == nil {
 		t.Fatal("excluding an already-evicted device must error")
@@ -120,10 +94,7 @@ func TestClusterCommReconfigureWithoutServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := NewClusterComm(cl, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := clusterComm(t, cl, WithDataMode())
 	if cc.Size() != 12 {
 		t.Fatalf("Size = %d, want 12", cc.Size())
 	}
@@ -136,82 +107,17 @@ func TestClusterCommReconfigureWithoutServer(t *testing.T) {
 	if got := cc.ServerSizes(); len(got) != 2 {
 		t.Fatalf("ServerSizes = %v, want 2 servers", got)
 	}
-	inputs, want := sumInputs(cc.Size(), 512)
+	inputs, want := randInputs(rand.New(rand.NewSource(512)), cc.Size(), 512)
 	outs, err := cc.AllReduceData(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, "post-server-loss allreduce", outs, want)
+	if err := diffRows(outs, repeat(want, len(outs))); err != nil {
+		t.Fatalf("post-server-loss allreduce: %v", err)
+	}
 
 	if err := cc.ReconfigureWithoutServer(0); err == nil {
 		t.Fatal("shrinking below two servers must error")
-	}
-}
-
-// TestDataCallsDuringRankChangingReconfigure hammers AllReduceData while
-// another goroutine evicts and restores a GPU. Every call pins one
-// topology snapshot, so it must either complete with exact sums (its
-// snapshot still had 8 ranks) or fail the input-count validation cleanly —
-// silently dropping a rank's contribution is the bug this guards against.
-func TestDataCallsDuringRankChangingReconfigure(t *testing.T) {
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, WithDataMode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 4
-	const iters = 10
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers*iters+1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				inputs, want := sumInputs(8, 300+w*17+it)
-				outs, err := comm.AllReduceData(inputs)
-				if err != nil {
-					// The only acceptable failure is the clean rank-count
-					// mismatch against a 6-rank snapshot.
-					if !strings.Contains(err.Error(), "8 inputs for 6 ranks") {
-						errCh <- err
-						return
-					}
-					continue
-				}
-				for v, out := range outs {
-					for i := range want {
-						if out[i] != want[i] {
-							errCh <- fmt.Errorf("silent data corruption: worker %d iter %d rank %d float %d = %v, want %v",
-								w, it, v, i, out[i], want[i])
-							return
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 16; i++ {
-			var err error
-			if i%2 == 0 {
-				err = comm.ReconfigureExclude(3, 7)
-			} else {
-				// Restore the full allocation (the inverse of the eviction;
-				// the public API only shrinks, so reach into the engine).
-				err = comm.eng.Reconfigure(nil, []int{0, 1, 2, 3, 4, 5, 6, 7})
-			}
-			if err != nil {
-				errCh <- err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package blink
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -19,9 +18,6 @@ func TestStoreRoundTripConformance(t *testing.T) {
 	for _, f := range conformanceFabrics(t) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			if f.skip != "" {
-				t.Skip(f.skip)
-			}
 			if f.cluster != nil {
 				t.Skip("cluster plans have no serializable form")
 			}
@@ -34,23 +30,12 @@ func TestStoreRoundTripConformance(t *testing.T) {
 				return comm
 			}
 			runAll := func(t *testing.T, comm *Comm, label string) {
-				ranks := comm.Size()
-				for _, op := range confOps() {
-					op := op
-					roots := []int{0}
-					if op.needsRoot {
-						roots = []int{0, ranks - 1}
-					}
-					for _, root := range roots {
-						name := fmt.Sprintf("%s/%s", label, op.name)
-						if op.needsRoot {
-							name = fmt.Sprintf("%s/root%d", name, root)
+				for _, c := range confCells(f, comm.Size(), BackendBlink) {
+					t.Run(label+"/"+c.name, func(t *testing.T) {
+						if err := c.exact(comm, rand.New(rand.NewSource(int64(c.root)))); err != nil {
+							t.Fatal(err)
 						}
-						t.Run(name, func(t *testing.T) {
-							rng := rand.New(rand.NewSource(int64(ranks*1000 + root)))
-							op.run(t, comm, ranks, root, rng)
-						})
-					}
+					})
 				}
 			}
 
