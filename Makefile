@@ -18,8 +18,8 @@ COVER_FLOOR_QOS ?= 85
 # Ratchets, not aspirations: lower them when a change shrinks the code,
 # never raise them to make a build pass.
 LOC_CEIL_CORE ?= 2564
-LOC_CEIL_REPO ?= 11975
-LOC_CEIL_TEST ?= 13844
+LOC_CEIL_REPO ?= 11948
+LOC_CEIL_TEST ?= 13842
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke mutants ci
 

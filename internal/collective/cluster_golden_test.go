@@ -11,12 +11,12 @@ import (
 
 // TestGoldenClusterMatrix pins the Blink three-phase schedule's timing — the
 // makespan, the partition count and the three phase durations — for every
-// (cluster shape, NIC speed, op, size) cell. The table was generated while a
-// cluster schedule was still 2·servers+1 separately simulated plans whose
-// phase maxima were added; as one plan the phases share one clock, so event
-// times are absolute instead of phase-relative and the last bits may move:
-// cells compare within 1e-12 relative, not bit for bit. It must never change
-// as a side effect of a refactor.
+// (cluster shape, NIC speed, op, size) cell, within 1e-12 relative. It must
+// never change as a side effect of a refactor. Every cell must also respect
+// the NIC: its Seconds is at least the most bytes that must cross one
+// server's NIC over that NIC's rate — one payload into every server
+// (AllReduce) or every non-root one (Broadcast), the off-server shards
+// (AllToAll). On two servers, no cell may lose to the flat ring.
 func TestGoldenClusterMatrix(t *testing.T) {
 	shapes := [][]int{{3, 5}, {5, 3}, {1, 3}, {4, 4, 4}}
 	var got []string
@@ -43,6 +43,8 @@ func TestGoldenClusterMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, gbps, err)
 			}
+			st := eng.st.Load() // its last links are the NIC fabric's: edges, then reduce links
+			nic := st.wide.Links[len(st.wide.Links)-st.wide.Graph.N-1].BW * 1e9
 			for _, op := range []Op{AllReduce, Broadcast, AllToAll} {
 				root := 0
 				if op == Broadcast {
@@ -53,6 +55,22 @@ func TestGoldenClusterMatrix(t *testing.T) {
 					r, err := eng.Run(Blink, op, root, bytes, Options{})
 					if err != nil {
 						t.Fatalf("%s%v", cell, err)
+					}
+					crossing := float64(bytes)
+					if op == AllToAll {
+						crossing = 0
+						for _, p := range pieces {
+							crossing = math.Max(crossing, float64(p*(total-p))*float64(bytes/4/int64(total)*4))
+						}
+					}
+					if r.Seconds < crossing/nic {
+						t.Errorf("%sSeconds = %v beats the NIC bound %v", cell, r.Seconds, crossing/nic)
+					}
+					if len(pieces) == 2 && op != AllToAll {
+						flat, err := eng.Run(NCCL, op, root, bytes, Options{})
+						if err != nil || flat.Strategy != "flat-ring" || flat.Seconds < r.Seconds {
+							t.Errorf("%sBlink %v s, flat ring %+v (%v)", cell, r.Seconds, flat, err)
+						}
 					}
 					got = append(got, cell+fmt.Sprintf("%d %x %x %x %x", r.Partitions, math.Float64bits(r.Seconds),
 						math.Float64bits(r.Phase1), math.Float64bits(r.Phase2), math.Float64bits(r.Phase3)))
@@ -90,112 +108,112 @@ func TestGoldenClusterMatrix(t *testing.T) {
 // order: "shape nic-gbps op bytes: partitions seconds-bits phase1-bits
 // phase2-bits phase3-bits".
 var goldenCluster = []string{
-	"3+5 40 AllReduce 1048576: 3 3f3bf7a6e1fcd562 3f18e1522ebc4d5c 3f31a1e87fb70e9c 3f1075a75a5acdbb",
-	"3+5 40 AllReduce 26214400: 3 3f7de048d80efcbd 3f49d0f2a4f50ee8 3f7828c2b8d14010 3f43eb3e54f8d680",
-	"3+5 40 AllReduce 104857600: 3 3f9c443dc92c6d76 3f656fc4768ca535 3f9724a955d8bdea 3f638cdf2410d727",
-	"3+5 40 Broadcast 1048576: 1 3f46d4c2408f8707 0 3f432f93e1f58eab 3f1d2972f4cfc2e3",
-	"3+5 40 Broadcast 26214400: 1 3f888a67f31b89f9 0 3f86e6669942eeb3 3f4a40159d89b465",
-	"3+5 40 Broadcast 104857600: 1 3fa836ec941b7bce 0 3fa6d5e2bd80bb8e 3f66109d69ac0408",
-	"3+5 40 AllToAll 1048576: 8 3f532d455cc156a0 3f130aab8eb20dc1 3f51fc9aa3d635c4 0",
-	"3+5 40 AllToAll 26214400: 8 3f962257ff3d261c 3f454af9f1ccca17 3f9578002faebfcb 0",
-	"3+5 40 AllToAll 104857600: 8 3fb60615415b7f30 3f63ad5e00b4b48e 3fb568aa5155d98c 0",
-	"3+5 100 AllReduce 1048576: 3 3f32eb3ca2e351cf 3f18e1522ebc4d5c 3f212afc813b1612 3f1075a75a5acdbb",
-	"3+5 100 AllReduce 26214400: 3 3f6eee447312b689 3f49d0f2a4f50ee8 3f637f3834973d2f 3f43eb3e54f8d680",
-	"3+5 100 AllReduce 104857600: 3 3f8cdd50248b7bf3 3f656fc4768ca535 3f829e273de41cdc 3f638cdf2410d727",
-	"3+5 100 Broadcast 1048576: 1 3f3c4d2d05029639 0 3f3502d047cea580 3f1d2972f4cfc2e3",
-	"3+5 100 Broadcast 26214400: 1 3f75f487344a98ba 0 3f72ac848099622d 3f4a40159d89b465",
-	"3+5 100 Broadcast 104857600: 1 3f954d90764a7c7d 0 3f928b7cc914fbfc 3f66109d69ac0408",
-	"3+5 100 AllToAll 1048576: 8 3f4613f8b527fce1 3f130aab8eb20dc1 3f43b2a34351bb29 0",
-	"3+5 100 AllToAll 26214400: 8 3f82d66bd7ac98ab 3f454af9f1ccca17 3f8181bc388fcc0a 0",
-	"3+5 100 AllToAll 104857600: 8 3fa29de65be94ab7 3f63ad5e00b4b48e 3fa163107bddff6e 0",
-	"3+5 400 AllReduce 1048576: 3 3f2e6e7ffdd6f642 3f18e1522ebc4d5c 3f1386067296d16d 3f1075a75a5acdbb",
-	"3+5 400 AllReduce 26214400: 3 3f60851dd48d1512 3f49d0f2a4f50ee8 3f44584658466ee2 3f43eb3e54f8d680",
-	"3+5 400 AllReduce 104857600: 3 3f7e0f74db4998f6 3f656fc4768ca535 3f6322461bf5b591 3f638cdf2410d727",
-	"3+5 400 Broadcast 1048576: 1 3f339f0146f45a50 0 3f28a9491380d32e 3f1d2972f4cfc2e3",
-	"3+5 400 Broadcast 26214400: 1 3f60c8c5b6a8b637 0 3f5471809e8c923b 3f4a40159d89b465",
-	"3+5 400 Broadcast 104857600: 1 3f7ef5b07550fb97 0 3f73ed61c07af993 3f66109d69ac0408",
-	"3+5 400 AllToAll 1048576: 8 3f3be15f65f54968 3f130aab8eb20dc1 3f371eb48248c5f8 0",
-	"3+5 400 AllToAll 26214400: 8 3f687d271116fba0 3f454af9f1ccca17 3f632a6894a3c91a 0",
-	"3+5 400 AllToAll 104857600: 8 3f879b112209c3f2 3f63ad5e00b4b48e 3f82afb9a1dc96ce 0",
-	"5+3 40 AllReduce 1048576: 3 3f3bf7a6e1fcd562 3f18e1522ebc4d5c 3f31a1e87fb70e9c 3f1075a75a5acdbb",
-	"5+3 40 AllReduce 26214400: 3 3f7de048d80efcbd 3f49d0f2a4f50ee8 3f7828c2b8d14010 3f43eb3e54f8d680",
-	"5+3 40 AllReduce 104857600: 3 3f9c443dc92c6d76 3f656fc4768ca535 3f9724a955d8bdea 3f638cdf2410d727",
-	"5+3 40 Broadcast 1048576: 1 3f4689c9c6c23acf 0 3f432f93e1f58eab 3f1ad1af2665611e",
-	"5+3 40 Broadcast 26214400: 1 3f8873a2e5b2c239 0 3f86e6669942eeb3 3f48d3c4c6fd385f",
-	"5+3 40 Broadcast 104857600: 1 3fa82fe9beffc027 0 3fa6d5e2bd80bb8e 3f65a07017f0498a",
-	"5+3 40 AllToAll 1048576: 8 3f532d455cc156a0 3f130aab8eb20dc1 3f51fc9aa3d635c4 0",
-	"5+3 40 AllToAll 26214400: 8 3f962257ff3d261c 3f454af9f1ccca17 3f9578002faebfcb 0",
-	"5+3 40 AllToAll 104857600: 8 3fb60615415b7f30 3f63ad5e00b4b48e 3fb568aa5155d98c 0",
-	"5+3 100 AllReduce 1048576: 3 3f32eb3ca2e351cf 3f18e1522ebc4d5c 3f212afc813b1612 3f1075a75a5acdbb",
-	"5+3 100 AllReduce 26214400: 3 3f6eee447312b689 3f49d0f2a4f50ee8 3f637f3834973d2f 3f43eb3e54f8d680",
-	"5+3 100 AllReduce 104857600: 3 3f8cdd50248b7bf3 3f656fc4768ca535 3f829e273de41cdc 3f638cdf2410d727",
-	"5+3 100 Broadcast 1048576: 1 3f3bb73c1167fdc8 0 3f3502d047cea580 3f1ad1af2665611e",
-	"5+3 100 Broadcast 26214400: 1 3f75c6fd19790939 0 3f72ac848099622d 3f48d3c4c6fd385f",
-	"5+3 100 Broadcast 104857600: 1 3f953f8acc13052d 0 3f928b7cc914fbfc 3f65a07017f0498a",
-	"5+3 100 AllToAll 1048576: 8 3f4613f8b527fce1 3f130aab8eb20dc1 3f43b2a34351bb29 0",
-	"5+3 100 AllToAll 26214400: 8 3f82d66bd7ac98ab 3f454af9f1ccca17 3f8181bc388fcc0a 0",
-	"5+3 100 AllToAll 104857600: 8 3fa29de65be94ab7 3f63ad5e00b4b48e 3fa163107bddff6e 0",
-	"5+3 400 AllReduce 1048576: 3 3f2e6e7ffdd6f642 3f18e1522ebc4d5c 3f1386067296d16d 3f1075a75a5acdbb",
-	"5+3 400 AllReduce 26214400: 3 3f60851dd48d1512 3f49d0f2a4f50ee8 3f44584658466ee2 3f43eb3e54f8d680",
-	"5+3 400 AllReduce 104857600: 3 3f7e0f74db4998f6 3f656fc4768ca535 3f6322461bf5b591 3f638cdf2410d727",
-	"5+3 400 Broadcast 1048576: 1 3f3309105359c1de 0 3f28a9491380d32e 3f1ad1af2665611e",
-	"5+3 400 Broadcast 26214400: 1 3f606db181059735 0 3f5471809e8c923b 3f48d3c4c6fd385f",
-	"5+3 400 Broadcast 104857600: 1 3f7ebd99cc731e58 0 3f73ed61c07af993 3f65a07017f0498a",
-	"5+3 400 AllToAll 1048576: 8 3f3be15f65f54968 3f130aab8eb20dc1 3f371eb48248c5f8 0",
-	"5+3 400 AllToAll 26214400: 8 3f687d271116fba0 3f454af9f1ccca17 3f632a6894a3c91a 0",
-	"5+3 400 AllToAll 104857600: 8 3f879b112209c3f2 3f63ad5e00b4b48e 3f82afb9a1dc96ce 0",
-	"1+3 40 AllReduce 1048576: 1 3f496dc64c698aa7 3f19d81ac539f078 3f432f93e1f58eab 3f1819788e65ef69",
-	"1+3 40 AllReduce 26214400: 1 3f89b96494f5018d 3f46f5d280a2430b 3f86e6669942eeb3 3f463a0d3a7eea8e",
-	"1+3 40 AllReduce 104857600: 1 3fa97365c0ac6326 3f650860361afa59 3fa6d5e2bd80bb8e 3f64cfcffc9f7f1d",
-	"1+3 40 Broadcast 1048576: 1 3f463ed14cf4ee96 0 3f432f93e1f58eab 3f1879eb57faff58",
-	"1+3 40 Broadcast 26214400: 1 3f885cddd849fa79 0 3f86e6669942eeb3 3f476773f070bc59",
-	"1+3 40 Broadcast 104857600: 1 3fa828e6e9e4047f 0 3fa6d5e2bd80bb8e 3f653042c6348f0c",
-	"1+3 40 AllToAll 1048576: 4 3f40236642305a83 3f0bfb758b82f831 3f3cc75dd2f055ff 0",
-	"1+3 40 AllToAll 26214400: 4 3f821e94838e3aee 3f3e38f21380fcde 3f812cccf2f23307 0",
-	"1+3 40 AllToAll 104857600: 4 3fa20a86af902170 3f5d30b4575dcb7f 3fa121010cd53314 0",
-	"1+3 100 AllReduce 1048576: 1 3f40bf9a8e5b4ebc 3f19d81ac539f078 3f3502d047cea580 3f1819788e65ef69",
-	"1+3 100 AllReduce 26214400: 1 3f78528077fd87e0 3f46f5d280a2430b 3f72ac848099622d 3f463a0d3a7eea8e",
-	"1+3 100 AllReduce 104857600: 1 3f97c682cf6c4b2b 3f650860361afa59 3f928b7cc914fbfc 3f64cfcffc9f7f1d",
-	"1+3 100 Broadcast 1048576: 1 3f3b214b1dcd6556 0 3f3502d047cea580 3f1879eb57faff58",
-	"1+3 100 Broadcast 26214400: 1 3f759972fea779b8 0 3f72ac848099622d 3f476773f070bc59",
-	"1+3 100 Broadcast 104857600: 1 3f95318521db8dde 0 3f928b7cc914fbfc 3f653042c6348f0c",
-	"1+3 100 AllToAll 1048576: 4 3f33418ae74b5b2a 3f0bfb758b82f831 3f2f84386bb5f848 0",
-	"1+3 100 AllToAll 26214400: 4 3f6fc9e5035632df 3f3e38f21380fcde 3f6c02c6c0e61343 0",
-	"1+3 100 AllToAll 104857600: 4 3f8f79adb35dcd03 3f5d30b4575dcb7f 3f8bd39728721393 0",
-	"1+3 400 AllReduce 1048576: 1 3f38d1095ea8618f 3f19d81ac539f078 3f28a9491380d32e 3f1819788e65ef69",
-	"1+3 400 AllReduce 26214400: 1 3f6584b83e0e9484 3f46f5d280a2430b 3f5471809e8c923b 3f463a0d3a7eea8e",
-	"1+3 400 AllReduce 104857600: 1 3f846cbcecec1b27 3f650860361afa59 3f73ed61c07af993 3f64cfcffc9f7f1d",
-	"1+3 400 Broadcast 1048576: 1 3f32731f5fbf296d 0 3f28a9491380d32e 3f1879eb57faff58",
-	"1+3 400 Broadcast 26214400: 1 3f60129d4b627834 0 3f5471809e8c923b 3f476773f070bc59",
-	"1+3 400 Broadcast 104857600: 1 3f7e858323954119 0 3f73ed61c07af993 3f653042c6348f0c",
-	"1+3 400 AllToAll 1048576: 4 3f297dd431815c6e 3f0bfb758b82f831 3f227ef6cea09e62 0",
-	"1+3 400 AllToAll 26214400: 4 3f56e35cfbc9ace2 3f3e38f21380fcde 3f4eaa40edd2db56 0",
-	"1+3 400 AllToAll 104857600: 4 3f7642ee5bd8e137 3f5d30b4575dcb7f 3f6ded828c02dcae 0",
-	"4+4+4 40 AllReduce 1048576: 4 3f43630cac6ca200 3f087e139a796fe4 3f40bcec86542f7a 3f01e3eec70db882",
-	"4+4+4 40 AllReduce 26214400: 4 3f88d6ec27e2af2c 3f393e2a67ad507a 3f876cd78e61f56d 3f340468c869e764",
-	"4+4+4 40 AllReduce 104857600: 4 3fa7f383f94d4d62 3f5139ccd9730c72 3fa6ea33de310df0 3f4fe06d1429c37f",
-	"4+4+4 40 Broadcast 1048576: 1 3f45ba95e019a5f8 0 3f43afe60d942a3c 3f10557e942bddde",
-	"4+4+4 40 Broadcast 26214400: 1 3f8882d59026352d 0 3f879c0726d5f51b 3f3cd9cd2a080236",
-	"4+4+4 40 Broadcast 104857600: 1 3fa7c77b4bc3c307 0 3fa70ff38b5aa73f 3f56f0f80d237903",
-	"4+4+4 40 AllToAll 1048576: 12 3f4e7410bff04335 3f03c7b78ce04266 3f4d379547223f0f 0",
-	"4+4+4 40 AllToAll 26214400: 12 3f92fe4f07dab62f 3f2c758550d87a09 3f92c563fd39053b 0",
-	"4+4+4 40 AllToAll 104857600: 12 3fb28addb541c908 3f475bd81f8d7b5e 3fb25c260502ae11 0",
-	"4+4+4 100 AllReduce 1048576: 4 3f34dedf20dbe870 3f087e139a796fe4 3f2f253da95606c8 3f01e3eec70db882",
-	"4+4+4 100 AllReduce 26214400: 4 3f75b48d58497f49 3f393e2a67ad507a 3f72e06425480bcb 3f340468c869e764",
-	"4+4+4 100 AllReduce 104857600: 4 3f94814de2bdadaf 3f5139ccd9730c72 3f926eadac852ecc 3f4fe06d1429c37f",
-	"4+4+4 100 Broadcast 1048576: 1 3f398df18835f05a 0 3f357891e32af8e3 3f10557e942bddde",
-	"4+4+4 100 Broadcast 26214400: 1 3f750c6028d08b45 0 3f733ec356300b22 3f3cd9cd2a080236",
-	"4+4+4 100 Broadcast 104857600: 1 3f94293c87aa990f 0 3f92ba2d06d8617f 3f56f0f80d237903",
-	"4+4+4 100 AllToAll 1048576: 12 3f402ac9aa087dfc 3f03c7b78ce04266 3f3ddc9c6274f3ac 0",
-	"4+4+4 100 AllToAll 26214400: 12 3f7f541b42479847 3f2c758550d87a09 3f7e706f17c0d477 0",
-	"4+4+4 100 AllToAll 104857600: 12 3f9e6805536bddee 3f475bd81f8d7b5e 3f9dad26926f7213 0",
-	"4+4+4 400 AllReduce 1048576: 4 3f27d68409ba7548 3f087e139a796fe4 3f1a7c06e2b1565e 3f01e3eec70db882",
-	"4+4+4 400 AllReduce 26214400: 4 3f5edf9f722e3ef1 3f393e2a67ad507a 3f538efaa62870fa 3f340468c869e764",
-	"4+4+4 400 AllReduce 104857600: 4 3f7b39c36b3cdcba 3f5139ccd9730c72 3f72ef42925ae12e 3f4fe06d1429c37f",
-	"4+4+4 400 Broadcast 1048576: 1 3f309a546c374292 0 3f2909e98e589636 3f10557e942bddde",
-	"4+4+4 400 Broadcast 26214400: 1 3f5c3eeab44a6ee8 0 3f55087769c86e5b 3f3cd9cd2a080236",
-	"4+4+4 400 Broadcast 104857600: 1 3f79d97dfef08a22 0 3f741d3ffba7abe1 3f56f0f80d237903",
-	"4+4+4 400 AllToAll 1048576: 12 3f33af18c0ec4739 3f03c7b78ce04266 3f313621cf503eec 0",
-	"4+4+4 400 AllToAll 26214400: 12 3f620315a76bf00f 3f2c758550d87a09 3f603bbd525e686e 0",
-	"4+4+4 400 AllToAll 104857600: 12 3f810c99253c75e2 3f475bd81f8d7b5e 3f7f2db746873c59 0",
+	"3+5 40 AllReduce 1048576: 3 3f3655f30861590b 3f18e1522ebc4d5c 3f2bcc03e5575af0 3f01bce45034c1e0",
+	"3+5 40 AllReduce 26214400: 3 3f79a0ff44227697 3f49d0f2a4f50ee8 3f75e2f45d4e5b46 3f207d9246af2e80",
+	"3+5 40 AllReduce 104857600: 3 3f97b34812071dba 3f656fc4768ca535 3f94c3bcf0448caf 3f3064a4bc3f1900",
+	"3+5 40 Broadcast 1048576: 1 3f38998540ef5735 0 3f375586a754e257 3ef43fe999a74de0",
+	"3+5 40 Broadcast 26214400: 1 3f7904bda7ac7686 0 3f7883fc9b4b1d4b 3f2018218c2b2760",
+	"3+5 40 Broadcast 104857600: 1 3f9799705b36cdfb 0 3f977156ad953d5f 3f240cd6d0c84e00",
+	"3+5 40 AllToAll 1048576: 8 3f456fe656b4cc14 3f130aab8eb20dc1 3f430e90e4de8a5c 0",
+	"3+5 40 AllToAll 26214400: 8 3f865cd055b5c5dd 3f454af9f1ccca17 3f850820b698f93c 0",
+	"3+5 40 AllToAll 104857600: 8 3fa5c6e825224d65 3f63ad5e00b4b48e 3fa48c124517021c 0",
+	"3+5 100 AllReduce 1048576: 3 3f2b9e2738b3709b 3f18e1522ebc4d5c 3f14402972f46e90 3f0435a59f6c4a94",
+	"3+5 100 AllReduce 26214400: 3 3f6673b64f430346 3f4b0d1e7203a355 3f5d4921149b9d02 3f20bde28744bf00",
+	"3+5 100 AllReduce 104857600: 3 3f83bf0b30e1aeb2 3f6633cf5824e730 3f7b569774ab53d2 3f30d97410595fa0",
+	"3+5 100 Broadcast 1048576: 1 3f2ec0ed8e006f20 0 3f2c38f05acb8562 3ef43fe999a74df0",
+	"3+5 100 Broadcast 26214400: 1 3f65372e124daa1b 0 3f6435abf98af7a6 3f2018218c2b2750",
+	"3+5 100 Broadcast 104857600: 1 3f8387b548a03d08 0 3f833781ed5d1bcc 3f240cd6d0c84f00",
+	"3+5 100 AllToAll 1048576: 8 3f3a0e57ed2e040b 3f130aab8eb20dc1 3f354bad0981809b 0",
+	"3+5 100 AllToAll 26214400: 8 3f72725a3f0e7457 3f454af9f1ccca17 3f6f91f601a9b628 0",
+	"3+5 100 AllToAll 104857600: 8 3f91da1ac5867586 3f63ad5e00b4b48e 3f8ec8de0adfbde8 0",
+	"3+5 400 AllReduce 1048576: 3 3f25d16b84091bbe 3f18e1522ebc4d5c 3f01fcd1a0ac045c 3f03863811ffcfe4",
+	"3+5 400 AllReduce 26214400: 3 3f55e88012a8b016 3f4c09295cbff98a 3f2bbd639cd9c388 3f31b0fbc2b5eb80",
+	"3+5 400 AllReduce 104857600: 3 3f7076221ba69e4b 3f66e07758d88bab 3f4c5d3b793b8908 3f37a3f0012e7548",
+	"3+5 400 Broadcast 1048576: 1 3f26e6f18b6d5640 0 3f22ffe1e0dc65b4 3eff387d54878460",
+	"3+5 400 Broadcast 26214400: 1 3f51e5289c8fa68b 0 3f4732156c1558bf 3f3930779a13e8ae",
+	"3+5 400 Broadcast 104857600: 1 3f7017ec2a657b91 0 3f6587b0d9d9b14d 3f55504ef5e28baa",
+	"3+5 400 AllToAll 1048576: 8 3f31a59d8d103a06 3f130aab8eb20dc1 3f29c5e552c76d2c 0",
+	"3+5 400 AllToAll 26214400: 8 3f553adc237fa298 3f454af9f1ccca17 3f452abe55327b19 0",
+	"3+5 400 AllToAll 104857600: 8 3f7401000c9d8b51 3f63ad5e00b4b48e 3f6454a218866214 0",
+	"5+3 40 AllReduce 1048576: 3 3f3655f30861590b 3f18e1522ebc4d5c 3f2bcc03e5575af0 3f01bce45034c1e0",
+	"5+3 40 AllReduce 26214400: 3 3f79a0ff44227697 3f49d0f2a4f50ee8 3f75e2f45d4e5b46 3f207d9246af2e80",
+	"5+3 40 AllReduce 104857600: 3 3f97b34812071dba 3f656fc4768ca535 3f94c3bcf0448caf 3f3064a4bc3f1900",
+	"5+3 40 Broadcast 1048576: 1 3f3917598224abaa 0 3f375586a754e257 3efc1d2dacfc9530",
+	"5+3 40 Broadcast 26214400: 1 3f790c9aebbfcbce 0 3f7883fc9b4b1d4b 3f2113ca0e95d060",
+	"5+3 40 Broadcast 104857600: 1 3f979b67ac3ba34c 0 3f977156ad953d5f 3f25087f5332f680",
+	"5+3 40 AllToAll 1048576: 8 3f456fe656b4cc14 3f130aab8eb20dc1 3f430e90e4de8a5c 0",
+	"5+3 40 AllToAll 26214400: 8 3f865cd055b5c5dd 3f454af9f1ccca17 3f850820b698f93c 0",
+	"5+3 40 AllToAll 104857600: 8 3fa5c6e825224d65 3f63ad5e00b4b48e 3fa48c124517021c 0",
+	"5+3 100 AllReduce 1048576: 3 3f2b9e2738b3709b 3f18e1522ebc4d5c 3f14402972f46e90 3f0435a59f6c4a94",
+	"5+3 100 AllReduce 26214400: 3 3f6673b64f430346 3f4b0d1e7203a355 3f5d4921149b9d02 3f20bde28744bf00",
+	"5+3 100 AllReduce 104857600: 3 3f83bf0b30e1aeb2 3f6633cf5824e730 3f7b569774ab53d2 3f30d97410595fa0",
+	"5+3 100 Broadcast 1048576: 1 3f2fbc96106b180b 0 3f2c38f05acb8562 3efc1d2dacfc9548",
+	"5+3 100 Broadcast 26214400: 1 3f6546e89a7454a9 0 3f6435abf98af7a6 3f2113ca0e95d030",
+	"5+3 100 Broadcast 104857600: 1 3f838ba3eaa9e7ac 0 3f833781ed5d1bcc 3f25087f5332f800",
+	"5+3 100 AllToAll 1048576: 8 3f3a0e57ed2e040b 3f130aab8eb20dc1 3f354bad0981809b 0",
+	"5+3 100 AllToAll 26214400: 8 3f72725a3f0e7457 3f454af9f1ccca17 3f6f91f601a9b628 0",
+	"5+3 100 AllToAll 104857600: 8 3f91da1ac5867586 3f63ad5e00b4b48e 3f8ec8de0adfbde8 0",
+	"5+3 400 AllReduce 1048576: 3 3f25d16b84091bbe 3f18e1522ebc4d5c 3f01fcd1a0ac045c 3f03863811ffcfe4",
+	"5+3 400 AllReduce 26214400: 3 3f55e88012a8b016 3f4c09295cbff98a 3f2bbd639cd9c388 3f31b0fbc2b5eb80",
+	"5+3 400 AllReduce 104857600: 3 3f7076221ba69e4b 3f66e07758d88bab 3f4c5d3b793b8908 3f37a3f0012e7548",
+	"5+3 400 Broadcast 1048576: 1 3f2691084c4e4765 0 3f22ffe1e0dc65b4 3efc89335b8f0d88",
+	"5+3 400 Broadcast 26214400: 1 3f4bcb6c601d3ac3 0 3f4732156c1558bf 3f22655bd01f8810",
+	"5+3 400 Broadcast 104857600: 1 3f6734cff6f82347 0 3f6587b0d9d9b14d 3f2ad1f1d1e71fa0",
+	"5+3 400 AllToAll 1048576: 8 3f31a59d8d103a06 3f130aab8eb20dc1 3f29c5e552c76d2c 0",
+	"5+3 400 AllToAll 26214400: 8 3f553adc237fa298 3f454af9f1ccca17 3f452abe55327b19 0",
+	"5+3 400 AllToAll 104857600: 8 3f7401000c9d8b51 3f63ad5e00b4b48e 3f6454a218866214 0",
+	"1+3 40 AllReduce 1048576: 1 3f3a49822843e2c6 3f19d81ac539f078 3f328f7cdd5af1ca 3ef43fe999a74de0",
+	"1+3 40 AllReduce 26214400: 1 3f79973d58da2dde 3f46f5d280a2430b 3f7637c1fc648c42 3f2018218c2b2760",
+	"1+3 40 AllReduce 104857600: 1 3f97c6c6f00a5938 3f650860361afa59 3f94fda13ba56951 3f240cd6d0c84e00",
+	"1+3 40 Broadcast 1048576: 1 3f375586a754e257 0 3f375586a754e257 0",
+	"1+3 40 Broadcast 26214400: 1 3f7883fc9b4b1d4b 0 3f7883fc9b4b1d4b 0",
+	"1+3 40 Broadcast 104857600: 1 3f977156ad953d5f 0 3f977156ad953d5f 0",
+	"1+3 40 AllToAll 1048576: 4 3f31c04e134ef78b 3f0bfb758b82f831 3f2c81bec3bd310a 0",
+	"1+3 40 AllToAll 26214400: 4 3f72bdcdbb41d92b 3f3e38f21380fcde 3f70da3e9a09c95d 0",
+	"1+3 40 AllToAll 104857600: 4 3f91b1726a683d82 3f5d30b4575dcb7f 3f8fbcce49e4c194 0",
+	"1+3 100 AllReduce 1048576: 1 3f311073ae54c321 3f19d81ac539f078 3f22acdcc6d7a44a 3ef43fe999a74de0",
+	"1+3 100 AllReduce 26214400: 1 3f665c2d74a918cc 3f46f5d280a2430b 3f5f3a6d777bab28 3f2018218c2b2750",
+	"1+3 100 AllReduce 104857600: 1 3f83e26272475381 3f650860361afa59 3f7ca02e12fae75e 3f240cd6d0c84f00",
+	"1+3 100 Broadcast 1048576: 1 3f2c38f05acb8562 0 3f2c38f05acb8562 0",
+	"1+3 100 Broadcast 26214400: 1 3f6435abf98af7a6 0 3f6435abf98af7a6 0",
+	"1+3 100 Broadcast 104857600: 1 3f833781ed5d1bcc 0 3f833781ed5d1bcc 0",
+	"1+3 100 AllToAll 1048576: 4 3f25659511c6cdba 3f0bfb758b82f831 3f1ccd6f5dcc1f5c 0",
+	"1+3 100 AllToAll 26214400: 4 3f5ee2c0cbe71c6c 3f3e38f21380fcde 3f5754844706dd34 0",
+	"1+3 100 AllToAll 104857600: 4 3f7cff9726fc759d 3f5d30b4575dcb7f 3f75b36a112502bd 0",
+	"1+3 400 AllReduce 1048576: 1 3f2ba5fdd1727432 3f19d81ac539f078 3f15a5c1888916d0 3eff387d54878470",
+	"1+3 400 AllReduce 26214400: 1 3f58784116461928 3f46f5d280a2430b 3f3ac4e7bdbff5ee 3f3930779a13e89c",
+	"1+3 400 AllReduce 104857600: 1 3f7580f384a608f2 3f650860361afa59 3f56a2beb07fa38a 3f55504ef5e28b8c",
+	"1+3 400 Broadcast 1048576: 1 3f22ffe1e0dc65b4 0 3f22ffe1e0dc65b4 0",
+	"1+3 400 Broadcast 26214400: 1 3f476773f070bc59 0 3f4732156c1558bf 3edaaf422db1cd00",
+	"1+3 400 Broadcast 104857600: 1 3f6587b0d9d9b14d 0 3f6587b0d9d9b14d 0",
+	"1+3 400 AllToAll 1048576: 4 3f1cb0230eb67a11 3f0bfb758b82f831 3f0d64d091e9fbf1 0",
+	"1+3 400 AllToAll 26214400: 4 3f41b10b76adf09f 3f3e38f21380fcde 3f14a493676b9180 0",
+	"1+3 400 AllToAll 104857600: 4 3f6038fbcb546af3 3f5d30b4575dcb7f 3f2a0a19fa585338 0",
+	"4+4+4 40 AllReduce 1048576: 4 3f4238bf66c9247b 3f087e139a796fe4 3f401aed3986f50b 3ef2be1e73530e40",
+	"4+4+4 40 AllReduce 26214400: 4 3f8815591fe206d4 3f393e2a67ad507a 3f871dddb1d30cce 3f16c50d68c7c100",
+	"4+4+4 40 AllReduce 104857600: 4 3fa724be5b98298f 3f5139ccd9730c72 3fa68b2dbc7f8512 3f1f84709a183200",
+	"4+4+4 40 Broadcast 1048576: 1 3f419dd5f3bc1425 0 3f40bcec86542f7a 3efc1d2dacfc9560",
+	"4+4+4 40 Broadcast 26214400: 1 3f87b126b69c4cb0 0 3f876cd78e61f56d 3f2113ca0e95d0c0",
+	"4+4+4 40 Broadcast 104857600: 1 3fa7027248b7cb85 0 3fa6e96a8a958565 3f2907be22462000",
+	"4+4+4 40 AllToAll 1048576: 12 3f46a6b430b1ab55 3f03c7b78ce04266 3f456a38b7e3a72f 0",
+	"4+4+4 40 AllToAll 26214400: 12 3f8fb4de92421bc2 3f2c758550d87a09 3f8f43087cfeb9da 0",
+	"4+4+4 40 AllToAll 104857600: 12 3faeb322119616f4 3f475bd81f8d7b5e 3fae55b2b117e107 0",
+	"4+4+4 100 AllReduce 1048576: 4 3f328a449594ed63 3f087e139a796fe4 3f2c9d4076211d09 3ef2be1e73530e20",
+	"4+4+4 100 AllReduce 26214400: 4 3f74316748482e98 3f393e2a67ad507a 3f7242706c2a3a8e 3f16c50d68c7c080",
+	"4+4+4 100 AllReduce 104857600: 4 3f92e3c2a7536605 3f5139ccd9730c72 3f91b0a169221d0f 3f1f84709a182f00",
+	"4+4+4 100 Broadcast 1048576: 1 3f315471af7accb8 0 3f2f253da95606c8 3efc1d2dacfc9540",
+	"4+4+4 100 Broadcast 26214400: 1 3f73690275bcba4e 0 3f72e06425480bcb 3f2113ca0e95d060",
+	"4+4+4 100 Broadcast 104857600: 1 3f929f2a8192a9fe 0 3f926d1b054e1dc0 3f2907be22461f00",
+	"4+4+4 100 AllToAll 1048576: 12 3f3511f0149aea37 3f03c7b78ce04266 3f3298f922fee1ea 0",
+	"4+4+4 100 AllToAll 26214400: 12 3f798cae73dc15ea 3f2c758550d87a09 3f78a9024955521a 0",
+	"4+4+4 100 AllToAll 104857600: 12 3f98b0562bfc788d 3f475bd81f8d7b5e 3f97f5776b000cb2 0",
+	"4+4+4 400 AllReduce 1048576: 4 3f23c829497cb1fa 3f087e139a796fe4 3f156c0c7c4782e0 3ef794f125d4a488",
+	"4+4+4 400 AllReduce 26214400: 4 3f58f1f561f06ad5 3f393e2a67ad507a 3f51172bc1b12c08 3f18b3f0653eaae0",
+	"4+4+4 400 AllReduce 104857600: 4 3f750bb490d1439c 3f53bfb507ca7bc8 3f6eab2ef2717cce 3f28c5fab4bcc860",
+	"4+4+4 400 Broadcast 1048576: 1 3f26e9f183d26f8d 0 3f2360825bb428bc 3efc4b7940f23688",
+	"4+4+4 400 Broadcast 26214400: 1 3f55b173e7fb2b03 0 3f538efaa62870fa 3f2113ca0e95d048",
+	"4+4+4 400 Broadcast 104857600: 1 3f73b135e690cdf6 0 3f72e8f7f57e9cf6 3f2907be22462000",
+	"4+4+4 400 AllToAll 1048576: 12 3f2a6038a1fd68df 3f03c7b78ce04266 3f256e4abec55846 0",
+	"4+4+4 400 AllToAll 26214400: 12 3f5a789c6e201448 3f2c758550d87a09 3f56e9ebc4050507 0",
+	"4+4+4 400 AllToAll 104857600: 12 3f79557cc1927784 3f475bd81f8d7b5e 3f766a01bda0c818 0",
 }

@@ -101,7 +101,10 @@ type Result struct {
 	Strategy string
 	// Phase1..3 and Partitions are the three-phase timing breakdown of a
 	// cluster collective under the Blink backend; zero on one machine and on
-	// the flat NCCL ring, which have no phase structure.
+	// the flat NCCL ring, which have no phase structure. The phases overlap
+	// chunk by chunk, so each boundary is when that phase's last op ended:
+	// Phase1 is when phase 1's did, Phase1+Phase2 when phase 2's (or phase
+	// 1's, if later) did, and Phase1+Phase2+Phase3 is Seconds.
 	Phase1, Phase2, Phase3 float64
 	Partitions             int
 }

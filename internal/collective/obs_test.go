@@ -197,7 +197,7 @@ func TestReplanMetrics(t *testing.T) {
 func TestAsyncTimelineHashPinned(t *testing.T) {
 	const (
 		wantMachine = "8e86f78bae4562ca818c3e829c364ce086733437acd78486d82544b18ac0026a"
-		wantCluster = "aa828164b09cddca6bd977b82348ff98d12fbb776fa8f9ca5faf4abae0381da3"
+		wantCluster = "16b7659c21975ea2aa5d3dd98e662cc6da65c0a2633d37c3ffff938948c84fb8"
 	)
 	ceng, err := NewClusterEngine(testCluster(t, []int{3, 5}, 100), simgpu.Config{})
 	if err != nil {

@@ -219,7 +219,7 @@ func (e *Engine) dispatch(st *engineState, rq request, hook core.ReplayHook, rec
 	rec.Complete(cp.Strategy, hit, r.Makespan, nil)
 	out := Result{Seconds: r.Makespan, Bytes: rq.bytes, Strategy: cp.Strategy, Partitions: cp.Plan.Partitions()}
 	if len(r.Marks) == 2 {
-		// A three-phase schedule marks the two joins between its phases.
+		// A three-phase schedule marks the ends of its first two phases.
 		out.Phase1, out.Phase2, out.Phase3 = r.Marks[0], r.Marks[1]-r.Marks[0], r.Makespan-r.Marks[1]
 	}
 	if r.Makespan > 0 {

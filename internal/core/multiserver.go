@@ -17,24 +17,22 @@ import (
 //
 // A cluster schedule is ONE plan over one cluster-wide fabric
 // (NewClusterFabric). Each server's sub-plans are generated over the
-// server's own fabric and appended with their op, stream and link indices
-// shifted, as MergePlans and BuildHybridBroadcastPlan do, and their Exec
-// closures address the call's one arena by global, server-major rank. The
-// phases are joined by one zero-resource op per boundary. It waits for the
-// phase before it through that phase's sinks — the ops that end a stream and
-// that nothing waits for — and holds back the phase after it through that
-// phase's sources, the ops that head a stream and wait for nothing: stream
-// FIFO and the phase's own dependencies order every other op behind those,
-// and so few edges are what keeps a warm replay at fewer allocations than
-// the separate simulations it replaces. The joins are marked, so one run
-// reports the makespan and when each phase ended. In data mode the join that
-// closes phase 2 carries the cross-server data movement the NIC transfers
-// stand for.
+// server's own fabric, numbered from the cluster plan's next op, and appended
+// with their stream and link indices shifted, as MergePlans and
+// BuildHybridBroadcastPlan do; their Exec closures address the call's one
+// arena by global, server-major rank.
 //
-// The phases therefore still execute back to back (the paper pipelines chunks
-// across them, but with commodity NICs phase 2 dominates end-to-end time,
-// which is the behaviour Figures 22a/22b probe): pipelining is a change to
-// which ops the phase-2 and phase-3 sources wait for.
+// The phases are pipelined chunk by chunk, as the paper's are. A dependency
+// across phases is decided by which float ranges overlap (span): a NIC chunk's
+// up-leg waits only for the phase-1 ops that finish its floats at the
+// server-local root, and a phase-3 root send only for the phase-2 exchange
+// ops that deliver its floats. A NIC transfer's up-legs follow each other on
+// their own stream, so a lone transfer keeps the sender's up-link and the
+// receiver's down-link busy at once. In data mode the exchange ops carry the
+// cross-server data movement the NIC transfers stand for, one chunk's floats
+// each. One marked zero-resource op per phase boundary waits for every op
+// emitted so far; nothing waits for it, so it only reports when the phases
+// ended.
 
 // PackFn supplies the spanning-tree packing for a (server, root) pair.
 // The collective layer passes Engine.Packing so the per-server TreeGen work
@@ -69,25 +67,27 @@ type clusterGen struct {
 	// relayBase[s] shifts its relay vertices past every rank (see
 	// planBuilder); linkBase[s] is where server s's links start in the
 	// cluster-wide table, linkBase[len(servers)] where the NIC links do.
-	rankBase, relayBase, linkBase []int
-	total                         int
-	plan                          *Plan
-	// gate is the join the phase being emitted waits for (-1 in the first
-	// phase); sinks collects that phase's ops the join closing it waits for.
-	gate  int
-	sinks []int
+	// nicUp[s] and nicDown[s] are server s's NIC links into and out of the
+	// datacenter switch, in the cluster-wide table.
+	rankBase, relayBase, linkBase, nicUp, nicDown []int
+	total                                         int
+	plan                                          *Plan
+	// tails holds the last op of every stream appended so far: a stream runs
+	// in order, so the latest of them to finish is the latest op to.
+	tails []int
 }
 
 func newClusterGen(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.Fabric, bytes int64, opts PlanOptions) (*clusterGen, error) {
-	if len(c.Servers) < 2 {
+	n := len(c.Servers)
+	if n < 2 {
 		return nil, fmt.Errorf("core: need >= 2 servers")
 	}
-	if len(fabrics) != len(c.Servers) {
-		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), len(c.Servers))
+	if len(fabrics) != n {
+		return nil, fmt.Errorf("core: %d fabrics for %d servers", len(fabrics), n)
 	}
 	opts.setDefaults()
-	g := &clusterGen{c: c, fabrics: fabrics, opts: opts, total: c.TotalGPUs(), gate: -1,
-		plan: &Plan{Fabric: wide, TotalBytes: bytes / 4 * 4}}
+	g := &clusterGen{c: c, fabrics: fabrics, opts: opts, total: c.TotalGPUs(),
+		nicUp: make([]int, n), nicDown: make([]int, n), plan: &Plan{Fabric: wide, TotalBytes: bytes / 4 * 4}}
 	rank, relay, link := 0, g.total, 0
 	for si, s := range c.Servers {
 		if s.NumGPUs < 1 {
@@ -101,66 +101,95 @@ func newClusterGen(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.F
 		link += len(fabrics[si].Links)
 	}
 	g.linkBase = append(g.linkBase, link)
-	if wide.Graph != c.Net || link+len(c.Net.Edges)+c.Net.N != len(wide.Links) {
+	if wide.Graph != c.Net || link+len(c.Net.Edges)+c.Net.N != len(wide.Links) || len(c.Net.Edges) != 2*n {
 		return nil, fmt.Errorf("core: cluster fabric was not built over these servers (NewClusterFabric)")
+	}
+	for _, e := range c.Net.Edges {
+		if l := wide.EdgeLinks(e.ID)[0]; e.To == n {
+			g.nicUp[e.From] = l
+		} else {
+			g.nicDown[e.To] = l
+		}
 	}
 	return g, nil
 }
 
 // builder opens a CodeGen builder over server si's fabric whose Exec
-// closures address the arena by global rank.
+// closures address the arena by global rank and whose ops are numbered from
+// the cluster plan's next one.
 func (g *clusterGen) builder(si int, opts PlanOptions) *planBuilder {
 	b := newBuilder(g.fabrics[si], opts)
-	b.rankBase, b.relayBase = g.rankBase[si], g.relayBase[si]
+	b.rankBase, b.relayBase, b.opBase = g.rankBase[si], g.relayBase[si], len(g.plan.Ops)
 	return b
 }
 
-// add appends a sub-plan to the phase being emitted. The sub-plan was
-// generated over server si's fabric (si == len(servers): over the NIC
-// fabric), so its ops, streams and links are numbered from zero. Its sources
-// wait for the gate; its sinks are left for the next join. An op finishes no
-// earlier than what it waits for or follows on its stream, so the last sink
-// to finish is the last op to.
+// trees opens server si's tree generator over pk for floats [off, off+n).
+func (g *clusterGen) trees(si int, pk *Packing, off, n int, acc bool) (*treeGen, error) {
+	po := g.opts
+	po.OffsetFloats, po.BroadcastAcc = off, acc
+	return payloadGen(g.builder(si, po), pk, int64(n)*4)
+}
+
+// add appends a sub-plan whose ops were numbered from the cluster plan's next
+// one (builder). It was generated over server si's fabric (si ==
+// len(servers): over the NIC fabric), so its streams and links are numbered
+// from zero and are shifted here.
 func (g *clusterGen) add(si int, p *Plan) {
-	base := len(g.plan.Ops)
-	last := make([]int, p.Streams)
-	for s := range last {
-		last[s] = -1
-	}
-	waited := make([]bool, len(p.Ops))
+	tails := make([]int, p.Streams)
 	for i, op := range p.Ops {
-		deps := make([]int, 0, len(op.Deps)+1)
-		for _, d := range op.Deps {
-			deps = append(deps, base+d)
-			waited[d] = true
-		}
-		if last[op.Stream] < 0 && len(deps) == 0 && g.gate >= 0 {
-			deps = append(deps, g.gate)
-		}
-		last[op.Stream] = i
-		op.Deps = deps
+		tails[op.Stream] = len(g.plan.Ops) + i
 		op.Stream += g.plan.Streams
 		if op.Link >= 0 {
 			op.Link += g.linkBase[si]
 		}
 	}
-	for _, i := range last {
-		if !waited[i] {
-			g.sinks = append(g.sinks, base+i)
-		}
-	}
+	g.tails = append(g.tails, tails...)
 	g.plan.Ops = append(g.plan.Ops, p.Ops...)
 	g.plan.Streams += p.Streams
 }
 
-// join closes the phase being emitted with a marked zero-resource op that
-// finishes when the phase's last op does, and opens the next phase behind
-// it. exec, when set, runs once the closed phase has.
-func (g *clusterGen) join(label string, exec Exec) {
-	g.gate = len(g.plan.Ops)
-	g.plan.Ops = append(g.plan.Ops, &simgpu.Op{Stream: g.plan.Streams, Link: -1, Deps: g.sinks, Exec: exec, Mark: true, Label: label})
+// mark appends a marked zero-resource op that finishes when every op
+// appended so far has: the end of the phase just emitted and of those before
+// it. Nothing waits for it.
+func (g *clusterGen) mark(label string) {
+	g.plan.Ops = append(g.plan.Ops, &simgpu.Op{Stream: g.plan.Streams, Link: -1, Deps: append([]int(nil), g.tails...), Mark: true, Label: label})
 	g.plan.Streams++
-	g.sinks = nil
+}
+
+// span is floats [off, off+n) of the payload and the ops whose completion
+// finishes them.
+type span struct {
+	off, n int
+	ops    []int
+}
+
+// after returns the ops of every span that overlaps floats [off, off+n).
+func after(spans []span, off, n int) []int {
+	var deps []int
+	for _, s := range spans {
+		if s.off < off+n && off < s.off+s.n {
+			deps = append(deps, s.ops...)
+		}
+	}
+	return deps
+}
+
+// eachChunk calls f with every (tree, chunk) of t and the chunk's floats.
+func (t *treeGen) eachChunk(f func(ti, k, off, n int)) {
+	for ti, r := range t.regions {
+		for k := 0; k < r.chunks; k++ {
+			off, n := r.chunkSpan(k, t.chunkBytes)
+			f(ti, k, off, n)
+		}
+	}
+}
+
+// broadcastAfter emits t's broadcast with each root send waiting for the
+// spans that overlap its floats.
+func (t *treeGen) broadcastAfter(spans []span) {
+	deps := make([][][]int, len(t.regions))
+	t.eachChunk(func(ti, _, off, n int) { deps[ti] = append(deps[ti], after(spans, off, n)) })
+	t.emitBroadcast(deps)
 }
 
 // partitionPayload splits totalFloats into one contiguous partition per
@@ -221,77 +250,67 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 	}
 
 	// Phase 1: every server reduces every partition to its local root, all
-	// of them concurrently.
+	// of them concurrently. ready[s] records which ops finish which floats at
+	// server s's roots.
+	ready := make([][]span, len(c.Servers))
 	for si := range c.Servers {
 		for p := 0; p < parts; p++ {
-			po := g.opts
-			po.OffsetFloats = offs[p]
-			rp, _, err := g.builder(si, po).reduce(packs[si][p], int64(ns[p])*4)
+			t, err := g.trees(si, packs[si][p], offs[p], ns[p], false)
+			var rootOps [][][]int
+			if err == nil {
+				rootOps, err = t.emitReduce()
+			}
 			if err != nil {
 				return nil, fmt.Errorf("core: server %d partition %d reduce: %w", si, p, err)
 			}
-			g.add(si, rp)
+			t.eachChunk(func(ti, k, off, n int) { ready[si] = append(ready[si], span{off, n, rootOps[ti][k]}) })
+			g.add(si, t.plan(int64(ns[p])*4))
 		}
 	}
-	g.join("phase 1 done", nil)
+	g.mark("phase 1 done")
 
 	// Phase 2: each partition's n server-local roots exchange partials over
 	// the NIC fabric (every root sends to the n-1 others through the
-	// datacenter switch) and reduce what they receive.
+	// datacenter switch) and reduce what they receive. What the transfers
+	// stand for in data mode: each chunk's server-local partials are summed
+	// across servers, in server order, into the first server's root and
+	// copied from there to every other root, so phase 3 broadcasts the same
+	// global result everywhere. Phase 1 left a partial in each local root's
+	// accumulator, except on a one-GPU server, which reduced nothing: its
+	// partial is its input.
 	n := len(c.Servers)
 	var xfers []nicTransfer
-	for p := 0; p < parts; p++ {
-		for src := 0; src < n; src++ {
+	srcs := make([][]BufRef, parts)
+	for p := range srcs {
+		for si, s := range c.Servers {
+			srcs[p] = append(srcs[p], BufRef{g.rankBase[si] + roots[p][si], BufAcc})
+			if s.NumGPUs == 1 {
+				srcs[p][si].Tag = BufData
+			}
 			for di := 1; di < n; di++ {
-				xfers = append(xfers, nicTransfer{src: src, dst: (src + di) % n, bytes: int64(ns[p]) * 4, group: p})
+				xfers = append(xfers, nicTransfer{src: si, dst: (si + di) % n, bytes: int64(ns[p]) * 4, group: p, off: offs[p], after: ready[si]})
 			}
 		}
 	}
-	if err := g.nicExchange(xfers); err != nil {
-		return nil, err
-	}
-	// What the transfers stand for in data mode: each partition's
-	// server-local partials are summed across servers, in server order, into
-	// the first server's root and copied from there to every other root, so
-	// phase 3 broadcasts the same global result everywhere. Phase 1 left a
-	// partial in each local root's accumulator, except on a one-GPU server,
-	// which reduced nothing: its partial is its input.
-	var exchange Exec
-	if g.opts.DataMode {
-		var kernels []Exec
-		for p := range roots {
-			srcs := make([]BufRef, n)
-			for si, s := range c.Servers {
-				srcs[si] = BufRef{g.rankBase[si] + roots[p][si], BufAcc}
-				if s.NumGPUs == 1 {
-					srcs[si].Tag = BufData
-				}
-			}
-			end := offs[p] + ns[p]
-			kernels = append(kernels, ReduceKernel(srcs, offs[p], ns[p], end))
-			for _, dst := range srcs[1:] {
-				kernels = append(kernels, CopyKernel(srcs[0].Dev, dst.Dev, BufAcc, BufAcc, offs[p], ns[p], end))
-			}
+	delivered := g.nicExchange(xfers, parts, func(p, off, m int) Exec {
+		kernels := []Exec{ReduceKernel(srcs[p], off, m, offs[p]+ns[p])}
+		for _, dst := range srcs[p][1:] {
+			kernels = append(kernels, CopyKernel(srcs[p][0].Dev, dst.Dev, BufAcc, BufAcc, off, m, offs[p]+ns[p]))
 		}
-		exchange = func(bufs *simgpu.BufferSet, w simgpu.Window) {
-			for _, k := range kernels {
-				k(bufs, w)
-			}
-		}
-	}
-	g.join("phase 2 done", exchange)
+		return inOrder(kernels)
+	})
+	g.mark("phase 2 done")
 
 	// Phase 3: the mirror broadcasts. They move the accumulator (the reduced
 	// value phase 2 left at the local root), not the original input.
 	for si := range c.Servers {
 		for p := 0; p < parts; p++ {
-			po := g.opts
-			po.OffsetFloats, po.BroadcastAcc = offs[p], true
-			bp, err := g.builder(si, po).broadcast(packs[si][p], int64(ns[p])*4)
+			t, err := g.trees(si, packs[si][p], offs[p], ns[p], true)
 			if err != nil {
 				return nil, fmt.Errorf("core: server %d partition %d broadcast: %w", si, p, err)
 			}
-			g.add(si, bp)
+			t.broadcastAfter(delivered[p])
+			g.add(si, t.plan(int64(ns[p])*4))
 		}
 	}
 	g.plan.Partitions = parts
@@ -301,7 +320,8 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 // BuildThreePhaseBroadcast compiles the multi-server broadcast from global
 // rank root: the root's server pushes the payload over the NIC fabric to
 // every other server's local root (phase 2), then each server broadcasts
-// locally over its packed trees (phase 3). There is no reduce phase.
+// locally over its packed trees (phase 3), the root's own at once. There is
+// no reduce phase.
 func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, wide *simgpu.Fabric, packFor PackFn, root int, bytes int64, opts PlanOptions) (*Plan, error) {
 	g, err := newClusterGen(c, fabrics, wide, bytes, opts)
 	if err != nil {
@@ -327,40 +347,28 @@ func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 	if err != nil {
 		return nil, err
 	}
-	g.join("phase 1 done", nil)
+	g.mark("phase 1 done")
 
+	// The transfers read the root's input, so they wait for nothing; in data
+	// mode they deliver it to every other server's local root.
 	var xfers []nicTransfer
 	for dst := range c.Servers {
 		if dst != rootServer {
-			xfers = append(xfers, nicTransfer{src: rootServer, dst: dst, bytes: bytes})
+			xfers = append(xfers, nicTransfer{src: rootServer, dst: dst, bytes: bytes, group: dst})
 		}
 	}
-	if err := g.nicExchange(xfers); err != nil {
-		return nil, err
-	}
-	// In data mode the transfers deliver the root's payload to every other
-	// server's local root.
-	var exchange Exec
-	if g.opts.DataMode {
-		rankBase := g.rankBase
-		exchange = func(bufs *simgpu.BufferSet, w simgpu.Window) {
-			lo, hi := w.Clip(0, totalFloats)
-			src := bufs.Buffer(root, BufData, totalFloats)[lo:hi]
-			for si, base := range rankBase {
-				if si != rootServer {
-					copy(bufs.Buffer(base, BufData, totalFloats)[lo:hi], src)
-				}
-			}
-		}
-	}
-	g.join("phase 2 done", exchange)
+	delivered := g.nicExchange(xfers, len(c.Servers), func(dst, off, m int) Exec {
+		return CopyKernel(root, g.rankBase[dst], BufData, BufData, off, m, totalFloats)
+	})
+	g.mark("phase 2 done")
 
 	for si := range c.Servers {
-		bp, err := g.builder(si, g.opts).broadcast(packs[si][0], bytes)
+		t, err := g.trees(si, packs[si][0], 0, totalFloats, false)
 		if err != nil {
 			return nil, fmt.Errorf("core: server %d broadcast: %w", si, err)
 		}
-		g.add(si, bp)
+		t.broadcastAfter(delivered[si])
+		g.add(si, t.plan(bytes))
 	}
 	g.plan.Partitions = 1
 	return g.plan, nil
@@ -391,44 +399,36 @@ func BuildThreePhaseAllToAll(c *topology.Cluster, fabrics []*simgpu.Fabric, wide
 		}
 		g.add(si, p1)
 	}
-	g.join("phase 1 done", nil)
+	g.mark("phase 1 done")
 
 	// Phase 2: one transfer per ordered server pair carrying every shard
-	// headed from si's ranks to sj's ranks.
+	// headed from si's ranks to sj's ranks. The transfers read inputs, so they
+	// wait for nothing from phase 1. In data mode a transfer's last chunk
+	// copies its shards straight from the senders' inputs into the receivers'
+	// buffers under the sender's exchange tag (same-server shards were
+	// delivered there by phase 1).
 	var xfers []nicTransfer
-	serverOf := make([]int, 0, g.total)
 	for si, s := range c.Servers {
-		for l := 0; l < s.NumGPUs; l++ {
-			serverOf = append(serverOf, si)
-		}
 		for sj, d := range c.Servers {
 			if si != sj {
-				xfers = append(xfers, nicTransfer{src: si, dst: sj, bytes: int64(s.NumGPUs) * int64(d.NumGPUs) * int64(shard) * 4, group: si})
+				xfers = append(xfers, nicTransfer{src: si, dst: sj, bytes: int64(s.NumGPUs) * int64(d.NumGPUs) * int64(shard) * 4, group: len(xfers)})
 			}
 		}
 	}
-	if err := g.nicExchange(xfers); err != nil {
-		return nil, err
-	}
-	// In data mode every shard headed off-server is copied straight from the
-	// sender's input into the receiver's buffer under the sender's exchange
-	// tag (same-server shards were delivered there by phase 1).
-	var exchange Exec
-	if g.opts.DataMode {
-		bufLen := g.total * shard
-		exchange = func(bufs *simgpu.BufferSet, w simgpu.Window) {
-			for src, si := range serverOf {
-				in := bufs.Buffer(src, BufData, bufLen)
-				for dst, sj := range serverOf {
-					if si != sj {
-						lo, hi := w.Clip(dst*shard, (dst+1)*shard)
-						copy(bufs.Buffer(dst, ExchangeTag(src), bufLen)[lo:hi], in[lo:hi])
-					}
-				}
+	g.nicExchange(xfers, len(xfers), func(i, off, m int) Exec {
+		x := xfers[i]
+		if int64(off+m)*4 < x.bytes {
+			return nil
+		}
+		var kernels []Exec
+		for src := g.rankBase[x.src]; src < g.rankBase[x.src]+c.Servers[x.src].NumGPUs; src++ {
+			for dst := g.rankBase[x.dst]; dst < g.rankBase[x.dst]+c.Servers[x.dst].NumGPUs; dst++ {
+				kernels = append(kernels, CopyKernel(src, dst, BufData, ExchangeTag(src), dst*shard, shard, g.total*shard))
 			}
 		}
-	}
-	g.join("phase 2 done", exchange)
+		return inOrder(kernels)
+	})
+	g.mark("phase 2 done")
 	g.plan.Partitions = g.total
 	return g.plan, nil
 }
@@ -474,69 +474,59 @@ func (g *clusterGen) resolvePackings(packFor PackFn, roots [][]int) ([][]*Packin
 type nicTransfer struct {
 	src, dst int
 	bytes    int64
-	group    int // stream-separation tag (partition index)
+	group    int    // the exchange ops its chunks join (nicExchange)
+	off      int    // the float its first byte stands for
+	after    []span // what its chunks wait for at the source
 }
 
-// nicExchange emits phase 2: the chunked up-link/down-link op chains for a
-// set of cross-server transfers through the datacenter switch. Each
-// transfer pipelines its chunks: chunk k's down-leg depends on its up-leg,
-// and chunk k+1's up-leg on chunk k's down-leg (store-and-forward at the
-// switch with bounded buffering).
-func (g *clusterGen) nicExchange(xfers []nicTransfer) error {
-	n := len(g.c.Servers)
-	netFab := g.plan.Fabric
-	upE := make([]int, n)
-	downE := make([]int, n)
-	for i := range upE {
-		upE[i], downE[i] = -1, -1
-	}
-	for _, e := range g.c.Net.Edges {
-		if e.To == n {
-			upE[e.From] = e.ID
-		} else if e.From == n {
-			downE[e.To] = e.ID
-		}
-	}
-	for i := 0; i < n; i++ {
-		if upE[i] < 0 || downE[i] < 0 {
-			return fmt.Errorf("core: server %d lacks NIC edges", i)
-		}
-	}
-	plan := &Plan{}
+// nicExchange emits phase 2: each transfer's chunks go up the source's NIC
+// link and down the destination's through the datacenter switch. Chunk k's
+// up-leg waits for the spans of x.after that overlap its floats (from
+// x.off + k·chunk on), and the up-legs follow each other on their own stream,
+// so a lone transfer keeps both legs busy; chunk k's down-leg waits for its
+// up-leg. Chunk k of every transfer of a group is then joined by one
+// zero-resource exchange op, which in data mode runs exec(group, off, n) — the
+// data movement the chunk's legs stand for. It returns every group's
+// exchange ops with their floats.
+func (g *clusterGen) nicExchange(xfers []nicTransfer, groups int, exec func(group, off, n int) Exec) [][]span {
+	plan, base := &Plan{Streams: groups}, len(g.plan.Ops)
+	legs := make([][]span, groups) // legs[group][k]: chunk k's floats and down-legs
 	for _, x := range xfers {
-		upStream := plan.Streams
-		downStream := plan.Streams + 1
+		up, down := plan.Streams, plan.Streams+1
 		plan.Streams += 2
-		remaining := x.bytes
-		prev := -1
-		ci := 0
-		for remaining > 0 {
-			sz := min(g.opts.ChunkBytes, remaining)
-			up := &simgpu.Op{
-				Stream:   upStream,
-				Link:     netFab.EdgeLinks(upE[x.src])[0],
-				Bytes:    sz,
-				Overhead: netFab.Cfg.OpOverhead,
-				Label:    fmt.Sprintf("net p%d %d->%d c%d up", x.group, x.src, x.dst, ci),
+		for k, done := 0, int64(0); done < x.bytes; k++ {
+			sz := min(g.opts.ChunkBytes, x.bytes-done)
+			off, label := x.off+int(done/4), fmt.Sprintf("net g%d %d->%d c%d", x.group, x.src, x.dst, k)
+			done += sz
+			plan.Ops = append(plan.Ops, // the up-leg is op base+len(plan.Ops), its down-leg the next
+				&simgpu.Op{Stream: up, Link: g.nicUp[x.src], Bytes: sz, Overhead: g.plan.Fabric.Cfg.OpOverhead, Deps: after(x.after, off, int(sz/4)), Label: label + " up"},
+				&simgpu.Op{Stream: down, Link: g.nicDown[x.dst], Bytes: sz, Deps: []int{base + len(plan.Ops)}, Label: label + " down"})
+			if k == len(legs[x.group]) {
+				legs[x.group] = append(legs[x.group], span{off: off, n: int(sz / 4)})
 			}
-			if prev >= 0 {
-				up.Deps = []int{prev}
-			}
-			plan.Ops = append(plan.Ops, up)
-			upIdx := len(plan.Ops) - 1
-			down := &simgpu.Op{
-				Stream: downStream,
-				Link:   netFab.EdgeLinks(downE[x.dst])[0],
-				Bytes:  sz,
-				Deps:   []int{upIdx},
-				Label:  fmt.Sprintf("net p%d %d->%d c%d down", x.group, x.src, x.dst, ci),
-			}
-			plan.Ops = append(plan.Ops, down)
-			prev = len(plan.Ops) - 1
-			remaining -= sz
-			ci++
+			legs[x.group][k].ops = append(legs[x.group][k].ops, base+len(plan.Ops)-1)
 		}
 	}
-	g.add(n, plan)
-	return nil
+	delivered := make([][]span, groups)
+	for grp, chunks := range legs {
+		for k, c := range chunks {
+			op := &simgpu.Op{Stream: grp, Link: -1, Deps: c.ops, Label: fmt.Sprintf("net g%d c%d exchange", grp, k)}
+			if g.opts.DataMode {
+				op.Exec = exec(grp, c.off, c.n)
+			}
+			delivered[grp] = append(delivered[grp], span{c.off, c.n, []int{base + len(plan.Ops)}})
+			plan.Ops = append(plan.Ops, op)
+		}
+	}
+	g.add(len(g.c.Servers), plan)
+	return delivered
+}
+
+// inOrder is the Exec running kernels one after another.
+func inOrder(kernels []Exec) Exec {
+	return func(bufs *simgpu.BufferSet, w simgpu.Window) {
+		for _, k := range kernels {
+			k(bufs, w)
+		}
+	}
 }

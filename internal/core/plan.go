@@ -256,8 +256,10 @@ type planBuilder struct {
 	// is arena device rankBase+v, relay vertex v device relayBase+v. Both are
 	// zero on one machine. The cluster builders (multiserver.go) set them so
 	// every server's ranks sit at their global, server-major ranks — the flat
-	// ring's numbering — and its relays past every rank.
-	rankBase, relayBase int
+	// ring's numbering — and its relays past every rank. opBase numbers the
+	// ops the same way: the first op is opBase, so a cluster sub-plan's
+	// dependencies are indices into the cluster plan it is appended to.
+	rankBase, relayBase, opBase int
 }
 
 // dev maps a vertex of the builder's fabric to its device in the call's arena.
@@ -303,7 +305,7 @@ func (b *planBuilder) streamFor(key [5]int) int {
 
 func (b *planBuilder) add(op *simgpu.Op) int {
 	b.ops = append(b.ops, op)
-	return len(b.ops) - 1
+	return b.opBase + len(b.ops) - 1
 }
 
 // addTransfer emits the op(s) realizing one chunk copy over graph edge eid
@@ -515,14 +517,15 @@ func (b *planBuilder) broadcast(p *Packing, bytes int64) (*Plan, error) {
 
 // emitBroadcast generates broadcast ops. rootDeps, when non-nil, supplies
 // extra per-(tree,chunk) dependencies that must complete before the root
-// may send that chunk (used by AllReduce to chain the reduce phase).
+// may send that chunk (used by AllReduce to chain the reduce phase, and by
+// the cluster builders to chain the NIC exchange).
 func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 	// sent[vertex] = op index of the copy that delivered the current chunk of
 	// the current tree to vertex; BFS order sets a parent's before its
 	// children read it.
 	sent := make([]int, t.g.N)
 	tag := BufData
-	if rootDeps != nil || t.opts.BroadcastAcc {
+	if t.opts.BroadcastAcc {
 		tag = BufAcc // AllReduce (and phase 3) broadcast the reduced accumulator
 	}
 	for k := 0; k < t.maxChunks; k++ {
@@ -646,6 +649,7 @@ func BuildAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOpti
 	if err != nil {
 		return nil, err
 	}
+	t.opts.BroadcastAcc = true
 	t.emitBroadcast(rootOps)
 	return t.plan(bytes / 4 * 4), nil
 }

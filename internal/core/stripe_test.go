@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -251,13 +252,56 @@ func stripeDiff(a, b *simgpu.BufferSet) string {
 	return ""
 }
 
+// shuffledReplay runs every op's Exec over every float in a seeded random
+// order that respects both Deps and stream order — an order real streams
+// could run the schedule in — and reports how many ops ran.
+func shuffledReplay(ops []*simgpu.Op, bufs *simgpu.BufferSet, seed int64) int {
+	pending := make([]int, len(ops))
+	waiters := make([][]int, len(ops))
+	last := map[int]int{}
+	var ready []int
+	for i, op := range ops {
+		for _, d := range op.Deps {
+			pending[i]++
+			waiters[d] = append(waiters[d], i)
+		}
+		if prev, ok := last[op.Stream]; ok {
+			pending[i]++
+			waiters[prev] = append(waiters[prev], i)
+		}
+		last[op.Stream] = i
+		if pending[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
+	rng, ran := rand.New(rand.NewSource(seed)), 0
+	for ; len(ready) > 0; ran++ {
+		k := rng.Intn(len(ready))
+		i := ready[k]
+		ready[k] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		if ops[i].Exec != nil {
+			ops[i].Exec(bufs, simgpu.Window{Hi: math.MaxInt})
+		}
+		for _, w := range waiters[i] {
+			if pending[w]--; pending[w] == 0 {
+				ready = append(ready, w)
+			}
+		}
+	}
+	return ran
+}
+
 // TestStripedReplayIsExact is the property striped replay rests on: every
 // Exec closure is index-aligned, so walking the launch order once per float
 // window, the windows concurrently, leaves every arena buffer bit-equal to
 // the simulator's one serial walk. Each schedule of the table is replayed
 // with one stripe; two even ones; three split inside a chunk and at an odd
 // float; and seven with empty stripes at both ends and in the middle. `make
-// race` runs it at GOMAXPROCS=4.
+// race` runs it at GOMAXPROCS=4. A last column runs each schedule in three
+// seeded random orders that respect Deps and stream order: a schedule that
+// drops a dependency is exact only in the order the simulator happened to
+// pick, and differs in some other legal one.
 func TestStripedReplayIsExact(t *testing.T) {
 	for _, sp := range stripePlans(t) {
 		t.Run(sp.name, func(t *testing.T) {
@@ -288,6 +332,15 @@ func TestStripedReplayIsExact(t *testing.T) {
 				fp.ReplayStripes(got, cuts)
 				if d := stripeDiff(got, want); d != "" {
 					t.Fatalf("stripes %s %v: %s", name, cuts, d)
+				}
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				got := sp.stage()
+				if ran := shuffledReplay(ref.Ops, got, seed); ran != len(ref.Ops) {
+					t.Fatalf("random order %d: %d of %d ops ran", seed, ran, len(ref.Ops))
+				}
+				if d := stripeDiff(got, want); d != "" {
+					t.Fatalf("random order %d: %s", seed, d)
 				}
 			}
 		})

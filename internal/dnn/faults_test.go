@@ -99,7 +99,7 @@ func TestSimulateTrainingRunWithFaultsFlapRecovers(t *testing.T) {
 // PostFaultGBs/PreFaultGBs ratio: on a DGX-1V, Blink holds 0.83-1.14x of its
 // pre-fault simulated throughput across link loss, degradation, flap and
 // eviction (re-packing trees on whatever fabric survives), and a 3x8 cluster
-// that loses one server runs at 1.76x. The NCCL baseline must survive every
+// that loses one server runs at 1.81x. The NCCL baseline must survive every
 // scenario too.
 func TestFaultRunsRetainThroughput(t *testing.T) {
 	const iters, faultAt = 8, 3
@@ -120,7 +120,7 @@ func TestFaultRunsRetainThroughput(t *testing.T) {
 		{sched: cluster.LinkDegrade(0, 3, 1, faultAt), blink: 1.14},
 		{sched: cluster.LinkFlap(0, 3, faultAt, 6), blink: 1.00},
 		{sched: cluster.Eviction(7, faultAt), blink: 0.83},
-		{sched: cluster.ServerLoss(2, faultAt), blink: 1.76, cluster: true},
+		{sched: cluster.ServerLoss(2, faultAt), blink: 1.81, cluster: true},
 	}
 	for _, row := range rows {
 		for _, backend := range []collective.Backend{collective.Blink, collective.NCCL} {

@@ -65,9 +65,10 @@ type Op struct {
 
 	start, finish float64
 	scheduled     bool
-	// Mark reports the op's finish time in Result.Marks. A schedule whose
-	// phases are joined by zero-resource ops marks the joins, so one run
-	// yields the makespan and where inside it each phase ended.
+	// Mark reports the op's finish time in Result.Marks. A schedule with
+	// phases marks one zero-resource op per phase boundary that waits for
+	// the phase's ops, so one run yields the makespan and where inside it
+	// each phase ended.
 	Mark bool
 }
 
