@@ -65,12 +65,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	tf, err := trace.FromPlan(plan)
+	sim, err := trace.Simulate(plan)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	s := trace.Summarize(f, plan.Ops)
+	tf := trace.FromOps(f, plan.Ops, sim)
+	s := trace.Summarize(f, plan.Ops, sim)
 	fmt.Printf("%s of %d MiB over GPUs %s: %d ops on %d streams\n",
 		*op, *mb, topology.AllocLabel(devs), len(plan.Ops), plan.Streams)
 	s.Fprint(os.Stdout, 10)

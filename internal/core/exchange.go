@@ -173,11 +173,11 @@ func (b *planBuilder) allToAll(packFor func(root int) (*Packing, error), perDest
 		// exec-only op, so timing is untouched.
 		if b.opts.DataMode {
 			g := b.rankBase + r
-			b.add(&simgpu.Op{
+			b.add(simgpu.Op{
 				Stream: b.stream(phaseExchangeBase+r, 0, -3000-r, 0, 0),
 				Link:   -1,
 				Exec:   CopyKernel(g, g, BufData, ExchangeTag(g), g*perDest, perDest, bufLen),
-				Label:  fmt.Sprintf("a2a self @%d", r),
+				Tag:    opTag(tagA2ASelf, r, 0, 0, 0),
 			})
 		}
 		if n == 1 {
@@ -195,7 +195,7 @@ func (b *planBuilder) allToAll(packFor func(root int) (*Packing, error), perDest
 		}
 		// Staged through the source's exchange tag and stream phase so the n
 		// scatters contend on links, never on buffers or streams.
-		if err := emitShardScatter(b, pk, n, perDest, bufLen, ExchangeTag(b.rankBase+r), phaseExchangeBase+r, fmt.Sprintf("a2a s%d", r)); err != nil {
+		if err := emitShardScatter(b, pk, n, perDest, bufLen, ExchangeTag(b.rankBase+r), phaseExchangeBase+r, tagA2A, r); err != nil {
 			return nil, err
 		}
 	}
@@ -206,11 +206,12 @@ func (b *planBuilder) allToAll(packFor func(root int) (*Packing, error), perDest
 // path: chunk k crosses hop j once it has crossed hop j-1, and leaves the
 // path's source once after[k] has run (after is nil when nothing gates the
 // source). The source reads srcTag; every relay and the destination hold the
-// payload under dstTag. label formats (chunk, from, to). It returns each
-// chunk's delivery op.
-func (b *planBuilder) routed(stream int, path []int, totalFloats, srcTag, dstTag int, after []int, label string) []int {
+// payload under dstTag. Its ops are tagged kind (stream, chunk, from, to).
+// It returns each chunk's delivery op.
+func (b *planBuilder) routed(stream int, path []int, totalFloats, srcTag, dstTag int, after []int, kind uint8) []int {
 	chunkFloats := int(b.opts.ChunkBytes / 4)
 	delivered := make([]int, (totalFloats+chunkFloats-1)/chunkFloats)
+	var deps []int
 	for k := range delivered {
 		off := k * chunkFloats
 		nfl := min(chunkFloats, totalFloats-off)
@@ -220,9 +221,9 @@ func (b *planBuilder) routed(stream int, path []int, totalFloats, srcTag, dstTag
 		}
 		for j, eid := range path {
 			e := b.g.Edges[eid]
-			var deps []int
+			deps = deps[:0]
 			if last >= 0 {
-				deps = []int{last}
+				deps = append(deps, last)
 			}
 			tag := dstTag
 			if j == 0 {
@@ -230,7 +231,7 @@ func (b *planBuilder) routed(stream int, path []int, totalFloats, srcTag, dstTag
 			}
 			last = b.addTransfer(phaseP2P, stream, eid, j, int64(nfl)*4, deps,
 				b.copyExec(e.From, e.To, tag, dstTag, off, nfl, totalFloats),
-				fmt.Sprintf(label, k, e.From, e.To))
+				opTag(kind, stream, k, e.From, e.To))
 		}
 		delivered[k] = last
 	}
@@ -262,7 +263,7 @@ func BuildSendRecvChainPlan(f *simgpu.Fabric, chain []int, bytes int64, opts Pla
 	}
 	var delivered []int // chunk k's delivery op at the previous stage
 	for i, path := range paths {
-		delivered = b.routed(i, path, totalFloats, BufData, BufData, delivered, fmt.Sprintf("chain s%d c%%d %%d->%%d", i))
+		delivered = b.routed(i, path, totalFloats, BufData, BufData, delivered, tagChain)
 	}
 	return b.plan(int64(len(paths)) * int64(totalFloats) * 4), nil
 }
@@ -288,7 +289,7 @@ func BuildNeighborExchangePlan(f *simgpu.Fabric, neighbors [][]int, bytes int64,
 			if err != nil {
 				return nil, err
 			}
-			b.routed(pairs, path, totalFloats, BufData, ExchangeTag(v), nil, fmt.Sprintf("halo %d->%d c%%d @%%d->%%d", v, u))
+			b.routed(pairs, path, totalFloats, BufData, ExchangeTag(v), nil, tagHalo)
 			pairs++
 		}
 	}

@@ -25,10 +25,11 @@ import (
 // own arena. One data replay is itself concurrent: its stripes share the
 // call's arena over disjoint float windows (ReplayDataHooked).
 type FrozenPlan struct {
-	// execs holds each op's data-movement closure, by op index (all nil for
-	// a timing plan). It is all a replay needs of the ops: their timing is
-	// in the memo below.
+	// execs holds each op's data-movement closure, by op index (nil for a
+	// timing plan). It is all a replay needs of the ops: their timing is in
+	// the memo below.
 	execs      []Exec
+	ops        int
 	fabric     *simgpu.Fabric
 	partitions int
 	hasExec    bool
@@ -50,33 +51,41 @@ type FrozenPlan struct {
 }
 
 // Freeze converts a freshly built plan into its immutable, replayable form
-// and simulates it once, over private copies of the ops with Exec stripped
-// so that freezing a data-mode plan moves no data. The plan's op pointers
-// must not be executed or mutated afterwards; the frozen copy is the
+// and simulates it once. The simulator reads the plan's ops in place and
+// skips their Exec closures, so freezing a data-mode plan moves no data.
+// The plan's ops must not be mutated afterwards; the frozen plan is the
 // canonical artifact.
 func (p *Plan) Freeze() *FrozenPlan {
 	fp := &FrozenPlan{
-		execs:      make([]Exec, len(p.Ops)),
+		ops:        len(p.Ops),
 		fabric:     p.Fabric,
 		partitions: p.Partitions,
 		ir:         p.IR,
 		order:      make([]int32, 0, len(p.Ops)),
 	}
-	timed := make([]simgpu.Op, len(p.Ops))
-	sim := make([]*simgpu.Op, len(p.Ops))
-	for i, op := range p.Ops {
-		timed[i], sim[i], fp.execs[i] = *op, &timed[i], op.Exec
-		timed[i].Exec = nil
+	for _, op := range p.Ops {
 		fp.hasExec = fp.hasExec || op.Exec != nil
 	}
-	fp.res, fp.err = simgpu.RunHooked(p.Fabric.Links, sim, nil, func(i int, _ *simgpu.Op) {
+	if fp.hasExec {
+		fp.execs = make([]Exec, len(p.Ops))
+		for i, op := range p.Ops {
+			fp.execs[i] = op.Exec
+		}
+	}
+	sim := sims.Get().(*simgpu.Sim)
+	fp.res, fp.err = sim.Run(p.Fabric.Links, p.Ops, nil, func(i int, _ *simgpu.Op) {
 		fp.order = append(fp.order, int32(i))
 	})
+	sims.Put(sim)
 	if fp.hasExec && fp.err == nil {
 		fp.manifest = simgpu.RecordManifest(func(s *simgpu.BufferSet) { fp.walk(s, simgpu.Window{}, nil) })
 	}
 	return fp
 }
+
+// sims holds simulators between Freezes, so a compile reuses the dense
+// arrays an earlier one sized instead of allocating its own.
+var sims = sync.Pool{New: func() any { return &simgpu.Sim{SkipExec: true} }}
 
 // Replay returns the schedule's simulated run for timing. Exec closures, if
 // present, run against a throwaway arena; use ReplayData to move data a
@@ -200,7 +209,7 @@ func (fp *FrozenPlan) walk(ctx *simgpu.BufferSet, w simgpu.Window, hook ReplayHo
 func (fp *FrozenPlan) Partitions() int { return fp.partitions }
 
 // NumOps is the schedule's op count.
-func (fp *FrozenPlan) NumOps() int { return len(fp.execs) }
+func (fp *FrozenPlan) NumOps() int { return fp.ops }
 
 // HasExec reports whether the schedule moves real data (data mode); such
 // plans need a ReplayData arena for their results to be observable.

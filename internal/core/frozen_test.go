@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"blink/internal/simgpu"
 	"blink/internal/topology"
@@ -481,5 +482,56 @@ func TestHookedTimingReplayAllocatesNothing(t *testing.T) {
 			t.Fatalf("%d MB: hooked timing replay of %d ops: %.0f allocations, %d hook calls over 11 replays, %d not (%d, %d)",
 				bytes>>20, fp.NumOps(), allocs, calls, bad, fp.NumOps(), fp.NumOps())
 		}
+	}
+}
+
+// TestCompileAllocBudget: generating and freezing the 64 MB full-DGX-1V
+// AllReduce (~2,530 ops) allocates at most 2.2 times and 200 bytes per op —
+// ops and their dependencies come from slabs, no label is formatted, and the
+// simulation runs over the plan's own ops — and the simulator allocates as
+// often for 690 ops as for 2,530: its arrays are sized once per run.
+func TestCompileAllocBudget(t *testing.T) {
+	if size := unsafe.Sizeof(simgpu.Op{}); size > 96 {
+		t.Fatalf("simgpu.Op is %d bytes, want at most 96", size)
+	}
+	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{})
+	p, err := GenerateTrees(ind.GPUGraph(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func(chunk int64) *Plan {
+		ir := &PlanIR{Kind: IRTreeAllReduce, Bytes: 64 << 20, Packings: []*Packing{p}, Opts: PlanOptions{ChunkBytes: chunk, NoStreamReuse: true}}
+		plan, err := CodeGen(ir, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	const chunk = 512 << 10
+	ops := float64(len(compile(chunk).Ops))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(4, func() { compile(chunk).Freeze() }) / ops
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / 5 / ops
+	if ops < 2000 || allocs > 2.2 || bytes > 200 {
+		t.Fatalf("CodeGen+Freeze of %.0f ops: %.2f allocations and %.0f bytes per op, want at most 2.2 and 200 over 2,000+ ops", ops, allocs, bytes)
+	}
+	var sims [2]struct{ ops, allocs float64 }
+	for i, c := range []int64{2 << 20, chunk} {
+		plan := compile(c)
+		sims[i].ops = float64(len(plan.Ops))
+		sims[i].allocs = testing.AllocsPerRun(3, func() {
+			if _, err := simgpu.RunHooked(f.Links, plan.Ops, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if sims[0].allocs != sims[1].allocs {
+		t.Fatalf("RunHooked allocates %.0f times for %.0f ops and %.0f for %.0f", sims[0].allocs, sims[0].ops, sims[1].allocs, sims[1].ops)
 	}
 }

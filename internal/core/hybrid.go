@@ -134,7 +134,7 @@ func BuildHybridBroadcastPlan(fNVL *simgpu.Fabric, pNVL *Packing, fPCIe *simgpu.
 			return nil, nil, err
 		}
 		gate := len(plan.Ops)
-		plan.Ops = append(plan.Ops, &simgpu.Op{Stream: plan.Streams + pcie.Streams, Link: -1, Overhead: tdpa, Label: "disable-peer-access"})
+		plan.Ops = append(plan.Ops, &simgpu.Op{Stream: plan.Streams + pcie.Streams, Link: -1, Overhead: tdpa, Tag: opTag(tagPeerOff, 0, 0, 0, 0)})
 		for _, op := range pcie.Ops {
 			op.Stream += plan.Streams
 			op.Link += len(fNVL.Links)

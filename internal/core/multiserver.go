@@ -151,8 +151,8 @@ func (g *clusterGen) add(si int, p *Plan) {
 // mark appends a marked zero-resource op that finishes when every op
 // appended so far has: the end of the phase just emitted and of those before
 // it. Nothing waits for it.
-func (g *clusterGen) mark(label string) {
-	g.plan.Ops = append(g.plan.Ops, &simgpu.Op{Stream: g.plan.Streams, Link: -1, Deps: append([]int(nil), g.tails...), Mark: true, Label: label})
+func (g *clusterGen) mark(phase int) {
+	g.plan.Ops = append(g.plan.Ops, &simgpu.Op{Stream: g.plan.Streams, Link: -1, Deps: append([]int(nil), g.tails...), Mark: true, Tag: opTag(tagPhase, phase, 0, 0, 0)})
 	g.plan.Streams++
 }
 
@@ -267,7 +267,7 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 			g.add(si, t.plan(int64(ns[p])*4))
 		}
 	}
-	g.mark("phase 1 done")
+	g.mark(1)
 
 	// Phase 2: each partition's n server-local roots exchange partials over
 	// the NIC fabric (every root sends to the n-1 others through the
@@ -299,7 +299,7 @@ func BuildThreePhaseAllReduce(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 		}
 		return inOrder(kernels)
 	})
-	g.mark("phase 2 done")
+	g.mark(2)
 
 	// Phase 3: the mirror broadcasts. They move the accumulator (the reduced
 	// value phase 2 left at the local root), not the original input.
@@ -347,7 +347,7 @@ func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 	if err != nil {
 		return nil, err
 	}
-	g.mark("phase 1 done")
+	g.mark(1)
 
 	// The transfers read the root's input, so they wait for nothing; in data
 	// mode they deliver it to every other server's local root.
@@ -360,7 +360,7 @@ func BuildThreePhaseBroadcast(c *topology.Cluster, fabrics []*simgpu.Fabric, wid
 	delivered := g.nicExchange(xfers, len(c.Servers), func(dst, off, m int) Exec {
 		return CopyKernel(root, g.rankBase[dst], BufData, BufData, off, m, totalFloats)
 	})
-	g.mark("phase 2 done")
+	g.mark(2)
 
 	for si := range c.Servers {
 		t, err := g.trees(si, packs[si][0], 0, totalFloats, false)
@@ -399,7 +399,7 @@ func BuildThreePhaseAllToAll(c *topology.Cluster, fabrics []*simgpu.Fabric, wide
 		}
 		g.add(si, p1)
 	}
-	g.mark("phase 1 done")
+	g.mark(1)
 
 	// Phase 2: one transfer per ordered server pair carrying every shard
 	// headed from si's ranks to sj's ranks. The transfers read inputs, so they
@@ -428,7 +428,7 @@ func BuildThreePhaseAllToAll(c *topology.Cluster, fabrics []*simgpu.Fabric, wide
 		}
 		return inOrder(kernels)
 	})
-	g.mark("phase 2 done")
+	g.mark(2)
 	g.plan.Partitions = g.total
 	return g.plan, nil
 }
@@ -496,11 +496,13 @@ func (g *clusterGen) nicExchange(xfers []nicTransfer, groups int, exec func(grou
 		plan.Streams += 2
 		for k, done := 0, int64(0); done < x.bytes; k++ {
 			sz := min(g.opts.ChunkBytes, x.bytes-done)
-			off, label := x.off+int(done/4), fmt.Sprintf("net g%d %d->%d c%d", x.group, x.src, x.dst, k)
+			off, tag := x.off+int(done/4), opTag(tagNet, x.group, x.src, x.dst, k)
 			done += sz
+			upTag, downTag := tag, tag
+			upTag.Leg, downTag.Leg = 1, 2
 			plan.Ops = append(plan.Ops, // the up-leg is op base+len(plan.Ops), its down-leg the next
-				&simgpu.Op{Stream: up, Link: g.nicUp[x.src], Bytes: sz, Overhead: g.plan.Fabric.Cfg.OpOverhead, Deps: after(x.after, off, int(sz/4)), Label: label + " up"},
-				&simgpu.Op{Stream: down, Link: g.nicDown[x.dst], Bytes: sz, Deps: []int{base + len(plan.Ops)}, Label: label + " down"})
+				&simgpu.Op{Stream: up, Link: g.nicUp[x.src], Bytes: sz, Overhead: g.plan.Fabric.Cfg.OpOverhead, Deps: after(x.after, off, int(sz/4)), Tag: upTag},
+				&simgpu.Op{Stream: down, Link: g.nicDown[x.dst], Bytes: sz, Deps: []int{base + len(plan.Ops)}, Tag: downTag})
 			if k == len(legs[x.group]) {
 				legs[x.group] = append(legs[x.group], span{off: off, n: int(sz / 4)})
 			}
@@ -510,7 +512,7 @@ func (g *clusterGen) nicExchange(xfers []nicTransfer, groups int, exec func(grou
 	delivered := make([][]span, groups)
 	for grp, chunks := range legs {
 		for k, c := range chunks {
-			op := &simgpu.Op{Stream: grp, Link: -1, Deps: c.ops, Label: fmt.Sprintf("net g%d c%d exchange", grp, k)}
+			op := &simgpu.Op{Stream: grp, Link: -1, Deps: c.ops, Tag: opTag(tagNetExchange, grp, k, 0, 0)}
 			if g.opts.DataMode {
 				op.Exec = exec(grp, c.off, c.n)
 			}

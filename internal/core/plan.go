@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"blink/internal/graph"
 	"blink/internal/simgpu"
@@ -251,6 +252,10 @@ type planBuilder struct {
 	opts    PlanOptions
 	ops     []*simgpu.Op
 	streams map[[5]int]int
+	// slab and depSlab back the ops and their Deps (add), so a plan's op
+	// table costs a few large allocations, not two per op.
+	slab    []simgpu.Op
+	depSlab []int
 	// rankBase and relayBase place the fabric's vertices in the call's arena,
 	// the way OffsetFloats places the plan's floats in its buffers: GPU rank v
 	// is arena device rankBase+v, relay vertex v device relayBase+v. Both are
@@ -303,8 +308,22 @@ func (b *planBuilder) streamFor(key [5]int) int {
 	return id
 }
 
-func (b *planBuilder) add(op *simgpu.Op) int {
-	b.ops = append(b.ops, op)
+// add appends op, waiting for deps, and returns its index. It copies both
+// into the builder's slabs, so deps may be scratch the caller reuses.
+func (b *planBuilder) add(op simgpu.Op, deps ...int) int {
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]simgpu.Op, 0, min(256, max(32, len(b.ops))))
+	}
+	if len(deps) > 0 {
+		if cap(b.depSlab)-len(b.depSlab) < len(deps) {
+			b.depSlab = make([]int, 0, max(min(512, max(64, len(b.ops))), len(deps)))
+		}
+		at := len(b.depSlab)
+		b.depSlab = append(b.depSlab, deps...)
+		op.Deps = b.depSlab[at:len(b.depSlab):len(b.depSlab)]
+	}
+	b.slab = append(b.slab, op)
+	b.ops = append(b.ops, &b.slab[len(b.slab)-1])
 	return b.opBase + len(b.ops) - 1
 }
 
@@ -314,35 +333,86 @@ func (b *planBuilder) add(op *simgpu.Op) int {
 // edges become two chained ops (source up-link, then destination down-link)
 // modeling store-and-forward through the non-blocking switch, so a transfer
 // waiting for a busy receiver never stalls the sender's port.
-func (b *planBuilder) addTransfer(phase, tree, eid, depth int, bytes int64, deps []int, exec Exec, label string) int {
+func (b *planBuilder) addTransfer(phase, tree, eid, depth int, bytes int64, deps []int, exec Exec, tag simgpu.Tag) int {
 	links := b.f.EdgeLinks(eid)
 	if len(links) == 1 {
-		return b.add(&simgpu.Op{
+		return b.add(simgpu.Op{
 			Stream:   b.stream(phase, tree, eid, depth, 0),
 			Link:     links[0],
 			Bytes:    bytes,
 			Overhead: b.f.Cfg.OpOverhead,
-			Deps:     deps,
 			Exec:     exec,
-			Label:    label,
-		})
+			Tag:      tag,
+		}, deps...)
 	}
-	up := b.add(&simgpu.Op{
+	tag.Leg = 1
+	up := b.add(simgpu.Op{
 		Stream:   b.stream(phase, tree, eid, depth, 0),
 		Link:     links[0],
 		Bytes:    bytes,
 		Overhead: b.f.Cfg.OpOverhead,
-		Deps:     deps,
-		Label:    label + " [up]",
-	})
-	return b.add(&simgpu.Op{
+		Tag:      tag,
+	}, deps...)
+	tag.Leg = 2
+	return b.add(simgpu.Op{
 		Stream: b.stream(phase, tree, eid, depth, 1),
 		Link:   links[1],
 		Bytes:  bytes,
-		Deps:   []int{up},
 		Exec:   exec,
-		Label:  label + " [down]",
-	})
+		Tag:    tag,
+	}, up)
+}
+
+// The op tag kinds (simgpu.Tag.Kind) of generated schedules: what each op
+// does, as the label format OpLabel fills with the tag's A..D.
+var (
+	tagFormats     = []string{""}
+	tagBcast       = tagKind("bcast t%[1]d c%[2]d %[3]d->%[4]d")
+	tagRsend       = tagKind("rsend t%[1]d c%[2]d %[3]d->%[4]d")
+	tagReduce      = tagKind("reduce t%[1]d c%[2]d @%[3]d")
+	tagGather      = tagKind("gather t%[1]d c%[2]d %[3]d up")
+	tagScatter     = tagKind("scatter t%[1]d c%[2]d ->%[3]d")
+	tagA2A         = tagKind("a2a s%[4]d t%[1]d c%[2]d ->%[3]d")
+	tagA2ASelf     = tagKind("a2a self @%[1]d")
+	tagChain       = tagKind("chain s%[1]d c%[2]d %[3]d->%[4]d")
+	tagHalo        = tagKind("halo p%[1]d c%[2]d %[3]d->%[4]d")
+	tagRBcast      = tagKind("rbcast r%[1]d c%[2]d %[3]d->%[4]d")
+	tagRS          = tagKind("rs r%[1]d s%[2]d %[3]d->%[4]d")
+	tagRSRed       = tagKind("rsred r%[1]d s%[2]d @%[3]d")
+	tagAG          = tagKind("ag r%[1]d s%[2]d %[3]d->%[4]d")
+	tagP2P         = tagKind("p2p %[1]d->%[2]d c%[3]d h%[4]d")
+	tagNet         = tagKind("net g%[1]d %[2]d->%[3]d c%[4]d")
+	tagNetExchange = tagKind("net g%[1]d c%[2]d exchange")
+	tagPhase       = tagKind("phase %[1]d done")
+	tagPeerOff     = tagKind("disable-peer-access")
+)
+
+// tagKind registers a label format and returns its kind.
+func tagKind(format string) uint8 {
+	tagFormats = append(tagFormats, format)
+	return uint8(len(tagFormats) - 1)
+}
+
+// opTag packs an op's trace name; OpLabel formats it.
+func opTag(kind uint8, a, b, c, d int) simgpu.Tag {
+	return simgpu.Tag{Kind: kind, A: int32(a), B: int32(b), C: int32(c), D: int32(d)}
+}
+
+// OpLabel formats a generated op's trace name from its tag, with the leg
+// of a transfer that crosses more than one link ("leg0", "leg1", ...).
+func OpLabel(op *simgpu.Op) string {
+	t := op.Tag
+	if int(t.Kind) >= len(tagFormats) || tagFormats[t.Kind] == "" {
+		return "op"
+	}
+	s := tagFormats[t.Kind]
+	if strings.Contains(s, "%") {
+		s = fmt.Sprintf(s, t.A, t.B, t.C, t.D)
+	}
+	if t.Leg > 0 {
+		s += fmt.Sprintf(" leg%d", t.Leg-1)
+	}
+	return s
 }
 
 // Exec is a data-mode op's closure (simgpu.Op.Exec): index-aligned, over the
@@ -524,6 +594,7 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 	// the current tree to vertex; BFS order sets a parent's before its
 	// children read it.
 	sent := make([]int, t.g.N)
+	var deps []int
 	tag := BufData
 	if t.opts.BroadcastAcc {
 		tag = BufAcc // AllReduce (and phase 3) broadcast the reduced accumulator
@@ -540,7 +611,7 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 				}
 				eid := s.parentEdge[v]
 				e := t.g.Edges[eid]
-				var deps []int
+				deps = deps[:0]
 				if e.From != t.p.Root {
 					deps = append(deps, sent[e.From])
 				} else if rootDeps != nil {
@@ -549,7 +620,7 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 				sent[v] = t.addTransfer(phaseBroadcast, ti, eid, s.depth[v],
 					int64(n)*4, deps,
 					t.copyExec(e.From, e.To, tag, tag, off, n, t.bufLen),
-					fmt.Sprintf("bcast t%d c%d %d->%d", ti, k, e.From, e.To))
+					opTag(tagBcast, ti, k, e.From, e.To))
 			}
 		}
 	}
@@ -590,6 +661,7 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 		rootOps[i] = make([][]int, t.regions[i].chunks)
 	}
 	upSend := make([]int, t.g.N) // op index of v's upward send of the current chunk
+	var deps []int
 	for k := 0; k < t.maxChunks; k++ {
 		for ti, s := range t.shapes {
 			if k >= t.regions[ti].chunks {
@@ -599,37 +671,39 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 			// Deepest-first: children's sends exist before parents reduce.
 			for i := len(s.bfs) - 1; i >= 0; i-- {
 				v := s.bfs[i]
-				var reduced []int // v's reduce of this chunk, if it has children
+				reduced := -1 // v's reduce of this chunk, if it has children
 				// One batched reduction kernel per (vertex, chunk) combines
 				// every child's received chunk with v's own data, as a real
 				// implementation would (one kernel launch, not one per
 				// child).
 				if cs := s.children[v]; len(cs) > 0 {
-					deps := make([]int, 0, len(cs))
+					deps = deps[:0]
 					for _, c := range cs {
 						deps = append(deps, upSend[c])
 					}
-					rop := &simgpu.Op{
+					reduced = t.add(simgpu.Op{
 						Stream:   t.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
 						Link:     t.f.ReduceLink(v),
 						Bytes:    int64(n) * 4 * int64(len(cs)),
 						Overhead: t.f.Cfg.ReduceOverhead,
-						Deps:     deps,
 						Exec:     t.reduceExec(s, v, off, n),
-						Label:    fmt.Sprintf("reduce t%d c%d @%d", ti, k, v),
-					}
-					reduced = []int{t.add(rop)}
+						Tag:      opTag(tagReduce, ti, k, v, 0),
+					}, deps...)
+				}
+				deps = deps[:0]
+				if reduced >= 0 {
+					deps = append(deps, reduced)
 				}
 				if v == t.p.Root {
-					rootOps[ti][k] = reduced
+					rootOps[ti][k] = append([]int(nil), deps...)
 					continue
 				}
 				// Upward send from v to its parent over the reverse link. It
 				// moves no data: the parent's reduce reads v's chunk in place
 				// (see reduceExec).
 				upE := rev[s.parentEdge[v]]
-				upSend[v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v], int64(n)*4, reduced, nil,
-					fmt.Sprintf("rsend t%d c%d %d->%d", ti, k, v, t.g.Edges[upE].To))
+				upSend[v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v], int64(n)*4, deps, nil,
+					opTag(tagRsend, ti, k, v, t.g.Edges[upE].To))
 			}
 		}
 	}
@@ -679,6 +753,7 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 	}
 	subVerts := t.rankSubtrees(n)
 	upSend := make([]int, b.g.N)
+	var deps []int
 	for k := 0; k < t.maxChunks; k++ {
 		for ti, s := range t.shapes {
 			if k >= t.regions[ti].chunks {
@@ -699,7 +774,7 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 				}
 				upE := rev[s.parentEdge[v]]
 				parent := b.g.Edges[upE].To
-				var deps []int
+				deps = deps[:0]
 				for _, c := range s.children[v] {
 					if upSend[c] >= 0 {
 						deps = append(deps, upSend[c])
@@ -708,7 +783,7 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 				upSend[v] = b.addTransfer(phaseGather, ti, upE, s.depth[v],
 					int64(len(shards))*int64(nfl)*4, deps,
 					b.exchangeShardExec(v, parent, BufData, BufData, shards, perVertex, soff, nfl, t.bufLen),
-					fmt.Sprintf("gather t%d c%d %d up", ti, k, v))
+					opTag(tagGather, ti, k, v, 0))
 			}
 		}
 	}
@@ -726,7 +801,7 @@ func BuildScatterPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOption
 	}
 	perVertex := totalFloats / n
 	b := newBuilder(f, opts)
-	if err := emitShardScatter(b, p, n, perVertex, perVertex*n, BufData, phaseBroadcast, "scatter"); err != nil {
+	if err := emitShardScatter(b, p, n, perVertex, perVertex*n, BufData, phaseBroadcast, tagScatter, 0); err != nil {
 		return nil, err
 	}
 	return b.plan(int64(perVertex) * int64(n) * 4), nil
@@ -741,7 +816,7 @@ func BuildScatterPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOption
 // AllToAll, so n scatters share the fabric without aliasing. Shard u sits at
 // float (rankBase+u)*perVertex of a bufLen-float buffer (the builder's
 // rankBase shifts local ranks into a cluster's global layout).
-func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTag, phase int, label string) error {
+func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTag, phase int, kind uint8, src int) error {
 	// An edge near the root carries up to (n-1) vertices' shards per chunk,
 	// so scale the chunk unit down by the fan-out to keep root-edge ops
 	// near the configured chunk size (preserving pipelining). A lone rank
@@ -756,6 +831,7 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 	}
 	subVerts := t.rankSubtrees(n)
 	sent := make([]int, b.g.N)
+	var deps []int
 	for k := 0; k < t.maxChunks; k++ {
 		for ti, s := range t.shapes {
 			if k >= t.regions[ti].chunks {
@@ -774,7 +850,7 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 				}
 				eid := s.parentEdge[v]
 				e := b.g.Edges[eid]
-				var deps []int
+				deps = deps[:0]
 				if e.From != pk.Root {
 					deps = append(deps, sent[e.From])
 				}
@@ -785,7 +861,7 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 				sent[v] = b.addTransfer(phase, ti, eid, s.depth[v],
 					int64(len(shards))*int64(nfl)*4, deps,
 					b.exchangeShardExec(e.From, v, srcTag, stageTag, shards, perVertex, soff, nfl, bufLen),
-					fmt.Sprintf("%s t%d c%d ->%d", label, ti, k, v))
+					opTag(kind, ti, k, v, src))
 			}
 		}
 	}

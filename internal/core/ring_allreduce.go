@@ -73,6 +73,7 @@ func (b *planBuilder) emitRingAllReduce(lr logicalRing, ri, off, regionN, bufLen
 	seg := func(idx int) (int, int) { return segOff[idx], segOff[idx+1] - segOff[idx] }
 
 	reduceDone := prevReduce // last reduce op per position, nil before any
+	var deps []int
 
 	// Reduce-scatter: step s, position i sends segment (i-s) mod n.
 	for s := 0; s < n-1; s++ {
@@ -83,12 +84,12 @@ func (b *planBuilder) emitRingAllReduce(lr logicalRing, ri, off, regionN, bufLen
 			src := lr.verts[pos]
 			dstPos := (pos + 1) % n
 			dst := lr.verts[dstPos]
-			var deps []int
+			deps = deps[:0]
 			if reduceDone != nil {
 				// The sender's own reduce of the segment, and receive-buffer
 				// availability: the destination must have consumed the
 				// previous segment before a new one reaches it.
-				deps = []int{reduceDone[pos], reduceDone[dstPos]}
+				deps = append(deps, reduceDone[pos], reduceDone[dstPos])
 			}
 			// The send moves no data: the receiver's reduce reads the
 			// sender's segment in place — its input at step 0, its
@@ -98,7 +99,7 @@ func (b *planBuilder) emitRingAllReduce(lr logicalRing, ri, off, regionN, bufLen
 			// all-gather receive, which waits, through the ring's remaining
 			// reduces of the segment, for this one.
 			deliver := b.addHop(ri, pos, 1, lr.hops[pos], int64(sn)*4, deps, nil,
-				fmt.Sprintf("rs r%d s%d %d->%d", ri, s, src, dst))
+				opTag(tagRS, ri, s, src, dst))
 			var rexec Exec
 			if b.opts.DataMode {
 				sent := BufRef{Dev: src, Tag: BufAcc}
@@ -107,15 +108,14 @@ func (b *planBuilder) emitRingAllReduce(lr logicalRing, ri, off, regionN, bufLen
 				}
 				rexec = ReduceKernel([]BufRef{{Dev: dst, Tag: BufData}, sent}, so, sn, bufLen)
 			}
-			newReduce[dstPos] = b.add(&simgpu.Op{
+			newReduce[dstPos] = b.add(simgpu.Op{
 				Stream:   b.streamFor([5]int{ri, dstPos, 0, 2}),
 				Link:     b.f.ReduceLink(dst),
 				Bytes:    int64(sn) * 4,
 				Overhead: b.f.Cfg.ReduceOverhead,
-				Deps:     []int{deliver},
 				Exec:     rexec,
-				Label:    fmt.Sprintf("rsred r%d s%d @%d", ri, s, dst),
-			})
+				Tag:      opTag(tagRSRed, ri, s, dst, 0),
+			}, deliver)
 		}
 		reduceDone = newReduce
 	}
@@ -133,7 +133,7 @@ func (b *planBuilder) emitRingAllReduce(lr logicalRing, ri, off, regionN, bufLen
 			dst := lr.verts[dstPos]
 			newRecv[dstPos] = b.addHop(ri, pos, 3, lr.hops[pos], int64(sn)*4, []int{held[pos]},
 				b.copyExec(src, dst, BufAcc, BufAcc, so, sn, bufLen),
-				fmt.Sprintf("ag r%d s%d %d->%d", ri, s, src, dst))
+				opTag(tagAG, ri, s, src, dst))
 		}
 		held = newRecv
 	}

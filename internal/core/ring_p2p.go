@@ -50,6 +50,7 @@ func BuildRingP2PPlan(f *simgpu.Fabric, plane FabricSel, pairs []IRPair, chained
 	chunkFloats := int(b.opts.ChunkBytes / 4)
 	var total int64
 	var prevDelivery []int // per-chunk delivery ops of the previous pair
+	var deps []int
 	for pi, p := range pairs {
 		floats := int(p.Bytes / 4)
 		if floats <= 0 {
@@ -69,14 +70,14 @@ func BuildRingP2PPlan(f *simgpu.Fabric, plane FabricSel, pairs []IRPair, chained
 			}
 			last := -1
 			for s, h := range hops {
-				var deps []int
+				deps = deps[:0]
 				if s > 0 {
-					deps = []int{last}
+					deps = append(deps, last)
 				} else if chained && pi > 0 && k < len(prevDelivery) {
-					deps = []int{prevDelivery[k]}
+					deps = append(deps, prevDelivery[k])
 				}
 				last = b.addHop(pi, s, pi%len(lrs), lr.hops[h], int64(cn)*4, deps, nil,
-					fmt.Sprintf("p2p %d->%d c%d h%d", p.Src, p.Dst, k, s))
+					opTag(tagP2P, p.Src, p.Dst, k, s))
 			}
 			delivery[k] = last
 		}

@@ -114,22 +114,18 @@ func logicalRings(f *simgpu.Fabric, plane FabricSel) ([]logicalRing, error) {
 // addHop emits ops moving bytes across one logical ring hop (possibly
 // several edges, each possibly a two-leg switch transfer) and returns the
 // delivery op index. exec runs at delivery.
-func (b *planBuilder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []int, exec Exec, label string) int {
+func (b *planBuilder) addHop(ring, hop, phase int, edges []int, bytes int64, deps []int, exec Exec, tag simgpu.Tag) int {
 	last := -1
 	leg := 0
 	for ei, eid := range edges {
 		links := b.f.EdgeLinks(eid)
 		for li, link := range links {
-			d := deps
-			if last >= 0 {
-				d = []int{last}
-			}
-			op := &simgpu.Op{
+			tag.Leg = uint8(leg + 1)
+			op := simgpu.Op{
 				Stream: b.streamFor([5]int{ring, hop, leg, phase}),
 				Link:   link,
 				Bytes:  bytes,
-				Deps:   append([]int(nil), d...),
-				Label:  fmt.Sprintf("%s leg%d", label, leg),
+				Tag:    tag,
 			}
 			if leg == 0 {
 				op.Overhead = b.f.Cfg.OpOverhead
@@ -137,7 +133,11 @@ func (b *planBuilder) addHop(ring, hop, phase int, edges []int, bytes int64, dep
 			if ei == len(edges)-1 && li == len(links)-1 {
 				op.Exec = exec
 			}
-			last = b.add(op)
+			if last >= 0 {
+				last = b.add(op, last)
+			} else {
+				last = b.add(op, deps...)
+			}
 			leg++
 		}
 	}
@@ -176,6 +176,7 @@ func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes in
 		}
 		chunks := (n + chunkFloats - 1) / chunkFloats
 		prevHop := make([]int, len(lr.verts)) // delivery op of current chunk at hop h
+		var deps []int
 		for k := 0; k < chunks; k++ {
 			coff := off + k*chunkFloats
 			cn := chunkFloats
@@ -183,14 +184,14 @@ func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes in
 				cn = rem
 			}
 			for h := 0; h+1 < len(lr.verts); h++ {
-				var deps []int
+				deps = deps[:0]
 				if h > 0 {
-					deps = []int{prevHop[h-1]}
+					deps = append(deps, prevHop[h-1])
 				}
 				src, dst := lr.verts[h], lr.verts[h+1]
 				prevHop[h] = b.addHop(ri, h, 0, lr.hops[h], int64(cn)*4, deps,
 					b.copyExec(src, dst, BufData, BufData, coff, cn, coff+cn),
-					fmt.Sprintf("rbcast r%d c%d %d->%d", ri, k, src, dst))
+					opTag(tagRBcast, ri, k, src, dst))
 			}
 		}
 		off += n

@@ -10,7 +10,6 @@
 package simgpu
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -37,11 +36,6 @@ type Op struct {
 	// Link indexes the engine's link table, or -1 for zero-resource ops
 	// (pure synchronization points).
 	Link int
-	// Links, when non-empty, lists ALL links the op occupies for its
-	// duration (e.g. a switch-fabric transfer holds the sender's up-link
-	// and the receiver's down-link). It takes precedence over Link; the
-	// service rate is the slowest listed link.
-	Links []int
 	// Bytes is the payload size; transfer time is Bytes / (BW*1e9).
 	Bytes int64
 	// Overhead is a fixed launch/sync cost in seconds.
@@ -60,11 +54,8 @@ type Op struct {
 	// (RecordManifest learns a schedule's buffers from an empty-window walk,
 	// and a replay allocates exactly those before any stripe runs).
 	Exec func(bufs *BufferSet, w Window)
-	// Label annotates traces.
-	Label string
-
-	start, finish float64
-	scheduled     bool
+	// Tag names the op in traces.
+	Tag Tag
 	// Mark reports the op's finish time in Result.Marks. A schedule with
 	// phases marks one zero-resource op per phase boundary that waits for
 	// the phase's ops, so one run yields the makespan and where inside it
@@ -72,28 +63,13 @@ type Op struct {
 	Mark bool
 }
 
-// linkSet returns the links the op occupies.
-func (o *Op) linkSet() []int {
-	if len(o.Links) > 0 {
-		return o.Links
-	}
-	if o.Link >= 0 {
-		return []int{o.Link}
-	}
-	return nil
+// Tag is an op's trace name in compact form: a kind, a transfer leg and up
+// to four small integers, which the schedule's builder formats into a label
+// only when a trace asks for one (core.OpLabel).
+type Tag struct {
+	Kind, Leg  uint8
+	A, B, C, D int32
 }
-
-// Start returns the op's simulated start time (valid after Run).
-func (o *Op) Start() float64 { return o.start }
-
-// Finish returns the op's simulated finish time (valid after Run).
-func (o *Op) Finish() float64 { return o.finish }
-
-// Scheduled reports whether the op has been executed by a completed Run:
-// false on a freshly built plan, true for every op after the run finishes
-// (Run clears the flag on entry, so a re-run starts from false again).
-// Tracing uses it to tell whether a plan already carries timings.
-func (o *Op) Scheduled() bool { return o.scheduled }
 
 // Result summarizes one engine run.
 type Result struct {
@@ -109,36 +85,11 @@ type Result struct {
 	Marks []float64
 }
 
-type pqItem struct {
-	op    int
-	ready float64
-}
-
-type opPQ []pqItem
-
-func (q opPQ) Len() int { return len(q) }
-func (q opPQ) Less(i, j int) bool {
-	if q[i].ready != q[j].ready {
-		return q[i].ready < q[j].ready
-	}
-	return q[i].op < q[j].op
-}
-func (q opPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *opPQ) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *opPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // Run simulates the op set over the link table and returns the makespan.
-// It mutates the ops (recording start/finish) and invokes Exec closures in
-// dependency order against bufs, the call's private buffer arena, over the
-// window of every float. A nil bufs is replaced by a fresh throwaway arena,
-// so timing-only executions of Exec-carrying schedules stay safe (the moved
-// data is simply discarded).
+// It invokes Exec closures in dependency order against bufs, the call's
+// private buffer arena, over the window of every float. A nil bufs is
+// replaced by a fresh throwaway arena, so timing-only executions of
+// Exec-carrying schedules stay safe (the moved data is simply discarded).
 // Deterministic: ties break on op index.
 func Run(links []Link, ops []*Op, bufs *BufferSet) (Result, error) {
 	return RunHooked(links, ops, bufs, nil)
@@ -146,161 +97,242 @@ func Run(links []Link, ops []*Op, bufs *BufferSet) (Result, error) {
 
 // RunHooked is Run plus a per-op completion hook: onOp fires after each op
 // is scheduled (its Exec closure, if any, has already run), in dependency
-// order. A nil hook is Run. It has exactly one product caller,
-// core.Plan.Freeze, and the hook is how the launch order leaves a run:
-// Freeze records it once, and every replay — its data movement, progress
-// reports and between-chunk yields — walks that record instead of
-// simulating again.
+// order. A nil hook is Run.
 func RunHooked(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op)) (Result, error) {
+	var s Sim
+	return s.Run(links, ops, bufs, onOp)
+}
+
+// Sim is the event simulator behind Run. It reads the ops and never writes
+// them: every per-op quantity of a run — each op's stream slot, its
+// dependents, unmet dependency count and ready time, and the start and
+// finish it is given — lives in the Sim's own dense arrays, sized once per
+// run, so a run allocates the same handful of slices whatever the schedule's
+// length. A Sim may be reused; it is not safe for concurrent runs.
+type Sim struct {
+	// Start and Finish are each op's simulated start and finish time, by op
+	// index, after a Run.
+	Start, Finish []float64
+	// SkipExec times the schedule without running any op's Exec: a run that
+	// only wants the timing (core.Plan.Freeze, traces) moves no data.
+	SkipExec bool
+
+	stream               []int32   // op -> dense stream slot
+	streamOff, streamOps []int32   // per-slot op lists, in op order (CSR)
+	streamNext           []int32   // per slot: position of the next op to launch
+	streamFree           []float64 // per slot: when its last op finished
+	depOff, dependents   []int32   // per op: the ops waiting for it (CSR)
+	pending              []int32   // per op: unmet dependency count
+	depReady             []float64 // per op: latest finish over its deps so far
+	linkFree, linkBusy   []float64
+	ready                readyHeap
+}
+
+// Run simulates ops over links; see the package-level Run. onOp, when
+// non-nil, fires after each op is scheduled, in launch order.
+func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op)) (Result, error) {
 	n := len(ops)
 	res := Result{Ops: n, BusiestLink: -1}
+	s.Start, s.Finish = resize(s.Start, n), resize(s.Finish, n)
 	if n == 0 {
 		return res, nil
 	}
+	edges, lo, hi := 0, ops[0].Stream, ops[0].Stream
 	for i, op := range ops {
-		for _, l := range op.linkSet() {
-			if l >= len(links) || l < 0 {
-				return res, fmt.Errorf("simgpu: op %d references unknown link %d", i, l)
-			}
-			if links[l].BW <= 0 {
-				return res, fmt.Errorf("simgpu: op %d uses link %d with bw %v", i, l, links[l].BW)
-			}
+		if l := op.Link; l >= len(links) {
+			return res, fmt.Errorf("simgpu: op %d references unknown link %d", i, l)
+		} else if l >= 0 && links[l].BW <= 0 {
+			return res, fmt.Errorf("simgpu: op %d uses link %d with bw %v", i, l, links[l].BW)
 		}
-		op.scheduled = false
-	}
-
-	// Per-stream FIFO: streamNext[s] is the index into streamOps[s] of the
-	// next op allowed to start.
-	streamOps := map[int][]int{}
-	for i, op := range ops {
-		streamOps[op.Stream] = append(streamOps[op.Stream], i)
-	}
-	streamNext := map[int]int{}
-	streamFree := map[int]float64{}
-
-	pending := make([]int, n) // unmet dep count
-	dependents := make([][]int, n)
-	for i, op := range ops {
-		pending[i] = len(op.Deps)
 		for _, d := range op.Deps {
 			if d < 0 || d >= n {
 				return res, fmt.Errorf("simgpu: op %d has invalid dep %d", i, d)
 			}
-			dependents[d] = append(dependents[d], i)
 		}
+		edges += len(op.Deps)
+		lo, hi = min(lo, op.Stream), max(hi, op.Stream)
 	}
-	depReady := make([]float64, n) // max finish over deps seen so far
+	// Streams are numbered densely by every schedule builder; a stream's
+	// slot is its ID less the smallest.
+	if uint(hi)-uint(lo) > uint(4*n) {
+		return res, fmt.Errorf("simgpu: stream IDs %d..%d are too sparse for %d ops", lo, hi, n)
+	}
+	slots := hi - lo + 1
+	s.stream = resize(s.stream, n)
+	for i, op := range ops {
+		s.stream[i] = int32(op.Stream - lo)
+	}
 
-	linkFree := make([]float64, len(links))
-	linkBusy := make([]float64, len(links))
-
-	pq := &opPQ{}
-	// tryEnqueue inserts op i if it is at the front of its stream and all
-	// deps are met.
-	tryEnqueue := func(i int) {
-		op := ops[i]
-		q := streamOps[op.Stream]
-		if q[streamNext[op.Stream]] != i {
-			return
+	// Dependents and per-slot op lists (CSR): count into the offsets, sum
+	// them to each list's end, then fill backwards so both keep op order.
+	s.pending, s.depReady = resize(s.pending, n), resize(s.depReady, n)
+	s.depOff, s.dependents = resize(s.depOff, n+1), resize(s.dependents, edges)
+	s.streamOff, s.streamOps = resize(s.streamOff, slots+1), resize(s.streamOps, n)
+	for i, op := range ops {
+		s.pending[i] = int32(len(op.Deps))
+		for _, d := range op.Deps {
+			s.depOff[d]++
 		}
-		if pending[i] > 0 {
-			return
+		s.streamOff[s.stream[i]]++
+	}
+	prefixSum(s.depOff)
+	prefixSum(s.streamOff)
+	for i := n - 1; i >= 0; i-- {
+		for _, d := range ops[i].Deps {
+			s.depOff[d]--
+			s.dependents[s.depOff[d]] = int32(i)
 		}
-		ready := math.Max(depReady[i], streamFree[op.Stream])
-		heap.Push(pq, pqItem{op: i, ready: ready})
+		k := s.stream[i]
+		s.streamOff[k]--
+		s.streamOps[s.streamOff[k]] = int32(i)
 	}
-	for s := range streamOps {
-		streamNext[s] = 0
-	}
+	s.streamNext = resize(s.streamNext, slots)
+	s.streamFree = resize(s.streamFree, slots)
+	s.linkFree, s.linkBusy = resize(s.linkFree, len(links)), resize(s.linkBusy, len(links))
+	s.ready = resize(s.ready, n)[:0]
 	for i := range ops {
-		tryEnqueue(i)
+		s.tryEnqueue(int32(i))
 	}
 
 	done := 0
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		i := it.op
-		op := ops[i]
-		if op.scheduled {
-			continue
-		}
-		op.scheduled = true
-		ls := op.linkSet()
+	for len(s.ready) > 0 {
+		i := s.ready.pop()
+		op := ops[i.op]
 		wire := 0.0
-		if len(ls) > 0 {
-			rate := math.Inf(1)
-			for _, l := range ls {
-				if links[l].BW < rate {
-					rate = links[l].BW
-				}
-				if links[l].Latency > wire {
-					wire = links[l].Latency
-				}
-			}
-			wire += float64(op.Bytes) / (rate * 1e9)
+		l := op.Link
+		if l >= 0 {
+			wire = links[l].Latency + float64(op.Bytes)/(links[l].BW*1e9)
 		}
-		// Launch overhead is charged on the stream (it.ready already folds
+		// Launch overhead is charged on the stream (i.ready already folds
 		// in the stream's previous finish); the wire portion must then find
-		// a free slot on every link.
-		finish := it.ready + op.Overhead + wire
-		for _, l := range ls {
-			if f := linkFree[l] + wire; f > finish {
-				finish = f
-			}
+		// a free slot on the link.
+		finish := i.ready + op.Overhead + wire
+		if l >= 0 {
+			finish = math.Max(finish, s.linkFree[l]+wire)
+			s.linkFree[l] = finish
+			s.linkBusy[l] += wire
 		}
-		op.start = finish - wire - op.Overhead
-		if op.start < it.ready { // guard FP rounding
-			op.start = it.ready
-		}
-		op.finish = finish
-		for _, l := range ls {
-			linkFree[l] = finish
-			linkBusy[l] += wire
-		}
-		if op.Exec != nil {
+		s.Start[i.op] = math.Max(finish-wire-op.Overhead, i.ready) // guard FP rounding
+		s.Finish[i.op] = finish
+		if op.Exec != nil && !s.SkipExec {
 			if bufs == nil {
 				bufs = NewBufferSet()
 			}
 			op.Exec(bufs, Window{Hi: math.MaxInt})
 		}
 		done++
-		if op.finish > res.Makespan {
-			res.Makespan = op.finish
-		}
+		res.Makespan = math.Max(res.Makespan, finish)
 		if onOp != nil {
-			onOp(i, op)
+			onOp(int(i.op), op)
 		}
 
 		// Advance the stream and release dependents.
-		s := op.Stream
-		streamNext[s]++
-		if streamFree[s] < op.finish {
-			streamFree[s] = op.finish
+		k := s.stream[i.op]
+		s.streamNext[k]++
+		s.streamFree[k] = math.Max(s.streamFree[k], finish)
+		if next := s.streamOff[k] + s.streamNext[k]; next < s.streamOff[k+1] {
+			s.tryEnqueue(s.streamOps[next])
 		}
-		if streamNext[s] < len(streamOps[s]) {
-			tryEnqueue(streamOps[s][streamNext[s]])
-		}
-		for _, d := range dependents[i] {
-			pending[d]--
-			if depReady[d] < op.finish {
-				depReady[d] = op.finish
-			}
-			tryEnqueue(d)
+		for _, d := range s.dependents[s.depOff[i.op]:s.depOff[i.op+1]] {
+			s.pending[d]--
+			s.depReady[d] = math.Max(s.depReady[d], finish)
+			s.tryEnqueue(d)
 		}
 	}
 	if done != n {
 		return res, fmt.Errorf("simgpu: deadlock: %d of %d ops executed (cyclic deps or stream order conflict)", done, n)
 	}
-	for _, op := range ops {
+	for i, op := range ops {
 		if op.Mark {
-			res.Marks = append(res.Marks, op.finish)
+			res.Marks = append(res.Marks, s.Finish[i])
 		}
 	}
-	for l, b := range linkBusy {
+	for l, b := range s.linkBusy {
 		if b > res.BusiestLinkTime {
 			res.BusiestLinkTime = b
 			res.BusiestLink = l
 		}
 	}
 	return res, nil
+}
+
+// tryEnqueue makes op i ready if it is at the front of its stream and all
+// its deps are met.
+func (s *Sim) tryEnqueue(i int32) {
+	k := s.stream[i]
+	if s.pending[i] > 0 || s.streamOps[s.streamOff[k]+s.streamNext[k]] != i {
+		return
+	}
+	s.ready.push(readyOp{ready: math.Max(s.depReady[i], s.streamFree[k]), op: i})
+}
+
+// readyOp is an op whose deps are met and whose stream has reached it.
+type readyOp struct {
+	ready float64
+	op    int32
+}
+
+// readyHeap is a binary min-heap of ready ops, earliest ready time first and
+// ties to the lower op index.
+type readyHeap []readyOp
+
+func (h readyHeap) less(i, j int) bool {
+	if h[i].ready != h[j].ready {
+		return h[i].ready < h[j].ready
+	}
+	return h[i].op < h[j].op
+}
+
+func (h *readyHeap) push(x readyOp) {
+	*h = append(*h, x)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *readyHeap) pop() readyOp {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q.less(c+1, c) {
+			c++
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
+
+// prefixSum turns per-entry counts into running totals, in place.
+func prefixSum(b []int32) {
+	for i := 1; i < len(b); i++ {
+		b[i] += b[i-1]
+	}
+}
+
+// resize returns b with length n and every element zero, reusing its array
+// when it is large enough.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }

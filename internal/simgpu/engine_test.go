@@ -20,7 +20,8 @@ func TestRunEmpty(t *testing.T) {
 func TestRunSingleOp(t *testing.T) {
 	links := []Link{{BW: 10, Label: "l"}}
 	op := &Op{Stream: 0, Link: 0, Bytes: 100e6, Overhead: 1e-3}
-	res, err := Run(links, []*Op{op}, nil)
+	var sim Sim
+	res, err := sim.Run(links, []*Op{op}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +29,8 @@ func TestRunSingleOp(t *testing.T) {
 	if !almost(res.Makespan, want, 1e-12) {
 		t.Fatalf("makespan = %v, want %v", res.Makespan, want)
 	}
-	if op.Start() != 0 || !almost(op.Finish(), want, 1e-12) {
-		t.Fatalf("op window [%v,%v]", op.Start(), op.Finish())
+	if sim.Start[0] != 0 || !almost(sim.Finish[0], want, 1e-12) {
+		t.Fatalf("op window [%v,%v]", sim.Start[0], sim.Finish[0])
 	}
 }
 
@@ -38,15 +39,16 @@ func TestRunStreamSerialization(t *testing.T) {
 	// Same stream, different links: must still serialize.
 	a := &Op{Stream: 0, Link: 0, Bytes: 1e9}
 	b := &Op{Stream: 0, Link: 1, Bytes: 1e9}
-	res, err := Run(links, []*Op{a, b}, nil)
+	var sim Sim
+	res, err := sim.Run(links, []*Op{a, b}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almost(res.Makespan, 2, 1e-9) {
 		t.Fatalf("stream-serialized makespan = %v, want 2", res.Makespan)
 	}
-	if b.Start() < a.Finish() {
-		t.Fatalf("stream order violated: b starts %v before a finishes %v", b.Start(), a.Finish())
+	if sim.Start[1] < sim.Finish[0] {
+		t.Fatalf("stream order violated: b starts %v before a finishes %v", sim.Start[1], sim.Finish[0])
 	}
 }
 

@@ -38,44 +38,46 @@ func TestEngineInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		links, ops := randomDAG(rng, 1+rng.Intn(5), 1+rng.Intn(60))
-		res, err := Run(links, ops, nil)
+		var sim Sim
+		res, err := sim.Run(links, ops, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		start, finish := sim.Start, sim.Finish
 		// 1. Dependencies: an op starts no earlier than its deps finish.
 		for i, op := range ops {
 			for _, d := range op.Deps {
-				if op.Start() < ops[d].Finish()-1e-12 {
+				if start[i] < finish[d]-1e-12 {
 					t.Fatalf("trial %d: op %d starts %.9f before dep %d finishes %.9f",
-						trial, i, op.Start(), d, ops[d].Finish())
+						trial, i, start[i], d, finish[d])
 				}
 			}
 		}
 		// 2. Stream FIFO: ops on a stream finish in issue order.
 		last := map[int]float64{}
 		for i, op := range ops {
-			if f, ok := last[op.Stream]; ok && op.Finish() < f-1e-12 {
+			if f, ok := last[op.Stream]; ok && finish[i] < f-1e-12 {
 				t.Fatalf("trial %d: stream %d op %d finishes before its predecessor", trial, op.Stream, i)
 			}
-			last[op.Stream] = op.Finish()
+			last[op.Stream] = finish[i]
 		}
 		// 3. Link exclusivity: wire windows on one link do not overlap.
 		// The wire window is [finish-wire, finish]; reconstruct wire from
 		// link rate and latency.
-		byLink := map[int][]*Op{}
-		for _, op := range ops {
+		byLink := map[int][]int{}
+		for i, op := range ops {
 			if op.Link >= 0 {
-				byLink[op.Link] = append(byLink[op.Link], op)
+				byLink[op.Link] = append(byLink[op.Link], i)
 			}
 		}
 		for l, lops := range byLink {
-			wireOf := func(op *Op) float64 {
-				return links[l].Latency + float64(op.Bytes)/(links[l].BW*1e9)
+			wireOf := func(i int) float64 {
+				return links[l].Latency + float64(ops[i].Bytes)/(links[l].BW*1e9)
 			}
-			sort.Slice(lops, func(i, j int) bool { return lops[i].Finish() < lops[j].Finish() })
+			sort.Slice(lops, func(i, j int) bool { return finish[lops[i]] < finish[lops[j]] })
 			for i := 1; i < len(lops); i++ {
-				prevEnd := lops[i-1].Finish()
-				thisWireStart := lops[i].Finish() - wireOf(lops[i])
+				prevEnd := finish[lops[i-1]]
+				thisWireStart := finish[lops[i]] - wireOf(lops[i])
 				if thisWireStart < prevEnd-1e-9 {
 					t.Fatalf("trial %d: link %d wire windows overlap: %.9f < %.9f",
 						trial, l, thisWireStart, prevEnd)
@@ -84,10 +86,8 @@ func TestEngineInvariants(t *testing.T) {
 		}
 		// 4. Makespan equals the max finish.
 		maxFin := 0.0
-		for _, op := range ops {
-			if op.Finish() > maxFin {
-				maxFin = op.Finish()
-			}
+		for _, f := range finish {
+			maxFin = max(maxFin, f)
 		}
 		if res.Makespan != maxFin {
 			t.Fatalf("trial %d: makespan %.9f != max finish %.9f", trial, res.Makespan, maxFin)
@@ -113,21 +113,20 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	a := clone()
-	b := clone()
-	ra, err := Run(links, a, nil)
+	var a, b Sim
+	ra, err := a.Run(links, clone(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Run(links, b, nil)
+	rb, err := b.Run(links, clone(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ra.Makespan != rb.Makespan {
 		t.Fatalf("nondeterministic makespan: %v vs %v", ra.Makespan, rb.Makespan)
 	}
-	for i := range a {
-		if a[i].Start() != b[i].Start() || a[i].Finish() != b[i].Finish() {
+	for i := range a.Start {
+		if a.Start[i] != b.Start[i] || a.Finish[i] != b.Finish[i] {
 			t.Fatalf("op %d timing differs across runs", i)
 		}
 	}

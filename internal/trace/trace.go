@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"blink/internal/core"
 	"blink/internal/obs"
@@ -33,68 +34,46 @@ type File struct {
 	Metadata        map[string]string `json:"otherData,omitempty"`
 }
 
-// FromPlan executes the plan (if not yet executed) and converts every op
-// into a complete event: one "process" per link (so each link renders as a
-// swimlane) with the op's stream as the thread ID.
-//
-// FromPlan is idempotent: a plan whose ops already carry timings from a
-// previous execution is traced as-is, never re-run — re-executing would
-// redo the whole simulated schedule (and, in data mode, replay every Exec
-// closure's data movement) just to read back timings it already has.
+// FromPlan times the plan (Simulate) and converts every op into a complete
+// event: one "process" per link (so each link renders as a swimlane) with
+// the op's stream as the thread ID.
 func FromPlan(plan *core.Plan) (*File, error) {
-	if !planExecuted(plan) {
-		if _, err := plan.Execute(); err != nil {
-			return nil, err
-		}
+	sim, err := Simulate(plan)
+	if err != nil {
+		return nil, err
 	}
-	return FromOps(plan.Fabric, plan.Ops), nil
+	return FromOps(plan.Fabric, plan.Ops, sim), nil
 }
 
-// planExecuted reports whether the plan's ops carry timings. A completed
-// run marks every op scheduled; a fresh plan has none marked (the simulator
-// clears the flags on entry, so a partially failed run also reads as
-// unexecuted and is re-run).
-func planExecuted(plan *core.Plan) bool {
-	if len(plan.Ops) == 0 {
-		return false
-	}
-	for _, op := range plan.Ops {
-		if !op.Scheduled() {
-			return false
-		}
-	}
-	return true
+// Simulate runs the plan's schedule for its timing alone: the ops' Exec
+// closures are skipped, so tracing a data-mode plan moves no data.
+func Simulate(plan *core.Plan) (*simgpu.Sim, error) {
+	sim := &simgpu.Sim{SkipExec: true}
+	_, err := sim.Run(plan.Fabric.Links, plan.Ops, nil, nil)
+	return sim, err
 }
 
-// FromOps converts already-executed ops into a trace file.
-func FromOps(f *simgpu.Fabric, ops []*simgpu.Op) *File {
+// FromOps converts ops, timed by sim, into a trace file.
+func FromOps(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *File {
 	out := &File{DisplayTimeUnit: "ns", Metadata: map[string]string{
 		"generator": "blink/internal/trace",
 	}}
-	for _, op := range ops {
-		if op.Finish() <= op.Start() {
+	for i, op := range ops {
+		start, finish := sim.Start[i], sim.Finish[i]
+		if finish <= start {
 			continue // zero-duration sync op
 		}
-		lane := -1
-		if op.Link >= 0 {
-			lane = op.Link
-		} else if len(op.Links) > 0 {
-			lane = op.Links[0]
-		}
-		name := op.Label
-		if name == "" {
-			name = "op"
-		}
+		lane := op.Link
 		cat := "copy"
-		if lane >= 0 && f != nil && f.Links[lane].Label != "" && len(f.Links[lane].Label) >= 6 && f.Links[lane].Label[:6] == "reduce" {
+		if lane >= 0 && f != nil && strings.HasPrefix(f.Links[lane].Label, "reduce") {
 			cat = "reduce"
 		}
 		out.TraceEvents = append(out.TraceEvents, Event{
-			Name: name,
+			Name: core.OpLabel(op),
 			Cat:  cat,
 			Ph:   "X",
-			TS:   op.Start() * 1e6,
-			Dur:  (op.Finish() - op.Start()) * 1e6,
+			TS:   start * 1e6,
+			Dur:  (finish - start) * 1e6,
 			PID:  lane + 1, // pid 0 is reserved for sync ops
 			TID:  op.Stream,
 		})
@@ -188,30 +167,26 @@ type LinkUsage struct {
 	Utilization float64
 }
 
-// Summarize computes link utilization for executed ops.
-func Summarize(f *simgpu.Fabric, ops []*simgpu.Op) *Summary {
+// Summarize computes link utilization for ops timed by sim.
+func Summarize(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *Summary {
 	s := &Summary{}
 	busy := map[int]*LinkUsage{}
-	for _, op := range ops {
-		if op.Finish() > s.Makespan {
-			s.Makespan = op.Finish()
+	for i, op := range ops {
+		s.Makespan = max(s.Makespan, sim.Finish[i])
+		l := op.Link
+		if l < 0 {
+			continue
 		}
-		lanes := op.Links
-		if len(lanes) == 0 && op.Link >= 0 {
-			lanes = []int{op.Link}
-		}
-		for _, l := range lanes {
-			u := busy[l]
-			if u == nil {
-				u = &LinkUsage{Link: l}
-				if f != nil && l < len(f.Links) {
-					u.Label = f.Links[l].Label
-				}
-				busy[l] = u
+		u := busy[l]
+		if u == nil {
+			u = &LinkUsage{Link: l}
+			if f != nil && l < len(f.Links) {
+				u.Label = f.Links[l].Label
 			}
-			u.BusySecs += op.Finish() - op.Start()
-			u.Ops++
+			busy[l] = u
 		}
+		u.BusySecs += sim.Finish[i] - sim.Start[i]
+		u.Ops++
 	}
 	for _, u := range busy {
 		if s.Makespan > 0 {

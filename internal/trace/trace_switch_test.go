@@ -18,14 +18,14 @@ func TestTraceSwitchFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, err := FromPlan(plan)
+	sim, err := Simulate(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tf.TraceEvents) == 0 {
+	if tf := FromOps(f, plan.Ops, sim); len(tf.TraceEvents) == 0 {
 		t.Fatal("no events from switch fabric")
 	}
-	s := Summarize(f, plan.Ops)
+	s := Summarize(f, plan.Ops, sim)
 	// Up and down attach ports must both appear.
 	var sawUp, sawDown bool
 	for _, u := range s.Links {

@@ -67,33 +67,26 @@ func TestFromPlanProducesEvents(t *testing.T) {
 	}
 }
 
-// TestFromPlanIdempotent is the regression for the unconditional
-// plan.Execute() FromPlan used to issue: tracing a plan that already ran
-// must not re-execute it — in data mode that would replay every Exec
-// closure's data movement just to read back timings the ops already carry.
+// TestFromPlanIdempotent: tracing a plan times its schedule without running
+// a single Exec closure — in data mode that would replay every closure's data
+// movement just to read back timings — and tracing it again gives the same
+// trace.
 func TestFromPlanIdempotent(t *testing.T) {
 	plan := samplePlan(t)
 	var execs atomic.Int64
 	for _, op := range plan.Ops {
 		op.Exec = func(*simgpu.BufferSet, simgpu.Window) { execs.Add(1) }
 	}
-	want := int64(len(plan.Ops))
-
-	// First trace of a fresh plan executes it exactly once.
 	tf1, err := FromPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := execs.Load(); got != want {
-		t.Fatalf("first FromPlan ran %d Exec closures, want %d", got, want)
-	}
-	// Second trace reuses the recorded timings.
 	tf2, err := FromPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := execs.Load(); got != want {
-		t.Fatalf("FromPlan re-executed an already-executed plan: %d closure runs, want %d", got, want)
+	if got := execs.Load(); got != 0 {
+		t.Fatalf("tracing ran %d Exec closures, want none", got)
 	}
 	var b1, b2 bytes.Buffer
 	if err := tf1.Write(&b1); err != nil {
@@ -103,24 +96,7 @@ func TestFromPlanIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("re-tracing an executed plan changed the trace")
-	}
-
-	// Execute-then-trace: a plan run by the caller is traced as-is.
-	plan2 := samplePlan(t)
-	var execs2 atomic.Int64
-	for _, op := range plan2.Ops {
-		op.Exec = func(*simgpu.BufferSet, simgpu.Window) { execs2.Add(1) }
-	}
-	if _, err := plan2.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromPlan(plan2); err != nil {
-		t.Fatal(err)
-	}
-	if got := execs2.Load(); got != int64(len(plan2.Ops)) {
-		t.Fatalf("FromPlan re-executed a caller-executed plan: %d closure runs, want %d",
-			got, len(plan2.Ops))
+		t.Fatal("re-tracing a plan changed the trace")
 	}
 }
 
@@ -189,10 +165,11 @@ func TestFromSpans(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	plan := samplePlan(t)
-	if _, err := plan.Execute(); err != nil {
+	sim, err := Simulate(plan)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := Summarize(plan.Fabric, plan.Ops)
+	s := Summarize(plan.Fabric, plan.Ops, sim)
 	if s.Makespan <= 0 || len(s.Links) == 0 {
 		t.Fatalf("summary empty: %+v", s)
 	}
