@@ -17,9 +17,9 @@ COVER_FLOOR_QOS ?= 85
 # repo outside bench/, both non-test code, and the test code outside bench/.
 # Ratchets, not aspirations: lower them when a change shrinks the code,
 # never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2564
-LOC_CEIL_REPO ?= 11948
-LOC_CEIL_TEST ?= 13842
+LOC_CEIL_CORE ?= 2547
+LOC_CEIL_REPO ?= 11943
+LOC_CEIL_TEST ?= 13835
 
 .PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke mutants ci
 

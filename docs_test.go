@@ -187,8 +187,8 @@ func typeName(e ast.Expr) string {
 // with a name the module declares; and every backticked internal/, cmd/ or
 // examples/ path exists. In those two files and ROADMAP.md, every backticked
 // `file.go:N` lands inside — doc comment included — the declaration a
-// backticked name on its line or the line before names (`chunkFor`
-// (`internal/collective/engine.go:465`)). Fenced code blocks and bench/
+// backticked name on its line or the line before names (`treeChunk`,
+// `internal/core/plan.go:69`). Fenced code blocks and bench/
 // metric names are not checked.
 func TestDocsNameWhatExists(t *testing.T) {
 	decls, files := moduleDecls(t)

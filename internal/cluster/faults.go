@@ -119,9 +119,7 @@ func (s FaultSchedule) FirstIter() int {
 func (s FaultSchedule) LastIter() int {
 	last := -1
 	for _, f := range s.Faults {
-		if f.Iter > last {
-			last = f.Iter
-		}
+		last = max(last, f.Iter)
 	}
 	return last
 }

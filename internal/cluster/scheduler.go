@@ -216,10 +216,7 @@ func place(free []int, req int) map[int]int {
 	out := map[int]int{}
 	left := req
 	for _, o := range order {
-		take := o.f
-		if take > left {
-			take = left
-		}
+		take := min(o.f, left)
 		out[o.s] = take
 		left -= take
 		if left == 0 {

@@ -29,8 +29,8 @@ type PlanKey struct {
 	Op      Op
 	Root    int
 	Bytes   int64
-	// ChunkBytes is the resolved pipelining granularity (after the chunk
-	// heuristic), not the raw override.
+	// ChunkBytes is the override rounded to whole float32s, or 0 for auto,
+	// which CodeGen resolves for the plan's kind (core.PlanOptions).
 	ChunkBytes int64
 	DataMode   bool
 	Hybrid     bool
@@ -383,10 +383,7 @@ func (c *PlanCache) putMemoryOwned(k PlanKey, v *CachedPlan, owner uint64) bool 
 	}
 	m := c.obs.Load()
 	if owner != 0 && c.tenants > 1 {
-		share := c.capacity / c.tenants
-		if share < 1 {
-			share = 1
-		}
+		share := max(c.capacity/c.tenants, 1)
 		if c.ownerCount[owner] >= share {
 			c.evictOwnerLRULocked(owner)
 			c.fairEvictions.Add(1)

@@ -210,10 +210,7 @@ func TestSharedPlanCacheAcrossEngines(t *testing.T) {
 		t.Fatalf("shared cache stats = %+v, want 1 hit / 1 miss", st)
 	}
 	// Different allocation -> different fingerprint -> no false hit.
-	e3, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e3 := newEng(t, []int{0, 1, 2, 3})
 	e3.SetPlanCache(shared)
 	if _, err := e3.Run(Blink, AllReduce, 0, 32<<20, Options{}); err != nil {
 		t.Fatal(err)
@@ -227,10 +224,7 @@ func TestSharedCacheRespectsConfig(t *testing.T) {
 	// Plans bake the timing model into every op, so two engines sharing a
 	// cache but differing in simgpu.Config must never satisfy each other.
 	shared := NewPlanCache(DefaultPlanCacheCapacity)
-	fast, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := newEng(t, []int{0, 1, 2, 3})
 	fast.SetPlanCache(shared)
 	slow, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{OpOverhead: 1.0})
 	if err != nil {
@@ -392,10 +386,7 @@ func TestSharedCacheFairShareCountsEveryEngine(t *testing.T) {
 	shared := NewPlanCache(4)
 	var engines [2]*Engine
 	for i := range engines {
-		e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEng(t, []int{0, 1, 2, 3})
 		e.SetPlanCache(shared)
 		engines[i] = e
 	}
@@ -418,10 +409,7 @@ func TestSharedCacheFairShareCountsEveryEngine(t *testing.T) {
 // caller that reuses its chain or neighbor slices after a synchronous call
 // must not rewrite what the cache holds, or what PlanBlob encodes from it.
 func TestCachedPlanOwnsItsShape(t *testing.T) {
-	e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	for _, tc := range []struct {
 		op   Op
 		opts func() Options

@@ -12,10 +12,7 @@ import (
 
 func newDGX1Engine(t *testing.T) *Engine {
 	t.Helper()
-	eng, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	return eng
 }
 

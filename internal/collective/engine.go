@@ -111,7 +111,11 @@ type Result struct {
 
 // Options tunes a collective call.
 type Options struct {
-	// ChunkBytes overrides the chunk heuristic (0 = auto).
+	// ChunkBytes overrides the pipelining chunk. 0 is auto: Blink's tree
+	// Broadcast, Reduce and AllReduce on NVLink or PCIe take the chunk that
+	// pipelines their own trees fastest, modelled and then simulated, every
+	// other schedule a sixteenth of the payload, at most 2 MiB
+	// (core.PlanOptions.ChunkBytes).
 	ChunkBytes int64
 	// Hybrid selects the §3.4 hybrid schedule for a Blink Broadcast: PCIe
 	// trees alongside the NVLink ones, split by Equation 8. It is an error
@@ -463,27 +467,6 @@ func (st *engineState) ncclRings() []core.Ring {
 	return st.rings
 }
 
-// chunkFor picks a pipelining granularity: a sixteenth of the payload, at
-// most 2 MiB, so small payloads shrink and multi-hop pipelines still overlap.
-func chunkFor(bytes int64, override int64) int64 {
-	c := override
-	if c <= 0 {
-		c = bytes / 16
-		if c > 2<<20 {
-			c = 2 << 20
-		}
-		if c < 4 {
-			c = 4
-		}
-	}
-	// Whole float32s, exactly as core's plan builder will round it, so two
-	// overrides that compile one schedule share one plan key.
-	if r := c % 4; r != 0 {
-		c += 4 - r
-	}
-	return c
-}
-
 // Run executes one collective and returns its simulated timing.
 //
 // The first call for a given (op, root, bytes, chunk) key compiles the full
@@ -799,7 +782,7 @@ func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKi
 // strategy label.
 func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.Plan, strategy string, err error) {
 	po := core.PlanOptions{
-		ChunkBytes: key.ChunkBytes,
+		ChunkBytes: core.ResolveChunk(rq.bytes, key.ChunkBytes),
 		DataMode:   rq.opts.DataMode,
 		// The simulator's per-link FIFO arbitration is already fair, so the
 		// stream-reuse workaround for CUDA's unfair scheduling (§4.2.2) is not
@@ -845,6 +828,8 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		plan, _, err = core.BuildHybridBroadcastPlan(st.fabrics[core.FabricNVLink], pn[0], st.fabrics[core.FabricPCIe], pp[0], rq.bytes, po)
 		return plan, "hybrid", err
 	}
+	// An IR keeps an auto chunk as 0: CodeGen sizes it for the kind.
+	po.ChunkBytes = key.ChunkBytes
 	ir := &core.PlanIR{Fabric: plane, Root: rq.root, Bytes: rq.bytes, Opts: po}
 	var needs irNeeds
 	ir.Kind, ir.Strategy, needs = selectShape(plane, rq.b, rq.op, rq.bytes)

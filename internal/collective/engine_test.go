@@ -19,18 +19,22 @@ func newEng(t *testing.T, devs []int) *Engine {
 	return e
 }
 
+// mustRun is e.Run from root 0, failing the test on error.
+func mustRun(t *testing.T, e *Engine, b Backend, op Op, bytes int64, opts Options) Result {
+	t.Helper()
+	r, err := e.Run(b, op, 0, bytes, opts)
+	if err != nil {
+		t.Fatalf("%v %v of %d bytes: %v", b, op, bytes, err)
+	}
+	return r
+}
+
 func TestBlinkBeatsNCCLPartialConnectivity(t *testing.T) {
 	// Figure 2b: GPUs {0,1,4} have no NVLink ring; NCCL drops to PCIe while
 	// Blink packs the available NVLinks (paper: 26.4 vs 4.8 GB/s).
 	e := newEng(t, []int{0, 1, 4})
-	nccl, err := e.Run(NCCL, Broadcast, 0, 500<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blink, err := e.Run(Blink, Broadcast, 0, 500<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nccl := mustRun(t, e, NCCL, Broadcast, 500<<20, Options{})
+	blink := mustRun(t, e, Blink, Broadcast, 500<<20, Options{})
 	if nccl.Strategy != "pcie-ring" {
 		t.Fatalf("NCCL strategy = %q, want pcie-ring", nccl.Strategy)
 	}
@@ -47,14 +51,8 @@ func TestBlinkVsNCCLFullAllocation(t *testing.T) {
 	// On the fully connected 8-GPU DGX-1V NCCL builds full rings; Blink's
 	// edge is modest (paper: 3-5 GB/s from chunked transfers).
 	e := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	nccl, err := e.Run(NCCL, Broadcast, 0, 500<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blink, err := e.Run(Blink, Broadcast, 0, 500<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nccl := mustRun(t, e, NCCL, Broadcast, 500<<20, Options{})
+	blink := mustRun(t, e, Blink, Broadcast, 500<<20, Options{})
 	if blink.ThroughputGBs < nccl.ThroughputGBs {
 		t.Fatalf("Blink %.1f < NCCL %.1f on full allocation", blink.ThroughputGBs, nccl.ThroughputGBs)
 	}
@@ -67,10 +65,7 @@ func TestBlinkVsNCCLFullAllocation(t *testing.T) {
 func TestAllReduceBothBackends(t *testing.T) {
 	e := newEng(t, []int{1, 4, 5, 6, 7})
 	for _, b := range []Backend{Blink, NCCL} {
-		r, err := e.Run(b, AllReduce, 0, 100<<20, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
+		r := mustRun(t, e, b, AllReduce, 100<<20, Options{})
 		if r.ThroughputGBs <= 0 {
 			t.Fatalf("%v allreduce throughput = %v", b, r.ThroughputGBs)
 		}
@@ -80,10 +75,7 @@ func TestAllReduceBothBackends(t *testing.T) {
 func TestGatherAndVariants(t *testing.T) {
 	e := newEng(t, []int{5, 6, 7})
 	for _, op := range []Op{Gather, AllGather, ReduceScatter} {
-		r, err := e.Run(Blink, op, 0, 64<<20, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", op, err)
-		}
+		r := mustRun(t, e, Blink, op, 64<<20, Options{})
 		if r.Seconds <= 0 {
 			t.Fatalf("%v: no time elapsed", op)
 		}
@@ -98,26 +90,17 @@ func TestDGX2Engine(t *testing.T) {
 	if !e.Switched() {
 		t.Fatal("DGX-2 engine should be switched")
 	}
-	small, err := e.Run(NCCL, AllReduce, 0, 16<<10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := mustRun(t, e, NCCL, AllReduce, 16<<10, Options{})
 	if small.Strategy != "db-tree" {
 		t.Fatalf("small NCCL allreduce strategy = %q, want db-tree", small.Strategy)
 	}
-	large, err := e.Run(NCCL, AllReduce, 0, 256<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	large := mustRun(t, e, NCCL, AllReduce, 256<<20, Options{})
 	if large.Strategy != "ring" {
 		t.Fatalf("large NCCL allreduce strategy = %q, want ring", large.Strategy)
 	}
 	// Figure 20: Blink's one-hop trees have much lower latency at small
 	// sizes.
-	blinkSmall, err := e.Run(Blink, AllReduce, 0, 16<<10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	blinkSmall := mustRun(t, e, Blink, AllReduce, 16<<10, Options{})
 	if blinkSmall.Seconds >= small.Seconds {
 		t.Fatalf("Blink small latency %.2fus not below NCCL %.2fus",
 			blinkSmall.Seconds*1e6, small.Seconds*1e6)
@@ -127,10 +110,7 @@ func TestDGX2Engine(t *testing.T) {
 		t.Fatalf("small-size latency ratio = %.2f, paper reports up to 3.32x", ratio)
 	}
 	// Large sizes converge (both bound by attach bandwidth).
-	blinkLarge, err := e.Run(Blink, AllReduce, 0, 256<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	blinkLarge := mustRun(t, e, Blink, AllReduce, 256<<20, Options{})
 	r := blinkLarge.ThroughputGBs / large.ThroughputGBs
 	if r < 0.6 || r > 2.5 {
 		t.Fatalf("large-size throughput ratio %.2f outside convergence band", r)
@@ -139,14 +119,8 @@ func TestDGX2Engine(t *testing.T) {
 
 func TestHybridBroadcastViaEngine(t *testing.T) {
 	e := newEng(t, []int{0, 1, 2, 3})
-	plain, err := e.Run(Blink, Broadcast, 0, 500<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hy, err := e.Run(Blink, Broadcast, 0, 500<<20, Options{Hybrid: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustRun(t, e, Blink, Broadcast, 500<<20, Options{})
+	hy := mustRun(t, e, Blink, Broadcast, 500<<20, Options{Hybrid: true})
 	if hy.Strategy != "hybrid" {
 		t.Fatalf("strategy = %q, want hybrid", hy.Strategy)
 	}
@@ -181,10 +155,7 @@ func TestHybridBroadcastDataExact(t *testing.T) {
 		bs := simgpu.NewBufferSet()
 		bs.SetBuffer(0, core.BufData, append([]float32(nil), src...))
 		c0, r0 := compiles.Value(), replays.Value()
-		res, err := e.Run(Blink, Broadcast, 0, n*4, Options{Hybrid: true, DataMode: true, Buffers: bs})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, e, Blink, Broadcast, n*4, Options{Hybrid: true, DataMode: true, Buffers: bs})
 		for rank := 0; rank < 4; rank++ {
 			got := bs.Buffer(rank, core.BufData, n)
 			for i := range src {
@@ -238,14 +209,8 @@ func TestHybridSelection(t *testing.T) {
 	// On any other op the flag is ignored and normalised out of the plan key:
 	// the flagged call replays the unflagged call's plan.
 	e := newEng(t, []int{0, 1, 2, 3})
-	plain, err := e.Run(Blink, AllReduce, 0, 1<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged, err := e.Run(Blink, AllReduce, 0, 1<<20, Options{Hybrid: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustRun(t, e, Blink, AllReduce, 1<<20, Options{})
+	flagged := mustRun(t, e, Blink, AllReduce, 1<<20, Options{Hybrid: true})
 	if flagged != plain || e.CacheStats().Entries != 1 || e.CacheStats().Hits != 1 {
 		t.Fatalf("Hybrid on AllReduce: %+v vs %+v, cache %+v; want one shared entry", flagged, plain, e.CacheStats())
 	}
@@ -329,37 +294,14 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestChunkFor(t *testing.T) {
-	if c := chunkFor(1<<30, 0); c != 2<<20 {
-		t.Fatalf("1GB chunk = %d", c)
-	}
-	if c := chunkFor(1024, 0); c < 4 || c%4 != 0 {
-		t.Fatalf("small chunk = %d", c)
-	}
-	if c := chunkFor(1<<30, 12344); c != 12344 {
-		t.Fatalf("override ignored: %d", c)
-	}
-	// An override rounds up to whole float32s like the plan options it
-	// becomes, so 6 and 8 are one plan key, not two copies of one schedule.
-	if a, b := chunkFor(1<<30, 6), chunkFor(1<<30, 8); a != 8 || b != 8 {
-		t.Fatalf("overrides 6 and 8 chunk as %d and %d, want 8 and 8", a, b)
-	}
-}
-
 func TestReduceOp(t *testing.T) {
 	e := newEng(t, []int{2, 3, 6, 7})
-	r, err := e.Run(Blink, Reduce, 0, 64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, e, Blink, Reduce, 64<<20, Options{})
 	if r.Seconds <= 0 {
 		t.Fatal("reduce took no time")
 	}
 	// Reduce is one direction of AllReduce: roughly twice the throughput.
-	ar, err := e.Run(Blink, AllReduce, 0, 64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar := mustRun(t, e, Blink, AllReduce, 64<<20, Options{})
 	ratio := r.ThroughputGBs / ar.ThroughputGBs
 	if ratio < 1.2 || ratio > 3.0 {
 		t.Fatalf("reduce/allreduce throughput ratio = %.2f, want ~2", ratio)
@@ -376,10 +318,7 @@ func TestFabricForSelection(t *testing.T) {
 		t.Fatal("connected allocation should share the NVLink fabric")
 	}
 	// NVLink-disconnected: both fall to the PCIe plane.
-	e, err := NewEngine(topology.DGX1V(), []int{0, 1, 6}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEng(t, []int{0, 1, 6})
 	if e.NVLinkConnected() {
 		t.Fatal("{0,1,6} should be NVLink-disconnected")
 	}
@@ -387,10 +326,7 @@ func TestFabricForSelection(t *testing.T) {
 		t.Fatal("disconnected allocation should use the PCIe fabric for both")
 	}
 	// Connected but ring-less: Blink on NVLink, NCCL on PCIe.
-	mix, err := NewEngine(topology.DGX1V(), []int{0, 1, 4}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mix := newEng(t, []int{0, 1, 4})
 	if mix.FabricFor(Blink) == mix.FabricFor(NCCL) {
 		t.Fatal("{0,1,4}: Blink should use NVLink while NCCL falls to PCIe")
 	}
@@ -406,10 +342,7 @@ func TestPackingAccessor(t *testing.T) {
 		t.Fatalf("packing root %d rate %v", p.Root, p.Rate)
 	}
 	// Disconnected allocation exposes the PCIe packing.
-	d, err := NewEngine(topology.DGX1V(), []int{0, 1, 6}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newEng(t, []int{0, 1, 6})
 	pp, err := d.Packing(0)
 	if err != nil {
 		t.Fatal(err)
@@ -422,24 +355,15 @@ func TestPackingAccessor(t *testing.T) {
 func TestScatterOp(t *testing.T) {
 	e := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	for _, b := range []Backend{Blink, NCCL} {
-		r, err := e.Run(b, Scatter, 0, 128<<20, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
+		r := mustRun(t, e, b, Scatter, 128<<20, Options{})
 		if r.Seconds <= 0 {
 			t.Fatalf("%v scatter took no time", b)
 		}
 	}
 	// Scatter moves strictly less data over the root's links than
 	// Broadcast, so it should be at least as fast.
-	sc, err := e.Run(Blink, Scatter, 0, 128<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := e.Run(Blink, Broadcast, 0, 128<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := mustRun(t, e, Blink, Scatter, 128<<20, Options{})
+	bc := mustRun(t, e, Blink, Broadcast, 128<<20, Options{})
 	if sc.Seconds > bc.Seconds*1.05 {
 		t.Fatalf("scatter %.4f slower than broadcast %.4f", sc.Seconds, bc.Seconds)
 	}

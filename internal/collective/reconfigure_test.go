@@ -386,10 +386,7 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 // was valid before an eviction must produce a clean error, not an index
 // panic inside TreeGen.
 func TestStaleRootAfterShrinkErrors(t *testing.T) {
-	eng, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	if _, err := eng.Run(Blink, Broadcast, 7, 1<<20, Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"blink/internal/core"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -48,6 +49,9 @@ func TestGoldenSelectionMatrix(t *testing.T) {
 					if r, err := e.Run(b, op, 0, bytes, opts); err != nil {
 						cell += "error " + err.Error()
 					} else {
+						if b == Blink && (op == Broadcast || op == Reduce || op == AllReduce) {
+							checkBound(t, e, op, bytes, r.Seconds)
+						}
 						cell += fmt.Sprintf("%s %x", r.Strategy, math.Float64bits(r.Seconds))
 					}
 					got = append(got, cell)
@@ -71,21 +75,98 @@ func TestGoldenSelectionMatrix(t *testing.T) {
 	}
 }
 
+// TestChunkSweep holds Blink's auto chunk — the faster in simulation of
+// the tree model's pick and the next chunk up its grid — against the rule
+// it retired, a sixteenth of the payload at most 2 MiB (now
+// core.ResolveChunk's, run here as an override), over the paper's 46 DGX-1V
+// and 14 DGX-1P allocations × {Broadcast, AllReduce} × 256 KB–64 MB: the
+// geomean of Blink's speed-up over NCCL rises (1.70x to 2.09x), no cell
+// beats its bound, and none is more than 2% slower than under the rule (13
+// of the 600 are slower, by at most 1.3%).
+func TestChunkSweep(t *testing.T) {
+	if core.ResolveChunk(1<<30, 0) != 2<<20 || core.ResolveChunk(1024, 0) != 64 || core.ResolveChunk(1<<30, 6) != 8 {
+		t.Fatal("ResolveChunk: want 2 MiB for 1 GB, 64 B for 1 KB, and overrides in whole float32s")
+	}
+	var model, rule, cells float64 // summed log speed-ups over NCCL
+	for _, m := range []struct {
+		machine *topology.Topology
+		allocs  [][]int
+	}{{topology.DGX1V(), topology.Fig15AllocationsDGX1V}, {topology.DGX1P(), topology.Fig16AllocationsDGX1P}} {
+		for _, devs := range m.allocs {
+			e, err := NewEngine(m.machine, devs, simgpu.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range []Op{Broadcast, AllReduce} {
+				for _, bytes := range []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20} {
+					run := func(b Backend, chunk int64) float64 {
+						return mustRun(t, e, b, op, bytes, Options{ChunkBytes: chunk}).Seconds
+					}
+					auto, old, nccl := run(Blink, 0), run(Blink, core.ResolveChunk(bytes, 0)), run(NCCL, 0)
+					checkBound(t, e, op, bytes, auto)
+					if auto > old {
+						t.Logf("%s %v %v %d: %.3fx NCCL, %.3fx under the rule", m.machine.Name, devs, op, bytes, nccl/auto, nccl/old)
+					}
+					if auto > old*1.02 {
+						t.Errorf("%v %v %d: %.4g s, more than 2%% slower than the rule's %.4g s", devs, op, bytes, auto, old)
+					}
+					model, rule, cells = model+math.Log(nccl/auto), rule+math.Log(nccl/old), cells+1
+				}
+			}
+		}
+	}
+	t.Logf("geomean Blink/NCCL over %.0f cells: %.4f, %.4f under the rule", cells, math.Exp(model/cells), math.Exp(rule/cells))
+	if model <= rule {
+		t.Errorf("the chunk model does not raise the geomean speed-up over the rule")
+	}
+}
+
+// checkBound fails a Blink cell that beats physics (ROADMAP item 12): a
+// Broadcast or Reduce moves bytes at no more than the root packing's
+// Edmonds bound in units of the plane's per-unit link bandwidth, and an
+// AllReduce must send 2(n-1)/n of the payload from each of its n ranks
+// (core.LowerBoundMessages), all at their summed out-bandwidth.
+func checkBound(t *testing.T, e *Engine, op Op, bytes int64, seconds float64) {
+	t.Helper()
+	st := e.st.Load()
+	f, n := st.fabrics[st.plane(Blink)], st.topo.NumGPUs
+	unit, out, seen := math.Inf(1), 0.0, map[int]bool{}
+	for _, edge := range f.Graph.Edges {
+		l := f.EdgeLinks(edge.ID)[0]
+		unit = min(unit, f.Links[l].BW/edge.Cap)
+		if edge.From < n && !seen[l] {
+			seen[l], out = true, out+f.Links[l].BW
+		}
+	}
+	_, perRank := core.LowerBoundMessages(n)
+	bound := perRank * float64(n) * float64(bytes) / (out * 1e9)
+	if op != AllReduce {
+		p, err := e.Packing(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound = float64(bytes) / (p.Bound * unit * 1e9)
+	}
+	if seconds < bound*(1-1e-12) {
+		t.Errorf("%v of %d bytes on %v in %.4g s beats its bound %.4g s", op, bytes, e.AllocatedDevs(), seconds, bound)
+	}
+}
+
 // goldenSelection is the literal selection matrix, one cell per line in
 // iteration order: "alloc backend op bytes: strategy seconds-bits".
 var goldenSelection = []string{
-	"dgx1v-full Blink Broadcast 262144: trees 3f1190e7f6c606ea",
-	"dgx1v-full Blink Broadcast 16777216: trees 3f3b234c483923bc",
+	"dgx1v-full Blink Broadcast 262144: trees 3f0de79d47c46a10",
+	"dgx1v-full Blink Broadcast 16777216: trees 3f33c47ab26be964",
 	"dgx1v-full Blink Gather 262144: trees 3f09da58c8729dc4",
 	"dgx1v-full Blink Gather 16777216: trees 3f35087acdd18498",
-	"dgx1v-full Blink AllReduce 262144: trees 3f2187611f2d5b59",
-	"dgx1v-full Blink AllReduce 16777216: trees 3f4800a673b7c235",
+	"dgx1v-full Blink AllReduce 262144: trees 3f20db5f114a3c4e",
+	"dgx1v-full Blink AllReduce 16777216: trees 3f3f7ee7ee8cb71e",
 	"dgx1v-full Blink AllGather 262144: trees+allgather 3f2187611f2d5b59",
 	"dgx1v-full Blink AllGather 16777216: trees+allgather 3f4800a673b7c235",
 	"dgx1v-full Blink ReduceScatter 262144: trees+reducescatter 3f15ca7a49117b73",
 	"dgx1v-full Blink ReduceScatter 16777216: trees+reducescatter 3f3a9c9b8e26bdf3",
-	"dgx1v-full Blink Reduce 262144: trees+reduce 3f15ca7a49117b73",
-	"dgx1v-full Blink Reduce 16777216: trees+reduce 3f3a9c9b8e26bdf3",
+	"dgx1v-full Blink Reduce 262144: trees+reduce 3f134b37e418df41",
+	"dgx1v-full Blink Reduce 16777216: trees+reduce 3f345bf5a56f6c63",
 	"dgx1v-full Blink Scatter 262144: trees+scatter 3f10dee59b818d55",
 	"dgx1v-full Blink Scatter 16777216: trees+scatter 3f30267e43fdb0c7",
 	"dgx1v-full Blink AllToAll 262144: trees+alltoall 3f19e3fec4150327",
@@ -114,18 +195,18 @@ var goldenSelection = []string{
 	"dgx1v-full NCCL SendRecv 16777216: rings 3f5306cc52fc52ca",
 	"dgx1v-full NCCL NeighborExchange 262144: rings 3f278ec77e4675e2",
 	"dgx1v-full NCCL NeighborExchange 16777216: rings 3f5ca0101268bcd1",
-	"dgx1v-014 Blink Broadcast 262144: trees 3f213c534cfece70",
-	"dgx1v-014 Blink Broadcast 16777216: trees 3f4c0b546eee9f70",
+	"dgx1v-014 Blink Broadcast 262144: trees 3ef3eb9d45f7453c",
+	"dgx1v-014 Blink Broadcast 16777216: trees 3f485b9c85dea5ff",
 	"dgx1v-014 Blink Gather 262144: trees 3f099a2e6ab6a29a",
 	"dgx1v-014 Blink Gather 16777216: trees 3f33061adfcb718c",
-	"dgx1v-014 Blink AllReduce 262144: trees 3f22b86c8f8de87a",
-	"dgx1v-014 Blink AllReduce 16777216: trees 3f4e1fd828fd3358",
+	"dgx1v-014 Blink AllReduce 262144: trees 3f0668d47bc2b7b2",
+	"dgx1v-014 Blink AllReduce 16777216: trees 3f4de4f64a2aba4d",
 	"dgx1v-014 Blink AllGather 262144: trees+allgather 3f22b86c8f8de87a",
 	"dgx1v-014 Blink AllGather 16777216: trees+allgather 3f4e1fd828fd3358",
 	"dgx1v-014 Blink ReduceScatter 262144: trees+reducescatter 3f21a4a75abdfb92",
 	"dgx1v-014 Blink ReduceScatter 16777216: trees+reducescatter 3f4c5f22e20e4960",
-	"dgx1v-014 Blink Reduce 262144: trees+reduce 3f21a4a75abdfb92",
-	"dgx1v-014 Blink Reduce 16777216: trees+reduce 3f4c5f22e20e4960",
+	"dgx1v-014 Blink Reduce 262144: trees+reduce 3ef8e60bb18e2a28",
+	"dgx1v-014 Blink Reduce 16777216: trees+reduce 3f4c1f06f43947a6",
 	"dgx1v-014 Blink Scatter 262144: trees+scatter 3f16a1ac4d85ea7c",
 	"dgx1v-014 Blink Scatter 16777216: trees+scatter 3f357b4025d617d8",
 	"dgx1v-014 Blink AllToAll 262144: trees+alltoall 3f19a2377aea01d1",
@@ -154,18 +235,18 @@ var goldenSelection = []string{
 	"dgx1v-014 NCCL SendRecv 16777216: pcie-ring 3f6ce42e4941ed33",
 	"dgx1v-014 NCCL NeighborExchange 262144: pcie-ring 3f2647e5265ba3d0",
 	"dgx1v-014 NCCL NeighborExchange 16777216: pcie-ring 3f6b311c812efd5d",
-	"dgx1v-016 Blink Broadcast 262144: pcie-trees 3f27ac6378c15e0d",
-	"dgx1v-016 Blink Broadcast 16777216: pcie-trees 3f6ce42e4941ed33",
+	"dgx1v-016 Blink Broadcast 262144: pcie-trees 3f198e0a0d9334d7",
+	"dgx1v-016 Blink Broadcast 16777216: pcie-trees 3f6cd76d72965ecd",
 	"dgx1v-016 Blink Gather 262144: pcie-trees 3f17515604e626b9",
 	"dgx1v-016 Blink Gather 16777216: pcie-trees 3f638a68b2449cd0",
-	"dgx1v-016 Blink AllReduce 262144: pcie-trees 3f2b4433190db803",
-	"dgx1v-016 Blink AllReduce 16777216: pcie-trees 3f7036724980e75b",
-	"dgx1v-016 Blink AllGather 262144: pcie-trees+allgather 3f2b4433190db803",
-	"dgx1v-016 Blink AllGather 16777216: pcie-trees+allgather 3f7036724980e75b",
-	"dgx1v-016 Blink ReduceScatter 262144: pcie-trees+reducescatter 3f287b3674424388",
-	"dgx1v-016 Blink ReduceScatter 16777216: pcie-trees+reducescatter 3f6d06c102dbef0a",
-	"dgx1v-016 Blink Reduce 262144: pcie-trees+reduce 3f287b3674424388",
-	"dgx1v-016 Blink Reduce 16777216: pcie-trees+reduce 3f6d06c102dbef0a",
+	"dgx1v-016 Blink AllReduce 262144: pcie-trees 3f2959ae1dc18251",
+	"dgx1v-016 Blink AllReduce 16777216: pcie-trees 3f7c699d90b16619",
+	"dgx1v-016 Blink AllGather 262144: pcie-trees+allgather 3f30b588957e8a62",
+	"dgx1v-016 Blink AllGather 16777216: pcie-trees+allgather 3f7d4a5cba7a05e1",
+	"dgx1v-016 Blink ReduceScatter 262144: pcie-trees+reducescatter 3f2ea2148631a04b",
+	"dgx1v-016 Blink ReduceScatter 16777216: pcie-trees+reducescatter 3f7b974af267160b",
+	"dgx1v-016 Blink Reduce 262144: pcie-trees+reduce 3f23d65dd4163f9f",
+	"dgx1v-016 Blink Reduce 16777216: pcie-trees+reduce 3f7b8cd9a816f3ba",
 	"dgx1v-016 Blink Scatter 262144: pcie-trees+scatter 3f204d0f7f6ca9d9",
 	"dgx1v-016 Blink Scatter 16777216: pcie-trees+scatter 3f62c17db82128c2",
 	"dgx1v-016 Blink AllToAll 262144: pcie-trees+alltoall 3f20a25ab48b2688",

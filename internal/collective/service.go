@@ -35,8 +35,9 @@ type PlanRequest struct {
 	Op          Op      `json:"op"`
 	Root        int     `json:"root"`
 	Bytes       int64   `json:"bytes"`
-	// ChunkBytes is the client's resolved chunk size, so the server compiles
-	// the identical schedule the client would have.
+	// ChunkBytes is the client's plan-key chunk (0 for auto, which both
+	// sides resolve alike), so the server compiles the identical schedule
+	// the client would have.
 	ChunkBytes int64   `json:"chunkBytes"`
 	DataMode   bool    `json:"dataMode"`
 	Chain      []int   `json:"chain,omitempty"`

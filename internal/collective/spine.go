@@ -129,12 +129,6 @@ type request struct {
 	opts  Options
 }
 
-// maxPlanChunks bounds a request's bytes/chunk ratio (2 TiB at the auto
-// chunk). A schedule's op count — and the memory its generation takes — is
-// linear in that ratio, and blinkd takes bytes and chunkBytes straight off
-// the network.
-const maxPlanChunks = 1 << 20
-
 // validate refuses a request no schedule can be generated for: a backend or
 // op outside the known ones (which plan selection would otherwise read as
 // NCCL, or as reduce-class), a payload below one float32, or more chunks
@@ -148,9 +142,9 @@ func (rq request) validate() error {
 	case rq.bytes < 4:
 		return fmt.Errorf("collective: payload %d too small", rq.bytes)
 	}
-	if chunk := chunkFor(rq.bytes, rq.opts.ChunkBytes); rq.bytes/chunk > maxPlanChunks {
+	if chunk := core.ResolveChunk(rq.bytes, rq.opts.ChunkBytes); rq.bytes/chunk > core.MaxPlanChunks {
 		return fmt.Errorf("collective: %d bytes in %d-byte chunks is %d chunks; a schedule may have at most %d",
-			rq.bytes, chunk, rq.bytes/chunk, maxPlanChunks)
+			rq.bytes, chunk, rq.bytes/chunk, core.MaxPlanChunks)
 	}
 	return nil
 }
@@ -165,12 +159,17 @@ func (e *Engine) planKey(fp string, rq request) PlanKey {
 		Op:          rq.op,
 		Root:        rq.root,
 		Bytes:       rq.bytes,
-		ChunkBytes:  chunkFor(rq.bytes, rq.opts.ChunkBytes),
 		DataMode:    rq.opts.DataMode,
 		// Hybrid selects a schedule only for broadcasts; normalising it out
 		// elsewhere keeps a stray flag from duplicating cache entries.
 		Hybrid: rq.opts.Hybrid && rq.op == Broadcast,
 		Shape:  shapeKey(rq.op, rq.opts),
+	}
+	if rq.opts.ChunkBytes > 0 {
+		// Auto stays 0, which CodeGen resolves per kind; an override is
+		// rounded as every builder rounds it, so two overrides that compile
+		// one schedule share one key.
+		key.ChunkBytes = core.ResolveChunk(rq.bytes, rq.opts.ChunkBytes)
 	}
 	if rq.opts.DataMode {
 		// Data-mode Exec closures encode the compiling engine's geometry

@@ -241,10 +241,7 @@ func TestTieredCacheDecodeFailureIsMissAndHeals(t *testing.T) {
 func TestEngineWarmStartFromStore(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() (*Engine, *PlanStore) {
-		e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
 		s, err := NewPlanStore(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"blink/internal/graph"
 	"blink/internal/simgpu"
 )
@@ -108,18 +106,4 @@ func AblationStudy(f *simgpu.Fabric, g *graph.Graph, root int, bytes int64) ([]A
 		})
 	}
 	return out, nil
-}
-
-// FormatAblation renders the study as rows relative to the full system.
-func FormatAblation(vs []AblationVariant) []string {
-	if len(vs) == 0 {
-		return nil
-	}
-	base := vs[0].ThroughputGBs
-	var rows []string
-	for _, v := range vs {
-		rows = append(rows, fmt.Sprintf("%-15s %6.1f GB/s (%5.2fx of full, %d trees)  %s",
-			v.Name, v.ThroughputGBs, v.ThroughputGBs/base, v.Trees, v.Description))
-	}
-	return rows
 }

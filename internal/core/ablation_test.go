@@ -46,13 +46,6 @@ func TestAblationStudy(t *testing.T) {
 			t.Errorf("variant %s (%.1f) beats full (%.1f)", v.Name, v.ThroughputGBs, full.ThroughputGBs)
 		}
 	}
-	rows := FormatAblation(vs)
-	if len(rows) != len(vs) {
-		t.Fatalf("FormatAblation rows = %d, want %d", len(rows), len(vs))
-	}
-	if FormatAblation(nil) != nil {
-		t.Fatal("empty format should be nil")
-	}
 }
 
 // Property: AllReduce is functionally correct on random connected

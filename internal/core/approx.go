@@ -94,9 +94,7 @@ func peel(g *graph.Graph, root int, resid []float64) []Tree {
 		for _, id := range viewTree.Edges {
 			oid := origID[id]
 			tree.Edges = append(tree.Edges, oid)
-			if resid[oid] < w {
-				w = resid[oid]
-			}
+			w = min(w, resid[oid])
 		}
 		if w <= tiny {
 			break

@@ -437,3 +437,34 @@ func TestBuildThreePhaseRejectsMismatch(t *testing.T) {
 		t.Error("broadcast root past the last global rank accepted")
 	}
 }
+
+// TestClusterRelaysOwnTheirDevices: servers whose trees run through PCIe
+// relays (DGX-1V [0 1 6] and [2 4 7]) keep every relay's buffers on a device
+// of its own past every rank, never on another server's GPU.
+func TestClusterRelaysOwnTheirDevices(t *testing.T) {
+	c, err := topology.NewCluster([]topology.Server{{Machine: topology.DGX1V(), Devs: []int{0, 1, 6}}, {Machine: topology.DGX1V(), Devs: []int{2, 4, 7}}}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, devices := simgpu.Config{DataMode: true}, c.TotalGPUs()
+	fabrics := make([]*simgpu.Fabric, len(c.Servers))
+	for si, s := range c.Servers {
+		fabrics[si] = simgpu.NewFabric(s, s.PCIeGraph(), cfg)
+		devices += s.PCIeGraph().N - s.NumGPUs
+	}
+	plan, err := BuildThreePhaseAllReduce(c, fabrics, NewClusterFabric(c, fabrics, cfg), func(si, root int) (*Packing, error) {
+		return GenerateTrees(c.Servers[si].PCIeGraph(), root)
+	}, 4096, PlanOptions{DataMode: true, ChunkBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := simgpu.NewBufferSet()
+	if _, err := simgpu.Run(plan.Fabric.Links, plan.Ops, bufs); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < devices; v++ {
+		if cap(bufs.Buffer(v, BufAcc, 0)) == 0 {
+			t.Errorf("device %d of %d holds no accumulator: a relay sits on a rank's device", v, devices)
+		}
+	}
+}

@@ -225,7 +225,7 @@ func (c memoCase) diff(a, b *simgpu.BufferSet) string {
 }
 
 // TestReplayIsTheSimulation: a frozen plan's replay is the simulation Freeze
-// ran, for every plan shape in both modes. Against simgpu.RunHooked over a
+// ran, for every plan shape in both modes. Against a fresh simgpu.Sim over a
 // fresh op set it returns the same result bit for bit, runs the Exec
 // closures in the order the simulator launched them and leaves the same bits
 // in the arena; freezing runs no Exec, and a timing replay of a data-mode
@@ -238,7 +238,7 @@ func TestReplayIsTheSimulation(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/data=%v", c.name, data), func(t *testing.T) {
 				ref, refBufs := c.build(t, data), c.stage()
 				var wantExecs []int
-				want, err := simgpu.RunHooked(ref.Fabric.Links, ref.Ops, refBufs, func(i int, op *simgpu.Op) {
+				want, err := (&simgpu.Sim{}).Run(ref.Fabric.Links, ref.Ops, refBufs, func(i int, op *simgpu.Op) {
 					if op.Exec != nil {
 						wantExecs = append(wantExecs, i)
 					}
@@ -486,10 +486,11 @@ func TestHookedTimingReplayAllocatesNothing(t *testing.T) {
 }
 
 // TestCompileAllocBudget: generating and freezing the 64 MB full-DGX-1V
-// AllReduce (~2,530 ops) allocates at most 2.2 times and 200 bytes per op —
-// ops and their dependencies come from slabs, no label is formatted, and the
-// simulation runs over the plan's own ops — and the simulator allocates as
-// often for 690 ops as for 2,530: its arrays are sized once per run.
+// AllReduce at its auto chunk (treeChunk's, ~3,570 ops) allocates at most
+// 2.2 times and 200 bytes per op — ops and their dependencies come from
+// slabs, no label is formatted, and the simulation runs over the plan's own
+// ops — and the simulator allocates as often for 690 ops as for 3,570: its
+// arrays are sized once per run.
 func TestCompileAllocBudget(t *testing.T) {
 	if size := unsafe.Sizeof(simgpu.Op{}); size > 96 {
 		t.Fatalf("simgpu.Op is %d bytes, want at most 96", size)
@@ -500,38 +501,27 @@ func TestCompileAllocBudget(t *testing.T) {
 	}
 	f := simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{})
 	p, err := GenerateTrees(ind.GPUGraph(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	compile := func(chunk int64) *Plan {
-		ir := &PlanIR{Kind: IRTreeAllReduce, Bytes: 64 << 20, Packings: []*Packing{p}, Opts: PlanOptions{ChunkBytes: chunk, NoStreamReuse: true}}
-		plan, err := CodeGen(ir, f)
-		if err != nil {
-			t.Fatal(err)
+		plan, cerr := CodeGen(&PlanIR{Kind: IRTreeAllReduce, Bytes: 64 << 20, Packings: []*Packing{p}, Opts: PlanOptions{ChunkBytes: chunk, NoStreamReuse: true}}, f)
+		if err != nil || cerr != nil {
+			t.Fatal(err, cerr)
 		}
 		return plan
 	}
-	const chunk = 512 << 10
-	ops := float64(len(compile(chunk).Ops))
+	ops := float64(len(compile(0).Ops))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	allocs := testing.AllocsPerRun(4, func() { compile(chunk).Freeze() }) / ops
+	allocs := testing.AllocsPerRun(4, func() { compile(0).Freeze() }) / ops
 	runtime.ReadMemStats(&m1)
-	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / 5 / ops
-	if ops < 2000 || allocs > 2.2 || bytes > 200 {
+	if bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / 5 / ops; ops < 2000 || allocs > 2.2 || bytes > 200 {
 		t.Fatalf("CodeGen+Freeze of %.0f ops: %.2f allocations and %.0f bytes per op, want at most 2.2 and 200 over 2,000+ ops", ops, allocs, bytes)
 	}
-	var sims [2]struct{ ops, allocs float64 }
-	for i, c := range []int64{2 << 20, chunk} {
-		plan := compile(c)
-		sims[i].ops = float64(len(plan.Ops))
-		sims[i].allocs = testing.AllocsPerRun(3, func() {
-			if _, err := simgpu.RunHooked(f.Links, plan.Ops, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
+	simAllocs := func(chunk int64) (float64, int) {
+		plan := compile(chunk)
+		return testing.AllocsPerRun(3, func() { (&simgpu.Sim{}).Run(f.Links, plan.Ops, nil, nil) }), len(plan.Ops)
 	}
-	if sims[0].allocs != sims[1].allocs {
-		t.Fatalf("RunHooked allocates %.0f times for %.0f ops and %.0f for %.0f", sims[0].allocs, sims[0].ops, sims[1].allocs, sims[1].ops)
+	small, smallOps := simAllocs(2 << 20)
+	if big, _ := simAllocs(0); small != big {
+		t.Fatalf("Sim.Run allocates %.0f times for %d ops and %.0f for %.0f", small, smallOps, big, ops)
 	}
 }

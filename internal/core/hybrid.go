@@ -24,13 +24,8 @@ func HybridSplit(total int64, bwPCIeGBs, bwNVLGBs, tdpa float64) (pcie, nvl int6
 	}
 	bp := bwPCIeGBs * 1e9
 	bn := bwNVLGBs * 1e9
-	d := float64(total)*bp/(bp+bn) - tdpa*bp*bn/(bp+bn)
-	if d < 0 {
-		d = 0
-	}
-	if d > float64(total) {
-		d = float64(total)
-	}
+	d := max(float64(total)*bp/(bp+bn)-tdpa*bp*bn/(bp+bn), 0)
+	d = min(d, float64(total))
 	pcie = (int64(d) / 4) * 4 // float32 aligned
 	return pcie, total - pcie
 }
@@ -134,7 +129,7 @@ func BuildHybridBroadcastPlan(fNVL *simgpu.Fabric, pNVL *Packing, fPCIe *simgpu.
 			return nil, nil, err
 		}
 		gate := len(plan.Ops)
-		plan.Ops = append(plan.Ops, &simgpu.Op{Stream: plan.Streams + pcie.Streams, Link: -1, Overhead: tdpa, Tag: opTag(tagPeerOff, 0, 0, 0, 0)})
+		plan.Ops = append(plan.Ops, &simgpu.Op{Stream: plan.Streams + pcie.Streams, Link: -1, Overhead: tdpa, Tag: opTag(tagPeerOff, fNVL.Topo.NumGPUs, 0, 0, 0)})
 		for _, op := range pcie.Ops {
 			op.Stream += plan.Streams
 			op.Link += len(fNVL.Links)

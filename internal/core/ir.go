@@ -185,6 +185,69 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 	return nil
 }
 
+// treePasses is how often each tree kind whose auto chunk the tree model
+// sizes (treeChunk) crosses its trees: every other kind, and every kind on
+// the switch plane, takes ResolveChunk's.
+var treePasses = map[IRKind]int{IRTreeBroadcast: 1, IRTreeReduce: 1, IRTreeAllReduce: 2}
+
+// faster returns whichever of chunks the IR's schedule finishes first at,
+// the model's pick on a tie, and an arena that fits that schedule exactly.
+// The model errs small where links are shared — by trees, or by an
+// AllReduce's two passes — since it charges a chunk stage one tree's launch
+// and wire latency, so one simulated run of each decides. The runs build
+// timing-only schedules on an arena kept between compiles (arenas), so
+// the trials cost a compile little memory beyond the schedule it returns.
+func (ir *PlanIR) faster(f *simgpu.Fabric, chunks [2]int64) (int64, *opArena) {
+	var ar *opArena
+	select {
+	case ar = <-arenas:
+	default:
+		ar = new(opArena)
+	}
+	sim := sims.Get().(*simgpu.Sim)
+	defer func() {
+		sims.Put(sim)
+		select {
+		case arenas <- ar:
+		default:
+		}
+	}()
+	best, bestTime, size := chunks[0], 0.0, 0
+	for i, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
+		try := *ir
+		try.Opts.ChunkBytes, try.Opts.DataMode, try.Opts.arena = c, false, ar
+		p, err := CodeGen(&try, f)
+		if err != nil {
+			break
+		}
+		if len(p.Ops) > cap(ar.ops) {
+			ar = newArena(len(p.Ops))
+		}
+		if r, err := sim.Run(f.Links, p.Ops, nil, nil); i == 0 || err == nil && r.Makespan < bestTime {
+			best, bestTime, size = c, r.Makespan, len(p.Ops)
+		}
+	}
+	return best, newArena(size)
+}
+
+// opArena is slab memory a plan's builder carves its ops from before
+// allocating its own (planBuilder.add).
+type opArena struct {
+	ops  []simgpu.Op
+	ptrs []*simgpu.Op
+}
+
+func newArena(ops int) *opArena {
+	return &opArena{make([]simgpu.Op, 0, ops), make([]*simgpu.Op, 0, ops)}
+}
+
+// arenas keeps trial arenas between compiles, like a sync.Pool that a
+// collection does not empty and whose per-processor caches do not miss when
+// a compile changes processor: either would cost a compile its arena anew.
+// It keeps two, one per concurrent compile on a two-core host, since each
+// holds the largest trial schedule it has seen (~340 KB at 3,565 ops).
+var arenas = make(chan *opArena, 2)
+
 // CodeGen regenerates a plan from its IR over the given fabric. It is a
 // pure function of (IR, fabric): byte-identical IRs over identical fabrics
 // produce identical schedules, which is what makes the serialized form a
@@ -203,18 +266,24 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 	var (
 		plan *Plan
 		err  error
+		opts = ir.Opts
 	)
+	opts.ChunkBytes = ResolveChunk(ir.Bytes, opts.ChunkBytes)
+	// An auto chunk stays 0 in the IR, so a decoded plan recomputes it here.
+	if passes := treePasses[ir.Kind]; passes > 0 && ir.Opts.ChunkBytes <= 0 && ir.Fabric != FabricSwitch {
+		opts.ChunkBytes, opts.arena = ir.faster(f, treeChunk(f, ir.Packings[0], ir.Bytes, passes))
+	}
 	switch ir.Kind {
 	case IRTreeBroadcast:
-		plan, err = BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, ir.Opts)
+		plan, err = BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeGather:
-		plan, err = BuildGatherPlan(f, ir.Packings[0], ir.Bytes, ir.Opts)
+		plan, err = BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeAllReduce, IRTreeAllGather:
-		plan, err = BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, ir.Opts)
+		plan, err = BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeReduce, IRTreeReduceScatter:
-		plan, _, err = BuildReducePlan(f, ir.Packings[0], ir.Bytes, ir.Opts)
+		plan, _, err = BuildReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeScatter:
-		plan, err = BuildScatterPlan(f, ir.Packings[0], ir.Bytes, ir.Opts)
+		plan, err = BuildScatterPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeAllToAll:
 		packs := ir.Packings
 		plan, err = BuildAllToAllPlan(f, func(r int) (*Packing, error) {
@@ -222,21 +291,21 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 				return nil, fmt.Errorf("core: IR has no packing for rank %d", r)
 			}
 			return packs[r], nil
-		}, ir.Bytes, ir.Opts)
+		}, ir.Bytes, opts)
 	case IRSendRecvChain:
-		plan, err = BuildSendRecvChainPlan(f, ir.Chain, ir.Bytes, ir.Opts)
+		plan, err = BuildSendRecvChainPlan(f, ir.Chain, ir.Bytes, opts)
 	case IRNeighborExchange:
-		plan, err = BuildNeighborExchangePlan(f, ir.Neighbors, ir.Bytes, ir.Opts)
+		plan, err = BuildNeighborExchangePlan(f, ir.Neighbors, ir.Bytes, opts)
 	case IRDGX2AllReduce:
-		plan, err = BuildDGX2AllReducePlan(f, ir.Packings, ir.Bytes, ir.Opts)
+		plan, err = BuildDGX2AllReducePlan(f, ir.Packings, ir.Bytes, opts)
 	case IRRingBroadcast:
-		plan, err = BuildRingBroadcastPlan(f, ir.Fabric, ir.Root, ir.Bytes, ir.Opts)
+		plan, err = BuildRingBroadcastPlan(f, ir.Fabric, ir.Root, ir.Bytes, opts)
 	case IRRingAllReduce:
-		plan, err = BuildRingAllReducePlan(f, ir.Fabric, ir.Bytes, ir.Opts)
+		plan, err = BuildRingAllReducePlan(f, ir.Fabric, ir.Bytes, opts)
 	case IRRingP2P:
-		plan, err = BuildRingP2PPlan(f, ir.Fabric, ir.Pairs, ir.Chained, ir.Opts)
+		plan, err = BuildRingP2PPlan(f, ir.Fabric, ir.Pairs, ir.Chained, opts)
 	case IRDBTreeAllReduce:
-		plan, err = BuildDBTreeAllReducePlan(f, ir.Bytes, ir.Opts)
+		plan, err = BuildDBTreeAllReducePlan(f, ir.Bytes, opts)
 	}
 	if err != nil {
 		return nil, err

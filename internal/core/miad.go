@@ -98,9 +98,7 @@ func (t *MIADTuner) Observe(throughputGBs float64) int64 {
 		// Settle at the best-seen chunk (the walk may have ended in a
 		// trough), floored like every emitted chunk.
 		t.chunk = t.bestChunk
-		if t.chunk < t.MinChunkBytes {
-			t.chunk = t.MinChunkBytes
-		}
+		t.chunk = max(t.chunk, t.MinChunkBytes)
 	}
 	return t.chunk
 }

@@ -85,9 +85,7 @@ func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64)
 
 	boundUnits := n * q
 	if !math.IsInf(rateBound, 1) && rateBound > 0 {
-		if b := int(math.Floor(rateBound*float64(q) + 1e-9)); b < boundUnits {
-			boundUnits = b
-		}
+		boundUnits = min(boundUnits, int(math.Floor(rateBound*float64(q)+1e-9)))
 	}
 	const nodeBudget = 4_000_000
 	nodes := 0
@@ -99,9 +97,7 @@ func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64)
 	maxUnits := func(i int) int {
 		m := q
 		for _, id := range edges[i] {
-			if u := int(math.Floor(resid[id] + 1e-9)); u < m {
-				m = u
-			}
+			m = min(m, int(math.Floor(resid[id]+1e-9)))
 		}
 		return m
 	}

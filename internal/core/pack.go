@@ -121,9 +121,7 @@ func PackTrees(g *graph.Graph, root int) (*Packing, error) {
 		// Bottleneck capacity along the chosen tree.
 		cmin := math.Inf(1)
 		for _, id := range edges {
-			if c := g.Edges[id].Cap; c < cmin {
-				cmin = c
-			}
+			cmin = min(cmin, g.Edges[id].Cap)
 		}
 		clear(bits)
 		for _, id := range edges {
@@ -158,9 +156,7 @@ func PackTrees(g *graph.Graph, root int) (*Packing, error) {
 	}
 	scale := 0.0
 	for i, l := range rawLoad {
-		if f := l / g.Edges[i].Cap; f > scale {
-			scale = f
-		}
+		scale = max(scale, l/g.Edges[i].Cap)
 	}
 	if scale == 0 {
 		scale = 1
@@ -212,15 +208,4 @@ func (p *Packing) Validate(g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// MaxDepth returns the deepest tree in the packing.
-func (p *Packing) MaxDepth(g *graph.Graph) int {
-	d := 0
-	for _, t := range p.Trees {
-		if td := t.Arbo.Depth(g); td > d {
-			d = td
-		}
-	}
-	return d
 }

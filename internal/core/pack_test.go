@@ -199,7 +199,7 @@ func TestPackingMaxDepth(t *testing.T) {
 	g.AddBiEdge(1, 2, 1, graph.NVLink)
 	p := packOrDie(t, g, 0)
 	min := MinimizeTrees(g, p)
-	if d := min.MaxDepth(g); d != 2 {
+	if d := min.Trees[0].Arbo.Depth(g); len(min.Trees) != 1 || d != 2 {
 		t.Fatalf("chain packing depth = %d, want 2", d)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"blink/internal/graph"
 	"blink/internal/simgpu"
@@ -21,8 +20,12 @@ const (
 
 // PlanOptions controls schedule generation (CodeGen, §4.1-4.2).
 type PlanOptions struct {
-	// ChunkBytes is the pipelining granularity. 0 selects 4 MiB. Values are
-	// rounded up to multiples of 4 bytes (one float32).
+	// ChunkBytes is the pipelining granularity, rounded up to whole float32s.
+	// 0 is auto, which CodeGen resolves per kind: the tree Broadcast, Reduce
+	// and AllReduce kinds on NVLink or PCIe take whichever of the tree
+	// model's pick (treeChunk) and the next chunk up its grid simulates
+	// faster (PlanIR.faster), every other kind ResolveChunk's. A builder
+	// called directly takes 4 MiB.
 	ChunkBytes int64
 	// NoStreamReuse disables the §4.2.2 fair-sharing optimization that maps
 	// (link, hop-depth) pairs from different trees onto one stream.
@@ -38,6 +41,8 @@ type PlanOptions struct {
 	// phase 3: the value being broadcast is the reduced accumulator left by
 	// phase 2, not the original input.
 	BroadcastAcc bool
+	// arena, when set, lends the plan's builder its slabs (PlanIR.faster).
+	arena *opArena
 }
 
 // setDefaults resolves ChunkBytes as documented on the field.
@@ -45,9 +50,74 @@ func (o *PlanOptions) setDefaults() {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 4 << 20
 	}
-	if r := o.ChunkBytes % 4; r != 0 {
-		o.ChunkBytes += 4 - r
+	o.ChunkBytes = ResolveChunk(0, o.ChunkBytes)
+}
+
+// MaxPlanChunks bounds a plan's bytes/chunk ratio. A schedule's op count —
+// and the memory its generation takes — is linear in it, and a planning
+// service takes bytes and chunk sizes straight off the network.
+const MaxPlanChunks = 1 << 20
+
+// ResolveChunk is the chunk of every schedule treeChunk does not size: an
+// override rounded up to whole float32s or, for auto (0), a sixteenth of
+// the payload, at most 2 MiB, so small payloads shrink and multi-hop
+// pipelines still overlap.
+func ResolveChunk(bytes, chunk int64) int64 {
+	if chunk <= 0 {
+		chunk = min(max(bytes/16, 4), 2<<20)
 	}
+	return (chunk + 3) &^ 3
+}
+
+// treeChunk is the chunk that minimises the modelled makespan of pipelining
+// bytes over p's trees (§3.3, §4.1), each tree crossed passes times (an
+// AllReduce's reduce up, then broadcast down). Tree t moves its weighted
+// share S in ⌈S/c⌉ chunks along hops = passes × depth edges at rate r, its
+// weight in units of its slowest edge's per-unit bandwidth. Every chunk
+// pays an op's launch and wire latency plus its own bytes at r, and filling
+// the pipeline adds hops − 1 full stages:
+//
+//	⌈S/c⌉·(OpOverhead + WireLatency) + S/r + (hops − 1)·(OpOverhead + WireLatency + c/r)
+//
+// The slowest tree sets the makespan. c ranges over a √2 grid from 4 KiB,
+// never below what keeps bytes/c within MaxPlanChunks. It returns the
+// cheapest c and the grid's next c up (c again when c is the last).
+func treeChunk(f *simgpu.Fabric, p *Packing, bytes int64, passes int) [2]int64 {
+	type model struct {
+		share   int64
+		hops    int64
+		perByte float64 // 1/r
+	}
+	g, stage := f.Graph, f.Cfg.OpOverhead+f.Cfg.WireLatency
+	trees := make([]model, len(p.Trees))
+	for i, r := range splitRegions(p.Trees, 0, int(bytes/4), 4) {
+		unit := math.Inf(1)
+		for _, eid := range p.Trees[i].Arbo.Edges {
+			unit = min(unit, f.Links[f.EdgeLinks(eid)[0]].BW/g.Edges[eid].Cap)
+		}
+		trees[i] = model{int64(r.n) * 4, int64(passes * p.Trees[i].Arbo.Depth(g)), 1 / (p.Trees[i].Weight * unit * 1e9)}
+	}
+	floor := ResolveChunk(0, (bytes+MaxPlanChunks-1)/MaxPlanChunks)
+	var best [2]int64
+	bestCost := math.Inf(1)
+	for k, last := 0, false; !last; k++ {
+		c := max(floor, [2]int64{4096, 5792}[k%2]<<(k/2))
+		cost := 0.0
+		last = true
+		for _, t := range trees {
+			if t.share > 0 {
+				chunks := (t.share + c - 1) / c
+				cost = max(cost, float64(chunks)*stage+float64(t.share)*t.perByte+float64(t.hops-1)*(stage+float64(c)*t.perByte))
+				last = last && chunks == 1
+			}
+		}
+		if cost < bestCost {
+			best, bestCost = [2]int64{c, c}, cost
+		} else if best[1] == best[0] {
+			best[1] = c
+		}
+	}
+	return best
 }
 
 // Plan is an executable schedule over a fabric.
@@ -75,11 +145,8 @@ func (p *Plan) Execute() (simgpu.Result, error) { return simgpu.Run(p.Fabric.Lin
 // ThroughputGBs runs the plan and reports TotalBytes/makespan in GB/s.
 func (p *Plan) ThroughputGBs() (float64, error) {
 	res, err := p.Execute()
-	if err != nil {
+	if err != nil || res.Makespan <= 0 {
 		return 0, err
-	}
-	if res.Makespan <= 0 {
-		return 0, nil
 	}
 	return float64(p.TotalBytes) / res.Makespan / 1e9, nil
 }
@@ -90,6 +157,23 @@ type treeShape struct {
 	children   map[int][]int
 	bfs        []int // vertices in BFS order from root
 	depth      []int // vertex depth
+}
+
+// partials lists, per vertex, the ranks whose partial sums reach it on the
+// way up: its children, each relay among them (a PCIe switch or CPU, which
+// forwards data but cannot add) replaced by the ranks it forwards.
+func (s *treeShape) partials(ranks int) [][]int {
+	out := make([][]int, len(s.depth))
+	for i := len(s.bfs) - 1; i >= 0; i-- {
+		for _, c := range s.children[s.bfs[i]] {
+			if c < ranks {
+				out[s.bfs[i]] = append(out[s.bfs[i]], c)
+			} else {
+				out[s.bfs[i]] = append(out[s.bfs[i]], out[c]...)
+			}
+		}
+	}
+	return out
 }
 
 func shapeOf(g *graph.Graph, a graph.Arborescence) (*treeShape, error) {
@@ -119,36 +203,23 @@ func shapeOf(g *graph.Graph, a graph.Arborescence) (*treeShape, error) {
 	return s, nil
 }
 
-// subtreeVerts returns, for every vertex, the vertices of its subtree
-// (itself included), in deterministic order. Data-mode Gather/Scatter use
+// rankSubtrees returns, for every vertex, the GPU ranks (vertex id < ranks)
+// of its subtree, itself included, in deterministic order; relay vertices
+// carry no payload shard and are dropped. Data-mode Gather/Scatter use
 // these lists: the transfer across a tree edge carries one payload shard
-// per vertex of the subtree hanging below that edge.
-func (s *treeShape) subtreeVerts() [][]int {
+// per rank of the subtree hanging below that edge.
+func (s *treeShape) rankSubtrees(ranks int) [][]int {
 	out := make([][]int, len(s.depth))
 	for i := len(s.bfs) - 1; i >= 0; i-- {
 		v := s.bfs[i]
-		out[v] = append(out[v], v)
+		if v < ranks {
+			out[v] = append(out[v], v)
+		}
 		for _, c := range s.children[v] {
 			out[v] = append(out[v], out[c]...)
 		}
 	}
 	return out
-}
-
-// rankSubtrees returns, for every vertex, the GPU ranks (vertex id < ranks)
-// of its subtree, dropping relay vertices, which carry no payload shard.
-func (s *treeShape) rankSubtrees(ranks int) [][]int {
-	all := s.subtreeVerts()
-	for v := range all {
-		kept := all[v][:0]
-		for _, u := range all[v] {
-			if u < ranks {
-				kept = append(kept, u)
-			}
-		}
-		all[v] = kept
-	}
-	return all
 }
 
 // ranksOf returns the number of payload-bearing (GPU) vertices of a
@@ -224,12 +295,6 @@ func splitRegions(trees []Tree, base, totalFloats int, chunkBytes int64) []regio
 	for i := range regions {
 		regions[i].off = off
 		off += regions[i].n
-	}
-	for i := range regions {
-		if regions[i].n == 0 {
-			regions[i].chunks = 0
-			continue
-		}
 		regions[i].chunks = (regions[i].n + chunkFloats - 1) / chunkFloats
 	}
 	return regions
@@ -238,11 +303,7 @@ func splitRegions(trees []Tree, base, totalFloats int, chunkBytes int64) []regio
 func (r region) chunkSpan(k int, chunkBytes int64) (off, n int) {
 	cf := int(chunkBytes / 4)
 	off = r.off + k*cf
-	n = cf
-	if rem := r.off + r.n - off; rem < n {
-		n = rem
-	}
-	return off, n
+	return off, min(cf, r.off+r.n-off)
 }
 
 // planBuilder accumulates ops and manages stream identity.
@@ -277,7 +338,11 @@ func (b *planBuilder) dev(v int) int {
 
 func newBuilder(f *simgpu.Fabric, opts PlanOptions) *planBuilder {
 	opts.setDefaults()
-	return &planBuilder{f: f, g: f.Graph, opts: opts, streams: map[[5]int]int{}}
+	b := &planBuilder{f: f, g: f.Graph, opts: opts, streams: map[[5]int]int{}}
+	if a := opts.arena; a != nil {
+		b.slab, b.ops, b.opts.arena = a.ops[:0], a.ptrs[:0], nil
+	}
+	return b
 }
 
 // plan closes the builder into the schedule it accumulated.
@@ -384,7 +449,7 @@ var (
 	tagNet         = tagKind("net g%[1]d %[2]d->%[3]d c%[4]d")
 	tagNetExchange = tagKind("net g%[1]d c%[2]d exchange")
 	tagPhase       = tagKind("phase %[1]d done")
-	tagPeerOff     = tagKind("disable-peer-access")
+	tagPeerOff     = tagKind("disable-peer-access on %[1]d GPUs")
 )
 
 // tagKind registers a label format and returns its kind.
@@ -402,13 +467,10 @@ func opTag(kind uint8, a, b, c, d int) simgpu.Tag {
 // of a transfer that crosses more than one link ("leg0", "leg1", ...).
 func OpLabel(op *simgpu.Op) string {
 	t := op.Tag
-	if int(t.Kind) >= len(tagFormats) || tagFormats[t.Kind] == "" {
+	if t.Kind == 0 || int(t.Kind) >= len(tagFormats) {
 		return "op"
 	}
-	s := tagFormats[t.Kind]
-	if strings.Contains(s, "%") {
-		s = fmt.Sprintf(s, t.A, t.B, t.C, t.D)
-	}
+	s := fmt.Sprintf(tagFormats[t.Kind], t.A, t.B, t.C, t.D)
 	if t.Leg > 0 {
 		s += fmt.Sprintf(" leg%d", t.Leg-1)
 	}
@@ -479,22 +541,22 @@ func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) Exe
 	return CopyKernel(b.dev(src), b.dev(dst), srcTag, dstTag, off, n, bufLen)
 }
 
-// reduceExec builds vertex v's reduction kernel in tree s for floats
-// [off,off+n): v's input plus each child's chunk, in children order, read in
-// place — an interior child's BufAcc, a leaf's BufData. That is sound because
+// reduceExec builds rank v's reduction kernel for floats [off,off+n): v's
+// input plus each partial sum that reaches it (parts[v]), in order, read in
+// place — an interior rank's BufAcc, a leaf's BufData. That is sound because
 // a leaf's input is never written in a reduce-class plan, and an interior
-// child's chunk is final once its upward send is (the send waits for the
-// child's own reduce) and nothing writes it again until the broadcast phase
+// rank's chunk is final once its upward send is (the send waits for the
+// rank's own reduce) and nothing writes it again until the broadcast phase
 // copies the result back down — a copy that waits, through the root's reduce
 // of the same chunk, for this one.
-func (t *treeGen) reduceExec(s *treeShape, v, off, n int) Exec {
+func (t *treeGen) reduceExec(parts [][]int, v, off, n int) Exec {
 	if !t.opts.DataMode {
 		return nil
 	}
 	srcs := []BufRef{{t.dev(v), BufData}}
-	for _, c := range s.children[v] {
-		src := BufRef{t.dev(c), BufData}
-		if len(s.children[c]) > 0 {
+	for _, r := range parts[v] {
+		src := BufRef{t.dev(r), BufData}
+		if len(parts[r]) > 0 {
 			src.Tag = BufAcc
 		}
 		srcs = append(srcs, src)
@@ -538,9 +600,7 @@ func newTreeGen(b *planBuilder, p *Packing, base, floats int, chunkBytes int64, 
 		t.shapes[i] = s
 	}
 	for _, r := range t.regions {
-		if r.chunks > t.maxChunks {
-			t.maxChunks = r.chunks
-		}
+		t.maxChunks = max(t.maxChunks, r.chunks)
 	}
 	return t, nil
 }
@@ -661,6 +721,10 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 		rootOps[i] = make([][]int, t.regions[i].chunks)
 	}
 	upSend := make([]int, t.g.N) // op index of v's upward send of the current chunk
+	ranks, parts := ranksOf(t.f), make([][][]int, len(t.shapes))
+	for i, s := range t.shapes {
+		parts[i] = s.partials(ranks)
+	}
 	var deps []int
 	for k := 0; k < t.maxChunks; k++ {
 		for ti, s := range t.shapes {
@@ -671,39 +735,44 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 			// Deepest-first: children's sends exist before parents reduce.
 			for i := len(s.bfs) - 1; i >= 0; i-- {
 				v := s.bfs[i]
-				reduced := -1 // v's reduce of this chunk, if it has children
-				// One batched reduction kernel per (vertex, chunk) combines
-				// every child's received chunk with v's own data, as a real
-				// implementation would (one kernel launch, not one per
-				// child).
-				if cs := s.children[v]; len(cs) > 0 {
-					deps = deps[:0]
-					for _, c := range cs {
+				ps := parts[ti][v]
+				deps = deps[:0]
+				for _, c := range s.children[v] {
+					if c < ranks || len(parts[ti][c]) > 0 {
 						deps = append(deps, upSend[c])
 					}
-					reduced = t.add(simgpu.Op{
+				}
+				// One batched reduction kernel per (rank, chunk) combines
+				// every partial sum that reached it with its own data, as a
+				// real implementation would (one kernel launch, not one per
+				// child).
+				if v < ranks && len(ps) > 0 {
+					reduced := t.add(simgpu.Op{
 						Stream:   t.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
 						Link:     t.f.ReduceLink(v),
-						Bytes:    int64(n) * 4 * int64(len(cs)),
+						Bytes:    int64(n) * 4 * int64(len(ps)),
 						Overhead: t.f.Cfg.ReduceOverhead,
-						Exec:     t.reduceExec(s, v, off, n),
+						Exec:     t.reduceExec(parts[ti], v, off, n),
 						Tag:      opTag(tagReduce, ti, k, v, 0),
 					}, deps...)
-				}
-				deps = deps[:0]
-				if reduced >= 0 {
-					deps = append(deps, reduced)
+					deps = append(deps[:0], reduced)
 				}
 				if v == t.p.Root {
 					rootOps[ti][k] = append([]int(nil), deps...)
 					continue
 				}
-				// Upward send from v to its parent over the reverse link. It
-				// moves no data: the parent's reduce reads v's chunk in place
-				// (see reduceExec).
-				upE := rev[s.parentEdge[v]]
-				upSend[v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v], int64(n)*4, deps, nil,
-					opTag(tagRsend, ti, k, v, t.g.Edges[upE].To))
+				// Upward send from v to its parent over the reverse link: a
+				// rank's one chunk, a relay's every partial it forwards. It
+				// moves no data: the reduce above reads each in place.
+				bytes := int64(n) * 4
+				if v >= ranks {
+					bytes *= int64(len(ps))
+				}
+				if bytes > 0 {
+					upE := rev[s.parentEdge[v]]
+					upSend[v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v], bytes, deps, nil,
+						opTag(tagRsend, ti, k, v, t.g.Edges[upE].To))
+				}
 			}
 		}
 	}
@@ -821,10 +890,8 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 	// so scale the chunk unit down by the fan-out to keep root-edge ops
 	// near the configured chunk size (preserving pipelining). A lone rank
 	// (a cluster's one-GPU server) fans out to nobody.
-	chunkBytes := int64(4)
-	if unit := b.opts.ChunkBytes / int64(max(n-1, 1)); unit >= 4 {
-		chunkBytes = unit - unit%4
-	}
+	unit := b.opts.ChunkBytes / int64(max(n-1, 1))
+	chunkBytes := max(unit-unit%4, 4)
 	t, err := newTreeGen(b, pk, 0, perVertex, chunkBytes, bufLen)
 	if err != nil {
 		return err

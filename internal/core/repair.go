@@ -181,9 +181,7 @@ func RepairPacking(oldG, newG *graph.Graph, vmap []int, p *Packing, opts RepairO
 		}
 		raise := math.Inf(1)
 		for _, eid := range treeEdges(rt) {
-			if r := cap[eid] - load[eid]; r < raise {
-				raise = r
-			}
+			raise = min(raise, cap[eid]-load[eid])
 		}
 		if raise > repairTiny && !math.IsInf(raise, 1) {
 			adjustLoad(rt, load, raise)

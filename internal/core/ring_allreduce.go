@@ -36,10 +36,7 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts P
 	// ChunkBytes*N floats, so successive slices overlap across steps and
 	// across the two legs of hub/switch hops (without slicing, each
 	// step-synchronous segment transfer would serialize its legs).
-	sliceFloats := int(b.opts.ChunkBytes/4) * n
-	if sliceFloats < n {
-		sliceFloats = n
-	}
+	sliceFloats := max(int(b.opts.ChunkBytes/4)*n, n)
 	for ri, lr := range lrs {
 		regionN := share
 		if ri == len(lrs)-1 {
@@ -47,10 +44,7 @@ func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts P
 		}
 		var carry []int
 		for so := off; so < off+regionN; so += sliceFloats {
-			sn := sliceFloats
-			if rem := off + regionN - so; rem < sn {
-				sn = rem
-			}
+			sn := min(sliceFloats, off+regionN-so)
 			carry = b.emitRingAllReduce(lr, ri, so, sn, totalFloats, carry)
 		}
 		off += regionN

@@ -64,10 +64,7 @@ func BuildRingP2PPlan(f *simgpu.Fabric, plane FabricSel, pairs []IRPair, chained
 		chunks := (floats + chunkFloats - 1) / chunkFloats
 		delivery := make([]int, chunks)
 		for k := 0; k < chunks; k++ {
-			cn := chunkFloats
-			if rem := floats - k*chunkFloats; rem < cn {
-				cn = rem
-			}
+			cn := min(chunkFloats, floats-k*chunkFloats)
 			last := -1
 			for s, h := range hops {
 				deps = deps[:0]

@@ -179,10 +179,7 @@ func buildChainBroadcast(f *simgpu.Fabric, lrs []logicalRing, root int, bytes in
 		var deps []int
 		for k := 0; k < chunks; k++ {
 			coff := off + k*chunkFloats
-			cn := chunkFloats
-			if rem := off + n - coff; rem < cn {
-				cn = rem
-			}
+			cn := min(chunkFloats, off+n-coff)
 			for h := 0; h+1 < len(lr.verts); h++ {
 				deps = deps[:0]
 				if h > 0 {

@@ -43,10 +43,7 @@ func LowerBoundMessages(n int) (broadcast, allreduce float64) {
 // AllReduce's N/(2(N-1)) algorithmic factor. NCCL crosses machines via
 // PCIe-attached NICs, so faster NICs stop helping once PCIe binds.
 func NCCLCrossMachineAllReduceGBs(nicGBs, pcieGBs float64, totalGPUs int) float64 {
-	bw := nicGBs
-	if pcieGBs < bw {
-		bw = pcieGBs
-	}
+	bw := min(nicGBs, pcieGBs)
 	if totalGPUs <= 1 {
 		return bw
 	}

@@ -77,7 +77,7 @@ func MoETrainStep(eng *collective.Engine, backend collective.Backend, cfg MoECon
 		st.AllReduceSeconds = ar.Seconds + CollectiveCallLatency
 	}
 	comm := st.DispatchSeconds + st.CombineSeconds + st.AllReduceSeconds
-	st.StepSeconds = comm + st.ExpertSeconds
+	st.StepSeconds = st.DispatchSeconds + st.CombineSeconds + st.ExpertSeconds + st.AllReduceSeconds
 	if st.StepSeconds > 0 {
 		st.CommFrac = comm / st.StepSeconds
 	}
@@ -157,9 +157,7 @@ func PipelineTrainStep(eng *collective.Engine, backend collective.Backend, cfg P
 			if err != nil {
 				return PipelineStepStats{}, fmt.Errorf("dnn: pipeline boundary %d: %w", i, err)
 			}
-			if t := res.Seconds + CollectiveCallLatency; t > st.HopSeconds {
-				st.HopSeconds = t
-			}
+			st.HopSeconds = max(st.HopSeconds, res.Seconds+CollectiveCallLatency)
 		}
 	}
 	st.FwdSlot = cfg.StageSeconds + st.HopSeconds

@@ -141,17 +141,12 @@ func SimulateIteration(m *Model, gen topology.Gen, nGPUs int, comm CommFn) (Iter
 		if err != nil {
 			return IterStats{}, err
 		}
-		start := ready
-		if chanFree > start {
-			start = chanFree
-		}
+		start := max(ready, chanFree)
 		chanFree = serve(start, dur)
 		st.CommSeconds += dur
 	}
 	st.IterSeconds = st.ComputeSeconds
-	if chanFree > st.IterSeconds {
-		st.IterSeconds = chanFree
-	}
+	st.IterSeconds = max(st.IterSeconds, chanFree)
 	st.CommOverheadFrac = (st.IterSeconds - st.ComputeSeconds) / st.IterSeconds
 	st.ImagesPerSec = float64(m.BatchPerGPU*nGPUs) / st.IterSeconds
 	return st, nil
@@ -272,9 +267,7 @@ func Compare(m *Model, machine *topology.Topology, devs []int, cfg simgpu.Config
 	blinkOv := blink.IterSeconds - blink.ComputeSeconds
 	if ncclOv > 1e-12 {
 		c.CommTimeReduction = 1 - blinkOv/ncclOv
-		if c.CommTimeReduction < 0 {
-			c.CommTimeReduction = 0
-		}
+		c.CommTimeReduction = max(c.CommTimeReduction, 0)
 	}
 	if nccl.ImagesPerSec > 0 {
 		c.ImagesPerSecFactor = blink.ImagesPerSec / nccl.ImagesPerSec

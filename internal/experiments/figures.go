@@ -49,9 +49,7 @@ func Fig2() (*Table, error) {
 			blinkTp = hy.ThroughputGBs
 		}
 		if plain, err := eng.Run(collective.Blink, collective.Broadcast, 0, payload500MB, collective.Options{}); err == nil {
-			if plain.ThroughputGBs > blinkTp {
-				blinkTp = plain.ThroughputGBs
-			}
+			blinkTp = max(blinkTp, plain.ThroughputGBs)
 		}
 		t.addRow(c.name, topology.AllocLabel(c.devs),
 			fmt.Sprintf("%.1f", nccl.ThroughputGBs),
@@ -111,12 +109,8 @@ func Fig5() (*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					if st.CommOverheadFrac < best {
-						best = st.CommOverheadFrac
-					}
-					if st.CommOverheadFrac > worst {
-						worst = st.CommOverheadFrac
-					}
+					best = min(best, st.CommOverheadFrac)
+					worst = max(worst, st.CommOverheadFrac)
 				}
 				t.addRow(machine.Name, m.Name, fmt.Sprintf("%d", k),
 					fmt.Sprintf("%.1f", 100*best), fmt.Sprintf("%.1f", 100*worst))
@@ -307,9 +301,7 @@ func throughputSweep(id, title string, machine *topology.Topology, allocs [][]in
 	t.Metrics["geomean_speedup"] = geomean(speedups)
 	mx := 0.0
 	for _, s := range speedups {
-		if s > mx {
-			mx = s
-		}
+		mx = max(mx, s)
 	}
 	t.Metrics["max_speedup"] = mx
 	return t, nil

@@ -99,9 +99,7 @@ func Fig19() (*Table, error) {
 		n := gb(int64(r[0]), r[1])
 		b := gb(int64(r[0]), r[2])
 		ratio := b / n
-		if ratio > best {
-			best = ratio
-		}
+		best = max(best, ratio)
 		t.addRow(fmtSize(r[0]), fmt.Sprintf("%.2f", n), fmt.Sprintf("%.2f", b), fmt.Sprintf("%.2fx", ratio))
 	}
 	t.Metrics["max_throughput_ratio"] = best
@@ -120,9 +118,7 @@ func Fig20() (*Table, error) {
 	best := 0.0
 	for _, r := range rows {
 		ratio := r[1] / r[2]
-		if ratio > best {
-			best = ratio
-		}
+		best = max(best, ratio)
 		t.addRow(fmtSize(r[0]), fmt.Sprintf("%.0f", r[1]*1e6), fmt.Sprintf("%.0f", r[2]*1e6), fmt.Sprintf("%.2fx", ratio))
 	}
 	t.Metrics["max_latency_ratio"] = best
@@ -249,30 +245,22 @@ func TreeMin() (*Table, error) {
 	}
 	minW, maxW := 1e9, 0.0
 	for _, tr := range mwu.Trees {
-		if tr.Weight < minW {
-			minW = tr.Weight
-		}
-		if tr.Weight > maxW {
-			maxW = tr.Weight
-		}
+		minW = min(minW, tr.Weight)
+		maxW = max(maxW, tr.Weight)
 	}
 	t.addRow("MWU", fmt.Sprintf("%d", len(mwu.Trees)), fmt.Sprintf("%.3f", mwu.Rate),
 		fmt.Sprintf("%.4f", minW), fmt.Sprintf("%.4f", maxW))
-	min := core.MinimizeTrees(g, mwu)
+	ilp := core.MinimizeTrees(g, mwu)
 	minW, maxW = 1e9, 0.0
-	for _, tr := range min.Trees {
-		if tr.Weight < minW {
-			minW = tr.Weight
-		}
-		if tr.Weight > maxW {
-			maxW = tr.Weight
-		}
+	for _, tr := range ilp.Trees {
+		minW = min(minW, tr.Weight)
+		maxW = max(maxW, tr.Weight)
 	}
-	t.addRow("ILP-minimized", fmt.Sprintf("%d", len(min.Trees)), fmt.Sprintf("%.3f", min.Rate),
+	t.addRow("ILP-minimized", fmt.Sprintf("%d", len(ilp.Trees)), fmt.Sprintf("%.3f", ilp.Rate),
 		fmt.Sprintf("%.4f", minW), fmt.Sprintf("%.4f", maxW))
 	t.Metrics["mwu_trees"] = float64(len(mwu.Trees))
-	t.Metrics["min_trees"] = float64(len(min.Trees))
-	t.Metrics["min_rate"] = min.Rate
+	t.Metrics["min_trees"] = float64(len(ilp.Trees))
+	t.Metrics["min_rate"] = ilp.Rate
 	t.note("paper: 181 MWU trees (weights 0.002-0.899) reduced to 6 trees of weight 1.0")
 	return t, nil
 }

@@ -343,9 +343,7 @@ func BroadcastRateUpperBound(g *Graph, root int) float64 {
 		if v == root {
 			continue
 		}
-		if f := MaxFlow(g, root, v); f < best {
-			best = f
-		}
+		best = min(best, MaxFlow(g, root, v))
 	}
 	if math.IsInf(best, 1) {
 		return 0

@@ -203,9 +203,7 @@ func MIMO(bytes, chunk int64, cfg simgpu.Config) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if res.Makespan > worst {
-			worst = res.Makespan
-		}
+		worst = max(worst, res.Makespan)
 	}
 	return float64(bytes) / worst / 1e9, nil
 }

@@ -77,9 +77,6 @@ type Result struct {
 	Makespan float64
 	// Ops is the number of ops executed.
 	Ops int
-	// BusiestLink and BusiestLinkTime identify the most occupied link.
-	BusiestLink     int
-	BusiestLinkTime float64
 	// Marks holds the finish times of the ops flagged Mark, in op order (nil
 	// when the schedule marks none).
 	Marks []float64
@@ -92,15 +89,8 @@ type Result struct {
 // Exec-carrying schedules stay safe (the moved data is simply discarded).
 // Deterministic: ties break on op index.
 func Run(links []Link, ops []*Op, bufs *BufferSet) (Result, error) {
-	return RunHooked(links, ops, bufs, nil)
-}
-
-// RunHooked is Run plus a per-op completion hook: onOp fires after each op
-// is scheduled (its Exec closure, if any, has already run), in dependency
-// order. A nil hook is Run.
-func RunHooked(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op)) (Result, error) {
 	var s Sim
-	return s.Run(links, ops, bufs, onOp)
+	return s.Run(links, ops, bufs, nil)
 }
 
 // Sim is the event simulator behind Run. It reads the ops and never writes
@@ -124,7 +114,7 @@ type Sim struct {
 	depOff, dependents   []int32   // per op: the ops waiting for it (CSR)
 	pending              []int32   // per op: unmet dependency count
 	depReady             []float64 // per op: latest finish over its deps so far
-	linkFree, linkBusy   []float64
+	linkFree             []float64
 	ready                readyHeap
 }
 
@@ -132,7 +122,7 @@ type Sim struct {
 // non-nil, fires after each op is scheduled, in launch order.
 func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op)) (Result, error) {
 	n := len(ops)
-	res := Result{Ops: n, BusiestLink: -1}
+	res := Result{Ops: n}
 	s.Start, s.Finish = resize(s.Start, n), resize(s.Finish, n)
 	if n == 0 {
 		return res, nil
@@ -158,21 +148,18 @@ func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op 
 		return res, fmt.Errorf("simgpu: stream IDs %d..%d are too sparse for %d ops", lo, hi, n)
 	}
 	slots := hi - lo + 1
-	s.stream = resize(s.stream, n)
-	for i, op := range ops {
-		s.stream[i] = int32(op.Stream - lo)
-	}
 
 	// Dependents and per-slot op lists (CSR): count into the offsets, sum
 	// them to each list's end, then fill backwards so both keep op order.
 	s.pending, s.depReady = resize(s.pending, n), resize(s.depReady, n)
 	s.depOff, s.dependents = resize(s.depOff, n+1), resize(s.dependents, edges)
-	s.streamOff, s.streamOps = resize(s.streamOff, slots+1), resize(s.streamOps, n)
+	s.stream, s.streamOff, s.streamOps = resize(s.stream, n), resize(s.streamOff, slots+1), resize(s.streamOps, n)
 	for i, op := range ops {
 		s.pending[i] = int32(len(op.Deps))
 		for _, d := range op.Deps {
 			s.depOff[d]++
 		}
+		s.stream[i] = int32(op.Stream - lo)
 		s.streamOff[s.stream[i]]++
 	}
 	prefixSum(s.depOff)
@@ -188,7 +175,7 @@ func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op 
 	}
 	s.streamNext = resize(s.streamNext, slots)
 	s.streamFree = resize(s.streamFree, slots)
-	s.linkFree, s.linkBusy = resize(s.linkFree, len(links)), resize(s.linkBusy, len(links))
+	s.linkFree = resize(s.linkFree, len(links))
 	s.ready = resize(s.ready, n)[:0]
 	for i := range ops {
 		s.tryEnqueue(int32(i))
@@ -198,19 +185,14 @@ func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op 
 	for len(s.ready) > 0 {
 		i := s.ready.pop()
 		op := ops[i.op]
-		wire := 0.0
-		l := op.Link
-		if l >= 0 {
-			wire = links[l].Latency + float64(op.Bytes)/(links[l].BW*1e9)
-		}
 		// Launch overhead is charged on the stream (i.ready already folds
 		// in the stream's previous finish); the wire portion must then find
 		// a free slot on the link.
-		finish := i.ready + op.Overhead + wire
+		wire, l, finish := 0.0, op.Link, i.ready+op.Overhead
 		if l >= 0 {
-			finish = math.Max(finish, s.linkFree[l]+wire)
+			wire = links[l].Latency + float64(op.Bytes)/(links[l].BW*1e9)
+			finish = math.Max(finish+wire, s.linkFree[l]+wire)
 			s.linkFree[l] = finish
-			s.linkBusy[l] += wire
 		}
 		s.Start[i.op] = math.Max(finish-wire-op.Overhead, i.ready) // guard FP rounding
 		s.Finish[i.op] = finish
@@ -245,12 +227,6 @@ func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op 
 	for i, op := range ops {
 		if op.Mark {
 			res.Marks = append(res.Marks, s.Finish[i])
-		}
-	}
-	for l, b := range s.linkBusy {
-		if b > res.BusiestLinkTime {
-			res.BusiestLinkTime = b
-			res.BusiestLink = l
 		}
 	}
 	return res, nil

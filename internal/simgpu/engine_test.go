@@ -197,21 +197,6 @@ func TestWindowClip(t *testing.T) {
 	}
 }
 
-func TestRunBusiestLink(t *testing.T) {
-	links := []Link{{BW: 1}, {BW: 1}}
-	ops := []*Op{
-		{Stream: 0, Link: 0, Bytes: 3e9},
-		{Stream: 1, Link: 1, Bytes: 1e9},
-	}
-	res, err := Run(links, ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BusiestLink != 0 || !almost(res.BusiestLinkTime, 3, 1e-9) {
-		t.Fatalf("busiest = %d (%v)", res.BusiestLink, res.BusiestLinkTime)
-	}
-}
-
 func TestRunZeroResourceOp(t *testing.T) {
 	a := &Op{Stream: 0, Link: -1, Overhead: 5e-6}
 	res, err := Run(nil, []*Op{a}, nil)

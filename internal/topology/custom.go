@@ -82,12 +82,8 @@ func Parse(spec string) (*Topology, error) {
 			return nil, fmt.Errorf("topology: endpoint %d exceeds the %d-GPU limit", max(a, b), MaxParseGPUs)
 		}
 		edges = append(edges, edge{a, b, links})
-		if a > maxV {
-			maxV = a
-		}
-		if b > maxV {
-			maxV = b
-		}
+		maxV = max(maxV, a)
+		maxV = max(maxV, b)
 	}
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("topology: no edges in spec")

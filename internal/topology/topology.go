@@ -207,16 +207,6 @@ func identityIDs(n int) []int {
 	return ids
 }
 
-// RelayVertices returns the vertex indices in G that are relays (switches or
-// hubs), i.e. not GPUs.
-func (t *Topology) RelayVertices() []int {
-	var rs []int
-	for v := t.NumGPUs; v < t.G.N; v++ {
-		rs = append(rs, v)
-	}
-	return rs
-}
-
 // Induce returns the sub-topology visible to a job allocated the given
 // physical GPU IDs, mirroring Blink's runtime topology probe: only links
 // with both endpoints inside the allocation (plus relay vertices) remain.
@@ -342,38 +332,14 @@ func (t *Topology) UniqueConnectedAllocationClasses(k int) []graph.UniqueClass {
 	return out
 }
 
-// CountUniqueAllocations sums the unique allocation classes over GPU counts
-// [minGPUs, maxGPUs]. With connectedOnly it counts only allocations whose
-// NVLink subgraph is connected (the paper's 46 / 14).
-func (t *Topology) CountUniqueAllocations(minGPUs, maxGPUs int, connectedOnly bool) int {
-	total := 0
-	for k := minGPUs; k <= maxGPUs; k++ {
-		if connectedOnly {
-			total += len(t.UniqueConnectedAllocationClasses(k))
-		} else {
-			total += len(t.UniqueAllocationClasses(k))
-		}
-	}
-	return total
-}
-
 // LinkBandwidthGBs returns the per-direction bandwidth (GB/s) of one
-// capacity unit of the given edge type on this topology.
+// capacity unit of the given edge type on this topology: 20 for a P100's
+// NVLink and PCIe (its PCIe capacity units already scale PCIe down), 24 for
+// every other unit, Net edges' included (their capacities are expressed in
+// the same units).
 func (t *Topology) LinkBandwidthGBs(ty graph.EdgeType) float64 {
-	switch ty {
-	case graph.NVLink, graph.NVSwitch:
-		if t.Gen == GenP100 {
-			return 20.0
-		}
-		return 24.0
-	case graph.PCIe:
-		if t.Gen == GenP100 {
-			return 20.0 // capacity units already scale PCIe down
-		}
-		return 24.0
-	case graph.Net:
-		return 24.0 // Net edge capacities are expressed in the same units
-	default:
-		return 24.0
+	if t.Gen == GenP100 && (ty == graph.NVLink || ty == graph.NVSwitch || ty == graph.PCIe) {
+		return 20
 	}
+	return 24
 }

@@ -63,11 +63,16 @@ func TestUniqueAllocationCountsMatchPaper(t *testing.T) {
 			t.Errorf("DGX-1V %d-GPU connected classes = %d, want %d", k, got, want)
 		}
 	}
-	if got := v.CountUniqueAllocations(3, 8, true); got != 46 {
+	total := func(m *Topology) (n int) {
+		for k := 3; k <= 8; k++ {
+			n += len(m.UniqueConnectedAllocationClasses(k))
+		}
+		return n
+	}
+	if got := total(v); got != 46 {
 		t.Errorf("DGX-1V total unique configs = %d, want 46 (paper Fig 15)", got)
 	}
-	p := DGX1P()
-	if got := p.CountUniqueAllocations(3, 8, true); got != 14 {
+	if got := total(DGX1P()); got != 14 {
 		t.Errorf("DGX-1P total unique configs = %d, want 14 (paper Fig 16)", got)
 	}
 }
@@ -165,8 +170,8 @@ func TestDGX2Shape(t *testing.T) {
 			t.Fatalf("DGX-2 GPU %d ports = %v", v, p)
 		}
 	}
-	if rs := d.RelayVertices(); len(rs) != 1 || rs[0] != 16 {
-		t.Fatalf("DGX-2 relays = %v", rs)
+	if d.NumGPUs != 16 || d.G.N != 17 {
+		t.Fatalf("DGX-2 has %d GPUs and %d vertices, want 16 and the switch", d.NumGPUs, d.G.N)
 	}
 	// Through the switch, the broadcast bound equals the per-GPU attach.
 	if r := graph.BroadcastRateUpperBound(d.G, 0); r != DGX2LinksPerGPU {

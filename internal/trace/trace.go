@@ -63,8 +63,7 @@ func FromOps(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *File {
 		if finish <= start {
 			continue // zero-duration sync op
 		}
-		lane := op.Link
-		cat := "copy"
+		lane, cat := op.Link, "copy"
 		if lane >= 0 && f != nil && strings.HasPrefix(f.Links[lane].Label, "reduce") {
 			cat = "reduce"
 		}
@@ -120,10 +119,7 @@ func FromSpans(spans []obs.Span) *File {
 				TID:  s.Seq,
 			})
 		}
-		dur := s.CompletedAt - s.DispatchedAt
-		if dur < 0 {
-			dur = 0
-		}
+		dur := max(s.CompletedAt-s.DispatchedAt, 0)
 		out.TraceEvents = append(out.TraceEvents, Event{
 			Name: name,
 			Cat:  cat,
