@@ -18,10 +18,10 @@ COVER_FLOOR_QOS ?= 85
 # Ratchets, not aspirations: lower them when a change shrinks the code,
 # never raise them to make a build pass.
 LOC_CEIL_CORE ?= 2547
-LOC_CEIL_REPO ?= 11943
-LOC_CEIL_TEST ?= 13835
+LOC_CEIL_REPO ?= 11762
+LOC_CEIL_TEST ?= 13679
 
-.PHONY: all build test race vet fmt-check loc loc-check bench verify cover fuzz-smoke mutants ci
+.PHONY: all build test race vet fmt-check loc loc-check bench cover fuzz-smoke mutants ci
 
 all: build test
 
@@ -40,7 +40,7 @@ test:
 # detector watches their shared arena, and so do the scheduler's, so its
 # workers, submitters and the handles they resolve race on four Ps.
 race:
-	$(GO) test -race -shuffle=on . ./internal/collective/... ./internal/core/... ./internal/simgpu/... ./internal/dnn/... ./internal/cluster/... ./internal/verify/... ./internal/trace/... ./internal/topology/... ./internal/obs/...
+	$(GO) test -race -shuffle=on . ./internal/collective/... ./internal/core/... ./internal/simgpu/... ./internal/dnn/... ./internal/cluster/... ./internal/trace/... ./internal/topology/... ./internal/obs/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'StripedReplay' ./internal/core
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Lane|Stream|Async|Tenant' ./internal/collective
 
@@ -66,13 +66,15 @@ cover:
 	done; \
 	rm -f $$profile
 
-# Short native-fuzz smoke over the topology parser and the point-to-point
-# plan builders (the checked-in corpora always run as seed cases in
+# Short native-fuzz smoke over the topology parser, the point-to-point plan
+# builders, the plan decoder and the engine's data path against its
+# sequential reference (the checked-in corpora always run as seed cases in
 # `make test`; this adds mutation time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangePlanBuilders$$' -fuzztime 15s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineData$$' -fuzztime 15s ./internal/collective
 
 vet:
 	$(GO) vet ./...
@@ -114,16 +116,10 @@ loc-check:
 bench:
 	$(GO) test -p 1 -bench . -benchtime 1x -run '^$$' ./...
 
-# Randomized differential verification (data-mode collectives against their
-# mathematical postconditions); exits non-zero on any failing case, so it
-# gates CI merges.
-verify:
-	$(GO) run ./cmd/blinkverify -cases 25
-
 # Mutation gate: applies each defect in testdata/mutants to a temporary git
 # worktree and fails unless the test or benchmark the patch names catches it
 # (and passes without it). See testdata/mutants/README.md.
 mutants:
 	sh testdata/mutants/run.sh
 
-ci: fmt-check vet loc-check build test race cover verify fuzz-smoke bench mutants
+ci: fmt-check vet loc-check build test race cover fuzz-smoke bench mutants

@@ -53,7 +53,7 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 		srv := reuse[s]
 		if srv == nil {
 			var err error
-			srv, err = newEngineState(s, s.DevIDs, cfg)
+			srv, err = newEngineState(s, s.DevIDs, cfg, 1)
 			if err != nil {
 				return nil, fmt.Errorf("collective: server %d: %w", si, err)
 			}

@@ -265,8 +265,10 @@ type Engine struct {
 }
 
 // newEngineState probes the machine for the allocated devices and builds
-// the full topology-derived state bundle.
-func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config) (*engineState, error) {
+// the full topology-derived state bundle. A communicator's allocation needs
+// at least minGPUs = 2; only a member server of a cluster state (minGPUs 1)
+// may hold a single GPU.
+func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config, minGPUs int) (*engineState, error) {
 	st := &engineState{machine: machine, devs: append([]int(nil), devs...)}
 	if machine.Kind == topology.KindDGX2 {
 		t, _, packs, fab, err := core.NewDGX2Runtime(cfg)
@@ -283,6 +285,9 @@ func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config) (
 	ind, err := machine.Induce(devs)
 	if err != nil {
 		return nil, err
+	}
+	if ind.NumGPUs < minGPUs {
+		return nil, fmt.Errorf("collective: allocation has %d device(s); a communicator needs at least %d", ind.NumGPUs, minGPUs)
 	}
 	st.topo = ind
 	st.fabrics[core.FabricNVLink] = simgpu.NewFabric(ind, ind.GPUGraph(), cfg)
@@ -312,16 +317,12 @@ func (st *engineState) plane(b Backend) core.FabricSel {
 
 // NewEngine probes the machine for the allocated devices and prepares a
 // runtime. For switch topologies devs must cover the full machine (partial
-// DGX-2 allocations see a uniform fabric anyway). Like ReconfigureExclude,
-// it refuses an allocation of fewer than two devices: only a member server
-// of a cluster state may hold a single GPU.
+// DGX-2 allocations see a uniform fabric anyway). Like Reconfigure and
+// ReconfigureExclude, it refuses an allocation of fewer than two devices.
 func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engine, error) {
-	st, err := newEngineState(machine, devs, cfg)
+	st, err := newEngineState(machine, devs, cfg, 2)
 	if err != nil {
 		return nil, err
-	}
-	if st.topo.NumGPUs < 2 {
-		return nil, fmt.Errorf("collective: allocation has %d device(s); a communicator needs at least 2", st.topo.NumGPUs)
 	}
 	return newEngine(st, cfg), nil
 }
@@ -367,9 +368,10 @@ func (st *engineState) machineOnly(what string) error {
 // stop pinning LRU slots (in a shared cache this also costs other engines
 // still on that fingerprint a recompile, never correctness).
 //
-// Reconfigure is atomic: on error (disconnected PCIe plane, unknown device)
-// the engine keeps its current state. Concurrent reconfigurations
-// serialize, each folding its change into the previously published state.
+// Reconfigure is atomic: on error (disconnected PCIe plane, unknown device,
+// fewer than two devices) the engine keeps its current state. Concurrent
+// reconfigurations serialize, each folding its change into the previously
+// published state.
 func (e *Engine) Reconfigure(machine *topology.Topology, devs []int) error {
 	e.reconfigMu.Lock()
 	defer e.reconfigMu.Unlock()
@@ -424,7 +426,7 @@ func (e *Engine) reconfigureLocked(machine *topology.Topology, devs []int) error
 	if old.switched() || machine.Kind == topology.KindDGX2 {
 		return fmt.Errorf("collective: switch-fabric engines do not support reconfiguration")
 	}
-	st, err := newEngineState(machine, devs, e.Cfg)
+	st, err := newEngineState(machine, devs, e.Cfg, 2)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package collective
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,36 +11,6 @@ import (
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
-
-// runAllReduceData drives a data-mode AllReduce of random-ish inputs
-// through the engine and checks the elementwise sum on every surviving
-// rank. The check is topology-independent, which is what makes it usable
-// while another goroutine reconfigures the engine.
-func runAllReduceData(t *testing.T, eng *Engine, floats int, tag string) {
-	t.Helper()
-	ranks := eng.Topo().NumGPUs
-	bufs := simgpu.NewBufferSet()
-	want := make([]float32, floats)
-	for v := 0; v < ranks; v++ {
-		in := make([]float32, floats)
-		for i := range in {
-			in[i] = float32((v*31 + i) % 17)
-			want[i] += in[i]
-		}
-		bufs.SetBuffer(v, core.BufData, in)
-	}
-	if _, err := eng.Run(Blink, AllReduce, 0, int64(floats)*4, Options{DataMode: true, Buffers: bufs}); err != nil {
-		t.Fatalf("%s: allreduce: %v", tag, err)
-	}
-	for v := 0; v < ranks; v++ {
-		got := bufs.Buffer(v, core.BufAcc, floats)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: rank %d float %d = %v, want %v", tag, v, i, got[i], want[i])
-			}
-		}
-	}
-}
 
 func TestEngineReconfigureLinkLoss(t *testing.T) {
 	machine := topology.DGX1V()
@@ -77,7 +49,7 @@ func TestEngineReconfigureLinkLoss(t *testing.T) {
 		t.Fatalf("post-fault throughput %.2f fell below half of pre-fault %.2f", post.ThroughputGBs, pre.ThroughputGBs)
 	}
 	// Data mode must stay elementwise-exact on the degraded fabric.
-	runAllReduceData(t, eng, 1000, "post-linkloss")
+	checkData(t, eng, Blink, AllReduce, 1000, 0, rand.New(rand.NewSource(1)))
 
 	// NCCL on the degraded allocation still works (rings re-search or fall
 	// back to PCIe).
@@ -101,7 +73,7 @@ func TestEngineReconfigureEviction(t *testing.T) {
 	if got := eng.AllocatedDevs(); len(got) != 6 {
 		t.Fatalf("AllocatedDevs = %v, want 6 devices", got)
 	}
-	runAllReduceData(t, eng, 600, "post-eviction")
+	checkData(t, eng, Blink, AllReduce, 600, 0, rand.New(rand.NewSource(2)))
 }
 
 func TestEngineReconfigureErrorsKeepState(t *testing.T) {
@@ -113,6 +85,9 @@ func TestEngineReconfigureErrorsKeepState(t *testing.T) {
 	fp := eng.Fingerprint()
 	if err := eng.Reconfigure(nil, []int{0, 42}); err == nil {
 		t.Fatal("unknown device must fail reconfiguration")
+	}
+	if err := eng.Reconfigure(nil, []int{2}); err == nil || !strings.Contains(err.Error(), "needs at least 2") {
+		t.Fatalf("one-device reconfiguration: %v, want the two-device minimum", err)
 	}
 	if eng.Fingerprint() != fp {
 		t.Fatal("failed reconfiguration must leave the engine unchanged")

@@ -76,15 +76,20 @@ func EncodePlan(fp *FrozenPlan) ([]byte, error) {
 	if fp.fabric == nil || fp.fabric.Topo == nil {
 		return nil, fmt.Errorf("core: plan fabric has no topology; cannot fingerprint")
 	}
+	return encodePlan(PlanHeader{PlanFormatVersion, fp.fabric.Topo.Fingerprint(), fp.fabric.Cfg.Normalized()}, fp.ir), nil
+}
+
+// encodePlan writes a header and an IR as one blob with its CRC trailer.
+func encodePlan(h PlanHeader, ir *PlanIR) []byte {
 	b := make([]byte, 0, 256)
 	b = append(b, planMagic[:]...)
-	b = binary.AppendUvarint(b, PlanFormatVersion)
-	b = appendString(b, fp.fabric.Topo.Fingerprint())
-	b = appendConfig(b, fp.fabric.Cfg.Normalized())
-	b = appendIR(b, fp.ir)
+	b = binary.AppendUvarint(b, h.Version)
+	b = appendString(b, h.Fingerprint)
+	b = appendConfig(b, h.Config)
+	b = appendIR(b, ir)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b))
-	return append(b, crc[:]...), nil
+	return append(b, crc[:]...)
 }
 
 // DecodePlanIR structurally decodes a blob into its header and IR without

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
@@ -206,7 +207,14 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // The seed corpus (testdata/fuzz/FuzzDecodePlan) covers the interesting
 // failure classes: a pristine blob, truncations, resealed bit flips, two
 // version-skewed headers (one from the future, one a pristine format-1 blob)
-// and a wrong-fingerprint header.
+// and a wrong-fingerprint header. The seeds added below carry a valid
+// checksum around a packing no packer emits: no trees, or a NaN, a zero or a
+// denormal tree weight. The plan's chunk is auto, which CodeGen derives from
+// the weights: a NaN weight Validate let through, or a denormal one whose
+// every modelled cost is infinite, makes CodeGen recurse through
+// PlanIR.faster with chunk 0 until the stack overflows. Every input is
+// decoded a second time resealed, since a mutated blob almost never passes
+// the checksum on its own.
 func FuzzDecodePlan(f *testing.F) {
 	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
@@ -219,7 +227,7 @@ func FuzzDecodePlan(f *testing.F) {
 	}
 	fab := simgpu.NewFabric(ind, g, simgpu.Config{})
 	ir := &PlanIR{Kind: IRTreeBroadcast, Fabric: FabricNVLink, Strategy: "trees",
-		Bytes: 4 << 20, Opts: PlanOptions{ChunkBytes: 256 << 10}, Packings: []*Packing{p}}
+		Bytes: 4 << 20, Packings: []*Packing{p}}
 	plan, err := CodeGen(ir, fab)
 	if err != nil {
 		f.Fatal(err)
@@ -243,27 +251,52 @@ func FuzzDecodePlan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("BLNKPLAN"))
 
+	f.Add(withPacking(f, blob, func(p *Packing) { p.Trees[0].Weight = math.NaN() }))
+	f.Add(withPacking(f, blob, func(p *Packing) { p.Trees, p.Rate = nil, math.Inf(1) }))
+	for _, w := range []float64{0, math.SmallestNonzeroFloat64} {
+		// One tree whose weight is the whole rate.
+		f.Add(withPacking(f, blob, func(p *Packing) { p.Trees, p.Rate = []Tree{{Arbo: p.Trees[0].Arbo, Weight: w}}, w }))
+	}
+
 	resolve := func(FabricSel) *simgpu.Fabric { return fab }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
+		if len(data) > 1<<20 || len(data) < 4 {
 			return
 		}
-		hdr, ir, err := DecodePlanIR(data)
-		if err != nil {
-			return
-		}
-		if hdr.Version != PlanFormatVersion {
-			t.Fatalf("decoder accepted version %d", hdr.Version)
-		}
-		if ir == nil {
-			t.Fatal("nil IR without error")
-		}
-		// Whatever structurally decodes must either validate+regenerate or
-		// fail cleanly — both fine, panics are the only bug here.
-		if fp2, err := DecodePlan(data, resolve); err == nil {
-			if _, err := fp2.Replay(); err != nil {
-				t.Fatalf("decoded plan failed to replay: %v", err)
+		for _, blob := range [][]byte{data, reseal(data)} {
+			hdr, ir, err := DecodePlanIR(blob)
+			if err != nil {
+				continue
+			}
+			if hdr.Version != PlanFormatVersion {
+				t.Fatalf("decoder accepted version %d", hdr.Version)
+			}
+			if ir == nil {
+				t.Fatal("nil IR without error")
+			}
+			// Whatever structurally decodes must either fail cleanly or
+			// validate, regenerate and replay a schedule that moves its
+			// payload, which takes time.
+			if fp2, err := DecodePlan(blob, resolve); err == nil {
+				r, err := fp2.Replay()
+				if err != nil {
+					t.Fatalf("decoded plan failed to replay: %v", err)
+				}
+				if !(r.Makespan > 0) {
+					t.Fatalf("decoded %v plan of %d bytes replays in %v s", ir.Kind, ir.Bytes, r.Makespan)
+				}
 			}
 		}
 	})
+}
+
+// withPacking decodes blob, lets edit change its first packing, and encodes
+// the result again under a valid checksum.
+func withPacking(tb testing.TB, blob []byte, edit func(*Packing)) []byte {
+	hdr, ir, err := DecodePlanIR(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	edit(ir.Packings[0])
+	return encodePlan(hdr, ir)
 }

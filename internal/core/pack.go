@@ -183,13 +183,22 @@ func PackTrees(g *graph.Graph, root int) (*Packing, error) {
 	return p, nil
 }
 
-// Validate checks structural validity and capacity feasibility (within a
-// small numeric tolerance).
+// Validate checks a packing against the graph it was packed over: every
+// tree is an arborescence of g rooted at the packing's root, every weight is
+// positive, the weights sum to Rate, no edge carries more than its capacity,
+// and Rate stays within Bound when Bound is set — all within a small numeric
+// tolerance, and each rule written so that a NaN fails it. Only a one-vertex
+// graph's packing has no trees (Rate +Inf).
 func (p *Packing) Validate(g *graph.Graph) error {
+	const tol = 1e-6
+	if len(p.Trees) == 0 && g.N > 1 {
+		return fmt.Errorf("core: packing has no trees over %d vertices", g.N)
+	}
 	load := make([]float64, len(g.Edges))
+	sum := 0.0
 	for _, t := range p.Trees {
-		if t.Weight < 0 {
-			return fmt.Errorf("core: negative tree weight %v", t.Weight)
+		if !(t.Weight > 0) {
+			return fmt.Errorf("core: non-positive tree weight %v", t.Weight)
 		}
 		if err := t.Arbo.Validate(g); err != nil {
 			return fmt.Errorf("core: invalid tree in packing: %w", err)
@@ -200,12 +209,18 @@ func (p *Packing) Validate(g *graph.Graph) error {
 		for _, id := range t.Arbo.Edges {
 			load[id] += t.Weight
 		}
+		sum += t.Weight
 	}
-	const tol = 1e-6
+	if len(p.Trees) > 0 && !(math.Abs(sum-p.Rate) <= p.Rate*tol+tol) {
+		return fmt.Errorf("core: tree weights sum to %v, packing rate %v", sum, p.Rate)
+	}
 	for i, l := range load {
 		if l > g.Edges[i].Cap*(1+tol)+tol {
 			return fmt.Errorf("core: edge %d overloaded: %.6f > cap %.6f", i, l, g.Edges[i].Cap)
 		}
+	}
+	if p.Bound > 0 && !(p.Rate <= p.Bound*(1+tol)+tol) {
+		return fmt.Errorf("core: rate %v exceeds the optimal bound %v", p.Rate, p.Bound)
 	}
 	return nil
 }

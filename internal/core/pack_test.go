@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"blink/internal/graph"
@@ -71,6 +72,9 @@ func TestPackTreesSingleton(t *testing.T) {
 	if err != nil || !math.IsInf(p.Rate, 1) {
 		t.Fatalf("singleton pack: %v %v", p, err)
 	}
+	if err := p.Validate(g); err != nil {
+		t.Fatalf("singleton packing invalid: %v", err)
+	}
 }
 
 func TestPackTreesDGX1VFull(t *testing.T) {
@@ -122,6 +126,30 @@ func TestMinimizeTreesDGX1VFull(t *testing.T) {
 	}
 	if err := min.Validate(v); err != nil {
 		t.Fatalf("minimized packing invalid: %v", err)
+	}
+	// Each of Validate's rules rejects its own defect, NaN included.
+	for _, c := range []struct {
+		name, want string
+		edit       func(*Packing)
+	}{
+		{"rate mismatch", "sum to", func(p *Packing) { p.Rate *= 2 }},
+		{"over capacity", "overloaded", func(p *Packing) {
+			for i := range p.Trees {
+				p.Trees[i].Weight *= 100
+			}
+			p.Rate, p.Bound = p.Rate*100, 0
+		}},
+		{"NaN weight", "non-positive", func(p *Packing) { p.Trees[0].Weight = math.NaN() }},
+		{"zero weight", "non-positive", func(p *Packing) { p.Rate, p.Trees[0].Weight = p.Rate-p.Trees[0].Weight, 0 }},
+		{"rate over bound", "bound", func(p *Packing) { p.Bound = p.Rate / 2 }},
+		{"no trees", "no trees", func(p *Packing) { p.Trees = nil }},
+	} {
+		bad := *min
+		bad.Trees = append([]Tree(nil), min.Trees...)
+		c.edit(&bad)
+		if err := bad.Validate(v); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }
 

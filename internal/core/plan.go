@@ -81,7 +81,9 @@ func ResolveChunk(bytes, chunk int64) int64 {
 //
 // The slowest tree sets the makespan. c ranges over a √2 grid from 4 KiB,
 // never below what keeps bytes/c within MaxPlanChunks. It returns the
-// cheapest c and the grid's next c up (c again when c is the last).
+// cheapest c and the grid's next c up (c again when c is the last), and the
+// grid's first c when no cost is finite (a denormal weight), never 0, which
+// CodeGen would take for auto again.
 func treeChunk(f *simgpu.Fabric, p *Packing, bytes int64, passes int) [2]int64 {
 	type model struct {
 		share   int64
@@ -111,7 +113,7 @@ func treeChunk(f *simgpu.Fabric, p *Packing, bytes int64, passes int) [2]int64 {
 				last = last && chunks == 1
 			}
 		}
-		if cost < bestCost {
+		if k == 0 || cost < bestCost {
 			best, bestCost = [2]int64{c, c}, cost
 		} else if best[1] == best[0] {
 			best[1] = c

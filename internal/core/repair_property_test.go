@@ -6,7 +6,6 @@ import (
 
 	"blink/internal/core"
 	"blink/internal/topology"
-	"blink/internal/verify"
 )
 
 // devVertexMap maps old GPU vertices to new ones through physical device
@@ -89,7 +88,7 @@ func TestRepairEquivalenceRandomFaultSequences(t *testing.T) {
 				t.Fatalf("seed %d step %d: full recompile: %v", seed, step, err)
 			}
 			if out.Repaired {
-				if err := verify.CheckPacking(ng, out.Packing); err != nil {
+				if err := out.Packing.Validate(ng); err != nil {
 					t.Fatalf("seed %d step %d: repaired packing invalid: %v", seed, step, err)
 				}
 				if out.Packing.Root != newRoot {
