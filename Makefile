@@ -18,8 +18,8 @@ COVER_FLOOR_QOS ?= 85
 # Ratchets, not aspirations: lower them when a change shrinks the code,
 # never raise them to make a build pass.
 LOC_CEIL_CORE ?= 2547
-LOC_CEIL_REPO ?= 11762
-LOC_CEIL_TEST ?= 13679
+LOC_CEIL_REPO ?= 11755
+LOC_CEIL_TEST ?= 13606
 
 .PHONY: all build test race vet fmt-check loc loc-check bench cover fuzz-smoke mutants ci
 

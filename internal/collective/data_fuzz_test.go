@@ -124,7 +124,6 @@ func derivations(ds ...[3]int) int {
 //	         two GPUs it names, 3 bits each, then Reconfigure
 //	op       Broadcast, AllReduce or AllToAll
 //	nccl     the NCCL backend instead of Blink, for a Broadcast or an AllReduce
-//	         of at least 64 floats (its ring needs a float per segment)
 //	floats   the payload, 1–4,160 floats
 //	chunk    0 is auto, else an explicit chunk of 4–2,048 B
 //	data     seeds the inputs and the Broadcast root
@@ -146,6 +145,7 @@ func FuzzEngineData(f *testing.F) {
 	// refuse: an NCCL AllReduce on one GPU returns zeros.
 	f.Add(0, 0x30, derivations([3]int{2, 4, 0}), 1, true, 100, 0, 14)
 	f.Add(0, 0x30, derivations([3]int{2, 4, 0}, [3]int{2, 4, 0}), 2, false, 100, 0, 15) // evicts both
+	f.Add(0, 0xff, 0, 1, true, 4, 0, 16)                                                // NCCL AllReduce of 5 floats: fewer than a float per rank
 	f.Fuzz(func(t *testing.T, machine, mask, derive, op int, nccl bool, floats, chunk, data int) {
 		mod := func(x, m int) int { return (x%m + m) % m }
 		m := topology.DGX1V()
@@ -199,7 +199,7 @@ func FuzzEngineData(f *testing.F) {
 			c = 4 * int64(1+mod(chunk, 512))
 		}
 		b := Blink
-		if nccl && o != AllToAll && n >= 64 {
+		if nccl && o != AllToAll {
 			b = NCCL
 		}
 		checkData(t, eng, b, o, n, c, rand.New(rand.NewSource(int64(data))))

@@ -113,9 +113,11 @@ type Result struct {
 type Options struct {
 	// ChunkBytes overrides the pipelining chunk. 0 is auto: Blink's tree
 	// Broadcast, Reduce and AllReduce on NVLink or PCIe take the chunk that
-	// pipelines their own trees fastest, modelled and then simulated, every
-	// other schedule a sixteenth of the payload, at most 2 MiB
-	// (core.PlanOptions.ChunkBytes).
+	// pipelines their own trees fastest, modelled and then simulated, and
+	// the AllReduce then the rank-rooted shape if it simulates faster still;
+	// every other schedule takes a sixteenth of the payload, at most 2 MiB
+	// (core.PlanOptions.ChunkBytes). An override keeps the single-root
+	// AllReduce.
 	ChunkBytes int64
 	// Hybrid selects the §3.4 hybrid schedule for a Blink Broadcast: PCIe
 	// trees alongside the NVLink ones, split by Equation 8. It is an error

@@ -159,8 +159,8 @@ var goldenSelection = []string{
 	"dgx1v-full Blink Broadcast 16777216: trees 3f33c47ab26be964",
 	"dgx1v-full Blink Gather 262144: trees 3f09da58c8729dc4",
 	"dgx1v-full Blink Gather 16777216: trees 3f35087acdd18498",
-	"dgx1v-full Blink AllReduce 262144: trees 3f20db5f114a3c4e",
-	"dgx1v-full Blink AllReduce 16777216: trees 3f3f7ee7ee8cb71e",
+	"dgx1v-full Blink AllReduce 262144: trees 3f1ef85def5f4402",
+	"dgx1v-full Blink AllReduce 16777216: trees 3f3e431214d79def",
 	"dgx1v-full Blink AllGather 262144: trees+allgather 3f2187611f2d5b59",
 	"dgx1v-full Blink AllGather 16777216: trees+allgather 3f4800a673b7c235",
 	"dgx1v-full Blink ReduceScatter 262144: trees+reducescatter 3f15ca7a49117b73",
@@ -200,7 +200,7 @@ var goldenSelection = []string{
 	"dgx1v-014 Blink Gather 262144: trees 3f099a2e6ab6a29a",
 	"dgx1v-014 Blink Gather 16777216: trees 3f33061adfcb718c",
 	"dgx1v-014 Blink AllReduce 262144: trees 3f0668d47bc2b7b2",
-	"dgx1v-014 Blink AllReduce 16777216: trees 3f4de4f64a2aba4d",
+	"dgx1v-014 Blink AllReduce 16777216: trees 3f4cc38e1a967809",
 	"dgx1v-014 Blink AllGather 262144: trees+allgather 3f22b86c8f8de87a",
 	"dgx1v-014 Blink AllGather 16777216: trees+allgather 3f4e1fd828fd3358",
 	"dgx1v-014 Blink ReduceScatter 262144: trees+reducescatter 3f21a4a75abdfb92",
@@ -239,8 +239,8 @@ var goldenSelection = []string{
 	"dgx1v-016 Blink Broadcast 16777216: pcie-trees 3f6cd76d72965ecd",
 	"dgx1v-016 Blink Gather 262144: pcie-trees 3f17515604e626b9",
 	"dgx1v-016 Blink Gather 16777216: pcie-trees 3f638a68b2449cd0",
-	"dgx1v-016 Blink AllReduce 262144: pcie-trees 3f2959ae1dc18251",
-	"dgx1v-016 Blink AllReduce 16777216: pcie-trees 3f7c699d90b16619",
+	"dgx1v-016 Blink AllReduce 262144: pcie-trees 3f21c5760536cb27",
+	"dgx1v-016 Blink AllReduce 16777216: pcie-trees 3f72dd39a47e12ba",
 	"dgx1v-016 Blink AllGather 262144: pcie-trees+allgather 3f30b588957e8a62",
 	"dgx1v-016 Blink AllGather 16777216: pcie-trees+allgather 3f7d4a5cba7a05e1",
 	"dgx1v-016 Blink ReduceScatter 262144: pcie-trees+reducescatter 3f2ea2148631a04b",

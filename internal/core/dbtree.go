@@ -101,18 +101,8 @@ func BuildDBTreeAllReducePlan(f *simgpu.Fabric, bytes int64, opts PlanOptions) (
 	if err != nil {
 		return nil, err
 	}
-	half := (bytes / 8) * 4
-	sizes := []int64{half, bytes - half}
-	var plans []*Plan
-	for i, p := range packs {
-		// Only chunking and data mode carry over: the trees keep the
-		// default stream reuse whatever the caller's NoStreamReuse says.
-		po := PlanOptions{ChunkBytes: opts.ChunkBytes, DataMode: opts.DataMode, OffsetFloats: int(half/4) * i}
-		plan, err := BuildAllReducePlan(f, p, sizes[i], po)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, plan)
-	}
-	return MergePlans(f, plans...), nil
+	// Only chunking and data mode carry over: the trees keep the default
+	// stream reuse whatever the caller's NoStreamReuse says.
+	po := PlanOptions{ChunkBytes: opts.ChunkBytes, DataMode: opts.DataMode}
+	return newBuilder(f, po).allReduceParts(bytes, len(packs), func(i int) (*Packing, int) { return packs[i], packs[i].Root })
 }

@@ -211,8 +211,8 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // checksum around a packing no packer emits: no trees, or a NaN, a zero or a
 // denormal tree weight. The plan's chunk is auto, which CodeGen derives from
 // the weights: a NaN weight Validate let through, or a denormal one whose
-// every modelled cost is infinite, makes CodeGen recurse through
-// PlanIR.faster with chunk 0 until the stack overflows. Every input is
+// every modelled cost is infinite, once made CodeGen recurse through its
+// chunk trial with chunk 0 until the stack overflowed. Every input is
 // decoded a second time resealed, since a mutated blob almost never passes
 // the checksum on its own.
 func FuzzDecodePlan(f *testing.F) {

@@ -275,41 +275,6 @@ func TestBuildHybridBroadcast(t *testing.T) {
 	}
 }
 
-func TestMergePlansPreservesOps(t *testing.T) {
-	ind, err := topology.DGX1V().Induce([]int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := simgpu.NewFabric(ind, g, simgpu.Config{})
-	a, err := BuildBroadcastPlan(f, p, 16<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildBroadcastPlan(f, p, 16<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := MergePlans(f, a, b)
-	if len(m.Ops) != len(a.Ops)+len(b.Ops) {
-		t.Fatalf("merged ops = %d, want %d", len(m.Ops), len(a.Ops)+len(b.Ops))
-	}
-	if m.TotalBytes != a.TotalBytes+b.TotalBytes {
-		t.Fatal("merged bytes wrong")
-	}
-	if _, err := m.Execute(); err != nil {
-		t.Fatalf("merged plan deadlocked: %v", err)
-	}
-	// Originals still executable (merge must not mutate them).
-	if _, err := a.Execute(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBuildThreePhaseAllReduce drives the §3.5 builder the way a standalone
 // caller does (fresh fabrics, a GenerateTrees PackFn): one plan with one
 // partition per GPU of the smallest server, a distinct local root per

@@ -61,7 +61,6 @@ func (p *Plan) Freeze() *FrozenPlan {
 		fabric:     p.Fabric,
 		partitions: p.Partitions,
 		ir:         p.IR,
-		order:      make([]int32, 0, len(p.Ops)),
 	}
 	for _, op := range p.Ops {
 		fp.hasExec = fp.hasExec || op.Exec != nil
@@ -72,15 +71,32 @@ func (p *Plan) Freeze() *FrozenPlan {
 			fp.execs[i] = op.Exec
 		}
 	}
-	sim := sims.Get().(*simgpu.Sim)
-	fp.res, fp.err = sim.Run(p.Fabric.Links, p.Ops, nil, func(i int, _ *simgpu.Op) {
-		fp.order = append(fp.order, int32(i))
-	})
-	sims.Put(sim)
+	run := p.memo
+	if run == nil {
+		sim := sims.Get().(*simgpu.Sim)
+		r := p.run(sim, make([]int32, 0, len(p.Ops)))
+		sims.Put(sim)
+		run = &r
+	}
+	fp.res, fp.err, fp.order = run.res, run.err, run.order
 	if fp.hasExec && fp.err == nil {
 		fp.manifest = simgpu.RecordManifest(func(s *simgpu.BufferSet) { fp.walk(s, simgpu.Window{}, nil) })
 	}
 	return fp
+}
+
+// simRun is one simulation of a plan: what it returned, and the op indices
+// in the order it launched them.
+type simRun struct {
+	res   simgpu.Result
+	err   error
+	order []int32
+}
+
+// run simulates the plan on sim, appending its launch order to order.
+func (p *Plan) run(sim *simgpu.Sim, order []int32) simRun {
+	res, err := sim.Run(p.Fabric.Links, p.Ops, nil, func(i int, _ *simgpu.Op) { order = append(order, int32(i)) })
+	return simRun{res, err, order}
 }
 
 // sims holds simulators between Freezes, so a compile reuses the dense

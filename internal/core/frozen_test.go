@@ -501,27 +501,34 @@ func TestCompileAllocBudget(t *testing.T) {
 	}
 	f := simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{})
 	p, err := GenerateTrees(ind.GPUGraph(), 0)
-	compile := func(chunk int64) *Plan {
-		plan, cerr := CodeGen(&PlanIR{Kind: IRTreeAllReduce, Bytes: 64 << 20, Packings: []*Packing{p}, Opts: PlanOptions{ChunkBytes: chunk, NoStreamReuse: true}}, f)
+	compileAt := func(bytes, chunk int64) *Plan {
+		plan, cerr := CodeGen(&PlanIR{Kind: IRTreeAllReduce, Bytes: bytes, Packings: []*Packing{p}, Opts: PlanOptions{ChunkBytes: chunk, NoStreamReuse: true}}, f)
 		if err != nil || cerr != nil {
 			t.Fatal(err, cerr)
 		}
 		return plan
 	}
-	ops := float64(len(compile(0).Ops))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	allocs := testing.AllocsPerRun(4, func() { compile(0).Freeze() }) / ops
-	runtime.ReadMemStats(&m1)
-	if bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / 5 / ops; ops < 2000 || allocs > 2.2 || bytes > 200 {
-		t.Fatalf("CodeGen+Freeze of %.0f ops: %.2f allocations and %.0f bytes per op, want at most 2.2 and 200 over 2,000+ ops", ops, allocs, bytes)
+	compile := func(chunk int64) *Plan { return compileAt(64<<20, chunk) }
+	// 64 MiB keeps the single-root schedule; at 16 MiB the rank-rooted one
+	// wins, from eight partitions' generators.
+	for bytes, minOps := range map[int64]float64{64 << 20: 2000, 16 << 20: 1500} {
+		ops := float64(len(compileAt(bytes, 0).Ops))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs := testing.AllocsPerRun(4, func() { compileAt(bytes, 0).Freeze() }) / ops
+		runtime.ReadMemStats(&m1)
+		perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / 5 / ops
+		t.Logf("%d B: %.0f ops, %.2f allocations and %.0f bytes per op", bytes, ops, allocs, perOp)
+		if ops < minOps || allocs > 2.2 || perOp > 200 {
+			t.Fatalf("CodeGen+Freeze of %.0f ops: %.2f allocations and %.0f bytes per op, want at most 2.2 and 200 over %.0f+ ops", ops, allocs, perOp, minOps)
+		}
 	}
 	simAllocs := func(chunk int64) (float64, int) {
 		plan := compile(chunk)
 		return testing.AllocsPerRun(3, func() { (&simgpu.Sim{}).Run(f.Links, plan.Ops, nil, nil) }), len(plan.Ops)
 	}
 	small, smallOps := simAllocs(2 << 20)
-	if big, _ := simAllocs(0); small != big {
-		t.Fatalf("Sim.Run allocates %.0f times for %d ops and %.0f for %.0f", small, smallOps, big, ops)
+	if big, bigOps := simAllocs(0); small != big {
+		t.Fatalf("Sim.Run allocates %.0f times for %d ops and %.0f for %d", small, smallOps, big, bigOps)
 	}
 }

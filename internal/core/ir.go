@@ -190,62 +190,109 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 // the switch plane, takes ResolveChunk's.
 var treePasses = map[IRKind]int{IRTreeBroadcast: 1, IRTreeReduce: 1, IRTreeAllReduce: 2}
 
-// faster returns whichever of chunks the IR's schedule finishes first at,
-// the model's pick on a tie, and an arena that fits that schedule exactly.
-// The model errs small where links are shared — by trees, or by an
-// AllReduce's two passes — since it charges a chunk stage one tree's launch
-// and wire latency, so one simulated run of each decides. The runs build
-// timing-only schedules on an arena kept between compiles (arenas), so
-// the trials cost a compile little memory beyond the schedule it returns.
-func (ir *PlanIR) faster(f *simgpu.Fabric, chunks [2]int64) (int64, *opArena) {
+// tuned compiles the IR at whichever of chunks its schedule finishes first
+// at, the model's pick on a tie. The model errs small where links are
+// shared — by trees, or by an AllReduce's two passes — since it charges a
+// chunk stage one tree's launch and wire latency, so one simulated run of
+// each decides. An AllReduce of at least a float per rank then races its
+// rank-rooted shape at the chosen chunk and keeps it only if it finishes
+// strictly sooner. The trials build timing-only schedules on an arena kept
+// between compiles (arenas); the winner is built again into tables sized to
+// it, and Freeze keeps the winner's simulated run.
+func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*Plan, error) {
 	var ar *opArena
 	select {
 	case ar = <-arenas:
 	default:
 		ar = new(opArena)
 	}
-	sim := sims.Get().(*simgpu.Sim)
 	defer func() {
-		sims.Put(sim)
 		select {
 		case arenas <- ar:
 		default:
 		}
 	}()
-	best, bestTime, size := chunks[0], 0.0, 0
-	for i, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
-		try := *ir
-		try.Opts.ChunkBytes, try.Opts.DataMode, try.Opts.arena = c, false, ar
-		p, err := CodeGen(&try, f)
+	final, rooted := opts, false
+	final.ChunkBytes = chunks[0]
+	var best *simRun
+	var ops, deps int
+	opts.DataMode = false
+	trial := func(c int64, rr bool) bool {
+		opts.ChunkBytes, opts.arena = c, ar
+		p, err := ir.build(f, opts, rr)
 		if err != nil {
+			return false
+		}
+		ar = ar.fit(p)
+		r := p.run(&ar.sim, ar.order[:0])
+		if ar.order = r.order; best == nil || r.err == nil && r.res.Makespan < best.res.Makespan {
+			// The next trial records its launch order in the other buffer.
+			ar.order, ar.spare = ar.spare, r.order
+			best, final.ChunkBytes, rooted = &r, c, rr
+			ops, deps = p.size()
+		}
+		return true
+	}
+	for _, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
+		if !trial(c, false) {
 			break
 		}
-		if len(p.Ops) > cap(ar.ops) {
-			ar = newArena(len(p.Ops))
-		}
-		if r, err := sim.Run(f.Links, p.Ops, nil, nil); i == 0 || err == nil && r.Makespan < bestTime {
-			best, bestTime, size = c, r.Makespan, len(p.Ops)
-		}
 	}
-	return best, newArena(size)
+	if best != nil && ir.Kind == IRTreeAllReduce && ir.Bytes/4 >= int64(ranksOf(f)) {
+		trial(final.ChunkBytes, true)
+	}
+	// The plan keeps its ops and dependencies, not its stream table.
+	final.arena = newArena(ops, deps)
+	final.arena.streams = ar.streams
+	plan, err := ir.build(f, final, rooted)
+	if err == nil && best != nil {
+		best.order = append(make([]int32, 0, len(best.order)), best.order...)
+		plan.memo = best
+	}
+	return plan, err
 }
 
-// opArena is slab memory a plan's builder carves its ops from before
-// allocating its own (planBuilder.add).
+// opArena is memory a plan's builder carves its ops, their dependencies and
+// its stream table from before allocating its own (planBuilder.add), and
+// the simulator and launch order of a trial (PlanIR.tuned).
 type opArena struct {
-	ops  []simgpu.Op
-	ptrs []*simgpu.Op
+	ops     []simgpu.Op
+	ptrs    []*simgpu.Op
+	deps    []int
+	streams map[[6]int32]int
+	order   []int32
+	spare   []int32
+	sim     simgpu.Sim
 }
 
-func newArena(ops int) *opArena {
-	return &opArena{make([]simgpu.Op, 0, ops), make([]*simgpu.Op, 0, ops)}
+func newArena(ops, deps int) *opArena {
+	return &opArena{ops: make([]simgpu.Op, 0, ops), ptrs: make([]*simgpu.Op, 0, ops), deps: make([]int, 0, deps)}
 }
 
-// arenas keeps trial arenas between compiles, like a sync.Pool that a
+// fit returns the arena, or one grown to hold p when p outgrew it.
+func (a *opArena) fit(p *Plan) *opArena {
+	if ops, deps := p.size(); ops > cap(a.ops) || deps > cap(a.deps) {
+		grown, ops := *a, max(ops, cap(a.ops))
+		grown.ops, grown.ptrs, grown.deps = make([]simgpu.Op, 0, ops), make([]*simgpu.Op, 0, ops), make([]int, 0, max(deps, cap(a.deps)))
+		return &grown
+	}
+	return a
+}
+
+// size counts the plan's ops and their dependencies.
+func (p *Plan) size() (ops, deps int) {
+	for _, op := range p.Ops {
+		deps += len(op.Deps)
+	}
+	return len(p.Ops), deps
+}
+
+// arenas keeps a trial arena between compiles, like a sync.Pool that a
 // collection does not empty and whose per-processor caches do not miss when
 // a compile changes processor: either would cost a compile its arena anew.
 // It keeps two, one per concurrent compile on a two-core host, since each
-// holds the largest trial schedule it has seen (~340 KB at 3,565 ops).
+// holds the largest trial schedule it has seen and its simulator (~0.6 MB
+// at 3,565 ops).
 var arenas = make(chan *opArena, 2)
 
 // CodeGen regenerates a plan from its IR over the given fabric. It is a
@@ -269,47 +316,60 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 		opts = ir.Opts
 	)
 	opts.ChunkBytes = ResolveChunk(ir.Bytes, opts.ChunkBytes)
-	// An auto chunk stays 0 in the IR, so a decoded plan recomputes it here.
+	// An auto chunk stays 0 in the IR, so a decoded plan recomputes it, and
+	// the shape, here.
 	if passes := treePasses[ir.Kind]; passes > 0 && ir.Opts.ChunkBytes <= 0 && ir.Fabric != FabricSwitch {
-		opts.ChunkBytes, opts.arena = ir.faster(f, treeChunk(f, ir.Packings[0], ir.Bytes, passes))
-	}
-	switch ir.Kind {
-	case IRTreeBroadcast:
-		plan, err = BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, opts)
-	case IRTreeGather:
-		plan, err = BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
-	case IRTreeAllReduce, IRTreeAllGather:
-		plan, err = BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
-	case IRTreeReduce, IRTreeReduceScatter:
-		plan, _, err = BuildReducePlan(f, ir.Packings[0], ir.Bytes, opts)
-	case IRTreeScatter:
-		plan, err = BuildScatterPlan(f, ir.Packings[0], ir.Bytes, opts)
-	case IRTreeAllToAll:
-		packs := ir.Packings
-		plan, err = BuildAllToAllPlan(f, func(r int) (*Packing, error) {
-			if r < 0 || r >= len(packs) {
-				return nil, fmt.Errorf("core: IR has no packing for rank %d", r)
-			}
-			return packs[r], nil
-		}, ir.Bytes, opts)
-	case IRSendRecvChain:
-		plan, err = BuildSendRecvChainPlan(f, ir.Chain, ir.Bytes, opts)
-	case IRNeighborExchange:
-		plan, err = BuildNeighborExchangePlan(f, ir.Neighbors, ir.Bytes, opts)
-	case IRDGX2AllReduce:
-		plan, err = BuildDGX2AllReducePlan(f, ir.Packings, ir.Bytes, opts)
-	case IRRingBroadcast:
-		plan, err = BuildRingBroadcastPlan(f, ir.Fabric, ir.Root, ir.Bytes, opts)
-	case IRRingAllReduce:
-		plan, err = BuildRingAllReducePlan(f, ir.Fabric, ir.Bytes, opts)
-	case IRRingP2P:
-		plan, err = BuildRingP2PPlan(f, ir.Fabric, ir.Pairs, ir.Chained, opts)
-	case IRDBTreeAllReduce:
-		plan, err = BuildDBTreeAllReducePlan(f, ir.Bytes, opts)
+		plan, err = ir.tuned(f, opts, treeChunk(f, ir.Packings[0], ir.Bytes, passes))
+	} else {
+		plan, err = ir.build(f, opts, false)
 	}
 	if err != nil {
 		return nil, err
 	}
 	plan.IR = ir
 	return plan, nil
+}
+
+// build is CodeGen's dispatch on a validated IR, with its chunk resolved:
+// rooted picks the rank-rooted AllReduce.
+func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, rooted bool) (*Plan, error) {
+	switch ir.Kind {
+	case IRTreeBroadcast:
+		return BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, opts)
+	case IRTreeGather:
+		return BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
+	case IRTreeAllReduce, IRTreeAllGather:
+		if rooted {
+			return BuildRankRootedAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
+		}
+		return BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
+	case IRTreeReduce, IRTreeReduceScatter:
+		plan, _, err := BuildReducePlan(f, ir.Packings[0], ir.Bytes, opts)
+		return plan, err
+	case IRTreeScatter:
+		return BuildScatterPlan(f, ir.Packings[0], ir.Bytes, opts)
+	case IRTreeAllToAll:
+		packs := ir.Packings
+		return BuildAllToAllPlan(f, func(r int) (*Packing, error) {
+			if r < 0 || r >= len(packs) {
+				return nil, fmt.Errorf("core: IR has no packing for rank %d", r)
+			}
+			return packs[r], nil
+		}, ir.Bytes, opts)
+	case IRSendRecvChain:
+		return BuildSendRecvChainPlan(f, ir.Chain, ir.Bytes, opts)
+	case IRNeighborExchange:
+		return BuildNeighborExchangePlan(f, ir.Neighbors, ir.Bytes, opts)
+	case IRDGX2AllReduce:
+		return BuildDGX2AllReducePlan(f, ir.Packings, ir.Bytes, opts)
+	case IRRingBroadcast:
+		return BuildRingBroadcastPlan(f, ir.Fabric, ir.Root, ir.Bytes, opts)
+	case IRRingAllReduce:
+		return BuildRingAllReducePlan(f, ir.Fabric, ir.Bytes, opts)
+	case IRRingP2P:
+		return BuildRingP2PPlan(f, ir.Fabric, ir.Pairs, ir.Chained, opts)
+	case IRDBTreeAllReduce:
+		return BuildDBTreeAllReducePlan(f, ir.Bytes, opts)
+	}
+	return nil, fmt.Errorf("core: no builder for IR kind %v", ir.Kind)
 }

@@ -18,9 +18,9 @@ import (
 // A cluster schedule is ONE plan over one cluster-wide fabric
 // (NewClusterFabric). Each server's sub-plans are generated over the
 // server's own fabric, numbered from the cluster plan's next op, and appended
-// with their stream and link indices shifted, as MergePlans and
-// BuildHybridBroadcastPlan do; their Exec closures address the call's one
-// arena by global, server-major rank.
+// with their stream and link indices shifted, as BuildHybridBroadcastPlan
+// does; their Exec closures address the call's one arena by global,
+// server-major rank.
 //
 // The phases are pipelined chunk by chunk, as the paper's are. A dependency
 // across phases is decided by which float ranges overlap (span): a NIC chunk's
@@ -127,7 +127,7 @@ func (g *clusterGen) builder(si int, opts PlanOptions) *planBuilder {
 func (g *clusterGen) trees(si int, pk *Packing, off, n int, acc bool) (*treeGen, error) {
 	po := g.opts
 	po.OffsetFloats, po.BroadcastAcc = off, acc
-	return payloadGen(g.builder(si, po), pk, int64(n)*4)
+	return payloadGen(g.builder(si, po), pk, pk.Root, int64(n)*4)
 }
 
 // add appends a sub-plan whose ops were numbered from the cluster plan's next
@@ -197,17 +197,11 @@ func (t *treeGen) broadcastAfter(spans []span) {
 // exactly cover the payload (data mode depends on full coverage).
 func partitionPayload(totalFloats, parts int) (offs, ns []int) {
 	share := totalFloats / parts
-	offs = make([]int, parts)
-	ns = make([]int, parts)
-	off := 0
-	for p := 0; p < parts; p++ {
-		n := share
-		if p == parts-1 {
-			n = totalFloats - off
-		}
-		offs[p], ns[p] = off, n
-		off += n
+	offs, ns = make([]int, parts), make([]int, parts)
+	for p := range offs {
+		offs[p], ns[p] = p*share, share
 	}
+	ns[parts-1] = totalFloats - offs[parts-1]
 	return offs, ns
 }
 

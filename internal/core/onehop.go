@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"blink/internal/graph"
+	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
 
@@ -22,16 +23,9 @@ func OneHopTrees(t *topology.Topology, lg *graph.Graph) ([]*Packing, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("core: logical graph too small (%d vertices)", m)
 	}
-	// edge[u][v] = logical edge ID u->v.
-	edge := make([][]int, m)
-	for i := range edge {
-		edge[i] = make([]int, m)
-		for j := range edge[i] {
-			edge[i][j] = -1
-		}
-	}
+	edge := map[[2]int]int{} // (u, v) -> logical edge ID u->v
 	for _, e := range lg.Edges {
-		edge[e.From][e.To] = e.ID
+		edge[[2]int{e.From, e.To}] = e.ID
 	}
 	var out []*Packing
 	for root := 0; root < m; root++ {
@@ -41,8 +35,8 @@ func OneHopTrees(t *topology.Topology, lg *graph.Graph) ([]*Packing, error) {
 		// receiver at the same step (all-to-all staggering).
 		for i := 1; i < m; i++ {
 			leaf := (root + i) % m
-			id := edge[root][leaf]
-			if id < 0 {
+			id, ok := edge[[2]int{root, leaf}]
+			if !ok {
 				return nil, fmt.Errorf("core: logical graph missing edge %d->%d", root, leaf)
 			}
 			edges = append(edges, id)
@@ -60,4 +54,28 @@ func OneHopTrees(t *topology.Topology, lg *graph.Graph) ([]*Packing, error) {
 		})
 	}
 	return out, nil
+}
+
+// BuildDGX2AllReducePlan compiles Blink's DGX-2 AllReduce (§3.5): the
+// payload splits into one share per GPU; every GPU roots a one-hop
+// reduce-broadcast over its share, and all m root plans execute
+// concurrently through the switch fabric.
+func BuildDGX2AllReducePlan(f *simgpu.Fabric, packs []*Packing, bytes int64, opts PlanOptions) (*Plan, error) {
+	if len(packs) == 0 {
+		return nil, fmt.Errorf("core: no one-hop packings")
+	}
+	return newBuilder(f, opts).allReduceParts(bytes, len(packs), func(i int) (*Packing, int) { return packs[i], packs[i].Root })
+}
+
+// NewDGX2Runtime builds the logical graph, one-hop packings and switch
+// fabric for a DGX-2 in one call.
+func NewDGX2Runtime(cfg simgpu.Config) (*topology.Topology, *graph.Graph, []*Packing, *simgpu.Fabric, error) {
+	t := topology.DGX2()
+	lg := topology.DGX2Logical()
+	packs, err := OneHopTrees(t, lg)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	f := simgpu.NewSwitchFabric(t, lg, topology.DGX2LinksPerGPU, cfg)
+	return t, lg, packs, f, nil
 }

@@ -24,8 +24,11 @@ type PlanOptions struct {
 	// 0 is auto, which CodeGen resolves per kind: the tree Broadcast, Reduce
 	// and AllReduce kinds on NVLink or PCIe take whichever of the tree
 	// model's pick (treeChunk) and the next chunk up its grid simulates
-	// faster (PlanIR.faster), every other kind ResolveChunk's. A builder
-	// called directly takes 4 MiB.
+	// faster, and the AllReduce of at least a float per rank then takes the
+	// rank-rooted shape (BuildRankRootedAllReducePlan) at that chunk if it
+	// simulates strictly faster still (PlanIR.tuned); every other kind takes
+	// ResolveChunk's. An explicit chunk keeps the single-root AllReduce. A
+	// builder called directly takes 4 MiB.
 	ChunkBytes int64
 	// NoStreamReuse disables the §4.2.2 fair-sharing optimization that maps
 	// (link, hop-depth) pairs from different trees onto one stream.
@@ -41,7 +44,7 @@ type PlanOptions struct {
 	// phase 3: the value being broadcast is the reduced accumulator left by
 	// phase 2, not the original input.
 	BroadcastAcc bool
-	// arena, when set, lends the plan's builder its slabs (PlanIR.faster).
+	// arena, when set, lends the plan's builder its slabs (PlanIR.tuned).
 	arena *opArena
 }
 
@@ -137,6 +140,9 @@ type Plan struct {
 	// plan (multiserver.go), each with its own local root per server; zero on
 	// every other plan.
 	Partitions int
+	// memo, when set, is the simulation CodeGen's trials already ran of these
+	// very ops (PlanIR.tuned), which Freeze keeps instead of running again.
+	memo *simRun
 }
 
 // Execute runs the plan for timing and returns the simulated result. Any
@@ -153,54 +159,64 @@ func (p *Plan) ThroughputGBs() (float64, error) {
 	return float64(p.TotalBytes) / res.Makespan / 1e9, nil
 }
 
-// treeShape caches per-tree structure used by the generators.
+// treeShape is one tree as a schedule walks it, hung from a root.
 type treeShape struct {
-	parentEdge []int // vertex -> incoming tree edge (-1 at root)
-	children   map[int][]int
-	bfs        []int // vertices in BFS order from root
-	depth      []int // vertex depth
+	parentEdge []int   // vertex -> incoming tree edge (-1 at root)
+	children   [][]int // vertex -> its children, a run of bfs
+	bfs        []int   // vertices in BFS order from root
+	depth      []int   // vertex depth
+	// nparts counts, per vertex, the ranks whose partial sums reach it on the
+	// way up (partials).
+	nparts []int
 }
 
-// partials lists, per vertex, the ranks whose partial sums reach it on the
-// way up: its children, each relay among them (a PCIe switch or CPU, which
-// forwards data but cannot add) replaced by the ranks it forwards.
-func (s *treeShape) partials(ranks int) [][]int {
-	out := make([][]int, len(s.depth))
-	for i := len(s.bfs) - 1; i >= 0; i-- {
-		for _, c := range s.children[s.bfs[i]] {
-			if c < ranks {
-				out[s.bfs[i]] = append(out[s.bfs[i]], c)
-			} else {
-				out[s.bfs[i]] = append(out[s.bfs[i]], out[c]...)
+// shapeOf walks tree a's edges from root in BFS order, taking each vertex's
+// children in a's edge order, not vertex order: tree generators stagger
+// fan-out order (e.g. rotated one-hop trees on the DGX-2) to avoid convoying
+// concurrent trees on one receiver's link. Hung from another root than a's,
+// the walk crosses an edge against its direction over rev[edge]: the tree
+// re-oriented at root.
+func shapeOf(g *graph.Graph, a graph.Arborescence, root, ranks int, rev []int) (treeShape, error) {
+	n := g.N
+	if root < 0 || root >= n {
+		return treeShape{}, fmt.Errorf("core: tree root %d outside the graph", root)
+	}
+	ints := make([]int, 4*n)
+	s := treeShape{parentEdge: ints[:n:n], bfs: ints[n : n+1 : 2*n], depth: ints[2*n : 3*n : 3*n], nparts: ints[3*n:], children: make([][]int, n)}
+	for v := range s.depth {
+		s.depth[v] = -1
+	}
+	s.bfs[0], s.parentEdge[root], s.depth[root] = root, -1, 0
+	for i := 0; i < len(s.bfs); i++ {
+		v, first := s.bfs[i], len(s.bfs)
+		for _, id := range a.Edges {
+			if id < 0 || id >= len(g.Edges) {
+				return s, fmt.Errorf("core: tree references unknown edge %d", id)
+			}
+			c, e := -1, g.Edges[id]
+			if e.From == v && s.depth[e.To] < 0 {
+				c = e.To
+			} else if rev != nil && root != a.Root && e.To == v && s.depth[e.From] < 0 {
+				c, id = e.From, rev[id]
+			}
+			if c >= 0 {
+				s.parentEdge[c], s.depth[c] = id, s.depth[v]+1
+				s.bfs = append(s.bfs, c)
 			}
 		}
+		s.children[v] = s.bfs[first:len(s.bfs):len(s.bfs)]
 	}
-	return out
-}
-
-func shapeOf(g *graph.Graph, a graph.Arborescence) (*treeShape, error) {
-	parent, err := a.Parents(g)
-	if err != nil {
-		return nil, err
+	if len(s.bfs) != n || len(a.Edges) != n-1 {
+		return s, fmt.Errorf("core: tree does not span graph")
 	}
-	s := &treeShape{parentEdge: parent, children: map[int][]int{}, depth: make([]int, g.N)}
-	// Children follow the arborescence's edge order, not vertex order: tree
-	// generators stagger fan-out order (e.g. rotated one-hop trees on the
-	// DGX-2) to avoid convoying concurrent trees on one receiver's link.
-	for _, id := range a.Edges {
-		e := g.Edges[id]
-		s.children[e.From] = append(s.children[e.From], e.To)
-	}
-	s.bfs = append(s.bfs, a.Root)
-	for i := 0; i < len(s.bfs); i++ {
-		v := s.bfs[i]
-		for _, c := range s.children[v] {
-			s.depth[c] = s.depth[v] + 1
-			s.bfs = append(s.bfs, c)
+	for i := n - 1; i >= 0; i-- {
+		for _, c := range s.children[s.bfs[i]] {
+			if c < ranks {
+				s.nparts[s.bfs[i]]++
+			} else {
+				s.nparts[s.bfs[i]] += s.nparts[c]
+			}
 		}
-	}
-	if len(s.bfs) != g.N {
-		return nil, fmt.Errorf("core: tree does not span graph")
 	}
 	return s, nil
 }
@@ -238,24 +254,24 @@ func ranksOf(f *simgpu.Fabric) int {
 // same type (physical links are bidirectional). Parallel reverse edges are
 // assigned round-robin so multi-link pairs spread load.
 func reverseEdges(g *graph.Graph) ([]int, error) {
-	type key struct {
-		from, to int
-		ty       graph.EdgeType
-	}
-	pool := map[key][]int{}
-	for _, e := range g.Edges {
-		pool[key{e.From, e.To, e.Type}] = append(pool[key{e.From, e.To, e.Type}], e.ID)
-	}
-	next := map[key]int{}
 	rev := make([]int, len(g.Edges))
 	for _, e := range g.Edges {
-		k := key{e.To, e.From, e.Type}
-		cands := pool[k]
+		var buf [8]int
+		cands, k := buf[:0], 0 // e's reverses by ID; e is the k-th of its own kind
+		for _, id := range g.Out(e.To) {
+			if f := g.Edges[id]; f.To == e.From && f.Type == e.Type {
+				cands = append(cands, id)
+			}
+		}
+		for _, id := range g.Out(e.From) {
+			if f := g.Edges[id]; f.To == e.To && f.Type == e.Type && id < e.ID {
+				k++
+			}
+		}
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("core: edge %d->%d has no reverse link", e.From, e.To)
 		}
-		rev[e.ID] = cands[next[k]%len(cands)]
-		next[k]++
+		rev[e.ID] = cands[k%len(cands)]
 	}
 	return rev, nil
 }
@@ -314,7 +330,10 @@ type planBuilder struct {
 	g       *graph.Graph
 	opts    PlanOptions
 	ops     []*simgpu.Op
-	streams map[[5]int]int
+	streams map[[6]int32]int
+	// part keys the streams of the payload partition being emitted, so the
+	// partitions of one schedule (allReduceParts) share links, not streams.
+	part int
 	// slab and depSlab back the ops and their Deps (add), so a plan's op
 	// table costs a few large allocations, not two per op.
 	slab    []simgpu.Op
@@ -328,6 +347,8 @@ type planBuilder struct {
 	// ops the same way: the first op is opBase, so a cluster sub-plan's
 	// dependencies are indices into the cluster plan it is appended to.
 	rankBase, relayBase, opBase int
+	// rev is the graph's reverseEdges, once a generator needs it.
+	rev []int
 }
 
 // dev maps a vertex of the builder's fabric to its device in the call's arena.
@@ -340,11 +361,25 @@ func (b *planBuilder) dev(v int) int {
 
 func newBuilder(f *simgpu.Fabric, opts PlanOptions) *planBuilder {
 	opts.setDefaults()
-	b := &planBuilder{f: f, g: f.Graph, opts: opts, streams: map[[5]int]int{}}
+	b := &planBuilder{f: f, g: f.Graph, opts: opts}
 	if a := opts.arena; a != nil {
-		b.slab, b.ops, b.opts.arena = a.ops[:0], a.ptrs[:0], nil
+		if a.streams == nil {
+			a.streams = map[[6]int32]int{}
+		}
+		clear(a.streams)
+		b.slab, b.ops, b.depSlab, b.streams, b.opts.arena = a.ops[:0], a.ptrs[:0], a.deps[:0], a.streams, nil
+	} else {
+		b.streams = map[[6]int32]int{}
 	}
 	return b
+}
+
+// reverse returns the graph's reverseEdges, computed once per builder.
+func (b *planBuilder) reverse() (rev []int, err error) {
+	if b.rev == nil {
+		b.rev, err = reverseEdges(b.g)
+	}
+	return b.rev, err
 }
 
 // plan closes the builder into the schedule it accumulated.
@@ -363,14 +398,15 @@ func (b *planBuilder) stream(phase, tree, link, depth, leg int) int {
 	return b.streamFor([5]int{phase, -1, link, depth, leg})
 }
 
-// streamFor numbers stream keys in first-use order. Tree schedules key by
-// stream's (phase, tree, link, depth, leg), ring schedules by (ring, hop,
-// leg, phase); one plan never mixes the two.
+// streamFor numbers stream keys, per partition, in first-use order. Tree
+// schedules key by stream's (phase, tree, link, depth, leg), ring schedules
+// by (ring, hop, leg, phase); one plan never mixes the two.
 func (b *planBuilder) streamFor(key [5]int) int {
-	id, ok := b.streams[key]
+	k := [6]int32{int32(b.part), int32(key[0]), int32(key[1]), int32(key[2]), int32(key[3]), int32(key[4])}
+	id, ok := b.streams[k]
 	if !ok {
 		id = len(b.streams)
-		b.streams[key] = id
+		b.streams[k] = id
 	}
 	return id
 }
@@ -544,26 +580,35 @@ func (b *planBuilder) copyExec(src, dst, srcTag, dstTag, off, n, bufLen int) Exe
 }
 
 // reduceExec builds rank v's reduction kernel for floats [off,off+n): v's
-// input plus each partial sum that reaches it (parts[v]), in order, read in
+// input plus each partial sum that reaches it (partials), in order, read in
 // place — an interior rank's BufAcc, a leaf's BufData. That is sound because
 // a leaf's input is never written in a reduce-class plan, and an interior
 // rank's chunk is final once its upward send is (the send waits for the
 // rank's own reduce) and nothing writes it again until the broadcast phase
 // copies the result back down — a copy that waits, through the root's reduce
 // of the same chunk, for this one.
-func (t *treeGen) reduceExec(parts [][]int, v, off, n int) Exec {
+func (t *treeGen) reduceExec(s *treeShape, v, off, n int) Exec {
 	if !t.opts.DataMode {
 		return nil
 	}
-	srcs := []BufRef{{t.dev(v), BufData}}
-	for _, r := range parts[v] {
-		src := BufRef{t.dev(r), BufData}
-		if len(parts[r]) > 0 {
-			src.Tag = BufAcc
+	return ReduceKernel(t.partials([]BufRef{{t.dev(v), BufData}}, s, v), off, n, t.bufLen)
+}
+
+// partials appends to srcs the partial sums that reach v on the way up: its
+// children's, each relay among them (a PCIe switch or CPU, which forwards
+// data but cannot add) replaced by those of the ranks it forwards.
+func (t *treeGen) partials(srcs []BufRef, s *treeShape, v int) []BufRef {
+	for _, c := range s.children[v] {
+		switch {
+		case c >= t.ranks:
+			srcs = t.partials(srcs, s, c)
+		case s.nparts[c] > 0:
+			srcs = append(srcs, BufRef{t.dev(c), BufAcc})
+		default:
+			srcs = append(srcs, BufRef{t.dev(c), BufData})
 		}
-		srcs = append(srcs, src)
 	}
-	return ReduceKernel(srcs, off, n, t.bufLen)
+	return srcs
 }
 
 // phase identifiers for stream keys.
@@ -574,32 +619,37 @@ const (
 )
 
 // treeGen is the opening every tree generator shares (§4.1): a builder, the
-// packing's per-tree shapes, each tree's weighted region of the payload it
-// splits, and the chunk count of the longest region. Three emitters run over
-// it: the down-tree broadcast, the up-tree reduce, and the shard
-// scatter/gather.
+// packing's trees hung from the generator's root, each tree's weighted
+// region of the payload it splits, and the chunk count of the longest
+// region. Three emitters run over it: the down-tree broadcast, the up-tree
+// reduce, and the shard scatter/gather.
 type treeGen struct {
 	*planBuilder
-	p          *Packing
-	shapes     []*treeShape
-	regions    []region
-	chunkBytes int64
-	maxChunks  int
+	root, ranks int
+	shapes      []treeShape
+	regions     []region
+	chunkBytes  int64
+	maxChunks   int
 	// bufLen is the length of the arena buffers the emitted Execs address.
 	bufLen int
 }
 
 // newTreeGen splits floats [base, base+floats) across p's trees by weight,
-// each share chunked by chunkBytes.
-func newTreeGen(b *planBuilder, p *Packing, base, floats int, chunkBytes int64, bufLen int) (*treeGen, error) {
-	t := &treeGen{planBuilder: b, p: p, chunkBytes: chunkBytes, bufLen: bufLen,
-		shapes: make([]*treeShape, len(p.Trees)), regions: splitRegions(p.Trees, base, floats, chunkBytes)}
-	for i, tr := range p.Trees {
-		s, err := shapeOf(b.g, tr.Arbo)
-		if err != nil {
-			return nil, err
-		}
-		t.shapes[i] = s
+// each share chunked by chunkBytes, and hangs every tree from root: p's own
+// root, or any rank for a tree re-oriented there (shapeOf).
+func newTreeGen(b *planBuilder, p *Packing, root, base, floats int, chunkBytes int64, bufLen int) (*treeGen, error) {
+	t := &treeGen{planBuilder: b, root: root, ranks: ranksOf(b.f), chunkBytes: chunkBytes, bufLen: bufLen,
+		shapes: make([]treeShape, len(p.Trees)), regions: splitRegions(p.Trees, base, floats, chunkBytes)}
+	var rev []int
+	var err error
+	if root != p.Root {
+		rev, err = b.reverse()
+	}
+	for i := 0; i < len(p.Trees) && err == nil; i++ {
+		t.shapes[i], err = shapeOf(b.g, p.Trees[i].Arbo, root, t.ranks, rev)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, r := range t.regions {
 		t.maxChunks = max(t.maxChunks, r.chunks)
@@ -609,13 +659,14 @@ func newTreeGen(b *planBuilder, p *Packing, base, floats int, chunkBytes int64, 
 
 // payloadGen opens a generator for the builders whose every tree edge
 // carries the tree's whole share of the payload (Broadcast, Reduce,
-// AllReduce), over the plan's region [OffsetFloats, OffsetFloats+bytes/4).
-func payloadGen(b *planBuilder, p *Packing, bytes int64) (*treeGen, error) {
+// AllReduce), over the plan's region [OffsetFloats, OffsetFloats+bytes/4),
+// with p's trees hung from root.
+func payloadGen(b *planBuilder, p *Packing, root int, bytes int64) (*treeGen, error) {
 	totalFloats := int(bytes / 4)
 	if totalFloats <= 0 {
 		return nil, fmt.Errorf("core: payload too small (%d bytes)", bytes)
 	}
-	return newTreeGen(b, p, b.opts.OffsetFloats, totalFloats, b.opts.ChunkBytes, b.opts.OffsetFloats+totalFloats)
+	return newTreeGen(b, p, root, b.opts.OffsetFloats, totalFloats, b.opts.ChunkBytes, b.opts.OffsetFloats+totalFloats)
 }
 
 // rankSubtrees returns, per tree, every vertex's subtree ranks: the shards a
@@ -633,13 +684,7 @@ func (t *treeGen) rankSubtrees(ranks int) [][][]int {
 // by weight, each tree's share is chunked, and chunk k on an edge depends
 // on chunk k arriving at the edge's source (pipelined forwarding, Fig 11).
 func BuildBroadcastPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	return newBuilder(f, opts).broadcast(p, bytes)
-}
-
-// broadcast is BuildBroadcastPlan over an open builder — the cluster
-// builders open theirs with a rank base.
-func (b *planBuilder) broadcast(p *Packing, bytes int64) (*Plan, error) {
-	t, err := payloadGen(b, p, bytes)
+	t, err := payloadGen(newBuilder(f, opts), p, p.Root, bytes)
 	if err != nil {
 		return nil, err
 	}
@@ -662,19 +707,17 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 		tag = BufAcc // AllReduce (and phase 3) broadcast the reduced accumulator
 	}
 	for k := 0; k < t.maxChunks; k++ {
-		for ti, s := range t.shapes {
+		for ti := range t.shapes {
 			if k >= t.regions[ti].chunks {
 				continue
 			}
+			s := &t.shapes[ti]
 			off, n := t.regions[ti].chunkSpan(k, t.chunkBytes)
-			for _, v := range s.bfs {
-				if v == t.p.Root {
-					continue
-				}
+			for _, v := range s.bfs[1:] {
 				eid := s.parentEdge[v]
 				e := t.g.Edges[eid]
 				deps = deps[:0]
-				if e.From != t.p.Root {
+				if e.From != t.root {
 					deps = append(deps, sent[e.From])
 				} else if rootDeps != nil {
 					deps = append(deps, rootDeps[ti][k]...)
@@ -694,12 +737,7 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 // partial result (reduce+forward, §2.2). The returned plan's final ops per
 // (tree, chunk) are recorded in RootReduceOps for chaining by AllReduce.
 func BuildReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, [][][]int, error) {
-	return newBuilder(f, opts).reduce(p, bytes)
-}
-
-// reduce is BuildReducePlan over an open builder.
-func (b *planBuilder) reduce(p *Packing, bytes int64) (*Plan, [][][]int, error) {
-	t, err := payloadGen(b, p, bytes)
+	t, err := payloadGen(newBuilder(f, opts), p, p.Root, bytes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -714,33 +752,36 @@ func (b *planBuilder) reduce(p *Packing, bytes int64) (*Plan, [][][]int, error) 
 // the op indices whose completion means the root holds the full reduction
 // of that tree's chunk.
 func (t *treeGen) emitReduce() ([][][]int, error) {
-	rev, err := reverseEdges(t.g)
+	rev, err := t.reverse()
 	if err != nil {
 		return nil, err
 	}
-	rootOps := make([][][]int, len(t.shapes))
-	for i := range rootOps {
-		rootOps[i] = make([][]int, t.regions[i].chunks)
+	// Every (tree, chunk)'s list is a run of one backing array, usually the
+	// root's one reduce.
+	total := 0
+	for _, r := range t.regions {
+		total += r.chunks
+	}
+	rootOps, lists, flat := make([][][]int, len(t.shapes)), make([][]int, total), make([]int, 0, total)
+	for i, r := range t.regions {
+		rootOps[i], lists = lists[:r.chunks:r.chunks], lists[r.chunks:]
 	}
 	upSend := make([]int, t.g.N) // op index of v's upward send of the current chunk
-	ranks, parts := ranksOf(t.f), make([][][]int, len(t.shapes))
-	for i, s := range t.shapes {
-		parts[i] = s.partials(ranks)
-	}
 	var deps []int
 	for k := 0; k < t.maxChunks; k++ {
-		for ti, s := range t.shapes {
+		for ti := range t.shapes {
 			if k >= t.regions[ti].chunks {
 				continue
 			}
+			s := &t.shapes[ti]
 			off, n := t.regions[ti].chunkSpan(k, t.chunkBytes)
 			// Deepest-first: children's sends exist before parents reduce.
 			for i := len(s.bfs) - 1; i >= 0; i-- {
 				v := s.bfs[i]
-				ps := parts[ti][v]
+				parts := s.nparts[v]
 				deps = deps[:0]
 				for _, c := range s.children[v] {
-					if c < ranks || len(parts[ti][c]) > 0 {
+					if c < t.ranks || s.nparts[c] > 0 {
 						deps = append(deps, upSend[c])
 					}
 				}
@@ -748,27 +789,29 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 				// every partial sum that reached it with its own data, as a
 				// real implementation would (one kernel launch, not one per
 				// child).
-				if v < ranks && len(ps) > 0 {
+				if v < t.ranks && parts > 0 {
 					reduced := t.add(simgpu.Op{
 						Stream:   t.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
 						Link:     t.f.ReduceLink(v),
-						Bytes:    int64(n) * 4 * int64(len(ps)),
+						Bytes:    int64(n) * 4 * int64(parts),
 						Overhead: t.f.Cfg.ReduceOverhead,
-						Exec:     t.reduceExec(parts[ti], v, off, n),
+						Exec:     t.reduceExec(s, v, off, n),
 						Tag:      opTag(tagReduce, ti, k, v, 0),
 					}, deps...)
 					deps = append(deps[:0], reduced)
 				}
-				if v == t.p.Root {
-					rootOps[ti][k] = append([]int(nil), deps...)
+				if v == t.root {
+					at := len(flat)
+					flat = append(flat, deps...)
+					rootOps[ti][k] = flat[at:len(flat):len(flat)]
 					continue
 				}
 				// Upward send from v to its parent over the reverse link: a
 				// rank's one chunk, a relay's every partial it forwards. It
 				// moves no data: the reduce above reads each in place.
 				bytes := int64(n) * 4
-				if v >= ranks {
-					bytes *= int64(len(ps))
+				if v >= t.ranks {
+					bytes *= int64(parts)
 				}
 				if bytes > 0 {
 					upE := rev[s.parentEdge[v]]
@@ -786,17 +829,46 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 // the other direction, chained per chunk so the broadcast of chunk k starts
 // as soon as the root finishes reducing chunk k.
 func BuildAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
-	t, err := payloadGen(newBuilder(f, opts), p, bytes)
-	if err != nil {
-		return nil, err
+	return newBuilder(f, opts).allReduceParts(bytes, 1, func(int) (*Packing, int) { return p, p.Root })
+}
+
+// allReduceParts emits an AllReduce of bytes cut into parts partitions
+// (partitionPayload): partition i reduces to and broadcasts from the root
+// part(i) names, over that packing's trees, and the partitions share the
+// schedule's links but not its streams. It is the one emitter of every tree
+// AllReduce: the single-root one, the rank-rooted one, the DGX-2 one-hop one
+// and the double binary trees.
+func (b *planBuilder) allReduceParts(bytes int64, parts int, part func(i int) (*Packing, int)) (*Plan, error) {
+	offs, ns := partitionPayload(int(bytes/4), parts)
+	if ns[0] == 0 {
+		return nil, fmt.Errorf("core: payload %d too small for %d partitions", bytes, parts)
 	}
-	rootOps, err := t.emitReduce()
-	if err != nil {
-		return nil, err
+	base := b.opts.OffsetFloats
+	for i, off := range offs {
+		b.part, b.opts.OffsetFloats = i, base+off
+		p, root := part(i)
+		t, err := payloadGen(b, p, root, int64(ns[i])*4)
+		var rootOps [][][]int
+		if err == nil {
+			rootOps, err = t.emitReduce()
+		}
+		if err != nil {
+			return nil, err
+		}
+		t.opts.BroadcastAcc = true
+		t.emitBroadcast(rootOps)
 	}
-	t.opts.BroadcastAcc = true
-	t.emitBroadcast(rootOps)
-	return t.plan(bytes / 4 * 4), nil
+	return b.plan(bytes / 4 * 4), nil
+}
+
+// BuildRankRootedAllReducePlan compiles the rank-rooted AllReduce: the
+// payload splits into one slice per rank, and slice r reduces to rank r and
+// broadcasts from it over p's trees, each re-oriented to hang from r. Where
+// every vertex reduces, each tree edge still carries each slice once each
+// way, so every link moves what the single-root schedule moves; the
+// pipelines are shallower, as no slice funnels through p's root.
+func BuildRankRootedAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
+	return newBuilder(f, opts).allReduceParts(bytes, ranksOf(f), func(r int) (*Packing, int) { return p, r })
 }
 
 // BuildGatherPlan compiles a many-to-one gather: within each tree, a vertex
@@ -814,11 +886,11 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 	}
 	perVertex := totalFloats / n
 	b := newBuilder(f, opts)
-	t, err := newTreeGen(b, p, 0, perVertex, b.opts.ChunkBytes, perVertex*n)
+	t, err := newTreeGen(b, p, p.Root, 0, perVertex, b.opts.ChunkBytes, perVertex*n)
 	if err != nil {
 		return nil, err
 	}
-	rev, err := reverseEdges(b.g)
+	rev, err := b.reverse()
 	if err != nil {
 		return nil, err
 	}
@@ -834,11 +906,8 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 			for vi := range upSend {
 				upSend[vi] = -1
 			}
-			for i := len(s.bfs) - 1; i >= 0; i-- {
+			for i := len(s.bfs) - 1; i > 0; i-- { // bfs[0] is the root
 				v := s.bfs[i]
-				if v == p.Root {
-					continue
-				}
 				shards := subVerts[ti][v]
 				if len(shards) == 0 {
 					continue // relay-only subtree: nothing to gather
@@ -894,7 +963,7 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 	// (a cluster's one-GPU server) fans out to nobody.
 	unit := b.opts.ChunkBytes / int64(max(n-1, 1))
 	chunkBytes := max(unit-unit%4, 4)
-	t, err := newTreeGen(b, pk, 0, perVertex, chunkBytes, bufLen)
+	t, err := newTreeGen(b, pk, pk.Root, 0, perVertex, chunkBytes, bufLen)
 	if err != nil {
 		return err
 	}
@@ -909,10 +978,7 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 			soff, nfl := t.regions[ti].chunkSpan(k, chunkBytes)
 			// A vertex with shards has a parent with shards, whose delivery
 			// BFS order has already set in sent.
-			for _, v := range s.bfs {
-				if v == pk.Root {
-					continue
-				}
+			for _, v := range s.bfs[1:] {
 				shards := subVerts[ti][v]
 				if len(shards) == 0 {
 					continue // relay-only subtree: nothing to deliver below

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blink/internal/simgpu"
@@ -69,43 +69,37 @@ func TestBroadcastPlanDataCorrectness(t *testing.T) {
 }
 
 func TestAllReducePlanDataCorrectness(t *testing.T) {
-	allocs := [][]int{
-		{0, 1, 2, 3, 4, 5, 6, 7},
-		{1, 4, 5, 6},
-		{5, 6, 7},
-		{2, 3, 6, 7},
-	}
-	for _, devs := range allocs {
+	for _, devs := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {1, 4, 5, 6}, {5, 6, 7}, {2, 3, 6, 7}} {
 		f, p := fabricFor(t, topology.DGX1V(), devs, true)
-		const bytes = 1 << 14
-		n := bytes / 4
-		rng := rand.New(rand.NewSource(int64(len(devs))))
-		bufs := simgpu.NewBufferSet()
-		want := make([]float32, n)
-		for v := 0; v < f.Graph.N; v++ {
-			in := make([]float32, n)
-			for i := range in {
-				in[i] = float32(rng.Intn(100)) // integers: exact float addition
-			}
-			bufs.SetBuffer(v, BufData, in)
-			for i := range want {
-				want[i] += in[i]
-			}
-		}
-		plan, err := BuildAllReducePlan(f, p, bytes, PlanOptions{ChunkBytes: 2048, DataMode: true})
+		plan, err := BuildAllReducePlan(f, p, 1<<14, PlanOptions{ChunkBytes: 2048, DataMode: true})
 		if err != nil {
 			t.Fatalf("%v: %v", devs, err)
 		}
-		if _, err := plan.Freeze().ReplayData(bufs); err != nil {
-			t.Fatalf("%v: %v", devs, err)
+		checkAllReduceData(t, plan, f.Graph.N, 1<<12, int64(len(devs)))
+	}
+}
+
+// checkAllReduceData replays a data-mode AllReduce plan of n floats on
+// integer inputs, so every summation order is exact, and fails unless every
+// one of the ranks ends with their sum.
+func checkAllReduceData(t *testing.T, plan *Plan, ranks, n int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	bufs, want := simgpu.NewBufferSet(), make([]float32, n)
+	for v := 0; v < ranks; v++ {
+		in := make([]float32, n)
+		for i := range in {
+			in[i] = float32(rng.Intn(64))
+			want[i] += in[i]
 		}
-		for v := 0; v < f.Graph.N; v++ {
-			got := bufs.Buffer(v, BufAcc, n)
-			for i := range want {
-				if math.Abs(float64(got[i]-want[i])) > 1e-3 {
-					t.Fatalf("alloc %v device %d float %d = %v, want %v", devs, v, i, got[i], want[i])
-				}
-			}
+		bufs.SetBuffer(v, BufData, in)
+	}
+	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < ranks; v++ {
+		if got := bufs.Buffer(v, BufAcc, n); !slices.Equal(got, want) {
+			t.Fatalf("rank %d of %d ends with a result that is not the sum of the inputs", v, ranks)
 		}
 	}
 }
@@ -258,36 +252,11 @@ func TestDGX2AllReduceDataCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bytes = 16 << 10
-	n := bytes / 4
-	rng := rand.New(rand.NewSource(5))
-	bufs := simgpu.NewBufferSet()
-	want := make([]float32, n)
-	for v := 0; v < lg.N; v++ {
-		in := make([]float32, n)
-		for i := range in {
-			in[i] = float32(rng.Intn(50))
-		}
-		bufs.SetBuffer(v, BufData, in)
-		for i := range want {
-			want[i] += in[i]
-		}
-	}
-	plan, err := BuildDGX2AllReducePlan(f, packs, bytes, PlanOptions{ChunkBytes: 1024, DataMode: true})
+	plan, err := BuildDGX2AllReducePlan(f, packs, 16<<10, PlanOptions{ChunkBytes: 1024, DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < lg.N; v++ {
-		got := bufs.Buffer(v, BufAcc, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("device %d float %d = %v, want %v", v, i, got[i], want[i])
-			}
-		}
-	}
+	checkAllReduceData(t, plan, lg.N, 4<<10, 5)
 }
 
 func TestSplitRegionsRemainderToHeaviest(t *testing.T) {

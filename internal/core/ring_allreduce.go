@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"blink/internal/simgpu"
-)
+import "blink/internal/simgpu"
 
 // Ring AllReduce (reduce-scatter followed by all-gather), the
 // bandwidth-optimal algorithm NCCL runs on large payloads: with N ranks the
@@ -25,9 +21,9 @@ func BuildRingAllReducePlan(f *simgpu.Fabric, plane FabricSel, bytes int64, opts
 func buildRingAllReduce(f *simgpu.Fabric, lrs []logicalRing, bytes int64, opts PlanOptions) (*Plan, error) {
 	totalFloats := int(bytes / 4)
 	n := len(lrs[0].verts)
-	if totalFloats < n*len(lrs) {
-		return nil, fmt.Errorf("ring: payload %d too small for %d segments x %d rings", bytes, n, len(lrs))
-	}
+	// A payload short of a float per segment of every ring runs on fewer
+	// rings, down to one whose segments may be empty.
+	lrs = lrs[:max(1, min(len(lrs), totalFloats/n))]
 	b := newBuilder(f, opts)
 
 	share := totalFloats / len(lrs)

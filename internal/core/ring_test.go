@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"blink/internal/simgpu"
@@ -137,39 +136,14 @@ func TestRingAllReduceData(t *testing.T) {
 	for _, devs := range [][]int{{0, 1, 2, 3}, {0, 1, 2, 3, 4, 5, 6, 7}} {
 		ind, _ := induced(t, devs)
 		f := simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{DataMode: true})
-		rings := FindRings(ind.GPUGraph())
-		if len(rings) == 0 {
+		if len(FindRings(ind.GPUGraph())) == 0 {
 			t.Fatalf("no rings for %v", devs)
 		}
-		const n = 2048
-		bufs := simgpu.NewBufferSet()
-		want := make([]float32, n)
-		rng := rand.New(rand.NewSource(9))
-		for v := 0; v < len(devs); v++ {
-			in := make([]float32, n)
-			for i := range in {
-				in[i] = float32(rng.Intn(64))
-			}
-			bufs.SetBuffer(v, BufData, in)
-			for i := range want {
-				want[i] += in[i]
-			}
-		}
-		plan, err := BuildRingAllReducePlan(f, FabricNVLink, n*4, PlanOptions{DataMode: true})
+		plan, err := BuildRingAllReducePlan(f, FabricNVLink, 2048*4, PlanOptions{DataMode: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plan.Freeze().ReplayData(bufs); err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < len(devs); v++ {
-			got := bufs.Buffer(v, BufAcc, n)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("devs %v device %d float %d = %v, want %v", devs, v, i, got[i], want[i])
-				}
-			}
-		}
+		checkAllReduceData(t, plan, len(devs), 2048, 9)
 	}
 }
 
@@ -199,34 +173,11 @@ func TestPCIeAllReduceData(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := simgpu.NewFabric(ind, ind.PCIeGraph(), simgpu.Config{DataMode: true})
-	const n = 1024
-	bufs := simgpu.NewBufferSet()
-	want := make([]float32, n)
-	for v := 0; v < 3; v++ {
-		in := make([]float32, n)
-		for i := range in {
-			in[i] = float32(v + 1)
-		}
-		bufs.SetBuffer(v, BufData, in)
-		for i := range want {
-			want[i] += in[i]
-		}
-	}
-	plan, err := BuildRingAllReducePlan(f, FabricPCIe, n*4, PlanOptions{DataMode: true})
+	plan, err := BuildRingAllReducePlan(f, FabricPCIe, 1024*4, PlanOptions{DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 3; v++ {
-		got := bufs.Buffer(v, BufAcc, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("device %d float %d = %v, want %v", v, i, got[i], want[i])
-			}
-		}
-	}
+	checkAllReduceData(t, plan, 3, 1024, 3)
 }
 
 func TestDoubleBinaryTrees(t *testing.T) {
@@ -255,37 +206,12 @@ func TestDoubleBinaryTrees(t *testing.T) {
 }
 
 func TestDBTreeAllReduceDGX2(t *testing.T) {
-	topo := topology.DGX2()
-	lg := topology.DGX2Logical()
-	f := simgpu.NewSwitchFabric(topo, lg, topology.DGX2LinksPerGPU, simgpu.Config{DataMode: true})
-	const n = 4096
-	bufs := simgpu.NewBufferSet()
-	want := make([]float32, n)
-	for v := 0; v < 16; v++ {
-		in := make([]float32, n)
-		for i := range in {
-			in[i] = float32(v)
-		}
-		bufs.SetBuffer(v, BufData, in)
-		for i := range want {
-			want[i] += in[i]
-		}
-	}
-	plan, err := BuildDBTreeAllReducePlan(f, n*4, PlanOptions{ChunkBytes: 2048, DataMode: true})
+	f := simgpu.NewSwitchFabric(topology.DGX2(), topology.DGX2Logical(), topology.DGX2LinksPerGPU, simgpu.Config{DataMode: true})
+	plan, err := BuildDBTreeAllReducePlan(f, 4096*4, PlanOptions{ChunkBytes: 2048, DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 16; v++ {
-		got := bufs.Buffer(v, BufAcc, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("device %d float %d = %v, want %v", v, i, got[i], want[i])
-			}
-		}
-	}
+	checkAllReduceData(t, plan, 16, 4096, 16)
 }
 
 func TestSwitchRingAllReduceDGX2(t *testing.T) {

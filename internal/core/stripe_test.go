@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -127,6 +129,11 @@ func stripePlans(t *testing.T) []stripePlan {
 	}
 	for _, sm := range []stripeMachine{dgx1p, dgx1v, hub} {
 		plans = append(plans, sm.rings()...)
+	}
+	for _, sm := range []stripeMachine{dgx1v, hub} {
+		plans = append(plans, stripePlan{name: sm.name + "/RankRootedAllReduce", ranks: len(sm.packs), build: func() (*core.Plan, error) {
+			return core.BuildRankRootedAllReducePlan(sm.f, sm.packs[0], stripeFloats*4, core.PlanOptions{DataMode: true, ChunkBytes: stripeChunk, NoStreamReuse: true})
+		}})
 	}
 	plans = append(plans, stripePlan{name: "dgx1v/HybridBroadcast", ranks: 8, build: func() (*core.Plan, error) {
 		// The default chunk: the split is calibrated on 64 MB probe runs.
@@ -386,5 +393,69 @@ func TestStripedReplayManifestFirstUse(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRankRootedShape: an auto chunk takes the rank-rooted AllReduce where
+// it simulates strictly faster than the single-root schedule at the same
+// chunk — the full DGX-1V's NVLink at 1 MiB, DGX-1V [0 1 6]'s PCIe plane at
+// 16 MiB — and keeps the single-root schedule, op for op, where it does not
+// (the full DGX-1V at 64 MiB) or cannot (a float short of one per rank). A
+// winner's data schedule, at 1 MiB on both planes, leaves every rank the
+// sum of the inputs under random launch orders.
+func TestRankRootedShape(t *testing.T) {
+	nvl := newStripeMachine(t, "dgx1v", topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
+	pcie := newStripeMachine(t, "dgx1v-0-1-6-pcie", topology.DGX1V(), []int{0, 1, 6}, core.FabricPCIe, simgpu.Config{})
+	compile := func(sm stripeMachine, bytes, chunk int64, data bool) (plan *core.Plan, rooted bool, bcast int64, at float64) {
+		plan, err := core.CodeGen(&core.PlanIR{Kind: core.IRTreeAllReduce, Fabric: sm.plane, Bytes: bytes, Packings: sm.packs[:1],
+			Opts: core.PlanOptions{ChunkBytes: chunk, DataMode: data, NoStreamReuse: true}}, sm.f)
+		res, err2 := plan.Execute()
+		if err != nil || err2 != nil {
+			t.Fatal(sm.name, bytes, err, err2)
+		}
+		for _, op := range plan.Ops { // only a rank-rooted slice is broadcast into rank 0
+			if label := core.OpLabel(op); strings.HasPrefix(label, "bcast") {
+				rooted, bcast = rooted || strings.HasSuffix(label, "->0"), max(bcast, op.Bytes)
+			}
+		}
+		return plan, rooted, bcast, res.Makespan
+	}
+	for _, c := range []struct {
+		sm     stripeMachine
+		bytes  int64
+		rooted bool
+	}{{nvl, 1 << 20, true}, {pcie, 16 << 20, true}, {nvl, 64 << 20, false}, {nvl, 7 * 4, false}} {
+		auto, rooted, chunk, at := compile(c.sm, c.bytes, 0, false)
+		single, _, _, singleAt := compile(c.sm, c.bytes, chunk, false)
+		same := slices.EqualFunc(auto.Ops, single.Ops, func(a, b *simgpu.Op) bool {
+			return a.Link == b.Link && a.Stream == b.Stream && a.Bytes == b.Bytes && slices.Equal(a.Deps, b.Deps)
+		})
+		if rooted != c.rooted || rooted && at >= singleAt || !rooted && (at != singleAt || !same) {
+			t.Fatalf("%s %d B: rank-rooted %v at %v s, single root at the same chunk %v s", c.sm.name, c.bytes, rooted, at, singleAt)
+		}
+	}
+	for _, sm := range []stripeMachine{nvl, pcie} {
+		plan, rooted, _, _ := compile(sm, 1<<20, 0, true)
+		ranks, n := len(sm.packs), 1<<18
+		for seed := int64(1); seed <= 3 && rooted; seed++ {
+			bufs, want := simgpu.NewBufferSet(), make([]float32, n)
+			for v := 0; v < ranks; v++ {
+				in := make([]float32, n)
+				for i := range in {
+					in[i] = float32((v*7 + i) % 61)
+					want[i] += in[i]
+				}
+				bufs.SetBuffer(v, core.BufData, in)
+			}
+			shuffledReplay(plan.Ops, bufs, seed)
+			for v := 0; v < ranks; v++ {
+				if !slices.Equal(bufs.Buffer(v, core.BufAcc, n), want) {
+					t.Fatalf("%s random order %d: rank %d does not end with the sum", sm.name, seed, v)
+				}
+			}
+		}
+		if !rooted {
+			t.Fatalf("%s 1 MiB data plan is not rank-rooted", sm.name)
+		}
 	}
 }

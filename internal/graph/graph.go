@@ -262,30 +262,14 @@ func (a Arborescence) Parents(g *Graph) ([]int, error) {
 			return nil, fmt.Errorf("graph: vertex %d not spanned", v)
 		}
 	}
-	// Check reachability from the root (no disjoint cycles).
-	children := make([][]int, g.N)
-	for v := 0; v < g.N; v++ {
-		if id := parent[v]; id >= 0 {
-			children[g.Edges[id].From] = append(children[g.Edges[id].From], v)
-		}
-	}
-	seen := 0
-	stack := []int{a.Root}
-	visited := make([]bool, g.N)
-	visited[a.Root] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		seen++
-		for _, c := range children[v] {
-			if !visited[c] {
-				visited[c] = true
-				stack = append(stack, c)
+	// Every vertex's parent chain reaches the root within N hops: no cycle
+	// is disconnected from it.
+	for v := range parent {
+		for u, hops := v, 0; u != a.Root; u, hops = g.Edges[parent[u]].From, hops+1 {
+			if hops == g.N {
+				return nil, fmt.Errorf("graph: tree has a cycle disconnected from root %d", a.Root)
 			}
 		}
-	}
-	if seen != g.N {
-		return nil, fmt.Errorf("graph: tree has a cycle disconnected from root %d", a.Root)
 	}
 	return parent, nil
 }
@@ -303,24 +287,13 @@ func (a Arborescence) Depth(g *Graph) int {
 	if err != nil {
 		return -1
 	}
-	depth := make([]int, g.N)
-	var depthOf func(v int) int
-	depthOf = func(v int) int {
-		if v == a.Root {
-			return 0
+	depth := 0
+	for v := range parent {
+		hops := 0
+		for u := v; u != a.Root; u = g.Edges[parent[u]].From {
+			hops++
 		}
-		if depth[v] > 0 {
-			return depth[v]
-		}
-		d := depthOf(g.Edges[parent[v]].From) + 1
-		depth[v] = d
-		return d
+		depth = max(depth, hops)
 	}
-	max := 0
-	for v := 0; v < g.N; v++ {
-		if d := depthOf(v); d > max {
-			max = d
-		}
-	}
-	return max
+	return depth
 }

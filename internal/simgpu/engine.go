@@ -191,10 +191,10 @@ func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op 
 		wire, l, finish := 0.0, op.Link, i.ready+op.Overhead
 		if l >= 0 {
 			wire = links[l].Latency + float64(op.Bytes)/(links[l].BW*1e9)
-			finish = math.Max(finish+wire, s.linkFree[l]+wire)
+			finish = max(finish+wire, s.linkFree[l]+wire)
 			s.linkFree[l] = finish
 		}
-		s.Start[i.op] = math.Max(finish-wire-op.Overhead, i.ready) // guard FP rounding
+		s.Start[i.op] = max(finish-wire-op.Overhead, i.ready) // guard FP rounding
 		s.Finish[i.op] = finish
 		if op.Exec != nil && !s.SkipExec {
 			if bufs == nil {
@@ -203,7 +203,7 @@ func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op 
 			op.Exec(bufs, Window{Hi: math.MaxInt})
 		}
 		done++
-		res.Makespan = math.Max(res.Makespan, finish)
+		res.Makespan = max(res.Makespan, finish)
 		if onOp != nil {
 			onOp(int(i.op), op)
 		}
@@ -211,13 +211,13 @@ func (s *Sim) Run(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op 
 		// Advance the stream and release dependents.
 		k := s.stream[i.op]
 		s.streamNext[k]++
-		s.streamFree[k] = math.Max(s.streamFree[k], finish)
+		s.streamFree[k] = max(s.streamFree[k], finish)
 		if next := s.streamOff[k] + s.streamNext[k]; next < s.streamOff[k+1] {
 			s.tryEnqueue(s.streamOps[next])
 		}
 		for _, d := range s.dependents[s.depOff[i.op]:s.depOff[i.op+1]] {
 			s.pending[d]--
-			s.depReady[d] = math.Max(s.depReady[d], finish)
+			s.depReady[d] = max(s.depReady[d], finish)
 			s.tryEnqueue(d)
 		}
 	}
@@ -239,7 +239,7 @@ func (s *Sim) tryEnqueue(i int32) {
 	if s.pending[i] > 0 || s.streamOps[s.streamOff[k]+s.streamNext[k]] != i {
 		return
 	}
-	s.ready.push(readyOp{ready: math.Max(s.depReady[i], s.streamFree[k]), op: i})
+	s.ready.push(readyOp{ready: max(s.depReady[i], s.streamFree[k]), op: i})
 }
 
 // readyOp is an op whose deps are met and whose stream has reached it.
