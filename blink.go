@@ -369,14 +369,6 @@ func (c *Comm) Scatter(root int, bytes int64) (Result, error) {
 	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Scatter, root, bytes, collective.Options{}).Wait()
 }
 
-// HybridBroadcast runs Blink's combined PCIe+NVLink broadcast (§3.4): the
-// split between the fabrics is calibrated once, when the schedule compiles,
-// and every later call of the same shape replays the cached plan like any
-// other collective.
-func (c *Comm) HybridBroadcast(root int, bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Broadcast, root, bytes, collective.Options{Hybrid: true}).Wait()
-}
-
 // AllToAll exchanges a distinct bytes/Size() shard between every pair of
 // ranks (the dispatch/combine primitive of expert-parallel MoE layers).
 // Under BackendBlink each source scatters its shards over its own packed
@@ -769,7 +761,7 @@ type ClusterComm = Comm
 // under BackendBlink only) in every form — synchronous, grouped, async,
 // tenant views and the matching *Data methods, including ReduceScatterData,
 // which rides the AllReduce schedule — plus ServerSizes and
-// ReconfigureWithoutServer. Every other collective, HybridBroadcast, Trees,
+// ReconfigureWithoutServer. Every other collective, Trees,
 // Reconfigure and ReconfigureExclude return an error. Options are
 // NewComm's, except WithPlanStore and WithPlanService: cluster schedules
 // embed cross-server wiring with no serializable form, so neither the disk

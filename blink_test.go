@@ -24,30 +24,6 @@ func TestNewCommRejectsSingleDevice(t *testing.T) {
 	}
 }
 
-// TestHybridBroadcastWarmReplay: hybrid broadcast is an ordinary cached
-// collective — the second call of a shape is a plan-cache hit with
-// bit-identical simulated time.
-func TestHybridBroadcastWarmReplay(t *testing.T) {
-	comm := dgx1vComm(t, []int{0, 1, 2, 3})
-	const bytes = 500 << 20
-	cold, err := comm.HybridBroadcast(0, bytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := comm.CacheStats()
-	warm, err := comm.HybridBroadcast(0, bytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := comm.CacheStats()
-	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
-		t.Fatalf("second hybrid call not a cache hit: %+v -> %+v", before, after)
-	}
-	if warm.Seconds != cold.Seconds || warm.Strategy != "hybrid" {
-		t.Fatalf("warm hybrid %v/%q differs from cold %v/%q", warm.Seconds, warm.Strategy, cold.Seconds, cold.Strategy)
-	}
-}
-
 func TestBackendSelection(t *testing.T) {
 	blinkComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendBlink))
 	ncclComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendNCCL))

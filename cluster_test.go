@@ -139,7 +139,6 @@ func TestClusterErrorRows(t *testing.T) {
 		{"ReduceScatter", cc, func() error { return errOf(cc.ReduceScatter(bytes)) }},
 		{"SendRecv", cc, func() error { return errOf(cc.SendRecv([]int{0, 5}, bytes)) }},
 		{"NeighborExchange", cc, func() error { return errOf(cc.NeighborExchange(make([][]int, cc.Size()), bytes)) }},
-		{"HybridBroadcast", cc, func() error { return errOf(cc.HybridBroadcast(0, bytes)) }},
 		{"ScatterAsync", cc, func() error { return errOf(cc.ScatterAsync(0, bytes).Wait()) }},
 		{"GatherData", cc, func() error { return errOf(cc.GatherData(0, inputs)) }},
 		{"ScatterData", cc, func() error { return errOf(cc.ScatterData(0, inputs[0])) }},

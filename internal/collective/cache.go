@@ -33,7 +33,6 @@ type PlanKey struct {
 	// which CodeGen resolves for the plan's kind (core.PlanOptions).
 	ChunkBytes int64
 	DataMode   bool
-	Hybrid     bool
 	// Shape canonicalizes the rank structure of point-to-point ops — the
 	// SendRecv chain or the NeighborExchange send lists — so two calls with
 	// different shapes never share a frozen schedule ("" for shapeless ops).

@@ -122,13 +122,10 @@ func (e *Engine) ServerSizes() []int {
 // plan over each server's Blink data plane, reusing the packings the member
 // states hold and compiling the rest through pipe; NCCL builds the flat
 // ring over every GPU, PCIe within servers and NICs between them. Every
-// other request — an op beyond AllReduce, Broadcast and AllToAll, AllToAll
-// on the ring, the hybrid broadcast — has no cluster schedule and is
-// refused.
+// other request — an op beyond AllReduce, Broadcast and AllToAll, or
+// AllToAll on the ring — has no cluster schedule and is refused.
 func (st *engineState) clusterPlan(pipe *core.PlannerPipeline, key PlanKey, rq request, po core.PlanOptions) (plan *core.Plan, strategy string, err error) {
 	switch {
-	case key.Hybrid:
-		return nil, "", fmt.Errorf("collective: hybrid broadcast spans one machine's two planes; a cluster has no hybrid schedule")
 	case rq.op != AllReduce && rq.op != Broadcast && rq.op != AllToAll:
 		return nil, "", fmt.Errorf("collective: cluster collectives support AllReduce, Broadcast and AllToAll, not %v", rq.op)
 	case rq.b != Blink && rq.op == AllToAll:

@@ -193,9 +193,6 @@ func TestClusterEngineRejectsUnsupported(t *testing.T) {
 	if _, err := eng.Run(NCCL, AllToAll, 0, 1<<20, Options{}); err == nil {
 		t.Fatal("flat-ring cluster AllToAll accepted")
 	}
-	if _, err := eng.Run(Blink, Broadcast, 0, 1<<20, Options{Hybrid: true}); err == nil {
-		t.Fatal("cluster hybrid broadcast accepted")
-	}
 	if _, err := NewClusterEngine(&topology.Cluster{}, simgpu.Config{}); err == nil {
 		t.Fatal("empty cluster accepted")
 	}

@@ -97,7 +97,8 @@ type Result struct {
 	Bytes         int64
 	ThroughputGBs float64
 	// Strategy describes what was actually scheduled ("trees", "rings",
-	// "pcie-ring", "one-hop", "db-tree", "hybrid", "3-phase", "flat-ring").
+	// "pcie-ring", "one-hop", "db-tree", "hybrid", "3-phase", "flat-ring");
+	// "hybrid" is a Blink Broadcast whose trial kept the §3.4 split.
 	Strategy string
 	// Phase1..3 and Partitions are the three-phase timing breakdown of a
 	// cluster collective under the Blink backend; zero on one machine and on
@@ -113,18 +114,14 @@ type Result struct {
 type Options struct {
 	// ChunkBytes overrides the pipelining chunk. 0 is auto: Blink's tree
 	// Broadcast, Reduce and AllReduce on NVLink or PCIe take the chunk that
-	// pipelines their own trees fastest, modelled and then simulated, and
-	// the AllReduce then the rank-rooted shape if it simulates faster still;
-	// every other schedule takes a sixteenth of the payload, at most 2 MiB
-	// (core.PlanOptions.ChunkBytes). An override keeps the single-root
-	// AllReduce.
+	// pipelines their own trees fastest, modelled and then simulated. The
+	// AllReduce then takes the rank-rooted shape, and a Broadcast on the
+	// NVLink plane of a machine with a PCIe plane the §3.4 hybrid (PCIe
+	// trees alongside the NVLink ones, split by Equation 8), if it
+	// simulates faster still. Every other schedule takes a sixteenth of the
+	// payload, at most 2 MiB (core.PlanOptions.ChunkBytes). An override
+	// keeps the single-root NVLink-only schedule.
 	ChunkBytes int64
-	// Hybrid selects the §3.4 hybrid schedule for a Blink Broadcast: PCIe
-	// trees alongside the NVLink ones, split by Equation 8. It is an error
-	// where that schedule cannot be built (a switch machine, an
-	// NVLink-disconnected allocation, the NCCL backend) and ignored on every
-	// other op.
-	Hybrid bool
 	// DataMode moves real data (functional verification).
 	DataMode bool
 	// Chain is the ordered rank sequence of a SendRecv pipeline (required
@@ -540,13 +537,9 @@ func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool
 		return cp, true, nil
 	}
 	// Remote planner (blinkd), if configured: still cheaper than packing
-	// locally, and its blob lands in both local tiers on success. Hybrid
-	// plans carry no IR, so no tier below memory can ever serve one.
-	var cp *CachedPlan
+	// locally, and its blob lands in both local tiers on success.
+	cp := e.fetchFromService(st, key, rq.opts)
 	var err error
-	if !key.Hybrid {
-		cp = e.fetchFromService(st, key, rq.opts)
-	}
 	fetched := cp != nil
 	if !fetched {
 		cp, err = e.publish(st, key, rq)
@@ -780,10 +773,9 @@ func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKi
 // Its first row is a cluster's (clusterPlan). On one machine it records what
 // selectShape chose — plus the packings, transfer pairs or op shape the kind
 // needs — into a serializable PlanIR and hands the IR to core.CodeGen over
-// the plane's fabric. The hybrid row (key.Hybrid: a broadcast with
-// Options.Hybrid) is the one machine schedule that spans two planes and has
-// no IR; core builds it directly. Returned alongside the plan is its
-// strategy label.
+// the plane's fabric. A Blink Broadcast on the NVLink plane also carries
+// its root's PCIe packing, so CodeGen can race the §3.4 hybrid across both
+// planes. Returned alongside the plan is its strategy label, the IR's.
 func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.Plan, strategy string, err error) {
 	po := core.PlanOptions{
 		ChunkBytes: core.ResolveChunk(rq.bytes, key.ChunkBytes),
@@ -798,39 +790,20 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		return st.clusterPlan(e.pipe, key, rq, po)
 	}
 	plane := st.plane(rq.b)
-	// packs resolves the listed roots' packings on a plane: the precomputed
-	// one-hop trees on a switch, the per-root packing slots elsewhere.
-	packs := func(on core.FabricSel, roots ...int) ([]*core.Packing, error) {
-		out := make([]*core.Packing, len(roots))
-		for i, r := range roots {
-			if on == core.FabricSwitch {
-				out[i] = st.oneHop[r]
-				continue
-			}
-			p, err := st.packing(e.pipe, on, r)
-			if err != nil {
+	// packs resolves the packings of roots [from, to) on a plane: the
+	// precomputed one-hop trees on a switch, the per-root packing slots
+	// elsewhere.
+	packs := func(on core.FabricSel, from, to int) (out []*core.Packing, err error) {
+		if on == core.FabricSwitch {
+			return st.oneHop[from:to:to], nil
+		}
+		out = make([]*core.Packing, to-from)
+		for i := range out {
+			if out[i], err = st.packing(e.pipe, on, from+i); err != nil {
 				return nil, err
 			}
-			out[i] = p
 		}
 		return out, nil
-	}
-	if key.Hybrid {
-		// §3.4 builds trees over both planes, so both must exist and NVLink
-		// alone must already span the allocation.
-		if rq.b != Blink || plane != core.FabricNVLink {
-			return nil, "", fmt.Errorf("collective: hybrid broadcast needs the Blink backend on a DGX-1 class machine with a connected NVLink allocation")
-		}
-		pn, err := packs(core.FabricNVLink, rq.root)
-		if err != nil {
-			return nil, "", err
-		}
-		pp, err := packs(core.FabricPCIe, rq.root)
-		if err != nil {
-			return nil, "", err
-		}
-		plan, _, err = core.BuildHybridBroadcastPlan(st.fabrics[core.FabricNVLink], pn[0], st.fabrics[core.FabricPCIe], pp[0], rq.bytes, po)
-		return plan, "hybrid", err
 	}
 	// An IR keeps an auto chunk as 0: CodeGen sizes it for the kind.
 	po.ChunkBytes = key.ChunkBytes
@@ -840,13 +813,15 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 	n := st.topo.NumGPUs
 	switch needs {
 	case needRootPacking:
-		ir.Packings, err = packs(plane, rq.root)
-	case needAllPackings:
-		all := make([]int, n)
-		for r := range all {
-			all[r] = r
+		ir.Packings, err = packs(plane, rq.root, rq.root+1)
+		if err == nil && ir.Kind == core.IRTreeBroadcast && plane == core.FabricNVLink && key.ChunkBytes == 0 {
+			// A PCIe plane that cannot be packed only rules the hybrid out.
+			if pcie, perr := packs(core.FabricPCIe, rq.root, rq.root+1); perr == nil {
+				ir.Packings = append(ir.Packings, pcie...)
+			}
 		}
-		ir.Packings, err = packs(plane, all...)
+	case needAllPackings:
+		ir.Packings, err = packs(plane, 0, n)
 	case needChain:
 		// The frozen plan outlives the call: copy the caller's slices.
 		ir.Chain = append([]int(nil), rq.opts.Chain...)
@@ -861,8 +836,10 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 	if err != nil {
 		return nil, "", err
 	}
-	plan, err = core.CodeGen(ir, st.fabrics[plane])
-	return plan, ir.Strategy, err
+	if plan, err = core.CodeGen(ir, st.fabrics[plane]); err != nil {
+		return nil, "", err
+	}
+	return plan, plan.IR.Strategy, nil
 }
 
 // FabricFor returns the fabric the given backend's plans move data over:

@@ -153,8 +153,7 @@ func (e *Engine) fetchFromService(st *engineState, key PlanKey, opts Options) *C
 
 // PlanBlob resolves a plan through the engine's tiers (compiling on a full
 // miss) and returns its encoded form — the server half of the planning
-// service. Plans without an IR (hybrid) are not servable, and a cluster
-// engine serves none.
+// service. A cluster engine serves none.
 func (e *Engine) PlanBlob(b Backend, op Op, root int, bytes int64, opts Options) ([]byte, string, error) {
 	st := e.st.Load()
 	if err := st.machineOnly("PlanBlob"); err != nil {

@@ -160,10 +160,7 @@ func (e *Engine) planKey(fp string, rq request) PlanKey {
 		Root:        rq.root,
 		Bytes:       rq.bytes,
 		DataMode:    rq.opts.DataMode,
-		// Hybrid selects a schedule only for broadcasts; normalising it out
-		// elsewhere keeps a stray flag from duplicating cache entries.
-		Hybrid: rq.opts.Hybrid && rq.op == Broadcast,
-		Shape:  shapeKey(rq.op, rq.opts),
+		Shape:       shapeKey(rq.op, rq.opts),
 	}
 	if rq.opts.ChunkBytes > 0 {
 		// Auto stays 0, which CodeGen resolves per kind; an override is

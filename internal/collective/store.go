@@ -70,9 +70,9 @@ func (s *PlanStore) Dir() string { return s.dir }
 // closures at load, so the same file serves every engine on the topology.
 func storeKeyString(k PlanKey) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%d|%d|%d|%d|%d|%t|%t|%s|", k.Fingerprint,
+	fmt.Fprintf(&sb, "%s|%d|%d|%d|%d|%d|%t|%s|", k.Fingerprint,
 		int(k.Backend), int(k.Op), k.Root, k.Bytes, k.ChunkBytes,
-		k.DataMode, k.Hybrid, k.Shape)
+		k.DataMode, k.Shape)
 	c := k.Config
 	for _, f := range []float64{c.OpOverhead, c.ReduceOverhead, c.ReduceBW,
 		c.CopyEff, c.WireLatency, c.DisablePeerBase, c.DisablePeerPerGPU} {

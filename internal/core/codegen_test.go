@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"blink/internal/simgpu"
@@ -12,7 +13,9 @@ import (
 // NVLink or PCIe plane for the tree and ring kinds, the DGX-2 switch for its
 // one-hop AllReduce and the double binary trees — and its frozen plan
 // round-trips through EncodePlan / DecodePlan to the same op count and the
-// same simulated makespan.
+// same simulated makespan. The compile budget's bound (opCount) holds every
+// kind's ops, at 4 and at 256 chunks of the payload, and CodeGen refuses an
+// IR above the budget before building it.
 func TestCodeGenEveryIRKind(t *testing.T) {
 	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
@@ -65,10 +68,19 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v has no row", kind)
 		}
-		ir.Kind, ir.Bytes, ir.Opts = kind, 1<<20, PlanOptions{ChunkBytes: 256 << 10}
+		for _, chunk := range []int64{4 << 10, 256 << 10} {
+			ir.Kind, ir.Bytes, ir.Opts = kind, 1<<20, PlanOptions{ChunkBytes: chunk}
+			plan, err := CodeGen(ir, resolve(ir.Fabric))
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			if bound := ir.opCount(resolve(ir.Fabric), chunk); bound < int64(len(plan.Ops)) {
+				t.Fatalf("%v at %d B chunks: %d ops, opCount bounds them at %d", kind, chunk, len(plan.Ops), bound)
+			}
+		}
 		plan, err := CodeGen(ir, resolve(ir.Fabric))
 		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+			t.Fatal(err)
 		}
 		fp := plan.Freeze()
 		blob, err := EncodePlan(fp)
@@ -89,6 +101,16 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 		}
 		if dec.NumOps() != fp.NumOps() || got.Makespan != want.Makespan {
 			t.Fatalf("%v decoded to %d ops, %v s; encoded %d ops, %v s", kind, dec.NumOps(), got.Makespan, fp.NumOps(), want.Makespan)
+		}
+	}
+	// In 4-byte chunks a 128 KB chain (262K ops, bounded at 2.1M since each
+	// hop may cross a path) and a 1 GiB AllReduce (~10^9 ops) are over the
+	// compile budget, and CodeGen says so in a handful of allocations.
+	for _, ir := range []*PlanIR{{Kind: IRSendRecvChain, Bytes: 128 << 10, Chain: chain}, {Kind: IRTreeAllReduce, Bytes: 1 << 30, Packings: one}} {
+		ir.Opts.ChunkBytes = 4
+		var budget *PlanBudgetError
+		if allocs := testing.AllocsPerRun(2, func() { _, err = CodeGen(ir, fabrics[FabricNVLink]) }); !errors.As(err, &budget) || allocs > 10 {
+			t.Fatalf("%v of %d B in 4 B chunks: %v in %.0f allocations, want a PlanBudgetError before building", ir.Kind, ir.Bytes, err, allocs)
 		}
 	}
 }

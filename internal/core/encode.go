@@ -64,8 +64,8 @@ func (h PlanHeader) ValidateFor(f *simgpu.Fabric) error {
 }
 
 // EncodePlan serializes a frozen plan into the versioned binary format. The
-// plan must carry its IR (every plan produced by CodeGen does); hybrid and
-// cluster plans have none and return an error.
+// plan must carry its IR (every plan produced by CodeGen does); cluster
+// plans have none and return an error.
 func EncodePlan(fp *FrozenPlan) ([]byte, error) {
 	if fp == nil {
 		return nil, fmt.Errorf("core: cannot encode nil plan")

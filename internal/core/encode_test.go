@@ -212,9 +212,11 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // denormal tree weight. The plan's chunk is auto, which CodeGen derives from
 // the weights: a NaN weight Validate let through, or a denormal one whose
 // every modelled cost is infinite, once made CodeGen recurse through its
-// chunk trial with chunk 0 until the stack overflowed. Every input is
-// decoded a second time resealed, since a mutated blob almost never passes
-// the checksum on its own.
+// chunk trial with chunk 0 until the stack overflowed. One more asks for a
+// 1 GiB broadcast in 4-byte chunks, which CodeGen must refuse by its
+// compile budget rather than build, and every plan that decodes stays
+// within that budget. Every input is decoded a second time resealed, since
+// a mutated blob almost never passes the checksum on its own.
 func FuzzDecodePlan(f *testing.F) {
 	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
@@ -251,12 +253,14 @@ func FuzzDecodePlan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("BLNKPLAN"))
 
-	f.Add(withPacking(f, blob, func(p *Packing) { p.Trees[0].Weight = math.NaN() }))
-	f.Add(withPacking(f, blob, func(p *Packing) { p.Trees, p.Rate = nil, math.Inf(1) }))
+	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { p.Trees[0].Weight = math.NaN() }))
+	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { p.Trees, p.Rate = nil, math.Inf(1) }))
 	for _, w := range []float64{0, math.SmallestNonzeroFloat64} {
 		// One tree whose weight is the whole rate.
-		f.Add(withPacking(f, blob, func(p *Packing) { p.Trees, p.Rate = []Tree{{Arbo: p.Trees[0].Arbo, Weight: w}}, w }))
+		f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { p.Trees, p.Rate = []Tree{{Arbo: p.Trees[0].Arbo, Weight: w}}, w }))
 	}
+
+	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { ir.Bytes, ir.Opts.ChunkBytes = 1<<30, 4 }))
 
 	resolve := func(FabricSel) *simgpu.Fabric { return fab }
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -278,6 +282,9 @@ func FuzzDecodePlan(f *testing.F) {
 			// validate, regenerate and replay a schedule that moves its
 			// payload, which takes time.
 			if fp2, err := DecodePlan(blob, resolve); err == nil {
+				if fp2.NumOps() > MaxPlanOps {
+					t.Fatalf("decoded a %v plan of %d ops, over the %d-op budget", ir.Kind, fp2.NumOps(), MaxPlanOps)
+				}
 				r, err := fp2.Replay()
 				if err != nil {
 					t.Fatalf("decoded plan failed to replay: %v", err)
@@ -290,13 +297,13 @@ func FuzzDecodePlan(f *testing.F) {
 	})
 }
 
-// withPacking decodes blob, lets edit change its first packing, and encodes
+// withIR decodes blob, lets edit change its IR and first packing, and encodes
 // the result again under a valid checksum.
-func withPacking(tb testing.TB, blob []byte, edit func(*Packing)) []byte {
+func withIR(tb testing.TB, blob []byte, edit func(*PlanIR, *Packing)) []byte {
 	hdr, ir, err := DecodePlanIR(blob)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	edit(ir.Packings[0])
+	edit(ir, ir.Packings[0])
 	return encodePlan(hdr, ir)
 }

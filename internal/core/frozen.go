@@ -235,6 +235,6 @@ func (fp *FrozenPlan) HasExec() bool { return fp.hasExec }
 func (fp *FrozenPlan) Fabric() *simgpu.Fabric { return fp.fabric }
 
 // IR returns the serializable intermediate representation the schedule was
-// generated from, or nil when the plan was built outside CodeGen (hybrid
-// and cluster plans); only plans with an IR can be encoded.
+// generated from, or nil when the plan was built outside CodeGen (cluster
+// plans); only plans with an IR can be encoded.
 func (fp *FrozenPlan) IR() *PlanIR { return fp.ir }

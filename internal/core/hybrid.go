@@ -30,6 +30,12 @@ func HybridSplit(total int64, bwPCIeGBs, bwNVLGBs, tdpa float64) (pcie, nvl int6
 	return pcie, total - pcie
 }
 
+// peerSwitch is Tdpa on f's GPUs: what disabling NVLink peer access costs
+// the PCIe side of a hybrid transfer before its first op.
+func peerSwitch(f *simgpu.Fabric) float64 {
+	return f.Cfg.DisablePeerBase + f.Cfg.DisablePeerPerGPU*float64(f.Topo.NumGPUs)
+}
+
 // HybridResult reports the calibrated composition of a hybrid transfer: the
 // Equation-8 shares and the per-fabric times the calibration measured.
 type HybridResult struct {
@@ -75,8 +81,7 @@ func BuildHybridBroadcastPlan(fNVL *simgpu.Fabric, pNVL *Packing, fPCIe *simgpu.
 		return nil, nil, fmt.Errorf("core: PCIe probe: %w", err)
 	}
 	bwN, bwP := probeBytes/tN/1e9, probeBytes/tP/1e9
-	cfg := fNVL.Cfg
-	tdpa := cfg.DisablePeerBase + cfg.DisablePeerPerGPU*float64(fNVL.Topo.NumGPUs)
+	tdpa := peerSwitch(fNVL)
 
 	// A few rebalancing iterations emulate the initial calls: split using the
 	// current bandwidth estimates, time both shares, then refine the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"blink/internal/graph"
 	"blink/internal/simgpu"
 )
 
@@ -26,7 +27,9 @@ type PlanIR struct {
 	Opts     PlanOptions
 	// Packings carries the packed spanning trees for tree-scheduled kinds:
 	// exactly one for rooted ops, one per source rank for AllToAll, and the
-	// full per-root one-hop set for the DGX-2 AllReduce.
+	// full per-root one-hop set for the DGX-2 AllReduce. A Broadcast on the
+	// NVLink plane may carry a second, its root's packing of the PCIe plane
+	// (Topology.PCIeGraph), which lets CodeGen race the hybrid shape.
 	Packings []*Packing
 	// Chain is the SendRecv rank chain; Neighbors the halo-exchange send
 	// lists (their kinds only).
@@ -137,10 +140,13 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 		return fmt.Errorf("core: IR payload %d too small", ir.Bytes)
 	}
 	n := ranksOf(f)
+	graphs := [2]*graph.Graph{f.Graph, f.Graph}
 	switch ir.Kind {
 	case IRTreeBroadcast, IRTreeGather, IRTreeAllReduce, IRTreeAllGather,
 		IRTreeReduce, IRTreeReduceScatter, IRTreeScatter:
-		if len(ir.Packings) != 1 {
+		if len(ir.Packings) == 2 && ir.Kind == IRTreeBroadcast && ir.Fabric == FabricNVLink && f.Topo != nil {
+			graphs[1] = f.Topo.PCIeGraph() // the root's PCIe packing, for the hybrid shape
+		} else if len(ir.Packings) != 1 {
 			return fmt.Errorf("core: %v IR needs exactly 1 packing, got %d", ir.Kind, len(ir.Packings))
 		}
 	case IRTreeAllToAll, IRDGX2AllReduce:
@@ -173,13 +179,15 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 			return fmt.Errorf("core: IR root %d out of range [0,%d)", ir.Root, n)
 		}
 	}
-	g := f.Graph
 	for i, p := range ir.Packings {
 		if p == nil {
 			return fmt.Errorf("core: IR packing %d is nil", i)
 		}
-		if err := p.Validate(g); err != nil {
+		if err := p.Validate(graphs[min(i, 1)]); err != nil {
 			return fmt.Errorf("core: IR packing %d invalid: %w", i, err)
+		}
+		if graphs[1] != f.Graph && p.Root != ir.Packings[0].Root {
+			return fmt.Errorf("core: IR's PCIe packing is rooted at %d, its NVLink one at %d", p.Root, ir.Packings[0].Root)
 		}
 	}
 	return nil
@@ -190,16 +198,106 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 // the switch plane, takes ResolveChunk's.
 var treePasses = map[IRKind]int{IRTreeBroadcast: 1, IRTreeReduce: 1, IRTreeAllReduce: 2}
 
+// MaxPlanOps is the compile budget: CodeGen refuses an IR whose schedule
+// opCount bounds above it, before building any op, since a schedule's
+// memory and compile time grow with its ops, and a plan request or a
+// decoded blob names any payload and chunk. The largest bound of a schedule
+// this repository's tests, figures and benchmark compile is ~523K ops; an
+// explicit 4-byte chunk exceeds the budget on a full-DGX-1V AllReduce from
+// ~170 KB.
+const MaxPlanOps = 1 << 20
+
+// PlanBudgetError is CodeGen's refusal of an IR above MaxPlanOps.
+type PlanBudgetError struct {
+	Kind IRKind
+	// Ops is opCount's bound on the schedule's ops.
+	Ops int64
+}
+
+func (e *PlanBudgetError) Error() string {
+	return fmt.Sprintf("core: a %v schedule of up to %d ops exceeds the %d-op compile budget; raise the chunk", e.Kind, e.Ops, MaxPlanOps)
+}
+
+// opPasses is how many ops each kind emits per chunk and edge of a tree or
+// ring hop, at most: one copy, a reduce-class kind's send and reduce up,
+// and an AllReduce-class kind's copy down too.
+var opPasses = map[IRKind]float64{
+	IRTreeReduce: 2, IRTreeReduceScatter: 2,
+	IRTreeAllReduce: 3, IRTreeAllGather: 3, IRDGX2AllReduce: 3, IRRingAllReduce: 3, IRDBTreeAllReduce: 3,
+}
+
+// opCount bounds the ops CodeGen emits for the IR at chunk c, before it
+// builds any: chunks per tree, plus a partial one per tree and rank slice,
+// × tree edges (a spanning tree's, or a ring's hops, fewer than its
+// vertices) × the legs of an edge (two through a switch) × passes
+// (opPasses). A kind without packings counts every edge-disjoint ring the
+// graph could hold as a tree. AllToAll scatters from every rank, a chain
+// forwards across a path per link, a neighbour exchange sends once per
+// listed neighbour, and a P2P kind chunks each pair's own bytes. It counts
+// in floats, so that no payload, however hostile, overflows it.
+func (ir *PlanIR) opCount(f *simgpu.Fabric, c int64) int64 {
+	n, edges := int64(max(1, ranksOf(f))), float64(f.Graph.N)
+	trees, chunks, passes := int64(len(f.Graph.Edges))/n+1, float64(ir.Bytes/c+1), max(1, opPasses[ir.Kind])
+	if len(ir.Packings) > 0 {
+		trees = 0
+	}
+	for _, p := range ir.Packings {
+		trees += int64(len(p.Trees))
+	}
+	switch ir.Kind {
+	case IRTreeAllToAll:
+		chunks *= float64(n)
+	case IRSendRecvChain:
+		passes = float64(len(ir.Chain))
+	case IRNeighborExchange:
+		passes = 0
+		for _, row := range ir.Neighbors {
+			passes += float64(len(row))
+		}
+	case IRRingP2P:
+		for _, p := range ir.Pairs {
+			chunks += float64(p.Bytes/c + 1)
+		}
+	}
+	if len(f.Graph.Edges) > 0 {
+		edges *= float64(len(f.EdgeLinks(0)))
+	}
+	// A partial chunk carries a float at least, bar a ring's n segments.
+	return int64(min((chunks+float64(min(trees*n, max(n, ir.Bytes/4))))*edges*passes, 1<<62))
+}
+
+// shape is one schedule a tree kind can compile to.
+type shape uint8
+
+const (
+	// shapeTrees pipelines the payload over Packings[0]'s trees from its root.
+	shapeTrees shape = iota
+	// shapeRankRooted reduces slice r of an AllReduce to rank r and
+	// broadcasts it from there (BuildRankRootedAllReducePlan).
+	shapeRankRooted
+	// shapeHybrid splits a Broadcast between Packings[0]'s NVLink trees and
+	// Packings[1]'s PCIe trees by Equation 8 (BuildHybridBroadcastPlan).
+	shapeHybrid
+)
+
+// altShapes is the one shape each kind races against its trees at the
+// chunk they won at (PlanIR.tuned).
+var altShapes = map[IRKind]shape{IRTreeAllReduce: shapeRankRooted, IRTreeBroadcast: shapeHybrid}
+
 // tuned compiles the IR at whichever of chunks its schedule finishes first
 // at, the model's pick on a tie. The model errs small where links are
 // shared — by trees, or by an AllReduce's two passes — since it charges a
 // chunk stage one tree's launch and wire latency, so one simulated run of
-// each decides. An AllReduce of at least a float per rank then races its
-// rank-rooted shape at the chosen chunk and keeps it only if it finishes
-// strictly sooner. The trials build timing-only schedules on an arena kept
-// between compiles (arenas); the winner is built again into tables sized to
-// it, and Freeze keeps the winner's simulated run.
-func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*Plan, error) {
+// each decides. The kind's alternative shape (altShapes) then races the
+// winner and is kept only if it finishes strictly sooner: an AllReduce of
+// at least a float per rank tries the rank-rooted shape at the chosen
+// chunk, and a Broadcast that carries its root's PCIe packing tries the
+// hybrid at rule, ResolveChunk's chunk, once its trees take longer than
+// the peer-access switch every PCIe op waits for (peerSwitch), below which
+// the hybrid cannot win. The trials build timing-only schedules on an arena
+// kept between compiles (arenas); the winner is built again into tables
+// sized to it, and Freeze keeps the winner's simulated run.
+func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*Plan, shape, error) {
 	var ar *opArena
 	select {
 	case ar = <-arenas:
@@ -212,14 +310,14 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*P
 		default:
 		}
 	}()
-	final, rooted := opts, false
+	final, won, rule := opts, shapeTrees, opts.ChunkBytes
 	final.ChunkBytes = chunks[0]
 	var best *simRun
 	var ops, deps int
 	opts.DataMode = false
-	trial := func(c int64, rr bool) bool {
+	trial := func(c int64, s shape) bool {
 		opts.ChunkBytes, opts.arena = c, ar
-		p, err := ir.build(f, opts, rr)
+		p, err := ir.build(f, opts, s)
 		if err != nil {
 			return false
 		}
@@ -228,28 +326,32 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*P
 		if ar.order = r.order; best == nil || r.err == nil && r.res.Makespan < best.res.Makespan {
 			// The next trial records its launch order in the other buffer.
 			ar.order, ar.spare = ar.spare, r.order
-			best, final.ChunkBytes, rooted = &r, c, rr
+			best, final.ChunkBytes, won = &r, c, s
 			ops, deps = p.size()
 		}
 		return true
 	}
 	for _, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
-		if !trial(c, false) {
+		if !trial(c, shapeTrees) {
 			break
 		}
 	}
-	if best != nil && ir.Kind == IRTreeAllReduce && ir.Bytes/4 >= int64(ranksOf(f)) {
-		trial(final.ChunkBytes, true)
+	switch alt := altShapes[ir.Kind]; {
+	case best == nil:
+	case alt == shapeRankRooted && ir.Bytes/4 >= int64(ranksOf(f)):
+		trial(final.ChunkBytes, alt)
+	case alt == shapeHybrid && len(ir.Packings) == 2 && best.err == nil && best.res.Makespan > peerSwitch(f):
+		trial(rule, alt)
 	}
 	// The plan keeps its ops and dependencies, not its stream table.
 	final.arena = newArena(ops, deps)
 	final.arena.streams = ar.streams
-	plan, err := ir.build(f, final, rooted)
+	plan, err := ir.build(f, final, won)
 	if err == nil && best != nil {
 		best.order = append(make([]int32, 0, len(best.order)), best.order...)
 		plan.memo = best
 	}
-	return plan, err
+	return plan, won, err
 }
 
 // opArena is memory a plan's builder carves its ops, their dependencies and
@@ -310,36 +412,59 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 	if err := ir.validate(f); err != nil {
 		return nil, err
 	}
-	var (
-		plan *Plan
-		err  error
-		opts = ir.Opts
-	)
+	opts := ir.Opts
 	opts.ChunkBytes = ResolveChunk(ir.Bytes, opts.ChunkBytes)
 	// An auto chunk stays 0 in the IR, so a decoded plan recomputes it, and
-	// the shape, here.
-	if passes := treePasses[ir.Kind]; passes > 0 && ir.Opts.ChunkBytes <= 0 && ir.Fabric != FabricSwitch {
-		plan, err = ir.tuned(f, opts, treeChunk(f, ir.Packings[0], ir.Bytes, passes))
+	// the shape, here; the budget counts the smallest chunk a trial tries.
+	chunks, passes := [2]int64{opts.ChunkBytes}, treePasses[ir.Kind]
+	tune := passes > 0 && ir.Opts.ChunkBytes <= 0 && ir.Fabric != FabricSwitch
+	if tune {
+		chunks = treeChunk(f, ir.Packings[0], ir.Bytes, passes)
+	}
+	if ops := ir.opCount(f, min(opts.ChunkBytes, chunks[0])); ops > MaxPlanOps {
+		return nil, &PlanBudgetError{Kind: ir.Kind, Ops: ops}
+	}
+	var plan *Plan
+	var err error
+	won := shapeTrees
+	if tune {
+		plan, won, err = ir.tuned(f, opts, chunks)
 	} else {
-		plan, err = ir.build(f, opts, false)
+		plan, err = ir.build(f, opts, shapeTrees)
 	}
 	if err != nil {
 		return nil, err
 	}
 	plan.IR = ir
+	if won == shapeHybrid {
+		// The label travels with the IR, so a decoded plan reports it too.
+		hy := *ir
+		hy.Strategy = "hybrid"
+		plan.IR = &hy
+	}
 	return plan, nil
 }
 
-// build is CodeGen's dispatch on a validated IR, with its chunk resolved:
-// rooted picks the rank-rooted AllReduce.
-func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, rooted bool) (*Plan, error) {
+// build is CodeGen's dispatch on a validated IR, with its chunk resolved,
+// into shape s (shapeTrees for every kind altShapes does not name).
+func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, error) {
 	switch ir.Kind {
 	case IRTreeBroadcast:
+		if s == shapeHybrid {
+			// Two plans, one per plane, cannot share one arena's slabs.
+			opts.arena = nil
+			pcie := simgpu.NewFabric(f.Topo, f.Topo.PCIeGraph(), f.Cfg)
+			plan, split, err := BuildHybridBroadcastPlan(f, ir.Packings[0], pcie, ir.Packings[1], ir.Bytes, opts)
+			if err == nil && split.PCIeBytes == 0 {
+				err = fmt.Errorf("core: the hybrid split puts nothing on PCIe")
+			}
+			return plan, err
+		}
 		return BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeGather:
 		return BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeAllReduce, IRTreeAllGather:
-		if rooted {
+		if s == shapeRankRooted {
 			return BuildRankRootedAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		}
 		return BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)

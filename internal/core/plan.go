@@ -24,10 +24,12 @@ type PlanOptions struct {
 	// 0 is auto, which CodeGen resolves per kind: the tree Broadcast, Reduce
 	// and AllReduce kinds on NVLink or PCIe take whichever of the tree
 	// model's pick (treeChunk) and the next chunk up its grid simulates
-	// faster, and the AllReduce of at least a float per rank then takes the
-	// rank-rooted shape (BuildRankRootedAllReducePlan) at that chunk if it
-	// simulates strictly faster still (PlanIR.tuned); every other kind takes
-	// ResolveChunk's. An explicit chunk keeps the single-root AllReduce. A
+	// faster. The AllReduce of at least a float per rank then takes the
+	// rank-rooted shape (BuildRankRootedAllReducePlan) at that chunk, and a
+	// Broadcast that carries its root's PCIe packing the hybrid one
+	// (BuildHybridBroadcastPlan, at ResolveChunk's chunk), if it simulates
+	// strictly faster still (PlanIR.tuned); every other kind takes
+	// ResolveChunk's. An explicit chunk keeps the single-root schedule. A
 	// builder called directly takes 4 MiB.
 	ChunkBytes int64
 	// NoStreamReuse disables the §4.2.2 fair-sharing optimization that maps
@@ -133,8 +135,8 @@ type Plan struct {
 	// Streams is the number of distinct streams the plan uses.
 	Streams int
 	// IR is the serializable intermediate representation the plan was
-	// generated from (nil for plans built outside CodeGen, i.e. hybrid and
-	// cluster plans; such plans cannot be encoded to disk).
+	// generated from (nil for plans built outside CodeGen, i.e. cluster
+	// plans; such plans cannot be encoded to disk).
 	IR *PlanIR
 	// Partitions is the number of payload partitions of a three-phase cluster
 	// plan (multiserver.go), each with its own local root per server; zero on

@@ -76,7 +76,7 @@ type TenantOptions struct {
 }
 
 // Tenant is one job's view of a shared communicator: the full Comm API
-// (sync, async, grouped, hybrid and data-mode collectives) with every
+// (sync, async, grouped and data-mode collectives) with every
 // dispatch routed through the tenant's QoS lane, charged against its
 // quotas, and attributed to its cache ledger (AllReduceMany admits its
 // buckets through the lane one by one, in order). Tenants of one Comm share the engine,

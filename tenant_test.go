@@ -101,10 +101,11 @@ func TestTenantQuotaRejectSurfaces(t *testing.T) {
 	}
 }
 
-// TestTenantGroupedAndHybridRideLanes checks that AllReduceMany and
-// HybridBroadcast on a tenant view go through the tenant's lane and ledger
-// like every other call: each bucket is admitted, completed and attributed,
-// and a quota that cannot fit a bucket rejects it.
+// TestTenantGroupedAndHybridRideLanes checks that AllReduceMany and a
+// Broadcast whose trial keeps the hybrid split (500 MB on the full DGX-1V)
+// on a tenant view go through the tenant's lane and ledger like every other
+// call: each bucket is admitted, completed and attributed, and a quota that
+// cannot fit a bucket rejects it.
 func TestTenantGroupedAndHybridRideLanes(t *testing.T) {
 	comm := dgx1vComm(t, full8)
 	tn, err := NewTenant(comm, TenantOptions{Name: "grouped"})
@@ -132,8 +133,8 @@ func TestTenantGroupedAndHybridRideLanes(t *testing.T) {
 		t.Fatalf("grouped cache attribution %d lookups / %d hits / %d misses, want %d",
 			st.CacheLookups, st.CacheHits, st.CacheMisses, k)
 	}
-	if _, err := tn.HybridBroadcast(0, 64<<20); err != nil {
-		t.Fatal(err)
+	if r, err := tn.Broadcast(0, 500<<20); err != nil || r.Strategy != "hybrid" {
+		t.Fatalf("tenant Broadcast: %q, %v; want the hybrid", r.Strategy, err)
 	}
 	if st := tn.Stats(); st.SubmittedOps != k+1 || st.CompletedOps != k+1 {
 		t.Fatalf("hybrid dispatch bypassed the ledger: %+v", st)
@@ -146,7 +147,7 @@ func TestTenantGroupedAndHybridRideLanes(t *testing.T) {
 	if _, err := capped.AllReduceMany([]int64{4 << 20, 8 << 20}); !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("bucket over the byte quota: err = %v, want ErrAdmissionRejected", err)
 	}
-	if _, err := capped.HybridBroadcast(0, 64<<20); !errors.Is(err, ErrAdmissionRejected) {
+	if _, err := capped.Broadcast(0, 500<<20); !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("hybrid over the byte quota: err = %v, want ErrAdmissionRejected", err)
 	}
 	if st := capped.Stats(); st.SubmittedOps != 3 || st.AdmittedOps != 1 || st.RejectedOps != 2 {
