@@ -24,6 +24,31 @@ func TestNewCommRejectsSingleDevice(t *testing.T) {
 	}
 }
 
+// TestHybridBroadcastWarmReplay: a Broadcast whose trial keeps the §3.4
+// hybrid (500 MB on DGX-1V [0 1 2 3]) is an ordinary cached collective — the
+// second call of the shape is a plan-cache hit with bit-identical simulated
+// time and the same strategy.
+func TestHybridBroadcastWarmReplay(t *testing.T) {
+	comm := dgx1vComm(t, []int{0, 1, 2, 3})
+	const bytes = 500 << 20
+	cold, err := comm.Broadcast(0, bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := comm.CacheStats()
+	warm, err := comm.Broadcast(0, bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := comm.CacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("second hybrid call not a cache hit: %+v -> %+v", before, after)
+	}
+	if cold.Strategy != "hybrid" || warm.Seconds != cold.Seconds || warm.Strategy != cold.Strategy {
+		t.Fatalf("warm %v/%q, cold %v/%q; want the same hybrid twice", warm.Seconds, warm.Strategy, cold.Seconds, cold.Strategy)
+	}
+}
+
 func TestBackendSelection(t *testing.T) {
 	blinkComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendBlink))
 	ncclComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendNCCL))

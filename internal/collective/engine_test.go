@@ -202,19 +202,41 @@ func TestHybridBroadcastDataExact(t *testing.T) {
 	}
 }
 
+// TestHybridRejectedOnSwitch: a DGX-2 has no PCIe plane to split across, so
+// the trial never keeps the hybrid there, even at a size where it wins on a
+// DGX-1V, and the servable plan it compiles says the same.
+func TestHybridRejectedOnSwitch(t *testing.T) {
+	e, err := NewEngine(topology.DGX2(), nil, simgpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bytes = 500 << 20
+	r, err := e.Run(Blink, Broadcast, 0, bytes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, strategy, err := e.PlanBlob(Blink, Broadcast, 0, bytes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Strategy == "hybrid" || strategy != r.Strategy {
+		t.Fatalf("DGX-2 Broadcast: ran %q, PlanBlob %q; want one non-hybrid strategy", r.Strategy, strategy)
+	}
+}
+
 // TestHybridSelection is where the trial may and may not keep the hybrid
 // broadcast. It needs Blink's auto chunk on the NVLink plane of a machine
-// with a PCIe plane, a Broadcast whose NVLink trees take longer than the
-// peer-access switch (Tdpa, 1 ms on three GPUs and 1.3 ms on four), and a
-// split that is strictly faster: on DGX-1V [0 1 2] at 1 MB with a
-// near-zero Tdpa the hybrid runs at 0.63x the trees' speed.
+// with a PCIe plane (a DGX-2 is TestHybridRejectedOnSwitch), a Broadcast
+// whose NVLink trees take longer than the peer-access switch (Tdpa, 1 ms on
+// three GPUs and 1.3 ms on four), and a split that is strictly faster: on
+// DGX-1V [0 1 2] at 1 MB with a near-zero Tdpa the hybrid runs at 0.63x the
+// trees' speed.
 func TestHybridSelection(t *testing.T) {
 	const big = 500 << 20
 	cluster, err := NewClusterEngine(testCluster(t, []int{3, 5}, 40), simgpu.Config{})
-	dgx2, err2 := NewEngine(topology.DGX2(), nil, simgpu.Config{})
-	cheapSwitch, err3 := NewEngine(topology.DGX1V(), []int{0, 1, 2}, simgpu.Config{DisablePeerBase: 1e-9, DisablePeerPerGPU: 1e-9})
-	if err != nil || err2 != nil || err3 != nil {
-		t.Fatal(err, err2, err3)
+	cheapSwitch, err2 := NewEngine(topology.DGX1V(), []int{0, 1, 2}, simgpu.Config{DisablePeerBase: 1e-9, DisablePeerPerGPU: 1e-9})
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
 	}
 	quad := newEng(t, []int{0, 1, 2, 3})
 	for _, c := range []struct {
@@ -228,7 +250,6 @@ func TestHybridSelection(t *testing.T) {
 	}{
 		{"Blink Broadcast 500 MB", quad, Blink, Broadcast, big, Options{}, true},
 		{"NCCL", quad, NCCL, Broadcast, big, Options{}, false},
-		{"DGX-2", dgx2, Blink, Broadcast, big, Options{}, false},
 		{"PCIe-plane allocation", newEng(t, []int{0, 1, 6}), Blink, Broadcast, big, Options{}, false},
 		{"cluster", cluster, Blink, Broadcast, big, Options{}, false},
 		{"AllReduce", quad, Blink, AllReduce, big, Options{}, false},
