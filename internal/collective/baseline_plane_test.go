@@ -36,10 +36,7 @@ func TestBaselineDataEveryPlane(t *testing.T) {
 		{"dgx2-256KB", topology.DGX2(), nil, 256 << 10, core.FabricSwitch, core.IRDBTreeAllReduce, "db-tree"},
 		{"dgx2-4MB", topology.DGX2(), nil, 4 << 20, core.FabricSwitch, core.IRRingAllReduce, "ring"},
 	} {
-		e, err := NewEngine(row.machine, row.devs, simgpu.Config{DataMode: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := mustEngine(t, row.machine, row.devs, simgpu.Config{DataMode: true})
 		st := e.st.Load()
 		ranks, n := st.topo.NumGPUs, int(row.bytes/4)
 		rng := rand.New(rand.NewSource(11))

@@ -30,10 +30,7 @@ func gateRatio(b *testing.B, floor float64, measure func() float64) {
 // coldEngine builds a fresh engine over the full 8-GPU DGX-1V.
 func coldEngine(b *testing.B) *Engine {
 	b.Helper()
-	e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := mustEngine(b, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
 	return e
 }
 
@@ -144,10 +141,7 @@ func BenchmarkTenantMix(b *testing.B) {
 	}
 	for _, n := range []int{100, 300} {
 		b.Run(fmt.Sprintf("tenants=%d", n), func(b *testing.B) {
-			eng, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: true})
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := mustEngine(b, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: true})
 			qos := QoSConfig{Workers: 2}
 			for c := range qos.Lanes {
 				// Watermarks and queue bounds out of the way: the measurement

@@ -226,10 +226,7 @@ func TestSharedCacheRespectsConfig(t *testing.T) {
 	shared := NewPlanCache(DefaultPlanCacheCapacity)
 	fast := newEng(t, []int{0, 1, 2, 3})
 	fast.SetPlanCache(shared)
-	slow, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{OpOverhead: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{OpOverhead: 1.0})
 	slow.SetPlanCache(shared)
 	rf, err := fast.Run(Blink, AllReduce, 0, 1<<20, Options{})
 	if err != nil {
@@ -246,10 +243,7 @@ func TestSharedCacheRespectsConfig(t *testing.T) {
 		t.Fatalf("1s-overhead engine reported %.6fs <= default %.6fs (cached plan leaked across configs)", rs.Seconds, rf.Seconds)
 	}
 	// Zero config and the explicit defaults normalize identically: share.
-	def, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.DefaultConfig())
 	def.SetPlanCache(shared)
 	if _, err := def.Run(Blink, AllReduce, 0, 1<<20, Options{}); err != nil {
 		t.Fatal(err)
@@ -265,10 +259,7 @@ func TestSharedCacheDataModeIsolation(t *testing.T) {
 	// still produce correct sums on its own fabric.
 	shared := NewPlanCache(DefaultPlanCacheCapacity)
 	mk := func() *Engine {
-		e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{DataMode: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{DataMode: true})
 		e.SetPlanCache(shared)
 		return e
 	}
@@ -342,10 +333,7 @@ func TestRunManyGroupedDispatch(t *testing.T) {
 func TestDataModeCachedReplay(t *testing.T) {
 	// Data-mode plans are cached too; replaying one with fresh inputs must
 	// produce fresh correct results (closures read buffers at exec time).
-	e, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{DataMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{DataMode: true})
 	const n = 1024
 	run := func(scale float32) []float32 {
 		bufs := simgpu.NewBufferSet()

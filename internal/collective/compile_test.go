@@ -111,10 +111,7 @@ func TestReconfigureIncrementalRepair(t *testing.T) {
 		t.Fatal("no packing was repaired incrementally")
 	}
 
-	fresh, err := NewEngine(degraded, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := mustEngine(t, degraded, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
 	g := eng.Topo().GPUGraph()
 	for root := 0; root < 8; root++ {
 		rp, err := eng.Packing(root)

@@ -116,10 +116,7 @@ func TestExchangeOpsPartialAllocation(t *testing.T) {
 // TestExchangeOpsOnSwitch: the DGX-2 compiles all three ops over one-hop
 // switch trees (Blink) and the natural switch ring (NCCL).
 func TestExchangeOpsOnSwitch(t *testing.T) {
-	e, err := NewEngine(topology.DGX2(), nil, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEngine(t, topology.DGX2(), nil, simgpu.Config{})
 	chain := []int{0, 5, 11}
 	for _, b := range []Backend{Blink, NCCL} {
 		if _, err := e.Run(b, AllToAll, 0, 64<<20, Options{}); err != nil {

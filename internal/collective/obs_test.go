@@ -235,10 +235,7 @@ func TestAsyncTimelineHashPinned(t *testing.T) {
 // marks every quarter.
 func TestTimingProgressReportedOnce(t *testing.T) {
 	for _, data := range []bool{false, true} {
-		eng, err := NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: data})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: data})
 		tl := eng.EnableTimeline()
 		h := eng.RunAsync(Blink, AllReduce, 0, 1<<20, Options{DataMode: data}, -1)
 		if _, err := h.Wait(); err != nil {

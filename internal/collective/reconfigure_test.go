@@ -15,10 +15,7 @@ import (
 func TestEngineReconfigureLinkLoss(t *testing.T) {
 	machine := topology.DGX1V()
 	devs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	eng, err := NewEngine(machine, devs, simgpu.Config{DataMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t, machine, devs, simgpu.Config{DataMode: true})
 	pre, err := eng.Run(Blink, AllReduce, 0, 64<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +57,7 @@ func TestEngineReconfigureLinkLoss(t *testing.T) {
 
 func TestEngineReconfigureEviction(t *testing.T) {
 	machine := topology.DGX1V()
-	eng, err := NewEngine(machine, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t, machine, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: true})
 	if err := eng.Reconfigure(nil, []int{0, 1, 2, 4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +72,7 @@ func TestEngineReconfigureEviction(t *testing.T) {
 
 func TestEngineReconfigureErrorsKeepState(t *testing.T) {
 	machine := topology.DGX1V()
-	eng, err := NewEngine(machine, []int{0, 1, 2, 3}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t, machine, []int{0, 1, 2, 3}, simgpu.Config{})
 	fp := eng.Fingerprint()
 	if err := eng.Reconfigure(nil, []int{0, 42}); err == nil {
 		t.Fatal("unknown device must fail reconfiguration")
@@ -97,10 +88,7 @@ func TestEngineReconfigureErrorsKeepState(t *testing.T) {
 	}
 
 	// Switch engines do not reconfigure.
-	dgx2, err := NewEngine(topology.DGX2(), nil, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dgx2 := mustEngine(t, topology.DGX2(), nil, simgpu.Config{})
 	if err := dgx2.Reconfigure(nil, []int{0, 1}); err == nil {
 		t.Fatal("DGX-2 reconfiguration must error")
 	}
@@ -109,10 +97,7 @@ func TestEngineReconfigureErrorsKeepState(t *testing.T) {
 func TestReconfigureInvalidatesOldFingerprint(t *testing.T) {
 	machine := topology.DGX1V()
 	cache := NewPlanCache(64)
-	eng, err := NewEngine(machine, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t, machine, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
 	eng.SetPlanCache(cache)
 	for _, sz := range []int64{1 << 20, 4 << 20, 16 << 20} {
 		if _, err := eng.Run(Blink, AllReduce, 0, sz, Options{}); err != nil {
@@ -169,10 +154,7 @@ func TestPlanCacheInvalidateFingerprint(t *testing.T) {
 func TestConcurrentCollectivesDuringReconfigure(t *testing.T) {
 	machine := topology.DGX1V()
 	devs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	eng, err := NewEngine(machine, devs, simgpu.Config{DataMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mustEngine(t, machine, devs, simgpu.Config{DataMode: true})
 	degraded, err := machine.WithoutLink(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -250,10 +232,7 @@ func TestConcurrentReconfigurationsCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 20; trial++ {
-		eng, err := NewEngine(machine, devs, simgpu.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := mustEngine(t, machine, devs, simgpu.Config{})
 		var wg sync.WaitGroup
 		errs := make(chan error, 2)
 		wg.Add(2)

@@ -96,10 +96,7 @@ func TestChunkSweep(t *testing.T) {
 		allocs  [][]int
 	}{{topology.DGX1V(), topology.Fig15AllocationsDGX1V}, {topology.DGX1P(), topology.Fig16AllocationsDGX1P}} {
 		for _, devs := range m.allocs {
-			e, err := NewEngine(m.machine, devs, simgpu.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := mustEngine(t, m.machine, devs, simgpu.Config{})
 			for _, op := range []Op{Broadcast, AllReduce} {
 				for _, bytes := range []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20} {
 					run := func(b Backend, chunk int64) Result {

@@ -303,10 +303,7 @@ func TestEngineWarmStartDegradedTopology(t *testing.T) {
 	}
 	dir := t.TempDir()
 	mk := func(m *topology.Topology) *Engine {
-		e, err := NewEngine(m, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := mustEngine(t, m, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
 		s, err := NewPlanStore(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -215,7 +215,9 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // chunk trial with chunk 0 until the stack overflowed. One more asks for a
 // 1 GiB broadcast in 4-byte chunks, which CodeGen must refuse by its
 // compile budget rather than build, and every plan that decodes stays
-// within that budget. Every input is decoded a second time resealed, since
+// within that budget. Another is a 64 B Broadcast that may race the hybrid:
+// it carries its root's PCIe packing, and its NVLink packing's rate is
+// tiny. Every input is decoded a second time resealed, since
 // a mutated blob almost never passes the checksum on its own.
 func FuzzDecodePlan(f *testing.F) {
 	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
@@ -261,6 +263,16 @@ func FuzzDecodePlan(f *testing.F) {
 	}
 
 	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { ir.Bytes, ir.Opts.ChunkBytes = 1<<30, 4 }))
+	pcie, err := GenerateTrees(ind.PCIeGraph(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) {
+		for i := range p.Trees {
+			p.Trees[i].Weight *= 1e-9
+		}
+		ir.Bytes, p.Rate, ir.Packings = 64, p.Rate*1e-9, append(ir.Packings, pcie)
+	}))
 
 	resolve := func(FabricSel) *simgpu.Fabric { return fab }
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -36,6 +36,10 @@ func peerSwitch(f *simgpu.Fabric) float64 {
 	return f.Cfg.DisablePeerBase + f.Cfg.DisablePeerPerGPU*float64(f.Topo.NumGPUs)
 }
 
+// hybridProbeBytes is the broadcast each fabric's calibration probe times
+// (BuildHybridBroadcastPlan), whatever the payload.
+const hybridProbeBytes = 64 << 20
+
 // HybridResult reports the calibrated composition of a hybrid transfer: the
 // Equation-8 shares and the per-fabric times the calibration measured.
 type HybridResult struct {
@@ -71,16 +75,15 @@ func BuildHybridBroadcastPlan(fNVL *simgpu.Fabric, pNVL *Packing, fPCIe *simgpu.
 		r, err := plan.Execute()
 		return r.Makespan, err
 	}
-	const probeBytes = 64 << 20
-	tN, err := timed(fNVL, pNVL, probeBytes)
+	tN, err := timed(fNVL, pNVL, hybridProbeBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: NVLink probe: %w", err)
 	}
-	tP, err := timed(fPCIe, pPCIe, probeBytes)
+	tP, err := timed(fPCIe, pPCIe, hybridProbeBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: PCIe probe: %w", err)
 	}
-	bwN, bwP := probeBytes/tN/1e9, probeBytes/tP/1e9
+	bwN, bwP := hybridProbeBytes/tN/1e9, hybridProbeBytes/tP/1e9
 	tdpa := peerSwitch(fNVL)
 
 	// A few rebalancing iterations emulate the initial calls: split using the

@@ -280,23 +280,21 @@ const (
 	shapeHybrid
 )
 
-// altShapes is the one shape each kind races against its trees at the
-// chunk they won at (PlanIR.tuned).
-var altShapes = map[IRKind]shape{IRTreeAllReduce: shapeRankRooted, IRTreeBroadcast: shapeHybrid}
-
 // tuned compiles the IR at whichever of chunks its schedule finishes first
 // at, the model's pick on a tie. The model errs small where links are
 // shared — by trees, or by an AllReduce's two passes — since it charges a
 // chunk stage one tree's launch and wire latency, so one simulated run of
-// each decides. The kind's alternative shape (altShapes) then races the
-// winner and is kept only if it finishes strictly sooner: an AllReduce of
-// at least a float per rank tries the rank-rooted shape at the chosen
-// chunk, and a Broadcast that carries its root's PCIe packing tries the
-// hybrid at rule, ResolveChunk's chunk, once its trees take longer than
-// the peer-access switch every PCIe op waits for (peerSwitch), below which
-// the hybrid cannot win. The trials build timing-only schedules on an arena
-// kept between compiles (arenas); the winner is built again into tables
-// sized to it, and Freeze keeps the winner's simulated run.
+// each decides. The kind's one alternative shape then races the winner and
+// is kept only if it finishes strictly sooner: an AllReduce of at least a
+// float per rank tries the rank-rooted shape at the chosen chunk, and a
+// Broadcast that carries its root's PCIe packing tries the hybrid at rule,
+// ResolveChunk's chunk, once its trees take longer than the peer-access
+// switch every PCIe op waits for (peerSwitch), below which the hybrid
+// cannot win, and only when the hybrid's calibration probes fit the compile
+// budget. The trials build timing-only schedules on an arena kept between
+// compiles (arenas); the winner is built again into tables sized to it,
+// bar a timing-only hybrid, which owns its tables and is kept as it is, and
+// Freeze keeps the winner's simulated run.
 func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*Plan, shape, error) {
 	var ar *opArena
 	select {
@@ -313,6 +311,7 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*P
 	final, won, rule := opts, shapeTrees, opts.ChunkBytes
 	final.ChunkBytes = chunks[0]
 	var best *simRun
+	var plan *Plan
 	var ops, deps int
 	opts.DataMode = false
 	trial := func(c int64, s shape) bool {
@@ -326,7 +325,7 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*P
 		if ar.order = r.order; best == nil || r.err == nil && r.res.Makespan < best.res.Makespan {
 			// The next trial records its launch order in the other buffer.
 			ar.order, ar.spare = ar.spare, r.order
-			best, final.ChunkBytes, won = &r, c, s
+			best, final.ChunkBytes, won, plan = &r, c, s, p
 			ops, deps = p.size()
 		}
 		return true
@@ -336,17 +335,26 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*P
 			break
 		}
 	}
-	switch alt := altShapes[ir.Kind]; {
+	probe := *ir
+	probe.Bytes = hybridProbeBytes
+	switch {
 	case best == nil:
-	case alt == shapeRankRooted && ir.Bytes/4 >= int64(ranksOf(f)):
-		trial(final.ChunkBytes, alt)
-	case alt == shapeHybrid && len(ir.Packings) == 2 && best.err == nil && best.res.Makespan > peerSwitch(f):
-		trial(rule, alt)
+	case ir.Kind == IRTreeAllReduce && ir.Bytes/4 >= int64(ranksOf(f)):
+		trial(final.ChunkBytes, shapeRankRooted)
+	case ir.Kind == IRTreeBroadcast && len(ir.Packings) == 2 && best.err == nil && best.res.Makespan > peerSwitch(f) && probe.opCount(f, rule) <= MaxPlanOps:
+		trial(rule, shapeHybrid)
 	}
-	// The plan keeps its ops and dependencies, not its stream table.
-	final.arena = newArena(ops, deps)
-	final.arena.streams = ar.streams
-	plan, err := ir.build(f, final, won)
+	var err error
+	if won != shapeHybrid {
+		// The plan keeps its ops and dependencies, not its stream table.
+		final.arena = newArena(ops, deps)
+		final.arena.streams = ar.streams
+	}
+	if won != shapeHybrid || final.DataMode {
+		// A timing-only hybrid trial owns its tables (build gives it no
+		// arena), so it is the plan.
+		plan, err = ir.build(f, final, won)
+	}
 	if err == nil && best != nil {
 		best.order = append(make([]int32, 0, len(best.order)), best.order...)
 		plan.memo = best
@@ -446,7 +454,8 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 }
 
 // build is CodeGen's dispatch on a validated IR, with its chunk resolved,
-// into shape s (shapeTrees for every kind altShapes does not name).
+// into shape s (shapeTrees for every kind but the two tuned races another
+// shape of).
 func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, error) {
 	switch ir.Kind {
 	case IRTreeBroadcast:

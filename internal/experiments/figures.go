@@ -49,12 +49,10 @@ func Fig2() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		blinkTp := blink.ThroughputGBs
-		t.addRow(c.name, topology.AllocLabel(c.devs),
-			fmt.Sprintf("%.1f", nccl.ThroughputGBs),
-			fmt.Sprintf("%.1f", blinkTp),
-			fmt.Sprintf("%.2fx", blinkTp/nccl.ThroughputGBs))
-		t.Metrics["speedup_"+topology.AllocLabel(c.devs)] = blinkTp / nccl.ThroughputGBs
+		sp := blink.ThroughputGBs / nccl.ThroughputGBs
+		t.addRow(c.name, topology.AllocLabel(c.devs), fmt.Sprintf("%.1f", nccl.ThroughputGBs),
+			fmt.Sprintf("%.1f", blink.ThroughputGBs), fmt.Sprintf("%.2fx", sp))
+		t.Metrics["speedup_"+topology.AllocLabel(c.devs)] = sp
 	}
 	t.note("paper: (a) 43.6 vs 48.4 GB/s, (b) 4.8 vs 26.4 GB/s")
 	return t, nil
@@ -133,6 +131,10 @@ func firstDisconnected(machine *topology.Topology, k int) []int {
 	return nil
 }
 
+// sweepSizes are Figs 7 and 8's payloads in MB, each with its chunk: 1 MB
+// for the smallest, 4 MB above.
+var sweepSizes = [][2]int64{{10, 1 << 20}, {100, 4 << 20}, {1000, 4 << 20}}
+
 // Fig7 reports reduce+forward chain throughput for 3-8 GPUs and three data
 // sizes.
 func Fig7() (*Table, error) {
@@ -144,11 +146,8 @@ func Fig7() (*Table, error) {
 			return nil, err
 		}
 		row := []string{fmt.Sprintf("%d", k)}
-		for _, mbs := range []int64{10, 100, 1000} {
-			chunk := int64(4 << 20)
-			if mbs <= 10 {
-				chunk = 1 << 20
-			}
+		for _, sz := range sweepSizes {
+			mbs, chunk := sz[0], sz[1]
 			plan, err := micro.ChainReduceForward(f, mbs<<20, chunk)
 			if err != nil {
 				return nil, err
@@ -172,11 +171,8 @@ func Fig7() (*Table, error) {
 func Fig8() (*Table, error) {
 	t := newTable("fig8", "MIMO and MCA throughput (GB/s per flow)",
 		"size", "MIMO", "MCA")
-	for _, mbs := range []int64{10, 100, 1000} {
-		chunk := int64(4 << 20)
-		if mbs <= 10 {
-			chunk = 1 << 20
-		}
+	for _, sz := range sweepSizes {
+		mbs, chunk := sz[0], sz[1]
 		mimo, err := micro.MIMO(mbs<<20, chunk, simgpu.Config{})
 		if err != nil {
 			return nil, err
@@ -238,18 +234,13 @@ func Fig14() (*Table, error) {
 				// reports the best achievable rate, so take the maximum
 				// over roots (ring counts are root-independent).
 				best := 0.0
-				var ncclBest float64
 				for root := 0; root < g.N; root++ {
 					nccl, blink, err := core.TheoreticalRates(g, root)
 					if err != nil {
 						return nil, err
 					}
-					if blink/nccl > best {
-						best = blink / nccl
-						ncclBest = nccl
-					}
+					best = max(best, blink/nccl)
 				}
-				_ = ncclBest
 				speedups = append(speedups, best)
 			}
 		}
@@ -273,10 +264,12 @@ func Fig14() (*Table, error) {
 	return t, nil
 }
 
-// throughputSweep runs one collective across a list of allocations.
-func throughputSweep(id, title string, machine *topology.Topology, allocs [][]int, op collective.Op) (*Table, error) {
+// throughputSweep runs one collective across a list of allocations, with
+// the paper's claim as its note.
+func throughputSweep(id, title string, machine *topology.Topology, allocs [][]int, op collective.Op, paper string) (*Table, error) {
 	t := newTable(id, title, "GPUs", "Blink GB/s", "NCCL GB/s", "speedup")
 	var speedups []float64
+	mx := 0.0
 	for _, devs := range allocs {
 		eng, err := engineFor(machine, devs)
 		if err != nil {
@@ -291,50 +284,32 @@ func throughputSweep(id, title string, machine *topology.Topology, allocs [][]in
 			return nil, err
 		}
 		sp := blink.ThroughputGBs / nccl.ThroughputGBs
-		speedups = append(speedups, sp)
+		speedups, mx = append(speedups, sp), max(mx, sp)
 		t.addRow(topology.AllocLabel(devs),
 			fmt.Sprintf("%.1f", blink.ThroughputGBs),
 			fmt.Sprintf("%.1f", nccl.ThroughputGBs),
 			fmt.Sprintf("%.2fx", sp))
 	}
 	t.Metrics["geomean_speedup"] = geomean(speedups)
-	mx := 0.0
-	for _, s := range speedups {
-		mx = max(mx, s)
-	}
 	t.Metrics["max_speedup"] = mx
+	t.note("paper: %s", paper)
 	return t, nil
 }
 
 // Fig15 sweeps broadcast over the 46 unique DGX-1V allocations.
 func Fig15() (*Table, error) {
-	t, err := throughputSweep("fig15", "Broadcast, all unique DGX-1V allocations, 500 MB",
-		topology.DGX1V(), topology.Fig15AllocationsDGX1V, collective.Broadcast)
-	if err != nil {
-		return nil, err
-	}
-	t.note("paper: up to 6x, 2x geometric mean")
-	return t, nil
+	return throughputSweep("fig15", "Broadcast, all unique DGX-1V allocations, 500 MB",
+		topology.DGX1V(), topology.Fig15AllocationsDGX1V, collective.Broadcast, "up to 6x, 2x geometric mean")
 }
 
 // Fig16 sweeps broadcast over the 14 unique DGX-1P allocations.
 func Fig16() (*Table, error) {
-	t, err := throughputSweep("fig16", "Broadcast, all unique DGX-1P allocations, 500 MB",
-		topology.DGX1P(), topology.Fig16AllocationsDGX1P, collective.Broadcast)
-	if err != nil {
-		return nil, err
-	}
-	t.note("paper: up to 3x, 1.6x geometric mean")
-	return t, nil
+	return throughputSweep("fig16", "Broadcast, all unique DGX-1P allocations, 500 MB",
+		topology.DGX1P(), topology.Fig16AllocationsDGX1P, collective.Broadcast, "up to 3x, 1.6x geometric mean")
 }
 
 // Fig17 sweeps AllReduce over the 46 unique DGX-1V allocations.
 func Fig17() (*Table, error) {
-	t, err := throughputSweep("fig17", "AllReduce, all unique DGX-1V allocations, 500 MB",
-		topology.DGX1V(), topology.Fig15AllocationsDGX1V, collective.AllReduce)
-	if err != nil {
-		return nil, err
-	}
-	t.note("paper: up to 8x, 2x geometric mean")
-	return t, nil
+	return throughputSweep("fig17", "AllReduce, all unique DGX-1V allocations, 500 MB",
+		topology.DGX1V(), topology.Fig15AllocationsDGX1V, collective.AllReduce, "up to 8x, 2x geometric mean")
 }

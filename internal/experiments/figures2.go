@@ -17,6 +17,7 @@ func Fig18() (*Table, error) {
 	t := newTable("fig18", "End-to-end training reduction on a DGX-1V (ImageNet-1K models)",
 		"GPUs", "model", "iter reduction %", "comm reduction %")
 	var iterReds, commReds []float64
+	maxIter := 0.0
 	for _, devs := range topology.Fig18Allocations {
 		for _, m := range dnn.Zoo() {
 			c, err := dnn.Compare(m, topology.DGX1V(), devs, simgpu.Config{})
@@ -26,18 +27,13 @@ func Fig18() (*Table, error) {
 			t.addRow(topology.AllocLabel(devs), m.Name,
 				fmt.Sprintf("%.1f", 100*c.IterTimeReduction),
 				fmt.Sprintf("%.1f", 100*c.CommTimeReduction))
-			if c.IterTimeReduction > 0 {
-				iterReds = append(iterReds, 1-c.IterTimeReduction)
+			if keep := 1 - c.IterTimeReduction; c.IterTimeReduction > 0 {
+				iterReds = append(iterReds, keep)
+				maxIter = max(maxIter, 1-keep)
 			}
 			if c.CommTimeReduction > 0 {
 				commReds = append(commReds, 1-c.CommTimeReduction)
 			}
-		}
-	}
-	maxIter := 0.0
-	for _, r := range iterReds {
-		if 1-r > maxIter {
-			maxIter = 1 - r
 		}
 	}
 	t.Metrics["max_iter_reduction_pct"] = 100 * maxIter
@@ -53,7 +49,7 @@ func dgx2Sweep() ([][3]float64, error) {
 		return nil, err
 	}
 	var rows [][3]float64 // bytes, ncclSeconds, blinkSeconds
-	for _, sz := range dgx2Sizes() {
+	for sz := int64(1 << 10); sz <= 1<<30; sz *= 4 {
 		nccl, err := eng.Run(collective.NCCL, collective.AllReduce, 0, sz, collective.Options{})
 		if err != nil {
 			return nil, err
@@ -65,14 +61,6 @@ func dgx2Sweep() ([][3]float64, error) {
 		rows = append(rows, [3]float64{float64(sz), nccl.Seconds, blink.Seconds})
 	}
 	return rows, nil
-}
-
-func dgx2Sizes() []int64 {
-	var sizes []int64
-	for sz := int64(1 << 10); sz <= 1<<30; sz *= 4 {
-		sizes = append(sizes, sz)
-	}
-	return sizes
 }
 
 func fmtSize(b float64) string {
@@ -174,10 +162,7 @@ func Fig21() (*Table, error) {
 func Fig22a() (*Table, error) {
 	t := newTable("fig22a", "2x DGX-1V training (3+5 GPUs, 40 Gbps): images/sec",
 		"model", "NCCL", "Blink", "speedup")
-	c, err := topology.NewCluster([]topology.Server{
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
-	}, 40)
+	c, err := fragmentedPair(40)
 	if err != nil {
 		return nil, err
 	}
@@ -206,16 +191,22 @@ func Fig22a() (*Table, error) {
 	return t, nil
 }
 
+// fragmentedPair is the 3+5 GPU allocation across two DGX-1Vs of Fig 22,
+// joined by NICs of gbps.
+func fragmentedPair(gbps float64) (*topology.Cluster, error) {
+	return topology.NewCluster([]topology.Server{
+		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
+		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
+	}, gbps)
+}
+
 // Fig22b projects cross-machine AllReduce throughput as NIC bandwidth
 // scales (100 MB payload, 3+5 GPU fragmented allocation).
 func Fig22b() (*Table, error) {
 	t := newTable("fig22b", "Cross-machine AllReduce vs NIC speed (100 MB, 2 servers)",
 		"NIC Gbps", "NCCL model GB/s", "NCCL sim GB/s", "Blink GB/s", "ratio")
 	for _, gbps := range []float64{40, 100, 400} {
-		c, err := topology.NewCluster([]topology.Server{
-			{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
-			{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
-		}, gbps)
+		c, err := fragmentedPair(gbps)
 		if err != nil {
 			return nil, err
 		}
@@ -253,21 +244,18 @@ func TreeMin() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	minW, maxW := 1e9, 0.0
-	for _, tr := range mwu.Trees {
-		minW = min(minW, tr.Weight)
-		maxW = max(maxW, tr.Weight)
-	}
-	t.addRow("MWU", fmt.Sprintf("%d", len(mwu.Trees)), fmt.Sprintf("%.3f", mwu.Rate),
-		fmt.Sprintf("%.4f", minW), fmt.Sprintf("%.4f", maxW))
 	ilp := core.MinimizeTrees(g, mwu)
-	minW, maxW = 1e9, 0.0
-	for _, tr := range ilp.Trees {
-		minW = min(minW, tr.Weight)
-		maxW = max(maxW, tr.Weight)
+	for _, stage := range []struct {
+		name string
+		p    *core.Packing
+	}{{"MWU", mwu}, {"ILP-minimized", ilp}} {
+		minW, maxW := 1e9, 0.0
+		for _, tr := range stage.p.Trees {
+			minW, maxW = min(minW, tr.Weight), max(maxW, tr.Weight)
+		}
+		t.addRow(stage.name, fmt.Sprintf("%d", len(stage.p.Trees)), fmt.Sprintf("%.3f", stage.p.Rate),
+			fmt.Sprintf("%.4f", minW), fmt.Sprintf("%.4f", maxW))
 	}
-	t.addRow("ILP-minimized", fmt.Sprintf("%d", len(ilp.Trees)), fmt.Sprintf("%.3f", ilp.Rate),
-		fmt.Sprintf("%.4f", minW), fmt.Sprintf("%.4f", maxW))
 	t.Metrics["mwu_trees"] = float64(len(mwu.Trees))
 	t.Metrics["min_trees"] = float64(len(ilp.Trees))
 	t.Metrics["min_rate"] = ilp.Rate
@@ -284,34 +272,13 @@ func Fig24() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fw, err := micro.ChainForward(f, 1000<<20, 4<<20)
+		tps, err := microRow(t, fmt.Sprintf("%d", k), f, 1000<<20, micro.ChainForward, micro.ChainReduceForward, micro.ChainReduceBroadcast)
 		if err != nil {
 			return nil, err
 		}
-		rf, err := micro.ChainReduceForward(f, 1000<<20, 4<<20)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := micro.ChainReduceBroadcast(f, 1000<<20, 4<<20)
-		if err != nil {
-			return nil, err
-		}
-		fwT, err := fw.ThroughputGBs()
-		if err != nil {
-			return nil, err
-		}
-		rfT, err := rf.ThroughputGBs()
-		if err != nil {
-			return nil, err
-		}
-		rbT, err := rb.ThroughputGBs()
-		if err != nil {
-			return nil, err
-		}
-		t.addRow(fmt.Sprintf("%d", k), fmt.Sprintf("%.1f", fwT), fmt.Sprintf("%.1f", rfT), fmt.Sprintf("%.1f", rbT))
 		if k == 8 {
-			t.Metrics["fwd_8gpu"] = fwT
-			t.Metrics["rbcast_8gpu"] = rbT
+			t.Metrics["fwd_8gpu"] = tps[0]
+			t.Metrics["rbcast_8gpu"] = tps[2]
 		}
 	}
 	t.note("paper: forward ~22->20, reduce+forward ~18, reduce-bcast ~19->16 GB/s")
@@ -327,32 +294,28 @@ func Fig26() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fi, err := micro.FanInForward(f, payload500MB, 4<<20)
-		if err != nil {
+		if _, err := microRow(t, fmt.Sprintf("%d", deg), f, payload500MB, micro.FanInForward, micro.FanInReduceForward, micro.FanOutForward); err != nil {
 			return nil, err
 		}
-		fir, err := micro.FanInReduceForward(f, payload500MB, 4<<20)
-		if err != nil {
-			return nil, err
-		}
-		fo, err := micro.FanOutForward(f, payload500MB, 4<<20)
-		if err != nil {
-			return nil, err
-		}
-		fiT, err := fi.ThroughputGBs()
-		if err != nil {
-			return nil, err
-		}
-		firT, err := fir.ThroughputGBs()
-		if err != nil {
-			return nil, err
-		}
-		foT, err := fo.ThroughputGBs()
-		if err != nil {
-			return nil, err
-		}
-		t.addRow(fmt.Sprintf("%d", deg), fmt.Sprintf("%.1f", fiT), fmt.Sprintf("%.1f", firT), fmt.Sprintf("%.1f", foT))
 	}
 	t.note("paper: near peak link bandwidth; reduce costs 1-2 GB/s at the center")
 	return t, nil
+}
+
+// microRow adds a row to t: label, then the throughput of each micro
+// schedule of bytes over f in 4 MB chunks, which it also returns.
+func microRow(t *Table, label string, f *simgpu.Fabric, bytes int64, builds ...func(*simgpu.Fabric, int64, int64) (*core.Plan, error)) ([]float64, error) {
+	row, tps := []string{label}, make([]float64, len(builds))
+	for i, build := range builds {
+		plan, err := build(f, bytes, 4<<20)
+		if err != nil {
+			return nil, err
+		}
+		if tps[i], err = plan.ThroughputGBs(); err != nil {
+			return nil, err
+		}
+		row = append(row, fmt.Sprintf("%.1f", tps[i]))
+	}
+	t.addRow(row...)
+	return tps, nil
 }
