@@ -36,13 +36,10 @@ func (e *Engine) observeStage(stage string, seconds float64) {
 func (st *engineState) entryFor(plane core.FabricSel, root int) *packEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	m := st.packs[plane]
-	entry, ok := m[root]
-	if !ok {
-		entry = &packEntry{}
-		m[root] = entry
+	if st.packs[plane][root] == nil {
+		st.packs[plane][root] = &packEntry{}
 	}
-	return entry
+	return st.packs[plane][root]
 }
 
 // packing resolves the root's packing on the NVLink or PCIe plane,

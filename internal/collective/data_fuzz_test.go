@@ -43,6 +43,11 @@ func checkData(t *testing.T, eng *Engine, b Backend, op Op, floats int, chunk in
 		if _, err := eng.Run(b, op, root, int64(floats)*4, opts); err != nil {
 			t.Fatalf("%v %v of %d floats, chunk %d, on %s: %v", b, op, floats, chunk, eng.Topo().Name, err)
 		}
+		// Every accepted plan fits the compile budget, whichever row won.
+		key := eng.planKey(eng.Fingerprint(), request{b: b, op: op, root: root, bytes: int64(floats) * 4, opts: opts})
+		if cp, ok := eng.cache.Get(key); !ok || cp.Plan.NumOps() > core.MaxPlanOps {
+			t.Fatalf("%v %v of %d floats, chunk %d, on %s: cached %v, over the %d-op budget", b, op, floats, chunk, eng.Topo().Name, ok, core.MaxPlanOps)
+		}
 	}
 	same := func(v int, got, want []float32) {
 		t.Helper()
@@ -112,8 +117,8 @@ func derivations(ds ...[3]int) int {
 
 // FuzzEngineData is the randomized differential check of the data path: a
 // data-mode Engine.Run must return what the sequential reference computes
-// (checkData), and every root's packing must pass Packing.Validate on the
-// plane the engine schedules over. On a pristine machine every case must
+// (checkData) from a plan within core.MaxPlanOps, and every root's packing
+// must pass Packing.Validate on the plane the engine schedules over. On a pristine machine every case must
 // succeed. After a derivation only a clean derivation or Reconfigure error
 // is allowed, and the engine must run on. The inputs:
 //

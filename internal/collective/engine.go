@@ -172,7 +172,9 @@ type engineState struct {
 	// packs holds the NVLink and PCIe planes' packings in per-root slots
 	// with entry-level locks (compile.go), so st.mu is held only for map
 	// access and cold compiles for distinct roots run in parallel.
-	packs     [2]map[int]*packEntry
+	packs [2]map[int]*packEntry
+	// und holds the NVLink and PCIe planes' undirected AllReduce packings.
+	und       [2]core.Undirected
 	rings     []core.Ring
 	ringsDone bool
 	// oneHop is the switch plane's precomputed per-root one-hop packing set.
@@ -565,7 +567,7 @@ func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan,
 		return nil, err
 	}
 	e.observeStage(core.StageCodegen, time.Since(t0).Seconds())
-	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
+	cp := &CachedPlan{Plan: plan, Strategy: strategy}
 	var owner uint64
 	if rq.opts.Tenant != nil {
 		// Tag the entry so partition fairness charges the insert against
@@ -772,11 +774,13 @@ func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKi
 // selectPlan is the one step between a cache miss and a generated schedule.
 // Its first row is a cluster's (clusterPlan). On one machine it records what
 // selectShape chose — plus the packings, transfer pairs or op shape the kind
-// needs — into a serializable PlanIR and hands the IR to core.CodeGen over
-// the plane's fabric. A Blink Broadcast on the NVLink plane also carries
-// its root's PCIe packing, so CodeGen can race the §3.4 hybrid across both
-// planes. Returned alongside the plan is its strategy label, the IR's.
-func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.Plan, strategy string, err error) {
+// needs — into a serializable PlanIR and hands the IR to core.Compile over
+// the plane's fabric. An auto-chunk Blink Broadcast on the NVLink plane
+// also carries its root's PCIe packing, so CodeGen can race the §3.4
+// hybrid across both planes, and an auto-chunk Blink AllReduce the plane's
+// undirected packing (core.Undirected), when it has one. Returned alongside
+// the frozen plan is its strategy label, the IR's.
+func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.FrozenPlan, strategy string, err error) {
 	po := core.PlanOptions{
 		ChunkBytes: core.ResolveChunk(rq.bytes, key.ChunkBytes),
 		DataMode:   rq.opts.DataMode,
@@ -787,7 +791,8 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		NoStreamReuse: true,
 	}
 	if st.cluster != nil {
-		return st.clusterPlan(e.pipe, key, rq, po)
+		p, strategy, err := st.clusterPlan(e.pipe, key, rq, po)
+		return p.Freeze(), strategy, err
 	}
 	plane := st.plane(rq.b)
 	// packs resolves the packings of roots [from, to) on a plane: the
@@ -807,10 +812,8 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 	}
 	// An IR keeps an auto chunk as 0: CodeGen sizes it for the kind.
 	po.ChunkBytes = key.ChunkBytes
-	ir := &core.PlanIR{Fabric: plane, Root: rq.root, Bytes: rq.bytes, Opts: po}
-	var needs irNeeds
-	ir.Kind, ir.Strategy, needs = selectShape(plane, rq.b, rq.op, rq.bytes)
-	n := st.topo.NumGPUs
+	kind, label, needs := selectShape(plane, rq.b, rq.op, rq.bytes)
+	ir := &core.PlanIR{Kind: kind, Strategy: label, Fabric: plane, Root: rq.root, Bytes: rq.bytes, Opts: po}
 	switch needs {
 	case needRootPacking:
 		ir.Packings, err = packs(plane, rq.root, rq.root+1)
@@ -820,8 +823,11 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 				ir.Packings = append(ir.Packings, pcie...)
 			}
 		}
+		if err == nil && ir.Kind == core.IRTreeAllReduce && plane != core.FabricSwitch && key.ChunkBytes == 0 {
+			ir.Packings = append(ir.Packings, st.und[plane].For(st.fabrics[plane].Graph, ir.Packings[0])...)
+		}
 	case needAllPackings:
-		ir.Packings, err = packs(plane, 0, n)
+		ir.Packings, err = packs(plane, 0, st.topo.NumGPUs)
 	case needChain:
 		// The frozen plan outlives the call: copy the caller's slices.
 		ir.Chain = append([]int(nil), rq.opts.Chain...)
@@ -831,15 +837,15 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 			ir.Neighbors[v] = append([]int(nil), row...)
 		}
 	case needPairs:
-		ir.Pairs, ir.Chained, err = p2pPairs(rq.op, n, rq.bytes, rq.opts)
+		ir.Pairs, ir.Chained, err = p2pPairs(rq.op, st.topo.NumGPUs, rq.bytes, rq.opts)
 	}
 	if err != nil {
 		return nil, "", err
 	}
-	if plan, err = core.CodeGen(ir, st.fabrics[plane]); err != nil {
+	if plan, err = core.Compile(ir, st.fabrics[plane]); err != nil {
 		return nil, "", err
 	}
-	return plan, plan.IR.Strategy, nil
+	return plan, plan.IR().Strategy, nil
 }
 
 // FabricFor returns the fabric the given backend's plans move data over:

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"blink/internal/graph"
 )
@@ -21,19 +19,8 @@ import (
 // ApproxPack is deterministic: identical graphs yield byte-identical
 // packings.
 func ApproxPack(g *graph.Graph, root int) (*Packing, error) {
-	if err := checkRoot(g, root); err != nil {
-		return nil, err
-	}
-	if g.N == 1 {
-		return &Packing{Root: root, Rate: math.Inf(1)}, nil
-	}
-	if !g.StronglyConnectedFrom(root) {
-		return nil, ErrNoSpanningTree
-	}
-	for _, e := range g.Edges {
-		if e.Cap <= 0 {
-			return nil, fmt.Errorf("core: edge %d has non-positive capacity %v", e.ID, e.Cap)
-		}
+	if p, err := packable(g, root); p != nil || err != nil {
+		return p, err
 	}
 
 	resid := make([]float64, len(g.Edges))
@@ -45,12 +32,7 @@ func ApproxPack(g *graph.Graph, root int) (*Packing, error) {
 	for _, t := range p.Trees {
 		p.Rate += t.Weight
 	}
-	sort.Slice(p.Trees, func(i, j int) bool {
-		if p.Trees[i].Weight != p.Trees[j].Weight {
-			return p.Trees[i].Weight > p.Trees[j].Weight
-		}
-		return p.Trees[i].Arbo.Key() < p.Trees[j].Arbo.Key()
-	})
+	sortTrees(p.Trees)
 	if err := p.Validate(g); err != nil {
 		return nil, err
 	}
@@ -64,37 +46,26 @@ func ApproxPack(g *graph.Graph, root int) (*Packing, error) {
 func peel(g *graph.Graph, root int, resid []float64) []Tree {
 	const tiny = 1e-9
 	var out []Tree
+	arb, cost := graph.NewArborescer(g), make([]float64, len(g.Edges))
 	// Each iteration saturates at least one edge (the bottleneck), so the
 	// loop runs at most len(g.Edges) times; the cap is a safety net.
 	for iter := 0; iter <= len(g.Edges); iter++ {
-		// Restrict to edges with residual capacity, remembering original IDs.
-		avail := graph.New(g.N)
-		var origID []int
-		for _, e := range g.Edges {
-			if resid[e.ID] > tiny {
-				avail.AddEdge(e.From, e.To, resid[e.ID], e.Type)
-				origID = append(origID, e.ID)
+		// Prefer high-residual edges so scarce capacity is saved for trees
+		// that have no alternative; an edge with none left is never taken.
+		for i, r := range resid {
+			cost[i] = math.Inf(1)
+			if r > tiny {
+				cost[i] = 1 / r
 			}
 		}
-		if !avail.StronglyConnectedFrom(root) {
-			break
-		}
-		// Prefer high-residual edges so scarce capacity is saved for trees
-		// that have no alternative.
-		cost := make([]float64, len(avail.Edges))
-		for i, e := range avail.Edges {
-			cost[i] = 1 / e.Cap
-		}
-		viewTree, _, err := graph.MinCostArborescence(avail, root, func(id int) float64 { return cost[id] })
+		edges, _, err := arb.Solve(root, cost)
 		if err != nil {
 			break
 		}
-		tree := graph.Arborescence{Root: root, Edges: make([]int, 0, len(viewTree.Edges))}
+		tree := graph.Arborescence{Root: root, Edges: append([]int(nil), edges...)}
 		w := math.Inf(1)
-		for _, id := range viewTree.Edges {
-			oid := origID[id]
-			tree.Edges = append(tree.Edges, oid)
-			w = min(w, resid[oid])
+		for _, id := range tree.Edges {
+			w = min(w, resid[id])
 		}
 		if w <= tiny {
 			break

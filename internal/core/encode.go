@@ -148,11 +148,7 @@ func DecodePlan(data []byte, resolve func(FabricSel) *simgpu.Fabric) (*FrozenPla
 	if err := hdr.ValidateFor(f); err != nil {
 		return nil, err
 	}
-	plan, err := CodeGen(ir, f)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Freeze(), nil
+	return Compile(ir, f)
 }
 
 // ---- encoding primitives ----

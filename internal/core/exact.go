@@ -60,33 +60,24 @@ func ExactPack(g *graph.Graph, root int) (*Packing, error) {
 // whose removal keeps the root min-cut at least keep. It tries a sequence
 // of deterministic cost perturbations.
 func peelOne(resid *graph.Graph, root, keep int) (graph.Arborescence, bool) {
-	// View restricted to edges with remaining capacity, remembering the
-	// original edge IDs.
-	avail := graph.New(resid.N)
-	var origID []int
-	for _, e := range resid.Edges {
-		if e.Cap >= 1 {
-			avail.AddEdge(e.From, e.To, e.Cap, e.Type)
-			origID = append(origID, e.ID)
-		}
-	}
+	arb, cost := graph.NewArborescer(resid), make([]float64, len(resid.Edges))
 	const attempts = 64
 	for seed := 0; seed < attempts; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		cost := make([]float64, len(avail.Edges))
-		for i, e := range avail.Edges {
+		for i, e := range resid.Edges {
 			// Prefer high-residual edges (protect scarce ones), with a
-			// seed-dependent jitter to explore alternatives.
-			cost[i] = 1/(e.Cap+1) + rng.Float64()*0.5
+			// seed-dependent jitter to explore alternatives; an edge with no
+			// capacity left is never taken.
+			cost[i] = math.Inf(1)
+			if e.Cap >= 1 {
+				cost[i] = 1/(e.Cap+1) + rng.Float64()*0.5
+			}
 		}
-		viewTree, _, err := graph.MinCostArborescence(avail, root, func(id int) float64 { return cost[id] })
+		edges, _, err := arb.Solve(root, cost)
 		if err != nil {
 			return graph.Arborescence{}, false
 		}
-		tree := graph.Arborescence{Root: root, Edges: make([]int, 0, len(viewTree.Edges))}
-		for _, id := range viewTree.Edges {
-			tree.Edges = append(tree.Edges, origID[id])
-		}
+		tree := graph.Arborescence{Root: root, Edges: append([]int(nil), edges...)}
 		if keep == 0 {
 			return tree, true
 		}

@@ -54,10 +54,13 @@ type FrozenPlan struct {
 // and simulates it once. The simulator reads the plan's ops in place and
 // skips their Exec closures, so freezing a data-mode plan moves no data.
 // The plan's ops must not be mutated afterwards; the frozen plan is the
-// canonical artifact.
+// canonical artifact. A nil plan freezes to nil, so a builder's result can
+// be frozen as it is returned, error or not.
 func (p *Plan) Freeze() *FrozenPlan {
+	if p == nil {
+		return nil
+	}
 	fp := &FrozenPlan{
-		ops:        len(p.Ops),
 		fabric:     p.Fabric,
 		partitions: p.Partitions,
 		ir:         p.IR,
@@ -78,25 +81,26 @@ func (p *Plan) Freeze() *FrozenPlan {
 		sims.Put(sim)
 		run = &r
 	}
-	fp.res, fp.err, fp.order = run.res, run.err, run.order
+	fp.res, fp.err, fp.order, fp.ops = run.res, run.err, run.order, run.ops
 	if fp.hasExec && fp.err == nil {
 		fp.manifest = simgpu.RecordManifest(func(s *simgpu.BufferSet) { fp.walk(s, simgpu.Window{}, nil) })
 	}
 	return fp
 }
 
-// simRun is one simulation of a plan: what it returned, and the op indices
-// in the order it launched them.
+// simRun is one simulation of a plan: what it returned, the op indices in
+// the order it launched them, and how many ops the plan has.
 type simRun struct {
 	res   simgpu.Result
 	err   error
 	order []int32
+	ops   int
 }
 
 // run simulates the plan on sim, appending its launch order to order.
 func (p *Plan) run(sim *simgpu.Sim, order []int32) simRun {
 	res, err := sim.Run(p.Fabric.Links, p.Ops, nil, func(i int, _ *simgpu.Op) { order = append(order, int32(i)) })
-	return simRun{res, err, order}
+	return simRun{res, err, order, len(p.Ops)}
 }
 
 // sims holds simulators between Freezes, so a compile reuses the dense

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"blink/internal/graph"
 	"blink/internal/simgpu"
@@ -146,7 +147,7 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 		IRTreeReduce, IRTreeReduceScatter, IRTreeScatter:
 		if len(ir.Packings) == 2 && ir.Kind == IRTreeBroadcast && ir.Fabric == FabricNVLink && f.Topo != nil {
 			graphs[1] = f.Topo.PCIeGraph() // the root's PCIe packing, for the hybrid shape
-		} else if len(ir.Packings) != 1 {
+		} else if len(ir.Packings) != 1 && (len(ir.Packings) != 2 || ir.Kind != IRTreeAllReduce) {
 			return fmt.Errorf("core: %v IR needs exactly 1 packing, got %d", ir.Kind, len(ir.Packings))
 		}
 	case IRTreeAllToAll, IRDGX2AllReduce:
@@ -186,8 +187,8 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 		if err := p.Validate(graphs[min(i, 1)]); err != nil {
 			return fmt.Errorf("core: IR packing %d invalid: %w", i, err)
 		}
-		if graphs[1] != f.Graph && p.Root != ir.Packings[0].Root {
-			return fmt.Errorf("core: IR's PCIe packing is rooted at %d, its NVLink one at %d", p.Root, ir.Packings[0].Root)
+		if i == 1 && ir.Kind != IRTreeAllToAll && ir.Kind != IRDGX2AllReduce && p.Root != ir.Packings[0].Root {
+			return fmt.Errorf("core: IR's second packing is rooted at %d, its first at %d", p.Root, ir.Packings[0].Root)
 		}
 	}
 	return nil
@@ -270,7 +271,7 @@ func (ir *PlanIR) opCount(f *simgpu.Fabric, c int64) int64 {
 type shape uint8
 
 const (
-	// shapeTrees pipelines the payload over Packings[0]'s trees from its root.
+	// shapeTrees pipelines the payload over a packing's trees from its root.
 	shapeTrees shape = iota
 	// shapeRankRooted reduces slice r of an AllReduce to rank r and
 	// broadcasts it from there (BuildRankRootedAllReducePlan).
@@ -280,22 +281,35 @@ const (
 	shapeHybrid
 )
 
-// tuned compiles the IR at whichever of chunks its schedule finishes first
-// at, the model's pick on a tie. The model errs small where links are
-// shared — by trees, or by an AllReduce's two passes — since it charges a
-// chunk stage one tree's launch and wire latency, so one simulated run of
-// each decides. The kind's one alternative shape then races the winner and
-// is kept only if it finishes strictly sooner: an AllReduce of at least a
-// float per rank tries the rank-rooted shape at the chosen chunk, and a
-// Broadcast that carries its root's PCIe packing tries the hybrid at rule,
-// ResolveChunk's chunk, once its trees take longer than the peer-access
-// switch every PCIe op waits for (peerSwitch), below which the hybrid
-// cannot win, and only when the hybrid's calibration probes fit the compile
-// budget. The trials build timing-only schedules on an arena kept between
-// compiles (arenas); the winner is built again into tables sized to it,
-// bar a timing-only hybrid, which owns its tables and is kept as it is, and
-// Freeze keeps the winner's simulated run.
-func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*Plan, shape, error) {
+// prune lets tuned skip a candidate whose lower bound its incumbent already
+// meets; tests turn it off to race every candidate.
+var prune = true
+
+// tuned races the IR's candidate table and compiles the winner. A row is a
+// packing, a shape and a chunk, and the rows come packing by packing: an
+// AllReduce's directed packing and, when it carries one, its undirected
+// packing (PackUndirected), in order of the rate each sustains as an
+// AllReduce (allReduceRate), best first; every other kind its one packing.
+// Each packing races the chunk its tree model picks (treeChunk) and the
+// next chunk up its grid, since the model errs small where links are
+// shared — by trees, or by an AllReduce's two passes — as it charges a
+// chunk stage one tree's launch and wire latency. An AllReduce of at least
+// a float per rank then races the rank-rooted shape at the packing's better
+// chunk. A row is skipped when its schedule would exceed the compile budget
+// or, for an AllReduce, when its LowerBound is no less than the incumbent's
+// makespan, since it cannot then finish sooner. A Broadcast that carries
+// its root's PCIe packing last races the hybrid at rule, ResolveChunk's
+// chunk, once its trees take longer than the peer-access switch every PCIe
+// op waits for (peerSwitch), below which the hybrid cannot win, and only
+// when the hybrid's calibration probes fit the compile budget. A row is
+// kept only if it finishes strictly sooner than every row before it. The
+// trials build timing-only schedules on an arena kept between compiles
+// (arenas). The winner is built again into tables sized to it when tables
+// is set or it moves data, bar a timing-only hybrid, which owns its tables
+// and is kept as it is; otherwise the plan has no ops, only the winner's
+// simulated run, which Freeze keeps either way. tuned returns the winning
+// packing beside the plan and its shape.
+func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tables bool) (*Plan, *Packing, shape, error) {
 	var ar *opArena
 	select {
 	case ar = <-arenas:
@@ -309,57 +323,100 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, chunks [2]int64) (*P
 		}
 	}()
 	final, won, rule := opts, shapeTrees, opts.ChunkBytes
-	final.ChunkBytes = chunks[0]
 	var best *simRun
 	var plan *Plan
+	var pick *Packing
 	var ops, deps int
+	var err error
 	opts.DataMode = false
-	trial := func(c int64, s shape) bool {
+	// trial races one row and returns its makespan (+Inf when its schedule
+	// cannot run), false when it cannot be built.
+	trial := func(pk *Packing, c int64, s shape) (float64, bool) {
 		opts.ChunkBytes, opts.arena = c, ar
-		p, err := ir.build(f, opts, s)
-		if err != nil {
-			return false
+		p, berr := ir.build(f, opts, s, pk)
+		if berr != nil {
+			if best == nil {
+				err = berr
+			}
+			return math.Inf(1), false
 		}
 		ar = ar.fit(p)
 		r := p.run(&ar.sim, ar.order[:0])
 		if ar.order = r.order; best == nil || r.err == nil && r.res.Makespan < best.res.Makespan {
 			// The next trial records its launch order in the other buffer.
 			ar.order, ar.spare = ar.spare, r.order
-			best, final.ChunkBytes, won, plan = &r, c, s, p
+			best, final.ChunkBytes, won, plan, pick, err = &r, c, s, p, pk, nil
 			ops, deps = p.size()
 		}
-		return true
+		if r.err != nil {
+			return math.Inf(1), true
+		}
+		return r.res.Makespan, true
 	}
-	for _, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
-		if !trial(c, shapeTrees) {
-			break
+	packs := ir.Packings[:1]
+	if ir.Kind == IRTreeAllReduce && len(ir.Packings) == 2 {
+		packs = ir.Packings[:2:2]
+		if rev, _ := reverseEdges(f.Graph); allReduceRate(f.Graph, packs[1], rev) > allReduceRate(f.Graph, packs[0], rev) {
+			packs = []*Packing{packs[1], packs[0]}
+		}
+	}
+	for i, pk := range packs {
+		one, bound := *ir, 0.0
+		if one.Packings = packs[i : i+1]; len(packs) > 1 {
+			bound = one.LowerBound(f)
+		}
+		row := func(c int64, s shape) (float64, bool) {
+			if one.opCount(f, c) > MaxPlanOps || prune && best != nil && best.err == nil && bound >= best.res.Makespan {
+				return math.Inf(1), true
+			}
+			return trial(pk, c, s)
+		}
+		chunks := first
+		if pk != ir.Packings[0] {
+			chunks = treeChunk(f, pk, ir.Bytes, treePasses[ir.Kind])
+		}
+		at, fastest := chunks[0], math.Inf(1)
+		for _, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
+			ms, ok := row(c, shapeTrees)
+			if !ok {
+				break
+			}
+			if ms < fastest {
+				at, fastest = c, ms
+			}
+		}
+		if ir.Kind == IRTreeAllReduce && ir.Bytes/4 >= int64(ranksOf(f)) && best != nil {
+			row(at, shapeRankRooted)
 		}
 	}
 	probe := *ir
 	probe.Bytes = hybridProbeBytes
+	if ir.Kind == IRTreeBroadcast && len(ir.Packings) == 2 && best != nil && best.err == nil && best.res.Makespan > peerSwitch(f) && probe.opCount(f, rule) <= MaxPlanOps {
+		trial(ir.Packings[0], rule, shapeHybrid)
+	}
 	switch {
 	case best == nil:
-	case ir.Kind == IRTreeAllReduce && ir.Bytes/4 >= int64(ranksOf(f)):
-		trial(final.ChunkBytes, shapeRankRooted)
-	case ir.Kind == IRTreeBroadcast && len(ir.Packings) == 2 && best.err == nil && best.res.Makespan > peerSwitch(f) && probe.opCount(f, rule) <= MaxPlanOps:
-		trial(rule, shapeHybrid)
-	}
-	var err error
-	if won != shapeHybrid {
-		// The plan keeps its ops and dependencies, not its stream table.
-		final.arena = newArena(ops, deps)
-		final.arena.streams = ar.streams
-	}
-	if won != shapeHybrid || final.DataMode {
+		return nil, nil, won, err
+	case won == shapeHybrid && !final.DataMode:
 		// A timing-only hybrid trial owns its tables (build gives it no
 		// arena), so it is the plan.
-		plan, err = ir.build(f, final, won)
+	case !tables && !final.DataMode:
+		// The trial's tables go back to the arena; the plan keeps only its
+		// simulated run.
+		plan = &Plan{TotalBytes: plan.TotalBytes, Fabric: f}
+	default:
+		if won != shapeHybrid {
+			// The plan keeps its ops and dependencies, not its stream table.
+			final.arena = newArena(ops, deps)
+			final.arena.streams = ar.streams
+		}
+		plan, err = ir.build(f, final, won, pick)
 	}
-	if err == nil && best != nil {
+	if err == nil {
 		best.order = append(make([]int32, 0, len(best.order)), best.order...)
 		plan.memo = best
 	}
-	return plan, won, err
+	return plan, pick, won, err
 }
 
 // opArena is memory a plan's builder carves its ops, their dependencies and
@@ -409,8 +466,22 @@ var arenas = make(chan *opArena, 2)
 // pure function of (IR, fabric): byte-identical IRs over identical fabrics
 // produce identical schedules, which is what makes the serialized form a
 // faithful plan transport. The returned plan carries the IR, so freezing it
-// preserves round-trip ability.
-func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
+// preserves round-trip ability: an AllReduce IR that carries two packings
+// records only the one its schedule won with, which compiles to the same
+// schedule again.
+func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) { return codeGen(ir, f, true) }
+
+// Compile is CodeGen followed by Freeze. A timing plan CodeGen's trial
+// raced is frozen from the winning trial's run, and its op tables are never
+// built.
+func Compile(ir *PlanIR, f *simgpu.Fabric) (*FrozenPlan, error) {
+	plan, err := codeGen(ir, f, false)
+	return plan.Freeze(), err
+}
+
+// codeGen is CodeGen, building a tuned timing plan's op tables only when
+// tables is set.
+func codeGen(ir *PlanIR, f *simgpu.Fabric, tables bool) (*Plan, error) {
 	if ir == nil {
 		return nil, fmt.Errorf("core: nil plan IR")
 	}
@@ -423,20 +494,25 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 	opts := ir.Opts
 	opts.ChunkBytes = ResolveChunk(ir.Bytes, opts.ChunkBytes)
 	// An auto chunk stays 0 in the IR, so a decoded plan recomputes it, and
-	// the shape, here; the budget counts the smallest chunk a trial tries.
-	chunks, passes := [2]int64{opts.ChunkBytes}, treePasses[ir.Kind]
+	// the shape, here; the budget counts the smallest chunk a trial of the
+	// first packing tries, and tuned holds every other packing's rows to it.
+	chunks, passes, budget := [2]int64{opts.ChunkBytes}, treePasses[ir.Kind], *ir
 	tune := passes > 0 && ir.Opts.ChunkBytes <= 0 && ir.Fabric != FabricSwitch
 	if tune {
 		chunks = treeChunk(f, ir.Packings[0], ir.Bytes, passes)
 	}
-	if ops := ir.opCount(f, min(opts.ChunkBytes, chunks[0])); ops > MaxPlanOps {
+	if ir.Kind == IRTreeAllReduce {
+		budget.Packings = ir.Packings[:1]
+	}
+	if ops := budget.opCount(f, min(opts.ChunkBytes, chunks[0])); ops > MaxPlanOps {
 		return nil, &PlanBudgetError{Kind: ir.Kind, Ops: ops}
 	}
 	var plan *Plan
+	var pick *Packing
 	var err error
 	won := shapeTrees
 	if tune {
-		plan, won, err = ir.tuned(f, opts, chunks)
+		plan, pick, won, err = ir.tuned(f, opts, chunks, tables)
 	} else {
 		plan, err = ir.build(f, opts, shapeTrees)
 	}
@@ -444,19 +520,31 @@ func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) {
 		return nil, err
 	}
 	plan.IR = ir
-	if won == shapeHybrid {
-		// The label travels with the IR, so a decoded plan reports it too.
-		hy := *ir
-		hy.Strategy = "hybrid"
-		plan.IR = &hy
+	if won == shapeHybrid || len(ir.Packings) == 2 && ir.Kind == IRTreeAllReduce {
+		// The label and the winning packing travel with the IR, so a decoded
+		// plan reports and compiles the same.
+		out := *ir
+		switch {
+		case won == shapeHybrid:
+			out.Strategy = "hybrid"
+		case pick != nil:
+			out.Packings = []*Packing{pick}
+		default:
+			out.Packings = ir.Packings[:1]
+		}
+		plan.IR = &out
 	}
 	return plan, nil
 }
 
 // build is CodeGen's dispatch on a validated IR, with its chunk resolved,
 // into shape s (shapeTrees for every kind but the two tuned races another
-// shape of).
-func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, error) {
+// shape of). A tree Broadcast or AllReduce schedules over pk, the packing
+// tuned's row names, which defaults to Packings[0].
+func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape, pk ...*Packing) (*Plan, error) {
+	if len(pk) == 0 || pk[0] == nil {
+		pk = ir.Packings
+	}
 	switch ir.Kind {
 	case IRTreeBroadcast:
 		if s == shapeHybrid {
@@ -469,14 +557,14 @@ func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, err
 			}
 			return plan, err
 		}
-		return BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, opts)
+		return BuildBroadcastPlan(f, pk[0], ir.Bytes, opts)
 	case IRTreeGather:
 		return BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeAllReduce, IRTreeAllGather:
 		if s == shapeRankRooted {
-			return BuildRankRootedAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
+			return BuildRankRootedAllReducePlan(f, pk[0], ir.Bytes, opts)
 		}
-		return BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
+		return BuildAllReducePlan(f, pk[0], ir.Bytes, opts)
 	case IRTreeReduce, IRTreeReduceScatter:
 		plan, _, err := BuildReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		return plan, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"blink/internal/graph"
 )
@@ -28,26 +27,36 @@ const (
 // to fractional grids (halves, quarters, ...) until within the threshold.
 // Among equal-rate solutions the solver prefers fewer trees.
 func MinimizeTrees(g *graph.Graph, p *Packing) *Packing {
+	return minimize(g, p, minSearch{cands: minCandidates, nodes: 4_000_000, grid: minMaxGrid, weight: 1, fallback: true})
+}
+
+// minSearch bounds minimize: the candidates it takes, the branch-and-bound
+// nodes each grid may visit, its finest grid, the most weight one tree may
+// take, and whether a packing no grid brings within the threshold falls
+// back to the MWU packing or keeps the best grid's.
+type minSearch struct {
+	cands, nodes, grid, weight int
+	fallback                   bool
+}
+
+// minimize is MinimizeTrees under the search bounds s.
+func minimize(g *graph.Graph, p *Packing, s minSearch) *Packing {
 	if len(p.Trees) <= 1 {
 		return p
 	}
 	target := p.Rate * (1 - minThreshold)
 
-	// Candidate trees: distinct by construction (PackTrees dedupes),
-	// highest weight first, capped.
-	cands := p.Trees
-	if len(cands) > minCandidates {
-		cands = cands[:minCandidates]
-	}
-
-	best := solveGrid(g, p.Root, cands, 1, p.Bound)
-	for q := 2; best.Rate < target && q <= minMaxGrid; q *= 2 {
-		sol := solveGrid(g, p.Root, cands, q, p.Bound)
+	// Candidate trees: distinct by construction (mwu dedupes), highest
+	// weight first, capped.
+	cands := p.Trees[:min(len(p.Trees), s.cands)]
+	best := solveGrid(g, p.Root, cands, 1, s.weight, p.Bound, s.nodes)
+	for q := 2; best.Rate < target && q <= s.grid; q *= 2 {
+		sol := solveGrid(g, p.Root, cands, q, q*s.weight, p.Bound, s.nodes)
 		if sol.Rate > best.Rate || (sol.Rate == best.Rate && len(sol.Trees) < len(best.Trees)) {
 			best = sol
 		}
 	}
-	if best.Rate < target {
+	if best.Rate < target && s.fallback {
 		// Relaxation exhausted; fall back to the fractional MWU packing.
 		return p
 	}
@@ -55,13 +64,13 @@ func MinimizeTrees(g *graph.Graph, p *Packing) *Packing {
 	return best
 }
 
-// solveGrid solves max Σ w_i with w_i ∈ {0, 1/q, 2/q, ..., 1} subject to
-// capacity constraints, via branch and bound over the candidate list,
+// solveGrid solves max Σ w_i with w_i ∈ {0, 1/q, 2/q, ..., per/q} subject
+// to capacity constraints, via branch and bound over the candidate list,
 // preferring (higher rate, fewer trees). Capacities are scaled by q so the
 // search runs over integers. rateBound (the Edmonds min-cut bound) lets the
 // search stop as soon as a provably optimal incumbent is found; a node
 // budget keeps worst-case instances bounded (the incumbent is returned).
-func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64) *Packing {
+func solveGrid(g *graph.Graph, root int, cands []Tree, q, per int, rateBound float64, nodeBudget int) *Packing {
 	n := len(cands)
 	// Residual capacity in grid units per edge.
 	resid := make([]float64, len(g.Edges))
@@ -83,11 +92,10 @@ func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64)
 	best := solution{units: make([]int, n)}
 	cur := make([]int, n)
 
-	boundUnits := n * q
+	boundUnits := n * per
 	if !math.IsInf(rateBound, 1) && rateBound > 0 {
 		boundUnits = min(boundUnits, int(math.Floor(rateBound*float64(q)+1e-9)))
 	}
-	const nodeBudget = 4_000_000
 	nodes := 0
 	stop := false
 
@@ -95,7 +103,7 @@ func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64)
 	// contribute at most q units, but is also limited by its bottleneck
 	// residual capacity. A cheap per-tree bound keeps the search tight.
 	maxUnits := func(i int) int {
-		m := q
+		m := per
 		for _, id := range edges[i] {
 			m = min(m, int(math.Floor(resid[id]+1e-9)))
 		}
@@ -126,7 +134,7 @@ func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64)
 			return
 		}
 		// Optimistic bound: everything remaining at q units.
-		if curRate+(n-i)*q < best.rate {
+		if curRate+(n-i)*per < best.rate {
 			return
 		}
 		top := maxUnits(i)
@@ -167,12 +175,7 @@ func solveGrid(g *graph.Graph, root int, cands []Tree, q int, rateBound float64)
 		out.Trees = append(out.Trees, Tree{Arbo: cands[i].Arbo, Weight: w})
 		out.Rate += w
 	}
-	sort.Slice(out.Trees, func(i, j int) bool {
-		if out.Trees[i].Weight != out.Trees[j].Weight {
-			return out.Trees[i].Weight > out.Trees[j].Weight
-		}
-		return out.Trees[i].Arbo.Key() < out.Trees[j].Arbo.Key()
-	})
+	sortTrees(out.Trees)
 	return out
 }
 

@@ -12,10 +12,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"blink/internal/graph"
 )
@@ -60,13 +62,11 @@ func checkRoot(g *graph.Graph, root int) error {
 	return nil
 }
 
-// PackTrees computes a near-optimal fractional packing of spanning
-// arborescences rooted at root using the multiplicative-weight-update
-// scheme of Garg–Könemann (as applied to implicit fractional packing by
-// Chekuri–Quanrud, the algorithm the paper adopts in §3.2). Each iteration
-// finds a minimum-length arborescence under current edge lengths, raises
-// its weight, and multiplicatively penalizes the edges it loads.
-func PackTrees(g *graph.Graph, root int) (*Packing, error) {
+// packable makes the checks a packer makes before it packs from root: the
+// root is in the graph, reaches every vertex, and every capacity is
+// positive. It returns the one-vertex graph's packing, which needs no
+// trees (Rate +Inf), and nil for a graph to pack.
+func packable(g *graph.Graph, root int) (*Packing, error) {
 	if err := checkRoot(g, root); err != nil {
 		return nil, err
 	}
@@ -81,106 +81,138 @@ func PackTrees(g *graph.Graph, root int) (*Packing, error) {
 			return nil, fmt.Errorf("core: edge %d has non-positive capacity %v", e.ID, e.Cap)
 		}
 	}
+	return nil, nil
+}
 
-	eps := float64(packEpsilon)
+// PackTrees computes a near-optimal fractional packing of spanning
+// arborescences rooted at root using the multiplicative-weight-update
+// scheme of Garg–Könemann (as applied to implicit fractional packing by
+// Chekuri–Quanrud, the algorithm the paper adopts in §3.2), with a
+// minimum-cost arborescence as the oracle (mwu).
+func PackTrees(g *graph.Graph, root int) (*Packing, error) {
+	if p, err := packable(g, root); p != nil || err != nil {
+		return p, err
+	}
+	arb := graph.NewArborescer(g)
+	p, err := mwu(g, root, packEpsilon, func(length []float64) ([]int, float64, error) { return arb.Solve(root, length) })
+	if err != nil {
+		return nil, err
+	}
+	p.Bound = graph.BroadcastRateUpperBound(g, root)
+	sortTrees(p.Trees)
+	if err := p.Validate(g); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// mwu is the Garg–Könemann loop both packers share: g's edges (a graph's
+// own for PackTrees, its link pairs for PackUndirected) start at length
+// δ/c, and each iteration takes the oracle's minimum-length spanning tree,
+// raises its weight by its bottleneck capacity and lengthens its edges by
+// 1 + ε·c_min/c, until the shortest tree is at least 1 long. It returns the
+// distinct trees, hung from root, in first-discovery order, so every later
+// fold over them is in a deterministic order and their float sums are
+// byte-stable run to run. Each tree is identified by the bitset of its
+// edges, built in one reused buffer, and its list and bitset are carved
+// from slabs: an iteration that rediscovers a known tree allocates nothing.
+func mwu(g *graph.Graph, root int, eps float64, oracle func(length []float64) ([]int, float64, error)) (*Packing, error) {
 	m := float64(len(g.Edges))
 	delta := (1 + eps) * math.Pow((1+eps)*m, -1/eps)
-
 	length := make([]float64, len(g.Edges))
 	for i, e := range g.Edges {
 		length[i] = delta / e.Cap
 	}
-
-	type acc struct {
-		arbo   graph.Arborescence
-		weight float64
-		key    string // arbo.Key(), the final sort's tie-break
-	}
-	// Accumulate in first-discovery order (a slice, with a map only for
-	// lookup): every later fold over the accumulated trees then happens in a
-	// deterministic order, so the float summations — and therefore the
-	// feasibility scale and the final weights — are byte-stable run to run.
-	// That determinism is what lets the planner pipeline fan per-root packing
-	// across a worker pool without perturbing plan bytes.
-	var accum []*acc
-	// A tree is identified by the bitset of its edge IDs (the root is fixed),
-	// built in one reused buffer; index[string(bits)] does not allocate, so
-	// an iteration that rediscovers a known tree allocates nothing.
-	index := map[string]int{}
-	bits := make([]byte, (len(g.Edges)+7)/8)
-	arb := graph.NewArborescer(g)
-
+	var trees []Tree
+	var slab []int
+	// known holds every tree's bitset, tree after tree; index lists the
+	// trees by a hash of their bitset, which is the bitset itself up to 64
+	// edges.
+	var known []uint64
+	index := map[uint64][]int32{}
+	bits := make([]uint64, (len(g.Edges)+63)/64)
 	for iter := 0; iter < packMaxIters; iter++ {
-		edges, total, err := arb.Solve(root, length)
+		res, total, err := oracle(length)
 		if err != nil {
 			return nil, err
 		}
 		if total >= 1 {
 			break
 		}
-		// Bottleneck capacity along the chosen tree.
-		cmin := math.Inf(1)
-		for _, id := range edges {
-			cmin = min(cmin, g.Edges[id].Cap)
-		}
+		cmin, h, i := math.Inf(1), uint64(0), -1
 		clear(bits)
-		for _, id := range edges {
-			bits[id>>3] |= 1 << (id & 7)
+		for _, id := range res {
+			cmin = min(cmin, g.Edges[id].Cap)
+			bits[id>>6] |= 1 << (id & 63)
 		}
-		i, ok := index[string(bits)]
-		if !ok {
-			tree := graph.Arborescence{Root: root, Edges: append([]int(nil), edges...)}
-			if err := tree.Validate(g); err != nil {
-				return nil, err
+		for _, w := range bits {
+			h = h*0x9e3779b97f4a7c15 ^ w
+		}
+		for _, c := range index[h] {
+			if slices.Equal(known[int(c)*len(bits):][:len(bits)], bits) {
+				i = int(c)
 			}
-			i = len(accum)
-			index[string(bits)] = i
-			accum = append(accum, &acc{arbo: tree, key: tree.Key()})
 		}
-		accum[i].weight += cmin
-		for _, id := range edges {
+		if i < 0 {
+			i, slab, known = len(trees), append(slab, res...), append(known, bits...)
+			index[h] = append(index[h], int32(i))
+			trees = append(trees, Tree{Arbo: graph.Arborescence{Root: root, Edges: slab[len(slab)-len(res) : len(slab) : len(slab)]}})
+		}
+		trees[i].Weight += cmin
+		for _, id := range res {
 			length[id] *= 1 + eps*cmin/g.Edges[id].Cap
 		}
 	}
-
-	// Restore feasibility by scaling raw weights down by the worst per-edge
-	// overload factor max_e(load_e / c_e). The textbook Garg–Könemann scale
+	// Restore feasibility by scaling raw weights down by the worst overload
+	// factor max(load / c). The textbook Garg–Könemann scale
 	// log_{1+eps}((1+eps)/delta) upper-bounds this for unit capacities but
-	// undershoots by log_{1+eps}(c_e) on multi-link edges; the measured
+	// undershoots by log_{1+eps}(c) on multi-unit resources; the measured
 	// factor is exact, always feasible, and never looser.
-	rawLoad := make([]float64, len(g.Edges))
-	for _, a := range accum {
-		for _, id := range a.arbo.Edges {
-			rawLoad[id] += a.weight
+	load := make([]float64, len(g.Edges))
+	for _, t := range trees {
+		for _, id := range t.Arbo.Edges {
+			load[id] += t.Weight
 		}
 	}
 	scale := 0.0
-	for i, l := range rawLoad {
+	for i, l := range load {
 		scale = max(scale, l/g.Edges[i].Cap)
 	}
 	if scale == 0 {
 		scale = 1
 	}
-	p := &Packing{Root: root, Bound: graph.BroadcastRateUpperBound(g, root)}
-	for _, a := range accum {
-		a.weight /= scale
-		p.Rate += a.weight
-	}
-	// Heaviest first, ties by key. The keys of distinct trees differ, so the
-	// order is total and the result does not depend on the sort's algorithm.
-	sort.Slice(accum, func(i, j int) bool {
-		if accum[i].weight != accum[j].weight {
-			return accum[i].weight > accum[j].weight
-		}
-		return accum[i].key < accum[j].key
-	})
-	for _, a := range accum {
-		p.Trees = append(p.Trees, Tree{Arbo: a.arbo, Weight: a.weight})
-	}
-	if err := p.Validate(g); err != nil {
-		return nil, err
+	p := &Packing{Root: root, Trees: trees}
+	for i := range trees {
+		trees[i].Weight /= scale
+		p.Rate += trees[i].Weight
 	}
 	return p, nil
+}
+
+// sortTrees orders trees heaviest first, ties by Arborescence.Key. The keys
+// of distinct trees differ, so the order is total and does not depend on
+// the sort's algorithm. The keys share one buffer.
+func sortTrees(trees []Tree) {
+	type keyed struct {
+		t      Tree
+		lo, hi int
+	}
+	ks := make([]keyed, len(trees))
+	var buf []byte
+	for i, t := range trees {
+		lo := len(buf)
+		buf = t.Arbo.AppendKey(buf)
+		ks[i] = keyed{t, lo, len(buf)}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.t.Weight != b.t.Weight {
+			return cmp.Compare(b.t.Weight, a.t.Weight)
+		}
+		return strings.Compare(string(buf[a.lo:a.hi]), string(buf[b.lo:b.hi]))
+	})
+	for i := range ks {
+		trees[i] = ks[i].t
+	}
 }
 
 // Validate checks a packing against the graph it was packed over: every

@@ -22,15 +22,19 @@ const (
 type PlanOptions struct {
 	// ChunkBytes is the pipelining granularity, rounded up to whole float32s.
 	// 0 is auto, which CodeGen resolves per kind: the tree Broadcast, Reduce
-	// and AllReduce kinds on NVLink or PCIe take whichever of the tree
-	// model's pick (treeChunk) and the next chunk up its grid simulates
-	// faster. The AllReduce of at least a float per rank then takes the
-	// rank-rooted shape (BuildRankRootedAllReducePlan) at that chunk, and a
-	// Broadcast that carries its root's PCIe packing the hybrid one
-	// (BuildHybridBroadcastPlan, at ResolveChunk's chunk), if it simulates
-	// strictly faster still (PlanIR.tuned); every other kind takes
-	// ResolveChunk's. An explicit chunk keeps the single-root schedule. A
-	// builder called directly takes 4 MiB.
+	// and AllReduce kinds on NVLink or PCIe race a table of rows
+	// (PlanIR.tuned) and keep the first that simulates fastest. Each packing
+	// the IR carries — an AllReduce's directed and undirected ones
+	// (PackUndirected), best AllReduce rate first — races the tree model's
+	// pick (treeChunk) and the next chunk up its grid, and an AllReduce of
+	// at least a float per rank then the rank-rooted shape
+	// (BuildRankRootedAllReducePlan) at the faster of the two; a Broadcast
+	// that carries its root's PCIe packing last races the hybrid
+	// (BuildHybridBroadcastPlan, at ResolveChunk's chunk). An AllReduce row
+	// whose LowerBound the incumbent already meets is skipped. Every other
+	// kind takes ResolveChunk's. An explicit chunk keeps the single-root
+	// schedule over the first packing. A builder called directly takes 4
+	// MiB.
 	ChunkBytes int64
 	// NoStreamReuse disables the §4.2.2 fair-sharing optimization that maps
 	// (link, hop-depth) pairs from different trees onto one stream.

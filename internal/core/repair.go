@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"blink/internal/graph"
 )
@@ -219,12 +218,7 @@ func RepairPacking(oldG, newG *graph.Graph, vmap []int, p *Packing, opts RepairO
 		rp.Rate += t.Weight
 		out.TreesGrown++
 	}
-	sort.Slice(rp.Trees, func(i, j int) bool {
-		if rp.Trees[i].Weight != rp.Trees[j].Weight {
-			return rp.Trees[i].Weight > rp.Trees[j].Weight
-		}
-		return rp.Trees[i].Arbo.Key() < rp.Trees[j].Arbo.Key()
-	})
+	sortTrees(rp.Trees)
 	if rp.Rate <= repairTiny {
 		return out, nil
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrNotSpanning indicates no arborescence exists because some vertex is
@@ -39,12 +40,21 @@ type Arborescer struct {
 	g      *Graph
 	levels []*arbLevel
 
-	// Per-level scratch, rebuilt for each level in turn.
-	state, stamp, cycleOf, comp []int
-	entered                     []bool
+	// verts is per-vertex scratch, rebuilt for each level in turn.
+	verts   []vert
+	entered []bool
 	// picks holds the chosen edges of the level being unwound; the next
 	// level's picks are built in lowPicks and the two swap.
 	picks, lowPicks []int
+}
+
+// vert is a vertex's scratch at one level: its cheapest incoming weight,
+// its mark in the cycle walk (0 before it, start+1 while the walk from start
+// is on it, -1 once done), its cycle (-1 for none) and its vertex in the
+// contracted level.
+type vert struct {
+	minW                float64
+	mark, cycleOf, comp int
 }
 
 // cEdge is an edge of a contraction level: lower indexes the edges of the
@@ -95,23 +105,32 @@ func (a *Arborescer) Solve(root int, cost []float64) ([]int, float64, error) {
 		return nil, 0, nil
 	}
 
-	// Level 0 edges mirror the graph.
+	// Level 0 edges mirror the graph: built on the first call, reweighed on
+	// every later one.
 	cur := a.level(0)
 	cur.n, cur.root = g.N, root
-	for _, e := range g.Edges {
-		cur.edges = append(cur.edges, cEdge{from: e.From, to: e.To, w: cost[e.ID], lower: e.ID})
+	if len(cur.edges) != len(g.Edges) {
+		cur.edges = cur.edges[:0]
+		for _, e := range g.Edges {
+			cur.edges = append(cur.edges, cEdge{from: e.From, to: e.To, lower: e.ID})
+		}
+	}
+	for i := range cur.edges {
+		cur.edges[i].w = cost[cur.edges[i].lower]
 	}
 
 	depth := 0
 	for {
-		// Select the cheapest incoming edge for every non-root vertex.
+		// Select the cheapest incoming edge for every non-root vertex, the
+		// first of equal ones; no edge undercuts the root's -Inf. No level
+		// has a self-loop: the graph has none, and contraction drops them.
 		cur.minIn = resize(cur.minIn, cur.n, -1)
+		vs := resize(a.verts, cur.n, vert{minW: math.Inf(1), cycleOf: -1})
+		a.verts = vs
+		vs[cur.root].minW = math.Inf(-1)
 		for i, e := range cur.edges {
-			if e.to == cur.root || e.from == e.to {
-				continue
-			}
-			if j := cur.minIn[e.to]; j == -1 || e.w < cur.edges[j].w {
-				cur.minIn[e.to] = i
+			if e.w < vs[e.to].minW {
+				vs[e.to].minW, cur.minIn[e.to] = e.w, i
 			}
 		}
 		for v := 0; v < cur.n; v++ {
@@ -121,46 +140,34 @@ func (a *Arborescer) Solve(root int, cost []float64) ([]int, float64, error) {
 		}
 
 		// Detect cycles among the selected edges.
-		const (
-			unvisited = 0
-			walking   = 1
-			done      = 2
-		)
-		state := resize(a.state, cur.n, unvisited)
-		stamp := resize(a.stamp, cur.n, 0)
-		cycleOf := resize(a.cycleOf, cur.n, -1)
-		a.state, a.stamp, a.cycleOf = state, stamp, cycleOf
-		state[cur.root] = done
+		vs[cur.root].mark = -1
 		for start := 0; start < cur.n; start++ {
-			if state[start] != unvisited {
+			if vs[start].mark != 0 {
 				continue
 			}
 			// Walk predecessor pointers until a visited vertex.
 			v := start
-			for state[v] == unvisited {
-				state[v] = walking
-				stamp[v] = start
+			for vs[v].mark == 0 {
+				vs[v].mark = start + 1
 				v = cur.edges[cur.minIn[v]].from
 				if v == cur.root {
 					break
 				}
 			}
-			if v != cur.root && state[v] == walking && stamp[v] == start {
+			if v != cur.root && vs[v].mark == start+1 {
 				// Found a fresh cycle through v.
 				ci := cur.cycles
 				cur.cycles++
 				cur.cycVerts = append(cur.cycVerts, v)
-				cycleOf[v] = ci
+				vs[v].cycleOf = ci
 				for u := cur.edges[cur.minIn[v]].from; u != v; u = cur.edges[cur.minIn[u]].from {
 					cur.cycVerts = append(cur.cycVerts, u)
-					cycleOf[u] = ci
+					vs[u].cycleOf = ci
 				}
 			}
 			// Mark the walked path as finished.
-			u := start
-			for u != cur.root && state[u] == walking && stamp[u] == start {
-				state[u] = done
-				u = cur.edges[cur.minIn[u]].from
+			for u := start; u != cur.root && vs[u].mark == start+1; u = cur.edges[cur.minIn[u]].from {
+				vs[u].mark = -1
 			}
 		}
 
@@ -170,37 +177,37 @@ func (a *Arborescer) Solve(root int, cost []float64) ([]int, float64, error) {
 
 		// Contract every cycle into a single vertex: vertices outside cycles
 		// keep their order, then cycle ci becomes vertex next+ci.
-		comp := resize(a.comp, cur.n, -1)
-		a.comp = comp
 		next := 0
-		for v := 0; v < cur.n; v++ {
-			if cycleOf[v] == -1 {
-				comp[v] = next
+		for v := range vs {
+			if vs[v].cycleOf == -1 {
+				vs[v].comp = next
 				next++
 			}
 		}
-		for v := 0; v < cur.n; v++ {
-			if ci := cycleOf[v]; ci >= 0 {
-				comp[v] = next + ci
+		for v := range vs {
+			if ci := vs[v].cycleOf; ci >= 0 {
+				vs[v].comp = next + ci
 			}
 		}
 		next += cur.cycles
 
 		depth++
 		nl := a.level(depth)
-		nl.n, nl.root = next, comp[cur.root]
+		nl.n, nl.root = next, vs[cur.root].comp
+		edges, k := slices.Grow(nl.edges, len(cur.edges))[:len(cur.edges)], 0
 		for i, e := range cur.edges {
-			cf, ct := comp[e.from], comp[e.to]
+			cf, ct := vs[e.from].comp, vs[e.to].comp
 			if cf == ct {
 				continue
 			}
 			w := e.w
-			if cycleOf[e.to] >= 0 {
-				w -= cur.edges[cur.minIn[e.to]].w
+			if vs[e.to].cycleOf >= 0 {
+				w -= vs[e.to].minW
 			}
-			nl.edges = append(nl.edges, cEdge{from: cf, to: ct, w: w, lower: i})
+			edges[k] = cEdge{from: cf, to: ct, w: w, lower: i}
+			k++
 		}
-		cur = nl
+		nl.edges, cur = edges[:k], nl
 	}
 
 	// Picks at the innermost (cycle-free) level.
@@ -245,13 +252,14 @@ func (a *Arborescer) Solve(root int, cost []float64) ([]int, float64, error) {
 }
 
 // level returns the workspace's level d, emptied of the previous call's
-// edges and cycles.
+// cycles. Its edges are rewritten from the first by the contraction that
+// builds it (level 0's are reweighed).
 func (a *Arborescer) level(d int) *arbLevel {
 	if d == len(a.levels) {
 		a.levels = append(a.levels, &arbLevel{})
 	}
 	l := a.levels[d]
-	l.edges, l.cycles, l.cycVerts = l.edges[:0], 0, l.cycVerts[:0]
+	l.cycles, l.cycVerts = 0, l.cycVerts[:0]
 	return l
 }
 
@@ -261,70 +269,57 @@ func MaxFlow(g *Graph, s, t int) float64 {
 	if s == t {
 		return math.Inf(1)
 	}
-	type arc struct {
-		to  int
-		cap float64
-		rev int
-	}
-	adj := make([][]arc, g.N)
-	addArc := func(u, v int, c float64) {
-		adj[u] = append(adj[u], arc{to: v, cap: c, rev: len(adj[v])})
-		adj[v] = append(adj[v], arc{to: u, cap: 0, rev: len(adj[u]) - 1})
-	}
+	return newFlowNet(g).maxFlow(s, t)
+}
+
+// flowNet is Dinic's residual network over a graph: every edge's arc and
+// its zero-capacity reverse, vertex by vertex in edge order, with the
+// scratch a run needs. One net serves any number of runs.
+type flowNet struct {
+	head               []int // vertex v's arcs are arcs[head[v]:head[v+1]]
+	arcs               []flowArc
+	caps               []float64 // each arc's capacity before any run
+	level, iter, queue []int
+}
+
+type flowArc struct {
+	to, rev int // rev indexes arcs
+	cap     float64
+}
+
+func newFlowNet(g *Graph) *flowNet {
+	n := &flowNet{head: make([]int, g.N+1), arcs: make([]flowArc, 2*len(g.Edges)), caps: make([]float64, 2*len(g.Edges)),
+		level: make([]int, g.N), iter: make([]int, g.N), queue: make([]int, 0, g.N)}
 	for _, e := range g.Edges {
-		addArc(e.From, e.To, e.Cap)
+		n.head[e.From+1]++
+		n.head[e.To+1]++
 	}
-
-	const eps = 1e-12
-	level := make([]int, g.N)
-	iter := make([]int, g.N)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		queue := []int{s}
-		level[s] = 0
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, a := range adj[v] {
-				if a.cap > eps && level[a.to] < 0 {
-					level[a.to] = level[v] + 1
-					queue = append(queue, a.to)
-				}
-			}
-		}
-		return level[t] >= 0
+	for v := 0; v < g.N; v++ {
+		n.head[v+1] += n.head[v]
 	}
-
-	var dfs func(v int, f float64) float64
-	dfs = func(v int, f float64) float64 {
-		if v == t {
-			return f
-		}
-		for ; iter[v] < len(adj[v]); iter[v]++ {
-			a := &adj[v][iter[v]]
-			if a.cap > eps && level[v] < level[a.to] {
-				d := dfs(a.to, math.Min(f, a.cap))
-				if d > eps {
-					a.cap -= d
-					adj[a.to][a.rev].cap += d
-					return d
-				}
-			}
-		}
-		return 0
+	next := n.iter
+	copy(next, n.head)
+	for _, e := range g.Edges {
+		fwd, bwd := next[e.From], next[e.To]
+		next[e.From]++
+		next[e.To]++
+		n.arcs[fwd], n.arcs[bwd] = flowArc{to: e.To, rev: bwd}, flowArc{to: e.From, rev: fwd}
+		n.caps[fwd] = e.Cap
 	}
+	return n
+}
 
+// maxFlow runs Dinic's algorithm from s to t on the net's capacities.
+func (n *flowNet) maxFlow(s, t int) float64 {
+	for i := range n.arcs {
+		n.arcs[i].cap = n.caps[i]
+	}
 	var flow float64
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+	for n.bfs(s, t) {
+		copy(n.iter, n.head)
 		for {
-			f := dfs(s, math.Inf(1))
-			if f <= eps {
+			f := n.dfs(s, t, math.Inf(1))
+			if f <= flowEps {
 				break
 			}
 			flow += f
@@ -333,17 +328,55 @@ func MaxFlow(g *Graph, s, t int) float64 {
 	return flow
 }
 
+const flowEps = 1e-12
+
+func (n *flowNet) bfs(s, t int) bool {
+	for i := range n.level {
+		n.level[i] = -1
+	}
+	q := append(n.queue[:0], s)
+	n.level[s] = 0
+	for len(q) > 0 {
+		v := q[0]
+		q = q[1:]
+		for _, a := range n.arcs[n.head[v]:n.head[v+1]] {
+			if a.cap > flowEps && n.level[a.to] < 0 {
+				n.level[a.to] = n.level[v] + 1
+				q = append(q, a.to)
+			}
+		}
+	}
+	return n.level[t] >= 0
+}
+
+func (n *flowNet) dfs(v, t int, f float64) float64 {
+	if v == t {
+		return f
+	}
+	for ; n.iter[v] < n.head[v+1]; n.iter[v]++ {
+		a := &n.arcs[n.iter[v]]
+		if a.cap > flowEps && n.level[v] < n.level[a.to] {
+			d := n.dfs(a.to, t, math.Min(f, a.cap))
+			if d > flowEps {
+				a.cap -= d
+				n.arcs[a.rev].cap += d
+				return d
+			}
+		}
+	}
+	return 0
+}
+
 // BroadcastRateUpperBound returns the Edmonds/Lovász optimal broadcast rate
 // from root: the minimum over all other vertices v of maxflow(root -> v).
 // No packing of arborescences can exceed this, and a maximal packing
 // achieves it.
 func BroadcastRateUpperBound(g *Graph, root int) float64 {
-	best := math.Inf(1)
+	best, net := math.Inf(1), newFlowNet(g)
 	for v := 0; v < g.N; v++ {
-		if v == root {
-			continue
+		if v != root {
+			best = min(best, net.maxFlow(root, v))
 		}
-		best = min(best, MaxFlow(g, root, v))
 	}
 	if math.IsInf(best, 1) {
 		return 0

@@ -6,7 +6,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -115,14 +115,19 @@ func (g *Graph) Clone() *Graph {
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,
 // relabeling vertices densely in the order supplied. The Labels of the new
-// graph carry the original labels of the selected vertices.
+// graph carry the original labels of the selected vertices. Its edge and
+// adjacency lists are sized before they are filled, so it costs a handful
+// of allocations whatever its size.
 func (g *Graph) InducedSubgraph(verts []int) *Graph {
-	idx := make(map[int]int, len(verts))
+	idx := make([]int, g.N)
+	for i := range idx {
+		idx[i] = -1
+	}
 	for i, v := range verts {
 		if v < 0 || v >= g.N {
 			panic(fmt.Sprintf("graph: induced vertex %d out of range", v))
 		}
-		if _, dup := idx[v]; dup {
+		if idx[v] >= 0 {
 			panic(fmt.Sprintf("graph: duplicate vertex %d in induced set", v))
 		}
 		idx[v] = i
@@ -131,11 +136,25 @@ func (g *Graph) InducedSubgraph(verts []int) *Graph {
 	for i, v := range verts {
 		ng.Labels[i] = g.Labels[v]
 	}
+	// deg[v] counts v's out-edges, deg[n+v] its in-edges.
+	n, m := len(verts), 0
+	deg := make([]int, 2*n)
 	for _, e := range g.Edges {
-		fi, okF := idx[e.From]
-		ti, okT := idx[e.To]
-		if okF && okT {
-			ng.AddEdge(fi, ti, e.Cap, e.Type)
+		if f, t := idx[e.From], idx[e.To]; f >= 0 && t >= 0 {
+			deg[f]++
+			deg[n+t]++
+			m++
+		}
+	}
+	adj, at := make([]int, 2*m), 0
+	for v := 0; v < n; v++ {
+		ng.out[v], at = adj[at:at:at+deg[v]], at+deg[v]
+		ng.in[v], at = adj[at:at:at+deg[n+v]], at+deg[n+v]
+	}
+	ng.Edges = make([]Edge, 0, m)
+	for _, e := range g.Edges {
+		if f, t := idx[e.From], idx[e.To]; f >= 0 && t >= 0 {
+			ng.AddEdge(f, t, e.Cap, e.Type)
 		}
 	}
 	return ng
@@ -222,19 +241,23 @@ type Arborescence struct {
 
 // Key returns a canonical string identifying the tree's edge set. Trees with
 // identical edge sets (regardless of discovery order) share a key.
-func (a Arborescence) Key() string {
-	ids := append([]int(nil), a.Edges...)
-	sort.Ints(ids)
-	b := append(make([]byte, 0, 4+4*len(ids)), 'r')
-	b = strconv.AppendInt(b, int64(a.Root), 10)
-	b = append(b, ':')
+func (a Arborescence) Key() string { return string(a.AppendKey(nil)) }
+
+// AppendKey appends the tree's Key to dst, so that callers keying many trees
+// can share one buffer.
+func (a Arborescence) AppendKey(dst []byte) []byte {
+	var buf [64]int
+	ids := append(buf[:0], a.Edges...)
+	slices.Sort(ids)
+	dst = strconv.AppendInt(append(dst, 'r'), int64(a.Root), 10)
+	dst = append(dst, ':')
 	for i, id := range ids {
 		if i > 0 {
-			b = append(b, ',')
+			dst = append(dst, ',')
 		}
-		b = strconv.AppendInt(b, int64(id), 10)
+		dst = strconv.AppendInt(dst, int64(id), 10)
 	}
-	return string(b)
+	return dst
 }
 
 // Parents returns parent[v] = edge ID of v's incoming tree edge (-1 for the

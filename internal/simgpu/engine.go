@@ -248,48 +248,47 @@ type readyOp struct {
 	op    int32
 }
 
-// readyHeap is a binary min-heap of ready ops, earliest ready time first and
-// ties to the lower op index.
+// readyHeap is a 4-ary min-heap of ready ops, earliest ready time first and
+// ties to the lower op index. Its sifts move a hole, so each op they move
+// is written once.
 type readyHeap []readyOp
 
-func (h readyHeap) less(i, j int) bool {
-	if h[i].ready != h[j].ready {
-		return h[i].ready < h[j].ready
+func (a readyOp) before(b readyOp) bool {
+	if a.ready != b.ready {
+		return a.ready < b.ready
 	}
-	return h[i].op < h[j].op
+	return a.op < b.op
 }
 
 func (h *readyHeap) push(x readyOp) {
-	*h = append(*h, x)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
+	q := append(*h, x)
+	i := len(q) - 1
+	for ; i > 0 && x.before(q[(i-1)/4]); i = (i - 1) / 4 {
+		q[i] = q[(i-1)/4]
 	}
+	q[i] = x
+	*h = q
 }
 
 func (h *readyHeap) pop() readyOp {
 	q := *h
 	top, last := q[0], len(q)-1
-	q[0] = q[last]
+	x, i := q[last], 0
 	q = q[:last]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= last {
+	for c := 1; c < last; c = 4*i + 1 {
+		m := c
+		for k := c + 1; k < min(c+4, last); k++ {
+			if q[k].before(q[m]) {
+				m = k
+			}
+		}
+		if !q[m].before(x) {
 			break
 		}
-		if c+1 < last && q.less(c+1, c) {
-			c++
-		}
-		if !q.less(c, i) {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
+		q[i], i = q[m], m
+	}
+	if last > 0 {
+		q[i] = x
 	}
 	*h = q
 	return top
