@@ -36,20 +36,10 @@ const (
 
 // String names the fault kind.
 func (k FaultKind) String() string {
-	switch k {
-	case LinkDown:
-		return "link-down"
-	case LinkDegraded:
-		return "link-degraded"
-	case LinkRestored:
-		return "link-restored"
-	case GPUEvicted:
-		return "gpu-evicted"
-	case ServerLost:
-		return "server-lost"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
+	if names := [...]string{"link-down", "link-degraded", "link-restored", "gpu-evicted", "server-lost"}; k >= 0 && int(k) < len(names) {
+		return names[k]
 	}
+	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
 // Fault is one scheduled degradation event; it strikes immediately before

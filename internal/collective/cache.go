@@ -227,14 +227,10 @@ const (
 
 // String names the tier.
 func (t Tier) String() string {
-	switch t {
-	case TierMemory:
-		return "memory"
-	case TierDisk:
-		return "disk"
-	default:
+	if t != TierMemory && t != TierDisk {
 		return "miss"
 	}
+	return [...]string{TierMemory: "memory", TierDisk: "disk"}[t]
 }
 
 // PlanDecoder rehydrates a cached plan from an encoded blob loaded off the

@@ -61,30 +61,11 @@ const (
 
 // String names the op.
 func (o Op) String() string {
-	switch o {
-	case Broadcast:
-		return "Broadcast"
-	case Gather:
-		return "Gather"
-	case AllReduce:
-		return "AllReduce"
-	case AllGather:
-		return "AllGather"
-	case ReduceScatter:
-		return "ReduceScatter"
-	case Reduce:
-		return "Reduce"
-	case Scatter:
-		return "Scatter"
-	case AllToAll:
-		return "AllToAll"
-	case SendRecv:
-		return "SendRecv"
-	case NeighborExchange:
-		return "NeighborExchange"
-	default:
-		return fmt.Sprintf("Op(%d)", int(o))
+	names := [...]string{"Broadcast", "Gather", "AllReduce", "AllGather", "ReduceScatter", "Reduce", "Scatter", "AllToAll", "SendRecv", "NeighborExchange"}
+	if o >= 0 && int(o) < len(names) {
+		return names[o]
 	}
+	return fmt.Sprintf("Op(%d)", int(o))
 }
 
 // DBTreeThresholdBytes is the payload size below which NCCL 2.4 prefers

@@ -337,6 +337,19 @@ func TestReduceOp(t *testing.T) {
 	}
 }
 
+// TestAllReduceIgnoresRootHistory: the undirected AllReduce packing has no
+// root, so an engine that compiled an AllReduce at root 3 first gives root
+// 0 the plan a fresh engine gives it.
+func TestAllReduceIgnoresRootHistory(t *testing.T) {
+	fresh, e := mustRun(t, newEng(t, []int{2, 3, 6, 7}), Blink, AllReduce, 64<<20, Options{}), newEng(t, []int{2, 3, 6, 7})
+	if _, err := e.Run(Blink, AllReduce, 3, 64<<20, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := mustRun(t, e, Blink, AllReduce, 64<<20, Options{}); after.Seconds != fresh.Seconds {
+		t.Fatalf("AllReduce at root 0 after root 3 takes %.6g s, on a fresh engine %.6g s", after.Seconds, fresh.Seconds)
+	}
+}
+
 func TestFabricForSelection(t *testing.T) {
 	// Connected allocation: both backends move data on the NVLink plane.
 	conn := newEng(t, []int{5, 6, 7})

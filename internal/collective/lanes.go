@@ -35,16 +35,10 @@ var laneOrder = [NumClasses]Class{LatencyCritical, BulkGradient, Telemetry}
 
 // String names the class.
 func (c Class) String() string {
-	switch c {
-	case LatencyCritical:
-		return "LatencyCritical"
-	case BulkGradient:
-		return "BulkGradient"
-	case Telemetry:
-		return "Telemetry"
-	default:
+	if !c.valid() {
 		return "Class(?)"
 	}
+	return [NumClasses]string{"BulkGradient", "LatencyCritical", "Telemetry"}[c]
 }
 
 // valid reports whether c names one of the three lanes.
@@ -67,16 +61,10 @@ const (
 
 // String names the verdict.
 func (v Verdict) String() string {
-	switch v {
-	case VerdictAdmit:
-		return "admit"
-	case VerdictDefer:
-		return "defer"
-	case VerdictReject:
-		return "reject"
-	default:
+	if v < VerdictAdmit || v > VerdictReject {
 		return "verdict(?)"
 	}
+	return [...]string{"admit", "defer", "reject"}[v]
 }
 
 // ErrAdmissionRejected is the sentinel wrapped by every admission

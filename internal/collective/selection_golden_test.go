@@ -80,7 +80,7 @@ func TestGoldenSelectionMatrix(t *testing.T) {
 // allocations × {Broadcast, AllReduce} × 256 KB–64 MB. No cell is more than
 // 2% slower than under the rule, and the geomean speed-up over NCCL rises
 // over it. No Blink or NCCL cell beats its plan's lower bound. Since an
-// AllReduce races the undirected packing too (core.PackUndirected), at
+// AllReduce races the undirected packing too (core.Undirected), at
 // most 8 of the 600 cells trail NCCL, down from 48, and the AllReduce
 // geomean beats the directed packing's 2.1137; at 64 MB every AllReduce
 // reaches at least 0.65 of its bound (0.69–0.96). An auto-chunk Broadcast

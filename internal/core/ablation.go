@@ -28,82 +28,34 @@ func AblationStudy(f *simgpu.Fabric, g *graph.Graph, root int, bytes int64) ([]A
 		return nil, err
 	}
 	minimized := MinimizeTrees(g, mwu)
-
-	run := func(p *Packing, opts PlanOptions) (float64, error) {
-		plan, err := BuildBroadcastPlan(f, p, bytes, opts)
-		if err != nil {
-			return 0, err
-		}
-		return plan.ThroughputGBs()
-	}
-
 	full := PlanOptions{ChunkBytes: 2 << 20, NoStreamReuse: true}
-	var out []AblationVariant
-
-	tp, err := run(minimized, full)
-	if err != nil {
-		return nil, err
+	variants := []struct {
+		AblationVariant
+		p    *Packing
+		opts PlanOptions
+	}{
+		{AblationVariant{Name: "full", Description: "MWU + ILP minimization + 2MB chunk pipelining"}, minimized, full},
+		{AblationVariant{Name: "no-minimize", Description: "raw MWU packing (no ILP tree-count reduction)"}, mwu, full},
+		{AblationVariant{Name: "no-chunking", Description: "single chunk per tree (no pipelining)"}, minimized, PlanOptions{ChunkBytes: bytes, NoStreamReuse: true}},
+		{AblationVariant{Name: "shared-streams", Description: "stream reuse across trees (serializes launch overheads)"}, minimized, PlanOptions{ChunkBytes: 2 << 20}},
+		{AblationVariant{Name: "single-tree", Description: "one spanning tree instead of a packing"}, nil, full},
 	}
-	out = append(out, AblationVariant{
-		Name:          "full",
-		Description:   "MWU + ILP minimization + 2MB chunk pipelining",
-		ThroughputGBs: tp,
-		Trees:         len(minimized.Trees),
-	})
-
-	// No ILP minimization: schedule the raw MWU packing. Many fractional
-	// trees mean tiny per-tree transfers (§3.2.1's motivation).
-	tp, err = run(mwu, full)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationVariant{
-		Name:          "no-minimize",
-		Description:   "raw MWU packing (no ILP tree-count reduction)",
-		ThroughputGBs: tp,
-		Trees:         len(mwu.Trees),
-	})
-
-	// No chunking: each tree sends its whole share at once, so multi-hop
-	// forwarding cannot pipeline (Fig 11's left timeline).
-	tp, err = run(minimized, PlanOptions{ChunkBytes: bytes, NoStreamReuse: true})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationVariant{
-		Name:          "no-chunking",
-		Description:   "single chunk per tree (no pipelining)",
-		ThroughputGBs: tp,
-		Trees:         len(minimized.Trees),
-	})
-
-	// Shared streams (the paper's §4.2.2 layout): trees sharing a link at
-	// the same depth share a stream; launch overheads then serialize.
-	tp, err = run(minimized, PlanOptions{ChunkBytes: 2 << 20})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationVariant{
-		Name:          "shared-streams",
-		Description:   "stream reuse across trees (serializes launch overheads)",
-		ThroughputGBs: tp,
-		Trees:         len(minimized.Trees),
-	})
-
-	// Single tree: the best one tree alone (what a naive tree broadcast
-	// would do) — shows why packing multiple trees matters at all.
 	if len(minimized.Trees) > 0 {
-		single := &Packing{Root: root, Trees: minimized.Trees[:1], Rate: minimized.Trees[0].Weight, Bound: minimized.Bound}
-		tp, err = run(single, full)
+		variants[4].p = &Packing{Root: root, Trees: minimized.Trees[:1], Rate: minimized.Trees[0].Weight, Bound: minimized.Bound}
+	} else {
+		variants = variants[:4]
+	}
+	var out []AblationVariant
+	for _, v := range variants {
+		plan, err := BuildBroadcastPlan(f, v.p, bytes, v.opts)
+		if err == nil {
+			v.ThroughputGBs, err = plan.ThroughputGBs()
+		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, AblationVariant{
-			Name:          "single-tree",
-			Description:   "one spanning tree instead of a packing",
-			ThroughputGBs: tp,
-			Trees:         1,
-		})
+		v.Trees = len(v.p.Trees)
+		out = append(out, v.AblationVariant)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"blink/internal/simgpu"
@@ -115,40 +116,42 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 	}
 }
 
-// TestPruneKeepsTheWinner races the AllReduce candidate table, the directed
-// packing and the undirected one (PackUndirected), over the sweep's 60
-// allocations and sizes with pruning off and on: a row is pruned only when
-// its LowerBound shows it cannot win, so both reach the same makespan. The
-// compiled plan records only the winning packing, and decodes to the same
-// makespan.
+// TestPruneKeepsTheWinner races the AllReduce candidate table over the
+// directed packing and the undirected one (Undirected.For) on the sweep's
+// 60 allocations and sizes. A row is pruned only when its LowerBound shows
+// it cannot win, so the race reaches the makespan of the faster packing
+// compiled alone. The plan records only the winning packing, and decodes to
+// the same makespan.
 func TestPruneKeepsTheWinner(t *testing.T) {
-	defer func() { prune = true }()
 	for _, m := range []struct {
 		machine *topology.Topology
 		allocs  [][]int
 	}{{topology.DGX1V(), topology.Fig15AllocationsDGX1V}, {topology.DGX1P(), topology.Fig16AllocationsDGX1P}} {
 		for _, devs := range m.allocs {
 			f, p := fabricFor(t, m.machine, devs, false)
-			packs := []*Packing{p}
-			if u, err := PackUndirected(f.Graph, p); err != nil || u != nil {
-				packs = append(packs, u)
-			}
+			packs := append([]*Packing{p}, new(Undirected).For(f.Graph, p)...)
 			for _, bytes := range []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20} {
-				ir := &PlanIR{Kind: IRTreeAllReduce, Bytes: bytes, Opts: PlanOptions{NoStreamReuse: true}, Packings: packs}
-				var got [3]*FrozenPlan
-				var err error
-				for i := range got[:2] {
-					prune = i == 1
-					if got[i], err = Compile(ir, f); err != nil {
+				ir, want := &PlanIR{Kind: IRTreeAllReduce, Bytes: bytes, Opts: PlanOptions{NoStreamReuse: true}, Packings: packs}, math.Inf(1)
+				for i := range packs {
+					one := *ir
+					one.Packings = packs[i : i+1]
+					alone, err := Compile(&one, f)
+					if err != nil {
 						t.Fatal(err)
 					}
+					want = min(want, alone.res.Makespan)
 				}
-				blob, err := EncodePlan(got[1])
-				if err == nil {
-					got[2], err = DecodePlan(blob, func(FabricSel) *simgpu.Fabric { return f })
+				got, err := Compile(ir, f)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if err != nil || len(got[1].IR().Packings) != 1 || got[0].res.Makespan != got[1].res.Makespan || got[2].res.Makespan != got[1].res.Makespan {
-					t.Errorf("%v %d: %.6g s unpruned, %.6g s pruned over %d packings (error %v)", devs, bytes, got[0].res.Makespan, got[1].res.Makespan, len(got[1].IR().Packings), err)
+				blob, err := EncodePlan(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := DecodePlan(blob, func(FabricSel) *simgpu.Fabric { return f })
+				if err != nil || len(got.IR().Packings) != 1 || got.res.Makespan != want || dec.res.Makespan != want {
+					t.Errorf("%v %d: %.6g s raced over %d packings, want %.6g s (error %v)", devs, bytes, got.res.Makespan, len(got.IR().Packings), want, err)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"blink/internal/graph"
 	"blink/internal/simgpu"
 )
 
@@ -192,45 +193,34 @@ func appendIR(b []byte, ir *PlanIR) []byte {
 	b = appendBool(b, ir.Opts.DataMode)
 	b = binary.AppendVarint(b, int64(ir.Opts.OffsetFloats))
 	b = appendBool(b, ir.Opts.BroadcastAcc)
-	b = binary.AppendUvarint(b, uint64(len(ir.Packings)))
-	for _, p := range ir.Packings {
-		b = appendPacking(b, p)
-	}
-	b = binary.AppendUvarint(b, uint64(len(ir.Chain)))
-	for _, r := range ir.Chain {
-		b = binary.AppendVarint(b, int64(r))
-	}
-	b = binary.AppendUvarint(b, uint64(len(ir.Neighbors)))
-	for _, row := range ir.Neighbors {
-		b = binary.AppendUvarint(b, uint64(len(row)))
-		for _, u := range row {
-			b = binary.AppendVarint(b, int64(u))
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(ir.Pairs)))
-	for _, p := range ir.Pairs {
-		b = binary.AppendVarint(b, int64(p.Src))
-		b = binary.AppendVarint(b, int64(p.Dst))
-		b = binary.AppendVarint(b, p.Bytes)
-	}
+	b = appendList(b, ir.Packings, appendPacking)
+	b = appendList(b, ir.Chain, appendInt)
+	b = appendList(b, ir.Neighbors, func(b []byte, row []int) []byte { return appendList(b, row, appendInt) })
+	b = appendList(b, ir.Pairs, func(b []byte, p IRPair) []byte {
+		return binary.AppendVarint(appendInt(appendInt(b, p.Src), p.Dst), p.Bytes)
+	})
 	return appendBool(b, ir.Chained)
 }
 
 func appendPacking(b []byte, p *Packing) []byte {
-	b = binary.AppendVarint(b, int64(p.Root))
-	b = appendF64(b, p.Rate)
-	b = appendF64(b, p.Bound)
-	b = binary.AppendUvarint(b, uint64(len(p.Trees)))
-	for _, t := range p.Trees {
-		b = appendF64(b, t.Weight)
-		b = binary.AppendVarint(b, int64(t.Arbo.Root))
-		b = binary.AppendUvarint(b, uint64(len(t.Arbo.Edges)))
-		for _, e := range t.Arbo.Edges {
-			b = binary.AppendUvarint(b, uint64(e))
-		}
+	b = appendF64(appendF64(appendInt(b, p.Root), p.Rate), p.Bound)
+	return appendList(b, p.Trees, func(b []byte, t Tree) []byte {
+		b = appendInt(appendF64(b, t.Weight), t.Arbo.Root)
+		return appendList(b, t.Arbo.Edges, func(b []byte, e int) []byte { return binary.AppendUvarint(b, uint64(e)) })
+	})
+}
+
+// appendList writes the items' count and then each item, the way list
+// reads them back.
+func appendList[T any](b []byte, items []T, item func([]byte, T) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(items)))
+	for _, it := range items {
+		b = item(b, it)
 	}
 	return b
 }
+
+func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
 
 // ---- decoding primitives ----
 
@@ -263,24 +253,16 @@ func (d *decoder) bytes(dst []byte) {
 	d.off += len(dst)
 }
 
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
+func (d *decoder) uvarint() uint64 { return readVarint(d, binary.Uvarint) }
 
-func (d *decoder) varint() int64 {
+func (d *decoder) varint() int64 { return readVarint(d, binary.Varint) }
+
+// readVarint reads one signed or unsigned varint with read.
+func readVarint[T int64 | uint64](d *decoder, read func([]byte) (T, int)) T {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.b[d.off:])
+	v, n := read(d.b[d.off:])
 	if n <= 0 {
 		d.fail("bad varint at offset %d", d.off)
 		return 0
@@ -364,57 +346,39 @@ func (d *decoder) ir() *PlanIR {
 	ir.Opts.DataMode = d.boolval()
 	ir.Opts.OffsetFloats = d.intval()
 	ir.Opts.BroadcastAcc = d.boolval()
-	if n := d.count("packing"); n > 0 {
-		ir.Packings = make([]*Packing, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			ir.Packings = append(ir.Packings, d.packing())
-		}
-	}
-	if n := d.count("chain"); n > 0 {
-		ir.Chain = make([]int, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			ir.Chain = append(ir.Chain, d.intval())
-		}
-	}
-	if n := d.count("neighbor row"); n > 0 {
-		ir.Neighbors = make([][]int, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			var row []int
-			if m := d.count("neighbor"); m > 0 {
-				row = make([]int, 0, m)
-				for j := 0; j < m && d.err == nil; j++ {
-					row = append(row, d.intval())
-				}
-			}
-			ir.Neighbors = append(ir.Neighbors, row)
-		}
-	}
-	if n := d.count("pair"); n > 0 {
-		ir.Pairs = make([]IRPair, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			ir.Pairs = append(ir.Pairs, IRPair{Src: d.intval(), Dst: d.intval(), Bytes: d.varint()})
-		}
-	}
+	ir.Packings = list(d, "packing", d.packing)
+	ir.Chain = list(d, "chain", d.intval)
+	ir.Neighbors = list(d, "neighbor row", func() []int { return list(d, "neighbor", d.intval) })
+	ir.Pairs = list(d, "pair", func() IRPair { return IRPair{Src: d.intval(), Dst: d.intval(), Bytes: d.varint()} })
 	ir.Chained = d.boolval()
 	return ir
 }
 
 func (d *decoder) packing() *Packing {
 	p := &Packing{Root: d.intval(), Rate: d.f64(), Bound: d.f64()}
-	n := d.count("tree")
-	for i := 0; i < n && d.err == nil; i++ {
-		t := Tree{Weight: d.f64()}
-		t.Arbo.Root = d.intval()
-		m := d.count("tree edge")
-		for j := 0; j < m && d.err == nil; j++ {
+	p.Trees = list(d, "tree", func() Tree {
+		t := Tree{Weight: d.f64(), Arbo: graph.Arborescence{Root: d.intval()}}
+		t.Arbo.Edges = list(d, "tree edge", func() int {
 			e := d.uvarint()
 			if e > maxEncodedInt {
 				d.fail("edge id %d out of range", e)
-				break
 			}
-			t.Arbo.Edges = append(t.Arbo.Edges, int(e))
-		}
-		p.Trees = append(p.Trees, t)
-	}
+			return int(e)
+		})
+		return t
+	})
 	return p
+}
+
+// list reads a count and then that many items, stopping at the first
+// failure; an empty list is nil.
+func list[T any](d *decoder, what string, item func() T) []T {
+	var out []T
+	if n := d.count(what); n > 0 {
+		out = make([]T, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			out = append(out, item())
+		}
+	}
+	return out
 }

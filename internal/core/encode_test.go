@@ -96,16 +96,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeRejectsPlanWithoutIR(t *testing.T) {
-	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := simgpu.NewFabric(ind, g, simgpu.Config{})
+	f, p := fabricFor(t, topology.DGX1V(), []int{0, 1, 2, 3}, false)
 	// Built directly, bypassing CodeGen: no IR, must refuse to encode.
 	plan, err := BuildBroadcastPlan(f, p, 1<<20, PlanOptions{})
 	if err != nil {
@@ -220,16 +211,7 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // tiny. Every input is decoded a second time resealed, since
 // a mutated blob almost never passes the checksum on its own.
 func FuzzDecodePlan(f *testing.F) {
-	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		f.Fatal(err)
-	}
-	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	fab := simgpu.NewFabric(ind, g, simgpu.Config{})
+	fab, p := fabricFor(f, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
 	ir := &PlanIR{Kind: IRTreeBroadcast, Fabric: FabricNVLink, Strategy: "trees",
 		Bytes: 4 << 20, Packings: []*Packing{p}}
 	plan, err := CodeGen(ir, fab)
@@ -250,7 +232,7 @@ func FuzzDecodePlan(f *testing.F) {
 	skew := append([]byte(nil), blob[:len(planMagic)]...)
 	skew = binary.AppendUvarint(skew, 1<<40)
 	f.Add(reseal(append(skew, blob[len(planMagic)+1:]...)))
-	wrongFP := bytes.Replace(blob, []byte(ind.Fingerprint()), []byte("deadbeefdeadbeef"), 1)
+	wrongFP := bytes.Replace(blob, []byte(fab.Topo.Fingerprint()), []byte("deadbeefdeadbeef"), 1)
 	f.Add(reseal(wrongFP))
 	f.Add([]byte{})
 	f.Add([]byte("BLNKPLAN"))
@@ -263,7 +245,7 @@ func FuzzDecodePlan(f *testing.F) {
 	}
 
 	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { ir.Bytes, ir.Opts.ChunkBytes = 1<<30, 4 }))
-	pcie, err := GenerateTrees(ind.PCIeGraph(), 0)
+	pcie, err := GenerateTrees(fab.Topo.PCIeGraph(), 0)
 	if err != nil {
 		f.Fatal(err)
 	}

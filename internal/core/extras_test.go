@@ -134,16 +134,7 @@ func TestMIADFloor(t *testing.T) {
 }
 
 func TestAutoTuneChunkOnFabric(t *testing.T) {
-	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := simgpu.NewFabric(ind, g, simgpu.Config{})
+	f, p := fabricFor(t, topology.DGX1V(), []int{0, 1, 2, 3}, false)
 	best, hist, err := AutoTuneChunk(func(chunk int64) (*Plan, error) {
 		return BuildBroadcastPlan(f, p, 256<<20, PlanOptions{ChunkBytes: chunk})
 	}, 1<<20, 12)

@@ -118,16 +118,10 @@ const (
 
 // String names the fabric plane.
 func (s FabricSel) String() string {
-	switch s {
-	case FabricNVLink:
-		return "nvlink"
-	case FabricPCIe:
-		return "pcie"
-	case FabricSwitch:
-		return "switch"
-	default:
-		return fmt.Sprintf("FabricSel(%d)", int(s))
+	if names := [...]string{"nvlink", "pcie", "switch"}; int(s) < len(names) {
+		return names[s]
 	}
+	return fmt.Sprintf("FabricSel(%d)", int(s))
 }
 
 // validate checks the IR's structural invariants before codegen so a
@@ -281,35 +275,32 @@ const (
 	shapeHybrid
 )
 
-// prune lets tuned skip a candidate whose lower bound its incumbent already
-// meets; tests turn it off to race every candidate.
-var prune = true
-
 // tuned races the IR's candidate table and compiles the winner. A row is a
 // packing, a shape and a chunk, and the rows come packing by packing: an
-// AllReduce's directed packing and, when it carries one, its undirected
-// packing (PackUndirected), in order of the rate each sustains as an
-// AllReduce (allReduceRate), best first; every other kind its one packing.
-// Each packing races the chunk its tree model picks (treeChunk) and the
-// next chunk up its grid, since the model errs small where links are
-// shared — by trees, or by an AllReduce's two passes — as it charges a
-// chunk stage one tree's launch and wire latency. An AllReduce of at least
-// a float per rank then races the rank-rooted shape at the packing's better
-// chunk. A row is skipped when its schedule would exceed the compile budget
-// or, for an AllReduce, when its LowerBound is no less than the incumbent's
-// makespan, since it cannot then finish sooner. A Broadcast that carries
-// its root's PCIe packing last races the hybrid at rule, ResolveChunk's
-// chunk, once its trees take longer than the peer-access switch every PCIe
-// op waits for (peerSwitch), below which the hybrid cannot win, and only
-// when the hybrid's calibration probes fit the compile budget. A row is
-// kept only if it finishes strictly sooner than every row before it. The
-// trials build timing-only schedules on an arena kept between compiles
-// (arenas). The winner is built again into tables sized to it when tables
-// is set or it moves data, bar a timing-only hybrid, which owns its tables
-// and is kept as it is; otherwise the plan has no ops, only the winner's
-// simulated run, which Freeze keeps either way. tuned returns the winning
-// packing beside the plan and its shape.
-func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tables bool) (*Plan, *Packing, shape, error) {
+// AllReduce that carries a second packing, its undirected one
+// (Undirected.For, which returns one only when it beats the directed one as
+// an AllReduce), races it first and the directed one after; every other IR
+// its first packing. Each packing races the chunk its tree model picks
+// (treeChunk) and the next chunk up its grid, since the model errs small
+// where links are shared — by trees, or by an AllReduce's two passes — as
+// it charges a chunk stage one tree's launch and wire latency. An AllReduce
+// of at least a float per rank then races the rank-rooted shape at the
+// packing's better chunk. A row is skipped when its schedule would exceed
+// the compile budget or, between two packings, when its LowerBound is no
+// less than the incumbent's makespan, since it cannot then finish sooner. A
+// Broadcast that carries its root's PCIe packing last races the hybrid at
+// rule, ResolveChunk's chunk, once its trees take longer than the
+// peer-access switch every PCIe op waits for (peerSwitch), below which the
+// hybrid cannot win, and only when the hybrid's calibration probes fit the
+// compile budget. A row is kept only if it finishes strictly sooner than
+// every row before it. The trials build timing-only schedules on an arena
+// kept between compiles (arenas). The winner is built again into tables
+// sized to it when tables is set or it moves data, bar a timing-only
+// hybrid, which owns its tables and is kept as it is; otherwise the plan
+// has no ops, only the winner's simulated run, which Freeze keeps either
+// way. tuned returns the IR the winner was built from, one packing of an
+// AllReduce's two, beside the plan and its shape.
+func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tables bool) (*Plan, *PlanIR, shape, error) {
 	var ar *opArena
 	select {
 	case ar = <-arenas:
@@ -322,66 +313,59 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 		default:
 		}
 	}()
-	final, won, rule := opts, shapeTrees, opts.ChunkBytes
+	final, won, rule, pick := opts, shapeTrees, opts.ChunkBytes, ir
 	var best *simRun
 	var plan *Plan
-	var pick *Packing
 	var ops, deps int
 	var err error
 	opts.DataMode = false
-	// trial races one row and returns its makespan (+Inf when its schedule
-	// cannot run), false when it cannot be built.
-	trial := func(pk *Packing, c int64, s shape) (float64, bool) {
+	// trial races one row and returns its makespan, +Inf when its schedule
+	// cannot be built or run.
+	trial := func(one *PlanIR, c int64, s shape) float64 {
 		opts.ChunkBytes, opts.arena = c, ar
-		p, berr := ir.build(f, opts, s, pk)
+		p, berr := one.build(f, opts, s)
 		if berr != nil {
 			if best == nil {
 				err = berr
 			}
-			return math.Inf(1), false
+			return math.Inf(1)
 		}
 		ar = ar.fit(p)
 		r := p.run(&ar.sim, ar.order[:0])
 		if ar.order = r.order; best == nil || r.err == nil && r.res.Makespan < best.res.Makespan {
 			// The next trial records its launch order in the other buffer.
 			ar.order, ar.spare = ar.spare, r.order
-			best, final.ChunkBytes, won, plan, pick, err = &r, c, s, p, pk, nil
+			best, final.ChunkBytes, won, plan, pick, err = &r, c, s, p, one, nil
 			ops, deps = p.size()
 		}
 		if r.err != nil {
-			return math.Inf(1), true
+			return math.Inf(1)
 		}
-		return r.res.Makespan, true
+		return r.res.Makespan
 	}
-	packs := ir.Packings[:1]
+	ones := []*PlanIR{ir}
 	if ir.Kind == IRTreeAllReduce && len(ir.Packings) == 2 {
-		packs = ir.Packings[:2:2]
-		if rev, _ := reverseEdges(f.Graph); allReduceRate(f.Graph, packs[1], rev) > allReduceRate(f.Graph, packs[0], rev) {
-			packs = []*Packing{packs[1], packs[0]}
-		}
+		und, dir := *ir, *ir
+		und.Packings, dir.Packings = ir.Packings[1:], ir.Packings[:1:1]
+		ones = []*PlanIR{&und, &dir}
 	}
-	for i, pk := range packs {
-		one, bound := *ir, 0.0
-		if one.Packings = packs[i : i+1]; len(packs) > 1 {
+	for _, one := range ones {
+		bound, chunks := 0.0, first
+		if len(ones) > 1 {
 			bound = one.LowerBound(f)
 		}
-		row := func(c int64, s shape) (float64, bool) {
-			if one.opCount(f, c) > MaxPlanOps || prune && best != nil && best.err == nil && bound >= best.res.Makespan {
-				return math.Inf(1), true
-			}
-			return trial(pk, c, s)
+		if one.Packings[0] != ir.Packings[0] {
+			chunks = treeChunk(f, one.Packings[0], ir.Bytes, treePasses[ir.Kind])
 		}
-		chunks := first
-		if pk != ir.Packings[0] {
-			chunks = treeChunk(f, pk, ir.Bytes, treePasses[ir.Kind])
+		row := func(c int64, s shape) float64 {
+			if one.opCount(f, c) > MaxPlanOps || best != nil && best.err == nil && bound >= best.res.Makespan {
+				return math.Inf(1)
+			}
+			return trial(one, c, s)
 		}
 		at, fastest := chunks[0], math.Inf(1)
 		for _, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
-			ms, ok := row(c, shapeTrees)
-			if !ok {
-				break
-			}
-			if ms < fastest {
+			if ms := row(c, shapeTrees); ms < fastest {
 				at, fastest = c, ms
 			}
 		}
@@ -392,7 +376,7 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 	probe := *ir
 	probe.Bytes = hybridProbeBytes
 	if ir.Kind == IRTreeBroadcast && len(ir.Packings) == 2 && best != nil && best.err == nil && best.res.Makespan > peerSwitch(f) && probe.opCount(f, rule) <= MaxPlanOps {
-		trial(ir.Packings[0], rule, shapeHybrid)
+		trial(ir, rule, shapeHybrid)
 	}
 	switch {
 	case best == nil:
@@ -410,7 +394,7 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 			final.arena = newArena(ops, deps)
 			final.arena.streams = ar.streams
 		}
-		plan, err = ir.build(f, final, won, pick)
+		plan, err = pick.build(f, final, won)
 	}
 	if err == nil {
 		best.order = append(make([]int32, 0, len(best.order)), best.order...)
@@ -466,9 +450,9 @@ var arenas = make(chan *opArena, 2)
 // pure function of (IR, fabric): byte-identical IRs over identical fabrics
 // produce identical schedules, which is what makes the serialized form a
 // faithful plan transport. The returned plan carries the IR, so freezing it
-// preserves round-trip ability: an AllReduce IR that carries two packings
-// records only the one its schedule won with, which compiles to the same
-// schedule again.
+// preserves round-trip ability: an auto-chunk AllReduce IR that carries two
+// packings records only the one its schedule won with, which compiles to
+// the same schedule again.
 func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) { return codeGen(ir, f, true) }
 
 // Compile is CodeGen followed by Freeze. A timing plan CodeGen's trial
@@ -508,43 +492,30 @@ func codeGen(ir *PlanIR, f *simgpu.Fabric, tables bool) (*Plan, error) {
 		return nil, &PlanBudgetError{Kind: ir.Kind, Ops: ops}
 	}
 	var plan *Plan
-	var pick *Packing
 	var err error
-	won := shapeTrees
+	won, out := shapeTrees, ir
 	if tune {
-		plan, pick, won, err = ir.tuned(f, opts, chunks, tables)
+		plan, out, won, err = ir.tuned(f, opts, chunks, tables)
 	} else {
 		plan, err = ir.build(f, opts, shapeTrees)
 	}
 	if err != nil {
 		return nil, err
 	}
-	plan.IR = ir
-	if won == shapeHybrid || len(ir.Packings) == 2 && ir.Kind == IRTreeAllReduce {
-		// The label and the winning packing travel with the IR, so a decoded
-		// plan reports and compiles the same.
-		out := *ir
-		switch {
-		case won == shapeHybrid:
-			out.Strategy = "hybrid"
-		case pick != nil:
-			out.Packings = []*Packing{pick}
-		default:
-			out.Packings = ir.Packings[:1]
-		}
-		plan.IR = &out
+	plan.IR = out
+	if won == shapeHybrid {
+		// The label travels with the IR, so a decoded plan reports it too.
+		hy := *ir
+		hy.Strategy = "hybrid"
+		plan.IR = &hy
 	}
 	return plan, nil
 }
 
 // build is CodeGen's dispatch on a validated IR, with its chunk resolved,
 // into shape s (shapeTrees for every kind but the two tuned races another
-// shape of). A tree Broadcast or AllReduce schedules over pk, the packing
-// tuned's row names, which defaults to Packings[0].
-func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape, pk ...*Packing) (*Plan, error) {
-	if len(pk) == 0 || pk[0] == nil {
-		pk = ir.Packings
-	}
+// shape of).
+func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, error) {
 	switch ir.Kind {
 	case IRTreeBroadcast:
 		if s == shapeHybrid {
@@ -557,14 +528,14 @@ func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape, pk ...*Pack
 			}
 			return plan, err
 		}
-		return BuildBroadcastPlan(f, pk[0], ir.Bytes, opts)
+		return BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeGather:
 		return BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeAllReduce, IRTreeAllGather:
 		if s == shapeRankRooted {
-			return BuildRankRootedAllReducePlan(f, pk[0], ir.Bytes, opts)
+			return BuildRankRootedAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		}
-		return BuildAllReducePlan(f, pk[0], ir.Bytes, opts)
+		return BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeReduce, IRTreeReduceScatter:
 		plan, _, err := BuildReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		return plan, err

@@ -107,7 +107,7 @@ func PackTrees(g *graph.Graph, root int) (*Packing, error) {
 }
 
 // mwu is the Garg–Könemann loop both packers share: g's edges (a graph's
-// own for PackTrees, its link pairs for PackUndirected) start at length
+// own for PackTrees, its link pairs for Undirected.For) start at length
 // δ/c, and each iteration takes the oracle's minimum-length spanning tree,
 // raises its weight by its bottleneck capacity and lengthens its edges by
 // 1 + ε·c_min/c, until the shortest tree is at least 1 long. It returns the
@@ -191,27 +191,24 @@ func mwu(g *graph.Graph, root int, eps float64, oracle func(length []float64) ([
 
 // sortTrees orders trees heaviest first, ties by Arborescence.Key. The keys
 // of distinct trees differ, so the order is total and does not depend on
-// the sort's algorithm. The keys share one buffer.
+// the sort's algorithm. Each tree's key is built once.
 func sortTrees(trees []Tree) {
 	type keyed struct {
-		t      Tree
-		lo, hi int
+		Tree
+		key string
 	}
 	ks := make([]keyed, len(trees))
-	var buf []byte
 	for i, t := range trees {
-		lo := len(buf)
-		buf = t.Arbo.AppendKey(buf)
-		ks[i] = keyed{t, lo, len(buf)}
+		ks[i] = keyed{t, t.Arbo.Key()}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
-		if a.t.Weight != b.t.Weight {
-			return cmp.Compare(b.t.Weight, a.t.Weight)
+		if a.Weight != b.Weight {
+			return cmp.Compare(b.Weight, a.Weight)
 		}
-		return strings.Compare(string(buf[a.lo:a.hi]), string(buf[b.lo:b.hi]))
+		return strings.Compare(a.key, b.key)
 	})
-	for i := range ks {
-		trees[i] = ks[i].t
+	for i, k := range ks {
+		trees[i] = k.Tree
 	}
 }
 

@@ -24,8 +24,8 @@ type PlanOptions struct {
 	// 0 is auto, which CodeGen resolves per kind: the tree Broadcast, Reduce
 	// and AllReduce kinds on NVLink or PCIe race a table of rows
 	// (PlanIR.tuned) and keep the first that simulates fastest. Each packing
-	// the IR carries — an AllReduce's directed and undirected ones
-	// (PackUndirected), best AllReduce rate first — races the tree model's
+	// the IR carries — an AllReduce's undirected one (Undirected.For) first,
+	// when it carries one, then its directed one — races the tree model's
 	// pick (treeChunk) and the next chunk up its grid, and an AllReduce of
 	// at least a float per rank then the rank-rooted shape
 	// (BuildRankRootedAllReducePlan) at the faster of the two; a Broadcast

@@ -9,7 +9,7 @@ import (
 	"blink/internal/topology"
 )
 
-func fabricFor(t *testing.T, topo *topology.Topology, devs []int, data bool) (*simgpu.Fabric, *Packing) {
+func fabricFor(t testing.TB, topo *topology.Topology, devs []int, data bool) (*simgpu.Fabric, *Packing) {
 	t.Helper()
 	ind, err := topo.Induce(devs)
 	if err != nil {
@@ -24,17 +24,27 @@ func fabricFor(t *testing.T, topo *topology.Topology, devs []int, data bool) (*s
 	return f, p
 }
 
+// gbs returns a check that fails the test on a build error or a failed run
+// and otherwise returns the plan's simulated throughput in GB/s, as in
+// gbs(t)(BuildBroadcastPlan(...)).
+func gbs(t *testing.T) func(*Plan, error) float64 {
+	return func(plan *Plan, err error) float64 {
+		t.Helper()
+		var tp float64
+		if err == nil {
+			tp, err = plan.ThroughputGBs()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+}
+
 func TestBroadcastPlanThroughput(t *testing.T) {
 	// Full DGX-1V: rate 6 trees => ~6 x 22.8 GB/s aggregate broadcast.
 	f, p := fabricFor(t, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
-	plan, err := BuildBroadcastPlan(f, p, 500<<20, PlanOptions{ChunkBytes: 2 << 20, NoStreamReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := plan.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := gbs(t)(BuildBroadcastPlan(f, p, 500<<20, PlanOptions{ChunkBytes: 2 << 20, NoStreamReuse: true}))
 	if tp < 100 || tp > 140 {
 		t.Fatalf("8-GPU DGX-1V broadcast throughput = %.1f GB/s, want ~105-137 (paper Fig 15 ~120)", tp)
 	}
@@ -108,22 +118,8 @@ func TestAllReduceRoughlyHalfBroadcast(t *testing.T) {
 	// Paper §5.2.2: AllReduce achieves about half the broadcast throughput
 	// because every chunk crosses the trees twice.
 	f, p := fabricFor(t, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
-	bc, err := BuildBroadcastPlan(f, p, 500<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcTp, err := bc.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar, err := BuildAllReducePlan(f, p, 500<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arTp, err := ar.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bcTp := gbs(t)(BuildBroadcastPlan(f, p, 500<<20, PlanOptions{}))
+	arTp := gbs(t)(BuildAllReducePlan(f, p, 500<<20, PlanOptions{}))
 	ratio := arTp / bcTp
 	if ratio < 0.4 || ratio > 0.65 {
 		t.Fatalf("allreduce/broadcast ratio = %.2f (ar=%.1f bc=%.1f), want ~0.5", ratio, arTp, bcTp)
@@ -182,14 +178,7 @@ func TestChunkingReducesLatency(t *testing.T) {
 
 func TestGatherPlan(t *testing.T) {
 	f, p := fabricFor(t, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
-	plan, err := BuildGatherPlan(f, p, 500<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := plan.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := gbs(t)(BuildGatherPlan(f, p, 500<<20, PlanOptions{}))
 	// Gather should be in the same regime as Broadcast (paper: "Gather is
 	// the inverse of Broadcast").
 	if tp < 60 || tp > 160 {
@@ -234,14 +223,7 @@ func TestOneHopAllReduceDGX2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildDGX2AllReducePlan(f, packs, 256<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := plan.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := gbs(t)(BuildDGX2AllReducePlan(f, packs, 256<<20, PlanOptions{}))
 	if tp < 45 || tp > 80 {
 		t.Fatalf("DGX-2 one-hop AllReduce throughput = %.1f GB/s, want ~50-75", tp)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"blink/internal/graph"
 )
@@ -144,7 +145,7 @@ func RepairPacking(oldG, newG *graph.Graph, vmap []int, p *Packing, opts RepairO
 			shed := false
 			for i := len(trees) - 1; i >= 0; i-- {
 				rt := trees[i]
-				if rt.w <= repairTiny || !treeUses(rt, eid) {
+				if rt.w <= repairTiny || !slices.Contains(rt.parent, eid) {
 					continue
 				}
 				cut := math.Min(over, rt.w)
@@ -276,16 +277,6 @@ func treeEdges(rt *repairTree) []int {
 		}
 	}
 	return out
-}
-
-// treeUses reports whether the tree currently assigns edge eid.
-func treeUses(rt *repairTree, eid int) bool {
-	for _, id := range rt.parent {
-		if id == eid {
-			return true
-		}
-	}
-	return false
 }
 
 // adjustLoad adds delta to the load of every edge the tree uses.

@@ -87,14 +87,7 @@ func TestRingNext(t *testing.T) {
 
 func TestRingBroadcastThroughput(t *testing.T) {
 	_, f := induced(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	plan, err := BuildRingBroadcastPlan(f, FabricNVLink, 0, 500<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := plan.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := gbs(t)(BuildRingBroadcastPlan(f, FabricNVLink, 0, 500<<20, PlanOptions{}))
 	// NCCL on the full DGX-1V reaches ~90-120 GB/s broadcast (Fig 15).
 	if tp < 70 || tp > 140 {
 		t.Fatalf("ring broadcast = %.1f GB/s, outside NCCL's regime", tp)
@@ -153,14 +146,7 @@ func TestPCIeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := simgpu.NewFabric(ind, ind.PCIeGraph(), simgpu.Config{})
-	plan, err := BuildRingBroadcastPlan(f, FabricPCIe, 0, 500<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := plan.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := gbs(t)(BuildRingBroadcastPlan(f, FabricPCIe, 0, 500<<20, PlanOptions{}))
 	// Fig 2b: NCCL over PCIe lands near 5 GB/s.
 	if tp < 2 || tp > 8 {
 		t.Fatalf("PCIe fallback broadcast = %.2f GB/s, want ~5", tp)
@@ -218,14 +204,7 @@ func TestSwitchRingAllReduceDGX2(t *testing.T) {
 	topo := topology.DGX2()
 	lg := topology.DGX2Logical()
 	f := simgpu.NewSwitchFabric(topo, lg, topology.DGX2LinksPerGPU, simgpu.Config{})
-	plan, err := BuildRingAllReducePlan(f, FabricSwitch, 256<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := plan.ThroughputGBs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := gbs(t)(BuildRingAllReducePlan(f, FabricSwitch, 256<<20, PlanOptions{}))
 	// Ring AllReduce on DGX-2 should land in the same large-payload regime
 	// as Blink's one-hop trees (tens of GB/s).
 	if tp < 30 || tp > 90 {

@@ -28,9 +28,9 @@ const undirectedEps = 0.2
 // under a millisecond: MinimizeTrees' own search (64 candidates, 4M nodes,
 // grids to eighths) takes 3–5 ms on the full DGX-1V. A search that brings
 // no grid within the threshold keeps its best grid rather than fall back to
-// MWU's many trees, whose schedules cost more to build than they gain.
-// PackUndirected lets one tree take a link pair's whole capacity (weight),
-// as a pair of doubled links often must for the packing to reach its bound.
+// MWU's many trees, whose schedules cost more to build than they gain. The
+// packer lets one tree take a link pair's whole capacity (weight), as a
+// pair of doubled links often must for the packing to reach its bound.
 var undirectedSearch = minSearch{cands: 16, nodes: 1 << 14, grid: 4}
 
 // nashWilliamsMaxN bounds the vertices nashWilliams enumerates the
@@ -38,83 +38,82 @@ var undirectedSearch = minSearch{cands: 16, nodes: 1 << 14, grid: 4}
 // undirected packing.
 const nashWilliamsMaxN = 12
 
-// PackUndirected packs spanning trees of g's link pairs for an AllReduce
-// over directed, root's directed packing, and orients them from its root.
-// It returns nil, and no error, when directed's trees already sustain the
-// Nash-Williams bound as an AllReduce (allReduceRate), when the link pairs
-// form a tree or are too many vertices to bound, or when the packing falls
-// short of directed. The result records directed's Edmonds bound, which no
-// rooted packing exceeds, as its Bound.
-func PackUndirected(g *graph.Graph, directed *Packing) (*Packing, error) {
-	rev, err := reverseEdges(g)
-	if err != nil || g.N < 2 || g.N > nashWilliamsMaxN {
-		return nil, err
-	}
-	// Pair i is edge of[i] and its reverse, as an edge of ug.
-	ug := &graph.Graph{N: g.N}
-	var of []int
-	for _, e := range g.Edges {
-		if r := rev[e.ID]; e.ID < r && rev[r] == e.ID {
-			of = append(of, e.ID)
-			ug.Edges = append(ug.Edges, graph.Edge{ID: len(of) - 1, From: e.From, To: e.To, Cap: min(e.Cap, g.Edges[r].Cap), Type: e.Type})
+// Undirected is a graph's undirected packing for AllReduce: spanning trees
+// of its link pairs, which have no root, so one packing serves every root.
+// The link pairs and their Nash-Williams bound are found on first use, and
+// the trees are packed on the first use that needs them; what For returns
+// does not depend on which roots asked first.
+type Undirected struct {
+	pairs, packed sync.Once
+	ug            *graph.Graph // the link pairs, nil when there are none to pack
+	of, rev       []int        // pair i is edge of[i] and its reverse rev[of[i]]
+	nw            float64      // ug's Nash-Williams bound
+	p             *Packing     // ug's packing, nil when MWU failed
+}
+
+// For returns the undirected packing to race beside directed, g's packing
+// from its root, with its trees hung from that root by BFS (shapeOf), every
+// link taken in the direction leading away from it. It returns none when
+// directed's trees already sustain the Nash-Williams bound as an AllReduce
+// (allReduceRate), when g's link pairs form a tree or are too many vertices
+// to bound, or when the packing falls short of directed. The packing
+// records directed's Edmonds bound, which no rooted packing exceeds, as its
+// Bound. Every call must pass the same g.
+func (u *Undirected) For(g *graph.Graph, directed *Packing) []*Packing {
+	u.pairs.Do(func() {
+		rev, err := reverseEdges(g)
+		if err != nil || g.N < 2 || g.N > nashWilliamsMaxN {
+			return
 		}
-	}
-	nw := nashWilliams(ug)
-	if len(ug.Edges) < g.N || !(allReduceRate(g, directed, rev) < nw*(1-1e-9)) {
-		return nil, nil
-	}
-	p, err := mwu(ug, 0, undirectedEps, prim(ug))
-	if err != nil {
-		return nil, err
-	}
-	p.Bound = nw
-	// Heaviest first; minimize takes the first candidates.
-	slices.SortStableFunc(p.Trees, func(a, b Tree) int { return cmp.Compare(b.Weight, a.Weight) })
-	// A tree may take a link pair's whole capacity, not one unit.
-	search := undirectedSearch
-	for _, e := range ug.Edges {
-		search.weight = max(search.weight, int(math.Ceil(e.Cap)))
-	}
-	p = minimize(ug, p, search)
-	// Each tree hangs from the root by BFS (shapeOf), every link taken in
-	// the direction leading away from it.
-	out := &Packing{Root: directed.Root, Trees: p.Trees, Rate: p.Rate, Bound: directed.Bound}
-	for i := range out.Trees {
-		a := &out.Trees[i].Arbo
-		for j, id := range a.Edges {
-			a.Edges[j] = of[id]
+		ug := &graph.Graph{N: g.N}
+		for _, e := range g.Edges {
+			if r := rev[e.ID]; e.ID < r && rev[r] == e.ID {
+				u.of = append(u.of, e.ID)
+				ug.Edges = append(ug.Edges, graph.Edge{ID: len(u.of) - 1, From: e.From, To: e.To, Cap: min(e.Cap, g.Edges[r].Cap), Type: e.Type})
+			}
 		}
-		s, err := shapeOf(g, graph.Arborescence{Root: -1, Edges: a.Edges}, out.Root, g.N, rev)
+		if len(ug.Edges) >= g.N {
+			u.ug, u.rev, u.nw = ug, rev, nashWilliams(ug)
+		}
+	})
+	if u.ug == nil || !(allReduceRate(g, directed, u.rev) < u.nw*(1-1e-9)) {
+		return nil
+	}
+	u.packed.Do(func() {
+		if p, err := mwu(u.ug, 0, undirectedEps, prim(u.ug)); err == nil {
+			p.Bound = u.nw
+			// Heaviest first; minimize takes the first candidates. A tree
+			// may take a link pair's whole capacity, not one unit.
+			slices.SortStableFunc(p.Trees, func(a, b Tree) int { return cmp.Compare(b.Weight, a.Weight) })
+			search := undirectedSearch
+			for _, e := range u.ug.Edges {
+				search.weight = max(search.weight, int(math.Ceil(e.Cap)))
+			}
+			u.p = minimize(u.ug, p, search)
+		}
+	})
+	if u.p == nil {
+		return nil
+	}
+	out := &Packing{Root: directed.Root, Rate: u.p.Rate, Bound: directed.Bound}
+	for _, t := range u.p.Trees {
+		edges := make([]int, len(t.Arbo.Edges))
+		for j, id := range t.Arbo.Edges {
+			edges[j] = u.of[id]
+		}
+		s, err := shapeOf(g, graph.Arborescence{Root: -1, Edges: edges}, out.Root, g.N, u.rev)
 		if err != nil {
-			return nil, err
+			return nil
 		}
 		for j, v := range s.bfs[1:] {
-			a.Edges[j] = s.parentEdge[v]
+			edges[j] = s.parentEdge[v]
 		}
-		a.Root = out.Root
+		out.Trees = append(out.Trees, Tree{Arbo: graph.Arborescence{Root: out.Root, Edges: edges}, Weight: t.Weight})
 	}
-	if err := out.Validate(g); err != nil || allReduceRate(g, out, rev) <= allReduceRate(g, directed, rev) {
-		return nil, err
+	if out.Validate(g) != nil || allReduceRate(g, out, u.rev) <= allReduceRate(g, directed, u.rev) {
+		return nil
 	}
-	return out, nil
-}
-
-// Undirected is an allocation's undirected packing for AllReduce on one
-// plane, which serves every root: it is packed at most once, on first use.
-type Undirected struct {
-	once sync.Once
-	p    *Packing
-}
-
-// For returns the packing to race beside directed: the undirected one
-// PackUndirected finds, packed on first use, or none when there is none or
-// it hangs from another root than directed's.
-func (u *Undirected) For(g *graph.Graph, directed *Packing) []*Packing {
-	u.once.Do(func() { u.p, _ = PackUndirected(g, directed) })
-	if u.p != nil && u.p.Root == directed.Root {
-		return []*Packing{u.p}
-	}
-	return nil
+	return []*Packing{out}
 }
 
 // nashWilliams is the most weight of spanning trees ug's edges, taken as

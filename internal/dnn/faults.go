@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,14 +112,7 @@ func (fs *faultState) apply(f cluster.Fault) error {
 		if fs.evicted[f.Dev] {
 			return fmt.Errorf("dnn: device %d already evicted", f.Dev)
 		}
-		found := false
-		for _, d := range fs.devs {
-			if d == f.Dev {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(fs.devs, f.Dev) {
 			return fmt.Errorf("dnn: evicted device %d not in allocation %v", f.Dev, fs.devs)
 		}
 		fs.evicted[f.Dev] = true

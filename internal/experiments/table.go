@@ -62,15 +62,13 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, r := range t.Rows {
 		line(r)
 	}
-	if len(t.Metrics) > 0 {
-		keys := make([]string, 0, len(t.Metrics))
-		for k := range t.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "  -- %s: %.4g\n", k, t.Metrics[k])
-		}
+	keys := make([]string, 0, len(t.Metrics))
+	for k := range t.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "  -- %s: %.4g\n", k, t.Metrics[k])
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  # %s\n", n)

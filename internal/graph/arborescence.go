@@ -269,57 +269,70 @@ func MaxFlow(g *Graph, s, t int) float64 {
 	if s == t {
 		return math.Inf(1)
 	}
-	return newFlowNet(g).maxFlow(s, t)
-}
-
-// flowNet is Dinic's residual network over a graph: every edge's arc and
-// its zero-capacity reverse, vertex by vertex in edge order, with the
-// scratch a run needs. One net serves any number of runs.
-type flowNet struct {
-	head               []int // vertex v's arcs are arcs[head[v]:head[v+1]]
-	arcs               []flowArc
-	caps               []float64 // each arc's capacity before any run
-	level, iter, queue []int
-}
-
-type flowArc struct {
-	to, rev int // rev indexes arcs
-	cap     float64
-}
-
-func newFlowNet(g *Graph) *flowNet {
-	n := &flowNet{head: make([]int, g.N+1), arcs: make([]flowArc, 2*len(g.Edges)), caps: make([]float64, 2*len(g.Edges)),
-		level: make([]int, g.N), iter: make([]int, g.N), queue: make([]int, 0, g.N)}
+	type arc struct {
+		to  int
+		cap float64
+		rev int
+	}
+	adj := make([][]arc, g.N)
+	addArc := func(u, v int, c float64) {
+		adj[u] = append(adj[u], arc{to: v, cap: c, rev: len(adj[v])})
+		adj[v] = append(adj[v], arc{to: u, cap: 0, rev: len(adj[u]) - 1})
+	}
 	for _, e := range g.Edges {
-		n.head[e.From+1]++
-		n.head[e.To+1]++
+		addArc(e.From, e.To, e.Cap)
 	}
-	for v := 0; v < g.N; v++ {
-		n.head[v+1] += n.head[v]
-	}
-	next := n.iter
-	copy(next, n.head)
-	for _, e := range g.Edges {
-		fwd, bwd := next[e.From], next[e.To]
-		next[e.From]++
-		next[e.To]++
-		n.arcs[fwd], n.arcs[bwd] = flowArc{to: e.To, rev: bwd}, flowArc{to: e.From, rev: fwd}
-		n.caps[fwd] = e.Cap
-	}
-	return n
-}
 
-// maxFlow runs Dinic's algorithm from s to t on the net's capacities.
-func (n *flowNet) maxFlow(s, t int) float64 {
-	for i := range n.arcs {
-		n.arcs[i].cap = n.caps[i]
+	const eps = 1e-12
+	level := make([]int, g.N)
+	iter := make([]int, g.N)
+
+	bfs := func() bool {
+		for i := range level {
+			level[i] = -1
+		}
+		queue := []int{s}
+		level[s] = 0
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, a := range adj[v] {
+				if a.cap > eps && level[a.to] < 0 {
+					level[a.to] = level[v] + 1
+					queue = append(queue, a.to)
+				}
+			}
+		}
+		return level[t] >= 0
 	}
+
+	var dfs func(v int, f float64) float64
+	dfs = func(v int, f float64) float64 {
+		if v == t {
+			return f
+		}
+		for ; iter[v] < len(adj[v]); iter[v]++ {
+			a := &adj[v][iter[v]]
+			if a.cap > eps && level[v] < level[a.to] {
+				d := dfs(a.to, math.Min(f, a.cap))
+				if d > eps {
+					a.cap -= d
+					adj[a.to][a.rev].cap += d
+					return d
+				}
+			}
+		}
+		return 0
+	}
+
 	var flow float64
-	for n.bfs(s, t) {
-		copy(n.iter, n.head)
+	for bfs() {
+		for i := range iter {
+			iter[i] = 0
+		}
 		for {
-			f := n.dfs(s, t, math.Inf(1))
-			if f <= flowEps {
+			f := dfs(s, math.Inf(1))
+			if f <= eps {
 				break
 			}
 			flow += f
@@ -328,55 +341,17 @@ func (n *flowNet) maxFlow(s, t int) float64 {
 	return flow
 }
 
-const flowEps = 1e-12
-
-func (n *flowNet) bfs(s, t int) bool {
-	for i := range n.level {
-		n.level[i] = -1
-	}
-	q := append(n.queue[:0], s)
-	n.level[s] = 0
-	for len(q) > 0 {
-		v := q[0]
-		q = q[1:]
-		for _, a := range n.arcs[n.head[v]:n.head[v+1]] {
-			if a.cap > flowEps && n.level[a.to] < 0 {
-				n.level[a.to] = n.level[v] + 1
-				q = append(q, a.to)
-			}
-		}
-	}
-	return n.level[t] >= 0
-}
-
-func (n *flowNet) dfs(v, t int, f float64) float64 {
-	if v == t {
-		return f
-	}
-	for ; n.iter[v] < n.head[v+1]; n.iter[v]++ {
-		a := &n.arcs[n.iter[v]]
-		if a.cap > flowEps && n.level[v] < n.level[a.to] {
-			d := n.dfs(a.to, t, math.Min(f, a.cap))
-			if d > flowEps {
-				a.cap -= d
-				n.arcs[a.rev].cap += d
-				return d
-			}
-		}
-	}
-	return 0
-}
-
 // BroadcastRateUpperBound returns the Edmonds/Lovász optimal broadcast rate
 // from root: the minimum over all other vertices v of maxflow(root -> v).
 // No packing of arborescences can exceed this, and a maximal packing
 // achieves it.
 func BroadcastRateUpperBound(g *Graph, root int) float64 {
-	best, net := math.Inf(1), newFlowNet(g)
+	best := math.Inf(1)
 	for v := 0; v < g.N; v++ {
-		if v != root {
-			best = min(best, net.maxFlow(root, v))
+		if v == root {
+			continue
 		}
+		best = min(best, MaxFlow(g, root, v))
 	}
 	if math.IsInf(best, 1) {
 		return 0

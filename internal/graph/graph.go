@@ -27,18 +27,10 @@ const (
 
 // String returns the conventional name of the edge type.
 func (t EdgeType) String() string {
-	switch t {
-	case NVLink:
-		return "NVLink"
-	case PCIe:
-		return "PCIe"
-	case Net:
-		return "Net"
-	case NVSwitch:
-		return "NVSwitch"
-	default:
-		return fmt.Sprintf("EdgeType(%d)", uint8(t))
+	if names := [...]string{"NVLink", "PCIe", "Net", "NVSwitch"}; int(t) < len(names) {
+		return names[t]
 	}
+	return fmt.Sprintf("EdgeType(%d)", uint8(t))
 }
 
 // Edge is a directed, capacitated edge. Capacity is expressed in abstract
@@ -115,19 +107,14 @@ func (g *Graph) Clone() *Graph {
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,
 // relabeling vertices densely in the order supplied. The Labels of the new
-// graph carry the original labels of the selected vertices. Its edge and
-// adjacency lists are sized before they are filled, so it costs a handful
-// of allocations whatever its size.
+// graph carry the original labels of the selected vertices.
 func (g *Graph) InducedSubgraph(verts []int) *Graph {
-	idx := make([]int, g.N)
-	for i := range idx {
-		idx[i] = -1
-	}
+	idx := make(map[int]int, len(verts))
 	for i, v := range verts {
 		if v < 0 || v >= g.N {
 			panic(fmt.Sprintf("graph: induced vertex %d out of range", v))
 		}
-		if idx[v] >= 0 {
+		if _, dup := idx[v]; dup {
 			panic(fmt.Sprintf("graph: duplicate vertex %d in induced set", v))
 		}
 		idx[v] = i
@@ -136,25 +123,11 @@ func (g *Graph) InducedSubgraph(verts []int) *Graph {
 	for i, v := range verts {
 		ng.Labels[i] = g.Labels[v]
 	}
-	// deg[v] counts v's out-edges, deg[n+v] its in-edges.
-	n, m := len(verts), 0
-	deg := make([]int, 2*n)
 	for _, e := range g.Edges {
-		if f, t := idx[e.From], idx[e.To]; f >= 0 && t >= 0 {
-			deg[f]++
-			deg[n+t]++
-			m++
-		}
-	}
-	adj, at := make([]int, 2*m), 0
-	for v := 0; v < n; v++ {
-		ng.out[v], at = adj[at:at:at+deg[v]], at+deg[v]
-		ng.in[v], at = adj[at:at:at+deg[n+v]], at+deg[n+v]
-	}
-	ng.Edges = make([]Edge, 0, m)
-	for _, e := range g.Edges {
-		if f, t := idx[e.From], idx[e.To]; f >= 0 && t >= 0 {
-			ng.AddEdge(f, t, e.Cap, e.Type)
+		fi, okF := idx[e.From]
+		ti, okT := idx[e.To]
+		if okF && okT {
+			ng.AddEdge(fi, ti, e.Cap, e.Type)
 		}
 	}
 	return ng
@@ -241,23 +214,19 @@ type Arborescence struct {
 
 // Key returns a canonical string identifying the tree's edge set. Trees with
 // identical edge sets (regardless of discovery order) share a key.
-func (a Arborescence) Key() string { return string(a.AppendKey(nil)) }
-
-// AppendKey appends the tree's Key to dst, so that callers keying many trees
-// can share one buffer.
-func (a Arborescence) AppendKey(dst []byte) []byte {
+func (a Arborescence) Key() string {
 	var buf [64]int
 	ids := append(buf[:0], a.Edges...)
 	slices.Sort(ids)
-	dst = strconv.AppendInt(append(dst, 'r'), int64(a.Root), 10)
-	dst = append(dst, ':')
+	b := strconv.AppendInt(append(make([]byte, 0, 4+4*len(ids)), 'r'), int64(a.Root), 10)
+	b = append(b, ':')
 	for i, id := range ids {
 		if i > 0 {
-			dst = append(dst, ',')
+			b = append(b, ',')
 		}
-		dst = strconv.AppendInt(dst, int64(id), 10)
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return dst
+	return string(b)
 }
 
 // Parents returns parent[v] = edge ID of v's incoming tree edge (-1 for the

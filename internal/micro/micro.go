@@ -38,25 +38,46 @@ func ChainFabric(k int, cfg simgpu.Config) (*simgpu.Fabric, error) {
 	return simgpu.NewFabric(customTopo(fmt.Sprintf("chain-%d", k), g, k), g, cfg), nil
 }
 
-// pathArbo builds the arborescence root -> ... -> end following the chain.
-func pathArbo(g *graph.Graph, order []int) (graph.Arborescence, error) {
+// tree is the single-tree packing from root over g's edges u->v, one per
+// hop {u, v}.
+func tree(g *graph.Graph, root int, hops ...[2]int) (*core.Packing, error) {
 	edge := map[[2]int]int{}
 	for _, e := range g.Edges {
 		edge[[2]int{e.From, e.To}] = e.ID
 	}
-	a := graph.Arborescence{Root: order[0]}
-	for i := 0; i+1 < len(order); i++ {
-		id, ok := edge[[2]int{order[i], order[i+1]}]
+	a := graph.Arborescence{Root: root}
+	for _, h := range hops {
+		id, ok := edge[h]
 		if !ok {
-			return a, fmt.Errorf("micro: missing edge %d->%d", order[i], order[i+1])
+			return nil, fmt.Errorf("micro: missing edge %d->%d", h[0], h[1])
 		}
 		a.Edges = append(a.Edges, id)
 	}
-	return a, nil
+	return &core.Packing{Root: root, Trees: []core.Tree{{Arbo: a, Weight: 1}}, Rate: 1}, nil
 }
 
-func singleTreePacking(a graph.Arborescence) *core.Packing {
-	return &core.Packing{Root: a.Root, Trees: []core.Tree{{Arbo: a, Weight: 1}}, Rate: 1}
+// chain is the single-tree packing down g's chain from its first GPU, or
+// from its last when reversed.
+func chain(g *graph.Graph, reversed bool) (*core.Packing, error) {
+	hops := make([][2]int, g.N-1)
+	for i := range hops {
+		hops[i] = [2]int{i, i + 1}
+		if reversed {
+			hops[i] = [2]int{g.N - 1 - i, g.N - 2 - i}
+		}
+	}
+	return tree(g, hops[0][0], hops...)
+}
+
+// fan is the single-tree packing of Fig 25's patterns: the sink, through
+// the center, to every source.
+func fan(g *graph.Graph) (*core.Packing, error) {
+	sink, center := g.N-1, g.N-2
+	hops := [][2]int{{sink, center}}
+	for s := 0; s < center; s++ {
+		hops = append(hops, [2]int{center, s})
+	}
+	return tree(g, sink, hops...)
 }
 
 func planOpts(chunk int64) core.PlanOptions {
@@ -65,47 +86,32 @@ func planOpts(chunk int64) core.PlanOptions {
 
 // ChainForward broadcasts bytes down the chain (Fig 23a / 24a).
 func ChainForward(f *simgpu.Fabric, bytes, chunk int64) (*core.Plan, error) {
-	k := f.Graph.N
-	order := make([]int, k)
-	for i := range order {
-		order[i] = i
-	}
-	a, err := pathArbo(f.Graph, order)
+	p, err := chain(f.Graph, false)
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildBroadcastPlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+	return core.BuildBroadcastPlan(f, p, bytes, planOpts(chunk))
 }
 
 // ChainReduceForward reduces every GPU's data toward the chain's end
 // (Fig 6 / 24b): each hop combines the received partial with local data.
 func ChainReduceForward(f *simgpu.Fabric, bytes, chunk int64) (*core.Plan, error) {
-	k := f.Graph.N
-	order := make([]int, k)
-	for i := range order {
-		order[i] = k - 1 - i // rooted at the last GPU
-	}
-	a, err := pathArbo(f.Graph, order)
+	p, err := chain(f.Graph, true) // rooted at the last GPU
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := core.BuildReducePlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+	plan, _, err := core.BuildReducePlan(f, p, bytes, planOpts(chunk))
 	return plan, err
 }
 
 // ChainReduceBroadcast reduces toward the end and broadcasts the result
 // back (Fig 23c / 24c), i.e. an AllReduce over the chain.
 func ChainReduceBroadcast(f *simgpu.Fabric, bytes, chunk int64) (*core.Plan, error) {
-	k := f.Graph.N
-	order := make([]int, k)
-	for i := range order {
-		order[i] = k - 1 - i
-	}
-	a, err := pathArbo(f.Graph, order)
+	p, err := chain(f.Graph, true)
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildAllReducePlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+	return core.BuildAllReducePlan(f, p, bytes, planOpts(chunk))
 }
 
 // FanFabric builds deg source GPUs attached to a center, which feeds a sink
@@ -126,56 +132,32 @@ func FanFabric(deg int, cfg simgpu.Config) (*simgpu.Fabric, error) {
 // FanInForward gathers the sources' data at the center, which forwards the
 // collection to the sink (Fig 25a).
 func FanInForward(f *simgpu.Fabric, bytes, chunk int64) (*core.Plan, error) {
-	n := f.Graph.N
-	sink := n - 1
-	center := n - 2
-	a := graph.Arborescence{Root: sink}
-	edge := map[[2]int]int{}
-	for _, e := range f.Graph.Edges {
-		edge[[2]int{e.From, e.To}] = e.ID
+	p, err := fan(f.Graph)
+	if err != nil {
+		return nil, err
 	}
-	a.Edges = append(a.Edges, edge[[2]int{sink, center}])
-	for s := 0; s < n-2; s++ {
-		a.Edges = append(a.Edges, edge[[2]int{center, s}])
-	}
-	return core.BuildGatherPlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+	return core.BuildGatherPlan(f, p, bytes, planOpts(chunk))
 }
 
 // FanInReduceForward has the center reduce incoming data with its own
 // before forwarding to the sink (Fig 25b).
 func FanInReduceForward(f *simgpu.Fabric, bytes, chunk int64) (*core.Plan, error) {
-	n := f.Graph.N
-	sink := n - 1
-	center := n - 2
-	edge := map[[2]int]int{}
-	for _, e := range f.Graph.Edges {
-		edge[[2]int{e.From, e.To}] = e.ID
+	p, err := fan(f.Graph)
+	if err != nil {
+		return nil, err
 	}
-	a := graph.Arborescence{Root: sink}
-	a.Edges = append(a.Edges, edge[[2]int{sink, center}])
-	for s := 0; s < n-2; s++ {
-		a.Edges = append(a.Edges, edge[[2]int{center, s}])
-	}
-	plan, _, err := core.BuildReducePlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+	plan, _, err := core.BuildReducePlan(f, p, bytes, planOpts(chunk))
 	return plan, err
 }
 
 // FanOutForward multicasts the center's received data to the sources
 // (Fig 25c): sink -> center -> all sources.
 func FanOutForward(f *simgpu.Fabric, bytes, chunk int64) (*core.Plan, error) {
-	n := f.Graph.N
-	sink := n - 1
-	center := n - 2
-	edge := map[[2]int]int{}
-	for _, e := range f.Graph.Edges {
-		edge[[2]int{e.From, e.To}] = e.ID
+	p, err := fan(f.Graph)
+	if err != nil {
+		return nil, err
 	}
-	a := graph.Arborescence{Root: sink}
-	a.Edges = append(a.Edges, edge[[2]int{sink, center}])
-	for s := 0; s < n-2; s++ {
-		a.Edges = append(a.Edges, edge[[2]int{center, s}])
-	}
-	return core.BuildBroadcastPlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+	return core.BuildBroadcastPlan(f, p, bytes, planOpts(chunk))
 }
 
 // MIMO times the multi-input multi-output pattern of Fig 8a: GPU1 and GPU2
@@ -191,11 +173,11 @@ func MIMO(bytes, chunk int64, cfg simgpu.Config) (float64, error) {
 		g.AddBiEdge(0, 1, 1, graph.NVLink)
 		g.AddBiEdge(1, 2, 1, graph.NVLink)
 		f := simgpu.NewFabric(customTopo("mimo-flow", g, 3), g, cfg)
-		a, err := pathArbo(g, []int{2, 1, 0})
+		p, err := chain(g, true)
 		if err != nil {
 			return 0, err
 		}
-		plan, _, err := core.BuildReducePlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+		plan, _, err := core.BuildReducePlan(f, p, bytes, planOpts(chunk))
 		if err != nil {
 			return 0, err
 		}
@@ -217,15 +199,11 @@ func MCA(bytes, chunk int64, cfg simgpu.Config) (float64, error) {
 	g.AddBiEdge(2, 3, 1, graph.NVLink)
 	g.AddBiEdge(3, 4, 1, graph.NVLink)
 	f := simgpu.NewFabric(customTopo("mca", g, 5), g, cfg)
-	edge := map[[2]int]int{}
-	for _, e := range g.Edges {
-		edge[[2]int{e.From, e.To}] = e.ID
+	p, err := tree(g, 4, [2]int{4, 1}, [2]int{1, 0}, [2]int{4, 3}, [2]int{3, 2})
+	if err != nil {
+		return 0, err
 	}
-	a := graph.Arborescence{Root: 4, Edges: []int{
-		edge[[2]int{4, 1}], edge[[2]int{1, 0}],
-		edge[[2]int{4, 3}], edge[[2]int{3, 2}],
-	}}
-	plan, _, err := core.BuildReducePlan(f, singleTreePacking(a), bytes, planOpts(chunk))
+	plan, _, err := core.BuildReducePlan(f, p, bytes, planOpts(chunk))
 	if err != nil {
 		return 0, err
 	}

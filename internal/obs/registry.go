@@ -310,39 +310,31 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		collect(n, "histogram")
 	}
 	sort.Strings(names)
+	// The exposition is built whole and written once.
+	var b strings.Builder
 	emittedType := map[string]bool{}
 	for _, n := range names {
 		base := baseName(n)
 		if !emittedType[base] {
 			emittedType[base] = true
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, typed[base]); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", base, typed[base])
 		}
-		var err error
 		switch typed[base] {
 		case "counter":
-			_, err = fmt.Fprintf(w, "%s %d\n", n, s.Counters[n])
+			fmt.Fprintf(&b, "%s %d\n", n, s.Counters[n])
 		case "gauge":
-			_, err = fmt.Fprintf(w, "%s %d\n", n, s.Gauges[n])
+			fmt.Fprintf(&b, "%s %d\n", n, s.Gauges[n])
 		case "histogram":
 			h := s.Histograms[n]
-			for _, b := range h.Buckets {
-				if _, err = fmt.Fprintf(w, "%s %d\n",
-					histogramSeries(n, "_bucket", `le="`+formatLe(b.UpperBound)+`"`), b.Count); err != nil {
-					return err
-				}
+			for _, bk := range h.Buckets {
+				fmt.Fprintf(&b, "%s %d\n", histogramSeries(n, "_bucket", `le="`+formatLe(bk.UpperBound)+`"`), bk.Count)
 			}
-			if _, err = fmt.Fprintf(w, "%s %g\n", histogramSeries(n, "_sum", ""), h.Sum); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "%s %d\n", histogramSeries(n, "_count", ""), h.Count)
-		}
-		if err != nil {
-			return err
+			fmt.Fprintf(&b, "%s %g\n", histogramSeries(n, "_sum", ""), h.Sum)
+			fmt.Fprintf(&b, "%s %d\n", histogramSeries(n, "_count", ""), h.Count)
 		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WritePrometheus snapshots the registry and renders the text exposition.

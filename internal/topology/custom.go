@@ -40,11 +40,13 @@ func Parse(spec string) (*Topology, error) {
 		return nil, fmt.Errorf("topology: unknown generation %q", parts[0])
 	}
 
-	type edge struct {
-		a, b  int
-		links float64
-	}
-	var edges []edge
+	// Duplicate connection tokens ("0-1, 0-1" or "0-1, 1-0") fold into one
+	// connection with the summed link count. One edge pair per connected
+	// device pair is what keeps derived topologies' degrade-then-restore
+	// (WithLinkUnits) fingerprint-stable.
+	type pair struct{ a, b int }
+	caps := map[pair]float64{}
+	var order []pair
 	maxV := -1
 	for _, tok := range strings.Split(parts[1], ",") {
 		tok = strings.TrimSpace(tok)
@@ -81,34 +83,21 @@ func Parse(spec string) (*Topology, error) {
 		if a >= MaxParseGPUs || b >= MaxParseGPUs {
 			return nil, fmt.Errorf("topology: endpoint %d exceeds the %d-GPU limit", max(a, b), MaxParseGPUs)
 		}
-		edges = append(edges, edge{a, b, links})
-		maxV = max(maxV, a)
-		maxV = max(maxV, b)
-	}
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("topology: no edges in spec")
-	}
-	// Fold duplicate connection tokens ("0-1, 0-1" or "0-1, 1-0") into one
-	// connection with the summed link count. One edge pair per connected
-	// device pair is what keeps derived topologies' degrade-then-restore
-	// (WithLinkUnits) fingerprint-stable. Edges are built in sorted (a, b)
-	// order — the order Spec() renders — so the Fingerprint (which hashes
-	// edges positionally) is a function of the described fabric, not of
-	// the spelling: "0-1, 1-2" and "1-2, 0-1" parse to one identity, and
-	// Parse(Spec(t)) always reproduces t's fingerprint.
-	type pair struct{ a, b int }
-	caps := map[pair]float64{}
-	var order []pair
-	for _, e := range edges {
-		k := pair{e.a, e.b}
-		if k.a > k.b {
-			k.a, k.b = k.b, k.a
-		}
+		k := pair{min(a, b), max(a, b)}
 		if _, seen := caps[k]; !seen {
 			order = append(order, k)
 		}
-		caps[k] += e.links
+		caps[k] += links
+		maxV = max(maxV, a, b)
 	}
+	if len(order) == 0 {
+		return nil, fmt.Errorf("topology: no edges in spec")
+	}
+	// Edges are built in sorted (a, b) order — the order Spec() renders —
+	// so the Fingerprint (which hashes edges positionally) is a function of
+	// the described fabric, not of the spelling: "0-1, 1-2" and "1-2, 0-1"
+	// parse to one identity, and Parse(Spec(t)) always reproduces t's
+	// fingerprint.
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].a != order[j].a {
 			return order[i].a < order[j].a

@@ -53,11 +53,20 @@ func Simulate(plan *core.Plan) (*simgpu.Sim, error) {
 	return sim, err
 }
 
+// newFile wraps events, ordered by start and then by lane, as a trace file.
+func newFile(events []Event) *File {
+	sort.Slice(events, func(i, j int) bool {
+		if events[i].TS != events[j].TS {
+			return events[i].TS < events[j].TS
+		}
+		return events[i].PID < events[j].PID
+	})
+	return &File{TraceEvents: events, DisplayTimeUnit: "ns", Metadata: map[string]string{"generator": "blink/internal/trace"}}
+}
+
 // FromOps converts ops, timed by sim, into a trace file.
 func FromOps(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *File {
-	out := &File{DisplayTimeUnit: "ns", Metadata: map[string]string{
-		"generator": "blink/internal/trace",
-	}}
+	var events []Event
 	for i, op := range ops {
 		start, finish := sim.Start[i], sim.Finish[i]
 		if finish <= start {
@@ -67,7 +76,7 @@ func FromOps(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *File {
 		if lane >= 0 && f != nil && strings.HasPrefix(f.Links[lane].Label, "reduce") {
 			cat = "reduce"
 		}
-		out.TraceEvents = append(out.TraceEvents, Event{
+		events = append(events, Event{
 			Name: core.OpLabel(op),
 			Cat:  cat,
 			Ph:   "X",
@@ -77,13 +86,7 @@ func FromOps(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *File {
 			TID:  op.Stream,
 		})
 	}
-	sort.Slice(out.TraceEvents, func(i, j int) bool {
-		if out.TraceEvents[i].TS != out.TraceEvents[j].TS {
-			return out.TraceEvents[i].TS < out.TraceEvents[j].TS
-		}
-		return out.TraceEvents[i].PID < out.TraceEvents[j].PID
-	})
-	return out
+	return newFile(events)
 }
 
 // FromSpans converts an op timeline (obs spans) into a trace file where
@@ -95,9 +98,7 @@ func FromOps(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *File {
 // dispatch → completion, named after the collective and labeled with its
 // strategy category.
 func FromSpans(spans []obs.Span) *File {
-	out := &File{DisplayTimeUnit: "ns", Metadata: map[string]string{
-		"generator": "blink/internal/trace",
-	}}
+	var events []Event
 	for _, s := range spans {
 		name := s.Name
 		if name == "" {
@@ -109,7 +110,7 @@ func FromSpans(spans []obs.Span) *File {
 		}
 		pid := s.Stream + 1
 		if wait := s.DispatchedAt - s.QueuedAt; wait > 0 {
-			out.TraceEvents = append(out.TraceEvents, Event{
+			events = append(events, Event{
 				Name: name + " (queued)",
 				Cat:  "queue",
 				Ph:   "X",
@@ -120,7 +121,7 @@ func FromSpans(spans []obs.Span) *File {
 			})
 		}
 		dur := max(s.CompletedAt-s.DispatchedAt, 0)
-		out.TraceEvents = append(out.TraceEvents, Event{
+		events = append(events, Event{
 			Name: name,
 			Cat:  cat,
 			Ph:   "X",
@@ -130,13 +131,7 @@ func FromSpans(spans []obs.Span) *File {
 			TID:  s.Seq,
 		})
 	}
-	sort.Slice(out.TraceEvents, func(i, j int) bool {
-		if out.TraceEvents[i].TS != out.TraceEvents[j].TS {
-			return out.TraceEvents[i].TS < out.TraceEvents[j].TS
-		}
-		return out.TraceEvents[i].PID < out.TraceEvents[j].PID
-	})
-	return out
+	return newFile(events)
 }
 
 // Write serializes the trace as JSON.
