@@ -17,9 +17,9 @@ COVER_FLOOR_QOS ?= 85
 # repo outside bench/, both non-test code, and the test code outside bench/.
 # Ratchets, not aspirations: lower them when a change shrinks the code,
 # never raise them to make a build pass.
-LOC_CEIL_CORE ?= 2521
-LOC_CEIL_REPO ?= 11753
-LOC_CEIL_TEST ?= 13590
+LOC_CEIL_CORE ?= 2486
+LOC_CEIL_REPO ?= 11421
+LOC_CEIL_TEST ?= 13143
 
 .PHONY: all build test race vet fmt-check loc loc-check bench cover fuzz-smoke mutants ci
 

@@ -16,10 +16,16 @@ func ExampleNewComm() {
 	fmt.Println("ranks:", comm.Size())
 	fmt.Println("devices:", comm.Devices())
 	fmt.Println("backend:", comm.Backend())
+	trees, err := comm.Trees(0)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("rank 0 broadcasts over %d trees at rate %.0f\n", len(trees.Trees), trees.Rate)
 	// Output:
 	// ranks: 4
 	// devices: [1 4 5 6]
 	// backend: Blink
+	// rank 0 broadcasts over 2 trees at rate 2
 }
 
 // ExampleComm_AllReduce reduces 100 MB of gradients across all ranks. The

@@ -9,7 +9,7 @@ import (
 )
 
 // Fault scheduling: the degradation events a long-running training job can
-// hit mid-flight. The scheduler fragments allocations (scenario.go); the
+// hit mid-flight. The scheduler fragments allocations (scheduler.go); the
 // fabric underneath then keeps changing — NVLink links fail or degrade and
 // recover, GPUs get evicted, whole servers drop out of a multi-server job.
 // A FaultSchedule scripts those events against training iterations so the

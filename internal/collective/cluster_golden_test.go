@@ -63,6 +63,13 @@ func TestGoldenClusterMatrix(t *testing.T) {
 							crossing = math.Max(crossing, float64(p*(total-p))*float64(bytes/4/int64(total)*4))
 						}
 					}
+					want := "3-phase"
+					if op == AllToAll {
+						want += "+alltoall"
+					}
+					if r.Strategy != want {
+						t.Errorf("%sstrategy %q, want %q", cell, r.Strategy, want)
+					}
 					if r.Seconds < crossing/nic {
 						t.Errorf("%sSeconds = %v beats the NIC bound %v", cell, r.Seconds, crossing/nic)
 					}

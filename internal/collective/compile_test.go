@@ -3,6 +3,7 @@ package collective
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -84,10 +85,13 @@ func TestConcurrentColdDispatches(t *testing.T) {
 }
 
 // Prewarm reports a root outside the allocation as an error; it used to
-// panic inside a ParallelMap worker, where no caller could recover.
+// panic inside a ParallelMap worker, where no caller could recover. Of
+// several failing roots, the first in the caller's order is the one
+// reported, whichever worker failed first.
 func TestPrewarmRejectsRootOutsideAllocation(t *testing.T) {
-	if err := newDGX1Engine(t).Prewarm([]int{8}); err == nil {
-		t.Fatal("Prewarm([8]) on an 8-GPU engine succeeded, want an error")
+	err := newDGX1Engine(t).Prewarm([]int{0, 9, 8})
+	if err == nil || !strings.Contains(err.Error(), "root 9 ") {
+		t.Fatalf("Prewarm([0 9 8]) on an 8-GPU engine: %v, want root 9's error", err)
 	}
 }
 

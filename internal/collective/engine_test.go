@@ -114,8 +114,14 @@ func TestDGX2Engine(t *testing.T) {
 	// Large sizes converge (both bound by attach bandwidth).
 	blinkLarge := mustRun(t, e, Blink, AllReduce, 256<<20, Options{})
 	r := blinkLarge.ThroughputGBs / large.ThroughputGBs
-	if r < 0.6 || r > 2.5 {
-		t.Fatalf("large-size throughput ratio %.2f outside convergence band", r)
+	if r < 0.6 || r > 2.5 || blinkLarge.Strategy != "one-hop" {
+		t.Fatalf("large-size %q throughput ratio %.2f outside convergence band", blinkLarge.Strategy, r)
+	}
+	if p, err := e.Packing(3); err != nil || p.Root != 3 || e.Topo().NumGPUs != 16 {
+		t.Fatalf("one-hop packing of root 3 on %d GPUs: %+v, %v", e.Topo().NumGPUs, p, err)
+	}
+	if _, err := e.Packing(99); err == nil {
+		t.Fatal("out-of-range root accepted")
 	}
 }
 
@@ -377,8 +383,8 @@ func TestPackingAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Root != 2 || p.Rate != 6 {
-		t.Fatalf("packing root %d rate %v", p.Root, p.Rate)
+	if p.Root != 2 || p.Rate != 6 || len(p.Trees) != 6 {
+		t.Fatalf("packing root %d: %d trees at rate %v, want 6 at 6", p.Root, len(p.Trees), p.Rate)
 	}
 	// Disconnected allocation exposes the PCIe packing.
 	d := newEng(t, []int{0, 1, 6})

@@ -47,6 +47,10 @@ func TestEngineReconfigureLinkLoss(t *testing.T) {
 	}
 	// Data mode must stay elementwise-exact on the degraded fabric.
 	checkData(t, eng, Blink, AllReduce, 1000, 0, rand.New(rand.NewSource(1)))
+	// Trees are re-packed for the degraded fabric.
+	if _, err := eng.Packing(0); err != nil {
+		t.Fatal(err)
+	}
 
 	// NCCL on the degraded allocation still works (rings re-search or fall
 	// back to PCIe).
@@ -58,16 +62,23 @@ func TestEngineReconfigureLinkLoss(t *testing.T) {
 func TestEngineReconfigureEviction(t *testing.T) {
 	machine := topology.DGX1V()
 	eng := mustEngine(t, machine, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{DataMode: true})
-	if err := eng.Reconfigure(nil, []int{0, 1, 2, 4, 5, 6}); err != nil {
+	if err := eng.ReconfigureExclude([]int{3, 7}); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Topo().NumGPUs; got != 6 {
 		t.Fatalf("%d GPUs after eviction, want 6", got)
 	}
-	if got := eng.AllocatedDevs(); len(got) != 6 {
-		t.Fatalf("AllocatedDevs = %v, want 6 devices", got)
+	if got := fmt.Sprint(eng.AllocatedDevs()); got != "[0 1 2 4 5 6]" {
+		t.Fatalf("AllocatedDevs = %s, want [0 1 2 4 5 6]", got)
 	}
 	checkData(t, eng, Blink, AllReduce, 600, 0, rand.New(rand.NewSource(2)))
+	// An eviction naming no device, a device already gone, or all but one
+	// survivor fails.
+	for _, evicted := range [][]int{nil, {3}, {0, 1, 2, 4, 5}} {
+		if err := eng.ReconfigureExclude(evicted); err == nil {
+			t.Fatalf("ReconfigureExclude(%v) succeeded, want an error", evicted)
+		}
+	}
 }
 
 func TestEngineReconfigureErrorsKeepState(t *testing.T) {
@@ -94,18 +105,25 @@ func TestEngineReconfigureErrorsKeepState(t *testing.T) {
 	}
 }
 
+// A reconfiguration drops the dead topology's plans from a shared cache
+// and leaves another allocation's plans resident and warm.
 func TestReconfigureInvalidatesOldFingerprint(t *testing.T) {
 	machine := topology.DGX1V()
 	cache := NewPlanCache(64)
 	eng := mustEngine(t, machine, []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
 	eng.SetPlanCache(cache)
+	other := mustEngine(t, machine, []int{4, 5, 6, 7}, simgpu.Config{})
+	other.SetPlanCache(cache)
 	for _, sz := range []int64{1 << 20, 4 << 20, 16 << 20} {
 		if _, err := eng.Run(Blink, AllReduce, 0, sz, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cache.Len() != 3 {
-		t.Fatalf("cache holds %d plans, want 3", cache.Len())
+	if _, err := other.Run(Blink, AllReduce, 0, 8<<20, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 4 {
+		t.Fatalf("cache holds %d plans, want 4", cache.Len())
 	}
 	degraded, err := machine.WithoutLink(0, 3)
 	if err != nil {
@@ -114,14 +132,18 @@ func TestReconfigureInvalidatesOldFingerprint(t *testing.T) {
 	if err := eng.Reconfigure(degraded, nil); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache still holds %d dead-topology plans after reconfigure", cache.Len())
+	if cache.Len() != 1 {
+		t.Fatalf("cache holds %d plans after reconfigure, want the other allocation's 1", cache.Len())
+	}
+	hits := cache.Stats().Hits
+	if _, err := other.Run(Blink, AllReduce, 0, 8<<20, Options{}); err != nil || cache.Stats().Hits != hits+1 {
+		t.Fatalf("the other allocation's plan did not survive the reconfiguration warm (%v)", err)
 	}
 	if _, err := eng.Run(Blink, AllReduce, 0, 1<<20, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d plans, want 1 post-fault plan", cache.Len())
+	if cache.Len() != 2 {
+		t.Fatalf("cache holds %d plans, want 2 with the post-fault plan", cache.Len())
 	}
 }
 

@@ -19,10 +19,10 @@ import (
 //	codegen    chunked schedule generation            (Build*Plan, §4.1)
 //
 // — where codegen belongs to the collective layer (it needs a fabric and an
-// op). The pipeline owns the first three, reports per-stage latency to an
-// observer hook, and fans independent roots across a bounded worker pool
-// with a deterministic index-ordered merge. PackRoot is the one packer entry
-// of both collective engines.
+// op). The pipeline owns the first three and reports per-stage latency to
+// an observer hook; ParallelMap fans independent roots across a bounded
+// worker pool with a deterministic index-ordered merge. PackRoot is the one
+// packer entry of the collective engine.
 
 // Stage names reported to PipelineOptions.OnStage (and used as the
 // `stage` label of the collective layer's compile-latency histograms).
@@ -44,10 +44,10 @@ func (s StageSeconds) Total() float64 { return s.Enumerate + s.Minimize + s.Fill
 
 // PipelineOptions configures a PlannerPipeline.
 type PipelineOptions struct {
-	// Workers bounds the worker pool PackRoots fans out over; <= 0 uses
-	// GOMAXPROCS. Worker count never affects results — per-root compiles
-	// are independent and deterministic, and the merge is index-ordered —
-	// only wall-clock latency.
+	// Workers bounds the worker pool Engine.Prewarm fans roots out over;
+	// <= 0 uses GOMAXPROCS. Worker count never affects results — per-root
+	// compiles are independent and deterministic, and ParallelMap's merge
+	// is index-ordered — only wall-clock latency.
 	Workers int
 	// OnStage, when non-nil, observes each completed stage's latency. It
 	// may be called from multiple workers concurrently and must be
@@ -70,7 +70,7 @@ func NewPlannerPipeline(opts PipelineOptions) *PlannerPipeline {
 	return &PlannerPipeline{opts: opts}
 }
 
-// Workers returns the pool bound PackRoots fans out over.
+// Workers returns the pool bound Engine.Prewarm fans out over.
 func (pl *PlannerPipeline) Workers() int { return pl.opts.Workers }
 
 func (pl *PlannerPipeline) observe(stage string, d time.Duration) {
@@ -119,29 +119,11 @@ func (pl *PlannerPipeline) PackRoot(g *graph.Graph, root int) (*Packing, StageSe
 	return min, st, nil
 }
 
-// PackRoots fans PackRoot out across the bounded worker pool, one task per
-// requested root, and merges results in input order: out[i] is roots[i]'s
-// packing regardless of which worker finished first, so the output — and
-// everything derived from it (plans, fingerprints) — is byte-identical
-// whether the pool has 1 worker or N. The first error (in input order) wins.
-func (pl *PlannerPipeline) PackRoots(g *graph.Graph, roots []int) ([]*Packing, []StageSeconds, error) {
-	out := make([]*Packing, len(roots))
-	stages := make([]StageSeconds, len(roots))
-	err := ParallelMap(len(roots), pl.opts.Workers, func(i int) (err error) {
-		out[i], stages[i], err = pl.PackRoot(g, roots[i])
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, stages, nil
-}
-
 // ParallelMap runs fn(i) for i in [0, n) across a bounded worker pool
 // (GOMAXPROCS when workers <= 0) and returns the first error in index order.
 // Results are the callee's business (write into a pre-sized slice at index
-// i), which keeps merges deterministic. It is the one fan-out under
-// PackRoots, the cluster compiler's per-server phases and Engine.Prewarm.
+// i), which keeps merges deterministic. It is the one fan-out under the
+// cluster compiler's per-server phases and Engine.Prewarm.
 func ParallelMap(n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -11,22 +11,28 @@ import (
 	"blink/internal/topology"
 )
 
-// The worker pool must never affect results: out[i] is roots[i]'s packing
+// packRoots packs every root of g through ParallelMap's pool of the given
+// size (GOMAXPROCS when <= 0), one PackRoot per index.
+func packRoots(t *testing.T, g *graph.Graph, workers int) []*Packing {
+	t.Helper()
+	pl := NewPlannerPipeline(PipelineOptions{})
+	out := make([]*Packing, g.N)
+	if err := ParallelMap(g.N, workers, func(i int) (err error) {
+		out[i], _, err = pl.PackRoot(g, i)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// The worker pool must never affect results: out[i] is root i's packing
 // regardless of completion order, and each per-root compile is
 // deterministic, so 1 worker and N workers produce byte-identical packings.
-func TestPackRootsWorkerCountInvariance(t *testing.T) {
+func TestParallelMapWorkerCountInvariance(t *testing.T) {
 	g := topology.DGX1V().GPUGraph()
-	roots := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	seq, _, err := NewPlannerPipeline(PipelineOptions{Workers: 1}).PackRoots(g, roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := NewPlannerPipeline(PipelineOptions{Workers: 8}).PackRoots(g, roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("parallel PackRoots differs from sequential")
+	if !reflect.DeepEqual(packRoots(t, g, 1), packRoots(t, g, 8)) {
+		t.Fatal("packing through 8 workers differs from 1")
 	}
 }
 
@@ -37,13 +43,7 @@ func TestPackRootsWorkerCountInvariance(t *testing.T) {
 func TestPackingDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	machine := topology.DGX1V()
 	build := func() ([]*Packing, string) {
-		g := machine.GPUGraph()
-		pl := NewPlannerPipeline(PipelineOptions{})
-		packs, _, err := pl.PackRoots(g, []int{0, 1, 2, 3, 4, 5, 6, 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return packs, machine.Fingerprint()
+		return packRoots(t, machine.GPUGraph(), 0), machine.Fingerprint()
 	}
 	old := runtime.GOMAXPROCS(1)
 	seqPacks, seqFP := build()
@@ -144,17 +144,6 @@ func TestPackersRejectRootOutsideGraph(t *testing.T) {
 				t.Errorf("%s(root %d) = %+v, want an error", name, root, p)
 			}
 		}
-	}
-}
-
-// PackRoots propagates the packing error of a disconnected root.
-func TestPackRootsErrorPropagation(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1, graph.NVLink)
-	g.AddEdge(1, 0, 1, graph.NVLink)
-	_, _, err := NewPlannerPipeline(PipelineOptions{}).PackRoots(g, []int{0, 1})
-	if !errors.Is(err, ErrNoSpanningTree) {
-		t.Fatalf("got %v, want ErrNoSpanningTree", err)
 	}
 }
 

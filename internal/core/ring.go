@@ -127,14 +127,3 @@ func findCycle(g *graph.Graph, resid []float64) (Ring, bool) {
 	}
 	return Ring{}, false
 }
-
-// UsedLinkUnits reports how many capacity units the rings consume, letting
-// callers quantify the link under-utilization of Figure 4 (total capacity
-// minus used units).
-func UsedLinkUnits(rings []Ring) float64 {
-	var u float64
-	for _, r := range rings {
-		u += float64(len(r.Edges))
-	}
-	return u
-}

@@ -50,19 +50,3 @@ func NCCLCrossMachineAllReduceGBs(nicGBs, pcieGBs float64, totalGPUs int) float6
 	n := float64(totalGPUs)
 	return bw * n / (2 * (n - 1))
 }
-
-// BlinkCrossMachineAllReduceGBs models Blink's three-phase AllReduce upper
-// bound for the same projection: phase 2 moves (n-1)/n of the data over
-// NICs while phases 1 and 3 ride NVLink; throughput approaches the NIC rate
-// until intra-server spanning trees bind.
-func BlinkCrossMachineAllReduceGBs(nicGBs, nvlinkTreeGBs float64, servers int) float64 {
-	if servers <= 1 {
-		return nvlinkTreeGBs
-	}
-	s := float64(servers)
-	nic := nicGBs * s / (2 * (s - 1))
-	if nvlinkTreeGBs < nic {
-		return nvlinkTreeGBs
-	}
-	return nic
-}

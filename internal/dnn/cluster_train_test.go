@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"blink/internal/cluster"
 	"blink/internal/collective"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
@@ -12,34 +11,27 @@ import (
 
 func wallClock() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
-func TestSimulateClusterTrainingRun(t *testing.T) {
-	c, err := (cluster.Scenario{Pieces: []int{4, 4}}).Cluster(topology.DGX1V(), 100)
+// dgx1vCluster joins one DGX-1V server per piece size, each allocating
+// GPUs 0..piece-1, over nicGbps NICs.
+func dgx1vCluster(t *testing.T, nicGbps float64, pieces ...int) *topology.Cluster {
+	t.Helper()
+	var servers []topology.Server
+	for _, p := range pieces {
+		devs := make([]int, p)
+		for i := range devs {
+			devs[i] = i
+		}
+		servers = append(servers, topology.Server{Machine: topology.DGX1V(), Devs: devs})
+	}
+	c, err := topology.NewCluster(servers, nicGbps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := collective.NewClusterEngine(c, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, 4, wallClock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Buckets == 0 || tr.StepSeconds <= 0 {
-		t.Fatalf("training run = %+v", tr)
-	}
-	// Every step after the first replays frozen cluster plans.
-	wantHits := uint64(tr.Buckets * 3)
-	if tr.CacheHits < wantHits {
-		t.Fatalf("cache hits = %d, want >= %d (3 warm steps x %d buckets)", tr.CacheHits, wantHits, tr.Buckets)
-	}
+	return c
 }
 
 func TestClusterEngineCommIteration(t *testing.T) {
-	c, err := (cluster.Scenario{Pieces: []int{3, 5}}).Cluster(topology.DGX1V(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dgx1vCluster(t, 100, 3, 5)
 	eng, err := collective.NewClusterEngine(c, simgpu.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -70,30 +62,5 @@ func TestClusterEngineCommIteration(t *testing.T) {
 	}
 	if again.IterSeconds != blink.IterSeconds {
 		t.Fatalf("iteration time diverged: %v != %v", again.IterSeconds, blink.IterSeconds)
-	}
-}
-
-func TestSimulateScenarioTraining(t *testing.T) {
-	scs, err := cluster.Scenarios(cluster.Config{Jobs: 4000, Seed: 9}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := SimulateScenarioTraining(scs, topology.DGX1V(), 100, VGG16(), 25<<20, 3, wallClock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(scs) {
-		t.Fatalf("%d results for %d scenarios", len(outs), len(scs))
-	}
-	for _, o := range outs {
-		if o.GPUs < 4 || o.Run.StepSeconds <= 0 || o.RingStepSeconds <= 0 {
-			t.Fatalf("scenario %s: %+v", o.Allocation, o)
-		}
-		// The three-phase protocol should not lose to the flat ring on
-		// NIC-bound fragmented allocations.
-		if o.StepSpeedup <= 1 {
-			t.Fatalf("scenario %s: three-phase step %.4fs not faster than ring %.4fs",
-				o.Allocation, o.Run.StepSeconds, o.RingStepSeconds)
-		}
 	}
 }

@@ -151,14 +151,7 @@ func TestAnalyticComm(t *testing.T) {
 }
 
 func TestMultiServerComm(t *testing.T) {
-	c, err := topology.NewCluster([]topology.Server{
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2}},
-		{Machine: topology.DGX1V(), Devs: []int{0, 1, 2, 3, 4}},
-	}, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := MultiServerComm(c, simgpu.Config{})
+	fn := MultiServerComm(dgx1vCluster(t, 40, 3, 5), simgpu.Config{})
 	t1, err := fn(64 << 20)
 	if err != nil {
 		t.Fatal(err)
@@ -177,17 +170,12 @@ func TestMultiServerComm(t *testing.T) {
 // caller, so concurrent first calls (run under -race in make race) must
 // agree with a serial one.
 func TestMultiServerCommConcurrent(t *testing.T) {
-	c, err := topology.NewCluster([]topology.Server{
-		{Machine: topology.DGX1V(), Devs: []int{0, 1}},
-		{Machine: topology.DGX1V(), Devs: []int{0, 1}},
-	}, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dgx1vCluster(t, 40, 2, 2)
 	sizes := []int64{1 << 20, 2 << 20, 4 << 20}
 	want := map[int64]float64{}
 	serial := MultiServerComm(c, simgpu.Config{})
 	for _, s := range sizes {
+		var err error
 		if want[s], err = serial(s); err != nil {
 			t.Fatal(err)
 		}

@@ -105,10 +105,7 @@ func TestFaultRunsRetainThroughput(t *testing.T) {
 	const iters, faultAt = 8, 3
 	machine := topology.DGX1V()
 	devs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	threeByEight, err := (cluster.Scenario{Pieces: []int{8, 8, 8}}).Cluster(machine, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	threeByEight := dgx1vCluster(t, 100, 8, 8, 8)
 	rows := []struct {
 		sched cluster.FaultSchedule
 		// blink is Blink's retained ratio, to the docs' two decimals.
@@ -181,10 +178,7 @@ func TestSimulateTrainingRunWithFaultsValidation(t *testing.T) {
 }
 
 func TestSimulateClusterTrainingRunWithFaults(t *testing.T) {
-	c, err := (cluster.Scenario{Pieces: []int{4, 4, 4}}).Cluster(topology.DGX1V(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dgx1vCluster(t, 100, 4, 4, 4)
 	const iters = 6
 	run, err := SimulateClusterTrainingRunWithFaults(c, collective.Blink,
 		ResNet50(), 25<<20, iters, cluster.ServerLoss(2, 2), simgpu.Config{}, fakeClock())

@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"testing"
-	"time"
 
 	"blink/internal/collective"
 	"blink/internal/simgpu"
@@ -68,29 +67,38 @@ func TestTrainStepWarmCache(t *testing.T) {
 	}
 }
 
+// TestSimulateTrainingRun runs a short training loop on one machine and on
+// a 4+4 cluster: every step after the first replays frozen plans, and the
+// warm steps dispatch faster than the cold one.
 func TestSimulateTrainingRun(t *testing.T) {
-	eng, err := collective.NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
+	single, err := collective.NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := func() float64 { return float64(time.Now().UnixNano()) / 1e9 }
-	tr, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, 5, clock)
+	cluster, err := collective.NewClusterEngine(dgx1vCluster(t, 100, 4, 4), simgpu.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Buckets == 0 || tr.StepSeconds <= 0 {
-		t.Fatalf("degenerate run: %+v", tr)
+	const iters = 4
+	for _, eng := range []*collective.Engine{single, cluster} {
+		tr, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, iters, wallClock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Buckets == 0 || tr.StepSeconds <= 0 {
+			t.Fatalf("degenerate run: %+v", tr)
+		}
+		// Warm steps replay frozen plans; cold pays TreeGen + minimize +
+		// CodeGen. The gap is orders of magnitude, so a plain comparison is
+		// robust even on noisy CI machines.
+		if tr.WarmWallSeconds >= tr.ColdWallSeconds {
+			t.Fatalf("warm dispatch %.6fs not below cold %.6fs", tr.WarmWallSeconds, tr.ColdWallSeconds)
+		}
+		if tr.CacheMisses == 0 || tr.CacheHits < uint64(tr.Buckets*(iters-1)) {
+			t.Fatalf("cache hits = %d, want >= %d (%d warm steps x %d buckets): %+v", tr.CacheHits, tr.Buckets*(iters-1), iters-1, tr.Buckets, tr)
+		}
 	}
-	// Warm steps replay frozen plans; cold pays TreeGen + minimize +
-	// CodeGen. The gap is orders of magnitude, so a plain comparison is
-	// robust even on noisy CI machines.
-	if tr.WarmWallSeconds >= tr.ColdWallSeconds {
-		t.Fatalf("warm dispatch %.6fs not below cold %.6fs", tr.WarmWallSeconds, tr.ColdWallSeconds)
-	}
-	if tr.CacheMisses == 0 || tr.CacheHits == 0 {
-		t.Fatalf("cache counters empty: %+v", tr)
-	}
-	if _, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, 1, clock); err == nil {
+	if _, err := SimulateTrainingRun(single, collective.Blink, ResNet50(), 25<<20, 1, wallClock); err == nil {
 		t.Fatal("iters=1 accepted")
 	}
 }

@@ -36,13 +36,14 @@ type File struct {
 
 // FromPlan times the plan (Simulate) and converts every op into a complete
 // event: one "process" per link (so each link renders as a swimlane) with
-// the op's stream as the thread ID.
-func FromPlan(plan *core.Plan) (*File, error) {
+// the op's stream as the thread ID. The same run's link summary comes with
+// it.
+func FromPlan(plan *core.Plan) (*File, *Summary, error) {
 	sim, err := Simulate(plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return FromOps(plan.Fabric, plan.Ops, sim), nil
+	return FromOps(plan.Fabric, plan.Ops, sim), Summarize(plan.Fabric, plan.Ops, sim), nil
 }
 
 // Simulate runs the plan's schedule for its timing alone: the ops' Exec
@@ -158,10 +159,13 @@ type LinkUsage struct {
 	Utilization float64
 }
 
-// Summarize computes link utilization for ops timed by sim.
+// Summarize computes link utilization for ops timed by sim. A link's busy
+// time is the union of its ops' windows: ops on different streams may share
+// a link at once, and their overlap counts once.
 func Summarize(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *Summary {
 	s := &Summary{}
 	busy := map[int]*LinkUsage{}
+	windows := map[int][][2]float64{}
 	for i, op := range ops {
 		s.Makespan = max(s.Makespan, sim.Finish[i])
 		l := op.Link
@@ -176,10 +180,17 @@ func Summarize(f *simgpu.Fabric, ops []*simgpu.Op, sim *simgpu.Sim) *Summary {
 			}
 			busy[l] = u
 		}
-		u.BusySecs += sim.Finish[i] - sim.Start[i]
+		windows[l] = append(windows[l], [2]float64{sim.Start[i], sim.Finish[i]})
 		u.Ops++
 	}
-	for _, u := range busy {
+	for l, u := range busy {
+		ws := windows[l]
+		sort.Slice(ws, func(i, j int) bool { return ws[i][0] < ws[j][0] })
+		end := 0.0
+		for _, w := range ws {
+			u.BusySecs += max(w[1]-max(w[0], end), 0)
+			end = max(end, w[1])
+		}
 		if s.Makespan > 0 {
 			u.Utilization = u.BusySecs / s.Makespan
 		}

@@ -15,6 +15,12 @@ import (
 
 func samplePlan(t *testing.T) *core.Plan {
 	t.Helper()
+	return sampleAllReduce(t, core.PlanOptions{ChunkBytes: 4 << 20, NoStreamReuse: true})
+}
+
+// sampleAllReduce builds a 32 MB tree AllReduce on DGX-1V [0 1 2 3].
+func sampleAllReduce(t *testing.T, opts core.PlanOptions) *core.Plan {
+	t.Helper()
 	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +31,7 @@ func samplePlan(t *testing.T) *core.Plan {
 		t.Fatal(err)
 	}
 	f := simgpu.NewFabric(ind, g, simgpu.Config{})
-	plan, err := core.BuildAllReducePlan(f, p, 32<<20, core.PlanOptions{ChunkBytes: 4 << 20, NoStreamReuse: true})
+	plan, err := core.BuildAllReducePlan(f, p, 32<<20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +40,7 @@ func samplePlan(t *testing.T) *core.Plan {
 
 func TestFromPlanProducesEvents(t *testing.T) {
 	plan := samplePlan(t)
-	tf, err := FromPlan(plan)
+	tf, _, err := FromPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +83,11 @@ func TestFromPlanIdempotent(t *testing.T) {
 	for _, op := range plan.Ops {
 		op.Exec = func(*simgpu.BufferSet, simgpu.Window) { execs.Add(1) }
 	}
-	tf1, err := FromPlan(plan)
+	tf1, _, err := FromPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf2, err := FromPlan(plan)
+	tf2, _, err := FromPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +108,7 @@ func TestFromPlanIdempotent(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	plan := samplePlan(t)
-	tf, err := FromPlan(plan)
+	tf, _, err := FromPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,31 +170,33 @@ func TestFromSpans(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	plan := samplePlan(t)
-	sim, err := Simulate(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(plan.Fabric, plan.Ops, sim)
-	if s.Makespan <= 0 || len(s.Links) == 0 {
-		t.Fatalf("summary empty: %+v", s)
-	}
-	// Sorted by busy time.
-	for i := 1; i < len(s.Links); i++ {
-		if s.Links[i].BusySecs > s.Links[i-1].BusySecs {
-			t.Fatal("links not sorted by busy time")
+	// The second plan shares its links between streams.
+	for _, plan := range []*core.Plan{samplePlan(t), sampleAllReduce(t, core.PlanOptions{ChunkBytes: 1 << 20})} {
+		sim, err := Simulate(plan)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// No link can be busier than the makespan (occupancy is exclusive).
-	for _, u := range s.Links {
-		if u.Utilization > 1.0+1e-9 {
-			t.Fatalf("link %s utilization %.3f > 1", u.Label, u.Utilization)
+		s := Summarize(plan.Fabric, plan.Ops, sim)
+		if s.Makespan <= 0 || len(s.Links) == 0 {
+			t.Fatalf("summary empty: %+v", s)
 		}
-	}
-	var buf bytes.Buffer
-	s.Fprint(&buf, 3)
-	out := buf.String()
-	if !strings.Contains(out, "makespan") || strings.Count(out, "busy") != 3 {
-		t.Fatalf("summary rendering wrong:\n%s", out)
+		// Sorted by busy time.
+		for i := 1; i < len(s.Links); i++ {
+			if s.Links[i].BusySecs > s.Links[i-1].BusySecs {
+				t.Fatal("links not sorted by busy time")
+			}
+		}
+		// No link can be busier than the makespan: overlapping ops count once.
+		for _, u := range s.Links {
+			if u.Utilization > 1.0+1e-9 {
+				t.Fatalf("link %s utilization %.3f > 1", u.Label, u.Utilization)
+			}
+		}
+		var buf bytes.Buffer
+		s.Fprint(&buf, 3)
+		out := buf.String()
+		if !strings.Contains(out, "makespan") || strings.Count(out, "busy") != 3 {
+			t.Fatalf("summary rendering wrong:\n%s", out)
+		}
 	}
 }
