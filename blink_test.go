@@ -49,6 +49,63 @@ func TestHybridBroadcastWarmReplay(t *testing.T) {
 	}
 }
 
+func TestBackendSelection(t *testing.T) {
+	blinkComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendBlink))
+	ncclComm := dgx1vComm(t, []int{0, 1, 4}, WithBackend(BackendNCCL))
+	b, err := blinkComm.Broadcast(0, 256<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := ncclComm.Broadcast(0, 256<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.ThroughputGBs <= 2*n.ThroughputGBs {
+		t.Fatalf("Blink %.1f should dominate NCCL %.1f on the Fig 2b allocation", b.ThroughputGBs, n.ThroughputGBs)
+	}
+	if blinkComm.Backend() != BackendBlink || ncclComm.Backend() != BackendNCCL {
+		t.Fatal("backend accessors wrong")
+	}
+}
+
+func TestTreesIntrospection(t *testing.T) {
+	comm := dgx1vComm(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	p, err := comm.Trees(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Trees) != 6 || p.Rate != 6 {
+		t.Fatalf("full DGX-1V packing: %d trees rate %v, want 6 at 6", len(p.Trees), p.Rate)
+	}
+}
+
+func TestDGX2Comm(t *testing.T) {
+	comm, err := NewComm(DGX2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comm.Size() != 16 {
+		t.Fatalf("DGX-2 size = %d", comm.Size())
+	}
+	res, err := comm.AllReduce(64 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "one-hop" {
+		t.Fatalf("DGX-2 Blink strategy = %q", res.Strategy)
+	}
+	p, err := comm.Trees(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Root != 3 {
+		t.Fatalf("one-hop packing root = %d", p.Root)
+	}
+	if _, err := comm.Trees(99); err == nil {
+		t.Fatal("out-of-range root accepted")
+	}
+}
+
 // warmAllocs runs op once to compile its plan and returns the allocations
 // of one warm call. AllocsPerRun counts the whole process, so a goroutine an
 // earlier test left winding down can only add to it: the least of three is

@@ -16,6 +16,38 @@ func twoServerCluster(t *testing.T, a, b int) *Cluster {
 	return dgx1vCluster(t, seqChain(a, false), seqChain(b, false))
 }
 
+// TestClusterCommThreePhase: a 3+5 cluster communicator reports its shape,
+// runs AllReduce under the §3.5 three-phase protocol faster than the flat
+// ring, and broadcasts from a root on its second server.
+func TestClusterCommThreePhase(t *testing.T) {
+	cc := clusterComm(t, twoServerCluster(t, 3, 5))
+	if cc.Size() != 8 {
+		t.Fatalf("size = %d", cc.Size())
+	}
+	if s := cc.ServerSizes(); len(s) != 2 || s[0] != 3 || s[1] != 5 {
+		t.Fatalf("server sizes = %v", s)
+	}
+	res, err := cc.AllReduce(100 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "3-phase" || res.Phase2 <= 0 {
+		t.Fatalf("result = %+v", res)
+	}
+	ring := clusterComm(t, twoServerCluster(t, 3, 5), WithBackend(BackendNCCL))
+	flat, err := ring.AllReduce(100 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ThroughputGBs <= flat.ThroughputGBs {
+		t.Fatalf("three-phase %.2f GB/s should beat flat ring %.2f GB/s",
+			res.ThroughputGBs, flat.ThroughputGBs)
+	}
+	if _, err := cc.Broadcast(6, 32<<20); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClusterCommGroupedDispatch: a grouped AllReduceMany on a 3+5 cluster
 // replays every bucket warm, all hits and the same Seconds as the cold call.
 func TestClusterCommGroupedDispatch(t *testing.T) {
@@ -31,6 +63,25 @@ func TestClusterCommGroupedDispatch(t *testing.T) {
 	}
 	if warm.CacheHits != uint64(len(sizes)) || warm.CacheMisses != 0 || warm.Seconds != cold.Seconds {
 		t.Fatalf("warm group %+v after cold %+v", warm, cold)
+	}
+}
+
+// TestClusterCommAllToAll covers the cluster-wide pairwise exchange's
+// timing form: it compiles under the three-phase strategy, and the
+// flat-ring baseline rejects it. Its data form is a column of
+// TestDataModeConformance on every cluster row.
+func TestClusterCommAllToAll(t *testing.T) {
+	cc := clusterComm(t, twoServerCluster(t, 3, 5))
+	res, err := cc.AllToAll(64 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "3-phase+alltoall" || res.Phase2 <= 0 {
+		t.Fatalf("result = %+v", res)
+	}
+	ring := clusterComm(t, twoServerCluster(t, 3, 5), WithBackend(BackendNCCL))
+	if _, err := ring.AllToAll(64 << 20); err == nil {
+		t.Fatal("flat-ring cluster AllToAll should be rejected")
 	}
 }
 

@@ -147,6 +147,22 @@ func TestPackersRejectRootOutsideGraph(t *testing.T) {
 	}
 }
 
+// ParallelMap over PackRoot propagates the packing error of a disconnected
+// root.
+func TestPackRootsErrorPropagation(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1, graph.NVLink)
+	g.AddEdge(1, 0, 1, graph.NVLink)
+	pl := NewPlannerPipeline(PipelineOptions{})
+	err := ParallelMap(2, 0, func(i int) error {
+		_, _, err := pl.PackRoot(g, i)
+		return err
+	})
+	if !errors.Is(err, ErrNoSpanningTree) {
+		t.Fatalf("got %v, want ErrNoSpanningTree", err)
+	}
+}
+
 // ParallelMap returns the first error by index, not by completion order.
 func TestParallelMapFirstErrorWins(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")

@@ -30,6 +30,16 @@ func dgx1vCluster(t *testing.T, nicGbps float64, pieces ...int) *topology.Cluste
 	return c
 }
 
+// TestSimulateClusterTrainingRun runs the training loop on a 4+4 cluster,
+// whose warm steps replay frozen cluster plans.
+func TestSimulateClusterTrainingRun(t *testing.T) {
+	eng, err := collective.NewClusterEngine(dgx1vCluster(t, 100, 4, 4), simgpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTrainingRun(t, eng)
+}
+
 func TestClusterEngineCommIteration(t *testing.T) {
 	c := dgx1vCluster(t, 100, 3, 5)
 	eng, err := collective.NewClusterEngine(c, simgpu.Config{})

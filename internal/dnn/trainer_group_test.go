@@ -67,38 +67,37 @@ func TestTrainStepWarmCache(t *testing.T) {
 	}
 }
 
-// TestSimulateTrainingRun runs a short training loop on one machine and on
-// a 4+4 cluster: every step after the first replays frozen plans, and the
-// warm steps dispatch faster than the cold one.
-func TestSimulateTrainingRun(t *testing.T) {
-	single, err := collective.NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster, err := collective.NewClusterEngine(dgx1vCluster(t, 100, 4, 4), simgpu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkTrainingRun runs a short training loop on eng: every step after the
+// first replays frozen plans, and the warm steps dispatch faster than the
+// cold one.
+func checkTrainingRun(t *testing.T, eng *collective.Engine) {
+	t.Helper()
 	const iters = 4
-	for _, eng := range []*collective.Engine{single, cluster} {
-		tr, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, iters, wallClock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Buckets == 0 || tr.StepSeconds <= 0 {
-			t.Fatalf("degenerate run: %+v", tr)
-		}
-		// Warm steps replay frozen plans; cold pays TreeGen + minimize +
-		// CodeGen. The gap is orders of magnitude, so a plain comparison is
-		// robust even on noisy CI machines.
-		if tr.WarmWallSeconds >= tr.ColdWallSeconds {
-			t.Fatalf("warm dispatch %.6fs not below cold %.6fs", tr.WarmWallSeconds, tr.ColdWallSeconds)
-		}
-		if tr.CacheMisses == 0 || tr.CacheHits < uint64(tr.Buckets*(iters-1)) {
-			t.Fatalf("cache hits = %d, want >= %d (%d warm steps x %d buckets): %+v", tr.CacheHits, tr.Buckets*(iters-1), iters-1, tr.Buckets, tr)
-		}
+	tr, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, iters, wallClock)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SimulateTrainingRun(single, collective.Blink, ResNet50(), 25<<20, 1, wallClock); err == nil {
+	if tr.Buckets == 0 || tr.StepSeconds <= 0 {
+		t.Fatalf("degenerate run: %+v", tr)
+	}
+	// Warm steps replay frozen plans; cold pays TreeGen + minimize +
+	// CodeGen. The gap is orders of magnitude, so a plain comparison is
+	// robust even on noisy CI machines.
+	if tr.WarmWallSeconds >= tr.ColdWallSeconds {
+		t.Fatalf("warm dispatch %.6fs not below cold %.6fs", tr.WarmWallSeconds, tr.ColdWallSeconds)
+	}
+	if tr.CacheMisses == 0 || tr.CacheHits < uint64(tr.Buckets*(iters-1)) {
+		t.Fatalf("cache hits = %d, want >= %d (%d warm steps x %d buckets): %+v", tr.CacheHits, tr.Buckets*(iters-1), iters-1, tr.Buckets, tr)
+	}
+}
+
+func TestSimulateTrainingRun(t *testing.T) {
+	eng, err := collective.NewEngine(topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTrainingRun(t, eng)
+	if _, err := SimulateTrainingRun(eng, collective.Blink, ResNet50(), 25<<20, 1, wallClock); err == nil {
 		t.Fatal("iters=1 accepted")
 	}
 }
