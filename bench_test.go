@@ -63,6 +63,37 @@ func BenchmarkMWUPacking(b *testing.B) {
 	}
 }
 
+// BenchmarkColdAllReduce measures the cold path end to end: one op is a
+// pass over the paper's 46 DGX-1V and 14 DGX-1P allocations (Figs 15, 16),
+// each a fresh communicator, with no plan store, and its first 64 MB
+// AllReduce — induce, pack, race the candidate table, freeze. It is the CPU
+// yardstick of the planner; bench/'s cold_plan adds the plan store.
+func BenchmarkColdAllReduce(b *testing.B) {
+	type alloc struct {
+		machine *Machine
+		devs    []int
+	}
+	var allocs []alloc
+	for _, devs := range topology.Fig15AllocationsDGX1V {
+		allocs = append(allocs, alloc{DGX1V(), devs})
+	}
+	for _, devs := range topology.Fig16AllocationsDGX1P {
+		allocs = append(allocs, alloc{DGX1P(), devs})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, a := range allocs {
+			comm, err := NewComm(a.machine, a.devs)
+			if err == nil {
+				_, err = comm.AllReduce(64 << 20)
+			}
+			if err != nil {
+				b.Fatal(a.devs, err)
+			}
+		}
+	}
+}
+
 // fullDGX1V builds a communicator over the full 8-GPU DGX-1V.
 func fullDGX1V(b *testing.B, opts ...Option) *Comm {
 	b.Helper()

@@ -184,11 +184,11 @@ func TestDataBufferOwnership(t *testing.T) {
 // resultDigests pins, per machine and backend, the SHA-256 of every float
 // the reduce-class and broadcast *Data calls return (TestDataResultDigest).
 var resultDigests = map[string]string{
-	"dgx1p/Blink":       "05714eec326a56559ef933e858dabd2b7214f1ab1c3d2dd6b6837367ad59e72c",
+	"dgx1p/Blink":       "d3fdc8291bb06fd06d1a3610a56aa7d7547e51c062fae1adad689d3ff338c490",
 	"dgx1p/NCCL":        "928b9a09968b921a13a2e5153260ccf13abe2cfdd8bf412db06b4e129b709c9c",
-	"dgx1v/Blink":       "daf864ad8e341ef16f8f8ab131422324f605f4c8c96d6a5e3bad60977091ec77",
+	"dgx1v/Blink":       "5e2f54af6d110bed4d619dca66903dcbae91ad858ba30c70e423295c20cceab1",
 	"dgx1v/NCCL":        "6828c9dc374841c9235d153b46574bd5bebfa31a627720d206951f049454eb9d",
-	"dgx1v-frag/Blink":  "84264bebc7af898d13e2cc8ddd24fc63577c35237440bd9d0d0bb22ec6fdee71",
+	"dgx1v-frag/Blink":  "2cdf23deab0c39dc8b18cb996e00228c1c0c59958c399956c3c4e7fe749e3a3b",
 	"dgx1v-frag/NCCL":   "dee428d3ac42beeb6d796b91d15e1f2b59e9e47f1d51ccdf084b11e1b9a856b9",
 	"dgx2/Blink":        "b915b1f439d0d51850de486945265a51bbca6937840ce2040c9fb8dda85de28b",
 	"dgx2/NCCL":         "c5a33e2eb681dd1bd9b0dd2da2cbe93ee4ec2728ff96437d1cd8af5c132db82d",

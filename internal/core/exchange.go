@@ -173,7 +173,7 @@ func (b *planBuilder) allToAll(packFor func(root int) (*Packing, error), perDest
 		// exec-only op, so timing is untouched.
 		if b.opts.DataMode {
 			g := b.rankBase + r
-			b.add(simgpu.Op{
+			b.add(&simgpu.Op{
 				Stream: b.stream(phaseExchangeBase+r, 0, -3000-r, 0, 0),
 				Link:   -1,
 				Exec:   CopyKernel(g, g, BufData, ExchangeTag(g), g*perDest, perDest, bufLen),
@@ -229,7 +229,7 @@ func (b *planBuilder) routed(stream int, path []int, totalFloats, srcTag, dstTag
 			if j == 0 {
 				tag = srcTag
 			}
-			last = b.addTransfer(phaseP2P, stream, eid, j, int64(nfl)*4, deps,
+			last = b.addTransfer(b.legStreams(phaseP2P, stream, eid, j), eid, int64(nfl)*4, deps,
 				b.copyExec(e.From, e.To, tag, dstTag, off, nfl, totalFloats),
 				opTag(kind, stream, k, e.From, e.To))
 		}

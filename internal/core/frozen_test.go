@@ -485,46 +485,57 @@ func TestHookedTimingReplayAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCompileAllocBudget: generating and freezing the 64 MB full-DGX-1V
-// AllReduce at its auto chunk (treeChunk's, ~3,570 ops) allocates at most
-// 2.2 times and 200 bytes per op — ops and their dependencies come from
-// slabs, no label is formatted, and the simulation runs over the plan's own
-// ops — and the simulator allocates as often for 690 ops as for 3,570: its
-// arrays are sized once per run.
+// TestCompileAllocBudget: generating and freezing a tree AllReduce at its
+// auto chunk allocates at most 2.2 times and 200 bytes per op — ops and
+// their dependencies come from slabs, no label is formatted, and the
+// simulation runs over the plan's own ops — whichever shape wins: centered
+// (the full DGX-1V at 64 MB, ~3,380 ops), rank-rooted, from six partitions'
+// generators (DGX-1V [1 2 3 5 6 7] at 256 MB, ~2,670), or the root-hung
+// trees (DGX-1V [1 2 3 4 5 6 7] at 256 MB, ~4,350). The simulator
+// allocates as often for 690 ops as for 3,380: its arrays are sized once
+// per run.
 func TestCompileAllocBudget(t *testing.T) {
 	if size := unsafe.Sizeof(simgpu.Op{}); size > 96 {
 		t.Fatalf("simgpu.Op is %d bytes, want at most 96", size)
 	}
-	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
+	machine := func(devs []int) (*simgpu.Fabric, *Packing) {
+		ind, err := topology.DGX1V().Induce(devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := GenerateTrees(ind.GPUGraph(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{}), p
 	}
-	f := simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{})
-	p, err := GenerateTrees(ind.GPUGraph(), 0)
-	compileAt := func(bytes, chunk int64) *Plan {
-		plan, cerr := CodeGen(&PlanIR{Kind: IRTreeAllReduce, Bytes: bytes, Packings: []*Packing{p}, Opts: PlanOptions{ChunkBytes: chunk, NoStreamReuse: true}}, f)
-		if err != nil || cerr != nil {
-			t.Fatal(err, cerr)
+	compileAt := func(f *simgpu.Fabric, p *Packing, bytes, chunk int64) *Plan {
+		plan, err := CodeGen(&PlanIR{Kind: IRTreeAllReduce, Bytes: bytes, Packings: []*Packing{p}, Opts: PlanOptions{ChunkBytes: chunk, NoStreamReuse: true}}, f)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return plan
 	}
-	compile := func(chunk int64) *Plan { return compileAt(64<<20, chunk) }
-	// 64 MiB keeps the single-root schedule; at 16 MiB the rank-rooted one
-	// wins, from eight partitions' generators.
-	for bytes, minOps := range map[int64]float64{64 << 20: 2000, 16 << 20: 1500} {
-		ops := float64(len(compileAt(bytes, 0).Ops))
+	for _, c := range []struct {
+		devs   []int
+		bytes  int64
+		minOps float64
+	}{{[]int{0, 1, 2, 3, 4, 5, 6, 7}, 64 << 20, 2000}, {[]int{1, 2, 3, 5, 6, 7}, 256 << 20, 1500}, {[]int{1, 2, 3, 4, 5, 6, 7}, 256 << 20, 2000}} {
+		f, p := machine(c.devs)
+		ops := float64(len(compileAt(f, p, c.bytes, 0).Ops))
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		allocs := testing.AllocsPerRun(4, func() { compileAt(bytes, 0).Freeze() }) / ops
+		allocs := testing.AllocsPerRun(4, func() { compileAt(f, p, c.bytes, 0).Freeze() }) / ops
 		runtime.ReadMemStats(&m1)
 		perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / 5 / ops
-		t.Logf("%d B: %.0f ops, %.2f allocations and %.0f bytes per op", bytes, ops, allocs, perOp)
-		if ops < minOps || allocs > 2.2 || perOp > 200 {
-			t.Fatalf("CodeGen+Freeze of %.0f ops: %.2f allocations and %.0f bytes per op, want at most 2.2 and 200 over %.0f+ ops", ops, allocs, perOp, minOps)
+		t.Logf("%v %d B: %.0f ops, %.2f allocations and %.0f bytes per op", c.devs, c.bytes, ops, allocs, perOp)
+		if ops < c.minOps || allocs > 2.2 || perOp > 200 {
+			t.Fatalf("CodeGen+Freeze of %.0f ops: %.2f allocations and %.0f bytes per op, want at most 2.2 and 200 over %.0f+ ops", ops, allocs, perOp, c.minOps)
 		}
 	}
+	f, p := machine([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	simAllocs := func(chunk int64) (float64, int) {
-		plan := compile(chunk)
+		plan := compileAt(f, p, 64<<20, chunk)
 		return testing.AllocsPerRun(3, func() { (&simgpu.Sim{}).Run(f.Links, plan.Ops, nil, nil) }), len(plan.Ops)
 	}
 	small, smallOps := simAllocs(2 << 20)

@@ -270,6 +270,9 @@ const (
 	// shapeRankRooted reduces slice r of an AllReduce to rank r and
 	// broadcasts it from there (BuildRankRootedAllReducePlan).
 	shapeRankRooted
+	// shapeCentered reduces each tree's share of an AllReduce to the tree's
+	// center and broadcasts it from there (BuildCenteredAllReducePlan).
+	shapeCentered
 	// shapeHybrid splits a Broadcast between Packings[0]'s NVLink trees and
 	// Packings[1]'s PCIe trees by Equation 8 (BuildHybridBroadcastPlan).
 	shapeHybrid
@@ -284,8 +287,8 @@ const (
 // (treeChunk) and the next chunk up its grid, since the model errs small
 // where links are shared — by trees, or by an AllReduce's two passes — as
 // it charges a chunk stage one tree's launch and wire latency. An AllReduce
-// of at least a float per rank then races the rank-rooted shape at the
-// packing's better chunk. A row is skipped when its schedule would exceed
+// then races, at the packing's better chunk, the rank-rooted shape (of at
+// least a float per rank) and the centered one. A row is skipped when its schedule would exceed
 // the compile budget or, between two packings, when its LowerBound is no
 // less than the incumbent's makespan, since it cannot then finish sooner. A
 // Broadcast that carries its root's PCIe packing last races the hybrid at
@@ -369,8 +372,11 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 				at, fastest = c, ms
 			}
 		}
-		if ir.Kind == IRTreeAllReduce && ir.Bytes/4 >= int64(ranksOf(f)) && best != nil {
-			row(at, shapeRankRooted)
+		if ir.Kind == IRTreeAllReduce && best != nil {
+			if ir.Bytes/4 >= int64(ranksOf(f)) {
+				row(at, shapeRankRooted)
+			}
+			row(at, shapeCentered)
 		}
 	}
 	probe := *ir
@@ -532,8 +538,11 @@ func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, err
 	case IRTreeGather:
 		return BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeAllReduce, IRTreeAllGather:
-		if s == shapeRankRooted {
+		switch s {
+		case shapeRankRooted:
 			return BuildRankRootedAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
+		case shapeCentered:
+			return BuildCenteredAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		}
 		return BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeReduce, IRTreeReduceScatter:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"blink/internal/graph"
 	"blink/internal/simgpu"
@@ -26,9 +27,10 @@ type PlanOptions struct {
 	// (PlanIR.tuned) and keep the first that simulates fastest. Each packing
 	// the IR carries — an AllReduce's undirected one (Undirected.For) first,
 	// when it carries one, then its directed one — races the tree model's
-	// pick (treeChunk) and the next chunk up its grid, and an AllReduce of
-	// at least a float per rank then the rank-rooted shape
-	// (BuildRankRootedAllReducePlan) at the faster of the two; a Broadcast
+	// pick (treeChunk) and the next chunk up its grid, and an AllReduce then,
+	// at the faster of the two, the rank-rooted shape
+	// (BuildRankRootedAllReducePlan, of at least a float per rank) and the
+	// centered one (BuildCenteredAllReducePlan); a Broadcast
 	// that carries its root's PCIe packing last races the hybrid
 	// (BuildHybridBroadcastPlan, at ResolveChunk's chunk). An AllReduce row
 	// whose LowerBound the incumbent already meets is skipped. Every other
@@ -181,13 +183,21 @@ type treeShape struct {
 // fan-out order (e.g. rotated one-hop trees on the DGX-2) to avoid convoying
 // concurrent trees on one receiver's link. Hung from another root than a's,
 // the walk crosses an edge against its direction over rev[edge]: the tree
-// re-oriented at root.
+// re-oriented at root. A root of centered hangs the tree from its center.
 func shapeOf(g *graph.Graph, a graph.Arborescence, root, ranks int, rev []int) (treeShape, error) {
 	n := g.N
+	for _, id := range a.Edges {
+		if id < 0 || id >= len(g.Edges) {
+			return treeShape{}, fmt.Errorf("core: tree references unknown edge %d", id)
+		}
+	}
+	ints := make([]int, 4*n)
+	if root == centered && n > 0 {
+		root = center(g, a, ranks, ints[:2*n])
+	}
 	if root < 0 || root >= n {
 		return treeShape{}, fmt.Errorf("core: tree root %d outside the graph", root)
 	}
-	ints := make([]int, 4*n)
 	s := treeShape{parentEdge: ints[:n:n], bfs: ints[n : n+1 : 2*n], depth: ints[2*n : 3*n : 3*n], nparts: ints[3*n:], children: make([][]int, n)}
 	for v := range s.depth {
 		s.depth[v] = -1
@@ -196,9 +206,6 @@ func shapeOf(g *graph.Graph, a graph.Arborescence, root, ranks int, rev []int) (
 	for i := 0; i < len(s.bfs); i++ {
 		v, first := s.bfs[i], len(s.bfs)
 		for _, id := range a.Edges {
-			if id < 0 || id >= len(g.Edges) {
-				return s, fmt.Errorf("core: tree references unknown edge %d", id)
-			}
 			c, e := -1, g.Edges[id]
 			if e.From == v && s.depth[e.To] < 0 {
 				c = e.To
@@ -225,6 +232,40 @@ func shapeOf(g *graph.Graph, a graph.Arborescence, root, ranks int, rev []int) (
 		}
 	}
 	return s, nil
+}
+
+// centered is the root that hangs each tree from its own center (center).
+const centered = -1
+
+// center returns the rank of least height in tree a — the fewest hops from
+// it to the tree's farthest vertex — ties to the lowest rank: a BFS over a's
+// edges from every rank, in scratch of 2·g.N ints. a's edges must exist.
+func center(g *graph.Graph, a graph.Arborescence, ranks int, scratch []int) int {
+	dist, queue := scratch[:g.N], scratch[g.N:2*g.N]
+	best, least := 0, 0
+	for r := 0; r < ranks; r++ {
+		for v := range dist {
+			dist[v] = -1
+		}
+		dist[r], queue[0] = 0, r
+		tail := 1
+		for head := 0; head < tail; head++ {
+			v := queue[head]
+			for _, id := range a.Edges {
+				// u is the edge's other end when v is one of its ends.
+				if e := g.Edges[id]; e.From == v || e.To == v {
+					if u := e.From + e.To - v; dist[u] < 0 {
+						dist[u], queue[tail] = dist[v]+1, u
+						tail++
+					}
+				}
+			}
+		}
+		if height := dist[queue[tail-1]]; r == 0 || height < least {
+			best, least = r, height
+		}
+	}
+	return best
 }
 
 // rankSubtrees returns, for every vertex, the GPU ranks (vertex id < ranks)
@@ -355,6 +396,23 @@ type planBuilder struct {
 	rankBase, relayBase, opBase int
 	// rev is the graph's reverseEdges, once a generator needs it.
 	rev []int
+	// memo holds, per tree and vertex (tree*N+v), the streams of the ops a
+	// tree emitter adds there (resetMemo). Stream keys name a tree, edge and
+	// depth but no chunk, so an emitter looks them up at chunk 0 and every
+	// later chunk reads them here.
+	memo []opStreams
+}
+
+// opStreams are the streams of a tree emitter's ops at one vertex of one
+// tree: its reduce's and its transfer's legs (legStreams).
+type opStreams struct {
+	reduce int
+	legs   [2]int
+}
+
+// resetMemo sizes the builder's memo to t's trees, for an emitter to fill.
+func (t *treeGen) resetMemo() {
+	t.memo = slices.Grow(t.memo[:0], len(t.shapes)*t.g.N)[:len(t.shapes)*t.g.N]
 }
 
 // dev maps a vertex of the builder's fabric to its device in the call's arena.
@@ -417,9 +475,11 @@ func (b *planBuilder) streamFor(key [5]int) int {
 	return id
 }
 
-// add appends op, waiting for deps, and returns its index. It copies both
-// into the builder's slabs, so deps may be scratch the caller reuses.
-func (b *planBuilder) add(op simgpu.Op, deps ...int) int {
+// add appends a copy of op, waiting for deps, and returns its index. It
+// copies both into the builder's slabs, so deps may be scratch the caller
+// reuses; op is taken by pointer so that the copy into the slab is its only
+// one.
+func (b *planBuilder) add(op *simgpu.Op, deps ...int) int {
 	if len(b.slab) == cap(b.slab) {
 		b.slab = make([]simgpu.Op, 0, min(256, max(32, len(b.ops))))
 	}
@@ -431,7 +491,7 @@ func (b *planBuilder) add(op simgpu.Op, deps ...int) int {
 		b.depSlab = append(b.depSlab, deps...)
 		op.Deps = b.depSlab[at:len(b.depSlab):len(b.depSlab)]
 	}
-	b.slab = append(b.slab, op)
+	b.slab = append(b.slab, *op)
 	b.ops = append(b.ops, &b.slab[len(b.slab)-1])
 	return b.opBase + len(b.ops) - 1
 }
@@ -441,12 +501,13 @@ func (b *planBuilder) add(op simgpu.Op, deps ...int) int {
 // the destination. Point-to-point edges are a single op; switch-fabric
 // edges become two chained ops (source up-link, then destination down-link)
 // modeling store-and-forward through the non-blocking switch, so a transfer
-// waiting for a busy receiver never stalls the sender's port.
-func (b *planBuilder) addTransfer(phase, tree, eid, depth int, bytes int64, deps []int, exec Exec, tag simgpu.Tag) int {
+// waiting for a busy receiver never stalls the sender's port. The ops take
+// legs, the streams legStreams returns.
+func (b *planBuilder) addTransfer(legs [2]int, eid int, bytes int64, deps []int, exec Exec, tag simgpu.Tag) int {
 	links := b.f.EdgeLinks(eid)
 	if len(links) == 1 {
-		return b.add(simgpu.Op{
-			Stream:   b.stream(phase, tree, eid, depth, 0),
+		return b.add(&simgpu.Op{
+			Stream:   legs[0],
 			Link:     links[0],
 			Bytes:    bytes,
 			Overhead: b.f.Cfg.OpOverhead,
@@ -455,21 +516,31 @@ func (b *planBuilder) addTransfer(phase, tree, eid, depth int, bytes int64, deps
 		}, deps...)
 	}
 	tag.Leg = 1
-	up := b.add(simgpu.Op{
-		Stream:   b.stream(phase, tree, eid, depth, 0),
+	up := b.add(&simgpu.Op{
+		Stream:   legs[0],
 		Link:     links[0],
 		Bytes:    bytes,
 		Overhead: b.f.Cfg.OpOverhead,
 		Tag:      tag,
 	}, deps...)
 	tag.Leg = 2
-	return b.add(simgpu.Op{
-		Stream: b.stream(phase, tree, eid, depth, 1),
+	return b.add(&simgpu.Op{
+		Stream: legs[1],
 		Link:   links[1],
 		Bytes:  bytes,
 		Exec:   exec,
 		Tag:    tag,
 	}, up)
+}
+
+// legStreams returns the streams of addTransfer's legs over edge eid
+// (stream), the second only for a switch edge's.
+func (b *planBuilder) legStreams(phase, tree, eid, depth int) [2]int {
+	legs := [2]int{b.stream(phase, tree, eid, depth, 0), -1}
+	if len(b.f.EdgeLinks(eid)) > 1 {
+		legs[1] = b.stream(phase, tree, eid, depth, 1)
+	}
+	return legs
 }
 
 // The op tag kinds (simgpu.Tag.Kind) of generated schedules: what each op
@@ -625,26 +696,27 @@ const (
 )
 
 // treeGen is the opening every tree generator shares (§4.1): a builder, the
-// packing's trees hung from the generator's root, each tree's weighted
-// region of the payload it splits, and the chunk count of the longest
-// region. Three emitters run over it: the down-tree broadcast, the up-tree
-// reduce, and the shard scatter/gather.
+// packing's trees, each hung from a root (its shape's bfs[0]), each tree's
+// weighted region of the payload it splits, and the chunk count of the
+// longest region. Three emitters run over it: the down-tree broadcast, the
+// up-tree reduce, and the shard scatter/gather.
 type treeGen struct {
 	*planBuilder
-	root, ranks int
-	shapes      []treeShape
-	regions     []region
-	chunkBytes  int64
-	maxChunks   int
+	ranks      int
+	shapes     []treeShape
+	regions    []region
+	chunkBytes int64
+	maxChunks  int
 	// bufLen is the length of the arena buffers the emitted Execs address.
 	bufLen int
 }
 
 // newTreeGen splits floats [base, base+floats) across p's trees by weight,
 // each share chunked by chunkBytes, and hangs every tree from root: p's own
-// root, or any rank for a tree re-oriented there (shapeOf).
+// root, any rank for a tree re-oriented there, or each tree's own center for
+// centered (shapeOf).
 func newTreeGen(b *planBuilder, p *Packing, root, base, floats int, chunkBytes int64, bufLen int) (*treeGen, error) {
-	t := &treeGen{planBuilder: b, root: root, ranks: ranksOf(b.f), chunkBytes: chunkBytes, bufLen: bufLen,
+	t := &treeGen{planBuilder: b, ranks: ranksOf(b.f), chunkBytes: chunkBytes, bufLen: bufLen,
 		shapes: make([]treeShape, len(p.Trees)), regions: splitRegions(p.Trees, base, floats, chunkBytes)}
 	var rev []int
 	var err error
@@ -707,6 +779,7 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 	// the current tree to vertex; BFS order sets a parent's before its
 	// children read it.
 	sent := make([]int, t.g.N)
+	t.resetMemo()
 	var deps []int
 	tag := BufData
 	if t.opts.BroadcastAcc {
@@ -723,13 +796,16 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 				eid := s.parentEdge[v]
 				e := t.g.Edges[eid]
 				deps = deps[:0]
-				if e.From != t.root {
+				if e.From != s.bfs[0] {
 					deps = append(deps, sent[e.From])
 				} else if rootDeps != nil {
 					deps = append(deps, rootDeps[ti][k]...)
 				}
-				sent[v] = t.addTransfer(phaseBroadcast, ti, eid, s.depth[v],
-					int64(n)*4, deps,
+				at := &t.memo[ti*t.g.N+v]
+				if k == 0 {
+					at.legs = t.legStreams(phaseBroadcast, ti, eid, s.depth[v])
+				}
+				sent[v] = t.addTransfer(at.legs, eid, int64(n)*4, deps,
 					t.copyExec(e.From, e.To, tag, tag, off, n, t.bufLen),
 					opTag(tagBcast, ti, k, e.From, e.To))
 			}
@@ -773,6 +849,7 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 		rootOps[i], lists = lists[:r.chunks:r.chunks], lists[r.chunks:]
 	}
 	upSend := make([]int, t.g.N) // op index of v's upward send of the current chunk
+	t.resetMemo()
 	var deps []int
 	for k := 0; k < t.maxChunks; k++ {
 		for ti := range t.shapes {
@@ -784,7 +861,7 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 			// Deepest-first: children's sends exist before parents reduce.
 			for i := len(s.bfs) - 1; i >= 0; i-- {
 				v := s.bfs[i]
-				parts := s.nparts[v]
+				parts, at := s.nparts[v], &t.memo[ti*t.g.N+v]
 				deps = deps[:0]
 				for _, c := range s.children[v] {
 					if c < t.ranks || s.nparts[c] > 0 {
@@ -796,8 +873,11 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 				// real implementation would (one kernel launch, not one per
 				// child).
 				if v < t.ranks && parts > 0 {
-					reduced := t.add(simgpu.Op{
-						Stream:   t.stream(phaseReduce, ti, -1-v, s.depth[v], 0),
+					if k == 0 {
+						at.reduce = t.stream(phaseReduce, ti, -1-v, s.depth[v], 0)
+					}
+					reduced := t.add(&simgpu.Op{
+						Stream:   at.reduce,
 						Link:     t.f.ReduceLink(v),
 						Bytes:    int64(n) * 4 * int64(parts),
 						Overhead: t.f.Cfg.ReduceOverhead,
@@ -806,7 +886,7 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 					}, deps...)
 					deps = append(deps[:0], reduced)
 				}
-				if v == t.root {
+				if v == s.bfs[0] {
 					at := len(flat)
 					flat = append(flat, deps...)
 					rootOps[ti][k] = flat[at:len(flat):len(flat)]
@@ -821,7 +901,10 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 				}
 				if bytes > 0 {
 					upE := rev[s.parentEdge[v]]
-					upSend[v] = t.addTransfer(phaseReduce, ti, upE, s.depth[v], bytes, deps, nil,
+					if k == 0 {
+						at.legs = t.legStreams(phaseReduce, ti, upE, s.depth[v])
+					}
+					upSend[v] = t.addTransfer(at.legs, upE, bytes, deps, nil,
 						opTag(tagRsend, ti, k, v, t.g.Edges[upE].To))
 				}
 			}
@@ -842,7 +925,7 @@ func BuildAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOpti
 // (partitionPayload): partition i reduces to and broadcasts from the root
 // part(i) names, over that packing's trees, and the partitions share the
 // schedule's links but not its streams. It is the one emitter of every tree
-// AllReduce: the single-root one, the rank-rooted one, the DGX-2 one-hop one
+// AllReduce: the single-root one, the rank-rooted and centered ones, the DGX-2 one-hop one
 // and the double binary trees.
 func (b *planBuilder) allReduceParts(bytes int64, parts int, part func(i int) (*Packing, int)) (*Plan, error) {
 	offs, ns := partitionPayload(int(bytes/4), parts)
@@ -875,6 +958,14 @@ func (b *planBuilder) allReduceParts(bytes int64, parts int, part func(i int) (*
 // pipelines are shallower, as no slice funnels through p's root.
 func BuildRankRootedAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
 	return newBuilder(f, opts).allReduceParts(bytes, ranksOf(f), func(r int) (*Packing, int) { return p, r })
+}
+
+// BuildCenteredAllReducePlan compiles the §3.3 AllReduce with each of p's
+// trees re-oriented to hang from its own center, the rank of least height
+// (center): every tree reduces its share to and broadcasts it from there,
+// so a chunk crosses the tree's radius twice, not its depth from p's root.
+func BuildCenteredAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions) (*Plan, error) {
+	return newBuilder(f, opts).allReduceParts(bytes, 1, func(int) (*Packing, int) { return p, centered })
 }
 
 // BuildGatherPlan compiles a many-to-one gather: within each tree, a vertex
@@ -926,7 +1017,7 @@ func BuildGatherPlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOptions
 						deps = append(deps, upSend[c])
 					}
 				}
-				upSend[v] = b.addTransfer(phaseGather, ti, upE, s.depth[v],
+				upSend[v] = b.addTransfer(b.legStreams(phaseGather, ti, upE, s.depth[v]), upE,
 					int64(len(shards))*int64(nfl)*4, deps,
 					b.exchangeShardExec(v, parent, BufData, BufData, shards, perVertex, soff, nfl, t.bufLen),
 					opTag(tagGather, ti, k, v, 0))
@@ -999,7 +1090,7 @@ func emitShardScatter(b *planBuilder, pk *Packing, n, perVertex, bufLen, stageTa
 				if e.From == pk.Root {
 					srcTag = BufData // first hop reads the root's input
 				}
-				sent[v] = b.addTransfer(phase, ti, eid, s.depth[v],
+				sent[v] = b.addTransfer(b.legStreams(phase, ti, eid, s.depth[v]), eid,
 					int64(len(shards))*int64(nfl)*4, deps,
 					b.exchangeShardExec(e.From, v, srcTag, stageTag, shards, perVertex, soff, nfl, bufLen),
 					opTag(kind, ti, k, v, src))

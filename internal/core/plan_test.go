@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"blink/internal/graph"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -282,5 +283,66 @@ func TestSplitRegionsRemainderToHeaviest(t *testing.T) {
 	if regions[0].off != 64 || regions[1].off != 76 || regions[2].off != 139 {
 		t.Fatalf("offsets = %d/%d/%d, want 64/76/139",
 			regions[0].off, regions[1].off, regions[2].off)
+	}
+}
+
+// TestCenterHasLeastHeight: every tree of every root's packing, on the
+// NVLink and PCIe planes of DGX-1V allocations, hangs from a rank of least
+// height in the centered shape — the fewest hops to the tree's farthest
+// vertex, relays included, by all-pairs distances over the tree's edges —
+// and from the lowest of those ranks.
+func TestCenterHasLeastHeight(t *testing.T) {
+	for _, devs := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {1, 4, 5, 6, 7}, {0, 1, 6}, {0, 2, 5, 7}} {
+		ind, err := topology.DGX1V().Induce(devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*graph.Graph{ind.GPUGraph(), ind.PCIeGraph()} {
+			if !g.Connected() {
+				continue // DGX-1V [0 1 6]'s NVLink plane
+			}
+			n, ranks := g.N, ind.NumGPUs
+			rev, err := reverseEdges(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for root := 0; root < ranks; root++ {
+				p, err := GenerateTrees(g, root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tree := range p.Trees {
+					dist := make([]int, n*n)
+					for i := range dist {
+						dist[i] = n
+						if i%(n+1) == 0 {
+							dist[i] = 0
+						}
+					}
+					for _, id := range tree.Arbo.Edges {
+						e := g.Edges[id]
+						dist[e.From*n+e.To], dist[e.To*n+e.From] = 1, 1
+					}
+					for k := 0; k < n; k++ {
+						for i := 0; i < n; i++ {
+							for j := 0; j < n; j++ {
+								dist[i*n+j] = min(dist[i*n+j], dist[i*n+k]+dist[k*n+j])
+							}
+						}
+					}
+					height := func(v int) int { return slices.Max(dist[v*n : v*n+n]) }
+					s, err := shapeOf(g, tree.Arbo, centered, ranks, rev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := s.bfs[0]
+					for r := 0; r < ranks; r++ {
+						if c >= ranks || height(r) < height(c) || height(r) == height(c) && r < c {
+							t.Fatalf("%v root %d: tree %v hangs from %d of height %d, rank %d has height %d", devs, root, tree.Arbo.Edges, c, height(c), r, height(r))
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -98,7 +98,7 @@ func (b *planBuilder) emitRingAllReduce(lr logicalRing, ri, off, regionN, bufLen
 				}
 				rexec = ReduceKernel([]BufRef{{Dev: dst, Tag: BufData}, sent}, so, sn, bufLen)
 			}
-			newReduce[dstPos] = b.add(simgpu.Op{
+			newReduce[dstPos] = b.add(&simgpu.Op{
 				Stream:   b.streamFor([5]int{ri, dstPos, 0, 2}),
 				Link:     b.f.ReduceLink(dst),
 				Bytes:    int64(sn) * 4,

@@ -134,9 +134,9 @@ func (b *planBuilder) addHop(ring, hop, phase int, edges []int, bytes int64, dep
 				op.Exec = exec
 			}
 			if last >= 0 {
-				last = b.add(op, last)
+				last = b.add(&op, last)
 			} else {
-				last = b.add(op, deps...)
+				last = b.add(&op, deps...)
 			}
 			leg++
 		}

@@ -131,8 +131,11 @@ func stripePlans(t *testing.T) []stripePlan {
 		plans = append(plans, sm.rings()...)
 	}
 	for _, sm := range []stripeMachine{dgx1v, hub} {
+		opts := core.PlanOptions{DataMode: true, ChunkBytes: stripeChunk, NoStreamReuse: true}
 		plans = append(plans, stripePlan{name: sm.name + "/RankRootedAllReduce", ranks: len(sm.packs), build: func() (*core.Plan, error) {
-			return core.BuildRankRootedAllReducePlan(sm.f, sm.packs[0], stripeFloats*4, core.PlanOptions{DataMode: true, ChunkBytes: stripeChunk, NoStreamReuse: true})
+			return core.BuildRankRootedAllReducePlan(sm.f, sm.packs[0], stripeFloats*4, opts)
+		}}, stripePlan{name: sm.name + "/CenteredAllReduce", ranks: len(sm.packs), build: func() (*core.Plan, error) {
+			return core.BuildCenteredAllReducePlan(sm.f, sm.packs[len(sm.packs)-1], stripeFloats*4, opts)
 		}})
 	}
 	plans = append(plans, stripePlan{name: "dgx1v/HybridBroadcast", ranks: 8, build: func() (*core.Plan, error) {
@@ -396,48 +399,109 @@ func TestStripedReplayManifestFirstUse(t *testing.T) {
 	}
 }
 
-// TestRankRootedShape: an auto chunk takes the rank-rooted AllReduce where
-// it simulates strictly faster than the single-root schedule at the same
-// chunk — the full DGX-1V's NVLink at 1 MiB, DGX-1V [0 1 6]'s PCIe plane at
-// 16 MiB — and keeps the single-root schedule, op for op, where it does not
-// (the full DGX-1V at 64 MiB) or cannot (a float short of one per rank). A
-// winner's data schedule, at 1 MiB on both planes, leaves every rank the
-// sum of the inputs under random launch orders.
+// TestRankRootedShape: an auto-chunk AllReduce races three shapes of one
+// packing at the same chunk — its trees hung from the packing's root, the
+// rank-rooted shape and the centered one — and each wins a cell of the table:
+// the centered shape the full DGX-1V at 1 MiB and a float short of one per
+// rank, where no rank-rooted schedule exists; the rank-rooted one DGX-1V
+// [5 6 7] at 16 MiB; and the root-hung trees, op for op, DGX-1V [1 2 3 4 5
+// 6] at every size and DGX-1V [1 3 5 6 7] at 64 MiB, where both other
+// shapes differ from them and simulate slower. A shape other than the root-hung one wins only strictly
+// faster than the root-hung trees at the same chunk. A centered data
+// schedule — the full DGX-1V's winner at 1 MiB, and a PCIe one whose trees
+// are re-oriented across relays — and DGX-1V [5 6 7]'s rank-rooted winner
+// at 4 MiB leave every rank the sum of the inputs under random launch
+// orders.
 func TestRankRootedShape(t *testing.T) {
 	nvl := newStripeMachine(t, "dgx1v", topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
 	pcie := newStripeMachine(t, "dgx1v-0-1-6-pcie", topology.DGX1V(), []int{0, 1, 6}, core.FabricPCIe, simgpu.Config{})
-	compile := func(sm stripeMachine, bytes, chunk int64, data bool) (plan *core.Plan, rooted bool, bcast int64, at float64) {
-		plan, err := core.CodeGen(&core.PlanIR{Kind: core.IRTreeAllReduce, Fabric: sm.plane, Bytes: bytes, Packings: sm.packs[:1],
-			Opts: core.PlanOptions{ChunkBytes: chunk, DataMode: data, NoStreamReuse: true}}, sm.f)
-		res, err2 := plan.Execute()
+	tri := newStripeMachine(t, "dgx1v-5-6-7", topology.DGX1V(), []int{5, 6, 7}, core.FabricNVLink, simgpu.Config{})
+	six := newStripeMachine(t, "dgx1v-1-6", topology.DGX1V(), []int{1, 2, 3, 4, 5, 6}, core.FabricNVLink, simgpu.Config{})
+	five := newStripeMachine(t, "dgx1v-1-3-5-6-7", topology.DGX1V(), []int{1, 3, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
+	same := func(a, b *core.Plan) bool {
+		return slices.EqualFunc(a.Ops, b.Ops, func(x, y *simgpu.Op) bool {
+			return x.Link == y.Link && x.Stream == y.Stream && x.Bytes == y.Bytes && slices.Equal(x.Deps, y.Deps)
+		})
+	}
+	// compile returns the auto-chunk plan, the shape it matches op for op at
+	// its chunk (its largest broadcast op: a share no longer than that is
+	// one chunk either way), and its and the root-hung trees' makespans.
+	compile := func(sm stripeMachine, bytes int64, data bool) (*core.Plan, string, float64, float64) {
+		t.Helper()
+		ir := &core.PlanIR{Kind: core.IRTreeAllReduce, Fabric: sm.plane, Bytes: bytes, Packings: sm.packs[:1],
+			Opts: core.PlanOptions{DataMode: data, NoStreamReuse: true}}
+		plan, err := core.CodeGen(ir, sm.f)
+		if err != nil {
+			t.Fatal(sm.name, bytes, err)
+		}
+		var chunk int64
+		for _, op := range plan.Ops {
+			if strings.HasPrefix(core.OpLabel(op), "bcast") {
+				chunk = max(chunk, op.Bytes)
+			}
+		}
+		opts := core.PlanOptions{ChunkBytes: chunk, DataMode: data, NoStreamReuse: true}
+		single := *ir
+		single.Opts = opts
+		trees, err := core.CodeGen(&single, sm.f)
+		rooted, err2 := core.BuildRankRootedAllReducePlan(sm.f, sm.packs[0], bytes, opts)
+		centered, err3 := core.BuildCenteredAllReducePlan(sm.f, sm.packs[0], bytes, opts)
+		if err != nil || err3 != nil {
+			t.Fatal(sm.name, bytes, err, err3)
+		}
+		shape := "none"
+		switch {
+		case same(plan, trees):
+			shape = "trees"
+		case err2 == nil && same(plan, rooted):
+			shape = "rank-rooted"
+		case same(plan, centered):
+			shape = "centered"
+		}
+		at, err := plan.Execute()
+		treesAt, err2 := trees.Execute()
 		if err != nil || err2 != nil {
 			t.Fatal(sm.name, bytes, err, err2)
 		}
-		for _, op := range plan.Ops { // only a rank-rooted slice is broadcast into rank 0
-			if label := core.OpLabel(op); strings.HasPrefix(label, "bcast") {
-				rooted, bcast = rooted || strings.HasSuffix(label, "->0"), max(bcast, op.Bytes)
-			}
-		}
-		return plan, rooted, bcast, res.Makespan
+		return plan, shape, at.Makespan, treesAt.Makespan
 	}
 	for _, c := range []struct {
-		sm     stripeMachine
-		bytes  int64
-		rooted bool
-	}{{nvl, 1 << 20, true}, {pcie, 16 << 20, true}, {nvl, 64 << 20, false}, {nvl, 7 * 4, false}} {
-		auto, rooted, chunk, at := compile(c.sm, c.bytes, 0, false)
-		single, _, _, singleAt := compile(c.sm, c.bytes, chunk, false)
-		same := slices.EqualFunc(auto.Ops, single.Ops, func(a, b *simgpu.Op) bool {
-			return a.Link == b.Link && a.Stream == b.Stream && a.Bytes == b.Bytes && slices.Equal(a.Deps, b.Deps)
-		})
-		if rooted != c.rooted || rooted && at >= singleAt || !rooted && (at != singleAt || !same) {
-			t.Fatalf("%s %d B: rank-rooted %v at %v s, single root at the same chunk %v s", c.sm.name, c.bytes, rooted, at, singleAt)
+		sm    stripeMachine
+		bytes int64
+		want  string
+	}{
+		{nvl, 1 << 20, "centered"},
+		{tri, 16 << 20, "rank-rooted"},
+		{six, 256 << 10, "trees"}, {six, 1 << 20, "trees"}, {six, 4 << 20, "trees"}, {six, 16 << 20, "trees"}, {six, 64 << 20, "trees"},
+		{five, 64 << 20, "trees"},
+		{nvl, 7 * 4, "centered"},
+	} {
+		_, shape, at, treesAt := compile(c.sm, c.bytes, false)
+		t.Logf("%s %d B: %s at %v s, root-hung trees %v s", c.sm.name, c.bytes, shape, at, treesAt)
+		if shape != c.want || shape != "trees" && at >= treesAt {
+			t.Errorf("%s %d B: %s at %v s, want %s; root-hung trees at the same chunk %v s", c.sm.name, c.bytes, shape, at, c.want, treesAt)
 		}
 	}
-	for _, sm := range []stripeMachine{nvl, pcie} {
-		plan, rooted, _, _ := compile(sm, 1<<20, 0, true)
-		ranks, n := len(sm.packs), 1<<18
-		for seed := int64(1); seed <= 3 && rooted; seed++ {
+	nvlData, shape, _, _ := compile(nvl, 1<<20, true)
+	triData, triShape, _, _ := compile(tri, 4<<20, true)
+	if shape != "centered" || triShape != "rank-rooted" {
+		t.Fatalf("data plans: %s %s at 1 MiB, %s %s at 4 MiB", nvl.name, shape, tri.name, triShape)
+	}
+	// On PCIe every tree of DGX-1V [0 1 6]'s packing from rank 2 crosses
+	// both hubs and both CPUs, and hangs from its center, rank 0.
+	opts := core.PlanOptions{ChunkBytes: 64 << 10, DataMode: true, NoStreamReuse: true}
+	pcieData, err := core.BuildCenteredAllReducePlan(pcie.f, pcie.packs[2], 1<<20, opts)
+	rootHung, err2 := core.BuildAllReducePlan(pcie.f, pcie.packs[2], 1<<20, opts)
+	if err != nil || err2 != nil || same(pcieData, rootHung) {
+		t.Fatalf("%s: centered %v, root-hung %v, or the same schedule", pcie.name, err, err2)
+	}
+	for _, c := range []struct {
+		sm   stripeMachine
+		plan *core.Plan
+	}{{nvl, nvlData}, {tri, triData}, {pcie, pcieData}} {
+		sm, plan := c.sm, c.plan
+		ranks, n := len(sm.packs), int(plan.TotalBytes/4)
+		for seed := int64(1); seed <= 3; seed++ {
 			bufs, want := simgpu.NewBufferSet(), make([]float32, n)
 			for v := 0; v < ranks; v++ {
 				in := make([]float32, n)
@@ -453,9 +517,6 @@ func TestRankRootedShape(t *testing.T) {
 					t.Fatalf("%s random order %d: rank %d does not end with the sum", sm.name, seed, v)
 				}
 			}
-		}
-		if !rooted {
-			t.Fatalf("%s 1 MiB data plan is not rank-rooted", sm.name)
 		}
 	}
 }

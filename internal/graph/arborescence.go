@@ -269,70 +269,61 @@ func MaxFlow(g *Graph, s, t int) float64 {
 	if s == t {
 		return math.Inf(1)
 	}
-	type arc struct {
-		to  int
-		cap float64
-		rev int
-	}
-	adj := make([][]arc, g.N)
-	addArc := func(u, v int, c float64) {
-		adj[u] = append(adj[u], arc{to: v, cap: c, rev: len(adj[v])})
-		adj[v] = append(adj[v], arc{to: u, cap: 0, rev: len(adj[u]) - 1})
-	}
+	return newFlowNet(g).maxFlow(s, t)
+}
+
+// flowNet is a graph's residual network in CSR form: vertex v's arcs are
+// arcs[start[v]:start[v+1]], in edge order, each edge's forward arc at its
+// tail and its reverse arc, of capacity 0, at its head. One network serves
+// any number of flows (maxFlow restores its capacities first).
+type flowNet struct {
+	start              []int
+	arcs               []flowArc
+	level, iter, queue []int
+}
+
+type flowArc struct {
+	to, rev   int     // rev: the opposite arc's index in arcs
+	cap, cap0 float64 // residual capacity, and before any flow
+}
+
+func newFlowNet(g *Graph) *flowNet {
+	n, m := g.N, len(g.Edges)
+	ints := make([]int, 4*n+1)
+	net := &flowNet{start: ints[:n+1], level: ints[n+1 : 2*n+1], iter: ints[2*n+1 : 3*n+1], queue: ints[3*n+1:], arcs: make([]flowArc, 2*m)}
 	for _, e := range g.Edges {
-		addArc(e.From, e.To, e.Cap)
+		net.start[e.From+1]++
+		net.start[e.To+1]++
 	}
-
-	const eps = 1e-12
-	level := make([]int, g.N)
-	iter := make([]int, g.N)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		queue := []int{s}
-		level[s] = 0
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, a := range adj[v] {
-				if a.cap > eps && level[a.to] < 0 {
-					level[a.to] = level[v] + 1
-					queue = append(queue, a.to)
-				}
-			}
-		}
-		return level[t] >= 0
+	for v := 0; v < n; v++ {
+		net.start[v+1] += net.start[v]
 	}
-
-	var dfs func(v int, f float64) float64
-	dfs = func(v int, f float64) float64 {
-		if v == t {
-			return f
-		}
-		for ; iter[v] < len(adj[v]); iter[v]++ {
-			a := &adj[v][iter[v]]
-			if a.cap > eps && level[v] < level[a.to] {
-				d := dfs(a.to, math.Min(f, a.cap))
-				if d > eps {
-					a.cap -= d
-					adj[a.to][a.rev].cap += d
-					return d
-				}
-			}
-		}
-		return 0
+	next := net.iter // fill cursor per vertex; maxFlow resets iter anyway
+	copy(next, net.start[:n])
+	for _, e := range g.Edges {
+		a, b := next[e.From], next[e.To]
+		next[e.From]++
+		next[e.To]++
+		net.arcs[a], net.arcs[b] = flowArc{to: e.To, rev: b, cap0: e.Cap}, flowArc{to: e.From, rev: a}
 	}
+	return net
+}
 
+// flowEps is the residual capacity below which an arc counts as saturated.
+const flowEps = 1e-12
+
+// maxFlow returns the maximum s-t flow (s != t) by Dinic's algorithm, from
+// the network's original capacities.
+func (net *flowNet) maxFlow(s, t int) float64 {
+	for i := range net.arcs {
+		net.arcs[i].cap = net.arcs[i].cap0
+	}
 	var flow float64
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+	for net.bfs(s, t) {
+		copy(net.iter, net.start)
 		for {
-			f := dfs(s, math.Inf(1))
-			if f <= eps {
+			f := net.dfs(s, t, math.Inf(1))
+			if f <= flowEps {
 				break
 			}
 			flow += f
@@ -341,17 +332,59 @@ func MaxFlow(g *Graph, s, t int) float64 {
 	return flow
 }
 
+// bfs levels the residual network from s and reports whether t is reached.
+func (net *flowNet) bfs(s, t int) bool {
+	for i := range net.level {
+		net.level[i] = -1
+	}
+	net.level[s], net.queue[0] = 0, s
+	for head, tail := 0, 1; head < tail; head++ {
+		v := net.queue[head]
+		for _, a := range net.arcs[net.start[v]:net.start[v+1]] {
+			if a.cap > flowEps && net.level[a.to] < 0 {
+				net.level[a.to], net.queue[tail] = net.level[v]+1, a.to
+				tail++
+			}
+		}
+	}
+	return net.level[t] >= 0
+}
+
+// dfs pushes one augmenting path of at most f from v to t along the level
+// graph and returns what it pushed.
+func (net *flowNet) dfs(v, t int, f float64) float64 {
+	if v == t {
+		return f
+	}
+	for ; net.iter[v] < net.start[v+1]; net.iter[v]++ {
+		a := &net.arcs[net.iter[v]]
+		if a.cap > flowEps && net.level[v] < net.level[a.to] {
+			d := net.dfs(a.to, t, math.Min(f, a.cap))
+			if d > flowEps {
+				a.cap -= d
+				net.arcs[a.rev].cap += d
+				return d
+			}
+		}
+	}
+	return 0
+}
+
 // BroadcastRateUpperBound returns the Edmonds/Lovász optimal broadcast rate
 // from root: the minimum over all other vertices v of maxflow(root -> v).
 // No packing of arborescences can exceed this, and a maximal packing
-// achieves it.
+// achieves it. Its n−1 flows share one residual network.
 func BroadcastRateUpperBound(g *Graph, root int) float64 {
 	best := math.Inf(1)
+	var net *flowNet
 	for v := 0; v < g.N; v++ {
 		if v == root {
 			continue
 		}
-		best = min(best, MaxFlow(g, root, v))
+		if net == nil {
+			net = newFlowNet(g)
+		}
+		best = min(best, net.maxFlow(root, v))
 	}
 	if math.IsInf(best, 1) {
 		return 0

@@ -107,26 +107,42 @@ func (g *Graph) Clone() *Graph {
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,
 // relabeling vertices densely in the order supplied. The Labels of the new
-// graph carry the original labels of the selected vertices.
+// graph carry the original labels of the selected vertices. It counts the
+// kept edges and each vertex's lists before it fills them, so the result
+// costs a few allocations however many edges it keeps.
 func (g *Graph) InducedSubgraph(verts []int) *Graph {
-	idx := make(map[int]int, len(verts))
+	n := len(verts)
+	ints := make([]int, g.N+2*n)
+	idx, outs, ins := ints[:g.N], ints[g.N:g.N+n], ints[g.N+n:]
+	for v := range idx {
+		idx[v] = -1
+	}
 	for i, v := range verts {
 		if v < 0 || v >= g.N {
 			panic(fmt.Sprintf("graph: induced vertex %d out of range", v))
 		}
-		if _, dup := idx[v]; dup {
+		if idx[v] >= 0 {
 			panic(fmt.Sprintf("graph: duplicate vertex %d in induced set", v))
 		}
 		idx[v] = i
 	}
-	ng := New(len(verts))
+	m := 0
+	for _, e := range g.Edges {
+		if fi, ti := idx[e.From], idx[e.To]; fi >= 0 && ti >= 0 {
+			outs[fi]++
+			ins[ti]++
+			m++
+		}
+	}
+	ng := &Graph{N: n, Edges: make([]Edge, 0, m), Labels: make([]int, n), out: make([][]int, n), in: make([][]int, n)}
+	slab := make([]int, 2*m)
 	for i, v := range verts {
 		ng.Labels[i] = g.Labels[v]
+		ng.out[i], slab = slab[:0:outs[i]], slab[outs[i]:]
+		ng.in[i], slab = slab[:0:ins[i]], slab[ins[i]:]
 	}
 	for _, e := range g.Edges {
-		fi, okF := idx[e.From]
-		ti, okT := idx[e.To]
-		if okF && okT {
+		if fi, ti := idx[e.From], idx[e.To]; fi >= 0 && ti >= 0 {
 			ng.AddEdge(fi, ti, e.Cap, e.Type)
 		}
 	}

@@ -139,21 +139,14 @@ func (t *Topology) WithoutDevice(d int) (*Topology, error) {
 		keepGPU = append(keepGPU, u)
 		devIDs = append(devIDs, t.DevIDs[u])
 	}
-	keepG := append([]int(nil), keepGPU...)
-	for u := t.NumGPUs; u < t.G.N; u++ {
-		keepG = append(keepG, u)
-	}
-	keepP := append([]int(nil), keepGPU...)
-	for u := t.NumGPUs; u < t.P.N; u++ {
-		keepP = append(keepP, u)
-	}
+	g, p := t.induceGPUs(keepGPU)
 	nt := &Topology{
 		Name:    fmt.Sprintf("%s-evict(%d)", t.Name, d),
 		Kind:    t.Kind,
 		Gen:     t.Gen,
 		NumGPUs: t.NumGPUs - 1,
-		G:       t.G.InducedSubgraph(keepG),
-		P:       t.P.InducedSubgraph(keepP),
+		G:       g,
+		P:       p,
 		DevIDs:  devIDs,
 	}
 	return nt, nil

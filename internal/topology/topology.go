@@ -235,20 +235,9 @@ func (t *Topology) Induce(devs []int) (*Topology, error) {
 		ids[i] = t.DevIDs[v]
 	}
 
-	keep := append([]int(nil), verts...)
-	for v := t.NumGPUs; v < t.G.N; v++ {
-		keep = append(keep, v)
-	}
-	ng := t.G.InducedSubgraph(keep)
-
-	keepP := append([]int(nil), verts...)
-	for v := t.NumGPUs; v < t.P.N; v++ {
-		keepP = append(keepP, v)
-	}
-	np := t.P.InducedSubgraph(keepP)
-
+	ng, np := t.induceGPUs(verts)
 	nt := &Topology{
-		Name:    fmt.Sprintf("%s[%v]", t.Name, ids),
+		Name:    fmt.Sprintf("%s%v", t.Name, ids),
 		Kind:    t.Kind,
 		Gen:     t.Gen,
 		NumGPUs: len(verts),
@@ -257,6 +246,19 @@ func (t *Topology) Induce(devs []int) (*Topology, error) {
 		DevIDs:  ids,
 	}
 	return nt, nil
+}
+
+// induceGPUs returns both planes induced on the GPU vertices gpus and every
+// relay vertex (PCIe hubs, CPUs), in that order.
+func (t *Topology) induceGPUs(gpus []int) (g, p *graph.Graph) {
+	plane := func(g *graph.Graph) *graph.Graph {
+		keep := append([]int(nil), gpus...)
+		for v := t.NumGPUs; v < g.N; v++ {
+			keep = append(keep, v)
+		}
+		return g.InducedSubgraph(keep)
+	}
+	return plane(t.G), plane(t.P)
 }
 
 // Fingerprint returns a stable hash of everything that determines schedule

@@ -121,8 +121,8 @@ func TestInduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ind.NumGPUs != 3 {
-		t.Fatalf("induced gpus = %d", ind.NumGPUs)
+	if ind.NumGPUs != 3 || ind.Name != "DGX-1V[1 4 5]" {
+		t.Fatalf("induced gpus = %d, name %q", ind.NumGPUs, ind.Name)
 	}
 	// 1-5 doubled, 4-5 single, 1-4 absent.
 	var cap15, cap45, cap14 float64
