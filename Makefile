@@ -18,7 +18,7 @@ COVER_FLOOR_QOS ?= 85
 # Ratchets, not aspirations: lower them when a change shrinks the code,
 # never raise them to make a build pass.
 LOC_CEIL_CORE ?= 2486
-LOC_CEIL_REPO ?= 11518
+LOC_CEIL_REPO ?= 11514
 LOC_CEIL_TEST ?= 13545
 
 .PHONY: all build test race vet fmt-check loc loc-check bench cover fuzz-smoke mutants ci

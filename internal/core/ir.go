@@ -288,9 +288,10 @@ const (
 // where links are shared — by trees, or by an AllReduce's two passes — as
 // it charges a chunk stage one tree's launch and wire latency. An AllReduce
 // then races, at the packing's better chunk, the rank-rooted shape (of at
-// least a float per rank) and the centered one. A row is skipped when its schedule would exceed
-// the compile budget or, between two packings, when its LowerBound is no
-// less than the incumbent's makespan, since it cannot then finish sooner. A
+// least a float per rank) and the centered one. A row is skipped when its
+// schedule would exceed the compile budget or, between two packings, when
+// its LowerBound is no less than the incumbent's makespan, since it cannot
+// then finish sooner. A
 // Broadcast that carries its root's PCIe packing last races the hybrid at
 // rule, ResolveChunk's chunk, once its trees take longer than the
 // peer-access switch every PCIe op waits for (peerSwitch), below which the

@@ -925,8 +925,8 @@ func BuildAllReducePlan(f *simgpu.Fabric, p *Packing, bytes int64, opts PlanOpti
 // (partitionPayload): partition i reduces to and broadcasts from the root
 // part(i) names, over that packing's trees, and the partitions share the
 // schedule's links but not its streams. It is the one emitter of every tree
-// AllReduce: the single-root one, the rank-rooted and centered ones, the DGX-2 one-hop one
-// and the double binary trees.
+// AllReduce: the single-root one, the rank-rooted and centered ones, the
+// DGX-2 one-hop one and the double binary trees.
 func (b *planBuilder) allReduceParts(bytes int64, parts int, part func(i int) (*Packing, int)) (*Plan, error) {
 	offs, ns := partitionPayload(int(bytes/4), parts)
 	if ns[0] == 0 {

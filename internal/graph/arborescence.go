@@ -375,14 +375,10 @@ func (net *flowNet) dfs(v, t int, f float64) float64 {
 // No packing of arborescences can exceed this, and a maximal packing
 // achieves it. Its n−1 flows share one residual network.
 func BroadcastRateUpperBound(g *Graph, root int) float64 {
-	best := math.Inf(1)
-	var net *flowNet
+	best, net := math.Inf(1), newFlowNet(g)
 	for v := 0; v < g.N; v++ {
 		if v == root {
 			continue
-		}
-		if net == nil {
-			net = newFlowNet(g)
 		}
 		best = min(best, net.maxFlow(root, v))
 	}
