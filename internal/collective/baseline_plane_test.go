@@ -86,7 +86,7 @@ func TestBaselineDataEveryPlane(t *testing.T) {
 				t.Fatalf("%s %v: %v", row.name, c.op, err)
 			}
 			check("compiled", rq.opts.Buffers)
-			cp, hit, err := e.lookupOrCompile(st, rq)
+			cp, hit, err := e.lookupOrCompile(st, &rq)
 			if err != nil || !hit {
 				t.Fatalf("%s %v: second lookup hit=%v err=%v", row.name, c.op, hit, err)
 			}

@@ -2,6 +2,8 @@ package collective
 
 import (
 	"container/list"
+	"hash/maphash"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +45,64 @@ type PlanKey struct {
 	// would move the wrong regions; timing-only plans (EngineID 0) are
 	// freely shareable.
 	EngineID uint64
+}
+
+// memKey is the memory tier's key for a PlanKey. The fingerprint and the
+// timing model fold into one hash (keyScope), the shape into another, so it
+// holds no string and no float and the map hashes it as plain memory. The
+// entry under it keeps its full key, which confirms both hashes on every hit
+// (getMemory): keys whose hashes collide share a slot, never a plan.
+type memKey struct {
+	scope, shape, engine uint64
+	bytes, chunk         int64
+	root                 int
+	op                   Op
+	backend              Backend
+	data                 bool
+}
+
+// memKey returns the key's memory-tier key.
+func (k *PlanKey) memKey() memKey {
+	return memKey{scope: newKeyScope(k.Fingerprint, k.Config).hash, shape: shapeHash(k.Shape), engine: k.EngineID,
+		bytes: k.Bytes, chunk: k.ChunkBytes, root: k.Root, op: k.Op, backend: k.Backend, data: k.DataMode}
+}
+
+// keyScope is what every plan key of one engine state shares — the topology
+// (or cluster) fingerprint and the normalized timing model — and their hash.
+// A state computes it once, when it is built.
+type keyScope struct {
+	fingerprint string
+	config      simgpu.Config
+	hash        uint64
+}
+
+// keySeed seeds the memory tier's hashes, which never leave the process.
+var keySeed = maphash.MakeSeed()
+
+func newKeyScope(fp string, cfg simgpu.Config) keyScope {
+	h := maphash.String(keySeed, fp)
+	for _, x := range [...]float64{cfg.OpOverhead, cfg.ReduceOverhead, cfg.ReduceBW, cfg.CopyEff, cfg.WireLatency, cfg.DisablePeerBase, cfg.DisablePeerPerGPU} {
+		h = (h ^ math.Float64bits(x)) * 0x9e3779b97f4a7c15
+	}
+	if cfg.DataMode {
+		h = ^h
+	}
+	return keyScope{fingerprint: fp, config: cfg, hash: h}
+}
+
+// full is the PlanKey a memory-tier key of the scope stands for: the key
+// of the disk tier, the planning service and the compile.
+func (sc *keyScope) full(mk memKey, shape string) PlanKey {
+	return PlanKey{Fingerprint: sc.fingerprint, Config: sc.config, Backend: mk.backend, Op: mk.op, Root: mk.root,
+		Bytes: mk.bytes, ChunkBytes: mk.chunk, DataMode: mk.data, Shape: shape, EngineID: mk.engine}
+}
+
+// shapeHash is the memory tier's hash of a shapeKey, 0 for shapeless ops.
+func shapeHash(shape string) uint64 {
+	if shape == "" {
+		return 0
+	}
+	return maphash.String(keySeed, shape)
 }
 
 // CachedPlan is a cache value: the frozen schedule — trees, rings, the
@@ -104,7 +164,7 @@ type PlanCache struct {
 	mu        sync.Mutex
 	capacity  int
 	order     *list.List // front = most recently used; values are *cacheEntry
-	entries   map[PlanKey]*list.Element
+	entries   map[memKey]*list.Element
 	hits      atomic.Uint64 // memory-tier hits
 	misses    atomic.Uint64
 	evictions atomic.Uint64
@@ -172,6 +232,7 @@ func (c *PlanCache) Instrument(reg *obs.Registry) {
 func (c *PlanCache) instrumented() bool { return c.obs.Load().registered }
 
 type cacheEntry struct {
+	// key is the full key the plan was stored under.
 	key   PlanKey
 	value *CachedPlan
 	// owner is the tenant the entry is charged to for partition fairness
@@ -185,7 +246,7 @@ func NewPlanCache(capacity int) *PlanCache {
 	c := &PlanCache{
 		capacity:   capacity,
 		order:      list.New(),
-		entries:    map[PlanKey]*list.Element{},
+		entries:    map[memKey]*list.Element{},
 		ownerCount: map[uint64]int{},
 	}
 	c.Instrument(nil)
@@ -263,14 +324,25 @@ func (c *PlanCache) Get(k PlanKey) (*CachedPlan, bool) {
 // stale or undecodable blob) removes the offending file, counts as a miss
 // and returns the error alongside the miss for observability.
 func (c *PlanCache) GetTiered(k PlanKey, decode PlanDecoder) (*CachedPlan, Tier, error) {
+	if v, ok := c.getMemory(k.memKey(), k.Fingerprint, &k.Config, k.Shape); ok {
+		return v, TierMemory, nil
+	}
+	return c.getDisk(k, decode)
+}
+
+// getMemory is the memory tier: the plan under mk, once the entry's full
+// key confirms the fingerprint, timing model and shape that mk carries only
+// as hashes, marked most recently used. It counts the lookup, and a hit;
+// the caller takes a miss on to getDisk, which records it.
+func (c *PlanCache) getMemory(mk memKey, fp string, cfg *simgpu.Config, shape string) (v *CachedPlan, ok bool) {
 	c.mu.Lock()
-	el, ok := c.entries[k]
-	var v *CachedPlan
-	if ok {
-		c.order.MoveToFront(el)
-		// Read the value inside the critical section: a concurrent Put on
-		// the same key replaces the entry's value field in place.
-		v = el.Value.(*cacheEntry).value
+	if el, found := c.entries[mk]; found {
+		if ent := el.Value.(*cacheEntry); ent.key.Fingerprint == fp && ent.key.Config == *cfg && ent.key.Shape == shape {
+			c.order.MoveToFront(el)
+			// Read the value inside the critical section: a concurrent Put on
+			// the same key replaces the entry's value field in place.
+			v, ok = ent.value, true
+		}
 	}
 	c.mu.Unlock()
 	m := c.obs.Load()
@@ -278,42 +350,37 @@ func (c *PlanCache) GetTiered(k PlanKey, decode PlanDecoder) (*CachedPlan, Tier,
 	if ok {
 		c.hits.Add(1)
 		m.hits.Inc()
-		return v, TierMemory, nil
 	}
-	miss := func() {
+	return v, ok
+}
+
+// getDisk is the disk tier behind a memory miss, and records the lookup's
+// outcome: a disk hit, promoted into memory, or a miss.
+func (c *PlanCache) getDisk(k PlanKey, decode PlanDecoder) (cp *CachedPlan, _ Tier, err error) {
+	m := c.obs.Load()
+	if s := c.store.Load(); s != nil && decode != nil {
+		var blob []byte
+		if blob, err = s.Get(k); blob != nil {
+			if cp, err = decode(blob); err != nil {
+				// The file was intact but unusable here (format skew, foreign
+				// builder set): drop it so the slot recompiles and re-persists.
+				s.Delete(k)
+			}
+		}
+	}
+	if err != nil {
+		c.storeErrors.Add(1)
+		m.storeErrors.Inc()
+	}
+	if cp == nil || err != nil {
 		c.misses.Add(1)
 		m.misses.Inc()
-	}
-	s := c.store.Load()
-	if s == nil || decode == nil {
-		miss()
-		return nil, TierNone, nil
-	}
-	blob, err := s.Get(k)
-	if err != nil {
-		c.storeErrors.Add(1)
-		m.storeErrors.Inc()
-		miss()
-		return nil, TierNone, err
-	}
-	if blob == nil {
-		miss()
-		return nil, TierNone, nil
-	}
-	cp, err := decode(blob)
-	if err != nil {
-		// The file was intact but unusable here (format skew, foreign
-		// builder set): drop it so the slot recompiles and re-persists.
-		s.Delete(k)
-		c.storeErrors.Add(1)
-		m.storeErrors.Inc()
-		miss()
 		return nil, TierNone, err
 	}
 	c.diskHits.Add(1)
 	m.diskHits.Inc()
 	// Promote so later dispatches replay from memory without re-decoding.
-	if c.putMemory(k, cp) {
+	if c.insert(k, cp, nil, 0) {
 		c.promotions.Add(1)
 		m.promotions.Inc()
 	}
@@ -322,84 +389,67 @@ func (c *PlanCache) GetTiered(k PlanKey, decode PlanDecoder) (*CachedPlan, Tier,
 
 // Put inserts (or replaces) the plan under the key in the memory tier,
 // evicting the least recently used entry if the cache is full.
-func (c *PlanCache) Put(k PlanKey, v *CachedPlan) { c.putMemory(k, v) }
+func (c *PlanCache) Put(k PlanKey, v *CachedPlan) { c.insert(k, v, nil, 0) }
 
 // PutTiered publishes a plan to the memory tier and, when a store is
 // attached and an encoded form is supplied, persists it to the disk tier
 // (atomic temp-file + rename). A nil encoded blob (cluster plans, plans
 // without an IR) publishes to memory only.
-func (c *PlanCache) PutTiered(k PlanKey, v *CachedPlan, encoded []byte) {
-	c.PutTieredOwned(k, v, encoded, 0)
-}
+func (c *PlanCache) PutTiered(k PlanKey, v *CachedPlan, encoded []byte) { c.insert(k, v, encoded, 0) }
 
 // PutTieredOwned is PutTiered with the memory-tier entry charged to a
 // tenant owner for partition fairness (owner 0 = unowned).
 func (c *PlanCache) PutTieredOwned(k PlanKey, v *CachedPlan, encoded []byte, owner uint64) {
-	c.putMemoryOwned(k, v, owner)
-	if len(encoded) == 0 {
-		return
-	}
-	s := c.store.Load()
-	if s == nil {
-		return
-	}
-	m := c.obs.Load()
-	if err := s.Put(k, encoded); err != nil {
-		c.storeErrors.Add(1)
-		m.storeErrors.Inc()
-		return
-	}
-	c.diskPuts.Add(1)
-	m.diskPuts.Inc()
+	c.insert(k, v, encoded, owner)
 }
 
-// putMemory is the memory-tier insert shared by Put, PutTiered and the
-// disk-hit promotion path; it reports whether the plan was stored.
-func (c *PlanCache) putMemory(k PlanKey, v *CachedPlan) bool {
-	return c.putMemoryOwned(k, v, 0)
-}
-
-// putMemoryOwned inserts into the memory tier charging the entry to
-// owner. An owner at or over its partition share pays for the insert by
-// evicting its own least-recently-used entry, so tenants churn within
-// their share instead of flushing each other's plans.
-func (c *PlanCache) putMemoryOwned(k PlanKey, v *CachedPlan, owner uint64) bool {
-	if c.capacity <= 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		// Replace in place; ownership stays with the first inserter (two
-		// tenants compiling the same shareable key race benignly).
-		el.Value.(*cacheEntry).value = v
-		c.order.MoveToFront(el)
-		return true
-	}
+// insert is the one write into the cache, behind every Put and the disk
+// tier's promotions: the plan goes into the memory tier charged to owner
+// (0 = unowned), then onto disk when a store is attached and encoded is
+// not empty. An owner at or over its partition share pays for the insert
+// by evicting its own least-recently-used entry, so tenants churn within
+// their share instead of flushing each other's plans. It reports whether
+// the memory tier stored the plan.
+func (c *PlanCache) insert(k PlanKey, v *CachedPlan, encoded []byte, owner uint64) bool {
 	m := c.obs.Load()
-	if owner != 0 && c.tenants > 1 {
-		share := max(c.capacity/c.tenants, 1)
-		if c.ownerCount[owner] >= share {
-			c.evictOwnerLRULocked(owner)
-			c.fairEvictions.Add(1)
-			m.fairEvictions.Inc()
+	if c.capacity > 0 {
+		mk := k.memKey()
+		c.mu.Lock()
+		if el, ok := c.entries[mk]; ok {
+			// Replace in place; ownership stays with the first inserter (two
+			// tenants compiling the same shareable key race benignly).
+			ent := el.Value.(*cacheEntry)
+			ent.key, ent.value = k, v
+			c.order.MoveToFront(el)
+		} else {
+			if owner != 0 && c.tenants > 1 && c.ownerCount[owner] >= max(c.capacity/c.tenants, 1) {
+				c.evictOwnerLRULocked(owner)
+				c.fairEvictions.Add(1)
+				m.fairEvictions.Inc()
+			}
+			c.entries[mk] = c.order.PushFront(&cacheEntry{key: k, value: v, owner: owner})
+			if owner != 0 {
+				c.ownerCount[owner]++
+			}
+			for len(c.entries) > c.capacity {
+				c.removeLocked(c.order.Back())
+				c.evictions.Add(1)
+				m.evictions.Inc()
+			}
+			m.entries.Set(int64(len(c.entries)))
+		}
+		c.mu.Unlock()
+	}
+	if s := c.store.Load(); s != nil && len(encoded) > 0 {
+		if err := s.Put(k, encoded); err != nil {
+			c.storeErrors.Add(1)
+			m.storeErrors.Inc()
+		} else {
+			c.diskPuts.Add(1)
+			m.diskPuts.Inc()
 		}
 	}
-	c.entries[k] = c.order.PushFront(&cacheEntry{key: k, value: v, owner: owner})
-	if owner != 0 {
-		c.ownerCount[owner]++
-	}
-	for len(c.entries) > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions.Add(1)
-		m.evictions.Inc()
-	}
-	m.entries.Set(int64(len(c.entries)))
-	return true
+	return c.capacity > 0
 }
 
 // evictOwnerLRULocked drops the owner's least-recently-used entry (the
@@ -421,7 +471,7 @@ func (c *PlanCache) evictOwnerLRULocked(owner uint64) {
 func (c *PlanCache) removeLocked(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.order.Remove(el)
-	delete(c.entries, ent.key)
+	delete(c.entries, ent.key.memKey())
 	if ent.owner != 0 {
 		if c.ownerCount[ent.owner]--; c.ownerCount[ent.owner] <= 0 {
 			delete(c.ownerCount, ent.owner)

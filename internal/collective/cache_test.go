@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -49,18 +50,12 @@ func TestPlanCacheZeroCapacity(t *testing.T) {
 
 func TestRunHitsPlanCache(t *testing.T) {
 	e := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	cold, err := e.Run(Blink, AllReduce, 0, 100<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mustRun(t, e, Blink, AllReduce, 100<<20, Options{})
 	st := e.CacheStats()
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after cold run: %+v, want 1 miss / 0 hits", st)
 	}
-	warm, err := e.Run(Blink, AllReduce, 0, 100<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := mustRun(t, e, Blink, AllReduce, 100<<20, Options{})
 	st = e.CacheStats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("after warm run: %+v, want 1 hit / 1 miss", st)
@@ -70,9 +65,7 @@ func TestRunHitsPlanCache(t *testing.T) {
 		t.Fatalf("warm replay diverged: cold=%+v warm=%+v", cold, warm)
 	}
 	// A different size is a different schedule.
-	if _, err := e.Run(Blink, AllReduce, 0, 64<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e, Blink, AllReduce, 64<<20, Options{})
 	if st = e.CacheStats(); st.Misses != 2 {
 		t.Fatalf("distinct size should miss: %+v", st)
 	}
@@ -85,16 +78,12 @@ func TestWarmDispatchFasterThanCold(t *testing.T) {
 	// milliseconds (ILP minimization); replay costs well under one.
 	e := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	start := time.Now()
-	if _, err := e.Run(Blink, AllReduce, 0, 100<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e, Blink, AllReduce, 100<<20, Options{})
 	cold := time.Since(start)
 	warm := time.Duration(1 << 62)
 	for i := 0; i < 3; i++ { // best-of-3 absorbs scheduler noise
 		start = time.Now()
-		if _, err := e.Run(Blink, AllReduce, 0, 100<<20, Options{}); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e, Blink, AllReduce, 100<<20, Options{})
 		if d := time.Since(start); d < warm {
 			warm = d
 		}
@@ -168,10 +157,7 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 	// Concurrency must not perturb simulated timings: every concurrent
 	// replay of one schedule reports the sequential result.
 	e := newEng(t, []int{1, 4, 5, 6})
-	want, err := e.Run(Blink, AllReduce, 0, 50<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, e, Blink, AllReduce, 50<<20, Options{})
 	var wg sync.WaitGroup
 	results := make([]Result, 16)
 	for i := range results {
@@ -192,103 +178,138 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 	}
 }
 
-func TestSharedPlanCacheAcrossEngines(t *testing.T) {
-	shared := NewPlanCache(DefaultPlanCacheCapacity)
-	e1 := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	e1.SetPlanCache(shared)
-	e2 := newEng(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	e2.SetPlanCache(shared)
-	if _, err := e1.Run(Blink, AllReduce, 0, 32<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Same machine, same allocation -> same fingerprint -> e2 hits.
-	if _, err := e2.Run(Blink, AllReduce, 0, 32<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st := shared.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("shared cache stats = %+v, want 1 hit / 1 miss", st)
-	}
-	// Different allocation -> different fingerprint -> no false hit.
-	e3 := newEng(t, []int{0, 1, 2, 3})
-	e3.SetPlanCache(shared)
-	if _, err := e3.Run(Blink, AllReduce, 0, 32<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if st = shared.Stats(); st.Misses != 2 {
-		t.Fatalf("different allocation must miss: %+v", st)
-	}
+// planKeyOf is the full PlanKey the engine's current state files rq under.
+func planKeyOf(e *Engine, rq *request) PlanKey {
+	st := e.st.Load()
+	mk, shape := e.memKey(st, rq)
+	return st.scope.full(mk, shape)
 }
 
-func TestSharedCacheRespectsConfig(t *testing.T) {
-	// Plans bake the timing model into every op, so two engines sharing a
-	// cache but differing in simgpu.Config must never satisfy each other.
-	shared := NewPlanCache(DefaultPlanCacheCapacity)
-	fast := newEng(t, []int{0, 1, 2, 3})
-	fast.SetPlanCache(shared)
-	slow := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{OpOverhead: 1.0})
-	slow.SetPlanCache(shared)
-	rf, err := fast.Run(Blink, AllReduce, 0, 1<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestPlanKeySemantics is the plan key's contract, one cell per rule. The
+// memory tier files a plan under a compact key (memKey) that carries the
+// fingerprint, timing model and shape as hashes; every cell holds an
+// engine's lookup and the exported PlanKey to the same entries.
+func TestPlanKeySemantics(t *testing.T) {
+	devs := []int{0, 1, 2, 3}
+	// engines builds one engine per config over one shared cache.
+	engines := func(cfgs ...simgpu.Config) (*PlanCache, []*Engine) {
+		c := NewPlanCache(DefaultPlanCacheCapacity)
+		var es []*Engine
+		for _, cfg := range cfgs {
+			es = append(es, mustEngine(t, topology.DGX1V(), devs, cfg))
+			es[len(es)-1].SetPlanCache(c)
+		}
+		return c, es
 	}
-	rs, err := slow.Run(Blink, AllReduce, 0, 1<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
+	// stats fails the cell unless the cache counted hits and misses.
+	stats := func(t *testing.T, c *PlanCache, hits, misses uint64) {
+		t.Helper()
+		if st := c.Stats(); st.Hits != hits || st.Misses != misses {
+			t.Fatalf("%d hits / %d misses, want %d / %d", st.Hits, st.Misses, hits, misses)
+		}
 	}
-	if st := shared.Stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("config change must miss: %+v", st)
+	// runs dispatches a 1 MB AllReduce on each engine in turn.
+	runs := func(t *testing.T, es ...*Engine) (out []Result) {
+		for _, e := range es {
+			out = append(out, mustRun(t, e, Blink, AllReduce, 1<<20, Options{}))
+		}
+		return out
 	}
-	if rs.Seconds <= rf.Seconds {
-		t.Fatalf("1s-overhead engine reported %.6fs <= default %.6fs (cached plan leaked across configs)", rs.Seconds, rf.Seconds)
-	}
-	// Zero config and the explicit defaults normalize identically: share.
-	def := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.DefaultConfig())
-	def.SetPlanCache(shared)
-	if _, err := def.Run(Blink, AllReduce, 0, 1<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := shared.Stats(); st.Hits != 1 {
-		t.Fatalf("DefaultConfig should hit the zero-config plan: %+v", st)
-	}
-}
-
-func TestSharedCacheDataModeIsolation(t *testing.T) {
-	// Data-mode plans carry Exec closures bound to the compiling engine's
-	// fabric; a second engine sharing the cache must compile its own and
-	// still produce correct sums on its own fabric.
-	shared := NewPlanCache(DefaultPlanCacheCapacity)
-	mk := func() *Engine {
-		e := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3}, simgpu.Config{DataMode: true})
-		e.SetPlanCache(shared)
-		return e
-	}
-	const n = 256
-	run := func(e *Engine) []float32 {
-		bufs := simgpu.NewBufferSet()
-		for v := 0; v < 4; v++ {
-			in := make([]float32, n)
-			for i := range in {
-				in[i] = float32(v + 1)
+	t.Run("equal fingerprint and config share timing plans", func(t *testing.T) {
+		// The zero config and the explicit defaults normalize identically.
+		c, es := engines(simgpu.Config{}, simgpu.DefaultConfig())
+		runs(t, es...)
+		stats(t, c, 1, 1)
+		other := mustEngine(t, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
+		other.SetPlanCache(c)
+		runs(t, other)
+		stats(t, c, 1, 2)
+		// A memory-tier hit through the engine's lookup allocates nothing.
+		st, rq := es[0].st.Load(), &request{b: Blink, op: AllReduce, bytes: 1 << 20}
+		if n := testing.AllocsPerRun(100, func() { es[0].lookupOrCompile(st, rq) }); n != 0 {
+			t.Fatalf("a memory-tier hit allocates %v times", n)
+		}
+	})
+	t.Run("a different config never hits", func(t *testing.T) {
+		c, es := engines(simgpu.Config{}, simgpu.Config{OpOverhead: 1.0})
+		runs(t, es...)
+		stats(t, c, 0, 2)
+		// Each keeps its own plan: a second round hits both.
+		if r := runs(t, es...); r[1].Seconds <= r[0].Seconds {
+			t.Fatalf("1s-overhead engine reported %.6fs <= default %.6fs (cached plan leaked across configs)", r[1].Seconds, r[0].Seconds)
+		}
+		stats(t, c, 2, 2)
+	})
+	t.Run("data-mode plans stay pinned by EngineID", func(t *testing.T) {
+		// Their Exec closures are bound to the compiling engine's fabric: a
+		// second engine compiles its own and still sums right on its own.
+		c, es := engines(simgpu.Config{DataMode: true}, simgpu.Config{DataMode: true})
+		for round, hits := range []uint64{0, 2} {
+			for i, e := range es {
+				bufs := simgpu.NewBufferSet()
+				for v := range devs {
+					in := make([]float32, 256)
+					for j := range in {
+						in[j] = float32(v + 1)
+					}
+					bufs.SetBuffer(v, core.BufData, in)
+				}
+				mustRun(t, e, Blink, AllReduce, 1024, Options{DataMode: true, Buffers: bufs})
+				if sum := bufs.Buffer(0, core.BufAcc, 256); slices.ContainsFunc(sum, func(x float32) bool { return x != 10 }) {
+					t.Fatalf("round %d engine %d sums %v, want 10s (cross-engine data-mode plan leak)", round, i, sum)
+				}
 			}
-			bufs.SetBuffer(v, 0 /* core.BufData */, in)
+			stats(t, c, hits, 2)
 		}
-		if _, err := e.Run(Blink, AllReduce, 0, n*4, Options{DataMode: true, Buffers: bufs}); err != nil {
-			t.Fatal(err)
+	})
+	t.Run("distinct SendRecv and NeighborExchange shapes never collide", func(t *testing.T) {
+		c, es := engines(simgpu.Config{})
+		shapes := []Options{{Chain: []int{0, 1, 2}}, {Chain: []int{0, 2, 1}}, {Chain: []int{2, 1, 0}},
+			{Neighbors: [][]int{{1}, {2}, {3}, {0}}}, {Neighbors: [][]int{{3}, {0}, {1}, {2}}}}
+		op := func(o Options) Op { return map[bool]Op{true: SendRecv, false: NeighborExchange}[o.Chain != nil] }
+		for _, hits := range []uint64{0, 5} {
+			for _, o := range shapes {
+				mustRun(t, es[0], Blink, op(o), 1<<20, o)
+			}
+			stats(t, c, hits, 5)
 		}
-		return append([]float32(nil), bufs.Buffer(0, 1 /* core.BufAcc */, n)...)
-	}
-	for i, e := range []*Engine{mk(), mk()} {
-		out := run(e)
-		for j := range out {
-			if out[j] != 10 {
-				t.Fatalf("engine %d sum[%d] = %v, want 10 (cross-engine data-mode plan leak)", i, j, out[j])
+		for _, o := range shapes {
+			cp, ok := c.Get(planKeyOf(es[0], &request{b: Blink, op: op(o), bytes: 1 << 20, opts: o}))
+			if !ok || fmt.Sprint(cp.Plan.IR().Chain, cp.Plan.IR().Neighbors) != fmt.Sprint(o.Chain, o.Neighbors) {
+				t.Fatalf("%v %v: cached plan %v", o.Chain, o.Neighbors, ok)
 			}
 		}
-	}
-	if st := shared.Stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("data-mode plans must be engine-private: %+v", st)
-	}
+	})
+	t.Run("a PlanKey of exported fields resolves the engine's entry", func(t *testing.T) {
+		// As bench/ builds it: the resolved chunk is read off the plan's IR.
+		c, es := engines(simgpu.Config{})
+		for _, rq := range []request{{b: Blink, op: AllReduce, bytes: 1 << 20}, {b: Blink, op: Broadcast, root: 2, bytes: 3 << 20, opts: Options{ChunkBytes: 1000}}} {
+			blob, _, err := es[0].PlanBlob(rq.b, rq.op, rq.root, rq.bytes, rq.opts)
+			hdr, ir, err2 := core.DecodePlanIR(blob)
+			cp, hit, err3 := es[0].lookupOrCompile(es[0].st.Load(), &rq)
+			if err != nil || err2 != nil || err3 != nil || !hit {
+				t.Fatal(err, err2, err3, hit)
+			}
+			k := PlanKey{Fingerprint: hdr.Fingerprint, Config: hdr.Config, Backend: rq.b, Op: rq.op, Root: rq.root, Bytes: rq.bytes, ChunkBytes: ir.Opts.ChunkBytes}
+			if got, ok := c.Get(k); !ok || got != cp || k != planKeyOf(es[0], &rq) {
+				t.Fatalf("%v: exported key %+v resolves %v, %v", rq.op, k, got, ok)
+			}
+		}
+	})
+	t.Run("Reconfigure drops the old fingerprint's entries", func(t *testing.T) {
+		c, es := engines(simgpu.Config{})
+		old := planKeyOf(es[0], &request{b: Blink, op: AllReduce, bytes: 1 << 20})
+		runs(t, es...)
+		degraded, err := topology.DGX1V().WithoutLink(0, 3)
+		if err == nil {
+			err = es[0].Reconfigure(degraded, nil)
+		}
+		if _, ok := c.Get(old); ok || c.Len() != 0 || err != nil {
+			t.Fatalf("the old fingerprint's plan survived Reconfigure (%d entries, %v)", c.Len(), err)
+		}
+		runs(t, es[0], es[0])
+		stats(t, c, 1, 3) // the Get above missed too
+	})
 }
 
 func TestRunManyGroupedDispatch(t *testing.T) {
@@ -344,9 +365,7 @@ func TestDataModeCachedReplay(t *testing.T) {
 			}
 			bufs.SetBuffer(v, 0 /* core.BufData */, in)
 		}
-		if _, err := e.Run(Blink, AllReduce, 0, n*4, Options{DataMode: true, Buffers: bufs}); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e, Blink, AllReduce, n*4, Options{DataMode: true, Buffers: bufs})
 		return append([]float32(nil), bufs.Buffer(0, 1 /* core.BufAcc */, n)...)
 	}
 	got1 := run(1) // cold compile

@@ -45,7 +45,7 @@ func newClusterState(c *topology.Cluster, cfg simgpu.Config, reuse map[*topology
 	if len(c.Servers) < 2 {
 		return nil, fmt.Errorf("collective: cluster needs >= 2 servers")
 	}
-	st := &engineState{cluster: c, fingerprint: c.Fingerprint()}
+	st := &engineState{cluster: c, scope: newKeyScope(c.Fingerprint(), cfg.Normalized())}
 	for si, s := range c.Servers {
 		if s.Kind == topology.KindDGX2 || s.Kind == topology.KindCluster {
 			return nil, fmt.Errorf("collective: server %d: cluster members must be point-to-point machines", si)
@@ -100,7 +100,7 @@ func (e *Engine) RemoveServer(si int) error {
 		return err
 	}
 	e.st.Store(st)
-	e.reconfigured(old.fingerprint, st.fingerprint, start)
+	e.reconfigured(old.scope.fingerprint, st.scope.fingerprint, start)
 	return nil
 }
 
@@ -124,7 +124,7 @@ func (e *Engine) ServerSizes() []int {
 // ring over every GPU, PCIe within servers and NICs between them. Every
 // other request — an op beyond AllReduce, Broadcast and AllToAll, or
 // AllToAll on the ring — has no cluster schedule and is refused.
-func (st *engineState) clusterPlan(pipe *core.PlannerPipeline, key PlanKey, rq request, po core.PlanOptions) (plan *core.Plan, strategy string, err error) {
+func (st *engineState) clusterPlan(pipe *core.PlannerPipeline, rq *request, po core.PlanOptions) (plan *core.Plan, strategy string, err error) {
 	switch {
 	case rq.op != AllReduce && rq.op != Broadcast && rq.op != AllToAll:
 		return nil, "", fmt.Errorf("collective: cluster collectives support AllReduce, Broadcast and AllToAll, not %v", rq.op)

@@ -52,19 +52,13 @@ func TestClusterEngineWarmDispatchHitsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := eng.Run(Blink, AllReduce, 0, 64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mustRun(t, eng, Blink, AllReduce, 64<<20, Options{})
 	st := eng.CacheStats()
 	if st.Misses == 0 || st.Hits != 0 {
 		t.Fatalf("after cold dispatch: %+v", st)
 	}
 	for i := 0; i < 5; i++ {
-		warm, err := eng.Run(Blink, AllReduce, 0, 64<<20, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		warm := mustRun(t, eng, Blink, AllReduce, 64<<20, Options{})
 		if warm.Seconds != cold.Seconds {
 			t.Fatalf("replay %d diverged: %v != %v", i, warm.Seconds, cold.Seconds)
 		}

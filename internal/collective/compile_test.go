@@ -134,9 +134,7 @@ func TestReconfigureIncrementalRepair(t *testing.T) {
 		}
 	}
 	// Post-repair dispatches must work.
-	if _, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 16<<20, Options{})
 }
 
 // Repair must survive an eviction (vertex renumbering) too: surviving
@@ -159,9 +157,7 @@ func TestReconfigureRepairAcrossEviction(t *testing.T) {
 			t.Fatalf("root %d: packing invalid after eviction: %v", root, err)
 		}
 	}
-	if _, err := eng.Run(Blink, AllReduce, 0, 8<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 8<<20, Options{})
 }
 
 // Satellite determinism regression: the same engine workload under
@@ -195,10 +191,7 @@ func TestEngineDeterminismAcrossGOMAXPROCS(t *testing.T) {
 			o.packs = append(o.packs, &w)
 		}
 		for _, op := range []Op{Broadcast, AllReduce, AllGather} {
-			res, err := eng.Run(Blink, op, 0, 8<<20, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRun(t, eng, Blink, op, 8<<20, Options{})
 			o.seconds = append(o.seconds, res.Seconds)
 		}
 		return o

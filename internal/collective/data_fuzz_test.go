@@ -44,7 +44,7 @@ func checkData(t *testing.T, eng *Engine, b Backend, op Op, floats int, chunk in
 			t.Fatalf("%v %v of %d floats, chunk %d, on %s: %v", b, op, floats, chunk, eng.Topo().Name, err)
 		}
 		// Every accepted plan fits the compile budget, whichever row won.
-		key := eng.planKey(eng.Fingerprint(), request{b: b, op: op, root: root, bytes: int64(floats) * 4, opts: opts})
+		key := planKeyOf(eng, &request{b: b, op: op, root: root, bytes: int64(floats) * 4, opts: opts})
 		if cp, ok := eng.cache.Get(key); !ok || cp.Plan.NumOps() > core.MaxPlanOps {
 			t.Fatalf("%v %v of %d floats, chunk %d, on %s: cached %v, over the %d-op budget", b, op, floats, chunk, eng.Topo().Name, ok, core.MaxPlanOps)
 		}

@@ -59,11 +59,13 @@ const (
 	NeighborExchange
 )
 
+// opNames names the ops, indexed by Op.
+var opNames = [...]string{"Broadcast", "Gather", "AllReduce", "AllGather", "ReduceScatter", "Reduce", "Scatter", "AllToAll", "SendRecv", "NeighborExchange"}
+
 // String names the op.
 func (o Op) String() string {
-	names := [...]string{"Broadcast", "Gather", "AllReduce", "AllGather", "ReduceScatter", "Reduce", "Scatter", "AllToAll", "SendRecv", "NeighborExchange"}
-	if o >= 0 && int(o) < len(names) {
-		return names[o]
+	if o >= 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }
@@ -161,8 +163,9 @@ type engineState struct {
 	// oneHop is the switch plane's precomputed per-root one-hop packing set.
 	oneHop []*core.Packing
 
-	// fingerprint is the induced topology's schedule-cache identity.
-	fingerprint string
+	// scope is the state's plan-key scope: the induced topology's (or the
+	// cluster's) fingerprint and the normalized timing model.
+	scope keyScope
 	// nvlConnected caches whether the allocation's NVLink subgraph is
 	// connected (switch fabrics always are).
 	nvlConnected bool
@@ -207,8 +210,6 @@ type Engine struct {
 	// id uniquely identifies the engine; data-mode plan keys carry it
 	// because their Exec closures encode this engine's geometry.
 	id uint64
-	// cfgKey is the normalized timing model, part of every plan key.
-	cfgKey simgpu.Config
 	// cache holds compiled schedules; replaceable via SetPlanCache so many
 	// engines can share one cache.
 	cache *PlanCache
@@ -260,7 +261,7 @@ func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config, m
 		st.topo = t
 		st.oneHop = packs
 		st.fabrics[core.FabricSwitch] = fab
-		st.fingerprint = t.Fingerprint()
+		st.scope = newKeyScope(t.Fingerprint(), cfg.Normalized())
 		st.nvlConnected = true
 		return st, nil
 	}
@@ -275,7 +276,7 @@ func newEngineState(machine *topology.Topology, devs []int, cfg simgpu.Config, m
 	st.fabrics[core.FabricNVLink] = simgpu.NewFabric(ind, ind.GPUGraph(), cfg)
 	st.fabrics[core.FabricPCIe] = simgpu.NewFabric(ind, ind.PCIeGraph(), cfg)
 	st.packs = [2]map[int]*packEntry{{}, {}}
-	st.fingerprint = ind.Fingerprint()
+	st.scope = newKeyScope(ind.Fingerprint(), cfg.Normalized())
 	st.nvlConnected = ind.GPUGraph().Connected()
 	return st, nil
 }
@@ -316,7 +317,7 @@ var engineIDs atomic.Uint64
 // dispatch metrics, its planner pipeline, and a private, instrumented plan
 // cache of the default capacity.
 func newEngine(st *engineState, cfg simgpu.Config) *Engine {
-	e := &Engine{Cfg: cfg, id: engineIDs.Add(1), cfgKey: cfg.Normalized(), obsReg: obs.NewRegistry()}
+	e := &Engine{Cfg: cfg, id: engineIDs.Add(1), obsReg: obs.NewRegistry()}
 	e.SetPlanCache(nil)
 	e.mCompiles = e.obsReg.Counter("blink_plan_compiles_total")
 	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
@@ -417,7 +418,7 @@ func (e *Engine) reconfigureLocked(machine *topology.Topology, devs []int) error
 	// instead of recompiling from scratch (compile.go).
 	e.repairPackings(old, st)
 	e.st.Store(st)
-	e.reconfigured(old.fingerprint, st.fingerprint, start)
+	e.reconfigured(old.scope.fingerprint, st.scope.fingerprint, start)
 	return nil
 }
 
@@ -430,7 +431,7 @@ func (e *Engine) Topo() *topology.Topology { return e.st.Load().topo }
 func (e *Engine) AllocatedDevs() []int { return append([]int(nil), e.st.Load().devs...) }
 
 // Fingerprint returns the induced topology's schedule-cache identity.
-func (e *Engine) Fingerprint() string { return e.st.Load().fingerprint }
+func (e *Engine) Fingerprint() string { return e.st.Load().scope.fingerprint }
 
 // Switched reports whether the engine runs on a switch fabric.
 func (e *Engine) Switched() bool { return e.st.Load().switched() }
@@ -491,17 +492,18 @@ func (s Snapshot) Run(b Backend, op Op, root int, bytes int64, opts Options) (Re
 // stream exactly as RunAsync does. A call carrying opts.Tenant is admitted
 // through the tenant's QoS lane instead, whatever the stream.
 func (s Snapshot) Submit(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
-	return s.e.submit(s.st, request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
+	return s.e.submit(s.st, &request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
 }
 
 // lookupOrCompile is the planner, for dispatch and for the blob blinkd
-// serves alike: it validates the request, looks its plan-cache key up
-// through the cache tiers and, on a miss, fetches the plan from the remote
-// planner or compiles and publishes it. It reports whether the call hit the
-// cache; a fetched plan counts as a hit. Two goroutines missing on the same
-// key may both compile; both results are identical and the second publish
-// simply replaces the first, so correctness is unaffected.
-func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool, error) {
+// serves alike: it validates the request, looks it up in the memory tier
+// under its compact key (memKey) and, on a miss, builds the full PlanKey for
+// the disk tier, the remote planner, or the compile and publish. It reports
+// whether the call hit the cache; a fetched plan counts as a hit. Two
+// goroutines missing on the same key may both compile; both results are
+// identical and the second publish simply replaces the first, so
+// correctness is unaffected.
+func (e *Engine) lookupOrCompile(st *engineState, rq *request) (*CachedPlan, bool, error) {
 	if err := rq.validate(); err != nil {
 		return nil, false, err
 	}
@@ -511,12 +513,16 @@ func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool
 	if rq.root < 0 || rq.root >= st.topo.NumGPUs {
 		return nil, false, fmt.Errorf("collective: root %d out of range [0,%d)", rq.root, st.topo.NumGPUs)
 	}
-	key := e.planKey(st.fingerprint, rq)
+	mk, shape := e.memKey(st, rq)
+	if cp, ok := e.cache.getMemory(mk, st.scope.fingerprint, &st.scope.config, shape); ok {
+		return cp, true, nil
+	}
+	key := st.scope.full(mk, shape)
 	// With a PlanStore attached a disk hit decodes the stored IR, validates
 	// its header against this engine's topology and regenerates the
 	// schedule — the packing pipeline never runs, which is the whole point
 	// of the tier.
-	if cp, _, _ := e.cache.GetTiered(key, e.planDecoder(st)); cp != nil {
+	if cp, _, _ := e.cache.getDisk(key, e.planDecoder(st)); cp != nil {
 		return cp, true, nil
 	}
 	// Remote planner (blinkd), if configured: still cheaper than packing
@@ -541,7 +547,7 @@ func (e *Engine) lookupOrCompile(st *engineState, rq request) (*CachedPlan, bool
 // generate the plan, freeze it, and publish it to the cache tiers under key.
 // The tiered Put is an atomic publish — replays in flight keep the frozen
 // plan they already resolved.
-func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan, error) {
+func (e *Engine) publish(st *engineState, key PlanKey, rq *request) (*CachedPlan, error) {
 	t0 := time.Now()
 	plan, strategy, err := e.selectPlan(st, key, rq)
 	if err != nil {
@@ -565,7 +571,7 @@ func (e *Engine) publish(st *engineState, key PlanKey, rq request) (*CachedPlan,
 // bucket sizes every iteration, so after the first step every dispatch in
 // the group is a warm replay.
 func (e *Engine) RunMany(b Backend, op Op, root int, sizes []int64, opts Options) (GroupResult, error) {
-	return e.runGroup(e.st.Load(), request{b: b, op: op, root: root, opts: opts}, sizes)
+	return e.runGroup(e.st.Load(), &request{b: b, op: op, root: root, opts: opts}, sizes)
 }
 
 // p2pPairs expands a point-to-point op into the directed transfers (in IR
@@ -614,14 +620,14 @@ func p2pPairs(op Op, n int, bytes int64, opts Options) ([]core.IRPair, bool, err
 }
 
 // shapeKey canonicalizes the chain / neighbor-list identity of a
-// point-to-point op for the plan cache ("" for shapeless ops): two calls
-// with different shapes must never share a frozen schedule.
-func shapeKey(op Op, opts Options) string {
+// point-to-point request for the plan cache ("" for shapeless ops): two
+// calls with different shapes must never share a frozen schedule.
+func (rq *request) shapeKey() string {
 	var sb strings.Builder
-	switch op {
+	switch rq.op {
 	case SendRecv:
 		sb.WriteString("c:")
-		for i, r := range opts.Chain {
+		for i, r := range rq.opts.Chain {
 			if i > 0 {
 				sb.WriteByte('>')
 			}
@@ -629,7 +635,7 @@ func shapeKey(op Op, opts Options) string {
 		}
 	case NeighborExchange:
 		sb.WriteString("n:")
-		for v, row := range opts.Neighbors {
+		for v, row := range rq.opts.Neighbors {
 			if v > 0 {
 				sb.WriteByte(';')
 			}
@@ -761,7 +767,7 @@ func selectShape(plane core.FabricSel, b Backend, op Op, bytes int64) (core.IRKi
 // hybrid across both planes, and an auto-chunk Blink AllReduce the plane's
 // undirected packing (core.Undirected), when it has one. Returned alongside
 // the frozen plan is its strategy label, the IR's.
-func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *core.FrozenPlan, strategy string, err error) {
+func (e *Engine) selectPlan(st *engineState, key PlanKey, rq *request) (plan *core.FrozenPlan, strategy string, err error) {
 	po := core.PlanOptions{
 		ChunkBytes: core.ResolveChunk(rq.bytes, key.ChunkBytes),
 		DataMode:   rq.opts.DataMode,
@@ -772,7 +778,7 @@ func (e *Engine) selectPlan(st *engineState, key PlanKey, rq request) (plan *cor
 		NoStreamReuse: true,
 	}
 	if st.cluster != nil {
-		p, strategy, err := st.clusterPlan(e.pipe, key, rq, po)
+		p, strategy, err := st.clusterPlan(e.pipe, rq, po)
 		return p.Freeze(), strategy, err
 	}
 	plane := st.plane(rq.b)

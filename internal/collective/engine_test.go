@@ -214,10 +214,7 @@ func TestHybridBroadcastDataExact(t *testing.T) {
 func TestHybridRejectedOnSwitch(t *testing.T) {
 	e := mustEngine(t, topology.DGX2(), nil, simgpu.Config{})
 	const bytes = 500 << 20
-	r, err := e.Run(Blink, Broadcast, 0, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, e, Blink, Broadcast, bytes, Options{})
 	_, strategy, err := e.PlanBlob(Blink, Broadcast, 0, bytes, Options{})
 	if err != nil {
 		t.Fatal(err)

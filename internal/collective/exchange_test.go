@@ -96,14 +96,8 @@ func TestPointToPointVsRing(t *testing.T) {
 // packed NVLink trees.
 func TestExchangeOpsPartialAllocation(t *testing.T) {
 	e := newEng(t, []int{0, 1, 4})
-	blink, err := e.Run(Blink, AllToAll, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nccl, err := e.Run(NCCL, AllToAll, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	blink := mustRun(t, e, Blink, AllToAll, 32<<20, Options{})
+	nccl := mustRun(t, e, NCCL, AllToAll, 32<<20, Options{})
 	if !strings.Contains(nccl.Strategy, "pcie-ring") {
 		t.Fatalf("NCCL strategy = %q, want pcie-ring fallback", nccl.Strategy)
 	}
@@ -126,10 +120,7 @@ func TestExchangeOpsOnSwitch(t *testing.T) {
 			t.Fatalf("%v SendRecv: %v", b, err)
 		}
 	}
-	res, err := e.Run(Blink, AllToAll, 0, 64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, e, Blink, AllToAll, 64<<20, Options{})
 	if !strings.Contains(res.Strategy, "one-hop") {
 		t.Fatalf("DGX-2 strategy = %q, want one-hop", res.Strategy)
 	}
@@ -144,10 +135,7 @@ func TestShapeKeyDifferentiatesPlans(t *testing.T) {
 	base := e.CacheStats()
 	run := func(opts Options, op Op) Result {
 		t.Helper()
-		res, err := e.Run(Blink, op, 0, 4<<20, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, e, Blink, op, 4<<20, opts)
 		return res
 	}
 	a := run(Options{Chain: []int{0, 1, 2}}, SendRecv)

@@ -144,9 +144,7 @@ func TestExchangeOpsObservability(t *testing.T) {
 func TestSyncDispatchSpans(t *testing.T) {
 	eng := newTestEngine(t)
 	tl := eng.EnableTimeline()
-	if _, err := eng.Run(Blink, AllReduce, 0, 4<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 4<<20, Options{})
 	spans := tl.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(spans))
@@ -157,9 +155,7 @@ func TestSyncDispatchSpans(t *testing.T) {
 	if spans[0].CacheHit {
 		t.Fatal("cold dispatch recorded as cache hit")
 	}
-	if _, err := eng.Run(Blink, AllReduce, 0, 4<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 4<<20, Options{})
 	if spans = tl.Spans(); !spans[1].CacheHit {
 		t.Fatal("warm dispatch not recorded as cache hit")
 	}
@@ -169,9 +165,7 @@ func TestSyncDispatchSpans(t *testing.T) {
 // and latency histogram, and invalidation is attributed on the cache.
 func TestReplanMetrics(t *testing.T) {
 	eng := newTestEngine(t)
-	if _, err := eng.Run(Blink, AllReduce, 0, 4<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 4<<20, Options{})
 	if err := eng.ReconfigureExclude([]int{7}); err != nil {
 		t.Fatal(err)
 	}

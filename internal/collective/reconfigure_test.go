@@ -16,10 +16,7 @@ func TestEngineReconfigureLinkLoss(t *testing.T) {
 	machine := topology.DGX1V()
 	devs := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	eng := mustEngine(t, machine, devs, simgpu.Config{DataMode: true})
-	pre, err := eng.Run(Blink, AllReduce, 0, 64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pre := mustRun(t, eng, Blink, AllReduce, 64<<20, Options{})
 	fpPre := eng.Fingerprint()
 
 	degraded, err := machine.WithoutLink(0, 3)
@@ -32,10 +29,7 @@ func TestEngineReconfigureLinkLoss(t *testing.T) {
 	if eng.Fingerprint() == fpPre {
 		t.Fatal("fingerprint unchanged after reconfiguration")
 	}
-	post, err := eng.Run(Blink, AllReduce, 0, 64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	post := mustRun(t, eng, Blink, AllReduce, 64<<20, Options{})
 	if post.Strategy != "trees" {
 		t.Fatalf("degraded-but-connected fabric should re-pack trees, got %q", post.Strategy)
 	}
@@ -115,13 +109,9 @@ func TestReconfigureInvalidatesOldFingerprint(t *testing.T) {
 	other := mustEngine(t, machine, []int{4, 5, 6, 7}, simgpu.Config{})
 	other.SetPlanCache(cache)
 	for _, sz := range []int64{1 << 20, 4 << 20, 16 << 20} {
-		if _, err := eng.Run(Blink, AllReduce, 0, sz, Options{}); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, eng, Blink, AllReduce, sz, Options{})
 	}
-	if _, err := other.Run(Blink, AllReduce, 0, 8<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, other, Blink, AllReduce, 8<<20, Options{})
 	if cache.Len() != 4 {
 		t.Fatalf("cache holds %d plans, want 4", cache.Len())
 	}
@@ -139,9 +129,7 @@ func TestReconfigureInvalidatesOldFingerprint(t *testing.T) {
 	if _, err := other.Run(Blink, AllReduce, 0, 8<<20, Options{}); err != nil || cache.Stats().Hits != hits+1 {
 		t.Fatalf("the other allocation's plan did not survive the reconfiguration warm (%v)", err)
 	}
-	if _, err := eng.Run(Blink, AllReduce, 0, 1<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 1<<20, Options{})
 	if cache.Len() != 2 {
 		t.Fatalf("cache holds %d plans, want 2 with the post-fault plan", cache.Len())
 	}
@@ -298,9 +286,7 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 		t.Fatalf("ranks = %d, want 12", n)
 	}
 	fpPre := eng.Fingerprint()
-	if _, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 16<<20, Options{})
 	enumerated := func() uint64 {
 		return eng.Metrics().Histogram(`blink_compile_stage_seconds{stage="enumerate"}`, nil).Count()
 	}
@@ -311,9 +297,7 @@ func TestClusterEngineRemoveServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Survivors keep their states, and with them every packing they built.
-	if _, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 16<<20, Options{})
 	if got := enumerated(); got != 12 {
 		t.Fatalf("AllReduce after the server loss enumerated %d more packings; survivors must keep theirs", got-12)
 	}

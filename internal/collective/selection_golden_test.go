@@ -150,7 +150,7 @@ func TestChunkSweep(t *testing.T) {
 // that bound.
 func checkBound(t *testing.T, e *Engine, b Backend, op Op, bytes int64, opts Options, r Result) float64 {
 	t.Helper()
-	cp, ok := e.cache.Get(e.planKey(e.Fingerprint(), request{b: b, op: op, bytes: bytes, opts: opts}))
+	cp, ok := e.cache.Get(planKeyOf(e, &request{b: b, op: op, bytes: bytes, opts: opts}))
 	if !ok {
 		t.Fatalf("%v %v of %d bytes left no plan in the cache", b, op, bytes)
 	}

@@ -108,8 +108,8 @@ func (e *Engine) fetchFromService(st *engineState, key PlanKey, opts Options) *C
 	}
 	req := PlanRequest{
 		Devs:        append([]int(nil), st.devs...),
-		Config:      e.cfgKey,
-		Fingerprint: st.fingerprint,
+		Config:      key.Config,
+		Fingerprint: key.Fingerprint,
 		Backend:     key.Backend,
 		Op:          key.Op,
 		Root:        key.Root,
@@ -159,7 +159,7 @@ func (e *Engine) PlanBlob(b Backend, op Op, root int, bytes int64, opts Options)
 	if err := st.machineOnly("PlanBlob"); err != nil {
 		return nil, "", err
 	}
-	cp, _, err := e.lookupOrCompile(st, request{b: b, op: op, root: root, bytes: bytes, opts: opts})
+	cp, _, err := e.lookupOrCompile(st, &request{b: b, op: op, root: root, bytes: bytes, opts: opts})
 	if err != nil {
 		return nil, "", err
 	}

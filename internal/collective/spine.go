@@ -133,7 +133,7 @@ type request struct {
 // op outside the known ones (which plan selection would otherwise read as
 // NCCL, or as reduce-class), a payload below one float32, or more chunks
 // than a schedule may have.
-func (rq request) validate() error {
+func (rq *request) validate() error {
 	switch {
 	case rq.b != Blink && rq.b != NCCL:
 		return fmt.Errorf("collective: unknown backend %d", int(rq.b))
@@ -149,32 +149,24 @@ func (rq request) validate() error {
 	return nil
 }
 
-// planKey completes the request's plan-cache key against a topology (or
-// cluster) fingerprint.
-func (e *Engine) planKey(fp string, rq request) PlanKey {
-	key := PlanKey{
-		Fingerprint: fp,
-		Config:      e.cfgKey,
-		Backend:     rq.b,
-		Op:          rq.op,
-		Root:        rq.root,
-		Bytes:       rq.bytes,
-		DataMode:    rq.opts.DataMode,
-		Shape:       shapeKey(rq.op, rq.opts),
-	}
+// memKey is the request's memory-tier key in the state's scope, with the
+// shape (shapeKey) the key carries only as a hash.
+func (e *Engine) memKey(st *engineState, rq *request) (memKey, string) {
+	shape := rq.shapeKey()
+	mk := memKey{scope: st.scope.hash, shape: shapeHash(shape), bytes: rq.bytes, root: rq.root, op: rq.op, backend: rq.b, data: rq.opts.DataMode}
 	if rq.opts.ChunkBytes > 0 {
 		// Auto stays 0, which CodeGen resolves per kind; an override is
 		// rounded as every builder rounds it, so two overrides that compile
 		// one schedule share one key.
-		key.ChunkBytes = core.ResolveChunk(rq.bytes, rq.opts.ChunkBytes)
+		mk.chunk = core.ResolveChunk(rq.bytes, rq.opts.ChunkBytes)
 	}
 	if rq.opts.DataMode {
 		// Data-mode Exec closures encode the compiling engine's geometry
 		// (fabric layout, rank→server mapping); the plan must never be
 		// replayed from another engine.
-		key.EngineID = e.id
+		mk.engine = e.id
 	}
-	return key
+	return mk, shape
 }
 
 // dispatch is the one instrumented dispatch body: plan lookup, replay, and
@@ -188,7 +180,7 @@ func (e *Engine) planKey(fp string, rq request) PlanKey {
 // (n, n): a hooked timing dispatch is as much a lookup as a synchronous one.
 // The whole dispatch runs against one pinned state, so a concurrent
 // Reconfigure never mixes pre- and post-fault scheduling state within a call.
-func (e *Engine) dispatch(st *engineState, rq request, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
+func (e *Engine) dispatch(st *engineState, rq *request, hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
 	rec.Dispatch()
 	cp, hit, err := e.lookupOrCompile(st, rq)
 	// A refused or failed lookup still counts as a miss (hit is false on
@@ -262,7 +254,7 @@ const Inline = math.MinInt
 // failures, resolve through the handle. The span's stream field is -1 for
 // synchronous calls, the resolved stream for async ones and the lane index
 // for tenants.
-func (e *Engine) submit(st *engineState, rq request, stream int) *Handle {
+func (e *Engine) submit(st *engineState, rq *request, stream int) *Handle {
 	name, backend := rq.op.String(), rq.b.String()
 	tn := rq.opts.Tenant
 	if tn == nil && stream == Inline {
@@ -278,9 +270,14 @@ func (e *Engine) submit(st *engineState, rq request, stream int) *Handle {
 	}
 	h := &Handle{done: make(chan struct{})}
 	rec := e.tl.Load().Begin(name, backend, stream, rq.bytes)
+	// The queued dispatch owns a copy, held in its closure: the caller's
+	// request may live on its stack, which the synchronous path above keeps
+	// free of allocations.
+	own := *rq
 	h.verdict = sched.submit(stream, tn, rq.bytes, func(q int) *Handle {
 		rec.SetStream(q)
-		h.res, h.hit, h.err = e.dispatch(st, rq, h.hook(), rec)
+		rq := own
+		h.res, h.hit, h.err = e.dispatch(st, &rq, h.hook(), rec)
 		return h
 	})
 	if h.verdict == VerdictReject {
@@ -317,7 +314,7 @@ type GroupResult struct {
 // cache activity. On a tenant request every bucket is admitted through the
 // tenant's lane in turn; a rejected bucket fails the group with its
 // ErrAdmissionRejected error.
-func (e *Engine) runGroup(st *engineState, rq request, sizes []int64) (GroupResult, error) {
+func (e *Engine) runGroup(st *engineState, rq *request, sizes []int64) (GroupResult, error) {
 	if len(sizes) == 0 {
 		return GroupResult{}, fmt.Errorf("collective: empty group")
 	}

@@ -251,10 +251,7 @@ func TestEngineWarmStartFromStore(t *testing.T) {
 	}
 	e1, _ := mk()
 	const bytes = 48 << 20
-	r1, err := e1.Run(Blink, AllReduce, 0, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := mustRun(t, e1, Blink, AllReduce, bytes, Options{})
 	if n := e1.Metrics().Counter("blink_plan_compiles_total").Value(); n != 1 {
 		t.Fatalf("cold engine compiles = %d, want 1", n)
 	}
@@ -264,10 +261,7 @@ func TestEngineWarmStartFromStore(t *testing.T) {
 
 	// Fresh process (fresh engine, fresh store handle, same directory).
 	e2, _ := mk()
-	r2, err := e2.Run(Blink, AllReduce, 0, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := mustRun(t, e2, Blink, AllReduce, bytes, Options{})
 	if n := e2.Metrics().Counter("blink_plan_compiles_total").Value(); n != 0 {
 		t.Fatalf("warm-store engine compiled %d plans, want 0", n)
 	}
@@ -284,9 +278,7 @@ func TestEngineWarmStartFromStore(t *testing.T) {
 	}
 
 	// Third dispatch on the warm engine hits memory, not disk.
-	if _, err := e2.Run(Blink, AllReduce, 0, bytes, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e2, Blink, AllReduce, bytes, Options{})
 	if st := e2.CacheStats(); st.MemoryHits != 1 || st.DiskHits != 1 {
 		t.Fatalf("promoted plan not served from memory: %+v", st)
 	}

@@ -52,9 +52,12 @@ var resolved = func() chan struct{} {
 
 // Wait blocks until the collective resolves and returns its result. It may
 // be called any number of times, from any goroutine; every call returns
-// the same outcome.
+// the same outcome. A handle born resolved returns at once, without
+// receiving from its closed channel.
 func (h *Handle) Wait() (Result, error) {
-	<-h.done
+	if h.done != resolved {
+		<-h.done
+	}
 	return h.res, h.err
 }
 

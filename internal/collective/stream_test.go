@@ -23,10 +23,7 @@ func newTestEngine(t *testing.T) *Engine {
 func TestAsyncMatchesSync(t *testing.T) {
 	eng := newTestEngine(t)
 	const bytes = 8 << 20
-	want, err := eng.Run(Blink, AllReduce, 0, bytes, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, eng, Blink, AllReduce, bytes, Options{})
 	h := eng.RunAsync(Blink, AllReduce, 0, bytes, Options{}, -1)
 	got, err := h.Wait()
 	if err != nil {
@@ -234,9 +231,7 @@ func TestAsyncBackpressure(t *testing.T) {
 	eng := newTestEngine(t)
 	eng.ConfigureAsync(1, 64<<20) // one stream, 64 MB window
 	// Warm the plan so queued ops replay quickly.
-	if _, err := eng.Run(Blink, AllReduce, 0, 32<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng, Blink, AllReduce, 32<<20, Options{})
 	var submitted atomic.Int32
 	doneSubmitting := make(chan []*Handle)
 	go func() {
@@ -450,10 +445,7 @@ func TestClusterAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, eng, Blink, AllReduce, 16<<20, Options{})
 	h := eng.RunAsync(Blink, AllReduce, 0, 16<<20, Options{}, -1)
 	got, err := h.Wait()
 	if err != nil {

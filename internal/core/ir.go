@@ -377,7 +377,11 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 			if ir.Bytes/4 >= int64(ranksOf(f)) {
 				row(at, shapeRankRooted)
 			}
-			row(at, shapeCentered)
+			// Trees all centered at the root hang as the root-hung row at
+			// this chunk did, so their centered row could never win.
+			if !rootCentered(f, one.Packings[0]) {
+				row(at, shapeCentered)
+			}
 		}
 	}
 	probe := *ir

@@ -268,6 +268,13 @@ func center(g *graph.Graph, a graph.Arborescence, ranks int, scratch []int) int 
 	return best
 }
 
+// rootCentered reports whether every tree of p has its center at p's root,
+// where the centered AllReduce is the root-hung one, op for op.
+func rootCentered(f *simgpu.Fabric, p *Packing) bool {
+	scratch := make([]int, 2*f.Graph.N)
+	return !slices.ContainsFunc(p.Trees, func(t Tree) bool { return center(f.Graph, t.Arbo, ranksOf(f), scratch) != p.Root })
+}
+
 // rankSubtrees returns, for every vertex, the GPU ranks (vertex id < ranks)
 // of its subtree, itself included, in deterministic order; relay vertices
 // carry no payload shard and are dropped. Data-mode Gather/Scatter use

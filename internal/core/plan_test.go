@@ -346,3 +346,41 @@ func TestCenterHasLeastHeight(t *testing.T) {
 		}
 	}
 }
+
+// TestCenteredTrialSkippedAtRoot: an AllReduce's race skips the centered row
+// of a packing whose every tree is centered at its root (rootCentered), the
+// root-0 PCIe packing of DGX-1V [0 1 6], whose centered schedule is the
+// root-hung one op for op, and races it where a center differs, as on the
+// full DGX-1V's NVLink plane.
+func TestCenteredTrialSkippedAtRoot(t *testing.T) {
+	for _, c := range []struct {
+		devs       []int
+		pcie, skip bool
+	}{{[]int{0, 1, 6}, true, true}, {[]int{0, 1, 2, 3, 4, 5, 6, 7}, false, false}} {
+		ind, err := topology.DGX1V().Induce(c.devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := ind.GPUGraph()
+		if c.pcie {
+			g = ind.PCIeGraph()
+		}
+		p, err := GenerateTrees(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := simgpu.NewFabric(ind, g, simgpu.Config{})
+		opts := PlanOptions{ChunkBytes: 256 << 10, NoStreamReuse: true}
+		hung, err := BuildAllReducePlan(f, p, 4<<20, opts)
+		cen, err2 := BuildCenteredAllReducePlan(f, p, 4<<20, opts)
+		if err != nil || err2 != nil {
+			t.Fatal(err, err2)
+		}
+		same := slices.EqualFunc(hung.Ops, cen.Ops, func(x, y *simgpu.Op) bool {
+			return x.Link == y.Link && x.Stream == y.Stream && x.Bytes == y.Bytes && slices.Equal(x.Deps, y.Deps)
+		})
+		if skip := rootCentered(f, p); skip != c.skip || same != c.skip {
+			t.Errorf("%v (PCIe %v): centered trial skipped %v, centered schedule is the root-hung one %v; want both %v", c.devs, c.pcie, skip, same, c.skip)
+		}
+	}
+}
