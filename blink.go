@@ -297,24 +297,24 @@ func (c *Comm) ReconfigureExclude(evicted ...int) error {
 // resolves the handle with an error wrapping ErrAdmissionRejected. snap is
 // the topology state the caller pinned: the current one for a timing call,
 // the one a data-mode call validated and staged against.
-func (c *Comm) submit(snap collective.Snapshot, stream int, op collective.Op, root int, bytes int64, opts collective.Options) *Handle {
+func (c *Comm) submit(snap collective.Snapshot, stream int, op collective.Op, root int, bytes int64, opts *collective.Options) *Handle {
 	opts.Tenant = c.tn
 	return snap.Submit(c.backend, op, root, bytes, opts, stream)
 }
 
 // Broadcast sends bytes from rank root to all ranks.
 func (c *Comm) Broadcast(root int, bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Broadcast, root, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Broadcast, root, bytes, &collective.Options{}).Wait()
 }
 
 // Gather collects bytes/Size() from every rank at root.
 func (c *Comm) Gather(root int, bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Gather, root, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Gather, root, bytes, &collective.Options{}).Wait()
 }
 
 // AllReduce sums bytes of float32 gradients across all ranks.
 func (c *Comm) AllReduce(bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllReduce, 0, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllReduce, 0, bytes, &collective.Options{}).Wait()
 }
 
 // AllReduceMany issues one AllReduce per tensor size as a single grouped
@@ -349,24 +349,24 @@ func (c *Comm) Timeline() *Timeline { return c.eng.Timeline() }
 
 // AllGather concatenates every rank's share on all ranks.
 func (c *Comm) AllGather(bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllGather, 0, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllGather, 0, bytes, &collective.Options{}).Wait()
 }
 
 // ReduceScatter reduces and leaves each rank with one shard.
 func (c *Comm) ReduceScatter(bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.ReduceScatter, 0, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.ReduceScatter, 0, bytes, &collective.Options{}).Wait()
 }
 
 // Reduce sums every rank's buffer at rank root (the first half of an
 // AllReduce).
 func (c *Comm) Reduce(root int, bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Reduce, root, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Reduce, root, bytes, &collective.Options{}).Wait()
 }
 
 // Scatter distributes a distinct bytes/Size() shard from root to every
 // rank (the inverse of Gather).
 func (c *Comm) Scatter(root int, bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Scatter, root, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.Scatter, root, bytes, &collective.Options{}).Wait()
 }
 
 // AllToAll exchanges a distinct bytes/Size() shard between every pair of
@@ -375,7 +375,7 @@ func (c *Comm) Scatter(root int, bytes int64) (Result, error) {
 // spanning trees; under BackendNCCL pairs move store-and-forward along the
 // baseline rings.
 func (c *Comm) AllToAll(bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllToAll, 0, bytes, collective.Options{}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.AllToAll, 0, bytes, &collective.Options{}).Wait()
 }
 
 // SendRecv forwards one bytes-sized payload stage by stage along the given
@@ -384,7 +384,7 @@ func (c *Comm) AllToAll(bytes int64) (Result, error) {
 // pipelined against the next. Non-adjacent stages are routed over relay
 // ranks. The chain must name at least two distinct in-range ranks.
 func (c *Comm) SendRecv(chain []int, bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.SendRecv, 0, bytes, collective.Options{Chain: chain}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.SendRecv, 0, bytes, &collective.Options{Chain: chain}).Wait()
 }
 
 // NeighborExchange sends each rank's bytes-sized payload to every rank on
@@ -392,7 +392,7 @@ func (c *Comm) SendRecv(chain []int, bytes int64) (Result, error) {
 // rows; row v lists the ranks v sends to. Self-loops and duplicate targets
 // are rejected.
 func (c *Comm) NeighborExchange(neighbors [][]int, bytes int64) (Result, error) {
-	return c.submit(c.eng.Snapshot(), collective.Inline, collective.NeighborExchange, 0, bytes, collective.Options{Neighbors: neighbors}).Wait()
+	return c.submit(c.eng.Snapshot(), collective.Inline, collective.NeighborExchange, 0, bytes, &collective.Options{Neighbors: neighbors}).Wait()
 }
 
 // Handle is the caller's reference to one in-flight async collective: wait
@@ -436,56 +436,56 @@ func asyncStream(opts []AsyncOpt) int {
 // its snapshot even if the communicator is Reconfigured mid-op, while
 // every later submission sees the post-fault state.
 func (c *Comm) BroadcastAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Broadcast, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Broadcast, root, bytes, &collective.Options{})
 }
 
 // AllReduceAsync is the nonblocking AllReduce (see BroadcastAsync for the
 // shared async semantics).
 func (c *Comm) AllReduceAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllReduce, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllReduce, 0, bytes, &collective.Options{})
 }
 
 // ReduceAsync is the nonblocking Reduce.
 func (c *Comm) ReduceAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Reduce, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Reduce, root, bytes, &collective.Options{})
 }
 
 // GatherAsync is the nonblocking Gather.
 func (c *Comm) GatherAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Gather, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Gather, root, bytes, &collective.Options{})
 }
 
 // ScatterAsync is the nonblocking Scatter.
 func (c *Comm) ScatterAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Scatter, root, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.Scatter, root, bytes, &collective.Options{})
 }
 
 // AllGatherAsync is the nonblocking AllGather.
 func (c *Comm) AllGatherAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllGather, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllGather, 0, bytes, &collective.Options{})
 }
 
 // ReduceScatterAsync is the nonblocking ReduceScatter.
 func (c *Comm) ReduceScatterAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.ReduceScatter, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.ReduceScatter, 0, bytes, &collective.Options{})
 }
 
 // AllToAllAsync is the nonblocking AllToAll (see BroadcastAsync for the
 // shared async semantics).
 func (c *Comm) AllToAllAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllToAll, 0, bytes, collective.Options{})
+	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.AllToAll, 0, bytes, &collective.Options{})
 }
 
 // SendRecvAsync is the nonblocking SendRecv along the given rank chain.
 func (c *Comm) SendRecvAsync(chain []int, bytes int64, opts ...AsyncOpt) *Handle {
 	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.SendRecv, 0, bytes,
-		collective.Options{Chain: append([]int(nil), chain...)})
+		&collective.Options{Chain: append([]int(nil), chain...)})
 }
 
 // NeighborExchangeAsync is the nonblocking NeighborExchange.
 func (c *Comm) NeighborExchangeAsync(neighbors [][]int, bytes int64, opts ...AsyncOpt) *Handle {
 	return c.submit(c.eng.Snapshot(), asyncStream(opts), collective.NeighborExchange, 0, bytes,
-		collective.Options{Neighbors: copyRows(neighbors)})
+		&collective.Options{Neighbors: copyRows(neighbors)})
 }
 
 // dataOp describes one data-mode collective to runData: which collective
@@ -568,7 +568,7 @@ func (c *Comm) runData(d dataOp) (bs *simgpu.BufferSet, ranks, n int, err error)
 		n *= ranks
 	}
 	d.opts.DataMode, d.opts.Buffers = true, bs
-	_, err = c.submit(snap, collective.Inline, d.op, d.root, int64(n)*4, d.opts).Wait()
+	_, err = c.submit(snap, collective.Inline, d.op, d.root, int64(n)*4, &d.opts).Wait()
 	return bs, ranks, n, err
 }
 

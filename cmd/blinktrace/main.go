@@ -1,7 +1,8 @@
 // Command blinktrace shows the plan a communicator runs for one collective.
 // It compiles the collective through the engine exactly as a Comm would,
-// prints the spanning-tree packing the plan's IR carries (trees, weights,
-// depths, rate against the optimal bound), times the schedule with a
+// prints the candidate-table row the plan won (its shape and chunk) and the
+// spanning-tree packing its IR carries (trees, weights, depths, rate
+// against the optimal bound), times the schedule with a
 // per-link utilization summary, and can export it as Chrome trace-event JSON
 // (chrome://tracing or https://ui.perfetto.dev). The makespan it prints is
 // the Result.Seconds the same call on a Comm reports.
@@ -121,6 +122,9 @@ func run(args []string, w io.Writer) (float64, error) {
 
 	fmt.Fprintf(w, "%v of %d MiB over %s GPUs %v (%s on %v): %d ops on %d streams\n",
 		op, *mb, machine.Name, devs, ir.Strategy, ir.Fabric, len(plan.Ops), plan.Streams)
+	if ir.Row != (core.Row{}) {
+		fmt.Fprintf(w, "row %v @ %d B\n", ir.Row.Shape, ir.Row.Chunk)
+	}
 	for i, p := range ir.Packings {
 		g := f.Graph
 		if i == 1 && ir.Kind == core.IRTreeBroadcast {

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blink"
@@ -10,7 +10,8 @@ import (
 
 // The tool traces the plan a Comm runs: for the README's command, and for
 // the Broadcast whose trial keeps the hybrid, the traced makespan is the
-// Result.Seconds of the same call on a communicator over the same GPUs.
+// Result.Seconds of the same call on a communicator over the same GPUs, and
+// it prints the row the plan won.
 func TestTraceIsTheCommPlan(t *testing.T) {
 	comm, err := blink.NewComm(blink.DGX1V(), []int{1, 4, 5, 7})
 	if err != nil {
@@ -24,9 +25,10 @@ func TestTraceIsTheCommPlan(t *testing.T) {
 		{"broadcast", func() (blink.Result, error) { return comm.Broadcast(0, 100<<20) }},
 	} {
 		out := filepath.Join(t.TempDir(), "trace.json")
-		got, err := run([]string{"-gpus", "1,4,5,7", "-op", c.op, "-mb", "100", "-o", out}, io.Discard)
-		if err != nil {
-			t.Fatal(err)
+		var w strings.Builder
+		got, err := run([]string{"-gpus", "1,4,5,7", "-op", c.op, "-mb", "100", "-o", out}, &w)
+		if err != nil || !strings.Contains(w.String(), "\nrow ") {
+			t.Fatal(err, w.String())
 		}
 		want, err := c.call()
 		if err != nil {

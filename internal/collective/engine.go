@@ -481,7 +481,7 @@ func (s Snapshot) Topo() *topology.Topology { return s.st.topo }
 // Run executes one collective against the snapshot's topology, regardless
 // of any reconfiguration that happened after the snapshot was taken.
 func (s Snapshot) Run(b Backend, op Op, root int, bytes int64, opts Options) (Result, error) {
-	return s.Submit(b, op, root, bytes, opts, Inline).Wait()
+	return s.Submit(b, op, root, bytes, &opts, Inline).Wait()
 }
 
 // Submit is the entry every dispatch style reduces to: it submits one
@@ -490,9 +490,10 @@ func (s Snapshot) Run(b Backend, op Op, root int, bytes int64, opts Options) (Re
 // calling goroutine and returns a resolved handle (Run is
 // Submit(Inline).Wait()); any other value queues it on an async worker
 // stream exactly as RunAsync does. A call carrying opts.Tenant is admitted
-// through the tenant's QoS lane instead, whatever the stream.
-func (s Snapshot) Submit(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
-	return s.e.submit(s.st, &request{b: b, op: op, root: root, bytes: bytes, opts: opts}, stream)
+// through the tenant's QoS lane instead, whatever the stream. The request
+// takes a copy of *opts, the only one a dispatch makes.
+func (s Snapshot) Submit(b Backend, op Op, root int, bytes int64, opts *Options, stream int) *Handle {
+	return s.e.submit(s.st, &request{b: b, op: op, root: root, bytes: bytes, opts: *opts}, stream)
 }
 
 // lookupOrCompile is the planner, for dispatch and for the blob blinkd

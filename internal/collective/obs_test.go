@@ -190,7 +190,7 @@ func TestReplanMetrics(t *testing.T) {
 // dispatch changes, so the literals are never regenerated for such a change.
 func TestAsyncTimelineHashPinned(t *testing.T) {
 	const (
-		wantMachine = "e55408b5369c81c900f13730acb25c3d2c2cbc46a42f79be4ba3f57c0e18fcaa"
+		wantMachine = "dd5bd4a45a67884eff59fc4c3b0cf620dc826445bc679e78f897e38d91c5752a"
 		wantCluster = "16b7659c21975ea2aa5d3dd98e662cc6da65c0a2633d37c3ffff938948c84fb8"
 	)
 	ceng, err := NewClusterEngine(testCluster(t, []int{3, 5}, 100), simgpu.Config{})

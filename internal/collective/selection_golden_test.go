@@ -82,8 +82,8 @@ func TestGoldenSelectionMatrix(t *testing.T) {
 // over it. No Blink or NCCL cell beats its plan's lower bound. Since an
 // AllReduce races the undirected packing too (core.Undirected) and each
 // packing's trees hung from their centers, at most 6 of the 600 cells
-// trail NCCL, down from 48, and the AllReduce geomean is above 2.50
-// (2.5071; the directed packing alone reached 2.1137); at 64 MB every AllReduce
+// trail NCCL, down from 48, and the AllReduce geomean is above 2.53
+// (2.5343; the directed packing alone reached 2.1137); at 64 MB every AllReduce
 // reaches at least 0.65 of its bound (0.69–0.96). An auto-chunk Broadcast
 // may also take the hybrid split, which the rule's override never does: 33
 // of the 60 at 64 MB do, 0.2–16% faster than their NVLink trees, and no
@@ -140,8 +140,8 @@ func TestChunkSweep(t *testing.T) {
 	if model <= rule {
 		t.Errorf("the chunk model does not raise the geomean speed-up over the rule")
 	}
-	if below > 6 || geomean <= 2.50 {
-		t.Errorf("%d cells below NCCL (want at most 6), AllReduce geomean %.4f (want above 2.50)", below, geomean)
+	if below > 6 || geomean <= 2.53 {
+		t.Errorf("%d cells below NCCL (want at most 6), AllReduce geomean %.4f (want above 2.53)", below, geomean)
 	}
 }
 
@@ -168,7 +168,7 @@ var goldenSelection = []string{
 	"dgx1v-full Blink Broadcast 16777216: trees 3f33c47ab26be964",
 	"dgx1v-full Blink Gather 262144: trees 3f09da58c8729dc4",
 	"dgx1v-full Blink Gather 16777216: trees 3f35087acdd18498",
-	"dgx1v-full Blink AllReduce 262144: trees 3f128c1821429a42",
+	"dgx1v-full Blink AllReduce 262144: trees 3f1180a6b2bff5b4",
 	"dgx1v-full Blink AllReduce 16777216: trees 3f3b50d8e5f77d35",
 	"dgx1v-full Blink AllGather 262144: trees+allgather 3f2187611f2d5b59",
 	"dgx1v-full Blink AllGather 16777216: trees+allgather 3f4800a673b7c235",

@@ -168,5 +168,5 @@ func (c asyncConfig) normalized() asyncConfig {
 // in-flight byte window); errors, including compile failures, resolve
 // through the handle.
 func (e *Engine) RunAsync(b Backend, op Op, root int, bytes int64, opts Options, stream int) *Handle {
-	return e.Snapshot().Submit(b, op, root, bytes, opts, stream)
+	return e.Snapshot().Submit(b, op, root, bytes, &opts, stream)
 }

@@ -211,7 +211,7 @@ func (e *Engine) NewTenant(cfg TenantConfig) *Tenant {
 //
 // Topology state is pinned at submission, exactly as in RunAsync.
 func (e *Engine) RunAsyncTenant(tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (*Handle, Verdict) {
-	h := e.Snapshot().Submit(b, op, root, bytes, tenantOpts(tn, opts), Inline)
+	h := e.Snapshot().Submit(b, op, root, bytes, tenantOpts(tn, &opts), Inline)
 	return h, h.verdict
 }
 
@@ -219,7 +219,7 @@ func (e *Engine) RunAsyncTenant(tn *Tenant, b Backend, op Op, root int, bytes in
 // it through the tenant's lane. A nil tenant degrades to the default-class
 // lane with an anonymous ledger, so the accounting invariants still hold
 // per call site.
-func tenantOpts(tn *Tenant, opts Options) Options {
+func tenantOpts(tn *Tenant, opts *Options) *Options {
 	if tn == nil {
 		tn = &Tenant{name: "anonymous", class: BulkGradient}
 	}
@@ -231,5 +231,5 @@ func tenantOpts(tn *Tenant, opts Options) Options {
 // snapshot: admission through the tenant's lane, then wait. A rejection
 // returns an error wrapping ErrAdmissionRejected.
 func (s Snapshot) RunTenant(tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (Result, error) {
-	return s.Run(b, op, root, bytes, tenantOpts(tn, opts))
+	return s.Submit(b, op, root, bytes, tenantOpts(tn, &opts), Inline).Wait()
 }

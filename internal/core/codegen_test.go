@@ -93,12 +93,9 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		want, err := fp.Replay()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dec.Replay()
-		if err != nil {
-			t.Fatal(err)
+		got, err2 := dec.Replay()
+		if err != nil || err2 != nil {
+			t.Fatal(err, err2)
 		}
 		if dec.NumOps() != fp.NumOps() || got.Makespan != want.Makespan {
 			t.Fatalf("%v decoded to %d ops, %v s; encoded %d ops, %v s", kind, dec.NumOps(), got.Makespan, fp.NumOps(), want.Makespan)
@@ -120,8 +117,10 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 // directed packing and the undirected one (Undirected.For) on the sweep's
 // 60 allocations and sizes. A row is pruned only when its LowerBound shows
 // it cannot win, so the race reaches the makespan of the faster packing
-// compiled alone. The plan records only the winning packing, and decodes to
-// the same makespan.
+// compiled alone. The plan records only the winning packing and the
+// winning row, and decodes to that row and the same makespan; re-encoded
+// with the root-hung trees at the chunk of a winner of another shape, it
+// decodes to that losing row's makespan instead.
 func TestPruneKeepsTheWinner(t *testing.T) {
 	for _, m := range []struct {
 		machine *topology.Topology
@@ -149,9 +148,17 @@ func TestPruneKeepsTheWinner(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, err := DecodePlan(blob, func(FabricSel) *simgpu.Fabric { return f })
-				if err != nil || len(got.IR().Packings) != 1 || got.res.Makespan != want || dec.res.Makespan != want {
+				resolve := func(FabricSel) *simgpu.Fabric { return f }
+				dec, err := DecodePlan(blob, resolve)
+				if err != nil || len(got.IR().Packings) != 1 || got.res.Makespan != want || dec.res.Makespan != want || dec.IR().Row != got.IR().Row {
 					t.Errorf("%v %d: %.6g s raced over %d packings, want %.6g s (error %v)", devs, bytes, got.res.Makespan, len(got.IR().Packings), want, err)
+				}
+				if lost := *got.IR(); lost.Row.Shape != ShapeTrees {
+					lost.Row.Shape = ShapeTrees
+					hdr, _, _ := DecodePlanIR(blob)
+					if dec, err := DecodePlan(encodePlan(hdr, &lost), resolve); err != nil || dec.res.Makespan == want {
+						t.Errorf("%v %d: a blob recording %v decodes to the winner's %.6g s (error %v)", devs, bytes, lost.Row, want, err)
+					}
 				}
 			}
 		}

@@ -22,8 +22,8 @@ import (
 // blobs written under any other version — plans are cheap to recompile, so
 // cross-version migration is never worth schema tolerance. Version 2
 // renumbered the IR kinds when the baseline's plane moved out of the kind
-// and into PlanIR.Fabric.
-const PlanFormatVersion = 2
+// and into PlanIR.Fabric; version 3 records the winning row (PlanIR.Row).
+const PlanFormatVersion = 3
 
 // planMagic brands every encoded plan blob.
 var planMagic = [8]byte{'B', 'L', 'N', 'K', 'P', 'L', 'A', 'N'}
@@ -126,7 +126,7 @@ func DecodePlanIR(data []byte) (PlanHeader, *PlanIR, error) {
 	if d.off != len(d.b) {
 		return hdr, nil, fmt.Errorf("core: encoded plan has %d trailing bytes", len(d.b)-d.off)
 	}
-	return hdr, ir, nil
+	return hdr, ir, ir.checkRow()
 }
 
 // DecodePlan decodes a blob, validates it against the live topology through
@@ -199,7 +199,8 @@ func appendIR(b []byte, ir *PlanIR) []byte {
 	b = appendList(b, ir.Pairs, func(b []byte, p IRPair) []byte {
 		return binary.AppendVarint(appendInt(appendInt(b, p.Src), p.Dst), p.Bytes)
 	})
-	return appendBool(b, ir.Chained)
+	b = binary.AppendUvarint(appendBool(b, ir.Chained), uint64(ir.Row.Shape))
+	return binary.AppendVarint(b, ir.Row.Chunk)
 }
 
 func appendPacking(b []byte, p *Packing) []byte {
@@ -351,6 +352,8 @@ func (d *decoder) ir() *PlanIR {
 	ir.Neighbors = list(d, "neighbor row", func() []int { return list(d, "neighbor", d.intval) })
 	ir.Pairs = list(d, "pair", func() IRPair { return IRPair{Src: d.intval(), Dst: d.intval(), Bytes: d.varint()} })
 	ir.Chained = d.boolval()
+	// A shape past a byte is no shape checkRow accepts either.
+	ir.Row = Row{Shape(min(d.uvarint(), 0xff)), d.varint()}
 	return ir
 }
 

@@ -75,12 +75,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	// The decoded plan must replay the identical simulated schedule...
 	want, err := fp.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dec.Replay()
-	if err != nil {
-		t.Fatal(err)
+	got, err2 := dec.Replay()
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
 	}
 	if got.Makespan != want.Makespan {
 		t.Fatalf("decoded plan replays %.12f s, original %.12f s", got.Makespan, want.Makespan)
@@ -141,9 +138,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	// Version skew, from the future and from the past (format 1 numbered the
-	// IR kinds differently, so its blobs must be recompiled, never read):
-	// rewrite the version varint and reseal.
-	for _, v := range []uint64{PlanFormatVersion + 1, 1} {
+	// IR kinds differently and format 2 recorded no row, so their blobs must
+	// be recompiled, never read): rewrite the version varint and reseal.
+	for _, v := range []uint64{PlanFormatVersion + 1, 1, 2} {
 		skew := append([]byte(nil), blob[:len(planMagic)]...)
 		skew = binary.AppendUvarint(skew, v)
 		rest := blob[len(planMagic):]
@@ -196,9 +193,9 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // must never panic, never allocate unboundedly, and anything it accepts must
 // be internally consistent enough for validation to give a clean verdict.
 // The seed corpus (testdata/fuzz/FuzzDecodePlan) covers the interesting
-// failure classes: a pristine blob, truncations, resealed bit flips, two
-// version-skewed headers (one from the future, one a pristine format-1 blob)
-// and a wrong-fingerprint header. The seeds added below carry a valid
+// failure classes: a pristine blob, truncations, resealed bit flips, three
+// version-skewed headers (one from the future, pristine format-1 and
+// format-2 blobs) and a wrong-fingerprint header. The seeds added below carry a valid
 // checksum around a packing no packer emits: no trees, or a NaN, a zero or a
 // denormal tree weight. The plan's chunk is auto, which CodeGen derives from
 // the weights: a NaN weight Validate let through, or a denormal one whose
@@ -208,8 +205,10 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // compile budget rather than build, and every plan that decodes stays
 // within that budget. Another is a 64 B Broadcast that may race the hybrid:
 // it carries its root's PCIe packing, and its NVLink packing's rate is
-// tiny. Every input is decoded a second time resealed, since
-// a mutated blob almost never passes the checksum on its own.
+// tiny. One valid blob records each row shape, and one a centered row on a
+// Broadcast, which decoding rejects. Every input is decoded a second time
+// resealed, since a mutated blob almost never passes the checksum on its
+// own.
 func FuzzDecodePlan(f *testing.F) {
 	fab, p := fabricFor(f, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
 	ir := &PlanIR{Kind: IRTreeBroadcast, Fabric: FabricNVLink, Strategy: "trees",
@@ -255,6 +254,20 @@ func FuzzDecodePlan(f *testing.F) {
 		}
 		ir.Bytes, p.Rate, ir.Packings = 64, p.Rate*1e-9, append(ir.Packings, pcie)
 	}))
+	for i, row := range []Row{{ShapeTrees, 1 << 20}, {ShapeRankRooted, 1 << 20}, {ShapeCentered, 1 << 20}, {ShapeHybrid, 256 << 10}, {ShapeCentered, 1 << 20}} {
+		misfit := i == 4 // a centered row on a Broadcast
+		seed := withIR(f, blob, func(ir *PlanIR, p *Packing) {
+			if ir.Row = row; row.Shape == ShapeRankRooted || row.Shape == ShapeCentered && !misfit {
+				ir.Kind = IRTreeAllReduce
+			} else if row.Shape == ShapeHybrid {
+				ir.Packings = append(ir.Packings, pcie)
+			}
+		})
+		if _, _, err := DecodePlanIR(seed); (err != nil) != misfit {
+			f.Fatalf("a %v row decodes with error %v", row, err)
+		}
+		f.Add(seed)
+	}
 
 	resolve := func(FabricSel) *simgpu.Fabric { return fab }
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -40,6 +40,17 @@ type PlanIR struct {
 	// kind; Chained marks an ordered pipeline (SendRecv).
 	Pairs   []IRPair
 	Chained bool
+	// Row is the candidate-table row an auto-chunk tree IR's schedule won
+	// (PlanIR.tuned), which CodeGen then builds without racing; the zero Row
+	// records none.
+	Row Row
+}
+
+// Row is one row of the candidate table: a schedule's shape and its
+// resolved chunk.
+type Row struct {
+	Shape Shape
+	Chunk int64
 }
 
 // IRPair is one directed point-to-point transfer of a P2P-kind IR.
@@ -133,6 +144,9 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 	}
 	if ir.Bytes < 4 {
 		return fmt.Errorf("core: IR payload %d too small", ir.Bytes)
+	}
+	if err := ir.checkRow(); err != nil {
+		return err
 	}
 	n := ranksOf(f)
 	graphs := [2]*graph.Graph{f.Graph, f.Graph}
@@ -261,22 +275,45 @@ func (ir *PlanIR) opCount(f *simgpu.Fabric, c int64) int64 {
 	return int64(min((chunks+float64(min(trees*n, max(n, ir.Bytes/4))))*edges*passes, 1<<62))
 }
 
-// shape is one schedule a tree kind can compile to.
-type shape uint8
+// Shape is one schedule a tree kind can compile to.
+type Shape uint8
 
 const (
-	// shapeTrees pipelines the payload over a packing's trees from its root.
-	shapeTrees shape = iota
-	// shapeRankRooted reduces slice r of an AllReduce to rank r and
+	// ShapeTrees pipelines the payload over a packing's trees from its root.
+	ShapeTrees Shape = iota
+	// ShapeRankRooted reduces slice r of an AllReduce to rank r and
 	// broadcasts it from there (BuildRankRootedAllReducePlan).
-	shapeRankRooted
-	// shapeCentered reduces each tree's share of an AllReduce to the tree's
+	ShapeRankRooted
+	// ShapeCentered reduces each tree's share of an AllReduce to the tree's
 	// center and broadcasts it from there (BuildCenteredAllReducePlan).
-	shapeCentered
-	// shapeHybrid splits a Broadcast between Packings[0]'s NVLink trees and
+	ShapeCentered
+	// ShapeHybrid splits a Broadcast between Packings[0]'s NVLink trees and
 	// Packings[1]'s PCIe trees by Equation 8 (BuildHybridBroadcastPlan).
-	shapeHybrid
+	ShapeHybrid
 )
+
+// String names the shape.
+func (s Shape) String() string {
+	if names := [...]string{"trees", "rank-rooted", "centered", "hybrid"}; int(s) < len(names) {
+		return names[s]
+	}
+	return fmt.Sprintf("Shape(%d)", int(s))
+}
+
+// checkRow rejects a recorded row that tuned could not have recorded for the
+// IR: a chunk outside the payload, a row on an IR tuned does not race, a
+// shape the IR's kind or packings cannot build, or a row of an AllReduce
+// that still carries two packings.
+func (ir *PlanIR) checkRow() error {
+	r, kind := ir.Row, ir.Kind
+	shaped := r.Shape == ShapeTrees || (r.Shape == ShapeRankRooted || r.Shape == ShapeCentered) && kind == IRTreeAllReduce ||
+		r.Shape == ShapeHybrid && kind == IRTreeBroadcast && ir.Fabric == FabricNVLink && len(ir.Packings) == 2
+	if r == (Row{}) || shaped && r.Chunk > 0 && r.Chunk <= ir.Bytes && ir.Opts.ChunkBytes <= 0 && treePasses[kind] > 0 &&
+		ir.Fabric != FabricSwitch && (kind != IRTreeAllReduce || len(ir.Packings) == 1) {
+		return nil
+	}
+	return fmt.Errorf("core: a %v IR of %d B cannot record a %v row at %d B", kind, ir.Bytes, r.Shape, r.Chunk)
+}
 
 // tuned races the IR's candidate table and compiles the winner. A row is a
 // packing, a shape and a chunk, and the rows come packing by packing: an
@@ -288,7 +325,9 @@ const (
 // where links are shared — by trees, or by an AllReduce's two passes — as
 // it charges a chunk stage one tree's launch and wire latency. An AllReduce
 // then races, at the packing's better chunk, the rank-rooted shape (of at
-// least a float per rank) and the centered one. A row is skipped when its
+// least a float per rank) and the centered one, and the centered one again
+// at the chunk the model prices at its trees' radius, which a centered
+// chunk crosses instead of their depth from the root. A row is skipped when its
 // schedule would exceed the compile budget or, between two packings, when
 // its LowerBound is no less than the incumbent's makespan, since it cannot
 // then finish sooner. A
@@ -297,19 +336,20 @@ const (
 // peer-access switch every PCIe op waits for (peerSwitch), below which the
 // hybrid cannot win, and only when the hybrid's calibration probes fit the
 // compile budget. A row is kept only if it finishes strictly sooner than
-// every row before it. The trials build timing-only schedules on an arena
+// every row before it. An IR that records the row it won (PlanIR.Row) races
+// that row alone, so a decoded plan builds its one schedule. The trials build timing-only schedules on an arena
 // kept between compiles (arenas). The winner is built again into tables
 // sized to it when tables is set or it moves data, bar a timing-only
 // hybrid, which owns its tables and is kept as it is; otherwise the plan
 // has no ops, only the winner's simulated run, which Freeze keeps either
-// way. tuned returns the IR the winner was built from, one packing of an
-// AllReduce's two, beside the plan and its shape.
-func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tables bool) (*Plan, *PlanIR, shape, error) {
+// way. tuned returns, beside the plan, a copy of the IR the winner was built
+// from — one packing of an AllReduce's two — that records the winning row.
+func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tables bool) (*Plan, *PlanIR, error) {
 	var ar *opArena
 	select {
 	case ar = <-arenas:
 	default:
-		ar = new(opArena)
+		ar = &opArena{streams: map[[6]int32]int{}}
 	}
 	defer func() {
 		select {
@@ -317,7 +357,7 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 		default:
 		}
 	}()
-	final, won, rule, pick := opts, shapeTrees, opts.ChunkBytes, ir
+	final, won, rule, pick := opts, ShapeTrees, opts.ChunkBytes, ir
 	var best *simRun
 	var plan *Plan
 	var ops, deps int
@@ -325,7 +365,7 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 	opts.DataMode = false
 	// trial races one row and returns its makespan, +Inf when its schedule
 	// cannot be built or run.
-	trial := func(one *PlanIR, c int64, s shape) float64 {
+	trial := func(one *PlanIR, c int64, s Shape) float64 {
 		opts.ChunkBytes, opts.arena = c, ar
 		p, berr := one.build(f, opts, s)
 		if berr != nil {
@@ -339,7 +379,8 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 		if ar.order = r.order; best == nil || r.err == nil && r.res.Makespan < best.res.Makespan {
 			// The next trial records its launch order in the other buffer.
 			ar.order, ar.spare = ar.spare, r.order
-			best, final.ChunkBytes, won, plan, pick, err = &r, c, s, p, one, nil
+			kept := r // only a kept run outlives the trial
+			best, final.ChunkBytes, won, plan, pick, err = &kept, c, s, p, one, nil
 			ops, deps = p.size()
 		}
 		if r.err != nil {
@@ -348,7 +389,11 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 		return r.res.Makespan
 	}
 	ones := []*PlanIR{ir}
-	if ir.Kind == IRTreeAllReduce && len(ir.Packings) == 2 {
+	if ir.Row != (Row{}) {
+		// A recorded row is the whole table.
+		trial(ir, ir.Row.Chunk, ir.Row.Shape)
+		ones = nil
+	} else if ir.Kind == IRTreeAllReduce && len(ir.Packings) == 2 {
 		und, dir := *ir, *ir
 		und.Packings, dir.Packings = ir.Packings[1:], ir.Packings[:1:1]
 		ones = []*PlanIR{&und, &dir}
@@ -359,9 +404,9 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 			bound = one.LowerBound(f)
 		}
 		if one.Packings[0] != ir.Packings[0] {
-			chunks = treeChunk(f, one.Packings[0], ir.Bytes, treePasses[ir.Kind])
+			chunks = treeChunk(f, one.Packings[0], ir.Bytes, treePasses[ir.Kind], one.Packings[0].Root)
 		}
-		row := func(c int64, s shape) float64 {
+		row := func(c int64, s Shape) float64 {
 			if one.opCount(f, c) > MaxPlanOps || best != nil && best.err == nil && bound >= best.res.Makespan {
 				return math.Inf(1)
 			}
@@ -369,30 +414,35 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 		}
 		at, fastest := chunks[0], math.Inf(1)
 		for _, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {
-			if ms := row(c, shapeTrees); ms < fastest {
+			if ms := row(c, ShapeTrees); ms < fastest {
 				at, fastest = c, ms
 			}
 		}
 		if ir.Kind == IRTreeAllReduce && best != nil {
 			if ir.Bytes/4 >= int64(ranksOf(f)) {
-				row(at, shapeRankRooted)
+				row(at, ShapeRankRooted)
 			}
-			// Trees all centered at the root hang as the root-hung row at
-			// this chunk did, so their centered row could never win.
+			// Trees all centered at the root hang as the root-hung rows did,
+			// so their centered rows could never win. A centered chunk
+			// crosses each tree's radius, not its depth from the root, so
+			// the model prices it again there.
 			if !rootCentered(f, one.Packings[0]) {
-				row(at, shapeCentered)
+				row(at, ShapeCentered)
+				if c := treeChunk(f, one.Packings[0], ir.Bytes, treePasses[ir.Kind], centered)[0]; c != at {
+					row(c, ShapeCentered)
+				}
 			}
 		}
 	}
 	probe := *ir
 	probe.Bytes = hybridProbeBytes
-	if ir.Kind == IRTreeBroadcast && len(ir.Packings) == 2 && best != nil && best.err == nil && best.res.Makespan > peerSwitch(f) && probe.opCount(f, rule) <= MaxPlanOps {
-		trial(ir, rule, shapeHybrid)
+	if ones != nil && ir.Kind == IRTreeBroadcast && len(ir.Packings) == 2 && best != nil && best.err == nil && best.res.Makespan > peerSwitch(f) && probe.opCount(f, rule) <= MaxPlanOps {
+		trial(ir, rule, ShapeHybrid)
 	}
 	switch {
 	case best == nil:
-		return nil, nil, won, err
-	case won == shapeHybrid && !final.DataMode:
+		return nil, nil, err
+	case won == ShapeHybrid && !final.DataMode:
 		// A timing-only hybrid trial owns its tables (build gives it no
 		// arena), so it is the plan.
 	case !tables && !final.DataMode:
@@ -400,24 +450,35 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 		// simulated run.
 		plan = &Plan{TotalBytes: plan.TotalBytes, Fabric: f}
 	default:
-		if won != shapeHybrid {
+		if won != ShapeHybrid {
 			// The plan keeps its ops and dependencies, not its stream table.
 			final.arena = newArena(ops, deps)
 			final.arena.streams = ar.streams
 		}
 		plan, err = pick.build(f, final, won)
 	}
-	if err == nil {
-		best.order = append(make([]int32, 0, len(best.order)), best.order...)
-		plan.memo = best
+	if err != nil {
+		return nil, nil, err
 	}
-	return plan, pick, won, err
+	best.order = append(make([]int32, 0, len(best.order)), best.order...)
+	plan.memo = best
+	// A chunk past the payload moves it in one chunk per share, as the
+	// payload itself does, which is what the row records.
+	out := *pick
+	out.Row = Row{won, min(final.ChunkBytes, ir.Bytes&^3)}
+	if won == ShapeHybrid {
+		// The label travels with the IR, so a decoded plan reports it too.
+		out.Strategy = "hybrid"
+	}
+	return plan, &out, nil
 }
 
 // opArena is memory a plan's builder carves its ops, their dependencies and
-// its stream table from before allocating its own (planBuilder.add), and
-// the simulator and launch order of a trial (PlanIR.tuned).
+// its stream table from before allocating its own (planBuilder.add), the
+// builder itself with its scratch (newBuilder), and the simulator and launch
+// order of a trial (PlanIR.tuned).
 type opArena struct {
+	b       planBuilder
 	ops     []simgpu.Op
 	ptrs    []*simgpu.Op
 	deps    []int
@@ -461,9 +522,9 @@ var arenas = make(chan *opArena, 2)
 // pure function of (IR, fabric): byte-identical IRs over identical fabrics
 // produce identical schedules, which is what makes the serialized form a
 // faithful plan transport. The returned plan carries the IR, so freezing it
-// preserves round-trip ability: an auto-chunk AllReduce IR that carries two
-// packings records only the one its schedule won with, which compiles to
-// the same schedule again.
+// preserves round-trip ability: a tuned IR records the row its schedule won
+// with (PlanIR.Row) and, of an AllReduce's two packings, only that row's,
+// which compile to the same schedule again without a race.
 func CodeGen(ir *PlanIR, f *simgpu.Fabric) (*Plan, error) { return codeGen(ir, f, true) }
 
 // Compile is CodeGen followed by Freeze. A timing plan CodeGen's trial
@@ -488,13 +549,20 @@ func codeGen(ir *PlanIR, f *simgpu.Fabric, tables bool) (*Plan, error) {
 	}
 	opts := ir.Opts
 	opts.ChunkBytes = ResolveChunk(ir.Bytes, opts.ChunkBytes)
-	// An auto chunk stays 0 in the IR, so a decoded plan recomputes it, and
-	// the shape, here; the budget counts the smallest chunk a trial of the
-	// first packing tries, and tuned holds every other packing's rows to it.
+	// An auto chunk stays 0 in the IR, so a plan recomputes it, and the
+	// shape, here, unless the IR records the row that won; the budget counts
+	// the smallest chunk a trial of the first packing tries, and tuned holds
+	// every other packing's rows to it.
 	chunks, passes, budget := [2]int64{opts.ChunkBytes}, treePasses[ir.Kind], *ir
 	tune := passes > 0 && ir.Opts.ChunkBytes <= 0 && ir.Fabric != FabricSwitch
-	if tune {
-		chunks = treeChunk(f, ir.Packings[0], ir.Bytes, passes)
+	if ir.Row != (Row{}) {
+		opts.ChunkBytes, chunks = ir.Row.Chunk, [2]int64{ir.Row.Chunk, ir.Row.Chunk}
+		// The hybrid probes each plane at hybridProbeBytes in the row's chunk.
+		if ir.Row.Shape == ShapeHybrid {
+			budget.Bytes = max(ir.Bytes, hybridProbeBytes)
+		}
+	} else if tune {
+		chunks = treeChunk(f, ir.Packings[0], ir.Bytes, passes, ir.Packings[0].Root)
 	}
 	if ir.Kind == IRTreeAllReduce {
 		budget.Packings = ir.Packings[:1]
@@ -504,32 +572,26 @@ func codeGen(ir *PlanIR, f *simgpu.Fabric, tables bool) (*Plan, error) {
 	}
 	var plan *Plan
 	var err error
-	won, out := shapeTrees, ir
+	out := ir
 	if tune {
-		plan, out, won, err = ir.tuned(f, opts, chunks, tables)
+		plan, out, err = ir.tuned(f, opts, chunks, tables)
 	} else {
-		plan, err = ir.build(f, opts, shapeTrees)
+		plan, err = ir.build(f, opts, ShapeTrees)
 	}
 	if err != nil {
 		return nil, err
 	}
 	plan.IR = out
-	if won == shapeHybrid {
-		// The label travels with the IR, so a decoded plan reports it too.
-		hy := *ir
-		hy.Strategy = "hybrid"
-		plan.IR = &hy
-	}
 	return plan, nil
 }
 
 // build is CodeGen's dispatch on a validated IR, with its chunk resolved,
-// into shape s (shapeTrees for every kind but the two tuned races another
+// into shape s (ShapeTrees for every kind but the two tuned races another
 // shape of).
-func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, error) {
+func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s Shape) (*Plan, error) {
 	switch ir.Kind {
 	case IRTreeBroadcast:
-		if s == shapeHybrid {
+		if s == ShapeHybrid {
 			// Two plans, one per plane, cannot share one arena's slabs.
 			opts.arena = nil
 			pcie := simgpu.NewFabric(f.Topo, f.Topo.PCIeGraph(), f.Cfg)
@@ -544,9 +606,9 @@ func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s shape) (*Plan, err
 		return BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeAllReduce, IRTreeAllGather:
 		switch s {
-		case shapeRankRooted:
+		case ShapeRankRooted:
 			return BuildRankRootedAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
-		case shapeCentered:
+		case ShapeCentered:
 			return BuildCenteredAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		}
 		return BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)

@@ -30,10 +30,12 @@ type PlanOptions struct {
 	// pick (treeChunk) and the next chunk up its grid, and an AllReduce then,
 	// at the faster of the two, the rank-rooted shape
 	// (BuildRankRootedAllReducePlan, of at least a float per rank) and the
-	// centered one (BuildCenteredAllReducePlan); a Broadcast
-	// that carries its root's PCIe packing last races the hybrid
-	// (BuildHybridBroadcastPlan, at ResolveChunk's chunk). An AllReduce row
-	// whose LowerBound the incumbent already meets is skipped. Every other
+	// centered one (BuildCenteredAllReducePlan), then that again at the
+	// chunk its trees' radius prices; a Broadcast that carries its root's
+	// PCIe packing last races the hybrid (BuildHybridBroadcastPlan, at
+	// ResolveChunk's chunk). An AllReduce row whose LowerBound the incumbent
+	// already meets is skipped. The plan's IR records the winning row
+	// (PlanIR.Row), which a decoded IR builds without a race. Every other
 	// kind takes ResolveChunk's. An explicit chunk keeps the single-root
 	// schedule over the first packing. A builder called directly takes 4
 	// MiB.
@@ -81,12 +83,14 @@ func ResolveChunk(bytes, chunk int64) int64 {
 }
 
 // treeChunk is the chunk that minimises the modelled makespan of pipelining
-// bytes over p's trees (§3.3, §4.1), each tree crossed passes times (an
-// AllReduce's reduce up, then broadcast down). Tree t moves its weighted
-// share S in ⌈S/c⌉ chunks along hops = passes × depth edges at rate r, its
-// weight in units of its slowest edge's per-unit bandwidth. Every chunk
-// pays an op's launch and wire latency plus its own bytes at r, and filling
-// the pipeline adds hops − 1 full stages:
+// bytes over p's trees (§3.3, §4.1), each hung from root — p's root, or each
+// tree's own center for centered — and crossed passes times (an AllReduce's
+// reduce up, then broadcast down). Tree t moves its weighted share S in
+// ⌈S/c⌉ chunks along hops = passes × height edges at rate r, its height the
+// hops from where it hangs to its farthest vertex and its weight in units of
+// its slowest edge's per-unit bandwidth. Every chunk pays an op's launch and
+// wire latency plus its own bytes at r, and filling the pipeline adds
+// hops − 1 full stages:
 //
 //	⌈S/c⌉·(OpOverhead + WireLatency) + S/r + (hops − 1)·(OpOverhead + WireLatency + c/r)
 //
@@ -95,20 +99,26 @@ func ResolveChunk(bytes, chunk int64) int64 {
 // cheapest c and the grid's next c up (c again when c is the last), and the
 // grid's first c when no cost is finite (a denormal weight), never 0, which
 // CodeGen would take for auto again.
-func treeChunk(f *simgpu.Fabric, p *Packing, bytes int64, passes int) [2]int64 {
+func treeChunk(f *simgpu.Fabric, p *Packing, bytes int64, passes, root int) [2]int64 {
 	type model struct {
 		share   int64
 		hops    int64
 		perByte float64 // 1/r
 	}
 	g, stage := f.Graph, f.Cfg.OpOverhead+f.Cfg.WireLatency
-	trees := make([]model, len(p.Trees))
-	for i, r := range splitRegions(p.Trees, 0, int(bytes/4), 4) {
-		unit := math.Inf(1)
-		for _, eid := range p.Trees[i].Arbo.Edges {
+	trees, scratch := make([]model, len(p.Trees)), make([]int, 2*g.N)
+	for i, r := range splitRegions(nil, p.Trees, 0, int(bytes/4), 4) {
+		a, unit := p.Trees[i].Arbo, math.Inf(1)
+		for _, eid := range a.Edges {
 			unit = min(unit, f.Links[f.EdgeLinks(eid)[0]].BW/g.Edges[eid].Cap)
 		}
-		trees[i] = model{int64(r.n) * 4, int64(passes * p.Trees[i].Arbo.Depth(g)), 1 / (p.Trees[i].Weight * unit * 1e9)}
+		hops := 0
+		if root == centered {
+			_, hops = center(g, a, ranksOf(f), scratch)
+		} else {
+			hops = height(g, a, root, scratch)
+		}
+		trees[i] = model{int64(r.n) * 4, int64(passes * hops), 1 / (p.Trees[i].Weight * unit * 1e9)}
 	}
 	floor := ResolveChunk(0, (bytes+MaxPlanChunks-1)/MaxPlanChunks)
 	var best [2]int64
@@ -184,21 +194,22 @@ type treeShape struct {
 // concurrent trees on one receiver's link. Hung from another root than a's,
 // the walk crosses an edge against its direction over rev[edge]: the tree
 // re-oriented at root. A root of centered hangs the tree from its center.
-func shapeOf(g *graph.Graph, a graph.Arborescence, root, ranks int, rev []int) (treeShape, error) {
+// The shape's tables come from sc.
+func shapeOf(g *graph.Graph, a graph.Arborescence, root, ranks int, rev []int, sc *scratch) (treeShape, error) {
 	n := g.N
 	for _, id := range a.Edges {
 		if id < 0 || id >= len(g.Edges) {
 			return treeShape{}, fmt.Errorf("core: tree references unknown edge %d", id)
 		}
 	}
-	ints := make([]int, 4*n)
+	ints := sc.ints.take(4 * n)
 	if root == centered && n > 0 {
-		root = center(g, a, ranks, ints[:2*n])
+		root, _ = center(g, a, ranks, ints[:2*n])
 	}
 	if root < 0 || root >= n {
 		return treeShape{}, fmt.Errorf("core: tree root %d outside the graph", root)
 	}
-	s := treeShape{parentEdge: ints[:n:n], bfs: ints[n : n+1 : 2*n], depth: ints[2*n : 3*n : 3*n], nparts: ints[3*n:], children: make([][]int, n)}
+	s := treeShape{parentEdge: ints[:n:n], bfs: ints[n : n+1 : 2*n], depth: ints[2*n : 3*n : 3*n], nparts: ints[3*n:], children: sc.lists.take(n)}
 	for v := range s.depth {
 		s.depth[v] = -1
 	}
@@ -237,42 +248,46 @@ func shapeOf(g *graph.Graph, a graph.Arborescence, root, ranks int, rev []int) (
 // centered is the root that hangs each tree from its own center (center).
 const centered = -1
 
-// center returns the rank of least height in tree a — the fewest hops from
-// it to the tree's farthest vertex — ties to the lowest rank: a BFS over a's
-// edges from every rank, in scratch of 2·g.N ints. a's edges must exist.
-func center(g *graph.Graph, a graph.Arborescence, ranks int, scratch []int) int {
-	dist, queue := scratch[:g.N], scratch[g.N:2*g.N]
-	best, least := 0, 0
+// center returns the rank of least height in tree a, ties to the lowest
+// rank, and that height.
+func center(g *graph.Graph, a graph.Arborescence, ranks int, scratch []int) (best, least int) {
 	for r := 0; r < ranks; r++ {
-		for v := range dist {
-			dist[v] = -1
+		if h := height(g, a, r, scratch); r == 0 || h < least {
+			best, least = r, h
 		}
-		dist[r], queue[0] = 0, r
-		tail := 1
-		for head := 0; head < tail; head++ {
-			v := queue[head]
-			for _, id := range a.Edges {
-				// u is the edge's other end when v is one of its ends.
-				if e := g.Edges[id]; e.From == v || e.To == v {
-					if u := e.From + e.To - v; dist[u] < 0 {
-						dist[u], queue[tail] = dist[v]+1, u
-						tail++
-					}
+	}
+	return best, least
+}
+
+// height is the fewest hops from vertex r to tree a's farthest vertex: a BFS
+// over a's edges, either way, in scratch of 2·g.N ints. a's edges must exist.
+func height(g *graph.Graph, a graph.Arborescence, r int, scratch []int) int {
+	dist, queue := scratch[:g.N], scratch[g.N:2*g.N]
+	for v := range dist {
+		dist[v] = -1
+	}
+	dist[r], queue[0] = 0, r
+	tail := 1
+	for head := 0; head < tail; head++ {
+		v := queue[head]
+		for _, id := range a.Edges {
+			// u is the edge's other end when v is one of its ends.
+			if e := g.Edges[id]; e.From == v || e.To == v {
+				if u := e.From + e.To - v; dist[u] < 0 {
+					dist[u], queue[tail] = dist[v]+1, u
+					tail++
 				}
 			}
 		}
-		if height := dist[queue[tail-1]]; r == 0 || height < least {
-			best, least = r, height
-		}
 	}
-	return best
+	return dist[queue[tail-1]]
 }
 
 // rootCentered reports whether every tree of p has its center at p's root,
 // where the centered AllReduce is the root-hung one, op for op.
 func rootCentered(f *simgpu.Fabric, p *Packing) bool {
 	scratch := make([]int, 2*f.Graph.N)
-	return !slices.ContainsFunc(p.Trees, func(t Tree) bool { return center(f.Graph, t.Arbo, ranksOf(f), scratch) != p.Root })
+	return !slices.ContainsFunc(p.Trees, func(t Tree) bool { c, _ := center(f.Graph, t.Arbo, ranksOf(f), scratch); return c != p.Root })
 }
 
 // rankSubtrees returns, for every vertex, the GPU ranks (vertex id < ranks)
@@ -338,15 +353,18 @@ type region struct {
 
 // splitRegions divides totalFloats across trees proportionally to weight,
 // starting at base, and computes per-tree chunk counts for the given chunk
-// size. Rounding remainder goes to the heaviest tree, so a zero-weight
-// (or lightest) tree is never handed payload its capacity share cannot
-// justify. An empty packing — the trivialPacking of a one-GPU server, which
-// has nothing to move locally — has no regions.
-func splitRegions(trees []Tree, base, totalFloats int, chunkBytes int64) []region {
+// size, into regions when it holds one per tree. Rounding remainder goes to
+// the heaviest tree, so a zero-weight (or lightest) tree is never handed
+// payload its capacity share cannot justify. An empty packing — the
+// trivialPacking of a one-GPU server, which has nothing to move locally —
+// has no regions.
+func splitRegions(regions []region, trees []Tree, base, totalFloats int, chunkBytes int64) []region {
 	if len(trees) == 0 {
 		return nil
 	}
-	regions := make([]region, len(trees))
+	if len(regions) < len(trees) {
+		regions = make([]region, len(trees))
+	}
 	var wsum float64
 	heaviest := 0
 	for i, t := range trees {
@@ -408,6 +426,52 @@ type planBuilder struct {
 	// depth but no chunk, so an emitter looks them up at chunk 0 and every
 	// later chunk reads them here.
 	memo []opStreams
+	// sc is the build's scratch. A trial's builder lives in its arena
+	// (newBuilder), which keeps sc, memo and rev, the graph's, between
+	// trials.
+	sc scratch
+}
+
+// scratch is a build's working memory that no plan keeps: tree shapes,
+// payload regions and the emitters' per-vertex tables.
+type scratch struct {
+	ints    slab[int]
+	lists   slab[[]int]
+	tables  slab[[][]int]
+	shapes  slab[treeShape]
+	regions slab[region]
+}
+
+// slab lends zeroed runs of one backing array (take). A build that outgrows
+// it allocates the rest, and reset grows it to what that build took, so a
+// trial arena's next build allocates none.
+type slab[T any] struct {
+	buf  []T
+	used int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if s.used += n; s.used > len(s.buf) {
+		return make([]T, n)
+	}
+	out := s.buf[s.used-n : s.used : s.used]
+	clear(out)
+	return out
+}
+
+func (s *scratch) reset() {
+	s.ints.reset()
+	s.lists.reset()
+	s.tables.reset()
+	s.shapes.reset()
+	s.regions.reset()
+}
+
+func (s *slab[T]) reset() {
+	if s.used > len(s.buf) {
+		s.buf = make([]T, s.used)
+	}
+	s.used = 0
 }
 
 // opStreams are the streams of a tree emitter's ops at one vertex of one
@@ -432,16 +496,18 @@ func (b *planBuilder) dev(v int) int {
 
 func newBuilder(f *simgpu.Fabric, opts PlanOptions) *planBuilder {
 	opts.setDefaults()
-	b := &planBuilder{f: f, g: f.Graph, opts: opts}
-	if a := opts.arena; a != nil {
-		if a.streams == nil {
-			a.streams = map[[6]int32]int{}
-		}
-		clear(a.streams)
-		b.slab, b.ops, b.depSlab, b.streams, b.opts.arena = a.ops[:0], a.ptrs[:0], a.deps[:0], a.streams, nil
-	} else {
-		b.streams = map[[6]int32]int{}
+	a := opts.arena
+	if a == nil {
+		return &planBuilder{f: f, g: f.Graph, opts: opts, streams: map[[6]int32]int{}}
 	}
+	clear(a.streams)
+	b := &a.b
+	if b.g != f.Graph {
+		b.rev = nil
+	}
+	b.sc.reset()
+	*b = planBuilder{f: f, g: f.Graph, opts: opts, streams: a.streams, slab: a.ops[:0], ops: a.ptrs[:0], depSlab: a.deps[:0], rev: b.rev, memo: b.memo, sc: b.sc}
+	b.opts.arena = nil
 	return b
 }
 
@@ -724,14 +790,14 @@ type treeGen struct {
 // centered (shapeOf).
 func newTreeGen(b *planBuilder, p *Packing, root, base, floats int, chunkBytes int64, bufLen int) (*treeGen, error) {
 	t := &treeGen{planBuilder: b, ranks: ranksOf(b.f), chunkBytes: chunkBytes, bufLen: bufLen,
-		shapes: make([]treeShape, len(p.Trees)), regions: splitRegions(p.Trees, base, floats, chunkBytes)}
+		shapes: b.sc.shapes.take(len(p.Trees)), regions: splitRegions(b.sc.regions.take(len(p.Trees)), p.Trees, base, floats, chunkBytes)}
 	var rev []int
 	var err error
 	if root != p.Root {
 		rev, err = b.reverse()
 	}
 	for i := 0; i < len(p.Trees) && err == nil; i++ {
-		t.shapes[i], err = shapeOf(b.g, p.Trees[i].Arbo, root, t.ranks, rev)
+		t.shapes[i], err = shapeOf(b.g, p.Trees[i].Arbo, root, t.ranks, rev, &b.sc)
 	}
 	if err != nil {
 		return nil, err
@@ -785,9 +851,8 @@ func (t *treeGen) emitBroadcast(rootDeps [][][]int) {
 	// sent[vertex] = op index of the copy that delivered the current chunk of
 	// the current tree to vertex; BFS order sets a parent's before its
 	// children read it.
-	sent := make([]int, t.g.N)
+	sent, deps := t.sc.ints.take(t.g.N), t.sc.ints.take(t.g.N)
 	t.resetMemo()
-	var deps []int
 	tag := BufData
 	if t.opts.BroadcastAcc {
 		tag = BufAcc // AllReduce (and phase 3) broadcast the reduced accumulator
@@ -851,13 +916,13 @@ func (t *treeGen) emitReduce() ([][][]int, error) {
 	for _, r := range t.regions {
 		total += r.chunks
 	}
-	rootOps, lists, flat := make([][][]int, len(t.shapes)), make([][]int, total), make([]int, 0, total)
+	rootOps, lists, flat := t.sc.tables.take(len(t.shapes)), t.sc.lists.take(total), t.sc.ints.take(total)[:0]
 	for i, r := range t.regions {
 		rootOps[i], lists = lists[:r.chunks:r.chunks], lists[r.chunks:]
 	}
-	upSend := make([]int, t.g.N) // op index of v's upward send of the current chunk
+	// upSend[v] is the op index of v's upward send of the current chunk.
+	upSend, deps := t.sc.ints.take(t.g.N), t.sc.ints.take(t.g.N)
 	t.resetMemo()
-	var deps []int
 	for k := 0; k < t.maxChunks; k++ {
 		for ti := range t.shapes {
 			if k >= t.regions[ti].chunks {

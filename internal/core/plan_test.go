@@ -248,7 +248,7 @@ func TestSplitRegionsRemainderToHeaviest(t *testing.T) {
 	// no capacity and must receive no payload.
 	trees := []Tree{{Weight: 3}, {Weight: 1}, {Weight: 0}}
 	const total = 1003 // floors: 752 + 250 + 0, remainder 1
-	regions := splitRegions(trees, 0, total, 4<<20)
+	regions := splitRegions(nil, trees, 0, total, 4<<20)
 	if regions[2].n != 0 {
 		t.Fatalf("zero-weight trailing tree assigned %d floats", regions[2].n)
 	}
@@ -274,7 +274,7 @@ func TestSplitRegionsRemainderToHeaviest(t *testing.T) {
 
 	// A non-zero base shifts offsets without changing sizes, and the
 	// heaviest tree need not be first.
-	regions = splitRegions([]Tree{{Weight: 1}, {Weight: 5}, {Weight: 2}}, 64, 100, 1024)
+	regions = splitRegions(nil, []Tree{{Weight: 1}, {Weight: 5}, {Weight: 2}}, 64, 100, 1024)
 	// floors of 100*(1/8, 5/8, 2/8) = 12 + 62 + 25 = 99, remainder 1 -> tree 1.
 	if regions[0].n != 12 || regions[1].n != 63 || regions[2].n != 25 {
 		t.Fatalf("weighted regions = %d/%d/%d, want 12/63/25",
@@ -331,7 +331,7 @@ func TestCenterHasLeastHeight(t *testing.T) {
 						}
 					}
 					height := func(v int) int { return slices.Max(dist[v*n : v*n+n]) }
-					s, err := shapeOf(g, tree.Arbo, centered, ranks, rev)
+					s, err := shapeOf(g, tree.Arbo, centered, ranks, rev, new(scratch))
 					if err != nil {
 						t.Fatal(err)
 					}

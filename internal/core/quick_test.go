@@ -45,7 +45,7 @@ func TestSplitRegionsProperty(t *testing.T) {
 		total := 1 + rng.Intn(1<<20)
 		base := rng.Intn(1000)
 		chunk := int64(4 * (1 + rng.Intn(4096)))
-		regions := splitRegions(trees, base, total, chunk)
+		regions := splitRegions(nil, trees, base, total, chunk)
 		off := base
 		covered := 0
 		for i, r := range regions {
@@ -130,7 +130,7 @@ func TestBroadcastPlanOpCountProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantOps := 0
-		regions := splitRegions(p.Trees, 0, int(bytes/4), chunk)
+		regions := splitRegions(nil, p.Trees, 0, int(bytes/4), chunk)
 		for _, r := range regions {
 			wantOps += r.chunks * (g.N - 1)
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -400,92 +399,73 @@ func TestStripedReplayManifestFirstUse(t *testing.T) {
 }
 
 // TestRankRootedShape: an auto-chunk AllReduce races three shapes of one
-// packing at the same chunk — its trees hung from the packing's root, the
-// rank-rooted shape and the centered one — and each wins a cell of the table:
-// the centered shape the full DGX-1V at 1 MiB and a float short of one per
-// rank, where no rank-rooted schedule exists; the rank-rooted one DGX-1V
-// [5 6 7] at 16 MiB; and the root-hung trees, op for op, DGX-1V [1 2 3 4 5
-// 6] at every size and DGX-1V [1 3 5 6 7] at 64 MiB, where both other
-// shapes differ from them and simulate slower. A shape other than the root-hung one wins only strictly
-// faster than the root-hung trees at the same chunk. A centered data
-// schedule — the full DGX-1V's winner at 1 MiB, and a PCIe one whose trees
-// are re-oriented across relays — and DGX-1V [5 6 7]'s rank-rooted winner
-// at 4 MiB leave every rank the sum of the inputs under random launch
-// orders.
+// packing — its trees hung from the packing's root, the rank-rooted shape
+// and the centered one — and records the winning row in its IR. Each shape
+// wins a cell of the table: the centered shape the full DGX-1V at 1 MiB, at
+// the chunk its trees' radius prices (92,672 B, twice the root-hung pick,
+// and faster than the centered schedule at that pick), and a float short of
+// one per rank, where no rank-rooted schedule exists; the rank-rooted one
+// DGX-1V [5 6 7] at 16 MiB; and the root-hung trees DGX-1V [1 2 3 4 5 6] at
+// every size and DGX-1V [1 3 5 6 7] at 64 MiB, where both other shapes
+// simulate slower. A shape other than the root-hung one wins only strictly
+// faster than the root-hung trees at its chunk. A centered data schedule —
+// the full DGX-1V's winner at 1 MiB, and a PCIe one whose trees are
+// re-oriented across relays — and DGX-1V [5 6 7]'s rank-rooted winner at 16
+// MiB leave every rank the sum of the inputs under random launch orders.
 func TestRankRootedShape(t *testing.T) {
 	nvl := newStripeMachine(t, "dgx1v", topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
 	pcie := newStripeMachine(t, "dgx1v-0-1-6-pcie", topology.DGX1V(), []int{0, 1, 6}, core.FabricPCIe, simgpu.Config{})
 	tri := newStripeMachine(t, "dgx1v-5-6-7", topology.DGX1V(), []int{5, 6, 7}, core.FabricNVLink, simgpu.Config{})
 	six := newStripeMachine(t, "dgx1v-1-6", topology.DGX1V(), []int{1, 2, 3, 4, 5, 6}, core.FabricNVLink, simgpu.Config{})
 	five := newStripeMachine(t, "dgx1v-1-3-5-6-7", topology.DGX1V(), []int{1, 3, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
+	// compile builds an auto-chunk AllReduce's recorded row, or races the
+	// table when the row is zero, and returns the plan and its makespan.
+	compile := func(sm stripeMachine, bytes int64, row core.Row, data bool) (*core.Plan, float64) {
+		t.Helper()
+		plan, err := core.CodeGen(&core.PlanIR{Kind: core.IRTreeAllReduce, Fabric: sm.plane, Bytes: bytes, Packings: sm.packs[:1],
+			Opts: core.PlanOptions{DataMode: data, NoStreamReuse: true}, Row: row}, sm.f)
+		if err != nil {
+			t.Fatal(sm.name, bytes, row, err)
+		}
+		res, err := plan.Execute()
+		if err != nil {
+			t.Fatal(sm.name, bytes, row, err)
+		}
+		return plan, res.Makespan
+	}
+	trees, centered, rooted := core.Row{}, core.Row{Shape: core.ShapeCentered}, core.Row{Shape: core.ShapeRankRooted}
+	for _, c := range []struct {
+		sm    stripeMachine
+		bytes int64
+		want  core.Row // a zero chunk matches any
+	}{
+		{nvl, 1 << 20, core.Row{Shape: core.ShapeCentered, Chunk: 92672}},
+		{tri, 16 << 20, rooted},
+		{six, 256 << 10, trees}, {six, 1 << 20, trees}, {six, 4 << 20, trees}, {six, 16 << 20, trees}, {six, 64 << 20, trees},
+		{five, 64 << 20, trees},
+		{nvl, 7 * 4, centered},
+	} {
+		plan, at := compile(c.sm, c.bytes, core.Row{}, false)
+		row := plan.IR.Row
+		_, treesAt := compile(c.sm, c.bytes, core.Row{Chunk: row.Chunk}, false)
+		t.Logf("%s %d B: %v at %v s, root-hung trees %v s", c.sm.name, c.bytes, row, at, treesAt)
+		if row.Shape != c.want.Shape || c.want.Chunk > 0 && row.Chunk != c.want.Chunk || row.Shape != core.ShapeTrees && at >= treesAt {
+			t.Errorf("%s %d B: %v at %v s, want %v; root-hung trees at the same chunk %v s", c.sm.name, c.bytes, row, at, c.want, treesAt)
+		}
+	}
+	_, won := compile(nvl, 1<<20, core.Row{}, false)
+	if _, atPick := compile(nvl, 1<<20, core.Row{Shape: core.ShapeCentered, Chunk: 46336}, false); won >= atPick {
+		t.Errorf("%s 1 MiB: %v s, no faster than centered at the root-hung pick, %v s", nvl.name, won, atPick)
+	}
+	nvlData, _ := compile(nvl, 1<<20, core.Row{}, true)
+	triData, _ := compile(tri, 16<<20, core.Row{}, true)
+	if nvlData.IR.Row.Shape != core.ShapeCentered || triData.IR.Row.Shape != core.ShapeRankRooted {
+		t.Fatalf("data plans: %s %v at 1 MiB, %s %v at 16 MiB", nvl.name, nvlData.IR.Row, tri.name, triData.IR.Row)
+	}
 	same := func(a, b *core.Plan) bool {
 		return slices.EqualFunc(a.Ops, b.Ops, func(x, y *simgpu.Op) bool {
 			return x.Link == y.Link && x.Stream == y.Stream && x.Bytes == y.Bytes && slices.Equal(x.Deps, y.Deps)
 		})
-	}
-	// compile returns the auto-chunk plan, the shape it matches op for op at
-	// its chunk (its largest broadcast op: a share no longer than that is
-	// one chunk either way), and its and the root-hung trees' makespans.
-	compile := func(sm stripeMachine, bytes int64, data bool) (*core.Plan, string, float64, float64) {
-		t.Helper()
-		ir := &core.PlanIR{Kind: core.IRTreeAllReduce, Fabric: sm.plane, Bytes: bytes, Packings: sm.packs[:1],
-			Opts: core.PlanOptions{DataMode: data, NoStreamReuse: true}}
-		plan, err := core.CodeGen(ir, sm.f)
-		if err != nil {
-			t.Fatal(sm.name, bytes, err)
-		}
-		var chunk int64
-		for _, op := range plan.Ops {
-			if strings.HasPrefix(core.OpLabel(op), "bcast") {
-				chunk = max(chunk, op.Bytes)
-			}
-		}
-		opts := core.PlanOptions{ChunkBytes: chunk, DataMode: data, NoStreamReuse: true}
-		single := *ir
-		single.Opts = opts
-		trees, err := core.CodeGen(&single, sm.f)
-		rooted, err2 := core.BuildRankRootedAllReducePlan(sm.f, sm.packs[0], bytes, opts)
-		centered, err3 := core.BuildCenteredAllReducePlan(sm.f, sm.packs[0], bytes, opts)
-		if err != nil || err3 != nil {
-			t.Fatal(sm.name, bytes, err, err3)
-		}
-		shape := "none"
-		switch {
-		case same(plan, trees):
-			shape = "trees"
-		case err2 == nil && same(plan, rooted):
-			shape = "rank-rooted"
-		case same(plan, centered):
-			shape = "centered"
-		}
-		at, err := plan.Execute()
-		treesAt, err2 := trees.Execute()
-		if err != nil || err2 != nil {
-			t.Fatal(sm.name, bytes, err, err2)
-		}
-		return plan, shape, at.Makespan, treesAt.Makespan
-	}
-	for _, c := range []struct {
-		sm    stripeMachine
-		bytes int64
-		want  string
-	}{
-		{nvl, 1 << 20, "centered"},
-		{tri, 16 << 20, "rank-rooted"},
-		{six, 256 << 10, "trees"}, {six, 1 << 20, "trees"}, {six, 4 << 20, "trees"}, {six, 16 << 20, "trees"}, {six, 64 << 20, "trees"},
-		{five, 64 << 20, "trees"},
-		{nvl, 7 * 4, "centered"},
-	} {
-		_, shape, at, treesAt := compile(c.sm, c.bytes, false)
-		t.Logf("%s %d B: %s at %v s, root-hung trees %v s", c.sm.name, c.bytes, shape, at, treesAt)
-		if shape != c.want || shape != "trees" && at >= treesAt {
-			t.Errorf("%s %d B: %s at %v s, want %s; root-hung trees at the same chunk %v s", c.sm.name, c.bytes, shape, at, c.want, treesAt)
-		}
-	}
-	nvlData, shape, _, _ := compile(nvl, 1<<20, true)
-	triData, triShape, _, _ := compile(tri, 4<<20, true)
-	if shape != "centered" || triShape != "rank-rooted" {
-		t.Fatalf("data plans: %s %s at 1 MiB, %s %s at 4 MiB", nvl.name, shape, tri.name, triShape)
 	}
 	// On PCIe every tree of DGX-1V [0 1 6]'s packing from rank 2 crosses
 	// both hubs and both CPUs, and hangs from its center, rank 0.

@@ -96,12 +96,13 @@ func (u *Undirected) For(g *graph.Graph, directed *Packing) []*Packing {
 		return nil
 	}
 	out := &Packing{Root: directed.Root, Rate: u.p.Rate, Bound: directed.Bound}
+	var sc scratch
 	for _, t := range u.p.Trees {
 		edges := make([]int, len(t.Arbo.Edges))
 		for j, id := range t.Arbo.Edges {
 			edges[j] = u.of[id]
 		}
-		s, err := shapeOf(g, graph.Arborescence{Root: -1, Edges: edges}, out.Root, g.N, u.rev)
+		s, err := shapeOf(g, graph.Arborescence{Root: -1, Edges: edges}, out.Root, g.N, u.rev, &sc)
 		if err != nil {
 			return nil
 		}
