@@ -133,7 +133,12 @@ func run(args []string, w io.Writer) (float64, error) {
 		fmt.Fprintf(w, "packing %d from rank %d: %d trees, rate %.2f of bound %.2f\n",
 			i, p.Root, len(p.Trees), p.Rate, p.Bound)
 		for j, tr := range p.Trees {
-			fmt.Fprintf(w, "  tree %d (weight %.2f, depth %d):%s\n", j, tr.Weight, tr.Arbo.Depth(g), treeEdges(g, tr.Arbo))
+			hung := "" // a centered tree's center shows why its schedule is shallow
+			if ir.Row.Shape == core.ShapeCentered {
+				c, h := core.Center(f, tr.Arbo)
+				hung = fmt.Sprintf(", center %d height %d", c, h)
+			}
+			fmt.Fprintf(w, "  tree %d (weight %.2f, depth %d%s):%s\n", j, tr.Weight, tr.Arbo.Depth(g), hung, treeEdges(g, tr.Arbo))
 		}
 	}
 	sum.Fprint(w, 10)

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,21 +11,25 @@ import (
 	"blink/internal/topology"
 )
 
-// gateRatio reports the wall-clock speedup measure returns — one whole
-// measurement per iteration — and fails the benchmark below floor. What
+// gateRatio measures the wall-clock speedup measure returns — one whole
+// measurement per iteration — and fails the benchmark when any iteration
+// reads below floor. It reports the median over the iterations as
+// x-speedup and the least as x-speedup-min, the value the gate holds. What
 // causes the ratios gated here tier-1 asserts structurally
 // (TestReconfigureIncrementalRepair, TestEngineWarmStartFromStore,
 // TestLanePropertyRandomInterleavings); the ratios run under `make bench`
 // only, so `go test ./...` holds no wall-clock assertion.
 func gateRatio(b *testing.B, floor float64, measure func() float64) {
 	b.Helper()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		if ratio = measure(); ratio < floor {
-			b.Fatalf("speedup %.2fx is below the %.4gx gate", ratio, floor)
+	ratios := make([]float64, b.N)
+	for i := range ratios {
+		if ratios[i] = measure(); ratios[i] < floor {
+			b.Fatalf("speedup %.2fx is below the %.4gx gate", ratios[i], floor)
 		}
 	}
-	b.ReportMetric(ratio, "x-speedup")
+	slices.Sort(ratios)
+	b.ReportMetric((ratios[(b.N-1)/2]+ratios[b.N/2])/2, "x-speedup")
+	b.ReportMetric(ratios[0], "x-speedup-min")
 }
 
 // coldEngine builds a fresh engine over the full 8-GPU DGX-1V.

@@ -18,10 +18,7 @@ import (
 // kind's ops, at 4 and at 256 chunks of the payload, and CodeGen refuses an
 // IR above the budget before building it.
 func TestCodeGenEveryIRKind(t *testing.T) {
-	ind, err := topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ind := must(topology.DGX1V().Induce([]int{0, 1, 2, 3, 4, 5, 6, 7}))(t)
 	d2, lg := topology.DGX2(), topology.DGX2Logical()
 	fabrics := map[FabricSel]*simgpu.Fabric{
 		FabricNVLink: simgpu.NewFabric(ind, ind.GPUGraph(), simgpu.Config{}),
@@ -31,10 +28,7 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 	resolve := func(sel FabricSel) *simgpu.Fabric { return fabrics[sel] }
 	var packs []*Packing
 	for root := 0; root < 8; root++ {
-		p, err := GenerateTrees(ind.GPUGraph(), root)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := must(GenerateTrees(ind.GPUGraph(), root))(t)
 		packs = append(packs, p)
 	}
 	oneHop, err := OneHopTrees(d2, lg)
@@ -79,10 +73,7 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 				t.Fatalf("%v at %d B chunks: %d ops, opCount bounds them at %d", kind, chunk, len(plan.Ops), bound)
 			}
 		}
-		plan, err := CodeGen(ir, resolve(ir.Fabric))
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := must(CodeGen(ir, resolve(ir.Fabric)))(t)
 		fp := plan.Freeze()
 		blob, err := EncodePlan(fp)
 		if err != nil {
@@ -119,8 +110,9 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 // it cannot win, so the race reaches the makespan of the faster packing
 // compiled alone. The plan records only the winning packing and the
 // winning row, and decodes to that row and the same makespan; re-encoded
-// with the root-hung trees at the chunk of a winner of another shape, it
-// decodes to that losing row's makespan instead.
+// with a winner of another shape's packing and chunk but the root-hung or
+// the rank-rooted shape, it decodes to a losing row's makespan instead (the
+// shallow packing's root-hung trees may tie its centered winner).
 func TestPruneKeepsTheWinner(t *testing.T) {
 	for _, m := range []struct {
 		machine *topology.Topology
@@ -134,30 +126,25 @@ func TestPruneKeepsTheWinner(t *testing.T) {
 				for i := range packs {
 					one := *ir
 					one.Packings = packs[i : i+1]
-					alone, err := Compile(&one, f)
-					if err != nil {
-						t.Fatal(err)
-					}
+					alone := must(Compile(&one, f))(t)
 					want = min(want, alone.res.Makespan)
 				}
-				got, err := Compile(ir, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				blob, err := EncodePlan(got)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := must(Compile(ir, f))(t)
+				blob := must(EncodePlan(got))(t)
 				resolve := func(FabricSel) *simgpu.Fabric { return f }
 				dec, err := DecodePlan(blob, resolve)
 				if err != nil || len(got.IR().Packings) != 1 || got.res.Makespan != want || dec.res.Makespan != want || dec.IR().Row != got.IR().Row {
 					t.Errorf("%v %d: %.6g s raced over %d packings, want %.6g s (error %v)", devs, bytes, got.res.Makespan, len(got.IR().Packings), want, err)
 				}
-				if lost := *got.IR(); lost.Row.Shape != ShapeTrees {
-					lost.Row.Shape = ShapeTrees
+				if lost, differs := *got.IR(), false; lost.Row.Shape != ShapeTrees {
 					hdr, _, _ := DecodePlanIR(blob)
-					if dec, err := DecodePlan(encodePlan(hdr, &lost), resolve); err != nil || dec.res.Makespan == want {
-						t.Errorf("%v %d: a blob recording %v decodes to the winner's %.6g s (error %v)", devs, bytes, lost.Row, want, err)
+					for _, s := range []Shape{ShapeTrees, ShapeRankRooted} {
+						lost.Row.Shape = s
+						dec, err := DecodePlan(encodePlan(hdr, &lost), resolve)
+						differs = differs || err == nil && dec.res.Makespan != want
+					}
+					if !differs {
+						t.Errorf("%v %d: a blob recording the root-hung or rank-rooted row at %d B decodes to the winner's %.6g s", devs, bytes, lost.Row.Chunk, want)
 					}
 				}
 			}

@@ -327,10 +327,14 @@ func (ir *PlanIR) checkRow() error {
 // then races, at the packing's better chunk, the rank-rooted shape (of at
 // least a float per rank) and the centered one, and the centered one again
 // at the chunk the model prices at its trees' radius, which a centered
-// chunk crosses instead of their depth from the root. A row is skipped when its
-// schedule would exceed the compile budget or, between two packings, when
+// chunk crosses instead of their depth from the root. After every packing's
+// rows, an AllReduce races one more: its shallow packing (shallow, a tree of
+// least height per rank, built here from the fabric's graph) centered at its
+// radius chunk, which latency-bound payloads favour. A row is skipped when its
+// schedule would exceed the compile budget or, after the first packing, when
 // its LowerBound is no less than the incumbent's makespan, since it cannot
-// then finish sooner. A
+// then finish sooner; the shallow row also when its busiest link's ops,
+// wire latency included, take as long. A
 // Broadcast that carries its root's PCIe packing last races the hybrid at
 // rule, ResolveChunk's chunk, once its trees take longer than the
 // peer-access switch every PCIe op waits for (peerSwitch), below which the
@@ -343,7 +347,8 @@ func (ir *PlanIR) checkRow() error {
 // hybrid, which owns its tables and is kept as it is; otherwise the plan
 // has no ops, only the winner's simulated run, which Freeze keeps either
 // way. tuned returns, beside the plan, a copy of the IR the winner was built
-// from — one packing of an AllReduce's two — that records the winning row.
+// from — one packing of an AllReduce's two, or its shallow one — that
+// records the winning row.
 func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tables bool) (*Plan, *PlanIR, error) {
 	var ar *opArena
 	select {
@@ -398,19 +403,47 @@ func (ir *PlanIR) tuned(f *simgpu.Fabric, opts PlanOptions, first [2]int64, tabl
 		und.Packings, dir.Packings = ir.Packings[1:], ir.Packings[:1:1]
 		ones = []*PlanIR{&und, &dir}
 	}
+	var sp *Packing
+	var rev []int
+	if ones != nil && ir.Kind == IRTreeAllReduce {
+		var rerr error
+		if rev, rerr = reverseEdges(f.Graph); rerr == nil {
+			// The trial arena lends the packing its working memory.
+			ar.b.sc.reset()
+			if sp = shallow(f.Graph, ranksOf(f), ir.Packings[0].Root, ir.Packings[0].Bound, rev, &ar.b.sc); sp != nil {
+				last := *ir
+				last.Packings = []*Packing{sp}
+				ones = append(ones, &last)
+			}
+		}
+	}
 	for _, one := range ones {
 		bound, chunks := 0.0, first
-		if len(ones) > 1 {
+		if best != nil {
 			bound = one.LowerBound(f)
-		}
-		if one.Packings[0] != ir.Packings[0] {
-			chunks = treeChunk(f, one.Packings[0], ir.Bytes, treePasses[ir.Kind], one.Packings[0].Root)
 		}
 		row := func(c int64, s Shape) float64 {
 			if one.opCount(f, c) > MaxPlanOps || best != nil && best.err == nil && bound >= best.res.Makespan {
 				return math.Inf(1)
 			}
 			return trial(one, c, s)
+		}
+		if one.Packings[0] == sp {
+			// A link serves one op at a time, and every chunk of a tree's
+			// share crosses each of the tree's links once each way: the
+			// busiest link's ops, each paying its wire latency, after one
+			// op's launch, bound the row too (its trees weigh the same, so
+			// each tree's share is at least share bytes).
+			c, share := treeChunk(f, sp, ir.Bytes, treePasses[ir.Kind], centered)[0], max(0, ir.Bytes/4/int64(len(sp.Trees))-1)*4
+			bound = max(bound, f.Cfg.OpOverhead+allReduceLoad(f.Graph, sp, rev, func(e int) float64 {
+				l := f.Links[f.EdgeLinks(e)[0]]
+				return sp.Trees[0].Weight / (float64(share/c)*l.Latency + float64(share)/(l.BW*1e9))
+			}))
+			row(c, ShapeCentered)
+			continue
+		}
+		if one.Packings[0] != ir.Packings[0] {
+			chunks = treeChunk(f, one.Packings[0], ir.Bytes, treePasses[ir.Kind], one.Packings[0].Root)
 		}
 		at, fastest := chunks[0], math.Inf(1)
 		for _, c := range chunks[:1+min(1, chunks[1]-chunks[0])] {

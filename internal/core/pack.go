@@ -12,12 +12,12 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"blink/internal/graph"
 )
@@ -191,21 +191,23 @@ func mwu(g *graph.Graph, root int, eps float64, oracle func(length []float64) ([
 
 // sortTrees orders trees heaviest first, ties by Arborescence.Key. The keys
 // of distinct trees differ, so the order is total and does not depend on
-// the sort's algorithm. Each tree's key is built once.
+// the sort's algorithm. Each tree's key is built once, into one slab.
 func sortTrees(trees []Tree) {
 	type keyed struct {
 		Tree
-		key string
+		lo, hi int // the key is keys[lo:hi]
 	}
-	ks := make([]keyed, len(trees))
+	ks, keys := make([]keyed, len(trees)), make([]byte, 0, 32*len(trees))
 	for i, t := range trees {
-		ks[i] = keyed{t, t.Arbo.Key()}
+		lo := len(keys)
+		keys = t.Arbo.AppendKey(keys)
+		ks[i] = keyed{t, lo, len(keys)}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
 		if a.Weight != b.Weight {
 			return cmp.Compare(b.Weight, a.Weight)
 		}
-		return strings.Compare(a.key, b.key)
+		return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi])
 	})
 	for i, k := range ks {
 		trees[i] = k.Tree

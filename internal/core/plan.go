@@ -259,6 +259,12 @@ func center(g *graph.Graph, a graph.Arborescence, ranks int, scratch []int) (bes
 	return best, least
 }
 
+// Center is the rank a centered schedule over f hangs tree a from (center)
+// and the tree's height there.
+func Center(f *simgpu.Fabric, a graph.Arborescence) (rank, height int) {
+	return center(f.Graph, a, ranksOf(f), make([]int, 2*f.Graph.N))
+}
+
 // height is the fewest hops from vertex r to tree a's farthest vertex: a BFS
 // over a's edges, either way, in scratch of 2·g.N ints. a's edges must exist.
 func height(g *graph.Graph, a graph.Arborescence, r int, scratch []int) int {

@@ -12,15 +12,9 @@ import (
 
 func fabricFor(t testing.TB, topo *topology.Topology, devs []int, data bool) (*simgpu.Fabric, *Packing) {
 	t.Helper()
-	ind, err := topo.Induce(devs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ind := must(topo.Induce(devs))(t)
 	g := ind.GPUGraph()
-	p, err := GenerateTrees(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := must(GenerateTrees(g, 0))(t)
 	f := simgpu.NewFabric(ind, g, simgpu.Config{DataMode: data})
 	return f, p
 }
@@ -62,10 +56,7 @@ func TestBroadcastPlanDataCorrectness(t *testing.T) {
 	}
 	bufs := simgpu.NewBufferSet()
 	bufs.SetBuffer(0, BufData, append([]float32(nil), src...))
-	plan, err := BuildBroadcastPlan(f, p, bytes, PlanOptions{ChunkBytes: 4096, DataMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := must(BuildBroadcastPlan(f, p, bytes, PlanOptions{ChunkBytes: 4096, DataMode: true}))(t)
 	if _, err := plan.Freeze().ReplayData(bufs); err != nil {
 		t.Fatal(err)
 	}
@@ -129,25 +120,13 @@ func TestAllReduceRoughlyHalfBroadcast(t *testing.T) {
 
 func TestStreamReuseImprovesOrMatches(t *testing.T) {
 	f, p := fabricFor(t, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
-	with, err := BuildBroadcastPlan(f, p, 100<<20, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := BuildBroadcastPlan(f, p, 100<<20, PlanOptions{NoStreamReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	with := must(BuildBroadcastPlan(f, p, 100<<20, PlanOptions{}))(t)
+	without := must(BuildBroadcastPlan(f, p, 100<<20, PlanOptions{NoStreamReuse: true}))(t)
 	if with.Streams > without.Streams {
 		t.Fatalf("stream reuse increased stream count: %d > %d", with.Streams, without.Streams)
 	}
-	wres, err := with.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wores, err := without.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wres := must(with.Execute())(t)
+	wores := must(without.Execute())(t)
 	if wres.Makespan > wores.Makespan*1.05 {
 		t.Fatalf("stream reuse slower: %.6f vs %.6f", wres.Makespan, wores.Makespan)
 	}
@@ -156,22 +135,10 @@ func TestStreamReuseImprovesOrMatches(t *testing.T) {
 func TestChunkingReducesLatency(t *testing.T) {
 	// Fig 11: chunking shortens multi-hop pipelines.
 	f, p := fabricFor(t, topology.DGX1V(), []int{0, 1, 2, 3}, false)
-	big, err := BuildBroadcastPlan(f, p, 64<<20, PlanOptions{ChunkBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := BuildBroadcastPlan(f, p, 64<<20, PlanOptions{ChunkBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigRes, err := big.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallRes, err := small.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := must(BuildBroadcastPlan(f, p, 64<<20, PlanOptions{ChunkBytes: 64 << 20}))(t)
+	small := must(BuildBroadcastPlan(f, p, 64<<20, PlanOptions{ChunkBytes: 4 << 20}))(t)
+	bigRes := must(big.Execute())(t)
+	smallRes := must(small.Execute())(t)
 	if smallRes.Makespan >= bigRes.Makespan {
 		t.Fatalf("chunking did not help: %.6f >= %.6f", smallRes.Makespan, bigRes.Makespan)
 	}
@@ -235,10 +202,7 @@ func TestDGX2AllReduceDataCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildDGX2AllReducePlan(f, packs, 16<<10, PlanOptions{ChunkBytes: 1024, DataMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := must(BuildDGX2AllReducePlan(f, packs, 16<<10, PlanOptions{ChunkBytes: 1024, DataMode: true}))(t)
 	checkAllReduceData(t, plan, lg.N, 4<<10, 5)
 }
 
@@ -286,65 +250,96 @@ func TestSplitRegionsRemainderToHeaviest(t *testing.T) {
 	}
 }
 
+// eachPlane calls check on the connected NVLink and PCIe planes of DGX-1V
+// allocations, with each plane's ranks and reverseEdges.
+func eachPlane(t *testing.T, check func(devs []int, g *graph.Graph, ranks int, rev []int)) {
+	for _, devs := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {1, 4, 5, 6, 7}, {0, 1, 6}, {0, 2, 5, 7}, {3, 6, 7}} {
+		ind := must(topology.DGX1V().Induce(devs))(t)
+		for _, g := range []*graph.Graph{ind.GPUGraph(), ind.PCIeGraph()} {
+			rev := must(reverseEdges(g))(t)
+			if g.Connected() { // DGX-1V [0 1 6]'s NVLink plane is not
+				check(devs, g, ind.NumGPUs, rev)
+			}
+		}
+	}
+}
+
+// hops is the fewest hops between every two vertices of g over edges, taken
+// either way, as an N×N table: vertex v's height over them is the most of
+// row v.
+func hops(g *graph.Graph, edges []int) []int {
+	n := g.N
+	dist := make([]int, n*n)
+	for i := range dist {
+		dist[i] = n
+		if i%(n+1) == 0 {
+			dist[i] = 0
+		}
+	}
+	for _, id := range edges {
+		e := g.Edges[id]
+		dist[e.From*n+e.To], dist[e.To*n+e.From] = 1, 1
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				dist[i*n+j] = min(dist[i*n+j], dist[i*n+k]+dist[k*n+j])
+			}
+		}
+	}
+	return dist
+}
+
 // TestCenterHasLeastHeight: every tree of every root's packing, on the
 // NVLink and PCIe planes of DGX-1V allocations, hangs from a rank of least
 // height in the centered shape — the fewest hops to the tree's farthest
 // vertex, relays included, by all-pairs distances over the tree's edges —
 // and from the lowest of those ranks.
 func TestCenterHasLeastHeight(t *testing.T) {
-	for _, devs := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {1, 4, 5, 6, 7}, {0, 1, 6}, {0, 2, 5, 7}} {
-		ind, err := topology.DGX1V().Induce(devs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range []*graph.Graph{ind.GPUGraph(), ind.PCIeGraph()} {
-			if !g.Connected() {
-				continue // DGX-1V [0 1 6]'s NVLink plane
-			}
-			n, ranks := g.N, ind.NumGPUs
-			rev, err := reverseEdges(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for root := 0; root < ranks; root++ {
-				p, err := GenerateTrees(g, root)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, tree := range p.Trees {
-					dist := make([]int, n*n)
-					for i := range dist {
-						dist[i] = n
-						if i%(n+1) == 0 {
-							dist[i] = 0
-						}
-					}
-					for _, id := range tree.Arbo.Edges {
-						e := g.Edges[id]
-						dist[e.From*n+e.To], dist[e.To*n+e.From] = 1, 1
-					}
-					for k := 0; k < n; k++ {
-						for i := 0; i < n; i++ {
-							for j := 0; j < n; j++ {
-								dist[i*n+j] = min(dist[i*n+j], dist[i*n+k]+dist[k*n+j])
-							}
-						}
-					}
-					height := func(v int) int { return slices.Max(dist[v*n : v*n+n]) }
-					s, err := shapeOf(g, tree.Arbo, centered, ranks, rev, new(scratch))
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := s.bfs[0]
-					for r := 0; r < ranks; r++ {
-						if c >= ranks || height(r) < height(c) || height(r) == height(c) && r < c {
-							t.Fatalf("%v root %d: tree %v hangs from %d of height %d, rank %d has height %d", devs, root, tree.Arbo.Edges, c, height(c), r, height(r))
-						}
+	eachPlane(t, func(devs []int, g *graph.Graph, ranks int, rev []int) {
+		for root := 0; root < ranks; root++ {
+			p := must(GenerateTrees(g, root))(t)
+			for _, tree := range p.Trees {
+				dist := hops(g, tree.Arbo.Edges)
+				height := func(v int) int { return slices.Max(dist[v*g.N : v*g.N+g.N]) }
+				s := must(shapeOf(g, tree.Arbo, centered, ranks, rev, new(scratch)))(t)
+				c := s.bfs[0]
+				for r := 0; r < ranks; r++ {
+					if c >= ranks || height(r) < height(c) || height(r) == height(c) && r < c {
+						t.Fatalf("%v root %d: tree %v hangs from %d of height %d, rank %d has height %d", devs, root, tree.Arbo.Edges, c, height(c), r, height(r))
 					}
 				}
 			}
 		}
-	}
+	})
+}
+
+// TestShallowPacking: the shallow packing of a plane whose link pairs are at
+// least its vertices holds one tree per rank, valid within the Edmonds
+// bound, and tree r is as high from rank r as r's eccentricity over the
+// link pairs. Where the pairs form a tree, as on every PCIe plane and on
+// DGX-1V [3 6 7]'s NVLink one, there is none.
+func TestShallowPacking(t *testing.T) {
+	eachPlane(t, func(devs []int, g *graph.Graph, ranks int, rev []int) {
+		var pairs []int
+		linkPairs(g, rev, func(e graph.Edge, _ float64) { pairs = append(pairs, e.ID) })
+		p := shallow(g, ranks, 0, graph.BroadcastRateUpperBound(g, 0), rev, new(scratch))
+		if len(pairs) < g.N || p == nil {
+			if len(pairs) >= g.N || p != nil {
+				t.Errorf("%v (%d vertices): %d link pairs, packing %v", devs, g.N, len(pairs), p)
+			}
+			return
+		}
+		if err := p.Validate(g); err != nil || len(p.Trees) != ranks {
+			t.Fatalf("%v: %d trees for %d ranks, %v", devs, len(p.Trees), ranks, err)
+		}
+		all := hops(g, pairs)
+		for r, tree := range p.Trees {
+			if h, ecc := slices.Max(hops(g, tree.Arbo.Edges)[r*g.N:][:g.N]), slices.Max(all[r*g.N:][:g.N]); h != ecc {
+				t.Errorf("%v: tree %d is %d high from its rank, whose eccentricity is %d", devs, r, h, ecc)
+			}
+		}
+	})
 }
 
 // TestCenteredTrialSkippedAtRoot: an AllReduce's race skips the centered row
@@ -357,18 +352,12 @@ func TestCenteredTrialSkippedAtRoot(t *testing.T) {
 		devs       []int
 		pcie, skip bool
 	}{{[]int{0, 1, 6}, true, true}, {[]int{0, 1, 2, 3, 4, 5, 6, 7}, false, false}} {
-		ind, err := topology.DGX1V().Induce(c.devs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ind := must(topology.DGX1V().Induce(c.devs))(t)
 		g := ind.GPUGraph()
 		if c.pcie {
 			g = ind.PCIeGraph()
 		}
-		p, err := GenerateTrees(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := must(GenerateTrees(g, 0))(t)
 		f := simgpu.NewFabric(ind, g, simgpu.Config{})
 		opts := PlanOptions{ChunkBytes: 256 << 10, NoStreamReuse: true}
 		hung, err := BuildAllReducePlan(f, p, 4<<20, opts)
@@ -382,5 +371,16 @@ func TestCenteredTrialSkippedAtRoot(t *testing.T) {
 		if skip := rootCentered(f, p); skip != c.skip || same != c.skip {
 			t.Errorf("%v (PCIe %v): centered trial skipped %v, centered schedule is the root-hung one %v; want both %v", c.devs, c.pcie, skip, same, c.skip)
 		}
+	}
+}
+
+// must returns v, failing the test on err: p := must(PackTrees(g, 0))(t).
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 }

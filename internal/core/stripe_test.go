@@ -109,8 +109,9 @@ func (sm stripeMachine) rings() []stripePlan {
 // stripePlans is the striping property's table: the data conformance
 // matrix's fabrics (DGX-1P, DGX-1V, a fragmented DGX-1V allocation, a PCIe
 // plane with its hub relay, the DGX-2 switch, a 3+5 and a 1+4 cluster), every
-// data-moving builder each one compiles under Blink and NCCL, and the hybrid
-// two-plane broadcast. Ring P2P schedules move no data and are not in it.
+// data-moving builder each one compiles under Blink and NCCL, the shallow
+// packing's centered AllReduce, and the hybrid two-plane broadcast. Ring P2P
+// schedules move no data and are not in it.
 func stripePlans(t *testing.T) []stripePlan {
 	// A negligible peer-access switch gives the hybrid broadcast's PCIe
 	// plane a share of a small payload.
@@ -129,8 +130,13 @@ func stripePlans(t *testing.T) []stripePlan {
 	for _, sm := range []stripeMachine{dgx1p, dgx1v, hub} {
 		plans = append(plans, sm.rings()...)
 	}
+	opts := core.PlanOptions{DataMode: true, ChunkBytes: stripeChunk, NoStreamReuse: true}
+	for _, sm := range []stripeMachine{dgx1v, frag} {
+		plans = append(plans, stripePlan{name: sm.name + "/ShallowAllReduce", ranks: len(sm.packs), build: func() (*core.Plan, error) {
+			return core.BuildCenteredAllReducePlan(sm.f, core.ShallowPacking(sm.f, 0), stripeFloats*4, opts)
+		}})
+	}
 	for _, sm := range []stripeMachine{dgx1v, hub} {
-		opts := core.PlanOptions{DataMode: true, ChunkBytes: stripeChunk, NoStreamReuse: true}
 		plans = append(plans, stripePlan{name: sm.name + "/RankRootedAllReduce", ranks: len(sm.packs), build: func() (*core.Plan, error) {
 			return core.BuildRankRootedAllReducePlan(sm.f, sm.packs[0], stripeFloats*4, opts)
 		}}, stripePlan{name: sm.name + "/CenteredAllReduce", ranks: len(sm.packs), build: func() (*core.Plan, error) {
@@ -398,31 +404,38 @@ func TestStripedReplayManifestFirstUse(t *testing.T) {
 	}
 }
 
-// TestRankRootedShape: an auto-chunk AllReduce races three shapes of one
+// TestRankRootedShape: an auto-chunk AllReduce races three shapes of its
 // packing — its trees hung from the packing's root, the rank-rooted shape
-// and the centered one — and records the winning row in its IR. Each shape
-// wins a cell of the table: the centered shape the full DGX-1V at 1 MiB, at
-// the chunk its trees' radius prices (92,672 B, twice the root-hung pick,
-// and faster than the centered schedule at that pick), and a float short of
-// one per rank, where no rank-rooted schedule exists; the rank-rooted one
-// DGX-1V [5 6 7] at 16 MiB; and the root-hung trees DGX-1V [1 2 3 4 5 6] at
-// every size and DGX-1V [1 3 5 6 7] at 64 MiB, where both other shapes
-// simulate slower. A shape other than the root-hung one wins only strictly
-// faster than the root-hung trees at its chunk. A centered data schedule —
-// the full DGX-1V's winner at 1 MiB, and a PCIe one whose trees are
-// re-oriented across relays — and DGX-1V [5 6 7]'s rank-rooted winner at 16
-// MiB leave every rank the sum of the inputs under random launch orders.
+// and the centered one — then the shallow packing centered, and records the
+// winning row, and its packing, in its IR. Each wins a cell of the table:
+// the shallow packing the full DGX-1V at 1 MiB, centered at 46,336 B and
+// faster than the directed packing's best centered row, 92,672 B, and DGX-1V
+// [4 5 6 7] at 4 MiB, faster than NCCL's ring; the centered shape DGX-1V
+// [5 6 7] at 1 MiB, at the chunk its trees' radius prices (370,688 B, twice
+// the root-hung pick), and at a float short of one per rank, where no
+// rank-rooted schedule exists; the rank-rooted one DGX-1V [5 6 7] at 16
+// MiB; and the root-hung trees DGX-1V [1 2 3 4 5 6] at 16 and 64 MiB, where
+// every other row simulates slower. A shape other than the root-hung one
+// wins only strictly faster than the root-hung trees of its own packing at
+// its chunk. A centered data schedule — the full DGX-1V's winner at 1 MiB,
+// and a PCIe one whose trees are re-oriented across relays — and DGX-1V [5
+// 6 7]'s rank-rooted winner at 16 MiB leave every rank the sum of the inputs
+// under random launch orders.
 func TestRankRootedShape(t *testing.T) {
 	nvl := newStripeMachine(t, "dgx1v", topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
 	pcie := newStripeMachine(t, "dgx1v-0-1-6-pcie", topology.DGX1V(), []int{0, 1, 6}, core.FabricPCIe, simgpu.Config{})
 	tri := newStripeMachine(t, "dgx1v-5-6-7", topology.DGX1V(), []int{5, 6, 7}, core.FabricNVLink, simgpu.Config{})
+	quad := newStripeMachine(t, "dgx1v-4-7", topology.DGX1V(), []int{4, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
 	six := newStripeMachine(t, "dgx1v-1-6", topology.DGX1V(), []int{1, 2, 3, 4, 5, 6}, core.FabricNVLink, simgpu.Config{})
-	five := newStripeMachine(t, "dgx1v-1-3-5-6-7", topology.DGX1V(), []int{1, 3, 5, 6, 7}, core.FabricNVLink, simgpu.Config{})
-	// compile builds an auto-chunk AllReduce's recorded row, or races the
-	// table when the row is zero, and returns the plan and its makespan.
-	compile := func(sm stripeMachine, bytes int64, row core.Row, data bool) (*core.Plan, float64) {
+	// compile builds an auto-chunk AllReduce's recorded row over packs (the
+	// machine's root-0 packing when nil), or races the table when the row
+	// is zero, and returns the plan and its makespan.
+	compile := func(sm stripeMachine, bytes int64, row core.Row, packs []*core.Packing, data bool) (*core.Plan, float64) {
 		t.Helper()
-		plan, err := core.CodeGen(&core.PlanIR{Kind: core.IRTreeAllReduce, Fabric: sm.plane, Bytes: bytes, Packings: sm.packs[:1],
+		if packs == nil {
+			packs = sm.packs[:1]
+		}
+		plan, err := core.CodeGen(&core.PlanIR{Kind: core.IRTreeAllReduce, Fabric: sm.plane, Bytes: bytes, Packings: packs,
 			Opts: core.PlanOptions{DataMode: data, NoStreamReuse: true}, Row: row}, sm.f)
 		if err != nil {
 			t.Fatal(sm.name, bytes, row, err)
@@ -435,30 +448,36 @@ func TestRankRootedShape(t *testing.T) {
 	}
 	trees, centered, rooted := core.Row{}, core.Row{Shape: core.ShapeCentered}, core.Row{Shape: core.ShapeRankRooted}
 	for _, c := range []struct {
-		sm    stripeMachine
-		bytes int64
-		want  core.Row // a zero chunk matches any
+		sm      stripeMachine
+		bytes   int64
+		want    core.Row // a zero chunk matches any
+		shallow bool
 	}{
-		{nvl, 1 << 20, core.Row{Shape: core.ShapeCentered, Chunk: 92672}},
-		{tri, 16 << 20, rooted},
-		{six, 256 << 10, trees}, {six, 1 << 20, trees}, {six, 4 << 20, trees}, {six, 16 << 20, trees}, {six, 64 << 20, trees},
-		{five, 64 << 20, trees},
-		{nvl, 7 * 4, centered},
+		{nvl, 1 << 20, core.Row{Shape: core.ShapeCentered, Chunk: 46336}, true},
+		{quad, 4 << 20, centered, true},
+		{tri, 1 << 20, core.Row{Shape: core.ShapeCentered, Chunk: 370688}, false},
+		{tri, 16 << 20, rooted, false},
+		{six, 16 << 20, trees, false}, {six, 64 << 20, trees, false},
+		{tri, 2 * 4, centered, false},
 	} {
-		plan, at := compile(c.sm, c.bytes, core.Row{}, false)
+		plan, at := compile(c.sm, c.bytes, core.Row{}, nil, false)
 		row := plan.IR.Row
-		_, treesAt := compile(c.sm, c.bytes, core.Row{Chunk: row.Chunk}, false)
+		_, treesAt := compile(c.sm, c.bytes, core.Row{Chunk: row.Chunk}, plan.IR.Packings, false)
 		t.Logf("%s %d B: %v at %v s, root-hung trees %v s", c.sm.name, c.bytes, row, at, treesAt)
-		if row.Shape != c.want.Shape || c.want.Chunk > 0 && row.Chunk != c.want.Chunk || row.Shape != core.ShapeTrees && at >= treesAt {
-			t.Errorf("%s %d B: %v at %v s, want %v; root-hung trees at the same chunk %v s", c.sm.name, c.bytes, row, at, c.want, treesAt)
+		if row.Shape != c.want.Shape || c.want.Chunk > 0 && row.Chunk != c.want.Chunk || row.Shape != core.ShapeTrees && at >= treesAt ||
+			(plan.IR.Packings[0] != c.sm.packs[0]) != c.shallow {
+			t.Errorf("%s %d B: %v at %v s, want %v (shallow packing %v); root-hung trees at the same chunk %v s", c.sm.name, c.bytes, row, at, c.want, c.shallow, treesAt)
 		}
 	}
-	_, won := compile(nvl, 1<<20, core.Row{}, false)
-	if _, atPick := compile(nvl, 1<<20, core.Row{Shape: core.ShapeCentered, Chunk: 46336}, false); won >= atPick {
-		t.Errorf("%s 1 MiB: %v s, no faster than centered at the root-hung pick, %v s", nvl.name, won, atPick)
+	_, won := compile(nvl, 1<<20, core.Row{}, nil, false)
+	_, quadWon := compile(quad, 4<<20, core.Row{}, nil, false)
+	ring, err := core.Compile(&core.PlanIR{Kind: core.IRRingAllReduce, Bytes: 4 << 20}, quad.f)
+	nccl, err2 := ring.Replay()
+	if _, directed := compile(nvl, 1<<20, core.Row{Shape: core.ShapeCentered, Chunk: 92672}, nil, false); err != nil || err2 != nil || won >= directed || quadWon >= nccl.Makespan {
+		t.Errorf("%s 1 MiB: %v s, directed centered %v s; %s 4 MiB: %v s, NCCL %v s (%v, %v)", nvl.name, won, directed, quad.name, quadWon, nccl.Makespan, err, err2)
 	}
-	nvlData, _ := compile(nvl, 1<<20, core.Row{}, true)
-	triData, _ := compile(tri, 16<<20, core.Row{}, true)
+	nvlData, _ := compile(nvl, 1<<20, core.Row{}, nil, true)
+	triData, _ := compile(tri, 16<<20, core.Row{}, nil, true)
 	if nvlData.IR.Row.Shape != core.ShapeCentered || triData.IR.Row.Shape != core.ShapeRankRooted {
 		t.Fatalf("data plans: %s %v at 1 MiB, %s %v at 16 MiB", nvl.name, nvlData.IR.Row, tri.name, triData.IR.Row)
 	}

@@ -66,12 +66,10 @@ func (u *Undirected) For(g *graph.Graph, directed *Packing) []*Packing {
 			return
 		}
 		ug := &graph.Graph{N: g.N}
-		for _, e := range g.Edges {
-			if r := rev[e.ID]; e.ID < r && rev[r] == e.ID {
-				u.of = append(u.of, e.ID)
-				ug.Edges = append(ug.Edges, graph.Edge{ID: len(u.of) - 1, From: e.From, To: e.To, Cap: min(e.Cap, g.Edges[r].Cap), Type: e.Type})
-			}
-		}
+		linkPairs(g, rev, func(e graph.Edge, c float64) {
+			u.of = append(u.of, e.ID)
+			ug.Edges = append(ug.Edges, graph.Edge{ID: len(u.of) - 1, From: e.From, To: e.To, Cap: c, Type: e.Type})
+		})
 		if len(ug.Edges) >= g.N {
 			u.ug, u.rev, u.nw = ug, rev, nashWilliams(ug)
 		}
@@ -98,23 +96,97 @@ func (u *Undirected) For(g *graph.Graph, directed *Packing) []*Packing {
 	out := &Packing{Root: directed.Root, Rate: u.p.Rate, Bound: directed.Bound}
 	var sc scratch
 	for _, t := range u.p.Trees {
-		edges := make([]int, len(t.Arbo.Edges))
+		tree := Tree{Arbo: graph.Arborescence{Edges: make([]int, len(t.Arbo.Edges))}, Weight: t.Weight}
 		for j, id := range t.Arbo.Edges {
-			edges[j] = u.of[id]
+			tree.Arbo.Edges[j] = u.of[id]
 		}
-		s, err := shapeOf(g, graph.Arborescence{Root: -1, Edges: edges}, out.Root, g.N, u.rev, &sc)
-		if err != nil {
+		if hang(g, &tree.Arbo, out.Root, u.rev, &sc) != nil {
 			return nil
 		}
-		for j, v := range s.bfs[1:] {
-			edges[j] = s.parentEdge[v]
-		}
-		out.Trees = append(out.Trees, Tree{Arbo: graph.Arborescence{Root: out.Root, Edges: edges}, Weight: t.Weight})
+		out.Trees = append(out.Trees, tree)
 	}
 	if out.Validate(g) != nil || allReduceRate(g, out, u.rev) <= allReduceRate(g, directed, u.rev) {
 		return nil
 	}
 	return []*Packing{out}
+}
+
+// linkPairs calls each, in edge order, for every link pair of g: an edge e
+// whose reverse r has e as its own reverse, with e.ID < r, and the pair's
+// capacity min(c(e), c(r)).
+func linkPairs(g *graph.Graph, rev []int, each func(e graph.Edge, c float64)) {
+	for _, e := range g.Edges {
+		if r := rev[e.ID]; e.ID < r && rev[r] == e.ID {
+			each(e, min(e.Cap, g.Edges[r].Cap))
+		}
+	}
+}
+
+// shallow is g's shallow packing for an AllReduce over its first ranks
+// vertices: one tree per rank r, of least height from r, its eccentricity
+// in the link-pair graph, so a centered chunk crosses few hops. Tree r
+// grows from r layer by layer; at layer d each unplaced vertex, in vertex
+// order, takes the link pair to a layer d−1 vertex with the least (trees
+// already on the pair + 1) / capacity, ties to the earlier pair. Every tree
+// weighs the least capacity per tree of a pair it uses, so the packing's
+// rate is ranks times that, and hangs from root as Undirected.For's trees
+// do. bound is the directed packing's Edmonds bound. It returns nil when
+// the pairs are fewer than the vertices (they then form a tree at most) or
+// a tree does not span. Its working memory comes from sc.
+func shallow(g *graph.Graph, ranks, root int, bound float64, rev []int, sc *scratch) *Packing {
+	n, of := g.N, sc.ints.take(len(g.Edges))[:0]
+	linkPairs(g, rev, func(e graph.Edge, _ float64) { of = append(of, e.ID) })
+	if len(of) < n {
+		return nil
+	}
+	// layer[v] is 1 + v's BFS layer in the tree being grown, 0 unplaced.
+	load, layer, w := sc.ints.take(len(of)), sc.ints.take(n), math.Inf(1)
+	capOf := func(i int) float64 { return min(g.Edges[of[i]].Cap, g.Edges[rev[of[i]]].Cap) }
+	p, edges := &Packing{Root: root, Bound: bound, Trees: make([]Tree, ranks)}, make([]int, ranks*(n-1))
+	for r := range p.Trees {
+		clear(layer)
+		layer[r] = 1
+		tree := edges[r*(n-1) : r*(n-1) : (r+1)*(n-1)]
+		for d := 1; len(tree) < n-1; d++ {
+			placed := len(tree)
+			for v := range layer {
+				best, cost := -1, math.Inf(1)
+				for i, id := range of {
+					if e := g.Edges[id]; layer[v] == 0 && (e.From == v || e.To == v) && layer[e.From+e.To-v] == d && float64(load[i]+1)/capOf(i) < cost {
+						best, cost = i, float64(load[i]+1)/capOf(i)
+					}
+				}
+				if best >= 0 {
+					layer[v], tree = d+1, append(tree, of[best])
+					load[best]++
+					w = min(w, capOf(best)/float64(load[best])) // a pair's load only grows
+				}
+			}
+			if len(tree) == placed {
+				return nil
+			}
+		}
+		p.Trees[r].Arbo.Edges = tree
+	}
+	for r := range p.Trees {
+		if hang(g, &p.Trees[r].Arbo, root, rev, sc) != nil {
+			return nil
+		}
+		p.Trees[r].Weight = w
+	}
+	p.Rate = float64(ranks) * w
+	return p
+}
+
+// hang re-orients the link-pair tree a to hang from root by BFS (shapeOf),
+// each link taken in the direction leading away from root, in place.
+func hang(g *graph.Graph, a *graph.Arborescence, root int, rev []int, sc *scratch) error {
+	s, err := shapeOf(g, graph.Arborescence{Root: -1, Edges: a.Edges}, root, g.N, rev, sc)
+	for j := 1; err == nil && j < len(s.bfs); j++ {
+		a.Edges[j-1] = s.parentEdge[s.bfs[j]]
+	}
+	a.Root = root
+	return err
 }
 
 // nashWilliams is the most weight of spanning trees ug's edges, taken as
@@ -247,7 +319,7 @@ func (ir *PlanIR) LowerBound(f *simgpu.Fabric) float64 {
 	default:
 		return 0
 	}
-	n, out, seen := ranksOf(f), 0.0, map[int]bool{}
+	n, out, seen := ranksOf(f), 0.0, make([]bool, len(f.Links))
 	for _, e := range g.Edges {
 		if l := f.EdgeLinks(e.ID)[0]; e.From < n && !seen[l] {
 			seen[l], out = true, out+f.Links[l].BW

@@ -177,27 +177,18 @@ func (g *Graph) Connected() bool {
 	if g.N == 0 {
 		return true
 	}
-	adj := make([][]int, g.N)
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	seen := make([]bool, g.N)
-	stack := []int{0}
+	seen, queue := make([]bool, g.N), make([]int, 1, g.N)
 	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range adj[v] {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				stack = append(stack, u)
+	for i := 0; i < len(queue); i++ {
+		for _, ids := range [2][]int{g.out[queue[i]], g.in[queue[i]]} {
+			for _, id := range ids {
+				if u := g.Edges[id].From + g.Edges[id].To - queue[i]; !seen[u] {
+					seen[u], queue = true, append(queue, u)
+				}
 			}
 		}
 	}
-	return count == g.N
+	return len(queue) == g.N
 }
 
 // TotalCap sums the capacity of all edges.
@@ -231,10 +222,15 @@ type Arborescence struct {
 // Key returns a canonical string identifying the tree's edge set. Trees with
 // identical edge sets (regardless of discovery order) share a key.
 func (a Arborescence) Key() string {
+	return string(a.AppendKey(make([]byte, 0, 4+4*len(a.Edges))))
+}
+
+// AppendKey appends the tree's Key to b.
+func (a Arborescence) AppendKey(b []byte) []byte {
 	var buf [64]int
 	ids := append(buf[:0], a.Edges...)
 	slices.Sort(ids)
-	b := strconv.AppendInt(append(make([]byte, 0, 4+4*len(ids)), 'r'), int64(a.Root), 10)
+	b = strconv.AppendInt(append(b, 'r'), int64(a.Root), 10)
 	b = append(b, ':')
 	for i, id := range ids {
 		if i > 0 {
@@ -242,13 +238,14 @@ func (a Arborescence) Key() string {
 		}
 		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return string(b)
+	return b
 }
 
-// Parents returns parent[v] = edge ID of v's incoming tree edge (-1 for the
-// root), validating the arborescence structure against g.
-func (a Arborescence) Parents(g *Graph) ([]int, error) {
-	parent := make([]int, g.N)
+// parents returns parent[v] = edge ID of v's incoming tree edge (-1 for the
+// root), in buf when it holds g.N, validating the arborescence structure
+// against g.
+func (a Arborescence) parents(g *Graph, buf []int) ([]int, error) {
+	parent := slices.Grow(buf[:0], g.N)[:g.N]
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -285,13 +282,14 @@ func (a Arborescence) Parents(g *Graph) ([]int, error) {
 // Validate reports whether the arborescence is a well-formed spanning tree
 // of g rooted at Root.
 func (a Arborescence) Validate(g *Graph) error {
-	_, err := a.Parents(g)
+	var buf [64]int
+	_, err := a.parents(g, buf[:])
 	return err
 }
 
 // Depth returns the maximum hop count from the root to any vertex.
 func (a Arborescence) Depth(g *Graph) int {
-	parent, err := a.Parents(g)
+	parent, err := a.parents(g, nil)
 	if err != nil {
 		return -1
 	}
