@@ -18,8 +18,8 @@ COVER_FLOOR_QOS ?= 85
 # Ratchets, not aspirations: lower them when a change shrinks the code,
 # never raise them to make a build pass.
 LOC_CEIL_CORE ?= 2506
-LOC_CEIL_REPO ?= 11706
-LOC_CEIL_TEST ?= 13515
+LOC_CEIL_REPO ?= 11700
+LOC_CEIL_TEST ?= 13509
 
 .PHONY: all build test race vet fmt-check loc loc-check bench cover fuzz-smoke mutants ci
 

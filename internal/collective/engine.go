@@ -96,14 +96,15 @@ type Result struct {
 // Options tunes a collective call.
 type Options struct {
 	// ChunkBytes overrides the pipelining chunk. 0 is auto: Blink's tree
-	// Broadcast, Reduce and AllReduce on NVLink or PCIe take the chunk that
-	// pipelines their own trees fastest, modelled and then simulated. The
-	// AllReduce then takes the rank-rooted shape, and a Broadcast on the
-	// NVLink plane of a machine with a PCIe plane the §3.4 hybrid (PCIe
-	// trees alongside the NVLink ones, split by Equation 8), if it
-	// simulates faster still. Every other schedule takes a sixteenth of the
-	// payload, at most 2 MiB (core.PlanOptions.ChunkBytes). An override
-	// keeps the single-root NVLink-only schedule.
+	// Broadcast, AllReduce/AllGather and Reduce/ReduceScatter on NVLink or
+	// PCIe take the chunk that pipelines their own trees fastest, modelled
+	// and then simulated. An AllReduce or AllGather then takes the
+	// rank-rooted or centered shape, and a Broadcast on the NVLink plane of
+	// a machine with a PCIe plane the §3.4 hybrid (PCIe trees alongside the
+	// NVLink ones, split by Equation 8), if it simulates faster still. Every
+	// other schedule takes a sixteenth of the payload, at most 2 MiB
+	// (core.PlanOptions.ChunkBytes). An override keeps the single-root
+	// NVLink-only schedule.
 	ChunkBytes int64
 	// DataMode moves real data (functional verification).
 	DataMode bool
@@ -697,9 +698,10 @@ var ringKinds = [3]core.IRKind{core.IRRingBroadcast, core.IRRingAllReduce, core.
 
 // treeOp is one row of the per-op half of Blink's plan selection: the IR
 // kind the op compiles to over the plane's trees, the suffix it appends to
-// the plane's strategy family (AllGather shares AllReduce's transfer
-// schedule; ReduceScatter and Reduce share the reduce schedule), and what
-// the kind needs recorded beside it.
+// the plane's strategy family, and what the kind needs recorded beside it.
+// AllGather compiles as the AllReduce whose transfer schedule it rides, and
+// ReduceScatter as the Reduce, so each races its schedule's candidate table;
+// the suffix alone, carried in PlanIR.Strategy, names the op.
 type treeOp struct {
 	kind   core.IRKind
 	suffix string
@@ -723,8 +725,8 @@ var treeOps = map[Op]treeOp{
 	Broadcast:        {kind: core.IRTreeBroadcast},
 	Gather:           {kind: core.IRTreeGather},
 	AllReduce:        {kind: core.IRTreeAllReduce},
-	AllGather:        {kind: core.IRTreeAllGather, suffix: "+allgather"},
-	ReduceScatter:    {kind: core.IRTreeReduceScatter, suffix: "+reducescatter"},
+	AllGather:        {kind: core.IRTreeAllReduce, suffix: "+allgather"},
+	ReduceScatter:    {kind: core.IRTreeReduce, suffix: "+reducescatter"},
 	Reduce:           {kind: core.IRTreeReduce, suffix: "+reduce"},
 	Scatter:          {kind: core.IRTreeScatter, suffix: "+scatter"},
 	AllToAll:         {kind: core.IRTreeAllToAll, suffix: "+alltoall", needs: needAllPackings},

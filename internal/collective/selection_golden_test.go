@@ -18,7 +18,10 @@ import (
 // NCCL falls to PCIe; NVLink-disconnected, both on PCIe; switch) crossed
 // with both backends, all ten ops, and a payload on each side of
 // DBTreeThresholdBytes. The table was captured before plan selection became
-// table-driven and must never change as a side effect of a refactor.
+// table-driven and must never change as a side effect of a refactor. In
+// every (allocation, backend, size) cell an op that compiles as another
+// takes its makespan to the bit: AllGather AllReduce's, and ReduceScatter
+// Reduce's, all at root 0.
 func TestGoldenSelectionMatrix(t *testing.T) {
 	allocs := []struct {
 		name    string
@@ -31,6 +34,8 @@ func TestGoldenSelectionMatrix(t *testing.T) {
 		{"dgx2", topology.DGX2(), nil},
 	}
 	ops := []Op{Broadcast, Gather, AllReduce, AllGather, ReduceScatter, Reduce, Scatter, AllToAll, SendRecv, NeighborExchange}
+	// Each pair is checked at its later op, against the one run before it.
+	twin := map[Op]Op{AllGather: AllReduce, Reduce: ReduceScatter}
 	var got []string
 	for _, a := range allocs {
 		e, err := NewEngine(a.machine, a.devs, simgpu.Config{})
@@ -43,6 +48,7 @@ func TestGoldenSelectionMatrix(t *testing.T) {
 			opts.Neighbors[v] = []int{(v + 1) % n}
 		}
 		for _, b := range []Backend{Blink, NCCL} {
+			bits := map[string]uint64{}
 			for _, op := range ops {
 				for _, bytes := range []int64{256 << 10, 16 << 20} {
 					cell := fmt.Sprintf("%s %v %v %d: ", a.name, b, op, bytes)
@@ -50,7 +56,12 @@ func TestGoldenSelectionMatrix(t *testing.T) {
 						cell += "error " + err.Error()
 					} else {
 						checkBound(t, e, b, op, bytes, opts, r)
-						cell += fmt.Sprintf("%s %x", r.Strategy, math.Float64bits(r.Seconds))
+						own := math.Float64bits(r.Seconds)
+						if of, ok := twin[op]; ok && bits[fmt.Sprint(of, bytes)] != own {
+							t.Errorf("%s %v %v %d: %x, but %v takes %x", a.name, b, op, bytes, own, of, bits[fmt.Sprint(of, bytes)])
+						}
+						bits[fmt.Sprint(op, bytes)] = own
+						cell += fmt.Sprintf("%s %x", r.Strategy, own)
 					}
 					got = append(got, cell)
 				}
@@ -171,10 +182,10 @@ var goldenSelection = []string{
 	"dgx1v-full Blink Gather 16777216: trees 3f35087acdd18498",
 	"dgx1v-full Blink AllReduce 262144: trees 3f088046ab4a982b",
 	"dgx1v-full Blink AllReduce 16777216: trees 3f38f195df1d839e",
-	"dgx1v-full Blink AllGather 262144: trees+allgather 3f2187611f2d5b59",
-	"dgx1v-full Blink AllGather 16777216: trees+allgather 3f4800a673b7c235",
-	"dgx1v-full Blink ReduceScatter 262144: trees+reducescatter 3f15ca7a49117b73",
-	"dgx1v-full Blink ReduceScatter 16777216: trees+reducescatter 3f3a9c9b8e26bdf3",
+	"dgx1v-full Blink AllGather 262144: trees+allgather 3f088046ab4a982b",
+	"dgx1v-full Blink AllGather 16777216: trees+allgather 3f38f195df1d839e",
+	"dgx1v-full Blink ReduceScatter 262144: trees+reducescatter 3f134b37e418df41",
+	"dgx1v-full Blink ReduceScatter 16777216: trees+reducescatter 3f345bf5a56f6c63",
 	"dgx1v-full Blink Reduce 262144: trees+reduce 3f134b37e418df41",
 	"dgx1v-full Blink Reduce 16777216: trees+reduce 3f345bf5a56f6c63",
 	"dgx1v-full Blink Scatter 262144: trees+scatter 3f10dee59b818d55",
@@ -211,10 +222,10 @@ var goldenSelection = []string{
 	"dgx1v-014 Blink Gather 16777216: trees 3f33061adfcb718c",
 	"dgx1v-014 Blink AllReduce 262144: trees 3f0668d47bc2b7b2",
 	"dgx1v-014 Blink AllReduce 16777216: trees 3f4cc38e1a967809",
-	"dgx1v-014 Blink AllGather 262144: trees+allgather 3f22b86c8f8de87a",
-	"dgx1v-014 Blink AllGather 16777216: trees+allgather 3f4e1fd828fd3358",
-	"dgx1v-014 Blink ReduceScatter 262144: trees+reducescatter 3f21a4a75abdfb92",
-	"dgx1v-014 Blink ReduceScatter 16777216: trees+reducescatter 3f4c5f22e20e4960",
+	"dgx1v-014 Blink AllGather 262144: trees+allgather 3f0668d47bc2b7b2",
+	"dgx1v-014 Blink AllGather 16777216: trees+allgather 3f4cc38e1a967809",
+	"dgx1v-014 Blink ReduceScatter 262144: trees+reducescatter 3ef8e60bb18e2a28",
+	"dgx1v-014 Blink ReduceScatter 16777216: trees+reducescatter 3f4c1f06f43947a6",
 	"dgx1v-014 Blink Reduce 262144: trees+reduce 3ef8e60bb18e2a28",
 	"dgx1v-014 Blink Reduce 16777216: trees+reduce 3f4c1f06f43947a6",
 	"dgx1v-014 Blink Scatter 262144: trees+scatter 3f16a1ac4d85ea7c",
@@ -251,10 +262,10 @@ var goldenSelection = []string{
 	"dgx1v-016 Blink Gather 16777216: pcie-trees 3f638a68b2449cd0",
 	"dgx1v-016 Blink AllReduce 262144: pcie-trees 3f21c5760536cb27",
 	"dgx1v-016 Blink AllReduce 16777216: pcie-trees 3f72dd39a47e12ba",
-	"dgx1v-016 Blink AllGather 262144: pcie-trees+allgather 3f30b588957e8a62",
-	"dgx1v-016 Blink AllGather 16777216: pcie-trees+allgather 3f7d4a5cba7a05e1",
-	"dgx1v-016 Blink ReduceScatter 262144: pcie-trees+reducescatter 3f2ea2148631a04b",
-	"dgx1v-016 Blink ReduceScatter 16777216: pcie-trees+reducescatter 3f7b974af267160b",
+	"dgx1v-016 Blink AllGather 262144: pcie-trees+allgather 3f21c5760536cb27",
+	"dgx1v-016 Blink AllGather 16777216: pcie-trees+allgather 3f72dd39a47e12ba",
+	"dgx1v-016 Blink ReduceScatter 262144: pcie-trees+reducescatter 3f23d65dd4163f9f",
+	"dgx1v-016 Blink ReduceScatter 16777216: pcie-trees+reducescatter 3f7b8cd9a816f3ba",
 	"dgx1v-016 Blink Reduce 262144: pcie-trees+reduce 3f23d65dd4163f9f",
 	"dgx1v-016 Blink Reduce 16777216: pcie-trees+reduce 3f7b8cd9a816f3ba",
 	"dgx1v-016 Blink Scatter 262144: pcie-trees+scatter 3f204d0f7f6ca9d9",

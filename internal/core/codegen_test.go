@@ -28,13 +28,9 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 	resolve := func(sel FabricSel) *simgpu.Fabric { return fabrics[sel] }
 	var packs []*Packing
 	for root := 0; root < 8; root++ {
-		p := must(GenerateTrees(ind.GPUGraph(), root))(t)
-		packs = append(packs, p)
+		packs = append(packs, must(GenerateTrees(ind.GPUGraph(), root))(t))
 	}
-	oneHop, err := OneHopTrees(d2, lg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oneHop := must(OneHopTrees(d2, lg))(t)
 	chain := []int{7, 6, 5, 4, 3, 2, 1, 0}
 	neighbors := make([][]int, 8)
 	for v := range neighbors {
@@ -42,21 +38,19 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 	}
 	one := packs[3:4]
 	irs := map[IRKind]*PlanIR{
-		IRTreeBroadcast:     {Root: 3, Packings: one},
-		IRTreeGather:        {Root: 3, Packings: one},
-		IRTreeAllReduce:     {Root: 3, Packings: one},
-		IRTreeAllGather:     {Root: 3, Packings: one},
-		IRTreeReduce:        {Root: 3, Packings: one},
-		IRTreeReduceScatter: {Root: 3, Packings: one},
-		IRTreeScatter:       {Root: 3, Packings: one},
-		IRTreeAllToAll:      {Packings: packs},
-		IRSendRecvChain:     {Chain: chain},
-		IRNeighborExchange:  {Neighbors: neighbors},
-		IRDGX2AllReduce:     {Fabric: FabricSwitch, Packings: oneHop},
-		IRRingBroadcast:     {Root: 5},
-		IRRingAllReduce:     {Fabric: FabricPCIe},
-		IRRingP2P:           {Pairs: []IRPair{{Src: 0, Dst: 5, Bytes: 1 << 20}, {Src: 6, Dst: 2, Bytes: 1 << 19}}, Chained: true},
-		IRDBTreeAllReduce:   {Fabric: FabricSwitch},
+		IRTreeBroadcast:    {Root: 3, Packings: one},
+		IRTreeGather:       {Root: 3, Packings: one},
+		IRTreeAllReduce:    {Root: 3, Packings: one},
+		IRTreeReduce:       {Root: 3, Packings: one},
+		IRTreeScatter:      {Root: 3, Packings: one},
+		IRTreeAllToAll:     {Packings: packs},
+		IRSendRecvChain:    {Chain: chain},
+		IRNeighborExchange: {Neighbors: neighbors},
+		IRDGX2AllReduce:    {Fabric: FabricSwitch, Packings: oneHop},
+		IRRingBroadcast:    {Root: 5},
+		IRRingAllReduce:    {Fabric: FabricPCIe},
+		IRRingP2P:          {Pairs: []IRPair{{Src: 0, Dst: 5, Bytes: 1 << 20}, {Src: 6, Dst: 2, Bytes: 1 << 19}}, Chained: true},
+		IRDBTreeAllReduce:  {Fabric: FabricSwitch},
 	}
 	for kind := IRKind(1); kind <= irKindMax; kind++ {
 		ir, ok := irs[kind]
@@ -98,6 +92,7 @@ func TestCodeGenEveryIRKind(t *testing.T) {
 	for _, ir := range []*PlanIR{{Kind: IRSendRecvChain, Bytes: 128 << 10, Chain: chain}, {Kind: IRTreeAllReduce, Bytes: 1 << 30, Packings: one}} {
 		ir.Opts.ChunkBytes = 4
 		var budget *PlanBudgetError
+		var err error
 		if allocs := testing.AllocsPerRun(2, func() { _, err = CodeGen(ir, fabrics[FabricNVLink]) }); !errors.As(err, &budget) || allocs > 10 {
 			t.Fatalf("%v of %d B in 4 B chunks: %v in %.0f allocations, want a PlanBudgetError before building", ir.Kind, ir.Bytes, err, allocs)
 		}

@@ -22,8 +22,10 @@ import (
 // blobs written under any other version — plans are cheap to recompile, so
 // cross-version migration is never worth schema tolerance. Version 2
 // renumbered the IR kinds when the baseline's plane moved out of the kind
-// and into PlanIR.Fabric; version 3 records the winning row (PlanIR.Row).
-const PlanFormatVersion = 3
+// and into PlanIR.Fabric; version 3 records the winning row (PlanIR.Row);
+// version 4 renumbered them again when AllGather and ReduceScatter lost
+// their own kinds to the AllReduce and Reduce they compile as.
+const PlanFormatVersion = 4
 
 // planMagic brands every encoded plan blob.
 var planMagic = [8]byte{'B', 'L', 'N', 'K', 'P', 'L', 'A', 'N'}

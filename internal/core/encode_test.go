@@ -138,9 +138,10 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	// Version skew, from the future and from the past (format 1 numbered the
-	// IR kinds differently and format 2 recorded no row, so their blobs must
-	// be recompiled, never read): rewrite the version varint and reseal.
-	for _, v := range []uint64{PlanFormatVersion + 1, 1, 2} {
+	// IR kinds differently, format 2 recorded no row and format 3 still gave
+	// AllGather and ReduceScatter kinds of their own, so their blobs must be
+	// recompiled, never read): rewrite the version varint and reseal.
+	for _, v := range []uint64{PlanFormatVersion + 1, 1, 2, 3} {
 		skew := append([]byte(nil), blob[:len(planMagic)]...)
 		skew = binary.AppendUvarint(skew, v)
 		rest := blob[len(planMagic):]
@@ -193,9 +194,9 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // must never panic, never allocate unboundedly, and anything it accepts must
 // be internally consistent enough for validation to give a clean verdict.
 // The seed corpus (testdata/fuzz/FuzzDecodePlan) covers the interesting
-// failure classes: a pristine blob, truncations, resealed bit flips, three
-// version-skewed headers (one from the future, pristine format-1 and
-// format-2 blobs) and a wrong-fingerprint header. The seeds added below carry a valid
+// failure classes: a pristine blob, truncations, resealed bit flips, four
+// version-skewed headers (one from the future, pristine format-1, format-2
+// and format-3 blobs) and a wrong-fingerprint header. The seeds added below carry a valid
 // checksum around a packing no packer emits: no trees, or a NaN, a zero or a
 // denormal tree weight. The plan's chunk is auto, which CodeGen derives from
 // the weights: a NaN weight Validate let through, or a denormal one whose
@@ -206,21 +207,16 @@ func TestDecodeValidatesAgainstLiveTopology(t *testing.T) {
 // within that budget. Another is a 64 B Broadcast that may race the hybrid:
 // it carries its root's PCIe packing, and its NVLink packing's rate is
 // tiny. One valid blob records each row shape, and one a centered row on a
-// Broadcast, which decoding rejects. Every input is decoded a second time
-// resealed, since a mutated blob almost never passes the checksum on its
-// own.
+// Broadcast, which decoding rejects. One more is a one-packing Broadcast
+// with no row labelled "hybrid": it decodes, and LowerBound, taken of every
+// decoded plan, must key its PCIe term on the row, not the label, or index
+// a packing the IR lacks. Every input is decoded a second time resealed,
+// since a mutated blob almost never passes the checksum on its own.
 func FuzzDecodePlan(f *testing.F) {
 	fab, p := fabricFor(f, topology.DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, false)
 	ir := &PlanIR{Kind: IRTreeBroadcast, Fabric: FabricNVLink, Strategy: "trees",
 		Bytes: 4 << 20, Packings: []*Packing{p}}
-	plan, err := CodeGen(ir, fab)
-	if err != nil {
-		f.Fatal(err)
-	}
-	blob, err := EncodePlan(plan.Freeze())
-	if err != nil {
-		f.Fatal(err)
-	}
+	blob := must(EncodePlan(must(CodeGen(ir, fab))(f).Freeze()))(f)
 
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
@@ -244,10 +240,7 @@ func FuzzDecodePlan(f *testing.F) {
 	}
 
 	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { ir.Bytes, ir.Opts.ChunkBytes = 1<<30, 4 }))
-	pcie, err := GenerateTrees(fab.Topo.PCIeGraph(), 0)
-	if err != nil {
-		f.Fatal(err)
-	}
+	pcie := must(GenerateTrees(fab.Topo.PCIeGraph(), 0))(f)
 	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) {
 		for i := range p.Trees {
 			p.Trees[i].Weight *= 1e-9
@@ -268,6 +261,7 @@ func FuzzDecodePlan(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	f.Add(withIR(f, blob, func(ir *PlanIR, p *Packing) { ir.Strategy, ir.Row = "hybrid", Row{} }))
 
 	resolve := func(FabricSel) *simgpu.Fabric { return fab }
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -292,6 +286,8 @@ func FuzzDecodePlan(f *testing.F) {
 				if fp2.NumOps() > MaxPlanOps {
 					t.Fatalf("decoded a %v plan of %d ops, over the %d-op budget", ir.Kind, fp2.NumOps(), MaxPlanOps)
 				}
+				// The bound reads only what the IR carries, whatever its label.
+				fp2.IR().LowerBound(fab)
 				r, err := fp2.Replay()
 				if err != nil {
 					t.Fatalf("decoded plan failed to replay: %v", err)

@@ -67,9 +67,7 @@ const (
 	IRTreeBroadcast IRKind = iota + 1
 	IRTreeGather
 	IRTreeAllReduce
-	IRTreeAllGather
 	IRTreeReduce
-	IRTreeReduceScatter
 	IRTreeScatter
 	// IRTreeAllToAll schedules every source's scatter over Packings[src].
 	IRTreeAllToAll
@@ -95,21 +93,19 @@ const (
 // String names the IR kind.
 func (k IRKind) String() string {
 	names := [...]string{
-		IRTreeBroadcast:     "tree-broadcast",
-		IRTreeGather:        "tree-gather",
-		IRTreeAllReduce:     "tree-allreduce",
-		IRTreeAllGather:     "tree-allgather",
-		IRTreeReduce:        "tree-reduce",
-		IRTreeReduceScatter: "tree-reducescatter",
-		IRTreeScatter:       "tree-scatter",
-		IRTreeAllToAll:      "tree-alltoall",
-		IRSendRecvChain:     "sendrecv-chain",
-		IRNeighborExchange:  "neighbor-exchange",
-		IRDGX2AllReduce:     "dgx2-allreduce",
-		IRRingBroadcast:     "ring-broadcast",
-		IRRingAllReduce:     "ring-allreduce",
-		IRRingP2P:           "ring-p2p",
-		IRDBTreeAllReduce:   "dbtree-allreduce",
+		IRTreeBroadcast:    "tree-broadcast",
+		IRTreeGather:       "tree-gather",
+		IRTreeAllReduce:    "tree-allreduce",
+		IRTreeReduce:       "tree-reduce",
+		IRTreeScatter:      "tree-scatter",
+		IRTreeAllToAll:     "tree-alltoall",
+		IRSendRecvChain:    "sendrecv-chain",
+		IRNeighborExchange: "neighbor-exchange",
+		IRDGX2AllReduce:    "dgx2-allreduce",
+		IRRingBroadcast:    "ring-broadcast",
+		IRRingAllReduce:    "ring-allreduce",
+		IRRingP2P:          "ring-p2p",
+		IRDBTreeAllReduce:  "dbtree-allreduce",
 	}
 	if int(k) < len(names) && names[k] != "" {
 		return names[k]
@@ -151,8 +147,7 @@ func (ir *PlanIR) validate(f *simgpu.Fabric) error {
 	n := ranksOf(f)
 	graphs := [2]*graph.Graph{f.Graph, f.Graph}
 	switch ir.Kind {
-	case IRTreeBroadcast, IRTreeGather, IRTreeAllReduce, IRTreeAllGather,
-		IRTreeReduce, IRTreeReduceScatter, IRTreeScatter:
+	case IRTreeBroadcast, IRTreeGather, IRTreeAllReduce, IRTreeReduce, IRTreeScatter:
 		if len(ir.Packings) == 2 && ir.Kind == IRTreeBroadcast && ir.Fabric == FabricNVLink && f.Topo != nil {
 			graphs[1] = f.Topo.PCIeGraph() // the root's PCIe packing, for the hybrid shape
 		} else if len(ir.Packings) != 1 && (len(ir.Packings) != 2 || ir.Kind != IRTreeAllReduce) {
@@ -231,8 +226,7 @@ func (e *PlanBudgetError) Error() string {
 // ring hop, at most: one copy, a reduce-class kind's send and reduce up,
 // and an AllReduce-class kind's copy down too.
 var opPasses = map[IRKind]float64{
-	IRTreeReduce: 2, IRTreeReduceScatter: 2,
-	IRTreeAllReduce: 3, IRTreeAllGather: 3, IRDGX2AllReduce: 3, IRRingAllReduce: 3, IRDBTreeAllReduce: 3,
+	IRTreeReduce: 2, IRTreeAllReduce: 3, IRDGX2AllReduce: 3, IRRingAllReduce: 3, IRDBTreeAllReduce: 3,
 }
 
 // opCount bounds the ops CodeGen emits for the IR at chunk c, before it
@@ -637,7 +631,7 @@ func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s Shape) (*Plan, err
 		return BuildBroadcastPlan(f, ir.Packings[0], ir.Bytes, opts)
 	case IRTreeGather:
 		return BuildGatherPlan(f, ir.Packings[0], ir.Bytes, opts)
-	case IRTreeAllReduce, IRTreeAllGather:
+	case IRTreeAllReduce:
 		switch s {
 		case ShapeRankRooted:
 			return BuildRankRootedAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
@@ -645,7 +639,7 @@ func (ir *PlanIR) build(f *simgpu.Fabric, opts PlanOptions, s Shape) (*Plan, err
 			return BuildCenteredAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		}
 		return BuildAllReducePlan(f, ir.Packings[0], ir.Bytes, opts)
-	case IRTreeReduce, IRTreeReduceScatter:
+	case IRTreeReduce:
 		plan, _, err := BuildReducePlan(f, ir.Packings[0], ir.Bytes, opts)
 		return plan, err
 	case IRTreeScatter:

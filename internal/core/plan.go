@@ -23,7 +23,8 @@ const (
 type PlanOptions struct {
 	// ChunkBytes is the pipelining granularity, rounded up to whole float32s.
 	// 0 is auto, which CodeGen resolves per kind: the tree Broadcast, Reduce
-	// and AllReduce kinds on NVLink or PCIe race a table of rows
+	// and AllReduce kinds on NVLink or PCIe (so Broadcast, AllReduce/AllGather
+	// and Reduce/ReduceScatter, which compile to them) race a table of rows
 	// (PlanIR.tuned) and keep the first that simulates fastest. Each packing
 	// the IR carries — an AllReduce's undirected one (Undirected.For) first,
 	// when it carries one, then its directed one — races the tree model's

@@ -292,11 +292,13 @@ func allReduceLoad(g *graph.Graph, p *Packing, rev []int, per func(e int) float6
 // f: the physical bound no simulated run may beat, and the bound
 // PlanIR.tuned prunes its candidates by. A Broadcast or Reduce moves the
 // payload at no more than its root's Edmonds bound in units of the plane's
-// per-unit link bandwidth; a hybrid Broadcast, over both planes at once, at
-// no more than the two bounds summed. An AllReduce-class schedule sends
-// 2(n−1)/n of it from each of its n ranks at their summed out-bandwidth
-// and, over trees, moves it no faster than their busiest link carries its
-// share both ways (allReduceLoad). Every other kind has no bound here, 0.
+// per-unit link bandwidth; a Broadcast whose row is the hybrid, over both
+// planes at once, at no more than the two bounds summed (checkRow holds
+// that row to an IR carrying the PCIe packing, while the strategy label is
+// only a label). An AllReduce-class schedule sends 2(n−1)/n of it from each
+// of its n ranks at their summed out-bandwidth and, over trees, moves it no
+// faster than their busiest link carries its share both ways
+// (allReduceLoad). Every other kind has no bound here, 0.
 func (ir *PlanIR) LowerBound(f *simgpu.Fabric) float64 {
 	bytes, g := float64(ir.Bytes), f.Graph
 	edmonds := func(f *simgpu.Fabric, bound float64) float64 {
@@ -307,15 +309,15 @@ func (ir *PlanIR) LowerBound(f *simgpu.Fabric) float64 {
 		return bound * unit * 1e9
 	}
 	switch ir.Kind {
-	case IRTreeBroadcast, IRTreeReduce, IRTreeReduceScatter:
+	case IRTreeBroadcast, IRTreeReduce:
 		bps := edmonds(f, ir.Packings[0].Bound)
-		if ir.Strategy == "hybrid" {
+		if ir.Row.Shape == ShapeHybrid {
 			bps += edmonds(simgpu.NewFabric(f.Topo, f.Topo.PCIeGraph(), f.Cfg), ir.Packings[1].Bound)
 		}
 		return bytes / bps
 	case IRRingBroadcast:
 		return bytes / edmonds(f, graph.BroadcastRateUpperBound(g, ir.Root))
-	case IRTreeAllReduce, IRTreeAllGather, IRRingAllReduce, IRDGX2AllReduce, IRDBTreeAllReduce:
+	case IRTreeAllReduce, IRRingAllReduce, IRDGX2AllReduce, IRDBTreeAllReduce:
 	default:
 		return 0
 	}
@@ -327,7 +329,7 @@ func (ir *PlanIR) LowerBound(f *simgpu.Fabric) float64 {
 	}
 	_, perRank := LowerBoundMessages(n)
 	bound := perRank * float64(n) * bytes / (out * 1e9)
-	if rev, err := reverseEdges(g); err == nil && (ir.Kind == IRTreeAllReduce || ir.Kind == IRTreeAllGather) {
+	if rev, err := reverseEdges(g); err == nil && ir.Kind == IRTreeAllReduce {
 		p := ir.Packings[0]
 		bound = max(bound, bytes*allReduceLoad(g, p, rev, func(e int) float64 { return f.Links[f.EdgeLinks(e)[0]].BW * 1e9 })/p.Rate)
 	}
